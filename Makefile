@@ -41,12 +41,14 @@ race-workers:
 # (DESIGN.md §10): the mixed writer/reader stress harness, the
 # snapshot-isolation differential test (every snapshot read must equal
 # the serial replay at its pinned epoch, across row/batch/striped/
-# parallel plans), and the HTTP end-to-end test. GOMAXPROCS=1 forces
-# cooperative interleavings, 2 and 8 vary true parallelism.
+# parallel plans), the torn-dirty-flag test (core's TestSnapshotTornDirty:
+# readers rewriting Q10 while a column's dirty bit flips under them), and
+# the HTTP end-to-end test. GOMAXPROCS=1 forces cooperative interleavings,
+# 2 and 8 vary true parallelism.
 race-sessions:
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestSnapshot' ./internal/rdbms/
-	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'TestSnapshot' ./internal/rdbms/
-	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestSnapshot' ./internal/rdbms/
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestSnapshot' ./internal/rdbms/ ./internal/core/
+	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'TestSnapshot' ./internal/rdbms/ ./internal/core/
+	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestSnapshot' ./internal/rdbms/ ./internal/core/
 	GOMAXPROCS=8 $(GO) test -race -count=1 ./internal/service/
 	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestSinewStatsSnapshot' ./internal/core/
 

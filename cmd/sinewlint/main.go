@@ -19,7 +19,7 @@
 //	                         batch columns
 //	sinew/snapshot-pin       live heap scans pin a snapshot first
 //
-// and three flow-sensitive checks run on a per-function CFG with a
+// and four flow-sensitive checks run on a per-function CFG with a
 // must/may dataflow solver (internal/lint/cfg.go, dataflow.go):
 //
 //	sinew/atomic-consistency a field accessed through sync/atomic
@@ -28,6 +28,9 @@
 //	                         a channel and never used after release
 //	sinew/epoch-order        DDL/ANALYZE handlers bump the catalog epoch
 //	                         before publishing the heap snapshot
+//	sinew/catalog-view       column state copied into schema views is
+//	                         written only by catalog mutators that
+//	                         invalidate the view on every path
 //
 // Usage:
 //

@@ -42,14 +42,8 @@ func (db *DB) AnalyzeSchema(collection string) ([]AnalyzeDecision, error) {
 			Key: col.Key, Type: col.Type.String(),
 			Density: density, Cardinality: card, Materialize: want,
 		}
-		tc.mu.Lock()
-		if want != col.Materialized {
-			col.Materialized = want
-			col.Dirty = true
-			d.Changed = true
-		}
+		d.Changed = tc.setTarget(col.AttrID, want)
 		d.PhysicalName = col.PhysicalName
-		tc.mu.Unlock()
 		decisions = append(decisions, d)
 	}
 	// Changed first, then by key, for readable reports.
@@ -81,19 +75,15 @@ func (db *DB) SetMaterialized(collection, key string, want bool) error {
 	if !ok {
 		return fmt.Errorf("core: collection %q does not exist", collection)
 	}
-	cols := tc.ColumnsByKey(key)
+	cols := tc.schemaView().byKey[key]
 	if len(cols) == 0 {
 		return fmt.Errorf("core: key %q has never been observed in %q", key, collection)
 	}
 	flipped := false
 	for _, col := range cols {
-		tc.mu.Lock()
-		if col.Materialized != want {
-			col.Materialized = want
-			col.Dirty = true
+		if tc.setTarget(col.AttrID, want) {
 			flipped = true
 		}
-		tc.mu.Unlock()
 	}
 	if flipped {
 		db.rdb.BumpCatalogEpoch()
@@ -109,9 +99,9 @@ func (db *DB) MaterializedColumns(collection string) []*ColumnInfo {
 		return nil
 	}
 	var out []*ColumnInfo
-	for _, c := range tc.Columns() {
-		phys, materialized, _ := tc.matState(c)
-		if materialized || phys != "" {
+	cols := tc.Columns()
+	for i := range cols {
+		if c := &cols[i]; c.Materialized || c.PhysicalName != "" {
 			out = append(out, c)
 		}
 	}

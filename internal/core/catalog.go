@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/sinewdata/sinew/internal/serial"
 )
@@ -24,7 +25,7 @@ type CollectionCatalog struct {
 	mu   sync.RWMutex
 	name string
 	// columns is keyed by attribute ID.
-	columns map[uint32]*ColumnInfo
+	columns map[uint32]*column
 	// docCount is the number of loaded documents (density denominator).
 	docCount int64
 	// nextID assigns _id values.
@@ -32,15 +33,18 @@ type CollectionCatalog struct {
 	// latch serializes the loader and the column materializer (§3.1.4:
 	// "the materializer and loader are not allowed to run concurrently").
 	latch sync.Mutex
+	// view is the published schema view; nil means stale. Mutators clear
+	// it under mu's write lock, schemaView rebuilds it under the read lock.
+	view atomic.Pointer[schemaView]
 }
 
-// ColumnInfo is one logical column's catalog record.
-type ColumnInfo struct {
+// ColumnState is the part of a column's catalog record the rewriter's
+// output depends on. Schema views hold it by value, so one statement sees
+// one consistent state however the catalog moves meanwhile.
+type ColumnState struct {
 	AttrID uint32
 	Key    string
 	Type   serial.AttrType
-	// Count is the number of documents containing the attribute.
-	Count int64
 	// Materialized is the *target* storage mode set by the schema
 	// analyzer; the physical schema converges to it via the materializer.
 	Materialized bool
@@ -50,11 +54,24 @@ type ColumnInfo struct {
 	// PhysicalName is the RDBMS column name once one exists ("" while
 	// purely virtual).
 	PhysicalName string
+}
 
-	// distinct approximates cardinality: exact up to cardTrackLimit
-	// distinct values, then pinned to "many".
-	distinct     map[string]struct{}
-	distinctFull bool
+// ColumnInfo is a by-value snapshot of one logical column's catalog
+// record: its state plus the load statistics the schema analyzer reads.
+type ColumnInfo struct {
+	ColumnState
+	// Count is the number of documents containing the attribute.
+	Count int64
+	// cardinality approximates the distinct-value count: exact up to
+	// cardTrackLimit, then pinned to "many".
+	cardinality int64
+}
+
+// column is the catalog's live record, guarded by CollectionCatalog.mu.
+type column struct {
+	ColumnInfo
+	// distinct tracks values seen until cardinality saturates.
+	distinct map[string]struct{}
 }
 
 // cardTrackLimit bounds per-column distinct tracking; beyond it the column
@@ -63,26 +80,21 @@ type ColumnInfo struct {
 const cardTrackLimit = 4096
 
 // Cardinality returns the (possibly saturated) distinct-value estimate.
-func (c *ColumnInfo) Cardinality() int64 {
-	if c.distinctFull {
-		return cardTrackLimit + 1
-	}
-	return int64(len(c.distinct))
-}
+func (c ColumnInfo) Cardinality() int64 { return c.cardinality }
 
 // observe records one occurrence of the attribute with the given value
 // hash.
-func (c *ColumnInfo) observe(valueKey string) {
+func (c *column) observe(valueKey string) {
 	c.Count++
-	if c.distinctFull {
+	if c.cardinality > cardTrackLimit {
 		return
 	}
 	if c.distinct == nil {
 		c.distinct = make(map[string]struct{})
 	}
 	c.distinct[valueKey] = struct{}{}
-	if len(c.distinct) > cardTrackLimit {
-		c.distinctFull = true
+	c.cardinality = int64(len(c.distinct))
+	if c.cardinality > cardTrackLimit {
 		c.distinct = nil
 	}
 }
@@ -101,7 +113,7 @@ func (cat *Catalog) Collection(name string) *CollectionCatalog {
 	defer cat.mu.Unlock()
 	tc, ok := cat.tables[name]
 	if !ok {
-		tc = &CollectionCatalog{name: name, columns: make(map[uint32]*ColumnInfo)}
+		tc = &CollectionCatalog{name: name, columns: make(map[uint32]*column)}
 		cat.tables[name] = tc
 	}
 	return tc
@@ -143,92 +155,137 @@ func (tc *CollectionCatalog) NextID(n int64) int64 {
 	return id
 }
 
-// Column returns the catalog record for an attribute ID, or nil.
-func (tc *CollectionCatalog) Column(attrID uint32) *ColumnInfo {
-	tc.mu.RLock()
-	defer tc.mu.RUnlock()
-	return tc.columns[attrID]
+// schemaView is an immutable picture of the collection's columns as the
+// rewriter needs them (§3.2.2): everything is by value and indexed for the
+// three questions a reference asks, so a statement bound to one view takes
+// no catalog lock and never walks the attribute set. Statistics (Count,
+// cardinality) are deliberately absent: they change with every document
+// and never change what the rewriter emits.
+type schemaView struct {
+	// all lists every column in attribute-ID order.
+	all []ColumnState
+	// byKey lists a key's columns (one per observed type) in attribute-ID
+	// order.
+	byKey map[string][]ColumnState
+	// physical lists the columns that have a physical name, in
+	// attribute-ID order: the logical row a star expands to.
+	physical []ColumnState
+	// objects maps a key to its nested-object column when that column has
+	// a physical name: a dotted key under it is extracted from there.
+	objects map[string]ColumnState
 }
 
-// ColumnsByKey returns all catalog records (one per type) for a key,
-// sorted by attribute ID.
-func (tc *CollectionCatalog) ColumnsByKey(key string) []*ColumnInfo {
+// schemaView returns the current view, rebuilding it if a mutator cleared
+// it. The result is shared and must not be modified.
+func (tc *CollectionCatalog) schemaView() *schemaView {
+	if v := tc.view.Load(); v != nil {
+		return v
+	}
+	// Build and publish under the read lock: mutators invalidate under the
+	// write lock, so a slow builder can never overwrite a later
+	// invalidation with its stale view.
 	tc.mu.RLock()
 	defer tc.mu.RUnlock()
-	var out []*ColumnInfo
+	if v := tc.view.Load(); v != nil {
+		return v // another reader rebuilt it while this one waited
+	}
+	v := &schemaView{
+		all:     make([]ColumnState, 0, len(tc.columns)),
+		byKey:   make(map[string][]ColumnState, len(tc.columns)),
+		objects: make(map[string]ColumnState),
+	}
 	for _, c := range tc.columns {
-		if c.Key == key {
-			out = append(out, c)
+		v.all = append(v.all, c.ColumnState)
+	}
+	sort.Slice(v.all, func(i, j int) bool { return v.all[i].AttrID < v.all[j].AttrID })
+	for _, c := range v.all {
+		v.byKey[c.Key] = append(v.byKey[c.Key], c)
+		if c.PhysicalName == "" {
+			continue
+		}
+		v.physical = append(v.physical, c)
+		if c.Type == serial.TypeObject {
+			v.objects[c.Key] = c
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].AttrID < out[j].AttrID })
-	return out
+	tc.view.Store(v)
+	return v
 }
 
-// Columns returns every column record sorted by attribute ID.
-func (tc *CollectionCatalog) Columns() []*ColumnInfo {
+// Columns returns a snapshot of every column record, sorted by attribute
+// ID.
+func (tc *CollectionCatalog) Columns() []ColumnInfo {
+	return tc.infos(tc.schemaView().all)
+}
+
+// ColumnsByKey returns a snapshot of the records (one per type) for a key,
+// sorted by attribute ID.
+func (tc *CollectionCatalog) ColumnsByKey(key string) []ColumnInfo {
+	return tc.infos(tc.schemaView().byKey[key])
+}
+
+// infos snapshots the live records, statistics included, of the columns a
+// view lists (records are never removed, so each still exists).
+func (tc *CollectionCatalog) infos(states []ColumnState) []ColumnInfo {
 	tc.mu.RLock()
 	defer tc.mu.RUnlock()
-	out := make([]*ColumnInfo, 0, len(tc.columns))
-	for _, c := range tc.columns {
-		out = append(out, c)
+	out := make([]ColumnInfo, len(states))
+	for i, s := range states {
+		out[i] = tc.columns[s.AttrID].ColumnInfo
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].AttrID < out[j].AttrID })
 	return out
-}
-
-// matState snapshots a column's materialization fields under the catalog
-// lock. Query planning runs concurrently with the materializer, which
-// flips these fields while holding tc.mu; readers holding a shared
-// *ColumnInfo must go through here rather than touch the fields directly.
-func (tc *CollectionCatalog) matState(col *ColumnInfo) (phys string, materialized, dirty bool) {
-	tc.mu.RLock()
-	defer tc.mu.RUnlock()
-	return col.PhysicalName, col.Materialized, col.Dirty
 }
 
 // DirtyColumns returns columns with the dirty bit set (the materializer's
-// poll, §3.1.4).
-func (tc *CollectionCatalog) DirtyColumns() []*ColumnInfo {
-	tc.mu.RLock()
-	defer tc.mu.RUnlock()
-	var out []*ColumnInfo
-	for _, c := range tc.columns {
+// poll, §3.1.4), sorted by attribute ID.
+func (tc *CollectionCatalog) DirtyColumns() []ColumnState {
+	var out []ColumnState
+	for _, c := range tc.schemaView().all {
 		if c.Dirty {
 			out = append(out, c)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].AttrID < out[j].AttrID })
 	return out
 }
 
+// The functions below are the only code that may insert a column record or
+// write ColumnState's Materialized, Dirty and PhysicalName (sinewlint's
+// catalog-view check). Each clears the published view, under the write
+// lock, whenever it changed something the rewriter reads; callers bump the
+// RDBMS catalog epoch afterwards, so whoever samples the new epoch also
+// finds the new view.
+
 // recordObservation updates counts for one attribute occurrence during
 // load; it creates the column record on first sight (the invisible cost of
-// schema evolution, §3.2.1).
-func (tc *CollectionCatalog) recordObservation(attr serial.Attr, valueKey string) *ColumnInfo {
+// schema evolution, §3.2.1). It reports the column's target storage mode
+// and whether the record is new.
+func (tc *CollectionCatalog) recordObservation(attr serial.Attr, valueKey string) (materialized, created bool) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	col, ok := tc.columns[attr.ID]
 	if !ok {
-		col = &ColumnInfo{AttrID: attr.ID, Key: attr.Key, Type: attr.Type}
+		col = newColumn(attr)
 		tc.columns[attr.ID] = col
+		tc.view.Store(nil)
 	}
 	col.observe(valueKey)
-	return col
+	return col.Materialized, !ok
 }
 
 // ensureColumn creates a catalog record for an attribute without counting
 // an occurrence (used when an UPDATE introduces a brand-new key — the
 // exact density is unknown until the next load or analyzer pass).
-func (tc *CollectionCatalog) ensureColumn(attr serial.Attr) *ColumnInfo {
+func (tc *CollectionCatalog) ensureColumn(attr serial.Attr) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	col, ok := tc.columns[attr.ID]
-	if !ok {
-		col = &ColumnInfo{AttrID: attr.ID, Key: attr.Key, Type: attr.Type}
-		tc.columns[attr.ID] = col
+	if _, ok := tc.columns[attr.ID]; !ok {
+		tc.columns[attr.ID] = newColumn(attr)
+		tc.view.Store(nil)
 	}
-	return col
+}
+
+func newColumn(attr serial.Attr) *column {
+	return &column{ColumnInfo: ColumnInfo{ColumnState: ColumnState{AttrID: attr.ID, Key: attr.Key, Type: attr.Type}}}
 }
 
 // addDocs bumps the document count after a batch load.
@@ -238,13 +295,63 @@ func (tc *CollectionCatalog) addDocs(n int64) {
 	tc.mu.Unlock()
 }
 
-// setDirty flags a column (under the table catalog lock).
-func (tc *CollectionCatalog) setDirty(attrID uint32, dirty bool) {
+// setDirty sets a column's dirty bit and reports whether that changed it.
+func (tc *CollectionCatalog) setDirty(attrID uint32, dirty bool) bool {
 	tc.mu.Lock()
-	if c, ok := tc.columns[attrID]; ok {
-		c.Dirty = dirty
+	defer tc.mu.Unlock()
+	c, ok := tc.columns[attrID]
+	if !ok || c.Dirty == dirty {
+		return false
 	}
-	tc.mu.Unlock()
+	c.Dirty = dirty
+	tc.view.Store(nil)
+	return true
+}
+
+// setTarget sets a column's target storage mode, marking the column dirty
+// when the mode flips; it reports whether it did.
+func (tc *CollectionCatalog) setTarget(attrID uint32, materialized bool) bool {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	c, ok := tc.columns[attrID]
+	if !ok || c.Materialized == materialized {
+		return false
+	}
+	c.Materialized = materialized
+	c.Dirty = true
+	tc.view.Store(nil)
+	return true
+}
+
+// setPhysicalName records the RDBMS column the materializer created for a
+// column.
+func (tc *CollectionCatalog) setPhysicalName(attrID uint32, name string) {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	if c, ok := tc.columns[attrID]; ok && c.PhysicalName != name {
+		c.PhysicalName = name
+		tc.view.Store(nil)
+	}
+}
+
+// settle ends a materializer pass that moved a column's values toward the
+// given target mode: the column is clean again and, if the target was
+// virtual, no longer has a physical name. If the analyzer flipped the
+// target while the pass ran, the column stays dirty for the next pass and
+// settle reports false.
+func (tc *CollectionCatalog) settle(attrID uint32, materialized bool) bool {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	c, ok := tc.columns[attrID]
+	if !ok || c.Materialized != materialized {
+		return false
+	}
+	c.Dirty = false
+	if !materialized {
+		c.PhysicalName = ""
+	}
+	tc.view.Store(nil)
+	return true
 }
 
 // Latch locks out concurrent loader/materializer activity on this

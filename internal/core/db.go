@@ -177,12 +177,12 @@ func (db *DB) DatabaseSizeBytes() int64 { return db.rdb.TotalSizeBytes() }
 // physicalColumnName picks the RDBMS column name for an attribute:
 // the raw key unless it collides with the fixed columns or a sibling
 // attribute of another type, in which case the type name is appended.
-func (db *DB) physicalColumnName(tc *CollectionCatalog, col *ColumnInfo) string {
+func (db *DB) physicalColumnName(tc *CollectionCatalog, col ColumnState) string {
 	name := col.Key
 	if name == IDColumn || name == ReservoirColumn {
 		return name + "$" + col.Type.String()
 	}
-	for _, sibling := range tc.ColumnsByKey(col.Key) {
+	for _, sibling := range tc.schemaView().byKey[col.Key] {
 		if sibling.AttrID != col.AttrID && sibling.PhysicalName == name {
 			return name + "$" + col.Type.String()
 		}

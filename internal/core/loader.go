@@ -73,7 +73,12 @@ func (db *DB) LoadDocuments(collection string, docs []*jsonx.Doc) (*LoadResult, 
 	firstID := tc.NextID(int64(len(docs)))
 	rows := make([]storage.Row, 0, len(docs))
 	var hashBuf []byte
-	dirtied := map[uint32]bool{}
+	// touched collects the materialized columns the batch adds values for;
+	// schemaChanged records that the batch changed what the rewriter emits
+	// for an unchanged statement (a new column record, a clean column
+	// turned dirty).
+	touched := map[uint32]bool{}
+	schemaChanged := false
 	var bytesStored int64
 	splitPending := map[string][]*jsonx.Doc{}
 
@@ -103,10 +108,11 @@ func (db *DB) LoadDocuments(collection string, docs []*jsonx.Doc) (*LoadResult, 
 				return nil, err
 			}
 			hashBuf = d.HashKey(hashBuf[:0])
-			col := tc.recordObservation(attr, string(hashBuf))
-			if col.Materialized {
-				dirtied[attr.ID] = true
+			materialized, created := tc.recordObservation(attr, string(hashBuf))
+			if materialized {
+				touched[attr.ID] = true
 			}
+			schemaChanged = schemaChanged || created
 		}
 
 		// Array strategies beyond the default (§4.2).
@@ -131,13 +137,24 @@ func (db *DB) LoadDocuments(collection string, docs []*jsonx.Doc) (*LoadResult, 
 		}
 	}
 
+	// The new values land in the reservoir, so materialized columns they
+	// belong to turn dirty; a column that already was changes nothing.
+	for attrID := range touched {
+		if tc.setDirty(attrID, true) {
+			schemaChanged = true
+		}
+	}
+	// New attributes or freshly dirtied columns change what the rewriter
+	// emits for the same statement; drop cached plans. This comes before
+	// the rows are published: a cached plan replayed against the new rows
+	// would read a just-dirtied column's physical half only.
+	if schemaChanged || dict.Len() != attrsBefore {
+		db.rdb.BumpCatalogEpoch()
+	}
 	if err := db.rdb.InsertRows(collection, rows); err != nil {
 		return nil, err
 	}
 	tc.addDocs(int64(len(docs)))
-	for attrID := range dirtied {
-		tc.setDirty(attrID, true)
-	}
 	if len(splitPending) > 0 {
 		// Release this collection's latch before loading sub-collections
 		// (they latch themselves).
@@ -147,11 +164,6 @@ func (db *DB) LoadDocuments(collection string, docs []*jsonx.Doc) (*LoadResult, 
 		if err != nil {
 			return nil, err
 		}
-	}
-	// New attributes or freshly dirtied columns change what the rewriter
-	// emits for the same statement; drop cached plans.
-	if dict.Len() != attrsBefore || len(dirtied) > 0 {
-		db.rdb.BumpCatalogEpoch()
 	}
 	return &LoadResult{
 		Documents:     int64(len(docs)),

@@ -73,28 +73,32 @@ func (m *Materializer) RunOnce(collection string) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("core: collection %q does not exist", collection)
 	}
-	dirty := tc.DirtyColumns()
-	if len(dirty) == 0 {
-		return 0, nil
-	}
 	// The loader and materializer exclude each other via the catalog latch.
 	if !tc.TryLatch() {
 		return 0, nil
 	}
 	defer tc.Unlatch()
 
+	// The pass works on by-value states: a target mode the analyzer flips
+	// meanwhile is picked up by the next pass (see settle).
+	dirty := tc.DirtyColumns()
+	if len(dirty) == 0 {
+		return 0, nil
+	}
+
 	// Ensure physical columns exist for materialization targets.
-	for _, col := range dirty {
+	for i := range dirty {
+		col := &dirty[i]
 		if col.Materialized && col.PhysicalName == "" {
-			name := m.db.physicalColumnName(tc, col)
+			name := m.db.physicalColumnName(tc, *col)
 			stmt := fmt.Sprintf("ALTER TABLE %s ADD COLUMN %s %s",
 				collection, sqlutil.QuoteIdent(name), sqlTypeOf(col.Type).String())
 			if _, err := m.db.rdb.Exec(stmt); err != nil {
 				return 0, err
 			}
-			tc.mu.Lock()
+			tc.setPhysicalName(col.AttrID, name)
+			//lint:ignore sinew/catalog-view the pass's private copy of the state, not the catalog's record
 			col.PhysicalName = name
-			tc.mu.Unlock()
 		}
 	}
 
@@ -123,7 +127,7 @@ func (m *Materializer) RunOnce(collection string) (int64, error) {
 	// shallow-first (a returning parent must land before its subkeys are
 	// written over it), then materializations deep-first (a subkey must be
 	// copied out before its parent object is moved).
-	ordered := make([]*ColumnInfo, 0, len(dirty))
+	ordered := make([]ColumnState, 0, len(dirty))
 	for _, c := range dirty {
 		if !c.Materialized {
 			ordered = append(ordered, c)
@@ -132,7 +136,7 @@ func (m *Materializer) RunOnce(collection string) (int64, error) {
 	sort.SliceStable(ordered, func(i, j int) bool {
 		return pathDepth(ordered[i].Key) < pathDepth(ordered[j].Key)
 	})
-	mats := make([]*ColumnInfo, 0, len(dirty))
+	mats := make([]ColumnState, 0, len(dirty))
 	for _, c := range dirty {
 		if c.Materialized {
 			mats = append(mats, c)
@@ -235,7 +239,7 @@ func (m *Materializer) RunOnce(collection string) (int64, error) {
 	// the dirty bit and COALESCE over the physical column, which the copy
 	// sweep filled. Rows are re-read rather than reusing the first
 	// snapshot so updates landed between the sweeps are preserved.
-	var purge []*ColumnInfo
+	var purge []ColumnState
 	for _, col := range mats {
 		if pathDepth(col.Key) == 1 && col.PhysicalName != "" {
 			purge = append(purge, col)
@@ -283,20 +287,17 @@ func (m *Materializer) RunOnce(collection string) (int64, error) {
 		}
 	}
 
-	// Full pass complete: clear dirty bits; drop columns fully
-	// dematerialized.
+	// Full pass complete: clear dirty bits, then drop columns fully
+	// dematerialized. The catalog forgets a column before the table loses
+	// it, so no statement rewritten in between names a dropped column.
 	for _, col := range dirty {
-		if !col.Materialized && col.PhysicalName != "" {
+		if tc.settle(col.AttrID, col.Materialized) && !col.Materialized && col.PhysicalName != "" {
 			stmt := fmt.Sprintf("ALTER TABLE %s DROP COLUMN %s",
 				collection, sqlutil.QuoteIdent(col.PhysicalName))
 			if _, err := m.db.rdb.Exec(stmt); err != nil {
 				return moved, err
 			}
-			tc.mu.Lock()
-			col.PhysicalName = ""
-			tc.mu.Unlock()
 		}
-		tc.setDirty(col.AttrID, false)
 	}
 	m.Passes.Add(1)
 	// Dirty bits cleared: the rewriter now emits plain column references

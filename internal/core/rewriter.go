@@ -8,6 +8,7 @@ import (
 	"github.com/sinewdata/sinew/internal/rdbms"
 	"github.com/sinewdata/sinew/internal/rdbms/plan"
 	"github.com/sinewdata/sinew/internal/rdbms/sqlparse"
+	"github.com/sinewdata/sinew/internal/rdbms/storage"
 	"github.com/sinewdata/sinew/internal/rdbms/types"
 	"github.com/sinewdata/sinew/internal/serial"
 	"github.com/sinewdata/sinew/internal/textindex"
@@ -77,7 +78,22 @@ func cacheableSelect(sql string) bool {
 	if len(s) < 6 || !strings.EqualFold(s[:6], "select") {
 		return false
 	}
-	return !strings.Contains(strings.ToLower(sql), "matches")
+	return !containsWord(sql, "matches")
+}
+
+// containsWord reports whether s contains word — lower-case ASCII letters —
+// in any letter case. It runs on every statement, so it does not allocate.
+func containsWord(s, word string) bool {
+	for i := 0; i+len(word) <= len(s); i++ {
+		j := 0
+		for j < len(word) && s[i+j]|0x20 == word[j] {
+			j++
+		}
+		if j == len(word) {
+			return true
+		}
+	}
+	return false
 }
 
 // Explain rewrites a SELECT and returns the physical plan text.
@@ -167,12 +183,29 @@ type rewriter struct {
 	handles []int64 // registered match sets
 }
 
-// rwTable is one FROM entry's resolution info.
+// rwTable is one FROM entry's resolution info: the physical schema and the
+// catalog view the whole statement is rewritten against. Binding one view
+// per statement means every reference to a column sees the same storage
+// state (a dirty flag flipping between a select list and its GROUP BY would
+// otherwise produce a statement the planner rejects), and nothing after the
+// bind takes a catalog lock.
 type rwTable struct {
-	ref     sqlparse.TableRef
-	eff     string
-	cat     *CollectionCatalog // nil for plain (non-Sinew) tables
-	columns map[string]bool    // physical schema column set
+	ref    sqlparse.TableRef
+	eff    string
+	schema *storage.Schema
+	cat    *CollectionCatalog // nil for plain (non-Sinew) tables
+	view   *schemaView        // cat's view as of the bind; nil with cat
+}
+
+// physical reports whether name is a column of the table's physical schema.
+func (t *rwTable) physical(name string) bool { return t.schema.ColumnIndex(name) >= 0 }
+
+// candidates lists the catalog attributes (one per observed type) of a key.
+func (t *rwTable) candidates(key string) []ColumnState {
+	if t.view == nil {
+		return nil
+	}
+	return t.view.byKey[key]
 }
 
 func (rw *rewriter) cleanup() {
@@ -205,16 +238,13 @@ func (rw *rewriter) statement(stmt sqlparse.Statement) (sqlparse.Statement, erro
 func (rw *rewriter) bindTables(from []sqlparse.TableRef) error {
 	rw.tables = rw.tables[:0]
 	for _, ref := range from {
-		t := rwTable{ref: ref, eff: ref.EffectiveName(), columns: map[string]bool{}}
 		schema, err := rw.db.rdb.TableSchema(ref.Name)
 		if err != nil {
 			return err
 		}
-		for _, c := range schema.Cols {
-			t.columns[c.Name] = true
-		}
+		t := rwTable{ref: ref, eff: ref.EffectiveName(), schema: schema}
 		if tc, ok := rw.db.cat.Lookup(strings.ToLower(ref.Name)); ok {
-			t.cat = tc
+			t.cat, t.view = tc, tc.schemaView()
 		}
 		rw.tables = append(rw.tables, t)
 	}
@@ -289,27 +319,24 @@ func (rw *rewriter) selectStmt(st *sqlparse.SelectStmt) (*sqlparse.SelectStmt, e
 func (rw *rewriter) expandStar(tableQual string) ([]sqlparse.SelectItem, error) {
 	var out []sqlparse.SelectItem
 	matched := false
-	for _, t := range rw.tables {
+	for i := range rw.tables {
+		t := &rw.tables[i]
 		if tableQual != "" && t.eff != tableQual {
 			continue
 		}
 		matched = true
-		if t.cat == nil {
+		if t.view == nil {
 			out = append(out, sqlparse.SelectItem{Star: true, Table: t.eff})
 			continue
 		}
 		out = append(out, sqlparse.SelectItem{
 			Expr: &sqlparse.ColumnRef{Table: t.eff, Name: IDColumn}, Alias: IDColumn,
 		})
-		for _, col := range t.cat.Columns() {
-			phys, _, dirty := t.cat.matState(col)
-			if phys == "" {
-				continue
-			}
-			ref := sqlparse.Expr(&sqlparse.ColumnRef{Table: t.eff, Name: phys})
-			if dirty {
+		for _, col := range t.view.physical {
+			ref := sqlparse.Expr(&sqlparse.ColumnRef{Table: t.eff, Name: col.PhysicalName})
+			if col.Dirty {
 				ref = &sqlparse.FuncCall{Name: "coalesce", Args: []sqlparse.Expr{
-					ref, rw.extractCall(t.eff, col.Key, col.Type),
+					ref, extractCall(t, col.Key, col.Type),
 				}}
 			}
 			out = append(out, sqlparse.SelectItem{Expr: ref, Alias: col.Key})
@@ -399,9 +426,8 @@ func (rw *rewriter) hintOf(e sqlparse.Expr) hint {
 			// Bytes and untyped literals suggest nothing to the partner.
 		}
 	case *sqlparse.ColumnRef:
-		if _, col := rw.resolveRef(x); col != nil {
-			cands := rw.candidatesFor(x)
-			if len(cands) == 1 {
+		if _, t := rw.resolveRef(x); t != nil {
+			if cands := t.candidates(x.Name); len(cands) == 1 {
 				return hintFromAttr(cands[0].Type)
 			}
 		}
@@ -585,10 +611,10 @@ func (rw *rewriter) resolveRef(cr *sqlparse.ColumnRef) (physical bool, tbl *rwTa
 			if t.eff != cr.Table {
 				continue
 			}
-			if t.columns[cr.Name] {
+			if t.physical(cr.Name) {
 				return true, t
 			}
-			if t.cat != nil && len(t.cat.ColumnsByKey(cr.Name)) > 0 {
+			if len(t.candidates(cr.Name)) > 0 {
 				return false, t
 			}
 			return false, nil
@@ -599,7 +625,7 @@ func (rw *rewriter) resolveRef(cr *sqlparse.ColumnRef) (physical bool, tbl *rwTa
 	var phys, virt *rwTable
 	for i := range rw.tables {
 		t := &rw.tables[i]
-		if t.columns[cr.Name] {
+		if t.physical(cr.Name) {
 			if phys != nil {
 				return false, nil // ambiguous
 			}
@@ -611,7 +637,7 @@ func (rw *rewriter) resolveRef(cr *sqlparse.ColumnRef) (physical bool, tbl *rwTa
 	}
 	for i := range rw.tables {
 		t := &rw.tables[i]
-		if t.cat != nil && len(t.cat.ColumnsByKey(cr.Name)) > 0 {
+		if len(t.candidates(cr.Name)) > 0 {
 			if virt != nil {
 				return false, nil // ambiguous
 			}
@@ -624,16 +650,6 @@ func (rw *rewriter) resolveRef(cr *sqlparse.ColumnRef) (physical bool, tbl *rwTa
 	return false, nil
 }
 
-// candidatesFor lists the catalog attributes for a reference's key in its
-// resolved table.
-func (rw *rewriter) candidatesFor(cr *sqlparse.ColumnRef) []*ColumnInfo {
-	_, t := rw.resolveRef(cr)
-	if t == nil || t.cat == nil {
-		return nil
-	}
-	return t.cat.ColumnsByKey(cr.Name)
-}
-
 // columnRef rewrites one reference per §3.2.2: physical non-dirty stays a
 // column reference; dirty becomes COALESCE(column, extract); virtual
 // becomes an extraction call typed from the context hint (or downcast to
@@ -643,14 +659,14 @@ func (rw *rewriter) columnRef(cr *sqlparse.ColumnRef, h hint) (sqlparse.Expr, er
 	if t == nil {
 		return nil, fmt.Errorf("core: column %q does not exist in the logical schema", displayName(cr))
 	}
-	if physical && t.cat == nil {
+	if physical && t.view == nil {
 		return &sqlparse.ColumnRef{Table: t.eff, Name: cr.Name}, nil // plain table
 	}
 	if physical && (cr.Name == IDColumn || cr.Name == ReservoirColumn) {
 		return &sqlparse.ColumnRef{Table: t.eff, Name: cr.Name}, nil
 	}
 
-	cands := t.cat.ColumnsByKey(cr.Name)
+	cands := t.candidates(cr.Name)
 	if len(cands) == 0 {
 		// Physical column not under catalog control (user-added).
 		if physical {
@@ -665,20 +681,19 @@ func (rw *rewriter) columnRef(cr *sqlparse.ColumnRef, h hint) (sqlparse.Expr, er
 		// The hinted type was never observed for this key: extraction of
 		// that type correctly yields NULLs.
 		if at, ok := attrFromHint(h); ok {
-			return rw.extractCall(t.eff, cr.Name, at), nil
+			return extractCall(t, cr.Name, at), nil
 		}
-		col = cands[0]
+		col = &cands[0]
 	}
 
-	phys, materialized, dirty := t.cat.matState(col)
-	if phys != "" && materialized && !dirty {
-		return &sqlparse.ColumnRef{Table: t.eff, Name: phys}, nil
+	if col.PhysicalName != "" && col.Materialized && !col.Dirty {
+		return &sqlparse.ColumnRef{Table: t.eff, Name: col.PhysicalName}, nil
 	}
-	if phys != "" && dirty {
+	if col.PhysicalName != "" && col.Dirty {
 		// Partially materialized either way: COALESCE over both locations.
 		return &sqlparse.FuncCall{Name: "coalesce", Args: []sqlparse.Expr{
-			&sqlparse.ColumnRef{Table: t.eff, Name: phys},
-			rw.extractCall(t.eff, cr.Name, col.Type),
+			&sqlparse.ColumnRef{Table: t.eff, Name: col.PhysicalName},
+			extractCall(t, cr.Name, col.Type),
 		}}, nil
 	}
 	// Virtual.
@@ -689,27 +704,27 @@ func (rw *rewriter) columnRef(cr *sqlparse.ColumnRef, h hint) (sqlparse.Expr, er
 			&sqlparse.Literal{Val: types.NewText(cr.Name)},
 		}}, nil
 	}
-	return rw.extractCall(t.eff, cr.Name, col.Type), nil
+	return extractCall(t, cr.Name, col.Type), nil
 }
 
 // pickCandidate chooses the attribute matching the hint; numeric hints
 // accept the other numeric type when no exact match exists.
-func pickCandidate(cands []*ColumnInfo, h hint) *ColumnInfo {
+func pickCandidate(cands []ColumnState, h hint) *ColumnState {
 	if h == hintNone {
 		if len(cands) == 1 {
-			return cands[0]
+			return &cands[0]
 		}
 		return nil
 	}
 	want, _ := attrFromHint(h)
-	for _, c := range cands {
-		if c.Type == want {
-			return c
+	for i := range cands {
+		if cands[i].Type == want {
+			return &cands[i]
 		}
 	}
 	if h == hintInt || h == hintFloat {
-		for _, c := range cands {
-			if c.Type == serial.TypeInt || c.Type == serial.TypeFloat {
+		for i := range cands {
+			if c := &cands[i]; c.Type == serial.TypeInt || c.Type == serial.TypeFloat {
 				return c
 			}
 		}
@@ -726,34 +741,27 @@ var extractFuncName = map[serial.AttrType]string{
 	serial.TypeObject: "sinew_extract_doc",
 }
 
-// extractCall builds the extraction expression for a key. When a prefix of
-// a dotted key is itself a materialized nested-object column, the value no
-// longer lives in the reservoir: extraction is routed into that column's
-// serialized sub-record (COALESCEd with the reservoir while the parent is
-// dirty).
-func (rw *rewriter) extractCall(tableEff, key string, t serial.AttrType) sqlparse.Expr {
-	fromReservoir := rawExtract(t, &sqlparse.ColumnRef{Table: tableEff, Name: ReservoirColumn}, key)
-	tc := rw.catFor(tableEff)
-	if tc == nil {
-		return fromReservoir
-	}
+// extractCall builds the extraction expression for a key of a collection.
+// When a prefix of a dotted key is itself a nested-object column with a
+// physical name, the value no longer lives in the reservoir: extraction is
+// routed into that column's serialized sub-record (COALESCEd with the
+// reservoir while the parent is dirty).
+func extractCall(t *rwTable, key string, typ serial.AttrType) sqlparse.Expr {
+	fromReservoir := rawExtract(typ, &sqlparse.ColumnRef{Table: t.eff, Name: ReservoirColumn}, key)
 	// Longest materialized parent prefix wins.
 	for i := len(key) - 1; i > 0; i-- {
 		if key[i] != '.' {
 			continue
 		}
-		parent, rest := key[:i], key[i+1:]
-		for _, pc := range tc.ColumnsByKey(parent) {
-			phys, _, dirty := tc.matState(pc)
-			if pc.Type != serial.TypeObject || phys == "" {
-				continue
-			}
-			fromParent := rawExtract(t, &sqlparse.ColumnRef{Table: tableEff, Name: phys}, rest)
-			if dirty {
-				return &sqlparse.FuncCall{Name: "coalesce", Args: []sqlparse.Expr{fromParent, fromReservoir}}
-			}
-			return fromParent
+		parent, ok := t.view.objects[key[:i]]
+		if !ok {
+			continue
 		}
+		fromParent := rawExtract(typ, &sqlparse.ColumnRef{Table: t.eff, Name: parent.PhysicalName}, key[i+1:])
+		if parent.Dirty {
+			return &sqlparse.FuncCall{Name: "coalesce", Args: []sqlparse.Expr{fromParent, fromReservoir}}
+		}
+		return fromParent
 	}
 	return fromReservoir
 }
@@ -762,16 +770,6 @@ func rawExtract(t serial.AttrType, source sqlparse.Expr, key string) sqlparse.Ex
 	return &sqlparse.FuncCall{Name: extractFuncName[t], Args: []sqlparse.Expr{
 		source, &sqlparse.Literal{Val: types.NewText(key)},
 	}}
-}
-
-// catFor finds the collection catalog for an effective table name.
-func (rw *rewriter) catFor(tableEff string) *CollectionCatalog {
-	for i := range rw.tables {
-		if rw.tables[i].eff == tableEff {
-			return rw.tables[i].cat
-		}
-	}
-	return nil
 }
 
 func displayName(cr *sqlparse.ColumnRef) string {
@@ -797,7 +795,7 @@ func (rw *rewriter) matchesCall(x *sqlparse.FuncCall) (sqlparse.Expr, error) {
 	}
 	var sinewTable *rwTable
 	for i := range rw.tables {
-		if rw.tables[i].cat != nil {
+		if rw.tables[i].view != nil {
 			sinewTable = &rw.tables[i]
 			break
 		}
@@ -826,7 +824,7 @@ func (rw *rewriter) updateStmt(st *sqlparse.UpdateStmt) (sqlparse.Statement, err
 		return nil, err
 	}
 	t := &rw.tables[0]
-	if t.cat == nil {
+	if t.view == nil {
 		return st, nil // plain table: pass through
 	}
 	out := &sqlparse.UpdateStmt{Table: st.Table}
@@ -839,26 +837,21 @@ func (rw *rewriter) updateStmt(st *sqlparse.UpdateStmt) (sqlparse.Statement, err
 		if err != nil {
 			return nil, err
 		}
-		cands := t.cat.ColumnsByKey(set.Column)
-		var col *ColumnInfo
+		cands := t.candidates(set.Column)
+		var col *ColumnState
 		if len(cands) > 0 {
 			col = pickCandidate(cands, rw.hintOf(set.Value))
 			if col == nil {
-				col = cands[0]
+				col = &cands[0]
 			}
 		}
-		var physName string
-		var physDirty bool
-		if col != nil {
-			physName, _, physDirty = t.cat.matState(col)
-		}
 		switch {
-		case col != nil && physName != "" && !physDirty:
-			out.Set = append(out.Set, sqlparse.SetClause{Column: physName, Value: rhs})
-		case col != nil && physName != "" && physDirty:
-			// Write the physical column and purge any reservoir copy so the
-			// two locations never disagree.
-			out.Set = append(out.Set, sqlparse.SetClause{Column: physName, Value: rhs})
+		case col != nil && col.PhysicalName != "" && !col.Dirty:
+			out.Set = append(out.Set, sqlparse.SetClause{Column: col.PhysicalName, Value: rhs})
+		case col != nil && col.PhysicalName != "":
+			// Dirty: write the physical column and purge any reservoir copy
+			// so the two locations never disagree.
+			out.Set = append(out.Set, sqlparse.SetClause{Column: col.PhysicalName, Value: rhs})
 			dataExpr = &sqlparse.FuncCall{Name: "sinew_remove_key", Args: []sqlparse.Expr{
 				dataExpr, &sqlparse.Literal{Val: types.NewText(set.Column)},
 			}}
@@ -875,6 +868,8 @@ func (rw *rewriter) updateStmt(st *sqlparse.UpdateStmt) (sqlparse.Statement, err
 				t.cat.ensureColumn(serial.Attr{
 					ID: rw.db.dict().IDFor(set.Column, at), Key: set.Column, Type: at,
 				})
+				// Rebind so the rest of the statement resolves the new key.
+				t.view = t.cat.schemaView()
 			}
 			dataExpr = &sqlparse.FuncCall{Name: "sinew_set_key", Args: []sqlparse.Expr{
 				dataExpr, &sqlparse.Literal{Val: types.NewText(set.Column)}, rhs,
@@ -899,7 +894,7 @@ func (rw *rewriter) deleteStmt(st *sqlparse.DeleteStmt) (sqlparse.Statement, err
 	if err := rw.bindTables([]sqlparse.TableRef{{Name: st.Table}}); err != nil {
 		return nil, err
 	}
-	if rw.tables[0].cat == nil {
+	if rw.tables[0].view == nil {
 		return st, nil
 	}
 	out := &sqlparse.DeleteStmt{Table: st.Table}

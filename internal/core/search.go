@@ -60,12 +60,11 @@ func (db *DB) ReindexCollection(collection string) error {
 	}
 	var snaps []snap
 	textCols := map[int]string{} // column index -> logical key
-	for _, col := range tc.Columns() {
-		phys, _, _ := tc.matState(col)
-		if phys == "" || col.Type != serial.TypeString {
+	for _, col := range tc.schemaView().physical {
+		if col.Type != serial.TypeString {
 			continue
 		}
-		if i := schema.ColumnIndex(phys); i >= 0 {
+		if i := schema.ColumnIndex(col.PhysicalName); i >= 0 {
 			textCols[i] = col.Key
 		}
 	}

@@ -65,13 +65,28 @@ type FieldAccess struct {
 }
 
 // fieldRefOf resolves sel to the field it selects, when sel is a direct
-// struct-field selection on a named type.
+// struct-field selection on a named type. A field promoted through
+// embedding resolves to the struct that declares it, so `c.Dirty` names
+// the same FieldRef whether c is the declaring struct or one embedding it.
 func fieldRefOf(pkg *Package, sel *ast.SelectorExpr) (FieldRef, types.Type, bool) {
 	s, ok := pkg.Info.Selections[sel]
 	if !ok || s.Kind() != types.FieldVal {
 		return FieldRef{}, nil, false
 	}
-	named := namedOf(s.Recv())
+	owner := s.Recv()
+	path := s.Index()
+	for _, i := range path[:len(path)-1] {
+		named := namedOf(owner)
+		if named == nil {
+			return FieldRef{}, nil, false
+		}
+		st, ok := named.Underlying().(*types.Struct)
+		if !ok {
+			return FieldRef{}, nil, false
+		}
+		owner = st.Field(i).Type()
+	}
+	named := namedOf(owner)
 	if named == nil || named.Obj().Pkg() == nil {
 		return FieldRef{}, nil, false
 	}

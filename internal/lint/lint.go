@@ -93,6 +93,7 @@ func Registry() []Check {
 		&AtomicConsistency{},
 		&BatchEscape{},
 		&EpochOrder{},
+		&CatalogView{},
 	}
 }
 

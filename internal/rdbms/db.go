@@ -36,8 +36,10 @@ type DB struct {
 	tables map[string]*table
 	pager  *storage.Pager
 	funcs  *exec.Registry
-	cfgMu  sync.Mutex // guards writes to *cfg (SET) and flagsKey reads
+	cfgMu  sync.Mutex // guards writes to *cfg (SET) and planCfg's copy
 	cfg    *plan.Config
+	// flags is flagsKey(cfg), republished by every SET.
+	flags atomic.Pointer[string]
 	// epoch counts catalog-shape changes; the prepared-plan cache keys on
 	// it so DDL/ANALYZE/materializer moves invalidate cached plans.
 	epoch atomic.Uint64
@@ -60,13 +62,15 @@ type table struct {
 
 // Open creates an empty database.
 func Open() *DB {
-	return &DB{
+	db := &DB{
 		tables: make(map[string]*table),
 		pager:  storage.NewPager(),
 		funcs:  exec.NewRegistry(),
 		cfg:    plan.DefaultConfig(),
 		plans:  newPlanCache(),
 	}
+	db.publishFlags()
+	return db
 }
 
 // RegisterFunc installs a user-defined function, available to SQL
@@ -204,7 +208,8 @@ func (db *DB) ExecStmt(stmt sqlparse.Statement) (*Result, error) {
 
 // execSet applies SET name = value to the session/planner configuration.
 // Writes go under cfgMu so a concurrent statement snapshotting the config
-// (planCfg) or computing a cache key (flagsKey) sees a consistent value.
+// (planCfg) sees a consistent value; the plan-cache key's flags component
+// is republished from the new settings before the lock is released.
 func (db *DB) execSet(st *sqlparse.SetStmt) (*Result, error) {
 	db.cfgMu.Lock()
 	defer db.cfgMu.Unlock()
@@ -250,6 +255,7 @@ func (db *DB) execSet(st *sqlparse.SetStmt) (*Result, error) {
 		return nil, fmt.Errorf("rdbms: SET %s: unrecognized configuration parameter (known: %s)",
 			st.Name, strings.Join(sessionVars, ", "))
 	}
+	db.publishFlags()
 	return &Result{}, nil
 }
 

@@ -146,12 +146,11 @@ func (db *DB) PlanCacheStats() PlanCacheStats {
 // flagsKey folds the plan-shaping session settings into the cache key, so
 // SET enable_batch / batch_size / parallel_scan_min_pages /
 // max_parallel_workers / enable_page_skip / enable_striped force a re-plan
-// rather than replaying a plan built under different settings.
-func (db *DB) flagsKey() string {
-	db.cfgMu.Lock()
-	cfg := *db.cfg
-	db.cfgMu.Unlock()
-	// Hand-rolled to keep the hot path free of fmt.
+// rather than replaying a plan built under different settings. The key is
+// computed when a setting changes (Open, execSet) and stored in db.flags:
+// every statement reads it, few change it.
+func flagsKey(cfg *plan.Config) string {
+	// Hand-rolled to keep fmt out of the package's statement path.
 	b := make([]byte, 0, 40)
 	if cfg.EnableBatch {
 		b = append(b, "b1,"...)
@@ -176,6 +175,12 @@ func (db *DB) flagsKey() string {
 	return string(b)
 }
 
+// publishFlags recomputes db.flags from the current settings.
+func (db *DB) publishFlags() {
+	k := flagsKey(db.cfg)
+	db.flags.Store(&k)
+}
+
 func appendUint(b []byte, v uint64) []byte {
 	if v == 0 {
 		return append(b, '0')
@@ -196,7 +201,10 @@ func appendUint(b []byte, v uint64) []byte {
 // closure performs parse + virtual-column rewrite, which a hit skips
 // entirely along with planning.
 func (db *DB) ExecSelectCached(sqlText string, build func() (*sqlparse.SelectStmt, error)) (*Result, error) {
-	key := planKey{sql: sqlText, flags: db.flagsKey(), epoch: db.epoch.Load()}
+	// The epoch is sampled once, before build: a plan is cached under the
+	// epoch its rewrite may have read catalog state at, so a catalog change
+	// landing mid-build leaves the entry under a key no lookup uses again.
+	key := planKey{sql: sqlText, flags: *db.flags.Load(), epoch: db.epoch.Load()}
 	if ent, ok := db.plans.get(key); ok {
 		// Lock-free hit path: pin every referenced table's snapshot, then
 		// re-check the epoch. DDL bumps the epoch *before* publishing
@@ -232,10 +240,6 @@ func (db *DB) ExecSelectCached(sqlText string, build func() (*sqlparse.SelectStm
 	}
 	ec := exec.NewExecCtx()
 	defer ec.Release()
-	// Sample the epoch before planning: if a DDL lands mid-plan it bumps
-	// the epoch, the entry below is cached under the stale key, and no
-	// future lookup ever replays it.
-	epoch := db.epoch.Load()
 	p := plan.NewPlanner(snapshotCatalog{db: db, ec: ec}, db.funcs, db.planCfg())
 	sp, err := p.PlanSelect(st)
 	if err != nil {
@@ -245,7 +249,6 @@ func (db *DB) ExecSelectCached(sqlText string, build func() (*sqlparse.SelectStm
 	if err != nil {
 		return nil, err
 	}
-	db.plans.put(planKey{sql: sqlText, flags: key.flags, epoch: epoch},
-		&cachedPlan{sp: sp, tables: fromTables(st)})
+	db.plans.put(key, &cachedPlan{sp: sp, tables: fromTables(st)})
 	return &Result{Columns: sp.ColumnNames, Types: sp.ColumnTypes, Rows: rows}, nil
 }

@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"github.com/sinewdata/sinew/internal/core"
-	"github.com/sinewdata/sinew/internal/rdbms/types"
 )
 
 // maxStatementBytes bounds a /query request body; one statement should
@@ -182,67 +181,34 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if sess != nil {
 		sess.queries.Add(1)
 	}
-	res, err := s.db.Query(sql)
-	if err != nil {
+	fail := func(status int, err error) {
 		s.errorsTotal.Add(1)
 		if sess != nil {
 			sess.errors.Add(1)
 		}
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
+		writeJSON(w, status, map[string]any{"error": err.Error()})
+	}
+	res, err := s.db.Query(sql)
+	if err != nil {
+		fail(http.StatusBadRequest, err)
 		return
 	}
 	if sess != nil {
 		sess.rows.Add(int64(len(res.Rows)))
 	}
 
-	out := map[string]any{"rows_affected": res.RowsAffected}
-	if res.ExplainText != "" {
-		out["explain"] = res.ExplainText
+	bp := replyPool.Get().(*[]byte)
+	reply, err := appendQueryReply((*bp)[:0], res)
+	if err != nil {
+		fail(http.StatusInternalServerError, err)
+	} else {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		w.Write(reply)
 	}
-	if res.Columns != nil {
-		typeNames := make([]string, len(res.Types))
-		for i, t := range res.Types {
-			typeNames[i] = t.String()
-		}
-		rows := make([][]any, len(res.Rows))
-		for i, r := range res.Rows {
-			jr := make([]any, len(r))
-			for j, d := range r {
-				jr[j] = datumJSON(d)
-			}
-			rows[i] = jr
-		}
-		out["columns"] = res.Columns
-		out["types"] = typeNames
-		out["rows"] = rows
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// datumJSON converts one SQL value to its natural JSON shape.
-func datumJSON(d types.Datum) any {
-	if d.IsNull() {
-		return nil
-	}
-	switch d.Typ {
-	case types.Bool:
-		return d.B
-	case types.Int:
-		return d.I
-	case types.Float:
-		return d.F
-	case types.Text:
-		return d.S
-	case types.Bytes:
-		return d.Bs
-	case types.Array:
-		out := make([]any, len(d.A))
-		for i, e := range d.A {
-			out[i] = datumJSON(e)
-		}
-		return out
-	default:
-		return d.String()
+	if cap(reply) <= maxPooledReply {
+		*bp = reply
+		replyPool.Put(bp)
 	}
 }
 
