@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint race race-workers race-sessions stress-sessions check bench bench-diff fuzz fmt
+.PHONY: all build test vet lint race race-workers race-sessions stress-sessions bench-smoke check bench bench-diff fuzz fmt
 
 all: build
 
@@ -58,32 +58,48 @@ race-sessions:
 stress-sessions:
 	GOMAXPROCS=8 $(GO) test -race -count=10 -timeout 10m -run 'TestSnapshotStress|TestSnapshotIsolation' ./internal/rdbms/
 
+# bench-smoke vets and smoke-tests benchmark/, a Go module of its own that
+# `go build ./... && go test ./...` never sees: it compiles against the
+# product's packages (types.Datum, storage.Row, core.Result, the serial
+# kernels), so a change to one of those surfaces breaks it silently
+# otherwise.
+bench-smoke:
+	$(GO) vet -C benchmark .
+	$(GO) test -C benchmark .
+
 # check is the gate CI runs: static analysis plus the full test suite
 # under the race detector (the parallel pipelines are the main
 # concurrency surface), with extra GOMAXPROCS legs for the executor and
-# the concurrent-session/snapshot surface.
-check: vet lint race race-workers race-sessions
+# the concurrent-session/snapshot surface, and the benchmark module's
+# smoke test.
+check: vet lint race race-workers race-sessions bench-smoke
 
-# fuzz exercises the serializer's read side (the same target CI runs as a
-# non-blocking job); the checked-in corpus lives in
-# internal/serial/testdata/fuzz/.
+# fuzz exercises the serializer's read side and the datum representation
+# (the same targets CI runs as a non-blocking job); the serializer's
+# checked-in corpus lives in internal/serial/testdata/fuzz/, the datum
+# target's seeds are in its test file.
 fuzz:
 	$(GO) test -fuzz=FuzzRecordReaders -fuzztime=30s ./internal/serial/
+	$(GO) test -fuzz=FuzzDatumRoundTrip -fuzztime=30s ./internal/rdbms/types/
 
-# bench runs the micro-benchmarks and regenerates BENCH_PR10.json, the
+# bench runs the micro-benchmarks and regenerates BENCH_PR13.json, the
 # machine-readable Figure 6 + Table 5 + plan-cache report (ns/op and
-# allocs/op per query) that tracks the perf trajectory across PRs.
+# allocs/op per query) that tracks the perf trajectory across PRs. Every
+# BENCH_PR*.json so far was recorded on one processor, where the planner
+# picks serial plans; a parallel plan allocates 2-3x as often (workers,
+# channels, batch clones), so the report pins GOMAXPROCS=1 to stay
+# comparable with its baselines on hosts that have more.
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/bench/
-	$(GO) run ./cmd/sinewbench -json BENCH_PR10.json -small 4000
+	GOMAXPROCS=1 $(GO) run ./cmd/sinewbench -json BENCH_PR13.json -small 4000
 
 # bench-diff gates the perf trajectory: it fails when any Figure 6 query
-# or Table 5 row in BENCH_PR10.json regressed more than 10% against
-# BENCH_PR8.json, the freshest prior baseline, in ns/op or allocs/op.
+# or Table 5 row in BENCH_PR13.json regressed more than 10% against
+# BENCH_PR10.json, the freshest prior baseline, in ns/op or allocs/op.
 # (benchdiff defaults its baseline to the newest BENCH_PR*.json; the pin
 # keeps the gate explicit.)
 bench-diff:
-	$(GO) run ./cmd/benchdiff -baseline BENCH_PR8.json -new BENCH_PR10.json -tolerance 10
+	$(GO) run ./cmd/benchdiff -baseline BENCH_PR10.json -new BENCH_PR13.json -tolerance 10
 
 fmt:
 	gofmt -w $$($(GO) list -f '{{.Dir}}' ./...)

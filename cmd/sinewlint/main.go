@@ -18,6 +18,8 @@
 //	sinew/sel-invariant      selection vectors are honored when indexing
 //	                         batch columns
 //	sinew/snapshot-pin       live heap scans pin a snapshot first
+//	sinew/unsafe-confined    "unsafe" and types.Datum{…} literals with
+//	                         fields stay inside internal/rdbms/types
 //
 // and four flow-sensitive checks run on a per-function CFG with a
 // must/may dataflow solver (internal/lint/cfg.go, dataflow.go):

@@ -55,8 +55,8 @@ func TestListFlag(t *testing.T) {
 		t.Fatalf("run(-list) = %d, want 0", code)
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != 11 {
-		t.Fatalf("want 11 registered checks, got %d:\n%s", len(lines), out.String())
+	if len(lines) != 12 {
+		t.Fatalf("want 12 registered checks, got %d:\n%s", len(lines), out.String())
 	}
 	for _, l := range lines {
 		if !strings.HasPrefix(l, "sinew/") {

@@ -44,12 +44,9 @@ func (db *DB) applyArrayModes(collection string, tc *CollectionCatalog, docID in
 				}
 				path := fmt.Sprintf("%s.%d", key, i)
 				attr := serial.Attr{ID: db.dict().IDFor(path, at), Key: path, Type: at}
-				d, err := datumFromJSON(e, db.dict())
-				if err != nil {
+				if _, _, err := tc.observe(attr, e, db.dict(), &hashBuf); err != nil {
 					return err
 				}
-				hashBuf = d.HashKey(hashBuf[:0])
-				tc.recordObservation(attr, string(hashBuf))
 			}
 		case ArraySeparateTable:
 			if err := db.shredArray(collection, key, docID, v.A); err != nil {

@@ -82,19 +82,26 @@ const cardTrackLimit = 4096
 // Cardinality returns the (possibly saturated) distinct-value estimate.
 func (c ColumnInfo) Cardinality() int64 { return c.cardinality }
 
-// observe records one occurrence of the attribute with the given value
-// hash.
-func (c *column) observe(valueKey string) {
-	c.Count++
-	if c.cardinality > cardTrackLimit {
+// tracking reports whether the column still tracks distinct values (its
+// cardinality has not saturated).
+func (c *column) tracking() bool { return c.cardinality <= cardTrackLimit }
+
+// observeValue folds one value key into the distinct-value estimate of a
+// column that is still tracking.
+func (c *column) observeValue(valueKey []byte) {
+	if !c.tracking() {
 		return
 	}
 	if c.distinct == nil {
 		c.distinct = make(map[string]struct{})
 	}
-	c.distinct[valueKey] = struct{}{}
+	// The lookup converts without allocating; only a new value pays for
+	// its key string.
+	if _, seen := c.distinct[string(valueKey)]; !seen {
+		c.distinct[string(valueKey)] = struct{}{}
+	}
 	c.cardinality = int64(len(c.distinct))
-	if c.cardinality > cardTrackLimit {
+	if !c.tracking() {
 		c.distinct = nil
 	}
 }
@@ -255,11 +262,13 @@ func (tc *CollectionCatalog) DirtyColumns() []ColumnState {
 // RDBMS catalog epoch afterwards, so whoever samples the new epoch also
 // finds the new view.
 
-// recordObservation updates counts for one attribute occurrence during
-// load; it creates the column record on first sight (the invisible cost of
-// schema evolution, §3.2.1). It reports the column's target storage mode
-// and whether the record is new.
-func (tc *CollectionCatalog) recordObservation(attr serial.Attr, valueKey string) (materialized, created bool) {
+// recordObservation counts one attribute occurrence during load; it
+// creates the column record on first sight (the invisible cost of schema
+// evolution, §3.2.1). It reports the column's target storage mode, whether
+// the record is new, and whether the column still tracks distinct values —
+// only then does the caller owe a recordValue for the occurrence, so a
+// saturated column costs the loader no value key.
+func (tc *CollectionCatalog) recordObservation(attr serial.Attr) (materialized, created, tracking bool) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	col, ok := tc.columns[attr.ID]
@@ -268,8 +277,18 @@ func (tc *CollectionCatalog) recordObservation(attr serial.Attr, valueKey string
 		tc.columns[attr.ID] = col
 		tc.view.Store(nil)
 	}
-	col.observe(valueKey)
-	return col.Materialized, !ok
+	col.Count++
+	return col.Materialized, !ok, col.tracking()
+}
+
+// recordValue folds the value key of an occurrence already counted by
+// recordObservation into the column's cardinality estimate.
+func (tc *CollectionCatalog) recordValue(attrID uint32, valueKey []byte) {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	if col, ok := tc.columns[attrID]; ok {
+		col.observeValue(valueKey)
+	}
 }
 
 // ensureColumn creates a catalog record for an attribute without counting

@@ -41,7 +41,7 @@ func sqlTypeOf(t serial.AttrType) types.Type {
 func datumFromJSON(v jsonx.Value, dict serial.Dict) (types.Datum, error) {
 	switch v.Kind {
 	case jsonx.Null:
-		return types.Datum{Null: true}, nil
+		return types.NewNull(types.Unknown), nil
 	case jsonx.Bool:
 		return types.NewBool(v.B), nil
 	case jsonx.Int:
@@ -80,22 +80,23 @@ func jsonFromDatum(d types.Datum, dict serial.Dict) (jsonx.Value, error) {
 	}
 	switch d.Typ {
 	case types.Bool:
-		return jsonx.BoolValue(d.B), nil
+		return jsonx.BoolValue(d.Bool()), nil
 	case types.Int:
 		return jsonx.IntValue(d.I), nil
 	case types.Float:
-		return jsonx.FloatValue(d.F), nil
+		return jsonx.FloatValue(d.Float()), nil
 	case types.Text:
-		return jsonx.StringValue(d.S), nil
+		return jsonx.StringValue(d.Text()), nil
 	case types.Bytes:
-		doc, err := serial.Deserialize(d.Bs, dict)
+		doc, err := serial.Deserialize(d.Bytes(), dict)
 		if err != nil {
 			return jsonx.Value{}, err
 		}
 		return jsonx.ObjectValue(doc), nil
 	case types.Array:
-		elems := make([]jsonx.Value, len(d.A))
-		for i, e := range d.A {
+		arr := d.Array()
+		elems := make([]jsonx.Value, len(arr))
+		for i, e := range arr {
 			v, err := jsonFromDatum(e, dict)
 			if err != nil {
 				return jsonx.Value{}, err

@@ -44,7 +44,7 @@ func TestLogicalViewBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || res.Rows[0][0].S != "www.sample-site.com" {
+	if len(res.Rows) != 1 || res.Rows[0][0].Text() != "www.sample-site.com" {
 		t.Fatalf("rows = %v", res.Rows)
 	}
 }
@@ -59,7 +59,7 @@ func TestRewriterVirtualAndNull(t *testing.T) {
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
-	if res.Rows[0][0].S != "www.sample-site2.com" || res.Rows[0][1].S != "John P. Smith" {
+	if res.Rows[0][0].Text() != "www.sample-site2.com" || res.Rows[0][1].Text() != "John P. Smith" {
 		t.Errorf("row = %v", res.Rows[0])
 	}
 	// Missing keys surface as NULL for the row that lacks them.
@@ -114,7 +114,7 @@ func TestNestedKeyAccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0].S != "nyc" {
+	if res.Rows[0][0].Text() != "nyc" {
 		t.Errorf("city = %v", res.Rows[0][0])
 	}
 }
@@ -219,7 +219,7 @@ func TestDirtyColumnCoalesce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || res.Rows[0][0].S != "d" {
+	if len(res.Rows) != 1 || res.Rows[0][0].Text() != "d" {
 		t.Errorf("rows = %v", res.Rows)
 	}
 	// Materialize the backlog; coalesce disappears.
@@ -300,7 +300,7 @@ func TestUpdateVirtualColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if check.Rows[0][0].S != "DUMMY" {
+	if check.Rows[0][0].Text() != "DUMMY" {
 		t.Errorf("owner = %v", check.Rows[0][0])
 	}
 }
@@ -323,7 +323,7 @@ func TestUpdateMaterializedColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0].S != "z" {
+	if res.Rows[0][0].Text() != "z" {
 		t.Errorf("k = %v", res.Rows[0][0])
 	}
 }
@@ -364,7 +364,7 @@ func TestMultiTypedKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0].S != "true" {
+	if res.Rows[0][0].Text() != "true" {
 		t.Errorf("dyn1 = %v", res.Rows[0][0])
 	}
 }
@@ -404,7 +404,7 @@ func TestSelectStarLogicalView(t *testing.T) {
 		t.Errorf("columns = %v", res.Columns)
 	}
 	docCol := res.Rows[0][len(res.Columns)-1]
-	if !strings.Contains(docCol.S, `"url":"www.sample-site.com"`) {
+	if !strings.Contains(docCol.Text(), `"url":"www.sample-site.com"`) {
 		t.Errorf("document = %v", docCol)
 	}
 }

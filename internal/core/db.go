@@ -230,7 +230,7 @@ func reservoirSummarizer(d types.Datum) ([]uint32, bool) {
 	if d.Typ != types.Bytes {
 		return nil, false
 	}
-	ids, err := serial.AttrIDs(d.Bs)
+	ids, err := serial.AttrIDs(d.Bytes())
 	if err != nil {
 		return nil, false
 	}

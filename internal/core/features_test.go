@@ -79,7 +79,7 @@ func TestSplitNestedSubCollection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || res.Rows[0][0].F != 10.5 {
+	if len(res.Rows) != 1 || res.Rows[0][0].Float() != 10.5 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
 	// The sub-collection is a full Sinew collection: analyzable.
@@ -197,10 +197,10 @@ func TestAggregatesOverVirtualColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := res.Rows[0]
-	if r[0].I != 37 || r[1].F != 18.5 {
+	if r[0].I != 37 || r[1].Float() != 18.5 {
 		t.Errorf("sum/avg = %v %v", r[0], r[1])
 	}
-	if r[2].S != "www.sample-site.com" || r[3].S != "www.sample-site2.com" {
+	if r[2].Text() != "www.sample-site.com" || r[3].Text() != "www.sample-site2.com" {
 		t.Errorf("min/max = %v %v", r[2], r[3])
 	}
 }
@@ -396,7 +396,7 @@ func TestCatalogMirrorTables(t *testing.T) {
 	// The Figure 4a dictionary is queryable with plain SQL.
 	res, err := db.RDBMS().Query(
 		`SELECT key_name, key_type FROM sinew_attributes WHERE key_name = 'hits'`)
-	if err != nil || len(res.Rows) != 1 || res.Rows[0][1].S != "integer" {
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][1].Text() != "integer" {
 		t.Fatalf("dictionary = %v err=%v", res.Rows, err)
 	}
 	// The Figure 4b per-table half joins back to the dictionary.
@@ -408,9 +408,9 @@ func TestCatalogMirrorTables(t *testing.T) {
 	}
 	found := false
 	for _, row := range res.Rows {
-		if row[0].S == "url" {
+		if row[0].Text() == "url" {
 			found = true
-			if row[1].I != 2 || row[2].B {
+			if row[1].I != 2 || row[2].Bool() {
 				t.Errorf("url row = %v", row)
 			}
 		}
@@ -425,7 +425,7 @@ func TestCatalogMirrorTables(t *testing.T) {
 	}
 	res, _ = db.RDBMS().Query(`SELECT c.materialized FROM sinew_attributes a, ` +
 		ColumnCatalogTable("webrequests") + ` c WHERE a._id = c._id AND a.key_name = 'url'`)
-	if !res.Rows[0][0].B {
+	if !res.Rows[0][0].Bool() {
 		t.Error("materialized flag not refreshed")
 	}
 }

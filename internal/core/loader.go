@@ -103,12 +103,10 @@ func (db *DB) LoadDocuments(collection string, docs []*jsonx.Doc) (*LoadResult, 
 				continue
 			}
 			attr := serial.Attr{ID: dict.IDFor(f.Path, at), Key: f.Path, Type: at}
-			d, err := datumFromJSON(f.Val, dict)
+			materialized, created, err := tc.observe(attr, f.Val, dict, &hashBuf)
 			if err != nil {
 				return nil, err
 			}
-			hashBuf = d.HashKey(hashBuf[:0])
-			materialized, created := tc.recordObservation(attr, string(hashBuf))
 			if materialized {
 				touched[attr.ID] = true
 			}
@@ -170,6 +168,25 @@ func (db *DB) LoadDocuments(collection string, docs []*jsonx.Doc) (*LoadResult, 
 		NewAttributes: dict.Len() - attrsBefore,
 		BytesStored:   bytesStored,
 	}, nil
+}
+
+// observe catalogs one occurrence of attr with value v. The value key (the
+// HashKey of v's datum, which re-serializes nested objects and converts
+// arrays element-wise) is built only while the column still tracks
+// distinct values; past cardTrackLimit an occurrence is a counter bump.
+// buf is the caller's reusable key buffer.
+func (tc *CollectionCatalog) observe(attr serial.Attr, v jsonx.Value, dict serial.Dict, buf *[]byte) (materialized, created bool, err error) {
+	materialized, created, tracking := tc.recordObservation(attr)
+	if !tracking {
+		return materialized, created, nil
+	}
+	d, err := datumFromJSON(v, dict)
+	if err != nil {
+		return materialized, created, err
+	}
+	*buf = d.HashKey((*buf)[:0])
+	tc.recordValue(attr.ID, *buf)
+	return materialized, created, nil
 }
 
 // indexDocument adds every flattened text value to the inverted index,

@@ -158,7 +158,7 @@ func (m *Materializer) RunOnce(collection string) (int64, error) {
 		changed := false
 		var doc *jsonx.Doc
 		if !row[reservoirIdx].IsNull() {
-			d, err := serial.Deserialize(row[reservoirIdx].Bs, m.db.dict())
+			d, err := serial.Deserialize(row[reservoirIdx].Bytes(), m.db.dict())
 			if err != nil {
 				return moved, err
 			}
@@ -262,7 +262,7 @@ func (m *Materializer) RunOnce(collection string) (int64, error) {
 			if row[reservoirIdx].IsNull() {
 				continue
 			}
-			doc, err := serial.Deserialize(row[reservoirIdx].Bs, m.db.dict())
+			doc, err := serial.Deserialize(row[reservoirIdx].Bytes(), m.db.dict())
 			if err != nil {
 				return moved, err
 			}

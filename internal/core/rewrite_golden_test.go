@@ -3,7 +3,6 @@ package core
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 
@@ -165,27 +164,5 @@ func TestRewriteGoldenCorpus(t *testing.T) {
 	}
 	got := b.String()
 
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(rewriteGoldenFile, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(rewriteGoldenFile)
-	if err != nil {
-		t.Fatalf("%v (run with -update-golden to create it)", err)
-	}
-	if got == string(want) {
-		return
-	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) && i < len(wl); i++ {
-		if gl[i] != wl[i] {
-			t.Fatalf("rewrite corpus drifted at line %d:\n got: %s\nwant: %s\n(statement: %s)", i+1, gl[i], wl[i], gl[max(i-1, 0)])
-		}
-	}
-	t.Fatalf("rewrite corpus drifted: %d lines, golden has %d", len(gl), len(wl))
+	checkGolden(t, rewriteGoldenFile, got, *updateGolden)
 }

@@ -805,7 +805,7 @@ func (rw *rewriter) matchesCall(x *sqlparse.FuncCall) (sqlparse.Expr, error) {
 	}
 	var ids []textindex.DocID
 	var err error
-	ids, err = rw.db.index.Query(keysLit.Val.S, queryLit.Val.S)
+	ids, err = rw.db.index.Query(keysLit.Val.Text(), queryLit.Val.Text())
 	if err != nil {
 		return nil, err
 	}

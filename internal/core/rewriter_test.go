@@ -90,7 +90,7 @@ func TestRewriteUpdateComposesReservoirWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, _ := db.Query(`SELECT a, brand_new FROM u WHERE c > 1`)
-	if res.Rows[0][0].I != 9 || res.Rows[0][1].S != "v" {
+	if res.Rows[0][0].I != 9 || res.Rows[0][1].Text() != "v" {
 		t.Errorf("row = %v", res.Rows[0])
 	}
 }
@@ -158,7 +158,7 @@ func TestRewritePlainTablePassThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || res.Rows[0][0].S != "two" {
+	if len(res.Rows) != 1 || res.Rows[0][0].Text() != "two" {
 		t.Fatalf("mixed join rows = %v", res.Rows)
 	}
 }

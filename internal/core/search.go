@@ -74,14 +74,14 @@ func (db *DB) ReindexCollection(collection string) error {
 		}
 		s := snap{id: row[idIdx].I}
 		if !row[resIdx].IsNull() {
-			s.data = append([]byte(nil), row[resIdx].Bs...)
+			s.data = append([]byte(nil), row[resIdx].Bytes()...)
 		}
 		for ci, key := range textCols {
 			if !row[ci].IsNull() {
 				if s.phys == nil {
 					s.phys = map[string]string{}
 				}
-				s.phys[key] = row[ci].S
+				s.phys[key] = row[ci].Text()
 			}
 		}
 		snaps = append(snaps, s)

@@ -82,7 +82,7 @@ func (db *DB) reservoirSegmenter() storage.ColumnSegmenter {
 			if d.Typ != types.Bytes {
 				return nil, nil
 			}
-			records[i] = d.Bs
+			records[i] = d.Bytes()
 			nonNull++
 		}
 		if nonNull == 0 {

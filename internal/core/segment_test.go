@@ -214,7 +214,7 @@ func statCounter(t *testing.T, db *DB, key string) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := res.Rows[0][0].S
+	text := res.Rows[0][0].Text()
 	for _, field := range strings.Fields(text) {
 		if rest, ok := strings.CutPrefix(field, key+"="); ok {
 			v, err := strconv.ParseInt(rest, 10, 64)

@@ -92,7 +92,7 @@ func TestSinewStatsSnapshotCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := res.Rows[0][0].S
+	text := res.Rows[0][0].Text()
 	for _, field := range strings.Fields(text) {
 		if rest, ok := strings.CutPrefix(field, "snapshots_open="); ok {
 			v, perr := strconv.ParseInt(rest, 10, 64)

@@ -197,7 +197,7 @@ func (db *DB) registerUDFs() {
 			// allocation. Declined records (duplicate keys, corruption)
 			// take the document path, which owns the canonical error.
 			scratch := tojsonBufPool.Get().(*[]byte)
-			buf, err := serial.AppendJSON((*scratch)[:0], args[0].Bs, db.dict())
+			buf, err := serial.AppendJSON((*scratch)[:0], args[0].Bytes(), db.dict())
 			if err == nil {
 				out := types.NewText(string(buf))
 				*scratch = buf
@@ -206,7 +206,7 @@ func (db *DB) registerUDFs() {
 			}
 			*scratch = buf
 			tojsonBufPool.Put(scratch)
-			doc, err := serial.Deserialize(args[0].Bs, db.dict())
+			doc, err := serial.Deserialize(args[0].Bytes(), db.dict())
 			if err != nil {
 				return types.Datum{}, err
 			}
@@ -366,7 +366,7 @@ func (db *DB) registerUDFs() {
 					if d.Typ != types.Bytes {
 						return fmt.Errorf("sinew: reservoir argument must be bytea, got %v", d.Typ)
 					}
-					if err := rec.Reset(d.Bs); err != nil {
+					if err := rec.Reset(d.Bytes()); err != nil {
 						return err
 					}
 					if err := rec.MultiExtract(pm, dict, vals, found); err != nil {
@@ -467,10 +467,10 @@ func extractArgs(args []types.Datum) ([]byte, string, error) {
 		return nil, "", fmt.Errorf("sinew: extraction key must be text, got %v", args[1].Typ)
 	}
 	if args[0].IsNull() {
-		return nil, args[1].S, nil
+		return nil, args[1].Text(), nil
 	}
 	if args[0].Typ != types.Bytes {
 		return nil, "", fmt.Errorf("sinew: reservoir argument must be bytea, got %v", args[0].Typ)
 	}
-	return args[0].Bs, args[1].S, nil
+	return args[0].Bytes(), args[1].Text(), nil
 }

@@ -276,9 +276,9 @@ func ReconstructObjects(res *rdbms.Result, idCol int) int64 {
 func literal(v types.Datum) string {
 	switch v.Typ {
 	case types.Text:
-		return sqlutil.QuoteString(v.S)
+		return sqlutil.QuoteString(v.Text())
 	case types.Bool:
-		if v.B {
+		if v.Bool() {
 			return "TRUE"
 		}
 		return "FALSE"

@@ -94,6 +94,7 @@ func Registry() []Check {
 		&BatchEscape{},
 		&EpochOrder{},
 		&CatalogView{},
+		&UnsafeConfined{},
 	}
 }
 

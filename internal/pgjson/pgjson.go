@@ -58,11 +58,11 @@ func evalJSONExtract(args []types.Datum) (types.Datum, error) {
 	if args[0].Typ != types.Text || args[1].Typ != types.Text {
 		return types.Datum{}, fmt.Errorf("json_extract: arguments must be text")
 	}
-	doc, err := jsonx.ParseDocument([]byte(args[0].S))
+	doc, err := jsonx.ParseDocument([]byte(args[0].Text()))
 	if err != nil {
 		return types.Datum{}, fmt.Errorf("json_extract: invalid JSON: %w", err)
 	}
-	v, ok := jsonx.PathGet(doc, args[1].S)
+	v, ok := jsonx.PathGet(doc, args[1].Text())
 	if !ok || v.Kind == jsonx.Null {
 		return types.NewNull(types.Text), nil
 	}
@@ -225,24 +225,24 @@ func (db *DB) ensureJSONSet() {
 			if args[0].IsNull() {
 				return types.NewNull(types.Text), nil
 			}
-			doc, err := jsonx.ParseDocument([]byte(args[0].S))
+			doc, err := jsonx.ParseDocument([]byte(args[0].Text()))
 			if err != nil {
 				return types.Datum{}, err
 			}
 			var v jsonx.Value
 			switch args[2].Typ {
 			case types.Text:
-				v = jsonx.StringValue(args[2].S)
+				v = jsonx.StringValue(args[2].Text())
 			case types.Int:
 				v = jsonx.IntValue(args[2].I)
 			case types.Float:
-				v = jsonx.FloatValue(args[2].F)
+				v = jsonx.FloatValue(args[2].Float())
 			case types.Bool:
-				v = jsonx.BoolValue(args[2].B)
+				v = jsonx.BoolValue(args[2].Bool())
 			default:
 				v = jsonx.NullValue()
 			}
-			doc.Set(args[1].S, v)
+			doc.Set(args[1].Text(), v)
 			return types.NewText(jsonx.ObjectValue(doc).String()), nil
 		},
 	})
@@ -378,7 +378,7 @@ func (db *DB) rewriteExpr(e sqlparse.Expr, want types.Type) (sqlparse.Expr, erro
 		}
 		var pat string
 		if lit.Val.Typ == types.Text {
-			pat = "%\"" + lit.Val.S + "\"%"
+			pat = "%\"" + lit.Val.Text() + "\"%"
 		} else {
 			pat = "%" + lit.Val.String() + "%"
 		}

@@ -37,13 +37,13 @@ func TestProjectionViaExtraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || res.Rows[0][0].S != "b" {
+	if len(res.Rows) != 1 || res.Rows[0][0].Text() != "b" {
 		t.Fatalf("rows = %v", res.Rows)
 	}
 	// Every key reference becomes a json_extract over the text column.
 	// Nested dotted paths work through PathGet.
 	res, err = db.Query(`SELECT "user.lang" FROM events WHERE kind = 'b'`)
-	if err != nil || res.Rows[0][0].S != "pl" {
+	if err != nil || res.Rows[0][0].Text() != "pl" {
 		t.Fatalf("nested = %v %v", res.Rows, err)
 	}
 }
@@ -68,7 +68,7 @@ func TestMultiTypedKeyFailsLikeThePaper(t *testing.T) {
 	}
 	// Plain projection of the same key is fine (text form, no cast).
 	res, err := db.Query(`SELECT dyn FROM events WHERE kind = 'c'`)
-	if err != nil || res.Rows[0][0].S != "40" {
+	if err != nil || res.Rows[0][0].Text() != "40" {
 		t.Fatalf("projection = %v %v", res.Rows, err)
 	}
 }
@@ -79,7 +79,7 @@ func TestArrayContainmentViaLike(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || res.Rows[0][0].S != "a" {
+	if len(res.Rows) != 1 || res.Rows[0][0].Text() != "a" {
 		t.Fatalf("rows = %v", res.Rows)
 	}
 }
@@ -90,7 +90,7 @@ func TestSelectStarReturnsRawJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.Rows[0][0].S, `"kind":"a"`) {
+	if !strings.Contains(res.Rows[0][0].Text(), `"kind":"a"`) {
 		t.Errorf("star = %v", res.Rows[0][0])
 	}
 }
@@ -116,12 +116,12 @@ func TestUpdateRewritesWholeDocument(t *testing.T) {
 		t.Fatalf("affected = %d", res.RowsAffected)
 	}
 	check, _ := db.Query(`SELECT kind FROM events WHERE n = 4`)
-	if check.Rows[0][0].S != "z" {
+	if check.Rows[0][0].Text() != "z" {
 		t.Errorf("kind = %v", check.Rows[0][0])
 	}
 	// The other keys survived the text round trip.
 	check, _ = db.Query(`SELECT dyn FROM events WHERE n = 4`)
-	if check.Rows[0][0].S != "40" {
+	if check.Rows[0][0].Text() != "40" {
 		t.Errorf("dyn = %v", check.Rows[0][0])
 	}
 }

@@ -290,7 +290,7 @@ func setBoolValue(st *sqlparse.SetStmt) (bool, error) {
 	if st.Value.Typ != types.Bool || st.Value.IsNull() {
 		return false, fmt.Errorf("rdbms: SET %s: requires a boolean value (on/off), got %s", st.Name, setValueDesc(st.Value))
 	}
-	return st.Value.B, nil
+	return st.Value.Bool(), nil
 }
 
 // planCfg snapshots the session configuration for one statement, so a

@@ -37,7 +37,7 @@ func TestCreateInsertSelect(t *testing.T) {
 	if len(res.Rows) != 3 {
 		t.Fatalf("got %d rows, want 3", len(res.Rows))
 	}
-	if res.Rows[0][0].S != "alice" || res.Rows[0][1].I != 30 {
+	if res.Rows[0][0].Text() != "alice" || res.Rows[0][1].I != 30 {
 		t.Errorf("row 0 = %v, want alice/30", res.Rows[0])
 	}
 	if res.Rows[2][1].I != 40 {
@@ -54,7 +54,7 @@ func TestSelectStar(t *testing.T) {
 	if len(res.Rows) != 1 || len(res.Rows[0]) != 5 {
 		t.Fatalf("rows=%v", res.Rows)
 	}
-	if res.Rows[0][1].S != "bob" {
+	if res.Rows[0][1].Text() != "bob" {
 		t.Errorf("name = %v", res.Rows[0][1])
 	}
 }
@@ -97,7 +97,7 @@ func TestAggregates(t *testing.T) {
 	if r[0].I != 5 || r[1].I != 4 || r[2].I != 155 {
 		t.Errorf("count/count(score)/sum = %v %v %v", r[0], r[1], r[2])
 	}
-	if r[3].F != 31.0 {
+	if r[3].Float() != 31.0 {
 		t.Errorf("avg = %v, want 31", r[3])
 	}
 	if r[4].I != 25 || r[5].I != 40 {
@@ -160,7 +160,7 @@ func TestJoin(t *testing.T) {
 	if len(res.Rows) != 3 {
 		t.Fatalf("join rows = %d, want 3: %v", len(res.Rows), res.Rows)
 	}
-	if res.Rows[0][0].S != "bob" || res.Rows[0][1].F != 5.0 {
+	if res.Rows[0][0].Text() != "bob" || res.Rows[0][1].Float() != 5.0 {
 		t.Errorf("first = %v", res.Rows[0])
 	}
 	// JOIN ... ON syntax must agree.
@@ -190,7 +190,7 @@ func TestThreeWayJoin(t *testing.T) {
 func TestSelfJoin(t *testing.T) {
 	db := newTestDB(t)
 	res := mustExec(t, db, `SELECT t1.name, t2.name FROM users t1, users t2 WHERE t1.age = t2.age AND t1.id < t2.id`)
-	if len(res.Rows) != 1 || res.Rows[0][0].S != "bob" || res.Rows[0][1].S != "dave" {
+	if len(res.Rows) != 1 || res.Rows[0][0].Text() != "bob" || res.Rows[0][1].Text() != "dave" {
 		t.Fatalf("rows = %v", res.Rows)
 	}
 }
@@ -228,7 +228,7 @@ func TestAlterTable(t *testing.T) {
 	}
 	mustExec(t, db, `UPDATE users SET city = 'nyc' WHERE id = 1`)
 	res = mustExec(t, db, `SELECT city FROM users WHERE id = 1`)
-	if res.Rows[0][0].S != "nyc" {
+	if res.Rows[0][0].Text() != "nyc" {
 		t.Errorf("city = %v", res.Rows[0][0])
 	}
 	mustExec(t, db, `ALTER TABLE users DROP COLUMN city`)
@@ -303,7 +303,7 @@ func TestMultiTypeComparisonError(t *testing.T) {
 func TestSelectNoFrom(t *testing.T) {
 	db := Open()
 	res := mustExec(t, db, `SELECT 1 + 2 AS three, 'x' || 'y'`)
-	if res.Rows[0][0].I != 3 || res.Rows[0][1].S != "xy" {
+	if res.Rows[0][0].I != 3 || res.Rows[0][1].Text() != "xy" {
 		t.Fatalf("rows = %v", res.Rows)
 	}
 }

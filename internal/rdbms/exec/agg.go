@@ -76,8 +76,9 @@ func (st *aggState) addValue(v types.Datum) error {
 		}
 		if v.Typ == types.Float {
 			st.isFloat = true
+		} else {
+			st.sumI += v.I
 		}
-		st.sumI += v.I
 		st.sumF += f
 		st.count++
 		st.hasVal = true
@@ -144,7 +145,7 @@ func (st *aggState) result() types.Datum {
 		return types.NewInt(st.count)
 	case AggSum:
 		if !st.hasVal {
-			return types.Datum{Null: true}
+			return types.NewNull(types.Unknown)
 		}
 		if st.isFloat {
 			return types.NewFloat(st.sumF)
@@ -157,11 +158,11 @@ func (st *aggState) result() types.Datum {
 		return types.NewFloat(st.sumF / float64(st.count))
 	case AggMin, AggMax:
 		if !st.hasVal {
-			return types.Datum{Null: true}
+			return types.NewNull(types.Unknown)
 		}
 		return st.minMax
 	}
-	return types.Datum{Null: true}
+	return types.NewNull(types.Unknown)
 }
 
 func aggName(k AggKind) string {

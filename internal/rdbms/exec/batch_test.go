@@ -85,7 +85,7 @@ func TestRowBatchAppendAndNulls(t *testing.T) {
 		t.Error("col 1 bitmap wrong")
 	}
 	r := b.Row(1, nil)
-	if r[0].I != 2 || r[1].S != "x" {
+	if r[0].I != 2 || r[1].Text() != "x" {
 		t.Errorf("Row(1) = %v", r)
 	}
 	b.Reset()

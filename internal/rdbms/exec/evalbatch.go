@@ -41,10 +41,10 @@ func (c *EvalCtx) BeginBatch() {
 // EvalBatch evaluates e over every row of b and returns the result column.
 //
 // Nodes with eager evaluation semantics (comparisons, arithmetic, concat,
-// NOT, negation, IS NULL, BETWEEN, LIKE, CAST, function calls) are walked
-// once per batch: each child is materialized as a full column, then a tight
-// loop combines them. Nodes with lazy/short-circuit semantics (AND, OR,
-// COALESCE, IN-list, ANY) fall back to row-wise Eval inside the batch so
+// NOT, negation, IS NULL, BETWEEN, LIKE, ANY, CAST, function calls) are
+// walked once per batch: each child is materialized as a full column, then
+// a tight loop combines them. Nodes with lazy/short-circuit semantics (AND,
+// OR, COALESCE, IN-list) fall back to row-wise Eval inside the batch so
 // that skipped operands are truly not evaluated — same values, same errors,
 // same side-effect ordering as the Volcano path.
 //
@@ -114,7 +114,7 @@ func EvalBatch(e Expr, b *RowBatch, ctx *EvalCtx) ([]types.Datum, error) {
 				if err != nil {
 					return nil, err
 				}
-				out[i] = types.NewText(ls.S + rs.S)
+				out[i] = types.NewText(ls.Text() + rs.Text())
 			}
 		default:
 			for si := 0; si < n; si++ {
@@ -161,7 +161,7 @@ func EvalBatch(e Expr, b *RowBatch, ctx *EvalCtx) ([]types.Datum, error) {
 			case v.Typ == types.Int:
 				out[i] = types.NewInt(-v.I)
 			case v.Typ == types.Float:
-				out[i] = types.NewFloat(-v.F)
+				out[i] = types.NewFloat(-v.Float())
 			default:
 				// Rebuild the row-path error via single-row Eval.
 				_, err := e.Eval(b.Row(i, ctx.scratchRow()))
@@ -208,13 +208,13 @@ func EvalBatch(e Expr, b *RowBatch, ctx *EvalCtx) ([]types.Datum, error) {
 			}
 			switch {
 			case geLo.IsNull() || leHi.IsNull():
-				if (!geLo.IsNull() && !geLo.B) || (!leHi.IsNull() && !leHi.B) {
+				if (!geLo.IsNull() && !geLo.Bool()) || (!leHi.IsNull() && !leHi.Bool()) {
 					out[i] = types.NewBool(x.Not)
 				} else {
 					out[i] = types.NewNull(types.Bool)
 				}
 			default:
-				out[i] = types.NewBool((geLo.B && leHi.B) != x.Not)
+				out[i] = types.NewBool((geLo.Bool() && leHi.Bool()) != x.Not)
 			}
 		}
 		return out, nil
@@ -243,11 +243,33 @@ func EvalBatch(e Expr, b *RowBatch, ctx *EvalCtx) ([]types.Datum, error) {
 			if err != nil {
 				return nil, err
 			}
-			rx, err := x.compiled(pv.S)
+			rx, err := x.compiled(pv.Text())
 			if err != nil {
 				return nil, err
 			}
-			out[i] = types.NewBool(rx.MatchString(xv.S) != x.Not)
+			out[i] = types.NewBool(rx.MatchString(xv.Text()) != x.Not)
+		}
+		return out, nil
+
+	case *AnyExpr:
+		// Both operands are evaluated for every row on the row path too
+		// (no short circuit between them), so the node is eager. The
+		// predicate scratch column is claimed before the operands run, so
+		// an operand that falls back allocates its own.
+		out := ctx.resultCol(phys)
+		xs, err := EvalBatch(x.X, b, ctx)
+		if err != nil {
+			return nil, err
+		}
+		arrs, err := EvalBatch(x.Array, b, ctx)
+		if err != nil {
+			return nil, err
+		}
+		for si := 0; si < n; si++ {
+			i := selIdx(sel, si)
+			if out[i], err = evalAny(x.Op, xs[i], arrs[i]); err != nil {
+				return nil, err
+			}
 		}
 		return out, nil
 
@@ -301,8 +323,8 @@ func EvalBatch(e Expr, b *RowBatch, ctx *EvalCtx) ([]types.Datum, error) {
 	default:
 		// AND/OR arrive here too (dispatched above): lazy semantics —
 		// evaluate row-wise so short-circuiting skips operands exactly as
-		// the row pipeline would. Likewise CoalesceExpr, InListExpr,
-		// AnyExpr, and any Expr this switch does not know.
+		// the row pipeline would. Likewise CoalesceExpr, InListExpr, and
+		// any Expr this switch does not know.
 		return evalBatchFallback(e, b, ctx)
 	}
 }
@@ -313,20 +335,7 @@ func evalBatchFallback(e Expr, b *RowBatch, ctx *EvalCtx) ([]types.Datum, error)
 	n := b.Len()
 	sel := b.Sel
 	phys := b.PhysLen()
-	var out []types.Datum
-	if ctx.predColArmed {
-		// Predicate evaluation: the result is folded into a keep mask
-		// before the next EvalBatch on this ctx, so a reused scratch
-		// column is safe. One consumer per predicate — a nested operand
-		// result must survive while its parent node computes.
-		ctx.predColArmed = false
-		if cap(ctx.predCol) < phys {
-			ctx.predCol = make([]types.Datum, phys)
-		}
-		out = ctx.predCol[:phys]
-	} else {
-		out = make([]types.Datum, phys)
-	}
+	out := ctx.resultCol(phys)
 	row := ctx.scratchRow()
 	for si := 0; si < n; si++ {
 		i := selIdx(sel, si)
@@ -367,6 +376,23 @@ func EvalPredBatch(pred Expr, b *RowBatch, ctx *EvalCtx, keep []bool) ([]bool, e
 		keep[si] = t && !isNull
 	}
 	return keep, nil
+}
+
+// resultCol returns the result column of one expression node: the reusable
+// predicate scratch when EvalPredBatch armed it, a fresh column otherwise.
+// Predicate evaluation folds the result into a keep mask before the next
+// EvalBatch on this ctx, so a reused column is safe there. One consumer
+// per predicate — a nested operand result must survive while its parent
+// node computes — and stale entries outside the selection are never read.
+func (c *EvalCtx) resultCol(phys int) []types.Datum {
+	if !c.predColArmed {
+		return make([]types.Datum, phys)
+	}
+	c.predColArmed = false
+	if cap(c.predCol) < phys {
+		c.predCol = make([]types.Datum, phys)
+	}
+	return c.predCol[:phys]
 }
 
 func (c *EvalCtx) scratchRow() storage.Row { return c.scratch }

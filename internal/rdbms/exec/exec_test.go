@@ -22,10 +22,10 @@ func evalOn(t *testing.T, e Expr, r storage.Row) types.Datum {
 
 func TestComparisonThreeValuedLogic(t *testing.T) {
 	eq := &BinExpr{Op: "=", L: col(0, types.Int), R: lit(types.NewInt(5))}
-	if v := evalOn(t, eq, row(types.NewInt(5))); !v.B {
+	if v := evalOn(t, eq, row(types.NewInt(5))); !v.Bool() {
 		t.Error("5 = 5 should be true")
 	}
-	if v := evalOn(t, eq, row(types.NewInt(6))); v.B {
+	if v := evalOn(t, eq, row(types.NewInt(6))); v.Bool() {
 		t.Error("6 = 5 should be false")
 	}
 	if v := evalOn(t, eq, row(types.NewNull(types.Int))); !v.IsNull() {
@@ -35,11 +35,11 @@ func TestComparisonThreeValuedLogic(t *testing.T) {
 
 func TestCrossTypeNumericComparison(t *testing.T) {
 	eq := &BinExpr{Op: "=", L: lit(types.NewInt(2)), R: lit(types.NewFloat(2.0))}
-	if v := evalOn(t, eq, nil); !v.B {
+	if v := evalOn(t, eq, nil); !v.Bool() {
 		t.Error("2 = 2.0 should be true in SQL")
 	}
 	lt := &BinExpr{Op: "<", L: lit(types.NewFloat(1.5)), R: lit(types.NewInt(2))}
-	if v := evalOn(t, lt, nil); !v.B {
+	if v := evalOn(t, lt, nil); !v.Bool() {
 		t.Error("1.5 < 2 should be true")
 	}
 }
@@ -69,7 +69,7 @@ func TestLogicalKleene(t *testing.T) {
 		v := evalOn(t, &BinExpr{Op: c.op, L: c.l, R: c.r}, nil)
 		got := "n"
 		if !v.IsNull() {
-			if v.B {
+			if v.Bool() {
 				got = "t"
 			} else {
 				got = "f"
@@ -85,11 +85,11 @@ func TestShortCircuitSkipsErrors(t *testing.T) {
 	// FALSE AND <error> must not evaluate the error side.
 	bad := &BinExpr{Op: ">", L: lit(types.NewText("x")), R: lit(types.NewInt(1))}
 	and := &BinExpr{Op: "AND", L: lit(types.NewBool(false)), R: bad}
-	if v := evalOn(t, and, nil); v.B {
+	if v := evalOn(t, and, nil); v.Bool() {
 		t.Error("FALSE AND err should be false")
 	}
 	or := &BinExpr{Op: "OR", L: lit(types.NewBool(true)), R: bad}
-	if v := evalOn(t, or, nil); !v.B {
+	if v := evalOn(t, or, nil); !v.Bool() {
 		t.Error("TRUE OR err should be true")
 	}
 }
@@ -143,8 +143,8 @@ func TestLikeMatching(t *testing.T) {
 	}
 	for _, c := range cases {
 		e := &LikeExpr{X: lit(types.NewText(c.s)), Pattern: lit(types.NewText(c.pat))}
-		if v := evalOn(t, e, nil); v.B != c.want {
-			t.Errorf("%q LIKE %q = %v, want %v", c.s, c.pat, v.B, c.want)
+		if v := evalOn(t, e, nil); v.Bool() != c.want {
+			t.Errorf("%q LIKE %q = %v, want %v", c.s, c.pat, v.Bool(), c.want)
 		}
 	}
 }
@@ -161,7 +161,7 @@ func TestInListNullSemantics(t *testing.T) {
 	in2 := &InListExpr{X: lit(types.NewInt(2)), List: []Expr{
 		lit(types.NewInt(1)), lit(types.NewInt(2)), lit(types.NewNull(types.Int)),
 	}}
-	if v := evalOn(t, in2, nil); !v.B {
+	if v := evalOn(t, in2, nil); !v.Bool() {
 		t.Errorf("2 IN (1,2,NULL) = %v, want true", v)
 	}
 }
@@ -170,11 +170,11 @@ func TestAnyHeterogeneousArray(t *testing.T) {
 	arr := lit(types.NewArray(types.NewText("x"), types.NewInt(5), types.NewBool(true)))
 	// Probing for int 5 skips the incomparable string element.
 	e := &AnyExpr{X: lit(types.NewInt(5)), Op: "=", Array: arr}
-	if v := evalOn(t, e, nil); !v.B {
+	if v := evalOn(t, e, nil); !v.Bool() {
 		t.Error("5 = ANY({x,5,true}) should be true")
 	}
 	e2 := &AnyExpr{X: lit(types.NewInt(9)), Op: "=", Array: arr}
-	if v := evalOn(t, e2, nil); v.B {
+	if v := evalOn(t, e2, nil); v.Bool() {
 		t.Error("9 = ANY({x,5,true}) should be false")
 	}
 }
@@ -265,8 +265,8 @@ func TestHashAggGroups(t *testing.T) {
 	}
 	// Deterministic order (sorted by encoded key): "a" then "b".
 	a := rows[0]
-	if a[0].S != "a" || a[1].I != 3 || a[2].I != 2 || a[3].I != 4 ||
-		a[4].I != 1 || a[5].I != 3 || a[6].F != 2.0 {
+	if a[0].Text() != "a" || a[1].I != 3 || a[2].I != 2 || a[3].I != 4 ||
+		a[4].I != 1 || a[5].I != 3 || a[6].Float() != 2.0 {
 		t.Errorf("group a = %v", a)
 	}
 }
@@ -433,13 +433,13 @@ func TestRegistryAndBuiltins(t *testing.T) {
 	}
 	substr, _ := r.Lookup("substr")
 	v, _ = substr.Eval([]types.Datum{types.NewText("hello"), types.NewInt(2), types.NewInt(3)})
-	if v.S != "ell" {
+	if v.Text() != "ell" {
 		t.Errorf("substr = %v", v)
 	}
 	// Out-of-range substr clamps.
 	v, _ = substr.Eval([]types.Datum{types.NewText("hi"), types.NewInt(10)})
-	if v.S != "" {
-		t.Errorf("substr oob = %q", v.S)
+	if v.Text() != "" {
+		t.Errorf("substr oob = %q", v.Text())
 	}
 }
 

@@ -60,7 +60,7 @@ func (c *ConstExpr) Cost() float64 { return 0 }
 
 func (c *ConstExpr) String() string {
 	if c.Val.Typ == types.Text && !c.Val.Null {
-		return "'" + strings.ReplaceAll(c.Val.S, "'", "''") + "'"
+		return "'" + strings.ReplaceAll(c.Val.Text(), "'", "''") + "'"
 	}
 	return c.Val.String()
 }
@@ -102,7 +102,7 @@ func (b *BinExpr) Eval(row storage.Row) (types.Datum, error) {
 		if err != nil {
 			return types.Datum{}, err
 		}
-		return types.NewText(ls.S + rs.S), nil
+		return types.NewText(ls.Text() + rs.Text()), nil
 	default:
 		return evalArith(b.Op, l, r)
 	}
@@ -183,7 +183,7 @@ func truth(d types.Datum) (val, isNull bool, err error) {
 	if d.Typ != types.Bool {
 		return false, false, fmt.Errorf("exec: argument of boolean operator must be boolean, not %v", d.Typ)
 	}
-	return d.B, false, nil
+	return d.Bool(), false, nil
 }
 
 func evalComparison(op string, l, r types.Datum) (types.Datum, error) {
@@ -304,7 +304,7 @@ func (n *NegExpr) Eval(row storage.Row) (types.Datum, error) {
 	case types.Int:
 		return types.NewInt(-v.I), nil
 	case types.Float:
-		return types.NewFloat(-v.F), nil
+		return types.NewFloat(-v.Float()), nil
 	default:
 		return types.Datum{}, fmt.Errorf("exec: cannot negate %v", v.Typ)
 	}
@@ -382,12 +382,12 @@ func (e *BetweenExpr) Eval(row storage.Row) (types.Datum, error) {
 	}
 	if geLo.IsNull() || leHi.IsNull() {
 		// FALSE AND NULL is FALSE.
-		if (!geLo.IsNull() && !geLo.B) || (!leHi.IsNull() && !leHi.B) {
+		if (!geLo.IsNull() && !geLo.Bool()) || (!leHi.IsNull() && !leHi.Bool()) {
 			return types.NewBool(e.Not), nil
 		}
 		return types.NewNull(types.Bool), nil
 	}
-	return types.NewBool((geLo.B && leHi.B) != e.Not), nil
+	return types.NewBool((geLo.Bool() && leHi.Bool()) != e.Not), nil
 }
 
 // Type implements Expr.
@@ -496,11 +496,11 @@ func (e *LikeExpr) Eval(row storage.Row) (types.Datum, error) {
 	if err != nil {
 		return types.Datum{}, err
 	}
-	rx, err := e.compiled(ps.S)
+	rx, err := e.compiled(ps.Text())
 	if err != nil {
 		return types.Datum{}, err
 	}
-	return types.NewBool(rx.MatchString(xs.S) != e.Not), nil
+	return types.NewBool(rx.MatchString(xs.Text()) != e.Not), nil
 }
 
 func (e *LikeExpr) compiled(pattern string) (*regexp.Regexp, error) {
@@ -571,6 +571,12 @@ func (e *AnyExpr) Eval(row storage.Row) (types.Datum, error) {
 	if err != nil {
 		return types.Datum{}, err
 	}
+	return evalAny(e.Op, x, arr)
+}
+
+// evalAny combines one evaluated operand pair of x op ANY(arr); the row and
+// batch evaluators share it.
+func evalAny(op string, x, arr types.Datum) (types.Datum, error) {
 	if x.IsNull() || arr.IsNull() {
 		return types.NewNull(types.Bool), nil
 	}
@@ -578,7 +584,7 @@ func (e *AnyExpr) Eval(row storage.Row) (types.Datum, error) {
 		return types.Datum{}, fmt.Errorf("exec: ANY requires an array, got %v", arr.Typ)
 	}
 	sawNull := false
-	for _, elem := range arr.A {
+	for _, elem := range arr.Array() {
 		if elem.IsNull() {
 			sawNull = true
 			continue
@@ -590,7 +596,7 @@ func (e *AnyExpr) Eval(row storage.Row) (types.Datum, error) {
 			continue
 		}
 		var ok bool
-		switch e.Op {
+		switch op {
 		case "=":
 			ok = c == 0
 		case "<>":

@@ -191,7 +191,7 @@ func builtins() []*FuncDef {
 				if len(args) > 0 {
 					return args[len(args)-1], nil
 				}
-				return types.Datum{Null: true}, nil
+				return types.NewNull(types.Unknown), nil
 			},
 			CostPerCall: 0.0025,
 		},
@@ -204,11 +204,11 @@ func builtins() []*FuncDef {
 				}
 				switch a.Typ {
 				case types.Text:
-					return types.NewInt(int64(len(a.S))), nil
+					return types.NewInt(int64(len(a.Text()))), nil
 				case types.Bytes:
-					return types.NewInt(int64(len(a.Bs))), nil
+					return types.NewInt(int64(len(a.Bytes()))), nil
 				case types.Array:
-					return types.NewInt(int64(len(a.A))), nil
+					return types.NewInt(int64(len(a.Array()))), nil
 				default:
 					return types.Datum{}, fmt.Errorf("length: unsupported type %v", a.Typ)
 				}
@@ -238,7 +238,7 @@ func builtins() []*FuncDef {
 					}
 					return a, nil
 				case types.Float:
-					return types.NewFloat(math.Abs(a.F)), nil
+					return types.NewFloat(math.Abs(a.Float())), nil
 				default:
 					return types.Datum{}, fmt.Errorf("abs: unsupported type %v", a.Typ)
 				}
@@ -264,10 +264,10 @@ func builtins() []*FuncDef {
 				if from < 0 {
 					from = 0
 				}
-				if from > len(s.S) {
+				if from > len(s.Text()) {
 					return types.NewText(""), nil
 				}
-				to := len(s.S)
+				to := len(s.Text())
 				if len(args) == 3 && !args[2].IsNull() {
 					n, err := types.Cast(args[2], types.Int)
 					if err != nil {
@@ -280,7 +280,7 @@ func builtins() []*FuncDef {
 						to = from
 					}
 				}
-				return types.NewText(s.S[from:to]), nil
+				return types.NewText(s.Text()[from:to]), nil
 			},
 			CostPerCall: 0.01,
 		},
@@ -294,7 +294,7 @@ func builtins() []*FuncDef {
 				if arr.Typ != types.Array {
 					return types.Datum{}, fmt.Errorf("array_contains: first argument must be an array")
 				}
-				for _, e := range arr.A {
+				for _, e := range arr.Array() {
 					if types.Equal(e, v) {
 						return types.NewBool(true), nil
 					}
@@ -313,7 +313,7 @@ func builtins() []*FuncDef {
 				if a.Typ != types.Array {
 					return types.Datum{}, fmt.Errorf("array_length: argument must be an array")
 				}
-				return types.NewInt(int64(len(a.A))), nil
+				return types.NewInt(int64(len(a.Array()))), nil
 			},
 			CostPerCall: 0.0025,
 		},
@@ -322,7 +322,7 @@ func builtins() []*FuncDef {
 			Eval: func(args []types.Datum) (types.Datum, error) {
 				a, idx := args[0], args[1]
 				if a.IsNull() || idx.IsNull() {
-					return types.Datum{Null: true}, nil
+					return types.NewNull(types.Unknown), nil
 				}
 				if a.Typ != types.Array {
 					return types.Datum{}, fmt.Errorf("array_get: first argument must be an array")
@@ -331,10 +331,11 @@ func builtins() []*FuncDef {
 				if err != nil {
 					return types.Datum{}, err
 				}
-				if i.I < 0 || i.I >= int64(len(a.A)) {
-					return types.Datum{Null: true}, nil
+				elems := a.Array()
+				if i.I < 0 || i.I >= int64(len(elems)) {
+					return types.NewNull(types.Unknown), nil
 				}
-				return a.A[i.I], nil
+				return elems[i.I], nil
 			},
 			CostPerCall: 0.0025,
 		},
@@ -350,7 +351,7 @@ func textFunc(fn func(string) string) func([]types.Datum) (types.Datum, error) {
 		if err != nil {
 			return types.Datum{}, err
 		}
-		return types.NewText(fn(s.S)), nil
+		return types.NewText(fn(s.Text())), nil
 	}
 }
 

@@ -152,6 +152,8 @@ func randBatchRows(r *rand.Rand, colTypes []types.Type, n int) []storage.Row {
 				row[j] = types.NewFloat(float64(r.Intn(41))/4 - 5)
 			case types.Text:
 				row[j] = types.NewText(string(rune('a' + r.Intn(5))))
+			case types.Array:
+				row[j] = randArray(r)
 			default:
 				row[j] = types.NewBool(r.Intn(2) == 0)
 			}
@@ -159,6 +161,66 @@ func randBatchRows(r *rand.Rand, colTypes []types.Type, n int) []storage.Row {
 		rows[i] = row
 	}
 	return rows
+}
+
+// randArray builds a short array (possibly empty) of mixed-type elements —
+// Sinew's arrays are dynamically typed — with NULL elements sprinkled in.
+func randArray(r *rand.Rand) types.Datum {
+	elems := make([]types.Datum, r.Intn(5))
+	for i := range elems {
+		switch r.Intn(6) {
+		case 0:
+			elems[i] = types.NewNull(types.Unknown)
+		case 1:
+			elems[i] = types.NewText(string(rune('a' + r.Intn(5))))
+		case 2:
+			elems[i] = types.NewFloat(float64(r.Intn(9))/2 - 2)
+		case 3:
+			elems[i] = types.NewBool(r.Intn(2) == 0)
+		default:
+			elems[i] = types.NewInt(int64(r.Intn(9) - 4))
+		}
+	}
+	return types.NewArray(elems...)
+}
+
+// randAnyPred returns `x op ANY(arr)` — IN over an array when op is "=" —
+// or its negation (NOT IN). x is numeric, text or a NULL literal; arr is an
+// array column when the schema has one, else an array literal. Unless safe,
+// arr is occasionally a non-array column, which must raise the same error
+// on both pipelines.
+func randAnyPred(r *rand.Rand, colTypes []types.Type, safe bool) Expr {
+	var x Expr
+	switch r.Intn(5) {
+	case 0:
+		x = lit(types.NewNull(types.Unknown))
+	case 1, 2:
+		x = randTextExpr(r, colTypes, 0)
+	default:
+		x = randNumExpr(r, colTypes, 1, safe)
+	}
+	var arr Expr
+	arrays := colsOfType(colTypes, types.Array)
+	switch {
+	case !safe && r.Intn(12) == 0:
+		arr = col(0, colTypes[0])
+	case len(arrays) > 0 && r.Intn(4) != 0:
+		i := arrays[r.Intn(len(arrays))]
+		arr = col(i, colTypes[i])
+	case r.Intn(8) == 0:
+		arr = lit(types.NewNull(types.Array))
+	default:
+		arr = lit(randArray(r))
+	}
+	op := "="
+	if r.Intn(3) == 0 {
+		op = []string{"<>", "<", "<=", ">", ">="}[r.Intn(5)]
+	}
+	var e Expr = &AnyExpr{X: x, Op: op, Array: arr}
+	if r.Intn(2) == 0 {
+		e = &NotExpr{X: e}
+	}
+	return e
 }
 
 func colsOfType(colTypes []types.Type, want ...types.Type) []int {
@@ -215,7 +277,8 @@ func randTextExpr(r *rand.Rand, colTypes []types.Type, depth int) Expr {
 }
 
 // randPred returns a random predicate mixing eager nodes (comparisons,
-// BETWEEN, IS NULL, LIKE, NOT) with lazy ones (AND, OR, IN, COALESCE) so
+// BETWEEN, IS NULL, LIKE, NOT, IN/NOT IN over arrays) with lazy ones (AND,
+// OR, IN-list, COALESCE) so
 // both batch evaluation paths are exercised. safe keeps every numeric
 // sub-expression total (no ÷0 candidates).
 func randPred(r *rand.Rand, colTypes []types.Type, depth int, safe bool) Expr {
@@ -235,7 +298,9 @@ func randPred(r *rand.Rand, colTypes []types.Type, depth int, safe bool) Expr {
 		}
 	}
 	cmps := []string{"=", "<>", "<", "<=", ">", ">="}
-	switch r.Intn(6) {
+	switch r.Intn(7) {
+	case 6:
+		return randAnyPred(r, colTypes, safe)
 	case 0:
 		return &IsNullExpr{X: randNumExpr(r, colTypes, 1, safe), Not: r.Intn(2) == 0}
 	case 1:
@@ -283,10 +348,10 @@ func randPred(r *rand.Rand, colTypes []types.Type, depth int, safe bool) Expr {
 func TestPropertyBatchMatchesRow(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		colTypes := []types.Type{types.Int, types.Text}
+		colTypes := []types.Type{types.Int, types.Text, types.Array}
 		for n := r.Intn(4); n > 0; n-- {
 			colTypes = append(colTypes,
-				[]types.Type{types.Int, types.Float, types.Text, types.Bool}[r.Intn(4)])
+				[]types.Type{types.Int, types.Float, types.Text, types.Bool, types.Array}[r.Intn(5)])
 		}
 		rows := randBatchRows(r, colTypes, r.Intn(60))
 		pred := randPred(r, colTypes, 3, false)

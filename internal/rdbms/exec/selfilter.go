@@ -175,7 +175,7 @@ func (c *selCompiler) atomSlot(x *CallExpr) (int, bool) {
 	} else if d.FuseFamily != c.family || ce.Idx != c.dataIdx {
 		return 0, false
 	}
-	sk := selSlotKey{key: ke.Val.S, typ: d.FuseType, any: d.FuseAny}
+	sk := selSlotKey{key: ke.Val.Text(), typ: d.FuseType, any: d.FuseAny}
 	if i, ok := c.slots[sk]; ok {
 		return i, true
 	}

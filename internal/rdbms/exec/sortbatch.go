@@ -109,8 +109,8 @@ func (s *BatchSortIter) build() {
 			}
 			s.keyCols = make([][]types.Datum, len(s.Keys))
 			// Size the accumulation buffers once when the input knows its
-			// cardinality: append growth over ~90-byte Datums otherwise
-			// re-copies every column log₂(rows) times.
+			// cardinality: append growth otherwise re-copies every column
+			// log₂(rows) times.
 			if sh, ok := s.In.(BatchSizeHinter); ok {
 				if hint, known := sh.SizeHint(); known && hint > 0 && hint < 1<<22 {
 					for j := range s.cols {
@@ -198,12 +198,17 @@ func (s *BatchSortIter) build() {
 }
 
 // sortKeyCmp builds the comparator for one accumulated key column. A
-// homogeneous non-NULL column compares through a compact typed slice (a
-// Datum is ~90 bytes, so the generic path drags two of them through the
-// cache per comparison); anything else — NULLs, mixed types — goes through
-// compareForSort, which is total. The typed kernels reproduce
-// types.Compare exactly: integer order on Int, cmpFloat order (NaN last,
-// NaN equals NaN) on Float, strings.Compare on Text.
+// homogeneous non-NULL column compares through a typed kernel that reads
+// the payloads in place (a Datum is 24 bytes; copying the keys out into
+// []int64/[]float64/[]string first no longer buys anything: 9.4/10.2/12.7
+// ms in place against 9.5/10.0/12.6 ms copied, 20 000 random Int/Float/
+// Text keys). The kernels stay because skipping compareForSort's NULL
+// tests and the types.Compare call is still worth ~20 % of such a sort
+// (11.8/12.3/14.8 ms through the generic comparator); anything else —
+// NULLs, mixed types — goes through compareForSort, which is total. The
+// typed kernels reproduce types.Compare exactly: integer order on Int,
+// cmpFloat order (NaN last, NaN equals NaN) on Float, strings.Compare on
+// Text.
 func sortKeyCmp(col []types.Datum, desc bool, errp *error) func(ia, ib int32) int {
 	sign := 1
 	if desc {
@@ -223,12 +228,8 @@ func sortKeyCmp(col []types.Datum, desc bool, errp *error) func(ia, ib int32) in
 	if uniform {
 		switch typ {
 		case types.Int:
-			vals := make([]int64, len(col))
-			for i := range col {
-				vals[i] = col[i].I
-			}
 			return func(ia, ib int32) int {
-				a, b := vals[ia], vals[ib]
+				a, b := col[ia].I, col[ib].I
 				switch {
 				case a < b:
 					return -sign
@@ -239,12 +240,8 @@ func sortKeyCmp(col []types.Datum, desc bool, errp *error) func(ia, ib int32) in
 				}
 			}
 		case types.Float:
-			vals := make([]float64, len(col))
-			for i := range col {
-				vals[i] = col[i].F
-			}
 			return func(ia, ib int32) int {
-				a, b := vals[ia], vals[ib]
+				a, b := col[ia].Float(), col[ib].Float()
 				switch {
 				case a < b:
 					return -sign
@@ -261,12 +258,8 @@ func sortKeyCmp(col []types.Datum, desc bool, errp *error) func(ia, ib int32) in
 				}
 			}
 		case types.Text:
-			vals := make([]string, len(col))
-			for i := range col {
-				vals[i] = col[i].S
-			}
 			return func(ia, ib int32) int {
-				return strings.Compare(vals[ia], vals[ib]) * sign
+				return strings.Compare(col[ia].Text(), col[ib].Text()) * sign
 			}
 		default:
 			// Bool/Bytes/Array keys are rare in sorts: the generic

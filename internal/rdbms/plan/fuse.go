@@ -117,7 +117,7 @@ func (p *Planner) fuseSlots(child Node, exprSlots []*exec.Expr, batchSize int) N
 		if _, ok := p.Funcs.MultiExtract(d.FuseFamily); !ok {
 			return fuseSlotKey{}, false
 		}
-		return fuseSlotKey{d.FuseFamily, ce.Idx, ke.Val.S, d.FuseType, d.FuseAny}, true
+		return fuseSlotKey{d.FuseFamily, ce.Idx, ke.Val.Text(), d.FuseType, d.FuseAny}, true
 	}
 
 	var collect func(e exec.Expr)

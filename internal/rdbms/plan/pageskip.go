@@ -333,7 +333,7 @@ func extractionAtom(x *exec.CallExpr, resolver exec.AttrResolver) (col int, key 
 	if !okc || !okk || ke.Val.IsNull() || ke.Val.Typ != types.Text {
 		return 0, "", false
 	}
-	return ce.Idx, ke.Val.S, true
+	return ce.Idx, ke.Val.Text(), true
 }
 
 // zoneCond matches extraction-atom-vs-constant comparisons for segment

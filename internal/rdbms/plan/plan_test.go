@@ -283,7 +283,7 @@ func TestLeafOrderAndOperatorNames(t *testing.T) {
 func TestSelectNoFromPlanning(t *testing.T) {
 	cat := buildCatalog(t, 1, false)
 	rows := runQuery(t, cat, `SELECT 2 + 2, upper('x')`)
-	if len(rows) != 1 || rows[0][0].I != 4 || rows[0][1].S != "X" {
+	if len(rows) != 1 || rows[0][0].I != 4 || rows[0][1].Text() != "X" {
 		t.Errorf("rows = %v", rows)
 	}
 }

@@ -160,7 +160,7 @@ func (es *estimator) selectivity(e sqlparse.Expr) float64 {
 		return es.cfg.DefaultMatchSel
 	case *sqlparse.Literal:
 		if !x.Val.IsNull() && x.Val.Typ == types.Bool {
-			if x.Val.B {
+			if x.Val.Bool() {
 				return 1
 			}
 			return 0
@@ -223,7 +223,7 @@ func isConst(e sqlparse.Expr) (types.Datum, bool) {
 				if d.Typ == types.Int {
 					return types.NewInt(-d.I), true
 				}
-				return types.NewFloat(-d.F), true
+				return types.NewFloat(-d.Float()), true
 			}
 		}
 	}

@@ -37,7 +37,7 @@ func TestPlanCacheStaleBuildNotReplayed(t *testing.T) {
 		if len(res.Rows) != 1 {
 			t.Fatalf("rows = %v", res.Rows)
 		}
-		return res.Rows[0][0].S
+		return res.Rows[0][0].Text()
 	}
 
 	stale := `SELECT name FROM users WHERE id = 2`

@@ -906,7 +906,7 @@ func (p *parser) parseUnary() (Expr, error) {
 			if d.Typ == types.Int {
 				return &Literal{Val: types.NewInt(-d.I)}, nil
 			}
-			return &Literal{Val: types.NewFloat(-d.F)}, nil
+			return &Literal{Val: types.NewFloat(-d.Float())}, nil
 		}
 		return &UnaryExpr{Op: "-", X: x}, nil
 	}
@@ -942,7 +942,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		switch t.text {
 		case "NULL":
 			p.advance()
-			return &Literal{Val: types.Datum{Null: true}}, nil
+			return &Literal{Val: types.NewNull(types.Unknown)}, nil
 		case "TRUE":
 			p.advance()
 			return &Literal{Val: types.NewBool(true)}, nil

@@ -316,7 +316,7 @@ func printDatumLiteral(sb *strings.Builder, d types.Datum) {
 	}
 	switch d.Typ {
 	case types.Bool:
-		if d.B {
+		if d.Bool() {
 			sb.WriteString("TRUE")
 		} else {
 			sb.WriteString("FALSE")
@@ -324,14 +324,14 @@ func printDatumLiteral(sb *strings.Builder, d types.Datum) {
 	case types.Int:
 		sb.WriteString(strconv.FormatInt(d.I, 10))
 	case types.Float:
-		s := strconv.FormatFloat(d.F, 'g', -1, 64)
+		s := strconv.FormatFloat(d.Float(), 'g', -1, 64)
 		if !strings.ContainsAny(s, ".eE") {
 			s += ".0"
 		}
 		sb.WriteString(s)
 	case types.Text:
 		sb.WriteString("'")
-		sb.WriteString(strings.ReplaceAll(d.S, "'", "''"))
+		sb.WriteString(strings.ReplaceAll(d.Text(), "'", "''"))
 		sb.WriteString("'")
 	default:
 		// Arrays and bytes have no literal syntax in this dialect; render

@@ -184,13 +184,13 @@ func TestLiterals(t *testing.T) {
 	if vals[0].I != 42 || vals[1].I != -7 {
 		t.Errorf("ints = %v %v", vals[0], vals[1])
 	}
-	if vals[2].F != 3.5 || vals[3].F != 1000 {
+	if vals[2].Float() != 3.5 || vals[3].Float() != 1000 {
 		t.Errorf("floats = %v %v", vals[2], vals[3])
 	}
-	if vals[4].S != "it's" {
-		t.Errorf("string = %q", vals[4].S)
+	if vals[4].Text() != "it's" {
+		t.Errorf("string = %q", vals[4].Text())
 	}
-	if !vals[5].B || vals[6].B {
+	if !vals[5].Bool() || vals[6].Bool() {
 		t.Errorf("bools = %v %v", vals[5], vals[6])
 	}
 	if !vals[7].IsNull() {
@@ -367,7 +367,7 @@ func TestNegativeNumberFolding(t *testing.T) {
 	if st.Items[0].Expr.(*Literal).Val.I != -5 {
 		t.Errorf("int = %v", st.Items[0].Expr)
 	}
-	if st.Items[1].Expr.(*Literal).Val.F != -2.5 {
+	if st.Items[1].Expr.(*Literal).Val.Float() != -2.5 {
 		t.Errorf("float = %v", st.Items[1].Expr)
 	}
 }

@@ -584,7 +584,7 @@ func (h *Heap) AddColumnData() error {
 			}
 			nr := make(Row, len(r)+1)
 			copy(nr, r)
-			nr[len(r)] = types.Datum{Null: true}
+			nr[len(r)] = types.NewNull(types.Unknown)
 			np.rows[i] = nr
 			np.bytes += h.rowFootprint(nr)
 		}

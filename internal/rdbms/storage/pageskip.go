@@ -41,7 +41,7 @@ type PageSummary struct {
 	valid  bool
 	attrs  map[int][]uint32 // column index -> sorted attr IDs present
 	ranges map[int]*colRange
-	zones  map[int]map[uint32]AttrZone // column index -> attr ID -> zone map
+	zones  map[int][]AttrZone // column index -> zone maps, ascending attr ID; slices are never written after setZones
 }
 
 func newPageSummary() *PageSummary {
@@ -92,23 +92,30 @@ func (s *PageSummary) AttrZone(col int, id uint32) (AttrZone, bool) {
 	if !s.usable() {
 		return AttrZone{}, false
 	}
-	z, ok := s.zones[col][id]
-	return z, ok
+	zs := s.zones[col]
+	i := sort.Search(len(zs), func(j int) bool { return zs[j].ID >= id })
+	if i < len(zs) && zs[i].ID == id {
+		return zs[i], true
+	}
+	return AttrZone{}, false
 }
 
-// setZones installs the zone maps of one segment-striped column.
+// setZones installs the zone maps of one segment-striped column. The
+// summary keeps zs (ZoneMapped hands over a fresh slice) and only sorts a
+// copy when an implementation breaks the ascending-ID contract.
 func (s *PageSummary) setZones(col int, zs []AttrZone) {
 	if len(zs) == 0 {
 		return
 	}
+	byID := func(i, j int) bool { return zs[i].ID < zs[j].ID }
+	if !sort.SliceIsSorted(zs, byID) {
+		zs = append([]AttrZone(nil), zs...)
+		sort.Slice(zs, byID)
+	}
 	if s.zones == nil {
-		s.zones = make(map[int]map[uint32]AttrZone)
+		s.zones = make(map[int][]AttrZone)
 	}
-	m := make(map[uint32]AttrZone, len(zs))
-	for _, z := range zs {
-		m[z.ID] = z
-	}
-	s.zones[col] = m
+	s.zones[col] = zs
 }
 
 // attachZones copies the per-attribute zone maps out of a frozen page's

@@ -52,6 +52,8 @@ type AttrZone struct {
 // zone maps (the serial segment footer's min/max and presence counts).
 // Freezing attaches the zones to the page summary, so scans skip whole
 // frozen pages on attribute-level range predicates before decoding them.
+// AttrZones returns a slice the caller may keep, ascending by ID (the
+// summary binary-searches it).
 type ZoneMapped interface {
 	AttrZones() []AttrZone
 }

@@ -206,3 +206,43 @@ func TestLoadTimeFreezeThreshold(t *testing.T) {
 		}
 	}
 }
+
+// TestPageSummaryZoneLookup pins the sorted-slice zone maps: lookups hit
+// exactly the installed IDs (also when an implementation hands them over
+// unsorted), a clone answers the same, and a clone shares the zones
+// instead of copying them.
+func TestPageSummaryZoneLookup(t *testing.T) {
+	zones := []AttrZone{
+		{ID: 9, Present: 1},
+		{ID: 2, Present: 5, Min: types.NewInt(-3), Max: types.NewInt(40), HasRange: true},
+		{ID: 700, Present: 2, Min: types.NewFloat(0.5), Max: types.NewFloat(1.5), HasRange: true},
+	}
+	s := newPageSummary()
+	s.setZones(3, zones)
+	s.setZones(4, nil)
+	for _, sum := range []*PageSummary{s, s.clone()} {
+		for _, want := range zones {
+			got, ok := sum.AttrZone(3, want.ID)
+			if !ok || got.ID != want.ID || got.Present != want.Present || got.HasRange != want.HasRange {
+				t.Fatalf("AttrZone(3, %d) = %+v, %v; want %+v", want.ID, got, ok, want)
+			}
+			if want.HasRange && (!types.Equal(got.Min, want.Min) || !types.Equal(got.Max, want.Max)) {
+				t.Fatalf("AttrZone(3, %d) range = [%v, %v]", want.ID, got.Min, got.Max)
+			}
+		}
+		for _, id := range []uint32{0, 1, 3, 10, 699, 701} {
+			if _, ok := sum.AttrZone(3, id); ok {
+				t.Fatalf("AttrZone(3, %d) found a zone that was never installed", id)
+			}
+		}
+		if _, ok := sum.AttrZone(4, 2); ok {
+			t.Fatal("a column without zones answered a lookup")
+		}
+	}
+	if c := s.clone(); &c.zones[3][0] != &s.zones[3][0] {
+		t.Fatal("clone copied the zone slice")
+	}
+	if zones[0].ID != 9 {
+		t.Fatal("setZones sorted the caller's slice in place")
+	}
+}

@@ -309,13 +309,10 @@ func (s *PageSummary) clone() *PageSummary {
 		out.ranges[col] = &cr
 	}
 	if s.zones != nil {
-		out.zones = make(map[int]map[uint32]AttrZone, len(s.zones))
-		for col, zm := range s.zones {
-			m := make(map[uint32]AttrZone, len(zm))
-			for id, z := range zm {
-				m[id] = z
-			}
-			out.zones[col] = m
+		// Zone slices are immutable once installed: share them.
+		out.zones = make(map[int][]AttrZone, len(s.zones))
+		for col, zs := range s.zones {
+			out.zones[col] = zs
 		}
 	}
 	return out

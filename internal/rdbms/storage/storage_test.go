@@ -95,15 +95,15 @@ func TestHeapUpdateDeleteRestore(t *testing.T) {
 	}
 	id := RowID{Page: 0, Slot: 2}
 	old, err := h.Update(id, mkRow(2, "updated", 9))
-	if err != nil || old[1].S != "x" {
+	if err != nil || old[1].Text() != "x" {
 		t.Fatalf("update: %v %v", old, err)
 	}
 	got, ok := h.Get(id)
-	if !ok || got[1].S != "updated" {
+	if !ok || got[1].Text() != "updated" {
 		t.Errorf("get after update = %v", got)
 	}
 	deleted, err := h.Delete(id)
-	if err != nil || deleted[1].S != "updated" {
+	if err != nil || deleted[1].Text() != "updated" {
 		t.Fatalf("delete: %v %v", deleted, err)
 	}
 	if h.NumRows() != 4 {
@@ -254,7 +254,7 @@ func TestAnalyzeStats(t *testing.T) {
 	if name.NDistinct != 6 {
 		t.Errorf("name ndistinct = %d", name.NDistinct)
 	}
-	if len(name.MCVs) == 0 || name.MCVs[0].Val.S != "common" || name.MCVs[0].Freq < 0.45 {
+	if len(name.MCVs) == 0 || name.MCVs[0].Val.Text() != "common" || name.MCVs[0].Freq < 0.45 {
 		t.Errorf("name MCVs = %+v", name.MCVs)
 	}
 	score := stats.Columns["score"]

@@ -24,29 +24,29 @@ func Cast(d Datum, t Type) (Datum, error) {
 		case Int:
 			return NewBool(d.I != 0), nil
 		case Text:
-			switch strings.ToLower(strings.TrimSpace(d.S)) {
+			switch strings.ToLower(strings.TrimSpace(d.Text())) {
 			case "t", "true", "yes", "on", "1":
 				return NewBool(true), nil
 			case "f", "false", "no", "off", "0":
 				return NewBool(false), nil
 			}
-			return Datum{}, fmt.Errorf("invalid input syntax for type boolean: %q", d.S)
+			return Datum{}, fmt.Errorf("invalid input syntax for type boolean: %q", d.Text())
 		default:
 			// Float/Bytes/Array to boolean: no conversion; shared error below.
 		}
 	case Int:
 		switch d.Typ {
 		case Bool:
-			if d.B {
+			if d.Bool() {
 				return NewInt(1), nil
 			}
 			return NewInt(0), nil
 		case Float:
-			return NewInt(int64(d.F)), nil
+			return NewInt(int64(d.Float())), nil
 		case Text:
-			i, err := strconv.ParseInt(strings.TrimSpace(d.S), 10, 64)
+			i, err := strconv.ParseInt(strings.TrimSpace(d.Text()), 10, 64)
 			if err != nil {
-				return Datum{}, fmt.Errorf("invalid input syntax for type integer: %q", d.S)
+				return Datum{}, fmt.Errorf("invalid input syntax for type integer: %q", d.Text())
 			}
 			return NewInt(i), nil
 		default:
@@ -57,9 +57,9 @@ func Cast(d Datum, t Type) (Datum, error) {
 		case Int:
 			return NewFloat(float64(d.I)), nil
 		case Text:
-			f, err := strconv.ParseFloat(strings.TrimSpace(d.S), 64)
+			f, err := strconv.ParseFloat(strings.TrimSpace(d.Text()), 64)
 			if err != nil {
-				return Datum{}, fmt.Errorf("invalid input syntax for type real: %q", d.S)
+				return Datum{}, fmt.Errorf("invalid input syntax for type real: %q", d.Text())
 			}
 			return NewFloat(f), nil
 		default:
@@ -69,7 +69,7 @@ func Cast(d Datum, t Type) (Datum, error) {
 		return NewText(d.String()), nil
 	case Bytes:
 		if d.Typ == Text {
-			return NewBytes([]byte(d.S)), nil
+			return NewBytes([]byte(d.Text())), nil
 		}
 	case Array:
 		// Any scalar casts to a one-element array (convenience, not SQL std).

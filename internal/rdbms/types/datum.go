@@ -4,10 +4,12 @@
 package types
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Type is a SQL column type.
@@ -67,18 +69,32 @@ func ParseType(name string) (Type, error) {
 	}
 }
 
-// Datum is a single SQL value. The zero Datum is the SQL NULL of unknown
-// type. Exactly one payload field is meaningful, selected by Typ; a Datum
-// with Null set has no payload.
+// Datum is a single SQL value: a 24-byte tagged union with one pointer
+// word (DESIGN.md §5 "Value representation"). The zero Datum is the SQL
+// NULL of unknown type. Typ selects what the two payload words mean:
+//
+//	Typ      I                      p
+//	Bool     0 or 1                 nil
+//	Int      the value              nil
+//	Float    math.Float64bits       nil
+//	Text     length in bytes        first byte (unsafe.StringData)
+//	Bytes    length in bytes        first byte (unsafe.SliceData)
+//	Array    number of elements     first element (unsafe.SliceData)
+//
+// A Datum with Null set has no payload. Build datums with the New*
+// constructors and read payloads through Bool/Float/Text/Bytes/Array (I is
+// the integer payload and may be read directly when Typ == Int); writing
+// Typ or I of an existing datum can desynchronize the tag from the payload
+// and is never done outside this package. Datums must not be compared with
+// ==: p is an address, not a value — use Equal or Compare.
+//
+// The struct is kept at four fields: beyond that the compiler stops
+// treating it as an SSA value (passed, returned and copied in registers).
 type Datum struct {
+	p    unsafe.Pointer
+	I    int64
 	Typ  Type
 	Null bool
-	B    bool
-	I    int64
-	F    float64
-	S    string
-	Bs   []byte
-	A    []Datum
 }
 
 // Constructors.
@@ -87,22 +103,79 @@ type Datum struct {
 func NewNull(t Type) Datum { return Datum{Typ: t, Null: true} }
 
 // NewBool returns a boolean datum.
-func NewBool(b bool) Datum { return Datum{Typ: Bool, B: b} }
+func NewBool(b bool) Datum {
+	if b {
+		return Datum{Typ: Bool, I: 1}
+	}
+	return Datum{Typ: Bool}
+}
 
 // NewInt returns an integer datum.
 func NewInt(i int64) Datum { return Datum{Typ: Int, I: i} }
 
 // NewFloat returns a real datum.
-func NewFloat(f float64) Datum { return Datum{Typ: Float, F: f} }
+func NewFloat(f float64) Datum { return Datum{Typ: Float, I: int64(math.Float64bits(f))} }
 
-// NewText returns a text datum.
-func NewText(s string) Datum { return Datum{Typ: Text, S: s} }
+// NewText returns a text datum (s is not copied; the datum shares its
+// bytes).
+func NewText(s string) Datum {
+	return Datum{Typ: Text, p: unsafe.Pointer(unsafe.StringData(s)), I: int64(len(s))}
+}
 
-// NewBytes returns a bytea datum (b is not copied).
-func NewBytes(b []byte) Datum { return Datum{Typ: Bytes, Bs: b} }
+// NewBytes returns a bytea datum (b is not copied: the datum aliases
+// b[:len(b)], and nil stays distinguishable from empty).
+func NewBytes(b []byte) Datum {
+	return Datum{Typ: Bytes, p: unsafe.Pointer(unsafe.SliceData(b)), I: int64(len(b))}
+}
 
 // NewArray returns an array datum over elems (not copied).
-func NewArray(elems ...Datum) Datum { return Datum{Typ: Array, A: elems} }
+func NewArray(elems ...Datum) Datum {
+	return Datum{Typ: Array, p: unsafe.Pointer(unsafe.SliceData(elems)), I: int64(len(elems))}
+}
+
+// Accessors. Each returns the zero value of its result when the datum holds
+// another type (what reading the unused payload field of the former
+// side-by-side struct returned), so a mismatched read is wrong but never
+// reinterprets memory. A NULL built by NewNull has no payload; a datum whose
+// Null flag was set afterwards keeps its payload.
+
+// Bool returns the boolean payload.
+func (d Datum) Bool() bool { return d.Typ == Bool && d.I != 0 }
+
+// Float returns the real payload (use Float64 to widen integers too).
+func (d Datum) Float() float64 {
+	if d.Typ != Float {
+		return 0
+	}
+	return math.Float64frombits(uint64(d.I))
+}
+
+// Text returns the text payload.
+func (d Datum) Text() string {
+	if d.Typ != Text {
+		return ""
+	}
+	return unsafe.String((*byte)(d.p), int(d.I))
+}
+
+// Bytes returns the bytea payload: a view of the bytes the datum was built
+// over, with cap == len, so an append reallocates and never writes through
+// to memory the datum (or the slice NewBytes was given) still references.
+// Writing to elements of the view does write through.
+func (d Datum) Bytes() []byte {
+	if d.Typ != Bytes {
+		return nil
+	}
+	return unsafe.Slice((*byte)(d.p), int(d.I))
+}
+
+// Array returns the array's elements, as a cap == len view like Bytes.
+func (d Datum) Array() []Datum {
+	if d.Typ != Array {
+		return nil
+	}
+	return unsafe.Slice((*Datum)(d.p), int(d.I))
+}
 
 // IsNull reports whether the datum is SQL NULL. A Datum of Unknown type is
 // always NULL (no expression produces a non-null Unknown value), so the zero
@@ -118,22 +191,22 @@ func (d Datum) String() string {
 	case Unknown:
 		return "NULL"
 	case Bool:
-		if d.B {
+		if d.Bool() {
 			return "true"
 		}
 		return "false"
 	case Int:
 		return strconv.FormatInt(d.I, 10)
 	case Float:
-		return strconv.FormatFloat(d.F, 'g', -1, 64)
+		return strconv.FormatFloat(d.Float(), 'g', -1, 64)
 	case Text:
-		return d.S
+		return d.Text()
 	case Bytes:
-		return fmt.Sprintf("\\x%x", d.Bs)
+		return fmt.Sprintf("\\x%x", d.Bytes())
 	case Array:
 		var sb strings.Builder
 		sb.WriteByte('{')
-		for i, e := range d.A {
+		for i, e := range d.Array() {
 			if i > 0 {
 				sb.WriteByte(',')
 			}
@@ -161,12 +234,12 @@ func (d Datum) SizeBytes() int64 {
 	case Float:
 		return 8
 	case Text:
-		return int64(4 + len(d.S)) // 4-byte varlena length header
+		return 4 + d.I // 4-byte varlena length header
 	case Bytes:
-		return int64(4 + len(d.Bs))
+		return 4 + d.I
 	case Array:
 		n := int64(4)
-		for _, e := range d.A {
+		for _, e := range d.Array() {
 			n += 1 + e.SizeBytes() // element type tag + payload
 		}
 		return n
@@ -185,7 +258,7 @@ func (d Datum) Float64() (float64, bool) {
 	case Int:
 		return float64(d.I), true
 	case Float:
-		return d.F, true
+		return d.Float(), true
 	default:
 		return 0, false
 	}
@@ -212,23 +285,24 @@ func Compare(a, b Datum) (int, error) {
 	}
 	switch a.Typ {
 	case Bool:
-		return cmpBool(a.B, b.B), nil
+		return cmpBool(a.Bool(), b.Bool()), nil
 	case Text:
-		return strings.Compare(a.S, b.S), nil
+		return strings.Compare(a.Text(), b.Text()), nil
 	case Bytes:
-		return strings.Compare(string(a.Bs), string(b.Bs)), nil
+		return bytes.Compare(a.Bytes(), b.Bytes()), nil
 	case Array:
-		for i := 0; i < len(a.A) && i < len(b.A); i++ {
-			if a.A[i].Null || b.A[i].Null {
-				if a.A[i].Null && b.A[i].Null {
+		ae, be := a.Array(), b.Array()
+		for i := 0; i < len(ae) && i < len(be); i++ {
+			if ae[i].Null || be[i].Null {
+				if ae[i].Null && be[i].Null {
 					continue
 				}
-				if a.A[i].Null {
+				if ae[i].Null {
 					return -1, nil // NULLs first inside arrays
 				}
 				return 1, nil
 			}
-			c, err := Compare(a.A[i], b.A[i])
+			c, err := Compare(ae[i], be[i])
 			if err != nil {
 				return 0, err
 			}
@@ -236,7 +310,7 @@ func Compare(a, b Datum) (int, error) {
 				return c, nil
 			}
 		}
-		return cmpInt(int64(len(a.A)), int64(len(b.A))), nil
+		return cmpInt(a.I, b.I), nil
 	default:
 		return 0, fmt.Errorf("types: cannot compare values of type %v", a.Typ)
 	}
@@ -309,7 +383,7 @@ func (d Datum) HashKey(buf []byte) []byte {
 	}
 	switch d.Typ {
 	case Bool:
-		if d.B {
+		if d.Bool() {
 			return append(buf, 0x01, 1)
 		}
 		return append(buf, 0x01, 0)
@@ -323,16 +397,16 @@ func (d Datum) HashKey(buf []byte) []byte {
 		return buf
 	case Text:
 		buf = append(buf, 0x03)
-		buf = appendLenPrefixed(buf, d.S)
+		buf = appendLenPrefixed(buf, d.Text())
 		return buf
 	case Bytes:
 		buf = append(buf, 0x04)
-		buf = appendLenPrefixed(buf, string(d.Bs))
-		return buf
+		buf = appendLen(buf, int(d.I))
+		return append(buf, d.Bytes()...)
 	case Array:
 		buf = append(buf, 0x05)
-		buf = append(buf, byte(len(d.A)>>8), byte(len(d.A)))
-		for _, e := range d.A {
+		buf = append(buf, byte(d.I>>8), byte(d.I))
+		for _, e := range d.Array() {
 			buf = e.HashKey(buf)
 		}
 		return buf
@@ -341,8 +415,10 @@ func (d Datum) HashKey(buf []byte) []byte {
 	}
 }
 
+func appendLen(buf []byte, n int) []byte {
+	return append(buf, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
+}
+
 func appendLenPrefixed(buf []byte, s string) []byte {
-	n := len(s)
-	buf = append(buf, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
-	return append(buf, s...)
+	return append(appendLen(buf, len(s)), s...)
 }

@@ -145,7 +145,7 @@ func TestCastMatrix(t *testing.T) {
 			t.Errorf("Cast(%v, %v): %v", c.in, c.to, err)
 			continue
 		}
-		if !Equal(got, c.want) && !(got.Typ == Bytes && string(got.Bs) == string(c.want.Bs)) {
+		if !Equal(got, c.want) && !(got.Typ == Bytes && string(got.Bytes()) == string(c.want.Bytes())) {
 			t.Errorf("Cast(%v, %v) = %v, want %v", c.in, c.to, got, c.want)
 		}
 	}

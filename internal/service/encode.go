@@ -96,22 +96,22 @@ func appendDatum(dst []byte, d types.Datum) ([]byte, error) {
 	}
 	switch d.Typ {
 	case types.Bool:
-		return strconv.AppendBool(dst, d.B), nil
+		return strconv.AppendBool(dst, d.Bool()), nil
 	case types.Int:
 		return strconv.AppendInt(dst, d.I, 10), nil
 	case types.Float:
-		return appendJSONFloat(dst, d.F)
+		return appendJSONFloat(dst, d.Float())
 	case types.Text:
-		return appendJSONString(dst, d.S), nil
+		return appendJSONString(dst, d.Text()), nil
 	case types.Bytes:
-		if d.Bs == nil {
+		if d.Bytes() == nil {
 			return append(dst, "null"...), nil
 		}
 		dst = append(dst, '"')
-		dst = base64.StdEncoding.AppendEncode(dst, d.Bs)
+		dst = base64.StdEncoding.AppendEncode(dst, d.Bytes())
 		return append(dst, '"'), nil
 	case types.Array:
-		return appendDatums(dst, d.A)
+		return appendDatums(dst, d.Array())
 	default:
 		return appendJSONString(dst, d.String()), nil
 	}

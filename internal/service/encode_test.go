@@ -52,18 +52,18 @@ func referenceDatum(d types.Datum) any {
 	}
 	switch d.Typ {
 	case types.Bool:
-		return d.B
+		return d.Bool()
 	case types.Int:
 		return d.I
 	case types.Float:
-		return d.F
+		return d.Float()
 	case types.Text:
-		return d.S
+		return d.Text()
 	case types.Bytes:
-		return d.Bs
+		return d.Bytes()
 	case types.Array:
-		out := make([]any, len(d.A))
-		for i, e := range d.A {
+		out := make([]any, len(d.Array()))
+		for i, e := range d.Array() {
 			out[i] = referenceDatum(e)
 		}
 		return out
@@ -180,7 +180,7 @@ func TestQueryReplyMatchesEncodingJSON(t *testing.T) {
 			for c := range row {
 				for {
 					row[c] = randomDatum()
-					if f := row[c].F; row[c].Typ != types.Float || !(math.IsNaN(f) || math.IsInf(f, 0)) {
+					if f := row[c].Float(); row[c].Typ != types.Float || !(math.IsNaN(f) || math.IsInf(f, 0)) {
 						break
 					}
 				}

@@ -27,10 +27,10 @@ func TestReadmeQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Rows) != 2 || out.Rows[0][0].S != "www.sample-site.com" {
+	if len(out.Rows) != 2 || out.Rows[0][0].Text() != "www.sample-site.com" {
 		t.Fatalf("rows = %v", out.Rows)
 	}
-	if !out.Rows[0][1].IsNull() || out.Rows[1][1].S != "John P. Smith" {
+	if !out.Rows[0][1].IsNull() || out.Rows[1][1].Text() != "John P. Smith" {
 		t.Errorf("owner column = %v / %v", out.Rows[0][1], out.Rows[1][1])
 	}
 }
