@@ -84,14 +84,10 @@ fuzz:
 
 # bench runs the micro-benchmarks and regenerates BENCH_PR13.json, the
 # machine-readable Figure 6 + Table 5 + plan-cache report (ns/op and
-# allocs/op per query) that tracks the perf trajectory across PRs. Every
-# BENCH_PR*.json so far was recorded on one processor, where the planner
-# picks serial plans; a parallel plan allocates 2-3x as often (workers,
-# channels, batch clones), so the report pins GOMAXPROCS=1 to stay
-# comparable with its baselines on hosts that have more.
+# allocs/op per query) that tracks the perf trajectory across PRs.
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/bench/
-	GOMAXPROCS=1 $(GO) run ./cmd/sinewbench -json BENCH_PR13.json -small 4000
+	$(GO) run ./cmd/sinewbench -json BENCH_PR13.json -small 4000
 
 # bench-diff gates the perf trajectory: it fails when any Figure 6 query
 # or Table 5 row in BENCH_PR13.json regressed more than 10% against

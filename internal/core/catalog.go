@@ -86,9 +86,10 @@ func (c ColumnInfo) Cardinality() int64 { return c.cardinality }
 // cardinality has not saturated).
 func (c *column) tracking() bool { return c.cardinality <= cardTrackLimit }
 
-// observeValue folds one value key into the distinct-value estimate of a
-// column that is still tracking.
-func (c *column) observeValue(valueKey []byte) {
+// observe records one occurrence of the attribute; valueKey, the value's
+// hash key, is read only while the column is still tracking.
+func (c *column) observe(valueKey []byte) {
+	c.Count++
 	if !c.tracking() {
 		return
 	}
@@ -262,33 +263,30 @@ func (tc *CollectionCatalog) DirtyColumns() []ColumnState {
 // RDBMS catalog epoch afterwards, so whoever samples the new epoch also
 // finds the new view.
 
-// recordObservation counts one attribute occurrence during load; it
-// creates the column record on first sight (the invisible cost of schema
-// evolution, §3.2.1). It reports the column's target storage mode, whether
-// the record is new, and whether the column still tracks distinct values —
-// only then does the caller owe a recordValue for the occurrence, so a
-// saturated column costs the loader no value key.
-func (tc *CollectionCatalog) recordObservation(attr serial.Attr) (materialized, created, tracking bool) {
+// recordObservation updates counts for one attribute occurrence during
+// load; it creates the column record on first sight (the invisible cost of
+// schema evolution, §3.2.1). It reports the column's target storage mode
+// and whether the record is new. valueKey builds the occurrence's value
+// key; it is called, under the catalog lock, only while the column still
+// tracks distinct values, so a saturated column costs the loader no key.
+// When it fails nothing is recorded.
+func (tc *CollectionCatalog) recordObservation(attr serial.Attr, valueKey func() ([]byte, error)) (materialized, created bool, err error) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	col, ok := tc.columns[attr.ID]
+	var key []byte
+	if !ok || col.tracking() {
+		if key, err = valueKey(); err != nil {
+			return false, false, err
+		}
+	}
 	if !ok {
 		col = newColumn(attr)
 		tc.columns[attr.ID] = col
 		tc.view.Store(nil)
 	}
-	col.Count++
-	return col.Materialized, !ok, col.tracking()
-}
-
-// recordValue folds the value key of an occurrence already counted by
-// recordObservation into the column's cardinality estimate.
-func (tc *CollectionCatalog) recordValue(attrID uint32, valueKey []byte) {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	if col, ok := tc.columns[attrID]; ok {
-		col.observeValue(valueKey)
-	}
+	col.observe(key)
+	return col.Materialized, !ok, nil
 }
 
 // ensureColumn creates a catalog record for an attribute without counting

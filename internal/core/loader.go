@@ -176,17 +176,14 @@ func (db *DB) LoadDocuments(collection string, docs []*jsonx.Doc) (*LoadResult, 
 // distinct values; past cardTrackLimit an occurrence is a counter bump.
 // buf is the caller's reusable key buffer.
 func (tc *CollectionCatalog) observe(attr serial.Attr, v jsonx.Value, dict serial.Dict, buf *[]byte) (materialized, created bool, err error) {
-	materialized, created, tracking := tc.recordObservation(attr)
-	if !tracking {
-		return materialized, created, nil
-	}
-	d, err := datumFromJSON(v, dict)
-	if err != nil {
-		return materialized, created, err
-	}
-	*buf = d.HashKey((*buf)[:0])
-	tc.recordValue(attr.ID, *buf)
-	return materialized, created, nil
+	return tc.recordObservation(attr, func() ([]byte, error) {
+		d, err := datumFromJSON(v, dict)
+		if err != nil {
+			return nil, err
+		}
+		*buf = d.HashKey((*buf)[:0])
+		return *buf, nil
+	})
 }
 
 // indexDocument adds every flattened text value to the inverted index,

@@ -133,6 +133,22 @@ func TestRewriteErrorsAlsoReleaseHandles(t *testing.T) {
 	}
 }
 
+// TestMatchSetRejectsNonIntegerArguments: Datum.I holds a length or float
+// bits under a non-Int tag, so the UDF must not read it as a handle or id.
+func TestMatchSetRejectsNonIntegerArguments(t *testing.T) {
+	db := Open(DefaultConfig())
+	db.CreateCollection("p")
+	db.LoadDocuments("p", mustDocs(t, `{"id":1,"txt":"hello"}`))
+	for _, q := range []string{
+		`SELECT id FROM p WHERE sinew_match_set(_id, 'abc')`,
+		`SELECT id FROM p WHERE sinew_match_set(1.5, 1)`,
+	} {
+		if _, err := db.Query(q); err == nil || !strings.Contains(err.Error(), "want (integer, integer)") {
+			t.Errorf("%s: err = %v, want a type error", q, err)
+		}
+	}
+}
+
 func TestRewritePlainTablePassThrough(t *testing.T) {
 	db := Open(DefaultConfig())
 	// A plain SQL table created directly in the RDBMS is untouched by the

@@ -7,6 +7,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/sinewdata/sinew/internal/rdbms/storage"
+	"github.com/sinewdata/sinew/internal/rdbms/types"
+	"github.com/sinewdata/sinew/internal/serial"
 )
 
 // segmentDB loads enough random documents that ANALYZE freezes several
@@ -278,5 +282,38 @@ func TestSinewStatsSelCounters(t *testing.T) {
 	}
 	if got := statCounter(t, db, "parallel_striped_scans"); got <= parBefore {
 		t.Errorf("parallel_striped_scans stuck at %d after a parallel striped scan", got)
+	}
+}
+
+// TestRecordSegmentAttrZonesAscending pins the ZoneMapped contract the page
+// summary relies on: the zones arrive in ascending attribute-ID order
+// (PageSummary.AttrZone binary-searches them as handed over), also when the
+// dictionary minted the IDs in another order than the keys sort.
+func TestRecordSegmentAttrZonesAscending(t *testing.T) {
+	db := Open(DefaultConfig())
+	for _, key := range []string{"zz", "user", "score", "dyn", "a"} {
+		db.dict().IDFor(key, serial.TypeInt) // IDs minted against key order
+	}
+	docs := randomDocs(rand.New(rand.NewSource(3)), 128)
+	vals := make([]types.Datum, len(docs))
+	for i, d := range docs {
+		data, err := serial.Serialize(d, db.dict())
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals[i] = types.NewBytes(data)
+	}
+	seg, err := db.reservoirSegmenter()(0, vals)
+	if err != nil || seg == nil {
+		t.Fatalf("segmenter: %v, %v", seg, err)
+	}
+	zones := seg.(storage.ZoneMapped).AttrZones()
+	if len(zones) < 5 {
+		t.Fatalf("only %d zones", len(zones))
+	}
+	for i := 1; i < len(zones); i++ {
+		if zones[i-1].ID >= zones[i].ID {
+			t.Fatalf("zones not ascending at %d: %d then %d", i, zones[i-1].ID, zones[i].ID)
+		}
 	}
 }

@@ -294,6 +294,10 @@ func (db *DB) registerUDFs() {
 			if args[0].IsNull() || args[1].IsNull() {
 				return types.NewBool(false), nil
 			}
+			// I holds a length or float bits under any other tag.
+			if args[0].Typ != types.Int || args[1].Typ != types.Int {
+				return types.Datum{}, fmt.Errorf("sinew_match_set: want (integer, integer), got (%v, %v)", args[0].Typ, args[1].Typ)
+			}
 			set, ok := db.lookupMatchSet(args[1].I)
 			if !ok {
 				return types.Datum{}, fmt.Errorf("sinew_match_set: unknown result set %d", args[1].I)

@@ -1,9 +1,7 @@
 package exec
 
 import (
-	"math"
 	"sort"
-	"strings"
 	"sync"
 
 	"github.com/sinewdata/sinew/internal/rdbms/storage"
@@ -177,102 +175,30 @@ func (s *BatchSortIter) build() {
 	if s.rows == 0 {
 		return // empty input: keyCols was never initialized
 	}
+	// The keys compare in place through compareForSort: a Datum is 24
+	// bytes, so neither copying homogeneous key columns out into
+	// []int64/[]float64/[]string nor a typed comparator per column moves
+	// `ORDER BY str1` any more (EXPERIMENTS.md "Compact datum note").
 	var sortErr error
-	cmps := make([]func(ia, ib int32) int, len(s.Keys))
-	for k := range s.Keys {
-		cmps[k] = sortKeyCmp(s.keyCols[k], s.Keys[k].Desc, &sortErr)
-	}
 	sort.SliceStable(s.perm, func(a, b int) bool {
 		if sortErr != nil {
 			return false
 		}
 		ia, ib := s.perm[a], s.perm[b]
-		for _, cmp := range cmps {
-			if c := cmp(ia, ib); c != 0 {
+		for k := range s.Keys {
+			col := s.keyCols[k]
+			c, err := compareForSort(col[ia], col[ib], s.Keys[k].Desc)
+			if err != nil {
+				sortErr = err
+				return false
+			}
+			if c != 0 {
 				return c < 0
 			}
 		}
 		return false
 	})
 	s.err = sortErr
-}
-
-// sortKeyCmp builds the comparator for one accumulated key column. A
-// homogeneous non-NULL column compares through a typed kernel that reads
-// the payloads in place (a Datum is 24 bytes; copying the keys out into
-// []int64/[]float64/[]string first no longer buys anything: 9.4/10.2/12.7
-// ms in place against 9.5/10.0/12.6 ms copied, 20 000 random Int/Float/
-// Text keys). The kernels stay because skipping compareForSort's NULL
-// tests and the types.Compare call is still worth ~20 % of such a sort
-// (11.8/12.3/14.8 ms through the generic comparator); anything else —
-// NULLs, mixed types — goes through compareForSort, which is total. The
-// typed kernels reproduce types.Compare exactly: integer order on Int,
-// cmpFloat order (NaN last, NaN equals NaN) on Float, strings.Compare on
-// Text.
-func sortKeyCmp(col []types.Datum, desc bool, errp *error) func(ia, ib int32) int {
-	sign := 1
-	if desc {
-		sign = -1
-	}
-	uniform := len(col) > 0
-	typ := types.Unknown
-	if uniform {
-		typ = col[0].Typ
-	}
-	for i := range col {
-		if col[i].Typ != typ || col[i].IsNull() {
-			uniform = false
-			break
-		}
-	}
-	if uniform {
-		switch typ {
-		case types.Int:
-			return func(ia, ib int32) int {
-				a, b := col[ia].I, col[ib].I
-				switch {
-				case a < b:
-					return -sign
-				case a > b:
-					return sign
-				default:
-					return 0
-				}
-			}
-		case types.Float:
-			return func(ia, ib int32) int {
-				a, b := col[ia].Float(), col[ib].Float()
-				switch {
-				case a < b:
-					return -sign
-				case a > b:
-					return sign
-				case a == b:
-					return 0
-				case math.IsNaN(a) && math.IsNaN(b):
-					return 0
-				case math.IsNaN(a):
-					return sign
-				default:
-					return -sign
-				}
-			}
-		case types.Text:
-			return func(ia, ib int32) int {
-				return strings.Compare(col[ia].Text(), col[ib].Text()) * sign
-			}
-		default:
-			// Bool/Bytes/Array keys are rare in sorts: the generic
-			// comparator below handles them.
-		}
-	}
-	return func(ia, ib int32) int {
-		c, err := compareForSort(col[ia], col[ib], desc)
-		if err != nil && *errp == nil {
-			*errp = err
-		}
-		return c
-	}
 }
 
 // Close implements BatchIterator.

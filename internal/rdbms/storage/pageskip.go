@@ -101,16 +101,11 @@ func (s *PageSummary) AttrZone(col int, id uint32) (AttrZone, bool) {
 }
 
 // setZones installs the zone maps of one segment-striped column. The
-// summary keeps zs (ZoneMapped hands over a fresh slice) and only sorts a
-// copy when an implementation breaks the ascending-ID contract.
+// summary keeps zs: ZoneMapped hands over a fresh slice in ascending ID
+// order, which AttrZone binary-searches.
 func (s *PageSummary) setZones(col int, zs []AttrZone) {
 	if len(zs) == 0 {
 		return
-	}
-	byID := func(i, j int) bool { return zs[i].ID < zs[j].ID }
-	if !sort.SliceIsSorted(zs, byID) {
-		zs = append([]AttrZone(nil), zs...)
-		sort.Slice(zs, byID)
 	}
 	if s.zones == nil {
 		s.zones = make(map[int][]AttrZone)
