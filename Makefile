@@ -74,28 +74,34 @@ bench-smoke:
 # smoke test.
 check: vet lint race race-workers race-sessions bench-smoke
 
-# fuzz exercises the serializer's read side and the datum representation
-# (the same targets CI runs as a non-blocking job); the serializer's
-# checked-in corpus lives in internal/serial/testdata/fuzz/, the datum
-# target's seeds are in its test file.
+# fuzz exercises the serializer's read side, its one-pass write side (JSON
+# bytes straight into the record builder, held to the tree path's answer)
+# and the datum representation — the same targets CI runs as a non-blocking
+# job; the serializer's checked-in corpora live in
+# internal/serial/testdata/fuzz/, the datum target's seeds are in its test
+# file.
 fuzz:
 	$(GO) test -fuzz=FuzzRecordReaders -fuzztime=30s ./internal/serial/
+	$(GO) test -fuzz=FuzzStreamLoadMatchesTree -fuzztime=30s ./internal/serial/
 	$(GO) test -fuzz=FuzzDatumRoundTrip -fuzztime=30s ./internal/rdbms/types/
 
-# bench runs the micro-benchmarks and regenerates BENCH_PR13.json, the
-# machine-readable Figure 6 + Table 5 + plan-cache report (ns/op and
-# allocs/op per query) that tracks the perf trajectory across PRs.
+# bench runs the micro-benchmarks and regenerates BENCH_PR14.json, the
+# machine-readable Table 3 (load time per system) + Figure 6 + Table 5 +
+# plan-cache report (ns/op and allocs/op per query) that tracks the perf
+# trajectory across PRs. It pins one processor: every BENCH_PR*.json was
+# recorded on serial plans, and allocs/op of a parallel plan is another
+# number.
 bench:
-	$(GO) test -bench . -benchmem -run '^$$' ./internal/bench/
-	$(GO) run ./cmd/sinewbench -json BENCH_PR13.json -small 4000
+	GOMAXPROCS=1 $(GO) test -bench . -benchmem -run '^$$' ./internal/bench/
+	GOMAXPROCS=1 $(GO) run ./cmd/sinewbench -json BENCH_PR14.json -small 4000
 
 # bench-diff gates the perf trajectory: it fails when any Figure 6 query
-# or Table 5 row in BENCH_PR13.json regressed more than 10% against
-# BENCH_PR10.json, the freshest prior baseline, in ns/op or allocs/op.
+# or Table 5 row in BENCH_PR14.json regressed more than 10% against
+# BENCH_PR13.json, the freshest prior baseline, in ns/op or allocs/op.
 # (benchdiff defaults its baseline to the newest BENCH_PR*.json; the pin
 # keeps the gate explicit.)
 bench-diff:
-	$(GO) run ./cmd/benchdiff -baseline BENCH_PR10.json -new BENCH_PR13.json -tolerance 10
+	$(GO) run ./cmd/benchdiff -baseline BENCH_PR13.json -new BENCH_PR14.json -tolerance 10
 
 fmt:
 	gofmt -w $$($(GO) list -f '{{.Dir}}' ./...)

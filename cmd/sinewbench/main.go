@@ -7,10 +7,11 @@
 //	sinewbench [-exp all|table2|table3|table4|table5|fig6|fig7|fig8|ablations|counts]
 //	           [-small N] [-large N] [-reps R] [-seed S] [-json FILE]
 //
-// With -json, the Figure 6 (Sinew column), Table 5, and plan-cache
-// benchmarks are measured via testing.Benchmark and written as a JSON
-// report (ns/op and allocs/op per query) instead of the text tables;
-// `make bench` uses this to produce BENCH_PR2.json.
+// With -json, the Table 3 load row of every system and the Figure 6 (Sinew
+// column), Table 5, and plan-cache benchmarks (measured via
+// testing.Benchmark) are written as a JSON report (ns/op and allocs/op per
+// query) instead of the text tables; `make bench` uses this to produce
+// BENCH_PR<n>.json.
 //
 // The -small scale plays the paper's in-memory 16M-record runs and -large
 // the disk-bound 64M-record runs (scaled 1:4 by default); see DESIGN.md §2
@@ -53,6 +54,9 @@ func runJSON(path string, small int, seed int64) error {
 	rep, err := bench.WriteReport(path, small, seed)
 	if err != nil {
 		return err
+	}
+	for _, l := range rep.Table3Load {
+		fmt.Printf("  table3 %-8s load %12d ns  size %10d bytes\n", l.System, l.LoadNs, l.SizeBytes)
 	}
 	for _, q := range rep.Figure6Sinew {
 		fmt.Printf("  fig6 %-4s %12d ns/op %8d allocs/op\n", q.Query, q.NsPerOp, q.AllocsPerOp)

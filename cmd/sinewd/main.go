@@ -1,7 +1,7 @@
 // Command sinewd serves a Sinew database over the HTTP line protocol
 // (internal/service): pooled sessions, one SQL statement per /query
-// request, and a /metrics endpoint exposing the snapshot/session
-// counters. Readers never block behind writers — each statement runs
+// request, newline-delimited JSON documents per /load request, and a
+// /metrics endpoint exposing the snapshot/session counters. Readers never block behind writers — each statement runs
 // against an epoch-pinned heap snapshot (DESIGN.md §10).
 //
 // Quickstart:
@@ -13,6 +13,9 @@
 //	curl -X POST 'localhost:8481/query?session=s1' \
 //	     -d "INSERT INTO t VALUES (1, 'x')"
 //	curl -X POST 'localhost:8481/query?session=s1' -d 'SELECT * FROM t'
+//	curl -X POST 'localhost:8481/load?collection=docs' \
+//	     --data-binary $'{"a":1}\n{"a":2,"b":{"c":true}}\n'
+//	curl -X POST localhost:8481/query -d 'SELECT a, "b.c" FROM docs'
 //	curl localhost:8481/metrics
 package main
 

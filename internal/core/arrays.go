@@ -19,7 +19,7 @@ const defaultPositionalLimit = 8
 // attributes so the analyzer may materialize hot positions.
 // ArraySeparateTable shreds elements to a side table so the RDBMS keeps
 // aggregate statistics over elements rather than per-position statistics.
-func (db *DB) applyArrayModes(collection string, tc *CollectionCatalog, docID int64, doc *jsonx.Doc, opts CollectionOptions) error {
+func (db *DB) applyArrayModes(collection string, b *loadBatch, docID int64, doc *jsonx.Doc, opts CollectionOptions) error {
 	for key, mode := range opts.ArrayModes {
 		v, ok := jsonx.PathGet(doc, key)
 		if !ok || v.Kind != jsonx.Array {
@@ -33,7 +33,6 @@ func (db *DB) applyArrayModes(collection string, tc *CollectionCatalog, docID in
 			if limit <= 0 {
 				limit = defaultPositionalLimit
 			}
-			var hashBuf []byte
 			for i, e := range v.A {
 				if i >= limit {
 					break
@@ -42,11 +41,11 @@ func (db *DB) applyArrayModes(collection string, tc *CollectionCatalog, docID in
 				if !typed {
 					continue
 				}
-				path := fmt.Sprintf("%s.%d", key, i)
-				attr := serial.Attr{ID: db.dict().IDFor(path, at), Key: path, Type: at}
-				if _, _, err := tc.observe(attr, e, db.dict(), &hashBuf); err != nil {
+				val, err := b.enc.EncodeValue(e)
+				if err != nil {
 					return err
 				}
+				b.obs.add(db.dict().IDFor(fmt.Sprintf("%s.%d", key, i), at), val)
 			}
 		case ArraySeparateTable:
 			if err := db.shredArray(collection, key, docID, v.A); err != nil {

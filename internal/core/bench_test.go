@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"github.com/sinewdata/sinew/internal/jsonx"
 	"github.com/sinewdata/sinew/internal/nobench"
 	"github.com/sinewdata/sinew/internal/rdbms/sqlparse"
+	"github.com/sinewdata/sinew/internal/twittergen"
 )
 
 // benchFixture loads n simple documents with one materialized and one
@@ -64,24 +67,63 @@ func BenchmarkQueryVirtualColumn(b *testing.B) {
 	}
 }
 
-// BenchmarkLoad measures loader throughput (docs/op reported via N).
-func BenchmarkLoad(b *testing.B) {
-	docs := make([]*jsonx.Doc, 1000)
-	for i := range docs {
-		d := jsonx.NewDoc()
-		d.Set("k", jsonx.IntValue(int64(i)))
-		d.Set("s", jsonx.StringValue(fmt.Sprintf("value %d", i)))
-		docs[i] = d
+// ndjsonBatches renders docs as newline-delimited JSON, size documents per
+// batch.
+func ndjsonBatches(docs []*jsonx.Doc, size int) [][]byte {
+	var out [][]byte
+	for i := 0; i < len(docs); i += size {
+		var batch []byte
+		for _, d := range docs[i:min(i+size, len(docs))] {
+			batch = append(batch, jsonx.ObjectValue(d).String()...)
+			batch = append(batch, '\n')
+		}
+		out = append(out, batch)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		db := Open(DefaultConfig())
-		if err := db.CreateCollection("l"); err != nil {
-			b.Fatal(err)
+	return out
+}
+
+// BenchmarkLoadJSONLines measures the write path the way the repository's
+// benchmark drives it: a fresh collection, then the corpus through
+// LoadJSONLines in 1 000-document batches, so the first batches pay for
+// schema evolution and the rest run against a known dictionary. One
+// iteration is one whole corpus; the per-document figures include
+// InsertRows.
+func BenchmarkLoadJSONLines(b *testing.B) {
+	for _, corpus := range []struct {
+		name string
+		docs []*jsonx.Doc
+	}{
+		{"nobench", nobench.Generate(20000, 20140622)},
+		{"tweets", twittergen.GenerateTweets(5000, 20140622, twittergen.DefaultConfig(5000))},
+	} {
+		batches := ndjsonBatches(corpus.docs, 1000)
+		var userBytes int64
+		for _, batch := range batches {
+			userBytes += int64(len(batch))
 		}
-		if _, err := db.LoadDocuments("l", docs); err != nil {
-			b.Fatal(err)
-		}
+		b.Run(corpus.name, func(b *testing.B) {
+			b.SetBytes(userBytes)
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				db := Open(DefaultConfig())
+				if err := db.CreateCollection("l"); err != nil {
+					b.Fatal(err)
+				}
+				for _, batch := range batches {
+					if _, err := db.LoadJSONLines("l", bytes.NewReader(batch)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms1)
+			docs := float64(b.N * len(corpus.docs))
+			b.ReportMetric(docs/b.Elapsed().Seconds(), "docs/s")
+			b.ReportMetric(float64(ms1.TotalAlloc-ms0.TotalAlloc)/docs, "B/doc")
+			b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/docs, "allocs/doc")
+		})
 	}
 }
 

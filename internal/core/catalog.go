@@ -86,10 +86,9 @@ func (c ColumnInfo) Cardinality() int64 { return c.cardinality }
 // cardinality has not saturated).
 func (c *column) tracking() bool { return c.cardinality <= cardTrackLimit }
 
-// observe records one occurrence of the attribute; valueKey, the value's
-// hash key, is read only while the column is still tracking.
-func (c *column) observe(valueKey []byte) {
-	c.Count++
+// observeValue records one more value of the attribute; key, the value's
+// serialized bytes, is read only while the column is still tracking.
+func (c *column) observeValue(key []byte) {
 	if !c.tracking() {
 		return
 	}
@@ -98,13 +97,93 @@ func (c *column) observe(valueKey []byte) {
 	}
 	// The lookup converts without allocating; only a new value pays for
 	// its key string.
-	if _, seen := c.distinct[string(valueKey)]; !seen {
-		c.distinct[string(valueKey)] = struct{}{}
+	if _, seen := c.distinct[string(key)]; !seen {
+		c.distinct[string(key)] = struct{}{}
 	}
 	c.cardinality = int64(len(c.distinct))
 	if !c.tracking() {
 		c.distinct = nil
 	}
+}
+
+// observations is what one load batch adds to a collection's statistics,
+// gathered by the loader without the catalog lock and applied by
+// recordObservations under one: per attribute the number of documents it
+// occurred in, and — only for columns that were still tracking distinct
+// values when the batch began — the serialized bytes of each value.
+type observations struct {
+	// slot maps an attribute ID to 1 + its index in attrs; 0 means the
+	// batch has not met the attribute. saturated is indexed alike.
+	slot      []int32
+	saturated []bool
+	attrs     []attrObservations
+	// keys holds the kept values back to back; refs says whose they are.
+	keys []byte
+	refs []valueRef
+	// doc numbers the current document, from 1.
+	doc int32
+}
+
+type attrObservations struct {
+	id      uint32
+	count   int64
+	lastDoc int32
+}
+
+type valueRef struct {
+	attr     int32 // index in attrs
+	off, end uint32
+}
+
+// grow makes slot and saturated cover attribute id.
+func (o *observations) grow(id uint32) {
+	for int(id) >= len(o.slot) {
+		o.slot = append(o.slot, 0)
+		o.saturated = append(o.saturated, false)
+	}
+}
+
+// nextDoc starts the next document's observations.
+func (o *observations) nextDoc() { o.doc++ }
+
+// add records that the current document holds attribute id with the given
+// serialized value. An attribute counts once per document: a literal key
+// "a.b" beside a nested a: {b: …} of the same type is one occurrence of
+// the column a.b, and the first one's value.
+func (o *observations) add(id uint32, val []byte) {
+	o.grow(id)
+	if o.slot[id] == 0 {
+		o.attrs = append(o.attrs, attrObservations{id: id})
+		o.slot[id] = int32(len(o.attrs))
+	}
+	i := o.slot[id] - 1
+	a := &o.attrs[i]
+	if a.lastDoc == o.doc {
+		return
+	}
+	a.lastDoc = o.doc
+	a.count++
+	if !o.saturated[id] {
+		off := uint32(len(o.keys))
+		o.keys = append(o.keys, val...)
+		o.refs = append(o.refs, valueRef{attr: i, off: off, end: uint32(len(o.keys))})
+	}
+}
+
+// newObservations returns an empty batch that knows which columns no
+// longer track distinct values. Saturation is final, so the answer cannot
+// go stale in the direction that loses a value.
+func (tc *CollectionCatalog) newObservations() *observations {
+	o := &observations{}
+	tc.mu.RLock()
+	defer tc.mu.RUnlock()
+	for id, c := range tc.columns {
+		if !c.tracking() {
+			o.grow(id)
+			o.saturated[id] = true
+		}
+	}
+	return o
 }
 
 // NewCatalog returns an empty catalog.
@@ -258,35 +337,45 @@ func (tc *CollectionCatalog) DirtyColumns() []ColumnState {
 
 // The functions below are the only code that may insert a column record or
 // write ColumnState's Materialized, Dirty and PhysicalName (sinewlint's
-// catalog-view check). Each clears the published view, under the write
+// catalog-view check); recordObservations is also the only one that moves
+// a column's statistics. Each clears the published view, under the write
 // lock, whenever it changed something the rewriter reads; callers bump the
 // RDBMS catalog epoch afterwards, so whoever samples the new epoch also
 // finds the new view.
 
-// recordObservation updates counts for one attribute occurrence during
-// load; it creates the column record on first sight (the invisible cost of
-// schema evolution, §3.2.1). It reports the column's target storage mode
-// and whether the record is new. valueKey builds the occurrence's value
-// key; it is called, under the catalog lock, only while the column still
-// tracks distinct values, so a saturated column costs the loader no key.
-// When it fails nothing is recorded.
-func (tc *CollectionCatalog) recordObservation(attr serial.Attr, valueKey func() ([]byte, error)) (materialized, created bool, err error) {
+// recordObservations applies a load batch's observations, and the
+// documents they came from, under one acquisition of the catalog lock. It
+// creates the record of a column on first sight (the invisible cost of
+// schema evolution, §3.2.1) and turns a materialized column the batch
+// brings values for dirty: they land in the reservoir. It reports whether
+// it changed what the rewriter emits — a new record, a clean column now
+// dirty.
+func (tc *CollectionCatalog) recordObservations(o *observations, docs int64, dict serial.Dict) (schemaChanged bool) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	col, ok := tc.columns[attr.ID]
-	var key []byte
-	if !ok || col.tracking() {
-		if key, err = valueKey(); err != nil {
-			return false, false, err
+	cols := make([]*column, len(o.attrs))
+	for i, a := range o.attrs {
+		col, ok := tc.columns[a.id]
+		if !ok {
+			attr, _ := dict.Lookup(a.id)
+			col = newColumn(attr)
+			tc.columns[a.id] = col
+			tc.view.Store(nil)
+			schemaChanged = true
 		}
+		col.Count += a.count
+		if col.Materialized && !col.Dirty {
+			col.Dirty = true
+			tc.view.Store(nil)
+			schemaChanged = true
+		}
+		cols[i] = col
 	}
-	if !ok {
-		col = newColumn(attr)
-		tc.columns[attr.ID] = col
-		tc.view.Store(nil)
+	for _, r := range o.refs {
+		cols[r.attr].observeValue(o.keys[r.off:r.end])
 	}
-	col.observe(key)
-	return col.Materialized, !ok, nil
+	tc.docCount += docs
+	return schemaChanged
 }
 
 // ensureColumn creates a catalog record for an attribute without counting
@@ -303,26 +392,6 @@ func (tc *CollectionCatalog) ensureColumn(attr serial.Attr) {
 
 func newColumn(attr serial.Attr) *column {
 	return &column{ColumnInfo: ColumnInfo{ColumnState: ColumnState{AttrID: attr.ID, Key: attr.Key, Type: attr.Type}}}
-}
-
-// addDocs bumps the document count after a batch load.
-func (tc *CollectionCatalog) addDocs(n int64) {
-	tc.mu.Lock()
-	tc.docCount += n
-	tc.mu.Unlock()
-}
-
-// setDirty sets a column's dirty bit and reports whether that changed it.
-func (tc *CollectionCatalog) setDirty(attrID uint32, dirty bool) bool {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	c, ok := tc.columns[attrID]
-	if !ok || c.Dirty == dirty {
-		return false
-	}
-	c.Dirty = dirty
-	tc.view.Store(nil)
-	return true
 }
 
 // setTarget sets a column's target storage mode, marking the column dirty

@@ -344,3 +344,17 @@ func TestSnapshotTornDirty(t *testing.T) {
 		t.Errorf("thousandth after the run = %+v", st)
 	}
 }
+
+// setDirty sets a column's dirty bit, the way a load that brings values
+// for it does, and reports whether that changed it.
+func (tc *CollectionCatalog) setDirty(attrID uint32, dirty bool) bool {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	c, ok := tc.columns[attrID]
+	if !ok || c.Dirty == dirty {
+		return false
+	}
+	c.Dirty = dirty
+	tc.view.Store(nil)
+	return true
+}

@@ -239,10 +239,10 @@ func (m *Materializer) RunOnce(collection string) (int64, error) {
 	// the dirty bit and COALESCE over the physical column, which the copy
 	// sweep filled. Rows are re-read rather than reusing the first
 	// snapshot so updates landed between the sweeps are preserved.
-	var purge []ColumnState
+	var purge []uint32
 	for _, col := range mats {
 		if pathDepth(col.Key) == 1 && col.PhysicalName != "" {
-			purge = append(purge, col)
+			purge = append(purge, col.AttrID)
 		}
 	}
 	if len(purge) > 0 {
@@ -262,23 +262,15 @@ func (m *Materializer) RunOnce(collection string) (int64, error) {
 			if row[reservoirIdx].IsNull() {
 				continue
 			}
-			doc, err := serial.Deserialize(row[reservoirIdx].Bytes(), m.db.dict())
+			// Top-level keys only, so the record's header is spliced and
+			// no value decoded; a row holding none of them is left alone.
+			rec := row[reservoirIdx].Bytes()
+			data, err := serial.DeleteAttrs(rec, purge...)
 			if err != nil {
 				return moved, err
 			}
-			changed := false
-			for _, col := range purge {
-				if _, found := docGetTyped(doc, col.Key, col.Type); found {
-					docDeletePath(doc, col.Key, col.Type)
-					changed = true
-				}
-			}
-			if !changed {
+			if len(data) == len(rec) {
 				continue
-			}
-			data, err := serial.Serialize(doc, m.db.dict())
-			if err != nil {
-				return moved, err
 			}
 			row[reservoirIdx] = types.NewBytes(data)
 			if err := m.db.rdb.UpdateRow(collection, w.id, row); err != nil {

@@ -30,30 +30,6 @@ func docGetTyped(doc *jsonx.Doc, path string, want serial.AttrType) (jsonx.Value
 	return v, true
 }
 
-// docDeletePath removes the member at a dotted path (type-checked);
-// reports whether something was removed. Empty parents are kept (their
-// absence vs emptiness is not observable through the logical view).
-func docDeletePath(doc *jsonx.Doc, path string, want serial.AttrType) bool {
-	if v, ok := doc.Get(path); ok {
-		if at, typed := serial.AttrTypeOf(v); typed && at == want {
-			return doc.Delete(path)
-		}
-		return false
-	}
-	for i := 0; i < len(path); i++ {
-		if path[i] != '.' {
-			continue
-		}
-		head, rest := path[:i], path[i+1:]
-		if sub, ok := doc.Get(head); ok && sub.Kind == jsonx.Object {
-			if docDeletePath(sub.Obj, rest, want) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // docSetPath writes a value at a dotted path, descending into existing
 // nested objects and otherwise setting a literal dotted member (matching
 // how the loader catalogs flattened paths).

@@ -271,13 +271,13 @@ func (db *DB) registerUDFs() {
 			if data == nil {
 				return types.NewNull(types.Bytes), nil
 			}
-			out := data
+			var ids []uint32
 			for _, attr := range db.dict().IDsOfKey(key) {
-				next, _, err := serial.Remove(out, attr.ID)
-				if err != nil {
-					return types.Datum{}, err
-				}
-				out = next
+				ids = append(ids, attr.ID)
+			}
+			out, err := serial.DeleteAttrs(data, ids...)
+			if err != nil {
+				return types.Datum{}, err
 			}
 			return types.NewBytes(out), nil
 		},

@@ -17,20 +17,57 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("jsonx: syntax error at offset %d: %s", e.Offset, e.Msg)
 }
 
-// Parse parses a single JSON value from data, requiring that nothing but
-// whitespace follows it.
-func Parse(data []byte) (Value, error) {
-	p := parser{data: data}
+// Handler receives the events of one JSON value in document order. Key and
+// String pass bytes that are valid only during the call: they alias the
+// input, or the scanner's unescape buffer when the text held an escape.
+type Handler interface {
+	BeginObject()
+	// Key reports the key of the object member whose value follows.
+	Key(key []byte)
+	EndObject()
+	BeginArray()
+	EndArray()
+	Null()
+	Bool(b bool)
+	Int(i int64)
+	Float(f float64)
+	String(s []byte)
+}
+
+// Scanner is the package's one JSON tokenizer: it validates a value and
+// reports it to a Handler without building anything itself. The zero value
+// is ready to use; reusing one Scanner reuses its unescape buffer.
+type Scanner struct {
+	scratch []byte
+}
+
+// Scan reports the single JSON value in data to h, requiring that nothing
+// but whitespace follows it. Events already delivered when a syntax error
+// is found are the caller's to discard.
+func (s *Scanner) Scan(data []byte, h Handler) error {
+	p := parser{data: data, h: h, scratch: s.scratch}
 	p.skipSpace()
-	v, err := p.parseValue(0)
+	err := p.parseValue(0)
+	s.scratch = p.scratch[:0]
 	if err != nil {
-		return Value{}, err
+		return err
 	}
 	p.skipSpace()
 	if p.pos != len(p.data) {
-		return Value{}, p.errf("trailing data after value")
+		return p.errf("trailing data after value")
 	}
-	return v, nil
+	return nil
+}
+
+// Parse parses a single JSON value from data, requiring that nothing but
+// whitespace follows it.
+func Parse(data []byte) (Value, error) {
+	var s Scanner
+	var t treeBuilder
+	if err := s.Scan(data, &t); err != nil {
+		return Value{}, err
+	}
+	return t.root, nil
 }
 
 // ParseString is Parse on a string.
@@ -49,12 +86,57 @@ func ParseDocument(data []byte) (*Doc, error) {
 	return v.Obj, nil
 }
 
+// treeBuilder is the Handler that builds the Value tree.
+type treeBuilder struct {
+	root Value
+	open []container
+}
+
+// container is an object or array whose end has not been seen.
+type container struct {
+	doc *Doc   // nil for an array
+	key string // object: the key of the member being scanned
+	arr []Value
+}
+
+func (t *treeBuilder) add(v Value) {
+	if len(t.open) == 0 {
+		t.root = v
+		return
+	}
+	c := &t.open[len(t.open)-1]
+	if c.doc != nil {
+		c.doc.Set(c.key, v)
+	} else {
+		c.arr = append(c.arr, v)
+	}
+}
+
+func (t *treeBuilder) pop() container {
+	c := t.open[len(t.open)-1]
+	t.open = t.open[:len(t.open)-1]
+	return c
+}
+
+func (t *treeBuilder) BeginObject()    { t.open = append(t.open, container{doc: NewDoc()}) }
+func (t *treeBuilder) Key(key []byte)  { t.open[len(t.open)-1].key = string(key) }
+func (t *treeBuilder) EndObject()      { t.add(ObjectValue(t.pop().doc)) }
+func (t *treeBuilder) BeginArray()     { t.open = append(t.open, container{}) }
+func (t *treeBuilder) EndArray()       { t.add(Value{Kind: Array, A: t.pop().arr}) }
+func (t *treeBuilder) Null()           { t.add(NullValue()) }
+func (t *treeBuilder) Bool(b bool)     { t.add(BoolValue(b)) }
+func (t *treeBuilder) Int(i int64)     { t.add(IntValue(i)) }
+func (t *treeBuilder) Float(f float64) { t.add(FloatValue(f)) }
+func (t *treeBuilder) String(s []byte) { t.add(StringValue(string(s))) }
+
 // maxDepth bounds nesting so hostile inputs cannot overflow the stack.
 const maxDepth = 512
 
 type parser struct {
-	data []byte
-	pos  int
+	data    []byte
+	pos     int
+	h       Handler
+	scratch []byte // unescaped text of the string being scanned
 }
 
 func (p *parser) errf(format string, args ...any) error {
@@ -72,12 +154,12 @@ func (p *parser) skipSpace() {
 	}
 }
 
-func (p *parser) parseValue(depth int) (Value, error) {
+func (p *parser) parseValue(depth int) error {
 	if depth > maxDepth {
-		return Value{}, p.errf("nesting too deep (limit %d)", maxDepth)
+		return p.errf("nesting too deep (limit %d)", maxDepth)
 	}
 	if p.pos >= len(p.data) {
-		return Value{}, p.errf("unexpected end of input")
+		return p.errf("unexpected end of input")
 	}
 	switch c := p.data[p.pos]; {
 	case c == '{':
@@ -87,113 +169,129 @@ func (p *parser) parseValue(depth int) (Value, error) {
 	case c == '"':
 		s, err := p.parseString()
 		if err != nil {
-			return Value{}, err
+			return err
 		}
-		return StringValue(s), nil
+		p.h.String(s)
+		return nil
 	case c == 't':
-		return p.parseLiteral("true", BoolValue(true))
+		if err := p.parseLiteral("true"); err != nil {
+			return err
+		}
+		p.h.Bool(true)
+		return nil
 	case c == 'f':
-		return p.parseLiteral("false", BoolValue(false))
+		if err := p.parseLiteral("false"); err != nil {
+			return err
+		}
+		p.h.Bool(false)
+		return nil
 	case c == 'n':
-		return p.parseLiteral("null", NullValue())
+		if err := p.parseLiteral("null"); err != nil {
+			return err
+		}
+		p.h.Null()
+		return nil
 	case c == '-' || (c >= '0' && c <= '9'):
 		return p.parseNumber()
 	default:
-		return Value{}, p.errf("unexpected character %q", c)
+		return p.errf("unexpected character %q", c)
 	}
 }
 
-func (p *parser) parseLiteral(lit string, v Value) (Value, error) {
+func (p *parser) parseLiteral(lit string) error {
 	if len(p.data)-p.pos < len(lit) || string(p.data[p.pos:p.pos+len(lit)]) != lit {
-		return Value{}, p.errf("invalid literal")
+		return p.errf("invalid literal")
 	}
 	p.pos += len(lit)
-	return v, nil
+	return nil
 }
 
-func (p *parser) parseObject(depth int) (Value, error) {
+func (p *parser) parseObject(depth int) error {
 	p.pos++ // consume '{'
-	doc := NewDoc()
+	p.h.BeginObject()
 	p.skipSpace()
 	if p.pos < len(p.data) && p.data[p.pos] == '}' {
 		p.pos++
-		return ObjectValue(doc), nil
+		p.h.EndObject()
+		return nil
 	}
 	for {
 		p.skipSpace()
 		if p.pos >= len(p.data) || p.data[p.pos] != '"' {
-			return Value{}, p.errf("expected object key string")
+			return p.errf("expected object key string")
 		}
 		key, err := p.parseString()
 		if err != nil {
-			return Value{}, err
+			return err
 		}
+		p.h.Key(key)
 		p.skipSpace()
 		if p.pos >= len(p.data) || p.data[p.pos] != ':' {
-			return Value{}, p.errf("expected ':' after object key")
+			return p.errf("expected ':' after object key")
 		}
 		p.pos++
 		p.skipSpace()
-		val, err := p.parseValue(depth + 1)
-		if err != nil {
-			return Value{}, err
+		if err := p.parseValue(depth + 1); err != nil {
+			return err
 		}
-		doc.Set(key, val)
 		p.skipSpace()
 		if p.pos >= len(p.data) {
-			return Value{}, p.errf("unterminated object")
+			return p.errf("unterminated object")
 		}
 		switch p.data[p.pos] {
 		case ',':
 			p.pos++
 		case '}':
 			p.pos++
-			return ObjectValue(doc), nil
+			p.h.EndObject()
+			return nil
 		default:
-			return Value{}, p.errf("expected ',' or '}' in object")
+			return p.errf("expected ',' or '}' in object")
 		}
 	}
 }
 
-func (p *parser) parseArray(depth int) (Value, error) {
+func (p *parser) parseArray(depth int) error {
 	p.pos++ // consume '['
-	var elems []Value
+	p.h.BeginArray()
 	p.skipSpace()
 	if p.pos < len(p.data) && p.data[p.pos] == ']' {
 		p.pos++
-		return Value{Kind: Array, A: elems}, nil
+		p.h.EndArray()
+		return nil
 	}
 	for {
 		p.skipSpace()
-		v, err := p.parseValue(depth + 1)
-		if err != nil {
-			return Value{}, err
+		if err := p.parseValue(depth + 1); err != nil {
+			return err
 		}
-		elems = append(elems, v)
 		p.skipSpace()
 		if p.pos >= len(p.data) {
-			return Value{}, p.errf("unterminated array")
+			return p.errf("unterminated array")
 		}
 		switch p.data[p.pos] {
 		case ',':
 			p.pos++
 		case ']':
 			p.pos++
-			return Value{Kind: Array, A: elems}, nil
+			p.h.EndArray()
+			return nil
 		default:
-			return Value{}, p.errf("expected ',' or ']' in array")
+			return p.errf("expected ',' or ']' in array")
 		}
 	}
 }
 
-func (p *parser) parseString() (string, error) {
+// parseString scans a string token and returns its unescaped text, which
+// aliases the input when the token holds no escape and p.scratch otherwise.
+func (p *parser) parseString() ([]byte, error) {
 	p.pos++ // consume '"'
 	start := p.pos
 	// Fast path: no escapes, ASCII-safe scan.
 	for p.pos < len(p.data) {
 		c := p.data[p.pos]
 		if c == '"' {
-			s := string(p.data[start:p.pos])
+			s := p.data[start:p.pos:p.pos]
 			p.pos++
 			return s, nil
 		}
@@ -203,20 +301,20 @@ func (p *parser) parseString() (string, error) {
 		p.pos++
 	}
 	// Slow path with escape handling.
-	buf := make([]byte, 0, p.pos-start+16)
-	buf = append(buf, p.data[start:p.pos]...)
+	buf := append(p.scratch[:0], p.data[start:p.pos]...)
 	for p.pos < len(p.data) {
 		c := p.data[p.pos]
 		switch {
 		case c == '"':
 			p.pos++
-			return string(buf), nil
+			p.scratch = buf // keep what it grew to
+			return buf, nil
 		case c < 0x20:
-			return "", p.errf("control character in string")
+			return nil, p.errf("control character in string")
 		case c == '\\':
 			p.pos++
 			if p.pos >= len(p.data) {
-				return "", p.errf("unterminated escape")
+				return nil, p.errf("unterminated escape")
 			}
 			switch e := p.data[p.pos]; e {
 			case '"':
@@ -238,7 +336,7 @@ func (p *parser) parseString() (string, error) {
 			case 'u':
 				r, err := p.parseHexRune()
 				if err != nil {
-					return "", err
+					return nil, err
 				}
 				if utf16.IsSurrogate(r) {
 					// Expect a low surrogate continuation.
@@ -246,7 +344,7 @@ func (p *parser) parseString() (string, error) {
 						p.pos += 2
 						r2, err := p.parseHexRune()
 						if err != nil {
-							return "", err
+							return nil, err
 						}
 						if dec := utf16.DecodeRune(r, r2); dec != utf8.RuneError {
 							r = dec
@@ -259,7 +357,7 @@ func (p *parser) parseString() (string, error) {
 				}
 				buf = utf8.AppendRune(buf, r)
 			default:
-				return "", p.errf("invalid escape character %q", e)
+				return nil, p.errf("invalid escape character %q", e)
 			}
 			p.pos++
 		default:
@@ -267,7 +365,7 @@ func (p *parser) parseString() (string, error) {
 			p.pos++
 		}
 	}
-	return "", p.errf("unterminated string")
+	return nil, p.errf("unterminated string")
 }
 
 // parseHexRune parses the 4 hex digits of a \uXXXX escape; p.pos is on 'u'
@@ -294,7 +392,7 @@ func (p *parser) parseHexRune() (rune, error) {
 	return r, nil
 }
 
-func (p *parser) parseNumber() (Value, error) {
+func (p *parser) parseNumber() error {
 	start := p.pos
 	if p.data[p.pos] == '-' {
 		p.pos++
@@ -305,11 +403,11 @@ func (p *parser) parseNumber() (Value, error) {
 		digits++
 	}
 	if digits == 0 {
-		return Value{}, p.errf("invalid number")
+		return p.errf("invalid number")
 	}
 	// Leading-zero rule: "0" alone or "0.x" are fine; "01" is not.
 	if digits > 1 && p.data[start] == '0' || digits > 1 && p.data[start] == '-' && p.data[start+1] == '0' {
-		return Value{}, p.errf("invalid leading zero in number")
+		return p.errf("invalid leading zero in number")
 	}
 	isFloat := false
 	if p.pos < len(p.data) && p.data[p.pos] == '.' {
@@ -321,7 +419,7 @@ func (p *parser) parseNumber() (Value, error) {
 			frac++
 		}
 		if frac == 0 {
-			return Value{}, p.errf("digits required after decimal point")
+			return p.errf("digits required after decimal point")
 		}
 	}
 	if p.pos < len(p.data) && (p.data[p.pos] == 'e' || p.data[p.pos] == 'E') {
@@ -336,20 +434,34 @@ func (p *parser) parseNumber() (Value, error) {
 			exp++
 		}
 		if exp == 0 {
-			return Value{}, p.errf("digits required in exponent")
+			return p.errf("digits required in exponent")
 		}
 	}
-	text := string(p.data[start:p.pos])
+	text := p.data[start:p.pos]
 	if !isFloat {
-		if i, err := strconv.ParseInt(text, 10, 64); err == nil {
-			return IntValue(i), nil
+		// Up to 18 digits cannot overflow int64.
+		if digits <= 18 {
+			var i int64
+			for _, c := range text[len(text)-digits:] {
+				i = i*10 + int64(c-'0')
+			}
+			if text[0] == '-' {
+				i = -i
+			}
+			p.h.Int(i)
+			return nil
+		}
+		if i, err := strconv.ParseInt(string(text), 10, 64); err == nil {
+			p.h.Int(i)
+			return nil
 		}
 		// Out-of-range integers fall back to float, like most JSON parsers.
 	}
-	f, err := strconv.ParseFloat(text, 64)
+	f, err := strconv.ParseFloat(string(text), 64)
 	if err != nil {
 		p.pos = start
-		return Value{}, p.errf("invalid number %q", text)
+		return p.errf("invalid number %q", text)
 	}
-	return FloatValue(f), nil
+	p.h.Float(f)
+	return nil
 }

@@ -4,7 +4,10 @@
 // every path, after the write.
 package catalogview
 
-import "sync/atomic"
+import (
+	"errors"
+	"sync/atomic"
+)
 
 // ColumnState is the rewrite-visible half of a column record.
 type ColumnState struct {
@@ -66,6 +69,58 @@ func (tc *CollectionCatalog) ensure(id uint32, key string) *column {
 // observe moves a statistic only: views do not hold counts, so there is
 // nothing to invalidate.
 func (tc *CollectionCatalog) observe(id uint32) { tc.columns[id].Count++ }
+
+// observeBatch is the batch form of the observation mutator: one lock's
+// worth of attributes, each of which may insert a record or turn a
+// materialized column dirty. It invalidates next to every such write, so
+// no trip round the loop leaves one behind.
+func (tc *CollectionCatalog) observeBatch(ids []uint32, counts []int64) (changed bool) {
+	for i, id := range ids {
+		c, ok := tc.columns[id]
+		if !ok {
+			c = &column{ColumnInfo{ColumnState: ColumnState{AttrID: id}}}
+			tc.columns[id] = c
+			tc.view.Store(nil)
+			changed = true
+		}
+		c.Count += counts[i]
+		if c.Materialized && !c.Dirty {
+			c.Dirty = true
+			tc.view.Store(nil)
+			changed = true
+		}
+	}
+	return changed
+}
+
+// observeBatchLate invalidates once after the loop, and only if it
+// remembers to: the early return on an empty column leaves the records
+// inserted so far behind a stale view.
+func (tc *CollectionCatalog) observeBatchLate(ids []uint32, counts []int64) error {
+	changed := false
+	for i, id := range ids {
+		c, ok := tc.columns[id]
+		if !ok {
+			c = &column{ColumnInfo{ColumnState: ColumnState{AttrID: id}}}
+			tc.columns[id] = c // want `observeBatchLate writes CollectionCatalog\.columns but can return without invalidating the schema view`
+			changed = true
+		}
+		if counts[i] == 0 {
+			return errEmpty
+		}
+		c.Count += counts[i]
+		if c.Materialized && !c.Dirty {
+			c.Dirty = true // want `observeBatchLate writes ColumnState\.Dirty but can return without invalidating the schema view`
+			changed = true
+		}
+	}
+	if changed {
+		tc.view.Store(nil)
+	}
+	return nil
+}
+
+var errEmpty = errors.New("catalogview: empty observation")
 
 // states reads the guarded fields freely.
 func (tc *CollectionCatalog) states() []ColumnState {

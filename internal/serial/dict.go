@@ -33,6 +33,8 @@ const (
 	TypeBool
 	TypeObject
 	TypeArray
+
+	numAttrTypes = iota
 )
 
 // String returns the catalog name of the type (matching Figure 4's
@@ -93,6 +95,9 @@ type Dict interface {
 	IDFor(key string, typ AttrType) uint32
 	// IDOf returns the ID without allocating; ok is false if absent.
 	IDOf(key string, typ AttrType) (id uint32, ok bool)
+	// IDsOf returns every ID minted for key, one per observed type; the
+	// zero KeyIDs if the key has never been seen. key is only read.
+	IDsOf(key []byte) KeyIDs
 	// Lookup resolves an ID.
 	Lookup(id uint32) (Attr, bool)
 	// All returns every attribute sorted by ID (Avro-style formats need
@@ -100,10 +105,19 @@ type Dict interface {
 	All() []Attr
 }
 
+// KeyIDs holds the attribute IDs of one key: element t is 1 + the ID of
+// (key, AttrType(t)), or 0 while that pair has no ID.
+type KeyIDs [numAttrTypes]uint32
+
+// ID returns the ID of the key's attribute of type t.
+func (k KeyIDs) ID(t AttrType) (id uint32, ok bool) {
+	return k[t] - 1, k[t] != 0
+}
+
 // Dictionary is the standard in-memory Dict.
 type Dictionary struct {
 	mu    sync.RWMutex
-	byKey map[dictKey]uint32
+	byKey map[string]KeyIDs
 	byID  []Attr // index == ID
 	// snap is the latest byID slice header, republished under mu after
 	// every append. Entries are immutable once written and IDs are
@@ -113,32 +127,25 @@ type Dictionary struct {
 	snap atomic.Pointer[[]Attr]
 }
 
-type dictKey struct {
-	key string
-	typ AttrType
-}
-
 // NewDictionary returns an empty dictionary; IDs start at 0.
 func NewDictionary() *Dictionary {
-	return &Dictionary{byKey: make(map[dictKey]uint32)}
+	return &Dictionary{byKey: make(map[string]KeyIDs)}
 }
 
 // IDFor implements Dict.
 func (d *Dictionary) IDFor(key string, typ AttrType) uint32 {
-	k := dictKey{key, typ}
-	d.mu.RLock()
-	id, ok := d.byKey[k]
-	d.mu.RUnlock()
-	if ok {
+	if id, ok := d.IDOf(key, typ); ok {
 		return id
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if id, ok := d.byKey[k]; ok {
+	ids := d.byKey[key]
+	if id, ok := ids.ID(typ); ok {
 		return id
 	}
-	id = uint32(len(d.byID))
-	d.byKey[k] = id
+	id := uint32(len(d.byID))
+	ids[typ] = id + 1
+	d.byKey[key] = ids
 	d.byID = append(d.byID, Attr{ID: id, Key: key, Type: typ})
 	s := d.byID
 	d.snap.Store(&s)
@@ -149,8 +156,14 @@ func (d *Dictionary) IDFor(key string, typ AttrType) uint32 {
 func (d *Dictionary) IDOf(key string, typ AttrType) (uint32, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	id, ok := d.byKey[dictKey{key, typ}]
-	return id, ok
+	return d.byKey[key].ID(typ)
+}
+
+// IDsOf implements Dict.
+func (d *Dictionary) IDsOf(key []byte) KeyIDs {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.byKey[string(key)] // the lookup converts without allocating
 }
 
 // Lookup implements Dict.
@@ -193,9 +206,9 @@ func (d *Dictionary) IDsOfKey(key string) []Attr {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	var out []Attr
-	for _, a := range d.byID {
-		if a.Key == key {
-			out = append(out, a)
+	for _, id := range d.byKey[key] {
+		if id != 0 {
+			out = append(out, d.byID[id-1])
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })

@@ -4,110 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/sinewdata/sinew/internal/jsonx"
 )
-
-// Record layout (all integers little-endian uint32, Figure 5):
-//
-//	[n][aid_0 .. aid_{n-1}][off_0 .. off_{n-1}][bodyLen][body]
-//
-// aids are sorted ascending; off_i is the byte offset of attribute i's
-// value within the body; a value's length is off_{i+1}-off_i (or
-// bodyLen-off_i for the last). Values are binary: bool 1 byte, int/float 8
-// bytes, strings raw UTF-8, nested objects a nested record, arrays a
-// count-prefixed sequence of tagged elements.
-
-const u32 = 4
-
-// Serialize encodes a document. Top-level keys become attributes; nested
-// objects are serialized recursively as sub-records under their parent key
-// (their dotted sub-attributes are cataloged by the loader, not stored
-// separately). Null-valued keys are omitted: absence is NULL.
-func Serialize(doc *jsonx.Doc, dict Dict) ([]byte, error) {
-	type entry struct {
-		id  uint32
-		val jsonx.Value
-	}
-	entries := make([]entry, 0, doc.Len())
-	for _, m := range doc.Members() {
-		at, ok := AttrTypeOf(m.Val)
-		if !ok {
-			continue // JSON null: absent
-		}
-		entries = append(entries, entry{id: dict.IDFor(m.Key, at), val: m.Val})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].id < entries[j].id })
-
-	// Body first, recording offsets.
-	var body []byte
-	offsets := make([]uint32, len(entries))
-	for i, e := range entries {
-		offsets[i] = uint32(len(body))
-		var err error
-		body, err = appendValue(body, e.val, dict)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	out := make([]byte, 0, u32*(2+2*len(entries))+len(body))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(entries)))
-	for _, e := range entries {
-		out = binary.LittleEndian.AppendUint32(out, e.id)
-	}
-	for _, off := range offsets {
-		out = binary.LittleEndian.AppendUint32(out, off)
-	}
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(body)))
-	out = append(out, body...)
-	return out, nil
-}
-
-// appendValue encodes one value into the body.
-func appendValue(body []byte, v jsonx.Value, dict Dict) ([]byte, error) {
-	switch v.Kind {
-	case jsonx.Bool:
-		if v.B {
-			return append(body, 1), nil
-		}
-		return append(body, 0), nil
-	case jsonx.Int:
-		return binary.LittleEndian.AppendUint64(body, uint64(v.I)), nil
-	case jsonx.Float:
-		return binary.LittleEndian.AppendUint64(body, math.Float64bits(v.F)), nil
-	case jsonx.String:
-		return append(body, v.S...), nil
-	case jsonx.Object:
-		sub, err := Serialize(v.Obj, dict)
-		if err != nil {
-			return nil, err
-		}
-		return append(body, sub...), nil
-	case jsonx.Array:
-		body = binary.LittleEndian.AppendUint32(body, uint32(len(v.A)))
-		for _, e := range v.A {
-			at, ok := AttrTypeOf(e)
-			if !ok {
-				// Array-nested null keeps its position with a sentinel tag.
-				body = append(body, 0xff)
-				body = binary.LittleEndian.AppendUint32(body, 0)
-				continue
-			}
-			elem, err := appendValue(nil, e, dict)
-			if err != nil {
-				return nil, err
-			}
-			body = append(body, byte(at))
-			body = binary.LittleEndian.AppendUint32(body, uint32(len(elem)))
-			body = append(body, elem...)
-		}
-		return body, nil
-	default:
-		return nil, fmt.Errorf("serial: cannot serialize %v value", v.Kind)
-	}
-}
 
 // header gives parsed access to a record's structure without copying.
 type header struct {
@@ -410,7 +310,7 @@ func decodeArray(b []byte, dict Dict) (jsonx.Value, error) {
 		if len(b) < n {
 			return jsonx.Value{}, fmt.Errorf("serial: truncated array element payload")
 		}
-		if tag == 0xff {
+		if tag == nullTag {
 			elems = append(elems, jsonx.NullValue())
 		} else {
 			v, err := decodeValue(b[:n], AttrType(tag), dict)
@@ -465,44 +365,50 @@ func AttrIDs(data []byte) ([]uint32, error) {
 	return out, nil
 }
 
-// Remove returns a copy of the record without attribute id (the
-// materializer moves a value out of the reservoir into a physical column).
-// The second result reports whether the attribute was present.
-func Remove(data []byte, id uint32) ([]byte, bool, error) {
-	h, err := parseHeader(data)
+// DeleteAttrs returns rec without the top-level attributes ids (the
+// materializer moving values out of the reservoir, UPDATE clearing a key).
+// It splices the header and the body and decodes no value. A record that
+// holds none of ids comes back as rec itself, so a shorter result means
+// something was deleted.
+func DeleteAttrs(rec []byte, ids ...uint32) ([]byte, error) {
+	h, err := parseHeader(rec)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	idx, ok := h.find(id)
-	if !ok {
-		return data, false, nil
-	}
-	vb, err := h.valueBytes(idx)
-	if err != nil {
-		return nil, false, err
-	}
-	out := make([]byte, 0, len(data)-len(vb)-2*u32)
-	out = binary.LittleEndian.AppendUint32(out, uint32(h.n-1))
-	for i := 0; i < h.n; i++ {
-		if i != idx {
-			out = binary.LittleEndian.AppendUint32(out, h.aid(i))
+	drop := 0
+	for _, id := range ids {
+		if _, ok := h.find(id); ok {
+			drop++
 		}
 	}
-	removedOff := h.off(idx)
+	if drop == 0 {
+		return rec, nil
+	}
+	keep := make([][]byte, 0, h.n-drop)
+	out := make([]byte, 0, len(rec))
+	out = binary.LittleEndian.AppendUint32(out, 0) // the count, below
 	for i := 0; i < h.n; i++ {
-		if i == idx {
+		if slices.Contains(ids, h.aid(i)) {
 			continue
 		}
-		off := h.off(i)
-		if off > removedOff {
-			off -= uint32(len(vb))
+		vb, err := h.valueBytes(i)
+		if err != nil {
+			return nil, err
 		}
-		out = binary.LittleEndian.AppendUint32(out, off)
+		keep = append(keep, vb)
+		out = binary.LittleEndian.AppendUint32(out, h.aid(i))
 	}
-	out = binary.LittleEndian.AppendUint32(out, h.bodyLen-uint32(len(vb)))
-	out = append(out, h.body[:removedOff]...)
-	out = append(out, h.body[removedOff+uint32(len(vb)):]...)
-	return out, true, nil
+	binary.LittleEndian.PutUint32(out, uint32(len(keep)))
+	off := uint32(0)
+	for _, vb := range keep {
+		out = binary.LittleEndian.AppendUint32(out, off)
+		off += uint32(len(vb))
+	}
+	out = binary.LittleEndian.AppendUint32(out, off)
+	for _, vb := range keep {
+		out = append(out, vb...)
+	}
+	return out, nil
 }
 
 // Insert returns a copy of the record with attribute id set to v (the

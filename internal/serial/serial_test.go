@@ -125,23 +125,22 @@ func TestRemoveAndInsert(t *testing.T) {
 	data, _ := Serialize(in, dict)
 	idB, _ := dict.IDOf("b", TypeString)
 
-	smaller, removed, err := Remove(data, idB)
-	if err != nil || !removed {
-		t.Fatalf("remove: %v %v", removed, err)
+	smaller, err := DeleteAttrs(data, idB)
+	if err != nil || len(smaller) >= len(data) {
+		t.Fatalf("DeleteAttrs removed nothing: %d -> %d bytes (%v)", len(data), len(smaller), err)
 	}
 	if _, found, _ := ExtractByID(smaller, idB, dict); found {
-		t.Error("b still present after Remove")
+		t.Error("b still present after DeleteAttrs")
 	}
 	if v, found, _ := ExtractPath(smaller, "a", TypeInt, dict); !found || v.I != 1 {
-		t.Errorf("a damaged by Remove: %v %v", v, found)
+		t.Errorf("a damaged by DeleteAttrs: %v %v", v, found)
 	}
 	if v, found, _ := ExtractPath(smaller, "c", TypeFloat, dict); !found || v.F != 3.5 {
-		t.Errorf("c damaged by Remove: %v %v", v, found)
+		t.Errorf("c damaged by DeleteAttrs: %v %v", v, found)
 	}
 	// Remove of absent attribute is a no-op.
-	same, removed, _ := Remove(smaller, idB)
-	if removed || len(same) != len(smaller) {
-		t.Error("second remove should be a no-op")
+	if same, _ := DeleteAttrs(smaller, idB); len(same) != len(smaller) {
+		t.Error("second delete should be a no-op")
 	}
 
 	back, err := Insert(smaller, idB, jsonx.StringValue("bee"), dict)

@@ -10,17 +10,23 @@
 //	POST   /session             open a session       -> {"session":"s1"}
 //	DELETE /session?id=s1       close it
 //	POST   /query?session=s1    body = one SQL stmt  -> {"columns":..,"rows":..}
+//	POST   /load?collection=c   body = NDJSON        -> {"documents":N,"new_attributes":M}
 //	GET    /metrics             plaintext counters (global + per-session)
 //	GET    /healthz             liveness probe
 //
-// A /query without a session parameter runs on an ephemeral session that
-// exists only for the request; sessions_active still counts it, so the
-// gauge reflects true concurrency.
+// A /query or /load without a session parameter runs on an ephemeral
+// session that exists only for the request; sessions_active still counts
+// it, so the gauge reflects true concurrency.
+//
+// /load feeds its body, one JSON document per line, to DB.LoadJSONLines,
+// creating the collection on first use. A body loads whole or not at all:
+// a malformed line is a 400 naming the line, and nothing was inserted.
 package service
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -35,8 +41,13 @@ import (
 )
 
 // maxStatementBytes bounds a /query request body; one statement should
-// never approach it (bulk loads go through LoadJSONLines, not SQL text).
+// never approach it (bulk loads go through /load, not SQL text).
 const maxStatementBytes = 4 << 20
+
+// maxLoadBytes bounds a /load request body. The load is all-or-nothing, so
+// its records are held until the last line has been read: the bound is
+// also what one request can pin in memory.
+const maxLoadBytes = 64 << 20
 
 // session is one pooled client session and its counters.
 type session struct {
@@ -60,6 +71,9 @@ type Server struct {
 
 	queriesTotal atomic.Int64
 	errorsTotal  atomic.Int64
+	loadsTotal   atomic.Int64
+	loadErrors   atomic.Int64
+	docsLoaded   atomic.Int64
 }
 
 // New builds a server over an opened database. It does not listen yet.
@@ -68,6 +82,7 @@ func New(db *core.DB) *Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/session", s.handleSession)
 	mux.HandleFunc("/query", s.handleQuery)
+	mux.HandleFunc("/load", s.handleLoad)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Write([]byte("ok\n"))
@@ -162,18 +177,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var sess *session
-	if id := r.URL.Query().Get("session"); id != "" {
-		s.mu.Lock()
-		sess = s.sessions[id]
-		s.mu.Unlock()
-		if sess == nil {
-			writeJSON(w, http.StatusNotFound, map[string]any{"error": fmt.Sprintf("unknown session %q", id)})
-			return
-		}
-	} else {
-		// Ephemeral session for the duration of one statement.
-		s.db.RDBMS().SessionEnter()
+	sess, ok := s.enterSession(w, r)
+	if !ok {
+		return
+	}
+	if sess == nil {
 		defer s.db.RDBMS().SessionExit()
 	}
 
@@ -212,6 +220,79 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// enterSession resolves the request's session parameter. Without one the
+// request runs on an ephemeral session: sess is nil and the caller owes a
+// SessionExit. An unknown session has been answered with a 404 (ok false).
+func (s *Server) enterSession(w http.ResponseWriter, r *http.Request) (sess *session, ok bool) {
+	id := r.URL.Query().Get("session")
+	if id == "" {
+		s.db.RDBMS().SessionEnter()
+		return nil, true
+	}
+	s.mu.Lock()
+	sess = s.sessions[id]
+	s.mu.Unlock()
+	if sess == nil {
+		writeJSON(w, http.StatusNotFound, map[string]any{"error": fmt.Sprintf("unknown session %q", id)})
+		return nil, false
+	}
+	return sess, true
+}
+
+// handleLoad bulk-loads the request body, newline-delimited JSON, into the
+// named collection.
+func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", "POST")
+		writeJSON(w, http.StatusMethodNotAllowed, map[string]any{"error": "POST newline-delimited JSON documents as the request body"})
+		return
+	}
+	collection := strings.ToLower(r.URL.Query().Get("collection"))
+	if collection == "" {
+		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "missing collection parameter"})
+		return
+	}
+	sess, ok := s.enterSession(w, r)
+	if !ok {
+		return
+	}
+	if sess == nil {
+		defer s.db.RDBMS().SessionExit()
+	}
+
+	s.loadsTotal.Add(1)
+	fail := func(status int, reply map[string]any) {
+		s.loadErrors.Add(1)
+		if sess != nil {
+			sess.errors.Add(1)
+		}
+		writeJSON(w, status, reply)
+	}
+	if _, ok := s.db.Catalog().Lookup(collection); !ok {
+		// Two first loads may race to create it; the loser finds it there.
+		if err := s.db.CreateCollection(collection); err != nil {
+			if _, ok := s.db.Catalog().Lookup(collection); !ok {
+				fail(http.StatusBadRequest, map[string]any{"error": err.Error()})
+				return
+			}
+		}
+	}
+	res, err := s.db.LoadJSONLines(collection, http.MaxBytesReader(w, r.Body, maxLoadBytes))
+	var tooLarge *http.MaxBytesError
+	var bad *core.LoadError
+	switch {
+	case errors.As(err, &tooLarge):
+		fail(http.StatusRequestEntityTooLarge, map[string]any{"error": fmt.Sprintf("body exceeds %d MiB", maxLoadBytes>>20)})
+	case errors.As(err, &bad):
+		fail(http.StatusBadRequest, map[string]any{"error": err.Error(), "line": bad.Line})
+	case err != nil:
+		fail(http.StatusInternalServerError, map[string]any{"error": err.Error()})
+	default:
+		s.docsLoaded.Add(res.Documents)
+		writeJSON(w, http.StatusOK, map[string]any{"documents": res.Documents, "new_attributes": res.NewAttributes})
+	}
+}
+
 // handleMetrics renders the global and per-session counters as plain
 // text, one `name value` (or `name{session="sN"} value`) pair per line.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -229,6 +310,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	global("pages_cow", cow)
 	global("queries_total", s.queriesTotal.Load())
 	global("query_errors_total", s.errorsTotal.Load())
+	global("loads_total", s.loadsTotal.Load())
+	global("load_errors_total", s.loadErrors.Load())
+	global("documents_loaded_total", s.docsLoaded.Load())
 	global("plan_cache_hits", int64(pc.Hits))
 	global("plan_cache_misses", int64(pc.Misses))
 	global("catalog_epoch", int64(pc.Epoch))

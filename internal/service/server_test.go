@@ -54,23 +54,32 @@ func startServer(t *testing.T) (string, *core.DB) {
 	return base, db
 }
 
-// post sends one request and decodes the JSON reply.
-func post(t *testing.T, method, url, body string) (int, map[string]any) {
-	t.Helper()
+// tryPost sends one request and decodes the JSON reply.
+func tryPost(method, url, body string) (int, map[string]any, error) {
 	req, err := http.NewRequest(method, url, strings.NewReader(body))
 	if err != nil {
-		t.Fatal(err)
+		return 0, nil, err
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatal(err)
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
 	var out map[string]any
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatalf("decoding %s %s reply: %v", method, url, err)
+		return 0, nil, fmt.Errorf("decoding %s %s reply: %v", method, url, err)
 	}
-	return resp.StatusCode, out
+	return resp.StatusCode, out, nil
+}
+
+// post is tryPost for the test's own goroutine: any failure ends the test.
+func post(t *testing.T, method, url, body string) (int, map[string]any) {
+	t.Helper()
+	code, out, err := tryPost(method, url, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, out
 }
 
 // query runs one statement on the given session ("" = ephemeral) and
@@ -272,4 +281,133 @@ func TestReaderLatencyUnderLoad(t *testing.T) {
 			busy, idle, bound)
 	}
 	t.Logf("reader p50: idle %v, under load %v", idle, busy)
+}
+
+// ndjson renders n documents {"seq":first..first+n-1,"tag":tag}.
+func ndjson(first, n int, tag string) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "{\"seq\":%d,\"tag\":%q,\"nested\":{\"even\":%t}}\n", first+i, tag, (first+i)%2 == 0)
+	}
+	return b.String()
+}
+
+// TestLoadEndpoint drives /load: the collection appears on first use, the
+// reply counts documents and new attributes, a malformed line is a 400
+// naming the line with nothing inserted, and /metrics counts all of it.
+func TestLoadEndpoint(t *testing.T) {
+	base, _ := startServer(t)
+	_, out := post(t, http.MethodPost, base+"/session", "")
+	sess, _ := out["session"].(string)
+
+	code, out := post(t, http.MethodPost, base+"/load?collection=Docs&session="+sess, ndjson(0, 10, "a"))
+	if code != http.StatusOK || out["documents"] != float64(10) || out["new_attributes"] != float64(5) {
+		t.Fatalf("first load: status %d, reply %v", code, out)
+	}
+	code, out = post(t, http.MethodPost, base+"/load?collection=docs", ndjson(10, 5, "b"))
+	if code != http.StatusOK || out["documents"] != float64(5) || out["new_attributes"] != float64(0) {
+		t.Fatalf("second load: status %d, reply %v", code, out)
+	}
+	res := query(t, base, sess, `SELECT COUNT(*), MAX(seq) FROM docs WHERE "nested.even" = true`)
+	if row := res["rows"].([]any)[0].([]any); row[0] != float64(8) || row[1] != float64(14) {
+		t.Fatalf("loaded documents not queryable: %v", row)
+	}
+
+	// Line 3 of 4 is malformed: nothing of the body is loaded.
+	code, out = post(t, http.MethodPost, base+"/load?collection=docs&session="+sess,
+		ndjson(100, 2, "c")+"{\"seq\":102,\n"+ndjson(103, 1, "c"))
+	if code != http.StatusBadRequest || out["line"] != float64(3) || !strings.Contains(fmt.Sprint(out["error"]), "line 3") {
+		t.Fatalf("malformed line: status %d, reply %v", code, out)
+	}
+	res = query(t, base, "", `SELECT COUNT(*) FROM docs`)
+	if n := res["rows"].([]any)[0].([]any)[0]; n != float64(15) {
+		t.Fatalf("%v documents after a rejected load, want 15", n)
+	}
+
+	for _, bad := range []struct {
+		method, url string
+		want        int
+	}{
+		{http.MethodGet, "/load?collection=docs", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/load", http.StatusBadRequest},
+		{http.MethodPost, "/load?collection=no%20such%20name", http.StatusBadRequest},
+		{http.MethodPost, "/load?collection=docs&session=nope", http.StatusNotFound},
+	} {
+		if code, out := post(t, bad.method, base+bad.url, ndjson(0, 1, "x")); code != bad.want {
+			t.Errorf("%s %s: status %d (%v), want %d", bad.method, bad.url, code, out, bad.want)
+		}
+	}
+
+	m := metrics(t, base)
+	for name, want := range map[string]int64{
+		"sinew_loads_total":            4, // two good, one malformed, one bad collection name
+		"sinew_load_errors_total":      2,
+		"sinew_documents_loaded_total": 15,
+		"sinew_sessions_active":        1,
+	} {
+		if m[name] != want {
+			t.Errorf("%s = %d, want %d", name, m[name], want)
+		}
+	}
+	if got := m[fmt.Sprintf("sinew_session_errors{session=%q}", sess)]; got != 1 {
+		t.Errorf("session errors = %d, want 1", got)
+	}
+}
+
+// TestLoadBesideReaders: while one client streams batches through /load,
+// readers on other sessions see document counts that never shrink and are
+// always whole batches — a body is published at once or not at all.
+func TestLoadBesideReaders(t *testing.T) {
+	base, _ := startServer(t)
+	const batch, batches, readers = 40, 25, 3
+	if code, out := post(t, http.MethodPost, base+"/load?collection=feed", ndjson(0, batch, "w")); code != http.StatusOK {
+		t.Fatalf("first load: status %d (%v)", code, out)
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			last := 0.0
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				code, out, err := tryPost(http.MethodPost, base+"/query", `SELECT COUNT(*), COUNT(tag) FROM feed`)
+				if err != nil || code != http.StatusOK {
+					t.Errorf("reader: status %d (%v, %v)", code, out, err)
+					return
+				}
+				row := out["rows"].([]any)[0].([]any)
+				n, tagged := row[0].(float64), row[1].(float64)
+				if n < last || int(n)%batch != 0 || tagged != n {
+					t.Errorf("reader saw %v documents (%v tagged) after %v: not a whole number of %d-document batches", n, tagged, last, batch)
+					return
+				}
+				last = n
+			}
+		}()
+	}
+	for b := 1; b < batches; b++ {
+		body := ndjson(b*batch, batch, "w")
+		if b%5 == 0 {
+			// A rejected body in between must leave no trace.
+			if code, _ := post(t, http.MethodPost, base+"/load?collection=feed", body+"{broken\n"); code != http.StatusBadRequest {
+				t.Errorf("malformed body: status %d, want 400", code)
+			}
+		}
+		if code, out := post(t, http.MethodPost, base+"/load?collection=feed", body); code != http.StatusOK {
+			t.Errorf("load %d: status %d (%v)", b, code, out)
+		}
+	}
+	close(done)
+	wg.Wait()
+	res := query(t, base, "", `SELECT COUNT(*) FROM feed`)
+	if n := res["rows"].([]any)[0].([]any)[0]; n != float64(batch*batches) {
+		t.Errorf("%v documents at the end, want %d", n, batch*batches)
+	}
 }

@@ -21,6 +21,11 @@
 // a time; queries remain correct throughout via automatic
 // COALESCE-rewriting of partially materialized ("dirty") columns.
 //
+// LoadJSONLines takes each line from bytes to its stored record in one pass
+// (no document tree unless the line introduces an attribute) and loads all
+// of its lines or none: a malformed line is a *LoadError naming it. The
+// sinewd service exposes the same call as POST /load?collection=….
+//
 // The package re-exports the implementation in internal/core; the embedded
 // RDBMS substrate lives in internal/rdbms and is reachable through
 // DB.RDBMS for EXPLAIN and optimizer tuning.
@@ -60,6 +65,9 @@ type Materializer = core.Materializer
 
 // LoadResult summarizes a bulk load.
 type LoadResult = core.LoadResult
+
+// LoadError is LoadJSONLines rejecting its input; it names the line.
+type LoadError = core.LoadError
 
 // AnalyzeDecision is one schema-analyzer outcome (§3.1.3).
 type AnalyzeDecision = core.AnalyzeDecision
