@@ -83,8 +83,13 @@ func (db *DB) LoadJSONLines(collection string, r io.Reader) (*LoadResult, error)
 				b.add(rec)
 			}
 		}
-		if err != nil {
+		// Only the input's fault names a line; anything else is ours.
+		var syntax *jsonx.SyntaxError
+		if errors.As(err, &syntax) {
 			return nil, &LoadError{Line: line, Err: err}
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	if err := sc.Err(); err != nil {

@@ -205,6 +205,48 @@ func TestLoadPathsAgree(t *testing.T) {
 	}
 }
 
+// TestLoadCatalogsKeysAfterArrayOfObjects: an object inside an array is not
+// cataloged, and the keys that follow the array in its enclosing objects
+// are — under their own dotted paths, whatever the dictionary already holds.
+// The expectation comes from jsonx.Flatten, not from another load path. The
+// second load finds every attribute known, so it runs on events alone.
+func TestLoadCatalogsKeysAfterArrayOfObjects(t *testing.T) {
+	lines := []string{
+		`{"x.b":7}`, // what a clobbered path prefix would resolve a.b to
+		`{"a":{"arr":[{"x":1}],"b":2}}`,
+		`{"a":{"bb":{"arr":[[{"longer_than_the_prefix":{"y":[{"z":1}],"w":2}}]],"c":{"d":1}},"b":3},"f":1}`,
+	}
+	want := map[string]int64{}
+	for _, d := range mustDocs(t, lines...) {
+		seen := map[string]bool{}
+		for _, f := range jsonx.Flatten(d) {
+			if typ, ok := serial.AttrTypeOf(f.Val); ok && !seen[f.Path+"/"+typ.String()] {
+				seen[f.Path+"/"+typ.String()] = true
+				want[f.Path+"/"+typ.String()]++
+			}
+		}
+	}
+	db := newCollection(t, "c")
+	for round := int64(1); round <= 2; round++ {
+		if _, err := db.LoadJSONLines("c", strings.NewReader(strings.Join(lines, "\n"))); err != nil {
+			t.Fatal(err)
+		}
+		tc, _ := db.Catalog().Lookup("c")
+		got := map[string]int64{}
+		for _, c := range tc.Columns() {
+			got[c.Key+"/"+c.Type.String()] = c.Count
+		}
+		if len(got) != len(want) {
+			t.Errorf("round %d: cataloged %v, want the keys of %v", round, got, want)
+		}
+		for k, n := range want {
+			if got[k] != n*round {
+				t.Errorf("round %d: %s counted %d, want %d", round, k, got[k], n*round)
+			}
+		}
+	}
+}
+
 // TestLoadJSONLinesConcurrent: calls on one collection encode side by side
 // (only the publish step takes the latch), minting attributes as they go;
 // every document and every occurrence must still be counted exactly once.

@@ -204,7 +204,7 @@ type builder struct {
 	// container's encoding.
 	buf     []byte
 	tmp     []byte // endObject: the members' values while buf is rewritten
-	path    []byte // the open objects' dotted prefix, then the current member's key
+	path    []byte // the open objects' keys (dotted where cataloged), then the current member's
 	open    []frame
 	entries []entry // members seen so far of every open object
 
@@ -408,8 +408,11 @@ func (b *builder) BeginObject() {
 		if len(b.path) > 0 {
 			b.path = append(b.path, '.')
 		}
-		f.observe, f.prefix = true, len(b.path)
+		f.observe = true
 	}
+	// An object inside an array is not cataloged, but its keys still go
+	// behind the live path: the enclosing objects' prefix must survive it.
+	f.prefix = len(b.path)
 	b.open = append(b.open, f)
 }
 

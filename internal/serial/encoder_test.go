@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -233,6 +234,12 @@ var streamSeeds = []string{
 	// top level's, in ID order of their parents.
 	`{"b":{"y":1,"x":{"q":[{"deep":1},{"deeper":{"z":null}}]}},"a":{"x":"s"}}`,
 	`{"a":{"x":"s"},"b":{"y":2.5}}`,
+	// An object inside an array is not cataloged; the keys after it in the
+	// enclosing objects still are, under their own dotted paths.
+	`{"a":{"arr":[{"x":1}],"b":2}}`,
+	`{"x.b":7,"a":{"arr":[{"x":1}],"b":2},"c":3}`,
+	`{"a":{"bb":{"arr":[[{"longer_than_the_prefix":{"y":[{"z":1}],"w":2}}]],"c":{"d":1}},"e":true},"f":1}`,
+	`{"":{"arr":[{"x":1}],"b":2}}`,
 	// Repeated keys: the last value wins, at the first position; an
 	// earlier value of another type leaves no attribute behind.
 	`{"a":1,"a":2}`,
@@ -319,6 +326,54 @@ func TestStreamMatchesTreeOnCorpus(t *testing.T) {
 	docs = append(docs, twittergen.GenerateTweets(1000, 20140622, twittergen.DefaultConfig(1000))...)
 	for _, d := range docs {
 		checkStreamMatchesTree(t, []byte(jsonx.ObjectValue(d).String()), dict, ref)
+	}
+}
+
+// randomLine writes a document over a small alphabet of keys, so that
+// dotted paths, literal dotted keys and keys inside arrays of objects
+// collide with each other in the dictionary.
+func randomLine(r *rand.Rand, b *strings.Builder, depth int) {
+	keys := []string{"a", "b", "x", "a.b", "x.b", "a.x", ""}
+	b.WriteByte('{')
+	r.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	for i, k := range keys[:r.Intn(len(keys))] {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(b, "%q:", k)
+		switch n := r.Intn(8); {
+		case n < 2 && depth > 0:
+			randomLine(r, b, depth-1)
+		case n < 4 && depth > 0:
+			b.WriteByte('[')
+			for j := r.Intn(3); j >= 0; j-- {
+				randomLine(r, b, depth-1)
+				if j > 0 {
+					b.WriteByte(',')
+				}
+			}
+			b.WriteByte(']')
+		case n < 6:
+			fmt.Fprint(b, r.Intn(3))
+		case n < 7:
+			b.WriteString(`"s"`)
+		default:
+			b.WriteString("null")
+		}
+	}
+	b.WriteByte('}')
+}
+
+// TestStreamMatchesTreeOnRandomShapes runs generated documents over one
+// growing dictionary: most meet attributes an earlier, differently nested
+// document minted, which a fresh dictionary per input never shows.
+func TestStreamMatchesTreeOnRandomShapes(t *testing.T) {
+	r := rand.New(rand.NewSource(20140622))
+	dict, ref := NewDictionary(), NewDictionary()
+	for i := 0; i < 3000; i++ {
+		var b strings.Builder
+		randomLine(r, &b, 4)
+		checkStreamMatchesTree(t, []byte(b.String()), dict, ref)
 	}
 }
 

@@ -18,9 +18,11 @@
 // session that exists only for the request; sessions_active still counts
 // it, so the gauge reflects true concurrency.
 //
-// /load feeds its body, one JSON document per line, to DB.LoadJSONLines,
-// creating the collection on first use. A body loads whole or not at all:
-// a malformed line is a 400 naming the line, and nothing was inserted.
+// /load feeds its body, one JSON document per line, to DB.LoadJSONLines.
+// sinewd opens an empty database and SQL has no statement that creates a
+// collection, so the first /load naming one creates it: that is the only
+// way the service gets a collection at all. A body loads whole or not at
+// all: a malformed line is a 400 naming the line, and nothing was inserted.
 package service
 
 import (
@@ -269,6 +271,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, status, reply)
 	}
 	if _, ok := s.db.Catalog().Lookup(collection); !ok {
+		// The service's only way to a new collection (see the package doc).
 		// Two first loads may race to create it; the loser finds it there.
 		if err := s.db.CreateCollection(collection); err != nil {
 			if _, ok := s.db.Catalog().Lookup(collection); !ok {
