@@ -42,13 +42,17 @@ race-workers:
 # snapshot-isolation differential test (every snapshot read must equal
 # the serial replay at its pinned epoch, across row/batch/striped/
 # parallel plans), the torn-dirty-flag test (core's TestSnapshotTornDirty:
-# readers rewriting Q10 while a column's dirty bit flips under them), and
-# the HTTP end-to-end test. GOMAXPROCS=1 forces cooperative interleavings,
+# readers rewriting Q10 while a column's dirty bit flips under them), the
+# materializer beside SQL writers (no acknowledged UPDATE or DELETE lost to
+# a pass) and beside cached and never-cached readers (no count dip while
+# values move; the plan cache's pin-then-recheck on hit and miss), and the
+# HTTP end-to-end test. GOMAXPROCS=1 forces cooperative interleavings,
 # 2 and 8 vary true parallelism.
+SESSION_TESTS = TestSnapshot|TestMaterializeKeepsConcurrentWrites|TestConcurrentQueriesDuringMaterialization|TestPlanCacheConcurrentMaterialize|TestPlanCacheStaleBuildRebuilt|TestExecSelectOnceRebuilds
 race-sessions:
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestSnapshot' ./internal/rdbms/ ./internal/core/
-	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'TestSnapshot' ./internal/rdbms/ ./internal/core/
-	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestSnapshot' ./internal/rdbms/ ./internal/core/
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run '$(SESSION_TESTS)' ./internal/rdbms/ ./internal/core/
+	GOMAXPROCS=2 $(GO) test -race -count=1 -run '$(SESSION_TESTS)' ./internal/rdbms/ ./internal/core/
+	GOMAXPROCS=8 $(GO) test -race -count=1 -run '$(SESSION_TESTS)' ./internal/rdbms/ ./internal/core/
 	GOMAXPROCS=8 $(GO) test -race -count=1 ./internal/service/
 	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestSinewStatsSnapshot' ./internal/core/
 

@@ -127,26 +127,72 @@ func BenchmarkLoadJSONLines(b *testing.B) {
 	}
 }
 
-// BenchmarkMaterializerPass measures one full materialization pass.
-func BenchmarkMaterializerPass(b *testing.B) {
+// benchOptimizeStep times one step of the optimize sequence — schema
+// analysis, a materializer pass, ANALYZE with its freeze — on 20 000 NoBench
+// documents loaded the way the repository's benchmark loads them, laid out
+// as the schema analyzer's policy decides. prepare runs untimed on the
+// loaded collection, step is what is measured; figures are per document.
+func benchOptimizeStep(b *testing.B, prepare, step func(db *DB) error) {
+	const table, docs = "nobench_main", 20000
+	b.StopTimer() // only step is timed
+	batches := ndjsonBatches(nobench.Generate(docs, 20140622), 1000)
+	var mallocs, bytes uint64
+	var ms0, ms1 runtime.MemStats
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
 		db := Open(DefaultConfig())
-		db.CreateCollection("m")
-		docs := make([]*jsonx.Doc, 2000)
-		for j := range docs {
-			d := jsonx.NewDoc()
-			d.Set("v", jsonx.IntValue(int64(j)))
-			docs[j] = d
-		}
-		db.LoadDocuments("m", docs)
-		db.SetMaterialized("m", "v", true)
-		m := NewMaterializer(db)
-		b.StartTimer()
-		if _, err := m.RunOnce("m"); err != nil {
+		if err := db.CreateCollection(table); err != nil {
 			b.Fatal(err)
 		}
+		for _, batch := range batches {
+			if _, err := db.LoadJSONLines(table, strings.NewReader(string(batch))); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := db.AnalyzeSchema(table); err != nil {
+			b.Fatal(err)
+		}
+		if err := prepare(db); err != nil {
+			b.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms0)
+		b.StartTimer()
+		if err := step(db); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&ms1)
+		mallocs += ms1.Mallocs - ms0.Mallocs
+		bytes += ms1.TotalAlloc - ms0.TotalAlloc
 	}
+	n := float64(b.N * docs)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/doc")
+	b.ReportMetric(float64(mallocs)/n, "allocs/doc")
+	b.ReportMetric(float64(bytes)/n, "B/doc")
+}
+
+// BenchmarkMaterializerPass measures one full materializer pass under the
+// policy's layout: 8 columns, 160 000 values moved, every page un-frozen.
+func BenchmarkMaterializerPass(b *testing.B) {
+	benchOptimizeStep(b,
+		func(*DB) error { return nil },
+		func(db *DB) error {
+			moved, err := NewMaterializer(db).RunOnce("nobench_main")
+			if err == nil && moved != 160000 {
+				err = fmt.Errorf("the pass moved %d values, want 160000", moved)
+			}
+			return err
+		})
+}
+
+// BenchmarkAnalyzeFreeze measures ANALYZE after that pass: page summaries,
+// per-column statistics, and every full page frozen into segments.
+func BenchmarkAnalyzeFreeze(b *testing.B) {
+	benchOptimizeStep(b,
+		func(db *DB) error {
+			_, err := NewMaterializer(db).RunOnce("nobench_main")
+			return err
+		},
+		func(db *DB) error { return db.RDBMS().Analyze("nobench_main") })
 }
 
 // wideCatalogFixture loads n NoBench documents, keeping only the first

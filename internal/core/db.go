@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -174,18 +175,21 @@ func (db *DB) options(name string) CollectionOptions {
 // DatabaseSizeBytes reports total storage (Table 3).
 func (db *DB) DatabaseSizeBytes() int64 { return db.rdb.TotalSizeBytes() }
 
-// physicalColumnName picks the RDBMS column name for an attribute:
-// the raw key unless it collides with the fixed columns or a sibling
-// attribute of another type, in which case the type name is appended.
-func (db *DB) physicalColumnName(tc *CollectionCatalog, col ColumnState) string {
+// physicalColumnName picks the RDBMS column name for an attribute: the raw
+// key unless it collides with the fixed columns or with a sibling attribute
+// of another type — one that has a column, or is about to get one among
+// pending — in which case the type name is appended.
+func (db *DB) physicalColumnName(tc *CollectionCatalog, col ColumnState, pending []storage.Column) string {
 	name := col.Key
-	if name == IDColumn || name == ReservoirColumn {
-		return name + "$" + col.Type.String()
-	}
+	clash := name == IDColumn || name == ReservoirColumn ||
+		slices.ContainsFunc(pending, func(c storage.Column) bool { return c.Name == name })
 	for _, sibling := range tc.schemaView().byKey[col.Key] {
 		if sibling.AttrID != col.AttrID && sibling.PhysicalName == name {
-			return name + "$" + col.Type.String()
+			clash = true
 		}
+	}
+	if clash {
+		return name + "$" + col.Type.String()
 	}
 	return name
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/sinewdata/sinew/internal/jsonx"
@@ -229,7 +231,7 @@ func TestConcurrentQueriesDuringMaterialization(t *testing.T) {
 	db := Open(Config{DensityThreshold: 0.5, CardinalityThreshold: 0})
 	db.CreateCollection("c")
 	var docs []*jsonx.Doc
-	for i := 0; i < 500; i++ {
+	for i := 0; i < 2000; i++ {
 		d := jsonx.NewDoc()
 		d.Set("v", jsonx.IntValue(int64(i)))
 		docs = append(docs, d)
@@ -238,24 +240,37 @@ func TestConcurrentQueriesDuringMaterialization(t *testing.T) {
 	db.AnalyzeSchema("c")
 	m := NewMaterializer(db)
 
+	// Half of the readers repeat one text (plan-cache hits once it is in),
+	// half send a fresh literal every time: each of those statements is
+	// parsed, rewritten and planned, some of them while v is dirty but has
+	// no column yet, so their rewrite reads the reservoir alone. The pass
+	// moves values out of the reservoir page by page; no reader may see the
+	// count dip.
+	var passDone atomic.Bool
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {
-		go func() {
-			for i := 0; i < 20; i++ {
-				res, err := db.Query(`SELECT COUNT(*) FROM c WHERE v >= 0`)
+		go func(g int) {
+			for i := 0; i < 20 || !passDone.Load(); i++ {
+				text := `SELECT COUNT(*) FROM c WHERE v >= 0`
+				if g%2 == 1 {
+					text = fmt.Sprintf(`SELECT COUNT(*) FROM c WHERE v >= -%d`, 1+g+8*i)
+				}
+				res, err := db.Query(text)
 				if err != nil {
 					done <- err
 					return
 				}
-				if res.Rows[0][0].I != 500 {
+				if res.Rows[0][0].I != 2000 {
 					done <- errCount(res.Rows[0][0].I)
 					return
 				}
 			}
 			done <- nil
-		}()
+		}(g)
 	}
-	if _, err := m.RunOnce("c"); err != nil {
+	_, err := m.RunOnce("c")
+	passDone.Store(true)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for g := 0; g < 8; g++ {
@@ -267,7 +282,9 @@ func TestConcurrentQueriesDuringMaterialization(t *testing.T) {
 
 type errCount int64
 
-func (e errCount) Error() string { return "wrong count during materialization" }
+func (e errCount) Error() string {
+	return fmt.Sprintf("count %d during materialization", int64(e))
+}
 
 func TestLoaderMaterializerLatchExclusion(t *testing.T) {
 	db := Open(Config{DensityThreshold: 0.5, CardinalityThreshold: 0})

@@ -236,33 +236,43 @@ func TestPlanCacheConcurrentMaterialize(t *testing.T) {
 	mat := NewMaterializer(db)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			res, err := db.Query(`SELECT str1, num FROM fuse_t`)
-			if err != nil {
-				t.Errorf("query during materialization: %v", err)
-				return
-			}
-			if len(res.Rows) != 40 {
-				t.Errorf("rows = %d during materialization, want 40", len(res.Rows))
-				return
-			}
-			for i, row := range res.Rows {
-				if row[1].IsNull() {
-					t.Errorf("row %d: num NULL mid-materialization", i)
+	// One reader repeats a text (a plan-cache hit whenever the epoch has
+	// not moved), the other never sends the same text twice, so each of
+	// its statements is rewritten and planned anew — before, during or
+	// after the pass's moves. Neither may see a row or a value missing.
+	for _, fresh := range []bool{false, true} {
+		wg.Add(1)
+		go func(fresh bool) {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				text := `SELECT str1, num FROM fuse_t`
+				if fresh {
+					text = fmt.Sprintf(`SELECT str1, num FROM fuse_t WHERE num > -%d`, n+1)
+				}
+				res, err := db.Query(text)
+				if err != nil {
+					t.Errorf("query during materialization: %v", err)
 					return
 				}
+				if len(res.Rows) != 40 {
+					t.Errorf("%s: %d rows during materialization, want 40", text, len(res.Rows))
+					return
+				}
+				for i, row := range res.Rows {
+					if row[1].IsNull() {
+						t.Errorf("row %d: num NULL mid-materialization", i)
+						return
+					}
+				}
 			}
-		}
-	}()
-	for pass := 0; pass < 4; pass++ {
+		}(fresh)
+	}
+	for pass := 0; pass < 40; pass++ {
 		if err := db.SetMaterialized("fuse_t", "num", pass%2 == 0); err != nil {
 			t.Fatal(err)
 		}

@@ -16,20 +16,6 @@ func pathDepth(key string) int {
 	return n
 }
 
-// docGetTyped resolves a dotted path whose value matches the attribute
-// type; a literal dotted member shadows descent (as in jsonx.PathGet).
-func docGetTyped(doc *jsonx.Doc, path string, want serial.AttrType) (jsonx.Value, bool) {
-	v, ok := jsonx.PathGet(doc, path)
-	if !ok {
-		return jsonx.Value{}, false
-	}
-	at, typed := serial.AttrTypeOf(v)
-	if !typed || at != want {
-		return jsonx.Value{}, false
-	}
-	return v, true
-}
-
 // docSetPath writes a value at a dotted path, descending into existing
 // nested objects and otherwise setting a literal dotted member (matching
 // how the loader catalogs flattened paths).
@@ -45,4 +31,19 @@ func docSetPath(doc *jsonx.Doc, path string, v jsonx.Value) {
 		}
 	}
 	doc.Set(path, v)
+}
+
+// setNested writes v at a dotted key of a record. The parent object has to
+// be rewritten around the value, so this — the dematerialization of a
+// nested key — is the one move that still goes through the document tree.
+func setNested(data []byte, key string, v jsonx.Value, dict serial.Dict) ([]byte, error) {
+	doc := jsonx.NewDoc()
+	if data != nil {
+		var err error
+		if doc, err = serial.Deserialize(data, dict); err != nil {
+			return nil, err
+		}
+	}
+	docSetPath(doc, key, v)
+	return serial.Serialize(doc, dict)
 }

@@ -51,6 +51,22 @@ func (db *DB) Query(sql string) (*rdbms.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	if sel, ok := stmt.(*sqlparse.SelectStmt); ok {
+		// A SELECT the plan cache cannot hold runs under its protocol all
+		// the same: rewritten again if the catalog moved before the
+		// snapshots were pinned, the last rewrite's result sets released.
+		cleanup := func() {}
+		defer func() { cleanup() }()
+		return db.rdb.ExecSelectOnce(func() (*sqlparse.SelectStmt, error) {
+			cleanup()
+			rewritten, c, err := db.RewriteStmt(sel)
+			cleanup = c
+			if err != nil {
+				return nil, err
+			}
+			return rewritten.(*sqlparse.SelectStmt), nil
+		})
+	}
 	rewritten, cleanup, err := db.RewriteStmt(stmt)
 	if err != nil {
 		return nil, err

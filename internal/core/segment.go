@@ -73,8 +73,7 @@ func (r *recordSegment) Values(dst []types.Datum) error {
 // a page that cannot be reproduced byte-for-byte keeps its row form.
 func (db *DB) reservoirSegmenter() storage.ColumnSegmenter {
 	return func(_ int, vals []types.Datum) (storage.ColumnSegment, error) {
-		records := make([][]byte, len(vals))
-		nonNull := 0
+		var records [][]byte
 		for i, d := range vals {
 			if d.IsNull() {
 				continue
@@ -82,10 +81,12 @@ func (db *DB) reservoirSegmenter() storage.ColumnSegmenter {
 			if d.Typ != types.Bytes {
 				return nil, nil
 			}
+			if records == nil {
+				records = make([][]byte, len(vals))
+			}
 			records[i] = d.Bytes()
-			nonNull++
 		}
-		if nonNull == 0 {
+		if records == nil {
 			return nil, nil
 		}
 		dict := db.dict()

@@ -660,28 +660,20 @@ func (db *DB) execDropTable(st *sqlparse.DropTableStmt) (*Result, error) {
 }
 
 func (db *DB) execAlterTable(st *sqlparse.AlterTableStmt) (*Result, error) {
+	if st.AddColumn != nil {
+		col := storage.Column{Name: st.AddColumn.Name, Typ: st.AddColumn.Typ, NotNull: st.AddColumn.NotNull}
+		if err := db.AddColumns(st.Table, []storage.Column{col}); err != nil {
+			return nil, err
+		}
+		return &Result{}, nil
+	}
 	t, err := db.lookup(st.Table)
 	if err != nil {
 		return nil, err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	switch {
-	case st.AddColumn != nil:
-		col := storage.Column{Name: st.AddColumn.Name, Typ: st.AddColumn.Typ}
-		if st.AddColumn.NotNull && t.heap.NumRows() > 0 {
-			return nil, fmt.Errorf("rdbms: cannot add NOT NULL column %q to non-empty table", col.Name)
-		}
-		col.NotNull = st.AddColumn.NotNull
-		// AlterAddColumn swaps in a schema clone rather than mutating the
-		// one pinned snapshots share (storage invariant 3).
-		if err := t.heap.AlterAddColumn(col); err != nil {
-			return nil, err
-		}
-		if err := t.heap.AddColumnData(); err != nil {
-			return nil, err
-		}
-	case st.DropColumn != "":
+	if st.DropColumn != "" {
 		if t.heap.Schema().ColumnIndex(st.DropColumn) < 0 {
 			return nil, fmt.Errorf("rdbms: column %q of relation %q does not exist", st.DropColumn, st.Table)
 		}
@@ -693,13 +685,45 @@ func (db *DB) execAlterTable(st *sqlparse.AlterTableStmt) (*Result, error) {
 			return nil, err
 		}
 	}
-	// Schema changed; statistics are stale.
+	t.schemaChanged(db)
+	return &Result{}, nil
+}
+
+// schemaChanged ends an ALTER under t.mu: statistics are stale, and the
+// epoch moves before the new shape is published (storage invariant 4), so
+// any cached plan that manages to pin the post-ALTER snapshot fails its
+// epoch re-check.
+func (t *table) schemaChanged(db *DB) {
 	t.stats.Store(nil)
-	// Epoch before publish (storage invariant 4): any cached plan that
-	// manages to pin the post-ALTER snapshot must fail its epoch re-check.
 	db.BumpCatalogEpoch()
 	t.heap.Publish()
-	return &Result{}, nil
+}
+
+// AddColumns appends columns to a table in one rewrite of its heap — what
+// ALTER TABLE … ADD COLUMN does for one column; the materializer adds all
+// the columns of a pass at once. Every existing row reads NULL in them.
+func (db *DB) AddColumns(name string, cols []storage.Column) error {
+	t, err := db.lookup(name)
+	if err != nil {
+		return err
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, col := range cols {
+		if col.NotNull && t.heap.NumRows() > 0 {
+			return fmt.Errorf("rdbms: cannot add NOT NULL column %q to non-empty table", col.Name)
+		}
+	}
+	// AlterAddColumn swaps in a schema clone rather than mutating the one
+	// pinned snapshots share (storage invariant 3).
+	if err := t.heap.AlterAddColumn(cols...); err != nil {
+		return err
+	}
+	if err := t.heap.AddColumnData(len(cols)); err != nil {
+		return err
+	}
+	t.schemaChanged(db)
+	return nil
 }
 
 func (db *DB) execTruncate(st *sqlparse.TruncateStmt) (*Result, error) {
@@ -771,18 +795,30 @@ func (db *DB) ScanTable(name string, fn func(id storage.RowID, row storage.Row) 
 	return nil
 }
 
-// UpdateRow atomically replaces a single row (the column materializer's
-// unit of work, §3.1.4: each row-update is atomic, the whole pass is not).
-func (db *DB) UpdateRow(name string, id storage.RowID, row storage.Row) error {
+// RewritePage reads, rewrites and publishes one heap page under one
+// acquisition of the table's write lock (the column materializer's unit of
+// work: each page update is atomic, the whole pass is not — §3.1.4 asks as
+// much of each row). fn sees every live row of the page, which it must not
+// modify, and returns the row's replacement or nil to keep it; an error
+// leaves the page as it was. No SQL write can land between the read and
+// the write, and readers see the page wholly before or wholly after. fn
+// runs under that lock: it must not go back to the table. RewritePage
+// reports false once page is past the end of the table.
+func (db *DB) RewritePage(name string, page int, fn func(storage.Row) (storage.Row, error)) (bool, error) {
 	t, err := db.lookup(name)
 	if err != nil {
-		return err
+		return false, err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	defer t.heap.Publish()
-	_, err = t.heap.Update(id, row)
-	return err
+	if page >= t.heap.NumPages() {
+		return false, nil
+	}
+	changed, err := t.heap.RewritePage(page, fn)
+	if changed {
+		t.heap.Publish()
+	}
+	return true, err
 }
 
 // GetRow fetches one row by ID from the published snapshot; the returned

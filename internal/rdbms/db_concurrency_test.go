@@ -159,7 +159,8 @@ func TestInsertRowsAndScanTable(t *testing.T) {
 	if n != 50 {
 		t.Errorf("scanned = %d", n)
 	}
-	// Single-row mutation API (the materializer's primitive).
+	// Page-level read-modify-write (the materializer's primitive): one row
+	// of the page changes, the rest are kept, and the result is published.
 	var target storage.RowID
 	db.ScanTable("p", func(id storage.RowID, r storage.Row) bool {
 		if r[0].I == 25 {
@@ -168,12 +169,41 @@ func TestInsertRowsAndScanTable(t *testing.T) {
 		}
 		return true
 	})
-	if err := db.UpdateRow("p", target, storage.Row{types.NewInt(1000)}); err != nil {
-		t.Fatal(err)
+	seen := 0
+	ok, err := db.RewritePage("p", target.Page, func(r storage.Row) (storage.Row, error) {
+		seen++
+		if r[0].I != 25 {
+			return nil, nil
+		}
+		return storage.Row{types.NewInt(1000)}, nil
+	})
+	if err != nil || !ok || seen != 50 {
+		t.Fatalf("RewritePage = %v, %v after %d rows", ok, err, seen)
 	}
 	row, ok, _ := db.GetRow("p", target)
 	if !ok || row[0].I != 1000 {
 		t.Errorf("row = %v %v", row, ok)
+	}
+	// A failing rewrite leaves the page as it was; a page past the end is
+	// reported, not an error.
+	_, err = db.RewritePage("p", target.Page, func(r storage.Row) (storage.Row, error) {
+		if r[0].I == 30 {
+			return nil, fmt.Errorf("boom")
+		}
+		return storage.Row{types.NewInt(-1)}, nil
+	})
+	if err == nil {
+		t.Fatal("RewritePage swallowed fn's error")
+	}
+	db.ScanTable("p", func(_ storage.RowID, r storage.Row) bool {
+		if r[0].I == -1 {
+			t.Errorf("a failed RewritePage changed a row")
+			return false
+		}
+		return true
+	})
+	if ok, err := db.RewritePage("p", 1, nil); ok || err != nil {
+		t.Errorf("RewritePage past the end = %v, %v", ok, err)
 	}
 }
 

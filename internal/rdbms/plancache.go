@@ -200,55 +200,100 @@ func appendUint(b []byte, v uint64) []byte {
 // miss, build is called to produce the planned-against AST — for Sinew that
 // closure performs parse + virtual-column rewrite, which a hit skips
 // entirely along with planning.
+//
+// Hit or miss, a statement runs only over snapshots it pinned while the
+// epoch it was built under still held. Whoever changes what the same text
+// should compile to — DDL, a load that dirties a column, the materializer
+// moving values between the reservoir and a column — bumps the epoch before
+// publishing the first snapshot that shows the change (storage invariant
+// 4), so pin-then-recheck proves that none of the pinned snapshots can.
 func (db *DB) ExecSelectCached(sqlText string, build func() (*sqlparse.SelectStmt, error)) (*Result, error) {
-	// The epoch is sampled once, before build: a plan is cached under the
-	// epoch its rewrite may have read catalog state at, so a catalog change
-	// landing mid-build leaves the entry under a key no lookup uses again.
-	key := planKey{sql: sqlText, flags: *db.flags.Load(), epoch: db.epoch.Load()}
-	if ent, ok := db.plans.get(key); ok {
-		// Lock-free hit path: pin every referenced table's snapshot, then
-		// re-check the epoch. DDL bumps the epoch *before* publishing
-		// (storage invariant 4), so if the epoch still matches, none of the
-		// snapshots pinned above can postdate a conflicting DDL.
-		ec := exec.NewExecCtx()
-		pinned := true
-		for _, n := range ent.tables {
-			t, err := db.lookup(n)
-			if err != nil {
-				pinned = false
-				break
+	flags := *db.flags.Load()
+	for {
+		// The epoch is sampled once, before build: a plan is cached under
+		// the epoch its rewrite may have read catalog state at.
+		key := planKey{sql: sqlText, flags: flags, epoch: db.epoch.Load()}
+		ent, hit := db.plans.get(key)
+		var st *sqlparse.SelectStmt
+		if !hit {
+			db.plans.misses.Add(1)
+			var err error
+			if st, err = build(); err != nil {
+				return nil, err
 			}
-			ec.View(t.heap)
+			ent = &cachedPlan{tables: fromTables(st)}
 		}
-		if pinned && db.epoch.Load() == key.epoch {
-			db.plans.hits.Add(1)
-			rows, cerr := ent.sp.CollectCtx(ec)
+		ec := exec.NewExecCtx()
+		if !db.pinAt(ec, ent.tables, key.epoch) {
+			// A catalog change landed between the sample and the pins: the
+			// cached plan is stale, a fresh build may be. Start over under
+			// the new epoch; every turn is paid for by somebody's bump.
 			ec.Release()
-			if cerr != nil {
-				return nil, cerr
+			if hit {
+				db.plans.remove(key)
 			}
-			return &Result{Columns: ent.sp.ColumnNames, Types: ent.sp.ColumnTypes, Rows: rows}, nil
+			continue
+		}
+		if hit {
+			db.plans.hits.Add(1)
+		}
+		res, err := db.runPinned(ec, ent, st)
+		ec.Release()
+		if err == nil && !hit {
+			db.plans.put(key, ent)
+		}
+		return res, err
+	}
+}
+
+// ExecSelectOnce runs a SELECT whose build serves one execution only and is
+// never cached (Sinew's matches() binds a per-statement result set), under
+// ExecSelectCached's protocol: build is called again whenever the epoch
+// moved before the snapshots were pinned.
+func (db *DB) ExecSelectOnce(build func() (*sqlparse.SelectStmt, error)) (*Result, error) {
+	for {
+		epoch := db.epoch.Load()
+		st, err := build()
+		if err != nil {
+			return nil, err
+		}
+		ent := &cachedPlan{tables: fromTables(st)}
+		ec := exec.NewExecCtx()
+		if db.pinAt(ec, ent.tables, epoch) {
+			res, err := db.runPinned(ec, ent, st)
+			ec.Release()
+			return res, err
 		}
 		ec.Release()
-		db.plans.remove(key)
 	}
-	db.plans.misses.Add(1)
+}
 
-	st, err := build()
+// pinAt pins the published snapshot of every named table in ec and reports
+// whether the catalog epoch still is epoch afterwards. A table that does
+// not exist pins nothing: planning reports it.
+func (db *DB) pinAt(ec *exec.ExecCtx, tables []string, epoch uint64) bool {
+	for _, n := range tables {
+		if t, err := db.lookup(n); err == nil {
+			ec.View(t.heap)
+		}
+	}
+	return db.epoch.Load() == epoch
+}
+
+// runPinned runs ent's plan over the snapshots ec holds; a fresh build of
+// st has its plan made first, against those snapshots.
+func (db *DB) runPinned(ec *exec.ExecCtx, ent *cachedPlan, st *sqlparse.SelectStmt) (*Result, error) {
+	if ent.sp == nil {
+		p := plan.NewPlanner(snapshotCatalog{db: db, ec: ec}, db.funcs, db.planCfg())
+		sp, err := p.PlanSelect(st)
+		if err != nil {
+			return nil, err
+		}
+		ent.sp = sp
+	}
+	rows, err := ent.sp.CollectCtx(ec)
 	if err != nil {
 		return nil, err
 	}
-	ec := exec.NewExecCtx()
-	defer ec.Release()
-	p := plan.NewPlanner(snapshotCatalog{db: db, ec: ec}, db.funcs, db.planCfg())
-	sp, err := p.PlanSelect(st)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := sp.CollectCtx(ec)
-	if err != nil {
-		return nil, err
-	}
-	db.plans.put(key, &cachedPlan{sp: sp, tables: fromTables(st)})
-	return &Result{Columns: sp.ColumnNames, Types: sp.ColumnTypes, Rows: rows}, nil
+	return &Result{Columns: ent.sp.ColumnNames, Types: ent.sp.ColumnTypes, Rows: rows}, nil
 }

@@ -6,31 +6,39 @@ import (
 	"github.com/sinewdata/sinew/internal/rdbms/sqlparse"
 )
 
-// TestPlanCacheStaleBuildNotReplayed pins the miss path's epoch protocol: a
-// plan is cached under the epoch sampled before build ran. Here build bumps
-// the epoch before returning — a catalog change landing after the rewrite
-// read the old catalog — and hands back the statement that old catalog
-// implied; the entry must never be replayed.
-func TestPlanCacheStaleBuildNotReplayed(t *testing.T) {
+// TestPlanCacheStaleBuildRebuilt pins the miss path's epoch protocol: a
+// statement runs only over snapshots pinned while the epoch its build was
+// sampled under still held. Here the first build bumps the epoch before
+// returning — a catalog change landing after the rewrite read the old
+// catalog, before the snapshots are pinned — and hands back the statement
+// that old catalog implied. It must not run, let alone be cached: the
+// statement is built again under the new epoch and answers from that.
+func TestPlanCacheStaleBuildRebuilt(t *testing.T) {
 	db := newTestDB(t)
 	const text = `SELECT name FROM users WHERE id = 1`
+	const stale = `SELECT name FROM users WHERE id = 2`
 	builds := 0
-	build := func(rewritten string, bump bool) func() (*sqlparse.SelectStmt, error) {
-		return func() (*sqlparse.SelectStmt, error) {
-			builds++
-			st, err := sqlparse.Parse(rewritten)
-			if err != nil {
-				return nil, err
-			}
-			if bump {
-				db.BumpCatalogEpoch()
-			}
-			return st.(*sqlparse.SelectStmt), nil
+	// build hands out what the catalog implies at the time: the stale text
+	// until the epoch has moved past staleUntil.
+	staleUntil := db.CatalogEpoch()
+	build := func() (*sqlparse.SelectStmt, error) {
+		builds++
+		rewritten := text
+		if db.CatalogEpoch() == staleUntil {
+			rewritten = stale
 		}
+		st, err := sqlparse.Parse(rewritten)
+		if err != nil {
+			return nil, err
+		}
+		if rewritten == stale {
+			db.BumpCatalogEpoch() // lands between the rewrite and the pin
+		}
+		return st.(*sqlparse.SelectStmt), nil
 	}
-	run := func(rewritten string, bump bool) string {
+	run := func() string {
 		t.Helper()
-		res, err := db.ExecSelectCached(text, build(rewritten, bump))
+		res, err := db.ExecSelectCached(text, build)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,14 +48,49 @@ func TestPlanCacheStaleBuildNotReplayed(t *testing.T) {
 		return res.Rows[0][0].Text()
 	}
 
-	stale := `SELECT name FROM users WHERE id = 2`
-	if got := run(stale, true); got != "bob" {
-		t.Fatalf("stale build's own execution = %q, want bob", got)
+	before := db.PlanCacheStats()
+	if got := run(); got != "alice" || builds != 2 {
+		t.Fatalf("a build that raced an epoch bump: got %q after %d builds; want alice from a second build (the stale rewrite ran)", got, builds)
 	}
-	if got := run(text, false); got != "alice" || builds != 2 {
-		t.Fatalf("after a build that raced an epoch bump: got %q with %d builds; want alice from a second build (stale plan replayed)", got, builds)
+	after := db.PlanCacheStats()
+	if after.Entries != 1 || after.Misses-before.Misses != 2 {
+		t.Fatalf("cache after the rebuild: %d entries, %d misses; want the rebuilt plan alone, one miss per build", after.Entries, after.Misses-before.Misses)
 	}
-	if got := run(stale, false); got != "alice" || builds != 2 {
-		t.Fatalf("third run: got %q with %d builds; want a cache hit on the second build's plan", got, builds)
+	if got := run(); got != "alice" || builds != 2 {
+		t.Fatalf("second run: got %q with %d builds; want a cache hit on the rebuilt plan", got, builds)
+	}
+	if hits := db.PlanCacheStats().Hits - after.Hits; hits != 1 {
+		t.Fatalf("second run: %d hits, want 1", hits)
+	}
+}
+
+// TestExecSelectOnceRebuilds: the uncached entry point follows the same
+// protocol — a build that raced an epoch bump is thrown away and built
+// again — and leaves nothing in the cache.
+func TestExecSelectOnceRebuilds(t *testing.T) {
+	db := newTestDB(t)
+	staleUntil := db.CatalogEpoch()
+	builds := 0
+	res, err := db.ExecSelectOnce(func() (*sqlparse.SelectStmt, error) {
+		builds++
+		text := `SELECT name FROM users WHERE id = 1`
+		if db.CatalogEpoch() == staleUntil {
+			text = `SELECT name FROM users WHERE id = 2`
+			defer db.BumpCatalogEpoch()
+		}
+		st, err := sqlparse.Parse(text)
+		if err != nil {
+			return nil, err
+		}
+		return st.(*sqlparse.SelectStmt), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].Text() != "alice" || builds != 2 {
+		t.Fatalf("got %v after %d builds; want alice from a second build", res.Rows, builds)
+	}
+	if s := db.PlanCacheStats(); s.Entries != 0 {
+		t.Fatalf("%d plans cached by ExecSelectOnce", s.Entries)
 	}
 }

@@ -563,14 +563,15 @@ func (h *Heap) slot(id RowID) (*page, Row, error) {
 	return p, p.rows[id.Slot], nil
 }
 
-// AddColumnData extends every row with a NULL for a newly added column and
-// adjusts footprints (the null bitmap may grow by a byte). The rewrite is
-// copy-on-write end to end: every page is rebuilt from fresh row slices
-// (frozen pages materialize through their shared cache, read-only), so
-// snapshot readers pinned to the pre-ALTER epoch keep seeing the old
-// shape. Column indices do not shift, so skip summaries carry over
-// (cloned — the tail page's summary is mutated by later inserts).
-func (h *Heap) AddColumnData() error {
+// AddColumnData extends every row with a NULL for each of the n columns
+// just added to the schema and adjusts footprints (the null bitmap may
+// grow). The rewrite is copy-on-write end to end: every page is rebuilt
+// from fresh row slices (frozen pages materialize through their shared
+// cache, read-only), so snapshot readers pinned to the pre-ALTER epoch keep
+// seeing the old shape. Column indices do not shift, so skip summaries
+// carry over (cloned — the tail page's summary is mutated by later
+// inserts).
+func (h *Heap) AddColumnData(n int) error {
 	rowsByPage, unfroze, err := h.materializeAllRows()
 	if err != nil {
 		return err
@@ -582,9 +583,11 @@ func (h *Heap) AddColumnData() error {
 			if r == nil {
 				continue
 			}
-			nr := make(Row, len(r)+1)
+			nr := make(Row, len(r)+n)
 			copy(nr, r)
-			nr[len(r)] = types.NewNull(types.Unknown)
+			for j := len(r); j < len(nr); j++ {
+				nr[j] = types.NewNull(types.Unknown)
+			}
 			np.rows[i] = nr
 			np.bytes += h.rowFootprint(nr)
 		}
@@ -592,6 +595,72 @@ func (h *Heap) AddColumnData() error {
 	}
 	h.finishRewrite(unfroze)
 	return nil
+}
+
+// RewritePage replaces the live rows of page pi with what fn returns for
+// them, all at once: fn sees each live row in slot order and returns its
+// replacement, or nil to keep it. The rows it is shown are shared with
+// snapshot readers and must not be modified. Nothing changes unless fn
+// succeeds on every row; then the page is installed as one fresh row-form
+// version (a frozen page un-freezes, a snapshot-shared one is left to its
+// readers), so a concurrent reader sees the page wholly before or wholly
+// after. It reports whether any row changed.
+func (h *Heap) RewritePage(pi int, fn func(Row) (Row, error)) (bool, error) {
+	if pi < 0 || pi >= len(h.pages) {
+		return false, fmt.Errorf("storage: bad page %d", pi)
+	}
+	p := h.pages[pi]
+	old := p.rows
+	if p.frozen != nil {
+		var err error
+		if old, err = p.frozen.materializeRows(); err != nil {
+			return false, err
+		}
+	}
+	var rows []Row
+	var delta, written int64
+	for i, r := range old {
+		if r == nil {
+			continue
+		}
+		nr, err := fn(r)
+		if err != nil {
+			return false, err
+		}
+		if nr == nil {
+			continue
+		}
+		if len(nr) != len(h.schema.Cols) {
+			return false, fmt.Errorf("storage: row width %d does not match schema width %d", len(nr), len(h.schema.Cols))
+		}
+		if rows == nil {
+			rows = append(make([]Row, 0, max(rowsPerPage, len(old))), old...)
+		}
+		rows[i] = nr
+		fp := h.rowFootprint(nr)
+		delta += fp - h.rowFootprint(r)
+		written += fp
+	}
+	if rows == nil {
+		return false, nil
+	}
+	// The summary goes as on Update: attribute sets and extrema may have
+	// shrunk; ANALYZE rebuilds it.
+	h.pages[pi] = &page{rows: rows, bytes: p.bytes + delta}
+	h.bytes += delta
+	if p.frozen != nil {
+		h.frozen--
+	}
+	if p.shared {
+		h.recordCoW()
+	}
+	if h.pager != nil {
+		if p.frozen != nil {
+			h.pager.recordSegUnfrozen(1)
+		}
+		h.pager.recordWrite(written)
+	}
+	return true, nil
 }
 
 // DropColumnData removes column idx from every row, rebuilding every page

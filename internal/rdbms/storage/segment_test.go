@@ -151,7 +151,7 @@ func TestFreezeColdPages(t *testing.T) {
 	if err := h.Schema().AddColumn(Column{Name: "extra", Typ: types.Int}); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.AddColumnData(); err != nil {
+	if err := h.AddColumnData(1); err != nil {
 		t.Fatal(err)
 	}
 	if h.NumFrozenPages() != 0 {

@@ -262,13 +262,16 @@ func (h *Heap) writableMetaPage(pi int) *page {
 	return np
 }
 
-// AlterAddColumn appends a column to the schema copy-on-write: published
+// AlterAddColumn appends columns to the schema copy-on-write: published
 // snapshots keep the old schema pointer while the live heap switches to a
-// clone with the column added. Callers follow up with AddColumnData.
-func (h *Heap) AlterAddColumn(c Column) error {
+// clone with the columns added — all of them or, on a name clash, none.
+// Callers follow up with AddColumnData.
+func (h *Heap) AlterAddColumn(cols ...Column) error {
 	ns := h.schema.Clone()
-	if err := ns.AddColumn(c); err != nil {
-		return err
+	for _, c := range cols {
+		if err := ns.AddColumn(c); err != nil {
+			return err
+		}
 	}
 	h.schema = ns
 	return nil

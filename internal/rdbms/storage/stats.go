@@ -1,7 +1,8 @@
 package storage
 
 import (
-	"sort"
+	"bytes"
+	"hash/maphash"
 
 	"github.com/sinewdata/sinew/internal/rdbms/types"
 )
@@ -50,67 +51,17 @@ func Analyze(h *Heap) *TableStats {
 	h.RebuildSummaries()
 	schema := h.Schema()
 	n := len(schema.Cols)
-	type colAcc struct {
-		nulls    int64
-		distinct map[string]int64 // hashkey -> count (value kept separately)
-		sample   map[string]types.Datum
-		overflow bool
-		seen     int64
-		min, max types.Datum
-		hasMM    bool
-		cmpOK    bool
-	}
 	accs := make([]colAcc, n)
 	for i := range accs {
-		accs[i].distinct = make(map[string]int64)
-		accs[i].sample = make(map[string]types.Datum)
+		accs[i].index = make(map[uint64]int32)
 		accs[i].cmpOK = true
 	}
 	var rows int64
-	var keyBuf []byte
+	sc := keyScratch{seed: maphash.MakeSeed()}
 	h.Scan(func(_ RowID, row Row) bool {
 		rows++
 		for i := 0; i < n; i++ {
-			d := row[i]
-			a := &accs[i]
-			if d.IsNull() {
-				a.nulls++
-				continue
-			}
-			a.seen++
-			keyBuf = d.HashKey(keyBuf[:0])
-			k := string(keyBuf)
-			if !a.overflow {
-				a.distinct[k]++
-				if _, ok := a.sample[k]; !ok {
-					a.sample[k] = d
-				}
-				if len(a.distinct) > statsDistinctTrackLimit {
-					a.overflow = true
-				}
-			} else if c, ok := a.distinct[k]; ok {
-				a.distinct[k] = c + 1
-			}
-			if a.cmpOK {
-				if !a.hasMM {
-					a.min, a.max, a.hasMM = d, d, true
-				} else {
-					if c, err := types.Compare(d, a.min); err != nil {
-						a.cmpOK = false
-						a.hasMM = false
-					} else if c < 0 {
-						a.min = d
-					}
-					if a.cmpOK {
-						if c, err := types.Compare(d, a.max); err != nil {
-							a.cmpOK = false
-							a.hasMM = false
-						} else if c > 0 {
-							a.max = d
-						}
-					}
-				}
-			}
+			accs[i].add(row[i], &sc)
 		}
 		return true
 	})
@@ -118,11 +69,15 @@ func Analyze(h *Heap) *TableStats {
 	for i, c := range schema.Cols {
 		a := &accs[i]
 		cs := &ColumnStats{RowCount: rows, NullCount: a.nulls}
-		nd := int64(len(a.distinct))
+		nd := int64(len(a.values))
 		if a.overflow && a.seen > 0 {
 			// Tracked the first statsDistinctTrackLimit distincts over some
 			// prefix; scale linearly as Postgres's estimator would.
-			nd = nd * a.seen / maxInt64(1, sumCounts(a.distinct))
+			var tracked int64
+			for j := range a.values {
+				tracked += a.values[j].count
+			}
+			nd = nd * a.seen / max(1, tracked)
 			if nd < statsDistinctTrackLimit {
 				nd = statsDistinctTrackLimit
 			}
@@ -132,44 +87,138 @@ func Analyze(h *Heap) *TableStats {
 			cs.HasMinMax = true
 			cs.Min, cs.Max = a.min, a.max
 		}
-		if rows > 0 && len(a.distinct) > 0 {
-			type kv struct {
-				k string
-				c int64
-			}
-			top := make([]kv, 0, len(a.distinct))
-			for k, c := range a.distinct {
-				top = append(top, kv{k, c})
-			}
-			sort.Slice(top, func(x, y int) bool {
-				if top[x].c != top[y].c {
-					return top[x].c > top[y].c
-				}
-				return top[x].k < top[y].k
-			})
-			if len(top) > statsMCVLimit {
-				top = top[:statsMCVLimit]
-			}
-			for _, t := range top {
-				cs.MCVs = append(cs.MCVs, MCV{Val: a.sample[t.k], Freq: float64(t.c) / float64(rows)})
-			}
+		if rows > 0 {
+			cs.MCVs = a.mostCommon(rows, &sc)
 		}
 		ts.Columns[c.Name] = cs
 	}
 	return ts
 }
 
-func sumCounts(m map[string]int64) int64 {
-	var s int64
-	for _, c := range m {
-		s += c
-	}
-	return s
+// distinctValue is one distinct value of a column: the first datum seen
+// with its hash key, and how often the key occurred.
+type distinctValue struct {
+	val   types.Datum
+	count int64
+	// next chains the values whose keys hash alike (1 + index; 0 ends it).
+	next int32
 }
 
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
+// colAcc accumulates one column's statistics over a scan. Two datums are
+// one value when their HashKeys are equal; values are found by a 64-bit
+// hash of the key and told apart by comparing keys, so the scan keeps no
+// copy of any key.
+type colAcc struct {
+	nulls    int64
+	seen     int64
+	values   []distinctValue
+	index    map[uint64]int32 // key hash -> 1 + index of the chain's head
+	overflow bool
+	min, max types.Datum
+	hasMM    bool
+	cmpOK    bool
+}
+
+// keyScratch holds the hash seed and the key buffers of one Analyze.
+type keyScratch struct {
+	seed     maphash.Seed
+	key, cmp []byte
+}
+
+func (a *colAcc) add(d types.Datum, sc *keyScratch) {
+	if d.IsNull() {
+		a.nulls++
+		return
 	}
-	return b
+	a.seen++
+	sc.key = d.HashKey(sc.key[:0])
+	hk := maphash.Bytes(sc.seed, sc.key)
+	head := a.index[hk]
+	found := false
+	for at := head; at != 0; at = a.values[at-1].next {
+		v := &a.values[at-1]
+		if sc.cmp = v.val.HashKey(sc.cmp[:0]); bytes.Equal(sc.cmp, sc.key) {
+			v.count++
+			found = true
+			break
+		}
+	}
+	// Past the tracking limit only values already tracked keep counting.
+	if !found && !a.overflow {
+		a.values = append(a.values, distinctValue{val: d, count: 1, next: head})
+		a.index[hk] = int32(len(a.values))
+		if len(a.values) > statsDistinctTrackLimit {
+			a.overflow = true
+		}
+	}
+	if !a.cmpOK {
+		return
+	}
+	if !a.hasMM {
+		a.min, a.max, a.hasMM = d, d, true
+		return
+	}
+	if c, err := types.Compare(d, a.min); err != nil {
+		a.cmpOK, a.hasMM = false, false
+		return
+	} else if c < 0 {
+		a.min = d
+	}
+	if c, err := types.Compare(d, a.max); err != nil {
+		a.cmpOK, a.hasMM = false, false
+	} else if c > 0 {
+		a.max = d
+	}
+}
+
+// mcvCandidate is a value in the running for the MCV list, with its key.
+type mcvCandidate struct {
+	count int64
+	key   []byte
+	val   types.Datum
+}
+
+// before orders the MCV list: more frequent first, ties by hash key.
+func (c *mcvCandidate) before(count int64, key []byte) bool {
+	if c.count != count {
+		return c.count > count
+	}
+	return bytes.Compare(c.key, key) < 0
+}
+
+// mostCommon selects the statsMCVLimit most frequent values by insertion
+// into a list that never grows past the limit, so a column of all-distinct
+// values costs one key and, nearly always, one comparison per value — not a
+// sort of every value by its key.
+func (a *colAcc) mostCommon(rows int64, sc *keyScratch) []MCV {
+	top := make([]mcvCandidate, 0, statsMCVLimit+1)
+	for i := range a.values {
+		v := &a.values[i]
+		full := len(top) == statsMCVLimit
+		if full && v.count < top[len(top)-1].count {
+			continue
+		}
+		sc.key = v.val.HashKey(sc.key[:0])
+		at := len(top)
+		for at > 0 && !top[at-1].before(v.count, sc.key) {
+			at--
+		}
+		if at == statsMCVLimit {
+			continue
+		}
+		// The candidate that drops out lends its key buffer to the new one.
+		var key []byte
+		if full {
+			key = top[len(top)-1].key[:0]
+			top = top[:len(top)-1]
+		}
+		top = append(top, mcvCandidate{})
+		copy(top[at+1:], top[at:])
+		top[at] = mcvCandidate{count: v.count, key: append(key, sc.key...), val: v.val}
+	}
+	var out []MCV
+	for _, c := range top {
+		out = append(out, MCV{Val: c.val, Freq: float64(c.count) / float64(rows)})
+	}
+	return out
 }

@@ -189,7 +189,7 @@ func TestAddDropColumnData(t *testing.T) {
 		h.Insert(mkRow(int64(i), "x", 1))
 	}
 	h.Schema().AddColumn(Column{Name: "new", Typ: types.Bool})
-	h.AddColumnData()
+	h.AddColumnData(1)
 	h.Scan(func(_ RowID, r Row) bool {
 		if len(r) != 4 || !r[3].IsNull() {
 			t.Errorf("row = %v", r)

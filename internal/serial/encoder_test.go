@@ -475,3 +475,77 @@ func TestDeleteAttrsMatchesTreeRoundTrip(t *testing.T) {
 		t.Error("truncated header: want an error")
 	}
 }
+
+// TestInsertMatchesTreeRoundTrip holds Insert's splice to what it replaced:
+// deserialize the record, set the key in the document, serialize again. A
+// value of the key under another type goes, a null value only deletes, a
+// nested object or an array is encoded as the tree walk encodes it, and an
+// empty or missing record is the empty document.
+func TestInsertMatchesTreeRoundTrip(t *testing.T) {
+	dict := NewDictionary()
+	docs := nobench.Generate(200, 11)
+	docs = append(docs, twittergen.GenerateTweets(100, 11, twittergen.DefaultConfig(100))...)
+	for _, s := range []string{
+		`{"a":{"b":{"c":[1,{"d":2}]}},"arr":[[1],[2,3]],"s":"x","n":1,"o":{}}`,
+		`{"only":1}`,
+		`{}`,
+	} {
+		d, err := jsonx.ParseDocument([]byte(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, d)
+	}
+	newcomers := []jsonx.Value{
+		jsonx.StringValue("swapped"), jsonx.IntValue(-3), jsonx.NullValue(),
+		jsonx.ArrayValue(jsonx.IntValue(1), jsonx.NullValue(), jsonx.StringValue("")),
+	}
+	check := func(label string, rec []byte, doc *jsonx.Doc, key string, v jsonx.Value) {
+		t.Helper()
+		at, typed := AttrTypeOf(v)
+		if !typed {
+			at = TypeString // a null deletes the key whatever the attribute
+		}
+		got, err := Insert(rec, dict.IDFor(key, at), v, dict)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		want := shallowCopy(doc)
+		want.Set(key, v)
+		if w := refSerialize(want, dict); !bytes.Equal(got, w) {
+			t.Fatalf("%s: set %s = %v:\n got %x\nwant %x", label, key, v, got, w)
+		}
+	}
+	for di, d := range docs {
+		rec, err := Serialize(d, dict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("doc %d", di)
+		for ki, m := range d.Members() {
+			// The member's own value back into the record without it ...
+			less := shallowCopy(d)
+			less.Delete(m.Key)
+			check(label, refSerialize(less, dict), less, m.Key, m.Val)
+			// ... and another value, often of another type, over it.
+			check(label, rec, d, m.Key, newcomers[(di+ki)%len(newcomers)])
+		}
+		check(label, rec, d, "never_seen_key", jsonx.ObjectValue(d))
+	}
+	check("nil record", nil, jsonx.NewDoc(), "k", jsonx.IntValue(1))
+	if _, err := Insert([]byte{9, 0, 0, 0}, dict.IDFor("k", TypeInt), jsonx.IntValue(1), dict); err == nil {
+		t.Error("truncated header: want an error")
+	}
+	if _, err := Insert(nil, uint32(dict.Len())+7, jsonx.IntValue(1), dict); err == nil {
+		t.Error("an ID the dictionary lacks: want an error")
+	}
+}
+
+// shallowCopy returns a document with d's members (the values are shared).
+func shallowCopy(d *jsonx.Doc) *jsonx.Doc {
+	out := jsonx.NewDoc()
+	for _, m := range d.Members() {
+		out.Set(m.Key, m.Val)
+	}
+	return out
+}

@@ -371,58 +371,99 @@ func AttrIDs(data []byte) ([]uint32, error) {
 // holds none of ids comes back as rec itself, so a shorter result means
 // something was deleted.
 func DeleteAttrs(rec []byte, ids ...uint32) ([]byte, error) {
+	return splice(rec, ids, 0, nil)
+}
+
+// Insert returns a copy of the record with attribute id set to v (the
+// materializer moves a top-level value back into the reservoir on
+// dematerialization). The key's value of any other type is replaced with
+// it, as setting the key in the document would; a null v only deletes.
+// The record is spliced, not decoded: v alone is encoded.
+func Insert(data []byte, id uint32, v jsonx.Value, dict Dict) ([]byte, error) {
+	attr, ok := dict.Lookup(id)
+	if !ok {
+		return nil, fmt.Errorf("serial: attribute %d not in dictionary", id)
+	}
+	if len(data) == 0 {
+		data = make([]byte, 2*u32) // the empty record
+	}
+	var drop []uint32
+	for _, other := range dict.IDsOf([]byte(attr.Key)) {
+		if other != 0 {
+			drop = append(drop, other-1)
+		}
+	}
+	if v.Kind == jsonx.Null {
+		return splice(data, drop, 0, nil)
+	}
+	e := encoders.Get().(*Encoder)
+	e.b.dict = dict
+	defer func() {
+		e.b.dict = nil
+		encoders.Put(e)
+	}()
+	val, err := e.EncodeValue(v)
+	if err != nil {
+		return nil, err
+	}
+	if val == nil {
+		val = []byte{}
+	}
+	return splice(data, drop, id, val)
+}
+
+// splice returns rec without the attributes drop and, when val is not nil,
+// with attribute id — which drop must name if rec may hold it — set to
+// val. It writes the result in one pass, header and body side by side;
+// rec itself comes back when there is nothing to change.
+func splice(rec []byte, drop []uint32, id uint32, val []byte) ([]byte, error) {
 	h, err := parseHeader(rec)
 	if err != nil {
 		return nil, err
 	}
-	drop := 0
-	for _, id := range ids {
-		if _, ok := h.find(id); ok {
-			drop++
-		}
-	}
-	if drop == 0 {
-		return rec, nil
-	}
-	keep := make([][]byte, 0, h.n-drop)
-	out := make([]byte, 0, len(rec))
-	out = binary.LittleEndian.AppendUint32(out, 0) // the count, below
+	n, body := 0, len(val)
 	for i := 0; i < h.n; i++ {
-		if slices.Contains(ids, h.aid(i)) {
+		if slices.Contains(drop, h.aid(i)) {
 			continue
 		}
 		vb, err := h.valueBytes(i)
 		if err != nil {
 			return nil, err
 		}
-		keep = append(keep, vb)
-		out = binary.LittleEndian.AppendUint32(out, h.aid(i))
+		n++
+		body += len(vb)
 	}
-	binary.LittleEndian.PutUint32(out, uint32(len(keep)))
-	off := uint32(0)
-	for _, vb := range keep {
-		out = binary.LittleEndian.AppendUint32(out, off)
-		off += uint32(len(vb))
+	if n == h.n && val == nil {
+		return rec, nil
 	}
-	out = binary.LittleEndian.AppendUint32(out, off)
-	for _, vb := range keep {
-		out = append(out, vb...)
+	if val != nil {
+		n++
+	}
+	out := make([]byte, u32*(2+2*n)+body)
+	binary.LittleEndian.PutUint32(out, uint32(n))
+	aids, offs, at := out[u32:], out[u32*(1+n):], out[u32*(2+2*n):]
+	binary.LittleEndian.PutUint32(offs[u32*n:], uint32(body))
+	k, off := 0, 0
+	put := func(aid uint32, vb []byte) {
+		binary.LittleEndian.PutUint32(aids[u32*k:], aid)
+		binary.LittleEndian.PutUint32(offs[u32*k:], uint32(off))
+		off += copy(at[off:], vb)
+		k++
+	}
+	for i := 0; i < h.n; i++ {
+		aid := h.aid(i)
+		if slices.Contains(drop, aid) {
+			continue
+		}
+		if val != nil && aid > id {
+			put(id, val)
+			val = nil
+		}
+		vb, _ := h.valueBytes(i) // checked above
+		put(aid, vb)
+	}
+	if val != nil {
+		put(id, val)
 	}
 	return out, nil
-}
-
-// Insert returns a copy of the record with attribute id set to v (the
-// materializer moves a value back into the reservoir on dematerialization).
-// An existing value for id is replaced.
-func Insert(data []byte, id uint32, v jsonx.Value, dict Dict) ([]byte, error) {
-	doc, err := Deserialize(data, dict)
-	if err != nil {
-		return nil, err
-	}
-	attr, ok := dict.Lookup(id)
-	if !ok {
-		return nil, fmt.Errorf("serial: attribute %d not in dictionary", id)
-	}
-	doc.Set(attr.Key, v)
-	return Serialize(doc, dict)
 }

@@ -1,11 +1,13 @@
 package serial
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
+	"sync"
 
 	"github.com/sinewdata/sinew/internal/jsonx"
 )
@@ -97,14 +99,20 @@ func encodingOf(t AttrType) SegEncoding {
 	}
 }
 
+// segColBuilder is what EncodeSegment knows about one attribute of the
+// records it stripes: after the first pass the size of its section, during
+// the second where the next value goes.
 type segColBuilder struct {
-	id    uint32
-	enc   SegEncoding
-	words []uint64
-	count int
-	fixed []byte   // int/float/bool payload
-	ends  []uint32 // string/raw cumulative ends
-	varb  []byte   // string/raw bytes
+	id      uint32
+	enc     SegEncoding
+	count   int    // records carrying the attribute
+	varLen  int    // string/raw: total value bytes
+	lastRec int    // 1 + the last record seen carrying it (repeat check)
+	off     int    // the section's offset in the segment
+	fixed   int    // second pass: offset of the next int/float/bool value
+	end     int    // second pass: offset of the next string/raw end
+	varb    int    // second pass: offset of the next string/raw bytes
+	varDone uint32 // second pass: string/raw bytes written so far
 
 	rangeOK  bool
 	rangeBad bool // NaN poisons float ranges
@@ -144,161 +152,194 @@ func (cb *segColBuilder) noteFloat(v float64) {
 	}
 }
 
+// sectionLen is the size of the attribute's column section over records of
+// nwords presence words: bitmap, then the payload.
+func (cb *segColBuilder) sectionLen(nwords int) int {
+	switch cb.enc {
+	case SegInt, SegFloat:
+		return nwords*8 + cb.count*8
+	case SegBool:
+		return nwords*8 + cb.count
+	default:
+		return nwords*8 + cb.count*u32 + cb.varLen
+	}
+}
+
+// segEncoder is EncodeSegment's scratch. A freeze encodes page after page
+// of the same few hundred attributes, so the builders, the ID index and
+// the per-value builder references are kept from one page to the next;
+// the segment itself is the only allocation of an encode.
+type segEncoder struct {
+	cols  []segColBuilder
+	byID  map[uint32]int32 // attribute ID -> index in cols
+	order []int32          // cols in ascending ID order
+	refs  []int32          // first pass: the builder of every value, in record order
+}
+
+var segEncoders = sync.Pool{New: func() any { return &segEncoder{byID: make(map[uint32]int32)} }}
+
 // EncodeSegment stripes a group of serialized records into a segment. A
 // nil entry is a NULL record (absent row cell). Every non-nil entry must
 // be a well-formed record whose attributes resolve in dict; any parse or
 // dictionary failure aborts the encode — the caller keeps the rows as-is.
+//
+// It reads the records twice: once to size every attribute's section, once
+// to write each value where it belongs in the segment.
 func EncodeSegment(records [][]byte, dict Dict) ([]byte, error) {
-	n := len(records)
-	if n == 0 {
+	if len(records) == 0 {
 		return nil, fmt.Errorf("serial: cannot encode empty segment")
 	}
-	nwords := (n + 63) / 64
-	nulls := make([]uint64, nwords)
-	rawEnds := make([]uint32, n)
-	rawLen := 0
-	byID := make(map[uint32]*segColBuilder)
+	e := segEncoders.Get().(*segEncoder)
+	defer segEncoders.Put(e)
+	return e.encode(records, dict)
+}
 
+func (e *segEncoder) encode(records [][]byte, dict Dict) ([]byte, error) {
+	n := len(records)
+	nwords := (n + 63) / 64
+	e.cols, e.order, e.refs = e.cols[:0], e.order[:0], e.refs[:0]
+	clear(e.byID)
+
+	// First pass: which attributes there are, how many values and value
+	// bytes each has, and the value ranges.
+	rawLen := 0
 	for i, rec := range records {
 		if rec == nil {
-			nulls[i/64] |= 1 << uint(i%64)
-			rawEnds[i] = uint32(rawLen)
 			continue
 		}
 		rawLen += len(rec)
-		rawEnds[i] = uint32(rawLen)
 		h, err := parseHeader(rec)
 		if err != nil {
 			return nil, fmt.Errorf("serial: segment record %d: %w", i, err)
 		}
 		for a := 0; a < h.n; a++ {
 			id := h.aid(a)
-			attr, ok := dict.Lookup(id)
+			ci, ok := e.byID[id]
 			if !ok {
-				return nil, fmt.Errorf("serial: segment record %d: attribute %d not in dictionary", i, id)
+				attr, ok := dict.Lookup(id)
+				if !ok {
+					return nil, fmt.Errorf("serial: segment record %d: attribute %d not in dictionary", i, id)
+				}
+				ci = int32(len(e.cols))
+				e.cols = append(e.cols, segColBuilder{id: id, enc: encodingOf(attr.Type)})
+				e.byID[id] = ci
 			}
 			vb, err := h.valueBytes(a)
 			if err != nil {
 				return nil, fmt.Errorf("serial: segment record %d: %w", i, err)
 			}
-			cb := byID[id]
-			if cb == nil {
-				cb = &segColBuilder{id: id, enc: encodingOf(attr.Type), words: make([]uint64, nwords)}
-				byID[id] = cb
-			}
-			if cb.words[i/64]&(1<<uint(i%64)) != 0 {
+			cb := &e.cols[ci]
+			if cb.lastRec == i+1 {
 				return nil, fmt.Errorf("serial: segment record %d: duplicate attribute %d", i, id)
 			}
-			cb.words[i/64] |= 1 << uint(i%64)
+			cb.lastRec = i + 1
 			cb.count++
 			switch cb.enc {
 			case SegInt:
 				if len(vb) != 8 {
 					return nil, fmt.Errorf("serial: segment record %d attr %d: bad int length %d", i, id, len(vb))
 				}
-				cb.fixed = append(cb.fixed, vb...)
 				cb.noteInt(int64(binary.LittleEndian.Uint64(vb)))
 			case SegFloat:
 				if len(vb) != 8 {
 					return nil, fmt.Errorf("serial: segment record %d attr %d: bad float length %d", i, id, len(vb))
 				}
-				cb.fixed = append(cb.fixed, vb...)
 				cb.noteFloat(math.Float64frombits(binary.LittleEndian.Uint64(vb)))
 			case SegBool:
 				if len(vb) != 1 {
 					return nil, fmt.Errorf("serial: segment record %d attr %d: bad bool length %d", i, id, len(vb))
 				}
-				if vb[0] != 0 {
-					cb.fixed = append(cb.fixed, 1)
-				} else {
-					cb.fixed = append(cb.fixed, 0)
-				}
 			case SegString, SegRaw:
-				cb.varb = append(cb.varb, vb...)
-				cb.ends = append(cb.ends, uint32(len(cb.varb)))
+				cb.varLen += len(vb)
 			default:
 				return nil, fmt.Errorf("serial: segment attr %d: unknown encoding %d", id, cb.enc)
 			}
+			e.refs = append(e.refs, ci)
 		}
 	}
 
-	ids := make([]uint32, 0, len(byID))
-	for id := range byID {
-		ids = append(ids, id)
+	// Lay the segment out: header, record-null bitmap, raw vector, column
+	// sections in ascending attribute ID, footer, trailing footer offset.
+	for ci := range e.cols {
+		e.order = append(e.order, int32(ci))
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	slices.SortFunc(e.order, func(a, b int32) int { return cmp.Compare(e.cols[a].id, e.cols[b].id) })
+	nullOff := 2 * u32
+	rawOff := nullOff + nwords*8
+	rawSecLen := n*u32 + rawLen
+	at := rawOff + rawSecLen
+	for _, ci := range e.order {
+		cb := &e.cols[ci]
+		cb.off = at
+		cb.fixed = at + nwords*8
+		cb.end = cb.fixed
+		cb.varb = cb.end + cb.count*u32
+		at += cb.sectionLen(nwords)
+	}
+	footerOff := at
+	out := make([]byte, footerOff+5*u32+len(e.cols)*segColDirBytes+u32)
+	binary.LittleEndian.PutUint32(out, segMagic)
+	binary.LittleEndian.PutUint32(out[u32:], segVersion)
 
-	// Assemble: header, record-null bitmap, raw vector, column sections,
-	// footer, trailing footer offset.
-	out := make([]byte, 0, 2*u32+nwords*8+n*u32+rawLen)
-	out = binary.LittleEndian.AppendUint32(out, segMagic)
-	out = binary.LittleEndian.AppendUint32(out, segVersion)
-
-	nullOff := len(out)
-	for _, w := range nulls {
-		out = binary.LittleEndian.AppendUint64(out, w)
-	}
-	rawOff := len(out)
-	for _, e := range rawEnds {
-		out = binary.LittleEndian.AppendUint32(out, e)
-	}
-	out = appendRawRecords(out, records)
-	rawSecLen := len(out) - rawOff
-
-	type colLoc struct {
-		off, length int
-	}
-	locs := make([]colLoc, len(ids))
-	for ci, id := range ids {
-		cb := byID[id]
-		start := len(out)
-		for _, w := range cb.words {
-			out = binary.LittleEndian.AppendUint64(out, w)
+	// Second pass: every record into the raw vector, every value into its
+	// attribute's section.
+	rawAt, ref := rawOff+n*u32, 0
+	for i, rec := range records {
+		byteAt, bit := (i/64)*8+(i%64)/8, byte(1)<<uint(i%8)
+		if rec == nil {
+			out[nullOff+byteAt] |= bit
 		}
-		switch cb.enc {
-		case SegInt, SegFloat, SegBool:
-			out = append(out, cb.fixed...)
-		case SegString, SegRaw:
-			for _, e := range cb.ends {
-				out = binary.LittleEndian.AppendUint32(out, e)
+		rawAt += copy(out[rawAt:], rec)
+		binary.LittleEndian.PutUint32(out[rawOff+i*u32:], uint32(rawAt-rawOff-n*u32))
+		if rec == nil {
+			continue
+		}
+		h, _ := parseHeader(rec) // parsed in the first pass
+		for a := 0; a < h.n; a++ {
+			cb := &e.cols[e.refs[ref]]
+			ref++
+			vb, _ := h.valueBytes(a)
+			out[cb.off+byteAt] |= bit
+			switch cb.enc {
+			case SegInt, SegFloat:
+				cb.fixed += copy(out[cb.fixed:], vb)
+			case SegBool:
+				if vb[0] != 0 {
+					out[cb.fixed] = 1
+				}
+				cb.fixed++
+			default:
+				cb.varb += copy(out[cb.varb:], vb)
+				cb.varDone += uint32(len(vb))
+				binary.LittleEndian.PutUint32(out[cb.end:], cb.varDone)
+				cb.end += u32
 			}
-			out = append(out, cb.varb...)
-		default:
-			return nil, fmt.Errorf("serial: segment attr %d: unknown encoding %d", id, cb.enc)
 		}
-		locs[ci] = colLoc{off: start, length: len(out) - start}
 	}
 
-	footerOff := len(out)
-	out = binary.LittleEndian.AppendUint32(out, uint32(n))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(ids)))
-	out = binary.LittleEndian.AppendUint32(out, uint32(nullOff))
-	out = binary.LittleEndian.AppendUint32(out, uint32(rawOff))
-	out = binary.LittleEndian.AppendUint32(out, uint32(rawSecLen))
-	for ci, id := range ids {
-		cb := byID[id]
-		out = binary.LittleEndian.AppendUint32(out, id)
-		out = binary.LittleEndian.AppendUint32(out, uint32(cb.enc))
-		out = binary.LittleEndian.AppendUint32(out, uint32(locs[ci].off))
-		out = binary.LittleEndian.AppendUint32(out, uint32(locs[ci].length))
-		out = binary.LittleEndian.AppendUint32(out, uint32(cb.count))
+	f := out[footerOff:footerOff]
+	f = binary.LittleEndian.AppendUint32(f, uint32(n))
+	f = binary.LittleEndian.AppendUint32(f, uint32(len(e.cols)))
+	f = binary.LittleEndian.AppendUint32(f, uint32(nullOff))
+	f = binary.LittleEndian.AppendUint32(f, uint32(rawOff))
+	f = binary.LittleEndian.AppendUint32(f, uint32(rawSecLen))
+	for _, ci := range e.order {
+		cb := &e.cols[ci]
+		f = binary.LittleEndian.AppendUint32(f, cb.id)
+		f = binary.LittleEndian.AppendUint32(f, uint32(cb.enc))
+		f = binary.LittleEndian.AppendUint32(f, uint32(cb.off))
+		f = binary.LittleEndian.AppendUint32(f, uint32(cb.sectionLen(nwords)))
+		f = binary.LittleEndian.AppendUint32(f, uint32(cb.count))
 		var flags uint32
 		if cb.rangeOK && !cb.rangeBad {
 			flags |= segFlagHasRange
 		}
-		out = binary.LittleEndian.AppendUint32(out, flags)
-		out = binary.LittleEndian.AppendUint64(out, cb.minBits)
-		out = binary.LittleEndian.AppendUint64(out, cb.maxBits)
+		f = binary.LittleEndian.AppendUint32(f, flags)
+		f = binary.LittleEndian.AppendUint64(f, cb.minBits)
+		f = binary.LittleEndian.AppendUint64(f, cb.maxBits)
 	}
-	out = binary.LittleEndian.AppendUint32(out, uint32(footerOff))
+	binary.LittleEndian.AppendUint32(f, uint32(footerOff))
 	return out, nil
-}
-
-func appendRawRecords(out []byte, records [][]byte) []byte {
-	for _, rec := range records {
-		out = append(out, rec...)
-	}
-	return out
 }
 
 // SegColumn is one parsed attribute vector of a segment.

@@ -239,6 +239,91 @@ func TestSegmentEncodeErrors(t *testing.T) {
 	}
 }
 
+// TestSegmentEncoderReuse: one freeze encodes page after page through the
+// same builders, ID index and value references. What a page encodes to must
+// not depend on what the encoder saw before it — a wider page, a narrower
+// one, a page whose encode failed half-way — so A, B, a failing page and A
+// again through one encoder must each equal the encode of a fresh one.
+func TestSegmentEncoderReuse(t *testing.T) {
+	dict := NewDictionary()
+	page := func(docs ...string) [][]byte {
+		t.Helper()
+		recs := make([][]byte, len(docs))
+		for i, d := range docs {
+			if d == "" {
+				continue // NULL record
+			}
+			doc, err := jsonx.ParseDocument([]byte(d))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if recs[i], err = Serialize(doc, dict); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return recs
+	}
+	a := page(
+		`{"s":"hello","i":42,"f":2.5,"b":true,"o":{"x":"y"},"a":[1,"two",null]}`,
+		``,
+		`{"i":-1,"f":-0.25,"b":false,"s":""}`,
+	)
+	// B: more records than A (a second presence word), attributes A lacks,
+	// A's attributes under other counts, a float NaN (no range).
+	var bDocs []string
+	for i := 0; i < 70; i++ {
+		bDocs = append(bDocs, `{"i":`+string(rune('0'+i%10))+`,"wide_`+string(rune('a'+i%26))+`":"v","s":"b"}`)
+	}
+	b := page(bDocs...)
+	nan, err := Serialize(func() *jsonx.Doc {
+		d := jsonx.NewDoc()
+		d.Set("f", jsonx.FloatValue(math.NaN()))
+		return d
+	}(), dict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b = append(b, nan)
+	// Fails in its last record, after the first has registered builders.
+	bad := append(page(`{"i":1,"s":"x","later":true}`), []byte{9, 9})
+
+	fresh := func(recs [][]byte) []byte {
+		t.Helper()
+		seg, err := (&segEncoder{byID: make(map[uint32]int32)}).encode(recs, dict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seg
+	}
+	wantA, wantB := fresh(a), fresh(b)
+	shared := &segEncoder{byID: make(map[uint32]int32)}
+	for step, c := range []struct {
+		recs [][]byte
+		want []byte
+	}{{a, wantA}, {b, wantB}, {bad, nil}, {a, wantA}, {b, wantB}} {
+		got, err := shared.encode(c.recs, dict)
+		if c.want == nil {
+			if err == nil {
+				t.Fatalf("step %d: a garbage record encoded", step)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, c.want) {
+			t.Fatalf("step %d: the shared encoder's segment differs from a fresh encoder's", step)
+		}
+		if _, err := ParseSegment(got); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+	// And the pooled entry point agrees with both.
+	if got, err := EncodeSegment(a, dict); err != nil || !bytes.Equal(got, wantA) {
+		t.Fatalf("EncodeSegment differs from a fresh encoder (%v)", err)
+	}
+}
+
 // probeSegment exercises every segment read path; like probeAll, the only
 // requirement on arbitrary bytes is no panic.
 func probeSegment(data []byte, dict *Dictionary) {
