@@ -28,7 +28,7 @@ const baseline = `{
 func TestMissingBaselineFile(t *testing.T) {
 	newP := writeReport(t, "new.json", baseline)
 	var out, errb bytes.Buffer
-	code := run([]string{"-old", filepath.Join(t.TempDir(), "absent.json"), "-new", newP}, &out, &errb)
+	code := run([]string{"-baseline", filepath.Join(t.TempDir(), "absent.json"), "-new", newP}, &out, &errb)
 	if code != 2 {
 		t.Fatalf("run() = %d, want 2 for a missing baseline", code)
 	}
@@ -41,7 +41,7 @@ func TestMalformedJSON(t *testing.T) {
 	oldP := writeReport(t, "old.json", baseline)
 	newP := writeReport(t, "new.json", `{"records": 1000, "figure6_sinew": [`)
 	var out, errb bytes.Buffer
-	code := run([]string{"-old", oldP, "-new", newP}, &out, &errb)
+	code := run([]string{"-baseline", oldP, "-new", newP}, &out, &errb)
 	if code != 2 {
 		t.Fatalf("run() = %d, want 2 for malformed JSON", code)
 	}
@@ -62,7 +62,7 @@ func TestQueryInOnlyOneReport(t *testing.T) {
 	  ]
 	}`)
 	var out, errb bytes.Buffer
-	code := run([]string{"-old", oldP, "-new", newP}, &out, &errb)
+	code := run([]string{"-baseline", oldP, "-new", newP}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("run() = %d, want 0\nstderr: %s", code, errb.String())
 	}
@@ -74,31 +74,40 @@ func TestQueryInOnlyOneReport(t *testing.T) {
 	}
 }
 
+// An allocs/op regression fails; the same report's ns/op regression is
+// printed and does not.
 func TestRegressionFails(t *testing.T) {
 	oldP := writeReport(t, "old.json", baseline)
 	newP := writeReport(t, "new.json", `{
 	  "records": 1000,
 	  "figure6_sinew": [
-	    {"query": "q1", "sql": "SELECT 1", "ns_per_op": 1500, "allocs_per_op": 100},
-	    {"query": "q2", "sql": "SELECT 2", "ns_per_op": 2000, "allocs_per_op": 10}
+	    {"query": "q1", "sql": "SELECT 1", "ns_per_op": 1000, "allocs_per_op": 150},
+	    {"query": "q2", "sql": "SELECT 2", "ns_per_op": 9000, "allocs_per_op": 10}
 	  ]
 	}`)
 	var out, errb bytes.Buffer
-	code := run([]string{"-old", oldP, "-new", newP, "-tolerance", "10", "-minns", "0"}, &out, &errb)
+	code := run([]string{"-baseline", oldP, "-new", newP, "-tolerance", "10"}, &out, &errb)
 	if code != 1 {
-		t.Fatalf("run() = %d, want 1 for a 50%% ns/op regression", code)
+		t.Fatalf("run() = %d, want 1 for a 50%% allocs/op regression", code)
 	}
-	if !strings.Contains(out.String(), "REGRESSION(ns)") {
-		t.Errorf("q1 should be marked REGRESSION(ns):\n%s", out.String())
+	if !strings.Contains(out.String(), "REGRESSION(allocs)") {
+		t.Errorf("q1 should be marked REGRESSION(allocs):\n%s", out.String())
+	}
+	if strings.Count(out.String(), "REGRESSION") != 1 || !strings.Contains(out.String(), "+350.0%") {
+		t.Errorf("q2's ns/op should be printed and not marked:\n%s", out.String())
 	}
 
-	// The same regression is exempt under the -minns noise floor: at
-	// microsecond scale the ns gate is all timer jitter.
+	slowP := writeReport(t, "slow.json", `{
+	  "records": 1000,
+	  "figure6_sinew": [
+	    {"query": "q1", "sql": "SELECT 1", "ns_per_op": 5000, "allocs_per_op": 100},
+	    {"query": "q2", "sql": "SELECT 2", "ns_per_op": 9000, "allocs_per_op": 10}
+	  ]
+	}`)
 	out.Reset()
 	errb.Reset()
-	code = run([]string{"-old", oldP, "-new", newP, "-tolerance", "10", "-minns", "50000"}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("run() = %d, want 0 with baseline below the ns noise floor\n%s", code, out.String())
+	if code = run([]string{"-baseline", oldP, "-new", slowP}, &out, &errb); code != 0 {
+		t.Fatalf("run() = %d, want 0: ns/op alone never fails the diff\n%s", code, out.String())
 	}
 }
 
@@ -114,68 +123,19 @@ func TestAllocNoiseFloor(t *testing.T) {
 	  ]
 	}`)
 	var out, errb bytes.Buffer
-	if code := run([]string{"-old", oldP, "-new", newP}, &out, &errb); code != 0 {
+	if code := run([]string{"-baseline", oldP, "-new", newP}, &out, &errb); code != 0 {
 		t.Fatalf("run() = %d, want 0 (allocs below noise floor)\n%s", code, out.String())
 	}
 }
 
-// Baseline auto-selection picks the highest PR number — numerically, not
-// lexically (PR10 beats PR2 even though "BENCH_PR2" sorts after
-// "BENCH_PR10") — and never picks the -new report itself.
-func TestBaselineAutoSelection(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, body string) string {
-		t.Helper()
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	write("BENCH_PR2.json", `{"records": 1000, "figure6_sinew": [
-	  {"query": "q1", "sql": "SELECT 1", "ns_per_op": 9000, "allocs_per_op": 100}]}`)
-	write("BENCH_PR10.json", baseline)
-	newP := write("new.json", baseline)
-
+// Without -new there is nothing to compare.
+func TestNewRequired(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := run([]string{"-new", newP}, &out, &errb); code != 0 {
-		t.Fatalf("run() = %d, want 0\nstderr: %s", code, errb.String())
+	if code := run([]string{"-baseline", writeReport(t, "old.json", baseline)}, &out, &errb); code != 2 {
+		t.Fatalf("run() = %d, want 2 without -new", code)
 	}
-	if !strings.Contains(out.String(), "baseline "+filepath.Join(dir, "BENCH_PR10.json")) {
-		t.Errorf("should pick BENCH_PR10.json (numeric ordering):\n%s", out.String())
-	}
-
-	// When -new is itself the newest BENCH_PR file, it must be skipped.
-	newP = write("BENCH_PR11.json", baseline)
-	out.Reset()
-	if code := run([]string{"-new", newP}, &out, &errb); code != 0 {
-		t.Fatalf("run() = %d, want 0\nstderr: %s", code, errb.String())
-	}
-	if !strings.Contains(out.String(), "baseline "+filepath.Join(dir, "BENCH_PR10.json")) {
-		t.Errorf("auto-selection must exclude the -new report:\n%s", out.String())
-	}
-}
-
-// An explicit -baseline wins over auto-selection; an empty directory
-// fails with a diagnostic instead of diffing nothing.
-func TestBaselineFlagAndMissing(t *testing.T) {
-	oldP := writeReport(t, "BENCH_PR9.json", baseline)
-	newP := writeReport(t, "new.json", baseline)
-	var out, errb bytes.Buffer
-	if code := run([]string{"-baseline", oldP, "-new", newP}, &out, &errb); code != 0 {
-		t.Fatalf("run() = %d, want 0 with explicit -baseline\nstderr: %s", code, errb.String())
-	}
-	if strings.Contains(out.String(), "benchdiff: baseline ") {
-		t.Errorf("explicit -baseline must not trigger auto-selection:\n%s", out.String())
-	}
-
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-new", newP}, &out, &errb); code != 2 {
-		t.Fatalf("run() = %d, want 2 when no BENCH_PR*.json exists", code)
-	}
-	if !strings.Contains(errb.String(), "no BENCH_PR*.json baseline") {
-		t.Errorf("stderr should explain the missing baseline: %q", errb.String())
+	if !strings.Contains(errb.String(), "-new is required") {
+		t.Errorf("stderr should ask for -new: %q", errb.String())
 	}
 }
 
@@ -183,7 +143,7 @@ func TestRecordCountMismatch(t *testing.T) {
 	oldP := writeReport(t, "old.json", baseline)
 	newP := writeReport(t, "new.json", `{"records": 2000, "figure6_sinew": []}`)
 	var out, errb bytes.Buffer
-	if code := run([]string{"-old", oldP, "-new", newP}, &out, &errb); code != 2 {
+	if code := run([]string{"-baseline", oldP, "-new", newP}, &out, &errb); code != 2 {
 		t.Fatalf("run() = %d, want 2 for incomparable record counts", code)
 	}
 	if !strings.Contains(errb.String(), "not comparable") {
@@ -191,8 +151,9 @@ func TestRecordCountMismatch(t *testing.T) {
 	}
 }
 
-// Table 5 rows are gated per leg: a regression in either the virtual or
-// the physical timing fails, a row new in the candidate report is exempt.
+// Table 5 rows are gated per leg: an allocs/op regression in either the
+// virtual or the physical leg fails, a row new in the candidate report is
+// exempt.
 func TestTable5Gate(t *testing.T) {
 	oldP := writeReport(t, "old.json", `{
 	  "records": 1000,
@@ -209,17 +170,17 @@ func TestTable5Gate(t *testing.T) {
 	  "table5": [
 	    {"sql": "SELECT * FROM t ORDER BY k", "virtual_ns_per_op": 1000,
 	     "virtual_allocs_per_op": 500, "physical_ns_per_op": 2000,
-	     "physical_allocs_per_op": 400},
+	     "physical_allocs_per_op": 800},
 	    {"sql": "SELECT * FROM t ORDER BY k LIMIT 5", "virtual_ns_per_op": 10,
 	     "virtual_allocs_per_op": 5, "physical_ns_per_op": 10,
 	     "physical_allocs_per_op": 5}
 	  ]
 	}`)
 	var out, errb bytes.Buffer
-	if code := run([]string{"-old", oldP, "-new", newP, "-minns", "0"}, &out, &errb); code != 1 {
+	if code := run([]string{"-baseline", oldP, "-new", newP}, &out, &errb); code != 1 {
 		t.Fatalf("run() = %d, want 1 for a table5 physical regression\nstdout: %s", code, out.String())
 	}
-	if !strings.Contains(out.String(), "REGRESSION(ns)") {
+	if !strings.Contains(out.String(), "REGRESSION(allocs)") {
 		t.Errorf("output should mark the regressed leg:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "(new row)") {
@@ -232,13 +193,13 @@ func TestTable5Gate(t *testing.T) {
 	  "figure6_sinew": [],
 	  "table5": [
 	    {"sql": "SELECT * FROM t ORDER BY k", "virtual_ns_per_op": 1010,
-	     "virtual_allocs_per_op": 500, "physical_ns_per_op": 910,
-	     "physical_allocs_per_op": 400}
+	     "virtual_allocs_per_op": 505, "physical_ns_per_op": 910,
+	     "physical_allocs_per_op": 404}
 	  ]
 	}`)
 	out.Reset()
 	errb.Reset()
-	if code := run([]string{"-old", oldP, "-new", okP}, &out, &errb); code != 0 {
+	if code := run([]string{"-baseline", oldP, "-new", okP}, &out, &errb); code != 0 {
 		t.Fatalf("run() = %d, want 0 within tolerance\nstdout: %s", code, out.String())
 	}
 }

@@ -11,7 +11,7 @@
 // column), Table 5, and plan-cache benchmarks (measured via
 // testing.Benchmark) are written as a JSON report (ns/op and allocs/op per
 // query) instead of the text tables; `make bench` uses this to produce
-// BENCH_PR<n>.json.
+// BENCH_BASELINE.json and `make bench-diff` the report it holds against it.
 //
 // The -small scale plays the paper's in-memory 16M-record runs and -large
 // the disk-bound 64M-record runs (scaled 1:4 by default); see DESIGN.md §2

@@ -7,7 +7,8 @@ import "testing"
 // skipping): the materialized `num` column is the record index, so its
 // per-page min/max ranges are disjoint and a BETWEEN touching ~0.1% of
 // records must read only the pages containing the match window. Each
-// query must also return exactly what a skip-disabled run returns.
+// query must also return exactly what the row engine returns, whose scan
+// never skips.
 func TestPageSkipOnNoBench(t *testing.T) {
 	f, err := SetupNoBench(2000, 21, 0)
 	if err != nil {
@@ -19,23 +20,26 @@ func TestPageSkipOnNoBench(t *testing.T) {
 
 	for _, qid := range []string{"Q5", "Q6", "Q9", "Q10", "Q11"} {
 		sql := queries[qid]
-		if _, err := db.Query("SET enable_page_skip = off"); err != nil {
+		if _, err := db.Query("SET enable_batch = off"); err != nil {
 			t.Fatal(err)
 		}
 		pager.Reset()
 		base, err := db.Query(sql)
 		if err != nil {
-			t.Fatalf("%s (skip off): %v", qid, err)
+			t.Fatalf("%s (row engine): %v", qid, err)
 		}
 		baseBytes, _ := pager.Stats()
+		if skipped, _ := pager.ExecStats(); skipped != 0 {
+			t.Fatalf("%s: the row scan skipped %d pages", qid, skipped)
+		}
 
-		if _, err := db.Query("SET enable_page_skip = on"); err != nil {
+		if _, err := db.Query("SET enable_batch = on"); err != nil {
 			t.Fatal(err)
 		}
 		pager.Reset()
 		res, err := db.Query(sql)
 		if err != nil {
-			t.Fatalf("%s (skip on): %v", qid, err)
+			t.Fatalf("%s (batch engine): %v", qid, err)
 		}
 		skipBytes, _ := pager.Stats()
 		skipped, _ := pager.ExecStats()

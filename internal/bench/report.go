@@ -12,7 +12,7 @@ import (
 )
 
 // This file produces the machine-readable benchmark report (`make bench`
-// writes it to BENCH_PR2.json): per-query ns/op and allocs/op for the
+// writes it to BENCH_BASELINE.json): per-query ns/op and allocs/op for the
 // Sinew column of Figure 6, the Table 5 virtual-vs-physical pair, and the
 // repeated-statement benchmark pinning the plan-cache hit path.
 
@@ -67,7 +67,7 @@ type LoadBench struct {
 	SizeBytes int64  `json:"size_bytes"`
 }
 
-// Report is the full BENCH_PR2.json payload.
+// Report is the full BENCH_BASELINE.json payload.
 type Report struct {
 	Records      int              `json:"records"`
 	TwitterN     int              `json:"twitter_records"`

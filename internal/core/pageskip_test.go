@@ -53,26 +53,22 @@ func (db *DB) skipRun(t *testing.T, sql string) (rows int, skipped int64) {
 
 // TestAttrPresenceSkipping pins the attr-presence half of page skipping:
 // a selection on an era-local virtual key must skip the other era's
-// pages outright while returning exactly the rows a skip-disabled run
-// returns.
+// pages outright while returning exactly the rows of the row engine's
+// scan, which never skips.
 func TestAttrPresenceSkipping(t *testing.T) {
 	db := eraDB(t, 1024) // 8 pages: 4 alpha-era, 4 beta-era
 	const q = `SELECT id FROM events WHERE alpha_key = 'v3'`
 
-	if _, err := db.Query("SET enable_page_skip = off"); err != nil {
-		t.Fatal(err)
-	}
+	mustSet(t, db, `SET enable_batch = off`)
 	baseRows, baseSkipped := db.skipRun(t, q)
 	if baseSkipped != 0 {
-		t.Fatalf("skipped %d pages with skipping disabled", baseSkipped)
+		t.Fatalf("the row scan skipped %d pages", baseSkipped)
 	}
 	if baseRows == 0 {
 		t.Fatal("probe matched no rows; fixture broken")
 	}
 
-	if _, err := db.Query("SET enable_page_skip = on"); err != nil {
-		t.Fatal(err)
-	}
+	mustSet(t, db, `SET enable_batch = on`)
 	rows, skipped := db.skipRun(t, q)
 	if rows != baseRows {
 		t.Fatalf("skipping changed the result: %d rows vs %d", rows, baseRows)
@@ -103,9 +99,6 @@ func TestAttrPresenceSkipping(t *testing.T) {
 // into the plan.
 func TestAttrSkipSurvivesDictionaryGrowth(t *testing.T) {
 	db := eraDB(t, 1024)
-	if _, err := db.Query("SET enable_page_skip = on"); err != nil {
-		t.Fatal(err)
-	}
 	const q = `SELECT id FROM events WHERE beta_key IS NOT NULL`
 	rows0, _ := db.skipRun(t, q) // plan now cached, alpha pages skipped
 
@@ -162,22 +155,22 @@ func zoneDB(t *testing.T, n int) *DB {
 // TestStripedZoneMapSkipping pins the zone-map half of page skipping: a
 // range probe on a virtual key present in every record (so attr-presence
 // skipping can never fire) must eliminate every frozen page whose segment
-// extrema exclude the range, while returning exactly the rows a
-// skip-disabled run returns.
+// extrema exclude the range, while returning exactly the rows of the row
+// engine's scan, which never skips.
 func TestStripedZoneMapSkipping(t *testing.T) {
 	db := zoneDB(t, 1024) // 8 full pages, zv spans [128p, 128p+127] on page p
 	const q = `SELECT id FROM events WHERE zv > 1000`
 
-	mustSet(t, db, `SET enable_page_skip = off`)
+	mustSet(t, db, `SET enable_batch = off`)
 	baseRows, baseSkipped := db.skipRun(t, q)
 	if baseSkipped != 0 {
-		t.Fatalf("skipped %d pages with skipping disabled", baseSkipped)
+		t.Fatalf("the row scan skipped %d pages", baseSkipped)
 	}
 	if baseRows != 23 { // zv in 1001..1023
 		t.Fatalf("probe matched %d rows, want 23", baseRows)
 	}
 
-	mustSet(t, db, `SET enable_page_skip = on`)
+	mustSet(t, db, `SET enable_batch = on`)
 	rows, skipped := db.skipRun(t, q)
 	if rows != baseRows {
 		t.Fatalf("zone skipping changed the result: %d rows vs %d", rows, baseRows)
@@ -235,9 +228,6 @@ func TestStripedZoneMapSkipping(t *testing.T) {
 // skipping resumes.
 func TestSkipInvalidationOnUpdate(t *testing.T) {
 	db := eraDB(t, 1024)
-	if _, err := db.Query("SET enable_page_skip = on"); err != nil {
-		t.Fatal(err)
-	}
 	const q = `SELECT id FROM events WHERE alpha_key = 'v3'`
 	rows0, skipped0 := db.skipRun(t, q)
 	if skipped0 < 4 {

@@ -39,7 +39,7 @@ func segmentDB(t *testing.T) (*DB, int) {
 	}
 	frozen := heap.NumFrozenPages()
 	if frozen == 0 {
-		t.Fatal("ANALYZE froze no pages; striped path untested")
+		t.Fatal("ANALYZE froze no pages; frozen-page scans untested")
 	}
 	return db, frozen
 }
@@ -71,23 +71,19 @@ func sortedResultKey(res *QueryResult) string {
 }
 
 // segmentLegs are the executor configurations every query must agree
-// across: the row-at-a-time reference, the plain batch pipeline, the
-// striped segment scan, and the parallel striped scan.
+// across: the row-at-a-time reference, the batch pipeline (its scan
+// aliasing frozen pages and transposing row-form ones as it meets them),
+// and the same pipeline under parallel gathers.
 var segmentLegs = []struct {
 	name  string
 	stmts []string
 }{
 	{"row", []string{
-		`SET enable_batch = off`, `SET enable_striped = off`,
-		`SET max_parallel_workers = 1`}},
+		`SET enable_batch = off`, `SET max_parallel_workers = 1`}},
 	{"batch", []string{
-		`SET enable_batch = on`, `SET enable_striped = off`,
-		`SET max_parallel_workers = 1`}},
-	{"striped", []string{
-		`SET enable_batch = on`, `SET enable_striped = on`,
-		`SET max_parallel_workers = 1`}},
-	{"striped-parallel", []string{
-		`SET enable_batch = on`, `SET enable_striped = on`,
+		`SET enable_batch = on`, `SET max_parallel_workers = 1`}},
+	{"batch-parallel", []string{
+		`SET enable_batch = on`,
 		`SET max_parallel_workers = 4`, `SET parallel_scan_min_pages = 1`}},
 }
 
@@ -145,7 +141,7 @@ func TestStripedSegmentDifferential(t *testing.T) {
 
 	// UPDATE rows scattered across the table: the touched pages un-freeze
 	// back to row form, so scans now cross a frozen/row-form mix.
-	mustSet(t, db, `SET enable_batch = on`, `SET enable_striped = on`)
+	mustSet(t, db, `SET enable_batch = on`)
 	if _, err := db.Query(`UPDATE d SET name = 'frosty' WHERE num = 7`); err != nil {
 		t.Fatal(err)
 	}
@@ -165,49 +161,34 @@ func TestStripedSegmentDifferential(t *testing.T) {
 	runSegmentLegs(t, db, "refrozen", queries)
 }
 
-// TestStripedExplainAnnotation pins the EXPLAIN surface: scans over a
-// segmented heap advertise the striped path, and SET enable_striped =
-// off removes it.
-func TestStripedExplainAnnotation(t *testing.T) {
+// TestSegmentedExplain pins the EXPLAIN surface over a segmented heap: the
+// scan has no mode to advertise, the fused extraction above it says when
+// it reads segment vectors, a filtered scan gathers, and the switch that
+// used to turn the frozen-page path off is an unknown name.
+func TestSegmentedExplain(t *testing.T) {
 	db, _ := segmentDB(t)
+	mustSet(t, db, `SET max_parallel_workers = 1`)
 	text, err := db.Explain(`SELECT name, num FROM d`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(text, "striped") {
-		t.Errorf("EXPLAIN should show the striped scan:\n%s", text)
+	if !strings.Contains(text, "(fused extract: 2 keys, striped)") ||
+		!strings.Contains(text, "Seq Scan on d (batch)") {
+		t.Errorf("EXPLAIN over a segmented heap:\n%s", text)
 	}
-	// Predicates do not disqualify striping: they compile into the
-	// in-scan selection filter, and the plan advertises the sel path.
-	text, err = db.Explain(`SELECT name FROM d WHERE num >= 10`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(text, "striped") {
-		t.Errorf("EXPLAIN of a filtered scan should still show striped:\n%s", text)
-	}
-	if !strings.Contains(text, "sel") {
-		t.Errorf("EXPLAIN of a filtered striped scan should show the sel path:\n%s", text)
-	}
-	// A striped scan with a predicate stays striped under Gather: the
-	// partition scans evaluate the shared SelFilter in-scan.
 	mustSet(t, db, `SET max_parallel_workers = 4`, `SET parallel_scan_min_pages = 1`)
 	text, err = db.Explain(`SELECT name FROM d WHERE num >= 10`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"parallel", "striped", "sel"} {
+	for _, want := range []string{"Gather (batch, parallel)", "Merge: ordered", "Seq Scan on d (batch)"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("parallel filtered EXPLAIN should show %q:\n%s", want, text)
 		}
 	}
-	mustSet(t, db, `SET max_parallel_workers = 1`, `SET enable_striped = off`)
-	text, err = db.Explain(`SELECT name, num FROM d`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(text, "striped") {
-		t.Errorf("enable_striped=off must disable the striped path:\n%s", text)
+	if _, err := db.RDBMS().Exec(`SET enable_striped = off`); err == nil ||
+		!strings.Contains(err.Error(), "unrecognized configuration parameter") {
+		t.Errorf("SET enable_striped = off: %v", err)
 	}
 }
 
@@ -245,7 +226,7 @@ func TestSinewStatsSegmentCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := statCounter(t, db, "segments_scanned"); got <= scanned {
-		t.Errorf("segments_scanned stuck at %d after a striped scan", got)
+		t.Errorf("segments_scanned stuck at %d after a scan of frozen pages", got)
 	}
 
 	unfrozen := statCounter(t, db, "segment_pages_unfrozen")
@@ -261,18 +242,18 @@ func TestSinewStatsSegmentCounters(t *testing.T) {
 }
 
 // TestSinewStatsSelCounters checks the selection-vector observability
-// surface: filtered striped scans count the sel batches they emit, and
-// striped scans under a parallel gather are counted separately.
+// surface: filtered scans count the sel batches their frozen pages emit,
+// and scans of a segmented heap under a parallel gather are counted
+// separately.
 func TestSinewStatsSelCounters(t *testing.T) {
 	db, _ := segmentDB(t)
-	mustSet(t, db, `SET enable_batch = on`, `SET enable_striped = on`,
-		`SET max_parallel_workers = 1`)
+	mustSet(t, db, `SET enable_batch = on`, `SET max_parallel_workers = 1`)
 	selBefore := statCounter(t, db, "sel_vector_batches")
 	if _, err := db.Query(`SELECT name, num FROM d WHERE num >= 10`); err != nil {
 		t.Fatal(err)
 	}
 	if got := statCounter(t, db, "sel_vector_batches"); got <= selBefore {
-		t.Errorf("sel_vector_batches stuck at %d after a filtered striped scan", got)
+		t.Errorf("sel_vector_batches stuck at %d after a filtered scan of frozen pages", got)
 	}
 
 	parBefore := statCounter(t, db, "parallel_striped_scans")
@@ -281,7 +262,7 @@ func TestSinewStatsSelCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := statCounter(t, db, "parallel_striped_scans"); got <= parBefore {
-		t.Errorf("parallel_striped_scans stuck at %d after a parallel striped scan", got)
+		t.Errorf("parallel_striped_scans stuck at %d after a parallel scan of frozen pages", got)
 	}
 }
 

@@ -60,7 +60,7 @@ func TestOrderByDifferential(t *testing.T) {
 // its sort as batch.
 func TestOrderByExplain(t *testing.T) {
 	db, _ := segmentDB(t)
-	mustSet(t, db, `SET enable_batch = on`, `SET enable_striped = on`,
+	mustSet(t, db, `SET enable_batch = on`,
 		`SET max_parallel_workers = 4`, `SET parallel_scan_min_pages = 1`)
 
 	text, err := db.Explain(`SELECT name, num FROM d ORDER BY num`)

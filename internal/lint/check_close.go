@@ -22,8 +22,9 @@ import (
 // parameter is closed on every path through its CFG (a `defer s.Close()`
 // reaching every return), and the type's Close waits on a sync.WaitGroup
 // field, then the workers provably close the field's contents before
-// Close returns — the ParallelScanIter pattern, previously only
-// expressible as a //lint:ignore.
+// Close returns — the pattern of a parallel iterator that keeps its
+// partition scans in a field, otherwise only expressible as a
+// //lint:ignore.
 type ClosePropagation struct{}
 
 // ID implements Check.

@@ -56,7 +56,7 @@ func reap(c *child) { c.Close() }
 func (h *HandOffIter) Next() bool { return false }
 func (h *HandOffIter) Close()     { reap(h.src) }
 
-// WorkerIter is the ParallelScanIter pattern: the constructor stores each
+// WorkerIter is the worker hand-off pattern: the constructor stores each
 // scan into the field AND hands it to a spawned worker whose `defer
 // s.Close()` closes it on every path, and Close waits on the WaitGroup —
 // so the workers provably release the field. No finding.

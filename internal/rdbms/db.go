@@ -214,12 +214,6 @@ func (db *DB) execSet(st *sqlparse.SetStmt) (*Result, error) {
 	db.cfgMu.Lock()
 	defer db.cfgMu.Unlock()
 	switch st.Name {
-	case "batch_size":
-		n, err := setIntValue(st, 1, 1<<16)
-		if err != nil {
-			return nil, err
-		}
-		db.cfg.BatchSize = int(n)
 	case "enable_batch":
 		b, err := setBoolValue(st)
 		if err != nil {
@@ -239,18 +233,6 @@ func (db *DB) execSet(st *sqlparse.SetStmt) (*Result, error) {
 			return nil, err
 		}
 		db.cfg.MaxParallelWorkers = int(n)
-	case "enable_page_skip":
-		b, err := setBoolValue(st)
-		if err != nil {
-			return nil, err
-		}
-		db.cfg.EnablePageSkip = b
-	case "enable_striped":
-		b, err := setBoolValue(st)
-		if err != nil {
-			return nil, err
-		}
-		db.cfg.EnableStriped = b
 	default:
 		return nil, fmt.Errorf("rdbms: SET %s: unrecognized configuration parameter (known: %s)",
 			st.Name, strings.Join(sessionVars, ", "))
@@ -261,10 +243,7 @@ func (db *DB) execSet(st *sqlparse.SetStmt) (*Result, error) {
 
 // sessionVars lists every session variable execSet accepts, for the
 // unknown-parameter error. Keep sorted and in sync with the switch above.
-var sessionVars = []string{
-	"batch_size", "enable_batch", "enable_page_skip", "enable_striped",
-	"max_parallel_workers", "parallel_scan_min_pages",
-}
+var sessionVars = []string{"enable_batch", "max_parallel_workers", "parallel_scan_min_pages"}
 
 // setValueDesc renders the offending value for SET error messages.
 func setValueDesc(d types.Datum) string {

@@ -353,14 +353,19 @@ func TestSetValidationErrors(t *testing.T) {
 		sql  string
 		want []string
 	}{
-		{`SET nope = 1`, []string{"rdbms: SET nope:", "unrecognized configuration parameter", "batch_size"}},
-		{`SET batch_size = 'abc'`, []string{"rdbms: SET batch_size:", "requires an integer value"}},
-		{`SET batch_size = 0`, []string{"rdbms: SET batch_size:", "outside the valid range [1, 65536]"}},
-		{`SET batch_size = 1048576`, []string{"rdbms: SET batch_size:", "outside the valid range [1, 65536]"}},
+		{`SET nope = 1`, []string{"rdbms: SET nope:", "unrecognized configuration parameter",
+			"(known: enable_batch, max_parallel_workers, parallel_scan_min_pages)"}},
+		// The removed knobs are unknown names like any other.
+		{`SET batch_size = 256`, []string{"rdbms: SET batch_size:", "unrecognized configuration parameter"}},
+		{`SET enable_page_skip = off`, []string{"rdbms: SET enable_page_skip:", "unrecognized configuration parameter"}},
+		{`SET enable_striped = off`, []string{"rdbms: SET enable_striped:", "unrecognized configuration parameter"}},
+		{`SET parallel_scan_min_pages = 'abc'`, []string{"rdbms: SET parallel_scan_min_pages:", "requires an integer value"}},
+		{`SET parallel_scan_min_pages = 1073741825`, []string{"rdbms: SET parallel_scan_min_pages:", "outside the valid range [0, 1073741824]"}},
+		{`SET max_parallel_workers = 1025`, []string{"rdbms: SET max_parallel_workers:", "outside the valid range [0, 1024]"}},
 		{`SET max_parallel_workers = 1048576`, []string{"rdbms: SET max_parallel_workers:", "outside the valid range [0, 1024]"}},
 		{`SET parallel_scan_min_pages = many`, []string{"rdbms: SET parallel_scan_min_pages:", "requires an integer value"}},
 		{`SET enable_batch = 42`, []string{"rdbms: SET enable_batch:", "requires a boolean value"}},
-		{`SET enable_page_skip = 'yes'`, []string{"rdbms: SET enable_page_skip:", "requires a boolean value"}},
+		{`SET enable_batch = 'yes'`, []string{"rdbms: SET enable_batch:", "requires a boolean value"}},
 	}
 	for _, tc := range cases {
 		_, err := db.Exec(tc.sql)
@@ -378,12 +383,9 @@ func TestSetValidationErrors(t *testing.T) {
 
 func TestSetSessionKnobs(t *testing.T) {
 	db := newTestDB(t)
-	// batch_size flows into EXPLAIN's batch annotation.
-	mustExec(t, db, `SET batch_size = 256`)
 	res := mustExec(t, db, `EXPLAIN SELECT name FROM users WHERE age > 20`)
-	if !strings.Contains(res.ExplainText, "(batch)") ||
-		!strings.Contains(res.ExplainText, "Batch Size: 256") {
-		t.Errorf("explain after SET batch_size:\n%s", res.ExplainText)
+	if !strings.Contains(res.ExplainText, "(batch)") {
+		t.Errorf("default explain is not batch:\n%s", res.ExplainText)
 	}
 	// enable_batch = off drops the batch pipeline; queries still run.
 	mustExec(t, db, `SET enable_batch = off`)
@@ -405,9 +407,9 @@ func TestSetSessionKnobs(t *testing.T) {
 	// Errors: unknown knob, wrong type, out of range.
 	for _, bad := range []string{
 		`SET nonsense = 1`,
-		`SET batch_size = 'huge'`,
-		`SET batch_size = 0`,
-		`SET batch_size = 100000000`,
+		`SET max_parallel_workers = 'huge'`,
+		`SET max_parallel_workers = 1025`,
+		`SET parallel_scan_min_pages = 100000000000`,
 		`SET enable_batch = 3`,
 	} {
 		if _, err := db.Exec(bad); err == nil {

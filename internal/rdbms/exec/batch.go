@@ -8,8 +8,8 @@ import (
 	"github.com/sinewdata/sinew/internal/rdbms/types"
 )
 
-// DefaultBatchSize is the executor's default rows-per-batch (the
-// plan.Config batch_size knob overrides it per session).
+// DefaultBatchSize is the rows-per-batch of every planned pipeline; the
+// operators' Size fields and constructor arguments default to it.
 const DefaultBatchSize = 1024
 
 // NullBitmap tracks NULLs of one batch column, one bit per row (bit set =
@@ -45,7 +45,7 @@ type RowBatch struct {
 	Nulls []NullBitmap
 	// Segs, when non-nil, carries the column segments backing this batch:
 	// Segs[j] is the striped encoding of column j when the batch aliases a
-	// frozen heap page, nil for plain columns. Only striped scans set it;
+	// frozen heap page, nil for plain columns. Only the scan sets it;
 	// segment-aware operators (BatchMultiExtractIter.SegKernel) may read a
 	// column's values straight from the segment instead of Cols[j].
 	Segs []storage.ColumnSegment
@@ -411,33 +411,42 @@ type BatchSizeHinter interface {
 
 // ---------- Batch scan ----------
 
-// BatchScanIter reads a heap page range in chunks, transposes rows into
-// column-major batches, and applies an optional pushed-down filter with
-// batch expression evaluation. It is the leaf of every batch pipeline.
+// BatchScanIter is the batch scan — the leaf of every batch pipeline. It
+// walks a heap page range in one loop that picks its delivery per stretch
+// of pages, because a heap is a union of two representations of the same
+// rows (cold pages frozen into column vectors, the write-hot rest in row
+// form) and selection and projection commute with that union:
+//
+//   - a frozen page becomes one batch whose columns alias the page's
+//     immutable vectors (no per-row work; RowBatch.Segs carries the column
+//     segments so segment-aware operators can skip the datums entirely).
+//     Aliased storage is never compacted in place: a pushed-down filter
+//     runs as a SelFilter over the page vectors and publishes the
+//     surviving rows through RowBatch.Sel (selfilter.go);
+//   - a run of row-form pages is transposed, up to size rows at a time,
+//     into a scan-owned buffer and filtered by in-place compaction.
+//
+// A fully frozen heap therefore yields one batch per page, a never-frozen
+// one size-row batches, and a mixed one both, in heap order.
+//
+// Set-up is the constructor's range and filter, then NeedCols,
+// SetPageSkip and SetSelFilter, all before the first NextBatch
+// (plan.ScanNode.openRange is the one place the planner does it).
 type BatchScanIter struct {
 	Filter Expr
 	// NeedCols, when non-nil, lists the only column indices downstream
 	// operators read (ascending). The scan materializes just those columns
-	// into its batches; the rest stay empty. Set before the first
-	// NextBatch.
+	// into its batches; the rest stay empty.
 	NeedCols []int
 
-	chunk  *storage.HeapChunkIter
-	width  int
-	size   int
-	nrows  int64 // heap row count at open (for SizeHint; no filter only)
-	reuse  bool
-	batch  *RowBatch
-	rowBuf []storage.Row
-	ctx    *EvalCtx
-	keep   []bool
-
-	// Striped page mode (EnableStriped): page-at-a-time reads that deliver
-	// frozen pages as column aliases plus their segments. See striped.go.
-	striped bool
-	shell   *RowBatch     // frozen-page shell; aliases, never pooled/Reset
-	own     *RowBatch     // owned transpose buffer for row-form pages
-	pageBuf []storage.Row // ReadPage row buffer (one full page)
+	chunk *storage.HeapChunkIter
+	width int
+	size  int
+	nrows int64 // heap row count at open (for SizeHint; no filter only)
+	ctx   *EvalCtx
+	keep  []bool
+	shell *RowBatch // frozen-page shell; aliases, never pooled/Reset
+	own   *RowBatch // pooled transpose buffer for row-form runs
 
 	// In-scan selection filtering (selfilter.go): the compiled filter, its
 	// per-scan state, and the count of selection-carrying batches emitted
@@ -454,7 +463,7 @@ func NewBatchScan(v storage.ReadView, filter Expr, size int) *BatchScanIter {
 }
 
 // NewBatchScanRange returns a batch scan over pages [start, end) of v —
-// one partition of a parallel scan. Stat flushes on Close key on the
+// one partition of a parallel pipeline. Stat flushes on Close key on the
 // view's owner heap, so snapshot scans account like live scans.
 func NewBatchScanRange(v storage.ReadView, filter Expr, size, start, end int) *BatchScanIter {
 	if size <= 0 {
@@ -466,58 +475,110 @@ func NewBatchScanRange(v storage.ReadView, filter Expr, size, start, end int) *B
 		width:  len(v.Schema().Cols),
 		size:   size,
 		nrows:  v.NumRows(),
-		reuse:  true,
 		ctx:    NewEvalCtx(),
 		heap:   v.Owner(),
 	}
 }
 
-// setNoReuse makes every NextBatch return a freshly allocated batch (the
-// parallel scan hands batches across goroutines, so they cannot be
-// recycled by the producer).
-func (s *BatchScanIter) setNoReuse() { s.reuse = false }
-
 // SetPageSkip installs a page-skip predicate on the underlying chunk
-// cursor (storage page summaries); must be called before the first
-// NextBatch.
+// cursor (storage page summaries).
 func (s *BatchScanIter) SetPageSkip(f func(*storage.PageSummary) bool) { s.chunk.SetSkip(f) }
+
+// SetSelFilter installs the plan-compiled form of Filter for frozen pages;
+// its conjunction must be equivalent to Filter, which stays the row-form
+// and replay predicate. Without one (a plan made before the heap's first
+// freeze, a scan built by hand) the first frozen page compiles Filter as a
+// single conjunct.
+func (s *BatchScanIter) SetSelFilter(sf *SelFilter) { s.sf = sf }
 
 // NextBatch implements BatchIterator.
 func (s *BatchScanIter) NextBatch() (*RowBatch, error) {
-	if s.striped {
-		return s.nextStriped()
-	}
-	if s.rowBuf == nil {
-		s.rowBuf = make([]storage.Row, s.size)
-	}
 	for {
-		var b *RowBatch
-		if s.reuse {
-			if s.batch == nil {
-				s.batch = GetBatch(s.width)
-			}
-			b = s.batch
-		} else {
-			b = GetBatch(s.width)
-		}
-		n := s.chunk.ReadRows(s.rowBuf)
-		if n == 0 {
+		pv, ok := s.chunk.ReadPage(s.size)
+		if !ok {
 			return nil, nil
 		}
-		b.FillRows(s.rowBuf[:n], s.NeedCols)
-		if s.Filter == nil {
-			return b, nil
+		var b *RowBatch
+		var err error
+		switch {
+		case pv.Frozen == nil:
+			b, err = s.rowBatch(pv.Rows)
+		case s.Filter == nil:
+			b, err = s.frozenBatch(pv.Frozen)
+		default:
+			b, err = s.frozenSelBatch(pv.Frozen)
 		}
-		s.ctx.BeginBatch()
-		keep, err := EvalPredBatch(s.Filter, b, s.ctx, s.keep)
+		if b != nil || err != nil {
+			return b, err
+		}
+		// Everything filtered out: read on.
+	}
+}
+
+// rowBatch transposes a run of row-form rows into the scan-owned batch and
+// compacts it by Filter; (nil, nil) when no row survives. The buffer is
+// separate from the frozen-page shell — FillRows reuses column capacity,
+// which must never overwrite aliased page vectors — and pooled, so column
+// capacity survives across queries.
+func (s *BatchScanIter) rowBatch(rows []storage.Row) (*RowBatch, error) {
+	if s.own == nil {
+		s.own = GetBatch(s.width)
+	}
+	b := s.own
+	b.FillRows(rows, s.NeedCols)
+	if s.Filter == nil {
+		return b, nil
+	}
+	s.ctx.BeginBatch()
+	keep, err := EvalPredBatch(s.Filter, b, s.ctx, s.keep)
+	if err != nil {
+		return nil, err
+	}
+	s.keep = keep
+	if compactBatch(b, keep) == 0 {
+		return nil, nil
+	}
+	return b, nil
+}
+
+// frozenBatch wraps one frozen page as a batch: needed columns alias the
+// page's vectors (materializing and caching segment columns on first use),
+// and every segment-backed column is exposed through Segs.
+func (s *BatchScanIter) frozenBatch(fp *storage.FrozenPage) (*RowBatch, error) {
+	b := s.frozenShell()
+	fill := func(j int) error {
+		vals, nulls, err := fp.ColVals(j)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		s.keep = keep
-		if kept := compactBatch(b, keep); kept > 0 {
-			return b, nil
+		b.Cols[j] = vals
+		b.Nulls[j] = NullBitmap(nulls)
+		return nil
+	}
+	if s.NeedCols == nil {
+		for j := 0; j < s.width; j++ {
+			if err := fill(j); err != nil {
+				return nil, err
+			}
 		}
-		// Whole batch filtered out: read the next chunk.
+	} else {
+		for _, j := range s.NeedCols {
+			if err := fill(j); err != nil {
+				return nil, err
+			}
+		}
+	}
+	s.attachSegs(b, fp)
+	b.n = fp.NumRows()
+	return b, nil
+}
+
+// attachSegs exposes every segment-backed column of fp through b.Segs.
+func (s *BatchScanIter) attachSegs(b *RowBatch, fp *storage.FrozenPage) {
+	for j := 0; j < s.width; j++ {
+		if _, _, seg := fp.Col(j); seg != nil {
+			b.Segs[j] = seg
+		}
 	}
 }
 
@@ -527,10 +588,6 @@ func (s *BatchScanIter) Close() {
 	if s.selBatches > 0 && s.heap != nil {
 		s.heap.RecordSelBatches(s.selBatches)
 		s.selBatches = 0
-	}
-	if s.batch != nil {
-		PutBatch(s.batch)
-		s.batch = nil
 	}
 	if s.own != nil {
 		PutBatch(s.own)
@@ -550,11 +607,11 @@ func (s *BatchScanIter) SizeHint() (int64, bool) {
 }
 
 // compactBatch keeps only rows with keep[i] set, in order, and returns the
-// surviving count. It requires a dense batch: both callers compact a
-// scan-owned batch straight out of FillRows, before any selection vector
-// can exist, so logical and physical indices coincide.
+// surviving count. It requires a dense batch: the scan compacts its own
+// batch straight out of FillRows, before any selection vector can exist,
+// so logical and physical indices coincide.
 //
-//lint:ignore sinew/sel-invariant dense-only helper: callers compact scan-owned FillRows batches that never carry Sel
+//lint:ignore sinew/sel-invariant dense-only helper: the scan compacts its own FillRows batch, which never carries Sel
 func compactBatch(b *RowBatch, keep []bool) int {
 	n := b.Len()
 	k := 0
@@ -600,12 +657,6 @@ func compactBatch(b *RowBatch, keep []bool) int {
 type BatchFilterIter struct {
 	In   BatchIterator
 	Pred Expr
-	// Pooled borrows the output buffer from the batch pool and returns it
-	// on Close, so column capacity survives across queries. Only safe when
-	// producer and consumer share one goroutine and the consumer honors
-	// the batch-validity contract (the scan's hoisted striped filter);
-	// batches that cross a channel must keep the default private buffer.
-	Pooled bool
 
 	ctx  *EvalCtx
 	out  *RowBatch
@@ -632,11 +683,7 @@ func (f *BatchFilterIter) NextBatch() (*RowBatch, error) {
 		}
 		f.keep = keep
 		if f.out == nil {
-			if f.Pooled {
-				f.out = GetBatch(in.Width())
-			} else {
-				f.out = NewRowBatch(in.Width(), in.Len())
-			}
+			f.out = NewRowBatch(in.Width(), in.Len())
 		}
 		out := f.out
 		out.Reset()
@@ -676,13 +723,7 @@ func (f *BatchFilterIter) NextBatch() (*RowBatch, error) {
 }
 
 // Close implements BatchIterator.
-func (f *BatchFilterIter) Close() {
-	f.In.Close()
-	if f.Pooled && f.out != nil {
-		PutBatch(f.out)
-		f.out = nil
-	}
-}
+func (f *BatchFilterIter) Close() { f.In.Close() }
 
 // RowBudgeter is implemented by cardinality-preserving batch operators
 // that can skip work for rows a LIMIT above them will discard. A parent
@@ -839,7 +880,7 @@ type BatchMultiExtractIter struct {
 	Kernel  MultiExtractKernel
 	K       int
 	// SegKernel, when set, handles batches whose data column carries a
-	// striped ColumnSegment (RowBatch.Segs, attached by striped scans):
+	// striped ColumnSegment (RowBatch.Segs, attached by the scan):
 	// the requested keys are read from the segment's per-attribute vectors
 	// instead of decoding each record. A segment the kernel does not
 	// recognize falls back to Kernel over the materialized column.

@@ -216,6 +216,12 @@ func TestBatchHashAggMatchesRowHashAgg(t *testing.T) {
 	}
 }
 
+// parallelScan is the zero-operator gather: one batch scan per partition,
+// ordered merge.
+func parallelScan(h *storage.Heap, f Expr, size, workers int) *ParallelPipelineIter {
+	return NewParallelPipeline(h.Partitions(workers), selChainBuild(h, f, nil, size, nil))
+}
+
 func TestParallelScanMatchesSequential(t *testing.T) {
 	h := intHeap(t, 2000)
 	filter := &BinExpr{Op: ">=", L: col(0, types.Int), R: lit(types.NewInt(100))}
@@ -225,7 +231,7 @@ func TestParallelScanMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 4, 9} {
-			got := collectBatches(t, NewParallelScan(h, f, 64, workers))
+			got := collectBatches(t, parallelScan(h, f, 64, workers))
 			rowsEqual(t, got, want)
 		}
 	}
@@ -234,7 +240,7 @@ func TestParallelScanMatchesSequential(t *testing.T) {
 func TestParallelScanEarlyClose(t *testing.T) {
 	h := intHeap(t, 3000)
 	for i := 0; i < 20; i++ { // stress the shutdown path
-		it := NewParallelScan(h, nil, 32, 4)
+		it := parallelScan(h, nil, 32, 4)
 		b, err := it.NextBatch()
 		if err != nil || b == nil {
 			t.Fatalf("first batch: %v %v", b, err)
@@ -244,18 +250,19 @@ func TestParallelScanEarlyClose(t *testing.T) {
 	}
 }
 
-func TestParallelScanBytesReadAndHint(t *testing.T) {
-	h := intHeap(t, 2000)
-	it := NewParallelScan(h, nil, 64, 4)
-	if n, exact := it.SizeHint(); !exact || n != 2000 {
-		t.Errorf("hint = %d %v", n, exact)
+// TestParallelScanBytesRead: the partitions of a fully drained parallel
+// scan charge, between them, exactly the heap.
+func TestParallelScanBytesRead(t *testing.T) {
+	rows := make([]storage.Row, 2000)
+	for i := range rows {
+		rows[i] = row(types.NewInt(int64(i)))
 	}
-	rows := collectBatches(t, it)
-	if len(rows) != 2000 {
-		t.Fatalf("rows = %d", len(rows))
+	h, pager := heapOf(t, []types.Type{types.Int}, rows)
+	if got := collectBatches(t, parallelScan(h, nil, 64, 4)); len(got) != len(rows) {
+		t.Fatalf("rows = %d", len(got))
 	}
-	if it.BytesRead() != h.SizeBytes() {
-		t.Errorf("bytes read %d, heap size %d", it.BytesRead(), h.SizeBytes())
+	if read, _ := pager.Stats(); read != h.SizeBytes() {
+		t.Errorf("partitions read %d bytes, heap size %d", read, h.SizeBytes())
 	}
 }
 

@@ -25,9 +25,9 @@ import (
 //     probe their partitions and the match streams merge in partition
 //     order.
 //
-// Cancellation follows ParallelScanIter's discipline: Close signals stop,
-// drains the channels so blocked producers can observe it, and waits for
-// every worker (each worker closes its own source, flushing partition-
+// Cancellation is the same everywhere: Close signals stop, drains the
+// channels so blocked producers can observe it, and waits for every
+// worker (each worker closes its own source, flushing partition-
 // local pager accounting — no goroutine or byte leaks on early LIMIT or
 // error termination).
 
@@ -97,7 +97,7 @@ func releaseBatch(b *RowBatch, pool *workerBatchPool) {
 // cloneBatch deep-copies b into a batch from the worker's pool. Workers
 // clone the top-of-pipeline batch before sending it across the merge
 // channel, because inner operators (project, multi-extract) recycle their
-// output shells and striped scans alias frozen-page vectors. A
+// output shells and the scan aliases frozen-page vectors. A
 // selection-carrying batch is compacted through its selection here, so
 // batches crossing the channel are always dense copies.
 func cloneBatch(b *RowBatch, pool *workerBatchPool) *RowBatch {
@@ -133,6 +133,15 @@ func cloneBatch(b *RowBatch, pool *workerBatchPool) *RowBatch {
 	}
 	out.SetLen(b.Len())
 	return out
+}
+
+// parallelItem is what a partition worker sends its merger.
+type parallelItem struct {
+	b   *RowBatch
+	err error
+	// pool is the producing worker's private batch pool; the merger hands
+	// the consumed batch back to it (releaseBatch).
+	pool *workerBatchPool
 }
 
 // ParallelPipelineIter runs build once per partition on its own goroutine

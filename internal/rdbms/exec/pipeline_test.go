@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -240,34 +241,16 @@ func freezeCols(h *storage.Heap, stripe map[int]bool) int {
 	return h.FreezeColdPages()
 }
 
-// stripedChainBuild is chainBuild with the partition scan in striped page
-// mode, mirroring GatherNode.buildPartition over a segmented heap.
-func stripedChainBuild(h *storage.Heap, pred Expr, projs []Expr, size int) PipelineBuild {
-	return func(rg storage.PageRange) (BatchIterator, error) {
-		scan := NewBatchScanRange(h, nil, size, rg.Start, rg.End)
-		scan.EnableStriped()
-		var cur BatchIterator = scan
-		if pred != nil {
-			cur = &BatchFilterIter{In: cur, Pred: pred}
-		}
-		if projs != nil {
-			cur = &BatchProjectIter{In: cur, Exprs: projs}
-		}
-		return cur, nil
-	}
-}
-
-// selChainBuild mirrors GatherNode.buildPartition over a striped scan
-// whose predicate is compiled into the in-scan selection filter: the
-// SelFilter is shared across partitions, per-partition state instantiates
-// on the worker goroutine.
+// selChainBuild mirrors GatherNode.buildPartition with the predicate
+// pushed into the scan: frozen pages filter through the SelFilter (shared
+// across partitions, per-partition state instantiated on the worker
+// goroutine; nil makes the scan compile its own), row-form pages compact
+// in place. With no projection it is the zero-operator gather of a bare
+// filtered scan.
 func selChainBuild(h *storage.Heap, pred Expr, projs []Expr, size int, sf *SelFilter) PipelineBuild {
 	return func(rg storage.PageRange) (BatchIterator, error) {
 		scan := NewBatchScanRange(h, pred, size, rg.Start, rg.End)
-		if sf != nil {
-			scan.SetSelFilter(sf)
-		}
-		scan.EnableStriped()
+		scan.SetSelFilter(sf)
 		var cur BatchIterator = scan
 		if projs != nil {
 			cur = &BatchProjectIter{In: cur, Exprs: projs}
@@ -278,9 +261,9 @@ func selChainBuild(h *storage.Heap, pred Expr, projs []Expr, size int, sf *SelFi
 
 // TestPropertyStripedMatchesRow extends the three-way differential test
 // with the frozen-segment leg: over heaps whose full pages are frozen
-// into column segments, the row pipeline, the striped serial batch
-// pipeline, and the striped parallel pipeline must agree — before and
-// after an Update un-freezes a page mid-table, leaving a frozen/row mix.
+// into column segments, the row pipeline, the serial batch pipeline, and
+// the parallel pipeline must agree — before and after an Update un-freezes
+// a page mid-table, leaving a frozen/row mix.
 func TestPropertyStripedMatchesRow(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -317,30 +300,29 @@ func TestPropertyStripedMatchesRow(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %s: row pipeline: %v", seed, phase, err)
 			}
-			scan := NewBatchScan(h, nil, size)
-			scan.EnableStriped()
-			// A hoisted filter above a striped scan remains a supported
-			// operator shape (residual predicates land there).
-			striped := collectBatches(t, &BatchProjectIter{Exprs: projs,
-				In: &BatchFilterIter{Pred: pred, In: scan, Pooled: true}})
-			rowsEqual(t, striped, want)
+			// A filter above the scan remains a supported operator shape
+			// (residual predicates land there).
+			hoisted := collectBatches(t, &BatchProjectIter{Exprs: projs,
+				In: &BatchFilterIter{Pred: pred, In: NewBatchScan(h, nil, size)}})
+			rowsEqual(t, hoisted, want)
 			// The planner path proper: predicates compiled into the in-scan
 			// selection filter, survivors carried by a selection vector.
 			sf := CompileSelFilter([]Expr{pred}, len(colTypes), nil, nil)
 			selScan := NewBatchScan(h, pred, size)
 			selScan.SetSelFilter(sf)
-			selScan.EnableStriped()
 			selLeg := collectBatches(t, &BatchProjectIter{Exprs: projs, In: selScan})
 			rowsEqual(t, selLeg, want)
 			for _, workers := range []int{2, 3} {
 				par := collectBatches(t, NewParallelPipeline(
-					h.Partitions(workers), stripedChainBuild(h, pred, projs, size)))
+					h.Partitions(workers), chainBuild(h, pred, projs, size)))
 				rowsEqual(t, par, want)
 				selPar := collectBatches(t, NewParallelPipeline(
 					h.Partitions(workers), selChainBuild(h, pred, projs, size, sf)))
 				rowsEqual(t, selPar, want)
+				// The zero-operator gather of a bare filtered scan, the
+				// projection above the merge.
 				scanPar := collectBatches(t, &BatchProjectIter{Exprs: projs,
-					In: NewParallelScanStriped(h, pred, size, workers, nil, nil, true, sf)})
+					In: NewParallelPipeline(h.Partitions(workers), selChainBuild(h, pred, nil, size, sf))})
 				rowsEqual(t, scanPar, want)
 			}
 		}
@@ -364,11 +346,178 @@ func TestPropertyStripedMatchesRow(t *testing.T) {
 	}
 }
 
+// TestPropertyStripedMixedHeap holds the scan's one loop to the row
+// engine on a heap that has every kind of stretch at once: frozen pages,
+// one page un-frozen by an UPDATE between them, a multi-page row-form run
+// with deleted slots in it, and a short tail — scanned with and without
+// predicates, with NeedCols, with a page-skip test, serially and in three
+// partitions whose boundaries fall inside the row-form run.
+func TestPropertyStripedMixedHeap(t *testing.T) {
+	const frozenPages, runPages = 5, 5
+	per := storage.PageCapacity
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		colTypes := []types.Type{types.Int, types.Text, types.Float}
+		rows := randBatchRows(r, colTypes, (frozenPages+runPages)*per+1+r.Intn(per-1))
+		for i := range rows {
+			rows[i][0] = types.NewInt(int64(i)) // monotone: page ranges are disjoint
+		}
+		h, pager := heapOf(t, colTypes, rows[:frozenPages*per])
+		if n := freezeCols(h, map[int]bool{1: true}); n != frozenPages {
+			t.Fatalf("seed %d: froze %d pages, want %d", seed, n, frozenPages)
+		}
+		for _, row := range rows[frozenPages*per:] {
+			if err := h.Insert(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		thawed := storage.RowID{Page: 2, Slot: r.Intn(per)}
+		upd := rows[thawed.Page*per+thawed.Slot].Clone()
+		upd[1] = types.NewText("thawed")
+		if _, err := h.Update(thawed, upd); err != nil {
+			t.Fatalf("seed %d: un-freezing update: %v", seed, err)
+		}
+		for i := 0; i < 1+r.Intn(per/2); i++ {
+			// Deleting a deleted slot again fails; that is fine here.
+			_, _ = h.Delete(storage.RowID{Page: frozenPages + 2, Slot: r.Intn(per)})
+		}
+		if h.NumFrozenPages() != frozenPages-1 || h.NumPages() != frozenPages+runPages+1 {
+			t.Fatalf("seed %d: %d frozen of %d pages", seed, h.NumFrozenPages(), h.NumPages())
+		}
+		whole := storage.PageRange{Start: 0, End: h.NumPages()}
+		parts := []storage.PageRange{
+			{Start: 0, End: frozenPages + 1},
+			{Start: frozenPages + 1, End: frozenPages + 3},
+			{Start: frozenPages + 3, End: h.NumPages()},
+		}
+		size := 1 + r.Intn(300)
+
+		// check runs one scan set-up serially and partitioned and compares
+		// both with the row engine's answer over the needed columns.
+		check := func(leg string, pred Expr, need []int, skip func(*storage.PageSummary) bool) {
+			out := need
+			if out == nil {
+				out = []int{0, 1, 2}
+			}
+			projs := make([]Expr, len(out))
+			for i, j := range out {
+				projs[i] = col(j, colTypes[j])
+			}
+			var in Iterator = NewScan(h, nil)
+			if pred != nil {
+				in = &FilterIter{Pred: pred, In: in}
+			}
+			want, err := Collect(&ProjectIter{Exprs: projs, In: in})
+			if err != nil {
+				t.Fatalf("seed %d %s: row pipeline: %v", seed, leg, err)
+			}
+			var sf *SelFilter // nil on odd seeds: the scan compiles its own
+			if pred != nil && seed%2 == 0 {
+				sf = CompileSelFilter([]Expr{pred}, len(colTypes), nil, nil)
+			}
+			build := func(rg storage.PageRange) (BatchIterator, error) {
+				s := NewBatchScanRange(h, pred, size, rg.Start, rg.End)
+				s.NeedCols = need
+				if skip != nil {
+					s.SetPageSkip(skip)
+				}
+				s.SetSelFilter(sf)
+				return s, nil
+			}
+			serial, _ := build(whole)
+			pager.Reset()
+			rowsEqual(t, collectBatches(t, &BatchProjectIter{Exprs: projs, In: serial}), want)
+			if skipped, _ := pager.ExecStats(); skip != nil && skipped == 0 {
+				t.Fatalf("seed %d %s: the skip test skipped no page", seed, leg)
+			}
+			rowsEqual(t, collectBatches(t, &BatchProjectIter{Exprs: projs,
+				In: NewParallelPipeline(parts, build)}), want)
+		}
+
+		pred := randPred(r, colTypes, 3, true)
+		check("bare", nil, nil, nil)
+		check("filtered", pred, nil, nil)
+
+		used := map[int]bool{0: true}
+		ColumnsUsed(pred, func(j int) { used[j] = true })
+		var need []int
+		for j := range colTypes {
+			if used[j] {
+				need = append(need, j)
+			}
+		}
+		check("needcols", pred, need, nil)
+		check("needcols bare", nil, []int{2}, nil)
+
+		// c0 >= k excludes every page whose summary tops out below k: the
+		// frozen pages before it and the row-form ones alike (the thawed
+		// page lost its summary and is read).
+		k := int64((frozenPages+1)*per + r.Intn(2*per))
+		ranged := &BinExpr{Op: "AND", R: pred,
+			L: &BinExpr{Op: ">=", L: col(0, types.Int), R: lit(types.NewInt(k))}}
+		check("skip", ranged, nil, func(s *storage.PageSummary) bool {
+			_, max, ok := s.ColRange(0)
+			return ok && max.I < k
+		})
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestBatchScanShapes pins the batches the scan emits on the two extremes
+// of a heap's life, as captured on the commit that still had a striped and
+// a non-striped mode: DefaultBatchSize-row batches from a heap that was
+// never frozen, one batch per page from a fully frozen one.
+func TestBatchScanShapes(t *testing.T) {
+	lens := func(it BatchIterator) (out []int) {
+		defer it.Close()
+		for {
+			b, err := it.NextBatch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				return out
+			}
+			out = append(out, b.Len())
+		}
+	}
+	pages := func(n ...int) (out []int) {
+		for i := 0; i < n[0]; i++ {
+			out = append(out, storage.PageCapacity)
+		}
+		return append(out, n[1:]...)
+	}
+	pred := &BinExpr{Op: "<", L: col(0, types.Int), R: lit(types.NewInt(1500))}
+	never := intHeap(t, 3000)
+	frozen := intHeap(t, 24*storage.PageCapacity)
+	if n := freezeCols(frozen, map[int]bool{1: true}); n != 24 {
+		t.Fatalf("froze %d pages, want 24", n)
+	}
+	for _, tc := range []struct {
+		name string
+		h    *storage.Heap
+		pred Expr
+		want []int
+	}{
+		{"never frozen", never, nil, []int{1024, 1024, 952}},
+		{"never frozen, filtered", never, pred, []int{1024, 476}},
+		{"fully frozen", frozen, nil, pages(24)},
+		{"fully frozen, filtered", frozen, pred, pages(11, 92)},
+	} {
+		if got := lens(NewBatchScan(tc.h, tc.pred, 0)); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: batch lengths %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestPropertyStripedSelConsumers drives selection-carrying batches from
 // in-scan sel filters through the operators that change or consume
 // cardinality — LIMIT, GROUP BY aggregation, and hash joins — comparing
-// serial and parallel striped legs against the row pipeline, on all-frozen
-// and mixed frozen/row-form heaps.
+// serial and parallel legs against the row pipeline, on all-frozen and
+// mixed frozen/row-form heaps.
 func TestPropertyStripedSelConsumers(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -389,7 +538,6 @@ func TestPropertyStripedSelConsumers(t *testing.T) {
 		selScan := func() *BatchScanIter {
 			s := NewBatchScan(h, pred, size)
 			s.SetSelFilter(sf)
-			s.EnableStriped()
 			return s
 		}
 
@@ -407,7 +555,7 @@ func TestPropertyStripedSelConsumers(t *testing.T) {
 			gotL := collectBatches(t, &BatchLimitIter{N: n, In: selScan()})
 			rowsEqual(t, gotL, wantL)
 			gotLP := collectBatches(t, &BatchLimitIter{N: n,
-				In: NewParallelScanStriped(h, pred, size, 3, nil, nil, true, sf)})
+				In: NewParallelPipeline(h.Partitions(3), selChainBuild(h, pred, nil, size, sf))})
 			rowsEqual(t, gotLP, wantL)
 
 			// GROUP BY over sel batches, serial and two-phase parallel.
@@ -508,10 +656,8 @@ func TestStripedSegKernelFastPath(t *testing.T) {
 		return true, nil
 	}
 	run := func(segK SegExtractKernel) []storage.Row {
-		scan := NewBatchScan(h, nil, 64)
-		scan.EnableStriped()
 		return collectBatches(t, &BatchMultiExtractIter{
-			In: scan, DataIdx: 1, K: 1, Kernel: kernel, SegKernel: segK})
+			In: NewBatchScan(h, nil, 64), DataIdx: 1, K: 1, Kernel: kernel, SegKernel: segK})
 	}
 
 	want := run(nil) // row Kernel everywhere

@@ -7,10 +7,10 @@ import (
 	"github.com/sinewdata/sinew/internal/rdbms/types"
 )
 
-// This file implements in-scan predicate evaluation for striped scans: the
+// This file implements in-scan predicate evaluation over frozen pages: the
 // pushed-down conjuncts are compiled once at plan time into a SelFilter,
-// and the scan evaluates them page by page directly against the frozen
-// page's column vectors, emitting a selection vector (RowBatch.Sel)
+// and the batch scan evaluates them page by page directly against the
+// frozen page's column vectors, emitting a selection vector (RowBatch.Sel)
 // instead of a compacted copy. Extraction atoms inside the conjuncts
 // (json_int(data, 'key') and friends) are rewritten to read shared slot
 // columns filled by one segment-kernel pass per page, so a predicate over
@@ -49,7 +49,7 @@ type SelConjunct struct {
 	rank float64
 }
 
-// SelFilter is the compiled in-scan filter of a striped batch scan. It is
+// SelFilter is the compiled in-scan filter of a batch scan's frozen pages. It is
 // immutable after compilation and safe to share across parallel scan
 // partitions; each scan instantiates its own evaluation state.
 type SelFilter struct {
@@ -92,7 +92,7 @@ type selCompiler struct {
 }
 
 // CompileSelFilter compiles pushed-down conjuncts into a SelFilter for a
-// striped scan of the given physical width. The lookups resolve an
+// scan of the given physical width. The lookups resolve an
 // extraction family to its kernel factories (nil-able; without a row
 // factory the family's atoms are left un-rewritten and evaluate through
 // the row-wise fallback). Returns nil when preds is empty.
@@ -389,6 +389,9 @@ func (st *selScanState) beginPage() {
 // filtered page returns (nil, nil): the caller reads the next page.
 func (s *BatchScanIter) frozenSelBatch(fp *storage.FrozenPage) (*RowBatch, error) {
 	if s.selState == nil {
+		if s.sf == nil {
+			s.sf = CompileSelFilter([]Expr{s.Filter}, s.width, nil, nil)
+		}
 		s.selState = newSelScanState(s.sf)
 	}
 	st := s.selState
@@ -466,11 +469,7 @@ func (s *BatchScanIter) frozenSelBatch(fp *storage.FrozenPage) (*RowBatch, error
 	if err := fillNeeded(); err != nil {
 		return nil, err
 	}
-	for j := 0; j < s.width; j++ {
-		if _, _, seg := fp.Col(j); seg != nil {
-			b.Segs[j] = seg
-		}
-	}
+	s.attachSegs(b, fp)
 	b.n = phys
 	b.Sel = sel
 	if sel != nil {
@@ -605,13 +604,9 @@ type selKernelErr struct{}
 
 func (*selKernelErr) Error() string { return "exec: selection-filter kernels unavailable" }
 
-// selSlice returns an empty selection buffer with capacity for the page:
-// the scan-owned buffer when batches are consumer-local, a fresh
-// allocation when they cross a goroutine boundary.
+// selSlice returns the scan-owned selection buffer, emptied, with capacity
+// for the page.
 func (s *BatchScanIter) selSlice(phys int) []int32 {
-	if !s.reuse {
-		return make([]int32, 0, phys)
-	}
 	st := s.selState
 	if cap(st.selBuf) < phys {
 		st.selBuf = make([]int32, 0, phys)
@@ -619,19 +614,17 @@ func (s *BatchScanIter) selSlice(phys int) []int32 {
 	return st.selBuf[:0]
 }
 
-// frozenShell returns the cleared frozen-page shell batch (see
-// frozenBatch: never pooled, never Reset).
+// frozenShell returns the cleared frozen-page shell batch. It is never
+// pooled and never Reset — both would corrupt the aliased page storage.
 func (s *BatchScanIter) frozenShell() *RowBatch {
 	b := s.shell
-	if b == nil || !s.reuse {
+	if b == nil {
 		b = &RowBatch{
 			Cols:  make([][]types.Datum, s.width),
 			Nulls: make([]NullBitmap, s.width),
 			Segs:  make([]storage.ColumnSegment, s.width),
 		}
-		if s.reuse {
-			s.shell = b
-		}
+		s.shell = b
 	}
 	for j := 0; j < s.width; j++ {
 		b.Cols[j] = nil

@@ -51,14 +51,14 @@ func (p *Planner) fuseExtracts(n Node) {
 		}
 	case *SortNode:
 		if x.Batch {
-			x.Child = p.fuseSortKeys(x.Child, x.Keys, x.BatchSize)
+			x.Child = p.fuseSortKeys(x.Child, x.Keys)
 			// The appended key columns ride through the sort: republish its
 			// layout so parents index past them.
 			x.layout = &Layout{Rows: x.layout.Rows, Cols: x.Child.Layout().Cols}
 		}
 	case *TopNNode:
 		if x.Batch {
-			x.Child = p.fuseSortKeys(x.Child, x.Keys, x.BatchSize)
+			x.Child = p.fuseSortKeys(x.Child, x.Keys)
 			x.layout = &Layout{Rows: x.layout.Rows, Cols: x.Child.Layout().Cols}
 		}
 	}
@@ -71,7 +71,7 @@ func (p *Planner) fuseProject(pn *ProjectNode) {
 	for i := range pn.Exprs {
 		slots[i] = &pn.Exprs[i]
 	}
-	pn.Child = p.fuseSlots(pn.Child, slots, pn.BatchSize)
+	pn.Child = p.fuseSlots(pn.Child, slots)
 }
 
 // fuseSortKeys applies the fusion rewrite to sort-key expressions: fused
@@ -79,19 +79,19 @@ func (p *Planner) fuseProject(pn *ProjectNode) {
 // evaluation is one vectorized kernel pass (segment vectors on striped
 // scans) instead of a per-row record parse. The appended columns ride
 // through the sort as ordinary payload.
-func (p *Planner) fuseSortKeys(child Node, keys []exec.SortKey, batchSize int) Node {
+func (p *Planner) fuseSortKeys(child Node, keys []exec.SortKey) Node {
 	slots := make([]*exec.Expr, len(keys))
 	for i := range keys {
 		slots[i] = &keys[i].Expr
 	}
-	return p.fuseSlots(child, slots, batchSize)
+	return p.fuseSlots(child, slots)
 }
 
 // fuseSlots is the shared fusion body: it collects fusable extraction
 // calls from the expression slots, inserts MultiExtractNodes above child
 // for every group worth fusing, rewrites the slots to reference the
 // appended columns, and returns the (possibly unchanged) child.
-func (p *Planner) fuseSlots(child Node, exprSlots []*exec.Expr, batchSize int) Node {
+func (p *Planner) fuseSlots(child Node, exprSlots []*exec.Expr) Node {
 	childW := len(child.Layout().Cols)
 
 	type slot struct {
@@ -199,7 +199,7 @@ func (p *Planner) fuseSlots(child Node, exprSlots []*exec.Expr, batchSize int) N
 		// Fusing needs ≥2 keys to pay off on the row path (one decode for
 		// all keys); a single key still fuses over a striped-eligible scan,
 		// where only a MultiExtractNode can reach the segment vectors.
-		if len(g.keys) < 2 && !p.stripedFusable(g.gk.family, child) {
+		if len(g.keys) < 2 && !p.segmentFusable(g.gk.family, child) {
 			continue
 		}
 		factory, _ := p.Funcs.MultiExtract(g.gk.family)
@@ -230,12 +230,6 @@ func (p *Planner) fuseSlots(child Node, exprSlots []*exec.Expr, batchSize int) N
 			Factory: factory,
 			Family:  g.gk.family,
 			Source:  src,
-			BatchSize: func() int {
-				if batchSize > 0 {
-					return batchSize
-				}
-				return exec.DefaultBatchSize
-			}(),
 		}
 		colBase += len(reqs)
 	}

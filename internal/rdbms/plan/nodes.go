@@ -52,13 +52,13 @@ type batchNode interface {
 // openBatch opens child as a batch stream: natively when the child was
 // planned in batch mode, otherwise through a RowToBatch adapter (the
 // boundary above Sort/joins).
-func openBatch(ec *exec.ExecCtx, child Node, size int) exec.BatchIterator {
+func openBatch(ec *exec.ExecCtx, child Node) exec.BatchIterator {
 	if bn, ok := child.(batchNode); ok {
 		if it, native := bn.OpenBatch(ec); native {
 			return it
 		}
 	}
-	return &exec.RowToBatch{In: child.Open(ec), Size: size}
+	return &exec.RowToBatch{In: child.Open(ec)}
 }
 
 // execView resolves a scan's exec-time read view: a statement context pins
@@ -83,18 +83,18 @@ type batchAnnotated interface {
 // the plan-time read view used for costing and plan shaping; Open re-binds
 // the scan to the statement's pinned snapshot through its ExecCtx (PlanSelect
 // resets the field to the owner heap after planning, so cached plans do not
-// retain the planning-time snapshot's pages).
+// retain the planning-time snapshot's pages). A batch scan has no modes:
+// exec.BatchScanIter picks, page by page, between aliasing a frozen page
+// and transposing row-form ones, and it is serial — parallelism is a
+// GatherNode opening one range per worker through openRange.
 type ScanNode struct {
 	baseNode
 	Heap      storage.ReadView
 	TableName string
 	AliasName string
 	Preds     []exec.Expr
-	// Batch selects the batch-at-a-time pipeline; BatchSize is rows per
-	// RowBatch and Workers > 1 selects the parallel partitioned scan.
-	Batch     bool
-	BatchSize int
-	Workers   int
+	// Batch selects the batch-at-a-time pipeline.
+	Batch bool
 	// NeedCols, when non-nil, restricts the batch scan to materializing
 	// only these column indices (scan column pruning, see
 	// pruneScanColumns).
@@ -107,16 +107,11 @@ type ScanNode struct {
 	// derived from (EXPLAIN only).
 	Skip      func() func(*storage.PageSummary) bool
 	SkipConds int
-	// Striped selects the striped page mode: frozen heap pages are
-	// delivered as column aliases with their segments attached
-	// (RowBatch.Segs), so the fused extraction above can read per-attribute
-	// vectors. Set by stripeScans on batch scans of segmented heaps.
-	Striped bool
-	// SelFilter is the in-scan compiled form of Preds for striped scans:
-	// ranked conjuncts evaluated page by page against frozen-page column
-	// vectors, emitting selection vectors instead of compacted copies
-	// (see stripeScans / exec.CompileSelFilter). Nil when Preds is empty
-	// or the scan is not striped.
+	// SelFilter is the compiled form of Preds the scan runs on frozen
+	// pages: ranked conjuncts evaluated against the page's column vectors,
+	// emitting selection vectors instead of compacted copies (see
+	// prepareSegmented / exec.CompileSelFilter). Nil when Preds is empty
+	// or the heap had no frozen page at plan time.
 	SelFilter *exec.SelFilter
 }
 
@@ -133,13 +128,6 @@ func (s *ScanNode) Details() []string {
 	var d []string
 	if len(s.Preds) > 0 {
 		d = append(d, "Filter: "+predsDisplay(s.Preds))
-	}
-	if s.Batch {
-		line := fmt.Sprintf("Batch Size: %d", s.BatchSize)
-		if s.Workers > 1 {
-			line += fmt.Sprintf("  Workers: %d", s.Workers)
-		}
-		d = append(d, line)
 	}
 	if s.Skip != nil {
 		d = append(d, fmt.Sprintf("Page Skip: %d conds", s.SkipConds))
@@ -164,48 +152,26 @@ func (s *ScanNode) OpenBatch(ec *exec.ExecCtx) (exec.BatchIterator, bool) {
 		return nil, false
 	}
 	v := execView(ec, s.Heap)
-	var skip func(*storage.PageSummary) bool
-	if s.Skip != nil {
-		skip = s.Skip()
-	}
-	if s.Workers > 1 {
-		if s.Striped {
-			v.Owner().RecordParallelStriped(1)
-		}
-		return exec.NewParallelScanStriped(v, conjoinExec(s.Preds), s.BatchSize, s.Workers, s.NeedCols, skip, s.Striped, s.SelFilter), true
-	}
-	it := exec.NewBatchScan(v, conjoinExec(s.Preds), s.BatchSize)
+	return s.openRange(v, 0, v.NumPages()), true
+}
+
+// openRange opens the batch scan over pages [start, end) of v: the whole
+// heap for a serial plan, one partition for a gather worker. It runs on
+// the goroutine that will drive the scan, so the skip test and the scan's
+// evaluation state are that goroutine's own.
+func (s *ScanNode) openRange(v storage.ReadView, start, end int) *exec.BatchScanIter {
+	it := exec.NewBatchScanRange(v, conjoinExec(s.Preds), exec.DefaultBatchSize, start, end)
 	it.NeedCols = s.NeedCols
-	if skip != nil {
-		it.SetPageSkip(skip)
+	if s.Skip != nil {
+		it.SetPageSkip(s.Skip())
 	}
-	if s.Striped {
-		// A striped scan evaluates its predicates in-scan: frozen pages
-		// alias immutable column vectors and filter via selection vectors
-		// (exec.SelFilter); row-form pages compact in place.
-		if s.SelFilter != nil {
-			it.SetSelFilter(s.SelFilter)
-		}
-		it.EnableStriped()
-	}
-	return it, true
+	it.SetSelFilter(s.SelFilter)
+	return it
 }
 
 func (s *ScanNode) batchAnnotation() string {
 	if !s.Batch {
 		return ""
-	}
-	if s.Workers > 1 {
-		if s.Striped {
-			return " (batch, parallel, striped)"
-		}
-		return " (batch, parallel)"
-	}
-	if s.Striped {
-		if len(s.Preds) > 0 {
-			return " (batch, striped, sel)"
-		}
-		return " (batch, striped)"
 	}
 	return " (batch)"
 }
@@ -215,10 +181,9 @@ func (s *ScanNode) batchAnnotation() string {
 // FilterNode applies residual predicates above another node.
 type FilterNode struct {
 	baseNode
-	Child     Node
-	Preds     []exec.Expr
-	Batch     bool
-	BatchSize int
+	Child Node
+	Preds []exec.Expr
+	Batch bool
 }
 
 // Label implements Node.
@@ -243,7 +208,7 @@ func (f *FilterNode) OpenBatch(ec *exec.ExecCtx) (exec.BatchIterator, bool) {
 	if !f.Batch {
 		return nil, false
 	}
-	return &exec.BatchFilterIter{In: openBatch(ec, f.Child, f.BatchSize), Pred: conjoinExec(f.Preds)}, true
+	return &exec.BatchFilterIter{In: openBatch(ec, f.Child), Pred: conjoinExec(f.Preds)}, true
 }
 
 func (f *FilterNode) batchAnnotation() string {
@@ -258,10 +223,9 @@ func (f *FilterNode) batchAnnotation() string {
 // ProjectNode computes output expressions.
 type ProjectNode struct {
 	baseNode
-	Child     Node
-	Exprs     []exec.Expr
-	Batch     bool
-	BatchSize int
+	Child Node
+	Exprs []exec.Expr
+	Batch bool
 }
 
 // Label implements Node.
@@ -292,7 +256,7 @@ func (p *ProjectNode) OpenBatch(ec *exec.ExecCtx) (exec.BatchIterator, bool) {
 	if !p.Batch {
 		return nil, false
 	}
-	return &exec.BatchProjectIter{In: openBatch(ec, p.Child, p.BatchSize), Exprs: p.Exprs}, true
+	return &exec.BatchProjectIter{In: openBatch(ec, p.Child), Exprs: p.Exprs}, true
 }
 
 func (p *ProjectNode) batchAnnotation() string {
@@ -317,17 +281,16 @@ type MultiExtractNode struct {
 	Factory exec.MultiExtractFactory
 	// SegFactory, when non-nil, builds the segment-aware kernel used for
 	// batches that carry the data column as a striped ColumnSegment (set by
-	// stripeScans when the scan below is striped and the family registered
-	// a SegExtractFactory).
+	// prepareSegmented when the scan below is over a segmented heap and the
+	// family registered a SegExtractFactory).
 	SegFactory exec.SegExtractFactory
 	// Family is the fused call family the node was built from (the
-	// FuseFamily of the rewritten calls); stripeScans resolves the segment
-	// factory with it.
+	// FuseFamily of the rewritten calls); prepareSegmented resolves the
+	// segment factory with it.
 	Family string
 	// Source names the fused call family for EXPLAIN (e.g. the reservoir
 	// column the keys come from).
-	Source    string
-	BatchSize int
+	Source string
 }
 
 // Label implements Node.
@@ -365,7 +328,7 @@ func (m *MultiExtractNode) OpenBatch(ec *exec.ExecCtx) (exec.BatchIterator, bool
 		}
 	}
 	return &exec.BatchMultiExtractIter{
-		In:        openBatch(ec, m.Child, m.BatchSize),
+		In:        openBatch(ec, m.Child),
 		DataIdx:   m.DataIdx,
 		Kernel:    kernel,
 		SegKernel: segKernel,
@@ -419,10 +382,8 @@ type SortNode struct {
 	baseNode
 	Child Node
 	Keys  []exec.SortKey
-	// Batch selects the batch-native permutation sort (BatchSortIter);
-	// BatchSize is rows per emitted RowBatch.
-	Batch     bool
-	BatchSize int
+	// Batch selects the batch-native permutation sort (BatchSortIter).
+	Batch bool
 }
 
 // Label implements Node.
@@ -450,8 +411,7 @@ func (s *SortNode) OpenBatch(ec *exec.ExecCtx) (exec.BatchIterator, bool) {
 		return nil, false
 	}
 	return &exec.BatchSortIter{
-		In: openBatch(ec, s.Child, s.BatchSize), Keys: s.Keys,
-		Size: s.BatchSize, Heap: heapBelow(s.Child),
+		In: openBatch(ec, s.Child), Keys: s.Keys, Heap: heapBelow(s.Child),
 	}, true
 }
 
@@ -467,11 +427,10 @@ func (s *SortNode) batchAnnotation() string {
 // only the best N rows are ever materialized.
 type TopNNode struct {
 	baseNode
-	Child     Node
-	Keys      []exec.SortKey
-	N         int64
-	Batch     bool
-	BatchSize int
+	Child Node
+	Keys  []exec.SortKey
+	N     int64
+	Batch bool
 }
 
 // Label implements Node.
@@ -503,8 +462,7 @@ func (t *TopNNode) OpenBatch(ec *exec.ExecCtx) (exec.BatchIterator, bool) {
 		return nil, false
 	}
 	return &exec.BatchTopNIter{
-		In: openBatch(ec, t.Child, t.BatchSize), Keys: t.Keys, N: t.N,
-		Size: t.BatchSize, Heap: heapBelow(t.Child),
+		In: openBatch(ec, t.Child), Keys: t.Keys, N: t.N, Heap: heapBelow(t.Child),
 	}, true
 }
 
@@ -541,12 +499,11 @@ func (u *UniqueNode) Open(ec *exec.ExecCtx) exec.Iterator {
 // HashAggNode groups via hash table (Table 2's "HashAggregate").
 type HashAggNode struct {
 	baseNode
-	Child     Node
-	GroupBy   []exec.Expr
-	Aggs      []*exec.AggSpec
-	AggNames  []string
-	Batch     bool
-	BatchSize int
+	Child    Node
+	GroupBy  []exec.Expr
+	Aggs     []*exec.AggSpec
+	AggNames []string
+	Batch    bool
 }
 
 // Label implements Node.
@@ -581,7 +538,7 @@ func (h *HashAggNode) OpenBatch(ec *exec.ExecCtx) (exec.BatchIterator, bool) {
 		return nil, false
 	}
 	return &exec.BatchHashAggIter{
-		In: openBatch(ec, h.Child, h.BatchSize), GroupBy: h.GroupBy, Aggs: h.Aggs, Size: h.BatchSize,
+		In: openBatch(ec, h.Child), GroupBy: h.GroupBy, Aggs: h.Aggs,
 	}, true
 }
 
@@ -633,8 +590,7 @@ type HashJoinNode struct {
 	Residual  []exec.Expr
 	// Batch selects the adapter-free batch join (BatchHashJoinIter) with a
 	// columnar build table.
-	Batch     bool
-	BatchSize int
+	Batch bool
 }
 
 // Label implements Node.
@@ -675,11 +631,10 @@ func (j *HashJoinNode) OpenBatch(ec *exec.ExecCtx) (exec.BatchIterator, bool) {
 		return nil, false
 	}
 	return &exec.BatchHashJoinIter{
-		Probe: openBatch(ec, j.Probe, j.BatchSize), Build: openBatch(ec, j.Build, j.BatchSize),
+		Probe: openBatch(ec, j.Probe), Build: openBatch(ec, j.Build),
 		ProbeKeys: j.ProbeKeys, BuildKeys: j.BuildKeys,
 		Residual:   conjoinExec(j.Residual),
 		BuildWidth: len(j.Build.Layout().Cols),
-		Size:       j.BatchSize,
 	}, true
 }
 
@@ -761,10 +716,9 @@ func (j *NestedLoopNode) Open(ec *exec.ExecCtx) exec.Iterator {
 // LimitNode truncates output.
 type LimitNode struct {
 	baseNode
-	Child     Node
-	N         int64
-	Batch     bool
-	BatchSize int
+	Child Node
+	N     int64
+	Batch bool
 }
 
 // Label implements Node.
@@ -789,7 +743,7 @@ func (l *LimitNode) OpenBatch(ec *exec.ExecCtx) (exec.BatchIterator, bool) {
 	if !l.Batch {
 		return nil, false
 	}
-	return &exec.BatchLimitIter{In: openBatch(ec, l.Child, l.BatchSize), N: l.N}, true
+	return &exec.BatchLimitIter{In: openBatch(ec, l.Child), N: l.N}, true
 }
 
 func (l *LimitNode) batchAnnotation() string {

@@ -81,7 +81,7 @@ func (p *Planner) deriveSkips(n Node) {
 }
 
 func (p *Planner) deriveScanSkip(s *ScanNode, extra []exec.Expr) {
-	if p.Cfg == nil || !p.Cfg.EnablePageSkip || !s.Batch {
+	if !s.Batch {
 		return
 	}
 	resolver := p.Funcs.AttrResolverFn()

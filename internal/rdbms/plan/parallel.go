@@ -9,19 +9,22 @@ import (
 	"github.com/sinewdata/sinew/internal/rdbms/types"
 )
 
-// This file implements the morsel-driven parallelization pass: after the
-// plan is built, fused, and pruned, parallelize replaces eligible pipeline
-// fragments — SCAN→FILTER→PROJECT chains, hash aggregations over such
-// chains, and hash-join probes — with a GatherNode that runs the whole
+// This file implements the morsel-driven parallelization pass, the one
+// source of parallelism in a plan: after the plan is built, fused, and
+// pruned, parallelize replaces eligible pipeline fragments — a scan with
+// predicates, SCAN→FILTER→PROJECT chains, hash aggregations and sorts over
+// such chains, and hash-join probes — with a GatherNode that runs the whole
 // fragment once per heap partition and merges the worker streams. A
 // fragment is eligible when every expression in it is parallel-safe (no
 // volatile UDFs), the aggregate (if any) is mergeable (no DISTINCT; MIN/MAX
 // over a statically typed argument), it is not under a LIMIT (row budgets
-// do not cross goroutines, so LIMIT is a barrier), and the table is large
-// enough for the configured worker count to exceed one.
+// do not cross goroutines, and workers would read ahead into their
+// partitions for rows the limit discards, so LIMIT is a barrier), and the
+// table is large enough for the configured worker count to exceed one.
 
 // GatherNode runs its input fragment once per heap partition and merges
-// the per-worker streams. Merge strategy:
+// the per-worker streams. Every scan is serial by itself; a GatherNode is
+// what makes a plan parallel. Merge strategy:
 //
 //	ordered          — partition streams drained in partition order; output
 //	                   order identical to the serial pipeline.
@@ -29,13 +32,15 @@ import (
 //	                   group emission (Agg set).
 //	partitioned probe— shared hash-join build table, workers probe their
 //	                   partitions (Join set).
+//	sorted           — partitions sort locally, k-way merge (Sort/TopN set).
 type GatherNode struct {
 	baseNode
 	// Input is the parallelized subtree, displayed as the EXPLAIN child.
 	Input Node
 	// Scan is the chain's bottom scan; Ops are the chain operators above it
-	// in bottom-up order (Filter/Project/MultiExtract), excluding the
-	// aggregate or join root when Agg/Join is set.
+	// in bottom-up order (Filter/Project/MultiExtract; none for a bare
+	// filtered scan), excluding the aggregate, join or sort root when
+	// Agg/Join/Sort/TopN is set.
 	Scan *ScanNode
 	Ops  []Node
 	// Agg selects two-phase aggregation; Join selects partitioned probe;
@@ -74,15 +79,7 @@ func (g *GatherNode) Details() []string {
 // Children implements Node.
 func (g *GatherNode) Children() []Node { return []Node{g.Input} }
 
-func (g *GatherNode) batchAnnotation() string {
-	if g.Scan != nil && g.Scan.Striped {
-		if len(g.Scan.Preds) > 0 {
-			return " (batch, parallel, striped, sel)"
-		}
-		return " (batch, parallel, striped)"
-	}
-	return " (batch, parallel)"
-}
+func (g *GatherNode) batchAnnotation() string { return " (batch, parallel)" }
 
 // buildPartition constructs one worker's operator chain over a page range
 // of view v (the statement's pinned snapshot — every partition scans the
@@ -90,24 +87,12 @@ func (g *GatherNode) batchAnnotation() string {
 // worker goroutine, so per-worker scratch (scan eval contexts, fused
 // extraction kernels) is instantiated here.
 func (g *GatherNode) buildPartition(v storage.ReadView, r storage.PageRange) (exec.BatchIterator, error) {
-	// Predicates stay pushed into the partition scans; a striped partition
-	// evaluates them in-scan via its SelFilter (the compiled filter is
-	// immutable and shared, per-partition kernel/selection state is
-	// instantiated lazily on this worker goroutine). Worker-local batch
-	// pools in the mergers make selection-carrying and filtered batches
-	// safe to hand across the gather channel.
-	scan := exec.NewBatchScanRange(v, conjoinExec(g.Scan.Preds), g.Scan.BatchSize, r.Start, r.End)
-	scan.NeedCols = g.Scan.NeedCols
-	if g.Scan.Skip != nil {
-		scan.SetPageSkip(g.Scan.Skip())
-	}
-	if g.Scan.Striped {
-		if g.Scan.SelFilter != nil {
-			scan.SetSelFilter(g.Scan.SelFilter)
-		}
-		scan.EnableStriped()
-	}
-	var cur exec.BatchIterator = scan
+	// Predicates stay pushed into the partition scans. The compiled
+	// SelFilter is immutable and shared; per-partition kernel and selection
+	// state is instantiated lazily on this worker goroutine, and the
+	// mergers' worker-local batch pools make selection-carrying and
+	// filtered batches safe to hand across the gather channel.
+	var cur exec.BatchIterator = g.Scan.openRange(v, r.Start, r.End)
 	for _, op := range g.Ops {
 		switch x := op.(type) {
 		case *FilterNode:
@@ -137,12 +122,12 @@ func (g *GatherNode) buildPartition(v storage.ReadView, r storage.PageRange) (ex
 	switch {
 	case g.TopN != nil:
 		cur = &exec.BatchTopNIter{
-			In: cur, Keys: g.TopN.Keys, N: g.TopN.N, Size: g.TopN.BatchSize,
+			In: cur, Keys: g.TopN.Keys, N: g.TopN.N,
 			AppendKeys: true, Heap: v.Owner(),
 		}
 	case g.Sort != nil:
 		cur = &exec.BatchSortIter{
-			In: cur, Keys: g.Sort.Keys, Size: g.Sort.BatchSize,
+			In: cur, Keys: g.Sort.Keys,
 			AppendKeys: true, Heap: v.Owner(),
 		}
 	}
@@ -158,7 +143,7 @@ func (g *GatherNode) OpenBatch(ec *exec.ExecCtx) (exec.BatchIterator, bool) {
 	parts := v.Partitions(g.Workers)
 	if len(parts) > 1 {
 		owner.RecordParallelWorkers(len(parts))
-		if g.Scan.Striped {
+		if v.Segmented() {
 			owner.RecordParallelStriped(1)
 		}
 	}
@@ -167,22 +152,23 @@ func (g *GatherNode) OpenBatch(ec *exec.ExecCtx) (exec.BatchIterator, bool) {
 	}
 	switch {
 	case g.Agg != nil:
-		return exec.NewParallelHashAgg(parts, build, g.Agg.GroupBy, g.Agg.Aggs, false, g.Agg.BatchSize), true
+		return exec.NewParallelHashAgg(parts, build, g.Agg.GroupBy, g.Agg.Aggs, false, exec.DefaultBatchSize), true
 	case g.Join != nil:
 		outWidth := len(g.Join.Layout().Cols)
 		buildWidth := len(g.Join.Build.Layout().Cols)
 		return exec.NewParallelHashJoin(parts, build, g.Join.Build.Open(ec),
 			g.Join.ProbeKeys, g.Join.BuildKeys, conjoinExec(g.Join.Residual),
-			g.Scan.BatchSize, outWidth, buildWidth), true
+			exec.DefaultBatchSize, outWidth, buildWidth), true
 	case g.Sort != nil || g.TopN != nil:
-		keys, limit, size := []exec.SortKey(nil), int64(-1), g.Scan.BatchSize
+		var keys []exec.SortKey
+		limit := int64(-1)
 		if g.TopN != nil {
-			keys, limit, size = g.TopN.Keys, g.TopN.N, g.TopN.BatchSize
+			keys, limit = g.TopN.Keys, g.TopN.N
 		} else {
-			keys, size = g.Sort.Keys, g.Sort.BatchSize
+			keys = g.Sort.Keys
 		}
 		owner.RecordSortedMergeParts(int64(len(parts)))
-		return exec.NewParallelSortedMerge(parts, build, keys, limit, size), true
+		return exec.NewParallelSortedMerge(parts, build, keys, limit, exec.DefaultBatchSize), true
 	default:
 		return exec.NewParallelPipeline(parts, build), true
 	}
@@ -277,7 +263,9 @@ func (p *Planner) parallelizeNode(n Node, underLimit bool) Node {
 		x.Outer = p.parallelizeNode(x.Outer, underLimit)
 		x.Inner = p.parallelizeNode(x.Inner, false)
 		return x
-	case *FilterNode, *ProjectNode, *MultiExtractNode:
+	case *ScanNode, *FilterNode, *ProjectNode, *MultiExtractNode:
+		// A bare scan is the zero-operator chain: with predicates it gathers
+		// like any other, without them chainWorthwhile keeps it serial.
 		if !underLimit {
 			if g := p.gatherChain(n); g != nil {
 				return g
@@ -293,8 +281,6 @@ func (p *Planner) parallelizeNode(n Node, underLimit bool) Node {
 		}
 		return n
 	default:
-		// ScanNode keeps its scan-level Workers parallelism; other leaves
-		// and unknown nodes are left alone.
 		return n
 	}
 }
@@ -365,8 +351,8 @@ func chainSafe(ops []Node, scan *ScanNode) bool {
 
 // chainWorthwhile reports whether the chain does enough per-row work for a
 // gather to pay off. Plain column projections over a filterless scan are
-// excluded — they are served by the fused collector (fusedCollect) or the
-// parallel scan itself, and a gather would only add clone+merge overhead.
+// excluded — they are served by the fused collector (fusedCollect) or run
+// at memory speed, and a gather would only add clone+merge overhead.
 func chainWorthwhile(ops []Node, scan *ScanNode) bool {
 	if len(scan.Preds) > 0 {
 		return true
@@ -388,7 +374,6 @@ func chainWorthwhile(ops []Node, scan *ScanNode) bool {
 
 // newGather wraps input (a verified chain) in a GatherNode.
 func newGather(input Node, ops []Node, scan *ScanNode, workers int) *GatherNode {
-	scan.Workers = 0 // partitions are per-worker; the scan itself is serial
 	return &GatherNode{
 		baseNode: baseNode{layout: input.Layout(), rows: input.Rows(), cost: input.Cost()},
 		Input:    input,

@@ -92,7 +92,7 @@ func fusedCollect(n Node, ec *exec.ExecCtx) (rows []storage.Row, ok bool, err er
 		}
 		cols[i] = ce.Idx
 	}
-	rows, err = exec.CollectProjectedScan(v, cols, limit, s.BatchSize)
+	rows, err = exec.CollectProjectedScan(v, cols, limit, exec.DefaultBatchSize)
 	return rows, true, err
 }
 
@@ -410,7 +410,7 @@ func (p *Planner) PlanSelect(stmt *sqlparse.SelectStmt) (*SelectPlan, error) {
 
 	cur = p.rewriteTopN(cur)
 	p.fuseExtracts(cur)
-	p.stripeScans(cur)
+	p.prepareSegmented(cur, nil)
 	pruneScanColumns(cur)
 	p.deriveSkips(cur)
 	cur = p.parallelize(cur)
@@ -538,37 +538,28 @@ func subsetOf(a, b map[string]bool) bool {
 
 // batchify marks a freshly built node as a batch operator when batch
 // execution is enabled; row-only children are bridged by a RowToBatch
-// adapter at Open time. A ScanNode over a large heap additionally gets a
-// parallel partitioned scan, one worker per ParallelScanMinPages pages,
-// bounded by GOMAXPROCS.
+// adapter at Open time.
 func (p *Planner) batchify(n Node) Node {
 	if p.Cfg == nil || !p.Cfg.EnableBatch {
 		return n
 	}
-	size := p.Cfg.BatchSize
-	if size <= 0 {
-		size = exec.DefaultBatchSize
-	}
 	switch x := n.(type) {
 	case *ScanNode:
-		x.Batch, x.BatchSize = true, size
-		if w := p.pipelineWorkers(x.Heap); w > 1 {
-			x.Workers = w
-		}
+		x.Batch = true
 	case *FilterNode:
-		x.Batch, x.BatchSize = true, size
+		x.Batch = true
 	case *ProjectNode:
-		x.Batch, x.BatchSize = true, size
+		x.Batch = true
 	case *HashAggNode:
-		x.Batch, x.BatchSize = true, size
+		x.Batch = true
 	case *LimitNode:
-		x.Batch, x.BatchSize = true, size
+		x.Batch = true
 	case *SortNode:
-		x.Batch, x.BatchSize = true, size
+		x.Batch = true
 	case *TopNNode:
-		x.Batch, x.BatchSize = true, size
+		x.Batch = true
 	case *HashJoinNode:
-		x.Batch, x.BatchSize = true, size
+		x.Batch = true
 	}
 	return n
 }

@@ -14,6 +14,15 @@ import (
 // virtual columns) is estimated at a fixed 200 rows regardless of the true
 // selectivity — §3.1.1 ("the optimizer assumes a fixed selectivity for
 // queries over virtual columns (200 rows out of 10 million)").
+//
+// Three fields are session variables (SET, part of the plan-cache key):
+// EnableBatch, ParallelScanMinPages and MaxParallelWorkers. Each is kept
+// because something needs its other position — the row engine is the
+// reference of every differential test and of the benchmark's oracle, the
+// oracle and the serial test legs force one worker, and tests lower the
+// page threshold to get parallel plans on small fixtures. What the
+// executor does the same way for every statement (rows per batch, page
+// skipping, aliasing frozen pages) is not configuration.
 type Config struct {
 	// SeqPageCostPerByte converts scanned bytes into cost units
 	// (Postgres seq_page_cost=1.0 per 8 KB page).
@@ -51,26 +60,14 @@ type Config struct {
 	// operators remain for Sort, joins, and DML behind adapters. Session
 	// knob: SET enable_batch = on|off.
 	EnableBatch bool
-	// BatchSize is the number of rows per RowBatch in batch pipelines.
-	// Session knob: SET batch_size = N.
-	BatchSize int
-	// ParallelScanMinPages is the minimum heap page count per extra scan
-	// worker: a scan gets min(GOMAXPROCS, pages/ParallelScanMinPages)
+	// ParallelScanMinPages is the minimum heap page count per gather
+	// worker: a fragment gets min(GOMAXPROCS, pages/ParallelScanMinPages)
 	// workers. Session knob: SET parallel_scan_min_pages = N.
 	ParallelScanMinPages int
 	// MaxParallelWorkers caps pipeline parallelism: 0 means the
 	// GOMAXPROCS-bounded default, 1 forces serial execution, and any other
 	// value is an additional upper bound on worker count.
 	MaxParallelWorkers int
-	// EnablePageSkip turns strict sparse-key predicates into per-page
-	// attr-presence / min-max skip checks (storage page summaries).
-	EnablePageSkip bool
-	// EnableStriped routes batch scans of segmented heaps through the
-	// striped page mode: frozen-page column segments feed fused extraction
-	// kernels directly, and scan predicates compile into in-scan
-	// selection-vector filters over the segment vectors. Session knob:
-	// SET enable_striped = on|off.
-	EnableStriped bool
 }
 
 // DefaultConfig returns Postgres-flavoured defaults.
@@ -88,11 +85,8 @@ func DefaultConfig() *Config {
 		HashAggMaxGroups:     10000,
 		HashJoinMaxBuildRows: 1 << 20,
 		EnableBatch:          true,
-		BatchSize:            exec.DefaultBatchSize,
 		ParallelScanMinPages: 4,
 		MaxParallelWorkers:   0,
-		EnablePageSkip:       true,
-		EnableStriped:        true,
 	}
 }
 

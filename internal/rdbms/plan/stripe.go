@@ -2,110 +2,64 @@ package plan
 
 import "github.com/sinewdata/sinew/internal/rdbms/exec"
 
-// This file implements the striped-scan routing pass. Every batch scan
-// over a heap with frozen column-striped pages switches into striped page
-// mode (frozen pages delivered as column aliases; predicates, if any, are
-// compiled into an in-scan exec.SelFilter whose ranked conjuncts run
-// directly against the page vectors and emit selection vectors). On top of
-// that, every MultiExtractNode chain sitting directly on a striped scan
-// attaches the family's segment-kernel factory to each MultiExtractNode
-// whose data column is segment-backed at that scan. The fused kernels then
-// read per-attribute vectors out of the frozen pages instead of decoding
-// serialized records row by row; the heap's row-form tail and foreign
-// segment types fall back to the row kernel per batch, so results are
-// identical either way.
+// This file prepares plans for the frozen pages of a segmented heap. The
+// batch scan itself has no mode — it aliases a frozen page or transposes
+// row-form ones as it meets them — so all that is decided here is what to
+// compile ahead: a scan with predicates gets its exec.SelFilter (ranked
+// conjuncts run directly against the page vectors and emit selection
+// vectors), and every MultiExtractNode stacked directly on a scan gets its
+// family's segment-kernel factory, so the fused kernels read per-attribute
+// vectors out of frozen pages instead of decoding serialized records row by
+// row. Both are skipped for a heap with no frozen page at plan time, where
+// nobody would run them; row-form pages and foreign segment types fall
+// back to the row kernel per batch, so results are identical either way.
 
-// stripedEligible reports whether scans of this shape may run striped with
-// fused extraction reading segment vectors. Predicates no longer
-// disqualify the scan: filtered batches keep their page-aliased columns
-// (and attached segments) and carry the surviving rows in a selection
-// vector.
-func (p *Planner) stripedEligible(s *ScanNode) bool {
-	return p.scanStripes(s)
-}
+// segmented reports whether the scan will meet frozen pages.
+func segmented(s *ScanNode) bool { return s.Batch && s.Heap.Segmented() }
 
-// scanStripes reports whether the scan itself may deliver frozen pages as
-// column aliases.
-func (p *Planner) scanStripes(s *ScanNode) bool {
-	return p.Cfg != nil && p.Cfg.EnableStriped && s.Batch && s.Heap.Segmented()
-}
-
-// stripeScan marks one scan striped and compiles its pushed-down
-// predicates into the in-scan selection filter. Extraction atoms inside
-// the conjuncts resolve their kernel factories through the session
-// registry, so a predicate like json_int(data,'age') > 30 reads the
-// segment's attribute vector instead of parsing records.
-func (p *Planner) stripeScan(s *ScanNode) {
-	s.Striped = true
-	if len(s.Preds) > 0 && s.SelFilter == nil {
-		width := len(s.Heap.Schema().Cols)
-		s.SelFilter = exec.CompileSelFilter(s.Preds, width, p.Funcs.StripedExtract, p.Funcs.MultiExtract)
-	}
-}
-
-// stripedFusable reports whether a single-key extraction group over child
-// is still worth fusing: a striped-eligible scan with a registered segment
-// factory benefits even for one key, because only a MultiExtractNode can
-// reach the segment vectors.
-func (p *Planner) stripedFusable(family string, child Node) bool {
+// segmentFusable reports whether a single-key extraction group over child
+// is still worth fusing: over a segmented scan with a registered segment
+// factory it is, because only a MultiExtractNode can reach the segment
+// vectors.
+func (p *Planner) segmentFusable(family string, child Node) bool {
 	s, ok := child.(*ScanNode)
-	if !ok || !p.stripedEligible(s) {
+	if !ok || !segmented(s) {
 		return false
 	}
 	_, ok = p.Funcs.StripedExtract(family)
 	return ok
 }
 
-// stripeScans walks the plan and routes MultiExtract-over-scan chains
-// through the striped page mode.
-func (p *Planner) stripeScans(n Node) {
-	if n == nil {
+// prepareSegmented walks the plan, compiling each segmented scan's
+// predicates and attaching segment factories to the MultiExtractNode
+// stack above it — segments ride along batch columns (RowBatch.Segs
+// survives extraction pass-through), so upper nodes of a stack see their
+// data column striped too. Extraction atoms inside the conjuncts resolve
+// their kernel factories through the session registry, so a predicate
+// like json_int(data,'age') > 30 reads the segment's attribute vector.
+func (p *Planner) prepareSegmented(n Node, above []*MultiExtractNode) {
+	switch x := n.(type) {
+	case nil:
 		return
-	}
-	if m, ok := n.(*MultiExtractNode); ok {
-		p.stripeChain(m)
-	}
-	if s, ok := n.(*ScanNode); ok && p.scanStripes(s) {
-		// Even without fused extraction above, striped page delivery beats
-		// the row transpose: frozen pages arrive as column aliases instead
-		// of per-row FillRows copies.
-		p.stripeScan(s)
+	case *MultiExtractNode:
+		p.prepareSegmented(x.Child, append(above, x))
+		return
+	case *ScanNode:
+		if !segmented(x) {
+			return
+		}
+		if len(x.Preds) > 0 {
+			width := len(x.Heap.Schema().Cols)
+			x.SelFilter = exec.CompileSelFilter(x.Preds, width, p.Funcs.StripedExtract, p.Funcs.MultiExtract)
+		}
+		for _, m := range above {
+			if f, ok := p.Funcs.StripedExtract(m.Family); ok {
+				m.SegFactory = f
+			}
+		}
+		return
 	}
 	for _, c := range n.Children() {
-		// Avoid double-visiting inner MultiExtractNodes of a chain already
-		// handled by stripeChain; re-visiting is harmless (idempotent), so
-		// a plain recursive walk keeps this simple.
-		p.stripeScans(c)
-	}
-}
-
-// stripeChain handles one stack of MultiExtractNodes over a scan. Every
-// node in the stack gets the segment factory of its family — segments ride
-// along batch columns (RowBatch.Segs survives extraction pass-through), so
-// upper nodes of the stack see their data column striped too.
-func (p *Planner) stripeChain(top *MultiExtractNode) {
-	var chain []*MultiExtractNode
-	n := Node(top)
-	for {
-		m, ok := n.(*MultiExtractNode)
-		if !ok {
-			break
-		}
-		chain = append(chain, m)
-		n = m.Child
-	}
-	scan, ok := n.(*ScanNode)
-	if !ok || !p.stripedEligible(scan) {
-		return
-	}
-	routed := false
-	for _, m := range chain {
-		if f, ok := p.Funcs.StripedExtract(m.Family); ok {
-			m.SegFactory = f
-			routed = true
-		}
-	}
-	if routed {
-		p.stripeScan(scan)
+		p.prepareSegmented(c, nil)
 	}
 }

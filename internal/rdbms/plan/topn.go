@@ -39,6 +39,6 @@ func (p *Planner) newTopN(s *SortNode, limit int64) Node {
 		Child:    s.Child,
 		Keys:     append([]exec.SortKey(nil), s.Keys...),
 		N:        limit,
-		Batch:    s.Batch, BatchSize: s.BatchSize,
+		Batch:    s.Batch,
 	}
 }

@@ -144,34 +144,21 @@ func (db *DB) PlanCacheStats() PlanCacheStats {
 }
 
 // flagsKey folds the plan-shaping session settings into the cache key, so
-// SET enable_batch / batch_size / parallel_scan_min_pages /
-// max_parallel_workers / enable_page_skip / enable_striped force a re-plan
-// rather than replaying a plan built under different settings. The key is
+// SET enable_batch / parallel_scan_min_pages / max_parallel_workers force
+// a re-plan rather than replaying a plan built under different settings. The key is
 // computed when a setting changes (Open, execSet) and stored in db.flags:
 // every statement reads it, few change it.
 func flagsKey(cfg *plan.Config) string {
 	// Hand-rolled to keep fmt out of the package's statement path.
-	b := make([]byte, 0, 40)
+	b := make([]byte, 0, 24)
 	if cfg.EnableBatch {
 		b = append(b, "b1,"...)
 	} else {
 		b = append(b, "b0,"...)
 	}
-	b = appendUint(b, uint64(cfg.BatchSize))
-	b = append(b, ',')
 	b = appendUint(b, uint64(cfg.ParallelScanMinPages))
 	b = append(b, ',')
 	b = appendUint(b, uint64(cfg.MaxParallelWorkers))
-	if cfg.EnablePageSkip {
-		b = append(b, ",s1"...)
-	} else {
-		b = append(b, ",s0"...)
-	}
-	if cfg.EnableStriped {
-		b = append(b, ",c1"...)
-	} else {
-		b = append(b, ",c0"...)
-	}
 	return string(b)
 }
 

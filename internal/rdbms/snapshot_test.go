@@ -176,8 +176,9 @@ type snapshotReadState struct {
 }
 
 // readerPlanConfigs returns one private planner configuration per
-// executor mode, so the differential readers cover row, batch,
-// striped/page-skip, and parallel plans without racing on session SETs.
+// executor mode, so the differential readers cover row, batch and
+// parallel plans without racing on session SETs (the batch scan meets
+// frozen and row-form pages, skipped or not, as the writer leaves them).
 func readerPlanConfigs() map[string]*plan.Config {
 	mk := func(mut func(*plan.Config)) *plan.Config {
 		c := *plan.DefaultConfig()
@@ -191,19 +192,10 @@ func readerPlanConfigs() map[string]*plan.Config {
 		}),
 		"batch": mk(func(c *plan.Config) {
 			c.EnableBatch = true
-			c.EnableStriped = false
-			c.EnablePageSkip = false
-			c.MaxParallelWorkers = 1
-		}),
-		"striped": mk(func(c *plan.Config) {
-			c.EnableBatch = true
-			c.EnableStriped = true
-			c.EnablePageSkip = true
 			c.MaxParallelWorkers = 1
 		}),
 		"parallel": mk(func(c *plan.Config) {
 			c.EnableBatch = true
-			c.EnableStriped = true
 			c.MaxParallelWorkers = 4
 			c.ParallelScanMinPages = 1
 		}),
@@ -231,7 +223,7 @@ func readAtSnapshot(db *DB, ec *exec.ExecCtx, cfg *plan.Config, h *storage.Heap,
 // TestSnapshotIsolationDifferential replays a randomized single-writer
 // workload while concurrent readers pin snapshots and check that what
 // they saw equals the serially computed table state at exactly their
-// pinned epoch — across row, batch, striped, and parallel plans. The
+// pinned epoch — across row, batch and parallel plans. The
 // writer records each statement's expected outcome under its predicted
 // epoch *before* executing it, so any published state is accounted for
 // by the time a reader can pin it.

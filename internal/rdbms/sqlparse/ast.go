@@ -117,8 +117,9 @@ type ExplainStmt struct{ Stmt Statement }
 // AnalyzeStmt is ANALYZE t, which refreshes optimizer statistics.
 type AnalyzeStmt struct{ Table string }
 
-// SetStmt is SET name = value, adjusting a session-level knob (batch_size,
-// enable_batch, ...). Value is an Int, Bool, or Text datum.
+// SetStmt is SET name = value, adjusting a session-level knob
+// (enable_batch, max_parallel_workers, ...). Value is an Int, Bool, or Text
+// datum.
 type SetStmt struct {
 	Name  string
 	Value types.Datum

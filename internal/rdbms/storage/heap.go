@@ -372,6 +372,8 @@ type HeapChunkIter struct {
 	pendingSkipped int64 // pages skipped but not yet reported
 	// frozen pages delivered striped via ReadPage, pending pager report.
 	pendingSegScanned int64
+	// rowBuf holds the row-form run ReadPage last returned.
+	rowBuf []Row
 }
 
 // SetSkip installs a page-skip predicate; must be called before the first

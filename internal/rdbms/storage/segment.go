@@ -63,9 +63,7 @@ type ZoneMapped interface {
 // ANALYZE (FreezeColdPages) compacts, keeping small hot tables row-form.
 const DefaultFreezeMinPages = 64
 
-// PageCapacity is the heap page grouping factor. Striped batch readers
-// size their ReadPage row buffers with it: a smaller buffer would silently
-// drop rows of a full row-form page.
+// PageCapacity is the heap page grouping factor: the rows of a full page.
 const PageCapacity = rowsPerPage
 
 // FrozenCol is one column of a frozen page: either a plain datum vector
@@ -309,45 +307,64 @@ func pageRows(p *page) []Row {
 	return rows
 }
 
-// PageView is one page as delivered to the striped batch scan: either a
-// frozen striped page or the live rows of a row-form page.
+// PageView is one stretch of a page range as the batch scan consumes it:
+// either one frozen page, or live rows of the row-form pages before the
+// next frozen one.
 type PageView struct {
-	Frozen *FrozenPage // non-nil for frozen pages
-	Rows   []Row       // live rows (row-form pages)
+	Frozen *FrozenPage // non-nil for a frozen page
+	Rows   []Row       // live rows of a row-form run; valid until the next ReadPage
 }
 
-// ReadPage returns the next unskipped page of the range as a whole —
-// frozen pages striped, row pages as live rows copied into rowBuf (which
-// must hold a full page). ok=false means the range is exhausted. Byte
-// accounting matches ReadRows: entering a page charges its bytes, skipped
-// pages charge nothing, and frozen pages additionally count toward the
-// pager's segments-scanned counter.
-func (it *HeapChunkIter) ReadPage(rowBuf []Row) (PageView, bool) {
+// ReadPage returns the next unskipped stretch of the range: a frozen page
+// as a whole, or up to maxRows live rows of the run of row-form pages that
+// ends at the next frozen page (a run resumes mid-page on the next call,
+// like ReadRows; maxRows is the same on every call). ok=false means the range is exhausted. Byte accounting
+// matches ReadRows: entering a page charges its bytes, skipped pages
+// charge nothing, and frozen pages additionally count toward the pager's
+// segments-scanned counter. The row buffer is the cursor's own, sized on
+// the first row-form page by what is left of the range, so a range that
+// is frozen up to a short tail never pays for a full batch of row slots.
+func (it *HeapChunkIter) ReadPage(maxRows int) (PageView, bool) {
+	n := 0
 	for it.page < it.end {
 		p := it.pages[it.page]
-		if it.slot == 0 && it.skip != nil && p.sum.usable() && it.skip(p.sum) {
-			it.pendingSkipped++
-			it.page++
-			continue
-		}
-		it.pending += p.bytes
-		it.page++
-		it.slot = 0
-		if p.frozen != nil {
-			it.pendingSegScanned++
-			return PageView{Frozen: p.frozen}, true
-		}
-		n := 0
-		for _, r := range p.rows {
-			if r != nil && n < len(rowBuf) {
-				rowBuf[n] = r
-				n++
+		if it.slot == 0 {
+			if it.skip != nil && p.sum.usable() && it.skip(p.sum) {
+				it.pendingSkipped++
+				it.page++
+				continue
+			}
+			if p.frozen != nil {
+				if n > 0 {
+					break // the row-form run ends here
+				}
+				it.pending += p.bytes
+				it.pendingSegScanned++
+				it.page++
+				return PageView{Frozen: p.frozen}, true
+			}
+			it.pending += p.bytes
+			if it.rowBuf == nil {
+				it.rowBuf = make([]Row, min(maxRows, (it.end-it.page)*rowsPerPage))
 			}
 		}
-		if n == 0 {
-			continue // fully deleted page
+		for it.slot < len(p.rows) && n < len(it.rowBuf) {
+			if r := p.rows[it.slot]; r != nil {
+				it.rowBuf[n] = r
+				n++
+			}
+			it.slot++
 		}
-		return PageView{Rows: rowBuf[:n]}, true
+		if it.slot >= len(p.rows) {
+			it.page++
+			it.slot = 0
+		}
+		if n == len(it.rowBuf) {
+			break
+		}
+	}
+	if n > 0 {
+		return PageView{Rows: it.rowBuf[:n]}, true
 	}
 	it.flush()
 	return PageView{}, false

@@ -97,10 +97,9 @@ func TestFreezeColdPages(t *testing.T) {
 
 	// ReadPage delivers frozen pages striped and the tail as rows.
 	it := h.IterateRange(0, h.NumPages())
-	buf := make([]Row, rowsPerPage)
 	var frozenSeen, rowPages int
 	for {
-		pv, ok := it.ReadPage(buf)
+		pv, ok := it.ReadPage(rowsPerPage)
 		if !ok {
 			break
 		}
