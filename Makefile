@@ -32,13 +32,18 @@ race:
 # parallel partitions, row-form runs split between them, the UPDATE
 # un-freeze path) and the planner's barriers (a LIMIT or a volatile
 # predicate keeps a plan serial; the volatile call counts without a lock,
-# so a parallel plan is a reported race). The final leg drives frozen-page
+# so a parallel plan is a reported race). The Top-N page bound leg
+# (TestTopNBound*) holds every Top-N whose scan skips pages on its bound to
+# the row engine — serial, across three partitions, and beside a writer
+# appending pages under pinned snapshots. The final leg drives frozen-page
 # scans end to end through core.
 race-workers:
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestProperty|TestParallel' ./internal/rdbms/exec/
 	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'TestProperty|TestParallel' ./internal/rdbms/exec/
 	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestProperty|TestParallel' ./internal/rdbms/exec/
 	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'TestLimitOverFilteredScanStaysSerial|TestVolatilePredicateStaysSerial' ./internal/rdbms/plan/
+	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'TestTopNBound|TestTopNSkip' ./internal/core/ ./internal/rdbms/storage/
+	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestTopNBound|TestTopNSkip' ./internal/core/ ./internal/rdbms/storage/
 	GOMAXPROCS=8 $(GO) test -race -count=1 ./internal/rdbms/plan/ ./internal/core/
 	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestStriped|TestPropertyStriped|TestSegmented|TestSinewStats' ./internal/rdbms/exec/ ./internal/core/
 

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"github.com/sinewdata/sinew/internal/jsonx"
+	"github.com/sinewdata/sinew/internal/nobench"
+	"github.com/sinewdata/sinew/internal/rdbms/storage"
 )
 
 // eraDB loads a collection whose sparse keys arrive in *eras*: the first
@@ -276,5 +278,56 @@ func TestSkipInvalidationOnUpdate(t *testing.T) {
 	if rows4 != rows0+1 || skipped4 != skipped0-1 {
 		t.Fatalf("after analyze: rows=%d skipped=%d, want rows=%d skipped=%d",
 			rows4, skipped4, rows0+1, skipped0-1)
+	}
+}
+
+// TestTopNBoundSkipsNoBench pins the Top-N page bound on the benchmark's
+// fixture shape: 20 000 NoBench records, the paper's keys materialized, the
+// full pages frozen. num is the record index, so ORDER BY num DESC LIMIT 10
+// needs only the 32-row tail — every frozen page is skipped and under 1% of
+// the heap read — and LIMIT 40 needs the last frozen page too.
+func TestTopNBoundSkipsNoBench(t *testing.T) {
+	const n = 20000
+	db := Open(DefaultConfig())
+	if err := db.CreateCollection("nobench_main"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.LoadDocuments("nobench_main", nobench.Generate(n, 20140622)); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"str1", "num", "nested_arr", "nested_obj", "thousandth"} {
+		if err := db.SetMaterialized("nobench_main", key, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := NewMaterializer(db).RunOnce("nobench_main"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RDBMS().Analyze("nobench_main"); err != nil {
+		t.Fatal(err)
+	}
+	heap, _, err := db.RDBMS().Table("nobench_main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages, frozen := heap.NumPages(), heap.NumFrozenPages()
+	if pages != n/storage.PageCapacity+1 || frozen != pages-1 {
+		t.Fatalf("fixture: %d pages, %d frozen; want a row-form tail after %d frozen pages", pages, frozen, n/storage.PageCapacity)
+	}
+	// Serial, as the benchmark runs: a gather partition bounds its own pages.
+	mustSet(t, db, `SET max_parallel_workers = 1`)
+	for _, c := range []struct {
+		limit int
+		read  int // pages the bound must leave: the tail, then the last frozen page
+	}{{10, 1}, {40, 2}} {
+		q := fmt.Sprintf(`SELECT str1, num FROM nobench_main ORDER BY num DESC LIMIT %d`, c.limit)
+		rows, skipped := db.skipRun(t, q)
+		read, _ := db.rdb.Pager().Stats()
+		if rows != c.limit || skipped != int64(pages-c.read) {
+			t.Errorf("%s: %d rows, %d of %d pages skipped; want %d rows, %d skipped", q, rows, skipped, pages, c.limit, pages-c.read)
+		}
+		if c.read == 1 && read*100 >= heap.SizeBytes() {
+			t.Errorf("%s: read %d of the heap's %d bytes, want under 1%%", q, read, heap.SizeBytes())
+		}
 	}
 }

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/sinewdata/sinew/internal/rdbms/storage"
 	"github.com/sinewdata/sinew/internal/rdbms/types"
@@ -95,6 +94,26 @@ func (st *aggState) addValue(v types.Datum) error {
 		}
 		if (st.spec.Kind == AggMin && c < 0) || (st.spec.Kind == AggMax && c > 0) {
 			st.minMax = v
+		}
+	}
+	return nil
+}
+
+// addColumn folds one batch's argument column into st: the n logical rows
+// of col, physically indexed through sel. COUNT(*) has no column and just
+// adds n.
+func (st *aggState) addColumn(col []types.Datum, sel []int32, n int) error {
+	if st.spec.Kind == AggCountStar {
+		st.count += int64(n)
+		return nil
+	}
+	for si := 0; si < n; si++ {
+		var v types.Datum
+		if col != nil {
+			v = col[selIdx(sel, si)]
+		}
+		if err := st.addValue(v); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -220,6 +239,14 @@ type aggGroup struct {
 	encKey  string
 }
 
+func newAggGroup(keyVals []types.Datum, encKey string, aggs []*AggSpec) *aggGroup {
+	g := &aggGroup{keyVals: keyVals, encKey: encKey, states: make([]*aggState, len(aggs))}
+	for i, spec := range aggs {
+		g.states[i] = newAggState(spec)
+	}
+	return g
+}
+
 func (h *HashAggIter) run() {
 	h.done = true
 	defer h.In.Close()
@@ -247,10 +274,7 @@ func (h *HashAggIter) run() {
 		}
 		grp, ok := groups[string(keyBuf)]
 		if !ok {
-			grp = &aggGroup{keyVals: keyVals, encKey: string(keyBuf)}
-			for _, spec := range h.Aggs {
-				grp.states = append(grp.states, newAggState(spec))
-			}
+			grp = newAggGroup(keyVals, string(keyBuf), h.Aggs)
 			groups[grp.encKey] = grp
 		}
 		for _, st := range grp.states {
@@ -260,21 +284,7 @@ func (h *HashAggIter) run() {
 			}
 		}
 	}
-	if len(groups) == 0 && len(h.GroupBy) == 0 {
-		// Scalar aggregate over empty input still yields one row.
-		grp := &aggGroup{}
-		for _, spec := range h.Aggs {
-			grp.states = append(grp.states, newAggState(spec))
-		}
-		groups[""] = grp
-	}
-	ordered := make([]*aggGroup, 0, len(groups))
-	for _, g := range groups {
-		ordered = append(ordered, g)
-	}
-	if !h.SkipSort {
-		sort.Slice(ordered, func(a, b int) bool { return ordered[a].encKey < ordered[b].encKey })
-	}
+	ordered := finishGroups(groups, h.GroupBy, h.Aggs, h.SkipSort)
 	h.out = make([]storage.Row, len(ordered))
 	for i, g := range ordered {
 		row := make(storage.Row, 0, len(g.keyVals)+len(g.states))
@@ -345,16 +355,10 @@ func (g *GroupAggIter) Next() (storage.Row, bool, error) {
 			g.buf = v.HashKey(g.buf)
 		}
 		if g.cur == nil {
-			g.cur = &aggGroup{keyVals: keyVals, encKey: string(g.buf)}
-			for _, spec := range g.Aggs {
-				g.cur.states = append(g.cur.states, newAggState(spec))
-			}
+			g.cur = newAggGroup(keyVals, string(g.buf), g.Aggs)
 		} else if g.cur.encKey != string(g.buf) {
 			out := g.emit()
-			g.cur = &aggGroup{keyVals: keyVals, encKey: string(g.buf)}
-			for _, spec := range g.Aggs {
-				g.cur.states = append(g.cur.states, newAggState(spec))
-			}
+			g.cur = newAggGroup(keyVals, string(g.buf), g.Aggs)
 			for _, st := range g.cur.states {
 				if err := st.add(row); err != nil {
 					return nil, false, err

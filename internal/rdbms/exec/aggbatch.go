@@ -23,7 +23,6 @@ type BatchHashAggIter struct {
 	groups []*aggGroup
 	pos    int
 	out    *RowBatch
-	ctx    *EvalCtx
 }
 
 // NextBatch implements BatchIterator.
@@ -73,86 +72,28 @@ func (h *BatchHashAggIter) NextBatch() (*RowBatch, error) {
 
 func (h *BatchHashAggIter) run() {
 	h.done = true
-	defer h.In.Close()
-	if h.ctx == nil {
-		h.ctx = NewEvalCtx()
-	}
 	groups := make(map[string]*aggGroup)
-	var keyBuf []byte
-	keyCols := make([][]types.Datum, len(h.GroupBy))
-	argCols := make([][]types.Datum, len(h.Aggs))
-	for {
-		in, err := h.In.NextBatch()
-		if err != nil {
-			h.err = err
-			return
-		}
-		if in == nil {
-			break
-		}
-		h.ctx.BeginBatch()
-		for i, g := range h.GroupBy {
-			if keyCols[i], err = EvalBatch(g, in, h.ctx); err != nil {
-				h.err = err
-				return
-			}
-		}
-		for k, spec := range h.Aggs {
-			if spec.Arg == nil || spec.Kind == AggCountStar {
-				argCols[k] = nil
-				continue
-			}
-			if argCols[k], err = EvalBatch(spec.Arg, in, h.ctx); err != nil {
-				h.err = err
-				return
-			}
-		}
-		n := in.Len()
-		sel := in.Sel
-		for si := 0; si < n; si++ {
-			i := selIdx(sel, si)
-			keyBuf = keyBuf[:0]
-			for _, col := range keyCols {
-				keyBuf = col[i].HashKey(keyBuf)
-			}
-			grp, ok := groups[string(keyBuf)]
-			if !ok {
-				keyVals := make([]types.Datum, len(h.GroupBy))
-				for j, col := range keyCols {
-					keyVals[j] = col[i]
-				}
-				grp = &aggGroup{keyVals: keyVals, encKey: string(keyBuf)}
-				for _, spec := range h.Aggs {
-					grp.states = append(grp.states, newAggState(spec))
-				}
-				groups[grp.encKey] = grp
-			}
-			for k, st := range grp.states {
-				var v types.Datum
-				if argCols[k] != nil {
-					v = argCols[k][i]
-				}
-				if err := st.addValue(v); err != nil {
-					h.err = err
-					return
-				}
-			}
-		}
+	if h.err = accumulateGroups(h.In, h.GroupBy, h.Aggs, nil, groups); h.err != nil {
+		return
 	}
-	if len(groups) == 0 && len(h.GroupBy) == 0 {
-		grp := &aggGroup{}
-		for _, spec := range h.Aggs {
-			grp.states = append(grp.states, newAggState(spec))
-		}
-		groups[""] = grp
+	h.groups = finishGroups(groups, h.GroupBy, h.Aggs, h.SkipSort)
+}
+
+// finishGroups lists a drained group table for emission: an ungrouped
+// aggregate over no rows still yields its one row (COUNT 0, SUM NULL), and
+// groups come out in encoded-key order unless skipSort.
+func finishGroups(groups map[string]*aggGroup, groupBy []Expr, aggs []*AggSpec, skipSort bool) []*aggGroup {
+	if len(groups) == 0 && len(groupBy) == 0 {
+		groups[""] = newAggGroup(nil, "", aggs)
 	}
-	h.groups = make([]*aggGroup, 0, len(groups))
+	out := make([]*aggGroup, 0, len(groups))
 	for _, g := range groups {
-		h.groups = append(h.groups, g)
+		out = append(out, g)
 	}
-	if !h.SkipSort {
-		sort.Slice(h.groups, func(a, b int) bool { return h.groups[a].encKey < h.groups[b].encKey })
+	if !skipSort && len(out) > 1 {
+		sort.Slice(out, func(a, b int) bool { return out[a].encKey < out[b].encKey })
 	}
+	return out
 }
 
 // Close implements BatchIterator.

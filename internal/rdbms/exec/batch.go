@@ -480,9 +480,12 @@ func NewBatchScanRange(v storage.ReadView, filter Expr, size, start, end int) *B
 	}
 }
 
-// SetPageSkip installs a page-skip predicate on the underlying chunk
-// cursor (storage page summaries).
-func (s *BatchScanIter) SetPageSkip(f func(*storage.PageSummary) bool) { s.chunk.SetSkip(f) }
+// SetPageSkip installs the page-skip predicate mk derives from the scan's
+// chunk cursor (storage page summaries): mk runs here, at open, so it sees
+// the pages this scan will read and none it will not.
+func (s *BatchScanIter) SetPageSkip(mk func(*storage.HeapChunkIter) func(*storage.PageSummary) bool) {
+	s.chunk.SetSkip(mk(s.chunk))
+}
 
 // SetSelFilter installs the plan-compiled form of Filter for frozen pages;
 // its conjunction must be equivalent to Filter, which stays the row-form

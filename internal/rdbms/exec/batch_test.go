@@ -207,12 +207,19 @@ func TestBatchHashAggMatchesRowHashAgg(t *testing.T) {
 		In: NewBatchScan(h, nil, 128), GroupBy: groupBy, Aggs: specs()})
 	// Both aggregates order groups by encoded key, so ordered compare works.
 	rowsEqual(t, got, want)
+	// Without GROUP BY the same aggregates, DISTINCT and NULL arguments
+	// included, fold whole batches into the one group.
+	want, err = Collect(&HashAggIter{In: NewScan(h, nil), Aggs: specs()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsEqual(t, collectBatches(t, &BatchHashAggIter{In: NewBatchScan(h, nil, 128), Aggs: specs()}), want)
 	// Scalar aggregate over empty input still yields one row.
 	empty := intHeap(t, 0)
 	got = collectBatches(t, &BatchHashAggIter{
-		In: NewBatchScan(empty, nil, 16), Aggs: []*AggSpec{{Kind: AggCountStar}}})
-	if len(got) != 1 || got[0][0].I != 0 {
-		t.Errorf("scalar agg over empty = %v", got)
+		In: NewBatchScan(empty, nil, 16), Aggs: specs()})
+	if len(got) != 1 || got[0][0].I != 0 || !got[0][2].IsNull() {
+		t.Errorf("scalar agg over empty = %v, want COUNT(*) 0 and SUM NULL", got)
 	}
 }
 

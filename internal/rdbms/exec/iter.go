@@ -495,17 +495,11 @@ func compareForSort(a, b types.Datum, desc bool) (int, error) {
 		}
 		return -1, nil
 	}
-	c, err := types.Compare(a, b)
-	if err != nil {
-		// Heterogeneous values (multi-typed attributes): order by type tag
-		// so sorting is total and deterministic rather than an error.
-		c = int(a.Typ) - int(b.Typ)
-		err = nil
-	}
+	c := types.CompareOrder(a, b)
 	if desc {
 		c = -c
 	}
-	return c, err
+	return c, nil
 }
 
 // Close implements Iterator.

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"sort"
 	"sync"
 
 	"github.com/sinewdata/sinew/internal/rdbms/storage"
@@ -307,37 +306,41 @@ func (p *ParallelHashAggIter) worker(i int, r storage.PageRange) {
 		p.results[i] <- aggPartial{err: err}
 		return
 	}
-	groups, err := accumulateGroups(src, p.GroupBy, p.Aggs, p.stop)
+	groups := make(map[string]*aggGroup)
+	err = accumulateGroups(src, p.GroupBy, p.Aggs, p.stop, groups)
 	p.results[i] <- aggPartial{groups: groups, err: err}
 }
 
-// accumulateGroups drains src into a partial group table — the per-worker
-// phase-one loop, identical in semantics to BatchHashAggIter.run. It polls
-// stop between batches so abandoned queries terminate promptly.
-func accumulateGroups(src BatchIterator, groupBy []Expr, aggs []*AggSpec, stop <-chan struct{}) (map[string]*aggGroup, error) {
+// accumulateGroups drains src into the group table groups: BatchHashAggIter's
+// whole run and, as a partial table, the per-worker phase one of the
+// parallel aggregate. The caller owns the table, so a serial aggregate's
+// can live on its stack. It polls stop (nil for none) between batches so
+// abandoned queries terminate promptly. Without GROUP BY the one group
+// takes each batch's argument columns whole: no key is built and no table
+// probed.
+func accumulateGroups(src BatchIterator, groupBy []Expr, aggs []*AggSpec, stop <-chan struct{}, groups map[string]*aggGroup) error {
 	defer src.Close()
 	ctx := NewEvalCtx()
-	groups := make(map[string]*aggGroup)
 	var keyBuf []byte
 	keyCols := make([][]types.Datum, len(groupBy))
 	argCols := make([][]types.Datum, len(aggs))
 	for {
 		select {
 		case <-stop:
-			return groups, nil
+			return nil
 		default:
 		}
 		in, err := src.NextBatch()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if in == nil {
-			return groups, nil
+			return nil
 		}
 		ctx.BeginBatch()
 		for i, g := range groupBy {
 			if keyCols[i], err = EvalBatch(g, in, ctx); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		for k, spec := range aggs {
@@ -346,11 +349,24 @@ func accumulateGroups(src BatchIterator, groupBy []Expr, aggs []*AggSpec, stop <
 				continue
 			}
 			if argCols[k], err = EvalBatch(spec.Arg, in, ctx); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		n := in.Len()
 		sel := in.Sel
+		if len(groupBy) == 0 {
+			grp := groups[""]
+			if grp == nil {
+				grp = newAggGroup(nil, "", aggs)
+				groups[""] = grp
+			}
+			for k, st := range grp.states {
+				if err := st.addColumn(argCols[k], sel, n); err != nil {
+					return err
+				}
+			}
+			continue
+		}
 		for si := 0; si < n; si++ {
 			i := selIdx(sel, si)
 			keyBuf = keyBuf[:0]
@@ -363,10 +379,7 @@ func accumulateGroups(src BatchIterator, groupBy []Expr, aggs []*AggSpec, stop <
 				for j, col := range keyCols {
 					keyVals[j] = col[i]
 				}
-				grp = &aggGroup{keyVals: keyVals, encKey: string(keyBuf)}
-				for _, spec := range aggs {
-					grp.states = append(grp.states, newAggState(spec))
-				}
+				grp = newAggGroup(keyVals, string(keyBuf), aggs)
 				groups[grp.encKey] = grp
 			}
 			for k, st := range grp.states {
@@ -375,7 +388,7 @@ func accumulateGroups(src BatchIterator, groupBy []Expr, aggs []*AggSpec, stop <
 					v = argCols[k][i]
 				}
 				if err := st.addValue(v); err != nil {
-					return nil, err
+					return err
 				}
 			}
 		}
@@ -416,20 +429,7 @@ func (p *ParallelHashAggIter) run() {
 	if p.err != nil {
 		return
 	}
-	if len(merged) == 0 && len(p.GroupBy) == 0 {
-		grp := &aggGroup{}
-		for _, spec := range p.Aggs {
-			grp.states = append(grp.states, newAggState(spec))
-		}
-		merged[""] = grp
-	}
-	p.groups = make([]*aggGroup, 0, len(merged))
-	for _, g := range merged {
-		p.groups = append(p.groups, g)
-	}
-	if !p.SkipSort {
-		sort.Slice(p.groups, func(a, b int) bool { return p.groups[a].encKey < p.groups[b].encKey })
-	}
+	p.groups = finishGroups(merged, p.GroupBy, p.Aggs, p.SkipSort)
 }
 
 // NextBatch implements BatchIterator.

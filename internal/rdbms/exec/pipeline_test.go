@@ -97,18 +97,21 @@ func TestPropertyParallelMatchesSerial(t *testing.T) {
 }
 
 // TestPropertyParallelAggMatchesSerial checks two-phase parallel hash
-// aggregation — GROUP BY with COUNT/SUM/AVG/MIN/MAX plus the grouped
-// DISTINCT case (no aggregates) — against the row and serial batch
-// aggregates.
+// aggregation — GROUP BY with COUNT/SUM/AVG/MIN/MAX, the same without GROUP
+// BY (the one group folds whole batches), plus the grouped DISTINCT case
+// (no aggregates) — against the row and serial batch aggregates.
 func TestPropertyParallelAggMatchesSerial(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		colTypes := []types.Type{types.Int, types.Int, types.Float, types.Text}
 		rows := randBatchRows(r, colTypes, r.Intn(400))
 		h, _ := heapOf(t, colTypes, rows)
-		groupBy := []Expr{col(0, types.Int)}
-		if r.Intn(2) == 0 {
-			groupBy = append(groupBy, col(3, types.Text))
+		var groupBy []Expr
+		switch r.Intn(3) {
+		case 1:
+			groupBy = []Expr{col(0, types.Int)}
+		case 2:
+			groupBy = []Expr{col(0, types.Int), col(3, types.Text)}
 		}
 		specs := func() []*AggSpec {
 			return []*AggSpec{
@@ -419,7 +422,7 @@ func TestPropertyStripedMixedHeap(t *testing.T) {
 				s := NewBatchScanRange(h, pred, size, rg.Start, rg.End)
 				s.NeedCols = need
 				if skip != nil {
-					s.SetPageSkip(skip)
+					s.SetPageSkip(func(*storage.HeapChunkIter) func(*storage.PageSummary) bool { return skip })
 				}
 				s.SetSelFilter(sf)
 				return s, nil
@@ -558,8 +561,12 @@ func TestPropertyStripedSelConsumers(t *testing.T) {
 				In: NewParallelPipeline(h.Partitions(3), selChainBuild(h, pred, nil, size, sf))})
 			rowsEqual(t, gotLP, wantL)
 
-			// GROUP BY over sel batches, serial and two-phase parallel.
+			// GROUP BY (or none) over sel batches, serial and two-phase
+			// parallel.
 			groupBy := []Expr{col(0, types.Int)}
+			if r.Intn(2) == 0 {
+				groupBy = nil
+			}
 			aggs := func() []*AggSpec {
 				return []*AggSpec{
 					{Kind: AggCountStar},

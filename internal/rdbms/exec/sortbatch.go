@@ -1,7 +1,7 @@
 package exec
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"github.com/sinewdata/sinew/internal/rdbms/storage"
@@ -97,22 +97,27 @@ func (s *BatchSortIter) build() {
 			break
 		}
 		s.batches++
+		n := in.Len()
+		sel := in.Sel
+		phys := in.PhysLen()
 		if first {
 			first = false
 			s.width = in.Width()
 			s.cols = make([][]types.Datum, s.width)
 			s.present = make([]bool, s.width)
 			for j := range s.present {
-				s.present[j] = true
+				s.present[j] = len(in.Cols[j]) >= phys
 			}
 			s.keyCols = make([][]types.Datum, len(s.Keys))
 			// Size the accumulation buffers once when the input knows its
 			// cardinality: append growth otherwise re-copies every column
-			// log₂(rows) times.
+			// log₂(rows) times. Columns the scan pruned away get none.
 			if sh, ok := s.In.(BatchSizeHinter); ok {
 				if hint, known := sh.SizeHint(); known && hint > 0 && hint < 1<<22 {
 					for j := range s.cols {
-						s.cols[j] = make([]types.Datum, 0, hint)
+						if s.present[j] {
+							s.cols[j] = make([]types.Datum, 0, hint)
+						}
 					}
 					for k := range s.keyCols {
 						s.keyCols[k] = make([]types.Datum, 0, hint)
@@ -120,9 +125,6 @@ func (s *BatchSortIter) build() {
 				}
 			}
 		}
-		n := in.Len()
-		sel := in.Sel
-		phys := in.PhysLen()
 		ctx.BeginBatch()
 		for k := range s.Keys {
 			kc, err := EvalBatch(s.Keys[k].Expr, in, ctx)
@@ -179,26 +181,16 @@ func (s *BatchSortIter) build() {
 	// bytes, so neither copying homogeneous key columns out into
 	// []int64/[]float64/[]string nor a typed comparator per column moves
 	// `ORDER BY str1` any more (EXPERIMENTS.md "Compact datum note").
-	var sortErr error
-	sort.SliceStable(s.perm, func(a, b int) bool {
-		if sortErr != nil {
-			return false
-		}
-		ia, ib := s.perm[a], s.perm[b]
+	slices.SortStableFunc(s.perm, func(ia, ib int32) int {
 		for k := range s.Keys {
 			col := s.keyCols[k]
-			c, err := compareForSort(col[ia], col[ib], s.Keys[k].Desc)
-			if err != nil {
-				sortErr = err
-				return false
-			}
-			if c != 0 {
-				return c < 0
+			// compareForSort is total over heterogeneous values; it never errors.
+			if c, _ := compareForSort(col[ia], col[ib], s.Keys[k].Desc); c != 0 {
+				return c
 			}
 		}
-		return false
+		return 0
 	})
-	s.err = sortErr
 }
 
 // Close implements BatchIterator.

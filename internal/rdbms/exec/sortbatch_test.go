@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/sinewdata/sinew/internal/rdbms/storage"
 	"github.com/sinewdata/sinew/internal/rdbms/types"
@@ -188,5 +189,49 @@ func TestParallelSortedMergeReleasesOnEarlyClose(t *testing.T) {
 		it := make()
 		it.Close()
 		waitGoroutines(t, base)
+	}
+}
+
+// TestBatchSortAllocatesOnlyReadColumns pins what one execution of a
+// one-of-seven-columns sort allocates (SELECT str1 ... ORDER BY str1 over a
+// scan that pruned the other six): the accumulation buffers are presized
+// for the columns the input carries, not for its whole width. 20 000 rows
+// need one data column and one key column of datums plus the permutation;
+// presizing all seven columns more than doubles that.
+func TestBatchSortAllocatesOnlyReadColumns(t *testing.T) {
+	const nRows, width = 20000, 7
+	colTypes := make([]types.Type, width)
+	for j := range colTypes {
+		colTypes[j] = types.Int
+	}
+	colTypes[0] = types.Text
+	r := rand.New(rand.NewSource(5))
+	h, _ := heapOf(t, colTypes, randBatchRows(r, colTypes, nRows))
+	keys := []SortKey{{Expr: col(0, types.Text)}}
+	run := func() {
+		scan := NewBatchScan(h, nil, DefaultBatchSize)
+		scan.NeedCols = []int{0}
+		it := &BatchSortIter{In: scan, Keys: keys}
+		for {
+			b, err := it.NextBatch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				break
+			}
+		}
+		it.Close()
+	}
+	run() // warm the batch pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	datum := int64(unsafe.Sizeof(types.Datum{}))
+	used := 2*nRows*datum + nRows*4 // data + key column, int32 permutation
+	if got := int64(after.TotalAlloc - before.TotalAlloc); got > used*3/2 {
+		t.Errorf("sorting one of %d columns of %d rows allocated %d bytes, want <= %d (1.5 x the %d it needs)",
+			width, nRows, got, used*3/2, used)
 	}
 }

@@ -99,14 +99,16 @@ type ScanNode struct {
 	// only these column indices (scan column pruning, see
 	// pruneScanColumns).
 	NeedCols []int
-	// Skip, when non-nil, is a factory invoked once per iterator open; the
-	// returned test is evaluated against each page's attribute/range
-	// summary and pages it reports skippable are never read (see
-	// deriveSkips — the factory resolves dictionary IDs per execution).
-	// SkipConds is the number of predicate conjuncts the skip test was
-	// derived from (EXPLAIN only).
-	Skip      func() func(*storage.PageSummary) bool
-	SkipConds int
+	// Skip, when non-nil, is a factory invoked once per iterator open with
+	// the scan's chunk cursor; the returned test is evaluated against each
+	// page's attribute/range summary and pages it reports skippable are
+	// never read. Its sources are the scan's filter conjuncts (deriveSkips
+	// — the factory resolves dictionary IDs per execution) and the bound of
+	// a Top-N directly above (deriveTopNSkip — computed per execution and
+	// per partition from the pages the cursor captured). SkipSource names
+	// the source for EXPLAIN.
+	Skip       func(*storage.HeapChunkIter) func(*storage.PageSummary) bool
+	SkipSource string
 	// SelFilter is the compiled form of Preds the scan runs on frozen
 	// pages: ranked conjuncts evaluated against the page's column vectors,
 	// emitting selection vectors instead of compacted copies (see
@@ -130,7 +132,7 @@ func (s *ScanNode) Details() []string {
 		d = append(d, "Filter: "+predsDisplay(s.Preds))
 	}
 	if s.Skip != nil {
-		d = append(d, fmt.Sprintf("Page Skip: %d conds", s.SkipConds))
+		d = append(d, "Page Skip: "+s.SkipSource)
 	}
 	return d
 }
@@ -163,7 +165,7 @@ func (s *ScanNode) openRange(v storage.ReadView, start, end int) *exec.BatchScan
 	it := exec.NewBatchScanRange(v, conjoinExec(s.Preds), exec.DefaultBatchSize, start, end)
 	it.NeedCols = s.NeedCols
 	if s.Skip != nil {
-		it.SetPageSkip(s.Skip())
+		it.SetPageSkip(s.Skip)
 	}
 	it.SetSelFilter(s.SelFilter)
 	return it

@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"fmt"
+
 	"github.com/sinewdata/sinew/internal/rdbms/exec"
 	"github.com/sinewdata/sinew/internal/rdbms/storage"
 	"github.com/sinewdata/sinew/internal/rdbms/types"
@@ -56,9 +58,10 @@ type skipCond struct {
 }
 
 // deriveSkips walks the plan and installs page-skip predicates on batch
-// scans. It runs after fusion/pruning and before parallelization, so it
-// sees plain ScanNodes (whose predicates still contain raw extraction
-// calls — fusion only rewrites projections).
+// scans: from their filters, and from the bound of a Top-N over a bare
+// scan (deriveTopNSkip). It runs after fusion/pruning and before
+// parallelization, so it sees plain ScanNodes (whose predicates still
+// contain raw extraction calls — fusion only rewrites projections).
 func (p *Planner) deriveSkips(n Node) {
 	if n == nil {
 		return
@@ -67,6 +70,8 @@ func (p *Planner) deriveSkips(n Node) {
 	case *ScanNode:
 		p.deriveScanSkip(x, nil)
 		return
+	case *TopNNode:
+		deriveTopNSkip(x)
 	case *FilterNode:
 		// A residual filter directly above a scan evaluates over the scan's
 		// layout, so its conjuncts can contribute skip conditions too.
@@ -96,7 +101,7 @@ func (p *Planner) deriveScanSkip(s *ScanNode, extra []exec.Expr) {
 		return
 	}
 	s.Skip = makeSkip(conds, resolver, s.Heap.Owner())
-	s.SkipConds = len(conds)
+	s.SkipSource = fmt.Sprintf("%d conds", len(conds))
 }
 
 // makeSkip compiles conds into a factory of per-page tests. The factory
@@ -106,8 +111,8 @@ func (p *Planner) deriveScanSkip(s *ScanNode, extra []exec.Expr) {
 // cached plan still sees the live dictionary. Any single condition
 // proving exclusion suffices: each derives from a top-level conjunct, and
 // one always-false conjunct kills the whole AND.
-func makeSkip(conds []skipCond, resolver exec.AttrResolver, h *storage.Heap) func() func(*storage.PageSummary) bool {
-	return func() func(*storage.PageSummary) bool {
+func makeSkip(conds []skipCond, resolver exec.AttrResolver, h *storage.Heap) func(*storage.HeapChunkIter) func(*storage.PageSummary) bool {
+	return func(*storage.HeapChunkIter) func(*storage.PageSummary) bool {
 		resolved := make([][]uint32, len(conds))
 		// Per-ID singleton slices for the zone test's LacksAllAttrs probes,
 		// allocated at open: the page test may be shared across parallel

@@ -1,9 +1,11 @@
 package plan
 
 import (
+	"fmt"
 	"math"
 
 	"github.com/sinewdata/sinew/internal/rdbms/exec"
+	"github.com/sinewdata/sinew/internal/rdbms/storage"
 )
 
 // rewriteTopN substitutes a bounded Top-N for a SortNode feeding a LIMIT —
@@ -41,4 +43,27 @@ func (p *Planner) newTopN(s *SortNode, limit int64) Node {
 		N:        limit,
 		Batch:    s.Batch,
 	}
+}
+
+// deriveTopNSkip bounds the page reads of a Top-N over a bare batch scan
+// by its own limit: when the first sort key is a physical column whose
+// per-page min/max the summaries track, the scan gets a skip factory that
+// runs storage.HeapChunkIter.TopNSkip at every iterator open — per
+// execution, because a cached plan outlives loads, and per partition, so
+// each Gather worker bounds its own pages. A scan with predicates does not
+// qualify: the pages' live counts say nothing about how many rows pass.
+func deriveTopNSkip(t *TopNNode) {
+	s, ok := t.Child.(*ScanNode)
+	if !ok || !s.Batch || len(s.Preds) > 0 || len(t.Keys) == 0 {
+		return
+	}
+	c, ok := t.Keys[0].Expr.(*exec.ColExpr)
+	if !ok || !storage.RangeTracked(c.Typ) {
+		return
+	}
+	col, desc, n := c.Idx, t.Keys[0].Desc, t.N
+	s.Skip = func(it *storage.HeapChunkIter) func(*storage.PageSummary) bool {
+		return it.TopNSkip(col, desc, n)
+	}
+	s.SkipSource = fmt.Sprintf("top-n bound (%s, %d)", sortKeyDisplay(t.Keys[:1]), n)
 }

@@ -378,7 +378,8 @@ type HeapChunkIter struct {
 
 // SetSkip installs a page-skip predicate; must be called before the first
 // ReadRows. The predicate must return true only when the page summary
-// proves no live row can satisfy the scan's filter.
+// proves no live row of the page can reach the scan's result: none
+// satisfies its filter, or each ranks behind a Top-N's bound (TopNSkip).
 func (it *HeapChunkIter) SetSkip(f func(*PageSummary) bool) { it.skip = f }
 
 // PagesSkipped reports how many whole pages the predicate eliminated.
@@ -592,6 +593,13 @@ func (h *Heap) AddColumnData(n int) error {
 			}
 			np.rows[i] = nr
 			np.bytes += h.rowFootprint(nr)
+		}
+		if np.sum != nil {
+			// The new columns are NULL on every row already here, which a
+			// range built from later inserts must not claim to cover.
+			for j := len(h.schema.Cols) - n; j < len(h.schema.Cols); j++ {
+				np.sum.noteNulls(j)
+			}
 		}
 		h.pages[pi] = np
 	}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/sinewdata/sinew/internal/rdbms/types"
@@ -32,6 +33,7 @@ type colRange struct {
 	min, max types.Datum
 	ok       bool // at least one non-null value seen
 	bad      bool // incomparable values; range unusable
+	nulls    bool // a NULL was seen: some row may lie outside [min, max]
 }
 
 // PageSummary is the skip summary of one heap page. Readers access it only
@@ -75,14 +77,24 @@ func (s *PageSummary) LacksAllAttrs(col int, ids []uint32) bool {
 
 // ColRange returns the min/max of column col on the page, when known.
 func (s *PageSummary) ColRange(col int) (min, max types.Datum, ok bool) {
-	if !s.usable() {
-		return types.Datum{}, types.Datum{}, false
-	}
-	r, tracked := s.ranges[col]
-	if !tracked || r.bad || !r.ok {
+	r := s.usableRange(col)
+	if r == nil {
 		return types.Datum{}, types.Datum{}, false
 	}
 	return r.min, r.max, true
+}
+
+// usableRange returns column col's range when it bounds every non-NULL
+// value on the page, else nil.
+func (s *PageSummary) usableRange(col int) *colRange {
+	if !s.usable() {
+		return nil
+	}
+	r := s.ranges[col]
+	if r == nil || r.bad || !r.ok {
+		return nil
+	}
+	return r
 }
 
 // AttrZone returns the zone map of attribute id within column col, when
@@ -139,9 +151,9 @@ func (s *PageSummary) insertAttr(col int, id uint32) {
 	s.attrs[col] = set
 }
 
-// rangeTracked reports whether a column type participates in min/max
+// RangeTracked reports whether a column type participates in min/max
 // tracking (orderable scalars only).
-func rangeTracked(t types.Type) bool {
+func RangeTracked(t types.Type) bool {
 	return t == types.Int || t == types.Float || t == types.Text
 }
 
@@ -176,7 +188,11 @@ func (h *Heap) noteRowExcept(s *PageSummary, row Row, skipAttrs map[int]bool) {
 		}
 	}
 	for col, d := range row {
-		if d.IsNull() || !rangeTracked(d.Typ) {
+		if d.IsNull() {
+			s.noteNulls(col)
+			continue
+		}
+		if !RangeTracked(d.Typ) {
 			continue
 		}
 		r := s.ranges[col]
@@ -203,6 +219,118 @@ func (h *Heap) noteRowExcept(s *PageSummary, row Row, skipAttrs map[int]bool) {
 			r.max = d
 		}
 	}
+}
+
+// TopNSkip returns the page-skip test of an ORDER BY on column col
+// (descending when desc) that keeps n rows, derived from the summaries of
+// the pages left in the cursor's range without reading a row; nil when no
+// page can be skipped. A page whose every live key is at least as good as
+// its own bound (min under DESC, max under ASC) contributes its live rows;
+// T is the best bound whose pages together hold n rows. A page whose range
+// is strictly worse than T is skipped: each of its rows ranks behind n
+// others, so ties, first-arrival order and NULL placement cannot bring it
+// back. A page that may hold a NULL key never counts, since NULL is no
+// bound's equal, and under DESC, where NULLs sort first, is never
+// skipped. Live counts come from the captured page objects — a frozen
+// page's rows, a row-form page's occupied slots — never from a counter a
+// delete could leave stale: an over-count would return wrong rows.
+// Recorded extrema only ever widen, so they stay safe. Nothing is
+// allocated per page, nor at all when no page can be skipped and T needs
+// no more than a handful of pages.
+func (it *HeapChunkIter) TopNSkip(col int, desc bool, n int64) func(*PageSummary) bool {
+	if n <= 0 {
+		return nil
+	}
+	type pageBound struct {
+		key  types.Datum
+		live int64
+	}
+	// best holds, best first, the fewest pages seen so far that together
+	// hold n rows: a page is dropped once the better ones cover n without it.
+	var buf [16]pageBound
+	best := buf[:0]
+	var held int64
+	pages := it.pages[it.page:it.end]
+	for _, p := range pages {
+		r := p.sum.usableRange(col)
+		if r == nil || r.nulls {
+			continue
+		}
+		b := pageBound{key: r.max, live: liveRows(p)}
+		if desc {
+			b.key = r.min
+		}
+		i := len(best)
+		for i > 0 && orderCmp(b.key, best[i-1].key, desc) < 0 {
+			i--
+		}
+		if i == len(best) && held >= n {
+			continue
+		}
+		best = slices.Insert(best, i, b)
+		held += b.live
+		for last := len(best) - 1; last > 0 && held-best[last].live >= n; last-- {
+			held -= best[last].live
+			best = best[:last]
+		}
+	}
+	if held < n {
+		return nil
+	}
+	t := best[len(best)-1].key
+	for _, p := range pages {
+		if topNSkips(p.sum, col, desc, t) {
+			return func(s *PageSummary) bool { return topNSkips(s, col, desc, t) }
+		}
+	}
+	return nil
+}
+
+// topNSkips is TopNSkip's test of one page against the bound t.
+func topNSkips(s *PageSummary, col int, desc bool, t types.Datum) bool {
+	r := s.usableRange(col)
+	if r == nil {
+		return false
+	}
+	if desc {
+		return !r.nulls && orderCmp(r.max, t, desc) > 0
+	}
+	return orderCmp(r.min, t, desc) > 0
+}
+
+// orderCmp is the ORDER BY's comparison of two non-NULL keys: positive
+// when a sorts after b.
+func orderCmp(a, b types.Datum, desc bool) int {
+	if desc {
+		return types.CompareOrder(b, a)
+	}
+	return types.CompareOrder(a, b)
+}
+
+// liveRows counts the rows a scan of p would deliver.
+func liveRows(p *page) int64 {
+	if p.frozen != nil {
+		return int64(p.frozen.NumRows())
+	}
+	var n int64
+	for _, r := range p.rows {
+		if r != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// noteNulls records that column col holds a NULL on the page. The entry
+// is made even before any value arrives, so a range built from later rows
+// still knows it does not cover every row.
+func (s *PageSummary) noteNulls(col int) {
+	r := s.ranges[col]
+	if r == nil {
+		r = &colRange{}
+		s.ranges[col] = r
+	}
+	r.nulls = true
 }
 
 // SetAttrSummarizer installs fn as the attribute summarizer for column col.

@@ -2,6 +2,8 @@ package storage
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"github.com/sinewdata/sinew/internal/rdbms/types"
@@ -281,5 +283,113 @@ func TestRowFootprintTracksUpdates(t *testing.T) {
 	h.Delete(RowID{0, 0})
 	if h.SizeBytes() != 0 {
 		t.Errorf("size after delete = %d", h.SizeBytes())
+	}
+}
+
+// TestTopNSkipBound checks the Top-N page bound over random heaps — page
+// windows that overlap, NULL keys, deleted slots, more pages than the
+// bound's fixed buffer — against its definition: T is the key at which
+// the best-first running count of the summarized pages' live rows reaches
+// n, and a page is skipped exactly when its range is strictly worse.
+// Every row of a skipped page must rank behind n rows of the heap.
+func TestTopNSkipBound(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for iter := 0; iter < 200; iter++ {
+		h := NewHeap(testSchema(t), nil)
+		for p := 0; p < 1+r.Intn(40); p++ {
+			base, nulls := r.Intn(2000), r.Intn(5) == 0
+			for j := 0; j < rowsPerPage; j++ {
+				// The key column holds Int and Float datums side by side.
+				row := mkRow(int64(j), "x", float64(base+r.Intn(150))+0.5*float64(r.Intn(2)))
+				if r.Intn(2) == 0 {
+					row[2] = types.NewInt(int64(base + r.Intn(150)))
+				}
+				if nulls && r.Intn(3) == 0 {
+					row[2] = types.NewNull(types.Float)
+				}
+				if err := h.Insert(row); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if r.Intn(4) == 0 {
+				for j := 0; j < r.Intn(rowsPerPage); j++ {
+					_, _ = h.Delete(RowID{Page: p, Slot: r.Intn(rowsPerPage)})
+				}
+			}
+		}
+		h.RebuildSummaries()
+		desc, n := r.Intn(2) == 0, int64(1+r.Intn(40*rowsPerPage))
+		if r.Intn(2) == 0 { // whole pages: the running count meets n exactly
+			n = int64(rowsPerPage * (1 + r.Intn(40)))
+		}
+
+		// The definition, by sorting every eligible page.
+		type bound struct {
+			key  types.Datum
+			live int64
+		}
+		var bounds []bound
+		for _, p := range h.pages {
+			rg := p.sum.usableRange(2)
+			if rg == nil || rg.nulls {
+				continue
+			}
+			b := bound{rg.max, liveRows(p)}
+			if desc {
+				b.key = rg.min
+			}
+			bounds = append(bounds, b)
+		}
+		sort.SliceStable(bounds, func(a, b int) bool { return orderCmp(bounds[a].key, bounds[b].key, desc) < 0 })
+		var tk *types.Datum
+		left := n
+		for i := range bounds {
+			if left -= bounds[i].live; left <= 0 {
+				tk = &bounds[i].key
+				break
+			}
+		}
+
+		skip := h.IterateRange(0, h.NumPages()).TopNSkip(2, desc, n)
+		var kept []types.Datum
+		var skippedKeys []types.Datum
+		for pi, p := range h.pages {
+			want := tk != nil && topNSkips(p.sum, 2, desc, *tk)
+			got := skip != nil && p.sum.usable() && skip(p.sum)
+			if got != want {
+				t.Fatalf("iter %d page %d (desc %v, n %d): skipped %v, want %v", iter, pi, desc, n, got, want)
+			}
+			for _, row := range pageRows(p) {
+				if row == nil {
+					continue
+				}
+				if got {
+					skippedKeys = append(skippedKeys, row[2])
+				} else {
+					kept = append(kept, row[2])
+				}
+			}
+		}
+		// Soundness: n kept keys each rank strictly ahead of every skipped one
+		// (a NULL ranks first under DESC, last under ASC).
+		ahead := func(a, b types.Datum) bool {
+			switch {
+			case a.IsNull() || b.IsNull():
+				return !b.IsNull() == desc && a.IsNull() != b.IsNull()
+			default:
+				return orderCmp(a, b, desc) < 0
+			}
+		}
+		for _, s := range skippedKeys {
+			var c int64
+			for _, k := range kept {
+				if ahead(k, s) {
+					c++
+				}
+			}
+			if c < n {
+				t.Fatalf("iter %d (desc %v, n %d): skipped key %v has only %d kept keys ahead", iter, desc, n, s, c)
+			}
+		}
 	}
 }

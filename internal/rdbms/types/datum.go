@@ -316,6 +316,18 @@ func Compare(a, b Datum) (int, error) {
 	}
 }
 
+// CompareOrder orders two non-NULL datums totally, the way ORDER BY does:
+// as Compare where they are comparable, otherwise by type tag, so a
+// multi-typed attribute sorts deterministically instead of failing. The
+// sort operators and the storage layer's Top-N page bound share it.
+func CompareOrder(a, b Datum) int {
+	c, err := Compare(a, b)
+	if err != nil {
+		return int(a.Typ) - int(b.Typ)
+	}
+	return c
+}
+
 // IsNumeric reports whether the datum holds an integer or real value.
 func (d Datum) IsNumeric() bool { return d.Typ == Int || d.Typ == Float }
 
