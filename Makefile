@@ -24,8 +24,9 @@ lint:
 race:
 	$(GO) test -race ./...
 
-# race-workers re-runs the executor differential tests (row vs batch vs
-# parallel pipelines) under the race detector at several GOMAXPROCS
+# race-workers re-runs the executor differential tests (serial and
+# parallel pipelines against exec's reference evaluator, ref_test.go)
+# under the race detector at several GOMAXPROCS
 # settings: 1 forces serial plans, 2 and 8 vary worker counts and
 # goroutine interleavings through the morsel-driven pipelines, the one
 # scan loop under them (TestPropertyStriped*: frozen pages shared across
@@ -34,7 +35,7 @@ race:
 # predicate keeps a plan serial; the volatile call counts without a lock,
 # so a parallel plan is a reported race). The Top-N page bound leg
 # (TestTopNBound*) holds every Top-N whose scan skips pages on its bound to
-# the row engine — serial, across three partitions, and beside a writer
+# the reference plan — serial, across three partitions, and beside a writer
 # appending pages under pinned snapshots. The final leg drives frozen-page
 # scans end to end through core.
 race-workers:
@@ -50,7 +51,7 @@ race-workers:
 # race-sessions drives the concurrent-session surface added with sinewd
 # (DESIGN.md §10): the mixed writer/reader stress harness, the
 # snapshot-isolation differential test (every snapshot read must equal
-# the serial replay at its pinned epoch, across row/batch/parallel
+# the serial replay at its pinned epoch, across reference/batch/parallel
 # plans), the torn-dirty-flag test (core's TestSnapshotTornDirty:
 # readers rewriting Q10 while a column's dirty bit flips under them), the
 # materializer beside SQL writers (no acknowledged UPDATE or DELETE lost to

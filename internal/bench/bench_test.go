@@ -1,15 +1,9 @@
 package bench
 
 import (
-	"runtime"
-	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/sinewdata/sinew/internal/rdbms/exec"
-	"github.com/sinewdata/sinew/internal/rdbms/plan"
-	"github.com/sinewdata/sinew/internal/rdbms/sqlparse"
 )
 
 func TestNoBenchFixtureAndFigures(t *testing.T) {
@@ -232,131 +226,5 @@ func TestTableRendering(t *testing.T) {
 		if !strings.Contains(out, w) {
 			t.Errorf("rendering missing %q:\n%s", w, out)
 		}
-	}
-}
-
-// BenchmarkBatchVsRow measures the batch executor against the row-at-a-time
-// executor on a full-table projection over the NoBench fixture: once over
-// materialized physical columns (pure executor overhead) and once over a
-// virtual column (the extract-UDF hot path with per-batch header caching).
-func BenchmarkBatchVsRow(b *testing.B) {
-	f, err := SetupNoBench(4000, 42, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Both modes allocate the same ~800KB result per query, and at the
-	// default GOGC the collector's assist work on that shared allocation
-	// swamps the executor difference being measured. Relax GC identically
-	// for both modes (and collect between sub-benchmarks so neither starts
-	// with the other's heap debt) to compare executor throughput.
-	defer debug.SetGCPercent(debug.SetGCPercent(800))
-	queries := []struct{ name, sql string }{
-		{"Physical", `SELECT str1, num FROM ` + f.Par.Table},
-		{"Virtual", `SELECT str2 FROM ` + f.Par.Table},
-	}
-	modes := []struct{ name, set string }{
-		{"Row", `SET enable_batch = off`},
-		{"Batch", `SET enable_batch = on`},
-	}
-	for _, q := range queries {
-		for _, m := range modes {
-			b.Run(q.name+"/"+m.name, func(b *testing.B) {
-				if _, err := f.Sinew.Query(m.set); err != nil {
-					b.Fatal(err)
-				}
-				runtime.GC()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := f.Sinew.Query(q.sql)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(res.Rows) != f.N {
-						b.Fatalf("rows = %d, want %d", len(res.Rows), f.N)
-					}
-				}
-			})
-		}
-	}
-
-	// Projection drains the same full-table projection through the bare
-	// executor pipeline with no result materialization — the end-to-end
-	// sub-benchmarks above allocate an identical ~800KB result per query in
-	// both modes, so under sustained load they converge to allocator
-	// throughput; this pair isolates the operator pipelines themselves.
-	sql := `SELECT str1, num FROM ` + f.Par.Table
-	for _, m := range modes {
-		b.Run("Projection/"+m.name, func(b *testing.B) {
-			if _, err := f.Sinew.Query(m.set); err != nil {
-				b.Fatal(err)
-			}
-			stmt, err := sqlparse.Parse(sql)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rewritten, cleanup, err := f.Sinew.RewriteStmt(stmt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer cleanup()
-			sel, ok := rewritten.(*sqlparse.SelectStmt)
-			if !ok {
-				b.Fatalf("rewrite produced %T", rewritten)
-			}
-			runtime.GC()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sp, err := f.Sinew.RDBMS().PlanSelect(sel)
-				if err != nil {
-					b.Fatal(err)
-				}
-				n, err := drainPlan(sp)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if n != f.N {
-					b.Fatalf("rows = %d, want %d", n, f.N)
-				}
-			}
-		})
-	}
-	if _, err := f.Sinew.Query(`SET enable_batch = on`); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// drainPlan runs a plan to end of stream without materializing a result,
-// returning the row count. A batch-rooted plan is drained batch-at-a-time
-// through the native pipeline; a row plan through the Volcano interface.
-func drainPlan(sp *plan.SelectPlan) (int, error) {
-	it := sp.Open()
-	if br, ok := it.(*exec.BatchToRow); ok {
-		in := br.In
-		defer in.Close()
-		n := 0
-		for {
-			b, err := in.NextBatch()
-			if err != nil {
-				return n, err
-			}
-			if b == nil {
-				return n, nil
-			}
-			n += b.Len()
-		}
-	}
-	defer it.Close()
-	n := 0
-	for {
-		_, ok, err := it.Next()
-		if err != nil {
-			return n, err
-		}
-		if !ok {
-			return n, nil
-		}
-		n++
 	}
 }

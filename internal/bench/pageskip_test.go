@@ -7,8 +7,8 @@ import "testing"
 // skipping): the materialized `num` column is the record index, so its
 // per-page min/max ranges are disjoint and a BETWEEN touching ~0.1% of
 // records must read only the pages containing the match window. Each
-// query must also return exactly what the row engine returns, whose scan
-// never skips.
+// query must also return exactly what the reference plan (enable_batch
+// off) returns, whose scan never skips.
 func TestPageSkipOnNoBench(t *testing.T) {
 	f, err := SetupNoBench(2000, 21, 0)
 	if err != nil {
@@ -26,11 +26,11 @@ func TestPageSkipOnNoBench(t *testing.T) {
 		pager.Reset()
 		base, err := db.Query(sql)
 		if err != nil {
-			t.Fatalf("%s (row engine): %v", qid, err)
+			t.Fatalf("%s (reference plan): %v", qid, err)
 		}
 		baseBytes, _ := pager.Stats()
 		if skipped, _ := pager.ExecStats(); skipped != 0 {
-			t.Fatalf("%s: the row scan skipped %d pages", qid, skipped)
+			t.Fatalf("%s: the reference scan skipped %d pages", qid, skipped)
 		}
 
 		if _, err := db.Query("SET enable_batch = on"); err != nil {

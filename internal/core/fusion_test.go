@@ -56,8 +56,8 @@ func resultKey(res *QueryResult) string {
 }
 
 // TestFusedExtractMatchesRowMode pins the tentpole's correctness contract:
-// for every query shape, the fused batch path (enable_batch=on) and the
-// unfused row-at-a-time path return identical results.
+// for every query shape, the fused path (enable_batch=on) and the unfused
+// reference plan return identical results.
 func TestFusedExtractMatchesRowMode(t *testing.T) {
 	db := fusionDB(t)
 	queries := []string{
@@ -83,10 +83,10 @@ func TestFusedExtractMatchesRowMode(t *testing.T) {
 			t.Fatal(e2)
 		}
 		if err != nil {
-			t.Fatalf("%s (row): %v", q, err)
+			t.Fatalf("%s (reference): %v", q, err)
 		}
 		if resultKey(batched) != resultKey(rowed) {
-			t.Errorf("%s: fused and row-mode results diverge\nbatch:\n%srow:\n%s",
+			t.Errorf("%s: fused and reference results diverge\nbatch:\n%sreference:\n%s",
 				q, resultKey(batched), resultKey(rowed))
 		}
 	}

@@ -55,7 +55,7 @@ func (db *DB) skipRun(t *testing.T, sql string) (rows int, skipped int64) {
 
 // TestAttrPresenceSkipping pins the attr-presence half of page skipping:
 // a selection on an era-local virtual key must skip the other era's
-// pages outright while returning exactly the rows of the row engine's
+// pages outright while returning exactly the rows of the reference plan's
 // scan, which never skips.
 func TestAttrPresenceSkipping(t *testing.T) {
 	db := eraDB(t, 1024) // 8 pages: 4 alpha-era, 4 beta-era
@@ -64,7 +64,7 @@ func TestAttrPresenceSkipping(t *testing.T) {
 	mustSet(t, db, `SET enable_batch = off`)
 	baseRows, baseSkipped := db.skipRun(t, q)
 	if baseSkipped != 0 {
-		t.Fatalf("the row scan skipped %d pages", baseSkipped)
+		t.Fatalf("the reference scan skipped %d pages", baseSkipped)
 	}
 	if baseRows == 0 {
 		t.Fatal("probe matched no rows; fixture broken")
@@ -157,8 +157,8 @@ func zoneDB(t *testing.T, n int) *DB {
 // TestStripedZoneMapSkipping pins the zone-map half of page skipping: a
 // range probe on a virtual key present in every record (so attr-presence
 // skipping can never fire) must eliminate every frozen page whose segment
-// extrema exclude the range, while returning exactly the rows of the row
-// engine's scan, which never skips.
+// extrema exclude the range, while returning exactly the rows of the
+// reference plan's scan, which never skips.
 func TestStripedZoneMapSkipping(t *testing.T) {
 	db := zoneDB(t, 1024) // 8 full pages, zv spans [128p, 128p+127] on page p
 	const q = `SELECT id FROM events WHERE zv > 1000`
@@ -166,7 +166,7 @@ func TestStripedZoneMapSkipping(t *testing.T) {
 	mustSet(t, db, `SET enable_batch = off`)
 	baseRows, baseSkipped := db.skipRun(t, q)
 	if baseSkipped != 0 {
-		t.Fatalf("the row scan skipped %d pages", baseSkipped)
+		t.Fatalf("the reference scan skipped %d pages", baseSkipped)
 	}
 	if baseRows != 23 { // zv in 1001..1023
 		t.Fatalf("probe matched %d rows, want 23", baseRows)

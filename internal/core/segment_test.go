@@ -71,14 +71,14 @@ func sortedResultKey(res *QueryResult) string {
 }
 
 // segmentLegs are the executor configurations every query must agree
-// across: the row-at-a-time reference, the batch pipeline (its scan
-// aliasing frozen pages and transposing row-form ones as it meets them),
-// and the same pipeline under parallel gathers.
+// across: the reference plan (enable_batch off: no shortcut), the default
+// serial plan (its scan aliasing frozen pages and transposing row-form
+// ones as it meets them), and the same plan under parallel gathers.
 var segmentLegs = []struct {
 	name  string
 	stmts []string
 }{
-	{"row", []string{
+	{"reference", []string{
 		`SET enable_batch = off`, `SET max_parallel_workers = 1`}},
 	{"batch", []string{
 		`SET enable_batch = on`, `SET max_parallel_workers = 1`}},
@@ -88,7 +88,7 @@ var segmentLegs = []struct {
 }
 
 // runSegmentLegs runs every query under every leg and fails on any
-// divergence from the row-mode reference.
+// divergence from the reference plan.
 func runSegmentLegs(t *testing.T, db *DB, phase string, queries []string) {
 	t.Helper()
 	for _, q := range queries {
@@ -100,12 +100,12 @@ func runSegmentLegs(t *testing.T, db *DB, phase string, queries []string) {
 				t.Fatalf("%s/%s: %s: %v", phase, leg.name, q, err)
 			}
 			key := sortedResultKey(res)
-			if leg.name == "row" {
+			if leg.name == "reference" {
 				ref = key
 				continue
 			}
 			if key != ref {
-				t.Errorf("%s/%s: %s diverges from row mode\nrow:\n%s\n%s:\n%s",
+				t.Errorf("%s/%s: %s diverges from the reference\nreference:\n%s\n%s:\n%s",
 					phase, leg.name, q, ref, leg.name, key)
 			}
 		}

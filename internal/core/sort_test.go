@@ -8,7 +8,7 @@ import (
 // TestOrderByDifferential pins the batch-native sort's correctness
 // contract: ORDER BY (multi-key, ASC/DESC, NULL ordering, virtual and
 // multi-typed keys) and ORDER BY + LIMIT return byte-identical results —
-// same rows, same order — across the row reference, the serial batch
+// same rows, same order — across the reference plan, the serial batch
 // pipeline, the striped scan, and the parallel sorted-merge gather. The
 // comparison is order-preserving on purpose: local stable sorts over
 // ascending page ranges merged with a partition-index tie-break must
@@ -41,12 +41,12 @@ func TestOrderByDifferential(t *testing.T) {
 				t.Fatalf("%s: %s: %v", leg.name, q, err)
 			}
 			key := resultKey(res) // order-preserving
-			if leg.name == "row" {
+			if leg.name == "reference" {
 				ref = key
 				continue
 			}
 			if key != ref {
-				t.Errorf("%s: %s diverges from row mode\nrow:\n%s\n%s:\n%s",
+				t.Errorf("%s: %s diverges from the reference\nreference:\n%s\n%s:\n%s",
 					leg.name, q, ref, leg.name, key)
 			}
 		}

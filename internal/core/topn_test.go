@@ -14,21 +14,21 @@ import (
 )
 
 // topnLegs are the executor configurations a Top-N must agree across: the
-// row engine's full sort + LIMIT (no page is ever skipped), the serial
-// batch Top-N over a scan bounded by its page summaries, and the same
-// under a gather of three partitions, each bounding its own pages.
+// reference plan's full sort + LIMIT (no page is ever skipped), the serial
+// Top-N over a scan bounded by its page summaries, and the same under a
+// gather of three partitions, each bounding its own pages.
 var topnLegs = []struct {
 	name  string
 	stmts []string
 }{
-	{"row", []string{`SET enable_batch = off`, `SET max_parallel_workers = 1`}},
+	{"reference", []string{`SET enable_batch = off`, `SET max_parallel_workers = 1`}},
 	{"batch", []string{`SET enable_batch = on`, `SET max_parallel_workers = 1`}},
 	{"parallel", []string{`SET enable_batch = on`,
 		`SET max_parallel_workers = 3`, `SET parallel_scan_min_pages = 1`}},
 }
 
 // runTopNLegs runs every query under every leg through query and fails on
-// any divergence from the row engine, order included. It returns the
+// any divergence from the reference plan, order included. It returns the
 // pages the batch leg skipped over all queries.
 func runTopNLegs(t *testing.T, db *DB, phase string, query func(string) (*QueryResult, error), queries []string) int64 {
 	t.Helper()
@@ -44,7 +44,7 @@ func runTopNLegs(t *testing.T, db *DB, phase string, query func(string) (*QueryR
 			}
 			key := resultKey(res)
 			switch leg.name {
-			case "row":
+			case "reference":
 				ref = key
 				continue
 			case "batch":
@@ -52,7 +52,7 @@ func runTopNLegs(t *testing.T, db *DB, phase string, query func(string) (*QueryR
 				skipped += sk
 			}
 			if key != ref {
-				t.Errorf("%s/%s: %s diverges from the row engine\nrow:\n%s\n%s:\n%s",
+				t.Errorf("%s/%s: %s diverges from the reference\nreference:\n%s\n%s:\n%s",
 					phase, leg.name, q, ref, leg.name, key)
 			}
 		}
@@ -124,7 +124,7 @@ func topnDB(t *testing.T) *DB {
 	return db
 }
 
-// TestTopNBoundDifferential holds the Top-N page bound to the row engine:
+// TestTopNBoundDifferential holds the Top-N page bound to the reference plan:
 // NULL keys under DESC and ASC, an Int/Float-mixed column and a Text
 // column, ties at the N-th key spanning pages, pages with deleted slots, a
 // page un-frozen by UPDATE, LIMIT at and past the row count, multi-key

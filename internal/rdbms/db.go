@@ -304,8 +304,8 @@ func (db *DB) execSelect(st *sqlparse.SelectStmt) (*Result, error) {
 // PlanSelect plans (but does not run) a SELECT — benchmarks and tools use
 // it to drive the executor directly. Planning reads a pinned snapshot; the
 // returned plan re-binds to the live heaps, so the caller must not run
-// DDL/DML concurrently with executing it (or must execute it with OpenCtx
-// under its own ExecCtx).
+// DDL/DML concurrently with executing it (or must execute it with
+// CollectCtx under its own ExecCtx).
 func (db *DB) PlanSelect(st *sqlparse.SelectStmt) (*plan.SelectPlan, error) {
 	ec := exec.NewExecCtx()
 	defer ec.Release()

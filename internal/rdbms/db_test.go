@@ -387,21 +387,18 @@ func TestSetSessionKnobs(t *testing.T) {
 	if !strings.Contains(res.ExplainText, "(batch)") {
 		t.Errorf("default explain is not batch:\n%s", res.ExplainText)
 	}
-	// enable_batch = off drops the batch pipeline; queries still run.
+	// enable_batch = off plans the reference (core's
+	// TestReferencePlanTakesNoShortcut pins what it is); same answers.
 	mustExec(t, db, `SET enable_batch = off`)
-	res = mustExec(t, db, `EXPLAIN SELECT name FROM users WHERE age > 20`)
-	if strings.Contains(res.ExplainText, "(batch)") {
-		t.Errorf("explain after SET enable_batch=off:\n%s", res.ExplainText)
-	}
-	rowMode := mustExec(t, db, `SELECT id FROM users ORDER BY id`)
+	reference := mustExec(t, db, `SELECT id FROM users ORDER BY id`)
 	mustExec(t, db, `SET enable_batch = on`)
 	batchMode := mustExec(t, db, `SELECT id FROM users ORDER BY id`)
-	if len(rowMode.Rows) != len(batchMode.Rows) {
-		t.Fatalf("row-mode %d rows, batch-mode %d", len(rowMode.Rows), len(batchMode.Rows))
+	if len(reference.Rows) != len(batchMode.Rows) {
+		t.Fatalf("reference %d rows, default %d", len(reference.Rows), len(batchMode.Rows))
 	}
-	for i := range rowMode.Rows {
-		if rowMode.Rows[i][0].I != batchMode.Rows[i][0].I {
-			t.Errorf("row %d: %v vs %v", i, rowMode.Rows[i], batchMode.Rows[i])
+	for i := range reference.Rows {
+		if reference.Rows[i][0].I != batchMode.Rows[i][0].I {
+			t.Errorf("row %d: %v vs %v", i, reference.Rows[i], batchMode.Rows[i])
 		}
 	}
 	// Errors: unknown knob, wrong type, out of range.

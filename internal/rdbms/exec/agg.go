@@ -200,39 +200,9 @@ func aggName(k AggKind) string {
 	return "?"
 }
 
-// HashAggIter groups rows by hashed key expressions and computes aggregates
-// per group. Output rows are [groupKeys..., aggResults...]. With no group
-// keys it emits exactly one row (scalar aggregation). Group output order is
-// the hash-map order made deterministic by sorting on the encoded key, which
-// keeps tests stable without changing complexity class.
-type HashAggIter struct {
-	In       Iterator
-	GroupBy  []Expr
-	Aggs     []*AggSpec
-	SkipSort bool // preserve arbitrary order (used by benchmarks)
-
-	done bool
-	out  []storage.Row
-	pos  int
-	err  error
-}
-
-// Next implements Iterator.
-func (h *HashAggIter) Next() (storage.Row, bool, error) {
-	if !h.done {
-		h.run()
-	}
-	if h.err != nil {
-		return nil, false, h.err
-	}
-	if h.pos >= len(h.out) {
-		return nil, false, nil
-	}
-	r := h.out[h.pos]
-	h.pos++
-	return r, true, nil
-}
-
+// aggGroup is one group of a hash or sorted aggregate: its key values, its
+// aggregate states and its encoded key (the hash-table key and the output
+// order of the hash aggregates).
 type aggGroup struct {
 	keyVals []types.Datum
 	states  []*aggState
@@ -246,58 +216,6 @@ func newAggGroup(keyVals []types.Datum, encKey string, aggs []*AggSpec) *aggGrou
 	}
 	return g
 }
-
-func (h *HashAggIter) run() {
-	h.done = true
-	defer h.In.Close()
-	groups := make(map[string]*aggGroup)
-	var keyBuf []byte
-	for {
-		row, ok, err := h.In.Next()
-		if err != nil {
-			h.err = err
-			return
-		}
-		if !ok {
-			break
-		}
-		keyBuf = keyBuf[:0]
-		keyVals := make([]types.Datum, len(h.GroupBy))
-		for i, g := range h.GroupBy {
-			v, err := g.Eval(row)
-			if err != nil {
-				h.err = err
-				return
-			}
-			keyVals[i] = v
-			keyBuf = v.HashKey(keyBuf)
-		}
-		grp, ok := groups[string(keyBuf)]
-		if !ok {
-			grp = newAggGroup(keyVals, string(keyBuf), h.Aggs)
-			groups[grp.encKey] = grp
-		}
-		for _, st := range grp.states {
-			if err := st.add(row); err != nil {
-				h.err = err
-				return
-			}
-		}
-	}
-	ordered := finishGroups(groups, h.GroupBy, h.Aggs, h.SkipSort)
-	h.out = make([]storage.Row, len(ordered))
-	for i, g := range ordered {
-		row := make(storage.Row, 0, len(g.keyVals)+len(g.states))
-		row = append(row, g.keyVals...)
-		for _, st := range g.states {
-			row = append(row, st.result())
-		}
-		h.out[i] = row
-	}
-}
-
-// Close implements Iterator.
-func (h *HashAggIter) Close() { h.In.Close() }
 
 // GroupAggIter computes grouped aggregates over input already sorted by the
 // group keys (the planner places a Sort below it). It streams one output
@@ -336,10 +254,6 @@ func (g *GroupAggIter) Next() (storage.Row, bool, error) {
 					out := g.emit()
 					g.cur = nil
 					return out, true, nil
-				}
-				if len(g.GroupBy) == 0 && g.cur == nil {
-					// no rows and no groups: scalar agg handled by planner
-					// using HashAggIter; GroupAgg always has group keys.
 				}
 				return nil, false, nil
 			}

@@ -6,17 +6,16 @@ import (
 	"github.com/sinewdata/sinew/internal/rdbms/types"
 )
 
-// BatchHashAggIter is the batch-native hash aggregate: group keys and
-// aggregate arguments are evaluated once per input batch with EvalBatch,
-// then a tight per-row loop updates group states from the materialized
-// columns. Semantics (grouping, DISTINCT, NULL handling, deterministic
-// encKey output order unless SkipSort) match HashAggIter exactly.
+// BatchHashAggIter is the hash aggregate: group keys and aggregate
+// arguments are evaluated once per input batch with EvalBatch, then a
+// tight per-row loop updates group states from the materialized columns.
+// Output rows are [groupKeys..., aggResults...] in encoded-key order, so
+// group order is deterministic; with no group keys it emits exactly one
+// row (scalar aggregation).
 type BatchHashAggIter struct {
-	In       BatchIterator
-	GroupBy  []Expr
-	Aggs     []*AggSpec
-	SkipSort bool
-	Size     int // output batch size; DefaultBatchSize when <= 0
+	In      BatchIterator
+	GroupBy []Expr
+	Aggs    []*AggSpec
 
 	done   bool
 	err    error
@@ -36,25 +35,17 @@ func (h *BatchHashAggIter) NextBatch() (*RowBatch, error) {
 	if h.pos >= len(h.groups) {
 		return nil, nil
 	}
-	size := h.Size
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
 	width := len(h.GroupBy) + len(h.Aggs)
 	if h.out == nil {
 		// Selective queries leave far fewer groups than the batch size;
 		// sizing the output by the remaining groups keeps a five-group
 		// aggregate from allocating a full-size batch every execution.
-		capHint := size
-		if rem := len(h.groups) - h.pos; rem < capHint {
-			capHint = rem
-		}
-		h.out = NewRowBatch(width, capHint)
+		h.out = NewRowBatch(width, min(DefaultBatchSize, len(h.groups)-h.pos))
 	}
 	b := h.out
 	b.Reset()
 	row := make([]types.Datum, 0, width)
-	for b.Len() < size && h.pos < len(h.groups) {
+	for b.Len() < DefaultBatchSize && h.pos < len(h.groups) {
 		g := h.groups[h.pos]
 		h.pos++
 		row = row[:0]
@@ -76,13 +67,13 @@ func (h *BatchHashAggIter) run() {
 	if h.err = accumulateGroups(h.In, h.GroupBy, h.Aggs, nil, groups); h.err != nil {
 		return
 	}
-	h.groups = finishGroups(groups, h.GroupBy, h.Aggs, h.SkipSort)
+	h.groups = finishGroups(groups, h.GroupBy, h.Aggs)
 }
 
 // finishGroups lists a drained group table for emission: an ungrouped
 // aggregate over no rows still yields its one row (COUNT 0, SUM NULL), and
-// groups come out in encoded-key order unless skipSort.
-func finishGroups(groups map[string]*aggGroup, groupBy []Expr, aggs []*AggSpec, skipSort bool) []*aggGroup {
+// groups come out in encoded-key order.
+func finishGroups(groups map[string]*aggGroup, groupBy []Expr, aggs []*AggSpec) []*aggGroup {
 	if len(groups) == 0 && len(groupBy) == 0 {
 		groups[""] = newAggGroup(nil, "", aggs)
 	}
@@ -90,7 +81,7 @@ func finishGroups(groups map[string]*aggGroup, groupBy []Expr, aggs []*AggSpec, 
 	for _, g := range groups {
 		out = append(out, g)
 	}
-	if !skipSort && len(out) > 1 {
+	if len(out) > 1 {
 		sort.Slice(out, func(a, b int) bool { return out[a].encKey < out[b].encKey })
 	}
 	return out

@@ -8,8 +8,8 @@ import (
 	"github.com/sinewdata/sinew/internal/rdbms/types"
 )
 
-// DefaultBatchSize is the rows-per-batch of every planned pipeline; the
-// operators' Size fields and constructor arguments default to it.
+// DefaultBatchSize is the rows-per-batch of every pipeline: the most rows
+// a scan transposes at once and the most any operator emits in one batch.
 const DefaultBatchSize = 1024
 
 // NullBitmap tracks NULLs of one batch column, one bit per row (bit set =
@@ -273,27 +273,23 @@ type BatchIterator interface {
 // ---------- Row/batch adapters ----------
 
 // RowToBatch adapts a row iterator to the batch interface by buffering
-// Size rows per batch — how Sort, joins, and other row-only operators feed
-// a batch pipeline stage above them.
+// DefaultBatchSize rows per batch — how the row-only operators (Unique,
+// GroupAggregate, Merge Join, Nested Loop) feed the batch operator above
+// them.
 type RowToBatch struct {
-	In   Iterator
-	Size int
+	In Iterator
 
 	batch *RowBatch
 }
 
 // NextBatch implements BatchIterator.
 func (a *RowToBatch) NextBatch() (*RowBatch, error) {
-	size := a.Size
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
 	if a.batch == nil {
 		a.batch = GetBatch(0)
 	}
 	b := a.batch
 	b.Reset()
-	for b.Len() < size {
+	for b.Len() < DefaultBatchSize {
 		row, ok, err := a.In.Next()
 		if err != nil {
 			return nil, err
@@ -303,7 +299,7 @@ func (a *RowToBatch) NextBatch() (*RowBatch, error) {
 		}
 		if b.Width() == 0 && len(row) > 0 {
 			// First row fixes the width.
-			*b = *NewRowBatch(len(row), size)
+			*b = *NewRowBatch(len(row), DefaultBatchSize)
 		}
 		b.AppendRow(row)
 	}
@@ -322,19 +318,12 @@ func (a *RowToBatch) Close() {
 	}
 }
 
-// SizeHint implements SizeHinter by delegating to the wrapped iterator.
-func (a *RowToBatch) SizeHint() (int64, bool) {
-	if sh, ok := a.In.(SizeHinter); ok {
-		return sh.SizeHint()
-	}
-	return 0, false
-}
-
 // BatchToRow adapts a batch iterator back to the Volcano row interface at
-// the boundary to row-only consumers (Sort, joins, Collect). Emitted rows
-// are independent of the source batch: each batch's rows are carved out of
-// one shared arena allocation, so retaining them (Collect, Sort) is safe
-// and costs one allocation per batch rather than one per row.
+// the boundary to the row-only operators. Emitted rows are independent of
+// the source batch: each batch's rows are carved out of one shared arena
+// allocation, so retaining them (a merge join's equal-key run, a result
+// drained row by row) is safe and costs one allocation per batch rather
+// than one per row.
 type BatchToRow struct {
 	In BatchIterator
 
@@ -396,17 +385,13 @@ func (a *BatchToRow) Next() (storage.Row, bool, error) {
 // Close implements Iterator.
 func (a *BatchToRow) Close() { a.In.Close() }
 
-// SizeHint implements SizeHinter by delegating to the wrapped iterator.
-func (a *BatchToRow) SizeHint() (int64, bool) {
-	if sh, ok := a.In.(BatchSizeHinter); ok {
-		return sh.SizeHint()
-	}
-	return 0, false
-}
-
-// BatchSizeHinter is SizeHinter for batch iterators.
+// BatchSizeHinter is optionally implemented by batch iterators that know
+// (or can bound) their cardinality up front; CollectBatches, BatchToRow and
+// BatchSortIter use it to size their buffers once.
 type BatchSizeHinter interface {
-	SizeHint() (int64, bool)
+	// SizeHint returns the expected row count; exact reports whether the
+	// count is precise rather than an upper bound.
+	SizeHint() (n int64, exact bool)
 }
 
 // ---------- Batch scan ----------
@@ -423,11 +408,11 @@ type BatchSizeHinter interface {
 //     Aliased storage is never compacted in place: a pushed-down filter
 //     runs as a SelFilter over the page vectors and publishes the
 //     surviving rows through RowBatch.Sel (selfilter.go);
-//   - a run of row-form pages is transposed, up to size rows at a time,
-//     into a scan-owned buffer and filtered by in-place compaction.
+//   - a run of row-form pages is transposed, up to DefaultBatchSize rows at
+//     a time, into a scan-owned buffer and filtered by in-place compaction.
 //
 // A fully frozen heap therefore yields one batch per page, a never-frozen
-// one size-row batches, and a mixed one both, in heap order.
+// one DefaultBatchSize-row batches, and a mixed one both, in heap order.
 //
 // Set-up is the constructor's range and filter, then NeedCols,
 // SetPageSkip and SetSelFilter, all before the first NextBatch
@@ -441,7 +426,6 @@ type BatchScanIter struct {
 
 	chunk *storage.HeapChunkIter
 	width int
-	size  int
 	nrows int64 // heap row count at open (for SizeHint; no filter only)
 	ctx   *EvalCtx
 	keep  []bool
@@ -458,22 +442,18 @@ type BatchScanIter struct {
 }
 
 // NewBatchScan returns a batch scan over all pages of v.
-func NewBatchScan(v storage.ReadView, filter Expr, size int) *BatchScanIter {
-	return NewBatchScanRange(v, filter, size, 0, v.NumPages())
+func NewBatchScan(v storage.ReadView, filter Expr) *BatchScanIter {
+	return NewBatchScanRange(v, filter, 0, v.NumPages())
 }
 
 // NewBatchScanRange returns a batch scan over pages [start, end) of v —
 // one partition of a parallel pipeline. Stat flushes on Close key on the
 // view's owner heap, so snapshot scans account like live scans.
-func NewBatchScanRange(v storage.ReadView, filter Expr, size, start, end int) *BatchScanIter {
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
+func NewBatchScanRange(v storage.ReadView, filter Expr, start, end int) *BatchScanIter {
 	return &BatchScanIter{
 		Filter: filter,
 		chunk:  v.IterateRange(start, end),
 		width:  len(v.Schema().Cols),
-		size:   size,
 		nrows:  v.NumRows(),
 		ctx:    NewEvalCtx(),
 		heap:   v.Owner(),
@@ -497,7 +477,7 @@ func (s *BatchScanIter) SetSelFilter(sf *SelFilter) { s.sf = sf }
 // NextBatch implements BatchIterator.
 func (s *BatchScanIter) NextBatch() (*RowBatch, error) {
 	for {
-		pv, ok := s.chunk.ReadPage(s.size)
+		pv, ok := s.chunk.ReadPage(DefaultBatchSize)
 		if !ok {
 			return nil, nil
 		}
@@ -732,8 +712,8 @@ func (f *BatchFilterIter) Close() { f.In.Close() }
 // that can skip work for rows a LIMIT above them will discard. A parent
 // LIMIT announces the remaining row budget before each NextBatch pull; the
 // operator truncates its input batch to the budget *before* evaluating
-// expressions, so a batch pipeline never evaluates (and never surfaces
-// errors from) rows a row-at-a-time pipeline would not reach.
+// expressions, so a pipeline never evaluates (and never surfaces errors
+// from) rows the LIMIT discards.
 type RowBudgeter interface {
 	SetRowBudget(n int64)
 }

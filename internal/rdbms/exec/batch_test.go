@@ -103,50 +103,64 @@ func TestRowBatchSetColRebuildsBitmap(t *testing.T) {
 	}
 }
 
+// TestRowBatchAdaptersRoundTrip crosses the row-to-batch boundary twice per
+// batch: 2 500 rows make RowToBatch cut two full batches and a partial one.
 func TestRowBatchAdaptersRoundTrip(t *testing.T) {
 	var want []storage.Row
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 2*DefaultBatchSize+452; i++ {
 		d := types.NewInt(int64(i))
 		if i%9 == 0 {
 			d = types.NewNull(types.Int)
 		}
 		want = append(want, row(d, types.NewText(fmt.Sprintf("r%d", i))))
 	}
-	for _, size := range []int{1, 3, 100, 1000} {
-		got, err := Collect(&BatchToRow{In: &RowToBatch{In: sliceIter(want...), Size: size}})
+	var lens []int
+	rb := &RowToBatch{In: rowsOf(want...)}
+	for {
+		b, err := rb.NextBatch()
 		if err != nil {
 			t.Fatal(err)
 		}
-		rowsEqual(t, got, want)
+		if b == nil {
+			break
+		}
+		lens = append(lens, b.Len())
 	}
+	rb.Close()
+	if fmt.Sprint(lens) != fmt.Sprint([]int{DefaultBatchSize, DefaultBatchSize, 452}) {
+		t.Errorf("RowToBatch batch lengths %v", lens)
+	}
+	got, err := drainRows(&BatchToRow{In: &RowToBatch{In: rowsOf(want...)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsEqual(t, got, want)
 }
 
 func TestBatchScanMatchesRowScan(t *testing.T) {
-	h := intHeap(t, 1000)
-	filter := &BinExpr{Op: "<", L: col(0, types.Int), R: lit(types.NewInt(333))}
+	h := intHeap(t, 3000)
+	ref := mustRef(t)
+	filter := &BinExpr{Op: "<", L: col(0, types.Int), R: lit(types.NewInt(2333))}
 	for _, f := range []Expr{nil, filter} {
-		want, err := Collect(NewScan(h, f))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := collectBatches(t, NewBatchScan(h, f, 64))
-		rowsEqual(t, got, want)
+		rowsEqual(t, collectBatches(t, NewBatchScan(h, f)), ref(refFilter(refScan(h), f)))
 	}
 }
 
 func TestBatchScanSizeHint(t *testing.T) {
 	h := intHeap(t, 100)
-	if n, exact := NewBatchScan(h, nil, 0).SizeHint(); !exact || n != 100 {
+	if n, exact := NewBatchScan(h, nil).SizeHint(); !exact || n != 100 {
 		t.Errorf("unfiltered hint = %d %v", n, exact)
 	}
 	f := &BinExpr{Op: "=", L: col(0, types.Int), R: lit(types.NewInt(1))}
-	if _, exact := NewBatchScan(h, f, 0).SizeHint(); exact {
+	if _, exact := NewBatchScan(h, f).SizeHint(); exact {
 		t.Error("filtered hint should be inexact")
 	}
 }
 
+// TestBatchFilterProjectLimitPipeline: the filter keeps a third of each
+// 1 024-row scan batch, so the LIMIT's last row lies in the second one.
 func TestBatchFilterProjectLimitPipeline(t *testing.T) {
-	h := intHeap(t, 500)
+	h := intHeap(t, 3000)
 	pred := &BinExpr{Op: "=",
 		L: &BinExpr{Op: "%", L: col(0, types.Int), R: lit(types.NewInt(3))},
 		R: lit(types.NewInt(0))}
@@ -154,24 +168,22 @@ func TestBatchFilterProjectLimitPipeline(t *testing.T) {
 		&BinExpr{Op: "*", L: col(0, types.Int), R: lit(types.NewInt(2))},
 		col(1, types.Text),
 	}
-	want, err := Collect(&LimitIter{N: 40, In: &ProjectIter{Exprs: proj,
-		In: &FilterIter{Pred: pred, In: NewScan(h, nil)}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := collectBatches(t, &BatchLimitIter{N: 40,
+	ref := mustRef(t)
+	want := ref(refProject(refLimit(ref(refFilter(refScan(h), pred)), 400), proj))
+	got := collectBatches(t, &BatchLimitIter{N: 400,
 		In: &BatchProjectIter{Exprs: proj,
 			In: &BatchFilterIter{Pred: pred,
-				In: NewBatchScan(h, nil, 32)}}})
+				In: NewBatchScan(h, nil)}}})
 	rowsEqual(t, got, want)
 }
 
 func TestBatchFilterDoesNotAliasInput(t *testing.T) {
 	// The filter's output must survive the producer recycling its batch on
-	// the following NextBatch (batch reuse is the common case).
-	h := intHeap(t, 300)
+	// the following NextBatch (batch reuse is the common case): the scan
+	// transposes its second 1 024 rows into the buffer of its first.
+	h := intHeap(t, 3000)
 	pred := &BinExpr{Op: "<", L: col(0, types.Int), R: lit(types.NewInt(5))}
-	f := &BatchFilterIter{Pred: pred, In: NewBatchScan(h, nil, 64)}
+	f := &BatchFilterIter{Pred: pred, In: NewBatchScan(h, nil)}
 	b1, err := f.NextBatch()
 	if err != nil || b1 == nil {
 		t.Fatalf("first batch: %v %v", b1, err)
@@ -187,7 +199,7 @@ func TestBatchFilterDoesNotAliasInput(t *testing.T) {
 }
 
 func TestBatchHashAggMatchesRowHashAgg(t *testing.T) {
-	h := intHeap(t, 400)
+	h := intHeap(t, 3000)
 	groupBy := []Expr{&BinExpr{Op: "%", L: col(0, types.Int), R: lit(types.NewInt(6))}}
 	specs := func() []*AggSpec {
 		return []*AggSpec{
@@ -199,25 +211,27 @@ func TestBatchHashAggMatchesRowHashAgg(t *testing.T) {
 			{Kind: AggCount, Arg: col(1, types.Text), Distinct: true},
 		}
 	}
-	want, err := Collect(&HashAggIter{In: NewScan(h, nil), GroupBy: groupBy, Aggs: specs()})
-	if err != nil {
-		t.Fatal(err)
+	ref := mustRef(t)
+	for _, g := range [][]Expr{
+		groupBy,
+		// One group per row: 3 000 groups leave the aggregate in three
+		// batches, two full and one partial.
+		{col(0, types.Int)},
+		// Without GROUP BY the same aggregates, DISTINCT and NULL arguments
+		// included, fold whole batches into the one group.
+		nil,
+	} {
+		want := ref(refGroup(refScan(h), g, specs()))
+		rowsEqual(t, collectBatches(t, &BatchHashAggIter{In: NewBatchScan(h, nil), GroupBy: g, Aggs: specs()}), want)
+		// Two-phase over four partitions, with the aggregates whose
+		// per-worker states merge (all but the DISTINCT one).
+		want = ref(refGroup(refScan(h), g, specs()[:5]))
+		rowsEqual(t, collectBatches(t, NewParallelHashAgg(
+			h.Partitions(4), chainBuild(h, nil, nil), g, specs()[:5])), want)
 	}
-	got := collectBatches(t, &BatchHashAggIter{
-		In: NewBatchScan(h, nil, 128), GroupBy: groupBy, Aggs: specs()})
-	// Both aggregates order groups by encoded key, so ordered compare works.
-	rowsEqual(t, got, want)
-	// Without GROUP BY the same aggregates, DISTINCT and NULL arguments
-	// included, fold whole batches into the one group.
-	want, err = Collect(&HashAggIter{In: NewScan(h, nil), Aggs: specs()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowsEqual(t, collectBatches(t, &BatchHashAggIter{In: NewBatchScan(h, nil, 128), Aggs: specs()}), want)
 	// Scalar aggregate over empty input still yields one row.
 	empty := intHeap(t, 0)
-	got = collectBatches(t, &BatchHashAggIter{
-		In: NewBatchScan(empty, nil, 16), Aggs: specs()})
+	got := collectBatches(t, &BatchHashAggIter{In: NewBatchScan(empty, nil), Aggs: specs()})
 	if len(got) != 1 || got[0][0].I != 0 || !got[0][2].IsNull() {
 		t.Errorf("scalar agg over empty = %v, want COUNT(*) 0 and SUM NULL", got)
 	}
@@ -225,21 +239,18 @@ func TestBatchHashAggMatchesRowHashAgg(t *testing.T) {
 
 // parallelScan is the zero-operator gather: one batch scan per partition,
 // ordered merge.
-func parallelScan(h *storage.Heap, f Expr, size, workers int) *ParallelPipelineIter {
-	return NewParallelPipeline(h.Partitions(workers), selChainBuild(h, f, nil, size, nil))
+func parallelScan(h *storage.Heap, f Expr, workers int) *ParallelPipelineIter {
+	return NewParallelPipeline(h.Partitions(workers), selChainBuild(h, f, nil, nil))
 }
 
 func TestParallelScanMatchesSequential(t *testing.T) {
-	h := intHeap(t, 2000)
+	h := intHeap(t, 3000)
+	ref := mustRef(t)
 	filter := &BinExpr{Op: ">=", L: col(0, types.Int), R: lit(types.NewInt(100))}
 	for _, f := range []Expr{nil, filter} {
-		want, err := Collect(NewScan(h, f))
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := ref(refFilter(refScan(h), f))
 		for _, workers := range []int{1, 2, 4, 9} {
-			got := collectBatches(t, parallelScan(h, f, 64, workers))
-			rowsEqual(t, got, want)
+			rowsEqual(t, collectBatches(t, parallelScan(h, f, workers)), want)
 		}
 	}
 }
@@ -247,7 +258,7 @@ func TestParallelScanMatchesSequential(t *testing.T) {
 func TestParallelScanEarlyClose(t *testing.T) {
 	h := intHeap(t, 3000)
 	for i := 0; i < 20; i++ { // stress the shutdown path
-		it := parallelScan(h, nil, 32, 4)
+		it := parallelScan(h, nil, 4)
 		b, err := it.NextBatch()
 		if err != nil || b == nil {
 			t.Fatalf("first batch: %v %v", b, err)
@@ -265,7 +276,7 @@ func TestParallelScanBytesRead(t *testing.T) {
 		rows[i] = row(types.NewInt(int64(i)))
 	}
 	h, pager := heapOf(t, []types.Type{types.Int}, rows)
-	if got := collectBatches(t, parallelScan(h, nil, 64, 4)); len(got) != len(rows) {
+	if got := collectBatches(t, parallelScan(h, nil, 4)); len(got) != len(rows) {
 		t.Fatalf("rows = %d", len(got))
 	}
 	if read, _ := pager.Stats(); read != h.SizeBytes() {
@@ -273,17 +284,19 @@ func TestParallelScanBytesRead(t *testing.T) {
 	}
 }
 
+// TestCollectUsesSizeHint: an exactly hinted stream is collected into a
+// result allocated once at its final size.
 func TestCollectUsesSizeHint(t *testing.T) {
-	h := intHeap(t, 257)
-	rows, err := Collect(NewScan(h, nil))
+	h := intHeap(t, 2500)
+	rows, err := CollectBatches(NewBatchScan(h, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 257 {
-		t.Fatalf("rows = %d", len(rows))
+	if len(rows) != 2500 || cap(rows) != 2500 {
+		t.Fatalf("rows = %d (cap %d), want 2500 in a result sized once", len(rows), cap(rows))
 	}
-	// LimitIter caps the hint.
-	l := &LimitIter{N: 10, In: NewScan(h, nil)}
+	// BatchLimitIter caps the hint.
+	l := &BatchLimitIter{N: 10, In: NewBatchScan(h, nil)}
 	if n, exact := l.SizeHint(); !exact || n != 10 {
 		t.Errorf("limit hint = %d %v", n, exact)
 	}
@@ -293,14 +306,13 @@ func TestScanCloseFlushesPagerOnEarlyStop(t *testing.T) {
 	p := storage.NewPager()
 	schema, _ := storage.NewSchema(storage.Column{Name: "v", Typ: types.Int})
 	h := storage.NewHeap(schema, p)
-	for i := 0; i < 1000; i++ {
+	for i := 0; i < 3000; i++ {
 		h.Insert(row(types.NewInt(int64(i))))
 	}
 	p.Reset()
-	// A LIMIT that stops a scan early must still charge the pages it
-	// touched when the iterator is closed.
-	it := &LimitIter{N: 5, In: NewScan(h, nil)}
-	if _, err := Collect(it); err != nil {
+	// A LIMIT that stops a scan early — after its first 1 024 rows — must
+	// still charge the pages it touched when the iterator is closed.
+	if _, err := CollectBatches(&BatchLimitIter{N: 5, In: NewBatchScan(h, nil)}); err != nil {
 		t.Fatal(err)
 	}
 	if r, _ := p.Stats(); r <= 0 || r >= h.SizeBytes() {
@@ -309,8 +321,8 @@ func TestScanCloseFlushesPagerOnEarlyStop(t *testing.T) {
 }
 
 func TestBatchScanNeedCols(t *testing.T) {
-	h := intHeap(t, 300)
-	s := NewBatchScan(h, nil, 64)
+	h := intHeap(t, 3000)
+	s := NewBatchScan(h, nil)
 	s.NeedCols = []int{1} // only the string column is referenced
 	defer s.Close()
 	n := 0
@@ -337,13 +349,16 @@ func TestBatchScanNeedCols(t *testing.T) {
 			n++
 		}
 	}
-	if n != 300 {
-		t.Fatalf("scanned %d rows, want 300", n)
+	if n != 3000 {
+		t.Fatalf("scanned %d rows, want 3000", n)
 	}
 }
 
+// TestCollectProjectedScan: 3 000 rows are three reads of the collector's
+// 1 024-row buffer, and the limits end inside the first, the second and
+// past the last.
 func TestCollectProjectedScan(t *testing.T) {
-	h := intHeap(t, 500)
+	h := intHeap(t, 3000)
 	// Delete a scattering of rows so the fused collector sees holes.
 	var ids []storage.RowID
 	h.Scan(func(id storage.RowID, r storage.Row) bool {
@@ -358,7 +373,7 @@ func TestCollectProjectedScan(t *testing.T) {
 		}
 	}
 	cols := []int{1, 0, 1} // reorder + duplicate
-	for _, limit := range []int64{-1, 0, 5, 137, h.NumRows(), h.NumRows() + 99} {
+	for _, limit := range []int64{-1, 0, 5, 137, 1500, h.NumRows(), h.NumRows() + 99} {
 		want := func() []storage.Row {
 			var out []storage.Row
 			h.Scan(func(_ storage.RowID, r storage.Row) bool {
@@ -370,7 +385,7 @@ func TestCollectProjectedScan(t *testing.T) {
 			})
 			return out
 		}()
-		got, err := CollectProjectedScan(h, cols, limit, 64)
+		got, err := CollectProjectedScan(h, cols, limit)
 		if err != nil {
 			t.Fatalf("limit %d: %v", limit, err)
 		}
@@ -382,11 +397,11 @@ func TestCollectProjectedScanFlushesPager(t *testing.T) {
 	p := storage.NewPager()
 	schema, _ := storage.NewSchema(storage.Column{Name: "v", Typ: types.Int})
 	h := storage.NewHeap(schema, p)
-	for i := 0; i < 2000; i++ {
+	for i := 0; i < 3000; i++ {
 		h.Insert(row(types.NewInt(int64(i))))
 	}
 	p.Reset()
-	rows, err := CollectProjectedScan(h, []int{0}, 3, 64)
+	rows, err := CollectProjectedScan(h, []int{0}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func (c *EvalCtx) BeginBatch() {
 // a tight loop combines them. Nodes with lazy/short-circuit semantics (AND,
 // OR, COALESCE, IN-list) fall back to row-wise Eval inside the batch so
 // that skipped operands are truly not evaluated — same values, same errors,
-// same side-effect ordering as the Volcano path.
+// same side-effect ordering as Eval row by row.
 //
 // The returned slice may alias a column of b (ColExpr is free); callers
 // must copy before mutating. On error the first failing row in row order —
@@ -252,7 +252,7 @@ func EvalBatch(e Expr, b *RowBatch, ctx *EvalCtx) ([]types.Datum, error) {
 		return out, nil
 
 	case *AnyExpr:
-		// Both operands are evaluated for every row on the row path too
+		// Both operands are evaluated for every row by Eval too
 		// (no short circuit between them), so the node is eager. The
 		// predicate scratch column is claimed before the operands run, so
 		// an operand that falls back allocates its own.
@@ -323,7 +323,7 @@ func EvalBatch(e Expr, b *RowBatch, ctx *EvalCtx) ([]types.Datum, error) {
 	default:
 		// AND/OR arrive here too (dispatched above): lazy semantics —
 		// evaluate row-wise so short-circuiting skips operands exactly as
-		// the row pipeline would. Likewise CoalesceExpr, InListExpr, and
+		// the row evaluator (Eval) does. Likewise CoalesceExpr, InListExpr, and
 		// any Expr this switch does not know.
 		return evalBatchFallback(e, b, ctx)
 	}

@@ -200,26 +200,20 @@ func TestCoalesceLazy(t *testing.T) {
 
 // ---------- operators ----------
 
-func sliceIter(rows ...storage.Row) Iterator { return &SliceIter{Rows: rows} }
-
 func TestSortIterNullsAndDirections(t *testing.T) {
-	in := sliceIter(
+	sorted := func(desc bool, rows ...storage.Row) []storage.Row {
+		return collectBatches(t, &BatchSortIter{In: &sliceBatches{rows: rows},
+			Keys: []SortKey{{Expr: col(0, types.Int), Desc: desc}}})
+	}
+	rows := sorted(false,
 		row(types.NewInt(3)), row(types.NewNull(types.Int)),
 		row(types.NewInt(1)), row(types.NewInt(2)),
 	)
-	s := &SortIter{In: in, Keys: []SortKey{{Expr: col(0, types.Int)}}}
-	rows, err := Collect(s)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// ASC: 1 2 3 NULL (nulls last).
 	if rows[0][0].I != 1 || !rows[3][0].IsNull() {
 		t.Errorf("asc rows = %v", rows)
 	}
-	s2 := &SortIter{In: sliceIter(
-		row(types.NewInt(3)), row(types.NewNull(types.Int)), row(types.NewInt(1)),
-	), Keys: []SortKey{{Expr: col(0, types.Int), Desc: true}}}
-	rows, _ = Collect(s2)
+	rows = sorted(true, row(types.NewInt(3)), row(types.NewNull(types.Int)), row(types.NewInt(1)))
 	// DESC: NULL 3 1 (nulls first).
 	if !rows[0][0].IsNull() || rows[1][0].I != 3 {
 		t.Errorf("desc rows = %v", rows)
@@ -227,24 +221,20 @@ func TestSortIterNullsAndDirections(t *testing.T) {
 }
 
 func TestHashAggScalarOverEmpty(t *testing.T) {
-	agg := &HashAggIter{In: sliceIter(), Aggs: []*AggSpec{{Kind: AggCountStar}}}
-	rows, err := Collect(agg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := collectBatches(t, &BatchHashAggIter{In: &sliceBatches{}, Aggs: []*AggSpec{{Kind: AggCountStar}}})
 	if len(rows) != 1 || rows[0][0].I != 0 {
 		t.Errorf("COUNT(*) over empty = %v", rows)
 	}
 }
 
 func TestHashAggGroups(t *testing.T) {
-	in := sliceIter(
+	in := &sliceBatches{rows: []storage.Row{
 		row(types.NewText("a"), types.NewInt(1)),
 		row(types.NewText("b"), types.NewInt(2)),
 		row(types.NewText("a"), types.NewInt(3)),
 		row(types.NewText("a"), types.NewNull(types.Int)),
-	)
-	agg := &HashAggIter{
+	}}
+	rows := collectBatches(t, &BatchHashAggIter{
 		In:      in,
 		GroupBy: []Expr{col(0, types.Text)},
 		Aggs: []*AggSpec{
@@ -255,11 +245,7 @@ func TestHashAggGroups(t *testing.T) {
 			{Kind: AggMax, Arg: col(1, types.Int)},
 			{Kind: AggAvg, Arg: col(1, types.Int)},
 		},
-	}
-	rows, err := Collect(agg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	if len(rows) != 2 {
 		t.Fatalf("groups = %v", rows)
 	}
@@ -282,60 +268,48 @@ func TestGroupAggMatchesHashAgg(t *testing.T) {
 	specs := func() []*AggSpec {
 		return []*AggSpec{{Kind: AggCountStar}, {Kind: AggSum, Arg: col(1, types.Int)}}
 	}
-	hashed, err := Collect(&HashAggIter{In: sliceIter(rows...), GroupBy: []Expr{col(0, types.Int)}, Aggs: specs()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	hashed := collectBatches(t, &BatchHashAggIter{In: &sliceBatches{rows: rows}, GroupBy: []Expr{col(0, types.Int)}, Aggs: specs()})
 	// GroupAgg needs sorted input — rows above are sorted by group key.
-	grouped, err := Collect(&GroupAggIter{In: sliceIter(rows...), GroupBy: []Expr{col(0, types.Int)}, Aggs: specs()})
+	grouped, err := drainRows(&GroupAggIter{In: rowsOf(rows...), GroupBy: []Expr{col(0, types.Int)}, Aggs: specs()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hashed) != len(grouped) {
-		t.Fatalf("hash %d groups vs sort %d", len(hashed), len(grouped))
-	}
-	for i := range hashed {
-		for j := range hashed[i] {
-			if !types.Equal(hashed[i][j], grouped[i][j]) {
-				t.Errorf("group %d col %d: hash %v vs sort %v", i, j, hashed[i][j], grouped[i][j])
-			}
-		}
-	}
+	rowsEqual(t, grouped, hashed)
 }
 
 func TestCountDistinct(t *testing.T) {
-	in := sliceIter(
+	in := &sliceBatches{rows: []storage.Row{
 		row(types.NewInt(1)), row(types.NewInt(1)), row(types.NewInt(2)),
 		row(types.NewNull(types.Int)),
-	)
-	agg := &HashAggIter{In: in, Aggs: []*AggSpec{{Kind: AggCount, Arg: col(0, types.Int), Distinct: true}}}
-	rows, _ := Collect(agg)
+	}}
+	rows := collectBatches(t, &BatchHashAggIter{In: in, Aggs: []*AggSpec{{Kind: AggCount, Arg: col(0, types.Int), Distinct: true}}})
 	if rows[0][0].I != 2 {
 		t.Errorf("COUNT(DISTINCT) = %v", rows[0][0])
 	}
 }
 
+// hashJoin is the batch hash join of two row sets on their first columns.
+func hashJoin(probe, build []storage.Row) BatchIterator {
+	return &BatchHashJoinIter{
+		Probe: &sliceBatches{rows: probe}, Build: &sliceBatches{rows: build},
+		ProbeKeys: []Expr{col(0, types.Int)}, BuildKeys: []Expr{col(0, types.Int)},
+		BuildWidth: len(build[0]),
+	}
+}
+
 func TestHashJoinBasics(t *testing.T) {
-	probe := sliceIter(
+	probe := []storage.Row{
 		row(types.NewInt(1), types.NewText("p1")),
 		row(types.NewInt(2), types.NewText("p2")),
 		row(types.NewNull(types.Int), types.NewText("pnull")),
-	)
-	build := sliceIter(
+	}
+	build := []storage.Row{
 		row(types.NewInt(1), types.NewText("b1")),
 		row(types.NewInt(1), types.NewText("b1b")),
 		row(types.NewInt(3), types.NewText("b3")),
 		row(types.NewNull(types.Int), types.NewText("bnull")),
-	)
-	j := &HashJoinIter{
-		Probe: probe, Build: build,
-		ProbeKeys: []Expr{col(0, types.Int)},
-		BuildKeys: []Expr{col(0, types.Int)},
 	}
-	rows, err := Collect(j)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := collectBatches(t, hashJoin(probe, build))
 	// key 1 matches twice; NULLs never join.
 	if len(rows) != 2 {
 		t.Fatalf("rows = %v", rows)
@@ -352,20 +326,14 @@ func TestMergeJoinMatchesHashJoin(t *testing.T) {
 	right := []storage.Row{
 		row(types.NewInt(2)), row(types.NewInt(2)), row(types.NewInt(3)), row(types.NewInt(4)),
 	}
-	mj, err := Collect(&MergeJoinIter{
-		Left: sliceIter(left...), Right: sliceIter(right...),
+	mj, err := drainRows(&MergeJoinIter{
+		Left: rowsOf(left...), Right: rowsOf(right...),
 		LeftKeys: []Expr{col(0, types.Int)}, RightKeys: []Expr{col(0, types.Int)},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hj, err := Collect(&HashJoinIter{
-		Probe: sliceIter(left...), Build: sliceIter(right...),
-		ProbeKeys: []Expr{col(0, types.Int)}, BuildKeys: []Expr{col(0, types.Int)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	hj := collectBatches(t, hashJoin(left, right))
 	// 2x2 duplicates + 4x4 = 5 matches.
 	if len(mj) != 5 || len(hj) != 5 {
 		t.Fatalf("merge %d vs hash %d rows", len(mj), len(hj))
@@ -373,11 +341,10 @@ func TestMergeJoinMatchesHashJoin(t *testing.T) {
 }
 
 func TestNestedLoopCross(t *testing.T) {
-	nl := &NestedLoopIter{
-		Outer: sliceIter(row(types.NewInt(1)), row(types.NewInt(2))),
-		Inner: sliceIter(row(types.NewText("a")), row(types.NewText("b"))),
-	}
-	rows, err := Collect(nl)
+	rows, err := drainRows(&NestedLoopIter{
+		Outer: rowsOf(row(types.NewInt(1)), row(types.NewInt(2))),
+		Inner: &sliceBatches{rows: []storage.Row{row(types.NewText("a")), row(types.NewText("b"))}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,15 +354,14 @@ func TestNestedLoopCross(t *testing.T) {
 }
 
 func TestLimitAndUnique(t *testing.T) {
-	lim := &LimitIter{In: sliceIter(row(types.NewInt(1)), row(types.NewInt(2)), row(types.NewInt(3))), N: 2}
-	rows, _ := Collect(lim)
+	rows := collectBatches(t, &BatchLimitIter{N: 2, In: &sliceBatches{rows: []storage.Row{
+		row(types.NewInt(1)), row(types.NewInt(2)), row(types.NewInt(3))}}})
 	if len(rows) != 2 {
 		t.Errorf("limit rows = %d", len(rows))
 	}
-	u := &UniqueIter{In: sliceIter(
+	rows, _ = drainRows(&UniqueIter{In: rowsOf(
 		row(types.NewInt(1)), row(types.NewInt(1)), row(types.NewInt(2)), row(types.NewInt(2)), row(types.NewInt(2)),
-	)}
-	rows, _ = Collect(u)
+	)})
 	if len(rows) != 2 {
 		t.Errorf("unique rows = %v", rows)
 	}
@@ -410,11 +376,7 @@ func TestScanWithFilterOverHeap(t *testing.T) {
 		}
 	}
 	filter := &BinExpr{Op: ">=", L: col(0, types.Int), R: lit(types.NewInt(90))}
-	rows, err := Collect(NewScan(h, filter))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 10 {
+	if rows := collectBatches(t, NewBatchScan(h, filter)); len(rows) != 10 {
 		t.Errorf("rows = %d", len(rows))
 	}
 }

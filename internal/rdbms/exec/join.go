@@ -5,116 +5,6 @@ import (
 	"github.com/sinewdata/sinew/internal/rdbms/types"
 )
 
-// HashJoinIter is an inner equi-join: it materializes the build (right)
-// side into a hash table keyed on the join expressions, then streams the
-// probe (left) side. Output rows are probeRow ++ buildRow. Rows whose join
-// keys are NULL never match.
-type HashJoinIter struct {
-	Probe     Iterator
-	Build     Iterator
-	ProbeKeys []Expr
-	BuildKeys []Expr
-	// Residual is an optional non-equi condition checked on joined rows.
-	Residual Expr
-
-	table   map[string][]storage.Row
-	built   bool
-	err     error
-	curRow  storage.Row
-	matches []storage.Row
-	matchIx int
-	buf     []byte
-}
-
-// Next implements Iterator.
-func (j *HashJoinIter) Next() (storage.Row, bool, error) {
-	if !j.built {
-		j.build()
-	}
-	if j.err != nil {
-		return nil, false, j.err
-	}
-	for {
-		for j.matchIx < len(j.matches) {
-			b := j.matches[j.matchIx]
-			j.matchIx++
-			out := make(storage.Row, 0, len(j.curRow)+len(b))
-			out = append(out, j.curRow...)
-			out = append(out, b...)
-			if j.Residual != nil {
-				keep, err := EvalBool(j.Residual, out)
-				if err != nil {
-					return nil, false, err
-				}
-				if !keep {
-					continue
-				}
-			}
-			return out, true, nil
-		}
-		row, ok, err := j.Probe.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		key, null, err := j.encodeKeys(row, j.ProbeKeys)
-		if err != nil {
-			return nil, false, err
-		}
-		if null {
-			continue
-		}
-		j.curRow = row
-		j.matches = j.table[key]
-		j.matchIx = 0
-	}
-}
-
-func (j *HashJoinIter) build() {
-	j.built = true
-	j.table = make(map[string][]storage.Row)
-	defer j.Build.Close()
-	for {
-		row, ok, err := j.Build.Next()
-		if err != nil {
-			j.err = err
-			return
-		}
-		if !ok {
-			return
-		}
-		key, null, err := j.encodeKeys(row, j.BuildKeys)
-		if err != nil {
-			j.err = err
-			return
-		}
-		if null {
-			continue
-		}
-		j.table[key] = append(j.table[key], row)
-	}
-}
-
-func (j *HashJoinIter) encodeKeys(row storage.Row, keys []Expr) (string, bool, error) {
-	j.buf = j.buf[:0]
-	for _, k := range keys {
-		v, err := k.Eval(row)
-		if err != nil {
-			return "", false, err
-		}
-		if v.IsNull() {
-			return "", true, nil
-		}
-		j.buf = v.HashKey(j.buf)
-	}
-	return string(j.buf), false, nil
-}
-
-// Close implements Iterator.
-func (j *HashJoinIter) Close() {
-	j.Probe.Close()
-	j.Build.Close()
-}
-
 // MergeJoinIter is an inner equi-join over two inputs sorted ascending on
 // their join keys (the planner inserts Sorts). Equal-key runs on the right
 // are buffered so m×n matches are produced.
@@ -300,10 +190,10 @@ func (m *MergeJoinIter) Close() {
 }
 
 // NestedLoopIter is an inner join for arbitrary conditions: the inner side
-// is materialized and rescanned per outer row.
+// is materialized (CollectBatches) and rescanned per outer row.
 type NestedLoopIter struct {
 	Outer Iterator
-	Inner Iterator
+	Inner BatchIterator
 	Cond  Expr // may be nil (cross join)
 
 	innerRows []storage.Row
@@ -318,7 +208,7 @@ type NestedLoopIter struct {
 func (n *NestedLoopIter) Next() (storage.Row, bool, error) {
 	if !n.built {
 		n.built = true
-		rows, err := Collect(n.Inner)
+		rows, err := CollectBatches(n.Inner)
 		if err != nil {
 			n.err = err
 		}

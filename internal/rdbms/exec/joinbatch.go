@@ -27,7 +27,7 @@ func newJoinBuildTable(width int) *joinBuildTable {
 
 // addBatches drains a batch iterator into the table (closing it), keying
 // each row on keys. Rows with a NULL key cell are never entered, and rows
-// enter in stream order — probe output order matches HashJoinIter exactly.
+// enter in stream order, so a key's matches come out in build order.
 func (t *joinBuildTable) addBatches(in BatchIterator, keys []Expr) error {
 	defer in.Close()
 	ctx := NewEvalCtx()
@@ -80,49 +80,6 @@ func (t *joinBuildTable) addBatches(in BatchIterator, keys []Expr) error {
 	}
 }
 
-// addRows drains a row iterator into the table (closing it) — the parallel
-// join's build side may itself be a gather, which is row-shaped at its
-// boundary.
-func (t *joinBuildTable) addRows(in Iterator, keys []Expr) error {
-	defer in.Close()
-	var buf []byte
-	for {
-		row, ok, err := in.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		buf = buf[:0]
-		null := false
-		for _, k := range keys {
-			v, err := k.Eval(row)
-			if err != nil {
-				return err
-			}
-			if v.IsNull() {
-				null = true
-				break
-			}
-			buf = v.HashKey(buf)
-		}
-		if null {
-			continue
-		}
-		id := int32(t.rows)
-		for j := 0; j < t.width; j++ {
-			var v types.Datum
-			if j < len(row) {
-				v = row[j]
-			}
-			t.cols[j] = append(t.cols[j], v)
-		}
-		t.rows++
-		t.idx[string(buf)] = append(t.idx[string(buf)], id)
-	}
-}
-
 // appendTo appends build row id's cells to dst.
 func (t *joinBuildTable) appendTo(dst storage.Row, id int32) storage.Row {
 	for j := 0; j < t.width; j++ {
@@ -131,12 +88,12 @@ func (t *joinBuildTable) appendTo(dst storage.Row, id int32) storage.Row {
 	return dst
 }
 
-// BatchHashJoinIter is the adapter-free inner equi-join: both sides are
-// consumed batch-at-a-time, join keys are evaluated column-at-a-time, the
-// build side lives in a columnar joinBuildTable, and matches are assembled
-// straight into reused output columns. Semantics match HashJoinIter:
-// output rows are probeRow ++ buildRow in probe order × build insertion
-// order, NULL keys never match, and Residual is checked on joined rows.
+// BatchHashJoinIter is the inner equi-join: both sides are consumed
+// batch-at-a-time, join keys are evaluated column-at-a-time, the build
+// side lives in a columnar joinBuildTable, and matches are assembled
+// straight into reused output columns. Output rows are probeRow ++
+// buildRow in probe order × build insertion order, NULL keys never match,
+// and Residual is checked on joined rows.
 type BatchHashJoinIter struct {
 	Probe     BatchIterator
 	Build     BatchIterator
@@ -146,8 +103,6 @@ type BatchHashJoinIter struct {
 	// BuildWidth is the build side's column count (the probe width comes
 	// from its batches).
 	BuildWidth int
-	// Size is rows per emitted batch (DefaultBatchSize when 0).
-	Size int
 
 	table   *joinBuildTable
 	built   bool
@@ -180,10 +135,6 @@ func (j *BatchHashJoinIter) NextBatch() (*RowBatch, error) {
 	}
 	if j.err != nil {
 		return nil, j.err
-	}
-	size := j.Size
-	if size <= 0 {
-		size = DefaultBatchSize
 	}
 	if j.out != nil {
 		j.out.Reset()
@@ -241,7 +192,7 @@ func (j *BatchHashJoinIter) NextBatch() (*RowBatch, error) {
 				j.out.Cols[j.probeW+c] = append(j.out.Cols[j.probeW+c], j.table.cols[c][bid])
 			}
 			j.outLen++
-			if j.outLen >= size {
+			if j.outLen >= DefaultBatchSize {
 				return j.finish()
 			}
 		}

@@ -8,15 +8,16 @@ import (
 	"github.com/sinewdata/sinew/internal/rdbms/types"
 )
 
-// TestPropertyBatchJoinMatchesRowJoin checks the adapter-free batch hash
-// join against the row-at-a-time HashJoinIter: same build side (scanned as
-// batches vs rows), same probe stream, identical output order, NULL keys
-// dropped on both sides, with and without a residual predicate.
+// TestPropertyBatchJoinMatchesRowJoin checks the batch hash join against
+// the reference join: identical output order, NULL keys dropped on both
+// sides, with and without a residual predicate, over a probe side that is
+// sometimes empty and sometimes more than two batches with an output of
+// several.
 func TestPropertyBatchJoinMatchesRowJoin(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		colTypes := []types.Type{types.Int, types.Text}
-		rows := randBatchRows(r, colTypes, r.Intn(300))
+		rows := randBatchRows(r, colTypes, drawRows(r, r.Intn(300)))
 		h, _ := heapOf(t, colTypes, rows)
 		buildTypes := []types.Type{types.Int, types.Text, types.Float}
 		buildRows := randBatchRows(r, buildTypes, r.Intn(40))
@@ -28,37 +29,24 @@ func TestPropertyBatchJoinMatchesRowJoin(t *testing.T) {
 			residual = &BinExpr{Op: "<>", L: col(1, types.Text), R: lit(types.NewText("c"))}
 		}
 
-		want, err := Collect(&HashJoinIter{
-			Probe: NewScan(h, nil), Build: NewScan(bh, nil),
-			ProbeKeys: probeKeys, BuildKeys: buildKeys, Residual: residual,
-		})
-		if err != nil {
-			t.Fatalf("seed %d: row join: %v", seed, err)
-		}
-
-		size := 1 + r.Intn(40)
+		ref := mustRef(t)
+		want := ref(refJoin(rows, buildRows, probeKeys, buildKeys, residual))
 		got := collectBatches(t, &BatchHashJoinIter{
-			Probe: NewBatchScan(h, nil, size), Build: NewBatchScan(bh, nil, size),
+			Probe: NewBatchScan(h, nil), Build: NewBatchScan(bh, nil),
 			ProbeKeys: probeKeys, BuildKeys: buildKeys, Residual: residual,
-			BuildWidth: len(buildTypes), Size: size,
+			BuildWidth: len(buildTypes),
 		})
 		rowsEqual(t, got, want)
 
 		// A filtered probe side exercises the selection-vector path through
 		// the batch probe loop.
 		pred := randPred(r, colTypes, 2, true)
-		wantF, err := Collect(&HashJoinIter{
-			Probe: &FilterIter{Pred: pred, In: NewScan(h, nil)}, Build: NewScan(bh, nil),
-			ProbeKeys: probeKeys, BuildKeys: buildKeys, Residual: residual,
-		})
-		if err != nil {
-			t.Fatalf("seed %d: row join (filtered): %v", seed, err)
-		}
+		wantF := ref(refJoin(ref(refFilter(rows, pred)), buildRows, probeKeys, buildKeys, residual))
 		gotF := collectBatches(t, &BatchHashJoinIter{
-			Probe:     &BatchFilterIter{Pred: pred, In: NewBatchScan(h, nil, size)},
-			Build:     NewBatchScan(bh, nil, size),
+			Probe:     &BatchFilterIter{Pred: pred, In: NewBatchScan(h, nil)},
+			Build:     NewBatchScan(bh, nil),
 			ProbeKeys: probeKeys, BuildKeys: buildKeys, Residual: residual,
-			BuildWidth: len(buildTypes), Size: size,
+			BuildWidth: len(buildTypes),
 		})
 		rowsEqual(t, gotF, wantF)
 		return true
@@ -77,7 +65,7 @@ func TestBatchJoinClosesInputs(t *testing.T) {
 	j := &BatchHashJoinIter{
 		Probe: probe, Build: build,
 		ProbeKeys: []Expr{col(0, types.Int)}, BuildKeys: []Expr{col(0, types.Int)},
-		BuildWidth: 1, Size: 8,
+		BuildWidth: 1,
 	}
 	j.Close()
 	j.Close()

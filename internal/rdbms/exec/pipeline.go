@@ -248,12 +248,10 @@ func (p *ParallelPipelineIter) Close() {
 // phase two merges the partial tables in partition order (so first-seen
 // semantics — group key values, MIN/MAX first-type rule — match the serial
 // heap-order accumulator) and emits groups sorted by encoded key, matching
-// HashAggIter/BatchHashAggIter output exactly.
+// BatchHashAggIter's output exactly.
 type ParallelHashAggIter struct {
-	GroupBy  []Expr
-	Aggs     []*AggSpec
-	SkipSort bool
-	Size     int
+	GroupBy []Expr
+	Aggs    []*AggSpec
 
 	ranges  []storage.PageRange
 	build   PipelineBuild
@@ -277,15 +275,13 @@ type aggPartial struct {
 
 // NewParallelHashAgg prepares (but does not yet start) a two-phase
 // aggregation over the given partitions.
-func NewParallelHashAgg(parts []storage.PageRange, build PipelineBuild, groupBy []Expr, aggs []*AggSpec, skipSort bool, size int) *ParallelHashAggIter {
+func NewParallelHashAgg(parts []storage.PageRange, build PipelineBuild, groupBy []Expr, aggs []*AggSpec) *ParallelHashAggIter {
 	return &ParallelHashAggIter{
-		GroupBy:  groupBy,
-		Aggs:     aggs,
-		SkipSort: skipSort,
-		Size:     size,
-		ranges:   parts,
-		build:    build,
-		stop:     make(chan struct{}),
+		GroupBy: groupBy,
+		Aggs:    aggs,
+		ranges:  parts,
+		build:   build,
+		stop:    make(chan struct{}),
 	}
 }
 
@@ -429,7 +425,7 @@ func (p *ParallelHashAggIter) run() {
 	if p.err != nil {
 		return
 	}
-	p.groups = finishGroups(merged, p.GroupBy, p.Aggs, p.SkipSort)
+	p.groups = finishGroups(merged, p.GroupBy, p.Aggs)
 }
 
 // NextBatch implements BatchIterator.
@@ -443,18 +439,14 @@ func (p *ParallelHashAggIter) NextBatch() (*RowBatch, error) {
 	if p.pos >= len(p.groups) {
 		return nil, nil
 	}
-	size := p.Size
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
 	width := len(p.GroupBy) + len(p.Aggs)
 	if p.out == nil {
-		p.out = NewRowBatch(width, size)
+		p.out = NewRowBatch(width, DefaultBatchSize)
 	}
 	b := p.out
 	b.Reset()
 	row := make([]types.Datum, 0, width)
-	for b.Len() < size && p.pos < len(p.groups) {
+	for b.Len() < DefaultBatchSize && p.pos < len(p.groups) {
 		g := p.groups[p.pos]
 		p.pos++
 		row = row[:0]
@@ -493,14 +485,13 @@ func (p *ParallelHashAggIter) Close() {
 // partitioned probe: the build side is drained once (serially — it may
 // itself be a parallel gather) into a hash table, then partition workers
 // run the probe-side pipeline over their page ranges and emit joined rows.
-// Semantics match HashJoinIter exactly: output rows are probeRow ++
-// buildRow, NULL keys never match, and Residual is checked on joined rows.
+// Output matches BatchHashJoinIter's exactly: probeRow ++ buildRow, NULL
+// keys never match, and Residual is checked on joined rows.
 type ParallelHashJoinIter struct {
-	Build     Iterator
+	Build     BatchIterator
 	ProbeKeys []Expr
 	BuildKeys []Expr
 	Residual  Expr
-	Size      int
 
 	ranges     []storage.PageRange
 	buildFn    PipelineBuild
@@ -523,16 +514,12 @@ type ParallelHashJoinIter struct {
 // NewParallelHashJoin prepares a partitioned-probe join. outWidth is the
 // joined row width (probe width + build width) and buildWidth the build
 // side's column count.
-func NewParallelHashJoin(parts []storage.PageRange, probe PipelineBuild, build Iterator, probeKeys, buildKeys []Expr, residual Expr, size, outWidth, buildWidth int) *ParallelHashJoinIter {
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
+func NewParallelHashJoin(parts []storage.PageRange, probe PipelineBuild, build BatchIterator, probeKeys, buildKeys []Expr, residual Expr, outWidth, buildWidth int) *ParallelHashJoinIter {
 	return &ParallelHashJoinIter{
 		Build:      build,
 		ProbeKeys:  probeKeys,
 		BuildKeys:  buildKeys,
 		Residual:   residual,
-		Size:       size,
 		ranges:     parts,
 		buildFn:    probe,
 		outWidth:   outWidth,
@@ -543,7 +530,7 @@ func NewParallelHashJoin(parts []storage.PageRange, probe PipelineBuild, build I
 
 func (p *ParallelHashJoinIter) buildTable() error {
 	p.table = newJoinBuildTable(p.buildWidth)
-	return p.table.addRows(p.Build, p.BuildKeys)
+	return p.table.addBatches(p.Build, p.BuildKeys)
 }
 
 func (p *ParallelHashJoinIter) start() {
@@ -660,7 +647,7 @@ func (p *ParallelHashJoinIter) worker(i int, r storage.PageRange) {
 					}
 				}
 				ob.AppendRow(joined)
-				if ob.Len() >= p.Size {
+				if ob.Len() >= DefaultBatchSize {
 					if !send() {
 						return
 					}
@@ -671,7 +658,7 @@ func (p *ParallelHashJoinIter) worker(i int, r storage.PageRange) {
 }
 
 // NextBatch implements BatchIterator, merging partitions in ascending
-// order so output order matches the serial HashJoinIter probe order.
+// order so output order matches the serial BatchHashJoinIter probe order.
 func (p *ParallelHashJoinIter) NextBatch() (*RowBatch, error) {
 	if !p.started {
 		p.start()

@@ -34,11 +34,26 @@ func heapOf(t *testing.T, colTypes []types.Type, rows []storage.Row) (*storage.H
 	return h, p
 }
 
+// edgeRows draws a row count above two full batches, so every operator
+// over a scan of them meets batch boundaries mid-stream, and each of two
+// partitions still fills a batch.
+func edgeRows(r *rand.Rand) int { return 2*DefaultBatchSize + 1 + r.Intn(DefaultBatchSize) }
+
+// drawRows keeps small, a property test's usual row count — which can be
+// empty, less than one batch, one page, or fewer pages than workers — for
+// two inputs in three, and draws edgeRows for the third.
+func drawRows(r *rand.Rand, small int) int {
+	if r.Intn(3) == 0 {
+		return edgeRows(r)
+	}
+	return small
+}
+
 // chainBuild returns a PipelineBuild running scan→filter→project over one
 // partition, mirroring GatherNode.buildPartition.
-func chainBuild(h *storage.Heap, pred Expr, projs []Expr, size int) PipelineBuild {
+func chainBuild(h *storage.Heap, pred Expr, projs []Expr) PipelineBuild {
 	return func(r storage.PageRange) (BatchIterator, error) {
-		var cur BatchIterator = NewBatchScanRange(h, nil, size, r.Start, r.End)
+		var cur BatchIterator = NewBatchScanRange(h, nil, r.Start, r.End)
 		if pred != nil {
 			cur = &BatchFilterIter{In: cur, Pred: pred}
 		}
@@ -49,12 +64,11 @@ func chainBuild(h *storage.Heap, pred Expr, projs []Expr, size int) PipelineBuil
 	}
 }
 
-// TestPropertyParallelMatchesSerial is the three-way differential test
-// backing the morsel-driven pipelines: over random schemas, data,
-// predicates, and projections, the row pipeline, the serial batch
-// pipeline, and the parallel pipeline (random worker counts) must produce
-// identical output — same rows, same order (the partition merge preserves
-// heap order exactly).
+// TestPropertyParallelMatchesSerial is the differential test backing the
+// morsel-driven pipelines: over random schemas, data, predicates, and
+// projections, the serial pipeline and the parallel pipeline (several
+// worker counts) must produce the reference's output — same rows, same
+// order (the partition merge preserves heap order exactly).
 func TestPropertyParallelMatchesSerial(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -63,7 +77,7 @@ func TestPropertyParallelMatchesSerial(t *testing.T) {
 			colTypes = append(colTypes,
 				[]types.Type{types.Int, types.Float, types.Text, types.Bool}[r.Intn(4)])
 		}
-		rows := randBatchRows(r, colTypes, r.Intn(300))
+		rows := randBatchRows(r, colTypes, drawRows(r, r.Intn(300)))
 		h, _ := heapOf(t, colTypes, rows)
 		pred := randPred(r, colTypes, 3, true)
 		projs := make([]Expr, 1+r.Intn(3))
@@ -75,18 +89,14 @@ func TestPropertyParallelMatchesSerial(t *testing.T) {
 			}
 		}
 
-		want, err := Collect(&ProjectIter{Exprs: projs,
-			In: &FilterIter{Pred: pred, In: NewScan(h, nil)}})
-		if err != nil {
-			t.Fatalf("seed %d: row pipeline: %v", seed, err)
-		}
-		size := 1 + r.Intn(40)
+		ref := mustRef(t)
+		want := ref(refProject(ref(refFilter(rows, pred)), projs))
 		batch := collectBatches(t, &BatchProjectIter{Exprs: projs,
-			In: &BatchFilterIter{Pred: pred, In: NewBatchScan(h, nil, size)}})
+			In: &BatchFilterIter{Pred: pred, In: NewBatchScan(h, nil)}})
 		rowsEqual(t, batch, want)
 		for _, workers := range []int{2, 3, 5} {
 			par := collectBatches(t, NewParallelPipeline(
-				h.Partitions(workers), chainBuild(h, pred, projs, size)))
+				h.Partitions(workers), chainBuild(h, pred, projs)))
 			rowsEqual(t, par, want)
 		}
 		return true
@@ -99,12 +109,12 @@ func TestPropertyParallelMatchesSerial(t *testing.T) {
 // TestPropertyParallelAggMatchesSerial checks two-phase parallel hash
 // aggregation — GROUP BY with COUNT/SUM/AVG/MIN/MAX, the same without GROUP
 // BY (the one group folds whole batches), plus the grouped DISTINCT case
-// (no aggregates) — against the row and serial batch aggregates.
+// (no aggregates) — against the serial aggregate and the reference.
 func TestPropertyParallelAggMatchesSerial(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		colTypes := []types.Type{types.Int, types.Int, types.Float, types.Text}
-		rows := randBatchRows(r, colTypes, r.Intn(400))
+		rows := randBatchRows(r, colTypes, drawRows(r, r.Intn(400)))
 		h, _ := heapOf(t, colTypes, rows)
 		var groupBy []Expr
 		switch r.Intn(3) {
@@ -123,35 +133,21 @@ func TestPropertyParallelAggMatchesSerial(t *testing.T) {
 				{Kind: AggMax, Arg: col(3, types.Text)},
 			}
 		}
-		size := 1 + r.Intn(40)
-
-		want, err := Collect(&HashAggIter{In: NewScan(h, nil), GroupBy: groupBy, Aggs: specs()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch := collectBatches(t, &BatchHashAggIter{
-			In: NewBatchScan(h, nil, size), GroupBy: groupBy, Aggs: specs()})
+		ref := mustRef(t)
+		want := ref(refGroup(rows, groupBy, specs()))
+		// Serial, parallel and the reference all emit in encoded-key order.
+		rowsEqual(t, collectBatches(t, &BatchHashAggIter{
+			In: NewBatchScan(h, nil), GroupBy: groupBy, Aggs: specs()}), want)
 		for _, workers := range []int{2, 4} {
 			par := collectBatches(t, NewParallelHashAgg(
-				h.Partitions(workers), chainBuild(h, nil, nil, size),
-				groupBy, specs(), false, size))
-			// Batch and parallel both emit in encoded-key order.
-			rowsEqual(t, par, batch)
-			if canonical(par) != canonical(want) {
-				t.Fatalf("seed %d workers %d: parallel disagrees with row agg", seed, workers)
-			}
+				h.Partitions(workers), chainBuild(h, nil, nil), groupBy, specs()))
+			rowsEqual(t, par, want)
 		}
 
 		// Grouped DISTINCT: group-by columns, no aggregate states.
-		wantD, err := Collect(&HashAggIter{In: NewScan(h, nil), GroupBy: groupBy})
-		if err != nil {
-			t.Fatal(err)
-		}
 		parD := collectBatches(t, NewParallelHashAgg(
-			h.Partitions(3), chainBuild(h, nil, nil, size), groupBy, nil, false, size))
-		if canonical(parD) != canonical(wantD) {
-			t.Fatalf("seed %d: parallel DISTINCT disagrees", seed)
-		}
+			h.Partitions(3), chainBuild(h, nil, nil), groupBy, nil))
+		rowsEqual(t, parD, ref(refGroup(rows, groupBy, nil)))
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -171,13 +167,14 @@ func TestAggMergeRejectsDistinct(t *testing.T) {
 }
 
 // TestPropertyParallelJoinMatchesSerial checks the partitioned-probe hash
-// join against the serial hash join: same build side, probe side scanned
-// in parallel partitions, identical output order.
+// join against the reference join: same build side, probe side scanned in
+// parallel partitions, identical output order, and on the larger inputs
+// workers filling more than one output batch each.
 func TestPropertyParallelJoinMatchesSerial(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		colTypes := []types.Type{types.Int, types.Text}
-		rows := randBatchRows(r, colTypes, r.Intn(300))
+		rows := randBatchRows(r, colTypes, drawRows(r, r.Intn(300)))
 		h, _ := heapOf(t, colTypes, rows)
 		build := make([]storage.Row, 1+r.Intn(30))
 		for i := range build {
@@ -193,20 +190,12 @@ func TestPropertyParallelJoinMatchesSerial(t *testing.T) {
 		if r.Intn(2) == 0 {
 			residual = &BinExpr{Op: "<>", L: col(1, types.Text), R: lit(types.NewText("b"))}
 		}
-		size := 1 + r.Intn(40)
-
-		want, err := Collect(&HashJoinIter{
-			Probe: NewScan(h, nil), Build: sliceIter(build...),
-			ProbeKeys: probeKeys, BuildKeys: buildKeys, Residual: residual,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := mustRef(t)(refJoin(rows, build, probeKeys, buildKeys, residual))
 		for _, workers := range []int{2, 4} {
 			par := collectBatches(t, NewParallelHashJoin(
-				h.Partitions(workers), chainBuild(h, nil, nil, size),
-				sliceIter(build...), probeKeys, buildKeys, residual,
-				size, len(colTypes)+2, 2))
+				h.Partitions(workers), chainBuild(h, nil, nil),
+				&sliceBatches{rows: build}, probeKeys, buildKeys, residual,
+				len(colTypes)+2, 2))
 			rowsEqual(t, par, want)
 		}
 		return true
@@ -250,9 +239,9 @@ func freezeCols(h *storage.Heap, stripe map[int]bool) int {
 // goroutine; nil makes the scan compile its own), row-form pages compact
 // in place. With no projection it is the zero-operator gather of a bare
 // filtered scan.
-func selChainBuild(h *storage.Heap, pred Expr, projs []Expr, size int, sf *SelFilter) PipelineBuild {
+func selChainBuild(h *storage.Heap, pred Expr, projs []Expr, sf *SelFilter) PipelineBuild {
 	return func(rg storage.PageRange) (BatchIterator, error) {
-		scan := NewBatchScanRange(h, pred, size, rg.Start, rg.End)
+		scan := NewBatchScanRange(h, pred, rg.Start, rg.End)
 		scan.SetSelFilter(sf)
 		var cur BatchIterator = scan
 		if projs != nil {
@@ -262,11 +251,11 @@ func selChainBuild(h *storage.Heap, pred Expr, projs []Expr, size int, sf *SelFi
 	}
 }
 
-// TestPropertyStripedMatchesRow extends the three-way differential test
-// with the frozen-segment leg: over heaps whose full pages are frozen
-// into column segments, the row pipeline, the serial batch pipeline, and
-// the parallel pipeline must agree — before and after an Update un-freezes
-// a page mid-table, leaving a frozen/row mix.
+// TestPropertyStripedMatchesRow extends the differential test with the
+// frozen-segment leg: over heaps whose full pages are frozen into column
+// segments, the serial and parallel pipelines must agree with the
+// reference — before and after an Update un-freezes a page mid-table,
+// leaving a frozen/row mix.
 func TestPropertyStripedMatchesRow(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -275,7 +264,7 @@ func TestPropertyStripedMatchesRow(t *testing.T) {
 			colTypes = append(colTypes,
 				[]types.Type{types.Int, types.Float, types.Text, types.Bool}[r.Intn(4)])
 		}
-		rows := randBatchRows(r, colTypes, 128+r.Intn(400))
+		rows := randBatchRows(r, colTypes, drawRows(r, 128+r.Intn(400)))
 		h, _ := heapOf(t, colTypes, rows)
 		stripe := map[int]bool{r.Intn(len(colTypes)): true}
 		if r.Intn(2) == 0 {
@@ -295,37 +284,32 @@ func TestPropertyStripedMatchesRow(t *testing.T) {
 				projs[i] = randNumExpr(r, colTypes, 2, true)
 			}
 		}
-		size := 1 + r.Intn(40)
-
 		check := func(phase string) {
-			want, err := Collect(&ProjectIter{Exprs: projs,
-				In: &FilterIter{Pred: pred, In: NewScan(h, nil)}})
-			if err != nil {
-				t.Fatalf("seed %d %s: row pipeline: %v", seed, phase, err)
-			}
+			ref := mustRef(t)
+			want := ref(refProject(ref(refFilter(refScan(h), pred)), projs))
 			// A filter above the scan remains a supported operator shape
 			// (residual predicates land there).
 			hoisted := collectBatches(t, &BatchProjectIter{Exprs: projs,
-				In: &BatchFilterIter{Pred: pred, In: NewBatchScan(h, nil, size)}})
+				In: &BatchFilterIter{Pred: pred, In: NewBatchScan(h, nil)}})
 			rowsEqual(t, hoisted, want)
 			// The planner path proper: predicates compiled into the in-scan
 			// selection filter, survivors carried by a selection vector.
 			sf := CompileSelFilter([]Expr{pred}, len(colTypes), nil, nil)
-			selScan := NewBatchScan(h, pred, size)
+			selScan := NewBatchScan(h, pred)
 			selScan.SetSelFilter(sf)
 			selLeg := collectBatches(t, &BatchProjectIter{Exprs: projs, In: selScan})
 			rowsEqual(t, selLeg, want)
 			for _, workers := range []int{2, 3} {
 				par := collectBatches(t, NewParallelPipeline(
-					h.Partitions(workers), chainBuild(h, pred, projs, size)))
+					h.Partitions(workers), chainBuild(h, pred, projs)))
 				rowsEqual(t, par, want)
 				selPar := collectBatches(t, NewParallelPipeline(
-					h.Partitions(workers), selChainBuild(h, pred, projs, size, sf)))
+					h.Partitions(workers), selChainBuild(h, pred, projs, sf)))
 				rowsEqual(t, selPar, want)
 				// The zero-operator gather of a bare filtered scan, the
 				// projection above the merge.
 				scanPar := collectBatches(t, &BatchProjectIter{Exprs: projs,
-					In: NewParallelPipeline(h.Partitions(workers), selChainBuild(h, pred, nil, size, sf))})
+					In: NewParallelPipeline(h.Partitions(workers), selChainBuild(h, pred, nil, sf))})
 				rowsEqual(t, scanPar, want)
 			}
 		}
@@ -349,14 +333,14 @@ func TestPropertyStripedMatchesRow(t *testing.T) {
 	}
 }
 
-// TestPropertyStripedMixedHeap holds the scan's one loop to the row
-// engine on a heap that has every kind of stretch at once: frozen pages,
-// one page un-frozen by an UPDATE between them, a multi-page row-form run
-// with deleted slots in it, and a short tail — scanned with and without
-// predicates, with NeedCols, with a page-skip test, serially and in three
-// partitions whose boundaries fall inside the row-form run.
+// TestPropertyStripedMixedHeap holds the scan's one loop to the reference
+// on a heap that has every kind of stretch at once: frozen pages, one page
+// un-frozen by an UPDATE between them, a row-form run of more than two
+// batches with deleted slots in it, and a short tail — scanned with and
+// without predicates, with NeedCols, with a page-skip test, serially and
+// in three partitions whose boundaries fall inside the row-form run.
 func TestPropertyStripedMixedHeap(t *testing.T) {
-	const frozenPages, runPages = 5, 5
+	const frozenPages, runPages = 5, 17
 	per := storage.PageCapacity
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -393,10 +377,8 @@ func TestPropertyStripedMixedHeap(t *testing.T) {
 			{Start: frozenPages + 1, End: frozenPages + 3},
 			{Start: frozenPages + 3, End: h.NumPages()},
 		}
-		size := 1 + r.Intn(300)
-
 		// check runs one scan set-up serially and partitioned and compares
-		// both with the row engine's answer over the needed columns.
+		// both with the reference's answer over the needed columns.
 		check := func(leg string, pred Expr, need []int, skip func(*storage.PageSummary) bool) {
 			out := need
 			if out == nil {
@@ -406,20 +388,14 @@ func TestPropertyStripedMixedHeap(t *testing.T) {
 			for i, j := range out {
 				projs[i] = col(j, colTypes[j])
 			}
-			var in Iterator = NewScan(h, nil)
-			if pred != nil {
-				in = &FilterIter{Pred: pred, In: in}
-			}
-			want, err := Collect(&ProjectIter{Exprs: projs, In: in})
-			if err != nil {
-				t.Fatalf("seed %d %s: row pipeline: %v", seed, leg, err)
-			}
+			ref := mustRef(t)
+			want := ref(refProject(ref(refFilter(refScan(h), pred)), projs))
 			var sf *SelFilter // nil on odd seeds: the scan compiles its own
 			if pred != nil && seed%2 == 0 {
 				sf = CompileSelFilter([]Expr{pred}, len(colTypes), nil, nil)
 			}
 			build := func(rg storage.PageRange) (BatchIterator, error) {
-				s := NewBatchScanRange(h, pred, size, rg.Start, rg.End)
+				s := NewBatchScanRange(h, pred, rg.Start, rg.End)
 				s.NeedCols = need
 				if skip != nil {
 					s.SetPageSkip(func(*storage.HeapChunkIter) func(*storage.PageSummary) bool { return skip })
@@ -510,7 +486,7 @@ func TestBatchScanShapes(t *testing.T) {
 		{"fully frozen", frozen, nil, pages(24)},
 		{"fully frozen, filtered", frozen, pred, pages(11, 92)},
 	} {
-		if got := lens(NewBatchScan(tc.h, tc.pred, 0)); !reflect.DeepEqual(got, tc.want) {
+		if got := lens(NewBatchScan(tc.h, tc.pred)); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: batch lengths %v, want %v", tc.name, got, tc.want)
 		}
 	}
@@ -519,13 +495,13 @@ func TestBatchScanShapes(t *testing.T) {
 // TestPropertyStripedSelConsumers drives selection-carrying batches from
 // in-scan sel filters through the operators that change or consume
 // cardinality — LIMIT, GROUP BY aggregation, and hash joins — comparing
-// serial and parallel legs against the row pipeline, on all-frozen and
-// mixed frozen/row-form heaps.
+// serial and parallel legs against the reference, on all-frozen and mixed
+// frozen/row-form heaps.
 func TestPropertyStripedSelConsumers(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		colTypes := []types.Type{types.Int, types.Text, types.Float}
-		rows := randBatchRows(r, colTypes, 200+r.Intn(300))
+		rows := randBatchRows(r, colTypes, drawRows(r, 200+r.Intn(300)))
 		h, _ := heapOf(t, colTypes, rows)
 		stripe := map[int]bool{0: true}
 		if r.Intn(2) == 0 {
@@ -537,28 +513,25 @@ func TestPropertyStripedSelConsumers(t *testing.T) {
 		}
 		pred := randPred(r, colTypes, 2, true)
 		sf := CompileSelFilter([]Expr{pred}, len(colTypes), nil, nil)
-		size := 1 + r.Intn(40)
 		selScan := func() *BatchScanIter {
-			s := NewBatchScan(h, pred, size)
+			s := NewBatchScan(h, pred)
 			s.SetSelFilter(sf)
 			return s
 		}
 
 		check := func(phase string) {
+			ref := mustRef(t)
+			filtered := ref(refFilter(refScan(h), pred))
 			// LIMIT: truncateBatch trims a selection-carrying batch by
 			// shortening Sel. Serial striped scans emit in heap order and
 			// the parallel merge preserves partition order, so both legs
-			// see the same prefix as the row pipeline.
-			n := int64(1 + r.Intn(50))
-			wantL, err := Collect(&LimitIter{N: n,
-				In: &FilterIter{Pred: pred, In: NewScan(h, nil)}})
-			if err != nil {
-				t.Fatalf("seed %d %s: row limit: %v", seed, phase, err)
-			}
+			// see the same prefix as the reference.
+			n := int64(1 + r.Intn(300))
+			wantL := refLimit(filtered, n)
 			gotL := collectBatches(t, &BatchLimitIter{N: n, In: selScan()})
 			rowsEqual(t, gotL, wantL)
 			gotLP := collectBatches(t, &BatchLimitIter{N: n,
-				In: NewParallelPipeline(h.Partitions(3), selChainBuild(h, pred, nil, size, sf))})
+				In: NewParallelPipeline(h.Partitions(3), selChainBuild(h, pred, nil, sf))})
 			rowsEqual(t, gotLP, wantL)
 
 			// GROUP BY (or none) over sel batches, serial and two-phase
@@ -574,22 +547,12 @@ func TestPropertyStripedSelConsumers(t *testing.T) {
 					{Kind: AggMax, Arg: col(1, types.Text)},
 				}
 			}
-			wantA, err := Collect(&HashAggIter{GroupBy: groupBy, Aggs: aggs(),
-				In: &FilterIter{Pred: pred, In: NewScan(h, nil)}})
-			if err != nil {
-				t.Fatalf("seed %d %s: row agg: %v", seed, phase, err)
-			}
-			gotA := collectBatches(t, &BatchHashAggIter{
-				In: selScan(), GroupBy: groupBy, Aggs: aggs()})
-			if canonical(gotA) != canonical(wantA) {
-				t.Fatalf("seed %d %s: striped sel agg disagrees with row agg", seed, phase)
-			}
+			wantA := ref(refGroup(filtered, groupBy, aggs()))
+			rowsEqual(t, collectBatches(t, &BatchHashAggIter{
+				In: selScan(), GroupBy: groupBy, Aggs: aggs()}), wantA)
 			parA := collectBatches(t, NewParallelHashAgg(
-				h.Partitions(3), selChainBuild(h, pred, nil, size, sf),
-				groupBy, aggs(), false, size))
-			if canonical(parA) != canonical(wantA) {
-				t.Fatalf("seed %d %s: parallel striped sel agg disagrees", seed, phase)
-			}
+				h.Partitions(3), selChainBuild(h, pred, nil, sf), groupBy, aggs()))
+			rowsEqual(t, parA, wantA)
 
 			// Hash joins probing from sel batches, serial and partitioned.
 			build := make([]storage.Row, 1+r.Intn(20))
@@ -598,22 +561,14 @@ func TestPropertyStripedSelConsumers(t *testing.T) {
 					types.NewInt(int64(r.Intn(9) - 4)), types.NewInt(int64(i))}
 			}
 			keys := []Expr{col(0, types.Int)}
-			wantJ, err := Collect(&HashJoinIter{
-				Probe: &FilterIter{Pred: pred, In: NewScan(h, nil)},
-				Build: sliceIter(build...), ProbeKeys: keys, BuildKeys: keys})
-			if err != nil {
-				t.Fatalf("seed %d %s: row join: %v", seed, phase, err)
-			}
-			gotJ, err := Collect(&HashJoinIter{
-				Probe: &BatchToRow{In: selScan()},
-				Build: sliceIter(build...), ProbeKeys: keys, BuildKeys: keys})
-			if err != nil {
-				t.Fatalf("seed %d %s: striped sel join: %v", seed, phase, err)
-			}
+			wantJ := ref(refJoin(filtered, build, keys, keys, nil))
+			gotJ := collectBatches(t, &BatchHashJoinIter{
+				Probe: selScan(), Build: &sliceBatches{rows: build},
+				ProbeKeys: keys, BuildKeys: keys, BuildWidth: 2})
 			rowsEqual(t, gotJ, wantJ)
 			parJ := collectBatches(t, NewParallelHashJoin(
-				h.Partitions(2), selChainBuild(h, pred, nil, size, sf),
-				sliceIter(build...), keys, keys, nil, size, len(colTypes)+2, 2))
+				h.Partitions(2), selChainBuild(h, pred, nil, sf),
+				&sliceBatches{rows: build}, keys, keys, nil, len(colTypes)+2, 2))
 			rowsEqual(t, parJ, wantJ)
 		}
 		check("frozen")
@@ -664,7 +619,7 @@ func TestStripedSegKernelFastPath(t *testing.T) {
 	}
 	run := func(segK SegExtractKernel) []storage.Row {
 		return collectBatches(t, &BatchMultiExtractIter{
-			In: NewBatchScan(h, nil, 64), DataIdx: 1, K: 1, Kernel: kernel, SegKernel: segK})
+			In: NewBatchScan(h, nil), DataIdx: 1, K: 1, Kernel: kernel, SegKernel: segK})
 	}
 
 	want := run(nil) // row Kernel everywhere
@@ -708,16 +663,15 @@ func TestParallelPipelinesReleaseOnEarlyClose(t *testing.T) {
 
 	mk := map[string]func() BatchIterator{
 		"pipeline": func() BatchIterator {
-			return NewParallelPipeline(h.Partitions(4), chainBuild(h, nil, nil, 32))
+			return NewParallelPipeline(h.Partitions(4), chainBuild(h, nil, nil))
 		},
 		"agg": func() BatchIterator {
-			return NewParallelHashAgg(h.Partitions(4), chainBuild(h, nil, nil, 32),
-				groupBy, aggs, false, 32)
+			return NewParallelHashAgg(h.Partitions(4), chainBuild(h, nil, nil), groupBy, aggs)
 		},
 		"join": func() BatchIterator {
-			return NewParallelHashJoin(h.Partitions(4), chainBuild(h, nil, nil, 32),
-				sliceIter(build...), []Expr{col(0, types.Int)}, []Expr{col(0, types.Int)},
-				nil, 32, 4, 2)
+			return NewParallelHashJoin(h.Partitions(4), chainBuild(h, nil, nil),
+				&sliceBatches{rows: build}, []Expr{col(0, types.Int)}, []Expr{col(0, types.Int)},
+				nil, 4, 2)
 		},
 	}
 	for name, make := range mk {

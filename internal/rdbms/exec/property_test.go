@@ -11,7 +11,7 @@ import (
 )
 
 // TestPropertyJoinAlgorithmsAgree checks that hash join, merge join (over
-// sorted inputs), and nested-loop join produce identical multisets of
+// sorted inputs), and nested-loop join produce the reference's multiset of
 // results on random inputs — the planner is free to pick any of them, so
 // they must be interchangeable.
 func TestPropertyJoinAlgorithmsAgree(t *testing.T) {
@@ -32,33 +32,33 @@ func TestPropertyJoinAlgorithmsAgree(t *testing.T) {
 		right := mkRows(1+r.Intn(40), 1+r.Intn(8))
 		keyL := []Expr{col(0, types.Int)}
 		keyR := []Expr{col(0, types.Int)}
+		want := mustRef(t)(refJoin(left, right, keyL, keyR, nil))
 
-		hj, err := Collect(&HashJoinIter{
-			Probe: sliceIter(left...), Build: sliceIter(right...),
-			ProbeKeys: keyL, BuildKeys: keyR,
+		hj := collectBatches(t, &BatchHashJoinIter{
+			Probe: &sliceBatches{rows: left}, Build: &sliceBatches{rows: right},
+			ProbeKeys: keyL, BuildKeys: keyR, BuildWidth: 2,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		rowsEqual(t, hj, want)
 		// Merge join needs sorted inputs.
-		sortedL := &SortIter{In: sliceIter(left...), Keys: []SortKey{{Expr: col(0, types.Int)}}}
-		sortedR := &SortIter{In: sliceIter(right...), Keys: []SortKey{{Expr: col(0, types.Int)}}}
-		mj, err := Collect(&MergeJoinIter{
-			Left: sortedL, Right: sortedR, LeftKeys: keyL, RightKeys: keyR,
+		sorted := func(rows []storage.Row) Iterator {
+			return &BatchToRow{In: &BatchSortIter{In: &sliceBatches{rows: rows}, Keys: []SortKey{{Expr: col(0, types.Int)}}}}
+		}
+		mj, err := drainRows(&MergeJoinIter{
+			Left: sorted(left), Right: sorted(right), LeftKeys: keyL, RightKeys: keyR,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		cond := &BinExpr{Op: "=", L: col(0, types.Int), R: col(2, types.Int)}
-		nl, err := Collect(&NestedLoopIter{
-			Outer: sliceIter(left...), Inner: sliceIter(right...), Cond: cond,
+		nl, err := drainRows(&NestedLoopIter{
+			Outer: rowsOf(left...), Inner: &sliceBatches{rows: right}, Cond: cond,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, b, c := canonical(hj), canonical(mj), canonical(nl)
+		a, b, c := canonical(want), canonical(mj), canonical(nl)
 		if a != b || b != c {
-			t.Fatalf("seed %d: hash %q merge %q nl %q", seed, a, b, c)
+			t.Fatalf("seed %d: reference %q merge %q nl %q", seed, a, b, c)
 		}
 		return true
 	}
@@ -68,7 +68,7 @@ func TestPropertyJoinAlgorithmsAgree(t *testing.T) {
 }
 
 // TestPropertyAggregationStrategiesAgree checks HashAgg vs sorted GroupAgg
-// on random groups.
+// on random groups against the reference.
 func TestPropertyAggregationStrategiesAgree(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -91,21 +91,19 @@ func TestPropertyAggregationStrategiesAgree(t *testing.T) {
 				{Kind: AggMax, Arg: col(1, types.Int)},
 			}
 		}
-		hashed, err := Collect(&HashAggIter{
-			In: sliceIter(rows...), GroupBy: []Expr{col(0, types.Int)}, Aggs: specs(),
+		groupBy := []Expr{col(0, types.Int)}
+		want := mustRef(t)(refGroup(rows, groupBy, specs()))
+		hashed := collectBatches(t, &BatchHashAggIter{
+			In: &sliceBatches{rows: rows}, GroupBy: groupBy, Aggs: specs(),
 		})
+		rowsEqual(t, hashed, want)
+		sorted := &BatchToRow{In: &BatchSortIter{In: &sliceBatches{rows: rows}, Keys: []SortKey{{Expr: col(0, types.Int)}}}}
+		grouped, err := drainRows(&GroupAggIter{In: sorted, GroupBy: groupBy, Aggs: specs()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sorted := &SortIter{In: sliceIter(rows...), Keys: []SortKey{{Expr: col(0, types.Int)}}}
-		grouped, err := Collect(&GroupAggIter{
-			In: sorted, GroupBy: []Expr{col(0, types.Int)}, Aggs: specs(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if canonical(hashed) != canonical(grouped) {
-			t.Fatalf("seed %d: hash %v vs sort %v", seed, hashed, grouped)
+		if canonical(want) != canonical(grouped) {
+			t.Fatalf("seed %d: reference %v vs sort %v", seed, want, grouped)
 		}
 		return true
 	}
@@ -334,14 +332,14 @@ func randPred(r *rand.Rand, colTypes []types.Type, depth int, safe bool) Expr {
 
 // TestPropertyBatchMatchesRow is the differential test backing the batch
 // executor: over random schemas, data (with NULLs), predicates, and
-// projections, the batch pipeline must produce exactly the row pipeline's
-// output — same rows, same order — and must error exactly when the row
-// pipeline errors (÷0, type mismatches).
+// projections, the pipeline must produce exactly the reference's output —
+// same rows, same order — and must error exactly when the reference errors
+// (÷0, type mismatches). A third of the inputs span three batches.
 //
 // The second leg adds LIMIT: the limit announces its remaining budget down
 // the pipeline so the projection truncates each delivered batch BEFORE
 // evaluating expressions, which makes projection errors past the limit
-// unreachable in both pipelines — the formerly documented divergence. The
+// unreachable — the reference projects the first limit rows only. The
 // predicate is kept total in that leg because a filter must still evaluate
 // whole batches: predicate errors beyond the last limit-surviving row
 // remain batch-granular by design.
@@ -353,7 +351,8 @@ func TestPropertyBatchMatchesRow(t *testing.T) {
 			colTypes = append(colTypes,
 				[]types.Type{types.Int, types.Float, types.Text, types.Bool, types.Array}[r.Intn(5)])
 		}
-		rows := randBatchRows(r, colTypes, r.Intn(60))
+		n := drawRows(r, r.Intn(60))
+		rows := randBatchRows(r, colTypes, n)
 		pred := randPred(r, colTypes, 3, false)
 		projs := make([]Expr, 1+r.Intn(3))
 		for i := range projs {
@@ -364,22 +363,18 @@ func TestPropertyBatchMatchesRow(t *testing.T) {
 			}
 		}
 
-		want, wantErr := Collect(&ProjectIter{Exprs: projs,
-			In: &FilterIter{Pred: pred, In: sliceIter(rows...)}})
-
-		compare := func(size int, label string, got []storage.Row, gotErr error,
+		compare := func(label string, got []storage.Row, gotErr error,
 			want []storage.Row, wantErr error) {
 			t.Helper()
 			if (wantErr != nil) != (gotErr != nil) {
-				t.Fatalf("seed %d size %d %s: row err %v, batch err %v",
-					seed, size, label, wantErr, gotErr)
+				t.Fatalf("seed %d %s: reference err %v, batch err %v",
+					seed, label, wantErr, gotErr)
 			}
 			if wantErr != nil {
 				return
 			}
 			if len(got) != len(want) {
-				t.Fatalf("seed %d size %d %s: %d rows vs %d",
-					seed, size, label, len(got), len(want))
+				t.Fatalf("seed %d %s: %d rows vs %d", seed, label, len(got), len(want))
 			}
 			for i := range want {
 				var wk, gk []byte
@@ -388,34 +383,37 @@ func TestPropertyBatchMatchesRow(t *testing.T) {
 					gk = got[i][j].HashKey(gk)
 				}
 				if string(wk) != string(gk) {
-					t.Fatalf("seed %d size %d %s row %d: batch %v vs row %v",
-						seed, size, label, i, got[i], want[i])
+					t.Fatalf("seed %d %s row %d: batch %v vs reference %v",
+						seed, label, i, got[i], want[i])
 				}
 			}
 		}
 
-		for _, size := range []int{1, 2, 3, 7} {
-			got, gotErr := Collect(&BatchToRow{In: &BatchProjectIter{Exprs: projs,
-				In: &BatchFilterIter{Pred: pred,
-					In: &RowToBatch{In: sliceIter(rows...), Size: size}}}})
-			compare(size, "no-limit", got, gotErr, want, wantErr)
+		want, wantErr := refFilter(rows, pred)
+		if wantErr == nil {
+			want, wantErr = refProject(want, projs)
 		}
+		got, gotErr := CollectBatches(&BatchProjectIter{Exprs: projs,
+			In: &BatchFilterIter{Pred: pred, In: &sliceBatches{rows: rows}}})
+		compare("no-limit", got, gotErr, want, wantErr)
 
 		// LIMIT leg: total predicate, possibly-erroring projections. Both
-		// pipelines must evaluate projections on exactly the first `limit`
-		// filtered rows — same output AND same error behaviour.
+		// must evaluate projections on exactly the first `limit` filtered
+		// rows — same output AND same error behaviour.
 		safePred := randPred(r, colTypes, 3, true)
 		limit := int64(r.Intn(8))
-		wantL, wantLErr := Collect(&LimitIter{N: limit,
-			In: &ProjectIter{Exprs: projs,
-				In: &FilterIter{Pred: safePred, In: sliceIter(rows...)}}})
-		for _, size := range []int{1, 2, 3, 7} {
-			gotL, gotLErr := Collect(&BatchToRow{In: &BatchLimitIter{N: limit,
-				In: &BatchProjectIter{Exprs: projs,
-					In: &BatchFilterIter{Pred: safePred,
-						In: &RowToBatch{In: sliceIter(rows...), Size: size}}}}})
-			compare(size, "limit", gotL, gotLErr, wantL, wantLErr)
+		if n > DefaultBatchSize {
+			limit = int64(r.Intn(n))
 		}
+		filtered, err := refFilter(rows, safePred)
+		if err != nil {
+			t.Fatalf("seed %d: total predicate errored: %v", seed, err)
+		}
+		wantL, wantLErr := refProject(refLimit(filtered, limit), projs)
+		gotL, gotLErr := CollectBatches(&BatchLimitIter{N: limit,
+			In: &BatchProjectIter{Exprs: projs,
+				In: &BatchFilterIter{Pred: safePred, In: &sliceBatches{rows: rows}}}})
+		compare("limit", gotL, gotLErr, wantL, wantLErr)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {

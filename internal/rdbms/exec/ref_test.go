@@ -1,0 +1,253 @@
+package exec
+
+import (
+	"sort"
+	"testing"
+
+	"github.com/sinewdata/sinew/internal/rdbms/storage"
+	"github.com/sinewdata/sinew/internal/rdbms/types"
+)
+
+// This file is the reference the operator tests hold the executor to: each
+// operator's answer written as a straight-line function over a row slice,
+// with no iterator protocol, no batches, no Close and no size hints. A
+// reference function evaluates every row it is given with the row
+// evaluator (Eval / EvalBool) and returns the first error it meets.
+
+// refScan returns the live rows of h in heap order.
+func refScan(h *storage.Heap) []storage.Row {
+	var out []storage.Row
+	h.Scan(func(_ storage.RowID, r storage.Row) bool {
+		out = append(out, r)
+		return true
+	})
+	return out
+}
+
+// refFilter keeps the rows pred holds for; a nil pred keeps them all.
+func refFilter(rows []storage.Row, pred Expr) ([]storage.Row, error) {
+	if pred == nil {
+		return rows, nil
+	}
+	var out []storage.Row
+	for _, r := range rows {
+		keep, err := EvalBool(pred, r)
+		if err != nil {
+			return nil, err
+		}
+		if keep {
+			out = append(out, r)
+		}
+	}
+	return out, nil
+}
+
+// refProject evaluates exprs over every row.
+func refProject(rows []storage.Row, exprs []Expr) ([]storage.Row, error) {
+	out := make([]storage.Row, len(rows))
+	for i, r := range rows {
+		out[i] = make(storage.Row, len(exprs))
+		for j, e := range exprs {
+			v, err := e.Eval(r)
+			if err != nil {
+				return nil, err
+			}
+			out[i][j] = v
+		}
+	}
+	return out, nil
+}
+
+// refLimit keeps the first n rows.
+func refLimit(rows []storage.Row, n int64) []storage.Row {
+	if int64(len(rows)) > n {
+		return rows[:n]
+	}
+	return rows
+}
+
+// refSort orders rows by keys, stably: NULLs last ascending, first
+// descending.
+func refSort(rows []storage.Row, keys []SortKey) ([]storage.Row, error) {
+	vals := make([][]types.Datum, len(rows))
+	for i, r := range rows {
+		vals[i] = make([]types.Datum, len(keys))
+		for k, key := range keys {
+			v, err := key.Expr.Eval(r)
+			if err != nil {
+				return nil, err
+			}
+			vals[i][k] = v
+		}
+	}
+	idx := make([]int, len(rows))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		for k, key := range keys {
+			if c, _ := compareForSort(vals[idx[a]][k], vals[idx[b]][k], key.Desc); c != 0 {
+				return c < 0
+			}
+		}
+		return false
+	})
+	out := make([]storage.Row, len(rows))
+	for i, j := range idx {
+		out[i] = rows[j]
+	}
+	return out, nil
+}
+
+// refGroup groups rows by the encoded values of groupBy and folds aggs per
+// group. Rows are [groupKeys..., aggResults...] in encoded-key order; with
+// no group keys there is exactly one row, even over no input.
+func refGroup(rows []storage.Row, groupBy []Expr, aggs []*AggSpec) ([]storage.Row, error) {
+	type group struct {
+		keys   []types.Datum
+		states []*aggState
+	}
+	newGroup := func(keys []types.Datum) *group {
+		g := &group{keys: keys}
+		for _, spec := range aggs {
+			g.states = append(g.states, newAggState(spec))
+		}
+		return g
+	}
+	groups := map[string]*group{}
+	if len(groupBy) == 0 {
+		groups[""] = newGroup(nil)
+	}
+	for _, r := range rows {
+		var enc []byte
+		keys := make([]types.Datum, len(groupBy))
+		for i, g := range groupBy {
+			v, err := g.Eval(r)
+			if err != nil {
+				return nil, err
+			}
+			keys[i] = v
+			enc = v.HashKey(enc)
+		}
+		g := groups[string(enc)]
+		if g == nil {
+			g = newGroup(keys)
+			groups[string(enc)] = g
+		}
+		for _, st := range g.states {
+			if err := st.add(r); err != nil {
+				return nil, err
+			}
+		}
+	}
+	encs := make([]string, 0, len(groups))
+	for enc := range groups {
+		encs = append(encs, enc)
+	}
+	sort.Strings(encs)
+	out := make([]storage.Row, len(encs))
+	for i, enc := range encs {
+		g := groups[enc]
+		row := append(storage.Row(nil), g.keys...)
+		for _, st := range g.states {
+			row = append(row, st.result())
+		}
+		out[i] = row
+	}
+	return out, nil
+}
+
+// refJoin is the inner equi-join as a nested loop: probe × build in that
+// order, output rows probeRow ++ buildRow, a row whose key holds a NULL
+// never matches, and residual (nil for none) is checked on joined rows.
+func refJoin(probe, build []storage.Row, probeKeys, buildKeys []Expr, residual Expr) ([]storage.Row, error) {
+	keysOf := func(r storage.Row, keys []Expr) ([]types.Datum, error) {
+		out := make([]types.Datum, len(keys))
+		for i, k := range keys {
+			v, err := k.Eval(r)
+			if err != nil || v.IsNull() {
+				return nil, err
+			}
+			out[i] = v
+		}
+		return out, nil
+	}
+	buildVals := make([][]types.Datum, len(build))
+	for i, b := range build {
+		var err error
+		if buildVals[i], err = keysOf(b, buildKeys); err != nil {
+			return nil, err
+		}
+	}
+	var out []storage.Row
+	for _, p := range probe {
+		pv, err := keysOf(p, probeKeys)
+		if err != nil {
+			return nil, err
+		}
+		if pv == nil {
+			continue
+		}
+	build:
+		for i, b := range build {
+			if buildVals[i] == nil {
+				continue
+			}
+			for k := range pv {
+				if !types.Equal(pv[k], buildVals[i][k]) {
+					continue build
+				}
+			}
+			joined := append(append(storage.Row(nil), p...), b...)
+			if residual != nil {
+				keep, err := EvalBool(residual, joined)
+				if err != nil {
+					return nil, err
+				}
+				if !keep {
+					continue
+				}
+			}
+			out = append(out, joined)
+		}
+	}
+	return out, nil
+}
+
+// sliceBatches replays rows as a stream of DefaultBatchSize-row batches:
+// the input of an operator under test that takes a stream, not a heap.
+type sliceBatches struct {
+	rows []storage.Row
+	pos  int
+}
+
+func (s *sliceBatches) NextBatch() (*RowBatch, error) {
+	if s.pos >= len(s.rows) {
+		return nil, nil
+	}
+	n := min(DefaultBatchSize, len(s.rows)-s.pos)
+	b := NewRowBatch(len(s.rows[0]), n)
+	for _, r := range s.rows[s.pos : s.pos+n] {
+		b.AppendRow(r)
+	}
+	s.pos += n
+	return b, nil
+}
+
+func (s *sliceBatches) Close() {}
+
+// rowsOf replays rows through the row interface the row-only operators
+// read.
+func rowsOf(rows ...storage.Row) Iterator { return &BatchToRow{In: &sliceBatches{rows: rows}} }
+
+// mustRef returns a check that fails t on a reference error (reference
+// inputs are total unless a test says otherwise).
+func mustRef(t *testing.T) func([]storage.Row, error) []storage.Row {
+	return func(rows []storage.Row, err error) []storage.Row {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("reference: %v", err)
+		}
+		return rows
+	}
+}

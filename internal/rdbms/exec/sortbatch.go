@@ -17,15 +17,13 @@ import (
 // k-way minimum scan over the already-computed keys.
 
 // BatchSortIter materializes its batch input and emits it sorted. NULLs
-// order last ascending, first descending, exactly like SortIter; ties keep
-// input order (stable). Input columns are accumulated densely (a
+// order last ascending, first descending (the Postgres default); ties
+// keep input order (stable). Input columns are accumulated densely (a
 // selection-carrying batch is compacted through its Sel on the way in) and
 // sort keys are evaluated once per input batch via EvalBatch.
 type BatchSortIter struct {
 	In   BatchIterator
 	Keys []SortKey
-	// Size is rows per emitted batch (DefaultBatchSize when 0).
-	Size int
 	// AppendKeys appends the computed key columns after the data columns in
 	// emitted batches (width W+K). The parallel sorted-merge gather sets it
 	// so the merge step compares precomputed keys instead of re-evaluating
@@ -58,10 +56,6 @@ func (s *BatchSortIter) NextBatch() (*RowBatch, error) {
 	if s.pos >= s.rows {
 		return nil, nil
 	}
-	size := s.Size
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
 	outW := s.width
 	if s.AppendKeys {
 		outW += len(s.Keys)
@@ -71,10 +65,7 @@ func (s *BatchSortIter) NextBatch() (*RowBatch, error) {
 	}
 	out := s.out
 	out.Reset()
-	hi := s.pos + size
-	if hi > s.rows {
-		hi = s.rows
-	}
+	hi := min(s.pos+DefaultBatchSize, s.rows)
 	emitPerm(out, s.cols, s.present, s.keyCols, s.AppendKeys, s.perm, s.pos, hi)
 	s.pos = hi
 	return out, nil
@@ -258,7 +249,6 @@ type ParallelSortedMergeIter struct {
 	keys []SortKey
 	// limit, when >= 0, stops the merge after that many rows (Top-N).
 	limit int64
-	size  int
 
 	parts []chan parallelItem
 	stop  chan struct{}
@@ -278,14 +268,10 @@ type ParallelSortedMergeIter struct {
 
 // NewParallelSortedMerge starts one worker per partition; limit < 0 means
 // unbounded.
-func NewParallelSortedMerge(parts []storage.PageRange, build PipelineBuild, keys []SortKey, limit int64, size int) *ParallelSortedMergeIter {
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
+func NewParallelSortedMerge(parts []storage.PageRange, build PipelineBuild, keys []SortKey, limit int64) *ParallelSortedMergeIter {
 	m := &ParallelSortedMergeIter{
 		keys:      keys,
 		limit:     limit,
-		size:      size,
 		parts:     make([]chan parallelItem, len(parts)),
 		stop:      make(chan struct{}),
 		heads:     make([]*RowBatch, len(parts)),
@@ -407,7 +393,7 @@ func (m *ParallelSortedMergeIter) NextBatch() (*RowBatch, error) {
 	out := m.out
 	out.Reset()
 	n := 0
-	for n < m.size {
+	for n < DefaultBatchSize {
 		best := -1
 		for i := range m.heads {
 			if m.heads[i] == nil {

@@ -35,25 +35,26 @@ func randSortKeys(r *rand.Rand, colTypes []types.Type) []SortKey {
 // sortChainBuild mirrors GatherNode.buildPartition for a sorted-merge
 // gather: scan→(filter)→sorter with AppendKeys, one per partition. limit < 0
 // builds a full BatchSortIter, otherwise a BatchTopNIter bounded at limit.
-func sortChainBuild(h *storage.Heap, pred Expr, keys []SortKey, limit int64, size int) PipelineBuild {
+func sortChainBuild(h *storage.Heap, pred Expr, keys []SortKey, limit int64) PipelineBuild {
 	return func(r storage.PageRange) (BatchIterator, error) {
-		var cur BatchIterator = NewBatchScanRange(h, nil, size, r.Start, r.End)
+		var cur BatchIterator = NewBatchScanRange(h, nil, r.Start, r.End)
 		if pred != nil {
 			cur = &BatchFilterIter{In: cur, Pred: pred}
 		}
 		if limit >= 0 {
-			return &BatchTopNIter{In: cur, Keys: keys, N: limit, Size: size, AppendKeys: true}, nil
+			return &BatchTopNIter{In: cur, Keys: keys, N: limit, AppendKeys: true}, nil
 		}
-		return &BatchSortIter{In: cur, Keys: keys, Size: size, AppendKeys: true}, nil
+		return &BatchSortIter{In: cur, Keys: keys, AppendKeys: true}, nil
 	}
 }
 
 // TestPropertyBatchSortMatchesRowSort is the differential test backing the
-// batch-native sort: over random schemas, data (with NULLs), multi-key
-// ASC/DESC orders, and filters, the row SortIter, the serial BatchSortIter,
-// and the parallel sorted-merge gather must produce identical output —
-// same rows, same order (local stable sorts over ascending page ranges plus
-// a partition-index tie-break reproduce the serial stable sort exactly).
+// sort: over random schemas, data (with NULLs), multi-key ASC/DESC orders,
+// and filters, the serial BatchSortIter and the parallel sorted-merge
+// gather must produce the reference's output — same rows, same order
+// (local stable sorts over ascending page ranges plus a partition-index
+// tie-break reproduce the serial stable sort exactly) — over inputs from
+// empty to more than two batches.
 func TestPropertyBatchSortMatchesRowSort(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -62,7 +63,7 @@ func TestPropertyBatchSortMatchesRowSort(t *testing.T) {
 			colTypes = append(colTypes,
 				[]types.Type{types.Int, types.Float, types.Text, types.Bool}[r.Intn(4)])
 		}
-		rows := randBatchRows(r, colTypes, r.Intn(300))
+		rows := randBatchRows(r, colTypes, drawRows(r, r.Intn(300)))
 		h, _ := heapOf(t, colTypes, rows)
 		keys := randSortKeys(r, colTypes)
 		var pred Expr
@@ -70,28 +71,19 @@ func TestPropertyBatchSortMatchesRowSort(t *testing.T) {
 			pred = randPred(r, colTypes, 2, true)
 		}
 
-		rowIn := NewScan(h, nil)
-		var rowSrc Iterator = rowIn
-		if pred != nil {
-			rowSrc = &FilterIter{Pred: pred, In: rowIn}
-		}
-		want, err := Collect(&SortIter{In: rowSrc, Keys: keys})
-		if err != nil {
-			t.Fatalf("seed %d: row sort: %v", seed, err)
-		}
+		ref := mustRef(t)
+		want := ref(refSort(ref(refFilter(rows, pred)), keys))
 
-		size := 1 + r.Intn(40)
-		var batchSrc BatchIterator = NewBatchScan(h, nil, size)
+		var batchSrc BatchIterator = NewBatchScan(h, nil)
 		if pred != nil {
 			batchSrc = &BatchFilterIter{Pred: pred, In: batchSrc}
 		}
-		batch := collectBatches(t, &BatchSortIter{In: batchSrc, Keys: keys, Size: size})
+		batch := collectBatches(t, &BatchSortIter{In: batchSrc, Keys: keys})
 		rowsEqual(t, batch, want)
 
 		for _, workers := range []int{2, 3, 5} {
 			par := collectBatches(t, NewParallelSortedMerge(
-				h.Partitions(workers), sortChainBuild(h, pred, keys, -1, size),
-				keys, -1, size))
+				h.Partitions(workers), sortChainBuild(h, pred, keys, -1), keys, -1))
 			rowsEqual(t, par, want)
 		}
 		return true
@@ -103,10 +95,10 @@ func TestPropertyBatchSortMatchesRowSort(t *testing.T) {
 
 // TestPropertyTopNMatchesSortLimit checks the bounded Top-N operator — and
 // its parallel form, per-partition Top-N heaps merged with the bound pushed
-// into the merge — against the row-at-a-time SORT + LIMIT reference,
-// including N = 0, N larger than the input, and ties at the boundary (the
-// heap discards a tying newcomer, preserving first-arrival order exactly
-// like the stable sort).
+// into the merge — against the reference SORT + LIMIT, including N = 0, N
+// larger than the input, N past a batch boundary, and ties at the boundary
+// (the heap discards a tying newcomer, preserving first-arrival order
+// exactly like the stable sort).
 func TestPropertyTopNMatchesSortLimit(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -115,27 +107,19 @@ func TestPropertyTopNMatchesSortLimit(t *testing.T) {
 			colTypes = append(colTypes,
 				[]types.Type{types.Int, types.Float, types.Text, types.Bool}[r.Intn(4)])
 		}
-		nRows := r.Intn(300)
+		nRows := drawRows(r, r.Intn(300))
 		rows := randBatchRows(r, colTypes, nRows)
 		h, _ := heapOf(t, colTypes, rows)
 		keys := randSortKeys(r, colTypes)
-		limit := int64(r.Intn(nRows + 20)) // sometimes 0, sometimes > nRows
+		limit := int64(r.Intn(nRows + 20)) // sometimes 0, sometimes > nRows, often past a batch
 
-		want, err := Collect(&LimitIter{N: limit,
-			In: &SortIter{In: NewScan(h, nil), Keys: keys}})
-		if err != nil {
-			t.Fatalf("seed %d: row sort+limit: %v", seed, err)
-		}
-
-		size := 1 + r.Intn(40)
-		batch := collectBatches(t, &BatchTopNIter{
-			In: NewBatchScan(h, nil, size), Keys: keys, N: limit, Size: size})
+		want := refLimit(mustRef(t)(refSort(rows, keys)), limit)
+		batch := collectBatches(t, &BatchTopNIter{In: NewBatchScan(h, nil), Keys: keys, N: limit})
 		rowsEqual(t, batch, want)
 
 		for _, workers := range []int{2, 4} {
 			par := collectBatches(t, NewParallelSortedMerge(
-				h.Partitions(workers), sortChainBuild(h, nil, keys, limit, size),
-				keys, limit, size))
+				h.Partitions(workers), sortChainBuild(h, nil, keys, limit), keys, limit))
 			rowsEqual(t, par, want)
 		}
 		return true
@@ -160,12 +144,10 @@ func TestParallelSortedMergeReleasesOnEarlyClose(t *testing.T) {
 
 	mk := map[string]func() BatchIterator{
 		"sort": func() BatchIterator {
-			return NewParallelSortedMerge(h.Partitions(4),
-				sortChainBuild(h, nil, keys, -1, 32), keys, -1, 32)
+			return NewParallelSortedMerge(h.Partitions(4), sortChainBuild(h, nil, keys, -1), keys, -1)
 		},
 		"topn": func() BatchIterator {
-			return NewParallelSortedMerge(h.Partitions(4),
-				sortChainBuild(h, nil, keys, 7, 32), keys, 7, 32)
+			return NewParallelSortedMerge(h.Partitions(4), sortChainBuild(h, nil, keys, 7), keys, 7)
 		},
 	}
 	for name, make := range mk {
@@ -209,7 +191,7 @@ func TestBatchSortAllocatesOnlyReadColumns(t *testing.T) {
 	h, _ := heapOf(t, colTypes, randBatchRows(r, colTypes, nRows))
 	keys := []SortKey{{Expr: col(0, types.Text)}}
 	run := func() {
-		scan := NewBatchScan(h, nil, DefaultBatchSize)
+		scan := NewBatchScan(h, nil)
 		scan.NeedCols = []int{0}
 		it := &BatchSortIter{In: scan, Keys: keys}
 		for {

@@ -12,15 +12,13 @@ import (
 // ORDER BY under a LIMIT never materializes the full input. Rows that
 // compare worse than the current N-th row are discarded on arrival (the
 // topn_short_circuits stats counter); the survivors are emitted in full
-// sort order. Semantics match SortIter + LimitIter exactly, including
-// stability: ties keep first-arrival order, because a tying newcomer is
-// always worse than the incumbent it ties with.
+// sort order. Its output is exactly the first N rows of BatchSortIter's,
+// stability included: ties keep first-arrival order, because a tying
+// newcomer is always worse than the incumbent it ties with.
 type BatchTopNIter struct {
 	In   BatchIterator
 	Keys []SortKey
 	N    int64
-	// Size is rows per emitted batch (DefaultBatchSize when 0).
-	Size int
 	// AppendKeys appends the key columns after the data columns (the
 	// parallel sorted-merge gather consumes them).
 	AppendKeys bool
@@ -52,10 +50,6 @@ func (t *BatchTopNIter) NextBatch() (*RowBatch, error) {
 	if t.pos >= len(t.perm) {
 		return nil, nil
 	}
-	size := t.Size
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
 	outW := t.width
 	if t.AppendKeys {
 		outW += len(t.Keys)
@@ -65,10 +59,7 @@ func (t *BatchTopNIter) NextBatch() (*RowBatch, error) {
 	}
 	out := t.out
 	out.Reset()
-	hi := t.pos + size
-	if hi > len(t.perm) {
-		hi = len(t.perm)
-	}
+	hi := min(t.pos+DefaultBatchSize, len(t.perm))
 	emitPerm(out, t.cols, t.present, t.keyCols, t.AppendKeys, t.perm, t.pos, hi)
 	t.pos = hi
 	return out, nil

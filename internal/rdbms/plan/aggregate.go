@@ -260,11 +260,11 @@ func (p *Planner) planAggregation(
 		}
 	}
 	if len(groupBy) == 0 || nGroups <= p.Cfg.HashAggMaxGroups {
-		cur = p.batchify(&HashAggNode{
+		cur = &HashAggNode{
 			baseNode: baseNode{layout: aggLayout, rows: nGroups,
 				cost: cur.Cost() + cur.Rows()*(ct+aggEvalCost) + nGroups*co},
 			Child: cur, GroupBy: groupExprs, Aggs: aggSpecs,
-		})
+		}
 	} else {
 		keys := make([]exec.SortKey, len(groupExprs))
 		for i, g := range groupExprs {
@@ -284,11 +284,11 @@ func (p *Planner) planAggregation(
 		if err != nil {
 			return nil, nil, nil, nil, err
 		}
-		cur = p.batchify(&FilterNode{
+		cur = &FilterNode{
 			baseNode: baseNode{layout: aggLayout, rows: math.Max(cur.Rows()/3, 1),
 				cost: cur.Cost() + cur.Rows()*(ct+pred.Cost())},
 			Child: cur, Preds: []exec.Expr{pred},
-		})
+		}
 	}
 	return cur, aggLayout, outItems, outOrder, nil
 }

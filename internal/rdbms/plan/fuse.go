@@ -31,7 +31,7 @@ type fuseSlotKey struct {
 }
 
 // fuseExtracts walks the plan tree and applies the fusion rewrite to every
-// batch-mode projection and to batch sort / Top-N keys (a sort key like
+// projection and to sort / Top-N keys (a sort key like
 // extract_int(data, 'k') otherwise re-parses every record row-wise inside
 // the sort's key evaluation, even over a striped scan).
 func (p *Planner) fuseExtracts(n Node) {
@@ -46,21 +46,15 @@ func (p *Planner) fuseExtracts(n Node) {
 	}
 	switch x := n.(type) {
 	case *ProjectNode:
-		if x.Batch {
-			p.fuseProject(x)
-		}
+		p.fuseProject(x)
 	case *SortNode:
-		if x.Batch {
-			x.Child = p.fuseSortKeys(x.Child, x.Keys)
-			// The appended key columns ride through the sort: republish its
-			// layout so parents index past them.
-			x.layout = &Layout{Rows: x.layout.Rows, Cols: x.Child.Layout().Cols}
-		}
+		x.Child = p.fuseSortKeys(x.Child, x.Keys)
+		// The appended key columns ride through the sort: republish its
+		// layout so parents index past them.
+		x.layout = &Layout{Rows: x.layout.Rows, Cols: x.Child.Layout().Cols}
 	case *TopNNode:
-		if x.Batch {
-			x.Child = p.fuseSortKeys(x.Child, x.Keys)
-			x.layout = &Layout{Rows: x.layout.Rows, Cols: x.Child.Layout().Cols}
-		}
+		x.Child = p.fuseSortKeys(x.Child, x.Keys)
+		x.layout = &Layout{Rows: x.layout.Rows, Cols: x.Child.Layout().Cols}
 	}
 }
 

@@ -198,11 +198,11 @@ func (p *Planner) buildJoin(a, b *relation, edges []*conjunct, estRows float64, 
 			math.Max(build.node.Rows(), 1)*ct*1.5 +
 			math.Max(probe.node.Rows(), 1)*(ct+exprCostOf(probeKeys)) +
 			estRows*(co+exprCostOf(residual))
-		node = p.batchify(&HashJoinNode{
+		node = &HashJoinNode{
 			baseNode: baseNode{layout: outLayout, rows: estRows, cost: cost},
 			Probe:    probe.node, Build: build.node,
 			ProbeKeys: probeKeys, BuildKeys: buildKeys, Residual: residual,
-		})
+		}
 	default:
 		// Merge join with sorts below both inputs.
 		aSortKeys := make([]exec.SortKey, len(aKeys))

@@ -22,7 +22,7 @@ type Node interface {
 	// execution context: scans resolve their heap through it so the whole
 	// statement reads one pinned snapshot per table. A nil ec reads live
 	// heaps (single-threaded embedded callers).
-	Open(ec *exec.ExecCtx) exec.Iterator
+	Open(ec *exec.ExecCtx) exec.BatchIterator
 	// Label is the EXPLAIN head line (without rows/cost annotations).
 	Label() string
 	// Details are extra EXPLAIN lines (Filter:, Sort Key:, ...).
@@ -42,23 +42,15 @@ func (b *baseNode) Layout() *Layout { return b.layout }
 func (b *baseNode) Rows() float64   { return b.rows }
 func (b *baseNode) Cost() float64   { return b.cost }
 
-// batchNode is implemented by nodes that can run as a native batch
-// operator. OpenBatch reports ok=false when the node was not planned in
-// batch mode, in which case callers fall back to Open.
-type batchNode interface {
-	OpenBatch(ec *exec.ExecCtx) (it exec.BatchIterator, ok bool)
-}
-
-// openBatch opens child as a batch stream: natively when the child was
-// planned in batch mode, otherwise through a RowToBatch adapter (the
-// boundary above Sort/joins).
-func openBatch(ec *exec.ExecCtx, child Node) exec.BatchIterator {
-	if bn, ok := child.(batchNode); ok {
-		if it, native := bn.OpenBatch(ec); native {
-			return it
-		}
+// openRows opens child for one of the row-only operators (Unique,
+// GroupAggregate, Merge Join, Nested Loop): a row operator below is handed
+// over as it is, any other child through a BatchToRow adapter.
+func openRows(ec *exec.ExecCtx, child Node) exec.Iterator {
+	it := child.Open(ec)
+	if rb, ok := it.(*exec.RowToBatch); ok {
+		return rb.In
 	}
-	return &exec.RowToBatch{In: child.Open(ec)}
+	return &exec.BatchToRow{In: it}
 }
 
 // execView resolves a scan's exec-time read view: a statement context pins
@@ -71,10 +63,26 @@ func execView(ec *exec.ExecCtx, v storage.ReadView) storage.ReadView {
 	return ec.View(v.Owner())
 }
 
-// batchAnnotation is the EXPLAIN suffix for batch-mode operators; nodes
-// return "" when running row-at-a-time.
-type batchAnnotated interface {
-	batchAnnotation() string
+// annotation is the EXPLAIN suffix naming how n runs: " (batch)" for the
+// batch operators, nothing for the row-only ones and for the one-row
+// projection of a FROM-less SELECT.
+func annotation(n Node) string {
+	switch x := n.(type) {
+	case *ScanNode, *FilterNode, *SortNode, *TopNNode, *HashAggNode, *HashJoinNode, *LimitNode:
+		return " (batch)"
+	case *ProjectNode:
+		if _, ok := x.Child.(*valuesNode); !ok {
+			return " (batch)"
+		}
+	case *MultiExtractNode:
+		if x.SegFactory != nil {
+			return fmt.Sprintf(" (fused extract: %d keys, striped)", len(x.Reqs))
+		}
+		return fmt.Sprintf(" (fused extract: %d keys)", len(x.Reqs))
+	case *GatherNode:
+		return " (batch, parallel)"
+	}
+	return ""
 }
 
 // ---------- Scan ----------
@@ -93,8 +101,6 @@ type ScanNode struct {
 	TableName string
 	AliasName string
 	Preds     []exec.Expr
-	// Batch selects the batch-at-a-time pipeline.
-	Batch bool
 	// NeedCols, when non-nil, restricts the batch scan to materializing
 	// only these column indices (scan column pruning, see
 	// pruneScanColumns).
@@ -141,20 +147,9 @@ func (s *ScanNode) Details() []string {
 func (s *ScanNode) Children() []Node { return nil }
 
 // Open implements Node.
-func (s *ScanNode) Open(ec *exec.ExecCtx) exec.Iterator {
-	if it, ok := s.OpenBatch(ec); ok {
-		return &exec.BatchToRow{In: it}
-	}
-	return exec.NewScan(execView(ec, s.Heap), conjoinExec(s.Preds))
-}
-
-// OpenBatch implements batchNode.
-func (s *ScanNode) OpenBatch(ec *exec.ExecCtx) (exec.BatchIterator, bool) {
-	if !s.Batch {
-		return nil, false
-	}
+func (s *ScanNode) Open(ec *exec.ExecCtx) exec.BatchIterator {
 	v := execView(ec, s.Heap)
-	return s.openRange(v, 0, v.NumPages()), true
+	return s.openRange(v, 0, v.NumPages())
 }
 
 // openRange opens the batch scan over pages [start, end) of v: the whole
@@ -162,20 +157,13 @@ func (s *ScanNode) OpenBatch(ec *exec.ExecCtx) (exec.BatchIterator, bool) {
 // the goroutine that will drive the scan, so the skip test and the scan's
 // evaluation state are that goroutine's own.
 func (s *ScanNode) openRange(v storage.ReadView, start, end int) *exec.BatchScanIter {
-	it := exec.NewBatchScanRange(v, conjoinExec(s.Preds), exec.DefaultBatchSize, start, end)
+	it := exec.NewBatchScanRange(v, conjoinExec(s.Preds), start, end)
 	it.NeedCols = s.NeedCols
 	if s.Skip != nil {
 		it.SetPageSkip(s.Skip)
 	}
 	it.SetSelFilter(s.SelFilter)
 	return it
-}
-
-func (s *ScanNode) batchAnnotation() string {
-	if !s.Batch {
-		return ""
-	}
-	return " (batch)"
 }
 
 // ---------- Filter ----------
@@ -185,7 +173,6 @@ type FilterNode struct {
 	baseNode
 	Child Node
 	Preds []exec.Expr
-	Batch bool
 }
 
 // Label implements Node.
@@ -198,26 +185,8 @@ func (f *FilterNode) Details() []string { return []string{"Filter: " + predsDisp
 func (f *FilterNode) Children() []Node { return []Node{f.Child} }
 
 // Open implements Node.
-func (f *FilterNode) Open(ec *exec.ExecCtx) exec.Iterator {
-	if it, ok := f.OpenBatch(ec); ok {
-		return &exec.BatchToRow{In: it}
-	}
-	return &exec.FilterIter{In: f.Child.Open(ec), Pred: conjoinExec(f.Preds)}
-}
-
-// OpenBatch implements batchNode.
-func (f *FilterNode) OpenBatch(ec *exec.ExecCtx) (exec.BatchIterator, bool) {
-	if !f.Batch {
-		return nil, false
-	}
-	return &exec.BatchFilterIter{In: openBatch(ec, f.Child), Pred: conjoinExec(f.Preds)}, true
-}
-
-func (f *FilterNode) batchAnnotation() string {
-	if !f.Batch {
-		return ""
-	}
-	return " (batch)"
+func (f *FilterNode) Open(ec *exec.ExecCtx) exec.BatchIterator {
+	return &exec.BatchFilterIter{In: f.Child.Open(ec), Pred: conjoinExec(f.Preds)}
 }
 
 // ---------- Project ----------
@@ -227,7 +196,6 @@ type ProjectNode struct {
 	baseNode
 	Child Node
 	Exprs []exec.Expr
-	Batch bool
 }
 
 // Label implements Node.
@@ -246,26 +214,8 @@ func (p *ProjectNode) Details() []string {
 func (p *ProjectNode) Children() []Node { return []Node{p.Child} }
 
 // Open implements Node.
-func (p *ProjectNode) Open(ec *exec.ExecCtx) exec.Iterator {
-	if it, ok := p.OpenBatch(ec); ok {
-		return &exec.BatchToRow{In: it}
-	}
-	return &exec.ProjectIter{In: p.Child.Open(ec), Exprs: p.Exprs}
-}
-
-// OpenBatch implements batchNode.
-func (p *ProjectNode) OpenBatch(ec *exec.ExecCtx) (exec.BatchIterator, bool) {
-	if !p.Batch {
-		return nil, false
-	}
-	return &exec.BatchProjectIter{In: openBatch(ec, p.Child), Exprs: p.Exprs}, true
-}
-
-func (p *ProjectNode) batchAnnotation() string {
-	if !p.Batch {
-		return ""
-	}
-	return " (batch)"
+func (p *ProjectNode) Open(ec *exec.ExecCtx) exec.BatchIterator {
+	return &exec.BatchProjectIter{In: p.Child.Open(ec), Exprs: p.Exprs}
 }
 
 // ---------- Fused multi-extraction ----------
@@ -274,7 +224,7 @@ func (p *ProjectNode) batchAnnotation() string {
 // its child's rows, all filled by a single fused kernel that decodes each
 // serialized record of column DataIdx once (replacing K independent
 // extraction UDF calls in the projection above it). It is inserted by the
-// fusion pass (fuseExtracts) and always runs in batch mode.
+// fusion pass (fuseExtracts).
 type MultiExtractNode struct {
 	baseNode
 	Child   Node
@@ -310,39 +260,26 @@ func (m *MultiExtractNode) Details() []string {
 // Children implements Node.
 func (m *MultiExtractNode) Children() []Node { return []Node{m.Child} }
 
-// Open implements Node.
-func (m *MultiExtractNode) Open(ec *exec.ExecCtx) exec.Iterator {
-	it, _ := m.OpenBatch(ec)
-	return &exec.BatchToRow{In: it}
-}
-
-// OpenBatch implements batchNode. The kernel instance is built per Open so
-// each execution (and each goroutine) gets its own scratch state.
-func (m *MultiExtractNode) OpenBatch(ec *exec.ExecCtx) (exec.BatchIterator, bool) {
+// Open implements Node. The kernel instance is built per Open so each
+// execution (and each goroutine) gets its own scratch state.
+func (m *MultiExtractNode) Open(ec *exec.ExecCtx) exec.BatchIterator {
 	kernel, err := m.Factory(m.Reqs)
 	if err != nil {
-		return &errBatchIter{err: err}, true
+		return &errBatchIter{err: err}
 	}
 	var segKernel exec.SegExtractKernel
 	if m.SegFactory != nil {
 		if segKernel, err = m.SegFactory(m.Reqs); err != nil {
-			return &errBatchIter{err: err}, true
+			return &errBatchIter{err: err}
 		}
 	}
 	return &exec.BatchMultiExtractIter{
-		In:        openBatch(ec, m.Child),
+		In:        m.Child.Open(ec),
 		DataIdx:   m.DataIdx,
 		Kernel:    kernel,
 		SegKernel: segKernel,
 		K:         len(m.Reqs),
-	}, true
-}
-
-func (m *MultiExtractNode) batchAnnotation() string {
-	if m.SegFactory != nil {
-		return fmt.Sprintf(" (fused extract: %d keys, striped)", len(m.Reqs))
 	}
-	return fmt.Sprintf(" (fused extract: %d keys)", len(m.Reqs))
 }
 
 // errBatchIter surfaces a kernel construction error on first pull.
@@ -384,8 +321,6 @@ type SortNode struct {
 	baseNode
 	Child Node
 	Keys  []exec.SortKey
-	// Batch selects the batch-native permutation sort (BatchSortIter).
-	Batch bool
 }
 
 // Label implements Node.
@@ -400,28 +335,8 @@ func (s *SortNode) Details() []string {
 func (s *SortNode) Children() []Node { return []Node{s.Child} }
 
 // Open implements Node.
-func (s *SortNode) Open(ec *exec.ExecCtx) exec.Iterator {
-	if it, ok := s.OpenBatch(ec); ok {
-		return &exec.BatchToRow{In: it}
-	}
-	return &exec.SortIter{In: s.Child.Open(ec), Keys: s.Keys}
-}
-
-// OpenBatch implements batchNode.
-func (s *SortNode) OpenBatch(ec *exec.ExecCtx) (exec.BatchIterator, bool) {
-	if !s.Batch {
-		return nil, false
-	}
-	return &exec.BatchSortIter{
-		In: openBatch(ec, s.Child), Keys: s.Keys, Heap: heapBelow(s.Child),
-	}, true
-}
-
-func (s *SortNode) batchAnnotation() string {
-	if !s.Batch {
-		return ""
-	}
-	return " (batch)"
+func (s *SortNode) Open(ec *exec.ExecCtx) exec.BatchIterator {
+	return &exec.BatchSortIter{In: s.Child.Open(ec), Keys: s.Keys, Heap: heapBelow(s.Child)}
 }
 
 // TopNNode is the bounded ORDER BY + LIMIT operator: the planner
@@ -432,7 +347,6 @@ type TopNNode struct {
 	Child Node
 	Keys  []exec.SortKey
 	N     int64
-	Batch bool
 }
 
 // Label implements Node.
@@ -449,30 +363,9 @@ func (t *TopNNode) Details() []string {
 // Children implements Node.
 func (t *TopNNode) Children() []Node { return []Node{t.Child} }
 
-// Open implements Node. The row fallback is the exact pre-rewrite
-// pipeline: a full sort truncated by LIMIT.
-func (t *TopNNode) Open(ec *exec.ExecCtx) exec.Iterator {
-	if it, ok := t.OpenBatch(ec); ok {
-		return &exec.BatchToRow{In: it}
-	}
-	return &exec.LimitIter{In: &exec.SortIter{In: t.Child.Open(ec), Keys: t.Keys}, N: t.N}
-}
-
-// OpenBatch implements batchNode.
-func (t *TopNNode) OpenBatch(ec *exec.ExecCtx) (exec.BatchIterator, bool) {
-	if !t.Batch {
-		return nil, false
-	}
-	return &exec.BatchTopNIter{
-		In: openBatch(ec, t.Child), Keys: t.Keys, N: t.N, Heap: heapBelow(t.Child),
-	}, true
-}
-
-func (t *TopNNode) batchAnnotation() string {
-	if !t.Batch {
-		return ""
-	}
-	return " (batch)"
+// Open implements Node.
+func (t *TopNNode) Open(ec *exec.ExecCtx) exec.BatchIterator {
+	return &exec.BatchTopNIter{In: t.Child.Open(ec), Keys: t.Keys, N: t.N, Heap: heapBelow(t.Child)}
 }
 
 // UniqueNode removes consecutive duplicates of sorted input (the sort-based
@@ -492,8 +385,8 @@ func (u *UniqueNode) Details() []string { return nil }
 func (u *UniqueNode) Children() []Node { return []Node{u.Child} }
 
 // Open implements Node.
-func (u *UniqueNode) Open(ec *exec.ExecCtx) exec.Iterator {
-	return &exec.UniqueIter{In: u.Child.Open(ec)}
+func (u *UniqueNode) Open(ec *exec.ExecCtx) exec.BatchIterator {
+	return &exec.RowToBatch{In: &exec.UniqueIter{In: openRows(ec, u.Child)}}
 }
 
 // ---------- Aggregation ----------
@@ -505,7 +398,6 @@ type HashAggNode struct {
 	GroupBy  []exec.Expr
 	Aggs     []*exec.AggSpec
 	AggNames []string
-	Batch    bool
 }
 
 // Label implements Node.
@@ -527,28 +419,8 @@ func (h *HashAggNode) Details() []string {
 func (h *HashAggNode) Children() []Node { return []Node{h.Child} }
 
 // Open implements Node.
-func (h *HashAggNode) Open(ec *exec.ExecCtx) exec.Iterator {
-	if it, ok := h.OpenBatch(ec); ok {
-		return &exec.BatchToRow{In: it}
-	}
-	return &exec.HashAggIter{In: h.Child.Open(ec), GroupBy: h.GroupBy, Aggs: h.Aggs}
-}
-
-// OpenBatch implements batchNode.
-func (h *HashAggNode) OpenBatch(ec *exec.ExecCtx) (exec.BatchIterator, bool) {
-	if !h.Batch {
-		return nil, false
-	}
-	return &exec.BatchHashAggIter{
-		In: openBatch(ec, h.Child), GroupBy: h.GroupBy, Aggs: h.Aggs,
-	}, true
-}
-
-func (h *HashAggNode) batchAnnotation() string {
-	if !h.Batch {
-		return ""
-	}
-	return " (batch)"
+func (h *HashAggNode) Open(ec *exec.ExecCtx) exec.BatchIterator {
+	return &exec.BatchHashAggIter{In: h.Child.Open(ec), GroupBy: h.GroupBy, Aggs: h.Aggs}
 }
 
 // GroupAggNode groups sorted input (Table 2's "GroupAggregate"); the
@@ -576,8 +448,8 @@ func (g *GroupAggNode) Details() []string {
 func (g *GroupAggNode) Children() []Node { return []Node{g.Child} }
 
 // Open implements Node.
-func (g *GroupAggNode) Open(ec *exec.ExecCtx) exec.Iterator {
-	return &exec.GroupAggIter{In: g.Child.Open(ec), GroupBy: g.GroupBy, Aggs: g.Aggs}
+func (g *GroupAggNode) Open(ec *exec.ExecCtx) exec.BatchIterator {
+	return &exec.RowToBatch{In: &exec.GroupAggIter{In: openRows(ec, g.Child), GroupBy: g.GroupBy, Aggs: g.Aggs}}
 }
 
 // ---------- Joins ----------
@@ -590,9 +462,6 @@ type HashJoinNode struct {
 	ProbeKeys []exec.Expr
 	BuildKeys []exec.Expr
 	Residual  []exec.Expr
-	// Batch selects the adapter-free batch join (BatchHashJoinIter) with a
-	// columnar build table.
-	Batch bool
 }
 
 // Label implements Node.
@@ -614,37 +483,15 @@ func (j *HashJoinNode) Details() []string {
 // Children implements Node.
 func (j *HashJoinNode) Children() []Node { return []Node{j.Probe, j.Build} }
 
-// Open implements Node.
-func (j *HashJoinNode) Open(ec *exec.ExecCtx) exec.Iterator {
-	if it, ok := j.OpenBatch(ec); ok {
-		return &exec.BatchToRow{In: it}
-	}
-	return &exec.HashJoinIter{
-		Probe: j.Probe.Open(ec), Build: j.Build.Open(ec),
-		ProbeKeys: j.ProbeKeys, BuildKeys: j.BuildKeys,
-		Residual: conjoinExec(j.Residual),
-	}
-}
-
-// OpenBatch implements batchNode: both sides are consumed batch-at-a-time
-// and the build side lives in a columnar table.
-func (j *HashJoinNode) OpenBatch(ec *exec.ExecCtx) (exec.BatchIterator, bool) {
-	if !j.Batch {
-		return nil, false
-	}
+// Open implements Node: both sides are consumed batch-at-a-time and the
+// build side lives in a columnar table.
+func (j *HashJoinNode) Open(ec *exec.ExecCtx) exec.BatchIterator {
 	return &exec.BatchHashJoinIter{
-		Probe: openBatch(ec, j.Probe), Build: openBatch(ec, j.Build),
+		Probe: j.Probe.Open(ec), Build: j.Build.Open(ec),
 		ProbeKeys: j.ProbeKeys, BuildKeys: j.BuildKeys,
 		Residual:   conjoinExec(j.Residual),
 		BuildWidth: len(j.Build.Layout().Cols),
-	}, true
-}
-
-func (j *HashJoinNode) batchAnnotation() string {
-	if !j.Batch {
-		return ""
 	}
-	return " (batch)"
 }
 
 // MergeJoinNode is an inner equi-join over sorted children (the planner
@@ -678,12 +525,12 @@ func (j *MergeJoinNode) Details() []string {
 func (j *MergeJoinNode) Children() []Node { return []Node{j.Left, j.Right} }
 
 // Open implements Node.
-func (j *MergeJoinNode) Open(ec *exec.ExecCtx) exec.Iterator {
-	return &exec.MergeJoinIter{
-		Left: j.Left.Open(ec), Right: j.Right.Open(ec),
+func (j *MergeJoinNode) Open(ec *exec.ExecCtx) exec.BatchIterator {
+	return &exec.RowToBatch{In: &exec.MergeJoinIter{
+		Left: openRows(ec, j.Left), Right: openRows(ec, j.Right),
 		LeftKeys: j.LeftKeys, RightKeys: j.RightKeys,
 		Residual: conjoinExec(j.Residual),
-	}
+	}}
 }
 
 // NestedLoopNode joins on an arbitrary (or absent) condition.
@@ -709,8 +556,10 @@ func (j *NestedLoopNode) Details() []string {
 func (j *NestedLoopNode) Children() []Node { return []Node{j.Outer, j.Inner} }
 
 // Open implements Node.
-func (j *NestedLoopNode) Open(ec *exec.ExecCtx) exec.Iterator {
-	return &exec.NestedLoopIter{Outer: j.Outer.Open(ec), Inner: j.Inner.Open(ec), Cond: conjoinExec(j.Cond)}
+func (j *NestedLoopNode) Open(ec *exec.ExecCtx) exec.BatchIterator {
+	return &exec.RowToBatch{In: &exec.NestedLoopIter{
+		Outer: openRows(ec, j.Outer), Inner: j.Inner.Open(ec), Cond: conjoinExec(j.Cond),
+	}}
 }
 
 // ---------- Limit ----------
@@ -720,7 +569,6 @@ type LimitNode struct {
 	baseNode
 	Child Node
 	N     int64
-	Batch bool
 }
 
 // Label implements Node.
@@ -733,26 +581,8 @@ func (l *LimitNode) Details() []string { return nil }
 func (l *LimitNode) Children() []Node { return []Node{l.Child} }
 
 // Open implements Node.
-func (l *LimitNode) Open(ec *exec.ExecCtx) exec.Iterator {
-	if it, ok := l.OpenBatch(ec); ok {
-		return &exec.BatchToRow{In: it}
-	}
-	return &exec.LimitIter{In: l.Child.Open(ec), N: l.N}
-}
-
-// OpenBatch implements batchNode.
-func (l *LimitNode) OpenBatch(ec *exec.ExecCtx) (exec.BatchIterator, bool) {
-	if !l.Batch {
-		return nil, false
-	}
-	return &exec.BatchLimitIter{In: openBatch(ec, l.Child), N: l.N}, true
-}
-
-func (l *LimitNode) batchAnnotation() string {
-	if !l.Batch {
-		return ""
-	}
-	return " (batch)"
+func (l *LimitNode) Open(ec *exec.ExecCtx) exec.BatchIterator {
+	return &exec.BatchLimitIter{In: l.Child.Open(ec), N: l.N}
 }
 
 // ---------- EXPLAIN rendering ----------
@@ -770,11 +600,7 @@ func explainNode(sb *strings.Builder, n Node, depth int, first bool) {
 	if !first {
 		arrow = "->  "
 	}
-	ann := ""
-	if ba, ok := n.(batchAnnotated); ok {
-		ann = ba.batchAnnotation()
-	}
-	fmt.Fprintf(sb, "%s%s%s%s  (rows=%.0f cost=%.2f)\n", indent, arrow, n.Label(), ann, math.Ceil(n.Rows()), n.Cost())
+	fmt.Fprintf(sb, "%s%s%s%s  (rows=%.0f cost=%.2f)\n", indent, arrow, n.Label(), annotation(n), math.Ceil(n.Rows()), n.Cost())
 	for _, d := range n.Details() {
 		fmt.Fprintf(sb, "%s      %s\n", indent, d)
 	}

@@ -57,8 +57,8 @@ type skipCond struct {
 	val  types.Datum
 }
 
-// deriveSkips walks the plan and installs page-skip predicates on batch
-// scans: from their filters, and from the bound of a Top-N over a bare
+// deriveSkips walks the plan and installs page-skip predicates on scans:
+// from their filters, and from the bound of a Top-N over a bare
 // scan (deriveTopNSkip). It runs after fusion/pruning and before
 // parallelization, so it sees plain ScanNodes (whose predicates still
 // contain raw extraction calls — fusion only rewrites projections).
@@ -86,9 +86,6 @@ func (p *Planner) deriveSkips(n Node) {
 }
 
 func (p *Planner) deriveScanSkip(s *ScanNode, extra []exec.Expr) {
-	if !s.Batch {
-		return
-	}
 	resolver := p.Funcs.AttrResolverFn()
 	var conds []skipCond
 	for _, e := range s.Preds {

@@ -79,8 +79,6 @@ func (g *GatherNode) Details() []string {
 // Children implements Node.
 func (g *GatherNode) Children() []Node { return []Node{g.Input} }
 
-func (g *GatherNode) batchAnnotation() string { return " (batch, parallel)" }
-
 // buildPartition constructs one worker's operator chain over a page range
 // of view v (the statement's pinned snapshot — every partition scans the
 // same frozen page table Partitions was computed from). It runs on the
@@ -134,10 +132,10 @@ func (g *GatherNode) buildPartition(v storage.ReadView, r storage.PageRange) (ex
 	return cur, nil
 }
 
-// OpenBatch implements batchNode. The view is resolved once and bound into
-// every partition builder, so all workers scan the page table the
-// partitions were computed from.
-func (g *GatherNode) OpenBatch(ec *exec.ExecCtx) (exec.BatchIterator, bool) {
+// Open implements Node. The view is resolved once and bound into every
+// partition builder, so all workers scan the page table the partitions
+// were computed from.
+func (g *GatherNode) Open(ec *exec.ExecCtx) exec.BatchIterator {
 	v := execView(ec, g.Scan.Heap)
 	owner := v.Owner()
 	parts := v.Partitions(g.Workers)
@@ -152,13 +150,13 @@ func (g *GatherNode) OpenBatch(ec *exec.ExecCtx) (exec.BatchIterator, bool) {
 	}
 	switch {
 	case g.Agg != nil:
-		return exec.NewParallelHashAgg(parts, build, g.Agg.GroupBy, g.Agg.Aggs, false, exec.DefaultBatchSize), true
+		return exec.NewParallelHashAgg(parts, build, g.Agg.GroupBy, g.Agg.Aggs)
 	case g.Join != nil:
 		outWidth := len(g.Join.Layout().Cols)
 		buildWidth := len(g.Join.Build.Layout().Cols)
 		return exec.NewParallelHashJoin(parts, build, g.Join.Build.Open(ec),
 			g.Join.ProbeKeys, g.Join.BuildKeys, conjoinExec(g.Join.Residual),
-			exec.DefaultBatchSize, outWidth, buildWidth), true
+			outWidth, buildWidth)
 	case g.Sort != nil || g.TopN != nil:
 		var keys []exec.SortKey
 		limit := int64(-1)
@@ -168,16 +166,10 @@ func (g *GatherNode) OpenBatch(ec *exec.ExecCtx) (exec.BatchIterator, bool) {
 			keys = g.Sort.Keys
 		}
 		owner.RecordSortedMergeParts(int64(len(parts)))
-		return exec.NewParallelSortedMerge(parts, build, keys, limit, exec.DefaultBatchSize), true
+		return exec.NewParallelSortedMerge(parts, build, keys, limit)
 	default:
-		return exec.NewParallelPipeline(parts, build), true
+		return exec.NewParallelPipeline(parts, build)
 	}
-}
-
-// Open implements Node.
-func (g *GatherNode) Open(ec *exec.ExecCtx) exec.Iterator {
-	it, _ := g.OpenBatch(ec)
-	return &exec.BatchToRow{In: it}
 }
 
 // pipelineWorkers computes the worker count for a pipeline over h: one
@@ -185,9 +177,6 @@ func (g *GatherNode) Open(ec *exec.ExecCtx) exec.Iterator {
 // max_parallel_workers session setting (0 = GOMAXPROCS default, 1 = force
 // serial).
 func (p *Planner) pipelineWorkers(h storage.ReadView) int {
-	if p.Cfg == nil || !p.Cfg.EnableBatch {
-		return 1
-	}
 	if p.Cfg.MaxParallelWorkers == 1 || p.Cfg.ParallelScanMinPages <= 0 {
 		return 1
 	}
@@ -286,31 +275,22 @@ func (p *Planner) parallelizeNode(n Node, underLimit bool) Node {
 }
 
 // chainOf decomposes n into a Filter/Project/MultiExtract chain over a
-// batch ScanNode, returning the operators in bottom-up order. ok is false
-// when the subtree has any other shape or a non-batch member.
+// ScanNode, returning the operators in bottom-up order. ok is false when
+// the subtree has any other shape.
 func chainOf(n Node) (ops []Node, scan *ScanNode, ok bool) {
 	var topDown []Node
 	cur := n
 	for {
 		switch x := cur.(type) {
 		case *ScanNode:
-			if !x.Batch {
-				return nil, nil, false
-			}
 			for i := len(topDown) - 1; i >= 0; i-- {
 				ops = append(ops, topDown[i])
 			}
 			return ops, x, true
 		case *FilterNode:
-			if !x.Batch {
-				return nil, nil, false
-			}
 			topDown = append(topDown, x)
 			cur = x.Child
 		case *ProjectNode:
-			if !x.Batch {
-				return nil, nil, false
-			}
 			topDown = append(topDown, x)
 			cur = x.Child
 		case *MultiExtractNode:
@@ -404,14 +384,10 @@ func (p *Planner) gatherSort(s *SortNode, t *TopNNode) *GatherNode {
 	var child Node
 	var keys []exec.SortKey
 	var node Node
-	var batch bool
 	if t != nil {
-		child, keys, node, batch = t.Child, t.Keys, t, t.Batch
+		child, keys, node = t.Child, t.Keys, t
 	} else {
-		child, keys, node, batch = s.Child, s.Keys, s, s.Batch
-	}
-	if !batch {
-		return nil
+		child, keys, node = s.Child, s.Keys, s
 	}
 	for _, k := range keys {
 		if !exec.ParallelSafe(k.Expr) {
@@ -450,7 +426,7 @@ func aggsMergeable(aggs []*exec.AggSpec) bool {
 // gatherAgg parallelizes a hash aggregation over a chain as two-phase
 // aggregation.
 func (p *Planner) gatherAgg(h *HashAggNode) *GatherNode {
-	if !h.Batch || !aggsMergeable(h.Aggs) {
+	if !aggsMergeable(h.Aggs) {
 		return nil
 	}
 	for _, g := range h.GroupBy {

@@ -71,7 +71,7 @@ func planQuery(t *testing.T, cat Catalog, sql string) *SelectPlan {
 
 func runQuery(t *testing.T, cat Catalog, sql string) []storage.Row {
 	t.Helper()
-	rows, err := exec.Collect(planQuery(t, cat, sql).Open())
+	rows, err := planQuery(t, cat, sql).Collect()
 	if err != nil {
 		t.Fatalf("run %q: %v", sql, err)
 	}
@@ -251,7 +251,7 @@ func TestCrossJoinUsesNestedLoop(t *testing.T) {
 	if ops := strings.Join(OperatorNames(sp.Root), " "); !strings.Contains(ops, "Nested Loop") {
 		t.Errorf("cross join ops: %s", ops)
 	}
-	rows, _ := exec.Collect(sp.Open())
+	rows, _ := sp.Collect()
 	if len(rows) != 100 {
 		t.Errorf("cross join rows = %d", len(rows))
 	}
@@ -336,25 +336,28 @@ func TestExplainBatchAnnotation(t *testing.T) {
 	if !strings.Contains(text, "(batch)") {
 		t.Errorf("explain missing %q:\n%s", "(batch)", text)
 	}
-	// Disabling batch execution removes the annotation.
-	stmt, err := sqlparse.Parse(`SELECT v FROM t WHERE v > 10`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.EnableBatch = false
-	p := NewPlanner(cat, exec.NewRegistry(), cfg)
-	sp, err = p.PlanSelect(stmt.(*sqlparse.SelectStmt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(sp.Explain(), "(batch)") {
-		t.Errorf("batch annotation with EnableBatch=false:\n%s", sp.Explain())
-	}
 }
 
+// scansOf returns every ScanNode in the plan tree rooted at n.
+func scansOf(n Node) []*ScanNode {
+	if s, ok := n.(*ScanNode); ok {
+		return []*ScanNode{s}
+	}
+	var out []*ScanNode
+	for _, c := range n.Children() {
+		out = append(out, scansOf(c)...)
+	}
+	return out
+}
+
+// TestRowAndBatchPlansAgree runs each statement under the reference plan
+// (EnableBatch=false) and the default plan and wants the same rows in the
+// same order. It also pins the two shortcuts EXPLAIN does not show: the
+// reference takes no fused collector and prunes, skips and compiles
+// nothing in its scans.
 func TestRowAndBatchPlansAgree(t *testing.T) {
 	cat := buildCatalog(t, 500, true)
+	pruned := false // the default plan prunes some scan's columns
 	for _, sql := range []string{
 		`SELECT v, s FROM t WHERE v >= 250`,
 		`SELECT grp, COUNT(*), SUM(v) FROM t GROUP BY grp ORDER BY grp`,
@@ -374,9 +377,9 @@ func TestRowAndBatchPlansAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rowCfg := DefaultConfig()
-		rowCfg.EnableBatch = false
-		plans := map[string]*Config{"row": rowCfg, "batch": DefaultConfig()}
+		refCfg := DefaultConfig()
+		refCfg.EnableBatch = false
+		plans := map[string]*Config{"reference": refCfg, "batch": DefaultConfig()}
 		var got map[string][]storage.Row
 		got = map[string][]storage.Row{}
 		for name, cfg := range plans {
@@ -385,15 +388,30 @@ func TestRowAndBatchPlansAgree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("plan %q (%s): %v", sql, name, err)
 			}
+			if !cfg.EnableBatch {
+				if sp.fuse {
+					t.Errorf("%q: reference plan takes the fused collector", sql)
+				}
+				for _, s := range scansOf(sp.Root) {
+					if s.NeedCols != nil || s.Skip != nil || s.SelFilter != nil {
+						t.Errorf("%q: reference scan of %s has NeedCols %v, Skip set %v, SelFilter set %v",
+							sql, s.TableName, s.NeedCols, s.Skip != nil, s.SelFilter != nil)
+					}
+				}
+			} else {
+				for _, s := range scansOf(sp.Root) {
+					pruned = pruned || s.NeedCols != nil
+				}
+			}
 			rows, err := sp.Collect()
 			if err != nil {
 				t.Fatalf("run %q (%s): %v", sql, name, err)
 			}
 			got[name] = rows
 		}
-		r, b := got["row"], got["batch"]
+		r, b := got["reference"], got["batch"]
 		if len(r) != len(b) {
-			t.Fatalf("%q: row %d rows, batch %d", sql, len(r), len(b))
+			t.Fatalf("%q: reference %d rows, batch %d", sql, len(r), len(b))
 		}
 		for i := range r {
 			var rk, bk []byte
@@ -402,9 +420,12 @@ func TestRowAndBatchPlansAgree(t *testing.T) {
 				bk = b[i][j].HashKey(bk)
 			}
 			if string(rk) != string(bk) {
-				t.Fatalf("%q row %d: row-mode %v vs batch-mode %v", sql, i, r[i], b[i])
+				t.Fatalf("%q row %d: reference %v vs batch %v", sql, i, r[i], b[i])
 			}
 		}
+	}
+	if !pruned {
+		t.Error("no default plan pruned a scan's columns; the reference check above is vacuous")
 	}
 }
 

@@ -30,18 +30,13 @@ type SelectPlan struct {
 	Root        Node
 	ColumnNames []string
 	ColumnTypes []types.Type
+	// fuse allows the fused projection collector (fusedCollect), one of the
+	// shortcuts the reference plan (enable_batch off) does without.
+	fuse bool
 }
 
 // Explain renders the plan tree.
 func (sp *SelectPlan) Explain() string { return Explain(sp.Root) }
-
-// Open instantiates the executor against live heaps (embedded callers
-// with no concurrent writers). Concurrent sessions use OpenCtx.
-func (sp *SelectPlan) Open() exec.Iterator { return sp.Root.Open(nil) }
-
-// OpenCtx instantiates the executor with a statement execution context:
-// every scan resolves its heap to the context's pinned snapshot.
-func (sp *SelectPlan) OpenCtx(ec *exec.ExecCtx) exec.Iterator { return sp.Root.Open(ec) }
 
 // Collect runs the plan to a fully materialized result. The common
 // projection-over-scan shape takes a fused collector that materializes
@@ -57,14 +52,16 @@ func (sp *SelectPlan) Collect() ([]storage.Row, error) {
 // is consistent with a single storage epoch per table even while writers
 // publish new versions. The caller owns ec and releases it.
 func (sp *SelectPlan) CollectCtx(ec *exec.ExecCtx) ([]storage.Row, error) {
-	if rows, ok, err := fusedCollect(sp.Root, ec); ok {
-		return rows, err
+	if sp.fuse {
+		if rows, ok, err := fusedCollect(sp.Root, ec); ok {
+			return rows, err
+		}
 	}
-	return exec.Collect(sp.Root.Open(ec))
+	return exec.CollectBatches(sp.Root.Open(ec))
 }
 
 // fusedCollect recognizes [Limit →] Project(plain columns) → filterless
-// batch Scan and short-circuits the batch pipeline: the scan's transpose
+// Scan and short-circuits the operator pipeline: the scan's transpose
 // into column-major batches and the collector's re-transpose into result
 // rows collapse into one heap-to-result copy. Any other shape (filters,
 // expressions, aggregates, joins, sorts) reports ok=false.
@@ -79,7 +76,7 @@ func fusedCollect(n Node, ec *exec.ExecCtx) (rows []storage.Row, ok bool, err er
 		return nil, false, nil
 	}
 	s, sok := p.Child.(*ScanNode)
-	if !sok || !s.Batch || len(s.Preds) > 0 {
+	if !sok || len(s.Preds) > 0 {
 		return nil, false, nil
 	}
 	v := execView(ec, s.Heap)
@@ -92,7 +89,7 @@ func fusedCollect(n Node, ec *exec.ExecCtx) (rows []storage.Row, ok bool, err er
 		}
 		cols[i] = ce.Idx
 	}
-	rows, err = exec.CollectProjectedScan(v, cols, limit, exec.DefaultBatchSize)
+	rows, err = exec.CollectProjectedScan(v, cols, limit)
 	return rows, true, err
 }
 
@@ -255,7 +252,6 @@ func (p *Planner) PlanSelect(stmt *sqlparse.SelectStmt) (*SelectPlan, error) {
 			cost: float64(scan.Heap.SizeBytes())*p.Cfg.SeqPageCostPerByte +
 				inRows*(p.Cfg.CPUTupleCost+exprCostOf(preds)),
 		}
-		p.batchify(scan)
 	}
 
 	// ----- Greedy join ordering -----
@@ -281,11 +277,11 @@ func (p *Planner) PlanSelect(stmt *sqlparse.SelectStmt) (*SelectPlan, error) {
 			}
 			sel *= es.selectivity(a)
 		}
-		cur = p.batchify(&FilterNode{
+		cur = &FilterNode{
 			baseNode: baseNode{layout: curLayout, rows: cur.Rows() * sel,
 				cost: cur.Cost() + cur.Rows()*(p.Cfg.CPUTupleCost+exprCostOf(preds))},
 			Child: cur, Preds: preds,
-		})
+		}
 	}
 
 	// ----- Aggregation -----
@@ -343,11 +339,11 @@ func (p *Planner) PlanSelect(stmt *sqlparse.SelectStmt) (*SelectPlan, error) {
 		outLayout.Cols = append(outLayout.Cols, LayoutCol{Name: names[i], Typ: e.Type()})
 		distinctEst *= es.ndistinct(a)
 	}
-	cur = p.batchify(&ProjectNode{
+	cur = &ProjectNode{
 		baseNode: baseNode{layout: outLayout, rows: cur.Rows(),
 			cost: cur.Cost() + cur.Rows()*(p.Cfg.CPUTupleCost+exprCostOf(exprs))},
 		Child: cur, Exprs: exprs,
-	})
+	}
 
 	// ----- DISTINCT -----
 	if stmt.Distinct {
@@ -357,11 +353,11 @@ func (p *Planner) PlanSelect(stmt *sqlparse.SelectStmt) (*SelectPlan, error) {
 			allCols[i] = &exec.ColExpr{Idx: i, Typ: c.Typ, Name: c.Name}
 		}
 		if nGroups <= p.Cfg.HashAggMaxGroups {
-			cur = p.batchify(&HashAggNode{
+			cur = &HashAggNode{
 				baseNode: baseNode{layout: outLayout, rows: nGroups,
 					cost: cur.Cost() + cur.Rows()*p.Cfg.CPUTupleCost*2},
 				Child: cur, GroupBy: allCols,
-			})
+			}
 		} else {
 			keys := make([]exec.SortKey, len(allCols))
 			for i, c := range allCols {
@@ -402,20 +398,27 @@ func (p *Planner) PlanSelect(stmt *sqlparse.SelectStmt) (*SelectPlan, error) {
 
 	// ----- LIMIT -----
 	if stmt.Limit >= 0 {
-		cur = p.batchify(&LimitNode{
+		cur = &LimitNode{
 			baseNode: baseNode{layout: cur.Layout(), rows: math.Min(cur.Rows(), float64(stmt.Limit)), cost: cur.Cost()},
 			Child:    cur, N: stmt.Limit,
-		})
+		}
 	}
 
-	cur = p.rewriteTopN(cur)
-	p.fuseExtracts(cur)
-	p.prepareSegmented(cur, nil)
-	pruneScanColumns(cur)
-	p.deriveSkips(cur)
-	cur = p.parallelize(cur)
+	// The shortcuts: each one is an identity between two physical plans
+	// of the same answer. With enable_batch off none is applied, and the
+	// plan is the reference — the same tree of the same operators, serial,
+	// reading every page and column, sorting in full under a LIMIT.
+	shortcuts := p.Cfg.EnableBatch
+	if shortcuts {
+		cur = p.rewriteTopN(cur)
+		p.fuseExtracts(cur)
+		p.prepareSegmented(cur, nil)
+		pruneScanColumns(cur)
+		p.deriveSkips(cur)
+		cur = p.parallelize(cur)
+	}
 	releasePlanViews(cur)
-	return &SelectPlan{Root: cur, ColumnNames: names, ColumnTypes: outTypes}, nil
+	return &SelectPlan{Root: cur, ColumnNames: names, ColumnTypes: outTypes, fuse: shortcuts}, nil
 }
 
 // releasePlanViews rebinds every scan to its owner heap once planning is
@@ -473,9 +476,24 @@ type valuesNode struct{ baseNode }
 func (v *valuesNode) Label() string     { return "Result" }
 func (v *valuesNode) Details() []string { return nil }
 func (v *valuesNode) Children() []Node  { return nil }
-func (v *valuesNode) Open(*exec.ExecCtx) exec.Iterator {
-	return &exec.SliceIter{Rows: []storage.Row{{}}}
+func (v *valuesNode) Open(*exec.ExecCtx) exec.BatchIterator {
+	return &oneRowIter{}
 }
+
+// oneRowIter is valuesNode's stream: one batch of one zero-width row.
+type oneRowIter struct{ done bool }
+
+func (o *oneRowIter) NextBatch() (*exec.RowBatch, error) {
+	if o.done {
+		return nil, nil
+	}
+	o.done = true
+	b := exec.NewRowBatch(0, 1)
+	b.SetLen(1)
+	return b, nil
+}
+
+func (o *oneRowIter) Close() {}
 
 // expandItems resolves stars and normalizes item expressions; it returns the
 // item ASTs and output column names.
@@ -536,40 +554,12 @@ func subsetOf(a, b map[string]bool) bool {
 	return true
 }
 
-// batchify marks a freshly built node as a batch operator when batch
-// execution is enabled; row-only children are bridged by a RowToBatch
-// adapter at Open time.
-func (p *Planner) batchify(n Node) Node {
-	if p.Cfg == nil || !p.Cfg.EnableBatch {
-		return n
-	}
-	switch x := n.(type) {
-	case *ScanNode:
-		x.Batch = true
-	case *FilterNode:
-		x.Batch = true
-	case *ProjectNode:
-		x.Batch = true
-	case *HashAggNode:
-		x.Batch = true
-	case *LimitNode:
-		x.Batch = true
-	case *SortNode:
-		x.Batch = true
-	case *TopNNode:
-		x.Batch = true
-	case *HashJoinNode:
-		x.Batch = true
-	}
-	return n
-}
-
 // newSort wraps child in a SortNode with an n·log n cost term.
 func (p *Planner) newSort(child Node, layout *Layout, keys []exec.SortKey) Node {
 	n := math.Max(child.Rows(), 1)
 	sortCost := child.Cost() + n*math.Log2(n+1)*p.Cfg.CPUOperatorCost*2 + n*p.Cfg.CPUTupleCost
-	return p.batchify(&SortNode{
+	return &SortNode{
 		baseNode: baseNode{layout: layout, rows: child.Rows(), cost: sortCost},
 		Child:    child, Keys: keys,
-	})
+	}
 }

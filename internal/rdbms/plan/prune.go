@@ -2,7 +2,7 @@ package plan
 
 import "github.com/sinewdata/sinew/internal/rdbms/exec"
 
-// pruneScanColumns pushes referenced-column sets down into batch scans.
+// pruneScanColumns pushes referenced-column sets down into scans.
 // Starting from each projection-like node (Project, HashAggregate,
 // GroupAggregate) it collects the columns that node reads and walks down
 // through column-transparent operators (Filter, Limit, Sort), adding their
@@ -77,7 +77,7 @@ func pruneChain(n Node, set map[int]bool, ok bool) {
 		}
 		pruneChain(x.Child, set, sok)
 	case *ScanNode:
-		if !x.Batch || !addExprCols(set, x.Preds...) {
+		if !addExprCols(set, x.Preds...) {
 			return
 		}
 		width := len(x.Heap.Schema().Cols)

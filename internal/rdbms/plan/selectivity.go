@@ -17,12 +17,12 @@ import (
 //
 // Three fields are session variables (SET, part of the plan-cache key):
 // EnableBatch, ParallelScanMinPages and MaxParallelWorkers. Each is kept
-// because something needs its other position — the row engine is the
-// reference of every differential test and of the benchmark's oracle, the
-// oracle and the serial test legs force one worker, and tests lower the
-// page threshold to get parallel plans on small fixtures. What the
-// executor does the same way for every statement (rows per batch, page
-// skipping, aliasing frozen pages) is not configuration.
+// because something needs its other position — the reference plan
+// (EnableBatch off) is the "want" side of every differential test and the
+// benchmark's oracle, the oracle and the serial test legs force one
+// worker, and tests lower the page threshold to get parallel plans on
+// small fixtures. What the executor does the same way for every statement
+// (rows per batch, aliasing frozen pages) is not configuration.
 type Config struct {
 	// SeqPageCostPerByte converts scanned bytes into cost units
 	// (Postgres seq_page_cost=1.0 per 8 KB page).
@@ -55,10 +55,12 @@ type Config struct {
 	// HashJoinMaxBuildRows caps the estimated build-side size for hash
 	// joins; beyond it the planner uses a merge join.
 	HashJoinMaxBuildRows float64
-	// EnableBatch selects batch-at-a-time (vectorized-lite) pipelines for
-	// scan/filter/project/limit/aggregate where available; row-at-a-time
-	// operators remain for Sort, joins, and DML behind adapters. Session
-	// knob: SET enable_batch = on|off.
+	// EnableBatch applies the plan shortcuts — Top-N, fused extraction,
+	// segment kernels and compiled selection filters, column pruning, page
+	// skipping, parallel gathers and the fused projection collector. Off,
+	// PlanSelect returns the reference plan: the same tree of the same
+	// batch operators with none of them. Session knob: SET enable_batch =
+	// on|off (the name predates the one operator set).
 	EnableBatch bool
 	// ParallelScanMinPages is the minimum heap page count per gather
 	// worker: a fragment gets min(GOMAXPROCS, pages/ParallelScanMinPages)

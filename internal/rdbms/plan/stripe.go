@@ -15,7 +15,7 @@ import "github.com/sinewdata/sinew/internal/rdbms/exec"
 // back to the row kernel per batch, so results are identical either way.
 
 // segmented reports whether the scan will meet frozen pages.
-func segmented(s *ScanNode) bool { return s.Batch && s.Heap.Segmented() }
+func segmented(s *ScanNode) bool { return s.Heap.Segmented() }
 
 // segmentFusable reports whether a single-key extraction group over child
 // is still worth fusing: over a segmented scan with a registered segment

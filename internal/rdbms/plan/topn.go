@@ -41,11 +41,10 @@ func (p *Planner) newTopN(s *SortNode, limit int64) Node {
 		Child:    s.Child,
 		Keys:     append([]exec.SortKey(nil), s.Keys...),
 		N:        limit,
-		Batch:    s.Batch,
 	}
 }
 
-// deriveTopNSkip bounds the page reads of a Top-N over a bare batch scan
+// deriveTopNSkip bounds the page reads of a Top-N over a bare scan
 // by its own limit: when the first sort key is a physical column whose
 // per-page min/max the summaries track, the scan gets a skip factory that
 // runs storage.HeapChunkIter.TopNSkip at every iterator open — per
@@ -54,7 +53,7 @@ func (p *Planner) newTopN(s *SortNode, limit int64) Node {
 // qualify: the pages' live counts say nothing about how many rows pass.
 func deriveTopNSkip(t *TopNNode) {
 	s, ok := t.Child.(*ScanNode)
-	if !ok || !s.Batch || len(s.Preds) > 0 || len(t.Keys) == 0 {
+	if !ok || len(s.Preds) > 0 || len(t.Keys) == 0 {
 		return
 	}
 	c, ok := t.Keys[0].Expr.(*exec.ColExpr)

@@ -186,7 +186,7 @@ func readerPlanConfigs() map[string]*plan.Config {
 		return &c
 	}
 	return map[string]*plan.Config{
-		"row": mk(func(c *plan.Config) {
+		"reference": mk(func(c *plan.Config) {
 			c.EnableBatch = false
 			c.MaxParallelWorkers = 1
 		}),

@@ -43,7 +43,6 @@ type ReadView interface {
 	NumFrozenPages() int
 	Segmented() bool
 	Partitions(n int) []PageRange
-	Iterate() *HeapIter
 	IterateRange(start, end int) *HeapChunkIter
 	Scan(fn func(id RowID, row Row) bool)
 	Get(id RowID) (Row, bool)
@@ -149,11 +148,6 @@ func (s *HeapSnapshot) Segmented() bool { return s.frozen > 0 }
 // partition of one view scans the same frozen page table.
 func (s *HeapSnapshot) Partitions(n int) []PageRange {
 	return partitionRanges(len(s.pages), n)
-}
-
-// Iterate returns a row cursor over the snapshot.
-func (s *HeapSnapshot) Iterate() *HeapIter {
-	return &HeapIter{pages: s.pages, pager: s.pager}
 }
 
 // IterateRange returns a chunk cursor over pages [start, end) of the
