@@ -90,15 +90,16 @@ bench-smoke:
 check: vet lint race race-workers race-sessions bench-smoke
 
 # fuzz exercises the serializer's read side, its one-pass write side (JSON
-# bytes straight into the record builder, held to the tree path's answer)
-# and the datum representation — the same targets CI runs as a non-blocking
-# job; the serializer's checked-in corpora live in
-# internal/serial/testdata/fuzz/, the datum target's seeds are in its test
-# file.
+# bytes straight into the record builder, held to the tree path's answer),
+# the datum representation and the key hash (KeyEqual values hash alike)
+# — the same targets CI runs as a non-blocking job; the serializer's
+# checked-in corpora live in internal/serial/testdata/fuzz/, the datum and
+# key-hash targets' seeds are in their test files.
 fuzz:
 	$(GO) test -fuzz=FuzzRecordReaders -fuzztime=30s ./internal/serial/
 	$(GO) test -fuzz=FuzzStreamLoadMatchesTree -fuzztime=30s ./internal/serial/
 	$(GO) test -fuzz=FuzzDatumRoundTrip -fuzztime=30s ./internal/rdbms/types/
+	$(GO) test -fuzz=FuzzKeyHashMatchesEqual -fuzztime=30s ./internal/rdbms/types/
 
 # bench runs the micro-benchmarks and regenerates BENCH_BASELINE.json, the
 # one checked-in machine-readable Table 3 (load time per system) + Figure 6

@@ -15,7 +15,10 @@ type AggSpec struct {
 	Distinct bool
 }
 
-// aggState accumulates a single aggregate for one group.
+// aggState accumulates a single aggregate for one group. The hash
+// aggregate keeps every group's states in one flat slice, so the zero
+// value plus its spec is a fresh state; a DISTINCT aggregate's set of seen
+// values is a one-column key table made on its first value.
 type aggState struct {
 	spec     *AggSpec
 	count    int64
@@ -24,16 +27,7 @@ type aggState struct {
 	isFloat  bool
 	hasVal   bool
 	minMax   types.Datum
-	distinct map[string]struct{}
-	buf      []byte
-}
-
-func newAggState(spec *AggSpec) *aggState {
-	st := &aggState{spec: spec}
-	if spec.Distinct {
-		st.distinct = make(map[string]struct{})
-	}
-	return st
+	distinct *keyTable
 }
 
 func (st *aggState) add(row storage.Row) error {
@@ -58,12 +52,13 @@ func (st *aggState) addValue(v types.Datum) error {
 	if v.IsNull() {
 		return nil
 	}
-	if st.distinct != nil {
-		st.buf = v.HashKey(st.buf[:0])
-		if _, seen := st.distinct[string(st.buf)]; seen {
+	if st.spec.Distinct {
+		if st.distinct == nil {
+			st.distinct = newKeyTable(1)
+		}
+		if !st.distinct.insertValue(v) {
 			return nil
 		}
-		st.distinct[string(st.buf)] = struct{}{}
 	}
 	switch st.spec.Kind {
 	case AggCount:
@@ -125,7 +120,7 @@ func (st *aggState) addColumn(col []types.Datum, sel []int32, n int) error {
 // double-count across partitions), so the planner keeps DISTINCT-aggregate
 // plans serial and merge never sees one.
 func (st *aggState) merge(o *aggState) error {
-	if st.distinct != nil || o.distinct != nil {
+	if st.spec.Distinct {
 		return fmt.Errorf("exec: cannot merge DISTINCT aggregate partials")
 	}
 	switch st.spec.Kind {
@@ -200,102 +195,94 @@ func aggName(k AggKind) string {
 	return "?"
 }
 
-// aggGroup is one group of a hash or sorted aggregate: its key values, its
-// aggregate states and its encoded key (the hash-table key and the output
-// order of the hash aggregates).
-type aggGroup struct {
-	keyVals []types.Datum
-	states  []*aggState
-	encKey  string
-}
-
-func newAggGroup(keyVals []types.Datum, encKey string, aggs []*AggSpec) *aggGroup {
-	g := &aggGroup{keyVals: keyVals, encKey: encKey, states: make([]*aggState, len(aggs))}
-	for i, spec := range aggs {
-		g.states[i] = newAggState(spec)
-	}
-	return g
-}
-
 // GroupAggIter computes grouped aggregates over input already sorted by the
 // group keys (the planner places a Sort below it). It streams one output
-// row per group boundary.
+// row per group boundary; consecutive rows share a group when their keys
+// are types.KeyEqual, the hash aggregate's rule.
 type GroupAggIter struct {
 	In      Iterator
 	GroupBy []Expr
 	Aggs    []*AggSpec
 
-	cur     *aggGroup
-	pending storage.Row
+	started bool
 	eof     bool
-	buf     []byte
+	keys    []types.Datum // the current group's key values
+	vals    []types.Datum // the row being read's key values
+	states  []aggState
 }
 
 // Next implements Iterator.
 func (g *GroupAggIter) Next() (storage.Row, bool, error) {
-	if g.eof && g.cur == nil {
+	if g.eof {
 		return nil, false, nil
 	}
 	for {
-		var row storage.Row
-		if g.pending != nil {
-			row = g.pending
-			g.pending = nil
-		} else {
-			var ok bool
-			var err error
-			row, ok, err = g.In.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				g.eof = true
-				if g.cur != nil {
-					out := g.emit()
-					g.cur = nil
-					return out, true, nil
-				}
-				return nil, false, nil
-			}
+		row, ok, err := g.In.Next()
+		if err != nil {
+			return nil, false, err
 		}
-		g.buf = g.buf[:0]
-		keyVals := make([]types.Datum, len(g.GroupBy))
-		for i, ge := range g.GroupBy {
+		if !ok {
+			g.eof = true
+			if g.started {
+				return g.emit(), true, nil
+			}
+			return nil, false, nil
+		}
+		g.vals = g.vals[:0]
+		for _, ge := range g.GroupBy {
 			v, err := ge.Eval(row)
 			if err != nil {
 				return nil, false, err
 			}
-			keyVals[i] = v
-			g.buf = v.HashKey(g.buf)
+			g.vals = append(g.vals, v)
 		}
-		if g.cur == nil {
-			g.cur = newAggGroup(keyVals, string(g.buf), g.Aggs)
-		} else if g.cur.encKey != string(g.buf) {
-			out := g.emit()
-			g.cur = newAggGroup(keyVals, string(g.buf), g.Aggs)
-			for _, st := range g.cur.states {
-				if err := st.add(row); err != nil {
-					return nil, false, err
-				}
-			}
-			return out, true, nil
+		var out storage.Row
+		if !g.started {
+			g.started = true
+			g.startGroup()
+		} else if !keysEqual(g.keys, g.vals) {
+			out = g.emit()
+			g.startGroup()
 		}
-		for _, st := range g.cur.states {
-			if err := st.add(row); err != nil {
+		for k := range g.states {
+			if err := g.states[k].add(row); err != nil {
 				return nil, false, err
 			}
+		}
+		if out != nil {
+			return out, true, nil
 		}
 	}
 }
 
+// startGroup makes the row just read the first of a new group.
+func (g *GroupAggIter) startGroup() {
+	g.keys = append(g.keys[:0], g.vals...)
+	g.states = g.states[:0]
+	for _, spec := range g.Aggs {
+		g.states = append(g.states, aggState{spec: spec})
+	}
+}
+
 func (g *GroupAggIter) emit() storage.Row {
-	row := make(storage.Row, 0, len(g.cur.keyVals)+len(g.cur.states))
-	row = append(row, g.cur.keyVals...)
-	for _, st := range g.cur.states {
-		row = append(row, st.result())
+	row := make(storage.Row, 0, len(g.keys)+len(g.states))
+	row = append(row, g.keys...)
+	for k := range g.states {
+		row = append(row, g.states[k].result())
 	}
 	return row
 }
 
 // Close implements Iterator.
 func (g *GroupAggIter) Close() { g.In.Close() }
+
+// keysEqual reports whether two key tuples are types.KeyEqual column by
+// column.
+func keysEqual(a, b []types.Datum) bool {
+	for i := range a {
+		if !types.KeyEqual(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}

@@ -1,91 +1,307 @@
 package exec
 
 import (
-	"sort"
+	"bytes"
+	"cmp"
+	"encoding/binary"
+	"slices"
 
 	"github.com/sinewdata/sinew/internal/rdbms/types"
 )
 
 // BatchHashAggIter is the hash aggregate: group keys and aggregate
-// arguments are evaluated once per input batch with EvalBatch, then a
-// tight per-row loop updates group states from the materialized columns.
-// Output rows are [groupKeys..., aggResults...] in encoded-key order, so
-// group order is deterministic; with no group keys it emits exactly one
-// row (scalar aggregation).
+// arguments are evaluated once per input batch with EvalBatch, the keys
+// hashed a column at a time into an aggTable, and the group states updated
+// from the materialized columns. Output rows are [groupKeys...,
+// aggResults...] in encoded-key order, so group order is deterministic;
+// with no group keys it emits exactly one row (scalar aggregation).
 type BatchHashAggIter struct {
 	In      BatchIterator
 	GroupBy []Expr
 	Aggs    []*AggSpec
 
-	done   bool
-	err    error
-	groups []*aggGroup
-	pos    int
-	out    *RowBatch
+	done bool
+	err  error
+	emit groupEmitter
 }
 
 // NextBatch implements BatchIterator.
 func (h *BatchHashAggIter) NextBatch() (*RowBatch, error) {
 	if !h.done {
-		h.run()
+		h.done = true
+		t := newAggTable(len(h.GroupBy), h.Aggs)
+		if h.err = t.accumulate(h.In, h.GroupBy, nil); h.err == nil {
+			h.emit.start(t)
+		}
 	}
 	if h.err != nil {
 		return nil, h.err
 	}
-	if h.pos >= len(h.groups) {
-		return nil, nil
-	}
-	width := len(h.GroupBy) + len(h.Aggs)
-	if h.out == nil {
-		// Selective queries leave far fewer groups than the batch size;
-		// sizing the output by the remaining groups keeps a five-group
-		// aggregate from allocating a full-size batch every execution.
-		h.out = NewRowBatch(width, min(DefaultBatchSize, len(h.groups)-h.pos))
-	}
-	b := h.out
-	b.Reset()
-	row := make([]types.Datum, 0, width)
-	for b.Len() < DefaultBatchSize && h.pos < len(h.groups) {
-		g := h.groups[h.pos]
-		h.pos++
-		row = row[:0]
-		row = append(row, g.keyVals...)
-		for _, st := range g.states {
-			row = append(row, st.result())
-		}
-		b.AppendRow(row)
-	}
-	if b.Len() == 0 {
-		return nil, nil
-	}
-	return b, nil
-}
-
-func (h *BatchHashAggIter) run() {
-	h.done = true
-	groups := make(map[string]*aggGroup)
-	if h.err = accumulateGroups(h.In, h.GroupBy, h.Aggs, nil, groups); h.err != nil {
-		return
-	}
-	h.groups = finishGroups(groups, h.GroupBy, h.Aggs)
-}
-
-// finishGroups lists a drained group table for emission: an ungrouped
-// aggregate over no rows still yields its one row (COUNT 0, SUM NULL), and
-// groups come out in encoded-key order.
-func finishGroups(groups map[string]*aggGroup, groupBy []Expr, aggs []*AggSpec) []*aggGroup {
-	if len(groups) == 0 && len(groupBy) == 0 {
-		groups[""] = newAggGroup(nil, "", aggs)
-	}
-	out := make([]*aggGroup, 0, len(groups))
-	for _, g := range groups {
-		out = append(out, g)
-	}
-	if len(out) > 1 {
-		sort.Slice(out, func(a, b int) bool { return out[a].encKey < out[b].encKey })
-	}
-	return out
+	return h.emit.next(), nil
 }
 
 // Close implements BatchIterator.
 func (h *BatchHashAggIter) Close() { h.In.Close() }
+
+// aggTable is a hash aggregate's groups: their keys in a key table (nil
+// without GROUP BY, where the one group is id 0 from the start) and the
+// aggregate states of every group in one flat slice, group id × len(aggs)
+// + aggregate. The serial aggregate and each worker of the parallel one
+// fill one; the parallel one merges them.
+type aggTable struct {
+	aggs   []*AggSpec
+	keys   *keyTable
+	states []aggState
+	ids    []int32  // accumulate's per-batch group ids
+	hashes []uint64 // accumulate's per-batch key hashes
+}
+
+func newAggTable(nkeys int, aggs []*AggSpec) *aggTable {
+	t := &aggTable{aggs: aggs}
+	if nkeys == 0 {
+		t.states = make([]aggState, 0, len(aggs))
+		t.addGroup()
+	} else {
+		t.keys = newKeyTable(nkeys)
+	}
+	return t
+}
+
+// groups reports the number of groups.
+func (t *aggTable) groups() int {
+	if t.keys == nil {
+		return 1
+	}
+	return t.keys.len()
+}
+
+// addGroup appends fresh states for the next group id. The states grow by
+// doubling, in step with the key table, so a grouped aggregate allocates
+// a number of times logarithmic in its group count.
+func (t *aggTable) addGroup() {
+	n, w := len(t.states), len(t.aggs)
+	if n+w > cap(t.states) {
+		grown := make([]aggState, n, max(2*cap(t.states), keyTableMinIDs*w))
+		copy(grown, t.states)
+		t.states = grown
+	}
+	for _, spec := range t.aggs {
+		t.states = append(t.states, aggState{spec: spec})
+	}
+}
+
+// group returns group id's states.
+func (t *aggTable) group(id int32) []aggState {
+	w := len(t.aggs)
+	return t.states[int(id)*w : int(id+1)*w]
+}
+
+// accumulate drains src into the table: BatchHashAggIter's whole run and,
+// as a partial table, the per-worker phase one of the parallel aggregate.
+// It polls stop (nil for none) between batches so abandoned queries
+// terminate promptly. Per batch the keys are hashed and resolved to group
+// ids first, then each aggregate folds its argument column into the
+// groups; without GROUP BY the one group takes each argument column whole
+// and no key is hashed.
+func (t *aggTable) accumulate(src BatchIterator, groupBy []Expr, stop <-chan struct{}) error {
+	defer src.Close()
+	ctx := NewEvalCtx()
+	keyCols := make([][]types.Datum, len(groupBy))
+	argCols := make([][]types.Datum, len(t.aggs))
+	for {
+		select {
+		case <-stop:
+			return nil
+		default:
+		}
+		in, err := src.NextBatch()
+		if err != nil {
+			return err
+		}
+		if in == nil {
+			return nil
+		}
+		ctx.BeginBatch()
+		for i, g := range groupBy {
+			if keyCols[i], err = EvalBatch(g, in, ctx); err != nil {
+				return err
+			}
+		}
+		for k, spec := range t.aggs {
+			if spec.Arg == nil || spec.Kind == AggCountStar {
+				argCols[k] = nil
+				continue
+			}
+			if argCols[k], err = EvalBatch(spec.Arg, in, ctx); err != nil {
+				return err
+			}
+		}
+		n := in.Len()
+		sel := in.Sel
+		if t.keys == nil {
+			for k := range t.states {
+				if err := t.states[k].addColumn(argCols[k], sel, n); err != nil {
+					return err
+				}
+			}
+			continue
+		}
+		t.hashes = hashKeys(t.hashes, keyCols, sel, n)
+		t.ids = t.ids[:0]
+		for si, h := range t.hashes {
+			id, isNew := t.keys.insert(keyCols, selIdx(sel, si), h)
+			if isNew {
+				t.addGroup()
+			}
+			t.ids = append(t.ids, id)
+		}
+		w := len(t.aggs)
+		for k, spec := range t.aggs {
+			col := argCols[k]
+			if spec.Kind == AggCountStar {
+				for _, id := range t.ids {
+					t.states[int(id)*w+k].count++
+				}
+				continue
+			}
+			for si, id := range t.ids {
+				var v types.Datum
+				if col != nil {
+					v = col[selIdx(sel, si)]
+				}
+				if err := t.states[int(id)*w+k].addValue(v); err != nil {
+					return err
+				}
+			}
+		}
+	}
+}
+
+// merge folds partial table o into t: o's groups in id order, so a group's
+// key values and its MIN/MAX first-seen type come from the table merged
+// first. o's hashes are reused; both tables hash with one process seed.
+func (t *aggTable) merge(o *aggTable) error {
+	if t.keys == nil {
+		for k := range t.states {
+			if err := t.states[k].merge(&o.states[k]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for oid := range o.keys.len() {
+		id, isNew := t.keys.insert(o.keys.cols, oid, o.keys.hashes[oid])
+		src := o.group(int32(oid))
+		if isNew {
+			t.addGroup()
+			copy(t.group(id), src)
+			continue
+		}
+		dst := t.group(id)
+		for k := range dst {
+			if err := dst[k].merge(&src[k]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// order lists the group ids in output order: by the HashKey encoding of
+// the group's key values, ties — keys the encoding folds together, such as
+// integers beyond 2^53 — by first appearance. The encodings are built once
+// per group into one arena; the sort compares their first eight bytes as
+// an integer and the whole encodings only when those are equal.
+func (t *aggTable) order() []int32 {
+	n := t.groups()
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	if n < 2 {
+		return ids
+	}
+	cols := t.keys.cols
+	arena := make([]byte, 0, n*9*len(cols))
+	ends := make([]int, n)
+	prefix := make([]uint64, n)
+	for id := range n {
+		start := len(arena)
+		for _, col := range cols {
+			arena = col[id].HashKey(arena)
+		}
+		ends[id] = len(arena)
+		var p [8]byte
+		copy(p[:], arena[start:])
+		prefix[id] = binary.BigEndian.Uint64(p[:])
+	}
+	enc := func(id int32) []byte {
+		start := 0
+		if id > 0 {
+			start = ends[id-1]
+		}
+		return arena[start:ends[id]]
+	}
+	slices.SortFunc(ids, func(a, b int32) int {
+		if c := cmp.Compare(prefix[a], prefix[b]); c != 0 {
+			return c
+		}
+		if c := bytes.Compare(enc(a), enc(b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return ids
+}
+
+// groupEmitter streams a finished aggTable as batches of output rows, in
+// the table's order. Both hash aggregates emit through it.
+type groupEmitter struct {
+	table *aggTable
+	ids   []int32
+	pos   int
+	row   []types.Datum
+	out   *RowBatch
+}
+
+func (e *groupEmitter) start(t *aggTable) {
+	e.table = t
+	e.ids = t.order()
+}
+
+// next returns the next batch of groups, or nil after the last.
+func (e *groupEmitter) next() *RowBatch {
+	left := len(e.ids) - e.pos
+	if left <= 0 {
+		return nil
+	}
+	t := e.table
+	if e.out == nil {
+		// Selective queries leave far fewer groups than the batch size;
+		// sizing the output by the remaining groups keeps a five-group
+		// aggregate from allocating a full-size batch every execution.
+		width := len(t.aggs)
+		if t.keys != nil {
+			width += len(t.keys.cols)
+		}
+		e.out = NewRowBatch(width, min(DefaultBatchSize, left))
+		e.row = make([]types.Datum, 0, width)
+	}
+	b := e.out
+	b.Reset()
+	for b.Len() < DefaultBatchSize && e.pos < len(e.ids) {
+		id := e.ids[e.pos]
+		e.pos++
+		row := e.row[:0]
+		if t.keys != nil {
+			for _, col := range t.keys.cols {
+				row = append(row, col[id])
+			}
+		}
+		for _, st := range t.group(id) {
+			row = append(row, st.result())
+		}
+		b.AppendRow(row)
+	}
+	return b
+}

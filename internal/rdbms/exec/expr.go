@@ -592,15 +592,20 @@ func evalAny(op string, x, arr types.Datum) (types.Datum, error) {
 			continue
 		}
 		// Heterogeneous arrays (Sinew's dynamic typing): incomparable
-		// elements are simply non-matches, not errors.
+		// elements are simply non-matches, not errors. = tests equality,
+		// which needs no order and builds no error for them.
+		if op == "=" {
+			if types.Equal(x, elem) {
+				return types.NewBool(true), nil
+			}
+			continue
+		}
 		c, err := types.Compare(x, elem)
 		if err != nil {
 			continue
 		}
 		var ok bool
 		switch op {
-		case "=":
-			ok = c == 0
 		case "<>":
 			ok = c != 0
 		case "<":

@@ -256,14 +256,14 @@ func compareForSort(a, b types.Datum, desc bool) (int, error) {
 
 // UniqueIter removes consecutive duplicate rows (input must be sorted on
 // the compared columns); Cols selects which leading columns to compare,
-// nil meaning all.
+// nil meaning all. Rows are duplicates when those columns are
+// types.KeyEqual, the hash operators' rule.
 type UniqueIter struct {
 	In   Iterator
 	Cols []int
 
 	started bool
-	buf     []byte
-	prevKey []byte
+	prev    []types.Datum
 }
 
 // Next implements Iterator.
@@ -273,23 +273,33 @@ func (u *UniqueIter) Next() (storage.Row, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		u.buf = u.buf[:0]
-		if u.Cols == nil {
-			for _, d := range row {
-				u.buf = d.HashKey(u.buf)
-			}
-		} else {
-			for _, i := range u.Cols {
-				u.buf = row[i].HashKey(u.buf)
-			}
-		}
-		if u.started && string(u.buf) == string(u.prevKey) {
+		if u.started && u.same(row) {
 			continue
 		}
 		u.started = true
-		u.prevKey = append(u.prevKey[:0], u.buf...)
+		u.prev = u.prev[:0]
+		if u.Cols == nil {
+			u.prev = append(u.prev, row...)
+		} else {
+			for _, i := range u.Cols {
+				u.prev = append(u.prev, row[i])
+			}
+		}
 		return row, true, nil
 	}
+}
+
+// same reports whether row repeats the previous row's compared columns.
+func (u *UniqueIter) same(row storage.Row) bool {
+	if u.Cols == nil {
+		return len(row) == len(u.prev) && keysEqual(u.prev, row)
+	}
+	for j, i := range u.Cols {
+		if !types.KeyEqual(u.prev[j], row[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Close implements Iterator.

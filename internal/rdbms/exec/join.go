@@ -161,15 +161,6 @@ func evalKeys(row storage.Row, keys []Expr) ([]types.Datum, bool, error) {
 	return out, false, nil
 }
 
-func keysEqual(a, b []types.Datum) bool {
-	for i := range a {
-		if !types.Equal(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 func compareKeySlices(a, b []types.Datum) (int, error) {
 	for i := range a {
 		c, err := compareForSort(a[i], b[i], false)

@@ -1,27 +1,43 @@
 package exec
 
 import (
+	"slices"
+
 	"github.com/sinewdata/sinew/internal/rdbms/storage"
 	"github.com/sinewdata/sinew/internal/rdbms/types"
 )
 
 // joinBuildTable is the columnar build side of a batch hash join: cells
-// live in per-column arrays and the hash index maps encoded keys to row
-// ids, so building and probing never allocate a per-row storage.Row.
-// Columns the build pipeline pruned contribute zero Datums, matching what
-// any row view of a pruned column yields.
+// live in per-column arrays, the join keys in a key table, and each key id
+// heads a chain of the build rows holding it, in build order, so building
+// and probing never allocate a per-row storage.Row or a key. Columns the
+// build pipeline pruned contribute zero Datums, matching what any row view
+// of a pruned column yields.
+//
+// A probe key's matches are the build rows whose keys are types.Equal to
+// it. When every build key is Interchangeable with its id's first key and
+// no two ids share a hash, those are exactly one id's chain. Otherwise —
+// an Int of magnitude 2^53 or more beside a Float, or a hash collision —
+// the table is inexact and a probe tests each row of every id with the
+// probe's hash against the row's own key (joinMatches).
 type joinBuildTable struct {
-	width int
-	rows  int
-	cols  [][]types.Datum
-	idx   map[string][]int32
+	width   int
+	rows    int
+	cols    [][]types.Datum
+	keys    *keyTable
+	rowKeys [][]types.Datum // rowKeys[k][row]: build row's key column k
+	first   []int32         // first[id]: key id's first build row
+	last    []int32         // last[id]: key id's last build row
+	next    []int32         // next[row]: the next build row of row's key, -1 at the end
+	inexact bool
 }
 
-func newJoinBuildTable(width int) *joinBuildTable {
+func newJoinBuildTable(width, nkeys int) *joinBuildTable {
 	return &joinBuildTable{
-		width: width,
-		cols:  make([][]types.Datum, width),
-		idx:   make(map[string][]int32),
+		width:   width,
+		cols:    make([][]types.Datum, width),
+		keys:    newKeyTable(nkeys),
+		rowKeys: make([][]types.Datum, nkeys),
 	}
 }
 
@@ -30,9 +46,10 @@ func newJoinBuildTable(width int) *joinBuildTable {
 // enter in stream order, so a key's matches come out in build order.
 func (t *joinBuildTable) addBatches(in BatchIterator, keys []Expr) error {
 	defer in.Close()
+	defer func() { t.inexact = t.inexact || t.keys.collided }()
 	ctx := NewEvalCtx()
 	keyCols := make([][]types.Datum, len(keys))
-	var buf []byte
+	var hashes []uint64
 	for {
 		b, err := in.NextBatch()
 		if err != nil {
@@ -47,24 +64,15 @@ func (t *joinBuildTable) addBatches(in BatchIterator, keys []Expr) error {
 				return err
 			}
 		}
-		n := b.Len()
 		sel := b.Sel
 		phys := b.PhysLen()
-		for si := 0; si < n; si++ {
+		hashes = hashKeys(hashes, keyCols, sel, b.Len())
+		for si, h := range hashes {
 			r := selIdx(sel, si)
-			buf = buf[:0]
-			null := false
-			for _, col := range keyCols {
-				if col[r].IsNull() {
-					null = true
-					break
-				}
-				buf = col[r].HashKey(buf)
-			}
-			if null {
+			if anyNull(keyCols, r) {
 				continue
 			}
-			id := int32(t.rows)
+			row := int32(t.rows)
 			for j := 0; j < t.width; j++ {
 				var v types.Datum
 				if j < len(b.Cols) {
@@ -74,10 +82,84 @@ func (t *joinBuildTable) addBatches(in BatchIterator, keys []Expr) error {
 				}
 				t.cols[j] = append(t.cols[j], v)
 			}
+			for k, col := range keyCols {
+				t.rowKeys[k] = append(t.rowKeys[k], col[r])
+			}
 			t.rows++
-			t.idx[string(buf)] = append(t.idx[string(buf)], id)
+			t.next = append(t.next, -1)
+			id, isNew := t.keys.insert(keyCols, r, h)
+			if isNew {
+				t.first = append(t.first, row)
+				t.last = append(t.last, row)
+				continue
+			}
+			t.next[t.last[id]] = row
+			t.last[id] = row
+			for k, col := range keyCols {
+				t.inexact = t.inexact || !types.Interchangeable(t.keys.cols[k][id], col[r])
+			}
 		}
 	}
+}
+
+// joinMatches walks the build rows matching one probe key, in build
+// order. The table is read-only once built, so each probing goroutine
+// owns one.
+type joinMatches struct {
+	t    *joinBuildTable
+	row  int32   // the current match, -1 after the last
+	list []int32 // an inexact table's matches; row is list[pos]
+	pos  int
+	ids  []int32
+}
+
+// start returns the first build row matching the key at row i of cols,
+// whose hash is h, or -1 for none (a NULL key matches nothing).
+func (m *joinMatches) start(cols [][]types.Datum, i int, h uint64) int32 {
+	t := m.t
+	m.row = -1
+	if anyNull(cols, i) {
+		return -1
+	}
+	if !t.inexact {
+		if id := t.keys.lookup(cols, i, h); id >= 0 {
+			m.row = t.first[id]
+		}
+		return m.row
+	}
+	m.list, m.pos = m.list[:0], 0
+	m.ids = t.keys.appendIDs(m.ids[:0], h)
+	for _, id := range m.ids {
+	rows:
+		for r := t.first[id]; r >= 0; r = t.next[r] {
+			for k, col := range cols {
+				if !types.Equal(t.rowKeys[k][r], col[i]) {
+					continue rows
+				}
+			}
+			m.list = append(m.list, r)
+		}
+	}
+	slices.Sort(m.list)
+	if len(m.list) > 0 {
+		m.row = m.list[0]
+	}
+	return m.row
+}
+
+// next returns the next matching build row, or -1 after the last.
+func (m *joinMatches) next() int32 {
+	switch {
+	case m.row < 0:
+	case !m.t.inexact:
+		m.row = m.t.next[m.row]
+	case m.pos+1 < len(m.list):
+		m.pos++
+		m.row = m.list[m.pos]
+	default:
+		m.row = -1
+	}
+	return m.row
 }
 
 // appendTo appends build row id's cells to dst.
@@ -109,12 +191,12 @@ type BatchHashJoinIter struct {
 	err     error
 	ctx     *EvalCtx
 	keyCols [][]types.Datum
-	keyBuf  []byte
+	hashes  []uint64
 	in      *RowBatch
 	si      int
 	curPhys int
-	matches []int32
-	matchIx int
+	matches joinMatches
+	match   int32 // the next build row matching the probe row, -1 for none
 	probeW  int
 	out     *RowBatch
 	outLen  int
@@ -126,10 +208,11 @@ type BatchHashJoinIter struct {
 func (j *BatchHashJoinIter) NextBatch() (*RowBatch, error) {
 	if !j.built {
 		j.built = true
-		j.table = newJoinBuildTable(j.BuildWidth)
+		j.table = newJoinBuildTable(j.BuildWidth, len(j.BuildKeys))
 		if err := j.table.addBatches(j.Build, j.BuildKeys); err != nil {
 			j.err = err
 		}
+		j.matches.t = j.table
 		j.ctx = NewEvalCtx()
 		j.keyCols = make([][]types.Datum, len(j.ProbeKeys))
 	}
@@ -151,8 +234,7 @@ func (j *BatchHashJoinIter) NextBatch() (*RowBatch, error) {
 			}
 			j.in = b
 			j.si = 0
-			j.matches = nil
-			j.matchIx = 0
+			j.match = -1
 			j.probeW = b.Width()
 			j.ctx.BeginBatch()
 			for k, ke := range j.ProbeKeys {
@@ -160,13 +242,14 @@ func (j *BatchHashJoinIter) NextBatch() (*RowBatch, error) {
 					return nil, err
 				}
 			}
+			j.hashes = hashKeys(j.hashes, j.keyCols, b.Sel, b.Len())
 			if j.out == nil {
 				j.out = GetBatch(j.probeW + j.table.width)
 			}
 		}
-		for j.matchIx < len(j.matches) {
-			bid := j.matches[j.matchIx]
-			j.matchIx++
+		for j.match >= 0 {
+			bid := j.match
+			j.match = j.matches.next()
 			if j.Residual != nil {
 				j.rowBuf = j.in.Row(j.curPhys, j.rowBuf)
 				j.joined = append(j.joined[:0], j.rowBuf...)
@@ -203,22 +286,9 @@ func (j *BatchHashJoinIter) NextBatch() (*RowBatch, error) {
 			continue
 		}
 		r := selIdx(j.in.Sel, j.si)
-		j.si++
-		j.keyBuf = j.keyBuf[:0]
-		null := false
-		for _, col := range j.keyCols {
-			if col[r].IsNull() {
-				null = true
-				break
-			}
-			j.keyBuf = col[r].HashKey(j.keyBuf)
-		}
-		if null {
-			continue
-		}
 		j.curPhys = r
-		j.matches = j.table.idx[string(j.keyBuf)]
-		j.matchIx = 0
+		j.match = j.matches.start(j.keyCols, r, j.hashes[j.si])
+		j.si++
 	}
 }
 

@@ -1,0 +1,255 @@
+package exec
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+	"testing/quick"
+
+	"github.com/sinewdata/sinew/internal/rdbms/storage"
+	"github.com/sinewdata/sinew/internal/rdbms/types"
+)
+
+// randKey draws a multi-typed key over k in [0, space): the Int k, the
+// Float k that equals it, -0.0 for 0 (equal to both zeros), a Float
+// between two integers, text, numeric arrays with a NULL element, and
+// NULL. Arrays hold only numerics and NULLs so every pair of keys is
+// ordered by CompareOrder, as the sorted operators need.
+func randKey(r *rand.Rand, space int) types.Datum {
+	k := r.Intn(space)
+	switch r.Intn(9) {
+	case 0:
+		return types.NewNull(types.Unknown)
+	case 1:
+		return types.NewFloat(float64(k))
+	case 2:
+		if k == 0 {
+			return types.NewFloat(math.Copysign(0, -1))
+		}
+		return types.NewFloat(float64(k) + 0.5)
+	case 3:
+		return types.NewText(fmt.Sprintf("t%d", k))
+	case 4:
+		return types.NewArray(types.NewInt(int64(k)), types.NewNull(types.Int))
+	case 5:
+		return types.NewArray(types.NewFloat(float64(k)), types.NewNull(types.Unknown))
+	default:
+		return types.NewInt(int64(k))
+	}
+}
+
+// keySpace draws a key range whose group counts land on either side of
+// the key table's growth points (32 ids, then every doubling).
+func keySpace(r *rand.Rand) int {
+	return []int{1, 3, 5, 6, 7, 13, 14, 27, 60, 400}[r.Intn(10)]
+}
+
+// TestPropertyMultiTypedKeysMatchReference holds every key-table consumer
+// to the reference on multi-typed keys: the serial hash aggregate (with a
+// DISTINCT aggregate over multi-typed values), the four-partition
+// two-phase aggregate, the sorted GroupAggregate, the serial and
+// partitioned hash joins, and Unique over sorted rows. The reference
+// matches keys by linear search with types.KeyEqual and hashes nothing.
+func TestPropertyMultiTypedKeysMatchReference(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		space := keySpace(r)
+		rows := make([]storage.Row, drawRows(r, r.Intn(400)))
+		for i := range rows {
+			rows[i] = storage.Row{randKey(r, space), types.NewInt(int64(r.Intn(50))), randKey(r, 3)}
+		}
+		colTypes := []types.Type{types.Int, types.Int, types.Int}
+		h, _ := heapOf(t, colTypes, rows)
+		groupBy := []Expr{col(0, types.Int)}
+		if r.Intn(3) == 0 {
+			groupBy = append(groupBy, col(2, types.Int))
+		}
+		// MIN/MAX read the one-typed column: over a multi-typed one the
+		// first-seen-type rule is the heap's first value for the serial
+		// aggregate and each partition's for the merge.
+		specs := func(distinct bool) []*AggSpec {
+			s := []*AggSpec{
+				{Kind: AggCountStar},
+				{Kind: AggSum, Arg: col(1, types.Int)},
+				{Kind: AggMin, Arg: col(1, types.Int)},
+				{Kind: AggMax, Arg: col(1, types.Int)},
+			}
+			if distinct {
+				s = append(s, &AggSpec{Kind: AggCount, Arg: col(2, types.Int), Distinct: true})
+			}
+			return s
+		}
+		ref := mustRef(t)
+		rowsEqual(t, collectBatches(t, &BatchHashAggIter{
+			In: &sliceBatches{rows: rows}, GroupBy: groupBy, Aggs: specs(true)}),
+			ref(refGroup(rows, groupBy, specs(true))))
+		rowsEqual(t, collectBatches(t, NewParallelHashAgg(
+			h.Partitions(4), chainBuild(h, nil, nil), groupBy, specs(false))),
+			ref(refGroup(rows, groupBy, specs(false))))
+
+		sortKeys := make([]SortKey, len(groupBy))
+		for i, g := range groupBy {
+			sortKeys[i] = SortKey{Expr: g}
+		}
+		sorted := ref(refSort(rows, sortKeys))
+		grouped, err := drainRows(&GroupAggIter{In: rowsOf(sorted...), GroupBy: groupBy, Aggs: specs(true)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := ref(refGroup(sorted, groupBy, specs(true))); canonical(grouped) != canonical(want) {
+			t.Fatalf("seed %d: GroupAggregate %v, reference %v", seed, grouped, want)
+		}
+		unique, err := drainRows(&UniqueIter{In: rowsOf(sorted...), Cols: []int{0}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := ref(refGroup(sorted, groupBy[:1], nil)); len(unique) != len(want) {
+			t.Fatalf("seed %d: Unique kept %d rows, reference has %d groups", seed, len(unique), len(want))
+		}
+
+		build := make([]storage.Row, 1+r.Intn(60))
+		for i := range build {
+			build[i] = storage.Row{randKey(r, space), types.NewInt(int64(i))}
+		}
+		keys := []Expr{col(0, types.Int)}
+		want := ref(refJoin(rows, build, keys, keys, nil))
+		rowsEqual(t, collectBatches(t, &BatchHashJoinIter{
+			Probe: &sliceBatches{rows: rows}, Build: &sliceBatches{rows: build},
+			ProbeKeys: keys, BuildKeys: keys, BuildWidth: 2}), want)
+		rowsEqual(t, collectBatches(t, NewParallelHashJoin(
+			h.Partitions(4), chainBuild(h, nil, nil), &sliceBatches{rows: build},
+			keys, keys, nil, len(colTypes)+2, 2)), want)
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestKeyTableFirstSeenRepresents pins the group rule where Int/Float
+// equality is not transitive: 2^53 and 2^53+1 are two groups, and the
+// float 2^53 that equals both joins the one seen first. -0.0 and 0.0 are
+// one group, represented by the value seen first.
+func TestKeyTableFirstSeenRepresents(t *testing.T) {
+	const big = 1 << 53
+	negZero := types.NewFloat(math.Copysign(0, -1))
+	rows := []storage.Row{
+		{types.NewInt(big + 1)}, {types.NewInt(big)}, {types.NewFloat(big)},
+		{negZero}, {types.NewInt(0)}, {types.NewFloat(0)},
+	}
+	got := collectBatches(t, &BatchHashAggIter{
+		In: &sliceBatches{rows: rows}, GroupBy: []Expr{col(0, types.Int)},
+		Aggs: []*AggSpec{{Kind: AggCountStar}}})
+	// Output order is the encoding's: 2^53+1 and 2^53 share one, so they
+	// come in order of appearance, and the sign bit sorts -0.0 last.
+	rowsEqual(t, got, []storage.Row{
+		{types.NewInt(big + 1), types.NewInt(2)},
+		{types.NewInt(big), types.NewInt(1)},
+		{negZero, types.NewInt(3)},
+	})
+}
+
+// TestHashJoinInexactKeys holds the serial and partitioned hash joins to
+// the nested-loop reference on the build keys one key id cannot answer
+// for: Ints beyond 2^53 beside the Float they both equal (either side
+// first), and Text and Bytes of one content, which hash alike.
+func TestHashJoinInexactKeys(t *testing.T) {
+	const big = 1 << 53
+	vals := []types.Datum{
+		types.NewFloat(big), types.NewInt(big + 1), types.NewInt(big), types.NewInt(7),
+		types.NewText("ab"), types.NewBytes([]byte("ab")), types.NewNull(types.Int),
+		types.NewFloat(7), types.NewInt(big + 1),
+	}
+	for _, order := range [][]int{{0, 1, 2, 3, 4, 5, 6, 7, 8}, {2, 8, 1, 0, 5, 4, 7, 3, 6}, {3, 7, 4}} {
+		var build []storage.Row
+		for i, v := range order {
+			build = append(build, storage.Row{vals[v], types.NewInt(int64(i))})
+		}
+		probe := make([]storage.Row, 3*len(vals))
+		for i := range probe {
+			probe[i] = storage.Row{vals[i%len(vals)], types.NewInt(int64(i))}
+		}
+		h, _ := heapOf(t, []types.Type{types.Int, types.Int}, probe)
+		keys := []Expr{col(0, types.Int)}
+		want := mustRef(t)(refJoin(probe, build, keys, keys, nil))
+		rowsEqual(t, collectBatches(t, &BatchHashJoinIter{
+			Probe: &sliceBatches{rows: probe}, Build: &sliceBatches{rows: build},
+			ProbeKeys: keys, BuildKeys: keys, BuildWidth: 2}), want)
+		rowsEqual(t, collectBatches(t, NewParallelHashJoin(
+			h.Partitions(4), chainBuild(h, nil, nil), &sliceBatches{rows: build},
+			keys, keys, nil, 4, 2)), want)
+	}
+}
+
+// TestHashAggAllocsFlatInGroups pins that a grouped hash aggregate's
+// allocations do not grow with its group count: one key table, one flat
+// state slice and one ordering arena, each grown by doubling.
+func TestHashAggAllocsFlatInGroups(t *testing.T) {
+	allocs := func(groups int) float64 {
+		rows := make([]storage.Row, 4*DefaultBatchSize)
+		for i := range rows {
+			rows[i] = storage.Row{types.NewInt(int64(i % groups)), types.NewInt(int64(i))}
+		}
+		in := &sliceBatches{rows: rows}
+		return testing.AllocsPerRun(5, func() {
+			in.pos = 0
+			it := &BatchHashAggIter{In: in, GroupBy: []Expr{col(0, types.Int)}, Aggs: []*AggSpec{
+				{Kind: AggCountStar}, {Kind: AggSum, Arg: col(1, types.Int)},
+			}}
+			for {
+				b, err := it.NextBatch()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if b == nil {
+					break
+				}
+			}
+			it.Close()
+		})
+	}
+	few, many := allocs(10), allocs(1000)
+	t.Logf("allocations per run: %.0f with 10 groups, %.0f with 1000", few, many)
+	if many-few >= 50 {
+		t.Errorf("1000 groups allocate %.0f times, 10 groups %.0f: grows with the group count", many, few)
+	}
+}
+
+// TestAnyEquality pins x op ANY(arr) over the cases = answers by
+// equality: NULL elements make a miss NULL, an empty array is false,
+// numerics meet across types, other types never match, and <> keeps its
+// ordering rule.
+func TestAnyEquality(t *testing.T) {
+	arr := func(ds ...types.Datum) types.Datum { return types.NewArray(ds...) }
+	null := types.NewNull(types.Unknown)
+	tru, fls, unk := types.NewBool(true), types.NewBool(false), types.NewNull(types.Bool)
+	for _, c := range []struct {
+		x    types.Datum
+		op   string
+		arr  types.Datum
+		want types.Datum
+	}{
+		{types.NewInt(1), "=", arr(types.NewFloat(1)), tru},
+		{types.NewFloat(math.Copysign(0, -1)), "=", arr(types.NewInt(0)), tru},
+		{types.NewInt(1), "=", arr(), fls},
+		{types.NewInt(1), "=", arr(null), unk},
+		{types.NewInt(1), "=", arr(null, types.NewInt(1)), tru},
+		{types.NewInt(2), "=", arr(null, types.NewInt(1)), unk},
+		{types.NewInt(1), "=", arr(types.NewText("1"), types.NewBool(true), types.NewBytes([]byte{1})), fls},
+		{types.NewText("a"), "=", arr(types.NewInt(1), types.NewText("a")), tru},
+		{types.NewInt(1 << 53), "=", arr(types.NewInt(1<<53 + 1)), fls},
+		{null, "=", arr(types.NewInt(1)), unk},
+		{types.NewInt(1), "=", types.NewNull(types.Array), unk},
+		{types.NewInt(1), "<>", arr(types.NewText("x"), types.NewInt(1)), fls},
+		{types.NewInt(1), "<>", arr(types.NewInt(1), types.NewFloat(2)), tru},
+		{types.NewInt(1), "<>", arr(), fls},
+		{types.NewInt(1), "<", arr(types.NewText("z"), types.NewInt(0)), fls},
+	} {
+		e := &AnyExpr{X: lit(c.x), Op: c.op, Array: lit(c.arr)}
+		got := evalOn(t, e, nil)
+		if got.IsNull() != c.want.IsNull() || got.Bool() != c.want.Bool() {
+			t.Errorf("%v %s ANY(%v) = %v, want %v", c.x, c.op, c.arr, got, c.want)
+		}
+	}
+}

@@ -244,7 +244,7 @@ func (p *ParallelPipelineIter) Close() {
 }
 
 // ParallelHashAggIter is the two-phase parallel hash aggregate: phase one
-// runs build + a partial hash-table accumulation per partition worker;
+// runs build + a partial aggTable accumulation per partition worker;
 // phase two merges the partial tables in partition order (so first-seen
 // semantics — group key values, MIN/MAX first-type rule — match the serial
 // heap-order accumulator) and emits groups sorted by encoded key, matching
@@ -263,14 +263,12 @@ type ParallelHashAggIter struct {
 	done    bool
 	closed  bool
 	err     error
-	groups  []*aggGroup
-	pos     int
-	out     *RowBatch
+	emit    groupEmitter
 }
 
 type aggPartial struct {
-	groups map[string]*aggGroup
-	err    error
+	table *aggTable
+	err   error
 }
 
 // NewParallelHashAgg prepares (but does not yet start) a two-phase
@@ -302,93 +300,9 @@ func (p *ParallelHashAggIter) worker(i int, r storage.PageRange) {
 		p.results[i] <- aggPartial{err: err}
 		return
 	}
-	groups := make(map[string]*aggGroup)
-	err = accumulateGroups(src, p.GroupBy, p.Aggs, p.stop, groups)
-	p.results[i] <- aggPartial{groups: groups, err: err}
-}
-
-// accumulateGroups drains src into the group table groups: BatchHashAggIter's
-// whole run and, as a partial table, the per-worker phase one of the
-// parallel aggregate. The caller owns the table, so a serial aggregate's
-// can live on its stack. It polls stop (nil for none) between batches so
-// abandoned queries terminate promptly. Without GROUP BY the one group
-// takes each batch's argument columns whole: no key is built and no table
-// probed.
-func accumulateGroups(src BatchIterator, groupBy []Expr, aggs []*AggSpec, stop <-chan struct{}, groups map[string]*aggGroup) error {
-	defer src.Close()
-	ctx := NewEvalCtx()
-	var keyBuf []byte
-	keyCols := make([][]types.Datum, len(groupBy))
-	argCols := make([][]types.Datum, len(aggs))
-	for {
-		select {
-		case <-stop:
-			return nil
-		default:
-		}
-		in, err := src.NextBatch()
-		if err != nil {
-			return err
-		}
-		if in == nil {
-			return nil
-		}
-		ctx.BeginBatch()
-		for i, g := range groupBy {
-			if keyCols[i], err = EvalBatch(g, in, ctx); err != nil {
-				return err
-			}
-		}
-		for k, spec := range aggs {
-			if spec.Arg == nil || spec.Kind == AggCountStar {
-				argCols[k] = nil
-				continue
-			}
-			if argCols[k], err = EvalBatch(spec.Arg, in, ctx); err != nil {
-				return err
-			}
-		}
-		n := in.Len()
-		sel := in.Sel
-		if len(groupBy) == 0 {
-			grp := groups[""]
-			if grp == nil {
-				grp = newAggGroup(nil, "", aggs)
-				groups[""] = grp
-			}
-			for k, st := range grp.states {
-				if err := st.addColumn(argCols[k], sel, n); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		for si := 0; si < n; si++ {
-			i := selIdx(sel, si)
-			keyBuf = keyBuf[:0]
-			for _, col := range keyCols {
-				keyBuf = col[i].HashKey(keyBuf)
-			}
-			grp, ok := groups[string(keyBuf)]
-			if !ok {
-				keyVals := make([]types.Datum, len(groupBy))
-				for j, col := range keyCols {
-					keyVals[j] = col[i]
-				}
-				grp = newAggGroup(keyVals, string(keyBuf), aggs)
-				groups[grp.encKey] = grp
-			}
-			for k, st := range grp.states {
-				var v types.Datum
-				if argCols[k] != nil {
-					v = argCols[k][i]
-				}
-				if err := st.addValue(v); err != nil {
-					return err
-				}
-			}
-		}
-	}
+	t := newAggTable(len(p.GroupBy), p.Aggs)
+	err = t.accumulate(src, p.GroupBy, p.stop)
+	p.results[i] <- aggPartial{table: t, err: err}
 }
 
 func (p *ParallelHashAggIter) run() {
@@ -396,9 +310,10 @@ func (p *ParallelHashAggIter) run() {
 	if !p.started {
 		p.start()
 	}
-	merged := make(map[string]*aggGroup)
 	// Merge in ascending partition order: a group's key values and MIN/MAX
-	// first-seen type come from its earliest partition, as in a serial scan.
+	// first-seen type come from its earliest partition, as in a serial
+	// scan. The first partition's table is the merged table's start.
+	var merged *aggTable
 	for i := range p.results {
 		part := <-p.results[i]
 		if part.err != nil && p.err == nil {
@@ -407,25 +322,20 @@ func (p *ParallelHashAggIter) run() {
 		if p.err != nil {
 			continue
 		}
-		for k, g := range part.groups {
-			d, ok := merged[k]
-			if !ok {
-				merged[k] = g
-				continue
-			}
-			for s, st := range d.states {
-				if err := st.merge(g.states[s]); err != nil {
-					p.err = err
-					break
-				}
-			}
+		if merged == nil {
+			merged = part.table
+			continue
 		}
+		p.err = merged.merge(part.table)
 	}
 	p.wg.Wait()
 	if p.err != nil {
 		return
 	}
-	p.groups = finishGroups(merged, p.GroupBy, p.Aggs)
+	if merged == nil {
+		merged = newAggTable(len(p.GroupBy), p.Aggs)
+	}
+	p.emit.start(merged)
 }
 
 // NextBatch implements BatchIterator.
@@ -436,30 +346,7 @@ func (p *ParallelHashAggIter) NextBatch() (*RowBatch, error) {
 	if p.err != nil {
 		return nil, p.err
 	}
-	if p.pos >= len(p.groups) {
-		return nil, nil
-	}
-	width := len(p.GroupBy) + len(p.Aggs)
-	if p.out == nil {
-		p.out = NewRowBatch(width, DefaultBatchSize)
-	}
-	b := p.out
-	b.Reset()
-	row := make([]types.Datum, 0, width)
-	for b.Len() < DefaultBatchSize && p.pos < len(p.groups) {
-		g := p.groups[p.pos]
-		p.pos++
-		row = row[:0]
-		row = append(row, g.keyVals...)
-		for _, st := range g.states {
-			row = append(row, st.result())
-		}
-		b.AppendRow(row)
-	}
-	if b.Len() == 0 {
-		return nil, nil
-	}
-	return b, nil
+	return p.emit.next(), nil
 }
 
 // Close implements BatchIterator. Safe before, during, and after run.
@@ -529,7 +416,7 @@ func NewParallelHashJoin(parts []storage.PageRange, probe PipelineBuild, build B
 }
 
 func (p *ParallelHashJoinIter) buildTable() error {
-	p.table = newJoinBuildTable(p.buildWidth)
+	p.table = newJoinBuildTable(p.buildWidth, len(p.BuildKeys))
 	return p.table.addBatches(p.Build, p.BuildKeys)
 }
 
@@ -561,7 +448,8 @@ func (p *ParallelHashJoinIter) worker(i int, r storage.PageRange) {
 	defer src.Close()
 	ctx := NewEvalCtx()
 	keyCols := make([][]types.Datum, len(p.ProbeKeys))
-	var keyBuf []byte
+	var hashes []uint64
+	matches := joinMatches{t: p.table}
 	var rowBuf, joined storage.Row
 	pool := newWorkerBatchPool()
 	ob := pool.get(p.outWidth)
@@ -609,28 +497,16 @@ func (p *ParallelHashJoinIter) worker(i int, r storage.PageRange) {
 				return
 			}
 		}
-		n := in.Len()
 		sel := in.Sel
-		for si := 0; si < n; si++ {
+		hashes = hashKeys(hashes, keyCols, sel, in.Len())
+		for si, h := range hashes {
 			r := selIdx(sel, si)
-			keyBuf = keyBuf[:0]
-			null := false
-			for _, col := range keyCols {
-				if col[r].IsNull() {
-					null = true
-					break
-				}
-				keyBuf = col[r].HashKey(keyBuf)
-			}
-			if null {
-				continue
-			}
-			matches := p.table.idx[string(keyBuf)]
-			if len(matches) == 0 {
+			bid := matches.start(keyCols, r, h)
+			if bid < 0 {
 				continue
 			}
 			rowBuf = in.Row(r, rowBuf)
-			for _, bid := range matches {
+			for ; bid >= 0; bid = matches.next() {
 				// Joined rows assemble in one reused scratch; AppendRow
 				// copies its cells into the output columns, so no per-match
 				// storage.Row is ever allocated.

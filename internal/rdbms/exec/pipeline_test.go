@@ -160,8 +160,8 @@ func TestPropertyParallelAggMatchesSerial(t *testing.T) {
 // would double-count), so merge() must refuse them.
 func TestAggMergeRejectsDistinct(t *testing.T) {
 	spec := &AggSpec{Kind: AggCount, Arg: col(0, types.Int), Distinct: true}
-	a, b := newAggState(spec), newAggState(spec)
-	if err := a.merge(b); err == nil {
+	a, b := aggState{spec: spec}, aggState{spec: spec}
+	if err := a.merge(&b); err == nil {
 		t.Fatal("merge of DISTINCT aggregate states unexpectedly succeeded")
 	}
 }

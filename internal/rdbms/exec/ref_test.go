@@ -99,27 +99,38 @@ func refSort(rows []storage.Row, keys []SortKey) ([]storage.Row, error) {
 	return out, nil
 }
 
-// refGroup groups rows by the encoded values of groupBy and folds aggs per
-// group. Rows are [groupKeys..., aggResults...] in encoded-key order; with
-// no group keys there is exactly one row, even over no input.
+// refGroup groups rows by the values of groupBy and folds aggs per group.
+// It shares nothing with the executor's key table: a row joins the first
+// group, in order of appearance, whose key values are all types.KeyEqual
+// to its own (found by linear search), and a DISTINCT aggregate skips a
+// value KeyEqual to one its group has already folded (linear search too).
+// Rows are [groupKeys..., aggResults...] in encoded-key order, ties in
+// order of appearance; with no group keys there is exactly one row, even
+// over no input.
 func refGroup(rows []storage.Row, groupBy []Expr, aggs []*AggSpec) ([]storage.Row, error) {
 	type group struct {
 		keys   []types.Datum
-		states []*aggState
+		states []aggState
+		seen   [][]types.Datum // per aggregate, the DISTINCT values folded
+	}
+	plain := make([]*AggSpec, len(aggs))
+	for k, spec := range aggs {
+		cp := *spec
+		cp.Distinct = false
+		plain[k] = &cp
 	}
 	newGroup := func(keys []types.Datum) *group {
-		g := &group{keys: keys}
-		for _, spec := range aggs {
-			g.states = append(g.states, newAggState(spec))
+		g := &group{keys: keys, seen: make([][]types.Datum, len(aggs))}
+		for _, spec := range plain {
+			g.states = append(g.states, aggState{spec: spec})
 		}
 		return g
 	}
-	groups := map[string]*group{}
+	var groups []*group
 	if len(groupBy) == 0 {
-		groups[""] = newGroup(nil)
+		groups = append(groups, newGroup(nil))
 	}
 	for _, r := range rows {
-		var enc []byte
 		keys := make([]types.Datum, len(groupBy))
 		for i, g := range groupBy {
 			v, err := g.Eval(r)
@@ -127,30 +138,60 @@ func refGroup(rows []storage.Row, groupBy []Expr, aggs []*AggSpec) ([]storage.Ro
 				return nil, err
 			}
 			keys[i] = v
-			enc = v.HashKey(enc)
 		}
-		g := groups[string(enc)]
+		var g *group
+	find:
+		for _, cand := range groups {
+			for i := range keys {
+				if !types.KeyEqual(cand.keys[i], keys[i]) {
+					continue find
+				}
+			}
+			g = cand
+			break
+		}
 		if g == nil {
 			g = newGroup(keys)
-			groups[string(enc)] = g
+			groups = append(groups, g)
 		}
-		for _, st := range g.states {
-			if err := st.add(r); err != nil {
+	fold:
+		for k, spec := range aggs {
+			if !spec.Distinct {
+				if err := g.states[k].add(r); err != nil {
+					return nil, err
+				}
+				continue
+			}
+			v, err := spec.Arg.Eval(r)
+			if err != nil {
+				return nil, err
+			}
+			for _, s := range g.seen[k] {
+				if types.KeyEqual(s, v) {
+					continue fold
+				}
+			}
+			if !v.IsNull() {
+				g.seen[k] = append(g.seen[k], v)
+			}
+			if err := g.states[k].addValue(v); err != nil {
 				return nil, err
 			}
 		}
 	}
-	encs := make([]string, 0, len(groups))
-	for enc := range groups {
-		encs = append(encs, enc)
+	enc := func(g *group) string {
+		var b []byte
+		for _, k := range g.keys {
+			b = k.HashKey(b)
+		}
+		return string(b)
 	}
-	sort.Strings(encs)
-	out := make([]storage.Row, len(encs))
-	for i, enc := range encs {
-		g := groups[enc]
+	sort.SliceStable(groups, func(a, b int) bool { return enc(groups[a]) < enc(groups[b]) })
+	out := make([]storage.Row, len(groups))
+	for i, g := range groups {
 		row := append(storage.Row(nil), g.keys...)
-		for _, st := range g.states {
-			row = append(row, st.result())
+		for k := range g.states {
+			row = append(row, g.states[k].result())
 		}
 		out[i] = row
 	}

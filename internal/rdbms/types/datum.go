@@ -6,6 +6,7 @@ package types
 import (
 	"bytes"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"strconv"
 	"strings"
@@ -379,16 +380,137 @@ func Equal(a, b Datum) bool {
 	if a.Null || b.Null {
 		return false
 	}
-	if a.Typ != b.Typ && !(a.IsNumeric() && b.IsNumeric()) {
+	if a.Typ == b.Typ {
+		switch a.Typ {
+		case Int:
+			return a.I == b.I
+		case Text:
+			return a.Text() == b.Text()
+		default:
+			// Compare below.
+		}
+	} else if !(a.IsNumeric() && b.IsNumeric()) {
 		return false
 	}
 	c, err := Compare(a, b)
 	return err == nil && c == 0
 }
 
-// HashKey encodes the datum into buf as a self-delimiting byte key such that
-// Equal datums produce equal keys. Numerics are normalized to float64 so
-// 2 and 2.0 collide (matching Equal). Used by hash join/aggregate.
+// KeyEqual is Equal with NULL equal to NULL: the rule by which GROUP BY,
+// DISTINCT and the hash tables put values in one group.
+func KeyEqual(a, b Datum) bool {
+	if an, bn := a.IsNull(), b.IsNull(); an || bn {
+		return an && bn
+	}
+	return Equal(a, b)
+}
+
+// Interchangeable reports whether two KeyEqual values equal exactly the
+// same values: KeyEqual(a, p) == KeyEqual(b, p) for every p. Equality is
+// transitive except across Int and Float beyond 2^53 (2^53 and 2^53+1 both
+// equal the float 2^53 and not each other), so KeyEqual values are
+// interchangeable unless an Int of magnitude 2^53 or more meets a Float,
+// in an array element too. A hash join whose build keys are all
+// interchangeable with their group's first key can answer a probe from
+// that one group.
+func Interchangeable(a, b Datum) bool {
+	if a.IsNull() || b.IsNull() {
+		return true
+	}
+	if a.Typ == Array && b.Typ == Array {
+		ae, be := a.Array(), b.Array()
+		for i := range ae {
+			if !Interchangeable(ae[i], be[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if a.Typ == b.Typ {
+		return true
+	}
+	i := a.I
+	if b.Typ == Int {
+		i = b.I
+	}
+	return -1<<53 < i && i < 1<<53
+}
+
+// hashSeed keys the content hash of text and bytes for the process, so
+// hash values are comparable across every table built in it.
+var hashSeed = maphash.MakeSeed()
+
+// Salts separating the hash domains of NULL, booleans and arrays.
+const (
+	nullHash  = 0x6a09e667f3bcc908
+	boolSalt  = 0xbb67ae8584caa73b
+	arraySalt = 0x3c6ef372fe94f82b
+	nanHash   = 0xa54ff53a5f1d36f1
+)
+
+// Hash returns a 64-bit hash of d that is consistent with KeyEqual:
+// KeyEqual(a, b) implies Hash(a) == Hash(b). Numerics hash through float64
+// (2 and 2.0 collide, -0.0 hashes as 0.0, every NaN alike), text and bytes
+// by content, arrays element by element, and every NULL to one value. The
+// executor's hash tables hash key columns with it and confirm with
+// KeyEqual; unlike HashKey it builds nothing.
+func Hash(d Datum) uint64 {
+	if d.IsNull() {
+		return nullHash
+	}
+	switch d.Typ {
+	case Int:
+		return hashFloat(float64(d.I))
+	case Float:
+		return hashFloat(d.Float())
+	case Bool:
+		return mix64(uint64(d.I) ^ boolSalt)
+	case Text:
+		return maphash.String(hashSeed, d.Text())
+	case Bytes:
+		return maphash.Bytes(hashSeed, d.Bytes())
+	case Array:
+		h := mix64(uint64(d.I) ^ arraySalt)
+		for _, e := range d.Array() {
+			h = HashCombine(h, Hash(e))
+		}
+		return h
+	default:
+		return nullHash
+	}
+}
+
+// HashCombine folds the hash v of the next key column into h.
+func HashCombine(h, v uint64) uint64 { return mix64(h*0x9e3779b97f4a7c15 ^ v) }
+
+func hashFloat(f float64) uint64 {
+	switch {
+	case f == 0:
+		return mix64(0) // -0.0 and 0.0
+	case f != f:
+		return nanHash
+	default:
+		return mix64(math.Float64bits(f))
+	}
+}
+
+// mix64 is the MurmurHash3 finalizer: every input bit reaches every output
+// bit, so the low bits a table masks by are well spread.
+func mix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
+}
+
+// HashKey encodes the datum into buf as a self-delimiting, order-defining
+// byte key. Numerics are normalized to float64 so 2 and 2.0 encode alike;
+// the normalization also folds integers beyond 2^53 together and keeps
+// -0.0 apart from 0.0, so equal keys are not the same thing as Equal
+// datums (Hash is the one consistent with Equal). It orders a hash
+// aggregate's output groups and keys the column statistics.
 func (d Datum) HashKey(buf []byte) []byte {
 	if d.Null {
 		return append(buf, 0x00)
