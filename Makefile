@@ -25,7 +25,9 @@ race:
 	$(GO) test -race ./...
 
 # race-workers re-runs the executor differential tests (serial and
-# parallel pipelines against exec's reference evaluator, ref_test.go)
+# parallel pipelines against exec's reference evaluator, ref_test.go;
+# TestHashJoin* holds the serial probe — which every partitioned-probe
+# worker runs over one shared build table — to it too)
 # under the race detector at several GOMAXPROCS
 # settings: 1 forces serial plans, 2 and 8 vary worker counts and
 # goroutine interleavings through the morsel-driven pipelines, the one
@@ -39,9 +41,9 @@ race:
 # appending pages under pinned snapshots. The final leg drives frozen-page
 # scans end to end through core.
 race-workers:
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestProperty|TestParallel' ./internal/rdbms/exec/
-	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'TestProperty|TestParallel' ./internal/rdbms/exec/
-	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestProperty|TestParallel' ./internal/rdbms/exec/
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestProperty|TestParallel|TestHashJoin' ./internal/rdbms/exec/
+	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'TestProperty|TestParallel|TestHashJoin' ./internal/rdbms/exec/
+	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestProperty|TestParallel|TestHashJoin' ./internal/rdbms/exec/
 	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'TestLimitOverFilteredScanStaysSerial|TestVolatilePredicateStaysSerial' ./internal/rdbms/plan/
 	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'TestTopNBound|TestTopNSkip' ./internal/core/ ./internal/rdbms/storage/
 	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestTopNBound|TestTopNSkip' ./internal/core/ ./internal/rdbms/storage/

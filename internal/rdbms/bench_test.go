@@ -57,6 +57,12 @@ func BenchmarkSortHeavy(b *testing.B) {
 	benchQuery(b, `SELECT id FROM t ORDER BY score DESC LIMIT 10`)
 }
 
+// BenchmarkSortFull is an ORDER BY without a LIMIT: with more than one
+// processor a sorted-merge gather, whose workers each sort one partition.
+func BenchmarkSortFull(b *testing.B) {
+	benchQuery(b, `SELECT id, name FROM t ORDER BY score DESC`)
+}
+
 func BenchmarkHashJoinSelf(b *testing.B) {
 	benchQuery(b, `SELECT COUNT(*) FROM t a, t b WHERE a.id = b.id`)
 }

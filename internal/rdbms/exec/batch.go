@@ -416,7 +416,8 @@ type BatchSizeHinter interface {
 //
 // Set-up is the constructor's range and filter, then NeedCols,
 // SetPageSkip and SetSelFilter, all before the first NextBatch
-// (plan.ScanNode.openRange is the one place the planner does it).
+// (plan.ScanNode.Open is the one place the planner does it, for the whole
+// heap or a gather worker's partition).
 type BatchScanIter struct {
 	Filter Expr
 	// NeedCols, when non-nil, lists the only column indices downstream
@@ -426,7 +427,7 @@ type BatchScanIter struct {
 
 	chunk *storage.HeapChunkIter
 	width int
-	nrows int64 // heap row count at open (for SizeHint; no filter only)
+	nrows int64 // live rows in the range at open (for SizeHint; no filter only)
 	ctx   *EvalCtx
 	keep  []bool
 	shell *RowBatch // frozen-page shell; aliases, never pooled/Reset
@@ -450,14 +451,23 @@ func NewBatchScan(v storage.ReadView, filter Expr) *BatchScanIter {
 // one partition of a parallel pipeline. Stat flushes on Close key on the
 // view's owner heap, so snapshot scans account like live scans.
 func NewBatchScanRange(v storage.ReadView, filter Expr, start, end int) *BatchScanIter {
-	return &BatchScanIter{
+	s := &BatchScanIter{
 		Filter: filter,
 		chunk:  v.IterateRange(start, end),
 		width:  len(v.Schema().Cols),
-		nrows:  v.NumRows(),
 		ctx:    NewEvalCtx(),
 		heap:   v.Owner(),
 	}
+	// The size hint is exact only without a filter. The whole heap knows
+	// its row count; a partition counts the live rows of its own pages.
+	switch {
+	case filter != nil:
+	case start <= 0 && end >= v.NumPages():
+		s.nrows = v.NumRows()
+	default:
+		s.nrows = s.chunk.LiveRows()
+	}
+	return s
 }
 
 // SetPageSkip installs the page-skip predicate mk derives from the scan's

@@ -302,6 +302,29 @@ func TestCollectUsesSizeHint(t *testing.T) {
 	}
 }
 
+// TestPartitionScanSizeHint: an unfiltered scan of a page range hints
+// exactly the rows it delivers — the live rows of its own pages, not the
+// whole heap's — so the sort in a sorted-merge worker presizes for its
+// partition. A filtered scan hints nothing exact.
+func TestPartitionScanSizeHint(t *testing.T) {
+	h := intHeap(t, 4000) // 32 pages
+	if _, err := h.Delete(storage.RowID{Page: 9, Slot: 3}); err != nil {
+		t.Fatal(err)
+	}
+	parts := h.Partitions(4)
+	for _, r := range append(parts, storage.PageRange{End: h.NumPages()}) {
+		scan := NewBatchScanRange(h, nil, r.Start, r.End)
+		n, exact := scan.SizeHint()
+		if got := int64(len(collectBatches(t, scan))); !exact || n != got {
+			t.Errorf("pages %v: hint %d (exact %v), delivered %d", r, n, exact, got)
+		}
+	}
+	pred := &BinExpr{Op: "<", L: col(0, types.Int), R: lit(types.NewInt(5))}
+	if _, exact := NewBatchScanRange(h, pred, parts[0].Start, parts[0].End).SizeHint(); exact {
+		t.Error("a filtered partition scan claims an exact size")
+	}
+}
+
 func TestScanCloseFlushesPagerOnEarlyStop(t *testing.T) {
 	p := storage.NewPager()
 	schema, _ := storage.NewSchema(storage.Column{Name: "v", Typ: types.Int})

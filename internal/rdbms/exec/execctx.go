@@ -15,11 +15,34 @@ import (
 type ExecCtx struct {
 	mu    sync.Mutex
 	views map[*storage.Heap]*storage.HeapSnapshot
+
+	// A gather worker's context (ForPartition) reads view over pages part
+	// and resolves every other heap through parent.
+	parent *ExecCtx
+	view   storage.ReadView
+	part   storage.PageRange
 }
 
 // NewExecCtx returns an empty context. Callers must Release it when the
 // statement finishes.
 func NewExecCtx() *ExecCtx { return &ExecCtx{} }
+
+// ForPartition returns the context a gather worker opens its fragment
+// under: the fragment's scan reads v — the view the gather split into
+// partitions — over the pages of r (Partition). Pins stay with ec, which
+// may be nil; the worker's context holds none and needs no Release.
+func (ec *ExecCtx) ForPartition(v storage.ReadView, r storage.PageRange) *ExecCtx {
+	return &ExecCtx{parent: ec, view: v, part: r}
+}
+
+// Partition returns the page range a gather worker's scan reads; ok is
+// false outside a gather worker, where a scan reads every page.
+func (ec *ExecCtx) Partition() (r storage.PageRange, ok bool) {
+	if ec == nil || ec.view == nil {
+		return storage.PageRange{}, false
+	}
+	return ec.part, true
+}
 
 // View resolves the statement's read view of h: the first call per heap
 // pins the heap's latest snapshot, later calls return the same pin. A nil
@@ -27,6 +50,12 @@ func NewExecCtx() *ExecCtx { return &ExecCtx{} }
 func (ec *ExecCtx) View(h *storage.Heap) storage.ReadView {
 	if ec == nil || h == nil {
 		return h
+	}
+	if ec.view != nil {
+		if h == ec.view.Owner() {
+			return ec.view
+		}
+		return ec.parent.View(h)
 	}
 	ec.mu.Lock()
 	defer ec.mu.Unlock()

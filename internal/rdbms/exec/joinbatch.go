@@ -186,6 +186,8 @@ type BatchHashJoinIter struct {
 	// from its batches).
 	BuildWidth int
 
+	// table, set at construction, is a build table shared read-only with
+	// the other probes of one partitioned-probe join; Build is nil then.
 	table   *joinBuildTable
 	built   bool
 	err     error
@@ -208,9 +210,9 @@ type BatchHashJoinIter struct {
 func (j *BatchHashJoinIter) NextBatch() (*RowBatch, error) {
 	if !j.built {
 		j.built = true
-		j.table = newJoinBuildTable(j.BuildWidth, len(j.BuildKeys))
-		if err := j.table.addBatches(j.Build, j.BuildKeys); err != nil {
-			j.err = err
+		if j.table == nil {
+			j.table = newJoinBuildTable(j.BuildWidth, len(j.BuildKeys))
+			j.err = j.table.addBatches(j.Build, j.BuildKeys)
 		}
 		j.matches.t = j.table
 		j.ctx = NewEvalCtx()
@@ -309,7 +311,9 @@ func (j *BatchHashJoinIter) finish() (*RowBatch, error) {
 // Close implements BatchIterator.
 func (j *BatchHashJoinIter) Close() {
 	j.Probe.Close()
-	j.Build.Close()
+	if j.Build != nil {
+		j.Build.Close()
+	}
 	if j.out != nil {
 		PutBatch(j.out)
 		j.out = nil

@@ -119,7 +119,7 @@ func TestPropertyMultiTypedKeysMatchReference(t *testing.T) {
 			ProbeKeys: keys, BuildKeys: keys, BuildWidth: 2}), want)
 		rowsEqual(t, collectBatches(t, NewParallelHashJoin(
 			h.Partitions(4), chainBuild(h, nil, nil), &sliceBatches{rows: build},
-			keys, keys, nil, len(colTypes)+2, 2)), want)
+			keys, keys, nil, 2)), want)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -178,7 +178,7 @@ func TestHashJoinInexactKeys(t *testing.T) {
 			ProbeKeys: keys, BuildKeys: keys, BuildWidth: 2}), want)
 		rowsEqual(t, collectBatches(t, NewParallelHashJoin(
 			h.Partitions(4), chainBuild(h, nil, nil), &sliceBatches{rows: build},
-			keys, keys, nil, 4, 2)), want)
+			keys, keys, nil, 2)), want)
 	}
 }
 

@@ -4,36 +4,34 @@ import (
 	"sync"
 
 	"github.com/sinewdata/sinew/internal/rdbms/storage"
-	"github.com/sinewdata/sinew/internal/rdbms/types"
 )
 
-// This file implements morsel-driven parallel pipelines: each worker runs a
-// full SCAN→FILTER→PROJECT(→partial AGGREGATE / JOIN probe) operator chain
-// over one contiguous heap page range, and a merge step combines the
-// per-worker streams. Three merge strategies exist:
+// This file implements morsel-driven parallel pipelines: a gather runs one
+// plan fragment per contiguous heap page range, each on its own goroutine,
+// and merges the per-worker streams. One exchange starts the workers,
+// carries their batches and stops them; the merges differ only in how they
+// read it:
 //
 //   - ParallelPipelineIter: ordered merge — partition streams are drained
 //     in ascending partition order, so the merged stream preserves heap
-//     order exactly like the serial pipeline (the property the three-way
-//     differential test pins).
+//     order exactly like the serial pipeline (the property the
+//     differential tests pin).
 //   - ParallelHashAggIter: two-phase aggregation — each worker accumulates
-//     a partial hash table; partials merge via aggState.merge in partition
-//     order (COUNT/SUM/AVG/MIN/MAX and GROUP BY; DISTINCT stays serial).
+//     a partial hash table and sends nothing; partials merge via
+//     aggState.merge in partition order (COUNT/SUM/AVG/MIN/MAX and GROUP
+//     BY; DISTINCT stays serial).
 //   - ParallelHashJoinIter: shared build table, partitioned probe — the
-//     build side is drained once into a read-only hash table, then workers
-//     probe their partitions and the match streams merge in partition
-//     order.
-//
-// Cancellation is the same everywhere: Close signals stop, drains the
-// channels so blocked producers can observe it, and waits for every
-// worker (each worker closes its own source, flushing partition-
-// local pager accounting — no goroutine or byte leaks on early LIMIT or
-// error termination).
+//     build side is drained once into a read-only hash table, then each
+//     worker probes its partition with a BatchHashJoinIter over it and the
+//     match streams merge in partition order.
+//   - ParallelSortedMergeIter (sortbatch.go): sorted merge — each worker
+//     sorts its partition, the merge k-way-scans the partition heads.
 
-// PipelineBuild constructs one worker's operator chain over a page range.
-// It runs on the worker goroutine; any per-worker scratch state (fused
-// extraction kernels, eval contexts) must be created inside it.
-type PipelineBuild func(part storage.PageRange) (BatchIterator, error)
+// PipelineBuild opens one worker's fragment over a page range. It runs on
+// the worker goroutine, so per-worker scratch state (fused extraction
+// kernels, eval contexts) made while opening is that worker's own. An open
+// that fails yields an iterator reporting the error on its first pull.
+type PipelineBuild func(part storage.PageRange) BatchIterator
 
 // workerBatchPool is one gather worker's private recycling loop for the
 // output batches it sends across the merge channel: the merger returns a
@@ -143,105 +141,167 @@ type parallelItem struct {
 	pool *workerBatchPool
 }
 
-// ParallelPipelineIter runs build once per partition on its own goroutine
-// and merges the resulting batch streams in ascending partition order.
-type ParallelPipelineIter struct {
-	parts []chan parallelItem
-	stop  chan struct{}
-	wg    sync.WaitGroup
+// exchangeWork runs partition i over page range r on the worker
+// goroutine. It hands each batch it produces to out.send and returns once
+// send reports false, when the exchange is stopping; work that sends
+// nothing polls out.stop instead. Its error reaches the merge through
+// recv(i).
+type exchangeWork func(i int, r storage.PageRange, out *exchangePart) error
 
-	cur      int
-	last     *RowBatch
-	lastPool *workerBatchPool
-	closed   bool
+// exchange runs one worker goroutine per partition and carries what each
+// produces to the merge, partition by partition. Cancellation is the same
+// for every merge: close signals stop, drains the partition channels so a
+// blocked worker observes it, and waits for every worker — each closes its
+// own fragment first, flushing partition-local pager accounting, so no
+// goroutine or byte leaks when a LIMIT or an error abandons the gather.
+// A zero exchange has no partitions, and close does nothing to it.
+type exchange struct {
+	parts  []exchangePart
+	stop   chan struct{}
+	wg     sync.WaitGroup
+	closed bool
+}
+
+// exchangePart is one partition: its worker's end (send, stop, the
+// worker's batch pool) and the merge's (the batch it holds).
+type exchangePart struct {
+	ch   chan parallelItem
+	stop <-chan struct{}
+	// pool is the worker's batch pool, made on its first send, so work
+	// that sends nothing allocates none.
+	pool *workerBatchPool
+	held parallelItem
+}
+
+// start starts one worker per range. An empty range list leaves the
+// exchange with nothing to deliver.
+func (x *exchange) start(ranges []storage.PageRange, work exchangeWork) {
+	x.parts = make([]exchangePart, len(ranges))
+	x.stop = make(chan struct{})
+	for i, r := range ranges {
+		p := &x.parts[i]
+		// Two batches in flight let a worker produce its next batch while
+		// the merge reads the last, without running far ahead of it.
+		p.ch = make(chan parallelItem, 2)
+		p.stop = x.stop
+		x.wg.Add(1)
+		go x.run(i, r, p, work)
+	}
+}
+
+// run is one worker: it runs work and hands its error to the merge, then
+// closes the partition's channel.
+func (x *exchange) run(i int, r storage.PageRange, p *exchangePart, work exchangeWork) {
+	defer x.wg.Done()
+	defer close(p.ch)
+	if err := work(i, r, p); err != nil {
+		select {
+		case p.ch <- parallelItem{err: err}:
+		case <-p.stop:
+		}
+	}
+}
+
+// send clones b into the worker's pool and hands it to the merge; false
+// means the exchange is stopping and the worker should return.
+func (p *exchangePart) send(b *RowBatch) bool {
+	if p.pool == nil {
+		p.pool = newWorkerBatchPool()
+	}
+	out := cloneBatch(b, p.pool)
+	select {
+	case p.ch <- parallelItem{b: out, pool: p.pool}:
+		return true
+	case <-p.stop:
+		p.pool.put(out)
+		return false
+	}
+}
+
+// recv returns partition i's next batch, or nil once the partition is
+// done, or the error its worker stopped on. The batch stays valid until
+// the next recv(i) or close, which hand it back to its worker.
+func (x *exchange) recv(i int) (*RowBatch, error) {
+	p := &x.parts[i]
+	releaseBatch(p.held.b, p.held.pool)
+	p.held = parallelItem{}
+	item, ok := <-p.ch
+	if !ok {
+		return nil, nil
+	}
+	if item.err != nil {
+		return nil, item.err
+	}
+	p.held = item
+	return item.b, nil
+}
+
+// close signals the workers to stop, drains their channels and waits for
+// them. It is idempotent and safe on an exchange never started.
+func (x *exchange) close() {
+	if x.closed || x.stop == nil {
+		return
+	}
+	x.closed = true
+	close(x.stop)
+	for i := range x.parts {
+		p := &x.parts[i]
+		releaseBatch(p.held.b, p.held.pool)
+		p.held = parallelItem{}
+		for item := range p.ch {
+			PutBatch(item.b)
+		}
+	}
+	x.wg.Wait()
+}
+
+// drainWork is the work of a fragment whose every batch the merge reads:
+// it opens build's fragment over the range and sends what it yields.
+func drainWork(build PipelineBuild) exchangeWork {
+	return func(_ int, r storage.PageRange, out *exchangePart) error {
+		src := build(r)
+		defer src.Close()
+		for {
+			b, err := src.NextBatch()
+			if err != nil || b == nil {
+				return err
+			}
+			if !out.send(b) {
+				return nil
+			}
+		}
+	}
+}
+
+// ParallelPipelineIter is the ordered merge: it runs build once per
+// partition and drains the partition streams in ascending order.
+type ParallelPipelineIter struct {
+	x   exchange
+	cur int
 }
 
 // NewParallelPipeline starts one worker per partition. An empty partition
 // list yields an immediately exhausted iterator.
 func NewParallelPipeline(parts []storage.PageRange, build PipelineBuild) *ParallelPipelineIter {
-	p := &ParallelPipelineIter{
-		parts: make([]chan parallelItem, len(parts)),
-		stop:  make(chan struct{}),
-	}
-	for i, r := range parts {
-		p.parts[i] = make(chan parallelItem, 2)
-		p.wg.Add(1)
-		go p.worker(i, r, build)
-	}
+	p := &ParallelPipelineIter{}
+	p.x.start(parts, drainWork(build))
 	return p
-}
-
-func (p *ParallelPipelineIter) worker(i int, r storage.PageRange, build PipelineBuild) {
-	defer p.wg.Done()
-	defer close(p.parts[i])
-	src, err := build(r)
-	if err != nil {
-		select {
-		case p.parts[i] <- parallelItem{err: err}:
-		case <-p.stop:
-		}
-		return
-	}
-	defer src.Close()
-	pool := newWorkerBatchPool()
-	for {
-		b, err := src.NextBatch()
-		if err != nil {
-			select {
-			case p.parts[i] <- parallelItem{err: err}:
-			case <-p.stop:
-			}
-			return
-		}
-		if b == nil {
-			return
-		}
-		out := cloneBatch(b, pool)
-		select {
-		case p.parts[i] <- parallelItem{b: out, pool: pool}:
-		case <-p.stop:
-			pool.put(out)
-			return
-		}
-	}
 }
 
 // NextBatch implements BatchIterator, draining partitions in ascending
 // order. The previously returned batch is recycled, per the BatchIterator
 // contract that batches are valid only until the next call.
 func (p *ParallelPipelineIter) NextBatch() (*RowBatch, error) {
-	if p.last != nil {
-		releaseBatch(p.last, p.lastPool)
-		p.last, p.lastPool = nil, nil
-	}
-	for p.cur < len(p.parts) {
-		item, ok := <-p.parts[p.cur]
-		if !ok {
-			p.cur++
-			continue
+	for ; p.cur < len(p.x.parts); p.cur++ {
+		if b, err := p.x.recv(p.cur); b != nil || err != nil {
+			return b, err
 		}
-		if item.err != nil {
-			return nil, item.err
-		}
-		p.last, p.lastPool = item.b, item.pool
-		return item.b, nil
 	}
 	return nil, nil
 }
 
 // Close implements BatchIterator: signals workers, drains, waits.
-func (p *ParallelPipelineIter) Close() {
-	if p.closed {
-		return
-	}
-	p.closed = true
-	close(p.stop)
-	for _, ch := range p.parts {
-		for range ch { //nolint:revive // drained for effect
-		}
-	}
-	p.wg.Wait()
-}
+func (p *ParallelPipelineIter) Close() { p.x.close() }
 
 // ParallelHashAggIter is the two-phase parallel hash aggregate: phase one
 // runs build + a partial aggTable accumulation per partition worker;
@@ -253,95 +313,54 @@ type ParallelHashAggIter struct {
 	GroupBy []Expr
 	Aggs    []*AggSpec
 
-	ranges  []storage.PageRange
-	build   PipelineBuild
-	results []chan aggPartial
-	stop    chan struct{}
-	wg      sync.WaitGroup
+	ranges []storage.PageRange
+	build  PipelineBuild
+	x      exchange
 
-	started bool
-	done    bool
-	closed  bool
-	err     error
-	emit    groupEmitter
-}
-
-type aggPartial struct {
-	table *aggTable
-	err   error
+	done bool
+	err  error
+	emit groupEmitter
 }
 
 // NewParallelHashAgg prepares (but does not yet start) a two-phase
 // aggregation over the given partitions.
 func NewParallelHashAgg(parts []storage.PageRange, build PipelineBuild, groupBy []Expr, aggs []*AggSpec) *ParallelHashAggIter {
-	return &ParallelHashAggIter{
-		GroupBy: groupBy,
-		Aggs:    aggs,
-		ranges:  parts,
-		build:   build,
-		stop:    make(chan struct{}),
-	}
+	return &ParallelHashAggIter{GroupBy: groupBy, Aggs: aggs, ranges: parts, build: build}
 }
 
-func (p *ParallelHashAggIter) start() {
-	p.started = true
-	p.results = make([]chan aggPartial, len(p.ranges))
-	for i, r := range p.ranges {
-		p.results[i] = make(chan aggPartial, 1)
-		p.wg.Add(1)
-		go p.worker(i, r)
-	}
-}
-
-func (p *ParallelHashAggIter) worker(i int, r storage.PageRange) {
-	defer p.wg.Done()
-	src, err := p.build(r)
-	if err != nil {
-		p.results[i] <- aggPartial{err: err}
-		return
-	}
-	t := newAggTable(len(p.GroupBy), p.Aggs)
-	err = t.accumulate(src, p.GroupBy, p.stop)
-	p.results[i] <- aggPartial{table: t, err: err}
-}
-
-func (p *ParallelHashAggIter) run() {
-	p.done = true
-	if !p.started {
-		p.start()
-	}
-	// Merge in ascending partition order: a group's key values and MIN/MAX
-	// first-seen type come from its earliest partition, as in a serial
-	// scan. The first partition's table is the merged table's start.
+// run starts phase one and does phase two as the partitions finish, in
+// partition order; the first partition's table is the merged table's
+// start. A partition's error returns at once, and Close stops the others.
+func (p *ParallelHashAggIter) run() error {
+	tables := make([]*aggTable, len(p.ranges))
+	p.x.start(p.ranges, func(i int, r storage.PageRange, out *exchangePart) error {
+		tables[i] = newAggTable(len(p.GroupBy), p.Aggs)
+		return tables[i].accumulate(p.build(r), p.GroupBy, out.stop)
+	})
 	var merged *aggTable
-	for i := range p.results {
-		part := <-p.results[i]
-		if part.err != nil && p.err == nil {
-			p.err = part.err
-		}
-		if p.err != nil {
-			continue
+	for i := range tables {
+		// recv returns once worker i is done, so tables[i] is complete.
+		if _, err := p.x.recv(i); err != nil {
+			return err
 		}
 		if merged == nil {
-			merged = part.table
-			continue
+			merged = tables[i]
+		} else if err := merged.merge(tables[i]); err != nil {
+			return err
 		}
-		p.err = merged.merge(part.table)
-	}
-	p.wg.Wait()
-	if p.err != nil {
-		return
 	}
 	if merged == nil {
 		merged = newAggTable(len(p.GroupBy), p.Aggs)
 	}
 	p.emit.start(merged)
+	return nil
 }
 
 // NextBatch implements BatchIterator.
 func (p *ParallelHashAggIter) NextBatch() (*RowBatch, error) {
 	if !p.done {
-		p.run()
+		p.done = true
+		p.err = p.run()
 	}
 	if p.err != nil {
 		return nil, p.err
@@ -350,30 +369,14 @@ func (p *ParallelHashAggIter) NextBatch() (*RowBatch, error) {
 }
 
 // Close implements BatchIterator. Safe before, during, and after run.
-func (p *ParallelHashAggIter) Close() {
-	if p.closed {
-		return
-	}
-	p.closed = true
-	close(p.stop)
-	if p.started && !p.done {
-		// Drain pending partials so workers can exit, then wait.
-		for i := range p.results {
-			select {
-			case <-p.results[i]:
-			default:
-			}
-		}
-	}
-	p.wg.Wait()
-}
+func (p *ParallelHashAggIter) Close() { p.x.close() }
 
 // ParallelHashJoinIter is an inner equi-join with a shared build table and
-// partitioned probe: the build side is drained once (serially — it may
-// itself be a parallel gather) into a hash table, then partition workers
-// run the probe-side pipeline over their page ranges and emit joined rows.
-// Output matches BatchHashJoinIter's exactly: probeRow ++ buildRow, NULL
-// keys never match, and Residual is checked on joined rows.
+// partitioned probe: on the first pull the build side is drained once
+// (serially — it may itself be a parallel gather) into a read-only table,
+// then each partition worker runs a BatchHashJoinIter over its probe
+// fragment and that table, and the ordered merge reads their outputs. The
+// output is therefore BatchHashJoinIter's exactly.
 type ParallelHashJoinIter struct {
 	Build     BatchIterator
 	ProbeKeys []Expr
@@ -381,199 +384,49 @@ type ParallelHashJoinIter struct {
 	Residual  Expr
 
 	ranges     []storage.PageRange
-	buildFn    PipelineBuild
-	outWidth   int
+	probe      PipelineBuild
 	buildWidth int
 
-	table   *joinBuildTable
 	started bool
-
-	parts    []chan parallelItem
-	stop     chan struct{}
-	wg       sync.WaitGroup
-	cur      int
-	last     *RowBatch
-	lastPool *workerBatchPool
-	closed   bool
-	err      error
+	err     error
+	merge   ParallelPipelineIter
 }
 
-// NewParallelHashJoin prepares a partitioned-probe join. outWidth is the
-// joined row width (probe width + build width) and buildWidth the build
-// side's column count.
-func NewParallelHashJoin(parts []storage.PageRange, probe PipelineBuild, build BatchIterator, probeKeys, buildKeys []Expr, residual Expr, outWidth, buildWidth int) *ParallelHashJoinIter {
+// NewParallelHashJoin prepares a partitioned-probe join; buildWidth is the
+// build side's column count.
+func NewParallelHashJoin(parts []storage.PageRange, probe PipelineBuild, build BatchIterator, probeKeys, buildKeys []Expr, residual Expr, buildWidth int) *ParallelHashJoinIter {
 	return &ParallelHashJoinIter{
 		Build:      build,
 		ProbeKeys:  probeKeys,
 		BuildKeys:  buildKeys,
 		Residual:   residual,
 		ranges:     parts,
-		buildFn:    probe,
-		outWidth:   outWidth,
+		probe:      probe,
 		buildWidth: buildWidth,
-		stop:       make(chan struct{}),
 	}
 }
 
-func (p *ParallelHashJoinIter) buildTable() error {
-	p.table = newJoinBuildTable(p.buildWidth, len(p.BuildKeys))
-	return p.table.addBatches(p.Build, p.BuildKeys)
-}
-
-func (p *ParallelHashJoinIter) start() {
-	p.started = true
-	if err := p.buildTable(); err != nil {
-		p.err = err
-		return
-	}
-	p.parts = make([]chan parallelItem, len(p.ranges))
-	for i, r := range p.ranges {
-		p.parts[i] = make(chan parallelItem, 2)
-		p.wg.Add(1)
-		go p.worker(i, r)
-	}
-}
-
-func (p *ParallelHashJoinIter) worker(i int, r storage.PageRange) {
-	defer p.wg.Done()
-	defer close(p.parts[i])
-	src, err := p.buildFn(r)
-	if err != nil {
-		select {
-		case p.parts[i] <- parallelItem{err: err}:
-		case <-p.stop:
-		}
-		return
-	}
-	defer src.Close()
-	ctx := NewEvalCtx()
-	keyCols := make([][]types.Datum, len(p.ProbeKeys))
-	var hashes []uint64
-	matches := joinMatches{t: p.table}
-	var rowBuf, joined storage.Row
-	pool := newWorkerBatchPool()
-	ob := pool.get(p.outWidth)
-	send := func() bool {
-		if ob.Len() == 0 {
-			return true
-		}
-		select {
-		case p.parts[i] <- parallelItem{b: ob, pool: pool}:
-			ob = pool.get(p.outWidth)
-			return true
-		case <-p.stop:
-			pool.put(ob)
-			ob = nil
-			return false
-		}
-	}
-	fail := func(err error) {
-		if ob != nil {
-			pool.put(ob)
-			ob = nil
-		}
-		select {
-		case p.parts[i] <- parallelItem{err: err}:
-		case <-p.stop:
-		}
-	}
-	for {
-		in, err := src.NextBatch()
-		if err != nil {
-			fail(err)
-			return
-		}
-		if in == nil {
-			send()
-			if ob != nil {
-				pool.put(ob)
-			}
-			return
-		}
-		ctx.BeginBatch()
-		for k, ke := range p.ProbeKeys {
-			if keyCols[k], err = EvalBatch(ke, in, ctx); err != nil {
-				fail(err)
-				return
-			}
-		}
-		sel := in.Sel
-		hashes = hashKeys(hashes, keyCols, sel, in.Len())
-		for si, h := range hashes {
-			r := selIdx(sel, si)
-			bid := matches.start(keyCols, r, h)
-			if bid < 0 {
-				continue
-			}
-			rowBuf = in.Row(r, rowBuf)
-			for ; bid >= 0; bid = matches.next() {
-				// Joined rows assemble in one reused scratch; AppendRow
-				// copies its cells into the output columns, so no per-match
-				// storage.Row is ever allocated.
-				joined = append(joined[:0], rowBuf...)
-				joined = p.table.appendTo(joined, bid)
-				if p.Residual != nil {
-					keep, err := EvalBool(p.Residual, joined)
-					if err != nil {
-						fail(err)
-						return
-					}
-					if !keep {
-						continue
-					}
-				}
-				ob.AppendRow(joined)
-				if ob.Len() >= DefaultBatchSize {
-					if !send() {
-						return
-					}
-				}
-			}
-		}
-	}
-}
-
-// NextBatch implements BatchIterator, merging partitions in ascending
-// order so output order matches the serial BatchHashJoinIter probe order.
+// NextBatch implements BatchIterator.
 func (p *ParallelHashJoinIter) NextBatch() (*RowBatch, error) {
 	if !p.started {
-		p.start()
+		p.started = true
+		table := newJoinBuildTable(p.buildWidth, len(p.BuildKeys))
+		if p.err = table.addBatches(p.Build, p.BuildKeys); p.err == nil {
+			p.merge.x.start(p.ranges, drainWork(func(r storage.PageRange) BatchIterator {
+				return &BatchHashJoinIter{Probe: p.probe(r), ProbeKeys: p.ProbeKeys, Residual: p.Residual, table: table}
+			}))
+		}
 	}
 	if p.err != nil {
 		return nil, p.err
 	}
-	if p.last != nil {
-		releaseBatch(p.last, p.lastPool)
-		p.last, p.lastPool = nil, nil
-	}
-	for p.cur < len(p.parts) {
-		item, ok := <-p.parts[p.cur]
-		if !ok {
-			p.cur++
-			continue
-		}
-		if item.err != nil {
-			return nil, item.err
-		}
-		p.last, p.lastPool = item.b, item.pool
-		return item.b, nil
-	}
-	return nil, nil
+	return p.merge.NextBatch()
 }
 
 // Close implements BatchIterator.
 func (p *ParallelHashJoinIter) Close() {
-	if p.closed {
-		return
-	}
-	p.closed = true
 	if !p.started {
 		p.Build.Close()
 	}
-	close(p.stop)
-	for _, ch := range p.parts {
-		for range ch { //nolint:revive // drained for effect
-		}
-	}
-	p.wg.Wait()
+	p.merge.Close()
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -50,9 +51,9 @@ func drawRows(r *rand.Rand, small int) int {
 }
 
 // chainBuild returns a PipelineBuild running scan→filter→project over one
-// partition, mirroring GatherNode.buildPartition.
+// partition, the fragment a gather's workers open for such a chain.
 func chainBuild(h *storage.Heap, pred Expr, projs []Expr) PipelineBuild {
-	return func(r storage.PageRange) (BatchIterator, error) {
+	return func(r storage.PageRange) BatchIterator {
 		var cur BatchIterator = NewBatchScanRange(h, nil, r.Start, r.End)
 		if pred != nil {
 			cur = &BatchFilterIter{In: cur, Pred: pred}
@@ -60,7 +61,7 @@ func chainBuild(h *storage.Heap, pred Expr, projs []Expr) PipelineBuild {
 		if projs != nil {
 			cur = &BatchProjectIter{In: cur, Exprs: projs}
 		}
-		return cur, nil
+		return cur
 	}
 }
 
@@ -194,8 +195,7 @@ func TestPropertyParallelJoinMatchesSerial(t *testing.T) {
 		for _, workers := range []int{2, 4} {
 			par := collectBatches(t, NewParallelHashJoin(
 				h.Partitions(workers), chainBuild(h, nil, nil),
-				&sliceBatches{rows: build}, probeKeys, buildKeys, residual,
-				len(colTypes)+2, 2))
+				&sliceBatches{rows: build}, probeKeys, buildKeys, residual, 2))
 			rowsEqual(t, par, want)
 		}
 		return true
@@ -233,21 +233,20 @@ func freezeCols(h *storage.Heap, stripe map[int]bool) int {
 	return h.FreezeColdPages()
 }
 
-// selChainBuild mirrors GatherNode.buildPartition with the predicate
-// pushed into the scan: frozen pages filter through the SelFilter (shared
-// across partitions, per-partition state instantiated on the worker
-// goroutine; nil makes the scan compile its own), row-form pages compact
-// in place. With no projection it is the zero-operator gather of a bare
-// filtered scan.
+// selChainBuild is chainBuild with the predicate pushed into the scan:
+// frozen pages filter through the SelFilter (shared across partitions,
+// per-partition state instantiated on the worker goroutine; nil makes the
+// scan compile its own), row-form pages compact in place. With no
+// projection it is the zero-operator gather of a bare filtered scan.
 func selChainBuild(h *storage.Heap, pred Expr, projs []Expr, sf *SelFilter) PipelineBuild {
-	return func(rg storage.PageRange) (BatchIterator, error) {
+	return func(rg storage.PageRange) BatchIterator {
 		scan := NewBatchScanRange(h, pred, rg.Start, rg.End)
 		scan.SetSelFilter(sf)
 		var cur BatchIterator = scan
 		if projs != nil {
 			cur = &BatchProjectIter{In: cur, Exprs: projs}
 		}
-		return cur, nil
+		return cur
 	}
 }
 
@@ -394,16 +393,16 @@ func TestPropertyStripedMixedHeap(t *testing.T) {
 			if pred != nil && seed%2 == 0 {
 				sf = CompileSelFilter([]Expr{pred}, len(colTypes), nil, nil)
 			}
-			build := func(rg storage.PageRange) (BatchIterator, error) {
+			build := func(rg storage.PageRange) BatchIterator {
 				s := NewBatchScanRange(h, pred, rg.Start, rg.End)
 				s.NeedCols = need
 				if skip != nil {
 					s.SetPageSkip(func(*storage.HeapChunkIter) func(*storage.PageSummary) bool { return skip })
 				}
 				s.SetSelFilter(sf)
-				return s, nil
+				return s
 			}
-			serial, _ := build(whole)
+			serial := build(whole)
 			pager.Reset()
 			rowsEqual(t, collectBatches(t, &BatchProjectIter{Exprs: projs, In: serial}), want)
 			if skipped, _ := pager.ExecStats(); skip != nil && skipped == 0 {
@@ -568,7 +567,7 @@ func TestPropertyStripedSelConsumers(t *testing.T) {
 			rowsEqual(t, gotJ, wantJ)
 			parJ := collectBatches(t, NewParallelHashJoin(
 				h.Partitions(2), selChainBuild(h, pred, nil, sf),
-				&sliceBatches{rows: build}, keys, keys, nil, len(colTypes)+2, 2))
+				&sliceBatches{rows: build}, keys, keys, nil, 2))
 			rowsEqual(t, parJ, wantJ)
 		}
 		check("frozen")
@@ -671,7 +670,7 @@ func TestParallelPipelinesReleaseOnEarlyClose(t *testing.T) {
 		"join": func() BatchIterator {
 			return NewParallelHashJoin(h.Partitions(4), chainBuild(h, nil, nil),
 				&sliceBatches{rows: build}, []Expr{col(0, types.Int)}, []Expr{col(0, types.Int)},
-				nil, 4, 2)
+				nil, 2)
 		},
 	}
 	for name, make := range mk {
@@ -699,5 +698,47 @@ func TestParallelPipelinesReleaseOnEarlyClose(t *testing.T) {
 		it.Close()
 		waitGoroutines(t, base)
 		_ = name
+	}
+
+	// A fragment that fails on partition 0's first page, while the other
+	// partitions run on: every merge returns the serial plan's error and
+	// stops the others when closed.
+	bad := make([]storage.Row, len(rows))
+	for i := range bad {
+		s := "x"
+		if i >= storage.PageCapacity {
+			s = strconv.Itoa(i)
+		}
+		bad[i] = storage.Row{types.NewInt(int64(i)), types.NewText(s)}
+	}
+	bh, _ := heapOf(t, colTypes, bad)
+	fails := &BinExpr{Op: ">=", L: &CastExpr{X: col(1, types.Text), To: types.Int}, R: lit(types.NewInt(0))}
+	_, want := CollectBatches(&BatchFilterIter{In: NewBatchScan(bh, nil), Pred: fails})
+	if want == nil {
+		t.Fatal("the failing predicate passed every row")
+	}
+	keys := []SortKey{{Expr: col(0, types.Int), Desc: true}}
+	for name, it := range map[string]func() BatchIterator{
+		"pipeline": func() BatchIterator {
+			return NewParallelPipeline(bh.Partitions(4), chainBuild(bh, fails, nil))
+		},
+		"agg": func() BatchIterator {
+			return NewParallelHashAgg(bh.Partitions(4), chainBuild(bh, fails, nil), groupBy, aggs)
+		},
+		"join": func() BatchIterator {
+			return NewParallelHashJoin(bh.Partitions(4), chainBuild(bh, fails, nil),
+				&sliceBatches{rows: build}, []Expr{col(0, types.Int)}, []Expr{col(0, types.Int)},
+				nil, 2)
+		},
+		"sort": func() BatchIterator {
+			return NewParallelSortedMerge(bh.Partitions(4), sortChainBuild(bh, fails, keys, -1), keys, -1)
+		},
+	} {
+		base := runtime.NumGoroutine()
+		_, err := CollectBatches(it())
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: error %v, want the serial plan's %v", name, err, want)
+		}
+		waitGoroutines(t, base)
 	}
 }

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"slices"
-	"sync"
 
 	"github.com/sinewdata/sinew/internal/rdbms/storage"
 	"github.com/sinewdata/sinew/internal/rdbms/types"
@@ -243,100 +242,42 @@ func emitPerm(out *RowBatch, cols [][]types.Datum, present []bool, keyCols [][]t
 // and the merger k-way-scans the partition heads comparing the trailing
 // precomputed key columns. Ties break by partition index, which — combined
 // with stable per-partition sorts over ascending page ranges — reproduces
-// the serial stable sort order exactly. Cancellation follows
-// ParallelPipelineIter's discipline (stop, drain, wait).
+// the serial stable sort order exactly.
 type ParallelSortedMergeIter struct {
 	keys []SortKey
 	// limit, when >= 0, stops the merge after that many rows (Top-N).
 	limit int64
 
-	parts []chan parallelItem
-	stop  chan struct{}
-	wg    sync.WaitGroup
+	x       exchange
+	heads   []mergeHead
+	primed  bool
+	emitted int64
+	dataW   int
+	haveW   bool
+	out     *RowBatch
+	err     error
+}
 
-	heads     []*RowBatch
-	headPools []*workerBatchPool
-	headPos   []int
-	primed    bool
-	emitted   int64
-	dataW     int
-	haveW     bool
-	out       *RowBatch
-	err       error
-	closed    bool
+// mergeHead is a partition's current batch (nil once the partition is
+// exhausted) and the position of its next row.
+type mergeHead struct {
+	b   *RowBatch
+	pos int
 }
 
 // NewParallelSortedMerge starts one worker per partition; limit < 0 means
 // unbounded.
 func NewParallelSortedMerge(parts []storage.PageRange, build PipelineBuild, keys []SortKey, limit int64) *ParallelSortedMergeIter {
-	m := &ParallelSortedMergeIter{
-		keys:      keys,
-		limit:     limit,
-		parts:     make([]chan parallelItem, len(parts)),
-		stop:      make(chan struct{}),
-		heads:     make([]*RowBatch, len(parts)),
-		headPools: make([]*workerBatchPool, len(parts)),
-		headPos:   make([]int, len(parts)),
-	}
-	for i, r := range parts {
-		m.parts[i] = make(chan parallelItem, 2)
-		m.wg.Add(1)
-		go m.worker(i, r, build)
-	}
+	m := &ParallelSortedMergeIter{keys: keys, limit: limit, heads: make([]mergeHead, len(parts))}
+	m.x.start(parts, drainWork(build))
 	return m
 }
 
-func (m *ParallelSortedMergeIter) worker(i int, r storage.PageRange, build PipelineBuild) {
-	defer m.wg.Done()
-	defer close(m.parts[i])
-	src, err := build(r)
-	if err != nil {
-		select {
-		case m.parts[i] <- parallelItem{err: err}:
-		case <-m.stop:
-		}
-		return
-	}
-	defer src.Close()
-	pool := newWorkerBatchPool()
-	for {
-		b, err := src.NextBatch()
-		if err != nil {
-			select {
-			case m.parts[i] <- parallelItem{err: err}:
-			case <-m.stop:
-			}
-			return
-		}
-		if b == nil {
-			return
-		}
-		out := cloneBatch(b, pool)
-		select {
-		case m.parts[i] <- parallelItem{b: out, pool: pool}:
-		case <-m.stop:
-			pool.put(out)
-			return
-		}
-	}
-}
-
-// advance releases partition i's consumed head and pulls its next batch;
-// an exhausted partition leaves heads[i] nil.
+// advance hands partition i's consumed head back and pulls its next batch.
 func (m *ParallelSortedMergeIter) advance(i int) error {
-	if m.heads[i] != nil {
-		releaseBatch(m.heads[i], m.headPools[i])
-		m.heads[i], m.headPools[i] = nil, nil
-	}
-	item, ok := <-m.parts[i]
-	if !ok {
-		return nil
-	}
-	if item.err != nil {
-		return item.err
-	}
-	m.heads[i], m.headPools[i], m.headPos[i] = item.b, item.pool, 0
-	return nil
+	b, err := m.x.recv(i)
+	m.heads[i] = mergeHead{b: b}
+	return err
 }
 
 // less reports whether partition a's head row sorts before partition b's.
@@ -344,11 +285,11 @@ func (m *ParallelSortedMergeIter) advance(i int) error {
 // precomputed sort keys.
 func (m *ParallelSortedMergeIter) less(a, b int) bool {
 	ha, hb := m.heads[a], m.heads[b]
-	wa := ha.Width() - len(m.keys)
-	wb := hb.Width() - len(m.keys)
+	wa := ha.b.Width() - len(m.keys)
+	wb := hb.b.Width() - len(m.keys)
 	for k := range m.keys {
 		// compareForSort is total over heterogeneous values; it never errors.
-		c, _ := compareForSort(ha.Cols[wa+k][m.headPos[a]], hb.Cols[wb+k][m.headPos[b]], m.keys[k].Desc)
+		c, _ := compareForSort(ha.b.Cols[wa+k][ha.pos], hb.b.Cols[wb+k][hb.pos], m.keys[k].Desc)
 		if c != 0 {
 			return c < 0
 		}
@@ -365,7 +306,7 @@ func (m *ParallelSortedMergeIter) NextBatch() (*RowBatch, error) {
 	}
 	if !m.primed {
 		m.primed = true
-		for i := range m.parts {
+		for i := range m.heads {
 			if err := m.advance(i); err != nil {
 				m.err = err
 				return nil, err
@@ -377,8 +318,8 @@ func (m *ParallelSortedMergeIter) NextBatch() (*RowBatch, error) {
 	}
 	if !m.haveW {
 		for _, h := range m.heads {
-			if h != nil {
-				m.dataW = h.Width() - len(m.keys)
+			if h.b != nil {
+				m.dataW = h.b.Width() - len(m.keys)
 				m.haveW = true
 				break
 			}
@@ -396,7 +337,7 @@ func (m *ParallelSortedMergeIter) NextBatch() (*RowBatch, error) {
 	for n < DefaultBatchSize {
 		best := -1
 		for i := range m.heads {
-			if m.heads[i] == nil {
+			if m.heads[i].b == nil {
 				continue
 			}
 			if best == -1 || m.less(i, best) {
@@ -406,11 +347,10 @@ func (m *ParallelSortedMergeIter) NextBatch() (*RowBatch, error) {
 		if best == -1 {
 			break
 		}
-		h := m.heads[best]
-		r := m.headPos[best]
+		h := &m.heads[best]
 		for j := 0; j < m.dataW; j++ {
-			if col := h.Cols[j]; r < len(col) {
-				out.Cols[j] = append(out.Cols[j], col[r])
+			if col := h.b.Cols[j]; h.pos < len(col) {
+				out.Cols[j] = append(out.Cols[j], col[h.pos])
 			} else {
 				// Column pruned below the partition sorter: a zero Datum is
 				// what every row-view of a pruned column yields.
@@ -419,8 +359,8 @@ func (m *ParallelSortedMergeIter) NextBatch() (*RowBatch, error) {
 		}
 		n++
 		m.emitted++
-		m.headPos[best]++
-		if m.headPos[best] >= h.Len() {
+		h.pos++
+		if h.pos >= h.b.Len() {
 			if err := m.advance(best); err != nil {
 				m.err = err
 				return nil, err
@@ -440,25 +380,10 @@ func (m *ParallelSortedMergeIter) NextBatch() (*RowBatch, error) {
 	return out, nil
 }
 
-// Close implements BatchIterator: signals workers, releases held heads,
-// drains, waits.
+// Close implements BatchIterator: stops the workers (handing the held heads
+// back) and releases the output batch.
 func (m *ParallelSortedMergeIter) Close() {
-	if m.closed {
-		return
-	}
-	m.closed = true
-	close(m.stop)
-	for i := range m.heads {
-		if m.heads[i] != nil {
-			releaseBatch(m.heads[i], m.headPools[i])
-			m.heads[i], m.headPools[i] = nil, nil
-		}
-	}
-	for _, ch := range m.parts {
-		for range ch { //nolint:revive // drained for effect
-		}
-	}
-	m.wg.Wait()
+	m.x.close()
 	if m.out != nil {
 		PutBatch(m.out)
 		m.out = nil

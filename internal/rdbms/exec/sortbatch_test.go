@@ -32,19 +32,19 @@ func randSortKeys(r *rand.Rand, colTypes []types.Type) []SortKey {
 	return keys
 }
 
-// sortChainBuild mirrors GatherNode.buildPartition for a sorted-merge
-// gather: scan→(filter)→sorter with AppendKeys, one per partition. limit < 0
+// sortChainBuild is a sorted-merge gather's fragment: scan→(filter)→sorter
+// with AppendKeys, one per partition. limit < 0
 // builds a full BatchSortIter, otherwise a BatchTopNIter bounded at limit.
 func sortChainBuild(h *storage.Heap, pred Expr, keys []SortKey, limit int64) PipelineBuild {
-	return func(r storage.PageRange) (BatchIterator, error) {
+	return func(r storage.PageRange) BatchIterator {
 		var cur BatchIterator = NewBatchScanRange(h, nil, r.Start, r.End)
 		if pred != nil {
 			cur = &BatchFilterIter{In: cur, Pred: pred}
 		}
 		if limit >= 0 {
-			return &BatchTopNIter{In: cur, Keys: keys, N: limit, AppendKeys: true}, nil
+			return &BatchTopNIter{In: cur, Keys: keys, N: limit, AppendKeys: true}
 		}
-		return &BatchSortIter{In: cur, Keys: keys, AppendKeys: true}, nil
+		return &BatchSortIter{In: cur, Keys: keys, AppendKeys: true}
 	}
 }
 

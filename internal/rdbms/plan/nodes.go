@@ -94,7 +94,7 @@ func annotation(n Node) string {
 // retain the planning-time snapshot's pages). A batch scan has no modes:
 // exec.BatchScanIter picks, page by page, between aliasing a frozen page
 // and transposing row-form ones, and it is serial — parallelism is a
-// GatherNode opening one range per worker through openRange.
+// GatherNode whose workers each open it over one page range (Open).
 type ScanNode struct {
 	baseNode
 	Heap      storage.ReadView
@@ -146,18 +146,17 @@ func (s *ScanNode) Details() []string {
 // Children implements Node.
 func (s *ScanNode) Children() []Node { return nil }
 
-// Open implements Node.
+// Open implements Node. The scan reads every page of its view, or, under a
+// gather worker's context, the worker's partition (exec.ExecCtx.Partition).
+// It runs on the goroutine that will drive the scan, so the skip test and
+// the scan's evaluation state are that goroutine's own.
 func (s *ScanNode) Open(ec *exec.ExecCtx) exec.BatchIterator {
 	v := execView(ec, s.Heap)
-	return s.openRange(v, 0, v.NumPages())
-}
-
-// openRange opens the batch scan over pages [start, end) of v: the whole
-// heap for a serial plan, one partition for a gather worker. It runs on
-// the goroutine that will drive the scan, so the skip test and the scan's
-// evaluation state are that goroutine's own.
-func (s *ScanNode) openRange(v storage.ReadView, start, end int) *exec.BatchScanIter {
-	it := exec.NewBatchScanRange(v, conjoinExec(s.Preds), start, end)
+	r, ok := ec.Partition()
+	if !ok {
+		r = storage.PageRange{End: v.NumPages()}
+	}
+	it := exec.NewBatchScanRange(v, conjoinExec(s.Preds), r.Start, r.End)
 	it.NeedCols = s.NeedCols
 	if s.Skip != nil {
 		it.SetPageSkip(s.Skip)
@@ -321,6 +320,10 @@ type SortNode struct {
 	baseNode
 	Child Node
 	Keys  []exec.SortKey
+	// AppendKeys makes the sort emit its key columns after the data
+	// columns: set when the node is a sorted-merge gather's fragment, whose
+	// merge compares them.
+	AppendKeys bool
 }
 
 // Label implements Node.
@@ -336,7 +339,7 @@ func (s *SortNode) Children() []Node { return []Node{s.Child} }
 
 // Open implements Node.
 func (s *SortNode) Open(ec *exec.ExecCtx) exec.BatchIterator {
-	return &exec.BatchSortIter{In: s.Child.Open(ec), Keys: s.Keys, Heap: heapBelow(s.Child)}
+	return &exec.BatchSortIter{In: s.Child.Open(ec), Keys: s.Keys, AppendKeys: s.AppendKeys, Heap: heapBelow(s.Child)}
 }
 
 // TopNNode is the bounded ORDER BY + LIMIT operator: the planner
@@ -347,6 +350,8 @@ type TopNNode struct {
 	Child Node
 	Keys  []exec.SortKey
 	N     int64
+	// AppendKeys is SortNode.AppendKeys.
+	AppendKeys bool
 }
 
 // Label implements Node.
@@ -365,7 +370,7 @@ func (t *TopNNode) Children() []Node { return []Node{t.Child} }
 
 // Open implements Node.
 func (t *TopNNode) Open(ec *exec.ExecCtx) exec.BatchIterator {
-	return &exec.BatchTopNIter{In: t.Child.Open(ec), Keys: t.Keys, N: t.N, Heap: heapBelow(t.Child)}
+	return &exec.BatchTopNIter{In: t.Child.Open(ec), Keys: t.Keys, N: t.N, AppendKeys: t.AppendKeys, Heap: heapBelow(t.Child)}
 }
 
 // UniqueNode removes consecutive duplicates of sorted input (the sort-based

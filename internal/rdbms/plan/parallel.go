@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"github.com/sinewdata/sinew/internal/rdbms/exec"
 	"github.com/sinewdata/sinew/internal/rdbms/storage"
@@ -24,44 +25,35 @@ import (
 
 // GatherNode runs its input fragment once per heap partition and merges
 // the per-worker streams. Every scan is serial by itself; a GatherNode is
-// what makes a plan parallel. Merge strategy:
+// what makes a plan parallel. The merge follows from Input's type:
 //
-//	ordered          — partition streams drained in partition order; output
-//	                   order identical to the serial pipeline.
-//	two-phase agg    — per-worker partial hash tables merged, then sorted
-//	                   group emission (Agg set).
-//	partitioned probe— shared hash-join build table, workers probe their
-//	                   partitions (Join set).
-//	sorted           — partitions sort locally, k-way merge (Sort/TopN set).
+//	ordered          — a Filter/Project/MultiExtract chain over Scan (or
+//	                   Scan alone): partition streams drained in partition
+//	                   order; output order identical to the serial pipeline.
+//	two-phase agg    — a HashAggNode over such a chain: per-worker partial
+//	                   hash tables merged, then sorted group emission.
+//	partitioned probe— a HashJoinNode probing such a chain: shared hash-join
+//	                   build table, workers probe their partitions.
+//	sorted           — a SortNode or TopNNode over such a chain: partitions
+//	                   sort locally with appended key columns, k-way merge.
 type GatherNode struct {
 	baseNode
 	// Input is the parallelized subtree, displayed as the EXPLAIN child.
 	Input Node
-	// Scan is the chain's bottom scan; Ops are the chain operators above it
-	// in bottom-up order (Filter/Project/MultiExtract; none for a bare
-	// filtered scan), excluding the aggregate, join or sort root when
-	// Agg/Join/Sort/TopN is set.
-	Scan *ScanNode
-	Ops  []Node
-	// Agg selects two-phase aggregation; Join selects partitioned probe;
-	// Sort/TopN select sorted merge (each partition sorts locally with
-	// appended key columns, the merge k-way-scans on those keys). At most
-	// one of the four is non-nil.
-	Agg     *HashAggNode
-	Join    *HashJoinNode
-	Sort    *SortNode
-	TopN    *TopNNode
+	// Scan is the scan at the bottom of Input's chain; the workers split
+	// its heap.
+	Scan    *ScanNode
 	Workers int
 }
 
 // MergeStrategy names how worker streams are combined (EXPLAIN).
 func (g *GatherNode) MergeStrategy() string {
-	switch {
-	case g.Agg != nil:
+	switch g.Input.(type) {
+	case *HashAggNode:
 		return "two-phase agg"
-	case g.Join != nil:
+	case *HashJoinNode:
 		return "partitioned probe"
-	case g.Sort != nil || g.TopN != nil:
+	case *SortNode, *TopNNode:
 		return "sorted"
 	default:
 		return "ordered"
@@ -79,62 +71,10 @@ func (g *GatherNode) Details() []string {
 // Children implements Node.
 func (g *GatherNode) Children() []Node { return []Node{g.Input} }
 
-// buildPartition constructs one worker's operator chain over a page range
-// of view v (the statement's pinned snapshot — every partition scans the
-// same frozen page table Partitions was computed from). It runs on the
-// worker goroutine, so per-worker scratch (scan eval contexts, fused
-// extraction kernels) is instantiated here.
-func (g *GatherNode) buildPartition(v storage.ReadView, r storage.PageRange) (exec.BatchIterator, error) {
-	// Predicates stay pushed into the partition scans. The compiled
-	// SelFilter is immutable and shared; per-partition kernel and selection
-	// state is instantiated lazily on this worker goroutine, and the
-	// mergers' worker-local batch pools make selection-carrying and
-	// filtered batches safe to hand across the gather channel.
-	var cur exec.BatchIterator = g.Scan.openRange(v, r.Start, r.End)
-	for _, op := range g.Ops {
-		switch x := op.(type) {
-		case *FilterNode:
-			cur = &exec.BatchFilterIter{In: cur, Pred: conjoinExec(x.Preds)}
-		case *ProjectNode:
-			cur = &exec.BatchProjectIter{In: cur, Exprs: x.Exprs}
-		case *MultiExtractNode:
-			kernel, err := x.Factory(x.Reqs)
-			if err != nil {
-				return nil, err
-			}
-			men := &exec.BatchMultiExtractIter{In: cur, DataIdx: x.DataIdx, Kernel: kernel, K: len(x.Reqs)}
-			if x.SegFactory != nil {
-				if men.SegKernel, err = x.SegFactory(x.Reqs); err != nil {
-					return nil, err
-				}
-			}
-			cur = men
-		default:
-			return nil, fmt.Errorf("plan: unparallelizable operator %T in gather chain", op)
-		}
-	}
-	// A sorted-merge gather sorts each partition locally; the appended key
-	// columns let the merge compare precomputed keys. Top-N additionally
-	// pushes the bound into the partition, so each worker keeps at most N
-	// rows.
-	switch {
-	case g.TopN != nil:
-		cur = &exec.BatchTopNIter{
-			In: cur, Keys: g.TopN.Keys, N: g.TopN.N,
-			AppendKeys: true, Heap: v.Owner(),
-		}
-	case g.Sort != nil:
-		cur = &exec.BatchSortIter{
-			In: cur, Keys: g.Sort.Keys,
-			AppendKeys: true, Heap: v.Owner(),
-		}
-	}
-	return cur, nil
-}
-
-// Open implements Node. The view is resolved once and bound into every
-// partition builder, so all workers scan the page table the partitions
-// were computed from.
+// Open implements Node. The view is resolved once and every worker opens
+// its fragment with the fragment's own Open, under a context that reads
+// that view over the worker's partition (exec.ExecCtx.ForPartition), so
+// all workers scan the page table the partitions were computed from.
 func (g *GatherNode) Open(ec *exec.ExecCtx) exec.BatchIterator {
 	v := execView(ec, g.Scan.Heap)
 	owner := v.Owner()
@@ -145,30 +85,25 @@ func (g *GatherNode) Open(ec *exec.ExecCtx) exec.BatchIterator {
 			owner.RecordParallelStriped(1)
 		}
 	}
-	build := func(r storage.PageRange) (exec.BatchIterator, error) {
-		return g.buildPartition(v, r)
-	}
-	switch {
-	case g.Agg != nil:
-		return exec.NewParallelHashAgg(parts, build, g.Agg.GroupBy, g.Agg.Aggs)
-	case g.Join != nil:
-		outWidth := len(g.Join.Layout().Cols)
-		buildWidth := len(g.Join.Build.Layout().Cols)
-		return exec.NewParallelHashJoin(parts, build, g.Join.Build.Open(ec),
-			g.Join.ProbeKeys, g.Join.BuildKeys, conjoinExec(g.Join.Residual),
-			outWidth, buildWidth)
-	case g.Sort != nil || g.TopN != nil:
-		var keys []exec.SortKey
-		limit := int64(-1)
-		if g.TopN != nil {
-			keys, limit = g.TopN.Keys, g.TopN.N
-		} else {
-			keys = g.Sort.Keys
+	fragment := func(n Node) exec.PipelineBuild {
+		return func(r storage.PageRange) exec.BatchIterator {
+			return n.Open(ec.ForPartition(v, r))
 		}
+	}
+	switch x := g.Input.(type) {
+	case *HashAggNode:
+		return exec.NewParallelHashAgg(parts, fragment(x.Child), x.GroupBy, x.Aggs)
+	case *HashJoinNode:
+		return exec.NewParallelHashJoin(parts, fragment(x.Probe), x.Build.Open(ec),
+			x.ProbeKeys, x.BuildKeys, conjoinExec(x.Residual), len(x.Build.Layout().Cols))
+	case *SortNode:
 		owner.RecordSortedMergeParts(int64(len(parts)))
-		return exec.NewParallelSortedMerge(parts, build, keys, limit)
+		return exec.NewParallelSortedMerge(parts, fragment(x), x.Keys, -1)
+	case *TopNNode:
+		owner.RecordSortedMergeParts(int64(len(parts)))
+		return exec.NewParallelSortedMerge(parts, fragment(x), x.Keys, x.N)
 	default:
-		return exec.NewParallelPipeline(parts, build)
+		return exec.NewParallelPipeline(parts, fragment(g.Input))
 	}
 }
 
@@ -207,9 +142,12 @@ func (p *Planner) parallelizeNode(n Node, underLimit bool) Node {
 		return x
 	case *SortNode:
 		// A sort over a parallelizable chain sorts each partition locally
-		// and k-way-merges the sorted streams; otherwise it remains a full
-		// barrier (a LIMIT above it cannot early-stop the child).
-		if g := p.gatherSort(x, nil); g != nil {
+		// and k-way-merges the sorted streams — no chainWorthwhile gate: the
+		// O(n log n) sort itself is the work worth spreading; otherwise it
+		// remains a full barrier (a LIMIT above it cannot early-stop the
+		// child).
+		if g := p.gather(x, x.Child, sortExprs(x.Keys)...); g != nil {
+			x.AppendKeys = true
 			return g
 		}
 		x.Child = p.parallelizeNode(x.Child, false)
@@ -217,7 +155,8 @@ func (p *Planner) parallelizeNode(n Node, underLimit bool) Node {
 	case *TopNNode:
 		// Top-N pushes its bound into each partition: workers keep at most
 		// N rows, the merge stops after emitting N.
-		if g := p.gatherSort(nil, x); g != nil {
+		if g := p.gather(x, x.Child, sortExprs(x.Keys)...); g != nil {
+			x.AppendKeys = true
 			return g
 		}
 		x.Child = p.parallelizeNode(x.Child, false)
@@ -226,8 +165,10 @@ func (p *Planner) parallelizeNode(n Node, underLimit bool) Node {
 		x.Child = p.parallelizeNode(x.Child, underLimit)
 		return x
 	case *HashAggNode:
-		if g := p.gatherAgg(x); g != nil {
-			return g
+		if aggsMergeable(x.Aggs) {
+			if g := p.gather(x, x.Child, aggExprs(x)...); g != nil {
+				return g
+			}
 		}
 		x.Child = p.parallelizeNode(x.Child, false)
 		return x
@@ -236,8 +177,8 @@ func (p *Planner) parallelizeNode(n Node, underLimit bool) Node {
 		return x
 	case *HashJoinNode:
 		if !underLimit {
-			if g := p.gatherJoin(x); g != nil {
-				g.Join.Build = p.parallelizeNode(g.Join.Build, false)
+			if g := p.gather(x, x.Probe, slices.Concat(x.ProbeKeys, x.BuildKeys, x.Residual)...); g != nil {
+				x.Build = p.parallelizeNode(x.Build, false)
 				return g
 			}
 		}
@@ -255,8 +196,8 @@ func (p *Planner) parallelizeNode(n Node, underLimit bool) Node {
 	case *ScanNode, *FilterNode, *ProjectNode, *MultiExtractNode:
 		// A bare scan is the zero-operator chain: with predicates it gathers
 		// like any other, without them chainWorthwhile keeps it serial.
-		if !underLimit {
-			if g := p.gatherChain(n); g != nil {
+		if !underLimit && chainWorthwhile(n) {
+			if g := p.gather(n, n); g != nil {
 				return g
 			}
 		}
@@ -274,71 +215,76 @@ func (p *Planner) parallelizeNode(n Node, underLimit bool) Node {
 	}
 }
 
-// chainOf decomposes n into a Filter/Project/MultiExtract chain over a
-// ScanNode, returning the operators in bottom-up order. ok is false when
-// the subtree has any other shape.
-func chainOf(n Node) (ops []Node, scan *ScanNode, ok bool) {
-	var topDown []Node
-	cur := n
+// gather wraps root in a GatherNode whose workers each run root over one
+// partition of the heap at the bottom of chain — root itself or root's
+// input — when chain is a parallel-safe chain (safeChainScan), root's own
+// expressions exprs are parallel-safe, and the heap is large enough for
+// more than one worker.
+func (p *Planner) gather(root, chain Node, exprs ...exec.Expr) *GatherNode {
+	scan := safeChainScan(chain)
+	if scan == nil || !parallelSafe(exprs) {
+		return nil
+	}
+	w := p.pipelineWorkers(scan.Heap)
+	if w <= 1 {
+		return nil
+	}
+	return &GatherNode{
+		baseNode: baseNode{layout: root.Layout(), rows: root.Rows(), cost: root.Cost()},
+		Input:    root,
+		Scan:     scan,
+		Workers:  w,
+	}
+}
+
+// safeChainScan returns the scan at the bottom of n when n is a
+// Filter/Project/MultiExtract chain over a ScanNode whose every expression
+// (the scan's pushed-down predicates included) is parallel-safe, and nil
+// otherwise.
+func safeChainScan(n Node) *ScanNode {
 	for {
-		switch x := cur.(type) {
+		var exprs []exec.Expr
+		switch x := n.(type) {
 		case *ScanNode:
-			for i := len(topDown) - 1; i >= 0; i-- {
-				ops = append(ops, topDown[i])
+			if !parallelSafe(x.Preds) {
+				return nil
 			}
-			return ops, x, true
+			return x
 		case *FilterNode:
-			topDown = append(topDown, x)
-			cur = x.Child
+			exprs, n = x.Preds, x.Child
 		case *ProjectNode:
-			topDown = append(topDown, x)
-			cur = x.Child
+			exprs, n = x.Exprs, x.Child
 		case *MultiExtractNode:
-			topDown = append(topDown, x)
-			cur = x.Child
+			n = x.Child
 		default:
-			return nil, nil, false
+			return nil
+		}
+		if !parallelSafe(exprs) {
+			return nil
 		}
 	}
 }
 
-// chainSafe reports whether every expression in the chain (and the scan's
-// pushed-down predicates) is parallel-safe.
-func chainSafe(ops []Node, scan *ScanNode) bool {
-	for _, e := range scan.Preds {
+// parallelSafe reports whether every one of exprs is exec.ParallelSafe.
+func parallelSafe(exprs []exec.Expr) bool {
+	for _, e := range exprs {
 		if !exec.ParallelSafe(e) {
 			return false
-		}
-	}
-	for _, op := range ops {
-		switch x := op.(type) {
-		case *FilterNode:
-			for _, e := range x.Preds {
-				if !exec.ParallelSafe(e) {
-					return false
-				}
-			}
-		case *ProjectNode:
-			for _, e := range x.Exprs {
-				if !exec.ParallelSafe(e) {
-					return false
-				}
-			}
 		}
 	}
 	return true
 }
 
-// chainWorthwhile reports whether the chain does enough per-row work for a
-// gather to pay off. Plain column projections over a filterless scan are
-// excluded — they are served by the fused collector (fusedCollect) or run
-// at memory speed, and a gather would only add clone+merge overhead.
-func chainWorthwhile(ops []Node, scan *ScanNode) bool {
-	if len(scan.Preds) > 0 {
-		return true
-	}
-	for _, op := range ops {
-		switch x := op.(type) {
+// chainWorthwhile reports whether the chain n does enough per-row work for
+// a gather to pay off: a predicate, an extraction or a computed column.
+// Plain column projections over a filterless scan are excluded — they are
+// served by the fused collector (fusedCollect) or run at memory speed, and
+// a gather would only add clone+merge overhead.
+func chainWorthwhile(n Node) bool {
+	for {
+		switch x := n.(type) {
+		case *ScanNode:
+			return len(x.Preds) > 0
 		case *FilterNode, *MultiExtractNode:
 			return true
 		case *ProjectNode:
@@ -347,64 +293,20 @@ func chainWorthwhile(ops []Node, scan *ScanNode) bool {
 					return true
 				}
 			}
+			n = x.Child
+		default:
+			return false
 		}
 	}
-	return false
 }
 
-// newGather wraps input (a verified chain) in a GatherNode.
-func newGather(input Node, ops []Node, scan *ScanNode, workers int) *GatherNode {
-	return &GatherNode{
-		baseNode: baseNode{layout: input.Layout(), rows: input.Rows(), cost: input.Cost()},
-		Input:    input,
-		Scan:     scan,
-		Ops:      ops,
-		Workers:  workers,
+// sortExprs lists a sort's key expressions.
+func sortExprs(keys []exec.SortKey) []exec.Expr {
+	exprs := make([]exec.Expr, len(keys))
+	for i, k := range keys {
+		exprs[i] = k.Expr
 	}
-}
-
-// gatherChain parallelizes a plain SCAN→FILTER→PROJECT chain.
-func (p *Planner) gatherChain(n Node) *GatherNode {
-	ops, scan, ok := chainOf(n)
-	if !ok || !chainSafe(ops, scan) || !chainWorthwhile(ops, scan) {
-		return nil
-	}
-	w := p.pipelineWorkers(scan.Heap)
-	if w <= 1 {
-		return nil
-	}
-	return newGather(n, ops, scan, w)
-}
-
-// gatherSort parallelizes a sort (s) or bounded Top-N (t) over a chain as a
-// locally-sorted partition fan-out merged with a k-way sorted merge. Exactly
-// one of s, t is non-nil. Unlike gatherChain, no chainWorthwhile gate: the
-// O(n log n) sort itself is the work worth spreading across workers.
-func (p *Planner) gatherSort(s *SortNode, t *TopNNode) *GatherNode {
-	var child Node
-	var keys []exec.SortKey
-	var node Node
-	if t != nil {
-		child, keys, node = t.Child, t.Keys, t
-	} else {
-		child, keys, node = s.Child, s.Keys, s
-	}
-	for _, k := range keys {
-		if !exec.ParallelSafe(k.Expr) {
-			return nil
-		}
-	}
-	ops, scan, ok := chainOf(child)
-	if !ok || !chainSafe(ops, scan) {
-		return nil
-	}
-	w := p.pipelineWorkers(scan.Heap)
-	if w <= 1 {
-		return nil
-	}
-	g := newGather(node, ops, scan, w)
-	g.Sort, g.TopN = s, t
-	return g
+	return exprs
 }
 
 // aggsMergeable reports whether two-phase aggregation is exact for aggs:
@@ -423,62 +325,13 @@ func aggsMergeable(aggs []*exec.AggSpec) bool {
 	return true
 }
 
-// gatherAgg parallelizes a hash aggregation over a chain as two-phase
-// aggregation.
-func (p *Planner) gatherAgg(h *HashAggNode) *GatherNode {
-	if !aggsMergeable(h.Aggs) {
-		return nil
-	}
-	for _, g := range h.GroupBy {
-		if !exec.ParallelSafe(g) {
-			return nil
-		}
-	}
+// aggExprs lists a hash aggregate's group keys and aggregate arguments.
+func aggExprs(h *HashAggNode) []exec.Expr {
+	exprs := slices.Clone(h.GroupBy)
 	for _, a := range h.Aggs {
-		if a.Arg != nil && !exec.ParallelSafe(a.Arg) {
-			return nil
+		if a.Arg != nil {
+			exprs = append(exprs, a.Arg)
 		}
 	}
-	ops, scan, ok := chainOf(h.Child)
-	if !ok || !chainSafe(ops, scan) {
-		return nil
-	}
-	w := p.pipelineWorkers(scan.Heap)
-	if w <= 1 {
-		return nil
-	}
-	g := newGather(h, ops, scan, w)
-	g.Agg = h
-	return g
-}
-
-// gatherJoin parallelizes a hash join whose probe side is a chain: shared
-// build table, partitioned probe.
-func (p *Planner) gatherJoin(j *HashJoinNode) *GatherNode {
-	for _, e := range j.ProbeKeys {
-		if !exec.ParallelSafe(e) {
-			return nil
-		}
-	}
-	for _, e := range j.BuildKeys {
-		if !exec.ParallelSafe(e) {
-			return nil
-		}
-	}
-	for _, e := range j.Residual {
-		if !exec.ParallelSafe(e) {
-			return nil
-		}
-	}
-	ops, scan, ok := chainOf(j.Probe)
-	if !ok || !chainSafe(ops, scan) {
-		return nil
-	}
-	w := p.pipelineWorkers(scan.Heap)
-	if w <= 1 {
-		return nil
-	}
-	g := newGather(j, ops, scan, w)
-	g.Join = j
-	return g
+	return exprs
 }

@@ -307,6 +307,17 @@ func orderCmp(a, b types.Datum, desc bool) int {
 	return types.CompareOrder(a, b)
 }
 
+// LiveRows counts the live rows of the pages left in the cursor's range —
+// what a scan of them delivers when no page is skipped — from the captured
+// page objects.
+func (it *HeapChunkIter) LiveRows() int64 {
+	var n int64
+	for pi := it.page; pi < it.end; pi++ {
+		n += liveRows(it.pages[pi])
+	}
+	return n
+}
+
 // liveRows counts the rows a scan of p would deliver.
 func liveRows(p *page) int64 {
 	if p.frozen != nil {

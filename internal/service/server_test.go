@@ -39,6 +39,10 @@ func startServer(t *testing.T) (string, *core.DB) {
 		t.Fatal("server did not start listening")
 	}
 	t.Cleanup(func() {
+		// The client may hold a connection it dialed but never sent a
+		// request on; the server counts such a connection as active for its
+		// first five seconds, which would run Shutdown into the deadline.
+		http.DefaultClient.CloseIdleConnections()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
