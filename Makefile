@@ -61,7 +61,7 @@ race-workers:
 # values move; the plan cache's pin-then-recheck on hit and miss), and the
 # HTTP end-to-end test. GOMAXPROCS=1 forces cooperative interleavings,
 # 2 and 8 vary true parallelism.
-SESSION_TESTS = TestSnapshot|TestMaterializeKeepsConcurrentWrites|TestConcurrentQueriesDuringMaterialization|TestPlanCacheConcurrentMaterialize|TestPlanCacheStaleBuildRebuilt|TestExecSelectOnceRebuilds
+SESSION_TESTS = TestSnapshot|TestMaterializeKeepsConcurrentWrites|TestConcurrentQueriesDuringMaterialization|TestPlanCacheConcurrentMaterialize|TestPlanCacheStaleBuildRebuilt|TestExecSelectOnceRebuilds|TestShapeCacheConcurrentLiterals
 race-sessions:
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run '$(SESSION_TESTS)' ./internal/rdbms/ ./internal/core/
 	GOMAXPROCS=2 $(GO) test -race -count=1 -run '$(SESSION_TESTS)' ./internal/rdbms/ ./internal/core/
@@ -93,15 +93,17 @@ check: vet lint race race-workers race-sessions bench-smoke
 
 # fuzz exercises the serializer's read side, its one-pass write side (JSON
 # bytes straight into the record builder, held to the tree path's answer),
-# the datum representation and the key hash (KeyEqual values hash alike)
-# — the same targets CI runs as a non-blocking job; the serializer's
-# checked-in corpora live in internal/serial/testdata/fuzz/, the datum and
-# key-hash targets' seeds are in their test files.
+# the datum representation, the key hash (KeyEqual values hash alike) and
+# the statement-shape scan (a shape with its values bound parses to what
+# the text parses to) — the same targets CI runs as a non-blocking job; the
+# serializer's checked-in corpora live in internal/serial/testdata/fuzz/,
+# the other targets' seeds are in their test files.
 fuzz:
 	$(GO) test -fuzz=FuzzRecordReaders -fuzztime=30s ./internal/serial/
 	$(GO) test -fuzz=FuzzStreamLoadMatchesTree -fuzztime=30s ./internal/serial/
 	$(GO) test -fuzz=FuzzDatumRoundTrip -fuzztime=30s ./internal/rdbms/types/
 	$(GO) test -fuzz=FuzzKeyHashMatchesEqual -fuzztime=30s ./internal/rdbms/types/
+	$(GO) test -fuzz=FuzzShapeMatchesParse -fuzztime=30s ./internal/rdbms/sqlparse/
 
 # bench runs the micro-benchmarks and regenerates BENCH_BASELINE.json, the
 # one checked-in machine-readable Table 3 (load time per system) + Figure 6

@@ -232,13 +232,15 @@ func wideCatalogFixture(b *testing.B, n, keepSparse int) *DB {
 
 var rewriteSink sqlparse.Statement
 
-// BenchmarkRewriteWideCatalog measures the plan-cache-miss front end on the
-// three sinewd_point shapes (NoBench Q5, Q6, Q10 with rotating constants):
-// the rewrite alone, and DB.Query end to end with four times more distinct
-// texts than the plan cache holds, so every statement misses. The narrow
-// and wide catalogs differ only in attribute count (~35 vs 1 000+): after
-// bind the rewriter reads one immutable catalog view, so its ns/op and
-// allocs/op must not grow with the catalog.
+// BenchmarkRewriteWideCatalog measures the front end on the three
+// sinewd_point shapes (NoBench Q5, Q6, Q10 with rotating constants): the
+// rewrite alone; DB.Query end to end over four times more distinct texts
+// than the plan cache holds, which all hit their shape's plan (query); and
+// DB.Query with the epoch bumped before every statement, so each one
+// parses, rewrites and plans its shape (query-miss). The narrow and wide
+// catalogs differ only in attribute count (~35 vs 1 000+): after bind the
+// rewriter reads one immutable catalog view, so its ns/op and allocs/op
+// must not grow with the catalog.
 func BenchmarkRewriteWideCatalog(b *testing.B) {
 	const n, texts = 20000, 1024
 	shapes := []struct {
@@ -287,6 +289,15 @@ func BenchmarkRewriteWideCatalog(b *testing.B) {
 			b.Run(cat.name+"/"+sh.name+"/query", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
+					if _, err := db.Query(sqls[i%texts]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run(cat.name+"/"+sh.name+"/query-miss", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					db.rdb.BumpCatalogEpoch() // invalidate: every statement re-plans
 					if _, err := db.Query(sqls[i%texts]); err != nil {
 						b.Fatal(err)
 					}

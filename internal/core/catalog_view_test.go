@@ -257,9 +257,11 @@ func groupsKey(res *QueryResult) string {
 // between Q10's select list and its GROUP BY produced `SELECT COALESCE(col,
 // …) … GROUP BY col`, which the planner rejects. One goroutine dirties the
 // grouped column and runs materializer passes (which clean it again) while
-// readers issue the Q10 shape with distinct constants, so every statement
-// is rewritten afresh. No statement may fail and every result must equal
-// the one computed before the flipping started.
+// readers issue the Q10 shape with distinct constants: the shape is
+// rewritten afresh after every epoch bump of the flipper, and each
+// statement runs its own values through the shape's plan. No statement may
+// fail and every result must equal the one computed before the flipping
+// started.
 func TestSnapshotTornDirty(t *testing.T) {
 	const n, width, readers, perReader, minPasses = 1000, 20, 4, 150, 15
 	const table = "nobench_main"

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -14,38 +13,42 @@ import (
 	"github.com/sinewdata/sinew/internal/textindex"
 )
 
-// errNotCacheable signals that a statement guessed to be a plain SELECT
-// turned out not to be; Query falls back to the uncached path.
-var errNotCacheable = errors.New("core: statement not cacheable")
-
 // Query parses, rewrites (§3.2.2), and executes a SQL statement against
 // the logical universal-relation view. Plain SELECTs are served through the
-// RDBMS prepared-plan cache: a repeated statement skips parsing, virtual-
-// column rewriting, and planning entirely.
+// RDBMS prepared-plan cache, keyed by the statement's shape — its text with
+// the WHERE literals lifted to parameters (sqlparse.ScanShape): a statement
+// whose shape was seen before skips parsing, virtual-column rewriting, and
+// planning entirely, and runs with its own values bound. The rewrite of a
+// shape depends on a literal's type, never on its value (hintOf), so the
+// rewritten shape serves every value.
 func (db *DB) Query(sql string) (*rdbms.Result, error) {
-	if cacheableSelect(sql) {
-		res, err := db.rdb.ExecSelectCached(sql, func() (*sqlparse.SelectStmt, error) {
-			stmt, err := sqlparse.Parse(sql)
+	// A statement the scan rejects takes the uncached path, which reports
+	// the parser's own error. matches() binds a per-statement text-index
+	// result set, released after execution: never cached.
+	if sh, err := sqlparse.ScanShape(sql); err == nil && sh.Select && !sh.Matches {
+		q := rdbms.CachedSelect{Text: sql, Shape: sh.Text, Params: sh.Params}
+		return db.rdb.ExecSelectCached(q, func(shape bool) (*sqlparse.SelectStmt, error) {
+			var stmt sqlparse.Statement
+			var err error
+			if shape {
+				stmt, err = sqlparse.ParseShape(q.Shape)
+			} else {
+				stmt, err = sqlparse.Parse(sql)
+			}
 			if err != nil {
 				return nil, err
 			}
-			sel, ok := stmt.(*sqlparse.SelectStmt)
-			if !ok {
-				return nil, errNotCacheable
-			}
-			rewritten, cleanup, err := db.RewriteStmt(sel)
+			// A statement whose first token is SELECT parses to a SELECT.
+			rewritten, cleanup, err := db.RewriteStmt(stmt.(*sqlparse.SelectStmt))
 			if err != nil {
 				return nil, err
 			}
-			// cacheableSelect excluded matches(), so no text-index result
-			// sets were registered: cleanup is a no-op and the rewritten AST
-			// may outlive this statement inside the plan cache.
+			// No matches(), so no text-index result sets were registered:
+			// cleanup is a no-op and the rewritten AST may outlive this
+			// statement inside the plan cache.
 			cleanup()
 			return rewritten.(*sqlparse.SelectStmt), nil
 		})
-		if !errors.Is(err, errNotCacheable) {
-			return res, err
-		}
 	}
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
@@ -84,32 +87,6 @@ func (db *DB) Query(sql string) (*rdbms.Result, error) {
 		}
 	}
 	return res, err
-}
-
-// cacheableSelect reports whether a statement is eligible for the
-// prepared-plan cache: a plain SELECT with no matches() predicate (those
-// bind a per-statement text-index result set released after execution).
-func cacheableSelect(sql string) bool {
-	s := strings.TrimSpace(sql)
-	if len(s) < 6 || !strings.EqualFold(s[:6], "select") {
-		return false
-	}
-	return !containsWord(sql, "matches")
-}
-
-// containsWord reports whether s contains word — lower-case ASCII letters —
-// in any letter case. It runs on every statement, so it does not allocate.
-func containsWord(s, word string) bool {
-	for i := 0; i+len(word) <= len(s); i++ {
-		j := 0
-		for j < len(word) && s[i+j]|0x20 == word[j] {
-			j++
-		}
-		if j == len(word) {
-			return true
-		}
-	}
-	return false
 }
 
 // Explain rewrites a SELECT and returns the physical plan text.
@@ -424,8 +401,13 @@ func attrFromHint(h hint) (serial.AttrType, bool) {
 }
 
 // hintOf derives the hint an expression offers to its comparison partner.
+// A literal offers its type, never its value — a statement shape's
+// parameter offers the same hint, so one rewrite of a shape serves every
+// value.
 func (rw *rewriter) hintOf(e sqlparse.Expr) hint {
 	switch x := e.(type) {
+	case *sqlparse.Param:
+		return hintFromType(x.Typ)
 	case *sqlparse.Literal:
 		switch x.Val.Typ {
 		case types.Text:
@@ -472,7 +454,7 @@ func (rw *rewriter) expr(e sqlparse.Expr, h hint) (sqlparse.Expr, error) {
 	switch x := e.(type) {
 	case nil:
 		return nil, nil
-	case *sqlparse.Literal:
+	case *sqlparse.Literal, *sqlparse.Param:
 		return x, nil
 	case *sqlparse.ColumnRef:
 		return rw.columnRef(x, h)

@@ -414,7 +414,7 @@ type BatchSizeHinter interface {
 // A fully frozen heap therefore yields one batch per page, a never-frozen
 // one DefaultBatchSize-row batches, and a mixed one both, in heap order.
 //
-// Set-up is the constructor's range and filter, then NeedCols,
+// Set-up is the constructor's range and filter, then NeedCols, SetParams,
 // SetPageSkip and SetSelFilter, all before the first NextBatch
 // (plan.ScanNode.Open is the one place the planner does it, for the whole
 // heap or a gather worker's partition).
@@ -470,11 +470,16 @@ func NewBatchScanRange(v storage.ReadView, filter Expr, start, end int) *BatchSc
 	return s
 }
 
+// SetParams gives the scan the statement's parameter values: its filter,
+// the selection kernels and the page-skip test read them.
+func (s *BatchScanIter) SetParams(params []types.Datum) { s.ctx.SetParams(params) }
+
 // SetPageSkip installs the page-skip predicate mk derives from the scan's
-// chunk cursor (storage page summaries): mk runs here, at open, so it sees
-// the pages this scan will read and none it will not.
-func (s *BatchScanIter) SetPageSkip(mk func(*storage.HeapChunkIter) func(*storage.PageSummary) bool) {
-	s.chunk.SetSkip(mk(s.chunk))
+// chunk cursor (storage page summaries) and the statement's parameter
+// values: mk runs here, at open, so it sees the pages this scan will read
+// and none it will not, and the values this execution is bound to.
+func (s *BatchScanIter) SetPageSkip(mk func(*storage.HeapChunkIter, []types.Datum) func(*storage.PageSummary) bool) {
+	s.chunk.SetSkip(mk(s.chunk, s.ctx.params))
 }
 
 // SetSelFilter installs the plan-compiled form of Filter for frozen pages;
@@ -650,6 +655,9 @@ func compactBatch(b *RowBatch, keep []bool) int {
 type BatchFilterIter struct {
 	In   BatchIterator
 	Pred Expr
+	// Params are the statement's parameter values, for a Pred holding
+	// ParamExprs.
+	Params []types.Datum
 
 	ctx  *EvalCtx
 	out  *RowBatch
@@ -660,6 +668,7 @@ type BatchFilterIter struct {
 func (f *BatchFilterIter) NextBatch() (*RowBatch, error) {
 	if f.ctx == nil {
 		f.ctx = NewEvalCtx()
+		f.ctx.SetParams(f.Params)
 	}
 	for {
 		in, err := f.In.NextBatch()

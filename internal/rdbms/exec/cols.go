@@ -8,7 +8,7 @@ func ParallelSafe(e Expr) bool {
 	switch x := e.(type) {
 	case nil:
 		return true
-	case *ColExpr, *ConstExpr:
+	case *ColExpr, *ConstExpr, *ParamExpr:
 		return true
 	case *BinExpr:
 		return ParallelSafe(x.L) && ParallelSafe(x.R)
@@ -70,7 +70,7 @@ func ColumnsUsed(e Expr, add func(int)) bool {
 	case *ColExpr:
 		add(x.Idx)
 		return true
-	case *ConstExpr:
+	case *ConstExpr, *ParamExpr:
 		return true
 	case *BinExpr:
 		return ColumnsUsed(x.L, add) && ColumnsUsed(x.R, add)

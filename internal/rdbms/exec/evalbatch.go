@@ -7,16 +7,23 @@ import (
 
 // EvalCtx carries the reusable scratch state for batch expression
 // evaluation: a scratch row for the row-wise fallback, a shared per-batch
-// UDF cache, and an argument buffer for non-batch function calls. One
-// EvalCtx belongs to one operator; it is not safe for concurrent use.
+// UDF cache, an argument buffer for non-batch function calls, and the
+// statement's parameter values. One EvalCtx belongs to one operator; it is
+// not safe for concurrent use.
 type EvalCtx struct {
 	udf     UDFBatchCtx
 	scratch storage.Row
 	argBuf  []types.Datum
-	// consts caches the broadcast column of each ConstExpr node across
-	// batches (its content never changes), so constant arguments cost one
-	// allocation per query instead of one per batch.
-	consts map[*ConstExpr][]types.Datum
+	// consts caches the broadcast column of each ConstExpr and ParamExpr
+	// node across batches (its content never changes during one
+	// execution), so constant arguments cost one allocation per query
+	// instead of one per batch.
+	consts map[Expr][]types.Datum
+	// params are the values ParamExprs evaluate to (SetParams); bound
+	// holds the bound copy (BindParams) of each expression the row-wise
+	// fallback evaluated under them, built on first use.
+	params []types.Datum
+	bound  map[Expr]Expr
 	// predCol is a scratch result column armed by EvalPredBatch and
 	// consumed by at most one evalBatchFallback per predicate evaluation.
 	// Predicate columns are reduced to a keep mask immediately, so reusing
@@ -29,6 +36,43 @@ type EvalCtx struct {
 // NewEvalCtx returns a fresh evaluation context.
 func NewEvalCtx() *EvalCtx {
 	return &EvalCtx{udf: UDFBatchCtx{Cache: make(map[any]any)}}
+}
+
+// SetParams gives the context the statement's parameter values; an
+// operator sets them before its first EvalBatch.
+func (c *EvalCtx) SetParams(params []types.Datum) { c.params = params }
+
+// rowExpr is e as the row evaluator must see it: e itself without
+// parameters, its bound copy with them.
+func (c *EvalCtx) rowExpr(e Expr) Expr {
+	if c.params == nil {
+		return e
+	}
+	if b, ok := c.bound[e]; ok {
+		return b
+	}
+	if c.bound == nil {
+		c.bound = make(map[Expr]Expr)
+	}
+	b := BindParams(e, c.params)
+	c.bound[e] = b
+	return b
+}
+
+// broadcast returns the cached column of phys copies of v for node e.
+func (c *EvalCtx) broadcast(e Expr, v types.Datum, phys int) []types.Datum {
+	if c.consts == nil {
+		c.consts = make(map[Expr][]types.Datum)
+	}
+	col := c.consts[e]
+	if len(col) < phys {
+		col = make([]types.Datum, phys)
+		for i := range col {
+			col[i] = v
+		}
+		c.consts[e] = col
+	}
+	return col[:phys]
 }
 
 // BeginBatch resets per-batch state. Operators call it once before the
@@ -65,18 +109,14 @@ func EvalBatch(e Expr, b *RowBatch, ctx *EvalCtx) ([]types.Datum, error) {
 		return b.Cols[x.Idx], nil
 
 	case *ConstExpr:
-		if ctx.consts == nil {
-			ctx.consts = make(map[*ConstExpr][]types.Datum)
+		return ctx.broadcast(x, x.Val, phys), nil
+
+	case *ParamExpr:
+		v, err := paramValue(x, ctx.params)
+		if err != nil {
+			return nil, err
 		}
-		col := ctx.consts[x]
-		if len(col) < phys {
-			col = make([]types.Datum, phys)
-			for i := range col {
-				col[i] = x.Val
-			}
-			ctx.consts[x] = col
-		}
-		return col[:phys], nil
+		return ctx.broadcast(x, v, phys), nil
 
 	case *BinExpr:
 		if x.Op == "AND" || x.Op == "OR" {
@@ -164,7 +204,7 @@ func EvalBatch(e Expr, b *RowBatch, ctx *EvalCtx) ([]types.Datum, error) {
 				out[i] = types.NewFloat(-v.Float())
 			default:
 				// Rebuild the row-path error via single-row Eval.
-				_, err := e.Eval(b.Row(i, ctx.scratchRow()))
+				_, err := ctx.rowExpr(e).Eval(b.Row(i, ctx.scratchRow()))
 				return nil, err
 			}
 		}
@@ -330,8 +370,10 @@ func EvalBatch(e Expr, b *RowBatch, ctx *EvalCtx) ([]types.Datum, error) {
 }
 
 // evalBatchFallback evaluates e row by row against the batch — the lazy
-// path that preserves short-circuit semantics.
+// path that preserves short-circuit semantics. Under parameters it
+// evaluates e's bound copy.
 func evalBatchFallback(e Expr, b *RowBatch, ctx *EvalCtx) ([]types.Datum, error) {
+	e = ctx.rowExpr(e)
 	n := b.Len()
 	sel := b.Sel
 	phys := b.PhysLen()

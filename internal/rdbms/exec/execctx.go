@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"github.com/sinewdata/sinew/internal/rdbms/storage"
+	"github.com/sinewdata/sinew/internal/rdbms/types"
 )
 
 // ExecCtx is the per-statement execution context: it pins one storage
@@ -15,6 +16,9 @@ import (
 type ExecCtx struct {
 	mu    sync.Mutex
 	views map[*storage.Heap]*storage.HeapSnapshot
+	// params are the statement's bound parameter values (Bind), read by
+	// the ParamExprs of a cached shape's plan.
+	params []types.Datum
 
 	// A gather worker's context (ForPartition) reads view over pages part
 	// and resolves every other heap through parent.
@@ -68,6 +72,22 @@ func (ec *ExecCtx) View(h *storage.Heap) storage.ReadView {
 	s := h.AcquireSnapshot()
 	ec.views[h] = s
 	return s
+}
+
+// Bind sets the statement's parameter values, before any plan node opens
+// under the context. A plan without parameters needs none.
+func (ec *ExecCtx) Bind(params []types.Datum) { ec.params = params }
+
+// Params returns the statement's bound parameter values (nil when none are
+// bound); a gather worker's context reads its parent's.
+func (ec *ExecCtx) Params() []types.Datum {
+	for ec != nil && ec.view != nil {
+		ec = ec.parent
+	}
+	if ec == nil {
+		return nil
+	}
+	return ec.params
 }
 
 // Resolve maps a plan-time view through the context: live heaps are

@@ -67,6 +67,138 @@ func (c *ConstExpr) String() string {
 	return c.Val.String()
 }
 
+// ParamExpr is a constant whose value comes from the execution: the
+// Slot-th parameter bound to the statement (ExecCtx.Bind), the lifted
+// literal of a cached statement shape. Typ is the type every bound value
+// has. A plan holding ParamExprs is immutable and shared by concurrent
+// executions with different values: the batch evaluator broadcasts the
+// value its EvalCtx was given, the selection kernels and page-skip tests
+// read it at open, and the row evaluator sees a bound copy (BindParams).
+type ParamExpr struct {
+	Slot int
+	Typ  types.Type
+}
+
+// errUnbound is what a ParamExpr evaluates to outside a bound copy.
+type errUnbound struct{ slot int }
+
+func (e errUnbound) Error() string {
+	return fmt.Sprintf("exec: no value bound for parameter $%d", e.slot+1)
+}
+
+// Eval implements Expr. Row evaluation goes through a bound copy, so a
+// ParamExpr reached here has no value.
+func (p *ParamExpr) Eval(storage.Row) (types.Datum, error) {
+	return types.Datum{}, errUnbound{p.Slot}
+}
+
+// Type implements Expr.
+func (p *ParamExpr) Type() types.Type { return p.Typ }
+
+// Cost implements Expr.
+func (p *ParamExpr) Cost() float64 { return 0 }
+
+func (p *ParamExpr) String() string { return fmt.Sprintf("$%d", p.Slot+1) }
+
+// paramValue is the bound value of p, or an error when none is bound.
+func paramValue(p *ParamExpr, params []types.Datum) (types.Datum, error) {
+	if p.Slot < 0 || p.Slot >= len(params) {
+		return types.Datum{}, errUnbound{p.Slot}
+	}
+	return params[p.Slot], nil
+}
+
+// BindParams returns e with every ParamExpr replaced by a constant of its
+// bound value: e itself when it holds none, a copy of the paths to them
+// otherwise (plans are shared, so e is never modified). A ParamExpr with
+// no bound value is left in place and fails when evaluated.
+func BindParams(e Expr, params []types.Datum) Expr {
+	out, _ := bindParams(e, params)
+	return out
+}
+
+func bindParams(e Expr, params []types.Datum) (Expr, bool) {
+	list := func(es []Expr) ([]Expr, bool) {
+		var out []Expr
+		for i, a := range es {
+			b, changed := bindParams(a, params)
+			if changed && out == nil {
+				out = append(make([]Expr, 0, len(es)), es[:i]...)
+			}
+			if out != nil {
+				out = append(out, b)
+			}
+		}
+		return out, out != nil
+	}
+	switch x := e.(type) {
+	case *ParamExpr:
+		if v, err := paramValue(x, params); err == nil {
+			return &ConstExpr{Val: v}, true
+		}
+	case *BinExpr:
+		l, cl := bindParams(x.L, params)
+		r, cr := bindParams(x.R, params)
+		if cl || cr {
+			return &BinExpr{Op: x.Op, L: l, R: r}, true
+		}
+	case *NotExpr:
+		if sub, c := bindParams(x.X, params); c {
+			return &NotExpr{X: sub}, true
+		}
+	case *NegExpr:
+		if sub, c := bindParams(x.X, params); c {
+			return &NegExpr{X: sub}, true
+		}
+	case *IsNullExpr:
+		if sub, c := bindParams(x.X, params); c {
+			return &IsNullExpr{X: sub, Not: x.Not}, true
+		}
+	case *BetweenExpr:
+		sub, cx := bindParams(x.X, params)
+		lo, cl := bindParams(x.Lo, params)
+		hi, ch := bindParams(x.Hi, params)
+		if cx || cl || ch {
+			return &BetweenExpr{X: sub, Lo: lo, Hi: hi, Not: x.Not}, true
+		}
+	case *InListExpr:
+		sub, cx := bindParams(x.X, params)
+		items, cl := list(x.List)
+		if cx || cl {
+			if !cl {
+				items = x.List
+			}
+			return &InListExpr{X: sub, List: items, Not: x.Not}, true
+		}
+	case *LikeExpr:
+		sub, cx := bindParams(x.X, params)
+		pat, cp := bindParams(x.Pattern, params)
+		if cx || cp {
+			// A fresh node: LikeExpr embeds its pattern cache and mutex.
+			return &LikeExpr{X: sub, Pattern: pat, Not: x.Not}, true
+		}
+	case *AnyExpr:
+		sub, cx := bindParams(x.X, params)
+		arr, ca := bindParams(x.Array, params)
+		if cx || ca {
+			return &AnyExpr{X: sub, Op: x.Op, Array: arr}, true
+		}
+	case *CastExpr:
+		if sub, c := bindParams(x.X, params); c {
+			return &CastExpr{X: sub, To: x.To}, true
+		}
+	case *CoalesceExpr:
+		if args, c := list(x.Args); c {
+			return &CoalesceExpr{Args: args}, true
+		}
+	case *CallExpr:
+		if args, c := list(x.Args); c {
+			return &CallExpr{Def: x.Def, Args: args}, true
+		}
+	}
+	return e, false
+}
+
 // ---------- Binary operators ----------
 
 // BinExpr applies a binary operator with SQL three-valued logic.

@@ -397,7 +397,7 @@ func TestPropertyStripedMixedHeap(t *testing.T) {
 				s := NewBatchScanRange(h, pred, rg.Start, rg.End)
 				s.NeedCols = need
 				if skip != nil {
-					s.SetPageSkip(func(*storage.HeapChunkIter) func(*storage.PageSummary) bool { return skip })
+					s.SetPageSkip(func(*storage.HeapChunkIter, []types.Datum) func(*storage.PageSummary) bool { return skip })
 				}
 				s.SetSelFilter(sf)
 				return s

@@ -514,7 +514,7 @@ func (s *BatchScanIter) evalConjuncts(fp *storage.FrozenPage, b *RowBatch,
 				st.keep = make([]bool, n)
 			}
 			keep = st.keep[:n]
-			kerr = c.Kern(st.view, keep)
+			kerr = c.Kern(st.view, keep, s.ctx.params)
 		} else {
 			keep, kerr = EvalPredBatch(c.Pred, st.view, s.ctx, st.keep)
 		}

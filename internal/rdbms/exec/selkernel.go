@@ -24,8 +24,39 @@ import (
 
 // selKernelFn evaluates one compiled conjunct against the scan's view
 // batch, writing keep[si] for each logical row si (mapped through
-// view.Sel). Any error sends the page to the replay path.
-type selKernelFn func(view *RowBatch, keep []bool) error
+// view.Sel); params are the statement's bound values, which a kernel over
+// a ParamExpr reads per call. Any error sends the page to the replay path.
+type selKernelFn func(view *RowBatch, keep []bool, params []types.Datum) error
+
+// kernelOperand is a kernel's constant side: a literal value, or the slot
+// of a parameter read from the execution's values.
+type kernelOperand struct {
+	val  types.Datum
+	slot int // -1 for a literal
+}
+
+// operandOf recognizes a constant kernel operand.
+func operandOf(e Expr) (kernelOperand, bool) {
+	switch x := e.(type) {
+	case *ConstExpr:
+		return kernelOperand{val: x.Val, slot: -1}, true
+	case *ParamExpr:
+		return kernelOperand{slot: x.Slot}, true
+	}
+	return kernelOperand{}, false
+}
+
+// value is the operand's value under params; an unbound parameter is an
+// error, which sends the page to the replay path and its error.
+func (o kernelOperand) value(params []types.Datum) (types.Datum, error) {
+	if o.slot < 0 {
+		return o.val, nil
+	}
+	if o.slot >= len(params) {
+		return types.Datum{}, errUnbound{o.slot}
+	}
+	return params[o.slot], nil
+}
 
 // compileSelKernel returns a direct kernel for pred, or nil when the shape
 // is not recognized and the conjunct must evaluate through EvalPredBatch.
@@ -40,21 +71,21 @@ func compileSelKernel(pred Expr) selKernelFn {
 			return nil
 		}
 		if col, ok := x.L.(*ColExpr); ok {
-			if c, ok := x.R.(*ConstExpr); ok {
-				return cmpKernel(x.Op, col.Idx, c.Val, false)
+			if c, ok := operandOf(x.R); ok {
+				return cmpKernel(x.Op, col.Idx, c, false)
 			}
 		}
 		if col, ok := x.R.(*ColExpr); ok {
-			if c, ok := x.L.(*ConstExpr); ok {
-				return cmpKernel(x.Op, col.Idx, c.Val, true)
+			if c, ok := operandOf(x.L); ok {
+				return cmpKernel(x.Op, col.Idx, c, true)
 			}
 		}
 	case *BetweenExpr:
 		col, okX := x.X.(*ColExpr)
-		lo, okLo := x.Lo.(*ConstExpr)
-		hi, okHi := x.Hi.(*ConstExpr)
+		lo, okLo := operandOf(x.Lo)
+		hi, okHi := operandOf(x.Hi)
 		if okX && okLo && okHi {
-			return betweenKernel(col.Idx, lo.Val, hi.Val, x.Not)
+			return betweenKernel(col.Idx, lo, hi, x.Not)
 		}
 	case *IsNullExpr:
 		if col, ok := x.X.(*ColExpr); ok {
@@ -71,7 +102,7 @@ var errSelKernelCmp = fmt.Errorf("exec: selection kernel: incomparable operands"
 // cmpKernel compiles `col <op> const` (flip reverses the operand order).
 // A NULL constant makes every comparison NULL, which the predicate mask
 // drops — the kernel short-circuits to an all-false mask.
-func cmpKernel(op string, idx int, val types.Datum, flip bool) selKernelFn {
+func cmpKernel(op string, idx int, c kernelOperand, flip bool) selKernelFn {
 	var lt, eq, gt bool // mask outcome by comparison sign
 	switch op {
 	case "=":
@@ -90,69 +121,84 @@ func cmpKernel(op string, idx int, val types.Datum, flip bool) selKernelFn {
 	if flip {
 		lt, gt = gt, lt
 	}
-	constNull := val.IsNull()
-	return func(view *RowBatch, keep []bool) error {
-		vals := view.Cols[idx]
-		sel := view.Sel
-		n := view.Len()
-		if constNull {
-			for si := 0; si < n; si++ {
-				keep[si] = false
-			}
-			return nil
+	return func(view *RowBatch, keep []bool, params []types.Datum) error {
+		val, err := c.value(params)
+		if err != nil {
+			return err
 		}
-		if val.Typ == types.Text {
-			// Point probes over text columns (the common dictionary-string
-			// equality) compare inline; rows of any other type replay.
-			for si := 0; si < n; si++ {
-				d := vals[selIdx(sel, si)]
-				if d.IsNull() {
-					keep[si] = false
-					continue
-				}
-				if d.Typ != types.Text {
-					return errSelKernelCmp
-				}
-				switch {
-				case d.Text() == val.Text():
-					keep[si] = eq
-				case d.Text() < val.Text():
-					keep[si] = lt
-				default:
-					keep[si] = gt
-				}
-			}
-			return nil
+		return cmpMask(view.Cols[idx], view.Sel, view.Len(), keep, val, lt, eq, gt)
+	}
+}
+
+// cmpMask writes keep[si] for `vals[row] <op> val` over the n logical rows
+// of sel, op given by its outcome per comparison sign.
+func cmpMask(vals []types.Datum, sel []int32, n int, keep []bool, val types.Datum, lt, eq, gt bool) error {
+	if val.IsNull() {
+		for si := 0; si < n; si++ {
+			keep[si] = false
 		}
+		return nil
+	}
+	if val.Typ == types.Text {
+		// Point probes over text columns (the common dictionary-string
+		// equality) compare inline; rows of any other type replay.
+		v := val.Text()
 		for si := 0; si < n; si++ {
 			d := vals[selIdx(sel, si)]
 			if d.IsNull() {
 				keep[si] = false
 				continue
 			}
-			c, err := types.Compare(d, val)
-			if err != nil {
+			if d.Typ != types.Text {
 				return errSelKernelCmp
 			}
-			switch {
-			case c < 0:
-				keep[si] = lt
-			case c > 0:
-				keep[si] = gt
-			default:
+			switch t := d.Text(); {
+			case t == v:
 				keep[si] = eq
+			case t < v:
+				keep[si] = lt
+			default:
+				keep[si] = gt
 			}
 		}
 		return nil
 	}
+	for si := 0; si < n; si++ {
+		d := vals[selIdx(sel, si)]
+		if d.IsNull() {
+			keep[si] = false
+			continue
+		}
+		c, err := types.Compare(d, val)
+		if err != nil {
+			return errSelKernelCmp
+		}
+		switch {
+		case c < 0:
+			keep[si] = lt
+		case c > 0:
+			keep[si] = gt
+		default:
+			keep[si] = eq
+		}
+	}
+	return nil
 }
 
 // betweenKernel compiles `col [NOT] BETWEEN lo AND hi` with BetweenExpr's
 // three-valued semantics: a definitely-false bound yields NOT (so NOT
 // BETWEEN keeps the row), any remaining NULL bound yields NULL (dropped).
-func betweenKernel(idx int, lo, hi types.Datum, not bool) selKernelFn {
-	loNull, hiNull := lo.IsNull(), hi.IsNull()
-	return func(view *RowBatch, keep []bool) error {
+func betweenKernel(idx int, loOp, hiOp kernelOperand, not bool) selKernelFn {
+	return func(view *RowBatch, keep []bool, params []types.Datum) error {
+		lo, err := loOp.value(params)
+		if err != nil {
+			return err
+		}
+		hi, err := hiOp.value(params)
+		if err != nil {
+			return err
+		}
+		loNull, hiNull := lo.IsNull(), hi.IsNull()
 		vals := view.Cols[idx]
 		sel := view.Sel
 		n := view.Len()
@@ -194,7 +240,7 @@ func betweenKernel(idx int, lo, hi types.Datum, not bool) selKernelFn {
 
 // isNullKernel compiles `col IS [NOT] NULL`.
 func isNullKernel(idx int, not bool) selKernelFn {
-	return func(view *RowBatch, keep []bool) error {
+	return func(view *RowBatch, keep []bool, _ []types.Datum) error {
 		vals := view.Cols[idx]
 		sel := view.Sel
 		n := view.Len()

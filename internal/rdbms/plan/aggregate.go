@@ -244,10 +244,13 @@ func (p *Planner) planAggregation(
 	}
 
 	// Estimate group count and choose the operator.
-	es := &estimator{cfg: p.Cfg, layout: curLayout, rows: cur.Rows()}
+	es := p.estimator(curLayout, cur.Rows())
 	nGroups := 1.0
 	for _, g := range groupBy {
 		nGroups *= es.ndistinct(g)
+	}
+	if len(groupBy) > 0 {
+		p.b.checkGroupChoice(nGroups, p.Cfg.HashAggMaxGroups)
 	}
 	nGroups = math.Min(nGroups, math.Max(cur.Rows(), 1))
 	aggLayout.Rows = nGroups

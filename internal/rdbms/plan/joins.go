@@ -69,8 +69,8 @@ func edgesBetween(conjuncts []*conjunct, a, b *relation) []*conjunct {
 // falling back to the cross product when no equi edges exist.
 func (p *Planner) estimateJoinRows(a, b *relation, edges []*conjunct) float64 {
 	rows := math.Max(a.node.Rows(), 1) * math.Max(b.node.Rows(), 1)
-	esA := &estimator{cfg: p.Cfg, layout: a.layout, rows: a.node.Rows()}
-	esB := &estimator{cfg: p.Cfg, layout: b.layout, rows: b.node.Rows()}
+	esA := p.estimator(a.layout, a.node.Rows())
+	esB := p.estimator(b.layout, b.node.Rows())
 	for _, e := range edges {
 		lhs, rhs := e.lhs, e.rhs
 		if !a.tables[e.lTable] {
@@ -139,7 +139,7 @@ func (p *Planner) buildJoin(a, b *relation, edges []*conjunct, estRows float64, 
 	}
 	var residual []exec.Expr
 	residSel := 1.0
-	es := &estimator{cfg: p.Cfg, layout: outLayout, rows: estRows}
+	es := p.estimator(outLayout, estRows)
 	for _, ra := range residASTs {
 		ce, err := CompileExpr(ra, outLayout, p.Funcs, "JOIN")
 		if err != nil {

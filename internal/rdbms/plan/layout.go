@@ -110,6 +110,8 @@ func (c *compiler) compile(e sqlparse.Expr) (exec.Expr, error) {
 		return &exec.ColExpr{Idx: idx, Typ: col.Typ, Name: name}, nil
 	case *sqlparse.Literal:
 		return &exec.ConstExpr{Val: x.Val}, nil
+	case *sqlparse.Param:
+		return &exec.ParamExpr{Slot: x.Slot, Typ: x.Typ}, nil
 	case *sqlparse.BinaryExpr:
 		l, err := c.compile(x.L)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"github.com/sinewdata/sinew/internal/rdbms/exec"
 	"github.com/sinewdata/sinew/internal/rdbms/storage"
+	"github.com/sinewdata/sinew/internal/rdbms/types"
 )
 
 // Node is a physical plan operator. Estimated rows and total cost are fixed
@@ -106,14 +107,15 @@ type ScanNode struct {
 	// pruneScanColumns).
 	NeedCols []int
 	// Skip, when non-nil, is a factory invoked once per iterator open with
-	// the scan's chunk cursor; the returned test is evaluated against each
+	// the scan's chunk cursor and the statement's parameter values; the
+	// returned test is evaluated against each
 	// page's attribute/range summary and pages it reports skippable are
 	// never read. Its sources are the scan's filter conjuncts (deriveSkips
 	// — the factory resolves dictionary IDs per execution) and the bound of
 	// a Top-N directly above (deriveTopNSkip — computed per execution and
 	// per partition from the pages the cursor captured). SkipSource names
 	// the source for EXPLAIN.
-	Skip       func(*storage.HeapChunkIter) func(*storage.PageSummary) bool
+	Skip       func(*storage.HeapChunkIter, []types.Datum) func(*storage.PageSummary) bool
 	SkipSource string
 	// SelFilter is the compiled form of Preds the scan runs on frozen
 	// pages: ranked conjuncts evaluated against the page's column vectors,
@@ -158,6 +160,7 @@ func (s *ScanNode) Open(ec *exec.ExecCtx) exec.BatchIterator {
 	}
 	it := exec.NewBatchScanRange(v, conjoinExec(s.Preds), r.Start, r.End)
 	it.NeedCols = s.NeedCols
+	it.SetParams(ec.Params())
 	if s.Skip != nil {
 		it.SetPageSkip(s.Skip)
 	}
@@ -185,7 +188,7 @@ func (f *FilterNode) Children() []Node { return []Node{f.Child} }
 
 // Open implements Node.
 func (f *FilterNode) Open(ec *exec.ExecCtx) exec.BatchIterator {
-	return &exec.BatchFilterIter{In: f.Child.Open(ec), Pred: conjoinExec(f.Preds)}
+	return &exec.BatchFilterIter{In: f.Child.Open(ec), Pred: conjoinExec(f.Preds), Params: ec.Params()}
 }
 
 // ---------- Project ----------

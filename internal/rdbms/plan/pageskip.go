@@ -55,6 +55,9 @@ type skipCond struct {
 	key  string
 	op   string
 	val  types.Datum
+	// slot, when not -1, names the parameter val is read from at open: a
+	// cached shape's plan tests each execution's own value.
+	slot int
 }
 
 // deriveSkips walks the plan and installs page-skip predicates on scans:
@@ -108,39 +111,63 @@ func (p *Planner) deriveScanSkip(s *ScanNode, extra []exec.Expr) {
 // cached plan still sees the live dictionary. Any single condition
 // proving exclusion suffices: each derives from a top-level conjunct, and
 // one always-false conjunct kills the whole AND.
-func makeSkip(conds []skipCond, resolver exec.AttrResolver, h *storage.Heap) func(*storage.HeapChunkIter) func(*storage.PageSummary) bool {
-	return func(*storage.HeapChunkIter) func(*storage.PageSummary) bool {
-		resolved := make([][]uint32, len(conds))
+//
+// A condition over a parameter reads the execution's value here too, beside
+// the attribute IDs: a cached shape's plan is shared by executions with
+// different values. One without a value (none bound, or NULL) proves
+// nothing.
+func makeSkip(conds []skipCond, resolver exec.AttrResolver, h *storage.Heap) func(*storage.HeapChunkIter, []types.Datum) func(*storage.PageSummary) bool {
+	// openCond is one condition as one execution tests it.
+	type openCond struct {
+		skipCond
+		off bool     // a parameter without a usable value: proves nothing
+		ids []uint32 // the key's attribute IDs (attr and zone)
 		// Per-ID singleton slices for the zone test's LacksAllAttrs probes,
 		// allocated at open: the page test may be shared across parallel
 		// partition scans, so it must not write shared scratch.
-		singles := make([][][]uint32, len(conds))
+		singles [][]uint32
+	}
+	return func(_ *storage.HeapChunkIter, params []types.Datum) func(*storage.PageSummary) bool {
+		open := make([]openCond, len(conds))
 		for i, c := range conds {
+			o := &open[i]
+			o.skipCond = c
+			if c.slot >= 0 {
+				if c.slot >= len(params) || params[c.slot].IsNull() {
+					o.off = true
+					continue
+				}
+				o.val = params[c.slot]
+			}
 			if c.attr || c.zone {
-				resolved[i] = resolver(c.key)
+				o.ids = resolver(c.key)
 			}
 			if c.zone {
-				for _, id := range resolved[i] {
-					singles[i] = append(singles[i], []uint32{id})
+				for _, id := range o.ids {
+					o.singles = append(o.singles, []uint32{id})
 				}
 			}
 		}
 		return func(sum *storage.PageSummary) bool {
-			for i, c := range conds {
+			for i := range open {
+				c := &open[i]
+				if c.off {
+					continue
+				}
 				if c.attr {
-					if ids := resolved[i]; ids != nil && sum.LacksAllAttrs(c.col, ids) {
+					if ids := c.ids; ids != nil && sum.LacksAllAttrs(c.col, ids) {
 						return true
 					}
 					continue
 				}
 				if c.zone {
-					ids := resolved[i]
+					ids := c.ids
 					if len(ids) == 0 {
 						continue
 					}
 					excluded := true
 					for j, id := range ids {
-						if sum.LacksAllAttrs(c.col, singles[i][j]) {
+						if sum.LacksAllAttrs(c.col, c.singles[j]) {
 							continue
 						}
 						z, ok := sum.AttrZone(c.col, id)
@@ -302,7 +329,7 @@ func condsV(e exec.Expr, resolver exec.AttrResolver) []skipCond {
 	switch x := e.(type) {
 	case *exec.CallExpr:
 		if col, key, ok := extractionAtom(x, resolver); ok {
-			return []skipCond{{attr: true, col: col, key: key}}
+			return []skipCond{{attr: true, col: col, key: key, slot: -1}}
 		}
 		// Non-extraction calls may map NULL args to non-NULL results.
 		return nil
@@ -344,25 +371,37 @@ func extractionAtom(x *exec.CallExpr, resolver exec.AttrResolver) (col int, key 
 // numeric extrema do not bound the atom's comparison behaviour.
 func zoneCond(l, r exec.Expr, op string, resolver exec.AttrResolver) (skipCond, bool) {
 	call, okc := l.(*exec.CallExpr)
-	k, okk := r.(*exec.ConstExpr)
-	if !okc || !okk || k.Val.IsNull() || call.Def == nil || call.Def.FuseAny {
+	val, slot, okk := skipConst(r)
+	if !okc || !okk || call.Def == nil || call.Def.FuseAny {
 		return skipCond{}, false
 	}
 	col, key, ok := extractionAtom(call, resolver)
 	if !ok {
 		return skipCond{}, false
 	}
-	return skipCond{zone: true, col: col, key: key, op: op, val: k.Val}, true
+	return skipCond{zone: true, col: col, key: key, op: op, val: val, slot: slot}, true
 }
 
 // rangeCond matches col-vs-constant comparisons for min/max pruning.
 func rangeCond(l, r exec.Expr, op string) (skipCond, bool) {
 	ce, okc := l.(*exec.ColExpr)
-	k, okk := r.(*exec.ConstExpr)
-	if !okc || !okk || k.Val.IsNull() {
+	val, slot, okk := skipConst(r)
+	if !okc || !okk {
 		return skipCond{}, false
 	}
-	return skipCond{col: ce.Idx, op: op, val: k.Val}, true
+	return skipCond{col: ce.Idx, op: op, val: val, slot: slot}, true
+}
+
+// skipConst matches the constant side of a skip condition: a non-NULL
+// literal (slot -1), or a parameter whose value the test reads at open.
+func skipConst(e exec.Expr) (val types.Datum, slot int, ok bool) {
+	switch x := e.(type) {
+	case *exec.ConstExpr:
+		return x.Val, -1, !x.Val.IsNull()
+	case *exec.ParamExpr:
+		return types.Datum{}, x.Slot, true
+	}
+	return types.Datum{}, 0, false
 }
 
 // flipOp mirrors a comparison when its operands are swapped (5 < col ⇒

@@ -10,11 +10,18 @@ import (
 	"github.com/sinewdata/sinew/internal/rdbms/types"
 )
 
-// Planner builds physical plans.
+// Planner builds physical plans, one statement at a time.
 type Planner struct {
 	Cat   Catalog
 	Funcs *exec.Registry
 	Cfg   *Config
+	// Params are the values of a statement shape's parameters
+	// (sqlparse.Param): estimates read them as constants, and the plan
+	// reports whether it holds for other values (ValueDependent). The plan
+	// itself reads each execution's values (exec.ExecCtx.Bind).
+	Params []types.Datum
+
+	b binding // the current PlanSelect's parameter state
 }
 
 // NewPlanner constructs a planner; cfg nil means DefaultConfig.
@@ -33,6 +40,10 @@ type SelectPlan struct {
 	// fuse allows the fused projection collector (fusedCollect), one of the
 	// shortcuts the reference plan (enable_batch off) does without.
 	fuse bool
+	// ValueDependent reports a plan of a statement with parameters that
+	// other parameter values could change (params.go): it must not be
+	// reused for them.
+	ValueDependent bool
 }
 
 // Explain renders the plan tree.
@@ -117,10 +128,11 @@ func (p *Planner) PlanSelect(stmt *sqlparse.SelectStmt) (*SelectPlan, error) {
 	if len(stmt.From) == 0 {
 		return p.planNoFrom(stmt)
 	}
+	p.b = binding{vals: p.Params}
 
 	// ----- Bind FROM -----
 	rels := make([]*relation, 0, len(stmt.From))
-	full := &Layout{}
+	full := &Layout{Rows: 1} // Rows: the product of the tables' rows
 	seen := map[string]bool{}
 	for _, ref := range stmt.From {
 		eff := ref.EffectiveName()
@@ -149,6 +161,8 @@ func (p *Planner) PlanSelect(stmt *sqlparse.SelectStmt) (*SelectPlan, error) {
 		// Scan node built after local predicates are known; stash identity.
 		rels[len(rels)-1].node = &ScanNode{Heap: viewRef, TableName: tableName, AliasName: aliasName}
 	}
+
+	p.b.tableRows = full.Rows
 
 	// ----- Normalize and expand -----
 	items, names, err := p.expandItems(stmt, full)
@@ -232,7 +246,7 @@ func (p *Planner) PlanSelect(stmt *sqlparse.SelectStmt) (*SelectPlan, error) {
 				cj.used = true
 			}
 		}
-		es := &estimator{cfg: p.Cfg, layout: rel.layout, rows: rel.layout.Rows}
+		es := p.estimator(rel.layout, rel.layout.Rows)
 		sel := 1.0
 		for _, a := range localASTs {
 			sel *= es.selectivity(a)
@@ -269,7 +283,7 @@ func (p *Planner) PlanSelect(stmt *sqlparse.SelectStmt) (*SelectPlan, error) {
 	}
 	if len(leftover) > 0 {
 		preds := make([]exec.Expr, len(leftover))
-		es := &estimator{cfg: p.Cfg, layout: curLayout, rows: cur.Rows()}
+		es := p.estimator(curLayout, cur.Rows())
 		sel := 1.0
 		for i, a := range leftover {
 			if preds[i], err = CompileExpr(a, curLayout, p.Funcs, "WHERE"); err != nil {
@@ -327,7 +341,7 @@ func (p *Planner) PlanSelect(stmt *sqlparse.SelectStmt) (*SelectPlan, error) {
 	exprs := make([]exec.Expr, len(itemASTs))
 	outTypes := make([]types.Type, len(itemASTs))
 	outLayout := &Layout{Rows: cur.Rows()}
-	es := &estimator{cfg: p.Cfg, layout: preProjLayout, rows: cur.Rows()}
+	es := p.estimator(preProjLayout, cur.Rows())
 	distinctEst := 1.0
 	for i, a := range itemASTs {
 		e, err := CompileExpr(a, preProjLayout, p.Funcs, "SELECT")
@@ -348,6 +362,7 @@ func (p *Planner) PlanSelect(stmt *sqlparse.SelectStmt) (*SelectPlan, error) {
 	// ----- DISTINCT -----
 	if stmt.Distinct {
 		nGroups := math.Min(distinctEst, math.Max(cur.Rows(), 1))
+		p.b.checkGroupChoice(distinctEst, p.Cfg.HashAggMaxGroups)
 		allCols := make([]exec.Expr, len(outLayout.Cols))
 		for i, c := range outLayout.Cols {
 			allCols[i] = &exec.ColExpr{Idx: i, Typ: c.Typ, Name: c.Name}
@@ -418,7 +433,11 @@ func (p *Planner) PlanSelect(stmt *sqlparse.SelectStmt) (*SelectPlan, error) {
 		cur = p.parallelize(cur)
 	}
 	releasePlanViews(cur)
-	return &SelectPlan{Root: cur, ColumnNames: names, ColumnTypes: outTypes, fuse: shortcuts}, nil
+	if len(p.Params) > 0 && (len(stmt.From) > 1 && p.b.read || !paramsCovered(cur)) {
+		p.b.dependent = true
+	}
+	return &SelectPlan{Root: cur, ColumnNames: names, ColumnTypes: outTypes, fuse: shortcuts,
+		ValueDependent: p.b.dependent}, nil
 }
 
 // releasePlanViews rebinds every scan to its owner heap once planning is

@@ -97,6 +97,15 @@ type estimator struct {
 	cfg    *Config
 	layout *Layout
 	rows   float64 // input row estimate the predicate applies to
+	// b is the statement's parameter binding: a parameter is a constant of
+	// its bound value, and reading it is recorded. Nil outside PlanSelect.
+	b *binding
+}
+
+// estimator returns an estimator over layout for rows input rows that
+// reads the statement's parameters.
+func (p *Planner) estimator(layout *Layout, rows float64) *estimator {
+	return &estimator{cfg: p.Cfg, layout: layout, rows: rows, b: &p.b}
 }
 
 // selectivity estimates the fraction of rows satisfying the (normalized)
@@ -203,19 +212,28 @@ func (es *estimator) colInfo(e sqlparse.Expr) (stats *storage.ColumnStats, opaqu
 	}
 }
 
-func isConst(e sqlparse.Expr) (types.Datum, bool) {
+// isConst reports whether e is a constant, and its value: a literal, a
+// bound parameter (whose value the estimate then depends on), or a cast or
+// negation of one.
+func (es *estimator) isConst(e sqlparse.Expr) (types.Datum, bool) {
 	switch x := e.(type) {
 	case *sqlparse.Literal:
 		return x.Val, true
+	case *sqlparse.Param:
+		if es.b == nil || x.Slot < 0 || x.Slot >= len(es.b.vals) {
+			return types.Datum{}, false
+		}
+		es.b.read = true
+		return es.b.vals[x.Slot], true
 	case *sqlparse.CastExpr:
-		if d, ok := isConst(x.X); ok {
+		if d, ok := es.isConst(x.X); ok {
 			if cast, err := types.Cast(d, x.To); err == nil {
 				return cast, true
 			}
 		}
 	case *sqlparse.UnaryExpr:
 		if x.Op == "-" {
-			if d, ok := isConst(x.X); ok && d.IsNumeric() {
+			if d, ok := es.isConst(x.X); ok && d.IsNumeric() {
 				if d.Typ == types.Int {
 					return types.NewInt(-d.I), true
 				}
@@ -229,10 +247,10 @@ func isConst(e sqlparse.Expr) (types.Datum, bool) {
 // eqSelectivity estimates expr = expr.
 func (es *estimator) eqSelectivity(l, r sqlparse.Expr) float64 {
 	// Normalize to column-ish on the left, constant on the right.
-	if _, lconst := isConst(l); lconst {
+	if _, lconst := es.isConst(l); lconst {
 		l, r = r, l
 	}
-	cval, rconst := isConst(r)
+	cval, rconst := es.isConst(r)
 	stats, _ := es.colInfo(l)
 	if rconst {
 		if stats != nil && stats.RowCount > 0 {
@@ -282,11 +300,11 @@ func (es *estimator) defaultEqSel() float64 {
 // rangeSelectivity estimates expr < const (lt=true) or expr > const using
 // min/max interpolation when numeric statistics exist.
 func (es *estimator) rangeSelectivity(l, r sqlparse.Expr, lt bool) float64 {
-	if _, lconst := isConst(l); lconst {
+	if _, lconst := es.isConst(l); lconst {
 		l, r = r, l
 		lt = !lt
 	}
-	cval, rconst := isConst(r)
+	cval, rconst := es.isConst(r)
 	if !rconst {
 		return es.cfg.DefaultIneqSel
 	}
@@ -305,8 +323,8 @@ func (es *estimator) rangeSelectivity(l, r sqlparse.Expr, lt bool) float64 {
 }
 
 func (es *estimator) betweenSelectivity(b *sqlparse.BetweenExpr) float64 {
-	lo, loConst := isConst(b.Lo)
-	hi, hiConst := isConst(b.Hi)
+	lo, loConst := es.isConst(b.Lo)
+	hi, hiConst := es.isConst(b.Hi)
 	stats, _ := es.colInfo(b.X)
 	sel := es.cfg.DefaultRangeSel
 	if stats != nil && stats.HasMinMax && loConst && hiConst {

@@ -6,6 +6,7 @@ import (
 
 	"github.com/sinewdata/sinew/internal/rdbms/exec"
 	"github.com/sinewdata/sinew/internal/rdbms/storage"
+	"github.com/sinewdata/sinew/internal/rdbms/types"
 )
 
 // rewriteTopN substitutes a bounded Top-N for a SortNode feeding a LIMIT —
@@ -61,7 +62,7 @@ func deriveTopNSkip(t *TopNNode) {
 		return
 	}
 	col, desc, n := c.Idx, t.Keys[0].Desc, t.N
-	s.Skip = func(it *storage.HeapChunkIter) func(*storage.PageSummary) bool {
+	s.Skip = func(it *storage.HeapChunkIter, _ []types.Datum) func(*storage.PageSummary) bool {
 		return it.TopNSkip(col, desc, n)
 	}
 	s.SkipSource = fmt.Sprintf("top-n bound (%s, %d)", sortKeyDisplay(t.Keys[:1]), n)

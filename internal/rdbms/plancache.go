@@ -8,19 +8,33 @@ import (
 	"github.com/sinewdata/sinew/internal/rdbms/exec"
 	"github.com/sinewdata/sinew/internal/rdbms/plan"
 	"github.com/sinewdata/sinew/internal/rdbms/sqlparse"
+	"github.com/sinewdata/sinew/internal/rdbms/types"
 )
 
 // The prepared-plan cache: repeated statements skip parsing, rewriting and
-// planning entirely. Entries are keyed by the statement text, the
-// plan-shaping session flags, and the catalog epoch — a counter bumped by
-// every DDL, ANALYZE, and (via BumpCatalogEpoch) any upper-layer change
-// that alters what the same SQL text should compile to, such as a
-// materializer pass moving columns. An epoch bump therefore invalidates
-// every cached plan at once without enumerating dependencies.
+// planning entirely. Entries are keyed by the statement's shape — its text
+// with the WHERE clause's literals lifted to typed parameters
+// (sqlparse.ScanShape) — the plan-shaping session flags, and the catalog
+// epoch — a counter bumped by every DDL, ANALYZE, and (via
+// BumpCatalogEpoch) any upper-layer change that alters what the same SQL
+// text should compile to, such as a materializer pass moving columns. An
+// epoch bump therefore invalidates every cached plan at once without
+// enumerating dependencies.
+//
+// A shape is parsed, rewritten and planned once, with the values of the
+// execution that missed, and every execution binds its own values when the
+// plan opens (exec.ExecCtx.Bind). When the planner reports that the plan
+// depends on the values (plan.SelectPlan.ValueDependent: a join or a
+// hash-or-sort choice that read them, a parameter only the row evaluator
+// would see), the shape's entry becomes a marker and each statement of the
+// shape is cached under its own text, planned from its literals — the plan
+// and EXPLAIN it has without the cache.
 //
 // Cached *plan.SelectPlan values are safe to re-execute and to execute
-// concurrently: Open builds fresh iterator state per execution, and fused
-// multi-extract kernels are instantiated per Open by their factory.
+// concurrently: Open builds fresh iterator state per execution, fused
+// multi-extract kernels are instantiated per Open by their factory, and
+// parameters are read from the execution's context, never stored in the
+// plan.
 
 // planCacheCap bounds the number of retained plans (LRU eviction).
 const planCacheCap = 256
@@ -31,10 +45,14 @@ type planKey struct {
 	epoch uint64
 }
 
+// cachedPlan is one entry: a plan, or — literal set — the marker of a
+// shape whose plans depend on its values, whose statements are cached
+// under their own text.
 type cachedPlan struct {
-	sp     *plan.SelectPlan
-	tables []string
-	key    planKey // for eviction bookkeeping
+	sp      *plan.SelectPlan
+	tables  []string
+	literal bool
+	key     planKey // for eviction bookkeeping
 }
 
 // PlanCacheStats is a snapshot of the cache counters, surfaced through the
@@ -182,11 +200,20 @@ func appendUint(b []byte, v uint64) []byte {
 	return append(b, tmp[i:]...)
 }
 
-// ExecSelectCached runs a SELECT through the prepared-plan cache. sqlText
-// is the statement as the client submitted it (before any rewriting); on a
-// miss, build is called to produce the planned-against AST — for Sinew that
-// closure performs parse + virtual-column rewrite, which a hit skips
-// entirely along with planning.
+// CachedSelect is one SELECT as the plan cache sees it: Text is the
+// statement as the client submitted it; Shape is Text with its WHERE
+// literals lifted and Params their values (sqlparse.ScanShape). Without
+// parameters Shape is Text.
+type CachedSelect struct {
+	Text, Shape string
+	Params      []types.Datum
+}
+
+// ExecSelectCached runs a SELECT through the prepared-plan cache. On a
+// miss, build produces the planned-against AST: of q.Shape (parsed by
+// sqlparse.ParseShape) when shape is set, of q.Text otherwise. For Sinew it
+// performs parse + virtual-column rewrite, which a hit skips entirely along
+// with planning.
 //
 // Hit or miss, a statement runs only over snapshots it pinned while the
 // epoch it was built under still held. Whoever changes what the same text
@@ -194,23 +221,31 @@ func appendUint(b []byte, v uint64) []byte {
 // moving values between the reservoir and a column — bumps the epoch before
 // publishing the first snapshot that shows the change (storage invariant
 // 4), so pin-then-recheck proves that none of the pinned snapshots can.
-func (db *DB) ExecSelectCached(sqlText string, build func() (*sqlparse.SelectStmt, error)) (*Result, error) {
+func (db *DB) ExecSelectCached(q CachedSelect, build func(shape bool) (*sqlparse.SelectStmt, error)) (*Result, error) {
 	flags := *db.flags.Load()
 	for {
 		// The epoch is sampled once, before build: a plan is cached under
 		// the epoch its rewrite may have read catalog state at.
-		key := planKey{sql: sqlText, flags: flags, epoch: db.epoch.Load()}
+		key := planKey{sql: q.Shape, flags: flags, epoch: db.epoch.Load()}
+		shaped := len(q.Params) > 0
 		ent, hit := db.plans.get(key)
+		if hit && ent.literal {
+			key.sql, shaped = q.Text, false
+			ent, hit = db.plans.get(key)
+		}
 		var st *sqlparse.SelectStmt
 		if !hit {
 			db.plans.misses.Add(1)
 			var err error
-			if st, err = build(); err != nil {
+			if st, err = build(shaped); err != nil {
 				return nil, err
 			}
 			ent = &cachedPlan{tables: fromTables(st)}
 		}
 		ec := exec.NewExecCtx()
+		if shaped {
+			ec.Bind(q.Params)
+		}
 		if !db.pinAt(ec, ent.tables, key.epoch) {
 			// A catalog change landed between the sample and the pins: the
 			// cached plan is stale, a fresh build may be. Start over under
@@ -223,8 +258,22 @@ func (db *DB) ExecSelectCached(sqlText string, build func() (*sqlparse.SelectStm
 		}
 		if hit {
 			db.plans.hits.Add(1)
+		} else {
+			sp, err := db.planPinned(ec, st)
+			if err != nil {
+				ec.Release()
+				return nil, err
+			}
+			if sp.ValueDependent {
+				// Another value could want another plan: mark the shape and
+				// go round again, to the statement's own text.
+				ec.Release()
+				db.plans.put(key, &cachedPlan{literal: true})
+				continue
+			}
+			ent.sp = sp
 		}
-		res, err := db.runPinned(ec, ent, st)
+		res, err := db.runPinned(ec, ent.sp)
 		ec.Release()
 		if err == nil && !hit {
 			db.plans.put(key, ent)
@@ -244,14 +293,18 @@ func (db *DB) ExecSelectOnce(build func() (*sqlparse.SelectStmt, error)) (*Resul
 		if err != nil {
 			return nil, err
 		}
-		ent := &cachedPlan{tables: fromTables(st)}
 		ec := exec.NewExecCtx()
-		if db.pinAt(ec, ent.tables, epoch) {
-			res, err := db.runPinned(ec, ent, st)
+		if !db.pinAt(ec, fromTables(st), epoch) {
 			ec.Release()
-			return res, err
+			continue
+		}
+		sp, err := db.planPinned(ec, st)
+		var res *Result
+		if err == nil {
+			res, err = db.runPinned(ec, sp)
 		}
 		ec.Release()
+		return res, err
 	}
 }
 
@@ -267,20 +320,20 @@ func (db *DB) pinAt(ec *exec.ExecCtx, tables []string, epoch uint64) bool {
 	return db.epoch.Load() == epoch
 }
 
-// runPinned runs ent's plan over the snapshots ec holds; a fresh build of
-// st has its plan made first, against those snapshots.
-func (db *DB) runPinned(ec *exec.ExecCtx, ent *cachedPlan, st *sqlparse.SelectStmt) (*Result, error) {
-	if ent.sp == nil {
-		p := plan.NewPlanner(snapshotCatalog{db: db, ec: ec}, db.funcs, db.planCfg())
-		sp, err := p.PlanSelect(st)
-		if err != nil {
-			return nil, err
-		}
-		ent.sp = sp
-	}
-	rows, err := ent.sp.CollectCtx(ec)
+// planPinned plans st against the snapshots ec holds, its estimates
+// reading the parameter values ec is bound to.
+func (db *DB) planPinned(ec *exec.ExecCtx, st *sqlparse.SelectStmt) (*plan.SelectPlan, error) {
+	p := plan.NewPlanner(snapshotCatalog{db: db, ec: ec}, db.funcs, db.planCfg())
+	p.Params = ec.Params()
+	return p.PlanSelect(st)
+}
+
+// runPinned runs sp over the snapshots ec holds, with the parameter values
+// ec is bound to.
+func (db *DB) runPinned(ec *exec.ExecCtx, sp *plan.SelectPlan) (*Result, error) {
+	rows, err := sp.CollectCtx(ec)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Columns: ent.sp.ColumnNames, Types: ent.sp.ColumnTypes, Rows: rows}, nil
+	return &Result{Columns: sp.ColumnNames, Types: sp.ColumnTypes, Rows: rows}, nil
 }

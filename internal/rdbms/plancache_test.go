@@ -38,7 +38,8 @@ func TestPlanCacheStaleBuildRebuilt(t *testing.T) {
 	}
 	run := func() string {
 		t.Helper()
-		res, err := db.ExecSelectCached(text, build)
+		res, err := db.ExecSelectCached(CachedSelect{Text: text, Shape: text},
+			func(bool) (*sqlparse.SelectStmt, error) { return build() })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -149,6 +149,14 @@ type ColumnRef struct {
 // Literal is a constant value.
 type Literal struct{ Val types.Datum }
 
+// Param is a literal lifted out of a statement shape (ScanShape): a
+// constant of type Typ whose value is the shape's Slot-th parameter, bound
+// per execution. Typ is Int, Float or Text.
+type Param struct {
+	Slot int
+	Typ  types.Type
+}
+
 // BinOp enumerates binary operators.
 type BinOp uint8
 
@@ -266,6 +274,7 @@ type CastExpr struct {
 
 func (*ColumnRef) expr()   {}
 func (*Literal) expr()     {}
+func (*Param) expr()       {}
 func (*BinaryExpr) expr()  {}
 func (*UnaryExpr) expr()   {}
 func (*FuncCall) expr()    {}

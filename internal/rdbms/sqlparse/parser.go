@@ -11,7 +11,19 @@ import (
 // Parse parses a single SQL statement (an optional trailing semicolon is
 // allowed).
 func Parse(sql string) (Statement, error) {
-	toks, err := lex(sql)
+	return parse(sql, false)
+}
+
+// ParseShape parses a statement shape (ScanShape): SQL text in which the
+// lifted literals are parameter tokens, each parsed to a *Param. User text
+// goes through Parse, which rejects parameter tokens as it always did.
+func ParseShape(shape string) (Statement, error) {
+	return parse(shape, true)
+}
+
+func parse(sql string, params bool) (Statement, error) {
+	toks, buf, err := lexPooled(sql, params)
+	defer putTokens(buf, toks)
 	if err != nil {
 		return nil, err
 	}
@@ -902,11 +914,7 @@ func (p *parser) parseUnary() (Expr, error) {
 		}
 		// Fold -literal immediately so "-5" is a constant.
 		if lit, ok := x.(*Literal); ok && lit.Val.IsNumeric() {
-			d := lit.Val
-			if d.Typ == types.Int {
-				return &Literal{Val: types.NewInt(-d.I)}, nil
-			}
-			return &Literal{Val: types.NewFloat(-d.Float())}, nil
+			return &Literal{Val: negate(lit.Val)}, nil
 		}
 		return &UnaryExpr{Op: "-", X: x}, nil
 	}
@@ -919,22 +927,14 @@ func (p *parser) parsePrimary() (Expr, error) {
 	switch t.kind {
 	case tkNumber:
 		p.advance()
-		if strings.ContainsAny(t.text, ".eE") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, p.errf("bad number %q", t.text)
-			}
-			return &Literal{Val: types.NewFloat(f)}, nil
+		d, ok := numberDatum(t.text)
+		if !ok {
+			return nil, p.errf("bad number %q", t.text)
 		}
-		i, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			f, ferr := strconv.ParseFloat(t.text, 64)
-			if ferr != nil {
-				return nil, p.errf("bad number %q", t.text)
-			}
-			return &Literal{Val: types.NewFloat(f)}, nil
-		}
-		return &Literal{Val: types.NewInt(i)}, nil
+		return &Literal{Val: d}, nil
+	case tkParam:
+		p.advance()
+		return paramOf(t.text), nil
 	case tkString:
 		p.advance()
 		return &Literal{Val: types.NewText(t.text)}, nil
@@ -1043,4 +1043,45 @@ func (p *parser) parsePrimary() (Expr, error) {
 	default:
 		return nil, p.errf("unexpected token %q", t.text)
 	}
+}
+
+// numberDatum converts a number token: an integer unless it has a point or
+// an exponent or overflows int64, a real otherwise. ok is false for text
+// that is no number (a dangling exponent, a real out of range).
+func numberDatum(text string) (types.Datum, bool) {
+	if !strings.ContainsAny(text, ".eE") {
+		if i, err := strconv.ParseInt(text, 10, 64); err == nil {
+			return types.NewInt(i), true
+		}
+	}
+	f, err := strconv.ParseFloat(text, 64)
+	if err != nil {
+		return types.Datum{}, false
+	}
+	return types.NewFloat(f), true
+}
+
+// negate is the value of -d for a numeric d, as the parser folds it.
+func negate(d types.Datum) types.Datum {
+	if d.Typ == types.Int {
+		return types.NewInt(-d.I)
+	}
+	return types.NewFloat(-d.Float())
+}
+
+// paramOf decodes a parameter token the lexer accepted: $, a class
+// letter, a 1-based slot.
+func paramOf(text string) *Param {
+	slot := 0
+	for i := 2; i < len(text); i++ {
+		slot = slot*10 + int(text[i]-'0')
+	}
+	typ := types.Text
+	switch text[1] {
+	case 'i':
+		typ = types.Int
+	case 'f':
+		typ = types.Float
+	}
+	return &Param{Slot: slot - 1, Typ: typ}
 }

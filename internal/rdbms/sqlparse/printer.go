@@ -213,6 +213,9 @@ func printExpr(sb *strings.Builder, e Expr) {
 		quoteIdent(sb, x.Name)
 	case *Literal:
 		printDatumLiteral(sb, x.Val)
+	case *Param:
+		var buf [24]byte
+		sb.Write(appendParamToken(buf[:0], x.Slot, x.Typ))
 	case *BinaryExpr:
 		sb.WriteString("(")
 		printExpr(sb, x.L)

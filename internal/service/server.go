@@ -318,6 +318,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	global("documents_loaded_total", s.docsLoaded.Load())
 	global("plan_cache_hits", int64(pc.Hits))
 	global("plan_cache_misses", int64(pc.Misses))
+	global("plan_cache_entries", int64(pc.Entries))
+	global("plan_cache_invalidations", int64(pc.Invalidations))
 	global("catalog_epoch", int64(pc.Epoch))
 
 	s.mu.Lock()

@@ -190,6 +190,14 @@ func TestServerEndToEnd(t *testing.T) {
 	if got := m["sinew_query_errors_total"]; got != 1 {
 		t.Errorf("sinew_query_errors_total = %d, want 1", got)
 	}
+	// The two SELECTs that ran are cached; the failed one is not. CREATE
+	// and INSERT each invalidated the cache.
+	if got := m["sinew_plan_cache_entries"]; got != 2 {
+		t.Errorf("sinew_plan_cache_entries = %d, want 2", got)
+	}
+	if got := m["sinew_plan_cache_invalidations"]; got < 2 {
+		t.Errorf("sinew_plan_cache_invalidations = %d, want >= 2", got)
+	}
 	wkey := fmt.Sprintf("sinew_session_queries{session=%q}", writer)
 	if got := m[wkey]; got != 2 {
 		t.Errorf("%s = %d, want 2", wkey, got)
