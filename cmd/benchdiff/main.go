@@ -1,7 +1,10 @@
 // Command benchdiff compares a benchmark report produced by `sinewbench
 // -json` with the checked-in baseline and fails (exit 1) when any Figure 6
-// query — or either leg (virtual/physical) of any Table 5 row — allocates
-// more per operation than the baseline by more than the tolerance:
+// query — or either leg (virtual/physical) of any Table 2 or Table 5 row —
+// allocates more per operation than the baseline by more than the
+// tolerance, or when a Table 2 row's plan differs from the baseline's at
+// all (Table 2 is the paper's plan-flip experiment, so its plans are part
+// of the result):
 //
 //	benchdiff -new .bench_build/bench.json [-baseline BENCH_BASELINE.json] [-tolerance 10]
 //
@@ -40,10 +43,29 @@ type table5Bench struct {
 	PhysicalAllocs  int64  `json:"physical_allocs_per_op"`
 }
 
+type table2Bench struct {
+	Query           string `json:"query"`
+	VirtualPlan     string `json:"virtual_plan"`
+	VirtualNsPerOp  int64  `json:"virtual_ns_per_op"`
+	VirtualAllocs   int64  `json:"virtual_allocs_per_op"`
+	PhysicalPlan    string `json:"physical_plan"`
+	PhysicalNsPerOp int64  `json:"physical_ns_per_op"`
+	PhysicalAllocs  int64  `json:"physical_allocs_per_op"`
+}
+
 type report struct {
 	Records      int           `json:"records"`
 	Figure6Sinew []queryBench  `json:"figure6_sinew"`
+	Table2       []table2Bench `json:"table2"`
 	Table5       []table5Bench `json:"table5"`
+}
+
+// leg is one measured side (virtual or physical) of a Table 2 or Table 5
+// row.
+type leg struct {
+	name           string
+	oldNs, newNs   int64
+	oldAll, newAll int64
 }
 
 func load(path string) (*report, error) {
@@ -149,11 +171,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "table5 %-60q  (new row)\n", n.SQL)
 			continue
 		}
-		type leg struct {
-			name           string
-			oldNs, newNs   int64
-			oldAll, newAll int64
-		}
 		for _, l := range []leg{
 			{"virtual", o.VirtualNsPerOp, n.VirtualNsPerOp, o.VirtualAllocs, n.VirtualAllocs},
 			{"physical", o.PhysicalNsPerOp, n.PhysicalNsPerOp, o.PhysicalAllocs, n.PhysicalAllocs},
@@ -169,10 +186,50 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
+	// Table 2 rows (keyed by query; rows new in the candidate report are
+	// exempt) gate both legs' allocs/op like Table 5 and, beyond that, the
+	// plans: any difference in a plan string fails.
+	oldT2 := make(map[string]table2Bench, len(oldRep.Table2))
+	for _, q := range oldRep.Table2 {
+		oldT2[q.Query] = q
+	}
+	planFailed := false
+	for _, n := range newRep.Table2 {
+		o, ok := oldT2[n.Query]
+		if !ok {
+			fmt.Fprintf(stdout, "table2 %-5s  (new row)\n", n.Query)
+			continue
+		}
+		for _, p := range [][3]string{{"virtual", o.VirtualPlan, n.VirtualPlan}, {"physical", o.PhysicalPlan, n.PhysicalPlan}} {
+			if p[1] != p[2] {
+				planFailed = true
+				fmt.Fprintf(stdout, "table2 %-5s %-8s PLAN CHANGED\n  old: %s\n  new: %s\n", n.Query, p[0], p[1], p[2])
+			}
+		}
+		for _, l := range []leg{
+			{"virtual", o.VirtualNsPerOp, n.VirtualNsPerOp, o.VirtualAllocs, n.VirtualAllocs},
+			{"physical", o.PhysicalNsPerOp, n.PhysicalNsPerOp, o.PhysicalAllocs, n.PhysicalAllocs},
+		} {
+			nsD := pct(l.oldNs, l.newNs)
+			alD := pct(l.oldAll, l.newAll)
+			mark := ""
+			if alD > *tolerance && l.oldAll >= *minAllocs {
+				mark, failed = "  REGRESSION(allocs)", true
+			}
+			fmt.Fprintf(stdout, "table2 %-5s %-8s %12d %12d %+7.1f%%   %8d %8d %+7.1f%%%s\n",
+				n.Query, l.name, l.oldNs, l.newNs, nsD, l.oldAll, l.newAll, alD, mark)
+		}
+	}
+
+	if planFailed {
+		fmt.Fprintln(stderr, "benchdiff: FAIL — a Table 2 plan differs from the baseline")
+	}
 	if failed {
 		fmt.Fprintf(stderr, "benchdiff: FAIL — allocs/op regression beyond %.0f%% tolerance\n", *tolerance)
+	}
+	if failed || planFailed {
 		return 1
 	}
-	fmt.Fprintf(stdout, "benchdiff: OK (allocs/op within %.0f%%; ns/op is not gated)\n", *tolerance)
+	fmt.Fprintf(stdout, "benchdiff: OK (allocs/op within %.0f%%, Table 2 plans unchanged; ns/op is not gated)\n", *tolerance)
 	return 0
 }

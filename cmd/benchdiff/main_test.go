@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -201,5 +202,39 @@ func TestTable5Gate(t *testing.T) {
 	errb.Reset()
 	if code := run([]string{"-baseline", oldP, "-new", okP}, &out, &errb); code != 0 {
 		t.Fatalf("run() = %d, want 0 within tolerance\nstdout: %s", code, out.String())
+	}
+}
+
+// Table 2 rows gate their plans exactly and their allocs/op per leg like
+// Table 5; a row new in the candidate report is exempt.
+func TestTable2Gate(t *testing.T) {
+	row := func(query, physPlan string, physAllocs int) string {
+		return `{"query": "` + query + `", "virtual_plan": "HashAggregate > Seq Scan [tweets]",
+		  "virtual_ns_per_op": 1000, "virtual_allocs_per_op": 500,
+		  "physical_plan": "` + physPlan + `", "physical_ns_per_op": 900,
+		  "physical_allocs_per_op": ` + strconv.Itoa(physAllocs) + `}`
+	}
+	report := func(rows ...string) string {
+		return `{"records": 1000, "figure6_sinew": [], "table2": [` + strings.Join(rows, ",") + `]}`
+	}
+	const sorted = "Unique > Sort > Seq Scan [tweets]"
+	oldP := writeReport(t, "old.json", report(row("T1-1", sorted, 400)))
+	for _, c := range []struct {
+		name, body string
+		code       int
+		want       string
+	}{
+		{"unchanged", report(row("T1-1", sorted, 404), row("T1-9", "Seq Scan [t]", 5)), 0, "(new row)"},
+		{"plan", report(row("T1-1", "HashAggregate > Seq Scan [tweets]", 400)), 1, "PLAN CHANGED"},
+		{"allocs", report(row("T1-1", sorted, 800)), 1, "REGRESSION(allocs)"},
+	} {
+		newP := writeReport(t, c.name+".json", c.body)
+		var out, errb bytes.Buffer
+		if code := run([]string{"-baseline", oldP, "-new", newP}, &out, &errb); code != c.code {
+			t.Fatalf("%s: run() = %d, want %d\nstdout: %s", c.name, code, c.code, out.String())
+		}
+		if !strings.Contains(out.String(), c.want) {
+			t.Errorf("%s: output should say %q:\n%s", c.name, c.want, out.String())
+		}
 	}
 }

@@ -8,8 +8,8 @@
 //	           [-small N] [-large N] [-reps R] [-seed S] [-json FILE]
 //
 // With -json, the Table 3 load row of every system and the Figure 6 (Sinew
-// column), Table 5, and plan-cache benchmarks (measured via
-// testing.Benchmark) are written as a JSON report (ns/op and allocs/op per
+// column), Table 2 (plans and virtual/physical timings), Table 5, and
+// plan-cache benchmarks (measured via testing.Benchmark) are written as a JSON report (ns/op and allocs/op per
 // query) instead of the text tables; `make bench` uses this to produce
 // BENCH_BASELINE.json and `make bench-diff` the report it holds against it.
 //
@@ -60,6 +60,11 @@ func runJSON(path string, small int, seed int64) error {
 	}
 	for _, q := range rep.Figure6Sinew {
 		fmt.Printf("  fig6 %-4s %12d ns/op %8d allocs/op\n", q.Query, q.NsPerOp, q.AllocsPerOp)
+	}
+	for _, q := range rep.Table2 {
+		fmt.Printf("  table2 %s virtual %12d ns/op %8d allocs/op  physical %12d ns/op %8d allocs/op\n",
+			q.Query, q.VirtualNsPerOp, q.VirtualAllocs, q.PhysicalNsPerOp, q.PhysicalAllocs)
+		fmt.Printf("         virtual plan  %s\n         physical plan %s\n", q.VirtualPlan, q.PhysicalPlan)
 	}
 	for _, q := range rep.Table5 {
 		fmt.Printf("  table5 virtual %12d ns/op physical %12d ns/op (cpu %+.1f%%, disk %+.1f%%)  %s\n",

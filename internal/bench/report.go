@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,7 +14,8 @@ import (
 
 // This file produces the machine-readable benchmark report (`make bench`
 // writes it to BENCH_BASELINE.json): per-query ns/op and allocs/op for the
-// Sinew column of Figure 6, the Table 5 virtual-vs-physical pair, and the
+// Sinew column of Figure 6, the Table 2 plans with their virtual and
+// physical timings, the Table 5 virtual-vs-physical pair, and the
 // repeated-statement benchmark pinning the plan-cache hit path.
 
 // QueryBench is one measured statement.
@@ -37,6 +39,19 @@ type Table5Bench struct {
 	PhysicalAllocs  int64   `json:"physical_allocs_per_op"`
 	CPUOverheadPct  float64 `json:"cpu_overhead_pct"`
 	DiskOverheadPct float64 `json:"disk_overhead_pct"`
+}
+
+// Table2Bench is one Table 1 query measured with the referenced keys in
+// virtual columns and again in physical ones, beside the plan each state
+// gets (planString).
+type Table2Bench struct {
+	Query           string `json:"query"`
+	VirtualPlan     string `json:"virtual_plan"`
+	VirtualNsPerOp  int64  `json:"virtual_ns_per_op"`
+	VirtualAllocs   int64  `json:"virtual_allocs_per_op"`
+	PhysicalPlan    string `json:"physical_plan"`
+	PhysicalNsPerOp int64  `json:"physical_ns_per_op"`
+	PhysicalAllocs  int64  `json:"physical_allocs_per_op"`
 }
 
 // PlanCacheBench compares the same statement with the prepared-plan cache
@@ -73,6 +88,7 @@ type Report struct {
 	TwitterN     int              `json:"twitter_records"`
 	Table3Load   []LoadBench      `json:"table3_load"`
 	Figure6Sinew []QueryBench     `json:"figure6_sinew"`
+	Table2       []Table2Bench    `json:"table2"`
 	Table5       []Table5Bench    `json:"table5"`
 	PlanCache    []PlanCacheBench `json:"plan_cache"`
 }
@@ -174,6 +190,10 @@ func BuildReport(n int, seed int64) (*Report, error) {
 		rep.PlanCache = append(rep.PlanCache, pc)
 	}
 
+	if rep.Table2, err = table2Report(n); err != nil {
+		return nil, err
+	}
+
 	// Table 5: virtual first, then materialize the referenced keys and
 	// measure again (same sequence as the Table5 experiment).
 	tw, err := SetupTwitter(n, 5)
@@ -249,6 +269,51 @@ func BuildReport(n int, seed int64) (*Report, error) {
 		rep.Table3Load = append(rep.Table3Load, LoadBench{System: sys, LoadNs: loads[sys].Nanoseconds(), SizeBytes: f.SizeBytes[sys]})
 	}
 	return rep, nil
+}
+
+// table2Report measures the Table 1 queries over the Table 2 experiment's
+// fixture: every query with the keys virtual, then every query again after
+// materializeTable2.
+func table2Report(n int) ([]Table2Bench, error) {
+	f, err := SetupTwitter(n, 11)
+	if err != nil {
+		return nil, err
+	}
+	queries := Table1Queries()
+	order := table2Order()
+	out := make([]Table2Bench, len(order))
+	measure := func(q string) (plan string, ns, allocs int64, err error) {
+		if plan, err = planString(f.Sinew, queries[q]); err != nil {
+			return "", 0, 0, err
+		}
+		ns, allocs, err = benchQuery(f.Sinew, queries[q])
+		return plan, ns, allocs, err
+	}
+	for i, q := range order {
+		out[i].Query = q
+		if out[i].VirtualPlan, out[i].VirtualNsPerOp, out[i].VirtualAllocs, err = measure(q); err != nil {
+			return nil, fmt.Errorf("table2 virtual %s: %w", q, err)
+		}
+	}
+	if err := materializeTable2(f); err != nil {
+		return nil, err
+	}
+	for i, q := range order {
+		if out[i].PhysicalPlan, out[i].PhysicalNsPerOp, out[i].PhysicalAllocs, err = measure(q); err != nil {
+			return nil, fmt.Errorf("table2 physical %s: %w", q, err)
+		}
+	}
+	return out, nil
+}
+
+// planString renders sql's plan as its operator labels in pre-order
+// (plan.OperatorNames) followed by its scan order (plan.LeafOrder).
+func planString(db *core.DB, sql string) (string, error) {
+	ops, leaves, err := db.PlanShape(sql)
+	if err != nil {
+		return "", err
+	}
+	return strings.Join(ops, " > ") + " [" + strings.Join(leaves, " ") + "]", nil
 }
 
 // WriteReport builds the report and writes it as indented JSON.

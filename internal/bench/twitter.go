@@ -72,6 +72,29 @@ var table2MaterializeKeys = map[string][]string{
 	"deletes": {"delete.status.id_str", "delete.status.user_id"},
 }
 
+// table2Order is the order Table 2 lists the Table 1 queries in.
+func table2Order() []string { return []string{"T1-1", "T1-2", "T1-3", "T1-4"} }
+
+// materializeTable2 moves every key Table 1's queries touch into a
+// physical column and gathers statistics: Table 2's physical state.
+func materializeTable2(f *TwitterFixture) error {
+	mat := core.NewMaterializer(f.Sinew)
+	for table, keys := range table2MaterializeKeys {
+		for _, k := range keys {
+			if err := f.Sinew.SetMaterialized(table, k, true); err != nil {
+				return err
+			}
+		}
+		if _, err := mat.RunOnce(table); err != nil {
+			return err
+		}
+		if err := f.Sinew.RDBMS().Analyze(table); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Table2 reproduces "Table 2: Effect of Virtual Columns on Query Plans":
 // it EXPLAINs and times the Table 1 queries with everything virtual, then
 // materializes the referenced columns, refreshes statistics, and repeats.
@@ -80,7 +103,7 @@ var table2MaterializeKeys = map[string][]string{
 // statistics through physical columns (§3.1.1).
 func Table2(f *TwitterFixture, runQueries bool) (*Table, error) {
 	queries := Table1Queries()
-	order := []string{"T1-1", "T1-2", "T1-3", "T1-4"}
+	order := table2Order()
 
 	type phaseResult struct {
 		ops  map[string]string
@@ -113,20 +136,8 @@ func Table2(f *TwitterFixture, runQueries bool) (*Table, error) {
 		return nil, err
 	}
 
-	// Materialize the referenced columns and gather statistics.
-	mat := core.NewMaterializer(f.Sinew)
-	for table, keys := range table2MaterializeKeys {
-		for _, k := range keys {
-			if err := f.Sinew.SetMaterialized(table, k, true); err != nil {
-				return nil, err
-			}
-		}
-		if _, err := mat.RunOnce(table); err != nil {
-			return nil, err
-		}
-		if err := f.Sinew.RDBMS().Analyze(table); err != nil {
-			return nil, err
-		}
+	if err := materializeTable2(f); err != nil {
+		return nil, err
 	}
 
 	physical, err := capture()
