@@ -172,3 +172,66 @@ func TestGatherErrorReleasesPins(t *testing.T) {
 		}
 	}
 }
+
+// TestSortedOperatorErrorsReleasePins fails a statement inside each of
+// the operators Table 2's plans flip to — a Merge Join whose Join Filter
+// CAST fails on a later output batch, a Nested Loop whose condition fails,
+// and a GroupAggregate whose SUM meets a text value mid-stream: each
+// statement returns its error, no snapshot pin outlives it, and the next
+// statement runs.
+func TestSortedOperatorErrorsReleasePins(t *testing.T) {
+	db := Open(DefaultConfig())
+	pc := db.RDBMS().PlanConfig()
+	pc.HashJoinMaxBuildRows, pc.HashAggMaxGroups = 10, 10
+	mustSet(t, db, `CREATE TABLE sl (a INT, s TEXT, t TEXT)`, `CREATE TABLE sr (a INT)`,
+		`CREATE TABLE ss (a INT)`, `INSERT INTO ss VALUES (1), (2), (3)`)
+	const n = 3 * 1024
+	var l, r strings.Builder
+	l.WriteString(`INSERT INTO sl VALUES `)
+	r.WriteString(`INSERT INTO sr VALUES `)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			l.WriteString(", ")
+			r.WriteString(", ")
+		}
+		// The last rows, in key order past two output batches, hold text
+		// no CAST reads as a number; one row mid-stream holds a text value
+		// for the SUM below.
+		s, tv := strconv.Itoa(i), "NULL"
+		if i >= n-10 {
+			s = "x"
+		}
+		if i == n/2 {
+			tv = "'mid'"
+		}
+		fmt.Fprintf(&l, "(%d, '%s', %s)", i, s, tv)
+		fmt.Fprintf(&r, "(%d)", i)
+	}
+	mustSet(t, db, l.String(), r.String())
+
+	for _, tc := range []struct{ op, detail, sql, err string }{
+		{"Merge Join", "Join Filter: (CAST(sl.s",
+			`SELECT sl.a FROM sl, sr WHERE sl.a = sr.a AND CAST(sl.s AS INT) >= sr.a`, `"x"`},
+		{"Nested Loop", "Join Filter: (CAST(sl.s",
+			`SELECT sl.a FROM sl, ss WHERE CAST(sl.s AS INT) > ss.a`, `"x"`},
+		{"GroupAggregate", "Group Key: sl.a",
+			`SELECT a, SUM(COALESCE(t, a)) FROM sl GROUP BY a`, "sum requires numeric input"},
+	} {
+		text, err := db.Explain(tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(text, tc.op+" (batch)") || !strings.Contains(text, tc.detail) {
+			t.Fatalf("%s: no such operator in\n%s", tc.op, text)
+		}
+		if _, err := db.Query(tc.sql); err == nil || !strings.Contains(err.Error(), tc.err) {
+			t.Errorf("%s: error %v, want one naming %q", tc.op, err, tc.err)
+		}
+		if open := statCounter(t, db, "snapshots_open"); open != 0 {
+			t.Errorf("%s: snapshots_open = %d after the failed statement", tc.op, open)
+		}
+		if res, err := db.Query(`SELECT COUNT(*) FROM ss`); err != nil || res.Rows[0][0].I != 3 {
+			t.Errorf("%s: the next statement returned %v, %v", tc.op, res, err)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 
-	"github.com/sinewdata/sinew/internal/rdbms/storage"
 	"github.com/sinewdata/sinew/internal/rdbms/types"
 )
 
@@ -30,20 +29,7 @@ type aggState struct {
 	distinct *keyTable
 }
 
-func (st *aggState) add(row storage.Row) error {
-	if st.spec.Kind == AggCountStar {
-		st.count++
-		return nil
-	}
-	v, err := st.spec.Arg.Eval(row)
-	if err != nil {
-		return err
-	}
-	return st.addValue(v)
-}
-
-// addValue accumulates an already-evaluated argument — the entry point the
-// batch aggregate uses after materializing argument columns with EvalBatch.
+// addValue accumulates one evaluated argument (COUNT(*) ignores it).
 func (st *aggState) addValue(v types.Datum) error {
 	if st.spec.Kind == AggCountStar {
 		st.count++
@@ -193,96 +179,4 @@ func aggName(k AggKind) string {
 		return "max"
 	}
 	return "?"
-}
-
-// GroupAggIter computes grouped aggregates over input already sorted by the
-// group keys (the planner places a Sort below it). It streams one output
-// row per group boundary; consecutive rows share a group when their keys
-// are types.KeyEqual, the hash aggregate's rule.
-type GroupAggIter struct {
-	In      Iterator
-	GroupBy []Expr
-	Aggs    []*AggSpec
-
-	started bool
-	eof     bool
-	keys    []types.Datum // the current group's key values
-	vals    []types.Datum // the row being read's key values
-	states  []aggState
-}
-
-// Next implements Iterator.
-func (g *GroupAggIter) Next() (storage.Row, bool, error) {
-	if g.eof {
-		return nil, false, nil
-	}
-	for {
-		row, ok, err := g.In.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			g.eof = true
-			if g.started {
-				return g.emit(), true, nil
-			}
-			return nil, false, nil
-		}
-		g.vals = g.vals[:0]
-		for _, ge := range g.GroupBy {
-			v, err := ge.Eval(row)
-			if err != nil {
-				return nil, false, err
-			}
-			g.vals = append(g.vals, v)
-		}
-		var out storage.Row
-		if !g.started {
-			g.started = true
-			g.startGroup()
-		} else if !keysEqual(g.keys, g.vals) {
-			out = g.emit()
-			g.startGroup()
-		}
-		for k := range g.states {
-			if err := g.states[k].add(row); err != nil {
-				return nil, false, err
-			}
-		}
-		if out != nil {
-			return out, true, nil
-		}
-	}
-}
-
-// startGroup makes the row just read the first of a new group.
-func (g *GroupAggIter) startGroup() {
-	g.keys = append(g.keys[:0], g.vals...)
-	g.states = g.states[:0]
-	for _, spec := range g.Aggs {
-		g.states = append(g.states, aggState{spec: spec})
-	}
-}
-
-func (g *GroupAggIter) emit() storage.Row {
-	row := make(storage.Row, 0, len(g.keys)+len(g.states))
-	row = append(row, g.keys...)
-	for k := range g.states {
-		row = append(row, g.states[k].result())
-	}
-	return row
-}
-
-// Close implements Iterator.
-func (g *GroupAggIter) Close() { g.In.Close() }
-
-// keysEqual reports whether two key tuples are types.KeyEqual column by
-// column.
-func keysEqual(a, b []types.Datum) bool {
-	for i := range a {
-		if !types.KeyEqual(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
 }

@@ -43,6 +43,142 @@ func (h *BatchHashAggIter) NextBatch() (*RowBatch, error) {
 // Close implements BatchIterator.
 func (h *BatchHashAggIter) Close() { h.In.Close() }
 
+// BatchSortedAggIter is GroupAggregate: grouped aggregation over input
+// sorted by the group keys (the planner places a Sort below it). Keys and
+// arguments are evaluated once per input batch. A group is a run of rows
+// whose keys are all types.KeyEqual to its first row's — the hash
+// aggregate's rule — found a key column at a time, and each aggregate
+// folds the run's stretch of its argument column; a group that spans
+// batches stays open. Output rows are [groupKeys..., aggResults...].
+type BatchSortedAggIter struct {
+	In      BatchIterator
+	GroupBy []Expr
+	Aggs    []*AggSpec
+
+	ctx    *EvalCtx
+	in     *RowBatch // the input batch being folded
+	pos    int       // in's first logical row not yet folded
+	cols   [][]types.Datum
+	open   bool          // a group is open
+	keys   []types.Datum // the open group's key values
+	states []aggState
+	eof    bool
+	out    *RowBatch
+	n      int
+}
+
+// NextBatch implements BatchIterator.
+func (g *BatchSortedAggIter) NextBatch() (*RowBatch, error) {
+	nk := len(g.GroupBy)
+	if g.ctx == nil {
+		g.ctx = NewEvalCtx()
+		g.cols = make([][]types.Datum, nk+len(g.Aggs)) // keys, then arguments
+		g.states = make([]aggState, len(g.Aggs))
+		g.out = GetBatch(nk + len(g.Aggs))
+	}
+	g.out.Reset()
+	g.n = 0
+	for g.n < DefaultBatchSize && !g.eof {
+		if g.in == nil || g.pos >= g.in.Len() {
+			if err := g.pull(); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		sel := g.in.Sel
+		if !g.open {
+			g.open, g.keys = true, g.keys[:0]
+			for _, col := range g.cols[:nk] {
+				g.keys = append(g.keys, col[selIdx(sel, g.pos)])
+			}
+			for k, spec := range g.Aggs {
+				g.states[k] = aggState{spec: spec}
+			}
+		}
+		end := g.in.Len()
+		for k, col := range g.cols[:nk] {
+			for si := g.pos; si < end; si++ {
+				if !types.KeyEqual(g.keys[k], col[selIdx(sel, si)]) {
+					end = si
+				}
+			}
+		}
+		for k := range g.states {
+			col, run := g.cols[nk+k], []int32(nil)
+			if sel != nil {
+				run = sel[g.pos:end]
+			} else if col != nil {
+				col = col[g.pos:end]
+			}
+			if err := g.states[k].addColumn(col, run, end-g.pos); err != nil {
+				return nil, err
+			}
+		}
+		if g.pos = end; end < g.in.Len() {
+			g.emit()
+		}
+	}
+	if g.n == 0 {
+		return nil, nil
+	}
+	g.out.setRows(g.n)
+	return g.out, nil
+}
+
+// pull reads the next input batch and evaluates its keys and arguments;
+// at the end of the input it closes the open group.
+func (g *BatchSortedAggIter) pull() error {
+	b, err := g.In.NextBatch()
+	if b == nil || err != nil {
+		g.eof = true
+		if g.open && err == nil {
+			g.emit()
+		}
+		return err
+	}
+	g.in, g.pos = b, 0
+	g.ctx.BeginBatch()
+	for k, ge := range g.GroupBy {
+		if g.cols[k], err = EvalBatch(ge, b, g.ctx); err != nil {
+			return err
+		}
+	}
+	for k, spec := range g.Aggs {
+		c := len(g.GroupBy) + k
+		if g.cols[c] = nil; spec.Arg != nil && spec.Kind != AggCountStar {
+			if g.cols[c], err = EvalBatch(spec.Arg, b, g.ctx); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// emit closes the open group into the next output row.
+func (g *BatchSortedAggIter) emit() {
+	appendGroup(g.out.Cols, g.keys, g.states)
+	g.open = false
+	g.n++
+}
+
+// Close implements BatchIterator.
+func (g *BatchSortedAggIter) Close() {
+	g.In.Close()
+	PutBatch(g.out)
+	g.out = nil
+}
+
+// appendGroup appends one group's output row — its key values, then each
+// aggregate's result — to cols.
+func appendGroup(cols [][]types.Datum, keys []types.Datum, states []aggState) {
+	for k, v := range keys {
+		cols[k] = append(cols[k], v)
+	}
+	for k := range states {
+		cols[len(keys)+k] = append(cols[len(keys)+k], states[k].result())
+	}
+}
+
 // aggTable is a hash aggregate's groups: their keys in a key table (nil
 // without GROUP BY, where the one group is id 0 from the start) and the
 // aggregate states of every group in one flat slice, group id × len(aggs)
@@ -260,7 +396,7 @@ type groupEmitter struct {
 	table *aggTable
 	ids   []int32
 	pos   int
-	row   []types.Datum
+	keys  []types.Datum
 	out   *RowBatch
 }
 
@@ -285,23 +421,22 @@ func (e *groupEmitter) next() *RowBatch {
 			width += len(t.keys.cols)
 		}
 		e.out = NewRowBatch(width, min(DefaultBatchSize, left))
-		e.row = make([]types.Datum, 0, width)
+		e.keys = make([]types.Datum, 0, width)
 	}
 	b := e.out
 	b.Reset()
-	for b.Len() < DefaultBatchSize && e.pos < len(e.ids) {
+	n := 0
+	for ; n < DefaultBatchSize && e.pos < len(e.ids); n++ {
 		id := e.ids[e.pos]
 		e.pos++
-		row := e.row[:0]
+		e.keys = e.keys[:0]
 		if t.keys != nil {
 			for _, col := range t.keys.cols {
-				row = append(row, col[id])
+				e.keys = append(e.keys, col[id])
 			}
 		}
-		for _, st := range t.group(id) {
-			row = append(row, st.result())
-		}
-		b.AppendRow(row)
+		appendGroup(b.Cols, e.keys, t.group(id))
 	}
+	b.setRows(n)
 	return b
 }

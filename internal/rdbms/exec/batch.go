@@ -158,6 +158,15 @@ func (b *RowBatch) SetCol(j int, col []types.Datum) {
 // SetLen declares the row count after columns were written directly.
 func (b *RowBatch) SetLen(n int) { b.n = n }
 
+// setRows declares n rows after every column was appended to directly,
+// rebuilding the null bitmaps.
+func (b *RowBatch) setRows(n int) {
+	for j := range b.Cols {
+		b.SetCol(j, b.Cols[j])
+	}
+	b.n = n
+}
+
 // AliasCol makes column j share column srcIdx of src — data and null
 // bitmap — without copying or rescanning. The alias is valid as long as
 // src's current batch contents are.
@@ -219,9 +228,9 @@ func (b *RowBatch) fillCol(j int, rows []storage.Row, words int) {
 }
 
 // Row copies row i into dst (reallocating when dst is too small) and
-// returns it — the row-major view batch/row adapters and per-row fallback
-// evaluation use. Columns a pruned scan left empty yield zero Datums; the
-// planner guarantees no consumer reads them.
+// returns it — the row-major view per-row fallback evaluation uses.
+// Columns a pruned scan left empty yield zero Datums; the planner
+// guarantees no consumer reads them.
 func (b *RowBatch) Row(i int, dst storage.Row) storage.Row {
 	if cap(dst) < len(b.Cols) {
 		dst = make(storage.Row, len(b.Cols))
@@ -270,123 +279,8 @@ type BatchIterator interface {
 	Close()
 }
 
-// ---------- Row/batch adapters ----------
-
-// RowToBatch adapts a row iterator to the batch interface by buffering
-// DefaultBatchSize rows per batch — how the row-only operators (Unique,
-// GroupAggregate, Merge Join, Nested Loop) feed the batch operator above
-// them.
-type RowToBatch struct {
-	In Iterator
-
-	batch *RowBatch
-}
-
-// NextBatch implements BatchIterator.
-func (a *RowToBatch) NextBatch() (*RowBatch, error) {
-	if a.batch == nil {
-		a.batch = GetBatch(0)
-	}
-	b := a.batch
-	b.Reset()
-	for b.Len() < DefaultBatchSize {
-		row, ok, err := a.In.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		if b.Width() == 0 && len(row) > 0 {
-			// First row fixes the width.
-			*b = *NewRowBatch(len(row), DefaultBatchSize)
-		}
-		b.AppendRow(row)
-	}
-	if b.Len() == 0 {
-		return nil, nil
-	}
-	return b, nil
-}
-
-// Close implements BatchIterator.
-func (a *RowToBatch) Close() {
-	a.In.Close()
-	if a.batch != nil {
-		PutBatch(a.batch)
-		a.batch = nil
-	}
-}
-
-// BatchToRow adapts a batch iterator back to the Volcano row interface at
-// the boundary to the row-only operators. Emitted rows are independent of
-// the source batch: each batch's rows are carved out of one shared arena
-// allocation, so retaining them (a merge join's equal-key run, a result
-// drained row by row) is safe and costs one allocation per batch rather
-// than one per row.
-type BatchToRow struct {
-	In BatchIterator
-
-	batch  *RowBatch
-	pos    int
-	arena  []types.Datum
-	used   int
-	hinted bool
-	nohint bool
-}
-
-// Next implements Iterator.
-func (a *BatchToRow) Next() (storage.Row, bool, error) {
-	for a.batch == nil || a.pos >= a.batch.Len() {
-		b, err := a.In.NextBatch()
-		if err != nil {
-			return nil, false, err
-		}
-		if b == nil {
-			return nil, false, nil
-		}
-		a.batch = b
-		a.pos = 0
-		need := b.Len() * b.Width()
-		if !a.hinted && !a.nohint {
-			// With an exact source cardinality, one arena covers the whole
-			// result instead of one allocation per batch.
-			if sh, ok := a.In.(BatchSizeHinter); ok {
-				if n, exact := sh.SizeHint(); exact && n >= int64(b.Len()) && n <= collectCapHint {
-					a.arena = make([]types.Datum, int(n)*b.Width())
-					a.used = 0
-					a.hinted = true
-				}
-			}
-			if !a.hinted {
-				a.nohint = true
-			}
-		}
-		if len(a.arena)-a.used < need {
-			a.arena = make([]types.Datum, need)
-			a.used = 0
-		}
-	}
-	w := a.batch.Width()
-	row := storage.Row(a.arena[a.used : a.used+w : a.used+w])
-	a.used += w
-	i := selIdx(a.batch.Sel, a.pos)
-	for j := 0; j < w; j++ {
-		if col := a.batch.Cols[j]; i < len(col) {
-			row[j] = col[i]
-		} else {
-			row[j] = types.Datum{} // column pruned away by the scan
-		}
-	}
-	a.pos++
-	return row, true, nil
-}
-
-// Close implements Iterator.
-func (a *BatchToRow) Close() { a.In.Close() }
-
 // BatchSizeHinter is optionally implemented by batch iterators that know
-// (or can bound) their cardinality up front; CollectBatches, BatchToRow and
+// (or can bound) their cardinality up front; CollectBatches and
 // BatchSortIter use it to size their buffers once.
 type BatchSizeHinter interface {
 	// SizeHint returns the expected row count; exact reports whether the

@@ -103,40 +103,6 @@ func TestRowBatchSetColRebuildsBitmap(t *testing.T) {
 	}
 }
 
-// TestRowBatchAdaptersRoundTrip crosses the row-to-batch boundary twice per
-// batch: 2 500 rows make RowToBatch cut two full batches and a partial one.
-func TestRowBatchAdaptersRoundTrip(t *testing.T) {
-	var want []storage.Row
-	for i := 0; i < 2*DefaultBatchSize+452; i++ {
-		d := types.NewInt(int64(i))
-		if i%9 == 0 {
-			d = types.NewNull(types.Int)
-		}
-		want = append(want, row(d, types.NewText(fmt.Sprintf("r%d", i))))
-	}
-	var lens []int
-	rb := &RowToBatch{In: rowsOf(want...)}
-	for {
-		b, err := rb.NextBatch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b == nil {
-			break
-		}
-		lens = append(lens, b.Len())
-	}
-	rb.Close()
-	if fmt.Sprint(lens) != fmt.Sprint([]int{DefaultBatchSize, DefaultBatchSize, 452}) {
-		t.Errorf("RowToBatch batch lengths %v", lens)
-	}
-	got, err := drainRows(&BatchToRow{In: &RowToBatch{In: rowsOf(want...)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowsEqual(t, got, want)
-}
-
 func TestBatchScanMatchesRowScan(t *testing.T) {
 	h := intHeap(t, 3000)
 	ref := mustRef(t)

@@ -270,10 +270,7 @@ func TestGroupAggMatchesHashAgg(t *testing.T) {
 	}
 	hashed := collectBatches(t, &BatchHashAggIter{In: &sliceBatches{rows: rows}, GroupBy: []Expr{col(0, types.Int)}, Aggs: specs()})
 	// GroupAgg needs sorted input — rows above are sorted by group key.
-	grouped, err := drainRows(&GroupAggIter{In: rowsOf(rows...), GroupBy: []Expr{col(0, types.Int)}, Aggs: specs()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	grouped := collectBatches(t, &BatchSortedAggIter{In: &sliceBatches{rows: rows}, GroupBy: []Expr{col(0, types.Int)}, Aggs: specs()})
 	rowsEqual(t, grouped, hashed)
 }
 
@@ -326,13 +323,10 @@ func TestMergeJoinMatchesHashJoin(t *testing.T) {
 	right := []storage.Row{
 		row(types.NewInt(2)), row(types.NewInt(2)), row(types.NewInt(3)), row(types.NewInt(4)),
 	}
-	mj, err := drainRows(&MergeJoinIter{
-		Left: rowsOf(left...), Right: rowsOf(right...),
+	mj := collectBatches(t, &BatchSortedJoinIter{
+		Left: &sliceBatches{rows: left}, Right: &sliceBatches{rows: right},
 		LeftKeys: []Expr{col(0, types.Int)}, RightKeys: []Expr{col(0, types.Int)},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	hj := collectBatches(t, hashJoin(left, right))
 	// 2x2 duplicates + 4x4 = 5 matches.
 	if len(mj) != 5 || len(hj) != 5 {
@@ -341,13 +335,10 @@ func TestMergeJoinMatchesHashJoin(t *testing.T) {
 }
 
 func TestNestedLoopCross(t *testing.T) {
-	rows, err := drainRows(&NestedLoopIter{
-		Outer: rowsOf(row(types.NewInt(1)), row(types.NewInt(2))),
-		Inner: &sliceBatches{rows: []storage.Row{row(types.NewText("a")), row(types.NewText("b"))}},
+	rows := collectBatches(t, &BatchSortedJoinIter{
+		Left:  &sliceBatches{rows: []storage.Row{row(types.NewInt(1)), row(types.NewInt(2))}},
+		Right: &sliceBatches{rows: []storage.Row{row(types.NewText("a")), row(types.NewText("b"))}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(rows) != 4 {
 		t.Fatalf("cross join rows = %d", len(rows))
 	}
@@ -359,9 +350,9 @@ func TestLimitAndUnique(t *testing.T) {
 	if len(rows) != 2 {
 		t.Errorf("limit rows = %d", len(rows))
 	}
-	rows, _ = drainRows(&UniqueIter{In: rowsOf(
+	rows = collectBatches(t, &BatchDedupIter{In: &sliceBatches{rows: []storage.Row{
 		row(types.NewInt(1)), row(types.NewInt(1)), row(types.NewInt(2)), row(types.NewInt(2)), row(types.NewInt(2)),
-	)})
+	}}})
 	if len(rows) != 2 {
 		t.Errorf("unique rows = %v", rows)
 	}

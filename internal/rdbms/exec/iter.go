@@ -1,19 +1,11 @@
 package exec
 
 import (
+	"slices"
+
 	"github.com/sinewdata/sinew/internal/rdbms/storage"
 	"github.com/sinewdata/sinew/internal/rdbms/types"
 )
-
-// Iterator is the Volcano-style row cursor of the four operators with no
-// batch form (UniqueIter, GroupAggIter, MergeJoinIter, NestedLoopIter) and
-// of BatchToRow, the adapter that feeds them from batch operators.
-type Iterator interface {
-	// Next returns the next row; ok=false marks the end of the stream.
-	Next() (row storage.Row, ok bool, err error)
-	// Close releases resources; safe to call more than once.
-	Close()
-}
 
 // collectCapHint caps how much memory a size hint may pre-allocate (an
 // inexact hint on a huge heap should not commit gigabytes up front).
@@ -106,14 +98,8 @@ func CollectProjectedScan(v storage.ReadView, cols []int, limit int64) ([]storag
 // CollectBatches drains a batch iterator into row-major rows and closes
 // it. Rows of each batch are carved out of one arena allocation (one for
 // the whole result when the source cardinality is exactly known), so the
-// per-row cost is the final transpose alone. A RowToBatch root — a row
-// operator (Unique, GroupAggregate, Merge Join, Nested Loop) on top of the
-// plan — is drained row by row instead, so its rows are never transposed
-// into a batch and back.
+// per-row cost is the final transpose alone.
 func CollectBatches(it BatchIterator) ([]storage.Row, error) {
-	if rb, ok := it.(*RowToBatch); ok {
-		return drainRows(rb.In)
-	}
 	defer it.Close()
 	var out []storage.Row
 	var arena []types.Datum
@@ -167,22 +153,6 @@ func CollectBatches(it BatchIterator) ([]storage.Row, error) {
 	}
 }
 
-// drainRows collects a row operator's output and closes it.
-func drainRows(it Iterator) ([]storage.Row, error) {
-	defer it.Close()
-	var out []storage.Row
-	for {
-		row, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, row)
-	}
-}
-
 // ---------- DML scan ----------
 
 // RowIDScanIter scans a heap yielding (row, id) pairs for DML.
@@ -231,76 +201,110 @@ type SortKey struct {
 }
 
 // compareForSort orders a before b (<0) honoring direction and NULL rules.
-func compareForSort(a, b types.Datum, desc bool) (int, error) {
+// It is total over heterogeneous values.
+func compareForSort(a, b types.Datum, desc bool) int {
 	an, bn := a.IsNull(), b.IsNull()
 	switch {
 	case an && bn:
-		return 0, nil
+		return 0
 	case an: // NULLS LAST ascending, FIRST descending (Postgres default)
 		if desc {
-			return -1, nil
+			return -1
 		}
-		return 1, nil
+		return 1
 	case bn:
 		if desc {
-			return 1, nil
+			return 1
 		}
-		return -1, nil
+		return -1
 	}
 	c := types.CompareOrder(a, b)
 	if desc {
 		c = -c
 	}
-	return c, nil
+	return c
 }
 
-// UniqueIter removes consecutive duplicate rows (input must be sorted on
-// the compared columns); Cols selects which leading columns to compare,
-// nil meaning all. Rows are duplicates when those columns are
-// types.KeyEqual, the hash operators' rule.
-type UniqueIter struct {
-	In   Iterator
-	Cols []int
+// BatchDedupIter is Unique, the sort-based DISTINCT: it removes
+// consecutive duplicate rows of input sorted on every column. A row is a
+// duplicate when each of its columns is types.KeyEqual to the last row
+// kept, the hash operators' rule. Each input batch passes through as a
+// copy of its header narrowed by a selection vector to the rows kept; the
+// one cell copy is the last kept row's, so the comparison carries into
+// the next batch.
+type BatchDedupIter struct {
+	In BatchIterator
 
-	started bool
-	prev    []types.Datum
+	out  RowBatch
+	sel  []int32
+	kept bool          // a row was kept: last holds it
+	last []types.Datum // the last row kept
 }
 
-// Next implements Iterator.
-func (u *UniqueIter) Next() (storage.Row, bool, error) {
+// NextBatch implements BatchIterator.
+func (u *BatchDedupIter) NextBatch() (*RowBatch, error) {
 	for {
-		row, ok, err := u.In.Next()
-		if err != nil || !ok {
-			return nil, false, err
+		in, err := u.In.NextBatch()
+		if err != nil || in == nil {
+			return nil, err
 		}
-		if u.started && u.same(row) {
+		sel := slices.Grow(u.sel[:0], in.Len())
+		prev := -1 // the physical row of in last kept, -1 for u.last
+		for si := 0; si < in.Len(); si++ {
+			r := selIdx(in.Sel, si)
+			if (prev >= 0 || u.kept) && u.repeats(in, prev, r) {
+				continue
+			}
+			sel = append(sel, int32(r))
+			prev = r
+		}
+		u.sel = sel
+		if prev < 0 {
+			continue // every row repeats the last one kept
+		}
+		u.kept = true
+		u.last = u.last[:0]
+		for c := range in.Cols {
+			u.last = append(u.last, cellAt(in, c, prev))
+		}
+		u.out = *in
+		u.out.Sel = sel
+		return &u.out, nil
+	}
+}
+
+// repeats reports whether physical row r of in equals row prev of in
+// (u.last when prev < 0) in every column. A column the scan pruned away
+// holds no values and compares equal.
+func (u *BatchDedupIter) repeats(in *RowBatch, prev, r int) bool {
+	phys := in.PhysLen()
+	for c, col := range in.Cols {
+		if len(col) != phys {
 			continue
 		}
-		u.started = true
-		u.prev = u.prev[:0]
-		if u.Cols == nil {
-			u.prev = append(u.prev, row...)
+		var p types.Datum
+		if prev >= 0 {
+			p = col[prev]
 		} else {
-			for _, i := range u.Cols {
-				u.prev = append(u.prev, row[i])
-			}
+			p = u.last[c]
 		}
-		return row, true, nil
-	}
-}
-
-// same reports whether row repeats the previous row's compared columns.
-func (u *UniqueIter) same(row storage.Row) bool {
-	if u.Cols == nil {
-		return len(row) == len(u.prev) && keysEqual(u.prev, row)
-	}
-	for j, i := range u.Cols {
-		if !types.KeyEqual(u.prev[j], row[i]) {
+		if !types.KeyEqual(p, col[r]) {
 			return false
 		}
 	}
 	return true
 }
 
-// Close implements Iterator.
-func (u *UniqueIter) Close() { u.In.Close() }
+// SizeHint implements BatchSizeHinter: Unique keeps at most its input's
+// rows. That input is a Sort holding every row already, so a result sized
+// by the bound costs a fraction of what the sort holds.
+func (u *BatchDedupIter) SizeHint() (int64, bool) {
+	if sh, ok := u.In.(BatchSizeHinter); ok {
+		n, _ := sh.SizeHint()
+		return n, false
+	}
+	return 0, false
+}
+
+// Close implements BatchIterator.
+func (u *BatchDedupIter) Close() { u.In.Close() }

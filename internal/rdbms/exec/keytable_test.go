@@ -13,12 +13,15 @@ import (
 
 // randKey draws a multi-typed key over k in [0, space): the Int k, the
 // Float k that equals it, -0.0 for 0 (equal to both zeros), a Float
-// between two integers, text, numeric arrays with a NULL element, and
-// NULL. Arrays hold only numerics and NULLs so every pair of keys is
-// ordered by CompareOrder, as the sorted operators need.
+// between two integers, 2^53+2k as an Int or the Float equal to it, text,
+// numeric arrays with a NULL element, and NULL. Arrays hold only numerics
+// and NULLs so every pair of keys is ordered by CompareOrder, and the
+// offsets beyond 2^53 are even so that equality stays transitive
+// (2^53+1 would equal the float 2^53 and 2^53 both), as the sorted
+// operators need.
 func randKey(r *rand.Rand, space int) types.Datum {
 	k := r.Intn(space)
-	switch r.Intn(9) {
+	switch r.Intn(10) {
 	case 0:
 		return types.NewNull(types.Unknown)
 	case 1:
@@ -34,6 +37,12 @@ func randKey(r *rand.Rand, space int) types.Datum {
 		return types.NewArray(types.NewInt(int64(k)), types.NewNull(types.Int))
 	case 5:
 		return types.NewArray(types.NewFloat(float64(k)), types.NewNull(types.Unknown))
+	case 6:
+		big := int64(1)<<53 + 2*int64(k)
+		if r.Intn(2) == 0 {
+			return types.NewFloat(float64(big))
+		}
+		return types.NewInt(big)
 	default:
 		return types.NewInt(int64(k))
 	}
@@ -48,8 +57,9 @@ func keySpace(r *rand.Rand) int {
 // TestPropertyMultiTypedKeysMatchReference holds every key-table consumer
 // to the reference on multi-typed keys: the serial hash aggregate (with a
 // DISTINCT aggregate over multi-typed values), the four-partition
-// two-phase aggregate, the sorted GroupAggregate, the serial and
-// partitioned hash joins, and Unique over sorted rows. The reference
+// two-phase aggregate, the serial and partitioned hash joins — and the
+// operators that meet the same keys sorted: GroupAggregate, Unique and
+// the merge join, each over every input shape feeds draws. The reference
 // matches keys by linear search with types.KeyEqual and hashes nothing.
 func TestPropertyMultiTypedKeysMatchReference(t *testing.T) {
 	f := func(seed int64) bool {
@@ -93,33 +103,46 @@ func TestPropertyMultiTypedKeysMatchReference(t *testing.T) {
 			sortKeys[i] = SortKey{Expr: g}
 		}
 		sorted := ref(refSort(rows, sortKeys))
-		grouped, err := drainRows(&GroupAggIter{In: rowsOf(sorted...), GroupBy: groupBy, Aggs: specs(true)})
-		if err != nil {
-			t.Fatal(err)
+		keys := make([]storage.Row, len(sorted))
+		for i, row := range sorted {
+			keys[i] = storage.Row{row[0]}
 		}
-		if want := ref(refGroup(sorted, groupBy, specs(true))); canonical(grouped) != canonical(want) {
-			t.Fatalf("seed %d: GroupAggregate %v, reference %v", seed, grouped, want)
-		}
-		unique, err := drainRows(&UniqueIter{In: rowsOf(sorted...), Cols: []int{0}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := ref(refGroup(sorted, groupBy[:1], nil)); len(unique) != len(want) {
-			t.Fatalf("seed %d: Unique kept %d rows, reference has %d groups", seed, len(unique), len(want))
+		keep := &BinExpr{Op: ">=", L: col(1, types.Int), R: lit(types.NewInt(int64(r.Intn(8))))}
+		for _, fd := range feeds(r, keep) {
+			in := fd.rows(t, sorted)
+			grouped := collectBatches(t, &BatchSortedAggIter{In: fd.open(sorted), GroupBy: groupBy, Aggs: specs(true)})
+			if want := ref(refGroup(in, groupBy, specs(true))); canonical(grouped) != canonical(want) {
+				t.Fatalf("seed %d %+v: GroupAggregate %v, reference %v", seed, fd, grouped, want)
+			}
+			fk := feed{size: fd.size, sel: fd.sel}
+			unique := collectBatches(t, &BatchDedupIter{In: fk.open(keys)})
+			rowsEqual(t, unique, refUnique(keys))
+			if want := ref(refGroup(keys, groupBy[:1], nil)); canonical(unique) != canonical(want) {
+				t.Fatalf("seed %d %+v: Unique %v, reference %v", seed, fk, unique, want)
+			}
 		}
 
 		build := make([]storage.Row, 1+r.Intn(60))
 		for i := range build {
 			build[i] = storage.Row{randKey(r, space), types.NewInt(int64(i))}
 		}
-		keys := []Expr{col(0, types.Int)}
-		want := ref(refJoin(rows, build, keys, keys, nil))
+		joinKeys := []Expr{col(0, types.Int)}
+		want := ref(refJoin(rows, build, joinKeys, joinKeys, nil))
 		rowsEqual(t, collectBatches(t, &BatchHashJoinIter{
 			Probe: &sliceBatches{rows: rows}, Build: &sliceBatches{rows: build},
-			ProbeKeys: keys, BuildKeys: keys, BuildWidth: 2}), want)
+			ProbeKeys: joinKeys, BuildKeys: joinKeys, BuildWidth: 2}), want)
 		rowsEqual(t, collectBatches(t, NewParallelHashJoin(
 			h.Partitions(4), chainBuild(h, nil, nil), &sliceBatches{rows: build},
-			keys, keys, nil, 2)), want)
+			joinKeys, joinKeys, nil, 2)), want)
+		sortedBuild := ref(refSort(build, []SortKey{{Expr: joinKeys[0]}}))
+		for _, fd := range feeds(r, nil) {
+			merged := collectBatches(t, &BatchSortedJoinIter{
+				Left: fd.open(sorted), Right: fd.open(sortedBuild), LeftKeys: joinKeys, RightKeys: joinKeys,
+			})
+			if canonical(merged) != canonical(want) {
+				t.Fatalf("seed %d %+v: merge join %v, reference %v", seed, fd, merged, want)
+			}
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

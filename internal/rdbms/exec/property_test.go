@@ -3,6 +3,8 @@ package exec
 import (
 	"math/rand"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -10,55 +12,132 @@ import (
 	"github.com/sinewdata/sinew/internal/rdbms/types"
 )
 
+// batchLens are the batch lengths the operator property tests cut their
+// inputs into: below DefaultBatchSize, groups, duplicate runs and
+// equal-key runs straddle batch boundaries.
+var batchLens = []int{1, 3, 7, DefaultBatchSize}
+
+// feed is one shape of operator input: sliceBatches of size rows,
+// selection-carrying or not, optionally compacted by a BatchFilterIter
+// over filter, with the pruned columns left empty.
+type feed struct {
+	size   int
+	sel    bool
+	filter Expr
+	pruned []int
+}
+
+// feeds draws one input shape per batch length. The shapes take turns: dense
+// batches, selection-carrying ones, and selection-carrying ones through a
+// BatchFilterIter over filter (none when filter is nil); each leaves the
+// pruned columns empty half of the time.
+func feeds(r *rand.Rand, filter Expr, pruned ...int) []feed {
+	out := make([]feed, len(batchLens))
+	for i, size := range batchLens {
+		f := feed{size: size}
+		switch r.Intn(3) {
+		case 1:
+			f.sel = true
+		case 2:
+			f.sel, f.filter = true, filter
+		}
+		if r.Intn(2) == 0 {
+			f.pruned = pruned
+		}
+		out[i] = f
+	}
+	return out
+}
+
+// open replays rows in the feed's shape.
+func (f feed) open(rows []storage.Row) BatchIterator {
+	var it BatchIterator = &sliceBatches{rows: rows, size: f.size, sel: f.sel, pruned: f.pruned}
+	if f.filter != nil {
+		it = &BatchFilterIter{In: it, Pred: f.filter}
+	}
+	return it
+}
+
+// rows is what an operator reads from open(rows).
+func (f feed) rows(t *testing.T, rows []storage.Row) []storage.Row {
+	if f.filter != nil {
+		rows = mustRef(t)(refFilter(rows, f.filter))
+	}
+	return prunedRows(rows, f.pruned...)
+}
+
+// joinSide draws n join input rows [key, id, ikey, pad]: key a multi-typed
+// randKey, id the row number, ikey a small Int or NULL, pad text no join
+// reads (the column a pruning scan may leave empty).
+func joinSide(r *rand.Rand, n, space int) []storage.Row {
+	rows := make([]storage.Row, n)
+	for i := range rows {
+		ikey := types.NewInt(int64(r.Intn(space)))
+		if r.Intn(10) == 0 {
+			ikey = types.NewNull(types.Int)
+		}
+		rows[i] = storage.Row{randKey(r, space), types.NewInt(int64(i)), ikey, types.NewText("p" + strconv.Itoa(i))}
+	}
+	return rows
+}
+
 // TestPropertyJoinAlgorithmsAgree checks that hash join, merge join (over
-// sorted inputs), and nested-loop join produce the reference's multiset of
-// results on random inputs — the planner is free to pick any of them, so
-// they must be interchangeable.
+// sorted inputs) and nested-loop join each produce the reference's
+// results on random multi-typed keys, with and without a join filter, for
+// every input shape feeds draws — the planner is free to pick any of them,
+// so they must be interchangeable.
 func TestPropertyJoinAlgorithmsAgree(t *testing.T) {
+	key := []Expr{col(0, types.Int)}
+	ikey := []Expr{col(2, types.Int)}
+	sortKey := []SortKey{{Expr: col(0, types.Int)}}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		mkRows := func(n, keySpace int) []storage.Row {
-			rows := make([]storage.Row, n)
-			for i := range rows {
-				key := types.NewInt(int64(r.Intn(keySpace)))
-				if r.Intn(10) == 0 {
-					key = types.NewNull(types.Int) // NULLs never join
-				}
-				rows[i] = storage.Row{key, types.NewInt(int64(i))}
-			}
-			return rows
+		space := keySpace(r)
+		left := joinSide(r, r.Intn(60), space)
+		right := joinSide(r, r.Intn(60), space)
+		var residual Expr
+		if r.Intn(2) == 0 {
+			residual = &BinExpr{Op: "<=", L: col(1, types.Int), R: col(5, types.Int)}
 		}
-		left := mkRows(1+r.Intn(40), 1+r.Intn(8))
-		right := mkRows(1+r.Intn(40), 1+r.Intn(8))
-		keyL := []Expr{col(0, types.Int)}
-		keyR := []Expr{col(0, types.Int)}
-		want := mustRef(t)(refJoin(left, right, keyL, keyR, nil))
+		keep := &BinExpr{Op: ">=", L: col(1, types.Int), R: lit(types.NewInt(int64(r.Intn(8))))}
+		ref := mustRef(t)
+		sortedL, sortedR := ref(refSort(left, sortKey)), ref(refSort(right, sortKey))
+		for _, fd := range feeds(r, keep, 3) {
+			l, rt := fd.rows(t, left), fd.rows(t, right)
+			want := ref(refJoin(l, rt, key, key, residual))
+			rowsEqual(t, collectBatches(t, &BatchHashJoinIter{
+				Probe: fd.open(left), Build: fd.open(right),
+				ProbeKeys: key, BuildKeys: key, Residual: residual, BuildWidth: 4,
+			}), want)
 
-		hj := collectBatches(t, &BatchHashJoinIter{
-			Probe: &sliceBatches{rows: left}, Build: &sliceBatches{rows: right},
-			ProbeKeys: keyL, BuildKeys: keyR, BuildWidth: 2,
-		})
-		rowsEqual(t, hj, want)
-		// Merge join needs sorted inputs.
-		sorted := func(rows []storage.Row) Iterator {
-			return &BatchToRow{In: &BatchSortIter{In: &sliceBatches{rows: rows}, Keys: []SortKey{{Expr: col(0, types.Int)}}}}
+			merged := collectBatches(t, &BatchSortedJoinIter{
+				Left: fd.open(sortedL), Right: fd.open(sortedR),
+				LeftKeys: key, RightKeys: key, Residual: residual,
+			})
+			if a, b := canonical(want), canonical(merged); a != b {
+				t.Fatalf("seed %d %+v: merge join %v, reference %v", seed, fd, merged, want)
+			}
+
+			cond := &BinExpr{Op: "=", L: col(2, types.Int), R: col(6, types.Int)}
+			var nlCond Expr = cond
+			if residual != nil {
+				nlCond = &BinExpr{Op: "AND", L: cond, R: residual}
+			}
+			rowsEqual(t, collectBatches(t, &BatchSortedJoinIter{
+				Left: fd.open(left), Right: fd.open(right), Residual: nlCond,
+			}), ref(refJoin(l, rt, ikey, ikey, residual)))
+			rowsEqual(t, collectBatches(t, &BatchSortedJoinIter{
+				Left: fd.open(left[:min(len(left), 9)]), Right: fd.open(right),
+			}), ref(refJoin(fd.rows(t, left[:min(len(left), 9)]), rt, nil, nil, nil)))
 		}
-		mj, err := drainRows(&MergeJoinIter{
-			Left: sorted(left), Right: sorted(right), LeftKeys: keyL, RightKeys: keyR,
+		// The plan's shape: each side sorted by a BatchSortIter.
+		merged := collectBatches(t, &BatchSortedJoinIter{
+			Left:     &BatchSortIter{In: &sliceBatches{rows: left, size: 7}, Keys: sortKey},
+			Right:    &BatchSortIter{In: &sliceBatches{rows: right, size: 3, sel: true}, Keys: sortKey},
+			LeftKeys: key, RightKeys: key, Residual: residual,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cond := &BinExpr{Op: "=", L: col(0, types.Int), R: col(2, types.Int)}
-		nl, err := drainRows(&NestedLoopIter{
-			Outer: rowsOf(left...), Inner: &sliceBatches{rows: right}, Cond: cond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, b, c := canonical(want), canonical(mj), canonical(nl)
-		if a != b || b != c {
-			t.Fatalf("seed %d: reference %q merge %q nl %q", seed, a, b, c)
+		if want := ref(refJoin(left, right, key, key, residual)); canonical(want) != canonical(merged) {
+			t.Fatalf("seed %d: merge join over sorts %v, reference %v", seed, merged, want)
 		}
 		return true
 	}
@@ -67,43 +146,62 @@ func TestPropertyJoinAlgorithmsAgree(t *testing.T) {
 	}
 }
 
-// TestPropertyAggregationStrategiesAgree checks HashAgg vs sorted GroupAgg
-// on random groups against the reference.
+// TestPropertyAggregationStrategiesAgree checks the hash aggregate and the
+// sorted GroupAggregate, and the hash DISTINCT and Unique over sorted
+// rows, against the reference on random multi-typed groups, for every
+// input shape feeds draws.
 func TestPropertyAggregationStrategiesAgree(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(100)
-		rows := make([]storage.Row, n)
+		space := keySpace(r)
+		rows := make([]storage.Row, 1+r.Intn(300))
 		for i := range rows {
-			g := types.NewInt(int64(r.Intn(6)))
 			v := types.NewInt(int64(r.Intn(50)))
 			if r.Intn(8) == 0 {
 				v = types.NewNull(types.Int)
 			}
-			rows[i] = storage.Row{g, v}
+			rows[i] = storage.Row{randKey(r, space), v, types.NewInt(int64(i)), types.NewText("pad")}
 		}
 		specs := func() []*AggSpec {
 			return []*AggSpec{
 				{Kind: AggCountStar},
 				{Kind: AggCount, Arg: col(1, types.Int)},
 				{Kind: AggSum, Arg: col(1, types.Int)},
+				{Kind: AggAvg, Arg: col(1, types.Int)},
 				{Kind: AggMin, Arg: col(1, types.Int)},
 				{Kind: AggMax, Arg: col(1, types.Int)},
+				{Kind: AggCount, Arg: col(1, types.Int), Distinct: true},
 			}
 		}
 		groupBy := []Expr{col(0, types.Int)}
-		want := mustRef(t)(refGroup(rows, groupBy, specs()))
-		hashed := collectBatches(t, &BatchHashAggIter{
-			In: &sliceBatches{rows: rows}, GroupBy: groupBy, Aggs: specs(),
-		})
-		rowsEqual(t, hashed, want)
-		sorted := &BatchToRow{In: &BatchSortIter{In: &sliceBatches{rows: rows}, Keys: []SortKey{{Expr: col(0, types.Int)}}}}
-		grouped, err := drainRows(&GroupAggIter{In: sorted, GroupBy: groupBy, Aggs: specs()})
-		if err != nil {
-			t.Fatal(err)
+		ref := mustRef(t)
+		sorted := ref(refSort(rows, []SortKey{{Expr: groupBy[0]}}))
+		keep := &BinExpr{Op: ">=", L: col(2, types.Int), R: lit(types.NewInt(int64(r.Intn(8))))}
+		for _, fd := range feeds(r, keep, 3) {
+			rowsEqual(t, collectBatches(t, &BatchHashAggIter{In: fd.open(rows), GroupBy: groupBy, Aggs: specs()}),
+				ref(refGroup(fd.rows(t, rows), groupBy, specs())))
+			grouped := collectBatches(t, &BatchSortedAggIter{In: fd.open(sorted), GroupBy: groupBy, Aggs: specs()})
+			if want := ref(refGroup(fd.rows(t, sorted), groupBy, specs())); canonical(want) != canonical(grouped) {
+				t.Fatalf("seed %d %+v: GroupAggregate %v, reference %v", seed, fd, grouped, want)
+			}
 		}
-		if canonical(want) != canonical(grouped) {
-			t.Fatalf("seed %d: reference %v vs sort %v", seed, want, grouped)
+
+		// DISTINCT over [key, value, pad], sorted: pad is one text in every
+		// row, the column a pruning scan may leave empty.
+		distinct := make([]storage.Row, len(rows))
+		for i, row := range rows {
+			distinct[i] = storage.Row{row[0], row[1], types.NewText("pad")}
+		}
+		dcols := []Expr{col(0, types.Int), col(1, types.Int), col(2, types.Text)}
+		distinct = ref(refSort(distinct, []SortKey{{Expr: dcols[0]}, {Expr: dcols[1]}}))
+		dkeep := &BinExpr{Op: ">=", L: col(1, types.Int), R: lit(types.NewInt(int64(r.Intn(8))))}
+		for _, fd := range feeds(r, dkeep, 2) {
+			unique := collectBatches(t, &BatchDedupIter{In: fd.open(distinct)})
+			in := fd.rows(t, distinct)
+			rowsEqual(t, unique, refUnique(in))
+			if want := ref(refGroup(in, dcols, nil)); canonical(want) != canonical(unique) {
+				t.Fatalf("seed %d %+v: Unique %v, hash DISTINCT reference %v", seed, fd, unique, want)
+			}
 		}
 		return true
 	}
@@ -123,11 +221,12 @@ func canonical(rows []storage.Row) string {
 		lines[i] = string(buf)
 	}
 	sort.Strings(lines)
-	out := ""
+	var sb strings.Builder
 	for _, l := range lines {
-		out += l + "\x00"
+		sb.WriteString(l)
+		sb.WriteByte(0)
 	}
-	return out
+	return sb.String()
 }
 
 // ---------- Batch/row differential testing ----------

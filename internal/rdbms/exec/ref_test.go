@@ -86,7 +86,7 @@ func refSort(rows []storage.Row, keys []SortKey) ([]storage.Row, error) {
 	}
 	sort.SliceStable(idx, func(a, b int) bool {
 		for k, key := range keys {
-			if c, _ := compareForSort(vals[idx[a]][k], vals[idx[b]][k], key.Desc); c != 0 {
+			if c := compareForSort(vals[idx[a]][k], vals[idx[b]][k], key.Desc); c != 0 {
 				return c < 0
 			}
 		}
@@ -156,15 +156,18 @@ func refGroup(rows []storage.Row, groupBy []Expr, aggs []*AggSpec) ([]storage.Ro
 		}
 	fold:
 		for k, spec := range aggs {
+			var v types.Datum
+			if spec.Kind != AggCountStar {
+				var err error
+				if v, err = spec.Arg.Eval(r); err != nil {
+					return nil, err
+				}
+			}
 			if !spec.Distinct {
-				if err := g.states[k].add(r); err != nil {
+				if err := g.states[k].addValue(v); err != nil {
 					return nil, err
 				}
 				continue
-			}
-			v, err := spec.Arg.Eval(r)
-			if err != nil {
-				return nil, err
 			}
 			for _, s := range g.seen[k] {
 				if types.KeyEqual(s, v) {
@@ -196,6 +199,26 @@ func refGroup(rows []storage.Row, groupBy []Expr, aggs []*AggSpec) ([]storage.Ro
 		out[i] = row
 	}
 	return out, nil
+}
+
+// refUnique keeps each row that is not types.KeyEqual, column by column,
+// to the last row it kept: Unique over sorted rows.
+func refUnique(rows []storage.Row) []storage.Row {
+	var out []storage.Row
+next:
+	for _, r := range rows {
+		if n := len(out); n > 0 {
+			for j, d := range r {
+				if !types.KeyEqual(out[n-1][j], d) {
+					out = append(out, r)
+					continue next
+				}
+			}
+			continue
+		}
+		out = append(out, r)
+	}
+	return out
 }
 
 // refJoin is the inner equi-join as a nested loop: probe × build in that
@@ -255,21 +278,46 @@ func refJoin(probe, build []storage.Row, probeKeys, buildKeys []Expr, residual E
 	return out, nil
 }
 
-// sliceBatches replays rows as a stream of DefaultBatchSize-row batches:
-// the input of an operator under test that takes a stream, not a heap.
+// sliceBatches replays rows as a stream of batches: the input of an
+// operator under test that takes a stream, not a heap.
 type sliceBatches struct {
 	rows []storage.Row
-	pos  int
+	// size is the rows per batch, DefaultBatchSize when 0.
+	size int
+	// sel makes every batch selection-carrying: each row is stored after a
+	// decoy row no operator may read, and Sel lists the rows.
+	sel bool
+	// pruned lists columns left empty, the way a pruning scan leaves the
+	// columns no operator above reads; prunedRows is the rows an operator
+	// sees then.
+	pruned []int
+	pos    int
 }
 
 func (s *sliceBatches) NextBatch() (*RowBatch, error) {
 	if s.pos >= len(s.rows) {
 		return nil, nil
 	}
-	n := min(DefaultBatchSize, len(s.rows)-s.pos)
-	b := NewRowBatch(len(s.rows[0]), n)
-	for _, r := range s.rows[s.pos : s.pos+n] {
+	size := s.size
+	if size == 0 {
+		size = DefaultBatchSize
+	}
+	n := min(size, len(s.rows)-s.pos)
+	w := len(s.rows[0])
+	b := NewRowBatch(w, 2*n)
+	for i, r := range s.rows[s.pos : s.pos+n] {
+		if s.sel {
+			decoy := make(storage.Row, w)
+			for j := range decoy {
+				decoy[j] = types.NewInt(int64(-1 - s.pos - i))
+			}
+			b.AppendRow(decoy)
+			b.Sel = append(b.Sel, int32(b.PhysLen()))
+		}
 		b.AppendRow(r)
+	}
+	for _, j := range s.pruned {
+		b.Cols[j] = b.Cols[j][:0]
 	}
 	s.pos += n
 	return b, nil
@@ -277,9 +325,18 @@ func (s *sliceBatches) NextBatch() (*RowBatch, error) {
 
 func (s *sliceBatches) Close() {}
 
-// rowsOf replays rows through the row interface the row-only operators
-// read.
-func rowsOf(rows ...storage.Row) Iterator { return &BatchToRow{In: &sliceBatches{rows: rows}} }
+// prunedRows is rows as an operator reads them from a stream that leaves
+// the given columns empty: their cells are zero Datums.
+func prunedRows(rows []storage.Row, pruned ...int) []storage.Row {
+	out := make([]storage.Row, len(rows))
+	for i, r := range rows {
+		out[i] = append(storage.Row(nil), r...)
+		for _, j := range pruned {
+			out[i][j] = types.Datum{}
+		}
+	}
+	return out
+}
 
 // mustRef returns a check that fails t on a reference error (reference
 // inputs are total unless a test says otherwise).

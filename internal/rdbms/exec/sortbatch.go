@@ -174,8 +174,7 @@ func (s *BatchSortIter) build() {
 	slices.SortStableFunc(s.perm, func(ia, ib int32) int {
 		for k := range s.Keys {
 			col := s.keyCols[k]
-			// compareForSort is total over heterogeneous values; it never errors.
-			if c, _ := compareForSort(col[ia], col[ib], s.Keys[k].Desc); c != 0 {
+			if c := compareForSort(col[ia], col[ib], s.Keys[k].Desc); c != 0 {
 				return c
 			}
 		}
@@ -288,8 +287,7 @@ func (m *ParallelSortedMergeIter) less(a, b int) bool {
 	wa := ha.b.Width() - len(m.keys)
 	wb := hb.b.Width() - len(m.keys)
 	for k := range m.keys {
-		// compareForSort is total over heterogeneous values; it never errors.
-		c, _ := compareForSort(ha.b.Cols[wa+k][ha.pos], hb.b.Cols[wb+k][hb.pos], m.keys[k].Desc)
+		c := compareForSort(ha.b.Cols[wa+k][ha.pos], hb.b.Cols[wb+k][hb.pos], m.keys[k].Desc)
 		if c != 0 {
 			return c < 0
 		}

@@ -70,8 +70,7 @@ func (t *BatchTopNIter) NextBatch() (*RowBatch, error) {
 // is worse.
 func (t *BatchTopNIter) worse(a, b int32) bool {
 	for k := range t.Keys {
-		// compareForSort is total over heterogeneous values; it never errors.
-		c, _ := compareForSort(t.keyCols[k][a], t.keyCols[k][b], t.Keys[k].Desc)
+		c := compareForSort(t.keyCols[k][a], t.keyCols[k][b], t.Keys[k].Desc)
 		if c != 0 {
 			return c > 0
 		}
@@ -167,7 +166,7 @@ func (t *BatchTopNIter) build() {
 				root := t.heap[0]
 				cmp := 0
 				for k := range t.Keys {
-					c, _ := compareForSort(keyVals[k][r], t.keyCols[k][root], t.Keys[k].Desc)
+					c := compareForSort(keyVals[k][r], t.keyCols[k][root], t.Keys[k].Desc)
 					if c != 0 {
 						cmp = c
 						break
@@ -213,7 +212,7 @@ func (t *BatchTopNIter) build() {
 	sort.Slice(t.perm, func(a, b int) bool {
 		pa, pb := t.perm[a], t.perm[b]
 		for k := range t.Keys {
-			c, _ := compareForSort(t.keyCols[k][pa], t.keyCols[k][pb], t.Keys[k].Desc)
+			c := compareForSort(t.keyCols[k][pa], t.keyCols[k][pb], t.Keys[k].Desc)
 			if c != 0 {
 				return c < 0
 			}

@@ -43,17 +43,6 @@ func (b *baseNode) Layout() *Layout { return b.layout }
 func (b *baseNode) Rows() float64   { return b.rows }
 func (b *baseNode) Cost() float64   { return b.cost }
 
-// openRows opens child for one of the row-only operators (Unique,
-// GroupAggregate, Merge Join, Nested Loop): a row operator below is handed
-// over as it is, any other child through a BatchToRow adapter.
-func openRows(ec *exec.ExecCtx, child Node) exec.Iterator {
-	it := child.Open(ec)
-	if rb, ok := it.(*exec.RowToBatch); ok {
-		return rb.In
-	}
-	return &exec.BatchToRow{In: it}
-}
-
 // execView resolves a scan's exec-time read view: a statement context pins
 // (or reuses) the owner heap's latest snapshot; without one the plan-time
 // view is read directly.
@@ -64,16 +53,17 @@ func execView(ec *exec.ExecCtx, v storage.ReadView) storage.ReadView {
 	return ec.View(v.Owner())
 }
 
-// annotation is the EXPLAIN suffix naming how n runs: " (batch)" for the
-// batch operators, nothing for the row-only ones and for the one-row
-// projection of a FROM-less SELECT.
+// annotation is the EXPLAIN suffix naming how n runs: " (batch)" for
+// every operator except the fused extraction and the gather, which name
+// themselves, and the one-row result of a FROM-less SELECT and its
+// projection, which carry nothing.
 func annotation(n Node) string {
 	switch x := n.(type) {
-	case *ScanNode, *FilterNode, *SortNode, *TopNNode, *HashAggNode, *HashJoinNode, *LimitNode:
-		return " (batch)"
+	case *valuesNode:
+		return ""
 	case *ProjectNode:
-		if _, ok := x.Child.(*valuesNode); !ok {
-			return " (batch)"
+		if _, ok := x.Child.(*valuesNode); ok {
+			return ""
 		}
 	case *MultiExtractNode:
 		if x.SegFactory != nil {
@@ -83,7 +73,7 @@ func annotation(n Node) string {
 	case *GatherNode:
 		return " (batch, parallel)"
 	}
-	return ""
+	return " (batch)"
 }
 
 // ---------- Scan ----------
@@ -394,7 +384,7 @@ func (u *UniqueNode) Children() []Node { return []Node{u.Child} }
 
 // Open implements Node.
 func (u *UniqueNode) Open(ec *exec.ExecCtx) exec.BatchIterator {
-	return &exec.RowToBatch{In: &exec.UniqueIter{In: openRows(ec, u.Child)}}
+	return &exec.BatchDedupIter{In: u.Child.Open(ec)}
 }
 
 // ---------- Aggregation ----------
@@ -457,7 +447,7 @@ func (g *GroupAggNode) Children() []Node { return []Node{g.Child} }
 
 // Open implements Node.
 func (g *GroupAggNode) Open(ec *exec.ExecCtx) exec.BatchIterator {
-	return &exec.RowToBatch{In: &exec.GroupAggIter{In: openRows(ec, g.Child), GroupBy: g.GroupBy, Aggs: g.Aggs}}
+	return &exec.BatchSortedAggIter{In: g.Child.Open(ec), GroupBy: g.GroupBy, Aggs: g.Aggs}
 }
 
 // ---------- Joins ----------
@@ -534,11 +524,11 @@ func (j *MergeJoinNode) Children() []Node { return []Node{j.Left, j.Right} }
 
 // Open implements Node.
 func (j *MergeJoinNode) Open(ec *exec.ExecCtx) exec.BatchIterator {
-	return &exec.RowToBatch{In: &exec.MergeJoinIter{
-		Left: openRows(ec, j.Left), Right: openRows(ec, j.Right),
+	return &exec.BatchSortedJoinIter{
+		Left: j.Left.Open(ec), Right: j.Right.Open(ec),
 		LeftKeys: j.LeftKeys, RightKeys: j.RightKeys,
 		Residual: conjoinExec(j.Residual),
-	}}
+	}
 }
 
 // NestedLoopNode joins on an arbitrary (or absent) condition.
@@ -563,11 +553,10 @@ func (j *NestedLoopNode) Details() []string {
 // Children implements Node.
 func (j *NestedLoopNode) Children() []Node { return []Node{j.Outer, j.Inner} }
 
-// Open implements Node.
+// Open implements Node: the keyless merge join pairs every outer row with
+// the whole inner side.
 func (j *NestedLoopNode) Open(ec *exec.ExecCtx) exec.BatchIterator {
-	return &exec.RowToBatch{In: &exec.NestedLoopIter{
-		Outer: openRows(ec, j.Outer), Inner: j.Inner.Open(ec), Cond: conjoinExec(j.Cond),
-	}}
+	return &exec.BatchSortedJoinIter{Left: j.Outer.Open(ec), Right: j.Inner.Open(ec), Residual: conjoinExec(j.Cond)}
 }
 
 // ---------- Limit ----------
