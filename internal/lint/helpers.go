@@ -32,7 +32,7 @@ func noArgMethod(fn *types.Func) bool {
 	return ok && sig.Params().Len() == 0
 }
 
-// closableElem unwraps slices and arrays so []Iterator fields count as
+// closableElem unwraps slices and arrays so []BatchIterator fields count as
 // closable; it returns the element type to test and whether the field was
 // a collection.
 func closableElem(t types.Type) (types.Type, bool) {
