@@ -4,12 +4,14 @@
 // allocates more per operation than the baseline by more than the
 // tolerance, or when a Table 2 row's plan differs from the baseline's at
 // all (Table 2 is the paper's plan-flip experiment, so its plans are part
-// of the result):
+// of the result), or when the NoBench fixture's live heap (HeapInuse or
+// HeapObjects after a forced collection) grows by more than the tolerance:
 //
 //	benchdiff -new .bench_build/bench.json [-baseline BENCH_BASELINE.json] [-tolerance 10]
 //
-// allocs/op is what a report holds that is the same on every run and every
-// host, so it is what `make bench-diff` gates. ns/op is printed beside it
+// allocs/op and the fixture heap are what a report holds that is the same
+// (the heap: within a few percent) on every run and every host, so they
+// are what `make bench-diff` gates. ns/op is printed beside it
 // and never fails the diff: timing claims go through pairs of
 // benchmark/run.sh (see benchmark/README.md).
 //
@@ -53,11 +55,17 @@ type table2Bench struct {
 	PhysicalAllocs  int64  `json:"physical_allocs_per_op"`
 }
 
+type heapBench struct {
+	HeapInuseBytes int64 `json:"heap_inuse_bytes"`
+	HeapObjects    int64 `json:"heap_objects"`
+}
+
 type report struct {
 	Records      int           `json:"records"`
 	Figure6Sinew []queryBench  `json:"figure6_sinew"`
 	Table2       []table2Bench `json:"table2"`
 	Table5       []table5Bench `json:"table5"`
+	Heap         *heapBench    `json:"heap"`
 }
 
 // leg is one measured side (virtual or physical) of a Table 2 or Table 5
@@ -221,15 +229,39 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
+	// The fixture heap: either figure growing past the tolerance fails. A
+	// report without the section (an older baseline) is exempt.
+	heapFailed := false
+	switch o, n := oldRep.Heap, newRep.Heap; {
+	case n == nil:
+	case o == nil:
+		fmt.Fprintf(stdout, "heap  HeapInuse %d bytes, HeapObjects %d  (new section)\n", n.HeapInuseBytes, n.HeapObjects)
+	default:
+		for _, h := range []struct {
+			name       string
+			oldV, newV int64
+		}{{"HeapInuse", o.HeapInuseBytes, n.HeapInuseBytes}, {"HeapObjects", o.HeapObjects, n.HeapObjects}} {
+			d := pct(h.oldV, h.newV)
+			mark := ""
+			if d > *tolerance {
+				mark, heapFailed = "  REGRESSION(heap)", true
+			}
+			fmt.Fprintf(stdout, "heap  %-11s %12d %12d %+7.1f%%%s\n", h.name, h.oldV, h.newV, d, mark)
+		}
+	}
+
 	if planFailed {
 		fmt.Fprintln(stderr, "benchdiff: FAIL — a Table 2 plan differs from the baseline")
 	}
 	if failed {
 		fmt.Fprintf(stderr, "benchdiff: FAIL — allocs/op regression beyond %.0f%% tolerance\n", *tolerance)
 	}
-	if failed || planFailed {
+	if heapFailed {
+		fmt.Fprintf(stderr, "benchdiff: FAIL — fixture heap grew beyond %.0f%% tolerance\n", *tolerance)
+	}
+	if failed || planFailed || heapFailed {
 		return 1
 	}
-	fmt.Fprintf(stdout, "benchdiff: OK (allocs/op within %.0f%%, Table 2 plans unchanged; ns/op is not gated)\n", *tolerance)
+	fmt.Fprintf(stdout, "benchdiff: OK (allocs/op and fixture heap within %.0f%%, Table 2 plans unchanged; ns/op is not gated)\n", *tolerance)
 	return 0
 }

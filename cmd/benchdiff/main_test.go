@@ -238,3 +238,36 @@ func TestTable2Gate(t *testing.T) {
 		}
 	}
 }
+
+// The fixture heap gates HeapInuse and HeapObjects: either growing past
+// the tolerance fails, a drop passes, and a baseline without the section
+// exempts it.
+func TestHeapGate(t *testing.T) {
+	report := func(heap string) string {
+		return `{"records": 1000, "figure6_sinew": []` + heap + `}`
+	}
+	heap := func(inuse, objects int) string {
+		return `, "heap": {"heap_inuse_bytes": ` + strconv.Itoa(inuse) + `, "heap_objects": ` + strconv.Itoa(objects) + `}`
+	}
+	oldP := writeReport(t, "old.json", report(heap(1000000, 20000)))
+	for _, c := range []struct {
+		name, base, body string
+		code             int
+		want             string
+	}{
+		{"within", oldP, report(heap(1050000, 21000)), 0, "benchdiff: OK"},
+		{"drop", oldP, report(heap(500000, 10000)), 0, "-50.0%"},
+		{"inuse", oldP, report(heap(1200000, 20000)), 1, "REGRESSION(heap)"},
+		{"objects", oldP, report(heap(1000000, 30000)), 1, "REGRESSION(heap)"},
+		{"no-baseline", writeReport(t, "bare.json", report("")), report(heap(1000000, 20000)), 0, "(new section)"},
+	} {
+		newP := writeReport(t, c.name+".json", c.body)
+		var out, errb bytes.Buffer
+		if code := run([]string{"-baseline", c.base, "-new", newP}, &out, &errb); code != c.code {
+			t.Fatalf("%s: run() = %d, want %d\nstdout: %s", c.name, code, c.code, out.String())
+		}
+		if !strings.Contains(out.String(), c.want) {
+			t.Errorf("%s: output should say %q:\n%s", c.name, c.want, out.String())
+		}
+	}
+}

@@ -10,7 +10,9 @@
 // With -json, the Table 3 load row of every system and the Figure 6 (Sinew
 // column), Table 2 (plans and virtual/physical timings), Table 5, and
 // plan-cache benchmarks (measured via testing.Benchmark) are written as a JSON report (ns/op and allocs/op per
-// query) instead of the text tables; `make bench` uses this to produce
+// query), with the live heap of the loaded, materialized and frozen
+// NoBench fixture (HeapInuse, HeapObjects) beside them, instead of the
+// text tables; `make bench` uses this to produce
 // BENCH_BASELINE.json and `make bench-diff` the report it holds against it.
 //
 // The -small scale plays the paper's in-memory 16M-record runs and -large
@@ -55,6 +57,7 @@ func runJSON(path string, small int, seed int64) error {
 	if err != nil {
 		return err
 	}
+	fmt.Printf("  heap HeapInuse %12d bytes  HeapObjects %10d\n", rep.Heap.HeapInuseBytes, rep.Heap.HeapObjects)
 	for _, l := range rep.Table3Load {
 		fmt.Printf("  table3 %-8s load %12d ns  size %10d bytes\n", l.System, l.LoadNs, l.SizeBytes)
 	}

@@ -56,26 +56,8 @@ func SetupNoBench(n int, seed int64, scratchBudget int64) (*NoBenchFixture, erro
 	table := f.Par.Table
 
 	// --- Sinew ---
-	f.Sinew = core.Open(core.DefaultConfig())
-	if err := f.Sinew.CreateCollection(table); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	if _, err := f.Sinew.LoadDocuments(table, docs); err != nil {
-		return nil, fmt.Errorf("bench: sinew load: %w", err)
-	}
-	f.LoadTime[SysSinew] = time.Since(start)
-	// Pin the paper's materialization outcome, run the materializer to
-	// completion, and refresh optimizer statistics.
-	for _, key := range PaperMaterializedKeys {
-		if err := f.Sinew.SetMaterialized(table, key, true); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := core.NewMaterializer(f.Sinew).RunOnce(table); err != nil {
-		return nil, fmt.Errorf("bench: sinew materialize: %w", err)
-	}
-	if err := f.Sinew.RDBMS().Analyze(table); err != nil {
+	var err error
+	if f.Sinew, f.LoadTime[SysSinew], err = loadSinewNoBench(table, docs); err != nil {
 		return nil, err
 	}
 	f.SizeBytes[SysSinew] = f.Sinew.DatabaseSizeBytes()
@@ -84,7 +66,7 @@ func SetupNoBench(n int, seed int64, scratchBudget int64) (*NoBenchFixture, erro
 	f.Mongo = docstore.Open()
 	f.Mongo.ScratchBudget = scratchBudget
 	f.MongoColl = f.Mongo.Create(table)
-	start = time.Now()
+	start := time.Now()
 	for _, d := range docs {
 		if _, err := f.MongoColl.Insert(cloneDoc(d)); err != nil {
 			return nil, fmt.Errorf("bench: mongo load: %w", err)
@@ -121,6 +103,34 @@ func SetupNoBench(n int, seed int64, scratchBudget int64) (*NoBenchFixture, erro
 	f.SizeBytes[SysPG] = f.PG.RDBMS().TotalSizeBytes()
 
 	return f, nil
+}
+
+// loadSinewNoBench loads docs into a fresh Sinew collection, pins the
+// paper's materialization outcome, runs the materializer to completion and
+// refreshes optimizer statistics (ANALYZE freezes the full pages). It
+// returns the database and the time the load itself took.
+func loadSinewNoBench(table string, docs []*jsonx.Doc) (*core.DB, time.Duration, error) {
+	db := core.Open(core.DefaultConfig())
+	if err := db.CreateCollection(table); err != nil {
+		return nil, 0, err
+	}
+	start := time.Now()
+	if _, err := db.LoadDocuments(table, docs); err != nil {
+		return nil, 0, fmt.Errorf("bench: sinew load: %w", err)
+	}
+	loadTime := time.Since(start)
+	for _, key := range PaperMaterializedKeys {
+		if err := db.SetMaterialized(table, key, true); err != nil {
+			return nil, 0, err
+		}
+	}
+	if _, err := core.NewMaterializer(db).RunOnce(table); err != nil {
+		return nil, 0, fmt.Errorf("bench: sinew materialize: %w", err)
+	}
+	if err := db.RDBMS().Analyze(table); err != nil {
+		return nil, 0, err
+	}
+	return db, loadTime, nil
 }
 
 // cloneDoc copies a document so Mongo's _id insertion does not mutate the

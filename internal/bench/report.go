@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -15,8 +16,9 @@ import (
 // This file produces the machine-readable benchmark report (`make bench`
 // writes it to BENCH_BASELINE.json): per-query ns/op and allocs/op for the
 // Sinew column of Figure 6, the Table 2 plans with their virtual and
-// physical timings, the Table 5 virtual-vs-physical pair, and the
-// repeated-statement benchmark pinning the plan-cache hit path.
+// physical timings, the Table 5 virtual-vs-physical pair, the
+// repeated-statement benchmark pinning the plan-cache hit path, and the
+// live heap of the NoBench fixture.
 
 // QueryBench is one measured statement.
 type QueryBench struct {
@@ -82,6 +84,14 @@ type LoadBench struct {
 	SizeBytes int64  `json:"size_bytes"`
 }
 
+// HeapBench is the live heap of the NoBench fixture in Sinew alone, once
+// it is loaded, its paper keys materialized and its pages frozen:
+// HeapInuse and HeapObjects after a forced collection, nothing else live.
+type HeapBench struct {
+	HeapInuseBytes uint64 `json:"heap_inuse_bytes"`
+	HeapObjects    uint64 `json:"heap_objects"`
+}
+
 // Report is the full BENCH_BASELINE.json payload.
 type Report struct {
 	Records      int              `json:"records"`
@@ -91,6 +101,7 @@ type Report struct {
 	Table2       []Table2Bench    `json:"table2"`
 	Table5       []Table5Bench    `json:"table5"`
 	PlanCache    []PlanCacheBench `json:"plan_cache"`
+	Heap         *HeapBench       `json:"heap,omitempty"`
 }
 
 // benchQuery measures one statement as the minimum ns/op of five
@@ -135,6 +146,13 @@ func benchQuery(db *core.DB, sql string) (ns, allocs int64, err error) {
 // measures every report entry.
 func BuildReport(n int, seed int64) (*Report, error) {
 	rep := &Report{Records: n, TwitterN: n}
+
+	// The heap first, while no other fixture is live.
+	heap, err := fixtureHeap(n, seed)
+	if err != nil {
+		return nil, err
+	}
+	rep.Heap = heap
 
 	f, err := SetupNoBench(n, seed, 0)
 	if err != nil {
@@ -269,6 +287,22 @@ func BuildReport(n int, seed int64) (*Report, error) {
 		rep.Table3Load = append(rep.Table3Load, LoadBench{System: sys, LoadNs: loads[sys].Nanoseconds(), SizeBytes: f.SizeBytes[sys]})
 	}
 	return rep, nil
+}
+
+// fixtureHeap builds the Sinew side of SetupNoBench(n, seed) and measures
+// the heap that holds it. The generated documents are dead by then, so the
+// numbers are what the database keeps: rows, frozen segments, summaries,
+// catalog and dictionary.
+func fixtureHeap(n int, seed int64) (*HeapBench, error) {
+	db, _, err := loadSinewNoBench(nobench.NewParams(n).Table, nobench.Generate(n, seed))
+	if err != nil {
+		return nil, err
+	}
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(db)
+	return &HeapBench{HeapInuseBytes: ms.HeapInuse, HeapObjects: ms.HeapObjects}, nil
 }
 
 // table2Report measures the Table 1 queries over the Table 2 experiment's
