@@ -31,24 +31,22 @@ type recordSegment struct {
 func (r *recordSegment) NumRows() int      { return r.seg.NumRecords() }
 func (r *recordSegment) AttrIDs() []uint32 { return r.seg.AttrIDs() }
 
-// AttrZones implements storage.ZoneMapped: the per-attribute presence
-// counts and numeric extrema the segment footer already carries become
-// page-summary zone maps, so range predicates on extracted keys can skip
-// whole frozen pages without touching the segment payload.
-func (r *recordSegment) AttrZones() []storage.AttrZone {
-	n := r.seg.NumAttrs()
-	out := make([]storage.AttrZone, 0, n)
-	for i := 0; i < n; i++ {
-		c := r.seg.ColumnAt(i)
-		z := storage.AttrZone{ID: c.ID(), Present: c.NumPresent()}
-		if lo, hi, ok := c.IntRange(); ok {
-			z.Min, z.Max, z.HasRange = types.NewInt(lo), types.NewInt(hi), true
-		} else if flo, fhi, fok := c.FloatRange(); fok {
-			z.Min, z.Max, z.HasRange = types.NewFloat(flo), types.NewFloat(fhi), true
-		}
-		out = append(out, z)
+// AttrZone implements storage.ZoneMapped from the segment footer: the
+// attribute's presence count and, for int and float vectors, its extrema
+// become a page-summary zone map, so range predicates on extracted keys
+// can skip whole frozen pages without touching the segment payload.
+func (r *recordSegment) AttrZone(id uint32) (storage.AttrZone, bool) {
+	c, ok := r.seg.Column(id)
+	if !ok {
+		return storage.AttrZone{}, false
 	}
-	return out
+	z := storage.AttrZone{ID: id, Present: c.NumPresent()}
+	if lo, hi, ok := c.IntRange(); ok {
+		z.Min, z.Max, z.HasRange = types.NewInt(lo), types.NewInt(hi), true
+	} else if flo, fhi, fok := c.FloatRange(); fok {
+		z.Min, z.Max, z.HasRange = types.NewFloat(flo), types.NewFloat(fhi), true
+	}
+	return z, true
 }
 
 // Values reconstructs the column's datums (the un-freeze path). The bytes

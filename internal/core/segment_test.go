@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -266,11 +267,12 @@ func TestSinewStatsSelCounters(t *testing.T) {
 	}
 }
 
-// TestRecordSegmentAttrZonesAscending pins the ZoneMapped contract the page
-// summary relies on: the zones arrive in ascending attribute-ID order
-// (PageSummary.AttrZone binary-searches them as handed over), also when the
-// dictionary minted the IDs in another order than the keys sort.
-func TestRecordSegmentAttrZonesAscending(t *testing.T) {
+// TestRecordSegmentZoneLookup holds the ZoneMapped lookup the page summary
+// delegates to against the segment it reads: for every attribute ID the
+// zone carries the column's presence count and range, also when the
+// dictionary minted the IDs in another order than the keys sort, and
+// every ID outside the segment misses.
+func TestRecordSegmentZoneLookup(t *testing.T) {
 	db := Open(DefaultConfig())
 	for _, key := range []string{"zz", "user", "score", "dyn", "a"} {
 		db.dict().IDFor(key, serial.TypeInt) // IDs minted against key order
@@ -284,17 +286,55 @@ func TestRecordSegmentAttrZonesAscending(t *testing.T) {
 		}
 		vals[i] = types.NewBytes(data)
 	}
-	seg, err := db.reservoirSegmenter()(0, vals)
-	if err != nil || seg == nil {
-		t.Fatalf("segmenter: %v, %v", seg, err)
+	cs, err := db.reservoirSegmenter()(0, vals)
+	if err != nil || cs == nil {
+		t.Fatalf("segmenter: %v, %v", cs, err)
 	}
-	zones := seg.(storage.ZoneMapped).AttrZones()
-	if len(zones) < 5 {
-		t.Fatalf("only %d zones", len(zones))
+	seg := cs.(*recordSegment).seg
+	ids := seg.AttrIDs()
+	if len(ids) < 5 {
+		t.Fatalf("only %d attributes", len(ids))
 	}
-	for i := 1; i < len(zones); i++ {
-		if zones[i-1].ID >= zones[i].ID {
-			t.Fatalf("zones not ascending at %d: %d then %d", i, zones[i-1].ID, zones[i].ID)
+	zm := cs.(storage.ZoneMapped)
+	ranged := 0
+	for i, id := range ids {
+		c := seg.ColumnAt(i)
+		z, ok := zm.AttrZone(id)
+		if !ok || z.ID != id || z.Present != c.NumPresent() {
+			t.Fatalf("AttrZone(%d) = %+v, %v; the column has %d values", id, z, ok, c.NumPresent())
+		}
+		var lo, hi types.Datum
+		hasRange := false
+		if ilo, ihi, ok := c.IntRange(); ok {
+			lo, hi, hasRange = types.NewInt(ilo), types.NewInt(ihi), true
+		} else if flo, fhi, ok := c.FloatRange(); ok {
+			lo, hi, hasRange = types.NewFloat(flo), types.NewFloat(fhi), true
+		}
+		if z.HasRange != hasRange || hasRange && (!types.Equal(z.Min, lo) || !types.Equal(z.Max, hi)) {
+			t.Fatalf("AttrZone(%d) range [%v, %v] %v; the column has [%v, %v] %v", id, z.Min, z.Max, z.HasRange, lo, hi, hasRange)
+		}
+		if hasRange {
+			ranged++
+		}
+		// Every ID between this one and the next is absent.
+		next := uint32(math.MaxUint32)
+		if i+1 < len(ids) {
+			next = ids[i+1]
+		}
+		for _, miss := range []uint32{id + 1, next - 1} {
+			if miss > id && miss < next {
+				if _, ok := zm.AttrZone(miss); ok {
+					t.Fatalf("AttrZone(%d) hit an attribute the segment does not carry", miss)
+				}
+			}
+		}
+	}
+	if ranged == 0 {
+		t.Fatal("no attribute carried a range")
+	}
+	if ids[0] > 0 {
+		if _, ok := zm.AttrZone(0); ok {
+			t.Fatal("AttrZone(0) hit an attribute the segment does not carry")
 		}
 	}
 }

@@ -43,7 +43,7 @@ type PageSummary struct {
 	valid  bool
 	attrs  map[int][]uint32 // column index -> sorted attr IDs present
 	ranges map[int]*colRange
-	zones  map[int][]AttrZone // column index -> zone maps, ascending attr ID; slices are never written after setZones
+	zones  map[int]ZoneMapped // column index -> the frozen segment answering its zone maps (immutable; clones share it)
 }
 
 func newPageSummary() *PageSummary {
@@ -104,36 +104,32 @@ func (s *PageSummary) AttrZone(col int, id uint32) (AttrZone, bool) {
 	if !s.usable() {
 		return AttrZone{}, false
 	}
-	zs := s.zones[col]
-	i := sort.Search(len(zs), func(j int) bool { return zs[j].ID >= id })
-	if i < len(zs) && zs[i].ID == id {
-		return zs[i], true
+	zm := s.zones[col]
+	if zm == nil {
+		return AttrZone{}, false
 	}
-	return AttrZone{}, false
+	return zm.AttrZone(id)
 }
 
-// setZones installs the zone maps of one segment-striped column. The
-// summary keeps zs: ZoneMapped hands over a fresh slice in ascending ID
-// order, which AttrZone binary-searches.
-func (s *PageSummary) setZones(col int, zs []AttrZone) {
-	if len(zs) == 0 {
-		return
-	}
+// setZones makes zm, the frozen segment of column col, answer the column's
+// zone-map lookups. The summary holds the segment, not a copy of its
+// footer.
+func (s *PageSummary) setZones(col int, zm ZoneMapped) {
 	if s.zones == nil {
-		s.zones = make(map[int][]AttrZone)
+		s.zones = make(map[int]ZoneMapped)
 	}
-	s.zones[col] = zs
+	s.zones[col] = zm
 }
 
-// attachZones copies the per-attribute zone maps out of a frozen page's
-// segment columns into the summary (freeze time and ANALYZE rebuilds).
+// attachZones attaches a frozen page's zone-mapped segment columns to the
+// summary (freeze time and ANALYZE rebuilds).
 func (s *PageSummary) attachZones(fp *FrozenPage) {
 	if !s.usable() || fp == nil {
 		return
 	}
 	for j := range fp.cols {
 		if zm, ok := fp.cols[j].Seg.(ZoneMapped); ok {
-			s.setZones(j, zm.AttrZones())
+			s.setZones(j, zm)
 		}
 	}
 }

@@ -50,12 +50,13 @@ type AttrZone struct {
 
 // ZoneMapped is implemented by ColumnSegments that expose per-attribute
 // zone maps (the serial segment footer's min/max and presence counts).
-// Freezing attaches the zones to the page summary, so scans skip whole
-// frozen pages on attribute-level range predicates before decoding them.
-// AttrZones returns a slice the caller may keep, ascending by ID (the
-// summary binary-searches it).
+// Freezing attaches the segment itself to the page summary, which asks it
+// for one attribute's zone at a time, so scans skip whole frozen pages on
+// attribute-level range predicates before decoding them.
 type ZoneMapped interface {
-	AttrZones() []AttrZone
+	// AttrZone returns the zone map of attribute id; ok=false when no
+	// record of the segment carries it.
+	AttrZone(id uint32) (AttrZone, bool)
 }
 
 // DefaultFreezeMinPages is the load-time compaction threshold: once a heap
@@ -134,7 +135,9 @@ func (fp *FrozenPage) ColVals(j int) ([]types.Datum, []uint64, error) {
 }
 
 // materializeRows builds (once) the row-form view of the page for
-// row-path readers and the un-freeze path.
+// row-path readers and the un-freeze path. The rows are carved out of one
+// datum arena, each capped at its own width, so an append to one never
+// writes into the next; no write path mutates a stored row in place.
 func (fp *FrozenPage) materializeRows() ([]Row, error) {
 	fp.rowsOnce.Do(func() {
 		cols := make([][]types.Datum, len(fp.cols))
@@ -146,9 +149,11 @@ func (fp *FrozenPage) materializeRows() ([]Row, error) {
 			}
 			cols[j] = vals
 		}
+		w := len(cols)
+		arena := make([]types.Datum, fp.n*w)
 		rows := make([]Row, fp.n)
 		for i := 0; i < fp.n; i++ {
-			r := make(Row, len(cols))
+			r := Row(arena[i*w : (i+1)*w : (i+1)*w])
 			for j := range cols {
 				r[j] = cols[j][i]
 			}

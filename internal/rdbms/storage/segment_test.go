@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"github.com/sinewdata/sinew/internal/rdbms/types"
@@ -206,18 +207,30 @@ func TestLoadTimeFreezeThreshold(t *testing.T) {
 	}
 }
 
-// TestPageSummaryZoneLookup pins the sorted-slice zone maps: lookups hit
-// exactly the installed IDs, a clone answers the same, and a clone shares
-// the zones instead of copying them.
+// fakeZones is a ZoneMapped over a fixed zone list.
+type fakeZones []AttrZone
+
+func (f fakeZones) AttrZone(id uint32) (AttrZone, bool) {
+	for _, z := range f {
+		if z.ID == id {
+			return z, true
+		}
+	}
+	return AttrZone{}, false
+}
+
+// TestPageSummaryZoneLookup pins the zone lookup the summary delegates to
+// a column's segment: present IDs hit with their count and range, absent
+// IDs miss, a clone answers the same from the same segment, and a column
+// without a segment misses.
 func TestPageSummaryZoneLookup(t *testing.T) {
-	zones := []AttrZone{
+	zones := fakeZones{
 		{ID: 2, Present: 5, Min: types.NewInt(-3), Max: types.NewInt(40), HasRange: true},
 		{ID: 9, Present: 1},
 		{ID: 700, Present: 2, Min: types.NewFloat(0.5), Max: types.NewFloat(1.5), HasRange: true},
 	}
 	s := newPageSummary()
 	s.setZones(3, zones)
-	s.setZones(4, nil)
 	for _, sum := range []*PageSummary{s, s.clone()} {
 		for _, want := range zones {
 			got, ok := sum.AttrZone(3, want.ID)
@@ -230,14 +243,51 @@ func TestPageSummaryZoneLookup(t *testing.T) {
 		}
 		for _, id := range []uint32{0, 1, 3, 10, 699, 701} {
 			if _, ok := sum.AttrZone(3, id); ok {
-				t.Fatalf("AttrZone(3, %d) found a zone that was never installed", id)
+				t.Fatalf("AttrZone(3, %d) found a zone the segment does not hold", id)
 			}
 		}
 		if _, ok := sum.AttrZone(4, 2); ok {
-			t.Fatal("a column without zones answered a lookup")
+			t.Fatal("a column without a segment answered a lookup")
 		}
 	}
-	if c := s.clone(); &c.zones[3][0] != &s.zones[3][0] {
-		t.Fatal("clone copied the zone slice")
+	if c := s.clone(); &c.zones[3].(fakeZones)[0] != &zones[0] {
+		t.Fatal("clone does not hold the same segment")
+	}
+}
+
+// TestFrozenRowsOneArena pins the row-form view of a frozen page: the
+// first row-path read allocates a fixed handful of slices, not one per
+// row, and every row is capped at its own width inside the shared arena,
+// so appending to one cannot write into its neighbour.
+func TestFrozenRowsOneArena(t *testing.T) {
+	h, _ := freezeTestHeap(t, rowsPerPage)
+	h.SetColumnSegmenter(stripeCol0)
+	if h.FreezeColdPages() != 1 {
+		t.Fatal("the page did not freeze")
+	}
+	fp := h.pages[0].frozen
+	allocs := testing.AllocsPerRun(20, func() {
+		fp.rowsOnce, fp.rows, fp.segVals, fp.segNull = sync.Once{}, nil, nil, nil
+		if _, err := fp.materializeRows(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The column table, the arena and the row slice, plus the striped
+	// column's cache: its two per-page tables, its datums and its nulls.
+	if allocs > 7 {
+		t.Fatalf("the first row-path read of a %d-row frozen page allocates %v times", fp.n, allocs)
+	}
+	rows := pageRows(h.pages[0])
+	for i, r := range rows {
+		if len(r) != 2 || cap(r) != 2 {
+			t.Fatalf("row %d has len %d cap %d, want 2 and 2", i, len(r), cap(r))
+		}
+		if r[0].String() != fmt.Sprint(i) || r[1].String() != fmt.Sprintf("row-%d", i) {
+			t.Fatalf("row %d = %v", i, r)
+		}
+	}
+	grown := append(rows[0], types.NewInt(-1))
+	if rows[1][0].String() != "1" || &grown[0] == &rows[0][0] {
+		t.Fatal("appending to a frozen page's row wrote into the arena")
 	}
 }

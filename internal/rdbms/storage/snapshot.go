@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"maps"
 	"sync/atomic"
 )
 
@@ -305,12 +306,7 @@ func (s *PageSummary) clone() *PageSummary {
 		cr := *r
 		out.ranges[col] = &cr
 	}
-	if s.zones != nil {
-		// Zone slices are immutable once installed: share them.
-		out.zones = make(map[int][]AttrZone, len(s.zones))
-		for col, zs := range s.zones {
-			out.zones[col] = zs
-		}
-	}
+	// The zone-mapped segments are immutable: share them.
+	out.zones = maps.Clone(s.zones)
 	return out
 }

@@ -342,15 +342,18 @@ func (e *segEncoder) encode(records [][]byte, dict Dict) ([]byte, error) {
 	return out, nil
 }
 
-// SegColumn is one parsed attribute vector of a segment.
+// SegColumn is one attribute vector of a segment, read in place: the
+// bitmap and payload views alias the segment bytes, and the scalars are
+// copied out of the footer's directory entry. Segment.Column and ColumnAt
+// build one on demand; holding it costs nothing beyond the value itself.
 type SegColumn struct {
 	id    uint32
 	enc   SegEncoding
-	words []uint64 // presence bitmap; bit set = value present
+	words []byte // presence bitmap, little-endian u64 words; bit set = value present
 	count int
-	fixed []byte // int/float/bool payload (aliases segment bytes)
-	ends  []byte // string/raw cumulative ends (aliases segment bytes)
-	varb  []byte // string/raw bytes (aliases segment bytes)
+	fixed []byte // int/float/bool payload
+	ends  []byte // string/raw cumulative ends
+	varb  []byte // string/raw bytes
 
 	hasRange bool
 	minBits  uint64
@@ -368,10 +371,10 @@ func (c *SegColumn) NumPresent() int { return c.count }
 
 // Present reports whether record i carries the attribute.
 func (c *SegColumn) Present(i int) bool {
-	if i < 0 || i/64 >= len(c.words) {
+	if i < 0 || i/64 >= len(c.words)/8 {
 		return false
 	}
-	return c.words[i/64]&(1<<uint(i%64)) != 0
+	return binary.LittleEndian.Uint64(c.words[i/64*8:])&(1<<uint(i%64)) != 0
 }
 
 // IntRange returns the footer min/max for an int column.
@@ -394,7 +397,8 @@ func (c *SegColumn) FloatRange() (lo, hi float64, ok bool) {
 // dense payload index of the row's value.
 func (c *SegColumn) forEach(fn func(row, k int)) {
 	k := 0
-	for wi, w := range c.words {
+	for wi := 0; wi < len(c.words)/8; wi++ {
+		w := binary.LittleEndian.Uint64(c.words[wi*8:])
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
 			fn(wi*64+b, k)
@@ -468,20 +472,25 @@ func (c *SegColumn) forEachVar(fn func(row int, b []byte)) {
 	})
 }
 
-// Segment is a parsed column-striped segment. It aliases the encoded
-// bytes; the buffer must not be mutated while the Segment is in use.
+// Segment is a parsed column-striped segment. It keeps no per-column
+// state: the footer directory is read in place, the way a record header
+// is (§4.1), and every view aliases the encoded bytes, which must not be
+// mutated while the Segment is in use.
 type Segment struct {
+	data     []byte
 	n        int
-	nulls    []uint64
-	rawEnds  []byte // n*4 cumulative ends, aliases buffer
+	nulls    []byte // record-null bitmap, little-endian u64 words
+	rawEnds  []byte // n*4 cumulative ends
 	rawBytes []byte
-	cols     []SegColumn // ascending attribute ID
+	dir      []byte // footer directory: segColDirBytes per column, ascending attribute ID
 }
 
-// ParseSegment validates and parses an encoded segment. Corrupt input —
-// truncated footers, presence bitmaps whose popcount disagrees with the
-// payload, attribute-ID/vector length mismatches — returns an error,
-// never panics.
+// ParseSegment validates an encoded segment once, whole: every column's
+// section bounds, presence bitmap, value ends and zone map are checked
+// here, so the on-demand reads of Column and ColumnAt slice the bytes
+// without re-checking. Corrupt input — truncated footers, presence
+// bitmaps whose popcount disagrees with the payload, attribute-ID/vector
+// length mismatches — returns an error, never panics.
 func ParseSegment(data []byte) (*Segment, error) {
 	if len(data) < 3*u32 {
 		return nil, fmt.Errorf("serial: segment too short (%d bytes)", len(data))
@@ -514,10 +523,7 @@ func ParseSegment(data []byte) (*Segment, error) {
 	if nullOff < 2*u32 || nwords > (footerOff-nullOff)/8 {
 		return nil, fmt.Errorf("serial: segment null bitmap out of range")
 	}
-	nulls := make([]uint64, nwords)
-	for i := range nulls {
-		nulls[i] = binary.LittleEndian.Uint64(data[nullOff+i*8:])
-	}
+	nulls := data[nullOff : nullOff+nwords*8]
 	if err := checkTailBits(nulls, n); err != nil {
 		return nil, err
 	}
@@ -526,10 +532,12 @@ func ParseSegment(data []byte) (*Segment, error) {
 		return nil, fmt.Errorf("serial: segment raw vector out of range")
 	}
 	s := &Segment{
+		data:     data,
 		n:        n,
 		nulls:    nulls,
 		rawEnds:  data[rawOff : rawOff+n*u32],
 		rawBytes: data[rawOff+n*u32 : rawOff+rawSecLen],
+		dir:      f[5*u32:],
 	}
 	prev := uint32(0)
 	for i := 0; i < n; i++ {
@@ -546,110 +554,104 @@ func ParseSegment(data []byte) (*Segment, error) {
 		return nil, fmt.Errorf("serial: segment raw vector length mismatch (%d of %d bytes)", prev, len(s.rawBytes))
 	}
 
-	s.cols = make([]SegColumn, 0, ncols)
 	prevID := int64(-1)
 	for ci := 0; ci < ncols; ci++ {
-		d := f[5*u32+ci*segColDirBytes:]
-		col := SegColumn{
-			id:      binary.LittleEndian.Uint32(d),
-			enc:     SegEncoding(binary.LittleEndian.Uint32(d[u32:])),
-			count:   int(binary.LittleEndian.Uint32(d[4*u32:])),
-			minBits: binary.LittleEndian.Uint64(d[6*u32:]),
-			maxBits: binary.LittleEndian.Uint64(d[6*u32+8:]),
-		}
-		col.hasRange = binary.LittleEndian.Uint32(d[5*u32:])&segFlagHasRange != 0
+		// The directory entry's bounds first: ColumnAt slices by them.
+		d := s.dir[ci*segColDirBytes:]
+		id := binary.LittleEndian.Uint32(d)
+		enc := SegEncoding(binary.LittleEndian.Uint32(d[u32:]))
 		off := int(binary.LittleEndian.Uint32(d[2*u32:]))
 		length := int(binary.LittleEndian.Uint32(d[3*u32:]))
-		if int64(col.id) <= prevID {
-			return nil, fmt.Errorf("serial: segment attribute IDs not ascending at %d", col.id)
+		count := int(binary.LittleEndian.Uint32(d[4*u32:]))
+		if int64(id) <= prevID {
+			return nil, fmt.Errorf("serial: segment attribute IDs not ascending at %d", id)
 		}
-		prevID = int64(col.id)
+		prevID = int64(id)
 		if off < 2*u32 || length < nwords*8 || off+length > footerOff {
-			return nil, fmt.Errorf("serial: segment attr %d section out of range", col.id)
+			return nil, fmt.Errorf("serial: segment attr %d section out of range", id)
 		}
-		sec := data[off : off+length]
-		col.words = make([]uint64, nwords)
+		if count > n {
+			return nil, fmt.Errorf("serial: segment attr %d count %d exceeds %d records", id, count, n)
+		}
+		payloadLen := length - nwords*8
+		switch enc {
+		case SegInt, SegFloat:
+			if payloadLen != count*8 {
+				return nil, fmt.Errorf("serial: segment attr %d payload %d bytes for %d values", id, payloadLen, count)
+			}
+		case SegBool:
+			if payloadLen != count {
+				return nil, fmt.Errorf("serial: segment attr %d payload %d bytes for %d bools", id, payloadLen, count)
+			}
+		case SegString, SegRaw:
+			if payloadLen < count*u32 {
+				return nil, fmt.Errorf("serial: segment attr %d truncated ends array", id)
+			}
+		default:
+			return nil, fmt.Errorf("serial: segment attr %d unknown encoding %d", id, uint8(enc))
+		}
+
+		// Then the section's contents, through the column view.
+		col := s.ColumnAt(ci)
 		pop := 0
-		for i := range col.words {
-			col.words[i] = binary.LittleEndian.Uint64(sec[i*8:])
-			pop += bits.OnesCount64(col.words[i])
-			if col.words[i]&nulls[i] != 0 {
-				return nil, fmt.Errorf("serial: segment attr %d present on a null record", col.id)
+		for i := 0; i < nwords; i++ {
+			w := binary.LittleEndian.Uint64(col.words[i*8:])
+			pop += bits.OnesCount64(w)
+			if w&binary.LittleEndian.Uint64(nulls[i*8:]) != 0 {
+				return nil, fmt.Errorf("serial: segment attr %d present on a null record", id)
 			}
 		}
-		if pop != col.count {
-			return nil, fmt.Errorf("serial: segment attr %d presence bitmap has %d bits, footer says %d", col.id, pop, col.count)
+		if pop != count {
+			return nil, fmt.Errorf("serial: segment attr %d presence bitmap has %d bits, footer says %d", id, pop, count)
 		}
 		if err := checkTailBits(col.words, n); err != nil {
 			return nil, err
 		}
-		if col.count > n {
-			return nil, fmt.Errorf("serial: segment attr %d count %d exceeds %d records", col.id, col.count, n)
-		}
-		payload := sec[nwords*8:]
-		switch col.enc {
-		case SegInt, SegFloat:
-			if len(payload) != col.count*8 {
-				return nil, fmt.Errorf("serial: segment attr %d payload %d bytes for %d values", col.id, len(payload), col.count)
-			}
-			col.fixed = payload
-		case SegBool:
-			if len(payload) != col.count {
-				return nil, fmt.Errorf("serial: segment attr %d payload %d bytes for %d bools", col.id, len(payload), col.count)
-			}
-			col.fixed = payload
-		case SegString, SegRaw:
-			if len(payload) < col.count*u32 {
-				return nil, fmt.Errorf("serial: segment attr %d truncated ends array", col.id)
-			}
-			col.ends = payload[:col.count*u32]
-			col.varb = payload[col.count*u32:]
+		if enc == SegString || enc == SegRaw {
 			prevEnd := uint32(0)
-			for k := 0; k < col.count; k++ {
+			for k := 0; k < count; k++ {
 				e := binary.LittleEndian.Uint32(col.ends[k*u32:])
 				if e < prevEnd || int(e) > len(col.varb) {
-					return nil, fmt.Errorf("serial: segment attr %d ends not monotonic at value %d", col.id, k)
+					return nil, fmt.Errorf("serial: segment attr %d ends not monotonic at value %d", id, k)
 				}
 				prevEnd = e
 			}
-			if col.count > 0 && int(prevEnd) != len(col.varb) {
-				return nil, fmt.Errorf("serial: segment attr %d value bytes length mismatch", col.id)
+			if count > 0 && int(prevEnd) != len(col.varb) {
+				return nil, fmt.Errorf("serial: segment attr %d value bytes length mismatch", id)
 			}
-		default:
-			return nil, fmt.Errorf("serial: segment attr %d unknown encoding %d", col.id, uint8(col.enc))
 		}
 		// Zone-map sanity: the range flag is only meaningful on numeric
 		// vectors with at least one value, and min must not exceed max. Page
 		// skipping trusts these extrema to prove rows absent, so a corrupt
 		// footer here would silently drop rows instead of erroring later.
 		if col.hasRange {
-			if col.count == 0 {
-				return nil, fmt.Errorf("serial: segment attr %d has a value range but no values", col.id)
+			if count == 0 {
+				return nil, fmt.Errorf("serial: segment attr %d has a value range but no values", id)
 			}
-			switch col.enc {
+			switch enc {
 			case SegInt:
 				if int64(col.minBits) > int64(col.maxBits) {
-					return nil, fmt.Errorf("serial: segment attr %d int range min exceeds max", col.id)
+					return nil, fmt.Errorf("serial: segment attr %d int range min exceeds max", id)
 				}
 			case SegFloat:
 				lo, hi := math.Float64frombits(col.minBits), math.Float64frombits(col.maxBits)
 				if math.IsNaN(lo) || math.IsNaN(hi) || lo > hi {
-					return nil, fmt.Errorf("serial: segment attr %d float range invalid", col.id)
+					return nil, fmt.Errorf("serial: segment attr %d float range invalid", id)
 				}
 			default:
-				return nil, fmt.Errorf("serial: segment attr %d range flag on %s encoding", col.id, col.enc)
+				return nil, fmt.Errorf("serial: segment attr %d range flag on %s encoding", id, enc)
 			}
 		}
-		s.cols = append(s.cols, col)
 	}
 	return s, nil
 }
 
 // checkTailBits rejects bitmap bits at positions >= n (a corrupt bitmap
-// could otherwise address rows past the segment).
-func checkTailBits(words []uint64, n int) error {
+// could otherwise address rows past the segment). words is a bitmap of
+// little-endian u64 words covering n.
+func checkTailBits(words []byte, n int) error {
 	if rem := n % 64; rem != 0 {
-		if words[len(words)-1]&^(1<<uint(rem)-1) != 0 {
+		if binary.LittleEndian.Uint64(words[len(words)-8:])&^(1<<uint(rem)-1) != 0 {
 			return fmt.Errorf("serial: segment bitmap has bits past record %d", n)
 		}
 	}
@@ -664,7 +666,7 @@ func (s *Segment) RecordNull(i int) bool {
 	if i < 0 || i >= s.n {
 		return false
 	}
-	return s.nulls[i/64]&(1<<uint(i%64)) != 0
+	return binary.LittleEndian.Uint64(s.nulls[i/64*8:])&(1<<uint(i%64)) != 0
 }
 
 // RecordBytes returns the original serialized bytes of record i; ok=false
@@ -684,36 +686,64 @@ func (s *Segment) RecordBytes(i int) ([]byte, bool) {
 // AttrIDs returns the attribute IDs present anywhere in the segment,
 // ascending — the footer's page-summary attribute set.
 func (s *Segment) AttrIDs() []uint32 {
-	out := make([]uint32, len(s.cols))
-	for i := range s.cols {
-		out[i] = s.cols[i].id
+	out := make([]uint32, s.NumAttrs())
+	for i := range out {
+		out[i] = s.attrID(i)
 	}
 	return out
 }
 
 // NumAttrs returns the number of striped attribute vectors.
-func (s *Segment) NumAttrs() int { return len(s.cols) }
+func (s *Segment) NumAttrs() int { return len(s.dir) / segColDirBytes }
 
-// Column returns the vector of attribute id; ok=false when no record in
-// the segment carries it.
-func (s *Segment) Column(id uint32) (*SegColumn, bool) {
-	lo, hi := 0, len(s.cols)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case s.cols[mid].id < id:
-			lo = mid + 1
-		case s.cols[mid].id > id:
-			hi = mid
-		default:
-			return &s.cols[mid], true
-		}
-	}
-	return nil, false
+// attrID returns the attribute ID of directory entry i.
+func (s *Segment) attrID(i int) uint32 {
+	return binary.LittleEndian.Uint32(s.dir[i*segColDirBytes:])
 }
 
-// ColumnAt returns the i-th vector in attribute-ID order.
-func (s *Segment) ColumnAt(i int) *SegColumn { return &s.cols[i] }
+// Column returns the vector of attribute id, binary-searching the footer
+// directory; ok=false when no record in the segment carries it.
+func (s *Segment) Column(id uint32) (SegColumn, bool) {
+	lo, hi := 0, s.NumAttrs()
+	for lo < hi {
+		mid := (lo + hi) / 2
+		switch at := s.attrID(mid); {
+		case at < id:
+			lo = mid + 1
+		case at > id:
+			hi = mid
+		default:
+			return s.ColumnAt(mid), true
+		}
+	}
+	return SegColumn{}, false
+}
+
+// ColumnAt returns the i-th vector in attribute-ID order, built from its
+// directory entry over the segment bytes ParseSegment validated.
+func (s *Segment) ColumnAt(i int) SegColumn {
+	d := s.dir[i*segColDirBytes:]
+	c := SegColumn{
+		id:       binary.LittleEndian.Uint32(d),
+		enc:      SegEncoding(binary.LittleEndian.Uint32(d[u32:])),
+		count:    int(binary.LittleEndian.Uint32(d[4*u32:])),
+		hasRange: binary.LittleEndian.Uint32(d[5*u32:])&segFlagHasRange != 0,
+		minBits:  binary.LittleEndian.Uint64(d[6*u32:]),
+		maxBits:  binary.LittleEndian.Uint64(d[6*u32+8:]),
+	}
+	off := int(binary.LittleEndian.Uint32(d[2*u32:]))
+	sec := s.data[off : off+int(binary.LittleEndian.Uint32(d[3*u32:]))]
+	bitmap := len(s.nulls) // every bitmap of the segment has the same length
+	c.words = sec[:bitmap]
+	switch c.enc {
+	case SegString, SegRaw:
+		c.ends = sec[bitmap : bitmap+c.count*u32]
+		c.varb = sec[bitmap+c.count*u32:]
+	default:
+		c.fixed = sec[bitmap:]
+	}
+	return c
+}
 
 // DecodeRaw decodes one raw-encoded value (object or array) with its
 // attribute type, mirroring the row format's decodeValue.

@@ -3,6 +3,7 @@ package serial
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
@@ -324,8 +325,12 @@ func TestSegmentEncoderReuse(t *testing.T) {
 	}
 }
 
-// probeSegment exercises every segment read path; like probeAll, the only
-// requirement on arbitrary bytes is no panic.
+// probeSegment exercises every segment read path. Like probeAll, arbitrary
+// bytes may be rejected but must never panic; a segment ParseSegment
+// accepts must also read consistently on demand — every column the same
+// through Column as through ColumnAt, its bitmap and its typed accessor
+// agreeing with its count, and Column missing every absent ID — or the
+// probe panics.
 func probeSegment(data []byte, dict *Dictionary) {
 	s, err := ParseSegment(data)
 	if err != nil {
@@ -336,27 +341,87 @@ func probeSegment(data []byte, dict *Dictionary) {
 		_ = s.RecordNull(i)
 		_, _ = s.RecordBytes(i)
 	}
-	_ = s.AttrIDs()
-	for ci := 0; ci < s.NumAttrs(); ci++ {
+	ids := s.AttrIDs()
+	if len(ids) != s.NumAttrs() {
+		panic("segment AttrIDs disagrees with NumAttrs")
+	}
+	for ci := range ids {
 		col := s.ColumnAt(ci)
-		if got, ok := s.Column(col.ID()); !ok || got != col {
+		got, ok := s.Column(col.ID())
+		if !ok || col.ID() != ids[ci] || !sameColumn(&got, &col) {
 			panic("segment column lookup disagrees with ColumnAt")
 		}
-		_ = col.NumPresent()
+		pop := 0
 		for i := -1; i <= n; i++ {
-			_ = col.Present(i)
+			if col.Present(i) {
+				if i < 0 || i >= n {
+					panic("segment column present outside its records")
+				}
+				pop++
+			}
 		}
+		if pop != col.NumPresent() {
+			panic("segment presence bitmap disagrees with NumPresent")
+		}
+		streamed := 0
+		switch col.Encoding() {
+		case SegInt:
+			err = col.Ints(func(int, int64) { streamed++ })
+		case SegFloat:
+			err = col.Floats(func(int, float64) { streamed++ })
+		case SegBool:
+			err = col.Bools(func(int, bool) { streamed++ })
+		case SegString:
+			err = col.Strings(func(_ int, b []byte) { streamed++; _ = len(b) })
+		case SegRaw:
+			err = col.Raws(func(_ int, b []byte) {
+				streamed++
+				_, _ = DecodeRaw(b, TypeObject, dict)
+				_, _ = DecodeRaw(b, TypeArray, dict)
+			})
+		}
+		if err != nil || streamed != col.NumPresent() {
+			panic("segment column accessor disagrees with NumPresent")
+		}
+		// The other accessors refuse the encoding.
 		_, _, _ = col.IntRange()
 		_, _, _ = col.FloatRange()
 		_ = col.Ints(func(int, int64) {})
 		_ = col.Floats(func(int, float64) {})
 		_ = col.Bools(func(int, bool) {})
-		_ = col.Strings(func(_ int, b []byte) { _ = len(b) })
-		_ = col.Raws(func(_ int, b []byte) {
-			_, _ = DecodeRaw(b, TypeObject, dict)
-			_, _ = DecodeRaw(b, TypeArray, dict)
-		})
+		_ = col.Strings(func(int, []byte) {})
+		_ = col.Raws(func(int, []byte) {})
 	}
+	miss := func(id uint32) {
+		if _, ok := s.Column(id); ok {
+			panic("segment column lookup hit an absent ID")
+		}
+	}
+	if len(ids) == 0 || ids[0] != 0 {
+		miss(0)
+	}
+	if len(ids) == 0 || ids[len(ids)-1] != math.MaxUint32 {
+		miss(math.MaxUint32)
+	}
+	for i := 1; i < len(ids); i++ {
+		if lo, hi := ids[i-1], ids[i]; hi-lo > 1 {
+			miss(lo + 1)
+			miss(lo + (hi-lo)/2)
+			miss(hi - 1)
+		}
+	}
+}
+
+// sameColumn reports whether a and b agree on ID, encoding, count and
+// ranges.
+func sameColumn(a, b *SegColumn) bool {
+	alo, ahi, aok := a.IntRange()
+	blo, bhi, bok := b.IntRange()
+	aflo, afhi, afok := a.FloatRange()
+	bflo, bfhi, bfok := b.FloatRange()
+	return a.ID() == b.ID() && a.Encoding() == b.Encoding() && a.NumPresent() == b.NumPresent() &&
+		alo == blo && ahi == bhi && aok == bok &&
+		math.Float64bits(aflo) == math.Float64bits(bflo) && math.Float64bits(afhi) == math.Float64bits(bfhi) && afok == bfok
 }
 
 // TestCorruptSegmentsNeverPanic hand-crafts the corruption classes the
@@ -458,5 +523,64 @@ func TestSegmentFloatRangeNaN(t *testing.T) {
 	}
 	if _, _, ok := col.FloatRange(); ok {
 		t.Error("NaN-containing column must not report a range")
+	}
+}
+
+var colSink SegColumn
+
+// TestParseSegmentAllocsIndependentOfColumns pins the in-place footer:
+// parsing a segment allocates the same whether it stripes one attribute or
+// a thousand, and looking a column up — by ID, hit or miss, or by
+// position — allocates nothing.
+func TestParseSegmentAllocsIndependentOfColumns(t *testing.T) {
+	build := func(sparse int) ([]byte, uint32) {
+		t.Helper()
+		dict := NewDictionary()
+		records := make([][]byte, 128)
+		for i := range records {
+			doc := jsonx.NewDoc()
+			doc.Set("k", jsonx.IntValue(int64(i)))
+			for j := 0; sparse > 0 && j < 8; j++ {
+				doc.Set(fmt.Sprintf("sparse_%d", (i*8+j)%sparse), jsonx.StringValue("v"))
+			}
+			var err error
+			if records[i], err = Serialize(doc, dict); err != nil {
+				t.Fatal(err)
+			}
+		}
+		data, err := EncodeSegment(records, dict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, _ := dict.IDOf("k", TypeInt)
+		return data, id
+	}
+	parseAllocs := func(data []byte) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if _, err := ParseSegment(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	narrow, _ := build(0)
+	wide, kid := build(999)
+	s, err := ParseSegment(wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.NumAttrs() != 1000 {
+		t.Fatalf("the wide segment stripes %d attributes, want 1000", s.NumAttrs())
+	}
+	if a, b := parseAllocs(narrow), parseAllocs(wide); a != b {
+		t.Fatalf("ParseSegment allocates %v times for 1 attribute and %v for 1000", a, b)
+	}
+	for name, fn := range map[string]func(){
+		"Column hit":  func() { colSink, _ = s.Column(kid) },
+		"Column miss": func() { colSink, _ = s.Column(math.MaxUint32) },
+		"ColumnAt":    func() { colSink = s.ColumnAt(500) },
+	} {
+		if a := testing.AllocsPerRun(100, fn); a != 0 {
+			t.Errorf("%s allocates %v times", name, a)
+		}
 	}
 }
