@@ -58,10 +58,12 @@ race-workers:
 # readers rewriting Q10 while a column's dirty bit flips under them), the
 # materializer beside SQL writers (no acknowledged UPDATE or DELETE lost to
 # a pass) and beside cached and never-cached readers (no count dip while
-# values move; the plan cache's pin-then-recheck on hit and miss), and the
+# values move; the plan cache's pin-then-recheck on hit and miss), extracted
+# values that alias records and frozen segments held across UPDATEs and a
+# materializer pass (and the copies those two store), and the
 # HTTP end-to-end test. GOMAXPROCS=1 forces cooperative interleavings,
 # 2 and 8 vary true parallelism.
-SESSION_TESTS = TestSnapshot|TestMaterializeKeepsConcurrentWrites|TestConcurrentQueriesDuringMaterialization|TestPlanCacheConcurrentMaterialize|TestPlanCacheStaleBuildRebuilt|TestExecSelectOnceRebuilds|TestShapeCacheConcurrentLiterals
+SESSION_TESTS = TestSnapshot|TestMaterializeKeepsConcurrentWrites|TestConcurrentQueriesDuringMaterialization|TestPlanCacheConcurrentMaterialize|TestPlanCacheStaleBuildRebuilt|TestExecSelectOnceRebuilds|TestShapeCacheConcurrentLiterals|TestExtractedValuesSurviveWriters|TestStoredValuesOwnTheirBytes
 race-sessions:
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run '$(SESSION_TESTS)' ./internal/rdbms/ ./internal/core/
 	GOMAXPROCS=2 $(GO) test -race -count=1 -run '$(SESSION_TESTS)' ./internal/rdbms/ ./internal/core/
@@ -115,10 +117,13 @@ bench:
 	GOMAXPROCS=1 $(GO) run ./cmd/sinewbench -json BENCH_BASELINE.json -small 4000
 
 # bench-diff measures the tree as it is (into the git-ignored
-# .bench_build/) and fails when any Figure 6 query or Table 5 row allocates
-# over 10% more per operation than BENCH_BASELINE.json. allocs/op is the
-# part of the report that does not depend on the host; ns/op is printed and
-# not gated — timing claims go through pairs of benchmark/run.sh.
+# .bench_build/) and fails when any Figure 6 query, or either leg
+# (virtual/physical) of a Table 2 or Table 5 row, allocates over 10% more
+# per operation than BENCH_BASELINE.json, when a Table 2 plan string
+# differs from it, or when the NoBench fixture's live heap grows by over
+# 10%. allocs/op, plans and the heap are the parts of the report that do
+# not depend on the host; ns/op is printed and not gated — timing claims go
+# through pairs of benchmark/run.sh.
 bench-diff:
 	mkdir -p .bench_build
 	GOMAXPROCS=1 $(GO) run ./cmd/sinewbench -json .bench_build/bench.json -small 4000

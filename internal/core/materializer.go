@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/sinewdata/sinew/internal/jsonx"
 	"github.com/sinewdata/sinew/internal/rdbms/storage"
 	"github.com/sinewdata/sinew/internal/rdbms/types"
 	"github.com/sinewdata/sinew/internal/serial"
@@ -109,7 +108,7 @@ func (m *Materializer) RunOnce(collection string) (moved int64, err error) {
 		if col := &dirty[i]; col.Materialized && col.PhysicalName == "" {
 			//lint:ignore sinew/catalog-view the pass's private copy of the state, not the catalog's record
 			col.PhysicalName = m.db.physicalColumnName(tc, *col, add)
-			add = append(add, storage.Column{Name: col.PhysicalName, Typ: sqlTypeOf(col.Type)})
+			add = append(add, storage.Column{Name: col.PhysicalName, Typ: serial.DatumType(col.Type)})
 		}
 	}
 	if len(add) > 0 {
@@ -180,8 +179,7 @@ type pass struct {
 	purge []uint32
 
 	rec   serial.Record
-	vals  []jsonx.Value
-	found []bool
+	vals  []types.Datum
 	moved int64
 }
 
@@ -212,7 +210,7 @@ func newPass(dict *serial.Dictionary, schema *storage.Schema, dirty []ColumnStat
 		return pathDepth(p.demats[i].Key) < pathDepth(p.demats[j].Key)
 	})
 	p.specs = serial.PrepareMulti(specs, dict)
-	p.vals, p.found = make([]jsonx.Value, len(specs)), make([]bool, len(specs))
+	p.vals = make([]types.Datum, len(specs))
 	return p
 }
 
@@ -265,18 +263,15 @@ func (p *pass) rewriteRow(row storage.Row) (storage.Row, error) {
 		if err := p.rec.Reset(data); err != nil {
 			return nil, err
 		}
-		if err := p.rec.MultiExtract(p.specs, p.dict, p.vals, p.found); err != nil {
+		if err := p.rec.ExtractDatums(p.specs, p.dict, p.vals); err != nil {
 			return nil, err
 		}
 		for k, at := range p.matAt {
-			if !p.found[k] {
+			if p.vals[k].IsNull() {
 				continue
 			}
-			d, err := datumFromJSON(p.vals[k], p.dict)
-			if err != nil {
-				return nil, err
-			}
-			put(at, d)
+			// The column owns its copy: an alias would pin the old record.
+			put(at, p.vals[k].Clone())
 			p.moved++
 		}
 		rest, err := serial.DeleteAttrs(data, p.purge...)

@@ -378,8 +378,9 @@ func hintFromAttr(t serial.AttrType) hint {
 		return hintArray
 	case serial.TypeObject:
 		return hintDoc
+	default:
+		return hintNone
 	}
-	return hintNone
 }
 
 func attrFromHint(h hint) (serial.AttrType, bool) {

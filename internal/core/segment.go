@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"strings"
 
-	"github.com/sinewdata/sinew/internal/jsonx"
 	"github.com/sinewdata/sinew/internal/rdbms/exec"
 	"github.com/sinewdata/sinew/internal/rdbms/storage"
 	"github.com/sinewdata/sinew/internal/rdbms/types"
@@ -107,10 +106,6 @@ func (db *DB) reservoirSegmenter() storage.ColumnSegmenter {
 	}
 }
 
-// strSpan locates one packed string value inside a kernel's string-vector
-// scratch buffer: out[row] gets buffer[off:off+n].
-type strSpan struct{ row, off, n int }
-
 // stripedExtractFactory builds the segment-side kernel of the
 // "sinew_extract" family (exec.SegExtractFactory). It must agree
 // cell-for-cell with the row kernel registered in registerUDFs:
@@ -119,16 +114,11 @@ type strSpan struct{ row, off, n int }
 //     from the segment's typed vector for the rows where it is present;
 //   - rows that could resolve through a nested descent (a dotted path with
 //     an object/array-typed proper prefix present) or an untyped probe
-//     (extract_any) replay the exact row-path MultiExtract on the record
-//     bytes;
+//     (extract_any) replay the row kernel's extractor on the record bytes;
 //   - everything else is the typed NULL the row path would produce.
 func (db *DB) stripedExtractFactory(reqs []exec.MultiExtractReq) (exec.SegExtractKernel, error) {
-	specs := make([]serial.MultiSpec, len(reqs))
-	for i, r := range reqs {
-		specs[i] = serial.MultiSpec{Path: r.Key, Want: serial.AttrType(r.Type), Any: r.Any}
-	}
 	dict := db.dict()
-	pm := serial.PrepareMulti(specs, dict)
+	rx := newRowExtractor(reqs, dict)
 
 	// Vector-path specs: a resolved literal attribute read directly from
 	// its segment column.
@@ -158,14 +148,14 @@ func (db *DB) stripedExtractFactory(reqs []exec.MultiExtractReq) (exec.SegExtrac
 		}
 	}
 	for k, r := range reqs {
-		if r.Any {
+		want := serial.AttrType(r.Type)
+		if want == serial.TypeAny {
 			for _, a := range dict.IDsOfKey(r.Key) {
 				cands[k] = append(cands[k], a.ID)
 			}
 			addPrefixIDs(k, r.Key)
 			continue
 		}
-		want := serial.AttrType(r.Type)
 		if id, ok := dict.IDOf(r.Key, want); ok {
 			vecs = append(vecs, vecSpec{k: k, id: id, want: want})
 		}
@@ -174,16 +164,7 @@ func (db *DB) stripedExtractFactory(reqs []exec.MultiExtractReq) (exec.SegExtrac
 		}
 	}
 
-	var rec serial.Record
-	vals := make([]jsonx.Value, len(reqs))
-	found := make([]bool, len(reqs))
 	var fb []uint64
-	// String-vector scratch: per-value byte slices are packed into one
-	// buffer and converted with a single string allocation per column, the
-	// datums slicing substrings out of it. Kernels are per-worker (the
-	// factory runs once per scan goroutine), so the scratch is unshared.
-	var strBuf []byte
-	var strSpans []strSpan
 
 	return func(cs storage.ColumnSegment, out [][]types.Datum) (bool, error) {
 		rs, ok := cs.(*recordSegment)
@@ -237,17 +218,10 @@ func (db *DB) stripedExtractFactory(reqs []exec.MultiExtractReq) (exec.SegExtrac
 			var err, cbErr error
 			switch v.want {
 			case serial.TypeString:
-				strBuf, strSpans = strBuf[:0], strSpans[:0]
+				// The values alias the segment, which is never written.
 				err = col.Strings(func(row int, b []byte) {
-					strSpans = append(strSpans, strSpan{row: row, off: len(strBuf), n: len(b)})
-					strBuf = append(strBuf, b...)
+					outK[row] = types.AliasText(b)
 				})
-				if err == nil {
-					all := string(strBuf)
-					for _, sp := range strSpans {
-						outK[sp.row] = types.NewText(all[sp.off : sp.off+sp.n])
-					}
-				}
 			case serial.TypeInt:
 				err = col.Ints(func(row int, x int64) {
 					outK[row] = types.NewInt(x)
@@ -262,20 +236,9 @@ func (db *DB) stripedExtractFactory(reqs []exec.MultiExtractReq) (exec.SegExtrac
 				})
 			default: // TypeObject, TypeArray: raw-encoded sub-values
 				err = col.Raws(func(row int, b []byte) {
-					if cbErr != nil {
-						return
+					if cbErr == nil {
+						outK[row], cbErr = serial.DecodeDatum(b, v.want, dict)
 					}
-					jv, e := serial.DecodeRaw(b, v.want, dict)
-					if e != nil {
-						cbErr = e
-						return
-					}
-					dm, e := datumFromJSON(jv, dict)
-					if e != nil {
-						cbErr = e
-						return
-					}
-					outK[row] = dm
 				})
 			}
 			if err == nil {
@@ -297,25 +260,8 @@ func (db *DB) stripedExtractFactory(reqs []exec.MultiExtractReq) (exec.SegExtrac
 				if !ok {
 					continue
 				}
-				if err := rec.Reset(b); err != nil {
+				if err := rx.row(b, out, i); err != nil {
 					return true, err
-				}
-				if err := rec.MultiExtract(pm, dict, vals, found); err != nil {
-					return true, err
-				}
-				for k := range out {
-					switch {
-					case !found[k]:
-						out[k][i] = types.NewNull(reqs[k].Ret)
-					case reqs[k].Any:
-						out[k][i] = types.NewText(vals[k].String())
-					default:
-						dm, err := datumFromJSON(vals[k], dict)
-						if err != nil {
-							return true, err
-						}
-						out[k][i] = dm
-					}
 				}
 			}
 		}

@@ -32,152 +32,46 @@ const (
 // (§5). All are stats-opaque: the optimizer cannot see through them, which
 // is precisely what makes virtual columns invisible to it (§3.1.1).
 func (db *DB) registerUDFs() {
-	type extractDef struct {
+	// One extraction UDF per attribute type, plus sinew_extract_any — the
+	// projection with no type constraint, whose value per §3.2.2 is
+	// returned downcast to text, probing each attribute type observed for
+	// the key.
+	for _, d := range []struct {
 		name string
 		want serial.AttrType
-		ret  types.Type
-	}
-	for _, d := range []extractDef{
-		{"sinew_extract_text", serial.TypeString, types.Text},
-		{"sinew_extract_int", serial.TypeInt, types.Int},
-		{"sinew_extract_real", serial.TypeFloat, types.Float},
-		{"sinew_extract_bool", serial.TypeBool, types.Bool},
-		{"sinew_extract_array", serial.TypeArray, types.Array},
-		{"sinew_extract_doc", serial.TypeObject, types.Bytes},
+		cost float64
+	}{
+		{"sinew_extract_text", serial.TypeString, extractCost},
+		{"sinew_extract_int", serial.TypeInt, extractCost},
+		{"sinew_extract_real", serial.TypeFloat, extractCost},
+		{"sinew_extract_bool", serial.TypeBool, extractCost},
+		{"sinew_extract_array", serial.TypeArray, extractCost},
+		{"sinew_extract_doc", serial.TypeObject, extractCost},
+		{"sinew_extract_any", serial.TypeAny, extractCost * 1.5},
 	} {
-		d := d
+		ret := serial.DatumType(d.want)
 		db.rdb.RegisterFunc(&exec.FuncDef{
 			Name: d.name, MinArgs: 2, MaxArgs: 2,
-			RetType:     func([]types.Type) types.Type { return d.ret },
-			CostPerCall: extractCost,
+			RetType:     func([]types.Type) types.Type { return ret },
+			CostPerCall: d.cost,
 			Opaque:      true,
 			FuseFamily:  "sinew_extract",
 			FuseType:    uint8(d.want),
+			FuseAny:     d.want == serial.TypeAny,
 			Eval: func(args []types.Datum) (types.Datum, error) {
 				data, key, err := extractArgs(args)
 				if err != nil {
 					return types.Datum{}, err
 				}
 				if data == nil {
-					return types.NewNull(d.ret), nil
+					return types.NewNull(ret), nil
 				}
-				v, found, err := serial.ExtractPath(data, key, d.want, db.dict())
-				if err != nil {
-					return types.Datum{}, err
-				}
-				if !found {
-					// Absent key or mismatched type: NULL, never an error
-					// (§3.2.2's graceful multi-type handling).
-					return types.NewNull(d.ret), nil
-				}
-				return datumFromJSON(v, db.dict())
-			},
-			// Batch entry point: the serialization header of each distinct
-			// reservoir value is parsed once per batch and shared across
-			// every extract expression via the per-batch record cache,
-			// instead of once per expression node per row.
-			EvalBatch: func(ctx *exec.UDFBatchCtx, args [][]types.Datum, out []types.Datum) error {
-				recs := batchRecords(ctx, args[0])
-				rowArgs := make([]types.Datum, 2)
-				for i := range out {
-					rowArgs[0], rowArgs[1] = args[0][i], args[1][i]
-					data, key, err := extractArgs(rowArgs)
-					if err != nil {
-						return err
-					}
-					if data == nil {
-						out[i] = types.NewNull(d.ret)
-						continue
-					}
-					rec, err := rowRecord(recs, i, data)
-					if err != nil {
-						return err
-					}
-					v, found, err := rec.ExtractPath(key, d.want, db.dict())
-					if err != nil {
-						return err
-					}
-					if !found {
-						out[i] = types.NewNull(d.ret)
-						continue
-					}
-					out[i], err = datumFromJSON(v, db.dict())
-					if err != nil {
-						return err
-					}
-				}
-				return nil
+				// An absent key or a mismatched type is the typed NULL,
+				// never an error (§3.2.2's graceful multi-type handling).
+				return serial.ExtractDatum(data, key, d.want, db.dict())
 			},
 		})
 	}
-
-	// sinew_extract_any: projection with no type constraint — per §3.2.2
-	// the value is returned downcast to text, probing each attribute type
-	// observed for the key.
-	db.rdb.RegisterFunc(&exec.FuncDef{
-		Name: "sinew_extract_any", MinArgs: 2, MaxArgs: 2,
-		RetType:     func([]types.Type) types.Type { return types.Text },
-		CostPerCall: extractCost * 1.5,
-		Opaque:      true,
-		FuseFamily:  "sinew_extract",
-		FuseAny:     true,
-		Eval: func(args []types.Datum) (types.Datum, error) {
-			data, key, err := extractArgs(args)
-			if err != nil {
-				return types.Datum{}, err
-			}
-			if data == nil {
-				return types.NewNull(types.Text), nil
-			}
-			for _, want := range []serial.AttrType{
-				serial.TypeString, serial.TypeInt, serial.TypeFloat,
-				serial.TypeBool, serial.TypeArray, serial.TypeObject,
-			} {
-				v, found, err := serial.ExtractPath(data, key, want, db.dict())
-				if err != nil {
-					return types.Datum{}, err
-				}
-				if found {
-					return types.NewText(v.String()), nil
-				}
-			}
-			return types.NewNull(types.Text), nil
-		},
-		EvalBatch: func(ctx *exec.UDFBatchCtx, args [][]types.Datum, out []types.Datum) error {
-			recs := batchRecords(ctx, args[0])
-			rowArgs := make([]types.Datum, 2)
-			for i := range out {
-				rowArgs[0], rowArgs[1] = args[0][i], args[1][i]
-				data, key, err := extractArgs(rowArgs)
-				if err != nil {
-					return err
-				}
-				if data == nil {
-					out[i] = types.NewNull(types.Text)
-					continue
-				}
-				rec, err := rowRecord(recs, i, data)
-				if err != nil {
-					return err
-				}
-				out[i] = types.NewNull(types.Text)
-				for _, want := range []serial.AttrType{
-					serial.TypeString, serial.TypeInt, serial.TypeFloat,
-					serial.TypeBool, serial.TypeArray, serial.TypeObject,
-				} {
-					v, found, err := rec.ExtractPath(key, want, db.dict())
-					if err != nil {
-						return err
-					}
-					if found {
-						out[i] = types.NewText(v.String())
-						break
-					}
-				}
-			}
-			return nil
-		},
-	})
 
 	// sinew_tojson reconstructs the reservoir's content as JSON text
 	// (SELECT * uses it to surface remaining virtual attributes).
@@ -343,52 +237,24 @@ func (db *DB) registerUDFs() {
 	// once per query instead of once per row per key.
 	db.rdb.RegisterMultiExtract("sinew_extract",
 		func(reqs []exec.MultiExtractReq) (exec.MultiExtractKernel, error) {
-			specs := make([]serial.MultiSpec, len(reqs))
-			rets := make([]types.Type, len(reqs))
-			for i, r := range reqs {
-				specs[i] = serial.MultiSpec{Path: r.Key, Want: serial.AttrType(r.Type), Any: r.Any}
-				rets[i] = r.Ret
-			}
-			dict := db.dict()
-			// PrepareMulti resolves dictionary IDs at plan-open time; the
-			// scratch Record and value buffers are reused across every row
-			// this kernel instance sees (one instance per Open, so no
-			// cross-goroutine sharing).
-			pm := serial.PrepareMulti(specs, dict)
-			var rec serial.Record
-			vals := make([]jsonx.Value, len(reqs))
-			found := make([]bool, len(reqs))
+			// The dictionary IDs are resolved at plan-open time; the
+			// extractor's scratch is reused across every row this kernel
+			// instance sees (one instance per Open, so no cross-goroutine
+			// sharing).
+			x := newRowExtractor(reqs, db.dict())
 			return func(data []types.Datum, out [][]types.Datum) error {
-				for i := range data {
-					d := data[i]
+				for i, d := range data {
 					if d.IsNull() {
 						for k := range out {
-							out[k][i] = types.NewNull(rets[k])
+							out[k][i] = types.NewNull(reqs[k].Ret)
 						}
 						continue
 					}
 					if d.Typ != types.Bytes {
 						return fmt.Errorf("sinew: reservoir argument must be bytea, got %v", d.Typ)
 					}
-					if err := rec.Reset(d.Bytes()); err != nil {
+					if err := x.row(d.Bytes(), out, i); err != nil {
 						return err
-					}
-					if err := rec.MultiExtract(pm, dict, vals, found); err != nil {
-						return err
-					}
-					for k := range out {
-						switch {
-						case !found[k]:
-							out[k][i] = types.NewNull(rets[k])
-						case reqs[k].Any:
-							out[k][i] = types.NewText(vals[k].String())
-						default:
-							dm, err := datumFromJSON(vals[k], dict)
-							if err != nil {
-								return err
-							}
-							out[k][i] = dm
-						}
 					}
 				}
 				return nil
@@ -426,39 +292,36 @@ func (db *DB) registerUDFs() {
 	})
 }
 
-// batchRecords returns the per-batch parsed-record slots for the reservoir
-// column col: one slot per row, shared by every extract expression reading
-// the same column in this batch. The slice is keyed by the column's first
-// element address (batch columns are aliased, not copied, between extract
-// expressions) and cleared by BeginBatch. A single map lookup per batch
-// replaces a per-row parse in every extract expression after the first.
-func batchRecords(ctx *exec.UDFBatchCtx, col []types.Datum) []*serial.Record {
-	if len(col) == 0 {
-		return nil
-	}
-	if ctx.Cache == nil {
-		ctx.Cache = make(map[any]any)
-	}
-	key := &col[0]
-	if v, ok := ctx.Cache[key].([]*serial.Record); ok && len(v) >= len(col) {
-		return v
-	}
-	recs := make([]*serial.Record, len(col))
-	ctx.Cache[key] = recs
-	return recs
+// rowExtractor answers a fused request list one record at a time — the
+// row kernel's rows and the striped kernel's fallback rows — through one
+// reused Record and datum buffer, so each kernel instance owns one.
+type rowExtractor struct {
+	pm   *serial.PreparedMulti
+	dict serial.Dict
+	rec  serial.Record
+	vals []types.Datum
 }
 
-// rowRecord parses the record for row i, memoizing it in recs.
-func rowRecord(recs []*serial.Record, i int, data []byte) (*serial.Record, error) {
-	if rec := recs[i]; rec != nil {
-		return rec, nil
+func newRowExtractor(reqs []exec.MultiExtractReq, dict serial.Dict) *rowExtractor {
+	specs := make([]serial.MultiSpec, len(reqs))
+	for i, r := range reqs {
+		specs[i] = serial.MultiSpec{Path: r.Key, Want: serial.AttrType(r.Type)}
 	}
-	rec, err := serial.ParseRecord(data)
-	if err != nil {
-		return nil, err
+	return &rowExtractor{pm: serial.PrepareMulti(specs, dict), dict: dict, vals: make([]types.Datum, len(reqs))}
+}
+
+// row writes row i of every request's output column from the record data.
+func (x *rowExtractor) row(data []byte, out [][]types.Datum, i int) error {
+	if err := x.rec.Reset(data); err != nil {
+		return err
 	}
-	recs[i] = rec
-	return rec, nil
+	if err := x.rec.ExtractDatums(x.pm, x.dict, x.vals); err != nil {
+		return err
+	}
+	for k, v := range x.vals {
+		out[k][i] = v
+	}
+	return nil
 }
 
 // extractArgs validates the common (data bytea, key text, ...) prefix;

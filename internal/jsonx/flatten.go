@@ -72,7 +72,7 @@ func ValuePathGet(v Value, path string) (Value, bool) {
 				break
 			}
 		}
-		idx, ok := parseIndex(head)
+		idx, ok := ParseIndex(head)
 		if !ok || idx >= len(v.A) {
 			return Value{}, false
 		}
@@ -85,8 +85,9 @@ func ValuePathGet(v Value, path string) (Value, bool) {
 	}
 }
 
-// parseIndex parses a non-negative decimal array index.
-func parseIndex(s string) (int, bool) {
+// ParseIndex parses a non-negative decimal array index (a positional path
+// segment, §4.2).
+func ParseIndex(s string) (int, bool) {
 	if s == "" {
 		return 0, false
 	}

@@ -501,7 +501,9 @@ func (db *DB) execUpdate(st *sqlparse.UpdateStmt) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			newRow[s.idx] = v
+			// The stored value owns its payload: an extracted one aliases
+			// the record or frozen segment it came from, which it would pin.
+			newRow[s.idx] = v.Clone()
 		}
 		changes = append(changes, change{id: id, row: newRow})
 	}

@@ -137,7 +137,6 @@ func (g *BatchSortedAggIter) pull() error {
 		return err
 	}
 	g.in, g.pos = b, 0
-	g.ctx.BeginBatch()
 	for k, ge := range g.GroupBy {
 		if g.cols[k], err = EvalBatch(ge, b, g.ctx); err != nil {
 			return err
@@ -257,7 +256,6 @@ func (t *aggTable) accumulate(src BatchIterator, groupBy []Expr, stop <-chan str
 		if in == nil {
 			return nil
 		}
-		ctx.BeginBatch()
 		for i, g := range groupBy {
 			if keyCols[i], err = EvalBatch(g, in, ctx); err != nil {
 				return err

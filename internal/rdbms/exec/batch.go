@@ -421,7 +421,6 @@ func (s *BatchScanIter) rowBatch(rows []storage.Row) (*RowBatch, error) {
 	if s.Filter == nil {
 		return b, nil
 	}
-	s.ctx.BeginBatch()
 	keep, err := EvalPredBatch(s.Filter, b, s.ctx, s.keep)
 	if err != nil {
 		return nil, err
@@ -572,7 +571,6 @@ func (f *BatchFilterIter) NextBatch() (*RowBatch, error) {
 		if in == nil {
 			return nil, nil
 		}
-		f.ctx.BeginBatch()
 		keep, err := EvalPredBatch(f.Pred, in, f.ctx, f.keep)
 		if err != nil {
 			return nil, err
@@ -697,7 +695,6 @@ func (p *BatchProjectIter) NextBatch() (*RowBatch, error) {
 	}
 	out := p.out
 	out.n = 0
-	p.ctx.BeginBatch()
 	for j, e := range p.Exprs {
 		// Plain column projections alias the input column and its bitmap;
 		// no copy, no bitmap rescan.

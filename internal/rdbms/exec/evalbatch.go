@@ -6,12 +6,10 @@ import (
 )
 
 // EvalCtx carries the reusable scratch state for batch expression
-// evaluation: a scratch row for the row-wise fallback, a shared per-batch
-// UDF cache, an argument buffer for non-batch function calls, and the
-// statement's parameter values. One EvalCtx belongs to one operator; it is
-// not safe for concurrent use.
+// evaluation: a scratch row for the row-wise fallback, an argument buffer
+// for function calls, and the statement's parameter values. One EvalCtx
+// belongs to one operator; it is not safe for concurrent use.
 type EvalCtx struct {
-	udf     UDFBatchCtx
 	scratch storage.Row
 	argBuf  []types.Datum
 	// consts caches the broadcast column of each ConstExpr and ParamExpr
@@ -34,9 +32,7 @@ type EvalCtx struct {
 }
 
 // NewEvalCtx returns a fresh evaluation context.
-func NewEvalCtx() *EvalCtx {
-	return &EvalCtx{udf: UDFBatchCtx{Cache: make(map[any]any)}}
-}
+func NewEvalCtx() *EvalCtx { return &EvalCtx{} }
 
 // SetParams gives the context the statement's parameter values; an
 // operator sets them before its first EvalBatch.
@@ -73,13 +69,6 @@ func (c *EvalCtx) broadcast(e Expr, v types.Datum, phys int) []types.Datum {
 		c.consts[e] = col
 	}
 	return col[:phys]
-}
-
-// BeginBatch resets per-batch state. Operators call it once before the
-// EvalBatch calls of each input batch, so UDF cache entries never outlive
-// the batch whose data they were derived from.
-func (c *EvalCtx) BeginBatch() {
-	clear(c.udf.Cache)
 }
 
 // EvalBatch evaluates e over every row of b and returns the result column.
@@ -337,15 +326,6 @@ func EvalBatch(e Expr, b *RowBatch, ctx *EvalCtx) ([]types.Datum, error) {
 			cols[k] = col
 		}
 		out := make([]types.Datum, phys)
-		if x.Def.EvalBatch != nil && sel == nil {
-			// Vectorized UDFs see whole argument columns; on a
-			// selection-carrying batch they would evaluate (and could fail
-			// on) deselected rows, so those batches take the per-row loop.
-			if err := x.Def.EvalBatch(&ctx.udf, cols, out); err != nil {
-				return nil, err
-			}
-			return out, nil
-		}
 		args := ctx.args(len(x.Args))
 		for si := 0; si < n; si++ {
 			i := selIdx(sel, si)

@@ -30,13 +30,6 @@ type FuncDef struct {
 	// nothing about; predicates over them get fixed default selectivities
 	// (the effect behind Table 2 of the paper).
 	Opaque bool
-	// EvalBatch, when non-nil, evaluates the function over a whole batch:
-	// args[k][i] is argument k of row i, and the result for row i is written
-	// to out[i]. ctx carries a per-batch scratch cache so a function can
-	// amortize work shared across rows or call sites (Sinew's extraction
-	// UDFs parse each serialized header once per batch instead of once per
-	// expression node). Must agree with Eval row-for-row.
-	EvalBatch func(ctx *UDFBatchCtx, args [][]types.Datum, out []types.Datum) error
 	// FuseFamily, when non-empty, names the multi-extract kernel family this
 	// function belongs to: calls of the form f(col, 'key') on the same column
 	// can be fused into one batch-level kernel invocation (registered with
@@ -86,12 +79,6 @@ type SegExtractKernel func(seg storage.ColumnSegment, out [][]types.Datum) (hand
 // MultiExtractFactory instances, kernels carry scratch state and must not
 // be shared across goroutines.
 type SegExtractFactory func(reqs []MultiExtractReq) (SegExtractKernel, error)
-
-// UDFBatchCtx is per-batch scratch state shared by every batch-aware UDF
-// call site in one pipeline. Cache is cleared at each batch boundary.
-type UDFBatchCtx struct {
-	Cache map[any]any
-}
 
 // AttrResolver maps an extraction key (dotted path as written in SQL) to a
 // superset of the dictionary attribute IDs whose presence on a heap page is

@@ -57,7 +57,6 @@ func (t *joinBuildTable) addBatches(in BatchIterator, keys []Expr) error {
 		if b == nil {
 			return nil
 		}
-		ctx.BeginBatch()
 		for k, ke := range keys {
 			if keyCols[k], err = EvalBatch(ke, b, ctx); err != nil {
 				return err
@@ -217,7 +216,6 @@ func (j *BatchHashJoinIter) NextBatch() (*RowBatch, error) {
 			j.in = b
 			j.si = 0
 			j.match = -1
-			j.ctx.BeginBatch()
 			for k, ke := range j.ProbeKeys {
 				if j.keyCols[k], err = EvalBatch(ke, b, j.ctx); err != nil {
 					return nil, err
@@ -341,7 +339,6 @@ func (o *joinOut) flush() (*RowBatch, error) {
 	if o.cond == nil {
 		return b, nil
 	}
-	o.ctx.BeginBatch()
 	keep, err := EvalPredBatch(o.cond, b, o.ctx, o.keep)
 	if err != nil {
 		return nil, err
@@ -401,7 +398,6 @@ func (c *mergeCursor) advance() error {
 			return err
 		}
 		c.b = b
-		c.ctx.BeginBatch()
 		for k, ke := range c.keys {
 			if c.cols[k], err = EvalBatch(ke, b, c.ctx); err != nil {
 				return err

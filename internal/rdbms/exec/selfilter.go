@@ -435,7 +435,6 @@ func (s *BatchScanIter) frozenSelBatch(fp *storage.FrozenPage) (*RowBatch, error
 	}
 
 	st.view.n = phys
-	s.ctx.BeginBatch()
 	sel, replay, err := s.evalConjuncts(fp, b, fill, fillNeeded, phys)
 	if err != nil {
 		return nil, err

@@ -115,7 +115,6 @@ func (s *BatchSortIter) build() {
 				}
 			}
 		}
-		ctx.BeginBatch()
 		for k := range s.Keys {
 			kc, err := EvalBatch(s.Keys[k].Expr, in, ctx)
 			if err != nil {

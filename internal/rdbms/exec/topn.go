@@ -135,7 +135,6 @@ func (t *BatchTopNIter) build() {
 			}
 			t.keyCols = make([][]types.Datum, len(t.Keys))
 		}
-		ctx.BeginBatch()
 		for k := range t.Keys {
 			if keyVals[k], err = EvalBatch(t.Keys[k].Expr, in, ctx); err != nil {
 				t.err = err

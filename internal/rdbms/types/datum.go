@@ -123,6 +123,15 @@ func NewText(s string) Datum {
 	return Datum{Typ: Text, p: unsafe.Pointer(unsafe.StringData(s)), I: int64(len(s))}
 }
 
+// AliasText returns a text datum over b without copying it. It is valid
+// only over bytes that are never written afterwards — a record or segment
+// of a copy-on-write heap page, a buffer the caller hands over — because a
+// Go string must not change. A value stored beyond the statement that
+// extracted it takes its own copy (Clone).
+func AliasText(b []byte) Datum {
+	return Datum{Typ: Text, p: unsafe.Pointer(unsafe.SliceData(b)), I: int64(len(b))}
+}
+
 // NewBytes returns a bytea datum (b is not copied: the datum aliases
 // b[:len(b)], and nil stays distinguishable from empty).
 func NewBytes(b []byte) Datum {
@@ -176,6 +185,30 @@ func (d Datum) Array() []Datum {
 		return nil
 	}
 	return unsafe.Slice((*Datum)(d.p), int(d.I))
+}
+
+// Clone returns d over a copy of its payload — text, bytea, and array
+// elements down to the leaves — so the result shares no memory with the
+// record or segment d was extracted from. Values written into a heap take
+// a copy: an alias would pin the whole source record or segment.
+func (d Datum) Clone() Datum {
+	if d.Null {
+		return d
+	}
+	switch d.Typ {
+	case Text:
+		return NewText(strings.Clone(d.Text()))
+	case Bytes:
+		return NewBytes(bytes.Clone(d.Bytes()))
+	case Array:
+		elems := make([]Datum, d.I)
+		for i, e := range d.Array() {
+			elems[i] = e.Clone()
+		}
+		return NewArray(elems...)
+	default:
+		return d
+	}
 }
 
 // IsNull reports whether the datum is SQL NULL. A Datum of Unknown type is

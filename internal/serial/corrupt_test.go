@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/sinewdata/sinew/internal/jsonx"
+	"github.com/sinewdata/sinew/internal/rdbms/types"
 )
 
 // This file pins the corruption contract of the serialization layer: on
@@ -37,30 +38,87 @@ func buildTestRecord(t testing.TB) ([]byte, *Dictionary) {
 	return data, dict
 }
 
-// probeAll runs every read-side entry point over the bytes; the only
-// requirement is that none of them panics.
-func probeAll(data []byte, dict *Dictionary) {
+// richRecords serializes, into dict, records that reach the lookup's rarer
+// steps: arrays of objects and of arrays (positional paths such as
+// "arr.1.k"), a key with two types inside nested objects, and — written
+// by hand, since no encoder emits it — an object that holds one key under
+// two types at once, inside an array and at the top level.
+func richRecords(t testing.TB, dict *Dictionary) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for _, line := range []string{
+		`{"arr":[{"k":1},{"k":"s","m":{"k":true}},null,[{"k":2.5}]],"o":{"k":1,"x":"y"}}`,
+		`{"o":{"k":"text","n":{"k":[1,{"k":2}]}},"arr":[{"k":[1,2]},{"k":{"k":3}}]}`,
+	} {
+		doc, err := jsonx.ParseDocument([]byte(line))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := Serialize(doc, dict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, rec)
+	}
+	put := func(rec []byte, id uint32, val []byte) []byte {
+		rec, err := splice(rec, nil, id, val)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	empty := make([]byte, 2*u32)
+	obj := put(empty, dict.IDFor("k", TypeInt), binary.LittleEndian.AppendUint64(nil, 7))
+	obj = put(obj, dict.IDFor("k", TypeString), []byte("seven"))
+	arr := binary.LittleEndian.AppendUint32(nil, 1)
+	arr = append(arr, byte(TypeObject))
+	arr = binary.LittleEndian.AppendUint32(arr, uint32(len(obj)))
+	arr = append(arr, obj...)
+	rec := put(empty, dict.IDFor("arr", TypeArray), arr)
+	return append(out, put(rec, dict.IDFor("o", TypeObject), obj))
+}
+
+// probePaths are the paths probeAll looks up: literal keys, nested-object
+// descents and §4.2 positional steps into the records above.
+var probePaths = []string{
+	"s", "i", "o.x", "o.n", "a", "missing", "a.1", "a.2", "a.9", "a.1.x",
+	"o", "o.k", "o.n.k", "o.n.k.1.k", "arr", "arr.0", "arr.0.k", "arr.1.k",
+	"arr.1.m.k", "arr.1.m", "arr.3.0.k", "arr.2.k", "arr.x", "arr.0.k.1",
+}
+
+// probeTypes are the wants probeAll asks for: every attribute type, then
+// the untyped probe.
+var probeTypes = []AttrType{TypeString, TypeInt, TypeFloat, TypeBool, TypeObject, TypeArray, TypeAny}
+
+// probeAll runs every read-side entry point over the bytes. None may
+// panic, and the datum readers must match the tree readers they replace:
+// ExtractDatum against ExtractPath and ExtractDatums against MultiExtract,
+// for every probe, accept and reject alike, with equal values.
+func probeAll(t testing.TB, data []byte, dict *Dictionary) {
+	t.Helper()
 	_, _ = AttrIDs(data)
 	for id := uint32(0); id < 12; id++ {
 		_, _, _ = ExtractByID(data, id, dict)
 		_, _, _ = ExtractByIDLinear(data, id, dict)
 		_, _ = Has(data, id)
 	}
-	for _, path := range []string{"s", "i", "o.x", "o.n", "a", "missing"} {
-		for _, at := range []AttrType{TypeString, TypeInt, TypeFloat, TypeBool, TypeObject, TypeArray} {
-			_, _, _ = ExtractPath(data, path, at, dict)
+	var specs []MultiSpec
+	for _, path := range probePaths {
+		for _, at := range probeTypes {
+			specs = append(specs, MultiSpec{Path: path, Want: at})
+			v, ok, err := treeExtract(data, path, at, dict)
+			d, derr := ExtractDatum(data, path, at, dict)
+			if (err == nil) != (derr == nil) {
+				t.Fatalf("%s %v: ExtractPath err %v, ExtractDatum err %v", path, at, err, derr)
+			}
+			if err == nil && !datumMatches(d, v, ok, at, dict) {
+				t.Fatalf("%s %v: ExtractDatum %v, ExtractPath %v (found %v)", path, at, d, v, ok)
+			}
 		}
 	}
 	_, _ = Deserialize(data, dict)
+	checkPositional(t, data, dict)
 
-	specs := []MultiSpec{
-		{Path: "s", Want: TypeString},
-		{Path: "i", Want: TypeInt},
-		{Path: "o.x", Want: TypeString},
-		{Path: "a", Want: TypeArray},
-		{Path: "s", Any: true},
-		{Path: "never.seen", Want: TypeInt},
-	}
 	pm := PrepareMulti(specs, dict)
 	var rec Record
 	if err := rec.Reset(data); err != nil {
@@ -68,7 +126,121 @@ func probeAll(data []byte, dict *Dictionary) {
 	}
 	out := make([]jsonx.Value, len(specs))
 	found := make([]bool, len(specs))
-	_ = rec.MultiExtract(pm, dict, out, found)
+	datums := make([]types.Datum, len(specs))
+	err := rec.MultiExtract(pm, dict, out, found)
+	derr := rec.ExtractDatums(pm, dict, datums)
+	if (err == nil) != (derr == nil) {
+		t.Fatalf("MultiExtract err %v, ExtractDatums err %v", err, derr)
+	}
+	for i, s := range specs {
+		if err == nil && !datumMatches(datums[i], out[i], found[i], s.Want, dict) {
+			t.Fatalf("%s: ExtractDatums %v, MultiExtract %v (found %v)", specLabel(s), datums[i], out[i], found[i])
+		}
+	}
+}
+
+// positionalRests are the paths checkPositional resolves inside arrays.
+var positionalRests = []string{
+	"", "0", "1", "2", "3", "9", "1.", "x", "0.k", "1.k", "2.k", "0.m",
+	"1.m.k", "3.0.k", "0.k.1", "1.k.k", "0.x", "1.x.y",
+}
+
+// checkPositional holds the §4.2 positional step, which walks element
+// bytes, to jsonx.ValuePathGet on the decoded array: for every top-level
+// array of the record that decodes, both must find the same value.
+func checkPositional(t testing.TB, data []byte, dict *Dictionary) {
+	t.Helper()
+	h, err := parseHeader(data)
+	if err != nil {
+		return
+	}
+	for i := 0; i < h.n; i++ {
+		attr, ok := dict.Lookup(h.aid(i))
+		vb, err := h.valueBytes(i)
+		if !ok || err != nil || attr.Type != TypeArray || checkValue(vb, TypeArray, dict) != nil {
+			continue
+		}
+		arr, err := decodeValue(vb, TypeArray, dict)
+		if err != nil {
+			t.Fatalf("%s: checkValue accepts an array decodeValue rejects: %v", attr.Key, err)
+		}
+		for _, rest := range positionalRests {
+			want, wantOK := jsonx.ValuePathGet(arr, rest)
+			wantT, typed := AttrTypeOf(want)
+			eb, et, ok := valueGet(vb, TypeArray, rest, dict)
+			if ok != (wantOK && typed) {
+				t.Fatalf("%s.%s: positional step found %v, ValuePathGet %v (%v)", attr.Key, rest, ok, wantOK, want)
+			}
+			if !ok {
+				continue
+			}
+			got, err := decodeValue(eb, et, dict)
+			if err != nil || et != wantT || got.String() != want.String() {
+				t.Fatalf("%s.%s: positional step %v (%v, %v), ValuePathGet %v", attr.Key, rest, got, et, err, want)
+			}
+		}
+	}
+}
+
+// treeExtract is the tree reader's answer to one probe: ExtractPath, or
+// for TypeAny the first type of sinew_extract_any's probe order it finds.
+func treeExtract(data []byte, path string, want AttrType, dict Dict) (jsonx.Value, bool, error) {
+	if want != TypeAny {
+		return ExtractPath(data, path, want, dict)
+	}
+	for _, at := range anyProbeOrder {
+		if v, ok, err := ExtractPath(data, path, at, dict); ok || err != nil {
+			return v, ok, err
+		}
+	}
+	return jsonx.Value{}, false, nil
+}
+
+// datumMatches reports whether a datum reader's answer to a request of
+// want is the tree reader's (v, ok): the typed NULL when not found, the
+// JSON text for TypeAny, else the same value — scalars bit for bit, an
+// object after Deserialize, an array element by element.
+func datumMatches(d types.Datum, v jsonx.Value, ok bool, want AttrType, dict Dict) bool {
+	switch {
+	case !ok:
+		return d.Null && d.Typ == DatumType(want)
+	case want == TypeAny:
+		return !d.Null && d.Typ == types.Text && d.Text() == v.String()
+	default:
+		return sameValue(d, v, dict)
+	}
+}
+
+func sameValue(d types.Datum, v jsonx.Value, dict Dict) bool {
+	if v.Kind == jsonx.Null || d.IsNull() {
+		return v.Kind == jsonx.Null && d.IsNull()
+	}
+	switch v.Kind {
+	case jsonx.Bool:
+		return d.Typ == types.Bool && d.Bool() == v.B
+	case jsonx.Int:
+		return d.Typ == types.Int && d.I == v.I
+	case jsonx.Float:
+		return d.Typ == types.Float && math.Float64bits(d.Float()) == math.Float64bits(v.F)
+	case jsonx.String:
+		return d.Typ == types.Text && d.Text() == v.S
+	case jsonx.Object:
+		doc, err := Deserialize(d.Bytes(), dict)
+		return d.Typ == types.Bytes && err == nil && jsonx.ObjectValue(doc).String() == v.String()
+	case jsonx.Array:
+		elems := d.Array()
+		if d.Typ != types.Array || len(elems) != len(v.A) {
+			return false
+		}
+		for i := range elems {
+			if !sameValue(elems[i], v.A[i], dict) {
+				return false
+			}
+		}
+		return true
+	default:
+		return false
+	}
 }
 
 // TestCorruptRecordsNeverPanic hand-crafts the corruption classes named in
@@ -79,17 +251,18 @@ func TestCorruptRecordsNeverPanic(t *testing.T) {
 	t.Run("truncations", func(t *testing.T) {
 		// Every prefix of a valid record, including the empty one.
 		for n := 0; n <= len(data); n++ {
-			probeAll(data[:n], dict)
+			probeAll(t, data[:n], dict)
 		}
 	})
 
 	t.Run("huge-attr-count", func(t *testing.T) {
 		bad := append([]byte(nil), data...)
 		binary.LittleEndian.PutUint32(bad[0:], ^uint32(0)) // n = 2^32-1
-		if _, err := ParseRecord(bad); err == nil {
+		var rec Record
+		if err := rec.Reset(bad); err == nil {
 			t.Error("absurd attribute count must be rejected")
 		}
-		probeAll(bad, dict)
+		probeAll(t, bad, dict)
 	})
 
 	t.Run("out-of-range-offsets", func(t *testing.T) {
@@ -103,10 +276,10 @@ func TestCorruptRecordsNeverPanic(t *testing.T) {
 		for i := 0; i < h.n; i++ {
 			bad := append([]byte(nil), data...)
 			binary.LittleEndian.PutUint32(bad[offBase+i*u32:], ^uint32(0))
-			probeAll(bad, dict)
+			probeAll(t, bad, dict)
 			bad2 := append([]byte(nil), data...)
 			binary.LittleEndian.PutUint32(bad2[offBase+i*u32:], h.bodyLen+1)
-			probeAll(bad2, dict)
+			probeAll(t, bad2, dict)
 		}
 		// An offset past its successor must surface as an error, not a
 		// negative-length slice.
@@ -116,7 +289,7 @@ func TestCorruptRecordsNeverPanic(t *testing.T) {
 			if _, ok, err := ExtractByID(bad, h.aid(0), dict); err == nil && ok {
 				t.Error("inverted offsets must not decode to a value")
 			}
-			probeAll(bad, dict)
+			probeAll(t, bad, dict)
 		}
 	})
 
@@ -136,7 +309,21 @@ func TestCorruptRecordsNeverPanic(t *testing.T) {
 		a1 := binary.LittleEndian.Uint32(bad[u32+u32:])
 		binary.LittleEndian.PutUint32(bad[u32:], a1)
 		binary.LittleEndian.PutUint32(bad[u32+u32:], a0)
-		probeAll(bad, dict)
+		probeAll(t, bad, dict)
+	})
+
+	t.Run("rich-records", func(t *testing.T) {
+		// Arrays of objects, positional paths and multi-typed nested keys:
+		// every prefix, and every body byte flipped.
+		for _, rec := range richRecords(t, dict) {
+			probeAll(t, rec, dict)
+			for n := 0; n < len(rec); n++ {
+				probeAll(t, rec[:n], dict)
+				bad := append([]byte(nil), rec...)
+				bad[n] ^= 0xff
+				probeAll(t, bad, dict)
+			}
+		}
 	})
 
 	t.Run("nested-corruption", func(t *testing.T) {
@@ -145,7 +332,7 @@ func TestCorruptRecordsNeverPanic(t *testing.T) {
 		for i := len(data) - 1; i >= len(data)-int(16) && i >= 0; i-- {
 			bad := append([]byte(nil), data...)
 			bad[i] ^= 0xff
-			probeAll(bad, dict)
+			probeAll(t, bad, dict)
 		}
 	})
 }
@@ -234,7 +421,7 @@ func TestCorruptSegmentZoneMaps(t *testing.T) {
 		if _, err := ParseSegment(bad); err == nil {
 			t.Errorf("%s: corrupt zone map accepted", name)
 		}
-		probeSegment(bad, dict)
+		probeSegment(t, bad, dict)
 	}
 }
 
@@ -270,7 +457,7 @@ func TestMultiExtractMatchesExtractPath(t *testing.T) {
 		for _, at := range typs {
 			specs = append(specs, MultiSpec{Path: p, Want: at})
 		}
-		specs = append(specs, MultiSpec{Path: p, Any: true})
+		specs = append(specs, MultiSpec{Path: p, Want: TypeAny})
 	}
 	pm := PrepareMulti(specs, dict)
 	out := make([]jsonx.Value, len(specs))
@@ -288,7 +475,7 @@ func TestMultiExtractMatchesExtractPath(t *testing.T) {
 		for si, s := range specs {
 			var wantV jsonx.Value
 			var wantOK bool
-			if s.Any {
+			if s.Want == TypeAny {
 				for _, at := range anyOrder {
 					v, ok, err := ExtractPath(data, s.Path, at, dict)
 					if err != nil {
@@ -320,9 +507,6 @@ func TestMultiExtractMatchesExtractPath(t *testing.T) {
 }
 
 func specLabel(s MultiSpec) string {
-	if s.Any {
-		return fmt.Sprintf("{%s any}", s.Path)
-	}
 	return fmt.Sprintf("{%s %s}", s.Path, s.Want)
 }
 
@@ -346,6 +530,10 @@ func FuzzRecordReaders(f *testing.F) {
 		binary.LittleEndian.PutUint32(bad[2*u32:], a0)
 	}
 	f.Add(bad)
+	for _, rec := range richRecords(f, dict) {
+		f.Add(rec)
+		f.Add(rec[:len(rec)-3])
+	}
 	// Segment-format seeds: a valid segment plus the corruption classes
 	// ParseSegment validates (truncated footer, poisoned offsets, corrupt
 	// presence bitmaps).
@@ -364,7 +552,7 @@ func FuzzRecordReaders(f *testing.F) {
 		f.Add(badSeg)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		probeAll(b, dict)
-		probeSegment(b, dict)
+		probeAll(t, b, dict)
+		probeSegment(t, b, dict)
 	})
 }

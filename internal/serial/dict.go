@@ -53,6 +53,8 @@ func (t AttrType) String() string {
 		return "document"
 	case TypeArray:
 		return "array"
+	case TypeAny:
+		return "any"
 	default:
 		return fmt.Sprintf("AttrType(%d)", uint8(t))
 	}

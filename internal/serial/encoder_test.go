@@ -204,6 +204,52 @@ func checkStreamMatchesTree(t *testing.T, line []byte, dict, ref *Dictionary) {
 	if dict.Len() != ref.Len() {
 		t.Fatalf("re-encoding minted IDs: %d, want %d", dict.Len(), ref.Len())
 	}
+	checkObjectsRoundTrip(t, rec, TypeObject, dict)
+	if dict.Len() != ref.Len() {
+		t.Fatalf("the object round trip minted IDs: %d, want %d", dict.Len(), ref.Len())
+	}
+}
+
+// checkObjectsRoundTrip holds every object value of an encoder-written
+// value — the record, nested objects, objects inside arrays — to
+// Serialize(Deserialize(bytes)) == bytes: the identity that lets an
+// extracted object be its sub-record's byte range instead of a re-encoded
+// tree.
+func checkObjectsRoundTrip(t *testing.T, b []byte, typ AttrType, dict *Dictionary) {
+	t.Helper()
+	switch typ {
+	case TypeObject:
+		doc, err := Deserialize(b, dict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := Serialize(doc, dict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, b) {
+			t.Fatalf("object bytes are not Serialize(Deserialize(bytes))\n got %x\nwant %x", again, b)
+		}
+		h, _ := parseHeader(b)
+		for i := 0; i < h.n; i++ {
+			attr, _ := dict.Lookup(h.aid(i))
+			vb, _ := h.valueBytes(i)
+			checkObjectsRoundTrip(t, vb, attr.Type, dict)
+		}
+	case TypeArray:
+		it, err := newArrayIter(b)
+		for k := 0; err == nil && k < it.n; k++ {
+			var tag byte
+			var eb []byte
+			if tag, eb, err = it.next(); err == nil && tag != nullTag {
+				checkObjectsRoundTrip(t, eb, AttrType(tag), dict)
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	default:
+	}
 }
 
 func equalStrings(a, b []string) bool {
@@ -249,6 +295,7 @@ var streamSeeds = []string{
 	`{"a":null,"a":1}`,
 	`{"o":{"k":1,"k":true},"o":{"k":2}}`,
 	`{"arr":[{"k":1,"k":"s"}]}`,
+	`{"o":{"k":1,"m":{"k":"s"}},"arr":[{"k":"s"},{"k":{"k":2.5}},[{"k":true}]]}`,
 	`{"never":{"seen":1},"never":3}`,
 	// A literal dotted key beside the nested path it spells.
 	`{"a":{"b":1},"a.b":2}`,
@@ -381,7 +428,8 @@ func TestStreamMatchesTreeOnRandomShapes(t *testing.T) {
 // (scanner events straight into the record builder) and the tree path
 // (ParseDocument, then the reference tree serializer and flattener) agree
 // on accept/reject, on the SyntaxError, on the record bytes, on the
-// observed (attribute, value) set and on the dictionary they leave behind.
+// observed (attribute, value) set and on the dictionary they leave behind;
+// and every object value of the record re-encodes to its own bytes.
 func FuzzStreamLoadMatchesTree(f *testing.F) {
 	for _, s := range streamSeeds {
 		f.Add([]byte(s))

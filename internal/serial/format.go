@@ -148,112 +148,6 @@ func ExtractByIDLinear(data []byte, id uint32, dict Dict) (jsonx.Value, bool, er
 	return jsonx.Value{}, false, nil
 }
 
-// ExtractPath resolves a possibly dot-delimited key path of a given type:
-// it first tries the literal key, then descends through nested object
-// attributes ("user.id" → object "user", then "id" inside it). ok=false
-// when the path or type does not match — never an error for a absent or
-// differently-typed key (§3.2.2's graceful multi-type handling).
-func ExtractPath(data []byte, path string, want AttrType, dict Dict) (jsonx.Value, bool, error) {
-	h, err := parseHeader(data)
-	if err != nil {
-		return jsonx.Value{}, false, err
-	}
-	return extractPathParsed(h, path, want, dict)
-}
-
-// extractPathParsed is ExtractPath over an already-parsed header, so
-// callers resolving several paths against one record (batch extraction)
-// pay the header parse once.
-func extractPathParsed(h header, path string, want AttrType, dict Dict) (jsonx.Value, bool, error) {
-	if id, ok := dict.IDOf(path, want); ok {
-		if i, found := h.find(id); found {
-			attr, ok := dict.Lookup(id)
-			if !ok {
-				return jsonx.Value{}, false, fmt.Errorf("serial: attribute %d not in dictionary", id)
-			}
-			vb, err := h.valueBytes(i)
-			if err != nil {
-				return jsonx.Value{}, false, err
-			}
-			v, err := decodeValue(vb, attr.Type, dict)
-			if err != nil {
-				return jsonx.Value{}, false, err
-			}
-			return v, true, nil
-		}
-	}
-	// Descend through nested objects (and, for numeric tail segments,
-	// array positions — §4.2 positional addressing) at each dot boundary.
-	for i := 0; i < len(path); i++ {
-		if path[i] != '.' {
-			continue
-		}
-		head, rest := path[:i], path[i+1:]
-		if oid, ok := dict.IDOf(head, TypeObject); ok {
-			if idx, found := h.find(oid); found {
-				vb, err := h.valueBytes(idx)
-				if err != nil {
-					return jsonx.Value{}, false, err
-				}
-				if v, found, err := ExtractPath(vb, rest, want, dict); err != nil || found {
-					return v, found, err
-				}
-			}
-		}
-		if aid, ok := dict.IDOf(head, TypeArray); ok {
-			if idx, found := h.find(aid); found {
-				vb, err := h.valueBytes(idx)
-				if err != nil {
-					return jsonx.Value{}, false, err
-				}
-				arr, err := decodeValue(vb, TypeArray, dict)
-				if err != nil {
-					return jsonx.Value{}, false, err
-				}
-				if v, ok := jsonx.ValuePathGet(arr, rest); ok {
-					if at, typed := AttrTypeOf(v); typed && at == want {
-						return v, true, nil
-					}
-				}
-			}
-		}
-	}
-	return jsonx.Value{}, false, nil
-}
-
-// Record is a serialized value with its header parsed once up front. The
-// batch execution path parses each reservoir value into a Record per
-// batch, then resolves every extraction call site against it — instead of
-// re-parsing the header in every extract_key_<type> expression node.
-type Record struct {
-	h header
-}
-
-// ParseRecord parses the record header of data. The Record aliases data;
-// the caller must not mutate it while the Record is in use.
-func ParseRecord(data []byte) (*Record, error) {
-	h, err := parseHeader(data)
-	if err != nil {
-		return nil, err
-	}
-	return &Record{h: h}, nil
-}
-
-// NumAttrs reports the number of attributes in the record.
-func (r *Record) NumAttrs() int { return r.h.n }
-
-// Has reports whether the record contains attribute id.
-func (r *Record) Has(id uint32) bool {
-	_, ok := r.h.find(id)
-	return ok
-}
-
-// ExtractPath resolves a dotted key path of a given type against the
-// pre-parsed record; same semantics as the package-level ExtractPath.
-func (r *Record) ExtractPath(path string, want AttrType, dict Dict) (jsonx.Value, bool, error) {
-	return extractPathParsed(r.h, path, want, dict)
-}
-
 // decodeValue decodes a body slice of a known attribute type.
 func decodeValue(b []byte, t AttrType, dict Dict) (jsonx.Value, error) {
 	switch t {
@@ -288,38 +182,21 @@ func decodeValue(b []byte, t AttrType, dict Dict) (jsonx.Value, error) {
 }
 
 func decodeArray(b []byte, dict Dict) (jsonx.Value, error) {
-	if len(b) < u32 {
-		return jsonx.Value{}, fmt.Errorf("serial: truncated array")
+	it, err := newArrayIter(b)
+	if err != nil {
+		return jsonx.Value{}, err
 	}
-	count := int(binary.LittleEndian.Uint32(b))
-	b = b[u32:]
-	// Each element needs a 1-byte tag plus a 4-byte length, so a count
-	// larger than the remaining bytes allow is corruption — reject it
-	// before the capacity hint turns into a giant allocation.
-	if count > len(b)/(1+u32) {
-		return jsonx.Value{}, fmt.Errorf("serial: corrupt array count %d (%d payload bytes)", count, len(b))
-	}
-	elems := make([]jsonx.Value, 0, count)
-	for i := 0; i < count; i++ {
-		if len(b) < 1+u32 {
-			return jsonx.Value{}, fmt.Errorf("serial: truncated array element %d", i)
-		}
-		tag := b[0]
-		n := int(binary.LittleEndian.Uint32(b[1:]))
-		b = b[1+u32:]
-		if len(b) < n {
-			return jsonx.Value{}, fmt.Errorf("serial: truncated array element payload")
+	elems := make([]jsonx.Value, it.n)
+	for i := range elems {
+		tag, eb, err := it.next()
+		if err != nil {
+			return jsonx.Value{}, err
 		}
 		if tag == nullTag {
-			elems = append(elems, jsonx.NullValue())
-		} else {
-			v, err := decodeValue(b[:n], AttrType(tag), dict)
-			if err != nil {
-				return jsonx.Value{}, err
-			}
-			elems = append(elems, v)
+			elems[i] = jsonx.NullValue()
+		} else if elems[i], err = decodeValue(eb, AttrType(tag), dict); err != nil {
+			return jsonx.Value{}, err
 		}
-		b = b[n:]
 	}
 	return jsonx.ArrayValue(elems...), nil
 }

@@ -1,36 +1,31 @@
 package serial
 
 import (
+	"strings"
+
 	"github.com/sinewdata/sinew/internal/jsonx"
+	"github.com/sinewdata/sinew/internal/rdbms/types"
 )
 
 // This file implements the fused multi-key extraction kernel: when a query
 // projects several virtual keys of the same reservoir column, the batch
 // operator parses each record header once and resolves every requested
 // (path, type) pair in a single sorted merge over the header's attribute
-// IDs, instead of one full ExtractPath per key per row. Dictionary lookups
+// IDs, instead of one full lookup per key per row. Dictionary lookups
 // happen once per query (PrepareMulti), not once per row per key.
 
-// anyProbeOrder is the type-probe sequence for untyped (extract_any)
-// requests; it must match the probe order of sinew_extract_any so the
-// fused path returns the same value for multi-typed keys.
-var anyProbeOrder = [...]AttrType{TypeString, TypeInt, TypeFloat, TypeBool, TypeArray, TypeObject}
-
 // MultiSpec is one (path, type) extraction request of a prepared
-// multi-extract. Specs are built once per query by PrepareMulti.
+// multi-extract; Want TypeAny asks for sinew_extract_any's answer. Specs
+// are built once per query by PrepareMulti.
 type MultiSpec struct {
 	Path string
 	Want AttrType
-	// Any requests the first value of any type in anyProbeOrder
-	// (sinew_extract_any semantics); Want is ignored.
-	Any bool
 
-	// id is the dictionary ID of the literal (Path, Want) attribute when
-	// one exists; idOK is false for never-seen attributes.
-	id   uint32
-	idOK bool
-	// anyIDs are the resolved candidate IDs for Any specs, in probe order.
-	anyIDs []uint32
+	// id is the dictionary ID of the literal (Path, Want) attribute,
+	// absentID for never-seen attributes.
+	id uint32
+	// anyIDs are the candidate IDs of a TypeAny spec, in probe order.
+	anyIDs [numAttrTypes]uint32
 	// dotted marks paths needing the nested-object descent fallback when
 	// the literal attribute is absent from a record.
 	dotted bool
@@ -44,34 +39,26 @@ type PreparedMulti struct {
 	// that ID — the probe sequence of the header merge.
 	merge []int
 	// slow lists indices that can never match via the literal-ID merge and
-	// always take the fallback path (Any specs, unresolved dotted paths).
+	// always take the fallback path (TypeAny specs, unresolved dotted
+	// paths).
 	slow []int
 }
 
 // PrepareMulti resolves a set of extraction requests against the
 // dictionary once. Requests keep their input order in Specs (outputs of
-// MultiExtract are positional).
+// ExtractDatums and MultiExtract are positional).
 func PrepareMulti(reqs []MultiSpec, dict Dict) *PreparedMulti {
 	pm := &PreparedMulti{Specs: make([]MultiSpec, len(reqs))}
 	copy(pm.Specs, reqs)
 	for i := range pm.Specs {
 		s := &pm.Specs[i]
-		s.dotted = hasDot(s.Path)
-		if s.Any {
-			s.anyIDs = s.anyIDs[:0]
-			for _, t := range anyProbeOrder {
-				if id, ok := dict.IDOf(s.Path, t); ok {
-					s.anyIDs = append(s.anyIDs, id)
-				} else {
-					// Keep probe order alignment: sentinel for absent types.
-					s.anyIDs = append(s.anyIDs, ^uint32(0))
-				}
-			}
+		s.dotted = strings.IndexByte(s.Path, '.') >= 0
+		if s.Want == TypeAny {
+			s.anyIDs = anyIDs(dict, s.Path)
 			pm.slow = append(pm.slow, i)
 			continue
 		}
-		if id, ok := dict.IDOf(s.Path, s.Want); ok {
-			s.id, s.idOK = id, true
+		if s.id = idOf(dict, s.Path, s.Want); s.id != absentID {
 			pm.merge = append(pm.merge, i)
 		} else if s.dotted {
 			pm.slow = append(pm.slow, i)
@@ -90,13 +77,10 @@ func PrepareMulti(reqs []MultiSpec, dict Dict) *PreparedMulti {
 	return pm
 }
 
-func hasDot(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '.' {
-			return true
-		}
-	}
-	return false
+// Record is a serialized record with its header parsed, reused across the
+// rows of a scan (Reset).
+type Record struct {
+	h header
 }
 
 // Reset re-parses r against new record bytes in place, so one scratch
@@ -112,97 +96,88 @@ func (r *Record) Reset(data []byte) error {
 	return nil
 }
 
-// MultiExtract resolves every prepared request against the record in one
-// pass: a two-pointer merge of the prepared (sorted) spec IDs with the
-// record's sorted attribute IDs, then the descent/probe fallback for the
-// few specs that need it. out[i] and found[i] receive spec i's value;
-// both slices must have len(pm.Specs). Absent or differently-typed keys
-// yield found=false, never an error (§3.2.2 type-selective NULLs).
-func (r *Record) MultiExtract(pm *PreparedMulti, dict Dict, out []jsonx.Value, found []bool) error {
-	for i := range found {
-		found[i] = false
-		out[i] = jsonx.Value{}
+// ExtractDatums resolves every prepared request against the record and
+// decodes each value with DecodeDatum (a TypeAny request: its JSON text).
+// out[i] receives spec i's value, or its typed NULL when the key is absent
+// or differently typed (§3.2.2 type-selective NULLs); len(out) must be
+// len(pm.Specs).
+func (r *Record) ExtractDatums(pm *PreparedMulti, dict Dict, out []types.Datum) error {
+	for i := range out {
+		out[i] = types.NewNull(DatumType(pm.Specs[i].Want))
 	}
+	return r.locateAll(pm, dict, func(si int, vb []byte, t AttrType) (err error) {
+		out[si], err = decodeAs(vb, t, pm.Specs[si].Want, dict)
+		return err
+	})
+}
+
+// MultiExtract is ExtractDatums decoding into jsonx.Values (a TypeAny
+// request: the value itself). out[i] and found[i] receive spec i's value;
+// both slices must have len(pm.Specs). The query side does not use it; the
+// serialization benchmarks (Table 4, the layer timings) do.
+func (r *Record) MultiExtract(pm *PreparedMulti, dict Dict, out []jsonx.Value, found []bool) error {
+	clear(out)
+	clear(found)
+	return r.locateAll(pm, dict, func(si int, vb []byte, t AttrType) (err error) {
+		out[si], err = decodeValue(vb, t, dict)
+		found[si] = err == nil
+		return err
+	})
+}
+
+// locateAll finds every prepared request in the record and hands each one
+// found to emit with its bytes and type: a two-pointer merge of the
+// prepared (sorted) literal IDs with the record's sorted attribute IDs,
+// then the nested descent and the TypeAny probe for the specs that need
+// them.
+func (r *Record) locateAll(pm *PreparedMulti, dict Dict, emit func(si int, vb []byte, t AttrType) error) error {
 	h := r.h
-	// Sorted merge: both h.aids and pm.merge are ascending, so each side
-	// advances monotonically. Duplicate spec IDs re-match without moving
-	// the header cursor.
+	// Both h.aids and pm.merge are ascending, so each side advances
+	// monotonically. Duplicate spec IDs re-match without moving the header
+	// cursor.
 	pos := 0
 	for _, si := range pm.merge {
 		s := &pm.Specs[si]
 		for pos < h.n && h.aid(pos) < s.id {
 			pos++
 		}
+		var vb []byte
+		var ok bool
+		var err error
 		if pos < h.n && h.aid(pos) == s.id {
-			vb, err := h.valueBytes(pos)
-			if err != nil {
-				return err
-			}
-			v, err := decodeValue(vb, s.Want, dict)
-			if err != nil {
-				return err
-			}
-			out[si] = v
-			found[si] = true
+			vb, err = h.valueBytes(pos)
+			ok = err == nil
 		} else if s.dotted {
 			// Literal dotted attribute absent from this record: descend
 			// through nested objects the slow way.
-			v, ok, err := extractPathParsed(h, s.Path, s.Want, dict)
-			if err != nil {
-				return err
-			}
-			out[si], found[si] = v, ok
+			vb, ok, err = h.descend(s.Path, s.Want, dict)
+		}
+		if ok {
+			err = emit(si, vb, s.Want)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	for _, si := range pm.slow {
 		s := &pm.Specs[si]
-		if s.Any {
-			v, ok, err := r.extractAnyPrepared(s, dict)
-			if err != nil {
-				return err
-			}
-			out[si], found[si] = v, ok
-			continue
+		var vb []byte
+		var ok bool
+		var err error
+		t := s.Want
+		if t == TypeAny {
+			vb, t, ok, err = h.locateAny(s.Path, &s.anyIDs, dict)
+		} else {
+			// Unresolved dotted path: no literal attribute exists anywhere,
+			// so every record takes the descent.
+			vb, ok, err = h.descend(s.Path, s.Want, dict)
 		}
-		// Unresolved dotted path: no literal attribute exists anywhere, so
-		// every record takes the descent.
-		v, ok, err := extractPathParsed(h, s.Path, s.Want, dict)
+		if ok {
+			err = emit(si, vb, t)
+		}
 		if err != nil {
 			return err
 		}
-		out[si], found[si] = v, ok
 	}
 	return nil
-}
-
-// extractAnyPrepared probes each type in anyProbeOrder — prepared literal
-// ID first, then the dotted descent — exactly mirroring the
-// ExtractPath-per-type loop of sinew_extract_any, so multi-typed keys
-// resolve to the same value on the fused path.
-func (r *Record) extractAnyPrepared(s *MultiSpec, dict Dict) (jsonx.Value, bool, error) {
-	for ti, id := range s.anyIDs {
-		if id != ^uint32(0) {
-			if i, ok := r.h.find(id); ok {
-				vb, err := r.h.valueBytes(i)
-				if err != nil {
-					return jsonx.Value{}, false, err
-				}
-				v, err := decodeValue(vb, anyProbeOrder[ti], dict)
-				if err != nil {
-					return jsonx.Value{}, false, err
-				}
-				return v, true, nil
-			}
-		}
-		if s.dotted {
-			v, ok, err := extractPathParsed(r.h, s.Path, anyProbeOrder[ti], dict)
-			if err != nil {
-				return jsonx.Value{}, false, err
-			}
-			if ok {
-				return v, true, nil
-			}
-		}
-	}
-	return jsonx.Value{}, false, nil
 }

@@ -8,8 +8,6 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
-
-	"github.com/sinewdata/sinew/internal/jsonx"
 )
 
 // This file implements the column-striped segment format: an immutable
@@ -452,7 +450,7 @@ func (c *SegColumn) Strings(fn func(row int, b []byte)) error {
 }
 
 // Raws streams the raw value bytes of an object/array column as (row,
-// bytes) pairs; decode with DecodeRaw. The bytes alias the segment buffer.
+// bytes) pairs; decode with DecodeDatum. The bytes alias the segment buffer.
 func (c *SegColumn) Raws(fn func(row int, b []byte)) error {
 	if c.enc != SegRaw {
 		return fmt.Errorf("serial: segment attr %d is %s, not raw", c.id, c.enc)
@@ -743,10 +741,4 @@ func (s *Segment) ColumnAt(i int) SegColumn {
 		c.fixed = sec[bitmap:]
 	}
 	return c
-}
-
-// DecodeRaw decodes one raw-encoded value (object or array) with its
-// attribute type, mirroring the row format's decodeValue.
-func DecodeRaw(b []byte, t AttrType, dict Dict) (jsonx.Value, error) {
-	return decodeValue(b, t, dict)
 }

@@ -116,7 +116,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 			err = col.Bools(func(row int, v bool) { seen[row] = jsonx.BoolValue(v) })
 		case SegRaw:
 			err = col.Raws(func(row int, b []byte) {
-				v, derr := DecodeRaw(b, attr.Type, dict)
+				v, derr := decodeValue(b, attr.Type, dict)
 				if derr != nil {
 					t.Errorf("attr %d row %d: %v", attr.ID, row, derr)
 					return
@@ -331,7 +331,8 @@ func TestSegmentEncoderReuse(t *testing.T) {
 // through Column as through ColumnAt, its bitmap and its typed accessor
 // agreeing with its count, and Column missing every absent ID — or the
 // probe panics.
-func probeSegment(data []byte, dict *Dictionary) {
+func probeSegment(t testing.TB, data []byte, dict *Dictionary) {
+	t.Helper()
 	s, err := ParseSegment(data)
 	if err != nil {
 		return
@@ -339,7 +340,9 @@ func probeSegment(data []byte, dict *Dictionary) {
 	n := s.NumRecords()
 	for i := -1; i <= n; i++ {
 		_ = s.RecordNull(i)
-		_, _ = s.RecordBytes(i)
+		if b, ok := s.RecordBytes(i); ok {
+			probeAll(t, b, dict)
+		}
 	}
 	ids := s.AttrIDs()
 	if len(ids) != s.NumAttrs() {
@@ -376,8 +379,8 @@ func probeSegment(data []byte, dict *Dictionary) {
 		case SegRaw:
 			err = col.Raws(func(_ int, b []byte) {
 				streamed++
-				_, _ = DecodeRaw(b, TypeObject, dict)
-				_, _ = DecodeRaw(b, TypeArray, dict)
+				_, _ = DecodeDatum(b, TypeObject, dict)
+				_, _ = DecodeDatum(b, TypeArray, dict)
 			})
 		}
 		if err != nil || streamed != col.NumPresent() {
@@ -432,7 +435,7 @@ func TestCorruptSegmentsNeverPanic(t *testing.T) {
 
 	t.Run("truncations", func(t *testing.T) {
 		for n := 0; n <= len(data); n++ {
-			probeSegment(data[:n], dict)
+			probeSegment(t, data[:n], dict)
 		}
 	})
 
@@ -444,7 +447,7 @@ func TestCorruptSegmentsNeverPanic(t *testing.T) {
 			for _, v := range []uint32{0, 1, ^uint32(0), uint32(len(data)), uint32(len(data) - 1)} {
 				bad := append([]byte(nil), data...)
 				binary.LittleEndian.PutUint32(bad[off:], v)
-				probeSegment(bad, dict)
+				probeSegment(t, bad, dict)
 			}
 		}
 	})
@@ -453,7 +456,7 @@ func TestCorruptSegmentsNeverPanic(t *testing.T) {
 		for off := 0; off < len(data); off++ {
 			bad := append([]byte(nil), data...)
 			bad[off] ^= 0xff
-			probeSegment(bad, dict)
+			probeSegment(t, bad, dict)
 		}
 	})
 
@@ -470,7 +473,7 @@ func TestCorruptSegmentsNeverPanic(t *testing.T) {
 			if _, err := ParseSegment(bad); err == nil {
 				t.Errorf("column %d: inflated count must be rejected", ci)
 			}
-			probeSegment(bad, dict)
+			probeSegment(t, bad, dict)
 		}
 	})
 
@@ -494,7 +497,7 @@ func TestCorruptSegmentsNeverPanic(t *testing.T) {
 		if _, err := ParseSegment(bad); err == nil {
 			t.Error("presence bit on NULL record must be rejected")
 		}
-		probeSegment(bad, dict)
+		probeSegment(t, bad, dict)
 	})
 }
 

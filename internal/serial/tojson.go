@@ -94,38 +94,24 @@ func appendJSONValue(dst, b []byte, t AttrType, dict Dict) ([]byte, error) {
 	case TypeObject:
 		return AppendJSON(dst, b, dict)
 	case TypeArray:
-		if len(b) < u32 {
-			return nil, fmt.Errorf("serial: truncated array")
-		}
-		count := int(binary.LittleEndian.Uint32(b))
-		b = b[u32:]
-		if count > len(b)/(1+u32) {
-			return nil, fmt.Errorf("serial: corrupt array count %d (%d payload bytes)", count, len(b))
+		it, err := newArrayIter(b)
+		if err != nil {
+			return nil, err
 		}
 		dst = append(dst, '[')
-		for i := 0; i < count; i++ {
-			if len(b) < 1+u32 {
-				return nil, fmt.Errorf("serial: truncated array element %d", i)
-			}
-			tag := b[0]
-			n := int(binary.LittleEndian.Uint32(b[1:]))
-			b = b[1+u32:]
-			if len(b) < n {
-				return nil, fmt.Errorf("serial: truncated array element payload")
+		for i := 0; i < it.n; i++ {
+			tag, eb, err := it.next()
+			if err != nil {
+				return nil, err
 			}
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			if tag == 0xff {
+			if tag == nullTag {
 				dst = append(dst, "null"...)
-			} else {
-				var err error
-				dst, err = appendJSONValue(dst, b[:n], AttrType(tag), dict)
-				if err != nil {
-					return nil, err
-				}
+			} else if dst, err = appendJSONValue(dst, eb, AttrType(tag), dict); err != nil {
+				return nil, err
 			}
-			b = b[n:]
 		}
 		return append(dst, ']'), nil
 	default:
