@@ -126,8 +126,8 @@ func NewText(s string) Datum {
 // AliasText returns a text datum over b without copying it. It is valid
 // only over bytes that are never written afterwards — a record or segment
 // of a copy-on-write heap page, a buffer the caller hands over — because a
-// Go string must not change. A value stored beyond the statement that
-// extracted it takes its own copy (Clone).
+// Go string must not change. A value written into a heap takes its own
+// copy (Clone), so that it pins no record or segment.
 func AliasText(b []byte) Datum {
 	return Datum{Typ: Text, p: unsafe.Pointer(unsafe.SliceData(b)), I: int64(len(b))}
 }
@@ -201,6 +201,9 @@ func (d Datum) Clone() Datum {
 	case Bytes:
 		return NewBytes(bytes.Clone(d.Bytes()))
 	case Array:
+		if d.p == nil {
+			return d // nil stays distinguishable from empty
+		}
 		elems := make([]Datum, d.I)
 		for i, e := range d.Array() {
 			elems[i] = e.Clone()

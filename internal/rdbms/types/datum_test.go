@@ -208,6 +208,28 @@ func checkDatumRoundTrip(t *testing.T, data []byte) {
 		t.Fatalf("Compare(d, twin) = %d for %v", c, d)
 	}
 
+	// Clone is the same value over a payload of its own; AliasText over a
+	// text's bytes is the same value too.
+	clone := d.Clone()
+	r.check(t, clone)
+	if !r.isZero && !r.null && d.I > 0 {
+		switch r.typ {
+		case Text:
+			if unsafe.StringData(clone.Text()) == unsafe.StringData(d.Text()) {
+				t.Fatalf("Clone of %v shares its text", d)
+			}
+			r.check(t, AliasText([]byte(d.Text())))
+		case Bytes:
+			if &clone.Bytes()[0] == &d.Bytes()[0] {
+				t.Fatalf("Clone of %v shares its bytes", d)
+			}
+		case Array:
+			if &clone.Array()[0] == &d.Array()[0] {
+				t.Fatalf("Clone of %v shares its elements", d)
+			}
+		}
+	}
+
 	// Appending to an accessor's view never writes through: the view has
 	// cap == len even when the slice the datum was built over had room.
 	switch {
