@@ -13,7 +13,7 @@ import (
 )
 
 // loadNamed creates collection c with n documents: a text key with ten
-// distinct values, a per-row note, and a nested object.
+// distinct values, a per-row note, a nested object and a nested array.
 func loadNamed(t *testing.T, db *DB, n int) {
 	t.Helper()
 	if err := db.CreateCollection("c"); err != nil {
@@ -21,7 +21,7 @@ func loadNamed(t *testing.T, db *DB, n int) {
 	}
 	var lines bytes.Buffer
 	for i := 0; i < n; i++ {
-		fmt.Fprintf(&lines, `{"name":"name-%d","note":"note-%d","obj":{"a":%d,"s":"s%d"}}`+"\n", i%10, i, i, i)
+		fmt.Fprintf(&lines, `{"name":"name-%d","note":"note-%d","obj":{"a":%d,"s":"s%d"},"tags":["t%d",["u%d"]]}`+"\n", i%10, i, i, i, i, i)
 	}
 	if _, err := db.LoadJSONLines("c", &lines); err != nil {
 		t.Fatal(err)
@@ -172,7 +172,8 @@ func TestExtractedValuesSurviveWriters(t *testing.T) {
 
 // TestStoredValuesOwnTheirBytes: the two places an extracted value is
 // written into a heap — a materializer pass and UPDATE's SET — store a
-// copy, so the stored text shares no memory with the record it came from
+// copy, so no stored text, array elements included, shares memory with the
+// record it came from
 // (an alias would pin the replaced record, or a whole frozen segment).
 func TestStoredValuesOwnTheirBytes(t *testing.T) {
 	db := Open(DefaultConfig())
@@ -206,16 +207,28 @@ func TestStoredValuesOwnTheirBytes(t *testing.T) {
 			if at < 0 {
 				t.Fatalf("%s: no column %s", label, col)
 			}
-			d := row[at]
-			if d.IsNull() || d.Typ != types.Text || d.Text() == "" {
-				return
+			var texts []string
+			var walk func(d types.Datum)
+			walk = func(d types.Datum) {
+				switch {
+				case d.IsNull():
+				case d.Typ == types.Text && d.Text() != "":
+					texts = append(texts, d.Text())
+				case d.Typ == types.Array:
+					for _, e := range d.Array() {
+						walk(e)
+					}
+				}
 			}
-			n++
-			p := uintptr(unsafe.Pointer(unsafe.StringData(d.Text())))
-			for _, src := range sources {
-				lo := uintptr(unsafe.Pointer(unsafe.SliceData(src)))
-				if p >= lo && p < lo+uintptr(len(src)) {
-					t.Fatalf("%s: %s value %q points into a source record", label, col, d.Text())
+			walk(row[at])
+			for _, s := range texts {
+				n++
+				p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+				for _, src := range sources {
+					lo := uintptr(unsafe.Pointer(unsafe.SliceData(src)))
+					if p >= lo && p < lo+uintptr(len(src)) {
+						t.Fatalf("%s: %s value %q points into a source record", label, col, s)
+					}
 				}
 			}
 		})
@@ -225,23 +238,27 @@ func TestStoredValuesOwnTheirBytes(t *testing.T) {
 	}
 
 	collect()
-	if err := db.SetMaterialized("c", "name", true); err != nil {
-		t.Fatal(err)
+	for _, key := range []string{"name", "tags"} {
+		if err := db.SetMaterialized("c", key, true); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := NewMaterializer(db).RunOnce("c"); err != nil {
 		t.Fatal(err)
 	}
 	tc, _ := db.cat.Lookup("c")
-	var nameCol string
+	cols := map[string]string{}
 	for _, c := range tc.Columns() {
-		if c.Key == "name" && c.Materialized {
-			nameCol = c.PhysicalName
+		if c.Materialized {
+			cols[c.Key] = c.PhysicalName
 		}
 	}
-	if nameCol == "" {
-		t.Fatal("name was not materialized")
+	nameCol := cols["name"]
+	if nameCol == "" || cols["tags"] == "" {
+		t.Fatalf("materialized columns %v, want name and tags", cols)
 	}
 	checkOwned("materialized", nameCol)
+	checkOwned("materialized", cols["tags"])
 
 	collect()
 	res, err := db.Query(`UPDATE c SET name = note WHERE _id < 200`)

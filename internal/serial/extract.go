@@ -294,9 +294,9 @@ func checkValue(b []byte, t AttrType, dict Dict) error {
 // DecodeDatum decodes one value's bytes of attribute type t without
 // copying them: text aliases b, an object is its sub-record's bytes —
 // checked the way Deserialize reads them, no tree built — and an array is
-// its one []types.Datum, whose elements alias b likewise. b must never be
-// written while the datum is in use; a value stored into a heap takes its
-// own copy (types.Datum.Clone).
+// one []types.Datum made for the call, whose elements alias b likewise.
+// b must never be written while the datum is in use; a value stored into
+// a heap takes its own copy (types.Datum.Clone).
 func DecodeDatum(b []byte, t AttrType, dict Dict) (types.Datum, error) {
 	switch t {
 	case TypeBool:
