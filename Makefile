@@ -25,7 +25,8 @@ race:
 	$(GO) test -race ./...
 
 # race-workers re-runs the executor differential tests (serial and
-# parallel pipelines against exec's reference evaluator, ref_test.go;
+# parallel pipelines against exec's reference, ref_test.go: the row
+# evaluator refEval and the operators written over row slices;
 # TestHashJoin* holds the serial probe — which every partitioned-probe
 # worker runs over one shared build table — to it too)
 # under the race detector at several GOMAXPROCS
@@ -60,10 +61,12 @@ race-workers:
 # a pass) and beside cached and never-cached readers (no count dip while
 # values move; the plan cache's pin-then-recheck on hit and miss), extracted
 # values that alias records and frozen segments held across UPDATEs and a
-# materializer pass (and the copies those two store), and the
-# HTTP end-to-end test. GOMAXPROCS=1 forces cooperative interleavings,
-# 2 and 8 vary true parallelism.
-SESSION_TESTS = TestSnapshot|TestMaterializeKeepsConcurrentWrites|TestConcurrentQueriesDuringMaterialization|TestPlanCacheConcurrentMaterialize|TestPlanCacheStaleBuildRebuilt|TestExecSelectOnceRebuilds|TestShapeCacheConcurrentLiterals|TestExtractedValuesSurviveWriters|TestStoredValuesOwnTheirBytes
+# materializer pass (and the copies those two store), UPDATE and DELETE
+# built again when the epoch moved before they took the table lock (a pass
+# landing between rewrite and write), and the HTTP end-to-end test.
+# GOMAXPROCS=1 forces cooperative interleavings, 2 and 8 vary true
+# parallelism.
+SESSION_TESTS = TestSnapshot|TestMaterializeKeepsConcurrentWrites|TestConcurrentQueriesDuringMaterialization|TestPlanCacheConcurrentMaterialize|TestPlanCacheStaleBuildRebuilt|TestExecSelectOnceRebuilds|TestExecWriteOnceRebuilds|TestWriteRebuiltAfterPass|TestShapeCacheConcurrentLiterals|TestExtractedValuesSurviveWriters|TestStoredValuesOwnTheirBytes
 race-sessions:
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run '$(SESSION_TESTS)' ./internal/rdbms/ ./internal/core/
 	GOMAXPROCS=2 $(GO) test -race -count=1 -run '$(SESSION_TESTS)' ./internal/rdbms/ ./internal/core/

@@ -58,6 +58,58 @@ func TestVirtualProjectionAllocsFlat(t *testing.T) {
 	}
 }
 
+// TestDirtyCoalesceAllocsFlat: over a dirty column — materialized, NULL on
+// every row, its values still in the reservoir — the rewrite reads
+// COALESCE(k, sinew_extract_int(data, 'k')), and the batch evaluator runs
+// the extraction over the rows the column left NULL a batch at a time: the
+// statement allocates per batch, not per row.
+func TestDirtyCoalesceAllocsFlat(t *testing.T) {
+	const q = `SELECT k FROM c`
+	allocs := func(n int) float64 {
+		db := Open(DefaultConfig())
+		if err := db.CreateCollection("c"); err != nil {
+			t.Fatal(err)
+		}
+		var lines bytes.Buffer
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&lines, `{"k":%d,"note":"note-%d"}`+"\n", i, i)
+		}
+		if _, err := db.LoadJSONLines("c", &lines); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.SetMaterialized("c", "k", true); err != nil {
+			t.Fatal(err)
+		}
+		// A paused pass adds the column and moves no value.
+		mat := NewMaterializer(db)
+		mat.Pause()
+		if _, err := mat.RunOnce("c"); err != nil {
+			t.Fatal(err)
+		}
+		if sql, _ := db.RewrittenSQL(q); !strings.Contains(sql, "coalesce(c.k, sinew_extract_int(c.data, 'k'))") {
+			t.Fatalf("%s rewrites to %s, want the dirty column's COALESCE", q, sql)
+		}
+		heap, _, err := db.RDBMS().Table("c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if heap.NumFrozenPages() != 0 {
+			t.Fatalf("%d rows: %d frozen pages, want a never-frozen table", n, heap.NumFrozenPages())
+		}
+		return testing.AllocsPerRun(5, func() {
+			res, err := db.Query(q)
+			if err != nil || len(res.Rows) != n || res.Rows[n-1][0].I != int64(n-1) {
+				t.Fatalf("%s: %d rows, %v", q, len(res.Rows), err)
+			}
+		})
+	}
+	small, large := allocs(1000), allocs(4000)
+	t.Logf("%s: %v allocs at 1000 rows, %v at 4000", q, small, large)
+	if large-small > 30 {
+		t.Errorf("%s allocates %v at 1000 rows and %v at 4000: %.2f more per added row", q, small, large, (large-small)/3000)
+	}
+}
+
 // heldValue is an extracted datum kept past its statement, with a copy of
 // the bytes it had then.
 type heldValue struct {

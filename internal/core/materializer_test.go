@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/sinewdata/sinew/internal/jsonx"
+	"github.com/sinewdata/sinew/internal/rdbms/sqlparse"
 	"github.com/sinewdata/sinew/internal/rdbms/storage"
 	"github.com/sinewdata/sinew/internal/rdbms/types"
 	"github.com/sinewdata/sinew/internal/serial"
@@ -295,6 +296,70 @@ func randomValue(rng *rand.Rand, depth int) jsonx.Value {
 			elems[i] = randomValue(rng, depth+1)
 		}
 		return jsonx.ArrayValue(elems...)
+	}
+}
+
+// TestWriteRebuiltAfterPass: an UPDATE or DELETE rewritten while a key was
+// virtual, with a full materializer pass of the key landing before it runs,
+// is rewritten again and lands on the key's column. Run as rewritten, the
+// UPDATE would set the key in the reservoir behind the column — an
+// acknowledged write that reads back as the old value — and the DELETE
+// would look for the key in the reservoir and miss its row.
+func TestWriteRebuiltAfterPass(t *testing.T) {
+	for _, c := range []struct {
+		sql, check string
+		want       int64
+	}{
+		{`UPDATE c SET k = 1000 WHERE name = 'n5'`, `SELECT COUNT(*) FROM c WHERE k = 1000 AND name = 'n5'`, 1},
+		{`DELETE FROM c WHERE k = 5`, `SELECT COUNT(*) FROM c WHERE name = 'n5'`, 0},
+	} {
+		db := Open(DefaultConfig())
+		if err := db.CreateCollection("c"); err != nil {
+			t.Fatal(err)
+		}
+		var lines bytes.Buffer
+		for i := 0; i < 20; i++ {
+			fmt.Fprintf(&lines, `{"k":%d,"name":"n%d"}`+"\n", i, i)
+		}
+		if _, err := db.LoadJSONLines("c", &lines); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.SetMaterialized("c", "k", true); err != nil {
+			t.Fatal(err)
+		}
+		stmt, err := sqlparse.Parse(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		builds := 0
+		res, err := db.rdb.ExecWriteOnce(func() (sqlparse.Statement, error) {
+			builds++
+			rewritten, cleanup, err := db.RewriteStmt(stmt)
+			cleanup()
+			if builds == 1 {
+				// The pass lands between the rewrite and the write.
+				if _, err := NewMaterializer(db).RunOnce("c"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return rewritten, err
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		if res.RowsAffected != 1 || builds != 2 {
+			t.Errorf("%s: %d rows after %d builds, want 1 row from a second build", c.sql, res.RowsAffected, builds)
+		}
+		if cols := db.MaterializedColumns("c"); len(cols) != 1 {
+			t.Fatalf("%d materialized columns after the pass, want k's", len(cols))
+		}
+		got, err := db.Query(c.check)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := got.Rows[0][0].I; n != c.want {
+			t.Errorf("after %s: %s = %d, want %d", c.sql, c.check, n, c.want)
+		}
 	}
 }
 

@@ -70,21 +70,21 @@ func (db *DB) Query(sql string) (*rdbms.Result, error) {
 			return rewritten.(*sqlparse.SelectStmt), nil
 		})
 	}
-	rewritten, cleanup, err := db.RewriteStmt(stmt)
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
-	res, err := db.rdb.ExecStmt(rewritten)
-	if err == nil {
-		switch rewritten.(type) {
-		case *sqlparse.SelectStmt, *sqlparse.ExplainStmt:
-		default:
-			// Writes and DDL can mint catalog attributes or change the
-			// physical schema the rewriter targets; cached plans built
-			// against the old mapping must not be replayed.
-			db.rdb.BumpCatalogEpoch()
-		}
+	// Writes run under the same protocol: an UPDATE or DELETE is rewritten
+	// again if the catalog moved before it took its table's write lock.
+	cleanup := func() {}
+	defer func() { cleanup() }()
+	res, err := db.rdb.ExecWriteOnce(func() (sqlparse.Statement, error) {
+		cleanup()
+		rewritten, c, err := db.RewriteStmt(stmt)
+		cleanup = c
+		return rewritten, err
+	})
+	if _, explain := stmt.(*sqlparse.ExplainStmt); err == nil && !explain {
+		// Writes and DDL can mint catalog attributes or change the
+		// physical schema the rewriter targets; cached plans built against
+		// the old mapping must not be replayed.
+		db.rdb.BumpCatalogEpoch()
 	}
 	return res, err
 }

@@ -125,8 +125,17 @@ func shapeCases(n int) []shapeCase {
 			v := nobench.StrValue(int64(k * 41 % n))
 			return fmt.Sprintf(`SELECT _id FROM nobench_main WHERE str1 LIKE '%s%%'`, v[:len(v)-2])
 		}},
-		{name: "in-list", dependent: true, text: func(k int) string {
+		{name: "in-list", text: func(k int) string {
 			return fmt.Sprintf(`SELECT _id FROM nobench_main WHERE num IN (%d, %d, %d)`, k, k*7%n, k*13%n)
+		}},
+		{name: "or", text: func(k int) string {
+			return fmt.Sprintf(`SELECT _id FROM nobench_main WHERE num = %d OR str1 = '%s'`, k*89%n, nobench.StrValue(int64(k*37%n)))
+		}},
+		// A literal inside a call's parentheses is never lifted, so the
+		// parameter sits beside the COALESCE; in the dirty layout the
+		// rewrite nests str1's own COALESCE under it.
+		{name: "coalesce", text: func(k int) string {
+			return fmt.Sprintf(`SELECT _id, sparse_110 FROM nobench_main WHERE coalesce(sparse_110, str1) = '%s'`, nobench.StrValue(int64(k*37%n)))
 		}},
 		{name: "Q11", dependent: true, text: func(k int) string {
 			lo := k * 97 % n

@@ -9,6 +9,7 @@
 package rdbms
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -173,9 +174,9 @@ func (db *DB) ExecStmt(stmt sqlparse.Statement) (*Result, error) {
 	case *sqlparse.InsertStmt:
 		return db.execInsert(st)
 	case *sqlparse.UpdateStmt:
-		return db.execUpdate(st)
+		return db.execUpdate(st, nil)
 	case *sqlparse.DeleteStmt:
-		return db.execDelete(st)
+		return db.execDelete(st, nil)
 	case *sqlparse.CreateTableStmt:
 		return db.execCreateTable(st)
 	case *sqlparse.DropTableStmt:
@@ -367,7 +368,12 @@ func (db *DB) execInsert(st *sqlparse.InsertStmt) (*Result, error) {
 		}
 	}
 
+	// VALUES expressions read no column: each is evaluated over one row
+	// of a zero-width batch.
 	emptyLayout := &plan.Layout{}
+	one := exec.NewRowBatch(0, 1)
+	one.SetLen(1)
+	ctx := exec.NewEvalCtx()
 	var inserted int64
 	// Per-statement atomicity: remember how many rows were added; since
 	// Insert appends, failure mid-way rolls back by deleting the tail.
@@ -392,12 +398,12 @@ func (db *DB) execInsert(st *sqlparse.InsertStmt) (*Result, error) {
 				rollback()
 				return nil, err
 			}
-			v, err := ce.Eval(nil)
+			col, err := exec.EvalBatch(ce, one, ctx)
 			if err != nil {
 				rollback()
 				return nil, err
 			}
-			v, err = coerceTo(v, schema.Cols[colIdx[i]].Typ)
+			v, err := coerceTo(col[0], schema.Cols[colIdx[i]].Typ)
 			if err != nil {
 				rollback()
 				return nil, err
@@ -433,26 +439,34 @@ func insertReturningID(h *storage.Heap, row storage.Row) (storage.RowID, error) 
 	return h.LastRowID(), nil
 }
 
-func (db *DB) execUpdate(st *sqlparse.UpdateStmt) (*Result, error) {
+// errEpochMoved is what a write built under an older catalog epoch returns
+// once it holds its table's lock; ExecWriteOnce builds it again.
+var errEpochMoved = errors.New("rdbms: catalog epoch moved")
+
+// stale reports, under the write lock of the table a statement writes,
+// whether the catalog epoch moved since the statement was built at *epoch.
+// A nil epoch — a statement ExecStmt runs as given — is never stale.
+func (db *DB) stale(epoch *uint64) bool {
+	return epoch != nil && db.epoch.Load() != *epoch
+}
+
+func (db *DB) execUpdate(st *sqlparse.UpdateStmt, epoch *uint64) (*Result, error) {
 	t, err := db.lookup(st.Table)
 	if err != nil {
 		return nil, err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if db.stale(epoch) {
+		return nil, errEpochMoved
+	}
 	defer t.heap.Publish()
 	schema := t.heap.Schema()
 	layout := tableLayout(st.Table, schema)
 
-	var filter exec.Expr
-	if st.Where != nil {
-		norm, err := normalizeForTable(st.Where, layout)
-		if err != nil {
-			return nil, err
-		}
-		if filter, err = plan.CompileExpr(norm, layout, db.funcs, "WHERE"); err != nil {
-			return nil, err
-		}
+	filter, err := db.compileForTable(st.Where, layout, "WHERE")
+	if err != nil {
+		return nil, err
 	}
 	type setOp struct {
 		idx int
@@ -464,11 +478,7 @@ func (db *DB) execUpdate(st *sqlparse.UpdateStmt) (*Result, error) {
 		if idx < 0 {
 			return nil, fmt.Errorf("rdbms: column %q of relation %q does not exist", s.Column, st.Table)
 		}
-		norm, err := normalizeForTable(s.Value, layout)
-		if err != nil {
-			return nil, err
-		}
-		ce, err := plan.CompileExpr(norm, layout, db.funcs, "SET")
+		ce, err := db.compileForTable(s.Value, layout, "SET")
 		if err != nil {
 			return nil, err
 		}
@@ -476,36 +486,39 @@ func (db *DB) execUpdate(st *sqlparse.UpdateStmt) (*Result, error) {
 	}
 
 	// Phase 1: find matches and compute new rows (Halloween-safe).
-	scan := exec.NewRowIDScan(t.heap, filter)
-	defer scan.Close()
 	type change struct {
 		id  storage.RowID
 		row storage.Row
 	}
 	var changes []change
-	for {
-		id, row, ok, err := scan.NextWithID()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		newRow := row.Clone()
-		for _, s := range sets {
-			v, err := s.e.Eval(row)
+	ctx := exec.NewEvalCtx()
+	vals := make([][]types.Datum, len(sets))
+	err = forEachMatch(t.heap, filter, ctx, func(b *exec.RowBatch, rows []storage.Row, ids []storage.RowID) error {
+		for k, s := range sets {
+			col, err := exec.EvalBatch(s.e, b, ctx)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			v, err = coerceTo(v, schema.Cols[s.idx].Typ)
-			if err != nil {
-				return nil, err
-			}
-			// The stored value owns its payload: an extracted one aliases
-			// the record or frozen segment it came from, which it would pin.
-			newRow[s.idx] = v.Clone()
+			vals[k] = col
 		}
-		changes = append(changes, change{id: id, row: newRow})
+		for _, i := range b.Sel {
+			newRow := rows[i].Clone()
+			for k, s := range sets {
+				v, err := coerceTo(vals[k][i], schema.Cols[s.idx].Typ)
+				if err != nil {
+					return err
+				}
+				// The stored value owns its payload: an extracted one
+				// aliases the record or frozen segment it came from, which
+				// it would pin.
+				newRow[s.idx] = v.Clone()
+			}
+			changes = append(changes, change{id: ids[i], row: newRow})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Phase 2: apply with undo logging for statement atomicity.
@@ -527,38 +540,32 @@ func (db *DB) execUpdate(st *sqlparse.UpdateStmt) (*Result, error) {
 	return &Result{RowsAffected: int64(len(changes))}, nil
 }
 
-func (db *DB) execDelete(st *sqlparse.DeleteStmt) (*Result, error) {
+func (db *DB) execDelete(st *sqlparse.DeleteStmt, epoch *uint64) (*Result, error) {
 	t, err := db.lookup(st.Table)
 	if err != nil {
 		return nil, err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if db.stale(epoch) {
+		return nil, errEpochMoved
+	}
 	defer t.heap.Publish()
 	layout := tableLayout(st.Table, t.heap.Schema())
 
-	var filter exec.Expr
-	if st.Where != nil {
-		norm, err := normalizeForTable(st.Where, layout)
-		if err != nil {
-			return nil, err
-		}
-		if filter, err = plan.CompileExpr(norm, layout, db.funcs, "WHERE"); err != nil {
-			return nil, err
-		}
+	filter, err := db.compileForTable(st.Where, layout, "WHERE")
+	if err != nil {
+		return nil, err
 	}
-	scan := exec.NewRowIDScan(t.heap, filter)
-	defer scan.Close()
 	var ids []storage.RowID
-	for {
-		id, _, ok, err := scan.NextWithID()
-		if err != nil {
-			return nil, err
+	err = forEachMatch(t.heap, filter, exec.NewEvalCtx(), func(b *exec.RowBatch, _ []storage.Row, run []storage.RowID) error {
+		for _, i := range b.Sel {
+			ids = append(ids, run[i])
 		}
-		if !ok {
-			break
-		}
-		ids = append(ids, id)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	type undo struct {
 		id  storage.RowID
@@ -578,6 +585,64 @@ func (db *DB) execDelete(st *sqlparse.DeleteStmt) (*Result, error) {
 	return &Result{RowsAffected: int64(len(ids))}, nil
 }
 
+// forEachMatch is the reading phase of UPDATE and DELETE: it reads the
+// live heap h, whose table's write lock the caller holds, in
+// DefaultBatchSize runs with their RowIDs, and calls fn with each run
+// narrowed to the rows filter holds for (every row for a nil filter). b's
+// selection lists those rows, never nil; rows[i] and ids[i] are the stored
+// row behind b's physical row i and its address. fn runs before the next
+// run is read; b, rows and ids are reused by it.
+//
+//lint:ignore sinew/snapshot-pin DML runs under the table write lock and must scan the live heap it is about to mutate, not a stale snapshot
+func forEachMatch(h *storage.Heap, filter exec.Expr, ctx *exec.EvalCtx,
+	fn func(b *exec.RowBatch, rows []storage.Row, ids []storage.RowID) error) error {
+	it := h.Iterate()
+	defer it.Close()
+	b := exec.NewRowBatch(len(h.Schema().Cols), exec.DefaultBatchSize)
+	rows := make([]storage.Row, 0, exec.DefaultBatchSize)
+	ids := make([]storage.RowID, 0, exec.DefaultBatchSize)
+	sel := make([]int32, 0, exec.DefaultBatchSize)
+	var keep []bool
+	for {
+		rows, ids = rows[:0], ids[:0]
+		for len(rows) < exec.DefaultBatchSize {
+			id, row, ok := it.Next()
+			if !ok {
+				break
+			}
+			rows, ids = append(rows, row), append(ids, id)
+		}
+		if len(rows) == 0 {
+			return nil
+		}
+		b.FillRows(rows, nil)
+		b.Sel = nil
+		sel = sel[:0]
+		if filter == nil {
+			for i := range rows {
+				sel = append(sel, int32(i))
+			}
+		} else {
+			var err error
+			if keep, err = exec.EvalPredBatch(filter, b, ctx, keep); err != nil {
+				return err
+			}
+			for i, k := range keep {
+				if k {
+					sel = append(sel, int32(i))
+				}
+			}
+		}
+		if len(sel) == 0 {
+			continue
+		}
+		b.Sel = sel
+		if err := fn(b, rows, ids); err != nil {
+			return err
+		}
+	}
+}
+
 // tableLayout builds a single-table layout (no statistics needed for DML
 // compilation).
 func tableLayout(name string, schema *storage.Schema) *plan.Layout {
@@ -588,9 +653,17 @@ func tableLayout(name string, schema *storage.Schema) *plan.Layout {
 	return l
 }
 
-// normalizeForTable qualifies bare refs against a one-table layout.
-func normalizeForTable(e sqlparse.Expr, layout *plan.Layout) (sqlparse.Expr, error) {
-	return plan.NormalizeRefs(e, layout)
+// compileForTable compiles e against a one-table layout, its bare refs
+// qualified first; a nil e compiles to nil.
+func (db *DB) compileForTable(e sqlparse.Expr, layout *plan.Layout, context string) (exec.Expr, error) {
+	if e == nil {
+		return nil, nil
+	}
+	norm, err := plan.NormalizeRefs(e, layout)
+	if err != nil {
+		return nil, err
+	}
+	return plan.CompileExpr(norm, layout, db.funcs, context)
 }
 
 func (db *DB) execCreateTable(st *sqlparse.CreateTableStmt) (*Result, error) {

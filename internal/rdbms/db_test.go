@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/sinewdata/sinew/internal/rdbms/exec"
+	"github.com/sinewdata/sinew/internal/rdbms/storage"
 	"github.com/sinewdata/sinew/internal/rdbms/types"
 )
 
@@ -216,6 +217,46 @@ func TestDelete(t *testing.T) {
 	left := mustExec(t, db, `SELECT COUNT(*) FROM users`)
 	if left.Rows[0][0].I != 3 {
 		t.Errorf("remaining = %v", left.Rows[0][0])
+	}
+}
+
+// TestDMLAcrossRuns: UPDATE and DELETE read the heap DefaultBatchSize rows
+// at a time, and their filters and SET expressions run on the batch
+// evaluator, where a COALESCE, an OR and an IN list skip exactly what SQL
+// skips: each statement here divides by zero on the rows it must not
+// evaluate that operand for.
+func TestDMLAcrossRuns(t *testing.T) {
+	const n = 2500 // three runs
+	db := Open()
+	mustExec(t, db, `CREATE TABLE d (id integer, v integer, w integer)`)
+	rows := make([]storage.Row, n)
+	for i := range rows {
+		// w is 7 where v is 0, NULL elsewhere.
+		w := types.NewNull(types.Int)
+		if i%10 == 0 {
+			w = types.NewInt(7)
+		}
+		rows[i] = storage.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 10)), w}
+	}
+	if err := db.InsertRows("d", rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		sql, check string
+		affected   int64
+		want       int64
+	}{
+		{`UPDATE d SET w = COALESCE(w, 90 / v)`, `SELECT SUM(w) FROM d`, n,
+			n / 10 * (7 + 90 + 45 + 30 + 22 + 18 + 15 + 12 + 11 + 10)},
+		{`DELETE FROM d WHERE v = 0 OR 10 / v = 10`, `SELECT COUNT(*) FROM d`, n / 5, n - n/5},
+		{`UPDATE d SET w = 0 WHERE v IN (9, 100 / (v - 9))`, `SELECT COUNT(*) FROM d WHERE w = 0`, n / 10, n / 10},
+	} {
+		if res := mustExec(t, db, c.sql); res.RowsAffected != c.affected {
+			t.Errorf("%s: %d rows, want %d", c.sql, res.RowsAffected, c.affected)
+		}
+		if got := mustExec(t, db, c.check).Rows[0][0].I; got != c.want {
+			t.Errorf("after %s: %s = %d, want %d", c.sql, c.check, got, c.want)
+		}
 	}
 }
 

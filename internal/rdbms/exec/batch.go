@@ -227,25 +227,6 @@ func (b *RowBatch) fillCol(j int, rows []storage.Row, words int) {
 	b.Cols[j], b.Nulls[j] = col, m
 }
 
-// Row copies row i into dst (reallocating when dst is too small) and
-// returns it — the row-major view per-row fallback evaluation uses.
-// Columns a pruned scan left empty yield zero Datums; the planner
-// guarantees no consumer reads them.
-func (b *RowBatch) Row(i int, dst storage.Row) storage.Row {
-	if cap(dst) < len(b.Cols) {
-		dst = make(storage.Row, len(b.Cols))
-	}
-	dst = dst[:len(b.Cols)]
-	for j := range b.Cols {
-		if col := b.Cols[j]; i < len(col) {
-			dst[j] = col[i]
-		} else {
-			dst[j] = types.Datum{}
-		}
-	}
-	return dst
-}
-
 // batchPool recycles RowBatch shells between operators; capacity sizing
 // happens lazily in the operators themselves.
 var batchPool = sync.Pool{New: func() any { return &RowBatch{} }}

@@ -1,31 +1,28 @@
 package exec
 
 import (
-	"github.com/sinewdata/sinew/internal/rdbms/storage"
+	"fmt"
+
 	"github.com/sinewdata/sinew/internal/rdbms/types"
 )
 
 // EvalCtx carries the reusable scratch state for batch expression
-// evaluation: a scratch row for the row-wise fallback, an argument buffer
-// for function calls, and the statement's parameter values. One EvalCtx
-// belongs to one operator; it is not safe for concurrent use.
+// evaluation: an argument buffer for function calls and the statement's
+// parameter values. One EvalCtx belongs to one operator; it is not safe
+// for concurrent use.
 type EvalCtx struct {
-	scratch storage.Row
-	argBuf  []types.Datum
+	argBuf []types.Datum
 	// consts caches the broadcast column of each ConstExpr and ParamExpr
 	// node across batches (its content never changes during one
 	// execution), so constant arguments cost one allocation per query
 	// instead of one per batch.
 	consts map[Expr][]types.Datum
-	// params are the values ParamExprs evaluate to (SetParams); bound
-	// holds the bound copy (BindParams) of each expression the row-wise
-	// fallback evaluated under them, built on first use.
+	// params are the values ParamExprs evaluate to (SetParams).
 	params []types.Datum
-	bound  map[Expr]Expr
 	// predCol is a scratch result column armed by EvalPredBatch and
-	// consumed by at most one evalBatchFallback per predicate evaluation.
-	// Predicate columns are reduced to a keep mask immediately, so reusing
-	// the buffer across batches is safe there — but nowhere else: project
+	// claimed by at most one node per predicate evaluation. Predicate
+	// columns are reduced to a keep mask immediately, so reusing the
+	// buffer across batches is safe there — but nowhere else: project
 	// results are retained as output columns.
 	predCol      []types.Datum
 	predColArmed bool
@@ -37,23 +34,6 @@ func NewEvalCtx() *EvalCtx { return &EvalCtx{} }
 // SetParams gives the context the statement's parameter values; an
 // operator sets them before its first EvalBatch.
 func (c *EvalCtx) SetParams(params []types.Datum) { c.params = params }
-
-// rowExpr is e as the row evaluator must see it: e itself without
-// parameters, its bound copy with them.
-func (c *EvalCtx) rowExpr(e Expr) Expr {
-	if c.params == nil {
-		return e
-	}
-	if b, ok := c.bound[e]; ok {
-		return b
-	}
-	if c.bound == nil {
-		c.bound = make(map[Expr]Expr)
-	}
-	b := BindParams(e, c.params)
-	c.bound[e] = b
-	return b
-}
 
 // broadcast returns the cached column of phys copies of v for node e.
 func (c *EvalCtx) broadcast(e Expr, v types.Datum, phys int) []types.Datum {
@@ -77,13 +57,16 @@ func (c *EvalCtx) broadcast(e Expr, v types.Datum, phys int) []types.Datum {
 // NOT, negation, IS NULL, BETWEEN, LIKE, ANY, CAST, function calls) are
 // walked once per batch: each child is materialized as a full column, then
 // a tight loop combines them. Nodes with lazy/short-circuit semantics (AND,
-// OR, COALESCE, IN-list) fall back to row-wise Eval inside the batch so
-// that skipped operands are truly not evaluated — same values, same errors,
-// same side-effect ordering as Eval row by row.
+// OR, COALESCE, IN-list) evaluate each later operand over a narrowed
+// selection of the same batch — the rows the earlier operands left
+// undecided — so a skipped operand is truly not evaluated: the same values,
+// the same errors and the same evaluations as SQL's row-at-a-time
+// semantics. AND is σ_{p∧q} = σ_q∘σ_p: its right side sees the rows its
+// left side did not make FALSE.
 //
 // The returned slice may alias a column of b (ColExpr is free); callers
-// must copy before mutating. On error the first failing row in row order —
-// of the first failing child, for eager nodes — is reported.
+// must copy before mutating. On error the first failing child is reported,
+// and of it the first failing row in row order.
 //
 // Result columns are physically indexed: they hold PhysLen entries and
 // only the positions a selection vector references are written, so parent
@@ -109,7 +92,7 @@ func EvalBatch(e Expr, b *RowBatch, ctx *EvalCtx) ([]types.Datum, error) {
 
 	case *BinExpr:
 		if x.Op == "AND" || x.Op == "OR" {
-			return evalBatchFallback(e, b, ctx)
+			return evalLogicalBatch(x, b, ctx)
 		}
 		l, err := EvalBatch(x.L, b, ctx)
 		if err != nil {
@@ -192,9 +175,7 @@ func EvalBatch(e Expr, b *RowBatch, ctx *EvalCtx) ([]types.Datum, error) {
 			case v.Typ == types.Float:
 				out[i] = types.NewFloat(-v.Float())
 			default:
-				// Rebuild the row-path error via single-row Eval.
-				_, err := ctx.rowExpr(e).Eval(b.Row(i, ctx.scratchRow()))
-				return nil, err
+				return nil, fmt.Errorf("exec: cannot negate %v", v.Typ)
 			}
 		}
 		return out, nil
@@ -281,10 +262,10 @@ func EvalBatch(e Expr, b *RowBatch, ctx *EvalCtx) ([]types.Datum, error) {
 		return out, nil
 
 	case *AnyExpr:
-		// Both operands are evaluated for every row by Eval too
-		// (no short circuit between them), so the node is eager. The
-		// predicate scratch column is claimed before the operands run, so
-		// an operand that falls back allocates its own.
+		// Both operands are evaluated for every row (no short circuit
+		// between them), so the node is eager. The predicate scratch
+		// column is claimed before the operands run, so a lazy operand
+		// allocates its own.
 		out := ctx.resultCol(phys)
 		xs, err := EvalBatch(x.X, b, ctx)
 		if err != nil {
@@ -340,41 +321,156 @@ func EvalBatch(e Expr, b *RowBatch, ctx *EvalCtx) ([]types.Datum, error) {
 		}
 		return out, nil
 
+	case *CoalesceExpr:
+		return evalCoalesceBatch(x, b, ctx)
+
+	case *InListExpr:
+		return evalInListBatch(x, b, ctx)
+
 	default:
-		// AND/OR arrive here too (dispatched above): lazy semantics —
-		// evaluate row-wise so short-circuiting skips operands exactly as
-		// the row evaluator (Eval) does. Likewise CoalesceExpr, InListExpr, and
-		// any Expr this switch does not know.
-		return evalBatchFallback(e, b, ctx)
+		return nil, fmt.Errorf("exec: cannot evaluate %T", e)
 	}
 }
 
-// evalBatchFallback evaluates e row by row against the batch — the lazy
-// path that preserves short-circuit semantics. Under parameters it
-// evaluates e's bound copy.
-func evalBatchFallback(e Expr, b *RowBatch, ctx *EvalCtx) ([]types.Datum, error) {
-	e = ctx.rowExpr(e)
-	n := b.Len()
-	sel := b.Sel
-	phys := b.PhysLen()
-	out := ctx.resultCol(phys)
-	row := ctx.scratchRow()
+// A lazy node evaluates a later operand over a view of b: a copy of its
+// header sharing the columns, null bitmaps and segments, with a selection
+// vector of its own — never nil, which would mean every row. b itself —
+// its Sel and the frozen vectors it may alias — is never written.
+
+// evalLogicalBatch evaluates AND / OR with Kleene logic: L over the batch's
+// selection, R only over the rows L left undecided — not FALSE for AND,
+// not TRUE for OR.
+func evalLogicalBatch(x *BinExpr, b *RowBatch, ctx *EvalCtx) ([]types.Datum, error) {
+	n, sel := b.Len(), b.Sel
+	out := ctx.resultCol(b.PhysLen())
+	l, err := EvalBatch(x.L, b, ctx)
+	if err != nil {
+		return nil, err
+	}
+	// The value that decides the operator: FALSE for AND, TRUE for OR.
+	decides := x.Op == "OR"
+	rest := make([]int32, 0, n)
 	for si := 0; si < n; si++ {
 		i := selIdx(sel, si)
-		row = b.Row(i, row)
-		v, err := e.Eval(row)
+		t, isNull, err := truth(l[i])
 		if err != nil {
 			return nil, err
 		}
-		out[i] = v
+		if !isNull && t == decides {
+			out[i] = types.NewBool(decides)
+			continue
+		}
+		rest = append(rest, int32(i))
 	}
-	ctx.scratch = row
+	if len(rest) == 0 {
+		return out, nil
+	}
+	view := *b
+	view.Sel = rest
+	r, err := EvalBatch(x.R, &view, ctx)
+	if err != nil {
+		return nil, err
+	}
+	for _, i := range rest {
+		t, isNull, err := truth(r[i])
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case !isNull && t == decides:
+			out[i] = types.NewBool(decides)
+		case isNull || l[i].IsNull():
+			out[i] = types.NewNull(types.Bool)
+		default:
+			out[i] = types.NewBool(!decides)
+		}
+	}
+	return out, nil
+}
+
+// evalCoalesceBatch evaluates COALESCE: argument k runs only over the rows
+// on which arguments 0..k-1 were all NULL. A row's result is the first
+// non-NULL argument, or the last argument's NULL (the planner rejects a
+// COALESCE without arguments).
+func evalCoalesceBatch(x *CoalesceExpr, b *RowBatch, ctx *EvalCtx) ([]types.Datum, error) {
+	n := b.Len()
+	out := ctx.resultCol(b.PhysLen())
+	// pending collects the rows still NULL after each argument.
+	pending := make([]int32, 0, n)
+	view := *b
+	for _, a := range x.Args {
+		col, err := EvalBatch(a, &view, ctx)
+		if err != nil {
+			return nil, err
+		}
+		// From the second argument on, view's selection is pending itself:
+		// the narrowing writes each row at or before where it read it.
+		rows, m := view.Sel, view.Len()
+		next := pending[:0]
+		for si := 0; si < m; si++ {
+			i := selIdx(rows, si)
+			out[i] = col[i]
+			if col[i].IsNull() {
+				next = append(next, int32(i))
+			}
+		}
+		if len(next) == 0 {
+			break
+		}
+		view.Sel = next
+	}
+	return out, nil
+}
+
+// evalInListBatch evaluates x [NOT] IN (list): X over the selection, item k
+// only over the rows where X is non-NULL and no earlier item matched. A
+// NULL item makes an unmatched row's result NULL.
+func evalInListBatch(x *InListExpr, b *RowBatch, ctx *EvalCtx) ([]types.Datum, error) {
+	n, sel := b.Len(), b.Sel
+	out := ctx.resultCol(b.PhysLen())
+	xs, err := EvalBatch(x.X, b, ctx)
+	if err != nil {
+		return nil, err
+	}
+	pending := make([]int32, 0, n)
+	for si := 0; si < n; si++ {
+		i := selIdx(sel, si)
+		if xs[i].IsNull() {
+			out[i] = types.NewNull(types.Bool)
+			continue
+		}
+		out[i] = types.NewBool(x.Not)
+		pending = append(pending, int32(i))
+	}
+	view := *b
+	for _, item := range x.List {
+		if len(pending) == 0 {
+			break
+		}
+		view.Sel = pending
+		vs, err := EvalBatch(item, &view, ctx)
+		if err != nil {
+			return nil, err
+		}
+		next := pending[:0]
+		for _, i := range pending {
+			switch v := vs[i]; {
+			case v.IsNull():
+				out[i] = types.NewNull(types.Bool)
+			case types.Equal(xs[i], v):
+				out[i] = types.NewBool(!x.Not)
+				continue
+			}
+			next = append(next, i)
+		}
+		pending = next
+	}
 	return out, nil
 }
 
 // EvalPredBatch evaluates pred over the batch as a selection mask: keep[si]
 // is true when the predicate is TRUE for logical row si (NULL and FALSE
-// both drop the row, matching EvalBool). The mask is logically indexed —
+// both drop the row). The mask is logically indexed —
 // keep[si] pairs with b.Sel[si] on a selection-carrying batch. The keep
 // buffer is reused when large enough.
 func EvalPredBatch(pred Expr, b *RowBatch, ctx *EvalCtx, keep []bool) ([]bool, error) {
@@ -416,8 +512,6 @@ func (c *EvalCtx) resultCol(phys int) []types.Datum {
 	}
 	return c.predCol[:phys]
 }
-
-func (c *EvalCtx) scratchRow() storage.Row { return c.scratch }
 
 func (c *EvalCtx) args(n int) []types.Datum {
 	if cap(c.argBuf) < n {

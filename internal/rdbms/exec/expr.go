@@ -12,13 +12,12 @@ import (
 	"strings"
 	"sync"
 
-	"github.com/sinewdata/sinew/internal/rdbms/storage"
 	"github.com/sinewdata/sinew/internal/rdbms/types"
 )
 
-// Expr is a compiled scalar expression evaluated against an executor row.
+// Expr is a compiled scalar expression over the columns of an executor
+// row, evaluated a batch at a time by EvalBatch.
 type Expr interface {
-	Eval(row storage.Row) (types.Datum, error)
 	// Type is the statically derived result type (Unknown when dynamic).
 	Type() types.Type
 	// Cost is the estimated per-row evaluation cost in abstract CPU units,
@@ -37,9 +36,6 @@ type ColExpr struct {
 	Name string // display name for EXPLAIN
 }
 
-// Eval implements Expr.
-func (c *ColExpr) Eval(row storage.Row) (types.Datum, error) { return row[c.Idx], nil }
-
 // Type implements Expr.
 func (c *ColExpr) Type() types.Type { return c.Typ }
 
@@ -50,9 +46,6 @@ func (c *ColExpr) String() string { return c.Name }
 
 // ConstExpr is a literal.
 type ConstExpr struct{ Val types.Datum }
-
-// Eval implements Expr.
-func (c *ConstExpr) Eval(storage.Row) (types.Datum, error) { return c.Val, nil }
 
 // Type implements Expr.
 func (c *ConstExpr) Type() types.Type { return c.Val.Typ }
@@ -72,24 +65,19 @@ func (c *ConstExpr) String() string {
 // literal of a cached statement shape. Typ is the type every bound value
 // has. A plan holding ParamExprs is immutable and shared by concurrent
 // executions with different values: the batch evaluator broadcasts the
-// value its EvalCtx was given, the selection kernels and page-skip tests
-// read it at open, and the row evaluator sees a bound copy (BindParams).
+// value its EvalCtx was given, and the selection kernels and page-skip
+// tests read it at open.
 type ParamExpr struct {
 	Slot int
 	Typ  types.Type
 }
 
-// errUnbound is what a ParamExpr evaluates to outside a bound copy.
+// errUnbound is what a ParamExpr evaluates to when its EvalCtx holds no
+// value for it.
 type errUnbound struct{ slot int }
 
 func (e errUnbound) Error() string {
 	return fmt.Sprintf("exec: no value bound for parameter $%d", e.slot+1)
-}
-
-// Eval implements Expr. Row evaluation goes through a bound copy, so a
-// ParamExpr reached here has no value.
-func (p *ParamExpr) Eval(storage.Row) (types.Datum, error) {
-	return types.Datum{}, errUnbound{p.Slot}
 }
 
 // Type implements Expr.
@@ -108,182 +96,12 @@ func paramValue(p *ParamExpr, params []types.Datum) (types.Datum, error) {
 	return params[p.Slot], nil
 }
 
-// BindParams returns e with every ParamExpr replaced by a constant of its
-// bound value: e itself when it holds none, a copy of the paths to them
-// otherwise (plans are shared, so e is never modified). A ParamExpr with
-// no bound value is left in place and fails when evaluated.
-func BindParams(e Expr, params []types.Datum) Expr {
-	out, _ := bindParams(e, params)
-	return out
-}
-
-func bindParams(e Expr, params []types.Datum) (Expr, bool) {
-	list := func(es []Expr) ([]Expr, bool) {
-		var out []Expr
-		for i, a := range es {
-			b, changed := bindParams(a, params)
-			if changed && out == nil {
-				out = append(make([]Expr, 0, len(es)), es[:i]...)
-			}
-			if out != nil {
-				out = append(out, b)
-			}
-		}
-		return out, out != nil
-	}
-	switch x := e.(type) {
-	case *ParamExpr:
-		if v, err := paramValue(x, params); err == nil {
-			return &ConstExpr{Val: v}, true
-		}
-	case *BinExpr:
-		l, cl := bindParams(x.L, params)
-		r, cr := bindParams(x.R, params)
-		if cl || cr {
-			return &BinExpr{Op: x.Op, L: l, R: r}, true
-		}
-	case *NotExpr:
-		if sub, c := bindParams(x.X, params); c {
-			return &NotExpr{X: sub}, true
-		}
-	case *NegExpr:
-		if sub, c := bindParams(x.X, params); c {
-			return &NegExpr{X: sub}, true
-		}
-	case *IsNullExpr:
-		if sub, c := bindParams(x.X, params); c {
-			return &IsNullExpr{X: sub, Not: x.Not}, true
-		}
-	case *BetweenExpr:
-		sub, cx := bindParams(x.X, params)
-		lo, cl := bindParams(x.Lo, params)
-		hi, ch := bindParams(x.Hi, params)
-		if cx || cl || ch {
-			return &BetweenExpr{X: sub, Lo: lo, Hi: hi, Not: x.Not}, true
-		}
-	case *InListExpr:
-		sub, cx := bindParams(x.X, params)
-		items, cl := list(x.List)
-		if cx || cl {
-			if !cl {
-				items = x.List
-			}
-			return &InListExpr{X: sub, List: items, Not: x.Not}, true
-		}
-	case *LikeExpr:
-		sub, cx := bindParams(x.X, params)
-		pat, cp := bindParams(x.Pattern, params)
-		if cx || cp {
-			// A fresh node: LikeExpr embeds its pattern cache and mutex.
-			return &LikeExpr{X: sub, Pattern: pat, Not: x.Not}, true
-		}
-	case *AnyExpr:
-		sub, cx := bindParams(x.X, params)
-		arr, ca := bindParams(x.Array, params)
-		if cx || ca {
-			return &AnyExpr{X: sub, Op: x.Op, Array: arr}, true
-		}
-	case *CastExpr:
-		if sub, c := bindParams(x.X, params); c {
-			return &CastExpr{X: sub, To: x.To}, true
-		}
-	case *CoalesceExpr:
-		if args, c := list(x.Args); c {
-			return &CoalesceExpr{Args: args}, true
-		}
-	case *CallExpr:
-		if args, c := list(x.Args); c {
-			return &CallExpr{Def: x.Def, Args: args}, true
-		}
-	}
-	return e, false
-}
-
 // ---------- Binary operators ----------
 
 // BinExpr applies a binary operator with SQL three-valued logic.
 type BinExpr struct {
 	Op   string // "=", "<>", "<", "<=", ">", ">=", "+", "-", "*", "/", "%", "AND", "OR", "||"
 	L, R Expr
-}
-
-// Eval implements Expr.
-func (b *BinExpr) Eval(row storage.Row) (types.Datum, error) {
-	switch b.Op {
-	case "AND", "OR":
-		return b.evalLogical(row)
-	}
-	l, err := b.L.Eval(row)
-	if err != nil {
-		return types.Datum{}, err
-	}
-	r, err := b.R.Eval(row)
-	if err != nil {
-		return types.Datum{}, err
-	}
-	switch b.Op {
-	case "=", "<>", "<", "<=", ">", ">=":
-		return evalComparison(b.Op, l, r)
-	case "||":
-		if l.IsNull() || r.IsNull() {
-			return types.NewNull(types.Text), nil
-		}
-		ls, err := types.Cast(l, types.Text)
-		if err != nil {
-			return types.Datum{}, err
-		}
-		rs, err := types.Cast(r, types.Text)
-		if err != nil {
-			return types.Datum{}, err
-		}
-		return types.NewText(ls.Text() + rs.Text()), nil
-	default:
-		return evalArith(b.Op, l, r)
-	}
-}
-
-func (b *BinExpr) evalLogical(row storage.Row) (types.Datum, error) {
-	l, err := b.L.Eval(row)
-	if err != nil {
-		return types.Datum{}, err
-	}
-	lt, lnull, err := truth(l)
-	if err != nil {
-		return types.Datum{}, err
-	}
-	// Short circuit where the result is decided.
-	if b.Op == "AND" && !lnull && !lt {
-		return types.NewBool(false), nil
-	}
-	if b.Op == "OR" && !lnull && lt {
-		return types.NewBool(true), nil
-	}
-	r, err := b.R.Eval(row)
-	if err != nil {
-		return types.Datum{}, err
-	}
-	rt, rnull, err := truth(r)
-	if err != nil {
-		return types.Datum{}, err
-	}
-	if b.Op == "AND" {
-		switch {
-		case !rnull && !rt:
-			return types.NewBool(false), nil
-		case lnull || rnull:
-			return types.NewNull(types.Bool), nil
-		default:
-			return types.NewBool(true), nil
-		}
-	}
-	switch {
-	case !rnull && rt:
-		return types.NewBool(true), nil
-	case lnull || rnull:
-		return types.NewNull(types.Bool), nil
-	default:
-		return types.NewBool(false), nil
-	}
 }
 
 // Type implements Expr.
@@ -398,22 +216,6 @@ func evalArith(op string, l, r types.Datum) (types.Datum, error) {
 // NotExpr is logical NOT.
 type NotExpr struct{ X Expr }
 
-// Eval implements Expr.
-func (n *NotExpr) Eval(row storage.Row) (types.Datum, error) {
-	v, err := n.X.Eval(row)
-	if err != nil {
-		return types.Datum{}, err
-	}
-	t, isNull, err := truth(v)
-	if err != nil {
-		return types.Datum{}, err
-	}
-	if isNull {
-		return types.NewNull(types.Bool), nil
-	}
-	return types.NewBool(!t), nil
-}
-
 // Type implements Expr.
 func (n *NotExpr) Type() types.Type { return types.Bool }
 
@@ -424,25 +226,6 @@ func (n *NotExpr) String() string { return "(NOT " + n.X.String() + ")" }
 
 // NegExpr is arithmetic negation.
 type NegExpr struct{ X Expr }
-
-// Eval implements Expr.
-func (n *NegExpr) Eval(row storage.Row) (types.Datum, error) {
-	v, err := n.X.Eval(row)
-	if err != nil {
-		return types.Datum{}, err
-	}
-	if v.IsNull() {
-		return v, nil
-	}
-	switch v.Typ {
-	case types.Int:
-		return types.NewInt(-v.I), nil
-	case types.Float:
-		return types.NewFloat(-v.Float()), nil
-	default:
-		return types.Datum{}, fmt.Errorf("exec: cannot negate %v", v.Typ)
-	}
-}
 
 // Type implements Expr.
 func (n *NegExpr) Type() types.Type { return n.X.Type() }
@@ -458,15 +241,6 @@ func (n *NegExpr) String() string { return "(-" + n.X.String() + ")" }
 type IsNullExpr struct {
 	X   Expr
 	Not bool
-}
-
-// Eval implements Expr.
-func (e *IsNullExpr) Eval(row storage.Row) (types.Datum, error) {
-	v, err := e.X.Eval(row)
-	if err != nil {
-		return types.Datum{}, err
-	}
-	return types.NewBool(v.IsNull() != e.Not), nil
 }
 
 // Type implements Expr.
@@ -492,38 +266,6 @@ type BetweenExpr struct {
 	Not       bool
 }
 
-// Eval implements Expr.
-func (e *BetweenExpr) Eval(row storage.Row) (types.Datum, error) {
-	x, err := e.X.Eval(row)
-	if err != nil {
-		return types.Datum{}, err
-	}
-	lo, err := e.Lo.Eval(row)
-	if err != nil {
-		return types.Datum{}, err
-	}
-	hi, err := e.Hi.Eval(row)
-	if err != nil {
-		return types.Datum{}, err
-	}
-	geLo, err := evalComparison(">=", x, lo)
-	if err != nil {
-		return types.Datum{}, err
-	}
-	leHi, err := evalComparison("<=", x, hi)
-	if err != nil {
-		return types.Datum{}, err
-	}
-	if geLo.IsNull() || leHi.IsNull() {
-		// FALSE AND NULL is FALSE.
-		if (!geLo.IsNull() && !geLo.Bool()) || (!leHi.IsNull() && !leHi.Bool()) {
-			return types.NewBool(e.Not), nil
-		}
-		return types.NewNull(types.Bool), nil
-	}
-	return types.NewBool((geLo.Bool() && leHi.Bool()) != e.Not), nil
-}
-
 // Type implements Expr.
 func (e *BetweenExpr) Type() types.Type { return types.Bool }
 
@@ -543,35 +285,6 @@ type InListExpr struct {
 	X    Expr
 	List []Expr
 	Not  bool
-}
-
-// Eval implements Expr.
-func (e *InListExpr) Eval(row storage.Row) (types.Datum, error) {
-	x, err := e.X.Eval(row)
-	if err != nil {
-		return types.Datum{}, err
-	}
-	if x.IsNull() {
-		return types.NewNull(types.Bool), nil
-	}
-	sawNull := false
-	for _, le := range e.List {
-		v, err := le.Eval(row)
-		if err != nil {
-			return types.Datum{}, err
-		}
-		if v.IsNull() {
-			sawNull = true
-			continue
-		}
-		if types.Equal(x, v) {
-			return types.NewBool(!e.Not), nil
-		}
-	}
-	if sawNull {
-		return types.NewNull(types.Bool), nil
-	}
-	return types.NewBool(e.Not), nil
 }
 
 // Type implements Expr.
@@ -607,34 +320,6 @@ type LikeExpr struct {
 	mu       sync.Mutex
 	cachedRx *regexp.Regexp
 	cachedP  string
-}
-
-// Eval implements Expr.
-func (e *LikeExpr) Eval(row storage.Row) (types.Datum, error) {
-	x, err := e.X.Eval(row)
-	if err != nil {
-		return types.Datum{}, err
-	}
-	p, err := e.Pattern.Eval(row)
-	if err != nil {
-		return types.Datum{}, err
-	}
-	if x.IsNull() || p.IsNull() {
-		return types.NewNull(types.Bool), nil
-	}
-	xs, err := types.Cast(x, types.Text)
-	if err != nil {
-		return types.Datum{}, err
-	}
-	ps, err := types.Cast(p, types.Text)
-	if err != nil {
-		return types.Datum{}, err
-	}
-	rx, err := e.compiled(ps.Text())
-	if err != nil {
-		return types.Datum{}, err
-	}
-	return types.NewBool(rx.MatchString(xs.Text()) != e.Not), nil
 }
 
 func (e *LikeExpr) compiled(pattern string) (*regexp.Regexp, error) {
@@ -695,21 +380,7 @@ type AnyExpr struct {
 	Array Expr
 }
 
-// Eval implements Expr.
-func (e *AnyExpr) Eval(row storage.Row) (types.Datum, error) {
-	x, err := e.X.Eval(row)
-	if err != nil {
-		return types.Datum{}, err
-	}
-	arr, err := e.Array.Eval(row)
-	if err != nil {
-		return types.Datum{}, err
-	}
-	return evalAny(e.Op, x, arr)
-}
-
-// evalAny combines one evaluated operand pair of x op ANY(arr); the row and
-// batch evaluators share it.
+// evalAny combines one evaluated operand pair of x op ANY(arr).
 func evalAny(op string, x, arr types.Datum) (types.Datum, error) {
 	if x.IsNull() || arr.IsNull() {
 		return types.NewNull(types.Bool), nil
@@ -776,15 +447,6 @@ type CastExpr struct {
 	To types.Type
 }
 
-// Eval implements Expr.
-func (e *CastExpr) Eval(row storage.Row) (types.Datum, error) {
-	v, err := e.X.Eval(row)
-	if err != nil {
-		return types.Datum{}, err
-	}
-	return types.Cast(v, e.To)
-}
-
 // Type implements Expr.
 func (e *CastExpr) Type() types.Type { return e.To }
 
@@ -801,23 +463,6 @@ func (e *CastExpr) String() string {
 // non-NULL, which is what keeps the §3.1.4 dirty-column overhead small.
 type CoalesceExpr struct {
 	Args []Expr
-}
-
-// Eval implements Expr.
-func (e *CoalesceExpr) Eval(row storage.Row) (types.Datum, error) {
-	var last types.Datum
-	last.Null = true
-	for _, a := range e.Args {
-		v, err := a.Eval(row)
-		if err != nil {
-			return types.Datum{}, err
-		}
-		if !v.IsNull() {
-			return v, nil
-		}
-		last = v
-	}
-	return last, nil
 }
 
 // Type implements Expr.
@@ -860,19 +505,6 @@ type CallExpr struct {
 	Args []Expr
 }
 
-// Eval implements Expr.
-func (e *CallExpr) Eval(row storage.Row) (types.Datum, error) {
-	args := make([]types.Datum, len(e.Args))
-	for i, a := range e.Args {
-		v, err := a.Eval(row)
-		if err != nil {
-			return types.Datum{}, err
-		}
-		args[i] = v
-	}
-	return e.Def.Eval(args)
-}
-
 // Type implements Expr.
 func (e *CallExpr) Type() types.Type {
 	if e.Def.RetType == nil {
@@ -900,17 +532,4 @@ func (e *CallExpr) String() string {
 		parts = append(parts, a.String())
 	}
 	return e.Def.Name + "(" + strings.Join(parts, ", ") + ")"
-}
-
-// EvalBool evaluates e as a predicate: NULL counts as false.
-func EvalBool(e Expr, row storage.Row) (bool, error) {
-	v, err := e.Eval(row)
-	if err != nil {
-		return false, err
-	}
-	t, isNull, err := truth(v)
-	if err != nil {
-		return false, err
-	}
-	return t && !isNull, nil
 }

@@ -153,45 +153,6 @@ func CollectBatches(it BatchIterator) ([]storage.Row, error) {
 	}
 }
 
-// ---------- DML scan ----------
-
-// RowIDScanIter scans a heap yielding (row, id) pairs for DML.
-type RowIDScanIter struct {
-	it     *storage.HeapIter
-	Filter Expr
-}
-
-// NewRowIDScan returns a scan that also reports row IDs.
-//
-//lint:ignore sinew/snapshot-pin DML runs under the table write lock and must scan the live heap it is about to mutate, not a stale snapshot
-func NewRowIDScan(h *storage.Heap, filter Expr) *RowIDScanIter {
-	return &RowIDScanIter{it: h.Iterate(), Filter: filter}
-}
-
-// NextWithID returns the next matching row and its heap address.
-func (s *RowIDScanIter) NextWithID() (storage.RowID, storage.Row, bool, error) {
-	for {
-		id, row, ok := s.it.Next()
-		if !ok {
-			return storage.RowID{}, nil, false, nil
-		}
-		if s.Filter != nil {
-			keep, err := EvalBool(s.Filter, row)
-			if err != nil {
-				return storage.RowID{}, nil, false, err
-			}
-			if !keep {
-				continue
-			}
-		}
-		return id, row, true, nil
-	}
-}
-
-// Close finalizes the heap iterator's pager accounting; safe to call more
-// than once.
-func (s *RowIDScanIter) Close() { s.it.Close() }
-
 // ---------- Sort keys / Unique ----------
 
 // SortKey is one ordering key of a sort, a Top-N or a sorted merge.

@@ -373,11 +373,55 @@ func randTextExpr(r *rand.Rand, colTypes []types.Type, depth int) Expr {
 		R: randTextExpr(r, colTypes, depth-1)}
 }
 
+// randGuardedPred returns a predicate whose lazy node holds an operand
+// that errors — ÷0 or negating text — on some rows, guarded so that the
+// node never evaluates it there: AND/OR whose right side errors only on
+// rows the left side decides, a COALESCE whose later argument errors only
+// where an earlier one is never NULL, an IN list whose item after a match
+// errors. Unless safe, the guard is sometimes turned around and the error
+// must surface on both pipelines. Column 0 is an Int, column 1 a Text.
+func randGuardedPred(r *rand.Rand, safe bool) Expr {
+	num, txt := col(0, types.Int), col(1, types.Text)
+	ten, zero := lit(types.NewInt(10)), lit(types.NewInt(0))
+	// divides fails where num is 0.
+	divides := &BinExpr{Op: ">", L: &BinExpr{Op: "/", L: ten, R: num}, R: zero}
+	isZero := &BinExpr{Op: "=", L: num, R: zero}
+	open := !safe && r.Intn(4) == 0
+	guard := func(e, turned Expr) Expr {
+		if open {
+			return turned
+		}
+		return e
+	}
+	var e Expr
+	switch r.Intn(5) {
+	case 0:
+		e = &BinExpr{Op: "AND", L: guard(&NotExpr{X: isZero}, isZero), R: divides}
+	case 1:
+		e = &BinExpr{Op: "OR", L: guard(isZero, &NotExpr{X: isZero}), R: divides}
+	case 2:
+		notNull := &IsNullExpr{X: txt, Not: true}
+		e = &BinExpr{Op: "OR", L: guard(notNull, &IsNullExpr{X: txt}),
+			R: &IsNullExpr{X: &NegExpr{X: txt}}}
+	case 3:
+		first := guard(&CoalesceExpr{Args: []Expr{num, lit(types.NewInt(1))}}, num)
+		e = &BinExpr{Op: ">=", L: &CoalesceExpr{Args: []Expr{
+			first, &BinExpr{Op: "/", L: ten, R: zero}}}, R: zero}
+	default:
+		e = &InListExpr{X: num,
+			List: []Expr{guard(num, lit(types.NewInt(int64(r.Intn(5))))), &BinExpr{Op: "/", L: ten, R: num}},
+			Not:  r.Intn(2) == 0}
+	}
+	if r.Intn(3) == 0 {
+		e = &NotExpr{X: e}
+	}
+	return e
+}
+
 // randPred returns a random predicate mixing eager nodes (comparisons,
 // BETWEEN, IS NULL, LIKE, NOT, IN/NOT IN over arrays) with lazy ones (AND,
-// OR, IN-list, COALESCE) so
-// both batch evaluation paths are exercised. safe keeps every numeric
-// sub-expression total (no ÷0 candidates).
+// OR, IN-list, COALESCE), some of them guarding an erroring operand. safe
+// keeps the predicate total (no ÷0 candidates).
 func randPred(r *rand.Rand, colTypes []types.Type, depth int, safe bool) Expr {
 	if depth > 0 && r.Intn(2) == 0 {
 		switch r.Intn(4) {
@@ -395,7 +439,9 @@ func randPred(r *rand.Rand, colTypes []types.Type, depth int, safe bool) Expr {
 		}
 	}
 	cmps := []string{"=", "<>", "<", "<=", ">", ">="}
-	switch r.Intn(7) {
+	switch r.Intn(8) {
+	case 7:
+		return randGuardedPred(r, safe)
 	case 6:
 		return randAnyPred(r, colTypes, safe)
 	case 0:
@@ -431,9 +477,12 @@ func randPred(r *rand.Rand, colTypes []types.Type, depth int, safe bool) Expr {
 
 // TestPropertyBatchMatchesRow is the differential test backing the batch
 // executor: over random schemas, data (with NULLs), predicates, and
-// projections, the pipeline must produce exactly the reference's output —
-// same rows, same order — and must error exactly when the reference errors
-// (÷0, type mismatches). A third of the inputs span three batches.
+// projections, the pipeline must produce exactly the output of the row
+// evaluator, refEval — same rows, same order — and must error exactly when
+// it errors (÷0, type mismatches, negated text). The lazy nodes must skip
+// exactly the operands refEval skips, or a guarded error surfaces on one
+// side only. A third of the inputs span three batches. The predicate runs
+// twice: as generated, and with every constant a parameter (SetParams).
 //
 // The second leg adds LIMIT: the limit announces its remaining budget down
 // the pipeline so the projection truncates each delivered batch BEFORE
@@ -496,6 +545,13 @@ func TestPropertyBatchMatchesRow(t *testing.T) {
 			In: &BatchFilterIter{Pred: pred, In: &sliceBatches{rows: rows}}})
 		compare("no-limit", got, gotErr, want, wantErr)
 
+		// The same predicate with every constant a parameter, its value
+		// given to the filter's context.
+		ppred, params := paramize(pred, nil)
+		got, gotErr = CollectBatches(&BatchProjectIter{Exprs: projs,
+			In: &BatchFilterIter{Pred: ppred, Params: params, In: &sliceBatches{rows: rows}}})
+		compare("params", got, gotErr, want, wantErr)
+
 		// LIMIT leg: total predicate, possibly-erroring projections. Both
 		// must evaluate projections on exactly the first `limit` filtered
 		// rows — same output AND same error behaviour.
@@ -517,5 +573,51 @@ func TestPropertyBatchMatchesRow(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// paramize returns e with every constant replaced by a parameter, and the
+// parameter values: params with the constants' values appended in slot
+// order.
+func paramize(e Expr, params []types.Datum) (Expr, []types.Datum) {
+	list := func(es []Expr) []Expr {
+		out := make([]Expr, len(es))
+		for i, a := range es {
+			out[i], params = paramize(a, params)
+		}
+		return out
+	}
+	one := func(e Expr) Expr {
+		var out Expr
+		out, params = paramize(e, params)
+		return out
+	}
+	switch x := e.(type) {
+	case *ConstExpr:
+		return &ParamExpr{Slot: len(params), Typ: x.Val.Typ}, append(params, x.Val)
+	case *BinExpr:
+		return &BinExpr{Op: x.Op, L: one(x.L), R: one(x.R)}, params
+	case *NotExpr:
+		return &NotExpr{X: one(x.X)}, params
+	case *NegExpr:
+		return &NegExpr{X: one(x.X)}, params
+	case *IsNullExpr:
+		return &IsNullExpr{X: one(x.X), Not: x.Not}, params
+	case *BetweenExpr:
+		return &BetweenExpr{X: one(x.X), Lo: one(x.Lo), Hi: one(x.Hi), Not: x.Not}, params
+	case *InListExpr:
+		return &InListExpr{X: one(x.X), List: list(x.List), Not: x.Not}, params
+	case *LikeExpr:
+		return &LikeExpr{X: one(x.X), Pattern: one(x.Pattern), Not: x.Not}, params
+	case *AnyExpr:
+		return &AnyExpr{X: one(x.X), Op: x.Op, Array: one(x.Array)}, params
+	case *CastExpr:
+		return &CastExpr{X: one(x.X), To: x.To}, params
+	case *CoalesceExpr:
+		return &CoalesceExpr{Args: list(x.Args)}, params
+	case *CallExpr:
+		return &CallExpr{Def: x.Def, Args: list(x.Args)}, params
+	default:
+		return e, params
 	}
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -12,7 +13,269 @@ import (
 // operator's answer written as a straight-line function over a row slice,
 // with no iterator protocol, no batches, no Close and no size hints. A
 // reference function evaluates every row it is given with the row
-// evaluator (Eval / EvalBool) and returns the first error it meets.
+// evaluator (refEval / refEvalBool) and returns the first error it meets.
+
+// refEval is the row evaluator: e over one row, each node's SQL semantics
+// written for a single row, the lazy ones (AND, OR, COALESCE, IN-list)
+// evaluating an operand only when the row's result is still undecided. It
+// shares the combining helpers (truth, evalComparison, evalArith, evalAny,
+// LikeExpr.compiled) with EvalBatch, and nothing else. A ParamExpr has no
+// value here.
+func refEval(e Expr, row storage.Row) (types.Datum, error) {
+	switch x := e.(type) {
+	case *ColExpr:
+		return row[x.Idx], nil
+	case *ConstExpr:
+		return x.Val, nil
+	case *ParamExpr:
+		return types.Datum{}, errUnbound{x.Slot}
+	case *BinExpr:
+		if x.Op == "AND" || x.Op == "OR" {
+			return refLogical(x, row)
+		}
+		l, err := refEval(x.L, row)
+		if err != nil {
+			return types.Datum{}, err
+		}
+		r, err := refEval(x.R, row)
+		if err != nil {
+			return types.Datum{}, err
+		}
+		switch x.Op {
+		case "=", "<>", "<", "<=", ">", ">=":
+			return evalComparison(x.Op, l, r)
+		case "||":
+			if l.IsNull() || r.IsNull() {
+				return types.NewNull(types.Text), nil
+			}
+			ls, err := types.Cast(l, types.Text)
+			if err != nil {
+				return types.Datum{}, err
+			}
+			rs, err := types.Cast(r, types.Text)
+			if err != nil {
+				return types.Datum{}, err
+			}
+			return types.NewText(ls.Text() + rs.Text()), nil
+		default:
+			return evalArith(x.Op, l, r)
+		}
+	case *NotExpr:
+		v, err := refEval(x.X, row)
+		if err != nil {
+			return types.Datum{}, err
+		}
+		t, isNull, err := truth(v)
+		if err != nil {
+			return types.Datum{}, err
+		}
+		if isNull {
+			return types.NewNull(types.Bool), nil
+		}
+		return types.NewBool(!t), nil
+	case *NegExpr:
+		v, err := refEval(x.X, row)
+		if err != nil {
+			return types.Datum{}, err
+		}
+		if v.IsNull() {
+			return v, nil
+		}
+		switch v.Typ {
+		case types.Int:
+			return types.NewInt(-v.I), nil
+		case types.Float:
+			return types.NewFloat(-v.Float()), nil
+		default:
+			return types.Datum{}, fmt.Errorf("exec: cannot negate %v", v.Typ)
+		}
+	case *IsNullExpr:
+		v, err := refEval(x.X, row)
+		if err != nil {
+			return types.Datum{}, err
+		}
+		return types.NewBool(v.IsNull() != x.Not), nil
+	case *BetweenExpr:
+		v, err := refEval(x.X, row)
+		if err != nil {
+			return types.Datum{}, err
+		}
+		lo, err := refEval(x.Lo, row)
+		if err != nil {
+			return types.Datum{}, err
+		}
+		hi, err := refEval(x.Hi, row)
+		if err != nil {
+			return types.Datum{}, err
+		}
+		geLo, err := evalComparison(">=", v, lo)
+		if err != nil {
+			return types.Datum{}, err
+		}
+		leHi, err := evalComparison("<=", v, hi)
+		if err != nil {
+			return types.Datum{}, err
+		}
+		if geLo.IsNull() || leHi.IsNull() {
+			// FALSE AND NULL is FALSE.
+			if (!geLo.IsNull() && !geLo.Bool()) || (!leHi.IsNull() && !leHi.Bool()) {
+				return types.NewBool(x.Not), nil
+			}
+			return types.NewNull(types.Bool), nil
+		}
+		return types.NewBool((geLo.Bool() && leHi.Bool()) != x.Not), nil
+	case *InListExpr:
+		v, err := refEval(x.X, row)
+		if err != nil {
+			return types.Datum{}, err
+		}
+		if v.IsNull() {
+			return types.NewNull(types.Bool), nil
+		}
+		sawNull := false
+		for _, item := range x.List {
+			iv, err := refEval(item, row)
+			if err != nil {
+				return types.Datum{}, err
+			}
+			if iv.IsNull() {
+				sawNull = true
+				continue
+			}
+			if types.Equal(v, iv) {
+				return types.NewBool(!x.Not), nil
+			}
+		}
+		if sawNull {
+			return types.NewNull(types.Bool), nil
+		}
+		return types.NewBool(x.Not), nil
+	case *LikeExpr:
+		v, err := refEval(x.X, row)
+		if err != nil {
+			return types.Datum{}, err
+		}
+		p, err := refEval(x.Pattern, row)
+		if err != nil {
+			return types.Datum{}, err
+		}
+		if v.IsNull() || p.IsNull() {
+			return types.NewNull(types.Bool), nil
+		}
+		vs, err := types.Cast(v, types.Text)
+		if err != nil {
+			return types.Datum{}, err
+		}
+		ps, err := types.Cast(p, types.Text)
+		if err != nil {
+			return types.Datum{}, err
+		}
+		rx, err := x.compiled(ps.Text())
+		if err != nil {
+			return types.Datum{}, err
+		}
+		return types.NewBool(rx.MatchString(vs.Text()) != x.Not), nil
+	case *AnyExpr:
+		v, err := refEval(x.X, row)
+		if err != nil {
+			return types.Datum{}, err
+		}
+		arr, err := refEval(x.Array, row)
+		if err != nil {
+			return types.Datum{}, err
+		}
+		return evalAny(x.Op, v, arr)
+	case *CastExpr:
+		v, err := refEval(x.X, row)
+		if err != nil {
+			return types.Datum{}, err
+		}
+		return types.Cast(v, x.To)
+	case *CoalesceExpr:
+		last := types.Datum{Null: true}
+		for _, a := range x.Args {
+			v, err := refEval(a, row)
+			if err != nil {
+				return types.Datum{}, err
+			}
+			if !v.IsNull() {
+				return v, nil
+			}
+			last = v
+		}
+		return last, nil
+	case *CallExpr:
+		args := make([]types.Datum, len(x.Args))
+		for i, a := range x.Args {
+			v, err := refEval(a, row)
+			if err != nil {
+				return types.Datum{}, err
+			}
+			args[i] = v
+		}
+		return x.Def.Eval(args)
+	default:
+		return types.Datum{}, fmt.Errorf("exec: cannot evaluate %T", e)
+	}
+}
+
+// refLogical is AND / OR over one row, short-circuiting where the left
+// side decides the result.
+func refLogical(x *BinExpr, row storage.Row) (types.Datum, error) {
+	l, err := refEval(x.L, row)
+	if err != nil {
+		return types.Datum{}, err
+	}
+	lt, lnull, err := truth(l)
+	if err != nil {
+		return types.Datum{}, err
+	}
+	if x.Op == "AND" && !lnull && !lt {
+		return types.NewBool(false), nil
+	}
+	if x.Op == "OR" && !lnull && lt {
+		return types.NewBool(true), nil
+	}
+	r, err := refEval(x.R, row)
+	if err != nil {
+		return types.Datum{}, err
+	}
+	rt, rnull, err := truth(r)
+	if err != nil {
+		return types.Datum{}, err
+	}
+	if x.Op == "AND" {
+		switch {
+		case !rnull && !rt:
+			return types.NewBool(false), nil
+		case lnull || rnull:
+			return types.NewNull(types.Bool), nil
+		default:
+			return types.NewBool(true), nil
+		}
+	}
+	switch {
+	case !rnull && rt:
+		return types.NewBool(true), nil
+	case lnull || rnull:
+		return types.NewNull(types.Bool), nil
+	default:
+		return types.NewBool(false), nil
+	}
+}
+
+// refEvalBool evaluates e as a predicate: NULL counts as false.
+func refEvalBool(e Expr, row storage.Row) (bool, error) {
+	v, err := refEval(e, row)
+	if err != nil {
+		return false, err
+	}
+	t, isNull, err := truth(v)
+	if err != nil {
+		return false, err
+	}
+	return t && !isNull, nil
+}
 
 // refScan returns the live rows of h in heap order.
 func refScan(h *storage.Heap) []storage.Row {
@@ -31,7 +294,7 @@ func refFilter(rows []storage.Row, pred Expr) ([]storage.Row, error) {
 	}
 	var out []storage.Row
 	for _, r := range rows {
-		keep, err := EvalBool(pred, r)
+		keep, err := refEvalBool(pred, r)
 		if err != nil {
 			return nil, err
 		}
@@ -48,7 +311,7 @@ func refProject(rows []storage.Row, exprs []Expr) ([]storage.Row, error) {
 	for i, r := range rows {
 		out[i] = make(storage.Row, len(exprs))
 		for j, e := range exprs {
-			v, err := e.Eval(r)
+			v, err := refEval(e, r)
 			if err != nil {
 				return nil, err
 			}
@@ -73,7 +336,7 @@ func refSort(rows []storage.Row, keys []SortKey) ([]storage.Row, error) {
 	for i, r := range rows {
 		vals[i] = make([]types.Datum, len(keys))
 		for k, key := range keys {
-			v, err := key.Expr.Eval(r)
+			v, err := refEval(key.Expr, r)
 			if err != nil {
 				return nil, err
 			}
@@ -133,7 +396,7 @@ func refGroup(rows []storage.Row, groupBy []Expr, aggs []*AggSpec) ([]storage.Ro
 	for _, r := range rows {
 		keys := make([]types.Datum, len(groupBy))
 		for i, g := range groupBy {
-			v, err := g.Eval(r)
+			v, err := refEval(g, r)
 			if err != nil {
 				return nil, err
 			}
@@ -159,7 +422,7 @@ func refGroup(rows []storage.Row, groupBy []Expr, aggs []*AggSpec) ([]storage.Ro
 			var v types.Datum
 			if spec.Kind != AggCountStar {
 				var err error
-				if v, err = spec.Arg.Eval(r); err != nil {
+				if v, err = refEval(spec.Arg, r); err != nil {
 					return nil, err
 				}
 			}
@@ -228,7 +491,7 @@ func refJoin(probe, build []storage.Row, probeKeys, buildKeys []Expr, residual E
 	keysOf := func(r storage.Row, keys []Expr) ([]types.Datum, error) {
 		out := make([]types.Datum, len(keys))
 		for i, k := range keys {
-			v, err := k.Eval(r)
+			v, err := refEval(k, r)
 			if err != nil || v.IsNull() {
 				return nil, err
 			}
@@ -264,7 +527,7 @@ func refJoin(probe, build []storage.Row, probeKeys, buildKeys []Expr, residual E
 			}
 			joined := append(append(storage.Row(nil), p...), b...)
 			if residual != nil {
-				keep, err := EvalBool(residual, joined)
+				keep, err := refEvalBool(residual, joined)
 				if err != nil {
 					return nil, err
 				}

@@ -94,8 +94,8 @@ type selCompiler struct {
 // CompileSelFilter compiles pushed-down conjuncts into a SelFilter for a
 // scan of the given physical width. The lookups resolve an
 // extraction family to its kernel factories (nil-able; without a row
-// factory the family's atoms are left un-rewritten and evaluate through
-// the row-wise fallback). Returns nil when preds is empty.
+// factory the family's atoms are left un-rewritten and evaluate as plain
+// calls). Returns nil when preds is empty.
 func CompileSelFilter(preds []Expr, width int,
 	segLookup func(string) (SegExtractFactory, bool),
 	rowLookup func(string) (MultiExtractFactory, bool)) *SelFilter {
@@ -191,10 +191,11 @@ func (c *selCompiler) atomSlot(x *CallExpr) (int, bool) {
 
 // rewrite returns e with extraction atoms replaced by slot ColExprs,
 // copying nodes along rewritten paths (the original tree is shared with
-// the row path and EXPLAIN and must not be mutated). Lazy contexts
-// (AND/OR, COALESCE, IN-list, ANY) are left untouched: their operands
-// evaluate row-wise with short-circuit semantics, where an unrewritten
-// atom still works through the scan's materialized data column.
+// the row-form page filter and EXPLAIN and must not be mutated). Lazy
+// contexts (AND/OR, COALESCE, IN-list, ANY) are left untouched: their
+// operands evaluate over the rows the earlier operands left undecided,
+// where an unrewritten atom still works through the scan's materialized
+// data column.
 func (c *selCompiler) rewrite(e Expr) (Expr, bool) {
 	switch x := e.(type) {
 	case *CallExpr:
@@ -441,8 +442,8 @@ func (s *BatchScanIter) frozenSelBatch(fp *storage.FrozenPage) (*RowBatch, error
 	}
 	if replay {
 		// The selection path failed somewhere: re-run the original
-		// conjunction row-wise over the whole page. Its outcome — error
-		// or keep mask — is what the non-selective pipeline produces.
+		// conjunction over the whole page. Its outcome — error or keep
+		// mask — is what the non-selective pipeline produces.
 		if err := fillNeeded(); err != nil {
 			return nil, err
 		}

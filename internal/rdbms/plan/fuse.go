@@ -15,9 +15,9 @@ import (
 // the record per key.
 //
 // Calls inside lazily evaluated expressions (COALESCE, AND/OR, IN, ANY)
-// are left alone: the row-wise fallback skips them for rows where an
-// earlier branch decides the result (the COALESCE-for-dirty-columns
-// contract, §3.1.4), and a fused kernel would evaluate them eagerly.
+// are left alone: the batch evaluator runs them only over the rows an
+// earlier branch left undecided (the COALESCE-for-dirty-columns contract,
+// §3.1.4), and a fused kernel would evaluate them for every row.
 
 // fuseSlotKey identifies one distinct extraction request within a plan's
 // projection: the call family, the input column, and the (key, type)
@@ -136,7 +136,8 @@ func (p *Planner) fuseSlots(child Node, exprSlots []*exec.Expr) Node {
 				collect(a)
 			}
 		case *exec.CoalesceExpr, *exec.InListExpr, *exec.AnyExpr:
-			// Lazy contexts: leave their arguments to row-wise evaluation.
+			// Lazy contexts: leave their arguments to the evaluator's
+			// narrowed selections.
 		case *exec.BinExpr:
 			if x.Op != "AND" && x.Op != "OR" {
 				collect(x.L)

@@ -19,9 +19,8 @@ import (
 //     ignoring the parameterized conjuncts — n_distinct capped by the
 //     tables' rows, which no value's estimate exceeds — does not fit the
 //     hash table when an estimate read a parameter;
-//   - a parameter the batch operators would only evaluate row by row,
-//     through a bound copy per open (rowPathParam), or outside a scan or
-//     filter.
+//   - a parameter outside a scan's or a filter's conjuncts — in a join's
+//     keys or condition — where no operator reads it at open.
 //
 // The cache runs a value-dependent statement from a plan of its literal
 // text instead — exactly the plan it had before shapes existed.
@@ -49,18 +48,12 @@ func (b *binding) checkGroupChoice(nd, maxGroups float64) {
 }
 
 // paramsCovered reports whether every parameter in the plan under n is
-// read where the batch operators bind it without a row-wise copy: in a
-// scan's or a filter's conjuncts, under nodes the batch evaluator
-// evaluates a column at a time. Parameters come from WHERE, so the only
-// other place they can land is a join's keys and conditions.
+// read where the batch operators bind it at open: in a scan's or a
+// filter's conjuncts. Parameters come from WHERE, so the only other place
+// they can land is a join's keys and conditions.
 func paramsCovered(n Node) bool {
 	var exprs []exec.Expr
-	rowPath := true
 	switch x := n.(type) {
-	case *ScanNode:
-		exprs, rowPath = x.Preds, false
-	case *FilterNode:
-		exprs, rowPath = x.Preds, false
 	case *HashJoinNode:
 		exprs = append(append(append(exprs, x.ProbeKeys...), x.BuildKeys...), x.Residual...)
 	case *MergeJoinNode:
@@ -68,10 +61,8 @@ func paramsCovered(n Node) bool {
 	case *NestedLoopNode:
 		exprs = x.Cond
 	}
-	for _, e := range exprs {
-		if rowPathParam(e, rowPath) {
-			return false
-		}
+	if anyParam(exprs) {
+		return false
 	}
 	for _, c := range n.Children() {
 		if !paramsCovered(c) {
@@ -81,45 +72,41 @@ func paramsCovered(n Node) bool {
 	return true
 }
 
-// rowPathParam reports whether e holds a parameter the batch evaluator
-// (exec.EvalBatch) reaches only row by row — under AND or OR, COALESCE,
-// an IN list, or a negation, whose error path re-evaluates the row — or
-// any parameter at all when rowPath is already set.
-func rowPathParam(e exec.Expr, rowPath bool) bool {
+// hasParam reports whether e holds a parameter.
+func hasParam(e exec.Expr) bool {
 	switch x := e.(type) {
 	case *exec.ParamExpr:
-		return rowPath
+		return true
 	case *exec.BinExpr:
-		rp := rowPath || x.Op == "AND" || x.Op == "OR"
-		return rowPathParam(x.L, rp) || rowPathParam(x.R, rp)
+		return hasParam(x.L) || hasParam(x.R)
 	case *exec.NegExpr:
-		return rowPathParam(x.X, true)
+		return hasParam(x.X)
 	case *exec.NotExpr:
-		return rowPathParam(x.X, rowPath)
+		return hasParam(x.X)
 	case *exec.IsNullExpr:
-		return rowPathParam(x.X, rowPath)
+		return hasParam(x.X)
 	case *exec.CastExpr:
-		return rowPathParam(x.X, rowPath)
+		return hasParam(x.X)
 	case *exec.BetweenExpr:
-		return rowPathParam(x.X, rowPath) || rowPathParam(x.Lo, rowPath) || rowPathParam(x.Hi, rowPath)
+		return hasParam(x.X) || hasParam(x.Lo) || hasParam(x.Hi)
 	case *exec.LikeExpr:
-		return rowPathParam(x.X, rowPath) || rowPathParam(x.Pattern, rowPath)
+		return hasParam(x.X) || hasParam(x.Pattern)
 	case *exec.AnyExpr:
-		return rowPathParam(x.X, rowPath) || rowPathParam(x.Array, rowPath)
+		return hasParam(x.X) || hasParam(x.Array)
 	case *exec.CallExpr:
-		return anyRowPathParam(x.Args, rowPath)
+		return anyParam(x.Args)
 	case *exec.InListExpr:
-		return rowPathParam(x.X, true) || anyRowPathParam(x.List, true)
+		return hasParam(x.X) || anyParam(x.List)
 	case *exec.CoalesceExpr:
-		return anyRowPathParam(x.Args, true)
+		return anyParam(x.Args)
 	default:
 		return false
 	}
 }
 
-func anyRowPathParam(es []exec.Expr, rowPath bool) bool {
+func anyParam(es []exec.Expr) bool {
 	for _, e := range es {
-		if rowPathParam(e, rowPath) {
+		if hasParam(e) {
 			return true
 		}
 	}

@@ -2,6 +2,7 @@ package rdbms
 
 import (
 	"container/list"
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -25,8 +26,8 @@ import (
 // execution that missed, and every execution binds its own values when the
 // plan opens (exec.ExecCtx.Bind). When the planner reports that the plan
 // depends on the values (plan.SelectPlan.ValueDependent: a join or a
-// hash-or-sort choice that read them, a parameter only the row evaluator
-// would see), the shape's entry becomes a marker and each statement of the
+// hash-or-sort choice that read them, a parameter in a join's keys or
+// condition), the shape's entry becomes a marker and each statement of the
 // shape is cached under its own text, planned from its literals — the plan
 // and EXPLAIN it has without the cache.
 //
@@ -305,6 +306,35 @@ func (db *DB) ExecSelectOnce(build func() (*sqlparse.SelectStmt, error)) (*Resul
 		}
 		ec.Release()
 		return res, err
+	}
+}
+
+// ExecWriteOnce runs an UPDATE or DELETE under the same protocol: build is
+// called again whenever the epoch moved before the statement took its
+// table's write lock. The comparison is made under that lock, because a
+// materializer pass bumps the epoch before its first page rewrite takes
+// it: a write rewritten while a key was virtual lands wholly before the
+// pass moves the key, or is rewritten after the bump. Any other statement
+// runs once, as ExecStmt runs it.
+func (db *DB) ExecWriteOnce(build func() (sqlparse.Statement, error)) (*Result, error) {
+	for {
+		epoch := db.epoch.Load()
+		stmt, err := build()
+		if err != nil {
+			return nil, err
+		}
+		var res *Result
+		switch st := stmt.(type) {
+		case *sqlparse.UpdateStmt:
+			res, err = db.execUpdate(st, &epoch)
+		case *sqlparse.DeleteStmt:
+			res, err = db.execDelete(st, &epoch)
+		default:
+			return db.ExecStmt(stmt)
+		}
+		if !errors.Is(err, errEpochMoved) {
+			return res, err
+		}
 	}
 }
 

@@ -95,3 +95,39 @@ func TestExecSelectOnceRebuilds(t *testing.T) {
 		t.Fatalf("%d plans cached by ExecSelectOnce", s.Entries)
 	}
 }
+
+// TestExecWriteOnceRebuilds: writes follow the protocol too — an UPDATE or
+// DELETE whose build raced an epoch bump is thrown away before it touches
+// a row and built again, and only the rebuilt statement's rows change.
+func TestExecWriteOnceRebuilds(t *testing.T) {
+	for _, c := range []struct {
+		fresh, stale, check string
+		want                int
+	}{
+		{`UPDATE users SET age = 99 WHERE id = 1`, `UPDATE users SET age = 99 WHERE id = 2`, `SELECT id FROM users WHERE age = 99`, 1},
+		{`DELETE FROM users WHERE id = 1`, `DELETE FROM users WHERE id = 2`, `SELECT id FROM users WHERE id <= 2`, 2},
+	} {
+		db := newTestDB(t)
+		staleUntil := db.CatalogEpoch()
+		builds := 0
+		res, err := db.ExecWriteOnce(func() (sqlparse.Statement, error) {
+			builds++
+			text := c.fresh
+			if db.CatalogEpoch() == staleUntil {
+				text = c.stale
+				defer db.BumpCatalogEpoch()
+			}
+			return sqlparse.Parse(text)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.RowsAffected != 1 || builds != 2 {
+			t.Fatalf("%s: %d rows after %d builds; want 1 from a second build", c.fresh, res.RowsAffected, builds)
+		}
+		got := mustExec(t, db, c.check)
+		if len(got.Rows) != 1 || got.Rows[0][0].I != int64(c.want) {
+			t.Errorf("after %s: %s = %v, want id %d alone (the stale build ran)", c.fresh, c.check, got.Rows, c.want)
+		}
+	}
+}

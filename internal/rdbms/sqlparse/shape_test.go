@@ -106,6 +106,9 @@ var shapeSeeds = []string{
 	`SELECT * FROM t WHERE num = 1e999`,
 	`SELECT * FROM t WHERE num = 1e`,
 	`SELECT * FROM t WHERE num IN (1, 2, -3)`,
+	`SELECT _id FROM nobench_main WHERE num = 7 OR str1 = 'GBRDCMBQGEYTAMJQ'`,
+	`SELECT * FROM t WHERE (num < 5 OR num > 9) AND str1 NOT IN ('a', 'b', NULL)`,
+	`SELECT * FROM t WHERE num NOT IN (-1, 2.5) OR coalesce(num, 3) IN (3, 4)`,
 	`SELECT * FROM t WHERE str1 LIKE 'ab%' AND str2 NOT LIKE '%z'`,
 	`SELECT * FROM t WHERE 5 = num`,
 	`SELECT * FROM t WHERE num = 5 LIMIT 10`,
