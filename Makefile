@@ -61,12 +61,14 @@ race-workers:
 # a pass) and beside cached and never-cached readers (no count dip while
 # values move; the plan cache's pin-then-recheck on hit and miss), extracted
 # values that alias records and frozen segments held across UPDATEs and a
-# materializer pass (and the copies those two store), UPDATE and DELETE
+# materializer pass (and the copies those two store), values that alias a
+# frozen page's payload arenas held across UPDATEs that un-freeze it,
+# materializer passes and the re-freezes that pack new arenas, UPDATE and DELETE
 # built again when the epoch moved before they took the table lock (a pass
 # landing between rewrite and write), and the HTTP end-to-end test.
 # GOMAXPROCS=1 forces cooperative interleavings, 2 and 8 vary true
 # parallelism.
-SESSION_TESTS = TestSnapshot|TestMaterializeKeepsConcurrentWrites|TestConcurrentQueriesDuringMaterialization|TestPlanCacheConcurrentMaterialize|TestPlanCacheStaleBuildRebuilt|TestExecSelectOnceRebuilds|TestExecWriteOnceRebuilds|TestWriteRebuiltAfterPass|TestShapeCacheConcurrentLiterals|TestExtractedValuesSurviveWriters|TestStoredValuesOwnTheirBytes
+SESSION_TESTS = TestSnapshot|TestMaterializeKeepsConcurrentWrites|TestConcurrentQueriesDuringMaterialization|TestPlanCacheConcurrentMaterialize|TestPlanCacheStaleBuildRebuilt|TestExecSelectOnceRebuilds|TestExecWriteOnceRebuilds|TestWriteRebuiltAfterPass|TestShapeCacheConcurrentLiterals|TestExtractedValuesSurviveWriters|TestPackedValuesSurviveWriters|TestStoredValuesOwnTheirBytes
 race-sessions:
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run '$(SESSION_TESTS)' ./internal/rdbms/ ./internal/core/
 	GOMAXPROCS=2 $(GO) test -race -count=1 -run '$(SESSION_TESTS)' ./internal/rdbms/ ./internal/core/

@@ -70,8 +70,10 @@ type ColumnInfo struct {
 // column is the catalog's live record, guarded by CollectionCatalog.mu.
 type column struct {
 	ColumnInfo
-	// distinct tracks values seen until cardinality saturates.
-	distinct map[string]struct{}
+	// distinct holds the fingerprint of every value seen until cardinality
+	// saturates: 8 bytes and no pointer per value, so the catalog's
+	// statistics cost the collector nothing to mark.
+	distinct map[uint64]struct{}
 }
 
 // cardTrackLimit bounds per-column distinct tracking; beyond it the column
@@ -86,20 +88,35 @@ func (c ColumnInfo) Cardinality() int64 { return c.cardinality }
 // cardinality has not saturated).
 func (c *column) tracking() bool { return c.cardinality <= cardTrackLimit }
 
-// observeValue records one more value of the attribute; key, the value's
-// serialized bytes, is read only while the column is still tracking.
-func (c *column) observeValue(key []byte) {
+// fingerprint is the identity of a value in a distinct set: the 64-bit
+// FNV-1a hash of its serialized bytes. Equal bytes are the same value, as
+// before; two different values share a fingerprint only by collision, which
+// can only undercount a cardinality that saturates at cardTrackLimit — for
+// a set of at most 4 097 values the odds are below 2⁻⁴⁰. The hash has no
+// per-process seed, so the statistics (and the goldens over them) repeat.
+func fingerprint(b []byte) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= prime64
+	}
+	return h
+}
+
+// observeValue records one more value of the attribute, given its
+// fingerprint; it is kept only while the column is still tracking.
+func (c *column) observeValue(fp uint64) {
 	if !c.tracking() {
 		return
 	}
 	if c.distinct == nil {
-		c.distinct = make(map[string]struct{})
+		c.distinct = make(map[uint64]struct{})
 	}
-	// The lookup converts without allocating; only a new value pays for
-	// its key string.
-	if _, seen := c.distinct[string(key)]; !seen {
-		c.distinct[string(key)] = struct{}{}
-	}
+	c.distinct[fp] = struct{}{}
 	c.cardinality = int64(len(c.distinct))
 	if !c.tracking() {
 		c.distinct = nil
@@ -110,15 +127,14 @@ func (c *column) observeValue(key []byte) {
 // gathered by the loader without the catalog lock and applied by
 // recordObservations under one: per attribute the number of documents it
 // occurred in, and — only for columns that were still tracking distinct
-// values when the batch began — the serialized bytes of each value.
+// values when the batch began — the fingerprint of each value.
 type observations struct {
 	// slot maps an attribute ID to 1 + its index in attrs; 0 means the
 	// batch has not met the attribute. saturated is indexed alike.
 	slot      []int32
 	saturated []bool
 	attrs     []attrObservations
-	// keys holds the kept values back to back; refs says whose they are.
-	keys []byte
+	// refs holds the kept values' fingerprints and whose they are.
 	refs []valueRef
 	// doc numbers the current document, from 1.
 	doc int32
@@ -131,8 +147,8 @@ type attrObservations struct {
 }
 
 type valueRef struct {
-	attr     int32 // index in attrs
-	off, end uint32
+	attr int32 // index in attrs
+	fp   uint64
 }
 
 // grow makes slot and saturated cover attribute id.
@@ -164,9 +180,7 @@ func (o *observations) add(id uint32, val []byte) {
 	a.lastDoc = o.doc
 	a.count++
 	if !o.saturated[id] {
-		off := uint32(len(o.keys))
-		o.keys = append(o.keys, val...)
-		o.refs = append(o.refs, valueRef{attr: i, off: off, end: uint32(len(o.keys))})
+		o.refs = append(o.refs, valueRef{attr: i, fp: fingerprint(val)})
 	}
 }
 
@@ -372,7 +386,7 @@ func (tc *CollectionCatalog) recordObservations(o *observations, docs int64, dic
 		cols[i] = col
 	}
 	for _, r := range o.refs {
-		cols[r.attr].observeValue(o.keys[r.off:r.end])
+		cols[r.attr].observeValue(r.fp)
 	}
 	tc.docCount += docs
 	return schemaChanged

@@ -124,15 +124,23 @@ func holdValues(t *testing.T, db *DB, sql string) []heldValue {
 		t.Fatal(err)
 	}
 	var held []heldValue
+	var hold func(d types.Datum)
+	hold = func(d types.Datum) {
+		switch {
+		case d.IsNull():
+		case d.Typ == types.Text:
+			held = append(held, heldValue{d, []byte(d.Text())})
+		case d.Typ == types.Bytes:
+			held = append(held, heldValue{d, bytes.Clone(d.Bytes())})
+		case d.Typ == types.Array:
+			for _, e := range d.Array() {
+				hold(e)
+			}
+		}
+	}
 	for _, row := range res.Rows {
 		for _, d := range row {
-			switch {
-			case d.IsNull():
-			case d.Typ == types.Text:
-				held = append(held, heldValue{d, []byte(d.Text())})
-			case d.Typ == types.Bytes:
-				held = append(held, heldValue{d, bytes.Clone(d.Bytes())})
-			}
+			hold(d)
 		}
 	}
 	if len(held) == 0 {
@@ -222,11 +230,114 @@ func TestExtractedValuesSurviveWriters(t *testing.T) {
 	checkHeld(t, "after", held)
 }
 
+// walkTexts calls fn on every non-empty text in d, array elements included.
+func walkTexts(d types.Datum, fn func(string)) {
+	switch {
+	case d.IsNull():
+	case d.Typ == types.Text && d.Text() != "":
+		fn(d.Text())
+	case d.Typ == types.Array:
+		for _, e := range d.Array() {
+			walkTexts(e, fn)
+		}
+	}
+}
+
+// pointsInto reports whether s starts inside one of srcs.
+func pointsInto(s string, srcs [][]byte) bool {
+	p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+	for _, src := range srcs {
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(src)))
+		if p >= lo && p < lo+uintptr(len(src)) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestPackedValuesSurviveWriters holds values that alias a frozen page's
+// payload arenas — materialized text and array columns — while UPDATEs
+// un-freeze their pages, materializer passes move the keys back into the
+// reservoir and out again, and ANALYZE re-freezes the pages into new
+// arenas. An arena is never written, so the held bytes must never change;
+// under -race a write into one is a reported race besides.
+func TestPackedValuesSurviveWriters(t *testing.T) {
+	db := Open(DefaultConfig())
+	loadNamed(t, db, 600)
+	for _, key := range []string{"name", "tags"} {
+		if err := db.SetMaterialized("c", key, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := NewMaterializer(db).RunOnce("c"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RDBMS().Analyze("c"); err != nil {
+		t.Fatal(err)
+	}
+	heap, _, err := db.RDBMS().Table("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if heap.NumFrozenPages() == 0 {
+		t.Fatal("no frozen pages")
+	}
+	if sql, _ := db.RewrittenSQL(`SELECT name, tags FROM c`); strings.Contains(sql, "sinew_extract") {
+		t.Fatalf("name and tags are not physical: %s", sql)
+	}
+	held := holdValues(t, db, `SELECT name, tags FROM c`)
+	checkHeld(t, "before", held)
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for id := 0; id < 600; id += 7 {
+			sql := fmt.Sprintf(`UPDATE c SET name = 'changed-%d', tags = NULL WHERE _id = %d`, id, id)
+			if _, err := db.Query(sql); err != nil {
+				errs <- fmt.Errorf("%s: %w", sql, err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for _, want := range []bool{false, true, false, true} {
+			for _, key := range []string{"name", "tags"} {
+				if err := db.SetMaterialized("c", key, want); err != nil {
+					errs <- err
+					return
+				}
+			}
+			if _, err := NewMaterializer(db).RunOnce("c"); err != nil {
+				errs <- err
+				return
+			}
+			if err := db.RDBMS().Analyze("c"); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		checkHeld(t, "during", held)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	checkHeld(t, "after", held)
+}
+
 // TestStoredValuesOwnTheirBytes: the two places an extracted value is
 // written into a heap — a materializer pass and UPDATE's SET — store a
 // copy, so no stored text, array elements included, shares memory with the
 // record it came from
 // (an alias would pin the replaced record, or a whole frozen segment).
+// Freezing then moves the stored values into the page's arenas, which share
+// memory with neither the records nor those copies.
 func TestStoredValuesOwnTheirBytes(t *testing.T) {
 	db := Open(DefaultConfig())
 	loadNamed(t, db, 300)
@@ -259,30 +370,12 @@ func TestStoredValuesOwnTheirBytes(t *testing.T) {
 			if at < 0 {
 				t.Fatalf("%s: no column %s", label, col)
 			}
-			var texts []string
-			var walk func(d types.Datum)
-			walk = func(d types.Datum) {
-				switch {
-				case d.IsNull():
-				case d.Typ == types.Text && d.Text() != "":
-					texts = append(texts, d.Text())
-				case d.Typ == types.Array:
-					for _, e := range d.Array() {
-						walk(e)
-					}
-				}
-			}
-			walk(row[at])
-			for _, s := range texts {
+			walkTexts(row[at], func(s string) {
 				n++
-				p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
-				for _, src := range sources {
-					lo := uintptr(unsafe.Pointer(unsafe.SliceData(src)))
-					if p >= lo && p < lo+uintptr(len(src)) {
-						t.Fatalf("%s: %s value %q points into a source record", label, col, s)
-					}
+				if pointsInto(s, sources) {
+					t.Fatalf("%s: %s value %q points into a source record", label, col, s)
 				}
-			}
+			})
 		})
 		if n == 0 {
 			t.Fatalf("%s: no %s values stored", label, col)
@@ -321,5 +414,53 @@ func TestStoredValuesOwnTheirBytes(t *testing.T) {
 	res, err = db.Query(`SELECT COUNT(*) FROM c WHERE name LIKE 'note-%'`)
 	if err != nil || !strings.HasPrefix(res.Rows[0][0].String(), "200") {
 		t.Fatalf("UPDATE stored %v rows from note (%v)", res.Rows, err)
+	}
+
+	// The copies the writers stored become sources too: a frozen page must
+	// not keep them alive.
+	collect()
+	scan(func(row storage.Row, schema *storage.Schema) {
+		for _, col := range []string{nameCol, cols["tags"]} {
+			walkTexts(row[schema.ColumnIndex(col)], func(s string) {
+				sources = append(sources, unsafe.Slice(unsafe.StringData(s), len(s)))
+			})
+		}
+	})
+	if err := db.RDBMS().Analyze("c"); err != nil {
+		t.Fatal(err)
+	}
+	heap, _, err := db.RDBMS().Table("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema, _ := db.rdb.TableSchema("c")
+	n := 0
+	it := heap.IterateRange(0, heap.NumPages())
+	defer it.Close()
+	for {
+		pv, ok := it.ReadPage(storage.PageCapacity)
+		if !ok {
+			break
+		}
+		if pv.Frozen == nil {
+			continue
+		}
+		for _, col := range []string{nameCol, cols["tags"]} {
+			vals, _, err := pv.Frozen.ColVals(schema.ColumnIndex(col))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range vals {
+				walkTexts(d, func(s string) {
+					n++
+					if pointsInto(s, sources) {
+						t.Fatalf("frozen: %s value %q points into a source record or a stored copy", col, s)
+					}
+				})
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("frozen: no values on frozen pages")
 	}
 }

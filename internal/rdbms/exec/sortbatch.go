@@ -19,7 +19,8 @@ import (
 // order last ascending, first descending (the Postgres default); ties
 // keep input order (stable). Input columns are accumulated densely (a
 // selection-carrying batch is compacted through its Sel on the way in) and
-// sort keys are evaluated once per input batch via EvalBatch.
+// sort keys are evaluated once per input batch via EvalBatch, except a bare
+// column reference, whose key column is the accumulated column itself.
 type BatchSortIter struct {
 	In   BatchIterator
 	Keys []SortKey
@@ -76,6 +77,11 @@ func (s *BatchSortIter) build() {
 	s.built = true
 	ctx := NewEvalCtx()
 	first := true
+	// aliased[k] is the input column key k reads when it is a bare column
+	// reference, -1 when it is evaluated per batch. It lives on the stack
+	// for up to four keys.
+	var aliasBuf [4]int
+	aliased := aliasBuf[:0]
 	for {
 		in, err := s.In.NextBatch()
 		if err != nil {
@@ -99,9 +105,17 @@ func (s *BatchSortIter) build() {
 				s.present[j] = len(in.Cols[j]) >= phys
 			}
 			s.keyCols = make([][]types.Datum, len(s.Keys))
+			for _, key := range s.Keys {
+				j := -1
+				if c, ok := key.Expr.(*ColExpr); ok && c.Idx < s.width && s.present[c.Idx] {
+					j = c.Idx
+				}
+				aliased = append(aliased, j)
+			}
 			// Size the accumulation buffers once when the input knows its
 			// cardinality: append growth otherwise re-copies every column
-			// log₂(rows) times. Columns the scan pruned away get none.
+			// log₂(rows) times. Columns the scan pruned away get none, and
+			// neither do keys that alias a column.
 			if sh, ok := s.In.(BatchSizeHinter); ok {
 				if hint, known := sh.SizeHint(); known && hint > 0 && hint < 1<<22 {
 					for j := range s.cols {
@@ -110,12 +124,17 @@ func (s *BatchSortIter) build() {
 						}
 					}
 					for k := range s.keyCols {
-						s.keyCols[k] = make([]types.Datum, 0, hint)
+						if aliased[k] < 0 {
+							s.keyCols[k] = make([]types.Datum, 0, hint)
+						}
 					}
 				}
 			}
 		}
 		for k := range s.Keys {
+			if aliased[k] >= 0 {
+				continue // read from its column once the input is drained
+			}
 			kc, err := EvalBatch(s.Keys[k].Expr, in, ctx)
 			if err != nil {
 				s.err = err
@@ -159,6 +178,11 @@ func (s *BatchSortIter) build() {
 		s.rows += n
 	}
 	s.In.Close()
+	for k, j := range aliased {
+		if j >= 0 {
+			s.keyCols[k] = s.cols[j]
+		}
+	}
 	s.perm = make([]int32, s.rows)
 	for i := range s.perm {
 		s.perm[i] = int32(i)
@@ -166,10 +190,10 @@ func (s *BatchSortIter) build() {
 	if s.rows == 0 {
 		return // empty input: keyCols was never initialized
 	}
-	// The keys compare in place through compareForSort: a Datum is 24
-	// bytes, so neither copying homogeneous key columns out into
-	// []int64/[]float64/[]string nor a typed comparator per column moves
-	// `ORDER BY str1` any more (EXPERIMENTS.md "Compact datum note").
+	// The keys compare in place through compareForSort. A key that is a
+	// bare column reference is that accumulated column itself, not a copy:
+	// `SELECT str1 … ORDER BY str1` holds its strings once, and AppendKeys
+	// and emitPerm read the same slice.
 	slices.SortStableFunc(s.perm, func(ia, ib int32) int {
 		for k := range s.Keys {
 			col := s.keyCols[k]

@@ -177,9 +177,10 @@ func TestParallelSortedMergeReleasesOnEarlyClose(t *testing.T) {
 // TestBatchSortAllocatesOnlyReadColumns pins what one execution of a
 // one-of-seven-columns sort allocates (SELECT str1 ... ORDER BY str1 over a
 // scan that pruned the other six): the accumulation buffers are presized
-// for the columns the input carries, not for its whole width. 20 000 rows
-// need one data column and one key column of datums plus the permutation;
-// presizing all seven columns more than doubles that.
+// for the columns the input carries, not for its whole width, and the key,
+// a bare column reference, is that data column rather than a copy of it.
+// 20 000 rows need one column of datums plus the permutation; a key copy
+// doubles that, and presizing all seven columns more than quadruples it.
 func TestBatchSortAllocatesOnlyReadColumns(t *testing.T) {
 	const nRows, width = 20000, 7
 	colTypes := make([]types.Type, width)
@@ -211,7 +212,7 @@ func TestBatchSortAllocatesOnlyReadColumns(t *testing.T) {
 	run()
 	runtime.ReadMemStats(&after)
 	datum := int64(unsafe.Sizeof(types.Datum{}))
-	used := 2*nRows*datum + nRows*4 // data + key column, int32 permutation
+	used := nRows*datum + nRows*4 // data column (the key aliases it), int32 permutation
 	if got := int64(after.TotalAlloc - before.TotalAlloc); got > used*3/2 {
 		t.Errorf("sorting one of %d columns of %d rows allocated %d bytes, want <= %d (1.5 x the %d it needs)",
 			width, nRows, got, used*3/2, used)

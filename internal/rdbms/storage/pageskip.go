@@ -134,6 +134,37 @@ func (s *PageSummary) attachZones(fp *FrozenPage) {
 	}
 }
 
+// rebaseRanges re-points the text extrema of a freezing page's summary at
+// the frozen page's own copies of those values. Noted over the row-form
+// page, they would pin the values the freeze just moved into the page's
+// arena, and with them the spans of every value allocated beside them.
+func (s *PageSummary) rebaseRanges(fp *FrozenPage) {
+	if !s.usable() {
+		return
+	}
+	for col, r := range s.ranges {
+		if !r.ok || col >= len(fp.cols) {
+			continue
+		}
+		r.min = equalIn(fp.cols[col].Vals, r.min)
+		r.max = equalIn(fp.cols[col].Vals, r.max)
+	}
+}
+
+// equalIn returns the text in vals equal to d, or d itself when d is no
+// text or vals holds none equal to it.
+func equalIn(vals []types.Datum, d types.Datum) types.Datum {
+	if d.IsNull() || d.Typ != types.Text {
+		return d
+	}
+	for _, v := range vals {
+		if !v.IsNull() && v.Typ == types.Text && v.Text() == d.Text() {
+			return v
+		}
+	}
+	return d
+}
+
 // insertAttr adds id to the sorted set for col.
 func (s *PageSummary) insertAttr(col int, id uint32) {
 	set := s.attrs[col]

@@ -257,6 +257,7 @@ func (h *Heap) freezePageAt(pi int) bool {
 	if !striped {
 		return false // nothing column-striped: freezing buys nothing
 	}
+	packPayloads(fp.cols)
 	// The page summary outlives the rows: frozen pages are immutable, so
 	// build it now if stale. Segment-striped columns contribute their
 	// attribute-ID sets straight from the segment footer — no per-record
@@ -292,9 +293,95 @@ func (h *Heap) freezePageAt(pi int) bool {
 	// from incremental inserts: the page is immutable from here on, so the
 	// footer extrema stay exact until un-freeze invalidates the summary.
 	sum.attachZones(fp)
+	sum.rebaseRanges(fp)
 	h.pages[pi] = &page{frozen: fp, bytes: p.bytes, sum: sum}
 	h.frozen++
 	return true
+}
+
+// packPayloads gives a freezing page's plain columns payload arenas of
+// their own: every text and bytea payload moves into one byte arena, every
+// array element, at every depth, into one datum arena, and the datums are
+// re-pointed at them. The page then holds a handful of objects for the
+// collector to mark however many values it has, and the clones the writers
+// stored (materializer, UPDATE) become garbage with the row-form page. A
+// frozen page is never written, so aliasing the arena keeps AliasText's
+// contract; rows that un-freeze keep aliasing it, and a re-freeze copies
+// them into a new one. Nil bytea and arrays stay nil, empty ones empty, and
+// a NULL keeps whatever it held.
+func packPayloads(cols []FrozenCol) {
+	var nb, nd int
+	for _, c := range cols {
+		for _, d := range c.Vals {
+			b, e := payloadSize(d)
+			nb, nd = nb+b, nd+e
+		}
+	}
+	a := payloadArena{bytes: make([]byte, nb), datums: make([]types.Datum, nd)}
+	for _, c := range cols {
+		for i, d := range c.Vals {
+			c.Vals[i] = a.pack(d)
+		}
+	}
+}
+
+// payloadSize returns the text and bytea bytes and the array elements d
+// holds, at every depth.
+func payloadSize(d types.Datum) (nbytes, ndatums int) {
+	switch {
+	case d.Null:
+	case d.Typ == types.Text:
+		nbytes = len(d.Text())
+	case d.Typ == types.Bytes:
+		nbytes = len(d.Bytes())
+	case d.Typ == types.Array:
+		ndatums = len(d.Array())
+		for _, e := range d.Array() {
+			b, n := payloadSize(e)
+			nbytes, ndatums = nbytes+b, ndatums+n
+		}
+	}
+	return nbytes, ndatums
+}
+
+// payloadArena is what is left of a page's two arenas while packPayloads
+// fills them front to back.
+type payloadArena struct {
+	bytes  []byte
+	datums []types.Datum
+}
+
+// take carves the next n bytes out of the arena, capped so that no append
+// through one value's view reaches the next.
+func (a *payloadArena) take(n int) []byte {
+	out := a.bytes[:n:n]
+	a.bytes = a.bytes[n:]
+	return out
+}
+
+// pack returns d over a copy of its payload in the arena.
+func (a *payloadArena) pack(d types.Datum) types.Datum {
+	switch {
+	case d.Null:
+	case d.Typ == types.Text:
+		b := a.take(len(d.Text()))
+		copy(b, d.Text())
+		return types.AliasText(b)
+	case d.Typ == types.Bytes && d.Bytes() != nil:
+		b := a.take(len(d.Bytes()))
+		copy(b, d.Bytes())
+		return types.NewBytes(b)
+	case d.Typ == types.Array && d.Array() != nil:
+		elems := d.Array()
+		// This level's elements are reserved before the nested ones.
+		out := a.datums[:len(elems):len(elems)]
+		a.datums = a.datums[len(elems):]
+		for i, e := range elems {
+			out[i] = a.pack(e)
+		}
+		return types.NewArray(out...)
+	}
+	return d
 }
 
 // pageRows returns the row-form view of p, materializing frozen pages

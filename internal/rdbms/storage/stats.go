@@ -46,7 +46,9 @@ const (
 
 // Analyze computes statistics for every column of h with a full scan. As a
 // side effect it rebuilds the per-page skip summaries (pageskip.go), which
-// Update/Delete invalidate page-locally.
+// Update/Delete invalidate page-locally. The extrema and most common values
+// are copies: the statistics outlive the row-form pages the scan read, and
+// an alias would pin those pages' values once a freeze retires them.
 func Analyze(h *Heap) *TableStats {
 	h.RebuildSummaries()
 	schema := h.Schema()
@@ -85,7 +87,7 @@ func Analyze(h *Heap) *TableStats {
 		cs.NDistinct = nd
 		if a.hasMM {
 			cs.HasMinMax = true
-			cs.Min, cs.Max = a.min, a.max
+			cs.Min, cs.Max = a.min.Clone(), a.max.Clone()
 		}
 		if rows > 0 {
 			cs.MCVs = a.mostCommon(rows, &sc)
@@ -218,7 +220,7 @@ func (a *colAcc) mostCommon(rows int64, sc *keyScratch) []MCV {
 	}
 	var out []MCV
 	for _, c := range top {
-		out = append(out, MCV{Val: c.val, Freq: float64(c.count) / float64(rows)})
+		out = append(out, MCV{Val: c.val.Clone(), Freq: float64(c.count) / float64(rows)})
 	}
 	return out
 }

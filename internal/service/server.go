@@ -33,6 +33,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	runtimemetrics "runtime/metrics"
 	"sort"
 	"strings"
 	"sync"
@@ -321,6 +322,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	global("plan_cache_entries", int64(pc.Entries))
 	global("plan_cache_invalidations", int64(pc.Invalidations))
 	global("catalog_epoch", int64(pc.Epoch))
+	// The collector, read per scrape: how often it ran, and what it must
+	// mark (objects) and keep (bytes) after the last cycle.
+	gc := []runtimemetrics.Sample{
+		{Name: "/gc/cycles/total:gc-cycles"},
+		{Name: "/gc/heap/objects:objects"},
+		{Name: "/gc/heap/live:bytes"},
+	}
+	runtimemetrics.Read(gc)
+	global("gc_cycles_total", int64(gc[0].Value.Uint64()))
+	global("heap_objects", int64(gc[1].Value.Uint64()))
+	global("heap_live_bytes", int64(gc[2].Value.Uint64()))
 
 	s.mu.Lock()
 	ids := make([]string, 0, len(s.sessions))

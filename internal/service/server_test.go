@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -197,6 +198,25 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 	if got := m["sinew_plan_cache_invalidations"]; got < 2 {
 		t.Errorf("sinew_plan_cache_invalidations = %d, want >= 2", got)
+	}
+	// The collector's gauges are read per scrape: present, describing the
+	// last cycle, and the cycle count never goes back (a forced collection
+	// moves it on).
+	gcNames := []string{"sinew_gc_cycles_total", "sinew_heap_objects", "sinew_heap_live_bytes"}
+	for _, name := range gcNames {
+		if _, ok := m[name]; !ok {
+			t.Errorf("%s missing from /metrics", name)
+		}
+	}
+	runtime.GC()
+	after := metrics(t, base)
+	for _, name := range gcNames {
+		if after[name] <= 0 {
+			t.Errorf("%s = %d after a collection, want a positive value", name, after[name])
+		}
+	}
+	if before, now := m["sinew_gc_cycles_total"], after["sinew_gc_cycles_total"]; now <= before {
+		t.Errorf("sinew_gc_cycles_total went from %d to %d across a collection", before, now)
 	}
 	wkey := fmt.Sprintf("sinew_session_queries{session=%q}", writer)
 	if got := m[wkey]; got != 2 {
