@@ -100,9 +100,11 @@ check: vet lint race race-workers race-sessions bench-smoke
 
 # fuzz exercises the serializer's read side, its one-pass write side (JSON
 # bytes straight into the record builder, held to the tree path's answer),
-# the datum representation, the key hash (KeyEqual values hash alike) and
-# the statement-shape scan (a shape with its values bound parses to what
-# the text parses to) — the same targets CI runs as a non-blocking job; the
+# the datum representation, the key hash (KeyEqual values hash alike), the
+# statement-shape scan (a shape with its values bound parses to what the
+# text parses to) and the segment codec (JSON lines encoded and striped,
+# every attribute's column — sectioned or sparse — held to the per-record
+# header lookup) — the same targets CI runs as a non-blocking job; the
 # serializer's checked-in corpora live in internal/serial/testdata/fuzz/,
 # the other targets' seeds are in their test files.
 fuzz:
@@ -111,6 +113,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDatumRoundTrip -fuzztime=30s ./internal/rdbms/types/
 	$(GO) test -fuzz=FuzzKeyHashMatchesEqual -fuzztime=30s ./internal/rdbms/types/
 	$(GO) test -fuzz=FuzzShapeMatchesParse -fuzztime=30s ./internal/rdbms/sqlparse/
+	$(GO) test -fuzz=FuzzSegmentMatchesRecords -fuzztime=30s ./internal/serial/
 
 # bench runs the micro-benchmarks and regenerates BENCH_BASELINE.json, the
 # one checked-in machine-readable Table 3 (load time per system) + Figure 6

@@ -16,11 +16,12 @@ import (
 // serialized-record format. When ANALYZE (or load-time compaction) freezes
 // a cold page, the installed segmenter stripes every record-holding Bytes
 // column — the reservoir and materialized nested-object columns — into a
-// serial.Segment: one typed vector per attribute, presence bitmaps, and a
-// footer carrying the attribute-ID set and per-column min/max. The striped
-// extraction kernel then answers fused sinew_extract_* requests by
-// streaming those vectors instead of decoding each record, falling back to
-// the exact row kernel for the rare rows that need a nested descent.
+// serial.Segment: a typed vector with a presence bitmap and a footer
+// min/max for every attribute dense on the page, a sparse index into the
+// record bytes for the rest. The striped extraction kernel then answers
+// fused sinew_extract_* requests by streaming those columns instead of
+// decoding each record, falling back to the exact row kernel for the rare
+// rows that need a nested descent.
 
 // recordSegment adapts a serial.Segment to storage.ColumnSegment.
 type recordSegment struct {
@@ -29,11 +30,13 @@ type recordSegment struct {
 
 func (r *recordSegment) NumRows() int      { return r.seg.NumRecords() }
 func (r *recordSegment) AttrIDs() []uint32 { return r.seg.AttrIDs() }
+func (r *recordSegment) SizeBytes() int64  { return int64(r.seg.SizeBytes()) }
 
-// AttrZone implements storage.ZoneMapped from the segment footer: the
-// attribute's presence count and, for int and float vectors, its extrema
-// become a page-summary zone map, so range predicates on extracted keys
-// can skip whole frozen pages without touching the segment payload.
+// AttrZone implements storage.ZoneMapped from the segment's column of the
+// attribute: its presence count and, for int and float vectors, its
+// extrema — a dense column's from the footer, a sparse one's from its few
+// values — become a page-summary zone map, so range predicates on
+// extracted keys can skip whole frozen pages without decoding them.
 func (r *recordSegment) AttrZone(id uint32) (storage.AttrZone, bool) {
 	c, ok := r.seg.Column(id)
 	if !ok {
@@ -193,15 +196,9 @@ func (db *DB) stripedExtractFactory(reqs []exec.MultiExtractReq) (exec.SegExtrac
 		fbAny := false
 		for k := range reqs {
 			for _, id := range cands[k] {
-				col, ok := seg.Column(id)
-				if !ok {
-					continue
-				}
-				for i := 0; i < n; i++ {
-					if col.Present(i) {
-						fb[i/64] |= 1 << uint(i%64)
-						fbAny = true
-					}
+				if col, ok := seg.Column(id); ok {
+					col.MarkPresent(fb)
+					fbAny = true
 				}
 			}
 		}

@@ -201,9 +201,10 @@ func (db *DB) registerUDFs() {
 		},
 	})
 
-	// sinew_stats() reports runtime counters — the prepared-plan cache plus
-	// the executor's page-skip and parallel-worker totals since the last
-	// pager reset — as a one-line text summary.
+	// sinew_stats() reports runtime counters — the prepared-plan cache, the
+	// frozen pages and their segments' bytes, plus the executor's page-skip
+	// and parallel-worker totals since the last pager reset — as a one-line
+	// text summary.
 	db.rdb.RegisterFunc(&exec.FuncDef{
 		Name: "sinew_stats", MinArgs: 0, MaxArgs: 0,
 		RetType:     func([]types.Type) types.Type { return types.Text },
@@ -220,9 +221,9 @@ func (db *DB) registerUDFs() {
 			sortBatches, topnShort, mergeParts := db.rdb.Pager().SortStats()
 			snapOpen, snapEpoch, pagesCoW := db.rdb.SnapshotStats()
 			return types.NewText(fmt.Sprintf(
-				"plan_cache hits=%d misses=%d entries=%d invalidations=%d epoch=%d exec pages_skipped=%d parallel_workers=%d segments_total=%d segments_scanned=%d segment_pages_unfrozen=%d segments_skipped_zonemap=%d sel_vector_batches=%d parallel_striped_scans=%d sort_batches=%d topn_short_circuits=%d sorted_merge_partitions=%d snapshots_open=%d snapshot_epoch=%d pages_cow=%d sessions_active=%d",
+				"plan_cache hits=%d misses=%d entries=%d invalidations=%d epoch=%d exec pages_skipped=%d parallel_workers=%d segments_total=%d segment_bytes=%d segments_scanned=%d segment_pages_unfrozen=%d segments_skipped_zonemap=%d sel_vector_batches=%d parallel_striped_scans=%d sort_batches=%d topn_short_circuits=%d sorted_merge_partitions=%d snapshots_open=%d snapshot_epoch=%d pages_cow=%d sessions_active=%d",
 				s.Hits, s.Misses, s.Entries, s.Invalidations, s.Epoch, skipped, workers,
-				db.rdb.FrozenPages(), segScanned, segUnfrozen,
+				db.rdb.FrozenPages(), db.rdb.SegmentBytes(), segScanned, segUnfrozen,
 				zoneSkipped, selBatches, parStriped,
 				sortBatches, topnShort, mergeParts,
 				snapOpen, snapEpoch, pagesCoW, db.rdb.SessionsActive())), nil

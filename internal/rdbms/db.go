@@ -952,6 +952,19 @@ func (db *DB) FrozenPages() int64 {
 	return total
 }
 
+// SegmentBytes sums the bytes of the frozen pages' segments across all
+// tables — the segment_bytes figure of sinew_stats(). DatabaseSizeBytes
+// does not count them: it is the row bytes a table stores.
+func (db *DB) SegmentBytes() int64 {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	var total int64
+	for _, t := range db.tables {
+		total += t.heap.CurrentSnapshot().SegmentBytes()
+	}
+	return total
+}
+
 // ---------- Session & snapshot telemetry ----------
 
 // SessionEnter and SessionExit track logical client sessions (sinewd's

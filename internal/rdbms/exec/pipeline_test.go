@@ -214,6 +214,7 @@ type vecSegment struct {
 
 func (s *vecSegment) NumRows() int      { return len(s.vals) }
 func (s *vecSegment) AttrIDs() []uint32 { return s.ids }
+func (s *vecSegment) SizeBytes() int64  { return int64(len(s.vals)) * 24 }
 func (s *vecSegment) Values(dst []types.Datum) error {
 	copy(dst, s.vals)
 	return nil

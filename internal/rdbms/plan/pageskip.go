@@ -46,8 +46,8 @@ type skipCond struct {
 	// zone map proving no present value can satisfy "atom op val". Zone
 	// conditions only exist for typed extraction atoms compared against
 	// constants; they extend attr conditions from "key absent" to "key
-	// present but out of range", using the min/max the segment footer
-	// already stores (the freeze-time analogue of Sinew's catalog
+	// present but out of range", using the min/max the segment already
+	// knows (the freeze-time analogue of Sinew's catalog
 	// statistics).
 	attr bool
 	zone bool
@@ -232,7 +232,7 @@ func rangeExcludes(min, max types.Datum, op string, val types.Datum) bool {
 // zoneExcludes reports whether one attribute's zone map proves no row of
 // the page can satisfy "atom op val" through this attribute ID. A zone
 // with zero present values excludes trivially (the atom is NULL wherever
-// it would resolve via this ID); otherwise the footer min/max must
+// it would resolve via this ID); otherwise the zone's min/max must
 // exclude the range. Zones without ranges (strings, bools, nested
 // values, NaN-poisoned floats) prove nothing.
 func zoneExcludes(z storage.AttrZone, op string, val types.Datum) bool {
@@ -367,7 +367,7 @@ func extractionAtom(x *exec.CallExpr, resolver exec.AttrResolver) (col int, key 
 
 // zoneCond matches extraction-atom-vs-constant comparisons for segment
 // zone-map pruning. Any-probe extractions are excluded: they return the
-// textual form of whatever typed attribute matches, so the footer's
+// textual form of whatever typed attribute matches, so the zone's
 // numeric extrema do not bound the atom's comparison behaviour.
 func zoneCond(l, r exec.Expr, op string, resolver exec.AttrResolver) (skipCond, bool) {
 	call, okc := l.(*exec.CallExpr)

@@ -132,10 +132,12 @@ type Heap struct {
 	// skip summaries (pageskip.go).
 	summarizers map[int]AttrSummarizer
 	// segmenter stripes cold pages into column segments (segment.go);
-	// frozen counts the pages currently in striped form.
+	// frozen counts the pages currently in striped form, and segBytes the
+	// bytes of their segments.
 	segmenter      ColumnSegmenter
 	freezeMinPages int
 	frozen         int
+	segBytes       int64
 	// epoch counts publishes; snap holds the latest published snapshot
 	// (snapshot.go).
 	epoch uint64
@@ -660,6 +662,7 @@ func (h *Heap) RewritePage(pi int, fn func(Row) (Row, error)) (bool, error) {
 	h.bytes += delta
 	if p.frozen != nil {
 		h.frozen--
+		h.segBytes -= p.frozen.segBytes
 	}
 	if p.shared {
 		h.recordCoW()
@@ -723,7 +726,7 @@ func (h *Heap) materializeAllRows() (rowsByPage [][]Row, unfroze int, err error)
 // finishRewrite settles counters after a whole-heap page rewrite: all
 // pages are row-form again and byte totals are recomputed.
 func (h *Heap) finishRewrite(unfroze int) {
-	h.frozen = 0
+	h.frozen, h.segBytes = 0, 0
 	if unfroze > 0 && h.pager != nil {
 		h.pager.recordSegUnfrozen(int64(unfroze))
 	}
@@ -742,7 +745,7 @@ func (h *Heap) Truncate() {
 	h.pages = nil
 	h.nrows = 0
 	h.bytes = 0
-	h.frozen = 0
+	h.frozen, h.segBytes = 0, 0
 }
 
 // Pager models storage I/O by counting bytes read and written. The harness

@@ -98,7 +98,7 @@ func (s *PageSummary) usableRange(col int) *colRange {
 }
 
 // AttrZone returns the zone map of attribute id within column col, when
-// the page is frozen and its segment footer recorded one. ok=false means
+// the page is frozen and its segment knows one. ok=false means
 // "no zone known" — callers must not skip on it.
 func (s *PageSummary) AttrZone(col int, id uint32) (AttrZone, bool) {
 	if !s.usable() {
@@ -113,7 +113,7 @@ func (s *PageSummary) AttrZone(col int, id uint32) (AttrZone, bool) {
 
 // setZones makes zm, the frozen segment of column col, answer the column's
 // zone-map lookups. The summary holds the segment, not a copy of its
-// footer.
+// zones.
 func (s *PageSummary) setZones(col int, zm ZoneMapped) {
 	if s.zones == nil {
 		s.zones = make(map[int]ZoneMapped)
@@ -191,7 +191,7 @@ func (h *Heap) noteRow(s *PageSummary, row Row) {
 
 // noteRowExcept is noteRow with the attribute summarizers suppressed for
 // the columns in skipAttrs (freeze-time summaries take those columns'
-// attribute sets from the segment footer instead of per-record parses).
+// attribute sets from the segment instead of per-record parses).
 // Range tracking is unaffected.
 func (h *Heap) noteRowExcept(s *PageSummary, row Row, skipAttrs map[int]bool) {
 	if !s.valid {

@@ -29,6 +29,8 @@ type ColumnSegment interface {
 	// Values reconstructs the column's row-format datums into dst, which
 	// has NumRows entries (the un-freeze and row-path read).
 	Values(dst []types.Datum) error
+	// SizeBytes returns the bytes the encoded segment holds.
+	SizeBytes() int64
 }
 
 // ColumnSegmenter stripes one column of a full page. vals holds the
@@ -49,7 +51,7 @@ type AttrZone struct {
 }
 
 // ZoneMapped is implemented by ColumnSegments that expose per-attribute
-// zone maps (the serial segment footer's min/max and presence counts).
+// zone maps (the serial segment's min/max and presence counts).
 // Freezing attaches the segment itself to the page summary, which asks it
 // for one attribute's zone at a time, so scans skip whole frozen pages on
 // attribute-level range predicates before decoding them.
@@ -77,8 +79,9 @@ type FrozenCol struct {
 
 // FrozenPage is the striped form of one full heap page.
 type FrozenPage struct {
-	n    int
-	cols []FrozenCol
+	n        int
+	cols     []FrozenCol
+	segBytes int64 // the SizeBytes of the page's segments
 
 	rowsOnce sync.Once
 	rows     []Row // lazy row-form cache for row-path readers
@@ -237,6 +240,7 @@ func (h *Heap) freezePageAt(pi int) bool {
 				return false
 			}
 			fp.cols[j] = FrozenCol{Seg: seg}
+			fp.segBytes += seg.SizeBytes()
 			continue
 		}
 		nulls := make([]uint64, (len(vals)+63)/64)
@@ -260,7 +264,7 @@ func (h *Heap) freezePageAt(pi int) bool {
 	packPayloads(fp.cols)
 	// The page summary outlives the rows: frozen pages are immutable, so
 	// build it now if stale. Segment-striped columns contribute their
-	// attribute-ID sets straight from the segment footer — no per-record
+	// attribute-ID sets straight from the segment — no per-record
 	// summarizer parses — and become attribute-tracked even without a
 	// summarizer, so extractions over any striped column can skip pages.
 	sum := p.sum.clone()
@@ -291,11 +295,12 @@ func (h *Heap) freezePageAt(pi int) bool {
 	}
 	// Zone maps attach whether the summary was just built or carried over
 	// from incremental inserts: the page is immutable from here on, so the
-	// footer extrema stay exact until un-freeze invalidates the summary.
+	// segment's extrema stay exact until un-freeze invalidates the summary.
 	sum.attachZones(fp)
 	sum.rebaseRanges(fp)
 	h.pages[pi] = &page{frozen: fp, bytes: p.bytes, sum: sum}
 	h.frozen++
+	h.segBytes += fp.segBytes
 	return true
 }
 

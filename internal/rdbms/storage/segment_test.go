@@ -16,6 +16,7 @@ type fakeSegment struct {
 
 func (f *fakeSegment) NumRows() int      { return len(f.vals) }
 func (f *fakeSegment) AttrIDs() []uint32 { return nil }
+func (f *fakeSegment) SizeBytes() int64  { return int64(len(f.vals)) * 24 }
 func (f *fakeSegment) Values(dst []types.Datum) error {
 	copy(dst, f.vals)
 	return nil

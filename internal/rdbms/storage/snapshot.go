@@ -59,14 +59,15 @@ type ReadView interface {
 // plus the row/byte/frozen counters and schema of the publishing moment.
 // It is safe for any number of concurrent readers and holds no locks.
 type HeapSnapshot struct {
-	owner  *Heap
-	schema *Schema
-	pages  []*page
-	nrows  int64
-	bytes  int64
-	frozen int
-	epoch  uint64
-	pager  *Pager
+	owner    *Heap
+	schema   *Schema
+	pages    []*page
+	nrows    int64
+	bytes    int64
+	frozen   int
+	segBytes int64
+	epoch    uint64
+	pager    *Pager
 }
 
 // Publish freezes the heap's current state into a new snapshot and makes
@@ -81,14 +82,15 @@ func (h *Heap) Publish() uint64 {
 	}
 	h.epoch++
 	h.snap.Store(&HeapSnapshot{
-		owner:  h,
-		schema: h.schema,
-		pages:  pages,
-		nrows:  h.nrows,
-		bytes:  h.bytes,
-		frozen: h.frozen,
-		epoch:  h.epoch,
-		pager:  h.pager,
+		owner:    h,
+		schema:   h.schema,
+		pages:    pages,
+		nrows:    h.nrows,
+		bytes:    h.bytes,
+		frozen:   h.frozen,
+		segBytes: h.segBytes,
+		epoch:    h.epoch,
+		pager:    h.pager,
 	})
 	if h.pager != nil {
 		h.pager.recordSnapshotPublish()
@@ -141,6 +143,10 @@ func (s *HeapSnapshot) NumPages() int { return len(s.pages) }
 
 // NumFrozenPages returns the frozen-page count at publish time.
 func (s *HeapSnapshot) NumFrozenPages() int { return s.frozen }
+
+// SegmentBytes returns the bytes of the frozen pages' segments at publish
+// time: memory beside the row bytes SizeBytes counts, not part of them.
+func (s *HeapSnapshot) SegmentBytes() int64 { return s.segBytes }
 
 // Segmented reports whether any page of the snapshot is frozen.
 func (s *HeapSnapshot) Segmented() bool { return s.frozen > 0 }
@@ -226,6 +232,7 @@ func (h *Heap) writableRowPage(pi int) (*page, error) {
 		}
 		np.rows = append(make([]Row, 0, max(rowsPerPage, len(rows))), rows...)
 		h.frozen--
+		h.segBytes -= p.frozen.segBytes
 		if h.pager != nil {
 			h.pager.recordSegUnfrozen(1)
 		}

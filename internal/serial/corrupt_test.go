@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/sinewdata/sinew/internal/jsonx"
@@ -345,7 +347,7 @@ func segDirEntry(t testing.TB, seg []byte, id uint32) int {
 	f := seg[footerOff : len(seg)-u32]
 	ncols := int(binary.LittleEndian.Uint32(f[u32:]))
 	for ci := 0; ci < ncols; ci++ {
-		off := footerOff + 5*u32 + ci*segColDirBytes
+		off := footerOff + segFooterHead + ci*segColDirBytes
 		if binary.LittleEndian.Uint32(seg[off:]) == id {
 			return off
 		}
@@ -406,6 +408,135 @@ func corruptZoneMutants(t testing.TB, seg []byte, dict *Dictionary) map[string][
 	m["truncated-presence-bitmap"] = bad
 
 	return m
+}
+
+// sparseEntries decodes the sparse index of an encoded segment as (ID,
+// row<<segEncBits|encoding) pairs.
+func sparseEntries(seg []byte) [][2]uint32 {
+	footerOff := int(binary.LittleEndian.Uint32(seg[len(seg)-u32:]))
+	at := int(binary.LittleEndian.Uint32(seg[footerOff+5*u32:]))
+	out := make([][2]uint32, binary.LittleEndian.Uint32(seg[footerOff+6*u32:]))
+	for k := range out {
+		out[k] = [2]uint32{binary.LittleEndian.Uint32(seg[at:]), binary.LittleEndian.Uint32(seg[at+u32:])}
+		at += segEntryBytes
+	}
+	return out
+}
+
+// withEntries returns seg with its sparse index — which the encoder puts
+// right before the footer — replaced by entries.
+func withEntries(seg []byte, entries [][2]uint32) []byte {
+	footerOff := int(binary.LittleEndian.Uint32(seg[len(seg)-u32:]))
+	sparseOff := int(binary.LittleEndian.Uint32(seg[footerOff+5*u32:]))
+	out := append([]byte(nil), seg[:sparseOff]...)
+	for _, e := range entries {
+		out = binary.LittleEndian.AppendUint32(out, e[0])
+		out = binary.LittleEndian.AppendUint32(out, e[1])
+	}
+	newFooter := len(out)
+	out = append(out, seg[footerOff:len(seg)-u32]...)
+	binary.LittleEndian.PutUint32(out[newFooter+6*u32:], uint32(len(entries)))
+	return binary.LittleEndian.AppendUint32(out, uint32(newFooter))
+}
+
+// segMutant is a corrupt segment and the error ParseSegment must give it.
+type segMutant struct {
+	data    []byte
+	wantErr string
+}
+
+// corruptSparseMutants breaks the sparse index of buildTestSegment's
+// segment in each way ParseSegment checks — entries out of order, a row
+// past the records, an entry on a NULL record or on one that lacks the
+// attribute, a value outside its record, a fixed-width value of the wrong
+// width, an attribute both sparse and sectioned — and stamps it with the
+// previous format version.
+func corruptSparseMutants(t testing.TB, seg []byte, dict *Dictionary) map[string]segMutant {
+	t.Helper()
+	idOf := func(key string, typ AttrType) uint32 {
+		id, ok := dict.IDOf(key, typ)
+		if !ok {
+			t.Fatalf("test segment lacks %s %s", typ, key)
+		}
+		return id
+	}
+	entries := sparseEntries(seg)
+	if len(entries) < 2 {
+		t.Fatal("test segment has no sparse index")
+	}
+	// rare_b is a bool in record 4 alone; retarget or re-type its entry.
+	rareB := -1
+	for k, e := range entries {
+		if e[0] == idOf("rare_b", TypeBool) {
+			rareB = k
+		}
+	}
+	if rareB < 0 || entries[rareB][1] != 4<<segEncBits|uint32(SegBool) {
+		t.Fatalf("rare_b is not sparse in record 4: %v", entries)
+	}
+	mutate := func(fn func(e [][2]uint32) [][2]uint32) []byte {
+		return withEntries(seg, fn(append([][2]uint32(nil), entries...)))
+	}
+	rareBAt := func(row int, enc SegEncoding) []byte {
+		return mutate(func(e [][2]uint32) [][2]uint32 {
+			e[rareB][1] = uint32(row)<<segEncBits | uint32(enc)
+			return e
+		})
+	}
+	m := map[string]segMutant{
+		"sparse-unsorted": {mutate(func(e [][2]uint32) [][2]uint32 {
+			e[0], e[1] = e[1], e[0]
+			return e
+		}), "not ascending"},
+		"sparse-row-past-n":        {rareBAt(24, SegBool), "past 24 records"},
+		"sparse-on-null-record":    {rareBAt(23, SegBool), "null record 23"},
+		"sparse-row-lacks-attr":    {rareBAt(1, SegBool), "not in record 1"},
+		"sparse-wrong-fixed-width": {rareBAt(4, SegInt), "int value of 1 bytes"},
+		"sparse-and-sectioned": {mutate(func(e [][2]uint32) [][2]uint32 {
+			i := [2]uint32{idOf("i", TypeInt), uint32(SegInt)}
+			k := 0
+			for k < len(e) && e[k][0] < i[0] {
+				k++
+			}
+			return slices.Insert(e, k, i)
+		}), "both sparse and sectioned"},
+	}
+
+	// Record 4's header offset of rare_b points past its body.
+	bad := append([]byte(nil), seg...)
+	footerOff := int(binary.LittleEndian.Uint32(seg[len(seg)-u32:]))
+	rawOff := int(binary.LittleEndian.Uint32(seg[footerOff+3*u32:]))
+	recAt := rawOff + 24*u32 + int(binary.LittleEndian.Uint32(seg[rawOff+3*u32:]))
+	h, err := parseHeader(seg[recAt:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot, ok := h.find(idOf("rare_b", TypeBool))
+	if !ok {
+		t.Fatal("record 4 lacks rare_b")
+	}
+	binary.LittleEndian.PutUint32(bad[recAt+u32*(1+h.n+slot):], h.bodyLen+1)
+	m["sparse-value-outside-record"] = segMutant{bad, "value outside record 4"}
+
+	bad = append([]byte(nil), seg...)
+	binary.LittleEndian.PutUint32(bad[u32:], segVersion-1)
+	m["old-version"] = segMutant{bad, "unsupported segment version 1"}
+	return m
+}
+
+// TestCorruptSparseIndex pins the sparse index's corruption contract: each
+// mutant is rejected by the check made for it, and no read path panics.
+func TestCorruptSparseIndex(t *testing.T) {
+	_, seg, dict := buildTestSegment(t)
+	if _, err := ParseSegment(withEntries(seg, sparseEntries(seg))); err != nil {
+		t.Fatalf("a segment rebuilt with its own index is rejected: %v", err)
+	}
+	for name, mu := range corruptSparseMutants(t, seg, dict) {
+		if _, err := ParseSegment(mu.data); err == nil || !strings.Contains(err.Error(), mu.wantErr) {
+			t.Errorf("%s: ParseSegment error %v, want one naming %q", name, err, mu.wantErr)
+		}
+		probeSegment(t, mu.data, dict)
+	}
 }
 
 // TestCorruptSegmentZoneMaps pins the zone-map corruption contract: every
@@ -537,7 +668,7 @@ func FuzzRecordReaders(f *testing.F) {
 	// Segment-format seeds: a valid segment plus the corruption classes
 	// ParseSegment validates (truncated footer, poisoned offsets, corrupt
 	// presence bitmaps).
-	_, seg, _ := buildTestSegment(f)
+	_, seg, segDict := buildTestSegment(f)
 	f.Add(seg)
 	f.Add(seg[:len(seg)-u32]) // footer pointer gone
 	f.Add(seg[:len(seg)/2])   // truncated mid-columns
@@ -547,9 +678,13 @@ func FuzzRecordReaders(f *testing.F) {
 		f.Add(badSeg)
 	}
 	// Adversarial zone maps: inverted/NaN extrema, misplaced range flags,
-	// count overflow, truncated bitmaps.
+	// count overflow, truncated bitmaps; and a corrupt sparse index, and
+	// the previous format version.
 	for _, badSeg := range corruptZoneMutants(f, seg, dict) {
 		f.Add(badSeg)
+	}
+	for _, mu := range corruptSparseMutants(f, seg, segDict) {
+		f.Add(mu.data)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		probeAll(t, b, dict)

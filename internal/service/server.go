@@ -322,6 +322,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	global("plan_cache_entries", int64(pc.Entries))
 	global("plan_cache_invalidations", int64(pc.Invalidations))
 	global("catalog_epoch", int64(pc.Epoch))
+	global("segment_bytes", rdb.SegmentBytes())
 	// The collector, read per scrape: how often it ran, and what it must
 	// mark (objects) and keep (bytes) after the last cycle.
 	gc := []runtimemetrics.Sample{

@@ -202,6 +202,9 @@ func TestServerEndToEnd(t *testing.T) {
 	// The collector's gauges are read per scrape: present, describing the
 	// last cycle, and the cycle count never goes back (a forced collection
 	// moves it on).
+	if _, ok := m["sinew_segment_bytes"]; !ok {
+		t.Error("sinew_segment_bytes missing from /metrics")
+	}
 	gcNames := []string{"sinew_gc_cycles_total", "sinew_heap_objects", "sinew_heap_live_bytes"}
 	for _, name := range gcNames {
 		if _, ok := m[name]; !ok {
