@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint race race-workers race-sessions stress-sessions bench-smoke check bench bench-diff fuzz fmt
+.PHONY: all build test vet lint race race-sessions stress-sessions bench-smoke check bench bench-diff fuzz fmt
 
 all: build
 
@@ -24,37 +24,10 @@ lint:
 race:
 	$(GO) test -race ./...
 
-# race-workers re-runs the executor differential tests (serial and
-# parallel pipelines against exec's reference, ref_test.go: the row
-# evaluator refEval and the operators written over row slices;
-# TestHashJoin* holds the serial probe — which every partitioned-probe
-# worker runs over one shared build table — to it too)
-# under the race detector at several GOMAXPROCS
-# settings: 1 forces serial plans, 2 and 8 vary worker counts and
-# goroutine interleavings through the morsel-driven pipelines, the one
-# scan loop under them (TestPropertyStriped*: frozen pages shared across
-# parallel partitions, row-form runs split between them, the UPDATE
-# un-freeze path) and the planner's barriers (a LIMIT or a volatile
-# predicate keeps a plan serial; the volatile call counts without a lock,
-# so a parallel plan is a reported race). The Top-N page bound leg
-# (TestTopNBound*) holds every Top-N whose scan skips pages on its bound to
-# the reference plan — serial, across three partitions, and beside a writer
-# appending pages under pinned snapshots. The final leg drives frozen-page
-# scans end to end through core.
-race-workers:
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestProperty|TestParallel|TestHashJoin' ./internal/rdbms/exec/
-	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'TestProperty|TestParallel|TestHashJoin' ./internal/rdbms/exec/
-	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestProperty|TestParallel|TestHashJoin' ./internal/rdbms/exec/
-	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'TestLimitOverFilteredScanStaysSerial|TestVolatilePredicateStaysSerial' ./internal/rdbms/plan/
-	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'TestTopNBound|TestTopNSkip' ./internal/core/ ./internal/rdbms/storage/
-	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestTopNBound|TestTopNSkip' ./internal/core/ ./internal/rdbms/storage/
-	GOMAXPROCS=8 $(GO) test -race -count=1 ./internal/rdbms/plan/ ./internal/core/
-	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestStriped|TestPropertyStriped|TestSegmented|TestSinewStats' ./internal/rdbms/exec/ ./internal/core/
-
 # race-sessions drives the concurrent-session surface added with sinewd
 # (DESIGN.md §10): the mixed writer/reader stress harness, the
 # snapshot-isolation differential test (every snapshot read must equal
-# the serial replay at its pinned epoch, across reference/batch/parallel
+# the serial replay at its pinned epoch, across reference and batch
 # plans), the torn-dirty-flag test (core's TestSnapshotTornDirty:
 # readers rewriting Q10 while a column's dirty bit flips under them), the
 # materializer beside SQL writers (no acknowledged UPDATE or DELETE lost to
@@ -92,11 +65,12 @@ bench-smoke:
 	$(GO) test -C benchmark .
 
 # check is the gate CI runs: static analysis plus the full test suite
-# under the race detector (the parallel pipelines are the main
-# concurrency surface), with extra GOMAXPROCS legs for the executor and
-# the concurrent-session/snapshot surface, and the benchmark module's
-# smoke test.
-check: vet lint race race-workers race-sessions bench-smoke
+# under the race detector (concurrent sessions — readers beside writers,
+# the materializer and sinewd — are the concurrency surface; a statement
+# runs on one goroutine), with extra GOMAXPROCS legs for the
+# concurrent-session/snapshot surface, and the benchmark module's smoke
+# test.
+check: vet lint race race-sessions bench-smoke
 
 # fuzz exercises the serializer's read side, its one-pass write side (JSON
 # bytes straight into the record builder, held to the tree path's answer),
@@ -119,7 +93,7 @@ fuzz:
 # one checked-in machine-readable Table 3 (load time per system) + Figure 6
 # + Table 5 + plan-cache report (ns/op and allocs/op per query). Run it
 # when a change moves allocs/op on purpose, and commit the result. It pins
-# one processor: allocs/op of a parallel plan is another number.
+# one processor.
 bench:
 	GOMAXPROCS=1 $(GO) test -bench . -benchmem -run '^$$' ./internal/bench/
 	GOMAXPROCS=1 $(GO) run ./cmd/sinewbench -json BENCH_BASELINE.json -small 4000

@@ -152,15 +152,14 @@ func command(db *core.DB, mat *core.Materializer, line string) error {
 		s := db.RDBMS().PlanCacheStats()
 		fmt.Printf("plan cache: %d hits, %d misses, %d entries, %d invalidations (epoch %d)\n",
 			s.Hits, s.Misses, s.Entries, s.Invalidations, s.Epoch)
-		skipped, workers := db.RDBMS().Pager().ExecStats()
-		fmt.Printf("executor: %d pages skipped, %d parallel workers since last reset\n",
-			skipped, workers)
-		zoneSkipped, selBatches, parStriped := db.RDBMS().Pager().SelStats()
-		fmt.Printf("striped: %d segments skipped by zone maps, %d selection-vector batches, %d parallel striped scans\n",
-			zoneSkipped, selBatches, parStriped)
-		sortBatches, topnShort, mergeParts := db.RDBMS().Pager().SortStats()
-		fmt.Printf("sort: %d batches sorted, %d top-n short circuits, %d sorted-merge partitions\n",
-			sortBatches, topnShort, mergeParts)
+		skipped, _ := db.RDBMS().Pager().ExecStats()
+		fmt.Printf("executor: %d pages skipped since last reset\n", skipped)
+		zoneSkipped, selBatches, _ := db.RDBMS().Pager().SelStats()
+		fmt.Printf("striped: %d segments skipped by zone maps, %d selection-vector batches\n",
+			zoneSkipped, selBatches)
+		sortBatches, topnShort, _ := db.RDBMS().Pager().SortStats()
+		fmt.Printf("sort: %d batches sorted, %d top-n short circuits\n",
+			sortBatches, topnShort)
 		snapOpen, snapEpoch, pagesCoW := db.RDBMS().SnapshotStats()
 		fmt.Printf("snapshots: %d pinned, epoch %d, %d pages copied-on-write, %d sessions active\n",
 			snapOpen, snapEpoch, pagesCoW, db.RDBMS().SessionsActive())

@@ -3,8 +3,7 @@ package bench
 import "testing"
 
 // TestPageSkipOnNoBench pins the page-skipping win on the NoBench
-// selections, independent of parallelism (GOMAXPROCS is irrelevant to
-// skipping): the materialized `num` column is the record index, so its
+// selections: the materialized `num` column is the record index, so its
 // per-page min/max ranges are disjoint and a BETWEEN touching ~0.1% of
 // records must read only the pages containing the match window. Each
 // query must also return exactly what the reference plan (enable_batch

@@ -435,7 +435,7 @@ func TestStoredValuesOwnTheirBytes(t *testing.T) {
 	}
 	schema, _ := db.rdb.TableSchema("c")
 	n := 0
-	it := heap.IterateRange(0, heap.NumPages())
+	it := heap.IterateChunks()
 	defer it.Close()
 	for {
 		pv, ok := it.ReadPage(storage.PageCapacity)

@@ -314,8 +314,6 @@ func TestTopNBoundSkipsNoBench(t *testing.T) {
 	if pages != n/storage.PageCapacity+1 || frozen != pages-1 {
 		t.Fatalf("fixture: %d pages, %d frozen; want a row-form tail after %d frozen pages", pages, frozen, n/storage.PageCapacity)
 	}
-	// Serial, as the benchmark runs: a gather partition bounds its own pages.
-	mustSet(t, db, `SET max_parallel_workers = 1`)
 	for _, c := range []struct {
 		limit int
 		read  int // pages the bound must leave: the tail, then the last frozen page

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -65,19 +64,15 @@ func refDB(t *testing.T) *DB {
 // the reference the differential tests and the benchmark's oracle compare
 // against. Every statement below takes at least one shortcut in the
 // default plan — a page skip on a filter or a Top-N bound, a zone-map
-// skip, a Top-N, a fused extraction, the fused projection collector, a
-// parallel gather — and under the reference none of them: EXPLAIN shows no
-// Top-N, Page Skip, Gather or Multi Extract, the skip and short-circuit
+// skip, a Top-N, a fused extraction, the fused projection collector —
+// and under the reference none of them: EXPLAIN shows no Top-N, Page Skip
+// or Multi Extract, the skip and short-circuit
 // counters do not move, and the answer is the default plan's.
 func TestReferencePlanTakesNoShortcut(t *testing.T) {
-	old := runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0)))
-	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 	db := refDB(t)
-	mustSet(t, db, `SET max_parallel_workers = 4`, `SET parallel_scan_min_pages = 1`)
-	defer mustSet(t, db, `SET enable_batch = on`, `SET max_parallel_workers = 0`,
-		`SET parallel_scan_min_pages = 4`)
+	defer mustSet(t, db, `SET enable_batch = on`)
 
-	shortcuts := []string{"Top-N", "Page Skip", "Gather", "Multi Extract"}
+	shortcuts := []string{"Top-N", "Page Skip", "Multi Extract"}
 	counters := []string{"pages_skipped", "segments_skipped_zonemap", "topn_short_circuits"}
 	queries := []string{
 		`SELECT id FROM ref WHERE num > 1500`,                                        // page skip
@@ -85,8 +80,8 @@ func TestReferencePlanTakesNoShortcut(t *testing.T) {
 		`SELECT id, num FROM ref ORDER BY num LIMIT 5`,                               // Top-N, its page bound
 		`SELECT str2, grp, zv FROM ref`,                                              // fused extraction
 		`SELECT str1, num FROM ref`,                                                  // Q1: the fused collector
-		`SELECT grp, COUNT(*), SUM(num) FROM ref WHERE num >= 100 GROUP BY grp`,      // two-phase gather
-		`SELECT r.id, s.name FROM ref r, side s WHERE r.grp = s.grp AND r.num < 300`, // partitioned probe
+		`SELECT grp, COUNT(*), SUM(num) FROM ref WHERE num >= 100 GROUP BY grp`,      // page skip under an aggregate
+		`SELECT r.id, s.name FROM ref r, side s WHERE r.grp = s.grp AND r.num < 300`, // page skip under a join
 	}
 
 	// run executes q under settings and reports its EXPLAIN text, its

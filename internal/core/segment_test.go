@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,10 +20,6 @@ import (
 // documents give three freezable pages plus a row-form tail).
 func segmentDB(t *testing.T) (*DB, int) {
 	t.Helper()
-	// The planner caps workers at GOMAXPROCS; raise it so the parallel
-	// legs genuinely parallelize even on single-CPU runners.
-	old := runtime.GOMAXPROCS(4)
-	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 	db := Open(DefaultConfig())
 	if err := db.CreateCollection("d"); err != nil {
 		t.Fatal(err)
@@ -66,7 +61,8 @@ func mustSet(t *testing.T, db *DB, stmts ...string) {
 }
 
 // sortedResultKey flattens a result to an order-insensitive comparable
-// string: the parallel leg's gather may interleave partitions.
+// string, for statements without an ORDER BY, whose row order no plan
+// promises.
 func sortedResultKey(res *QueryResult) string {
 	lines := strings.Split(resultKey(res), "\n")
 	sort.Strings(lines)
@@ -74,20 +70,15 @@ func sortedResultKey(res *QueryResult) string {
 }
 
 // segmentLegs are the executor configurations every query must agree
-// across: the reference plan (enable_batch off: no shortcut), the default
-// serial plan (its scan aliasing frozen pages and transposing row-form
-// ones as it meets them), and the same plan under parallel gathers.
+// across: the reference plan (enable_batch off: no shortcut) and the
+// default plan (its scan aliasing frozen pages and transposing row-form
+// ones as it meets them).
 var segmentLegs = []struct {
 	name  string
 	stmts []string
 }{
-	{"reference", []string{
-		`SET enable_batch = off`, `SET max_parallel_workers = 1`}},
-	{"batch", []string{
-		`SET enable_batch = on`, `SET max_parallel_workers = 1`}},
-	{"batch-parallel", []string{
-		`SET enable_batch = on`,
-		`SET max_parallel_workers = 4`, `SET parallel_scan_min_pages = 1`}},
+	{"reference", []string{`SET enable_batch = off`}},
+	{"batch", []string{`SET enable_batch = on`}},
 }
 
 // runSegmentLegs runs every query under every leg and fails on any
@@ -136,7 +127,7 @@ func TestStripedSegmentDifferential(t *testing.T) {
 		`SELECT num FROM d WHERE "user.lang" = 'en' AND num >= 0`,
 		// Cardinality-changing consumers above selection-carrying batches.
 		// Unique ordered groups keep the LIMIT prefix deterministic across
-		// the serial and parallel legs.
+		// the legs.
 		`SELECT num, COUNT(*) FROM d WHERE num >= 5 GROUP BY num ORDER BY num LIMIT 7`,
 		`SELECT name, num FROM d WHERE num < 15 ORDER BY num, name LIMIT 9`,
 	}
@@ -166,11 +157,10 @@ func TestStripedSegmentDifferential(t *testing.T) {
 
 // TestSegmentedExplain pins the EXPLAIN surface over a segmented heap: the
 // scan has no mode to advertise, the fused extraction above it says when
-// it reads segment vectors, a filtered scan gathers, and the switch that
-// used to turn the frozen-page path off is an unknown name.
+// it reads segment vectors, and the switch that used to turn the
+// frozen-page path off is an unknown name.
 func TestSegmentedExplain(t *testing.T) {
 	db, _ := segmentDB(t)
-	mustSet(t, db, `SET max_parallel_workers = 1`)
 	text, err := db.Explain(`SELECT name, num FROM d`)
 	if err != nil {
 		t.Fatal(err)
@@ -178,16 +168,6 @@ func TestSegmentedExplain(t *testing.T) {
 	if !strings.Contains(text, "(fused extract: 2 keys, striped)") ||
 		!strings.Contains(text, "Seq Scan on d (batch)") {
 		t.Errorf("EXPLAIN over a segmented heap:\n%s", text)
-	}
-	mustSet(t, db, `SET max_parallel_workers = 4`, `SET parallel_scan_min_pages = 1`)
-	text, err = db.Explain(`SELECT name FROM d WHERE num >= 10`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"Gather (batch, parallel)", "Merge: ordered", "Seq Scan on d (batch)"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("parallel filtered EXPLAIN should show %q:\n%s", want, text)
-		}
 	}
 	if _, err := db.RDBMS().Exec(`SET enable_striped = off`); err == nil ||
 		!strings.Contains(err.Error(), "unrecognized configuration parameter") {
@@ -224,7 +204,7 @@ func eachFrozenSegment(t *testing.T, db *DB, table string, fn func(storage.Colum
 		t.Fatal(err)
 	}
 	snap := heap.CurrentSnapshot()
-	it := snap.IterateRange(0, snap.NumPages())
+	it := snap.IterateChunks()
 	for {
 		pv, ok := it.ReadPage(storage.PageCapacity)
 		if !ok {
@@ -438,27 +418,16 @@ func TestSinewStatsSegmentCounters(t *testing.T) {
 }
 
 // TestSinewStatsSelCounters checks the selection-vector observability
-// surface: filtered scans count the sel batches their frozen pages emit,
-// and scans of a segmented heap under a parallel gather are counted
-// separately.
+// surface: filtered scans count the sel batches their frozen pages emit.
 func TestSinewStatsSelCounters(t *testing.T) {
 	db, _ := segmentDB(t)
-	mustSet(t, db, `SET enable_batch = on`, `SET max_parallel_workers = 1`)
+	mustSet(t, db, `SET enable_batch = on`)
 	selBefore := statCounter(t, db, "sel_vector_batches")
 	if _, err := db.Query(`SELECT name, num FROM d WHERE num >= 10`); err != nil {
 		t.Fatal(err)
 	}
 	if got := statCounter(t, db, "sel_vector_batches"); got <= selBefore {
 		t.Errorf("sel_vector_batches stuck at %d after a filtered scan of frozen pages", got)
-	}
-
-	parBefore := statCounter(t, db, "parallel_striped_scans")
-	mustSet(t, db, `SET max_parallel_workers = 4`, `SET parallel_scan_min_pages = 1`)
-	if _, err := db.Query(`SELECT name, num FROM d WHERE num >= 10`); err != nil {
-		t.Fatal(err)
-	}
-	if got := statCounter(t, db, "parallel_striped_scans"); got <= parBefore {
-		t.Errorf("parallel_striped_scans stuck at %d after a parallel scan of frozen pages", got)
 	}
 }
 

@@ -2,13 +2,9 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
-
-	"github.com/sinewdata/sinew/internal/rdbms/storage"
 )
 
 // TestSinewStatsSnapshotCounters checks the concurrency observability
@@ -111,66 +107,6 @@ func TestSinewStatsSnapshotCounters(t *testing.T) {
 		}
 	}
 	t.Fatalf("sinew_stats output lacks snapshots_open: %q", text)
-}
-
-// TestGatherErrorReleasesPins fails a statement inside a parallel plan —
-// a CAST of text to int on partition 0's first page, while the other
-// partitions run on — under each of the four merges: the statement returns
-// the serial plan's error, and no worker goroutine or snapshot pin outlives
-// it.
-func TestGatherErrorReleasesPins(t *testing.T) {
-	old := runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0)))
-	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
-	db := Open(DefaultConfig())
-	mustSet(t, db, `CREATE TABLE gerr (a INT, s TEXT)`, `CREATE TABLE gsmall (a INT)`,
-		`INSERT INTO gsmall VALUES (1), (2), (3)`)
-	var sb strings.Builder
-	sb.WriteString(`INSERT INTO gerr VALUES `)
-	for i := 0; i < 8*storage.PageCapacity; i++ {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		s := "x"
-		if i >= storage.PageCapacity {
-			s = strconv.Itoa(i)
-		}
-		fmt.Fprintf(&sb, "(%d, '%s')", i, s)
-	}
-	mustSet(t, db, sb.String())
-
-	for _, tc := range []struct{ merge, sql string }{
-		{"ordered", `SELECT a FROM gerr WHERE CAST(s AS INT) >= 0`},
-		{"two-phase agg", `SELECT a % 3, COUNT(*) FROM gerr WHERE CAST(s AS INT) >= 0 GROUP BY a % 3`},
-		{"partitioned probe", `SELECT gerr.a FROM gerr, gsmall WHERE gerr.a = gsmall.a AND CAST(gerr.s AS INT) >= 0`},
-		{"sorted", `SELECT a FROM gerr WHERE CAST(s AS INT) >= 0 ORDER BY a DESC`},
-	} {
-		mustSet(t, db, `SET max_parallel_workers = 1`)
-		_, want := db.Query(tc.sql)
-		if want == nil {
-			t.Fatalf("%s: the serial plan did not fail", tc.merge)
-		}
-		mustSet(t, db, `SET max_parallel_workers = 4`, `SET parallel_scan_min_pages = 1`)
-		text, err := db.Explain(tc.sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(text, "Merge: "+tc.merge) {
-			t.Fatalf("%s: no such gather in\n%s", tc.merge, text)
-		}
-		base := runtime.NumGoroutine()
-		if _, err := db.Query(tc.sql); err == nil || err.Error() != want.Error() {
-			t.Errorf("%s: error %v, want the serial plan's %v", tc.merge, err, want)
-		}
-		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: %d goroutines after the statement, %d before", tc.merge, runtime.NumGoroutine(), base)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		if open := statCounter(t, db, "snapshots_open"); open != 0 {
-			t.Errorf("%s: snapshots_open = %d after the failed statement", tc.merge, open)
-		}
-	}
 }
 
 // TestSortedOperatorErrorsReleasePins fails a statement inside each of

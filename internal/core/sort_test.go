@@ -8,11 +8,9 @@ import (
 // TestOrderByDifferential pins the batch-native sort's correctness
 // contract: ORDER BY (multi-key, ASC/DESC, NULL ordering, virtual and
 // multi-typed keys) and ORDER BY + LIMIT return byte-identical results —
-// same rows, same order — across the reference plan, the serial batch
-// pipeline, the striped scan, and the parallel sorted-merge gather. The
-// comparison is order-preserving on purpose: local stable sorts over
-// ascending page ranges merged with a partition-index tie-break must
-// reproduce the serial stable sort exactly, ties included.
+// same rows, same order — across the reference plan and the batch
+// pipeline over the striped scan. The comparison is order-preserving on
+// purpose: both sorts are stable, ties included.
 func TestOrderByDifferential(t *testing.T) {
 	db, _ := segmentDB(t)
 	queries := []string{
@@ -54,67 +52,43 @@ func TestOrderByDifferential(t *testing.T) {
 	mustSet(t, db, segmentLegs[0].stmts...)
 }
 
-// TestOrderByExplain pins the EXPLAIN surface of the sorted-merge gather:
-// a parallel ORDER BY shows "Gather" with "Merge: sorted", ORDER BY +
-// LIMIT substitutes a bounded "Top-N", and the serial batch plan labels
-// its sort as batch.
+// TestOrderByExplain pins the EXPLAIN surface of the sort: ORDER BY +
+// LIMIT substitutes a bounded "Top-N", and the batch plan labels its sort
+// as batch.
 func TestOrderByExplain(t *testing.T) {
 	db, _ := segmentDB(t)
-	mustSet(t, db, `SET enable_batch = on`,
-		`SET max_parallel_workers = 4`, `SET parallel_scan_min_pages = 1`)
+	mustSet(t, db, `SET enable_batch = on`)
 
-	text, err := db.Explain(`SELECT name, num FROM d ORDER BY num`)
+	text, err := db.Explain(`SELECT name, num FROM d ORDER BY num LIMIT 7`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Gather", "Merge: sorted"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("parallel ORDER BY EXPLAIN should show %q:\n%s", want, text)
-		}
+	if !strings.Contains(text, "Top-N") {
+		t.Errorf("ORDER BY LIMIT EXPLAIN should show a Top-N:\n%s", text)
 	}
 
-	text, err = db.Explain(`SELECT name, num FROM d ORDER BY num LIMIT 7`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"Top-N", "Merge: sorted"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("parallel ORDER BY LIMIT EXPLAIN should show %q:\n%s", want, text)
-		}
-	}
-
-	mustSet(t, db, `SET max_parallel_workers = 1`)
 	text, err = db.Explain(`SELECT name, num FROM d ORDER BY num`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(text, "Sort") || !strings.Contains(text, "(batch)") {
-		t.Errorf("serial batch ORDER BY EXPLAIN should show a batch Sort:\n%s", text)
+		t.Errorf("batch ORDER BY EXPLAIN should show a batch Sort:\n%s", text)
 	}
 	mustSet(t, db, segmentLegs[0].stmts...)
 }
 
 // TestSinewStatsSortCounters checks the sort observability surface:
-// batch sorts count the batches they accumulate, parallel sorts count
-// their merge partitions, and bounded Top-N counts heap short-circuits.
+// batch sorts count the batches they accumulate, and bounded Top-N counts
+// heap short-circuits.
 func TestSinewStatsSortCounters(t *testing.T) {
 	db, _ := segmentDB(t)
-	mustSet(t, db, `SET enable_batch = on`, `SET max_parallel_workers = 1`)
+	mustSet(t, db, `SET enable_batch = on`)
 	before := statCounter(t, db, "sort_batches")
 	if _, err := db.Query(`SELECT name, num FROM d ORDER BY num`); err != nil {
 		t.Fatal(err)
 	}
 	if got := statCounter(t, db, "sort_batches"); got <= before {
 		t.Errorf("sort_batches stuck at %d after a batch sort", got)
-	}
-
-	mustSet(t, db, `SET max_parallel_workers = 4`, `SET parallel_scan_min_pages = 1`)
-	mergeBefore := statCounter(t, db, "sorted_merge_partitions")
-	if _, err := db.Query(`SELECT name, num FROM d ORDER BY num`); err != nil {
-		t.Fatal(err)
-	}
-	if got := statCounter(t, db, "sorted_merge_partitions"); got <= mergeBefore {
-		t.Errorf("sorted_merge_partitions stuck at %d after a parallel sort", got)
 	}
 
 	shortBefore := statCounter(t, db, "topn_short_circuits")

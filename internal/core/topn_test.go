@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -14,17 +13,14 @@ import (
 )
 
 // topnLegs are the executor configurations a Top-N must agree across: the
-// reference plan's full sort + LIMIT (no page is ever skipped), the serial
-// Top-N over a scan bounded by its page summaries, and the same under a
-// gather of three partitions, each bounding its own pages.
+// reference plan's full sort + LIMIT (no page is ever skipped) and the
+// Top-N over a scan bounded by its page summaries.
 var topnLegs = []struct {
 	name  string
 	stmts []string
 }{
-	{"reference", []string{`SET enable_batch = off`, `SET max_parallel_workers = 1`}},
-	{"batch", []string{`SET enable_batch = on`, `SET max_parallel_workers = 1`}},
-	{"parallel", []string{`SET enable_batch = on`,
-		`SET max_parallel_workers = 3`, `SET parallel_scan_min_pages = 1`}},
+	{"reference", []string{`SET enable_batch = off`}},
+	{"batch", []string{`SET enable_batch = on`}},
 }
 
 // runTopNLegs runs every query under every leg through query and fails on
@@ -128,13 +124,9 @@ func topnDB(t *testing.T) *DB {
 // NULL keys under DESC and ASC, an Int/Float-mixed column and a Text
 // column, ties at the N-th key spanning pages, pages with deleted slots, a
 // page un-frozen by UPDATE, LIMIT at and past the row count, multi-key
-// orders, three partitions, a column added by ALTER, and readers pinning
-// snapshots while a writer appends pages.
+// orders, a column added by ALTER, and readers pinning snapshots while a
+// writer appends pages.
 func TestTopNBoundDifferential(t *testing.T) {
-	// Three partitions need three processors' worth of workers.
-	old := runtime.GOMAXPROCS(max(3, runtime.GOMAXPROCS(0)))
-	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
-
 	t.Run("collection", func(t *testing.T) {
 		db := topnDB(t)
 		if heap, _, err := db.RDBMS().Table("tn"); err != nil || heap.NumFrozenPages() != 10 {
@@ -282,7 +274,7 @@ func TestTopNBoundDifferential(t *testing.T) {
 			}
 			want[q] = resultKey(res)
 		}
-		mustSet(t, db, topnLegs[2].stmts...)
+		mustSet(t, db, topnLegs[1].stmts...)
 
 		const batches, per = 64, 40
 		done := make(chan struct{})

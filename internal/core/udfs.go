@@ -11,10 +11,10 @@ import (
 )
 
 // tojsonBufPool recycles sinew_tojson's render buffer. The UDF closure is
-// shared across parallel pipeline workers, so the scratch cannot live in
-// the closure; a pool keeps the per-row append-growth allocations (a ~1 KB
-// document regrows its buffer several times from empty) down to one
-// amortized buffer per worker.
+// shared by every session's statements, which run concurrently, so the
+// scratch cannot live in the closure; a pool keeps the per-row
+// append-growth allocations (a ~1 KB document regrows its buffer several
+// times from empty) down to one amortized buffer per running statement.
 var tojsonBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // Cost constants for the optimizer (abstract units per call). Extraction
@@ -203,29 +203,25 @@ func (db *DB) registerUDFs() {
 
 	// sinew_stats() reports runtime counters — the prepared-plan cache, the
 	// frozen pages and their segments' bytes, plus the executor's page-skip
-	// and parallel-worker totals since the last pager reset — as a one-line
-	// text summary.
+	// and operator totals since the last pager reset — as a one-line text
+	// summary.
 	db.rdb.RegisterFunc(&exec.FuncDef{
 		Name: "sinew_stats", MinArgs: 0, MaxArgs: 0,
 		RetType:     func([]types.Type) types.Type { return types.Text },
 		CostPerCall: 0.01,
 		Opaque:      true,
-		// Reads global mutable counters: evaluating it from concurrent
-		// pipeline workers would interleave with the counters it reports.
-		Volatile: true,
 		Eval: func([]types.Datum) (types.Datum, error) {
 			s := db.rdb.PlanCacheStats()
-			skipped, workers := db.rdb.Pager().ExecStats()
+			skipped, _ := db.rdb.Pager().ExecStats()
 			segScanned, segUnfrozen := db.rdb.Pager().SegStats()
-			zoneSkipped, selBatches, parStriped := db.rdb.Pager().SelStats()
-			sortBatches, topnShort, mergeParts := db.rdb.Pager().SortStats()
+			zoneSkipped, selBatches, _ := db.rdb.Pager().SelStats()
+			sortBatches, topnShort, _ := db.rdb.Pager().SortStats()
 			snapOpen, snapEpoch, pagesCoW := db.rdb.SnapshotStats()
 			return types.NewText(fmt.Sprintf(
-				"plan_cache hits=%d misses=%d entries=%d invalidations=%d epoch=%d exec pages_skipped=%d parallel_workers=%d segments_total=%d segment_bytes=%d segments_scanned=%d segment_pages_unfrozen=%d segments_skipped_zonemap=%d sel_vector_batches=%d parallel_striped_scans=%d sort_batches=%d topn_short_circuits=%d sorted_merge_partitions=%d snapshots_open=%d snapshot_epoch=%d pages_cow=%d sessions_active=%d",
-				s.Hits, s.Misses, s.Entries, s.Invalidations, s.Epoch, skipped, workers,
+				"plan_cache hits=%d misses=%d entries=%d invalidations=%d epoch=%d exec pages_skipped=%d segments_total=%d segment_bytes=%d segments_scanned=%d segment_pages_unfrozen=%d segments_skipped_zonemap=%d sel_vector_batches=%d sort_batches=%d topn_short_circuits=%d snapshots_open=%d snapshot_epoch=%d pages_cow=%d sessions_active=%d",
+				s.Hits, s.Misses, s.Entries, s.Invalidations, s.Epoch, skipped,
 				db.rdb.FrozenPages(), db.rdb.SegmentBytes(), segScanned, segUnfrozen,
-				zoneSkipped, selBatches, parStriped,
-				sortBatches, topnShort, mergeParts,
+				zoneSkipped, selBatches, sortBatches, topnShort,
 				snapOpen, snapEpoch, pagesCoW, db.rdb.SessionsActive())), nil
 		},
 	})
@@ -240,8 +236,8 @@ func (db *DB) registerUDFs() {
 		func(reqs []exec.MultiExtractReq) (exec.MultiExtractKernel, error) {
 			// The dictionary IDs are resolved at plan-open time; the
 			// extractor's scratch is reused across every row this kernel
-			// instance sees (one instance per Open, so no cross-goroutine
-			// sharing).
+			// instance sees (one instance per Open, so no sharing between
+			// statements).
 			x := newRowExtractor(reqs, db.dict())
 			return func(data []types.Datum, out [][]types.Datum) error {
 				for i, d := range data {

@@ -7,7 +7,7 @@ import (
 
 // SnapshotPin enforces the snapshot read discipline that makes concurrent
 // sessions sound (DESIGN.md §10). A live Heap's scan-entry methods — Scan,
-// Iterate, IterateRange, Get, Partitions — read the mutable page table,
+// Iterate, IterateChunks, Get — read the mutable page table,
 // which writers republish in place; calling them outside the package that
 // owns the heap races with every concurrent INSERT/UPDATE/ANALYZE unless
 // the caller holds the table's write lock. Reader code must instead pin an
@@ -33,11 +33,10 @@ func (*SnapshotPin) Doc() string {
 // table. Mutators (Insert, Update, Delete) are not listed: they are
 // write-lock territory by definition and MutexGuard covers that side.
 var snapshotScanEntries = map[string]bool{
-	"Scan":         true,
-	"Iterate":      true,
-	"IterateRange": true,
-	"Get":          true,
-	"Partitions":   true,
+	"Scan":          true,
+	"Iterate":       true,
+	"IterateChunks": true,
+	"Get":           true,
 }
 
 // Run implements Check.

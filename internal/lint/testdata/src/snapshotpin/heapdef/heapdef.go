@@ -7,9 +7,6 @@ package heapdef
 // Row is one stored tuple.
 type Row []int64
 
-// PageRange is a half-open page interval handed to parallel workers.
-type PageRange struct{ Start, End int }
-
 // HeapSnapshot is an immutable copy of the heap's page table; scanning
 // it is always safe, so its methods are never flagged.
 type HeapSnapshot struct {
@@ -57,22 +54,8 @@ func (h *Heap) Get(i int) (Row, bool) {
 	return h.rows[i], true
 }
 
-// Partitions splits the live page table for parallel scans.
-func (h *Heap) Partitions(n int) []PageRange {
-	if n < 1 {
-		n = 1
-	}
-	out := make([]PageRange, 0, n)
-	step := (len(h.rows) + n - 1) / n
-	for start := 0; start < len(h.rows); start += step {
-		end := start + step
-		if end > len(h.rows) {
-			end = len(h.rows)
-		}
-		out = append(out, PageRange{Start: start, End: end})
-	}
-	return out
-}
+// IterateChunks captures the live page table for a bulk read.
+func (h *Heap) IterateChunks() []Row { return h.rows }
 
 // CurrentSnapshot returns the last published immutable view.
 func (h *Heap) CurrentSnapshot() *HeapSnapshot { return h.snap }

@@ -16,12 +16,12 @@ func CountLive(h *heapdef.Heap) int {
 	return n
 }
 
-// FirstLive reads a live row and fans out live partitions without a
+// FirstLive reads a live row and opens a live chunk cursor without a
 // pin: both calls flagged.
 func FirstLive(h *heapdef.Heap) (heapdef.Row, int) {
-	row, _ := h.Get(0)       // want `snapshot-pin: FirstLive calls h\.Get on a live heap`
-	parts := h.Partitions(4) // want `snapshot-pin: FirstLive calls h\.Partitions on a live heap`
-	return row, len(parts)
+	row, _ := h.Get(0)          // want `snapshot-pin: FirstLive calls h\.Get on a live heap`
+	chunks := h.IterateChunks() // want `snapshot-pin: FirstLive calls h\.IterateChunks on a live heap`
+	return row, len(chunks)
 }
 
 // CountPinned pins the published snapshot and scans that: no finding —

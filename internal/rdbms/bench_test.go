@@ -57,8 +57,7 @@ func BenchmarkSortHeavy(b *testing.B) {
 	benchQuery(b, `SELECT id FROM t ORDER BY score DESC LIMIT 10`)
 }
 
-// BenchmarkSortFull is an ORDER BY without a LIMIT: with more than one
-// processor a sorted-merge gather, whose workers each sort one partition.
+// BenchmarkSortFull is an ORDER BY without a LIMIT: a full sort.
 func BenchmarkSortFull(b *testing.B) {
 	benchQuery(b, `SELECT id, name FROM t ORDER BY score DESC`)
 }

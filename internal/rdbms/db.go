@@ -221,19 +221,14 @@ func (db *DB) execSet(st *sqlparse.SetStmt) (*Result, error) {
 			return nil, err
 		}
 		db.cfg.EnableBatch = b
-	case "parallel_scan_min_pages":
-		n, err := setIntValue(st, 0, 1<<30)
-		if err != nil {
-			return nil, err
-		}
-		db.cfg.ParallelScanMinPages = int(n)
 	case "max_parallel_workers":
-		// 0 = bounded by GOMAXPROCS, 1 = force serial, N > 1 = extra cap.
-		n, err := setIntValue(st, 0, 1024)
-		if err != nil {
+		// Accepted in [0, 1024] and ignored: every statement runs on one
+		// goroutine, so no value shapes a plan and none is part of the
+		// plan-cache key. The benchmark's oracle still sends it; the case
+		// can go once it stops.
+		if _, err := setIntValue(st, 0, 1024); err != nil {
 			return nil, err
 		}
-		db.cfg.MaxParallelWorkers = int(n)
 	default:
 		return nil, fmt.Errorf("rdbms: SET %s: unrecognized configuration parameter (known: %s)",
 			st.Name, strings.Join(sessionVars, ", "))
@@ -244,7 +239,7 @@ func (db *DB) execSet(st *sqlparse.SetStmt) (*Result, error) {
 
 // sessionVars lists every session variable execSet accepts, for the
 // unknown-parameter error. Keep sorted and in sync with the switch above.
-var sessionVars = []string{"enable_batch", "max_parallel_workers", "parallel_scan_min_pages"}
+var sessionVars = []string{"enable_batch", "max_parallel_workers"}
 
 // setValueDesc renders the offending value for SET error messages.
 func setValueDesc(d types.Datum) string {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/sinewdata/sinew/internal/rdbms/exec"
+	"github.com/sinewdata/sinew/internal/rdbms/sqlparse"
 	"github.com/sinewdata/sinew/internal/rdbms/storage"
 	"github.com/sinewdata/sinew/internal/rdbms/types"
 )
@@ -395,16 +396,14 @@ func TestSetValidationErrors(t *testing.T) {
 		want []string
 	}{
 		{`SET nope = 1`, []string{"rdbms: SET nope:", "unrecognized configuration parameter",
-			"(known: enable_batch, max_parallel_workers, parallel_scan_min_pages)"}},
+			"(known: enable_batch, max_parallel_workers)"}},
 		// The removed knobs are unknown names like any other.
 		{`SET batch_size = 256`, []string{"rdbms: SET batch_size:", "unrecognized configuration parameter"}},
 		{`SET enable_page_skip = off`, []string{"rdbms: SET enable_page_skip:", "unrecognized configuration parameter"}},
 		{`SET enable_striped = off`, []string{"rdbms: SET enable_striped:", "unrecognized configuration parameter"}},
-		{`SET parallel_scan_min_pages = 'abc'`, []string{"rdbms: SET parallel_scan_min_pages:", "requires an integer value"}},
-		{`SET parallel_scan_min_pages = 1073741825`, []string{"rdbms: SET parallel_scan_min_pages:", "outside the valid range [0, 1073741824]"}},
+		{`SET max_parallel_workers = 'abc'`, []string{"rdbms: SET max_parallel_workers:", "requires an integer value"}},
 		{`SET max_parallel_workers = 1025`, []string{"rdbms: SET max_parallel_workers:", "outside the valid range [0, 1024]"}},
 		{`SET max_parallel_workers = 1048576`, []string{"rdbms: SET max_parallel_workers:", "outside the valid range [0, 1024]"}},
-		{`SET parallel_scan_min_pages = many`, []string{"rdbms: SET parallel_scan_min_pages:", "requires an integer value"}},
 		{`SET enable_batch = 42`, []string{"rdbms: SET enable_batch:", "requires a boolean value"}},
 		{`SET enable_batch = 'yes'`, []string{"rdbms: SET enable_batch:", "requires a boolean value"}},
 	}
@@ -418,6 +417,51 @@ func TestSetValidationErrors(t *testing.T) {
 			if !strings.Contains(err.Error(), frag) {
 				t.Errorf("%s: error %q does not mention %q", tc.sql, err, frag)
 			}
+		}
+	}
+}
+
+// TestSetWorkerCountIsInert pins the one session variable that
+// shapes nothing: every statement runs on one goroutine, and
+// max_parallel_workers is still accepted over its old range (clients such
+// as the benchmark's oracle send it) but leaves the plan, its EXPLAIN text
+// and the plan-cache key as they were — the next statement is a cache hit.
+func TestSetWorkerCountIsInert(t *testing.T) {
+	db := newTestDB(t)
+	const text = `SELECT name FROM users WHERE age > 20 ORDER BY name`
+	explain := func() string {
+		t.Helper()
+		return mustExec(t, db, `EXPLAIN `+text).ExplainText
+	}
+	run := func() {
+		t.Helper()
+		_, err := db.ExecSelectCached(CachedSelect{Text: text, Shape: text},
+			func(bool) (*sqlparse.SelectStmt, error) {
+				st, err := sqlparse.Parse(text)
+				if err != nil {
+					return nil, err
+				}
+				return st.(*sqlparse.SelectStmt), nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantExplain, wantKey := explain(), *db.flags.Load()
+	run() // the miss that caches the plan
+	for _, n := range []string{"0", "1", "1024"} {
+		mustExec(t, db, `SET max_parallel_workers = `+n)
+		if got := explain(); got != wantExplain {
+			t.Errorf("max_parallel_workers = %s: EXPLAIN\n%s\nwant\n%s", n, got, wantExplain)
+		}
+		if got := *db.flags.Load(); got != wantKey {
+			t.Errorf("max_parallel_workers = %s: plan-cache flags %q, want %q", n, got, wantKey)
+		}
+		before := db.PlanCacheStats()
+		run()
+		if after := db.PlanCacheStats(); after.Hits-before.Hits != 1 || after.Misses != before.Misses {
+			t.Errorf("max_parallel_workers = %s: %d hits, %d misses; want the cached plan hit",
+				n, after.Hits-before.Hits, after.Misses-before.Misses)
 		}
 	}
 }
@@ -447,7 +491,6 @@ func TestSetSessionKnobs(t *testing.T) {
 		`SET nonsense = 1`,
 		`SET max_parallel_workers = 'huge'`,
 		`SET max_parallel_workers = 1025`,
-		`SET parallel_scan_min_pages = 100000000000`,
 		`SET enable_batch = 3`,
 	} {
 		if _, err := db.Exec(bad); err == nil {

@@ -100,45 +100,6 @@ func (st *aggState) addColumn(col []types.Datum, sel []int32, n int) error {
 	return nil
 }
 
-// merge folds another partial state for the same spec into st — the combine
-// step of two-phase parallel aggregation. COUNT/SUM/AVG/MIN/MAX all merge
-// exactly; DISTINCT aggregates do not (per-worker distinct sets would
-// double-count across partitions), so the planner keeps DISTINCT-aggregate
-// plans serial and merge never sees one.
-func (st *aggState) merge(o *aggState) error {
-	if st.spec.Distinct {
-		return fmt.Errorf("exec: cannot merge DISTINCT aggregate partials")
-	}
-	switch st.spec.Kind {
-	case AggCount, AggCountStar:
-		st.count += o.count
-	case AggSum, AggAvg:
-		st.sumI += o.sumI
-		st.sumF += o.sumF
-		st.count += o.count
-		st.isFloat = st.isFloat || o.isFloat
-		st.hasVal = st.hasVal || o.hasVal
-	case AggMin, AggMax:
-		if !o.hasVal {
-			return nil
-		}
-		if !st.hasVal {
-			st.minMax, st.hasVal = o.minMax, true
-			return nil
-		}
-		c, err := types.Compare(o.minMax, st.minMax)
-		if err != nil {
-			// Multi-typed attribute: keep the first partition's type, matching
-			// the serial accumulator's first-seen-type rule (heap order).
-			return nil
-		}
-		if (st.spec.Kind == AggMin && c < 0) || (st.spec.Kind == AggMax && c > 0) {
-			st.minMax = o.minMax
-		}
-	}
-	return nil
-}
-
 func (st *aggState) result() types.Datum {
 	switch st.spec.Kind {
 	case AggCount, AggCountStar:

@@ -30,7 +30,7 @@ func (h *BatchHashAggIter) NextBatch() (*RowBatch, error) {
 	if !h.done {
 		h.done = true
 		t := newAggTable(len(h.GroupBy), h.Aggs)
-		if h.err = t.accumulate(h.In, h.GroupBy, nil); h.err == nil {
+		if h.err = t.accumulate(h.In, h.GroupBy); h.err == nil {
 			h.emit.start(t)
 		}
 	}
@@ -181,8 +181,7 @@ func appendGroup(cols [][]types.Datum, keys []types.Datum, states []aggState) {
 // aggTable is a hash aggregate's groups: their keys in a key table (nil
 // without GROUP BY, where the one group is id 0 from the start) and the
 // aggregate states of every group in one flat slice, group id × len(aggs)
-// + aggregate. The serial aggregate and each worker of the parallel one
-// fill one; the parallel one merges them.
+// + aggregate.
 type aggTable struct {
 	aggs   []*AggSpec
 	keys   *keyTable
@@ -231,24 +230,16 @@ func (t *aggTable) group(id int32) []aggState {
 	return t.states[int(id)*w : int(id+1)*w]
 }
 
-// accumulate drains src into the table: BatchHashAggIter's whole run and,
-// as a partial table, the per-worker phase one of the parallel aggregate.
-// It polls stop (nil for none) between batches so abandoned queries
-// terminate promptly. Per batch the keys are hashed and resolved to group
-// ids first, then each aggregate folds its argument column into the
-// groups; without GROUP BY the one group takes each argument column whole
-// and no key is hashed.
-func (t *aggTable) accumulate(src BatchIterator, groupBy []Expr, stop <-chan struct{}) error {
+// accumulate drains src into the table: BatchHashAggIter's whole run. Per
+// batch the keys are hashed and resolved to group ids first, then each
+// aggregate folds its argument column into the groups; without GROUP BY
+// the one group takes each argument column whole and no key is hashed.
+func (t *aggTable) accumulate(src BatchIterator, groupBy []Expr) error {
 	defer src.Close()
 	ctx := NewEvalCtx()
 	keyCols := make([][]types.Datum, len(groupBy))
 	argCols := make([][]types.Datum, len(t.aggs))
 	for {
-		select {
-		case <-stop:
-			return nil
-		default:
-		}
 		in, err := src.NextBatch()
 		if err != nil {
 			return err
@@ -309,36 +300,6 @@ func (t *aggTable) accumulate(src BatchIterator, groupBy []Expr, stop <-chan str
 			}
 		}
 	}
-}
-
-// merge folds partial table o into t: o's groups in id order, so a group's
-// key values and its MIN/MAX first-seen type come from the table merged
-// first. o's hashes are reused; both tables hash with one process seed.
-func (t *aggTable) merge(o *aggTable) error {
-	if t.keys == nil {
-		for k := range t.states {
-			if err := t.states[k].merge(&o.states[k]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for oid := range o.keys.len() {
-		id, isNew := t.keys.insert(o.keys.cols, oid, o.keys.hashes[oid])
-		src := o.group(int32(oid))
-		if isNew {
-			t.addGroup()
-			copy(t.group(id), src)
-			continue
-		}
-		dst := t.group(id)
-		for k := range dst {
-			if err := dst[k].merge(&src[k]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // order lists the group ids in output order: by the HashKey encoding of

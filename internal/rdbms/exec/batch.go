@@ -289,10 +289,9 @@ type BatchSizeHinter interface {
 // A fully frozen heap therefore yields one batch per page, a never-frozen
 // one DefaultBatchSize-row batches, and a mixed one both, in heap order.
 //
-// Set-up is the constructor's range and filter, then NeedCols, SetParams,
+// Set-up is the constructor's filter, then NeedCols, SetParams,
 // SetPageSkip and SetSelFilter, all before the first NextBatch
-// (plan.ScanNode.Open is the one place the planner does it, for the whole
-// heap or a gather worker's partition).
+// (plan.ScanNode.Open is the one place the planner does it).
 type BatchScanIter struct {
 	Filter Expr
 	// NeedCols, when non-nil, lists the only column indices downstream
@@ -302,7 +301,7 @@ type BatchScanIter struct {
 
 	chunk *storage.HeapChunkIter
 	width int
-	nrows int64 // live rows in the range at open (for SizeHint; no filter only)
+	nrows int64 // live rows at open (for SizeHint; no filter only)
 	ctx   *EvalCtx
 	keep  []bool
 	shell *RowBatch // frozen-page shell; aliases, never pooled/Reset
@@ -317,30 +316,20 @@ type BatchScanIter struct {
 	selBatches int64
 }
 
-// NewBatchScan returns a batch scan over all pages of v.
+// NewBatchScan returns a batch scan over all pages of v. Stat flushes on
+// Close key on the view's owner heap, so snapshot scans account like live
+// scans.
 func NewBatchScan(v storage.ReadView, filter Expr) *BatchScanIter {
-	return NewBatchScanRange(v, filter, 0, v.NumPages())
-}
-
-// NewBatchScanRange returns a batch scan over pages [start, end) of v —
-// one partition of a parallel pipeline. Stat flushes on Close key on the
-// view's owner heap, so snapshot scans account like live scans.
-func NewBatchScanRange(v storage.ReadView, filter Expr, start, end int) *BatchScanIter {
 	s := &BatchScanIter{
 		Filter: filter,
-		chunk:  v.IterateRange(start, end),
+		chunk:  v.IterateChunks(),
 		width:  len(v.Schema().Cols),
 		ctx:    NewEvalCtx(),
 		heap:   v.Owner(),
 	}
-	// The size hint is exact only without a filter. The whole heap knows
-	// its row count; a partition counts the live rows of its own pages.
-	switch {
-	case filter != nil:
-	case start <= 0 && end >= v.NumPages():
+	// The size hint is exact only without a filter.
+	if filter == nil {
 		s.nrows = v.NumRows()
-	default:
-		s.nrows = s.chunk.LiveRows()
 	}
 	return s
 }
@@ -466,9 +455,6 @@ func (s *BatchScanIter) Close() {
 		s.own = nil
 	}
 }
-
-// BytesRead reports this scan's (partition's) charged bytes.
-func (s *BatchScanIter) BytesRead() int64 { return s.chunk.BytesRead() }
 
 // SizeHint implements BatchSizeHinter: exact when unfiltered.
 func (s *BatchScanIter) SizeHint() (int64, bool) {

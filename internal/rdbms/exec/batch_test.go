@@ -201,64 +201,12 @@ func TestBatchHashAggMatchesRowHashAgg(t *testing.T) {
 	} {
 		want := ref(refGroup(refScan(h), g, specs()))
 		rowsEqual(t, collectBatches(t, &BatchHashAggIter{In: NewBatchScan(h, nil), GroupBy: g, Aggs: specs()}), want)
-		// Two-phase over four partitions, with the aggregates whose
-		// per-worker states merge (all but the DISTINCT one).
-		want = ref(refGroup(refScan(h), g, specs()[:5]))
-		rowsEqual(t, collectBatches(t, NewParallelHashAgg(
-			h.Partitions(4), chainBuild(h, nil, nil), g, specs()[:5])), want)
 	}
 	// Scalar aggregate over empty input still yields one row.
 	empty := intHeap(t, 0)
 	got := collectBatches(t, &BatchHashAggIter{In: NewBatchScan(empty, nil), Aggs: specs()})
 	if len(got) != 1 || got[0][0].I != 0 || !got[0][2].IsNull() {
 		t.Errorf("scalar agg over empty = %v, want COUNT(*) 0 and SUM NULL", got)
-	}
-}
-
-// parallelScan is the zero-operator gather: one batch scan per partition,
-// ordered merge.
-func parallelScan(h *storage.Heap, f Expr, workers int) *ParallelPipelineIter {
-	return NewParallelPipeline(h.Partitions(workers), selChainBuild(h, f, nil, nil))
-}
-
-func TestParallelScanMatchesSequential(t *testing.T) {
-	h := intHeap(t, 3000)
-	ref := mustRef(t)
-	filter := &BinExpr{Op: ">=", L: col(0, types.Int), R: lit(types.NewInt(100))}
-	for _, f := range []Expr{nil, filter} {
-		want := ref(refFilter(refScan(h), f))
-		for _, workers := range []int{1, 2, 4, 9} {
-			rowsEqual(t, collectBatches(t, parallelScan(h, f, workers)), want)
-		}
-	}
-}
-
-func TestParallelScanEarlyClose(t *testing.T) {
-	h := intHeap(t, 3000)
-	for i := 0; i < 20; i++ { // stress the shutdown path
-		it := parallelScan(h, nil, 4)
-		b, err := it.NextBatch()
-		if err != nil || b == nil {
-			t.Fatalf("first batch: %v %v", b, err)
-		}
-		it.Close()
-		it.Close() // idempotent
-	}
-}
-
-// TestParallelScanBytesRead: the partitions of a fully drained parallel
-// scan charge, between them, exactly the heap.
-func TestParallelScanBytesRead(t *testing.T) {
-	rows := make([]storage.Row, 2000)
-	for i := range rows {
-		rows[i] = row(types.NewInt(int64(i)))
-	}
-	h, pager := heapOf(t, []types.Type{types.Int}, rows)
-	if got := collectBatches(t, parallelScan(h, nil, 4)); len(got) != len(rows) {
-		t.Fatalf("rows = %d", len(got))
-	}
-	if read, _ := pager.Stats(); read != h.SizeBytes() {
-		t.Errorf("partitions read %d bytes, heap size %d", read, h.SizeBytes())
 	}
 }
 
@@ -277,29 +225,6 @@ func TestCollectUsesSizeHint(t *testing.T) {
 	l := &BatchLimitIter{N: 10, In: NewBatchScan(h, nil)}
 	if n, exact := l.SizeHint(); !exact || n != 10 {
 		t.Errorf("limit hint = %d %v", n, exact)
-	}
-}
-
-// TestPartitionScanSizeHint: an unfiltered scan of a page range hints
-// exactly the rows it delivers — the live rows of its own pages, not the
-// whole heap's — so the sort in a sorted-merge worker presizes for its
-// partition. A filtered scan hints nothing exact.
-func TestPartitionScanSizeHint(t *testing.T) {
-	h := intHeap(t, 4000) // 32 pages
-	if _, err := h.Delete(storage.RowID{Page: 9, Slot: 3}); err != nil {
-		t.Fatal(err)
-	}
-	parts := h.Partitions(4)
-	for _, r := range append(parts, storage.PageRange{End: h.NumPages()}) {
-		scan := NewBatchScanRange(h, nil, r.Start, r.End)
-		n, exact := scan.SizeHint()
-		if got := int64(len(collectBatches(t, scan))); !exact || n != got {
-			t.Errorf("pages %v: hint %d (exact %v), delivered %d", r, n, exact, got)
-		}
-	}
-	pred := &BinExpr{Op: "<", L: col(0, types.Int), R: lit(types.NewInt(5))}
-	if _, exact := NewBatchScanRange(h, pred, parts[0].Start, parts[0].End).SizeHint(); exact {
-		t.Error("a filtered partition scan claims an exact size")
 	}
 }
 

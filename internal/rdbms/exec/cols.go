@@ -1,63 +1,5 @@
 package exec
 
-// ParallelSafe reports whether e may be evaluated inside a parallel
-// pipeline fragment: every function call it contains must be non-volatile,
-// and the whole tree must be understood (unknown node types are assumed
-// unsafe, mirroring ColumnsUsed's conservatism).
-func ParallelSafe(e Expr) bool {
-	switch x := e.(type) {
-	case nil:
-		return true
-	case *ColExpr, *ConstExpr, *ParamExpr:
-		return true
-	case *BinExpr:
-		return ParallelSafe(x.L) && ParallelSafe(x.R)
-	case *NotExpr:
-		return ParallelSafe(x.X)
-	case *NegExpr:
-		return ParallelSafe(x.X)
-	case *IsNullExpr:
-		return ParallelSafe(x.X)
-	case *BetweenExpr:
-		return ParallelSafe(x.X) && ParallelSafe(x.Lo) && ParallelSafe(x.Hi)
-	case *InListExpr:
-		if !ParallelSafe(x.X) {
-			return false
-		}
-		for _, a := range x.List {
-			if !ParallelSafe(a) {
-				return false
-			}
-		}
-		return true
-	case *LikeExpr:
-		return ParallelSafe(x.X) && ParallelSafe(x.Pattern)
-	case *AnyExpr:
-		return ParallelSafe(x.X) && ParallelSafe(x.Array)
-	case *CastExpr:
-		return ParallelSafe(x.X)
-	case *CoalesceExpr:
-		for _, a := range x.Args {
-			if !ParallelSafe(a) {
-				return false
-			}
-		}
-		return true
-	case *CallExpr:
-		if x.Def != nil && x.Def.Volatile {
-			return false
-		}
-		for _, a := range x.Args {
-			if !ParallelSafe(a) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
-}
-
 // ColumnsUsed calls add with the index of every input column e reads and
 // reports whether the expression tree was fully understood. A false return
 // means an unknown node type was encountered, so the caller must assume

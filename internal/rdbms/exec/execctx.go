@@ -1,52 +1,28 @@
 package exec
 
 import (
-	"sync"
-
 	"github.com/sinewdata/sinew/internal/rdbms/storage"
 	"github.com/sinewdata/sinew/internal/rdbms/types"
 )
 
 // ExecCtx is the per-statement execution context: it pins one storage
 // snapshot per heap so every scan of one statement — across batch
-// pipelines, parallel partitions and join sides — reads the same frozen
-// page-table version, however the plan interleaves its opens. A nil
-// ExecCtx means "read the live heap" (single-writer paths that hold the
-// table lock, and embedded callers that never run concurrent writers).
+// pipelines and join sides — reads the same frozen page-table version,
+// however the plan interleaves its opens. A statement runs on the
+// goroutine that issued it, so a context is never shared between
+// goroutines. A nil ExecCtx means "read the live heap" (single-writer
+// paths that hold the table lock, and embedded callers that never run
+// concurrent writers).
 type ExecCtx struct {
-	mu    sync.Mutex
 	views map[*storage.Heap]*storage.HeapSnapshot
 	// params are the statement's bound parameter values (Bind), read by
 	// the ParamExprs of a cached shape's plan.
 	params []types.Datum
-
-	// A gather worker's context (ForPartition) reads view over pages part
-	// and resolves every other heap through parent.
-	parent *ExecCtx
-	view   storage.ReadView
-	part   storage.PageRange
 }
 
 // NewExecCtx returns an empty context. Callers must Release it when the
 // statement finishes.
 func NewExecCtx() *ExecCtx { return &ExecCtx{} }
-
-// ForPartition returns the context a gather worker opens its fragment
-// under: the fragment's scan reads v — the view the gather split into
-// partitions — over the pages of r (Partition). Pins stay with ec, which
-// may be nil; the worker's context holds none and needs no Release.
-func (ec *ExecCtx) ForPartition(v storage.ReadView, r storage.PageRange) *ExecCtx {
-	return &ExecCtx{parent: ec, view: v, part: r}
-}
-
-// Partition returns the page range a gather worker's scan reads; ok is
-// false outside a gather worker, where a scan reads every page.
-func (ec *ExecCtx) Partition() (r storage.PageRange, ok bool) {
-	if ec == nil || ec.view == nil {
-		return storage.PageRange{}, false
-	}
-	return ec.part, true
-}
 
 // View resolves the statement's read view of h: the first call per heap
 // pins the heap's latest snapshot, later calls return the same pin. A nil
@@ -55,14 +31,6 @@ func (ec *ExecCtx) View(h *storage.Heap) storage.ReadView {
 	if ec == nil || h == nil {
 		return h
 	}
-	if ec.view != nil {
-		if h == ec.view.Owner() {
-			return ec.view
-		}
-		return ec.parent.View(h)
-	}
-	ec.mu.Lock()
-	defer ec.mu.Unlock()
 	if s, ok := ec.views[h]; ok {
 		return s
 	}
@@ -79,11 +47,8 @@ func (ec *ExecCtx) View(h *storage.Heap) storage.ReadView {
 func (ec *ExecCtx) Bind(params []types.Datum) { ec.params = params }
 
 // Params returns the statement's bound parameter values (nil when none are
-// bound); a gather worker's context reads its parent's.
+// bound).
 func (ec *ExecCtx) Params() []types.Datum {
-	for ec != nil && ec.view != nil {
-		ec = ec.parent
-	}
 	if ec == nil {
 		return nil
 	}
@@ -105,8 +70,6 @@ func (ec *ExecCtx) Release() {
 	if ec == nil {
 		return
 	}
-	ec.mu.Lock()
-	defer ec.mu.Unlock()
 	for h, s := range ec.views {
 		s.Release()
 		delete(ec.views, h)

@@ -1,9 +1,10 @@
 // Package exec implements the runtime of the embedded RDBMS: compiled
 // scalar expressions and one set of batch-at-a-time operators (scan,
-// filter, project, sort, Top-N, aggregate, join, limit, and their parallel
-// gathers), plus the four row-at-a-time operators that have no batch form
-// (Unique, GroupAggregate, Merge Join, Nested Loop) behind adapters. Plans
-// are built by the plan package and evaluated here.
+// filter, project, sort, Top-N, aggregate, join, limit), plus the four
+// row-at-a-time operators that have no batch form (Unique, GroupAggregate,
+// Merge Join, Nested Loop) behind adapters. Plans are built by the plan
+// package and evaluated here, each statement on the goroutine that issued
+// it.
 package exec
 
 import (

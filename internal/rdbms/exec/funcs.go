@@ -40,11 +40,6 @@ type FuncDef struct {
 	FuseType uint8
 	// FuseAny marks the family's untyped variant (first value of any type).
 	FuseAny bool
-	// Volatile marks functions whose result may differ across calls with
-	// equal arguments (random(), nextval()-style). Volatile calls pin a
-	// pipeline fragment to serial execution: a parallel pipeline would
-	// evaluate them in a different interleaving than the serial plan.
-	Volatile bool
 }
 
 // MultiExtractReq is one (key, type) request of a fused multi-extraction.

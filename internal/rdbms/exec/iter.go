@@ -21,7 +21,7 @@ const collectCapHint = 1 << 20
 // heap iterator is closed (flushing pager accounting) even on an early
 // LIMIT stop.
 func CollectProjectedScan(v storage.ReadView, cols []int, limit int64) ([]storage.Row, error) {
-	it := v.IterateRange(0, v.NumPages())
+	it := v.IterateChunks()
 	defer it.Close()
 	total := v.NumRows()
 	if limit >= 0 && limit < total {

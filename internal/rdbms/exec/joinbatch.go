@@ -92,8 +92,7 @@ func (t *joinBuildTable) addBatches(in BatchIterator, keys []Expr) error {
 }
 
 // joinMatches walks the build rows matching one probe key, in build
-// order. The table is read-only once built, so each probing goroutine
-// owns one.
+// order.
 type joinMatches struct {
 	t    *joinBuildTable
 	row  int32   // the current match, -1 after the last
@@ -167,8 +166,6 @@ type BatchHashJoinIter struct {
 	// from its batches).
 	BuildWidth int
 
-	// table, set at construction, is a build table shared read-only with
-	// the other probes of one partitioned-probe join; Build is nil then.
 	table   *joinBuildTable
 	built   bool
 	err     error
@@ -187,10 +184,8 @@ type BatchHashJoinIter struct {
 func (j *BatchHashJoinIter) NextBatch() (*RowBatch, error) {
 	if !j.built {
 		j.built = true
-		if j.table == nil {
-			j.table = newJoinBuildTable(j.BuildWidth, len(j.BuildKeys))
-			j.err = j.table.addBatches(j.Build, j.BuildKeys)
-		}
+		j.table = newJoinBuildTable(j.BuildWidth, len(j.BuildKeys))
+		j.err = j.table.addBatches(j.Build, j.BuildKeys)
 		j.matches.t = j.table
 		j.ctx = NewEvalCtx()
 		j.keyCols = make([][]types.Datum, len(j.ProbeKeys))
@@ -247,9 +242,7 @@ func (j *BatchHashJoinIter) NextBatch() (*RowBatch, error) {
 // Close implements BatchIterator.
 func (j *BatchHashJoinIter) Close() {
 	j.Probe.Close()
-	if j.Build != nil {
-		j.Build.Close()
-	}
+	j.Build.Close()
 	j.out.close()
 }
 

@@ -55,9 +55,8 @@ func keySpace(r *rand.Rand) int {
 }
 
 // TestPropertyMultiTypedKeysMatchReference holds every key-table consumer
-// to the reference on multi-typed keys: the serial hash aggregate (with a
-// DISTINCT aggregate over multi-typed values), the four-partition
-// two-phase aggregate, the serial and partitioned hash joins — and the
+// to the reference on multi-typed keys: the hash aggregate (with a
+// DISTINCT aggregate over multi-typed values), the hash join — and the
 // operators that meet the same keys sorted: GroupAggregate, Unique and
 // the merge join, each over every input shape feeds draws. The reference
 // matches keys by linear search with types.KeyEqual and hashes nothing.
@@ -69,34 +68,25 @@ func TestPropertyMultiTypedKeysMatchReference(t *testing.T) {
 		for i := range rows {
 			rows[i] = storage.Row{randKey(r, space), types.NewInt(int64(r.Intn(50))), randKey(r, 3)}
 		}
-		colTypes := []types.Type{types.Int, types.Int, types.Int}
-		h, _ := heapOf(t, colTypes, rows)
 		groupBy := []Expr{col(0, types.Int)}
 		if r.Intn(3) == 0 {
 			groupBy = append(groupBy, col(2, types.Int))
 		}
 		// MIN/MAX read the one-typed column: over a multi-typed one the
-		// first-seen-type rule is the heap's first value for the serial
-		// aggregate and each partition's for the merge.
-		specs := func(distinct bool) []*AggSpec {
-			s := []*AggSpec{
+		// first-seen-type rule picks the input's first value.
+		specs := func() []*AggSpec {
+			return []*AggSpec{
 				{Kind: AggCountStar},
 				{Kind: AggSum, Arg: col(1, types.Int)},
 				{Kind: AggMin, Arg: col(1, types.Int)},
 				{Kind: AggMax, Arg: col(1, types.Int)},
+				{Kind: AggCount, Arg: col(2, types.Int), Distinct: true},
 			}
-			if distinct {
-				s = append(s, &AggSpec{Kind: AggCount, Arg: col(2, types.Int), Distinct: true})
-			}
-			return s
 		}
 		ref := mustRef(t)
 		rowsEqual(t, collectBatches(t, &BatchHashAggIter{
-			In: &sliceBatches{rows: rows}, GroupBy: groupBy, Aggs: specs(true)}),
-			ref(refGroup(rows, groupBy, specs(true))))
-		rowsEqual(t, collectBatches(t, NewParallelHashAgg(
-			h.Partitions(4), chainBuild(h, nil, nil), groupBy, specs(false))),
-			ref(refGroup(rows, groupBy, specs(false))))
+			In: &sliceBatches{rows: rows}, GroupBy: groupBy, Aggs: specs()}),
+			ref(refGroup(rows, groupBy, specs())))
 
 		sortKeys := make([]SortKey, len(groupBy))
 		for i, g := range groupBy {
@@ -110,8 +100,8 @@ func TestPropertyMultiTypedKeysMatchReference(t *testing.T) {
 		keep := &BinExpr{Op: ">=", L: col(1, types.Int), R: lit(types.NewInt(int64(r.Intn(8))))}
 		for _, fd := range feeds(r, keep) {
 			in := fd.rows(t, sorted)
-			grouped := collectBatches(t, &BatchSortedAggIter{In: fd.open(sorted), GroupBy: groupBy, Aggs: specs(true)})
-			if want := ref(refGroup(in, groupBy, specs(true))); canonical(grouped) != canonical(want) {
+			grouped := collectBatches(t, &BatchSortedAggIter{In: fd.open(sorted), GroupBy: groupBy, Aggs: specs()})
+			if want := ref(refGroup(in, groupBy, specs())); canonical(grouped) != canonical(want) {
 				t.Fatalf("seed %d %+v: GroupAggregate %v, reference %v", seed, fd, grouped, want)
 			}
 			fk := feed{size: fd.size, sel: fd.sel}
@@ -131,9 +121,6 @@ func TestPropertyMultiTypedKeysMatchReference(t *testing.T) {
 		rowsEqual(t, collectBatches(t, &BatchHashJoinIter{
 			Probe: &sliceBatches{rows: rows}, Build: &sliceBatches{rows: build},
 			ProbeKeys: joinKeys, BuildKeys: joinKeys, BuildWidth: 2}), want)
-		rowsEqual(t, collectBatches(t, NewParallelHashJoin(
-			h.Partitions(4), chainBuild(h, nil, nil), &sliceBatches{rows: build},
-			joinKeys, joinKeys, nil, 2)), want)
 		sortedBuild := ref(refSort(build, []SortKey{{Expr: joinKeys[0]}}))
 		for _, fd := range feeds(r, nil) {
 			merged := collectBatches(t, &BatchSortedJoinIter{
@@ -173,10 +160,10 @@ func TestKeyTableFirstSeenRepresents(t *testing.T) {
 	})
 }
 
-// TestHashJoinInexactKeys holds the serial and partitioned hash joins to
-// the nested-loop reference on the build keys one key id cannot answer
-// for: Ints beyond 2^53 beside the Float they both equal (either side
-// first), and Text and Bytes of one content, which hash alike.
+// TestHashJoinInexactKeys holds the hash join to the nested-loop
+// reference on the build keys one key id cannot answer for: Ints beyond
+// 2^53 beside the Float they both equal (either side first), and Text and
+// Bytes of one content, which hash alike.
 func TestHashJoinInexactKeys(t *testing.T) {
 	const big = 1 << 53
 	vals := []types.Datum{
@@ -193,15 +180,11 @@ func TestHashJoinInexactKeys(t *testing.T) {
 		for i := range probe {
 			probe[i] = storage.Row{vals[i%len(vals)], types.NewInt(int64(i))}
 		}
-		h, _ := heapOf(t, []types.Type{types.Int, types.Int}, probe)
 		keys := []Expr{col(0, types.Int)}
 		want := mustRef(t)(refJoin(probe, build, keys, keys, nil))
 		rowsEqual(t, collectBatches(t, &BatchHashJoinIter{
 			Probe: &sliceBatches{rows: probe}, Build: &sliceBatches{rows: build},
 			ProbeKeys: keys, BuildKeys: keys, BuildWidth: 2}), want)
-		rowsEqual(t, collectBatches(t, NewParallelHashJoin(
-			h.Partitions(4), chainBuild(h, nil, nil), &sliceBatches{rows: build},
-			keys, keys, nil, 2)), want)
 	}
 }
 

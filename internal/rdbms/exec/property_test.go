@@ -621,3 +621,121 @@ func paramize(e Expr, params []types.Datum) (Expr, []types.Datum) {
 		return e, params
 	}
 }
+
+// TestPropertyParallelMatchesSerial is the differential test of the
+// scan→filter→project pipeline: over random schemas, data, predicates, and
+// projections, it must produce the reference's output — same rows, same
+// order (heap order). The name is kept from when a partitioned pipeline
+// ran beside it; its serial leg is what remains.
+func TestPropertyParallelMatchesSerial(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		colTypes := []types.Type{types.Int, types.Text}
+		for n := r.Intn(3); n > 0; n-- {
+			colTypes = append(colTypes,
+				[]types.Type{types.Int, types.Float, types.Text, types.Bool}[r.Intn(4)])
+		}
+		rows := randBatchRows(r, colTypes, drawRows(r, r.Intn(300)))
+		h, _ := heapOf(t, colTypes, rows)
+		pred := randPred(r, colTypes, 3, true)
+		projs := make([]Expr, 1+r.Intn(3))
+		for i := range projs {
+			if r.Intn(3) == 0 {
+				projs[i] = randTextExpr(r, colTypes, 2)
+			} else {
+				projs[i] = randNumExpr(r, colTypes, 2, true)
+			}
+		}
+
+		ref := mustRef(t)
+		want := ref(refProject(ref(refFilter(rows, pred)), projs))
+		batch := collectBatches(t, &BatchProjectIter{Exprs: projs,
+			In: &BatchFilterIter{Pred: pred, In: NewBatchScan(h, nil)}})
+		rowsEqual(t, batch, want)
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestPropertyParallelAggMatchesSerial checks the hash aggregate — GROUP
+// BY with COUNT/SUM/AVG/MIN/MAX, the same without GROUP BY (the one group
+// folds whole batches), plus the grouped DISTINCT case (no aggregates) —
+// against the reference. The name is kept from when a two-phase parallel
+// aggregate ran beside it.
+func TestPropertyParallelAggMatchesSerial(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		colTypes := []types.Type{types.Int, types.Int, types.Float, types.Text}
+		rows := randBatchRows(r, colTypes, drawRows(r, r.Intn(400)))
+		h, _ := heapOf(t, colTypes, rows)
+		var groupBy []Expr
+		switch r.Intn(3) {
+		case 1:
+			groupBy = []Expr{col(0, types.Int)}
+		case 2:
+			groupBy = []Expr{col(0, types.Int), col(3, types.Text)}
+		}
+		specs := func() []*AggSpec {
+			return []*AggSpec{
+				{Kind: AggCountStar},
+				{Kind: AggCount, Arg: col(1, types.Int)},
+				{Kind: AggSum, Arg: col(1, types.Int)},
+				{Kind: AggAvg, Arg: col(2, types.Float)},
+				{Kind: AggMin, Arg: col(2, types.Float)},
+				{Kind: AggMax, Arg: col(3, types.Text)},
+			}
+		}
+		ref := mustRef(t)
+		want := ref(refGroup(rows, groupBy, specs()))
+		// The aggregate and the reference both emit in encoded-key order.
+		rowsEqual(t, collectBatches(t, &BatchHashAggIter{
+			In: NewBatchScan(h, nil), GroupBy: groupBy, Aggs: specs()}), want)
+
+		// Grouped DISTINCT: group-by columns, no aggregate states.
+		distinct := collectBatches(t, &BatchHashAggIter{
+			In: NewBatchScan(h, nil), GroupBy: groupBy})
+		rowsEqual(t, distinct, ref(refGroup(rows, groupBy, nil)))
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestPropertyParallelJoinMatchesSerial checks the hash join probing a
+// heap scan against the reference join: identical output order, and on
+// the larger inputs more than one output batch. The name is kept from when
+// a partitioned probe ran beside it.
+func TestPropertyParallelJoinMatchesSerial(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		colTypes := []types.Type{types.Int, types.Text}
+		rows := randBatchRows(r, colTypes, drawRows(r, r.Intn(300)))
+		h, _ := heapOf(t, colTypes, rows)
+		build := make([]storage.Row, 1+r.Intn(30))
+		for i := range build {
+			key := types.NewInt(int64(r.Intn(9) - 4))
+			if r.Intn(8) == 0 {
+				key = types.NewNull(types.Int)
+			}
+			build[i] = storage.Row{key, types.NewInt(int64(i))}
+		}
+		probeKeys := []Expr{col(0, types.Int)}
+		buildKeys := []Expr{col(0, types.Int)}
+		var residual Expr
+		if r.Intn(2) == 0 {
+			residual = &BinExpr{Op: "<>", L: col(1, types.Text), R: lit(types.NewText("b"))}
+		}
+		want := mustRef(t)(refJoin(rows, build, probeKeys, buildKeys, residual))
+		got := collectBatches(t, &BatchHashJoinIter{
+			Probe: NewBatchScan(h, nil), Build: &sliceBatches{rows: build},
+			ProbeKeys: probeKeys, BuildKeys: buildKeys, Residual: residual, BuildWidth: 2})
+		rowsEqual(t, got, want)
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}

@@ -50,8 +50,8 @@ type SelConjunct struct {
 }
 
 // SelFilter is the compiled in-scan filter of a batch scan's frozen pages. It is
-// immutable after compilation and safe to share across parallel scan
-// partitions; each scan instantiates its own evaluation state.
+// immutable after compilation and shared by every execution of a cached
+// plan; each scan instantiates its own evaluation state.
 type SelFilter struct {
 	Conjuncts []SelConjunct
 	// Filter is the full conjunction in pushed-down form — the row-form
@@ -312,7 +312,7 @@ func conjunctRank(e Expr) float64 {
 // selScanState is the per-scan evaluation state of a SelFilter: the eval
 // facade batch (physical columns plus slot columns), lazily instantiated
 // kernels, and reusable selection/keep buffers. One state belongs to one
-// scan goroutine.
+// scan.
 type selScanState struct {
 	sf   *SelFilter
 	segK SegExtractKernel
@@ -346,10 +346,10 @@ func newSelScanState(sf *SelFilter) *selScanState {
 	}
 }
 
-// buildKernels instantiates the slot kernels on first use — on the scan's
-// own goroutine, so parallel partitions never share kernel state. A
-// factory failure is not fatal: the filter is still fully evaluable
-// through replay, it just loses the vectorized slot path.
+// buildKernels instantiates the slot kernels on first use, so every scan
+// has kernel state of its own. A factory failure is not fatal: the filter
+// is still fully evaluable through replay, it just loses the vectorized
+// slot path.
 func (st *selScanState) buildKernels() {
 	if st.built {
 		return

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 	"unsafe"
 
-	"github.com/sinewdata/sinew/internal/rdbms/storage"
 	"github.com/sinewdata/sinew/internal/rdbms/types"
 )
 
@@ -32,29 +31,11 @@ func randSortKeys(r *rand.Rand, colTypes []types.Type) []SortKey {
 	return keys
 }
 
-// sortChainBuild is a sorted-merge gather's fragment: scan→(filter)→sorter
-// with AppendKeys, one per partition. limit < 0
-// builds a full BatchSortIter, otherwise a BatchTopNIter bounded at limit.
-func sortChainBuild(h *storage.Heap, pred Expr, keys []SortKey, limit int64) PipelineBuild {
-	return func(r storage.PageRange) BatchIterator {
-		var cur BatchIterator = NewBatchScanRange(h, nil, r.Start, r.End)
-		if pred != nil {
-			cur = &BatchFilterIter{In: cur, Pred: pred}
-		}
-		if limit >= 0 {
-			return &BatchTopNIter{In: cur, Keys: keys, N: limit, AppendKeys: true}
-		}
-		return &BatchSortIter{In: cur, Keys: keys, AppendKeys: true}
-	}
-}
-
 // TestPropertyBatchSortMatchesRowSort is the differential test backing the
 // sort: over random schemas, data (with NULLs), multi-key ASC/DESC orders,
-// and filters, the serial BatchSortIter and the parallel sorted-merge
-// gather must produce the reference's output — same rows, same order
-// (local stable sorts over ascending page ranges plus a partition-index
-// tie-break reproduce the serial stable sort exactly) — over inputs from
-// empty to more than two batches.
+// and filters, BatchSortIter must produce the reference's output — same
+// rows, same order (the sort is stable) — over inputs from empty to more
+// than two batches.
 func TestPropertyBatchSortMatchesRowSort(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -80,12 +61,6 @@ func TestPropertyBatchSortMatchesRowSort(t *testing.T) {
 		}
 		batch := collectBatches(t, &BatchSortIter{In: batchSrc, Keys: keys})
 		rowsEqual(t, batch, want)
-
-		for _, workers := range []int{2, 3, 5} {
-			par := collectBatches(t, NewParallelSortedMerge(
-				h.Partitions(workers), sortChainBuild(h, pred, keys, -1), keys, -1))
-			rowsEqual(t, par, want)
-		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -93,9 +68,8 @@ func TestPropertyBatchSortMatchesRowSort(t *testing.T) {
 	}
 }
 
-// TestPropertyTopNMatchesSortLimit checks the bounded Top-N operator — and
-// its parallel form, per-partition Top-N heaps merged with the bound pushed
-// into the merge — against the reference SORT + LIMIT, including N = 0, N
+// TestPropertyTopNMatchesSortLimit checks the bounded Top-N operator
+// against the reference SORT + LIMIT, including N = 0, N
 // larger than the input, N past a batch boundary, and ties at the boundary
 // (the heap discards a tying newcomer, preserving first-arrival order
 // exactly like the stable sort).
@@ -116,61 +90,10 @@ func TestPropertyTopNMatchesSortLimit(t *testing.T) {
 		want := refLimit(mustRef(t)(refSort(rows, keys)), limit)
 		batch := collectBatches(t, &BatchTopNIter{In: NewBatchScan(h, nil), Keys: keys, N: limit})
 		rowsEqual(t, batch, want)
-
-		for _, workers := range []int{2, 4} {
-			par := collectBatches(t, NewParallelSortedMerge(
-				h.Partitions(workers), sortChainBuild(h, nil, keys, limit), keys, limit))
-			rowsEqual(t, par, want)
-		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestParallelSortedMergeReleasesOnEarlyClose abandons the sorted merge
-// mid-stream and checks worker goroutines exit and the pager is charged at
-// most one full scan — same contract as the other parallel mergers. The
-// sorters drain their partitions during the first NextBatch, so the full
-// heap has been read by then; early close must not double-charge it.
-func TestParallelSortedMergeReleasesOnEarlyClose(t *testing.T) {
-	colTypes := []types.Type{types.Int, types.Text}
-	r := rand.New(rand.NewSource(13))
-	rows := randBatchRows(r, colTypes, 4000)
-	h, pager := heapOf(t, colTypes, rows)
-	full := h.SizeBytes()
-	keys := []SortKey{{Expr: col(0, types.Int)}}
-
-	mk := map[string]func() BatchIterator{
-		"sort": func() BatchIterator {
-			return NewParallelSortedMerge(h.Partitions(4), sortChainBuild(h, nil, keys, -1), keys, -1)
-		},
-		"topn": func() BatchIterator {
-			return NewParallelSortedMerge(h.Partitions(4), sortChainBuild(h, nil, keys, 7), keys, 7)
-		},
-	}
-	for name, make := range mk {
-		base := runtime.NumGoroutine()
-		for i := 0; i < 10; i++ {
-			pager.Reset()
-			it := make()
-			if _, err := it.NextBatch(); err != nil {
-				t.Fatalf("%s: first batch: %v", name, err)
-			}
-			it.Close()
-			it.Close() // idempotent
-			read, _ := pager.Stats()
-			if read > full {
-				t.Fatalf("%s: pager charged %d bytes for early close, heap is %d", name, read, full)
-			}
-		}
-		waitGoroutines(t, base)
-
-		// Close before any NextBatch: workers may not even have started.
-		it := make()
-		it.Close()
-		waitGoroutines(t, base)
 	}
 }
 

@@ -19,9 +19,6 @@ type BatchTopNIter struct {
 	In   BatchIterator
 	Keys []SortKey
 	N    int64
-	// AppendKeys appends the key columns after the data columns (the
-	// parallel sorted-merge gather consumes them).
-	AppendKeys bool
 	// Heap, when non-nil, receives the topn_short_circuits counter on Close.
 	Heap *storage.Heap
 
@@ -50,17 +47,13 @@ func (t *BatchTopNIter) NextBatch() (*RowBatch, error) {
 	if t.pos >= len(t.perm) {
 		return nil, nil
 	}
-	outW := t.width
-	if t.AppendKeys {
-		outW += len(t.Keys)
-	}
 	if t.out == nil {
-		t.out = GetBatch(outW)
+		t.out = GetBatch(t.width)
 	}
 	out := t.out
 	out.Reset()
 	hi := min(t.pos+DefaultBatchSize, len(t.perm))
-	emitPerm(out, t.cols, t.present, t.keyCols, t.AppendKeys, t.perm, t.pos, hi)
+	emitPerm(out, t.cols, t.present, t.perm, t.pos, hi)
 	t.pos = hi
 	return out, nil
 }

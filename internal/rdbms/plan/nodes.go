@@ -54,9 +54,9 @@ func execView(ec *exec.ExecCtx, v storage.ReadView) storage.ReadView {
 }
 
 // annotation is the EXPLAIN suffix naming how n runs: " (batch)" for
-// every operator except the fused extraction and the gather, which name
-// themselves, and the one-row result of a FROM-less SELECT and its
-// projection, which carry nothing.
+// every operator except the fused extraction, which names itself, and the
+// one-row result of a FROM-less SELECT and its projection, which carry
+// nothing.
 func annotation(n Node) string {
 	switch x := n.(type) {
 	case *valuesNode:
@@ -70,8 +70,6 @@ func annotation(n Node) string {
 			return fmt.Sprintf(" (fused extract: %d keys, striped)", len(x.Reqs))
 		}
 		return fmt.Sprintf(" (fused extract: %d keys)", len(x.Reqs))
-	case *GatherNode:
-		return " (batch, parallel)"
 	}
 	return " (batch)"
 }
@@ -84,8 +82,7 @@ func annotation(n Node) string {
 // resets the field to the owner heap after planning, so cached plans do not
 // retain the planning-time snapshot's pages). A batch scan has no modes:
 // exec.BatchScanIter picks, page by page, between aliasing a frozen page
-// and transposing row-form ones, and it is serial — parallelism is a
-// GatherNode whose workers each open it over one page range (Open).
+// and transposing row-form ones.
 type ScanNode struct {
 	baseNode
 	Heap      storage.ReadView
@@ -102,8 +99,8 @@ type ScanNode struct {
 	// page's attribute/range summary and pages it reports skippable are
 	// never read. Its sources are the scan's filter conjuncts (deriveSkips
 	// — the factory resolves dictionary IDs per execution) and the bound of
-	// a Top-N directly above (deriveTopNSkip — computed per execution and
-	// per partition from the pages the cursor captured). SkipSource names
+	// a Top-N directly above (deriveTopNSkip — computed per execution from
+	// the pages the cursor captured). SkipSource names
 	// the source for EXPLAIN.
 	Skip       func(*storage.HeapChunkIter, []types.Datum) func(*storage.PageSummary) bool
 	SkipSource string
@@ -138,17 +135,10 @@ func (s *ScanNode) Details() []string {
 // Children implements Node.
 func (s *ScanNode) Children() []Node { return nil }
 
-// Open implements Node. The scan reads every page of its view, or, under a
-// gather worker's context, the worker's partition (exec.ExecCtx.Partition).
-// It runs on the goroutine that will drive the scan, so the skip test and
-// the scan's evaluation state are that goroutine's own.
+// Open implements Node. The scan reads every page of the statement's view
+// of its heap; the skip test and the evaluation state are its own.
 func (s *ScanNode) Open(ec *exec.ExecCtx) exec.BatchIterator {
-	v := execView(ec, s.Heap)
-	r, ok := ec.Partition()
-	if !ok {
-		r = storage.PageRange{End: v.NumPages()}
-	}
-	it := exec.NewBatchScanRange(v, conjoinExec(s.Preds), r.Start, r.End)
+	it := exec.NewBatchScan(execView(ec, s.Heap), conjoinExec(s.Preds))
 	it.NeedCols = s.NeedCols
 	it.SetParams(ec.Params())
 	if s.Skip != nil {
@@ -253,7 +243,7 @@ func (m *MultiExtractNode) Details() []string {
 func (m *MultiExtractNode) Children() []Node { return []Node{m.Child} }
 
 // Open implements Node. The kernel instance is built per Open so each
-// execution (and each goroutine) gets its own scratch state.
+// execution of a cached plan gets its own scratch state.
 func (m *MultiExtractNode) Open(ec *exec.ExecCtx) exec.BatchIterator {
 	kernel, err := m.Factory(m.Reqs)
 	if err != nil {
@@ -313,10 +303,6 @@ type SortNode struct {
 	baseNode
 	Child Node
 	Keys  []exec.SortKey
-	// AppendKeys makes the sort emit its key columns after the data
-	// columns: set when the node is a sorted-merge gather's fragment, whose
-	// merge compares them.
-	AppendKeys bool
 }
 
 // Label implements Node.
@@ -332,7 +318,7 @@ func (s *SortNode) Children() []Node { return []Node{s.Child} }
 
 // Open implements Node.
 func (s *SortNode) Open(ec *exec.ExecCtx) exec.BatchIterator {
-	return &exec.BatchSortIter{In: s.Child.Open(ec), Keys: s.Keys, AppendKeys: s.AppendKeys, Heap: heapBelow(s.Child)}
+	return &exec.BatchSortIter{In: s.Child.Open(ec), Keys: s.Keys, Heap: heapBelow(s.Child)}
 }
 
 // TopNNode is the bounded ORDER BY + LIMIT operator: the planner
@@ -343,8 +329,6 @@ type TopNNode struct {
 	Child Node
 	Keys  []exec.SortKey
 	N     int64
-	// AppendKeys is SortNode.AppendKeys.
-	AppendKeys bool
 }
 
 // Label implements Node.
@@ -363,7 +347,7 @@ func (t *TopNNode) Children() []Node { return []Node{t.Child} }
 
 // Open implements Node.
 func (t *TopNNode) Open(ec *exec.ExecCtx) exec.BatchIterator {
-	return &exec.BatchTopNIter{In: t.Child.Open(ec), Keys: t.Keys, N: t.N, AppendKeys: t.AppendKeys, Heap: heapBelow(t.Child)}
+	return &exec.BatchTopNIter{In: t.Child.Open(ec), Keys: t.Keys, N: t.N, Heap: heapBelow(t.Child)}
 }
 
 // UniqueNode removes consecutive duplicates of sorted input (the sort-based

@@ -62,9 +62,9 @@ type skipCond struct {
 
 // deriveSkips walks the plan and installs page-skip predicates on scans:
 // from their filters, and from the bound of a Top-N over a bare
-// scan (deriveTopNSkip). It runs after fusion/pruning and before
-// parallelization, so it sees plain ScanNodes (whose predicates still
-// contain raw extraction calls — fusion only rewrites projections).
+// scan (deriveTopNSkip). It runs after fusion/pruning, on plain ScanNodes
+// (whose predicates still contain raw extraction calls — fusion only
+// rewrites projections).
 func (p *Planner) deriveSkips(n Node) {
 	if n == nil {
 		return
@@ -123,8 +123,8 @@ func makeSkip(conds []skipCond, resolver exec.AttrResolver, h *storage.Heap) fun
 		off bool     // a parameter without a usable value: proves nothing
 		ids []uint32 // the key's attribute IDs (attr and zone)
 		// Per-ID singleton slices for the zone test's LacksAllAttrs probes,
-		// allocated at open: the page test may be shared across parallel
-		// partition scans, so it must not write shared scratch.
+		// allocated at open: the factory is shared by every execution of a
+		// cached plan, so it must not write shared scratch.
 		singles [][]uint32
 	}
 	return func(_ *storage.HeapChunkIter, params []types.Datum) func(*storage.PageSummary) bool {

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -426,100 +425,5 @@ func TestRowAndBatchPlansAgree(t *testing.T) {
 	}
 	if !pruned {
 		t.Error("no default plan pruned a scan's columns; the reference check above is vacuous")
-	}
-}
-
-// parallelCfg asks for up to four workers on any table of four pages or
-// more; the planner still bounds the count by GOMAXPROCS, which the caller
-// raises.
-func parallelCfg(t *testing.T) *Config {
-	t.Helper()
-	old := runtime.GOMAXPROCS(4)
-	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
-	cfg := DefaultConfig()
-	cfg.MaxParallelWorkers = 4
-	cfg.ParallelScanMinPages = 1
-	return cfg
-}
-
-// runCounted plans sql under cfg and runs it, returning the EXPLAIN text,
-// the result, and what the run added to the pager: bytes read and parallel
-// workers started.
-func runCounted(t *testing.T, cat *memCatalog, funcs *exec.Registry, cfg *Config, sql string) (text string, rows []storage.Row, read, workers int64) {
-	t.Helper()
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := NewPlanner(cat, funcs, cfg).PlanSelect(stmt.(*sqlparse.SelectStmt))
-	if err != nil {
-		t.Fatalf("plan %q: %v", sql, err)
-	}
-	cat.pager.Reset()
-	if rows, err = sp.Collect(); err != nil {
-		t.Fatalf("run %q: %v", sql, err)
-	}
-	read, _ = cat.pager.Stats()
-	_, workers = cat.pager.ExecStats()
-	return sp.Explain(), rows, read, workers
-}
-
-// TestLimitOverFilteredScanStaysSerial: a LIMIT is a barrier for every
-// kind of parallelism. Workers under it would each read ahead into their
-// partition for an answer the first pages already hold.
-func TestLimitOverFilteredScanStaysSerial(t *testing.T) {
-	cat := buildCatalog(t, 40*storage.PageCapacity, true)
-	cfg := parallelCfg(t)
-	serialCfg := *cfg
-	serialCfg.MaxParallelWorkers = 1
-	const sql = `SELECT v FROM t WHERE grp = 3 LIMIT 5`
-
-	_, want, serialRead, _ := runCounted(t, cat, exec.NewRegistry(), &serialCfg, sql)
-	text, got, read, workers := runCounted(t, cat, exec.NewRegistry(), cfg, sql)
-	if strings.Contains(text, "parallel") || strings.Contains(text, "Workers") {
-		t.Errorf("plan under LIMIT is parallel:\n%s", text)
-	}
-	if workers != 0 {
-		t.Errorf("%d parallel workers started under a LIMIT", workers)
-	}
-	if read != serialRead {
-		t.Errorf("read %d bytes, the max_parallel_workers = 1 leg read %d", read, serialRead)
-	}
-	if len(got) != 5 || fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("rows %v, serial leg %v", got, want)
-	}
-
-	// The same scan without the LIMIT is what a gather is for.
-	text, _, _, workers = runCounted(t, cat, exec.NewRegistry(), cfg, `SELECT v FROM t WHERE grp = 3`)
-	if !strings.Contains(text, "Gather (batch, parallel)") || workers == 0 {
-		t.Errorf("filtered scan without LIMIT stayed serial (%d workers):\n%s", workers, text)
-	}
-}
-
-// TestVolatilePredicateStaysSerial: ParallelSafe guards a scan's
-// pushed-down predicates like every other expression of a fragment — a
-// volatile call runs once per row in heap order, on one goroutine.
-func TestVolatilePredicateStaysSerial(t *testing.T) {
-	cat := buildCatalog(t, 40*storage.PageCapacity, true)
-	cfg := parallelCfg(t)
-	funcs := exec.NewRegistry()
-	var calls int64 // unsynchronized on purpose: -race fails a parallel plan
-	funcs.Register(&exec.FuncDef{
-		Name: "nth", MinArgs: 0, MaxArgs: 0, Volatile: true,
-		RetType: func([]types.Type) types.Type { return types.Int },
-		Eval: func([]types.Datum) (types.Datum, error) {
-			calls++
-			return types.NewInt(calls), nil
-		},
-	})
-	for _, sql := range []string{
-		`SELECT v FROM t WHERE nth() = v + 1`,
-		`SELECT COUNT(*) FROM t WHERE nth() > 0`,
-	} {
-		calls = 0
-		text, _, _, workers := runCounted(t, cat, funcs, cfg, sql)
-		if workers != 0 || strings.Contains(text, "parallel") {
-			t.Errorf("%s: volatile predicate in a parallel plan (%d workers):\n%s", sql, workers, text)
-		}
 	}
 }

@@ -421,7 +421,7 @@ func (p *Planner) PlanSelect(stmt *sqlparse.SelectStmt) (*SelectPlan, error) {
 
 	// The shortcuts: each one is an identity between two physical plans
 	// of the same answer. With enable_batch off none is applied, and the
-	// plan is the reference — the same tree of the same operators, serial,
+	// plan is the reference — the same tree of the same operators,
 	// reading every page and column, sorting in full under a LIMIT.
 	shortcuts := p.Cfg.EnableBatch
 	if shortcuts {
@@ -430,7 +430,6 @@ func (p *Planner) PlanSelect(stmt *sqlparse.SelectStmt) (*SelectPlan, error) {
 		p.prepareSegmented(cur, nil)
 		pruneScanColumns(cur)
 		p.deriveSkips(cur)
-		cur = p.parallelize(cur)
 	}
 	releasePlanViews(cur)
 	if len(p.Params) > 0 && (len(stmt.From) > 1 && p.b.read || !paramsCovered(cur)) {

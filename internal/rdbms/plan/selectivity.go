@@ -15,14 +15,12 @@ import (
 // selectivity — §3.1.1 ("the optimizer assumes a fixed selectivity for
 // queries over virtual columns (200 rows out of 10 million)").
 //
-// Three fields are session variables (SET, part of the plan-cache key):
-// EnableBatch, ParallelScanMinPages and MaxParallelWorkers. Each is kept
-// because something needs its other position — the reference plan
-// (EnableBatch off) is the "want" side of every differential test and the
-// benchmark's oracle, the oracle and the serial test legs force one
-// worker, and tests lower the page threshold to get parallel plans on
-// small fixtures. What the executor does the same way for every statement
-// (rows per batch, aliasing frozen pages) is not configuration.
+// One field is a session variable (SET, part of the plan-cache key):
+// EnableBatch. It is kept because something needs its other position —
+// the reference plan (EnableBatch off) is the "want" side of every
+// differential test and the benchmark's oracle. What the executor does the
+// same way for every statement (rows per batch, aliasing frozen pages, one
+// goroutine) is not configuration.
 type Config struct {
 	// SeqPageCostPerByte converts scanned bytes into cost units
 	// (Postgres seq_page_cost=1.0 per 8 KB page).
@@ -57,19 +55,11 @@ type Config struct {
 	HashJoinMaxBuildRows float64
 	// EnableBatch applies the plan shortcuts — Top-N, fused extraction,
 	// segment kernels and compiled selection filters, column pruning, page
-	// skipping, parallel gathers and the fused projection collector. Off,
-	// PlanSelect returns the reference plan: the same tree of the same
-	// batch operators with none of them. Session knob: SET enable_batch =
-	// on|off (the name predates the one operator set).
+	// skipping and the fused projection collector. Off, PlanSelect returns
+	// the reference plan: the same tree of the same batch operators with
+	// none of them. Session knob: SET enable_batch = on|off (the name
+	// predates the one operator set).
 	EnableBatch bool
-	// ParallelScanMinPages is the minimum heap page count per gather
-	// worker: a fragment gets min(GOMAXPROCS, pages/ParallelScanMinPages)
-	// workers. Session knob: SET parallel_scan_min_pages = N.
-	ParallelScanMinPages int
-	// MaxParallelWorkers caps pipeline parallelism: 0 means the
-	// GOMAXPROCS-bounded default, 1 forces serial execution, and any other
-	// value is an additional upper bound on worker count.
-	MaxParallelWorkers int
 }
 
 // DefaultConfig returns Postgres-flavoured defaults.
@@ -87,8 +77,6 @@ func DefaultConfig() *Config {
 		HashAggMaxGroups:     10000,
 		HashJoinMaxBuildRows: 1 << 20,
 		EnableBatch:          true,
-		ParallelScanMinPages: 4,
-		MaxParallelWorkers:   0,
 	}
 }
 

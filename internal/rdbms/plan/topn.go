@@ -49,9 +49,9 @@ func (p *Planner) newTopN(s *SortNode, limit int64) Node {
 // by its own limit: when the first sort key is a physical column whose
 // per-page min/max the summaries track, the scan gets a skip factory that
 // runs storage.HeapChunkIter.TopNSkip at every iterator open — per
-// execution, because a cached plan outlives loads, and per partition, so
-// each Gather worker bounds its own pages. A scan with predicates does not
-// qualify: the pages' live counts say nothing about how many rows pass.
+// execution, because a cached plan outlives loads. A scan with predicates
+// does not qualify: the pages' live counts say nothing about how many rows
+// pass.
 func deriveTopNSkip(t *TopNNode) {
 	s, ok := t.Child.(*ScanNode)
 	if !ok || len(s.Preds) > 0 || len(t.Keys) == 0 {

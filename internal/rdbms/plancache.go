@@ -163,42 +163,21 @@ func (db *DB) PlanCacheStats() PlanCacheStats {
 }
 
 // flagsKey folds the plan-shaping session settings into the cache key, so
-// SET enable_batch / parallel_scan_min_pages / max_parallel_workers force
-// a re-plan rather than replaying a plan built under different settings. The key is
-// computed when a setting changes (Open, execSet) and stored in db.flags:
-// every statement reads it, few change it.
+// SET enable_batch forces a re-plan rather than replaying a plan built
+// under the other setting. The key is computed when a setting changes
+// (Open, execSet) and stored in db.flags: every statement reads it, few
+// change it.
 func flagsKey(cfg *plan.Config) string {
-	// Hand-rolled to keep fmt out of the package's statement path.
-	b := make([]byte, 0, 24)
 	if cfg.EnableBatch {
-		b = append(b, "b1,"...)
-	} else {
-		b = append(b, "b0,"...)
+		return "b1"
 	}
-	b = appendUint(b, uint64(cfg.ParallelScanMinPages))
-	b = append(b, ',')
-	b = appendUint(b, uint64(cfg.MaxParallelWorkers))
-	return string(b)
+	return "b0"
 }
 
 // publishFlags recomputes db.flags from the current settings.
 func (db *DB) publishFlags() {
 	k := flagsKey(db.cfg)
 	db.flags.Store(&k)
-}
-
-func appendUint(b []byte, v uint64) []byte {
-	if v == 0 {
-		return append(b, '0')
-	}
-	var tmp [20]byte
-	i := len(tmp)
-	for v > 0 {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return append(b, tmp[i:]...)
 }
 
 // CachedSelect is one SELECT as the plan cache sees it: Text is the

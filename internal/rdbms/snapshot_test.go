@@ -175,10 +175,10 @@ type snapshotReadState struct {
 	sum     int64
 }
 
-// readerPlanConfigs returns one private planner configuration per
-// executor mode, so the differential readers cover row, batch and
-// parallel plans without racing on session SETs (the batch scan meets
-// frozen and row-form pages, skipped or not, as the writer leaves them).
+// readerPlanConfigs returns one private planner configuration per plan
+// kind, so the differential readers cover the reference and the default
+// plan without racing on session SETs (the batch scan meets frozen and
+// row-form pages, skipped or not, as the writer leaves them).
 func readerPlanConfigs() map[string]*plan.Config {
 	mk := func(mut func(*plan.Config)) *plan.Config {
 		c := *plan.DefaultConfig()
@@ -186,19 +186,8 @@ func readerPlanConfigs() map[string]*plan.Config {
 		return &c
 	}
 	return map[string]*plan.Config{
-		"reference": mk(func(c *plan.Config) {
-			c.EnableBatch = false
-			c.MaxParallelWorkers = 1
-		}),
-		"batch": mk(func(c *plan.Config) {
-			c.EnableBatch = true
-			c.MaxParallelWorkers = 1
-		}),
-		"parallel": mk(func(c *plan.Config) {
-			c.EnableBatch = true
-			c.MaxParallelWorkers = 4
-			c.ParallelScanMinPages = 1
-		}),
+		"reference": mk(func(c *plan.Config) { c.EnableBatch = false }),
+		"batch":     mk(func(c *plan.Config) { c.EnableBatch = true }),
 	}
 }
 
@@ -223,7 +212,7 @@ func readAtSnapshot(db *DB, ec *exec.ExecCtx, cfg *plan.Config, h *storage.Heap,
 // TestSnapshotIsolationDifferential replays a randomized single-writer
 // workload while concurrent readers pin snapshots and check that what
 // they saw equals the serially computed table state at exactly their
-// pinned epoch — across row, batch and parallel plans. The
+// pinned epoch — across the reference and the batch plans. The
 // writer records each statement's expected outcome under its predicted
 // epoch *before* executing it, so any published state is accounted for
 // by the time a reader can pin it.

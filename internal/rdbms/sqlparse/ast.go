@@ -118,7 +118,7 @@ type ExplainStmt struct{ Stmt Statement }
 type AnalyzeStmt struct{ Table string }
 
 // SetStmt is SET name = value, adjusting a session-level knob
-// (enable_batch, max_parallel_workers, ...). Value is an Int, Bool, or Text
+// (enable_batch; rdbms.DB.execSet lists them). Value is an Int, Bool, or Text
 // datum.
 type SetStmt struct {
 	Name  string

@@ -318,51 +318,17 @@ func (it *HeapIter) Close() { it.flush() }
 // far (flushed bytes only).
 func (it *HeapIter) BytesRead() int64 { return it.read }
 
-// NumPages returns the current page count (the unit partitions divide).
+// NumPages returns the current page count.
 func (h *Heap) NumPages() int { return len(h.pages) }
 
-// PageRange is a half-open contiguous run of pages [Start, End) — the unit
-// of work of a partitioned parallel scan.
-type PageRange struct {
-	Start, End int
-}
-
-// Partitions splits the heap's pages into at most n near-equal contiguous
-// ranges (fewer when the heap has fewer pages than n). An empty heap
-// yields no partitions.
-func (h *Heap) Partitions(n int) []PageRange {
-	return partitionRanges(len(h.pages), n)
-}
-
-// partitionRanges splits a page count into near-equal contiguous ranges.
-func partitionRanges(pages, n int) []PageRange {
-	if n < 1 {
-		n = 1
-	}
-	if n > pages {
-		n = pages
-	}
-	out := make([]PageRange, 0, n)
-	for i := 0; i < n; i++ {
-		start := pages * i / n
-		end := pages * (i + 1) / n
-		if start < end {
-			out = append(out, PageRange{Start: start, End: end})
-		}
-	}
-	return out
-}
-
-// HeapChunkIter reads live rows of a page range in bulk — the storage-side
+// HeapChunkIter reads live rows of a page table in bulk — the storage-side
 // feeder of the batch executor. Like HeapIter it accumulates page-read
-// bytes locally and flushes them to the pager at the end of the range or
-// on Close, and it tracks bytes per iterator so a partitioned scan can
-// report byte accounting per partition.
+// bytes locally and flushes them to the pager at the end of the pages or
+// on Close, and it tracks the bytes it charged.
 type HeapChunkIter struct {
 	pages   []*page
 	pager   *Pager
 	page    int
-	end     int
 	slot    int
 	pending int64
 	read    int64
@@ -387,29 +353,18 @@ func (it *HeapChunkIter) SetSkip(f func(*PageSummary) bool) { it.skip = f }
 // PagesSkipped reports how many whole pages the predicate eliminated.
 func (it *HeapChunkIter) PagesSkipped() int64 { return it.skipped + it.pendingSkipped }
 
-// IterateRange returns a chunk cursor over pages [start, end); end is
-// clamped to the page count. Like Iterate, the cursor captures the page
-// table at creation.
-func (h *Heap) IterateRange(start, end int) *HeapChunkIter {
-	return newChunkIter(h.pages, h.pager, start, end)
-}
-
-func newChunkIter(pages []*page, pager *Pager, start, end int) *HeapChunkIter {
-	if start < 0 {
-		start = 0
-	}
-	if end > len(pages) {
-		end = len(pages)
-	}
-	return &HeapChunkIter{pages: pages, pager: pager, page: start, end: end, slot: 0}
+// IterateChunks returns a chunk cursor over every page of the heap. Like
+// Iterate, the cursor captures the page table at creation.
+func (h *Heap) IterateChunks() *HeapChunkIter {
+	return &HeapChunkIter{pages: h.pages, pager: h.pager}
 }
 
 // ReadRows fills dst with the next live rows in heap order and returns the
-// count; 0 means the range is exhausted. Rows are shared with the heap and
+// count; 0 means the pages are exhausted. Rows are shared with the heap and
 // must be treated as immutable.
 func (it *HeapChunkIter) ReadRows(dst []Row) int {
 	n := 0
-	for n < len(dst) && it.page < it.end {
+	for n < len(dst) && it.page < len(it.pages) {
 		p := it.pages[it.page]
 		if it.slot == 0 {
 			if it.skip != nil && p.sum.usable() && it.skip(p.sum) {
@@ -462,10 +417,10 @@ func (it *HeapChunkIter) flush() {
 	it.pending = 0
 }
 
-// Close finalizes pager accounting for an abandoned range; idempotent.
+// Close finalizes pager accounting for an abandoned scan; idempotent.
 func (it *HeapChunkIter) Close() { it.flush() }
 
-// BytesRead reports the bytes this partition cursor has charged so far.
+// BytesRead reports the bytes this cursor has charged so far.
 func (it *HeapChunkIter) BytesRead() int64 { return it.read }
 
 // Get fetches a single row by ID, charging only that row's bytes (a point
@@ -757,26 +712,21 @@ type Pager struct {
 	bytesRead    int64
 	bytesWritten int64
 	// Execution counters (per-query when callers Reset between queries):
-	// whole pages eliminated by skip summaries, and parallel-pipeline
-	// workers launched.
-	pagesSkipped    int64
-	parallelWorkers int64
+	// whole pages eliminated by skip summaries.
+	pagesSkipped int64
 	// Segment counters: frozen pages scanned striped, and frozen pages
 	// un-frozen back to rows by writes.
 	segScanned  int64
 	segUnfrozen int64
 	// Selection-vector execution counters: frozen pages eliminated by
-	// segment zone maps, selection-carrying batches emitted by striped
-	// scans, and striped scans run under a parallel gather.
-	zoneSkipped     int64
-	selBatches      int64
-	parallelStriped int64
+	// segment zone maps and selection-carrying batches emitted by striped
+	// scans.
+	zoneSkipped int64
+	selBatches  int64
 	// Order-sensitive operator counters: input batches accumulated by batch
-	// sorts, rows discarded on arrival by bounded Top-N heaps, and
-	// partitions merged by sorted-merge gathers.
+	// sorts and rows discarded on arrival by bounded Top-N heaps.
 	sortBatches       int64
 	topnShortCircuits int64
-	sortedMergeParts  int64
 	// Snapshot counters (snapshot.go): snapshotsOpen is a gauge of reader
 	// pins currently held, snapshotPublishes counts published versions
 	// (the global snapshot_epoch), and pagesCoW counts page version splits
@@ -807,12 +757,6 @@ func (p *Pager) recordPagesSkipped(n int64) {
 	p.mu.Unlock()
 }
 
-func (p *Pager) recordParallelWorkers(n int64) {
-	p.mu.Lock()
-	p.parallelWorkers += n
-	p.mu.Unlock()
-}
-
 func (p *Pager) recordSegScanned(n int64) {
 	p.mu.Lock()
 	p.segScanned += n
@@ -837,12 +781,6 @@ func (p *Pager) recordSelBatches(n int64) {
 	p.mu.Unlock()
 }
 
-func (p *Pager) recordParallelStriped(n int64) {
-	p.mu.Lock()
-	p.parallelStriped += n
-	p.mu.Unlock()
-}
-
 func (p *Pager) recordSortBatches(n int64) {
 	p.mu.Lock()
 	p.sortBatches += n
@@ -852,12 +790,6 @@ func (p *Pager) recordSortBatches(n int64) {
 func (p *Pager) recordTopNShortCircuits(n int64) {
 	p.mu.Lock()
 	p.topnShortCircuits += n
-	p.mu.Unlock()
-}
-
-func (p *Pager) recordSortedMergeParts(n int64) {
-	p.mu.Lock()
-	p.sortedMergeParts += n
 	p.mu.Unlock()
 }
 
@@ -891,23 +823,23 @@ func (p *Pager) SnapshotStats() (open, epoch, pagesCoW int64) {
 }
 
 // SortStats returns the order-sensitive operator counters: batches
-// accumulated by batch sorts, rows discarded on arrival by bounded Top-N
-// heaps, and partitions merged by sorted-merge gathers since the last
-// Reset.
-func (p *Pager) SortStats() (sortBatches, topnShortCircuits, sortedMergeParts int64) {
+// accumulated by batch sorts and rows discarded on arrival by bounded
+// Top-N heaps since the last Reset. The third result is always 0; it is
+// kept so callers that read three results still compile.
+func (p *Pager) SortStats() (sortBatches, topnShortCircuits, _ int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.sortBatches, p.topnShortCircuits, p.sortedMergeParts
+	return p.sortBatches, p.topnShortCircuits, 0
 }
 
 // SelStats returns the selection-vector execution counters: frozen pages
-// eliminated by segment zone maps, selection-carrying batches emitted by
-// striped scans, and striped scans run under a parallel gather since the
-// last Reset.
-func (p *Pager) SelStats() (zoneSkipped, selBatches, parallelStriped int64) {
+// eliminated by segment zone maps and selection-carrying batches emitted by
+// striped scans since the last Reset. The third result is always 0, kept
+// like SortStats'.
+func (p *Pager) SelStats() (zoneSkipped, selBatches, _ int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.zoneSkipped, p.selBatches, p.parallelStriped
+	return p.zoneSkipped, p.selBatches, 0
 }
 
 // SegStats returns the segment execution counters: frozen pages scanned
@@ -925,21 +857,21 @@ func (p *Pager) Stats() (read, written int64) {
 	return p.bytesRead, p.bytesWritten
 }
 
-// ExecStats returns the execution counters: pages eliminated by skip
-// summaries and parallel workers launched since the last Reset.
-func (p *Pager) ExecStats() (pagesSkipped, parallelWorkers int64) {
+// ExecStats returns the pages eliminated by skip summaries since the last
+// Reset. The second result is always 0, kept like SortStats'.
+func (p *Pager) ExecStats() (pagesSkipped, _ int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.pagesSkipped, p.parallelWorkers
+	return p.pagesSkipped, 0
 }
 
 // Reset zeroes the counters (between benchmark phases).
 func (p *Pager) Reset() {
 	p.mu.Lock()
 	p.bytesRead, p.bytesWritten = 0, 0
-	p.pagesSkipped, p.parallelWorkers = 0, 0
+	p.pagesSkipped = 0
 	p.segScanned, p.segUnfrozen = 0, 0
-	p.zoneSkipped, p.selBatches, p.parallelStriped = 0, 0, 0
-	p.sortBatches, p.topnShortCircuits, p.sortedMergeParts = 0, 0, 0
+	p.zoneSkipped, p.selBatches = 0, 0
+	p.sortBatches, p.topnShortCircuits = 0, 0
 	p.mu.Unlock()
 }

@@ -250,7 +250,7 @@ func (h *Heap) noteRowExcept(s *PageSummary, row Row, skipAttrs map[int]bool) {
 
 // TopNSkip returns the page-skip test of an ORDER BY on column col
 // (descending when desc) that keeps n rows, derived from the summaries of
-// the pages left in the cursor's range without reading a row; nil when no
+// the pages left in the cursor without reading a row; nil when no
 // page can be skipped. A page whose every live key is at least as good as
 // its own bound (min under DESC, max under ASC) contributes its live rows;
 // T is the best bound whose pages together hold n rows. A page whose range
@@ -277,7 +277,7 @@ func (it *HeapChunkIter) TopNSkip(col int, desc bool, n int64) func(*PageSummary
 	var buf [16]pageBound
 	best := buf[:0]
 	var held int64
-	pages := it.pages[it.page:it.end]
+	pages := it.pages[it.page:]
 	for _, p := range pages {
 		r := p.sum.usableRange(col)
 		if r == nil || r.nulls {
@@ -332,17 +332,6 @@ func orderCmp(a, b types.Datum, desc bool) int {
 		return types.CompareOrder(b, a)
 	}
 	return types.CompareOrder(a, b)
-}
-
-// LiveRows counts the live rows of the pages left in the cursor's range —
-// what a scan of them delivers when no page is skipped — from the captured
-// page objects.
-func (it *HeapChunkIter) LiveRows() int64 {
-	var n int64
-	for pi := it.page; pi < it.end; pi++ {
-		n += liveRows(it.pages[pi])
-	}
-	return n
 }
 
 // liveRows counts the rows a scan of p would deliver.
@@ -443,15 +432,6 @@ func (h *Heap) remapSummarizersOnDrop(idx int) {
 	h.summarizers = next
 }
 
-// RecordParallelWorkers forwards a parallel-pipeline worker count to the
-// pager's execution counters (per-query attribution: the pager is reset
-// between queries by callers that track per-query stats).
-func (h *Heap) RecordParallelWorkers(n int) {
-	if h.pager != nil && n > 0 {
-		h.pager.recordParallelWorkers(int64(n))
-	}
-}
-
 // RecordZoneSkips counts frozen pages a scan eliminated via segment zone
 // maps (min/max/null-count metadata) before decoding them.
 func (h *Heap) RecordZoneSkips(n int64) {
@@ -468,14 +448,6 @@ func (h *Heap) RecordSelBatches(n int64) {
 	}
 }
 
-// RecordParallelStriped counts striped scans run under a parallel gather
-// (one count per multi-partition striped scan, not per partition).
-func (h *Heap) RecordParallelStriped(n int64) {
-	if h.pager != nil && n > 0 {
-		h.pager.recordParallelStriped(n)
-	}
-}
-
 // RecordSortBatches counts input batches accumulated by batch sorts
 // (BatchSortIter flushes its per-query count on Close).
 func (h *Heap) RecordSortBatches(n int64) {
@@ -489,13 +461,5 @@ func (h *Heap) RecordSortBatches(n int64) {
 func (h *Heap) RecordTopNShortCircuits(n int64) {
 	if h.pager != nil && n > 0 {
 		h.pager.recordTopNShortCircuits(n)
-	}
-}
-
-// RecordSortedMergeParts counts partitions merged by sorted-merge gathers
-// (per-partition locally sorted streams k-way merged on precomputed keys).
-func (h *Heap) RecordSortedMergeParts(n int64) {
-	if h.pager != nil && n > 0 {
-		h.pager.recordSortedMergeParts(n)
 	}
 }

@@ -404,7 +404,7 @@ func pageRows(p *page) []Row {
 	return rows
 }
 
-// PageView is one stretch of a page range as the batch scan consumes it:
+// PageView is one stretch of a heap as the batch scan consumes it:
 // either one frozen page, or live rows of the row-form pages before the
 // next frozen one.
 type PageView struct {
@@ -412,18 +412,19 @@ type PageView struct {
 	Rows   []Row       // live rows of a row-form run; valid until the next ReadPage
 }
 
-// ReadPage returns the next unskipped stretch of the range: a frozen page
+// ReadPage returns the next unskipped stretch of the pages: a frozen page
 // as a whole, or up to maxRows live rows of the run of row-form pages that
 // ends at the next frozen page (a run resumes mid-page on the next call,
-// like ReadRows; maxRows is the same on every call). ok=false means the range is exhausted. Byte accounting
-// matches ReadRows: entering a page charges its bytes, skipped pages
-// charge nothing, and frozen pages additionally count toward the pager's
-// segments-scanned counter. The row buffer is the cursor's own, sized on
-// the first row-form page by what is left of the range, so a range that
-// is frozen up to a short tail never pays for a full batch of row slots.
+// like ReadRows; maxRows is the same on every call). ok=false means the
+// pages are exhausted. Byte accounting matches ReadRows: entering a page
+// charges its bytes, skipped pages charge nothing, and frozen pages
+// additionally count toward the pager's segments-scanned counter. The row
+// buffer is the cursor's own, sized on the first row-form page by the
+// pages left, so a heap that is frozen up to a short tail never pays for
+// a full batch of row slots.
 func (it *HeapChunkIter) ReadPage(maxRows int) (PageView, bool) {
 	n := 0
-	for it.page < it.end {
+	for it.page < len(it.pages) {
 		p := it.pages[it.page]
 		if it.slot == 0 {
 			if it.skip != nil && p.sum.usable() && it.skip(p.sum) {
@@ -442,7 +443,7 @@ func (it *HeapChunkIter) ReadPage(maxRows int) (PageView, bool) {
 			}
 			it.pending += p.bytes
 			if it.rowBuf == nil {
-				it.rowBuf = make([]Row, min(maxRows, (it.end-it.page)*rowsPerPage))
+				it.rowBuf = make([]Row, min(maxRows, (len(it.pages)-it.page)*rowsPerPage))
 			}
 		}
 		for it.slot < len(p.rows) && n < len(it.rowBuf) {

@@ -98,7 +98,7 @@ func TestFreezeColdPages(t *testing.T) {
 	}
 
 	// ReadPage delivers frozen pages striped and the tail as rows.
-	it := h.IterateRange(0, h.NumPages())
+	it := h.IterateChunks()
 	var frozenSeen, rowPages int
 	for {
 		pv, ok := it.ReadPage(rowsPerPage)

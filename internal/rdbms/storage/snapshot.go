@@ -40,11 +40,9 @@ type ReadView interface {
 	Schema() *Schema
 	NumRows() int64
 	SizeBytes() int64
-	NumPages() int
 	NumFrozenPages() int
 	Segmented() bool
-	Partitions(n int) []PageRange
-	IterateRange(start, end int) *HeapChunkIter
+	IterateChunks() *HeapChunkIter
 	Scan(fn func(id RowID, row Row) bool)
 	Get(id RowID) (Row, bool)
 	// Epoch is the heap's publish counter at the view's creation (the live
@@ -138,9 +136,6 @@ func (s *HeapSnapshot) NumRows() int64 { return s.nrows }
 // SizeBytes returns the estimated table size at publish time.
 func (s *HeapSnapshot) SizeBytes() int64 { return s.bytes }
 
-// NumPages returns the page count at publish time.
-func (s *HeapSnapshot) NumPages() int { return len(s.pages) }
-
 // NumFrozenPages returns the frozen-page count at publish time.
 func (s *HeapSnapshot) NumFrozenPages() int { return s.frozen }
 
@@ -151,16 +146,9 @@ func (s *HeapSnapshot) SegmentBytes() int64 { return s.segBytes }
 // Segmented reports whether any page of the snapshot is frozen.
 func (s *HeapSnapshot) Segmented() bool { return s.frozen > 0 }
 
-// Partitions splits the snapshot's pages for a parallel scan; every
-// partition of one view scans the same frozen page table.
-func (s *HeapSnapshot) Partitions(n int) []PageRange {
-	return partitionRanges(len(s.pages), n)
-}
-
-// IterateRange returns a chunk cursor over pages [start, end) of the
-// snapshot.
-func (s *HeapSnapshot) IterateRange(start, end int) *HeapChunkIter {
-	return newChunkIter(s.pages, s.pager, start, end)
+// IterateChunks returns a chunk cursor over every page of the snapshot.
+func (s *HeapSnapshot) IterateChunks() *HeapChunkIter {
+	return &HeapChunkIter{pages: s.pages, pager: s.pager}
 }
 
 // Scan iterates all live rows of the snapshot in heap order.

@@ -350,7 +350,7 @@ func TestTopNSkipBound(t *testing.T) {
 			}
 		}
 
-		skip := h.IterateRange(0, h.NumPages()).TopNSkip(2, desc, n)
+		skip := h.IterateChunks().TopNSkip(2, desc, n)
 		var kept []types.Datum
 		var skippedKeys []types.Datum
 		for pi, p := range h.pages {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/sinewdata/sinew/internal/jsonx"
+	"github.com/sinewdata/sinew/internal/nobench"
 )
 
 // benchDoc builds a NoBench-shaped document with nAttrs attributes.
@@ -77,6 +78,33 @@ func BenchmarkExtractNested(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, ok, err := ExtractPath(data, "user.id", TypeInt, dict); err != nil || !ok {
 			b.Fatal(ok, err)
+		}
+	}
+}
+
+// BenchmarkParseSegmentNoBench times ParseSegment over one heap page of
+// NoBench records (128): the validation a freeze pays once per page, the
+// sparse index's entries (about ten per record) included.
+func BenchmarkParseSegmentNoBench(b *testing.B) {
+	dict := NewDictionary()
+	enc := NewEncoder(dict, false)
+	var records [][]byte
+	for _, doc := range nobench.Generate(128, 7) {
+		rec, err := enc.EncodeDoc(doc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		records = append(records, rec)
+	}
+	data, err := EncodeSegment(records, dict)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseSegment(data); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -131,6 +131,38 @@ func heldValueBytes(data []byte, id uint32) []byte {
 	return nil
 }
 
+// parsedValueBytes is ValueBytes over a record whose header parseHeader
+// has accepted: the same search and the same offset checks, without
+// building the header again. ParseSegment's sparse-index check parses a
+// record's header once and looks up every entry naming it through this.
+func parsedValueBytes(data []byte, id uint32) ([]byte, bool, error) {
+	if id == absentID {
+		return nil, false, nil
+	}
+	n := int(binary.LittleEndian.Uint32(data))
+	aids := data[u32 : u32+u32*n]
+	offs := data[u32+u32*n : u32*(2+2*n)]
+	bodyLen := binary.LittleEndian.Uint32(offs[n*u32:])
+	lo, hi := 0, n
+	for lo < hi {
+		mid := (lo + hi) / 2
+		switch v := binary.LittleEndian.Uint32(aids[mid*u32:]); {
+		case v < id:
+			lo = mid + 1
+		case v > id:
+			hi = mid
+		default:
+			start, end := binary.LittleEndian.Uint32(offs[mid*u32:]), binary.LittleEndian.Uint32(offs[(mid+1)*u32:])
+			if start > end || end > bodyLen {
+				return nil, false, fmt.Errorf("serial: corrupt value offsets (attr %d: %d..%d of body %d)", mid, start, end, bodyLen)
+			}
+			body := u32 * (2 + 2*n)
+			return data[body+int(start) : body+int(end)], true, nil
+		}
+	}
+	return nil, false, nil
+}
+
 // ExtractByID returns the value of attribute id; ok=false when absent.
 func ExtractByID(data []byte, id uint32, dict Dict) (jsonx.Value, bool, error) {
 	h, err := parseHeader(data)

@@ -806,9 +806,18 @@ func (s *Segment) checkSections(nwords, footerOff int) error {
 // ascending, one encoding per attribute, no attribute both sparse and
 // sectioned nor in more than n/segSparseDiv records, every row a non-NULL
 // record that holds the attribute, and fixed-width values of their width.
-// It counts the sparse attributes.
+// It counts the sparse attributes. A record is named once per sparse
+// attribute it holds, in attribute order, so its header is parsed the
+// first time an entry names it (a bit per row records that) and every
+// entry's value found through the checked header in place.
 func (s *Segment) checkSparse() error {
 	ne := s.numEntries()
+	// Rows of a heap page fit the stack buffer; a larger segment allocates.
+	var parsedBuf [4]uint64
+	parsed := parsedBuf[:]
+	if words := (s.n + 63) / 64; ne > 0 && words > len(parsedBuf) {
+		parsed = make([]uint64, words)
+	}
 	di, run := 0, 0
 	for k := 0; k < ne; k++ {
 		id, row, enc := s.entry(k)
@@ -841,7 +850,13 @@ func (s *Segment) checkSparse() error {
 		if !ok {
 			return fmt.Errorf("serial: segment sparse attr %d on null record %d", id, row)
 		}
-		b, ok, err := ValueBytes(rec, id)
+		if bit := uint64(1) << uint(row%64); parsed[row/64]&bit == 0 {
+			if _, err := parseHeader(rec); err != nil {
+				return fmt.Errorf("serial: segment sparse attr %d: value outside record %d: %w", id, row, err)
+			}
+			parsed[row/64] |= bit
+		}
+		b, ok, err := parsedValueBytes(rec, id)
 		if err != nil {
 			return fmt.Errorf("serial: segment sparse attr %d: value outside record %d: %w", id, row, err)
 		}
