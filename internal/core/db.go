@@ -137,9 +137,9 @@ func (db *DB) CreateCollection(name string, opts ...CollectionOptions) error {
 	}
 	// Maintain per-page attribute-presence summaries over the reservoir
 	// column (index 1 above): sparse-key selections skip whole pages whose
-	// summary proves the key absent. The segmenter lets ANALYZE (and
-	// load-time compaction) freeze cold pages into column-striped segments
-	// the batch pipeline reads directly.
+	// summary proves the key absent. The segmenter lets ANALYZE freeze
+	// cold pages into column-striped segments the batch pipeline reads
+	// directly.
 	if heap, _, terr := db.rdb.Table(name); terr == nil {
 		heap.SetAttrSummarizer(1, reservoirSummarizer)
 		heap.SetColumnSegmenter(db.reservoirSegmenter())

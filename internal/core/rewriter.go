@@ -134,7 +134,7 @@ func (db *DB) PlanShape(sql string) (ops, scanOrder []string, err error) {
 		return nil, nil, err
 	}
 	defer cleanup()
-	sp, err := db.rdb.PlanSelectStmt(rewritten.(*sqlparse.SelectStmt))
+	sp, err := db.rdb.PlanSelect(rewritten.(*sqlparse.SelectStmt))
 	if err != nil {
 		return nil, nil, err
 	}

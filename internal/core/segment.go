@@ -13,9 +13,9 @@ import (
 )
 
 // This file connects the storage layer's frozen-page machinery to Sinew's
-// serialized-record format. When ANALYZE (or load-time compaction) freezes
-// a cold page, the installed segmenter stripes every record-holding Bytes
-// column — the reservoir and materialized nested-object columns — into a
+// serialized-record format. When ANALYZE freezes a cold page, the
+// installed segmenter stripes every record-holding Bytes column — the
+// reservoir and materialized nested-object columns — into a
 // serial.Segment: a typed vector with a presence bitmap and a footer
 // min/max for every attribute dense on the page, a sparse index into the
 // record bytes for the rest. The striped extraction kernel then answers

@@ -6,9 +6,9 @@ import (
 )
 
 // ClosePropagation enforces the resource-release invariant of the executor
-// and storage layers: pager byte accounting is flushed by HeapIter.Close,
+// and storage layers: pager byte accounting is flushed by HeapChunkIter.Close,
 // so every operator that owns a child iterator (anything with a no-arg
-// Close method: BatchIterator, *storage.HeapIter, RowSource, …)
+// Close method: BatchIterator, *storage.HeapChunkIter, RowSource, …)
 // must forward Close to it. A struct that has such fields and a Close
 // method which never releases one of them — directly, through a sibling
 // method, via a range loop, or by handing the field to a helper — leaks

@@ -7,7 +7,7 @@ import (
 
 // hasCloseMethod reports whether t (or *t) has a Close method taking no
 // arguments — the project-wide convention for resource release (exec
-// iterators, storage.HeapIter, batch sources).
+// iterators, storage.HeapChunkIter, batch sources).
 func hasCloseMethod(t types.Type) bool {
 	if t == nil {
 		return false

@@ -321,12 +321,6 @@ func (db *DB) ExplainSelect(st *sqlparse.SelectStmt) (string, error) {
 	return sp.Explain(), nil
 }
 
-// PlanSelectStmt exposes the physical plan (the Table 2 experiment inspects
-// operator choices programmatically).
-func (db *DB) PlanSelectStmt(st *sqlparse.SelectStmt) (*plan.SelectPlan, error) {
-	return db.PlanSelect(st)
-}
-
 func fromTables(st *sqlparse.SelectStmt) []string {
 	names := make([]string, 0, len(st.From))
 	for _, f := range st.From {
@@ -457,27 +451,17 @@ func (db *DB) execUpdate(st *sqlparse.UpdateStmt, epoch *uint64) (*Result, error
 	}
 	defer t.heap.Publish()
 	schema := t.heap.Schema()
-	layout := tableLayout(st.Table, schema)
-
-	filter, err := db.compileForTable(st.Where, layout, "WHERE")
-	if err != nil {
-		return nil, err
-	}
-	type setOp struct {
-		idx int
-		e   exec.Expr
-	}
-	sets := make([]setOp, 0, len(st.Set))
-	for _, s := range st.Set {
-		idx := schema.ColumnIndex(s.Column)
-		if idx < 0 {
+	idx := make([]int, len(st.Set))
+	values := make([]sqlparse.Expr, len(st.Set))
+	for k, s := range st.Set {
+		if idx[k] = schema.ColumnIndex(s.Column); idx[k] < 0 {
 			return nil, fmt.Errorf("rdbms: column %q of relation %q does not exist", s.Column, st.Table)
 		}
-		ce, err := db.compileForTable(s.Value, layout, "SET")
-		if err != nil {
-			return nil, err
-		}
-		sets = append(sets, setOp{idx: idx, e: ce})
+		values[k] = s.Value
+	}
+	wp, err := db.planWrite(t, st.Where, values)
+	if err != nil {
+		return nil, err
 	}
 
 	// Phase 1: find matches and compute new rows (Halloween-safe).
@@ -487,26 +471,35 @@ func (db *DB) execUpdate(st *sqlparse.UpdateStmt, epoch *uint64) (*Result, error
 	}
 	var changes []change
 	ctx := exec.NewEvalCtx()
-	vals := make([][]types.Datum, len(sets))
-	err = forEachMatch(t.heap, filter, ctx, func(b *exec.RowBatch, rows []storage.Row, ids []storage.RowID) error {
-		for k, s := range sets {
-			col, err := exec.EvalBatch(s.e, b, ctx)
+	vals := make([][]types.Datum, len(wp.Sets))
+	err = wp.Run(nil, func(b *exec.RowBatch, ids []storage.RowID) error {
+		for k, e := range wp.Sets {
+			col, err := exec.EvalBatch(e, b, ctx)
 			if err != nil {
 				return err
 			}
 			vals[k] = col
 		}
-		for _, i := range b.Sel {
-			newRow := rows[i].Clone()
-			for k, s := range sets {
-				v, err := coerceTo(vals[k][i], schema.Cols[s.idx].Typ)
+		for si := 0; si < b.Len(); si++ {
+			i := si
+			if b.Sel != nil {
+				i = int(b.Sel[si])
+			}
+			// The scan reads every column of an UPDATE's table: the new row
+			// starts as the stored one.
+			newRow := make(storage.Row, len(b.Cols))
+			for j := range newRow {
+				newRow[j] = b.Cols[j][i]
+			}
+			for k, j := range idx {
+				v, err := coerceTo(vals[k][i], schema.Cols[j].Typ)
 				if err != nil {
 					return err
 				}
 				// The stored value owns its payload: an extracted one
 				// aliases the record or frozen segment it came from, which
 				// it would pin.
-				newRow[s.idx] = v.Clone()
+				newRow[j] = v.Clone()
 			}
 			changes = append(changes, change{id: ids[i], row: newRow})
 		}
@@ -546,15 +539,17 @@ func (db *DB) execDelete(st *sqlparse.DeleteStmt, epoch *uint64) (*Result, error
 		return nil, errEpochMoved
 	}
 	defer t.heap.Publish()
-	layout := tableLayout(st.Table, t.heap.Schema())
-
-	filter, err := db.compileForTable(st.Where, layout, "WHERE")
+	wp, err := db.planWrite(t, st.Where, nil)
 	if err != nil {
 		return nil, err
 	}
 	var ids []storage.RowID
-	err = forEachMatch(t.heap, filter, exec.NewEvalCtx(), func(b *exec.RowBatch, _ []storage.Row, run []storage.RowID) error {
-		for _, i := range b.Sel {
+	err = wp.Run(nil, func(b *exec.RowBatch, run []storage.RowID) error {
+		for si := 0; si < b.Len(); si++ {
+			i := si
+			if b.Sel != nil {
+				i = int(b.Sel[si])
+			}
 			ids = append(ids, run[i])
 		}
 		return nil
@@ -580,85 +575,21 @@ func (db *DB) execDelete(st *sqlparse.DeleteStmt, epoch *uint64) (*Result, error
 	return &Result{RowsAffected: int64(len(ids))}, nil
 }
 
-// forEachMatch is the reading phase of UPDATE and DELETE: it reads the
-// live heap h, whose table's write lock the caller holds, in
-// DefaultBatchSize runs with their RowIDs, and calls fn with each run
-// narrowed to the rows filter holds for (every row for a nil filter). b's
-// selection lists those rows, never nil; rows[i] and ids[i] are the stored
-// row behind b's physical row i and its address. fn runs before the next
-// run is read; b, rows and ids are reused by it.
-//
-//lint:ignore sinew/snapshot-pin DML runs under the table write lock and must scan the live heap it is about to mutate, not a stale snapshot
-func forEachMatch(h *storage.Heap, filter exec.Expr, ctx *exec.EvalCtx,
-	fn func(b *exec.RowBatch, rows []storage.Row, ids []storage.RowID) error) error {
-	it := h.Iterate()
-	defer it.Close()
-	b := exec.NewRowBatch(len(h.Schema().Cols), exec.DefaultBatchSize)
-	rows := make([]storage.Row, 0, exec.DefaultBatchSize)
-	ids := make([]storage.RowID, 0, exec.DefaultBatchSize)
-	sel := make([]int32, 0, exec.DefaultBatchSize)
-	var keep []bool
-	for {
-		rows, ids = rows[:0], ids[:0]
-		for len(rows) < exec.DefaultBatchSize {
-			id, row, ok := it.Next()
-			if !ok {
-				break
-			}
-			rows, ids = append(rows, row), append(ids, id)
-		}
-		if len(rows) == 0 {
-			return nil
-		}
-		b.FillRows(rows, nil)
-		b.Sel = nil
-		sel = sel[:0]
-		if filter == nil {
-			for i := range rows {
-				sel = append(sel, int32(i))
-			}
-		} else {
-			var err error
-			if keep, err = exec.EvalPredBatch(filter, b, ctx, keep); err != nil {
-				return err
-			}
-			for i, k := range keep {
-				if k {
-					sel = append(sel, int32(i))
-				}
-			}
-		}
-		if len(sel) == 0 {
-			continue
-		}
-		b.Sel = sel
-		if err := fn(b, rows, ids); err != nil {
-			return err
-		}
-	}
+// planWrite plans the read side of an UPDATE or DELETE of t (the SET
+// values, or nil). The caller holds t's write lock, and runs the plan with
+// a nil ExecCtx (WritePlan.Run): a write must read the live heap it is
+// about to change, not a published snapshot, so the planner binds t's live
+// heap too.
+func (db *DB) planWrite(t *table, where sqlparse.Expr, sets []sqlparse.Expr) (*plan.WritePlan, error) {
+	return plan.NewPlanner(lockedTable{t}, db.funcs, db.planCfg()).PlanWrite(t.name, where, sets)
 }
 
-// tableLayout builds a single-table layout (no statistics needed for DML
-// compilation).
-func tableLayout(name string, schema *storage.Schema) *plan.Layout {
-	l := &plan.Layout{}
-	for _, c := range schema.Cols {
-		l.Cols = append(l.Cols, plan.LayoutCol{Table: strings.ToLower(name), Name: c.Name, Typ: c.Typ})
-	}
-	return l
-}
+// lockedTable is a write's Catalog: the one table the write names, whose
+// write lock it holds, as its live heap.
+type lockedTable struct{ t *table }
 
-// compileForTable compiles e against a one-table layout, its bare refs
-// qualified first; a nil e compiles to nil.
-func (db *DB) compileForTable(e sqlparse.Expr, layout *plan.Layout, context string) (exec.Expr, error) {
-	if e == nil {
-		return nil, nil
-	}
-	norm, err := plan.NormalizeRefs(e, layout)
-	if err != nil {
-		return nil, err
-	}
-	return plan.CompileExpr(norm, layout, db.funcs, context)
+func (c lockedTable) Table(string) (storage.ReadView, *storage.TableStats, error) {
+	return c.t.heap, c.t.stats.Load(), nil
 }
 
 func (db *DB) execCreateTable(st *sqlparse.CreateTableStmt) (*Result, error) {

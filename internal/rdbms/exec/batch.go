@@ -314,6 +314,10 @@ type BatchScanIter struct {
 	selState   *selScanState
 	heap       *storage.Heap
 	selBatches int64
+
+	// ids is the address of each physical row of the batch NextBatch last
+	// returned, when the scan reports them (ReportRowIDs).
+	ids []storage.RowID
 }
 
 // NewBatchScan returns a batch scan over all pages of v. Stat flushes on
@@ -353,6 +357,16 @@ func (s *BatchScanIter) SetPageSkip(mk func(*storage.HeapChunkIter, []types.Datu
 // single conjunct.
 func (s *BatchScanIter) SetSelFilter(sf *SelFilter) { s.sf = sf }
 
+// ReportRowIDs makes the scan record where each row it returns is stored
+// (RowIDs): a write's scan asks for them, a SELECT's does not and does no
+// work for them. Call before the first NextBatch.
+func (s *BatchScanIter) ReportRowIDs() { s.chunk.ReportRowIDs() }
+
+// RowIDs returns the address of each physical row of the batch NextBatch
+// last returned (index it as the batch's columns, through its Sel); nil
+// unless ReportRowIDs was called. Valid until the next NextBatch.
+func (s *BatchScanIter) RowIDs() []storage.RowID { return s.ids }
+
 // NextBatch implements BatchIterator.
 func (s *BatchScanIter) NextBatch() (*RowBatch, error) {
 	for {
@@ -362,6 +376,7 @@ func (s *BatchScanIter) NextBatch() (*RowBatch, error) {
 		}
 		var b *RowBatch
 		var err error
+		s.ids = pv.IDs
 		switch {
 		case pv.Frozen == nil:
 			b, err = s.rowBatch(pv.Rows)
@@ -378,7 +393,8 @@ func (s *BatchScanIter) NextBatch() (*RowBatch, error) {
 }
 
 // rowBatch transposes a run of row-form rows into the scan-owned batch and
-// compacts it by Filter; (nil, nil) when no row survives. The buffer is
+// compacts it by Filter, and the rows' addresses s.ids (nil when the scan
+// reports none) with it; (nil, nil) when no row survives. The buffer is
 // separate from the frozen-page shell — FillRows reuses column capacity,
 // which must never overwrite aliased page vectors — and pooled, so column
 // capacity survives across queries.
@@ -399,6 +415,14 @@ func (s *BatchScanIter) rowBatch(rows []storage.Row) (*RowBatch, error) {
 	if compactBatch(b, keep) == 0 {
 		return nil, nil
 	}
+	k := 0
+	for i, id := range s.ids {
+		if keep[i] {
+			s.ids[k] = id
+			k++
+		}
+	}
+	s.ids = s.ids[:k]
 	return b, nil
 }
 

@@ -248,12 +248,6 @@ func exprDisplayName(e sqlparse.Expr) string {
 	}
 }
 
-// NormalizeRefs is the exported form of normalizeRefs for the rdbms layer's
-// DML compilation.
-func NormalizeRefs(e sqlparse.Expr, layout *Layout) (sqlparse.Expr, error) {
-	return normalizeRefs(e, layout)
-}
-
 // normalizeRefs fully qualifies every column reference in e with its
 // effective table name so that structurally identical expressions print
 // identically (the planner matches GROUP BY keys and ORDER BY targets by

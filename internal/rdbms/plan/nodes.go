@@ -137,7 +137,9 @@ func (s *ScanNode) Children() []Node { return nil }
 
 // Open implements Node. The scan reads every page of the statement's view
 // of its heap; the skip test and the evaluation state are its own.
-func (s *ScanNode) Open(ec *exec.ExecCtx) exec.BatchIterator {
+func (s *ScanNode) Open(ec *exec.ExecCtx) exec.BatchIterator { return s.open(ec) }
+
+func (s *ScanNode) open(ec *exec.ExecCtx) *exec.BatchScanIter {
 	it := exec.NewBatchScan(execView(ec, s.Heap), conjoinExec(s.Preds))
 	it.NeedCols = s.NeedCols
 	it.SetParams(ec.Params())

@@ -140,26 +140,13 @@ func (p *Planner) PlanSelect(stmt *sqlparse.SelectStmt) (*SelectPlan, error) {
 			return nil, fmt.Errorf("plan: table name %q specified more than once", eff)
 		}
 		seen[eff] = true
-		heap, stats, err := p.Cat.Table(ref.Name)
+		rel, err := p.bindTable(ref.Name, eff)
 		if err != nil {
 			return nil, err
 		}
-		layout := &Layout{Rows: float64(heap.NumRows())}
-		for _, c := range heap.Schema().Cols {
-			lc := LayoutCol{Table: eff, Name: c.Name, Typ: c.Typ}
-			if stats != nil {
-				lc.Stats = stats.Columns[c.Name]
-			}
-			layout.Cols = append(layout.Cols, lc)
-		}
-		rels = append(rels, &relation{layout: layout, tables: map[string]bool{eff: true}})
-		full.Cols = append(full.Cols, layout.Cols...)
-		full.Rows *= math.Max(layout.Rows, 1)
-		viewRef := heap
-		aliasName := eff
-		tableName := ref.Name
-		// Scan node built after local predicates are known; stash identity.
-		rels[len(rels)-1].node = &ScanNode{Heap: viewRef, TableName: tableName, AliasName: aliasName}
+		rels = append(rels, rel)
+		full.Cols = append(full.Cols, rel.layout.Cols...)
+		full.Rows *= math.Max(rel.layout.Rows, 1)
 	}
 
 	p.b.tableRows = full.Rows
@@ -169,15 +156,9 @@ func (p *Planner) PlanSelect(stmt *sqlparse.SelectStmt) (*SelectPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	var whereN sqlparse.Expr
-	if stmt.Where != nil {
-		whereN, err = normalizeRefs(stmt.Where, full)
-		if err != nil {
-			return nil, err
-		}
-		if containsAggregate(whereN) {
-			return nil, fmt.Errorf("plan: aggregate functions are not allowed in WHERE")
-		}
+	whereN, err := normalizeWhere(stmt.Where, full)
+	if err != nil {
+		return nil, err
 	}
 	groupBy := make([]sqlparse.Expr, len(stmt.GroupBy))
 	for i, g := range stmt.GroupBy {
@@ -235,7 +216,6 @@ func (p *Planner) PlanSelect(stmt *sqlparse.SelectStmt) (*SelectPlan, error) {
 
 	// ----- Build scans with pushed-down local predicates -----
 	for _, rel := range rels {
-		scan := rel.node.(*ScanNode)
 		var localASTs []sqlparse.Expr
 		for _, cj := range conjuncts {
 			if cj.used || cj.isEdge {
@@ -246,25 +226,8 @@ func (p *Planner) PlanSelect(stmt *sqlparse.SelectStmt) (*SelectPlan, error) {
 				cj.used = true
 			}
 		}
-		es := p.estimator(rel.layout, rel.layout.Rows)
-		sel := 1.0
-		for _, a := range localASTs {
-			sel *= es.selectivity(a)
-		}
-		preds := make([]exec.Expr, len(localASTs))
-		for i, a := range localASTs {
-			if preds[i], err = CompileExpr(a, rel.layout, p.Funcs, "WHERE"); err != nil {
-				return nil, err
-			}
-		}
-		inRows := rel.layout.Rows
-		outRows := math.Max(inRows*sel, 0)
-		scan.Preds = preds
-		scan.baseNode = baseNode{
-			layout: rel.layout,
-			rows:   outRows,
-			cost: float64(scan.Heap.SizeBytes())*p.Cfg.SeqPageCostPerByte +
-				inRows*(p.Cfg.CPUTupleCost+exprCostOf(preds)),
+		if err := p.pushLocal(rel, localASTs); err != nil {
+			return nil, err
 		}
 	}
 
@@ -437,6 +400,140 @@ func (p *Planner) PlanSelect(stmt *sqlparse.SelectStmt) (*SelectPlan, error) {
 	}
 	return &SelectPlan{Root: cur, ColumnNames: names, ColumnTypes: outTypes, fuse: shortcuts,
 		ValueDependent: p.b.dependent}, nil
+}
+
+// bindTable binds one table of a statement under its effective name eff,
+// through the Catalog: the relation's layout carries the table's columns
+// and statistics, and its node is the table's scan, which pushLocal
+// completes.
+func (p *Planner) bindTable(name, eff string) (*relation, error) {
+	heap, stats, err := p.Cat.Table(name)
+	if err != nil {
+		return nil, err
+	}
+	layout := &Layout{Rows: float64(heap.NumRows())}
+	for _, c := range heap.Schema().Cols {
+		lc := LayoutCol{Table: eff, Name: c.Name, Typ: c.Typ}
+		if stats != nil {
+			lc.Stats = stats.Columns[c.Name]
+		}
+		layout.Cols = append(layout.Cols, lc)
+	}
+	return &relation{
+		node:   &ScanNode{Heap: heap, TableName: name, AliasName: eff},
+		layout: layout,
+		tables: map[string]bool{eff: true},
+	}, nil
+}
+
+// normalizeWhere qualifies every column reference of a WHERE clause
+// against layout (normalizeRefs); nil stays nil, and an aggregate is an
+// error.
+func normalizeWhere(where sqlparse.Expr, layout *Layout) (sqlparse.Expr, error) {
+	if where == nil {
+		return nil, nil
+	}
+	n, err := normalizeRefs(where, layout)
+	if err != nil {
+		return nil, err
+	}
+	if containsAggregate(n) {
+		return nil, fmt.Errorf("plan: aggregate functions are not allowed in WHERE")
+	}
+	return n, nil
+}
+
+// pushLocal completes rel's scan with the conjuncts that read only its
+// table: they compile against its layout into the scan's Preds, and the
+// scan's estimates follow from their selectivity.
+func (p *Planner) pushLocal(rel *relation, asts []sqlparse.Expr) error {
+	scan := rel.node.(*ScanNode)
+	es := p.estimator(rel.layout, rel.layout.Rows)
+	sel := 1.0
+	for _, a := range asts {
+		sel *= es.selectivity(a)
+	}
+	preds := make([]exec.Expr, len(asts))
+	for i, a := range asts {
+		var err error
+		if preds[i], err = CompileExpr(a, rel.layout, p.Funcs, "WHERE"); err != nil {
+			return err
+		}
+	}
+	inRows := rel.layout.Rows
+	scan.Preds = preds
+	scan.baseNode = baseNode{
+		layout: rel.layout,
+		rows:   math.Max(inRows*sel, 0),
+		cost: float64(scan.Heap.SizeBytes())*p.Cfg.SeqPageCostPerByte +
+			inRows*(p.Cfg.CPUTupleCost+exprCostOf(preds)),
+	}
+	return nil
+}
+
+// WritePlan is the read side of an UPDATE or DELETE: the scan of its table
+// with every WHERE conjunct pushed down, planned as a one-table SELECT's
+// scan is, and its SET expressions compiled over that scan's rows. The
+// statement applies its change to the rows the scan returns, by the row
+// IDs it reports (Run).
+type WritePlan struct {
+	Scan *ScanNode
+	Sets []exec.Expr
+}
+
+// PlanWrite plans the read side of an UPDATE (sets non-empty: the SET
+// values, in order) or a DELETE (sets nil) of table. With enable_batch on
+// the scan takes the shortcuts a SELECT's scan takes — the compiled
+// selection filter for frozen pages and the page skips — and a DELETE's
+// scan fills only the columns its WHERE reads; with it off the scan is
+// the reference one, reading every page and column.
+func (p *Planner) PlanWrite(table string, where sqlparse.Expr, sets []sqlparse.Expr) (*WritePlan, error) {
+	p.b = binding{vals: p.Params}
+	rel, err := p.bindTable(table, table)
+	if err != nil {
+		return nil, err
+	}
+	whereN, err := normalizeWhere(where, rel.layout)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.pushLocal(rel, splitConjuncts(whereN, nil)); err != nil {
+		return nil, err
+	}
+	w := &WritePlan{Scan: rel.node.(*ScanNode), Sets: make([]exec.Expr, len(sets))}
+	for i, e := range sets {
+		if w.Sets[i], err = CompileExpr(e, rel.layout, p.Funcs, "SET"); err != nil {
+			return nil, err
+		}
+	}
+	if p.Cfg.EnableBatch {
+		p.prepareSegmented(w.Scan, nil)
+		if len(sets) == 0 {
+			pruneChain(w.Scan, map[int]bool{}, true)
+		}
+		p.deriveSkips(w.Scan)
+	}
+	releasePlanViews(w.Scan)
+	return w, nil
+}
+
+// Run opens the write's scan under ec and calls fn with each batch it
+// returns and the RowID of each physical row of that batch (index ids as
+// the batch's columns, through its Sel). fn runs before the next batch is
+// read; the batch and ids are reused after it returns.
+func (w *WritePlan) Run(ec *exec.ExecCtx, fn func(b *exec.RowBatch, ids []storage.RowID) error) error {
+	it := w.Scan.open(ec)
+	defer it.Close()
+	it.ReportRowIDs()
+	for {
+		b, err := it.NextBatch()
+		if b == nil || err != nil {
+			return err
+		}
+		if err := fn(b, it.RowIDs()); err != nil {
+			return err
+		}
+	}
 }
 
 // releasePlanViews rebinds every scan to its owner heap once planning is

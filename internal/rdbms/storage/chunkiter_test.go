@@ -10,7 +10,7 @@ func TestChunkIterReadsAllRows(t *testing.T) {
 	for i := 0; i < rows; i++ {
 		h.Insert(mkRow(int64(i), "x", 0))
 	}
-	// Deleted rows must be skipped, like HeapIter.
+	// Deleted rows must be skipped.
 	h.Delete(RowID{Page: 1, Slot: 5})
 	h.Delete(RowID{Page: 2, Slot: 0})
 
@@ -66,9 +66,9 @@ func TestIterCloseFlushesEarlyStop(t *testing.T) {
 		h.Insert(mkRow(int64(i), "hello", 1))
 	}
 	p.Reset()
-	it := h.Iterate()
-	for i := 0; i < 10; i++ { // stop mid-page, as a LIMIT would
-		it.Next()
+	it := h.IterateChunks()
+	if pv, ok := it.ReadPage(10); !ok || len(pv.Rows) != 10 { // stop mid-page, as a LIMIT would
+		t.Fatalf("ReadPage(10) = %d rows, %v", len(pv.Rows), ok)
 	}
 	if r, _ := p.Stats(); r != 0 {
 		t.Errorf("bytes charged before flush: %d", r)
@@ -84,5 +84,73 @@ func TestIterCloseFlushesEarlyStop(t *testing.T) {
 	it.Close() // idempotent
 	if r2, _ := p.Stats(); r2 != r {
 		t.Errorf("double Close recharged: %d -> %d", r, r2)
+	}
+}
+
+// readIDs drains a cursor that reports row IDs, returning each row it
+// delivered with its reported address: a frozen page's rows come from its
+// row view.
+func readIDs(t *testing.T, it *HeapChunkIter, maxRows int) (ids []RowID, rows []Row) {
+	t.Helper()
+	it.ReportRowIDs()
+	for {
+		pv, ok := it.ReadPage(maxRows)
+		if !ok {
+			return ids, rows
+		}
+		run := pv.Rows
+		if pv.Frozen != nil {
+			var err error
+			if run, err = pv.Frozen.materializeRows(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(pv.IDs) != len(run) {
+			t.Fatalf("%d rows (frozen %v) reported %d IDs", len(run), pv.Frozen != nil, len(pv.IDs))
+		}
+		ids, rows = append(ids, pv.IDs...), append(rows, run...)
+	}
+}
+
+// TestChunkIterRowIDsMatchScan pins the addresses a cursor reports over a
+// mixed heap — frozen pages, a row-form page with holes, a short tail —
+// against Scan's: the same live rows, in heap order, at the same IDs, and
+// each ID reads back its row through Get.
+func TestChunkIterRowIDsMatchScan(t *testing.T) {
+	h, _ := freezeTestHeap(t, 4*rowsPerPage+40)
+	for _, id := range []RowID{{Page: 1, Slot: 0}, {Page: 1, Slot: 77}, {Page: 4, Slot: 39}} {
+		if _, err := h.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.SetColumnSegmenter(stripeCol0)
+	if got := h.FreezeColdPages(); got != 3 {
+		t.Fatalf("FreezeColdPages = %d, want 3 (page 1 has holes, page 4 is short)", got)
+	}
+	var wantIDs []RowID
+	h.Scan(func(id RowID, _ Row) bool {
+		wantIDs = append(wantIDs, id)
+		return true
+	})
+	for _, maxRows := range []int{rowsPerPage, 37} { // 37: runs resume mid-page
+		ids, rows := readIDs(t, h.IterateChunks(), maxRows)
+		if len(ids) != len(wantIDs) {
+			t.Fatalf("maxRows %d: %d IDs, want %d", maxRows, len(ids), len(wantIDs))
+		}
+		for k, id := range ids {
+			if id != wantIDs[k] {
+				t.Fatalf("maxRows %d: row %d at %v, Scan has it at %v", maxRows, k, id, wantIDs[k])
+			}
+			if got, ok := h.Get(id); !ok || got[0].I != rows[k][0].I {
+				t.Fatalf("maxRows %d: Get(%v) = %v, %v; the cursor delivered %v", maxRows, id, got, ok, rows[k])
+			}
+		}
+	}
+	// A cursor that was not asked reports none.
+	it := h.IterateChunks()
+	for pv, ok := it.ReadPage(rowsPerPage); ok; pv, ok = it.ReadPage(rowsPerPage) {
+		if pv.IDs != nil {
+			t.Fatal("a cursor not reporting row IDs returned some")
+		}
 	}
 }

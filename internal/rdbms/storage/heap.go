@@ -134,10 +134,9 @@ type Heap struct {
 	// segmenter stripes cold pages into column segments (segment.go);
 	// frozen counts the pages currently in striped form, and segBytes the
 	// bytes of their segments.
-	segmenter      ColumnSegmenter
-	freezeMinPages int
-	frozen         int
-	segBytes       int64
+	segmenter ColumnSegmenter
+	frozen    int
+	segBytes  int64
 	// epoch counts publishes; snap holds the latest published snapshot
 	// (snapshot.go).
 	epoch uint64
@@ -208,11 +207,6 @@ func (h *Heap) Insert(row Row) error {
 	if h.pager != nil {
 		h.pager.recordWrite(fp)
 	}
-	// Load-time compaction: once the heap is past the size threshold,
-	// pages freeze as they fill (the write-hot tail stays row-form).
-	if len(p.rows) == rowsPerPage && h.segmenter != nil && len(h.pages) >= h.freezeMinPages {
-		h.freezePageAt(len(h.pages) - 1)
-	}
 	return nil
 }
 
@@ -257,74 +251,15 @@ func scanPages(pages []*page, pager *Pager, fn func(id RowID, row Row) bool) {
 	}
 }
 
-// HeapIter is a pull-style cursor over live rows in heap order. Page reads
-// accumulate locally and are flushed to the pager in one batch when the
-// scan reaches the end or the iterator is closed — callers that may stop
-// early (LIMIT) must Close the iterator or the bytes it touched are never
-// recorded.
-type HeapIter struct {
-	pages   []*page
-	pager   *Pager
-	page    int
-	slot    int
-	pending int64 // page bytes entered but not yet reported to the pager
-	read    int64 // total bytes this iterator has charged
-}
-
-// Iterate returns a cursor positioned before the first row. The cursor
-// captures the page table at creation, so a cursor made from a snapshot
-// never observes later writes.
-func (h *Heap) Iterate() *HeapIter { return &HeapIter{pages: h.pages, pager: h.pager} }
-
-// Next returns the next live row, or ok=false at the end.
-func (it *HeapIter) Next() (RowID, Row, bool) {
-	for it.page < len(it.pages) {
-		p := it.pages[it.page]
-		if it.slot == 0 {
-			it.pending += p.bytes
-		}
-		rows := pageRows(p)
-		for it.slot < len(rows) {
-			s := it.slot
-			it.slot++
-			if rows[s] != nil {
-				return RowID{Page: it.page, Slot: s}, rows[s], true
-			}
-		}
-		it.page++
-		it.slot = 0
-	}
-	it.flush()
-	return RowID{}, nil, false
-}
-
-// flush reports accumulated page bytes to the pager (idempotent).
-func (it *HeapIter) flush() {
-	if it.pending == 0 {
-		return
-	}
-	if it.pager != nil {
-		it.pager.recordRead(it.pending)
-	}
-	it.read += it.pending
-	it.pending = 0
-}
-
-// Close finalizes pager accounting for a scan abandoned before the end
-// (LIMIT, error); safe to call more than once and after exhaustion.
-func (it *HeapIter) Close() { it.flush() }
-
-// BytesRead reports the bytes this iterator has charged to the pager so
-// far (flushed bytes only).
-func (it *HeapIter) BytesRead() int64 { return it.read }
-
 // NumPages returns the current page count.
 func (h *Heap) NumPages() int { return len(h.pages) }
 
-// HeapChunkIter reads live rows of a page table in bulk — the storage-side
-// feeder of the batch executor. Like HeapIter it accumulates page-read
-// bytes locally and flushes them to the pager at the end of the pages or
-// on Close, and it tracks the bytes it charged.
+// HeapChunkIter reads live rows of a page table in bulk — the one cursor
+// every statement reads a table through (the batch scan's feeder). Page
+// reads accumulate locally and are flushed to the pager in one batch at
+// the end of the pages or on Close — callers that may stop early (LIMIT)
+// must Close the cursor or the bytes it touched are never recorded — and
+// it tracks the bytes it charged.
 type HeapChunkIter struct {
 	pages   []*page
 	pager   *Pager
@@ -336,12 +271,14 @@ type HeapChunkIter struct {
 	// for a page with a usable summary skips the whole page, charging no
 	// read bytes (that is the I/O win page summaries buy).
 	skip           func(*PageSummary) bool
-	skipped        int64 // pages skipped and already reported to the pager
-	pendingSkipped int64 // pages skipped but not yet reported
+	pendingSkipped int64 // pages skipped but not yet reported to the pager
 	// frozen pages delivered striped via ReadPage, pending pager report.
 	pendingSegScanned int64
-	// rowBuf holds the row-form run ReadPage last returned.
+	// rowBuf holds the row-form run ReadPage last returned; idBuf, when
+	// the cursor reports row IDs, the addresses of what it returned.
 	rowBuf []Row
+	ids    bool
+	idBuf  []RowID
 }
 
 // SetSkip installs a page-skip predicate; must be called before the first
@@ -350,11 +287,14 @@ type HeapChunkIter struct {
 // satisfies its filter, or each ranks behind a Top-N's bound (TopNSkip).
 func (it *HeapChunkIter) SetSkip(f func(*PageSummary) bool) { it.skip = f }
 
-// PagesSkipped reports how many whole pages the predicate eliminated.
-func (it *HeapChunkIter) PagesSkipped() int64 { return it.skipped + it.pendingSkipped }
+// ReportRowIDs makes ReadPage return the address of each row it returns
+// (PageView.IDs); must be called before the first ReadPage. A write's
+// scan asks for them, a read's does not.
+func (it *HeapChunkIter) ReportRowIDs() { it.ids = true }
 
-// IterateChunks returns a chunk cursor over every page of the heap. Like
-// Iterate, the cursor captures the page table at creation.
+// IterateChunks returns a chunk cursor over every page of the heap. The
+// cursor captures the page table at creation, so a cursor made from a
+// snapshot never observes later writes.
 func (h *Heap) IterateChunks() *HeapChunkIter {
 	return &HeapChunkIter{pages: h.pages, pager: h.pager}
 }
@@ -398,7 +338,6 @@ func (it *HeapChunkIter) flush() {
 		if it.pager != nil {
 			it.pager.recordPagesSkipped(it.pendingSkipped)
 		}
-		it.skipped += it.pendingSkipped
 		it.pendingSkipped = 0
 	}
 	if it.pendingSegScanned > 0 {

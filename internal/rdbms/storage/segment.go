@@ -61,11 +61,6 @@ type ZoneMapped interface {
 	AttrZone(id uint32) (AttrZone, bool)
 }
 
-// DefaultFreezeMinPages is the load-time compaction threshold: once a heap
-// has at least this many pages, pages freeze as they fill. Below it only
-// ANALYZE (FreezeColdPages) compacts, keeping small hot tables row-form.
-const DefaultFreezeMinPages = 64
-
 // PageCapacity is the heap page grouping factor: the rows of a full page.
 const PageCapacity = rowsPerPage
 
@@ -168,22 +163,9 @@ func (fp *FrozenPage) materializeRows() ([]Row, error) {
 }
 
 // SetColumnSegmenter installs fn as the page segmenter. Compaction only
-// happens on heaps with a segmenter (Sinew installs one per collection).
-func (h *Heap) SetColumnSegmenter(fn ColumnSegmenter) {
-	h.segmenter = fn
-	if h.freezeMinPages == 0 {
-		h.freezeMinPages = DefaultFreezeMinPages
-	}
-}
-
-// SetFreezeMinPages overrides the load-time compaction threshold (tests
-// and benchmarks; 0 restores the default).
-func (h *Heap) SetFreezeMinPages(n int) {
-	if n <= 0 {
-		n = DefaultFreezeMinPages
-	}
-	h.freezeMinPages = n
-}
+// happens on heaps with a segmenter (Sinew installs one per collection),
+// and only at ANALYZE (FreezeColdPages).
+func (h *Heap) SetColumnSegmenter(fn ColumnSegmenter) { h.segmenter = fn }
 
 // NumFrozenPages reports how many pages are currently frozen.
 func (h *Heap) NumFrozenPages() int { return h.frozen }
@@ -410,6 +392,10 @@ func pageRows(p *page) []Row {
 type PageView struct {
 	Frozen *FrozenPage // non-nil for a frozen page
 	Rows   []Row       // live rows of a row-form run; valid until the next ReadPage
+	// IDs, when the cursor reports row IDs (ReportRowIDs), is the address
+	// of each row of Rows or of the frozen page; valid until the next
+	// ReadPage.
+	IDs []RowID
 }
 
 // ReadPage returns the next unskipped stretch of the pages: a frozen page
@@ -424,6 +410,7 @@ type PageView struct {
 // a full batch of row slots.
 func (it *HeapChunkIter) ReadPage(maxRows int) (PageView, bool) {
 	n := 0
+	it.idBuf = it.idBuf[:0]
 	for it.page < len(it.pages) {
 		p := it.pages[it.page]
 		if it.slot == 0 {
@@ -438,20 +425,37 @@ func (it *HeapChunkIter) ReadPage(maxRows int) (PageView, bool) {
 				}
 				it.pending += p.bytes
 				it.pendingSegScanned++
+				pv := PageView{Frozen: p.frozen}
+				if it.ids {
+					for i := 0; i < p.frozen.n; i++ {
+						it.idBuf = append(it.idBuf, RowID{Page: it.page, Slot: i})
+					}
+					pv.IDs = it.idBuf
+				}
 				it.page++
-				return PageView{Frozen: p.frozen}, true
+				return pv, true
 			}
 			it.pending += p.bytes
 			if it.rowBuf == nil {
 				it.rowBuf = make([]Row, min(maxRows, (len(it.pages)-it.page)*rowsPerPage))
 			}
 		}
+		from := it.slot
 		for it.slot < len(p.rows) && n < len(it.rowBuf) {
 			if r := p.rows[it.slot]; r != nil {
 				it.rowBuf[n] = r
 				n++
 			}
 			it.slot++
+		}
+		if it.ids {
+			// A second walk over the slots just read, so a cursor that
+			// reports no IDs pays nothing per row.
+			for s := from; s < it.slot; s++ {
+				if p.rows[s] != nil {
+					it.idBuf = append(it.idBuf, RowID{Page: it.page, Slot: s})
+				}
+			}
 		}
 		if it.slot >= len(p.rows) {
 			it.page++
@@ -462,7 +466,11 @@ func (it *HeapChunkIter) ReadPage(maxRows int) (PageView, bool) {
 		}
 	}
 	if n > 0 {
-		return PageView{Rows: it.rowBuf[:n]}, true
+		pv := PageView{Rows: it.rowBuf[:n]}
+		if it.ids {
+			pv.IDs = it.idBuf
+		}
+		return pv, true
 	}
 	it.flush()
 	return PageView{}, false

@@ -174,37 +174,39 @@ func TestFreezeSkipsDirtyPages(t *testing.T) {
 	}
 }
 
-func TestLoadTimeFreezeThreshold(t *testing.T) {
-	schema, err := NewSchema(Column{Name: "id", Typ: types.Int})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := NewHeap(schema, NewPager())
+// TestMixedHeapScanOrder pins heap iteration order over a heap that
+// ANALYZE's freeze left mixed: frozen pages around a row-form page with a
+// hole, then a short row-form tail. Inserting never freezes a page.
+func TestMixedHeapScanOrder(t *testing.T) {
+	h, _ := freezeTestHeap(t, 0)
 	h.SetColumnSegmenter(stripeCol0)
-	h.SetFreezeMinPages(2)
-	for i := 0; i < 4*rowsPerPage; i++ {
-		if err := h.Insert(Row{types.NewInt(int64(i))}); err != nil {
+	for i := 0; i < 4*rowsPerPage+10; i++ {
+		if err := h.Insert(Row{types.NewInt(int64(i)), types.NewText("r")}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Page 0 filled while the heap was below threshold; pages 2 and 3
-	// (and page 1, which fills exactly as the heap reaches 2 pages)
-	// freeze as they fill.
-	if h.NumFrozenPages() < 2 {
-		t.Fatalf("NumFrozenPages = %d, want >= 2 from load-time freezing", h.NumFrozenPages())
+	if h.NumFrozenPages() != 0 {
+		t.Fatalf("NumFrozenPages = %d after inserts, want 0: only ANALYZE freezes", h.NumFrozenPages())
 	}
-	if h.NumFrozenPages() == h.NumPages() {
-		t.Fatal("the below-threshold head should have stayed row-form")
+	if _, err := h.Delete(RowID{Page: 2, Slot: 9}); err != nil {
+		t.Fatal(err)
 	}
-	// Iteration order survives mixed frozen/row pages.
+	if got := h.FreezeColdPages(); got != 3 {
+		t.Fatalf("FreezeColdPages = %d, want 3 (page 2 has a hole, page 4 is short)", got)
+	}
 	rows := collectRows(h)
-	if len(rows) != 4*rowsPerPage {
+	if len(rows) != 4*rowsPerPage+9 {
 		t.Fatalf("scan returned %d rows", len(rows))
 	}
-	for i, r := range rows {
-		if r[0].String() != fmt.Sprintf("%d", i) {
-			t.Fatalf("row %d out of order: %v", i, r)
+	want := int64(0)
+	for _, r := range rows {
+		if want == 2*rowsPerPage+9 {
+			want++ // the deleted row
 		}
+		if r[0].I != want {
+			t.Fatalf("row %d out of order: %v", want, r)
+		}
+		want++
 	}
 }
 

@@ -128,28 +128,24 @@ func TestHeapUpdateDeleteRestore(t *testing.T) {
 	}
 }
 
-func TestHeapIterSkipsDeleted(t *testing.T) {
+func TestChunkIterSkipsDeleted(t *testing.T) {
 	h := NewHeap(testSchema(t), nil)
 	for i := 0; i < 10; i++ {
 		h.Insert(mkRow(int64(i), "x", 0))
 	}
 	h.Delete(RowID{Page: 0, Slot: 3})
 	h.Delete(RowID{Page: 0, Slot: 7})
-	it := h.Iterate()
-	var ids []int64
-	for {
-		_, r, ok := it.Next()
-		if !ok {
-			break
+	ids, rows := readIDs(t, h.IterateChunks(), rowsPerPage)
+	if len(rows) != 8 {
+		t.Errorf("iterated %d rows, want 8", len(rows))
+	}
+	for k, r := range rows {
+		if r[0].I == 3 || r[0].I == 7 {
+			t.Errorf("deleted row %d visible", r[0].I)
 		}
-		ids = append(ids, r[0].I)
-	}
-	if len(ids) != 8 {
-		t.Errorf("iterated = %v", ids)
-	}
-	for _, id := range ids {
-		if id == 3 || id == 7 {
-			t.Errorf("deleted row %d visible", id)
+		// Row i was inserted into slot i of page 0.
+		if ids[k] != (RowID{Page: 0, Slot: int(r[0].I)}) {
+			t.Errorf("row %d reported at %v", r[0].I, ids[k])
 		}
 	}
 }
