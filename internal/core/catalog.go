@@ -394,14 +394,17 @@ func (tc *CollectionCatalog) recordObservations(o *observations, docs int64, dic
 
 // ensureColumn creates a catalog record for an attribute without counting
 // an occurrence (used when an UPDATE introduces a brand-new key — the
-// exact density is unknown until the next load or analyzer pass).
-func (tc *CollectionCatalog) ensureColumn(attr serial.Attr) {
+// exact density is unknown until the next load or analyzer pass). It
+// reports whether it created one.
+func (tc *CollectionCatalog) ensureColumn(attr serial.Attr) bool {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	if _, ok := tc.columns[attr.ID]; !ok {
-		tc.columns[attr.ID] = newColumn(attr)
-		tc.view.Store(nil)
+	if _, ok := tc.columns[attr.ID]; ok {
+		return false
 	}
+	tc.columns[attr.ID] = newColumn(attr)
+	tc.view.Store(nil)
+	return true
 }
 
 func newColumn(attr serial.Attr) *column {

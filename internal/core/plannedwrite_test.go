@@ -242,3 +242,80 @@ func TestNoBenchUpdatePinned(t *testing.T) {
 		t.Fatalf("Q12: %d rows affected, table checksum %#x; want %d, %#x", res.RowsAffected, h.Sum64(), wantRows, uint64(wantSum))
 	}
 }
+
+// TestWriteKeepsCachedPlans pins when a write invalidates the plan cache:
+// only when it changed what the rewriter emits. A repeated Q12-shaped
+// UPDATE of a cataloged key leaves the cache whole, and a cached SELECT
+// still hits and sees what the UPDATEs wrote; an UPDATE that adds a key
+// bumps the epoch once, and so does one whose value mints a new
+// (key, type) attribute in the dictionary.
+func TestWriteKeepsCachedPlans(t *testing.T) {
+	const n = 2000
+	db := shapeDB(t, "frozen", n)
+	q12 := nobench.NewParams(n).Queries()["Q12"]
+	if _, err := db.Query(q12); err != nil { // the first write of the key may catalog it
+		t.Fatal(err)
+	}
+	sel := fmt.Sprintf(`SELECT COUNT(*) FROM nobench_main WHERE %s = 'DUMMY'`, nobench.NewParams(n).SparseSetKey())
+	count := func() int64 {
+		t.Helper()
+		res, err := db.Query(sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rows[0][0].I
+	}
+	want := count()
+	stats := db.RDBMS().PlanCacheStats
+	before := stats()
+	for i := 0; i < 3; i++ {
+		if _, err := db.Query(q12); err != nil {
+			t.Fatal(err)
+		}
+		// Rows that met the WHERE already hold 'DUMMY'.
+		if got := count(); got != want {
+			t.Fatalf("after UPDATE %d: %d rows hold DUMMY, want %d", i, got, want)
+		}
+	}
+	after := stats()
+	if after.Invalidations != before.Invalidations {
+		t.Errorf("repeated Q12: invalidations %d -> %d, want none", before.Invalidations, after.Invalidations)
+	}
+	if hits := after.Hits - before.Hits; hits != 3 {
+		t.Errorf("cached SELECT beside the UPDATEs: %d hits, want 3", hits)
+	}
+
+	// A write that makes new rows match the cached SELECT: still a hit.
+	before = stats()
+	if _, err := db.Query(`UPDATE nobench_main SET sparse_588 = 'DUMMY' WHERE num < 10`); err != nil {
+		t.Fatal(err)
+	}
+	if got := count(); got <= want {
+		t.Fatalf("after the wider UPDATE: %d rows hold DUMMY, want more than %d", got, want)
+	}
+	if s := stats(); s.Invalidations != before.Invalidations || s.Hits != before.Hits+1 {
+		t.Errorf("wider UPDATE: invalidations %d -> %d, hits %d -> %d; want no bump and one hit",
+			before.Invalidations, s.Invalidations, before.Hits, s.Hits)
+	}
+
+	bumps := func(sql string) uint64 {
+		t.Helper()
+		before := stats().Invalidations
+		if _, err := db.Query(sql); err != nil {
+			t.Fatal(err)
+		}
+		return stats().Invalidations - before
+	}
+	if got := bumps(`UPDATE nobench_main SET brand_new_key = 'v' WHERE num < 3`); got != 1 {
+		t.Errorf("UPDATE adding a key: %d invalidations, want 1", got)
+	}
+	if got := bumps(`UPDATE nobench_main SET brand_new_key = 'w' WHERE num < 3`); got != 0 {
+		t.Errorf("UPDATE of the now cataloged key: %d invalidations, want 0", got)
+	}
+	if got := bumps(`UPDATE nobench_main SET brand_new_key = 7 WHERE num < 3`); got != 1 {
+		t.Errorf("UPDATE minting (brand_new_key, int): %d invalidations, want 1", got)
+	}
+	if got := bumps(`DELETE FROM nobench_main WHERE num < 3`); got != 0 {
+		t.Errorf("DELETE: %d invalidations, want 0", got)
+	}
+}

@@ -72,18 +72,22 @@ func (db *DB) Query(sql string) (*rdbms.Result, error) {
 	}
 	// Writes run under the same protocol: an UPDATE or DELETE is rewritten
 	// again if the catalog moved before it took its table's write lock.
-	cleanup := func() {}
-	defer func() { cleanup() }()
+	// Cached plans go stale only when the write changed what the rewriter
+	// emits — its rewrite cataloged a new key, or a new attribute entered
+	// the dictionary while it ran — the loader's rule; DDL and ANALYZE
+	// bump inside the RDBMS.
+	attrsBefore := db.dict().Len()
+	cataloged := false
+	rw := &rewriter{db: db}
+	defer func() { rw.cleanup() }()
 	res, err := db.rdb.ExecWriteOnce(func() (sqlparse.Statement, error) {
-		cleanup()
-		rewritten, c, err := db.RewriteStmt(stmt)
-		cleanup = c
-		return rewritten, err
+		rw.cleanup()
+		rw = &rewriter{db: db}
+		out, err := rw.statement(stmt)
+		cataloged = cataloged || rw.cataloged
+		return out, err
 	})
-	if _, explain := stmt.(*sqlparse.ExplainStmt); err == nil && !explain {
-		// Writes and DDL can mint catalog attributes or change the
-		// physical schema the rewriter targets; cached plans built against
-		// the old mapping must not be replayed.
+	if cataloged || db.dict().Len() != attrsBefore {
 		db.rdb.BumpCatalogEpoch()
 	}
 	return res, err
@@ -174,6 +178,9 @@ type rewriter struct {
 	db      *DB
 	tables  []rwTable
 	handles []int64 // registered match sets
+	// cataloged is set when an UPDATE's rewrite created the catalog
+	// record of a brand-new key.
+	cataloged bool
 }
 
 // rwTable is one FROM entry's resolution info: the physical schema and the
@@ -864,9 +871,11 @@ func (rw *rewriter) updateStmt(st *sqlparse.UpdateStmt) (sqlparse.Statement, err
 				if want, ok := attrFromHint(rw.hintOf(set.Value)); ok {
 					at = want
 				}
-				t.cat.ensureColumn(serial.Attr{
+				if t.cat.ensureColumn(serial.Attr{
 					ID: rw.db.dict().IDFor(set.Column, at), Key: set.Column, Type: at,
-				})
+				}) {
+					rw.cataloged = true
+				}
 				// Rebind so the rest of the statement resolves the new key.
 				t.view = t.cat.schemaView()
 			}

@@ -721,10 +721,12 @@ func (db *DB) execTruncate(st *sqlparse.TruncateStmt) (*Result, error) {
 }
 
 // Analyze recomputes optimizer statistics for a table (the SQL ANALYZE).
-// The whole pass holds the write lock: Analyze rebuilds page summaries and
-// FreezeColdPages restripes pages, both of which install new page
-// versions. Readers are unaffected — they keep scanning the snapshot from
-// the previous publish until the new one lands.
+// storage.Analyze is one pass over the heap that also rebuilds the page
+// summaries and, doubling as the compaction trigger, freezes cold full
+// pages into column-striped segments (no-op without a segmenter); both
+// install new page versions, so the pass holds the write lock. Readers
+// are unaffected — they keep scanning the snapshot from the previous
+// publish until the new one lands.
 func (db *DB) Analyze(name string) error {
 	t, err := db.lookup(name)
 	if err != nil {
@@ -732,9 +734,6 @@ func (db *DB) Analyze(name string) error {
 	}
 	t.mu.Lock()
 	t.stats.Store(storage.Analyze(t.heap))
-	// ANALYZE doubles as the compaction trigger: cold full pages freeze
-	// into column-striped segments (no-op without a segmenter).
-	t.heap.FreezeColdPages()
 	// New statistics can change plan choice; cached plans are stale. Bump
 	// before publishing (storage invariant 4).
 	db.BumpCatalogEpoch()

@@ -61,8 +61,8 @@ func (s *vecSegment) Values(dst []types.Datum) error {
 	return nil
 }
 
-// freezeCols installs a segmenter striping the listed columns and freezes
-// every full page, returning how many froze.
+// freezeCols installs a segmenter striping the listed columns and runs
+// ANALYZE, which freezes every full page, returning how many froze.
 func freezeCols(h *storage.Heap, stripe map[int]bool) int {
 	h.SetColumnSegmenter(func(col int, vals []types.Datum) (storage.ColumnSegment, error) {
 		if !stripe[col] {
@@ -72,7 +72,9 @@ func freezeCols(h *storage.Heap, stripe map[int]bool) int {
 		copy(cp, vals)
 		return &vecSegment{vals: cp, ids: []uint32{uint32(col)}}, nil
 	})
-	return h.FreezeColdPages()
+	before := h.NumFrozenPages()
+	storage.Analyze(h)
+	return h.NumFrozenPages() - before
 }
 
 // TestPropertyStripedMatchesRow extends the differential test with the

@@ -164,8 +164,8 @@ func TestFrozenPagePayloadArenas(t *testing.T) {
 	}
 
 	h.SetColumnSegmenter(stripeCol0)
-	if got := h.FreezeColdPages(); got != 3 {
-		t.Fatalf("FreezeColdPages = %d, want 3", got)
+	if got := analyzeFreezes(h); got != 3 {
+		t.Fatalf("ANALYZE froze %d, want 3", got)
 	}
 	check("frozen")
 	for pi := 0; pi < 3; pi++ {
@@ -190,9 +190,10 @@ func TestFrozenPagePayloadArenas(t *testing.T) {
 		}
 	}
 
-	// Freezing allocates per page, not per value: a page whose arrays hold
-	// eight texts a row costs what one holding a single text a row does, and
-	// fewer objects than it has rows.
+	// ANALYZE's read of a cold page, freeze included, allocates per page,
+	// not per value: a page whose arrays hold eight texts a row costs what
+	// one holding a single text a row does, and fewer objects than it has
+	// rows.
 	freezeAllocs := func(perRow int) float64 {
 		rows := make([]Row, rowsPerPage)
 		for i := range rows {
@@ -206,7 +207,7 @@ func TestFrozenPagePayloadArenas(t *testing.T) {
 		return testing.AllocsPerRun(20, func() {
 			h.pages[0] = rowForm
 			h.frozen--
-			if !h.freezePageAt(0) {
+			if newAnalyzeWalk(h).rowPage(0, rowForm); h.pages[0].frozen == nil {
 				t.Fatal("page 0 did not freeze")
 			}
 		})
@@ -216,7 +217,7 @@ func TestFrozenPagePayloadArenas(t *testing.T) {
 	}
 	h.pages[0] = &page{rows: want[:rowsPerPage]}
 	h.frozen--
-	if !h.freezePageAt(0) {
+	if newAnalyzeWalk(h).rowPage(0, h.pages[0]); h.pages[0].frozen == nil {
 		t.Fatal("page 0 did not freeze")
 	}
 	check("re-frozen")
@@ -232,8 +233,8 @@ func TestFrozenPagePayloadArenas(t *testing.T) {
 		t.Fatalf("NumFrozenPages after UPDATE = %d, want 2", h.NumFrozenPages())
 	}
 	check("un-frozen")
-	if got := h.FreezeColdPages(); got != 1 {
-		t.Fatalf("second FreezeColdPages = %d, want 1", got)
+	if got := analyzeFreezes(h); got != 1 {
+		t.Fatalf("second ANALYZE froze %d, want 1", got)
 	}
 	check("frozen again")
 }

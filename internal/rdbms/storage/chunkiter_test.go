@@ -124,8 +124,8 @@ func TestChunkIterRowIDsMatchScan(t *testing.T) {
 		}
 	}
 	h.SetColumnSegmenter(stripeCol0)
-	if got := h.FreezeColdPages(); got != 3 {
-		t.Fatalf("FreezeColdPages = %d, want 3 (page 1 has holes, page 4 is short)", got)
+	if got := analyzeFreezes(h); got != 3 {
+		t.Fatalf("ANALYZE froze %d, want 3 (page 1 has holes, page 4 is short)", got)
 	}
 	var wantIDs []RowID
 	h.Scan(func(id RowID, _ Row) bool {

@@ -120,14 +120,8 @@ func (fp *FrozenPage) ColVals(j int) ([]types.Datum, []uint64, error) {
 		if err := c.Seg.Values(vals); err != nil {
 			return nil, nil, err
 		}
-		nulls := make([]uint64, (fp.n+63)/64)
-		for i, d := range vals {
-			if d.IsNull() {
-				nulls[i/64] |= 1 << uint(i%64)
-			}
-		}
 		fp.segVals[j] = vals
-		fp.segNull[j] = nulls
+		fp.segNull[j] = nullBitmap(vals)
 	}
 	return fp.segVals[j], fp.segNull[j], nil
 }
@@ -164,7 +158,7 @@ func (fp *FrozenPage) materializeRows() ([]Row, error) {
 
 // SetColumnSegmenter installs fn as the page segmenter. Compaction only
 // happens on heaps with a segmenter (Sinew installs one per collection),
-// and only at ANALYZE (FreezeColdPages).
+// and only at ANALYZE (Analyze freezes the cold pages it reads).
 func (h *Heap) SetColumnSegmenter(fn ColumnSegmenter) { h.segmenter = fn }
 
 // NumFrozenPages reports how many pages are currently frozen.
@@ -174,116 +168,47 @@ func (h *Heap) NumFrozenPages() int { return h.frozen }
 // routing test for striped scans).
 func (h *Heap) Segmented() bool { return h.frozen > 0 }
 
-// FreezeColdPages stripes every eligible page — full, no deleted slots,
-// not already frozen — and returns how many pages it froze. ANALYZE calls
-// it so compaction follows the same trigger as statistics refresh.
-func (h *Heap) FreezeColdPages() int {
-	if h.segmenter == nil {
-		return 0
-	}
-	n := 0
-	for pi := range h.pages {
-		if h.freezePageAt(pi) {
-			n++
-		}
-	}
-	return n
-}
-
-// freezePageAt stripes the page at index pi; returns false when the page
-// is ineligible or the segmenter vetoes it. Freezing never mutates the
-// existing page struct — it installs a fresh frozen page in its slot, so
-// snapshot readers pinned to the row-form version are untouched. A
-// carried-over skip summary is cloned for the same reason (attachZones
-// writes into it).
-func (h *Heap) freezePageAt(pi int) bool {
-	p := h.pages[pi]
-	if h.segmenter == nil || p.frozen != nil || len(p.rows) != rowsPerPage {
-		return false
-	}
-	for _, r := range p.rows {
-		if r == nil {
-			return false // deleted slot: page is not cold
-		}
-	}
-	ncols := len(h.schema.Cols)
-	fp := &FrozenPage{n: len(p.rows), cols: make([]FrozenCol, ncols)}
-	for j := 0; j < ncols; j++ {
-		vals := make([]types.Datum, len(p.rows))
-		for i, r := range p.rows {
-			vals[i] = r[j]
-		}
+// stripe builds the frozen form of a cold page from its column vectors,
+// one per column in slot order (ANALYZE's walk). The plain columns keep
+// their vectors as Vals, over payload arenas of their own. It returns nil
+// when the segmenter vetoes the page or stripes none of its columns:
+// freezing then buys nothing and the rows stay.
+func (h *Heap) stripe(cols [][]types.Datum) *FrozenPage {
+	fp := &FrozenPage{n: rowsPerPage, cols: make([]FrozenCol, len(cols))}
+	striped := false
+	for j, vals := range cols {
 		seg, err := h.segmenter(j, vals)
 		if err != nil {
-			return false // unstripeable value: keep the rows
+			return nil // unstripeable value: keep the rows
 		}
-		if seg != nil {
-			if seg.NumRows() != len(p.rows) {
-				return false
-			}
-			fp.cols[j] = FrozenCol{Seg: seg}
-			fp.segBytes += seg.SizeBytes()
+		if seg == nil {
+			fp.cols[j] = FrozenCol{Vals: vals, Nulls: nullBitmap(vals)}
 			continue
 		}
-		nulls := make([]uint64, (len(vals)+63)/64)
-		for i, d := range vals {
-			if d.IsNull() {
-				nulls[i/64] |= 1 << uint(i%64)
-			}
+		if seg.NumRows() != len(vals) {
+			return nil
 		}
-		fp.cols[j] = FrozenCol{Vals: vals, Nulls: nulls}
-	}
-	striped := false
-	for j := range fp.cols {
-		if fp.cols[j].Seg != nil {
-			striped = true
-			break
-		}
+		fp.cols[j] = FrozenCol{Seg: seg}
+		fp.segBytes += seg.SizeBytes()
+		striped = true
 	}
 	if !striped {
-		return false // nothing column-striped: freezing buys nothing
+		return nil
 	}
 	packPayloads(fp.cols)
-	// The page summary outlives the rows: frozen pages are immutable, so
-	// build it now if stale. Segment-striped columns contribute their
-	// attribute-ID sets straight from the segment — no per-record
-	// summarizer parses — and become attribute-tracked even without a
-	// summarizer, so extractions over any striped column can skip pages.
-	sum := p.sum.clone()
-	if sum == nil {
-		segCols := make(map[int]bool, len(fp.cols))
-		for j := range fp.cols {
-			if fp.cols[j].Seg != nil {
-				segCols[j] = true
-			}
-		}
-		s := newPageSummary()
-		for _, r := range p.rows {
-			h.noteRowExcept(s, r, segCols)
-			if !s.valid {
-				break
-			}
-		}
-		if s.valid {
-			for j := range fp.cols {
-				if seg := fp.cols[j].Seg; seg != nil {
-					for _, id := range seg.AttrIDs() {
-						s.insertAttr(j, id)
-					}
-				}
-			}
-			sum = s
+	return fp
+}
+
+// nullBitmap returns the null bitmap of a column vector: bit i set when
+// vals[i] is NULL.
+func nullBitmap(vals []types.Datum) []uint64 {
+	nulls := make([]uint64, (len(vals)+63)/64)
+	for i, d := range vals {
+		if d.IsNull() {
+			nulls[i/64] |= 1 << uint(i%64)
 		}
 	}
-	// Zone maps attach whether the summary was just built or carried over
-	// from incremental inserts: the page is immutable from here on, so the
-	// segment's extrema stay exact until un-freeze invalidates the summary.
-	sum.attachZones(fp)
-	sum.rebaseRanges(fp)
-	h.pages[pi] = &page{frozen: fp, bytes: p.bytes, sum: sum}
-	h.frozen++
-	h.segBytes += fp.segBytes
-	return true
+	return nulls
 }
 
 // packPayloads gives a freezing page's plain columns payload arenas of

@@ -50,6 +50,13 @@ func freezeTestHeap(t *testing.T, nrows int) (*Heap, *Pager) {
 	return h, pager
 }
 
+// analyzeFreezes runs ANALYZE over h and returns how many pages it froze.
+func analyzeFreezes(h *Heap) int {
+	before := h.NumFrozenPages()
+	Analyze(h)
+	return h.NumFrozenPages() - before
+}
+
 func collectRows(h *Heap) []Row {
 	var out []Row
 	h.Scan(func(_ RowID, r Row) bool {
@@ -65,15 +72,15 @@ func TestFreezeColdPages(t *testing.T) {
 	before := collectRows(h)
 
 	h.SetColumnSegmenter(stripeCol0)
-	if got := h.FreezeColdPages(); got != 2 {
-		t.Fatalf("FreezeColdPages = %d, want 2 (full pages only)", got)
+	if got := analyzeFreezes(h); got != 2 {
+		t.Fatalf("ANALYZE froze %d, want 2 (full pages only)", got)
 	}
 	if !h.Segmented() || h.NumFrozenPages() != 2 {
 		t.Fatalf("Segmented=%v NumFrozenPages=%d", h.Segmented(), h.NumFrozenPages())
 	}
 	// Idempotent: already-frozen pages and the tail stay put.
-	if got := h.FreezeColdPages(); got != 0 {
-		t.Fatalf("second FreezeColdPages = %d, want 0", got)
+	if got := analyzeFreezes(h); got != 0 {
+		t.Fatalf("second ANALYZE froze %d, want 0", got)
 	}
 
 	// Row-path reads see identical content in identical order.
@@ -169,8 +176,8 @@ func TestFreezeSkipsDirtyPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.SetColumnSegmenter(stripeCol0)
-	if got := h.FreezeColdPages(); got != 1 {
-		t.Fatalf("FreezeColdPages = %d, want 1 (page 0 has a hole)", got)
+	if got := analyzeFreezes(h); got != 1 {
+		t.Fatalf("ANALYZE froze %d, want 1 (page 0 has a hole)", got)
 	}
 }
 
@@ -191,8 +198,8 @@ func TestMixedHeapScanOrder(t *testing.T) {
 	if _, err := h.Delete(RowID{Page: 2, Slot: 9}); err != nil {
 		t.Fatal(err)
 	}
-	if got := h.FreezeColdPages(); got != 3 {
-		t.Fatalf("FreezeColdPages = %d, want 3 (page 2 has a hole, page 4 is short)", got)
+	if got := analyzeFreezes(h); got != 3 {
+		t.Fatalf("ANALYZE froze %d, want 3 (page 2 has a hole, page 4 is short)", got)
 	}
 	rows := collectRows(h)
 	if len(rows) != 4*rowsPerPage+9 {
@@ -265,7 +272,7 @@ func TestPageSummaryZoneLookup(t *testing.T) {
 func TestFrozenRowsOneArena(t *testing.T) {
 	h, _ := freezeTestHeap(t, rowsPerPage)
 	h.SetColumnSegmenter(stripeCol0)
-	if h.FreezeColdPages() != 1 {
+	if analyzeFreezes(h) != 1 {
 		t.Fatal("the page did not freeze")
 	}
 	fp := h.pages[0].frozen

@@ -313,7 +313,7 @@ func TestTopNSkipBound(t *testing.T) {
 				}
 			}
 		}
-		h.RebuildSummaries()
+		Analyze(h)
 		desc, n := r.Intn(2) == 0, int64(1+r.Intn(40*rowsPerPage))
 		if r.Intn(2) == 0 { // whole pages: the running count meets n exactly
 			n = int64(rowsPerPage * (1 + r.Intn(40)))

@@ -152,8 +152,8 @@ var positionalRests = []string{
 // array of the record that decodes, both must find the same value.
 func checkPositional(t testing.TB, data []byte, dict *Dictionary) {
 	t.Helper()
-	h, err := parseHeader(data)
-	if err != nil {
+	var h header
+	if err := parseHeader(data, &h); err != nil {
 		return
 	}
 	for i := 0; i < h.n; i++ {
@@ -268,8 +268,8 @@ func TestCorruptRecordsNeverPanic(t *testing.T) {
 	})
 
 	t.Run("out-of-range-offsets", func(t *testing.T) {
-		h, err := parseHeader(data)
-		if err != nil {
+		var h header
+		if err := parseHeader(data, &h); err != nil {
 			t.Fatal(err)
 		}
 		// The offsets array starts after [n][aids]; poison each entry with
@@ -296,8 +296,8 @@ func TestCorruptRecordsNeverPanic(t *testing.T) {
 	})
 
 	t.Run("unsorted-attr-ids", func(t *testing.T) {
-		h, err := parseHeader(data)
-		if err != nil {
+		var h header
+		if err := parseHeader(data, &h); err != nil {
 			t.Fatal(err)
 		}
 		if h.n < 2 {
@@ -507,8 +507,8 @@ func corruptSparseMutants(t testing.TB, seg []byte, dict *Dictionary) map[string
 	footerOff := int(binary.LittleEndian.Uint32(seg[len(seg)-u32:]))
 	rawOff := int(binary.LittleEndian.Uint32(seg[footerOff+3*u32:]))
 	recAt := rawOff + 24*u32 + int(binary.LittleEndian.Uint32(seg[rawOff+3*u32:]))
-	h, err := parseHeader(seg[recAt:])
-	if err != nil {
+	var h header
+	if err := parseHeader(seg[recAt:], &h); err != nil {
 		t.Fatal(err)
 	}
 	slot, ok := h.find(idOf("rare_b", TypeBool))

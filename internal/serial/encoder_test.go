@@ -230,7 +230,8 @@ func checkObjectsRoundTrip(t *testing.T, b []byte, typ AttrType, dict *Dictionar
 		if !bytes.Equal(again, b) {
 			t.Fatalf("object bytes are not Serialize(Deserialize(bytes))\n got %x\nwant %x", again, b)
 		}
-		h, _ := parseHeader(b)
+		var h header
+		_ = parseHeader(b, &h)
 		for i := 0; i < h.n; i++ {
 			attr, _ := dict.Lookup(h.aid(i))
 			vb, _ := h.valueBytes(i)

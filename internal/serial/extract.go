@@ -74,7 +74,8 @@ func DatumType(t AttrType) types.Type {
 // sinew_extract_any's text. An absent or differently typed key is the typed
 // NULL, never an error (§3.2.2's graceful multi-type handling).
 func ExtractDatum(data []byte, path string, want AttrType, dict Dict) (types.Datum, error) {
-	h, err := parseHeader(data)
+	var h header
+	err := parseHeader(data, &h)
 	if err != nil {
 		return types.Datum{}, err
 	}
@@ -101,8 +102,8 @@ func ExtractDatum(data []byte, path string, want AttrType, dict Dict) (types.Dat
 // side does not use it; the serialization benchmarks (Table 4, the layer
 // timings) do.
 func ExtractPath(data []byte, path string, want AttrType, dict Dict) (jsonx.Value, bool, error) {
-	h, err := parseHeader(data)
-	if err != nil {
+	var h header
+	if err := parseHeader(data, &h); err != nil {
 		return jsonx.Value{}, false, err
 	}
 	vb, ok, err := h.locate(path, want, idOf(dict, path, want), dict)
@@ -118,7 +119,7 @@ func ExtractPath(data []byte, path string, want AttrType, dict Dict) (jsonx.Valu
 
 // attrBytes returns the value bytes of attribute id; ok=false when the
 // record lacks it.
-func (h header) attrBytes(id uint32) ([]byte, bool, error) {
+func (h *header) attrBytes(id uint32) ([]byte, bool, error) {
 	if id == absentID {
 		return nil, false, nil
 	}
@@ -134,9 +135,12 @@ func (h header) attrBytes(id uint32) ([]byte, bool, error) {
 // dictionary's ID of (path, want), absentID when it has none — else the
 // first dot boundary at which a nested object or an array position holds
 // the rest (descend).
-func (h header) locate(path string, want AttrType, id uint32, dict Dict) ([]byte, bool, error) {
+func (h *header) locate(path string, want AttrType, id uint32, dict Dict) ([]byte, bool, error) {
 	if vb, ok, err := h.attrBytes(id); ok || err != nil {
 		return vb, ok, err
+	}
+	if strings.IndexByte(path, '.') < 0 {
+		return nil, false, nil // no dot boundary to descend at
 	}
 	return h.descend(path, want, dict)
 }
@@ -146,6 +150,10 @@ func (h header) locate(path string, want AttrType, id uint32, dict Dict) ([]byte
 // head as an array, whose element at the rest's numeric head is searched
 // (§4.2 positional addressing). The array is checked whole first, as
 // decoding it did, so a corrupt element off the path is still an error.
+// Unlike the other header methods it takes the header by value: through
+// locate's recursion a pointer receiver would carry the address of the
+// nested header it parses back into its own receiver, and that moves the
+// nested header to the heap on every call.
 func (h header) descend(path string, want AttrType, dict Dict) ([]byte, bool, error) {
 	for i := 0; i < len(path); i++ {
 		if path[i] != '.' {
@@ -157,8 +165,8 @@ func (h header) descend(path string, want AttrType, dict Dict) ([]byte, bool, er
 			return nil, false, err
 		}
 		if ok {
-			sub, err := parseHeader(vb)
-			if err != nil {
+			var sub header
+			if err := parseHeader(vb, &sub); err != nil {
 				return nil, false, err
 			}
 			if vb, ok, err := sub.locate(rest, want, idOf(dict, rest, want), dict); ok || err != nil {
@@ -182,7 +190,7 @@ func (h header) descend(path string, want AttrType, dict Dict) ([]byte, bool, er
 
 // locateAny is the TypeAny probe: locate for each type of anyProbeOrder in
 // turn, ids holding the dictionary's IDs of path in that order.
-func (h header) locateAny(path string, ids *[numAttrTypes]uint32, dict Dict) ([]byte, AttrType, bool, error) {
+func (h *header) locateAny(path string, ids *[numAttrTypes]uint32, dict Dict) ([]byte, AttrType, bool, error) {
 	for i, t := range anyProbeOrder {
 		if vb, ok, err := h.locate(path, t, ids[i], dict); ok || err != nil {
 			return vb, t, ok, err
@@ -197,7 +205,8 @@ func (h header) locateAny(path string, ids *[numAttrTypes]uint32, dict Dict) ([]
 func valueGet(b []byte, t AttrType, path string, dict Dict) ([]byte, AttrType, bool) {
 	switch t {
 	case TypeObject:
-		h, _ := parseHeader(b)
+		var h header
+		_ = parseHeader(b, &h)
 		if vb, vt, ok := h.member(path, dict); ok {
 			return vb, vt, true
 		}
@@ -237,7 +246,7 @@ func valueGet(b []byte, t AttrType, path string, dict Dict) ([]byte, AttrType, b
 
 // member returns what the decoded object holds under key: the last
 // attribute of that key in record order, as Deserialize's Doc.Set keeps.
-func (h header) member(key string, dict Dict) ([]byte, AttrType, bool) {
+func (h *header) member(key string, dict Dict) ([]byte, AttrType, bool) {
 	at, t := -1, AttrType(0)
 	for i := 0; i < h.n; i++ {
 		if a, ok := dict.Lookup(h.aid(i)); ok && a.Key == key {
@@ -257,8 +266,8 @@ func (h header) member(key string, dict Dict) ([]byte, AttrType, bool) {
 func checkValue(b []byte, t AttrType, dict Dict) error {
 	switch t {
 	case TypeObject:
-		h, err := parseHeader(b)
-		if err != nil {
+		var h header
+		if err := parseHeader(b, &h); err != nil {
 			return err
 		}
 		for i := 0; i < h.n; i++ {

@@ -18,41 +18,44 @@ type header struct {
 	bodyLen uint32
 }
 
-func parseHeader(data []byte) (header, error) {
+// parseHeader parses the header of record data into h, which aliases
+// data. Every header is passed by pointer: copying the struct per call was
+// a measurable share of the segment codec's time.
+func parseHeader(data []byte, h *header) error {
 	if len(data) < u32 {
-		return header{}, fmt.Errorf("serial: record too short (%d bytes)", len(data))
+		return fmt.Errorf("serial: record too short (%d bytes)", len(data))
 	}
 	n := int(binary.LittleEndian.Uint32(data))
 	need := u32 * (2 + 2*n)
 	if len(data) < need {
-		return header{}, fmt.Errorf("serial: truncated header (n=%d, %d bytes)", n, len(data))
+		return fmt.Errorf("serial: truncated header (n=%d, %d bytes)", n, len(data))
 	}
-	h := header{
-		n:    n,
-		aids: data[u32 : u32+u32*n],
-		offs: data[u32+u32*n : u32+2*u32*n],
+	bodyLen := binary.LittleEndian.Uint32(data[u32+2*u32*n:])
+	if len(data) < need+int(bodyLen) {
+		return fmt.Errorf("serial: truncated body (want %d bytes)", bodyLen)
 	}
-	h.bodyLen = binary.LittleEndian.Uint32(data[u32+2*u32*n:])
-	bodyStart := need
-	if len(data) < bodyStart+int(h.bodyLen) {
-		return header{}, fmt.Errorf("serial: truncated body (want %d bytes)", h.bodyLen)
+	*h = header{
+		n:       n,
+		aids:    data[u32 : u32+u32*n],
+		offs:    data[u32+u32*n : u32+2*u32*n],
+		body:    data[need : need+int(bodyLen)],
+		bodyLen: bodyLen,
 	}
-	h.body = data[bodyStart : bodyStart+int(h.bodyLen)]
-	return h, nil
+	return nil
 }
 
-func (h header) aid(i int) uint32 {
+func (h *header) aid(i int) uint32 {
 	return binary.LittleEndian.Uint32(h.aids[i*u32:])
 }
 
-func (h header) off(i int) uint32 {
+func (h *header) off(i int) uint32 {
 	return binary.LittleEndian.Uint32(h.offs[i*u32:])
 }
 
 // valueBytes returns the body slice of attribute index i. Offsets come
 // from the (untrusted) record bytes, so they are validated here: corrupt
 // or unsorted offsets surface as errors, never slice panics.
-func (h header) valueBytes(i int) ([]byte, error) {
+func (h *header) valueBytes(i int) ([]byte, error) {
 	start := h.off(i)
 	end := h.bodyLen
 	if i+1 < h.n {
@@ -65,7 +68,7 @@ func (h header) valueBytes(i int) ([]byte, error) {
 }
 
 // find binary-searches the sorted attribute ID list.
-func (h header) find(id uint32) (int, bool) {
+func (h *header) find(id uint32) (int, bool) {
 	lo, hi := 0, h.n
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -86,8 +89,8 @@ func (h header) find(id uint32) (int, bool) {
 // existence check (the paper notes existence checks are much cheaper than
 // extraction).
 func Has(data []byte, id uint32) (bool, error) {
-	h, err := parseHeader(data)
-	if err != nil {
+	var h header
+	if err := parseHeader(data, &h); err != nil {
 		return false, err
 	}
 	_, ok := h.find(id)
@@ -98,8 +101,8 @@ func Has(data []byte, id uint32) (bool, error) {
 // header lookup, decoding nothing; ok=false when the record lacks it. The
 // bytes alias data.
 func ValueBytes(data []byte, id uint32) (b []byte, ok bool, err error) {
-	h, err := parseHeader(data)
-	if err != nil {
+	var h header
+	if err := parseHeader(data, &h); err != nil {
 		return nil, false, err
 	}
 	return h.attrBytes(id)
@@ -165,8 +168,8 @@ func parsedValueBytes(data []byte, id uint32) ([]byte, bool, error) {
 
 // ExtractByID returns the value of attribute id; ok=false when absent.
 func ExtractByID(data []byte, id uint32, dict Dict) (jsonx.Value, bool, error) {
-	h, err := parseHeader(data)
-	if err != nil {
+	var h header
+	if err := parseHeader(data, &h); err != nil {
 		return jsonx.Value{}, false, err
 	}
 	i, ok := h.find(id)
@@ -192,8 +195,8 @@ func ExtractByID(data []byte, id uint32, dict Dict) (jsonx.Value, bool, error) {
 // binary search — the ablation baseline isolating the sorted-ID design of
 // §4.1 (kept out of production paths).
 func ExtractByIDLinear(data []byte, id uint32, dict Dict) (jsonx.Value, bool, error) {
-	h, err := parseHeader(data)
-	if err != nil {
+	var h header
+	if err := parseHeader(data, &h); err != nil {
 		return jsonx.Value{}, false, err
 	}
 	for i := 0; i < h.n; i++ {
@@ -274,8 +277,8 @@ func decodeArray(b []byte, dict Dict) (jsonx.Value, error) {
 // member order is not preserved, matching the paper's benchmark which only
 // requires reassembling the logical content).
 func Deserialize(data []byte, dict Dict) (*jsonx.Doc, error) {
-	h, err := parseHeader(data)
-	if err != nil {
+	var h header
+	if err := parseHeader(data, &h); err != nil {
 		return nil, err
 	}
 	doc := jsonx.NewDoc()
@@ -300,8 +303,8 @@ func Deserialize(data []byte, dict Dict) (*jsonx.Doc, error) {
 // AttrIDs lists the attribute IDs present in the record (catalog and
 // materializer use it to avoid full decodes).
 func AttrIDs(data []byte) ([]uint32, error) {
-	h, err := parseHeader(data)
-	if err != nil {
+	var h header
+	if err := parseHeader(data, &h); err != nil {
 		return nil, err
 	}
 	out := make([]uint32, h.n)
@@ -363,8 +366,8 @@ func Insert(data []byte, id uint32, v jsonx.Value, dict Dict) ([]byte, error) {
 // val. It writes the result in one pass, header and body side by side;
 // rec itself comes back when there is nothing to change.
 func splice(rec []byte, drop []uint32, id uint32, val []byte) ([]byte, error) {
-	h, err := parseHeader(rec)
-	if err != nil {
+	var h header
+	if err := parseHeader(rec, &h); err != nil {
 		return nil, err
 	}
 	n, body := 0, len(val)

@@ -87,12 +87,10 @@ type Record struct {
 // Record serves every row of a scan without allocating. The Record aliases
 // data; the caller must not mutate it while the Record is in use.
 func (r *Record) Reset(data []byte) error {
-	h, err := parseHeader(data)
-	if err != nil {
+	if err := parseHeader(data, &r.h); err != nil {
 		r.h = header{}
 		return err
 	}
-	r.h = h
 	return nil
 }
 
@@ -131,7 +129,7 @@ func (r *Record) MultiExtract(pm *PreparedMulti, dict Dict, out []jsonx.Value, f
 // then the nested descent and the TypeAny probe for the specs that need
 // them.
 func (r *Record) locateAll(pm *PreparedMulti, dict Dict, emit func(si int, vb []byte, t AttrType) error) error {
-	h := r.h
+	h := &r.h
 	// Both h.aids and pm.merge are ascending, so each side advances
 	// monotonically. Duplicate spec IDs re-match without moving the header
 	// cursor.

@@ -247,8 +247,8 @@ func (e *segEncoder) encode(records [][]byte, dict Dict) ([]byte, error) {
 			continue
 		}
 		rawLen += len(rec)
-		h, err := parseHeader(rec)
-		if err != nil {
+		var h header
+		if err := parseHeader(rec, &h); err != nil {
 			return nil, fmt.Errorf("serial: segment record %d: %w", i, err)
 		}
 		for a := 0; a < h.n; a++ {
@@ -346,7 +346,8 @@ func (e *segEncoder) encode(records [][]byte, dict Dict) ([]byte, error) {
 		if rec == nil {
 			continue
 		}
-		h, _ := parseHeader(rec) // parsed in the first pass
+		var h header
+		_ = parseHeader(rec, &h) // parsed in the first pass
 		for a := 0; a < h.n; a++ {
 			cb := &e.cols[e.refs[ref]]
 			ref++
@@ -819,6 +820,7 @@ func (s *Segment) checkSparse() error {
 		parsed = make([]uint64, words)
 	}
 	di, run := 0, 0
+	var h header
 	for k := 0; k < ne; k++ {
 		id, row, enc := s.entry(k)
 		if k > 0 {
@@ -851,7 +853,7 @@ func (s *Segment) checkSparse() error {
 			return fmt.Errorf("serial: segment sparse attr %d on null record %d", id, row)
 		}
 		if bit := uint64(1) << uint(row%64); parsed[row/64]&bit == 0 {
-			if _, err := parseHeader(rec); err != nil {
+			if err := parseHeader(rec, &h); err != nil {
 				return fmt.Errorf("serial: segment sparse attr %d: value outside record %d: %w", id, row, err)
 			}
 			parsed[row/64] |= bit

@@ -33,8 +33,8 @@ var errJSONFallback = fmt.Errorf("serial: record needs document-path JSON render
 // extended slice. On any error dst's contents are unspecified and the
 // caller must fall back to Deserialize.
 func AppendJSON(dst, data []byte, dict Dict) ([]byte, error) {
-	h, err := parseHeader(data)
-	if err != nil {
+	var h header
+	if err := parseHeader(data, &h); err != nil {
 		return nil, err
 	}
 	dst = append(dst, '{')
