@@ -10,6 +10,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/sinewdata/sinew/internal/rdbms/types"
@@ -128,9 +129,9 @@ type Heap struct {
 	nrows  int64
 	bytes  int64
 	pager  *Pager
-	// summarizers maps column index -> attribute summarizer for per-page
-	// skip summaries (pageskip.go).
-	summarizers map[int]AttrSummarizer
+	// summarizers holds each column's attribute summarizer for per-page
+	// skip summaries (pageskip.go), nil for a column without one.
+	summarizers []AttrSummarizer
 	// segmenter stripes cold pages into column segments (segment.go);
 	// frozen counts the pages currently in striped form, and segBytes the
 	// bytes of their segments.
@@ -592,7 +593,9 @@ func (h *Heap) DropColumnData(idx int) error {
 		}
 		h.pages[pi] = np
 	}
-	h.remapSummarizersOnDrop(idx)
+	if idx < len(h.summarizers) {
+		h.summarizers = slices.Delete(h.summarizers, idx, idx+1)
+	}
 	h.finishRewrite(unfroze)
 	return nil
 }
