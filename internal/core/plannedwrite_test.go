@@ -319,3 +319,70 @@ func TestWriteKeepsCachedPlans(t *testing.T) {
 		t.Errorf("DELETE: %d invalidations, want 0", got)
 	}
 }
+
+// TestUpdateNewTypeReadsLikeLoad: an UPDATE that writes a virtual key with
+// a value of a type none of the key's columns has catalogs (key, type) as
+// the loader does, so the 1 000-record collection the UPDATEs changed
+// reads like one loaded with the documents they made.
+func TestUpdateNewTypeReadsLikeLoad(t *testing.T) {
+	const n, table = 1000, "nobench_main"
+	updated := shapeDB(t, "frozen", n)
+	for _, sql := range []string{
+		`UPDATE nobench_main SET bnk = 'v' WHERE num < 30`,
+		`UPDATE nobench_main SET bnk = 7 WHERE num < 10`,
+		`UPDATE nobench_main SET bnk = 2.5 WHERE num >= 25 AND num < 30`,
+	} {
+		if _, err := updated.Query(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+
+	docs := nobench.Generate(n, 1)
+	for i, d := range docs {
+		switch {
+		case i < 10:
+			d.Set("bnk", jsonx.IntValue(7))
+		case i >= 25 && i < 30:
+			d.Set("bnk", jsonx.FloatValue(2.5))
+		case i < 30:
+			d.Set("bnk", jsonx.StringValue("v"))
+		}
+	}
+	loaded := Open(DefaultConfig())
+	if err := loaded.CreateCollection(table); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loaded.LoadDocuments(table, docs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loaded.AnalyzeSchema(table); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewMaterializer(loaded).RunOnce(table); err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.RDBMS().Analyze(table); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, sql := range []string{
+		`SELECT num, bnk FROM nobench_main WHERE num < 40 ORDER BY num`,
+		`SELECT COUNT(*) FROM nobench_main WHERE bnk = 7`,
+		`SELECT COUNT(*) FROM nobench_main WHERE bnk = 'v'`,
+		`SELECT COUNT(*) FROM nobench_main WHERE bnk = 2.5`,
+		`SELECT COUNT(bnk) FROM nobench_main`,
+		`SELECT bnk, COUNT(*) FROM nobench_main GROUP BY bnk ORDER BY bnk`,
+	} {
+		got, err := updated.Query(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		want, err := loaded.Query(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if g, w := fmt.Sprint(got.Rows), fmt.Sprint(want.Rows); g != w {
+			t.Errorf("%s:\nafter the UPDATEs %s\nloaded            %s", sql, g, w)
+		}
+	}
+}

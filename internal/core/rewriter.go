@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/sinewdata/sinew/internal/rdbms"
@@ -864,13 +865,15 @@ func (rw *rewriter) updateStmt(st *sqlparse.UpdateStmt) (sqlparse.Statement, err
 			dataTouched = true
 		default:
 			// Virtual (or brand new) key: write into the reservoir. A
-			// brand-new key is cataloged immediately so it joins the
-			// logical schema (§3.2.1's invisible schema evolution).
-			if col == nil {
-				at := serial.TypeString
-				if want, ok := attrFromHint(rw.hintOf(set.Value)); ok {
-					at = want
-				}
+			// brand-new key, or one whose columns are all virtual written
+			// with a value of a type none of them has, is cataloged as
+			// (key, type) at once, as the loader catalogs it, so it joins
+			// the logical schema (§3.2.1's invisible schema evolution).
+			at, typed := attrFromHint(rw.hintOf(set.Value))
+			if col == nil && !typed {
+				at, typed = serial.TypeString, true
+			}
+			if typed && !slices.ContainsFunc(cands, func(c ColumnState) bool { return c.Type == at || c.PhysicalName != "" }) {
 				if t.cat.ensureColumn(serial.Attr{
 					ID: rw.db.dict().IDFor(set.Column, at), Key: set.Column, Type: at,
 				}) {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"github.com/sinewdata/sinew/internal/rdbms/storage"
@@ -309,6 +310,64 @@ func TestCollectProjectedScan(t *testing.T) {
 			t.Fatalf("limit %d: %v", limit, err)
 		}
 		rowsEqual(t, got, want)
+	}
+}
+
+// TestCollectProjectedScanMixedHeap holds the fused collector to the
+// reference and to the operator pipeline over a heap of frozen pages (one
+// column striped), a row-form page with holes between them and a short
+// tail: contiguous, reordered and single-column projections of a striped
+// and a plain column, under limits that end inside a frozen page, inside
+// the holed page and past the end. Every result row is capped at its own
+// width, and each frozen page read counts as a segment scanned.
+func TestCollectProjectedScanMixedHeap(t *testing.T) {
+	per := storage.PageCapacity
+	r := rand.New(rand.NewSource(41))
+	colTypes := []types.Type{types.Int, types.Text, types.Float}
+	rows := randBatchRows(r, colTypes, 5*per+40)
+	for i := range rows {
+		rows[i][0] = types.NewInt(int64(i))
+	}
+	h, pager := heapOf(t, colTypes, rows)
+	for _, slot := range []int{0, 17, 90} {
+		if _, err := h.Delete(storage.RowID{Page: 2, Slot: slot}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := freezeCols(h, map[int]bool{1: true}); n != 4 {
+		t.Fatalf("froze %d pages, want 4 (page 2 has holes, page 5 is short)", n)
+	}
+	live := h.NumRows()
+	for _, cols := range [][]int{{0, 1, 2}, {1, 2}, {2, 0}, {1, 0, 1}, {1}, {2}} {
+		projs := make([]Expr, len(cols))
+		for i, j := range cols {
+			projs[i] = col(j, colTypes[j])
+		}
+		ref := mustRef(t)
+		all := ref(refProject(refScan(h), projs))
+		pipe := collectBatches(t, &BatchProjectIter{Exprs: projs, In: NewBatchScan(h, nil)})
+		rowsEqual(t, pipe, all)
+		for _, limit := range []int64{-1, 0, 50, int64(per) + 30, int64(2*per) + 100, live, live + 9} {
+			want := all
+			if limit >= 0 {
+				want = refLimit(all, limit)
+			}
+			pager.Reset()
+			got, err := CollectProjectedScan(h, cols, limit)
+			if err != nil {
+				t.Fatalf("cols %v limit %d: %v", cols, limit, err)
+			}
+			rowsEqual(t, got, want)
+			for i, row := range got {
+				if cap(row) != len(cols) {
+					t.Fatalf("cols %v limit %d: row %d has cap %d", cols, limit, i, cap(row))
+				}
+			}
+			scanned, _ := pager.SegStats()
+			if limit < 0 && scanned != 4 || limit == 50 && scanned != 1 {
+				t.Fatalf("cols %v limit %d: %d segments scanned", cols, limit, scanned)
+			}
+		}
 	}
 }
 

@@ -16,13 +16,9 @@ func TestChunkIterReadsAllRows(t *testing.T) {
 
 	var got []int64
 	it := h.IterateChunks()
-	buf := make([]Row, 37) // deliberately not a divisor of the page size
-	for {
-		n := it.ReadRows(buf)
-		if n == 0 {
-			break
-		}
-		for _, r := range buf[:n] {
+	// 37 rows a read: deliberately not a divisor of the page size.
+	for pv, ok := it.ReadPage(37); ok; pv, ok = it.ReadPage(37) {
+		for _, r := range pv.Rows {
 			got = append(got, r[0].I)
 		}
 	}
@@ -49,8 +45,7 @@ func TestChunkIterPagerAccounting(t *testing.T) {
 	p.Reset()
 	// A full read charges the whole heap, to the pager and the cursor.
 	it := h.IterateChunks()
-	buf := make([]Row, 64)
-	for it.ReadRows(buf) > 0 {
+	for _, ok := it.ReadPage(64); ok; _, ok = it.ReadPage(64) {
 	}
 	it.Close()
 	r, _ := p.Stats()
@@ -101,7 +96,7 @@ func readIDs(t *testing.T, it *HeapChunkIter, maxRows int) (ids []RowID, rows []
 		run := pv.Rows
 		if pv.Frozen != nil {
 			var err error
-			if run, err = pv.Frozen.materializeRows(); err != nil {
+			if run, err = pv.Frozen.materializeRows(0, pv.Frozen.NumRows()); err != nil {
 				t.Fatal(err)
 			}
 		}

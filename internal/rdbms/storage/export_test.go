@@ -1,12 +1,23 @@
 package storage
 
-// RowCachedFrozenPages counts the frozen pages of h that hold a row-form
-// copy of themselves (the row cache, or a decoded segment column).
-func RowCachedFrozenPages(h *Heap) (n int) {
+import "unsafe"
+
+// DecodedFrozenPages counts the frozen pages of h that hold a decoded
+// copy of a segment column (ColVals's cache) and the bytes those copies
+// and their tables take. A frozen page holds no row-form copy of itself:
+// row readers build their rows per call.
+func DecodedFrozenPages(h *Heap) (pages int, bytes int64) {
+	const datum, word, slice = int64(unsafe.Sizeof(Row{}[0])), 8, int64(unsafe.Sizeof(Row{}))
 	for _, p := range h.pages {
-		if fp := p.frozen; fp != nil && (fp.rows != nil || fp.segVals != nil) {
-			n++
+		fp := p.frozen
+		if fp == nil || fp.segVals == nil {
+			continue
+		}
+		pages++
+		bytes += 2 * slice * int64(len(fp.segVals))
+		for j := range fp.segVals {
+			bytes += datum*int64(cap(fp.segVals[j])) + word*int64(cap(fp.segNull[j]))
 		}
 	}
-	return n
+	return pages, bytes
 }

@@ -1,6 +1,7 @@
 package storage_test
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -9,57 +10,129 @@ import (
 	"github.com/sinewdata/sinew/internal/rdbms/storage"
 )
 
-// TestReanalyzeBuildsNoRowCaches runs ANALYZE a second time over the
-// 20 000-record NoBench fixture with the paper's keys materialized: no
-// frozen page gains a row-form copy, and the live heap after a forced
-// collection stays within 2 % of what it was after the first ANALYZE.
-func TestReanalyzeBuildsNoRowCaches(t *testing.T) {
+const pinnedTable = "nobench_main"
+
+// pinnedNoBench loads the 20 000-record NoBench fixture with the paper's
+// keys materialized and ANALYZEs it once, which freezes 156 pages.
+func pinnedNoBench(t *testing.T) (*core.DB, *storage.Heap) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("loads 20 000 documents")
 	}
-	const table = "nobench_main"
 	db := core.Open(core.DefaultConfig())
-	if err := db.CreateCollection(table); err != nil {
+	if err := db.CreateCollection(pinnedTable); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.LoadDocuments(table, nobench.Generate(20000, 20140622)); err != nil {
+	if _, err := db.LoadDocuments(pinnedTable, nobench.Generate(20000, 20140622)); err != nil {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"str1", "num", "nested_arr", "nested_obj", "thousandth"} {
-		if err := db.SetMaterialized(table, key, true); err != nil {
+		if err := db.SetMaterialized(pinnedTable, key, true); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := core.NewMaterializer(db).RunOnce(table); err != nil {
+	if _, err := core.NewMaterializer(db).RunOnce(pinnedTable); err != nil {
 		t.Fatal(err)
 	}
-	heapInuse := func() uint64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapInuse
-	}
-	if err := db.RDBMS().Analyze(table); err != nil {
+	if err := db.RDBMS().Analyze(pinnedTable); err != nil {
 		t.Fatal(err)
 	}
-	h, _, err := db.RDBMS().Table(table)
+	h, _, err := db.RDBMS().Table(pinnedTable)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.NumFrozenPages() != 156 {
 		t.Fatalf("the first ANALYZE froze %d pages, want 156", h.NumFrozenPages())
 	}
-	first := heapInuse()
-	if err := db.RDBMS().Analyze(table); err != nil {
+	return db, h
+}
+
+// liveHeap returns HeapInuse and HeapAlloc after a forced collection.
+// The second collection empties the sync.Pool victim caches the first one
+// filled, so pooled batches do not count.
+func liveHeap() (inuse, alloc uint64) {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapInuse, ms.HeapAlloc
+}
+
+// TestReanalyzeBuildsNoRowCaches runs ANALYZE a second time over the
+// 20 000-record NoBench fixture with the paper's keys materialized: no
+// frozen page gains a decoded copy of a segment column, and the live heap
+// after a forced collection stays within 2 % of what it was after the
+// first ANALYZE.
+func TestReanalyzeBuildsNoRowCaches(t *testing.T) {
+	db, h := pinnedNoBench(t)
+	first, _ := liveHeap()
+	if err := db.RDBMS().Analyze(pinnedTable); err != nil {
 		t.Fatal(err)
 	}
-	second := heapInuse()
+	second, _ := liveHeap()
 	t.Logf("HeapInuse after the first ANALYZE %d B, after the second %d B", first, second)
-	if n := storage.RowCachedFrozenPages(h); n != 0 {
-		t.Errorf("%d frozen pages hold a row-form copy after two ANALYZEs", n)
+	if n, _ := storage.DecodedFrozenPages(h); n != 0 {
+		t.Errorf("%d frozen pages hold a decoded segment column after two ANALYZEs", n)
 	}
 	if growth := float64(second)/float64(first) - 1; growth > 0.02 {
 		t.Errorf("HeapInuse %d -> %d bytes over a second ANALYZE (%+.1f %%), want under 2 %%", first, second, 100*growth)
+	}
+	runtime.KeepAlive(db)
+}
+
+// analyticTexts are the NoBench analytic statements: Q1–Q11 and four
+// aggregates and sorts over the same table.
+func analyticTexts() []string {
+	q := nobench.NewParams(20000).Queries()
+	var out []string
+	for _, id := range nobench.QueryOrder() {
+		if id != "Q12" {
+			out = append(out, q[id])
+		}
+	}
+	return append(out,
+		fmt.Sprintf(`SELECT thousandth, COUNT(*) FROM %s GROUP BY thousandth`, pinnedTable),
+		fmt.Sprintf(`SELECT str1, num FROM %s ORDER BY num DESC LIMIT 10`, pinnedTable),
+		fmt.Sprintf(`SELECT str1 FROM %s ORDER BY str1`, pinnedTable),
+		fmt.Sprintf(`SELECT COUNT(*) FROM %s`, pinnedTable))
+}
+
+// TestQueriesBuildNoFrozenCopies runs every analytic text twice over the
+// ANALYZEd fixture. Q1, which reads its frozen pages' plain columns,
+// leaves no decoded copy on them, and no page un-freezes. The live heap
+// after a forced collection grows by the segment columns the striped
+// scans decoded (ColVals's cache, about 1 MB) and by under 2 % besides: a
+// page-lifetime row cache would add a fifth. Live bytes are HeapAlloc, not
+// HeapInuse, whose span slack moves by more than 2 % from run to run.
+func TestQueriesBuildNoFrozenCopies(t *testing.T) {
+	db, h := pinnedNoBench(t)
+	texts := analyticTexts()
+	inuse0, alloc0 := liveHeap()
+	for range 2 {
+		if _, err := db.Query(texts[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, _ := storage.DecodedFrozenPages(h); n != 0 {
+		t.Errorf("%d frozen pages hold a decoded segment column after Q1", n)
+	}
+	for range 2 {
+		for _, sql := range texts {
+			if _, err := db.Query(sql); err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+		}
+	}
+	inuse, alloc := liveHeap()
+	pages, decoded := storage.DecodedFrozenPages(h)
+	t.Logf("after ANALYZE HeapInuse %d B, HeapAlloc %d B; after two passes of the %d analytic texts %d B, %d B, %d B of it the decoded columns of %d frozen pages",
+		inuse0, alloc0, len(texts), inuse, alloc, decoded, pages)
+	if h.NumFrozenPages() != 156 {
+		t.Errorf("%d pages frozen after the reads, want 156", h.NumFrozenPages())
+	}
+	if growth := (float64(alloc)-float64(decoded))/float64(alloc0) - 1; growth > 0.02 {
+		t.Errorf("HeapAlloc %d -> %d bytes over two passes of the analytic texts, %d of them decoded columns: %+.1f %% besides, want under 2 %%",
+			alloc0, alloc, decoded, 100*growth)
 	}
 	runtime.KeepAlive(db)
 }

@@ -2,7 +2,7 @@ package storage
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 	"testing"
 
 	"github.com/sinewdata/sinew/internal/rdbms/types"
@@ -265,10 +265,11 @@ func TestPageSummaryZoneLookup(t *testing.T) {
 	}
 }
 
-// TestFrozenRowsOneArena pins the row-form view of a frozen page: the
-// first row-path read allocates a fixed handful of slices, not one per
-// row, and every row is capped at its own width inside the shared arena,
-// so appending to one cannot write into its neighbour.
+// TestFrozenRowsOneArena pins the row-form view of a frozen page: a
+// row-path read allocates a fixed handful of slices, not one per row, and
+// every row is capped at its own width inside the one arena, so appending
+// to one cannot write into its neighbour. The page keeps no copy of the
+// rows: each read builds its own, and a point read builds one row.
 func TestFrozenRowsOneArena(t *testing.T) {
 	h, _ := freezeTestHeap(t, rowsPerPage)
 	h.SetColumnSegmenter(stripeCol0)
@@ -277,17 +278,28 @@ func TestFrozenRowsOneArena(t *testing.T) {
 	}
 	fp := h.pages[0].frozen
 	allocs := testing.AllocsPerRun(20, func() {
-		fp.rowsOnce, fp.rows, fp.segVals, fp.segNull = sync.Once{}, nil, nil, nil
-		if _, err := fp.materializeRows(); err != nil {
+		fp.segVals, fp.segNull = nil, nil
+		if _, err := fp.materializeRows(0, fp.n); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// The column table, the arena and the row slice, plus the striped
-	// column's cache: its two per-page tables, its datums and its nulls.
-	if allocs > 7 {
+	// The arena and the row slice, plus the striped column's cache: its
+	// two per-page tables, its datums and its nulls.
+	if allocs > 6 {
 		t.Fatalf("the first row-path read of a %d-row frozen page allocates %v times", fp.n, allocs)
 	}
-	rows := pageRows(h.pages[0])
+	// Once the striped column is decoded, a read builds the rows alone,
+	// and a point read its one row.
+	if allocs := testing.AllocsPerRun(20, func() { fp.materializeRows(0, fp.n) }); allocs > 2 {
+		t.Fatalf("a row-path read of a decoded frozen page allocates %v times, want 2", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { h.Get(RowID{Page: 0, Slot: 9}) }); allocs > 2 {
+		t.Fatalf("a point read of a frozen page allocates %v times, want 2", allocs)
+	}
+	rows, err := fp.materializeRows(0, fp.n)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, r := range rows {
 		if len(r) != 2 || cap(r) != 2 {
 			t.Fatalf("row %d has len %d cap %d, want 2 and 2", i, len(r), cap(r))
@@ -295,6 +307,12 @@ func TestFrozenRowsOneArena(t *testing.T) {
 		if r[0].String() != fmt.Sprint(i) || r[1].String() != fmt.Sprintf("row-%d", i) {
 			t.Fatalf("row %d = %v", i, r)
 		}
+		if got, ok := h.Get(RowID{Page: 0, Slot: i}); !ok || !slices.EqualFunc(got, r, types.Equal) {
+			t.Fatalf("Get(0.%d) = %v, %v; Scan's row is %v", i, got, ok, r)
+		}
+	}
+	if again, _ := fp.materializeRows(0, fp.n); &again[0][0] == &rows[0][0] {
+		t.Fatal("two row-path reads of a frozen page share their rows")
 	}
 	grown := append(rows[0], types.NewInt(-1))
 	if rows[1][0].String() != "1" || &grown[0] == &rows[0][0] {

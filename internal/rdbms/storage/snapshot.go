@@ -203,10 +203,9 @@ func (h *Heap) writableTailPage() *page {
 }
 
 // writableRowPage returns page pi in mutable row form: frozen pages are
-// un-frozen into a fresh page struct (the materialized row cache is
-// shared with snapshot readers, so the slice is copied), and shared
-// row-form pages are cloned. Mutators may then write rows[i], bytes and
-// sum freely.
+// un-frozen into a fresh page struct over rows built for it alone, and
+// shared row-form pages are cloned. Mutators may then write rows[i],
+// bytes and sum freely.
 func (h *Heap) writableRowPage(pi int) (*page, error) {
 	p := h.pages[pi]
 	if p.frozen == nil && !p.shared {
@@ -214,11 +213,11 @@ func (h *Heap) writableRowPage(pi int) (*page, error) {
 	}
 	np := &page{bytes: p.bytes}
 	if p.frozen != nil {
-		rows, err := p.frozen.materializeRows()
+		rows, err := p.frozen.materializeRows(0, p.frozen.n)
 		if err != nil {
 			return nil, err
 		}
-		np.rows = append(make([]Row, 0, max(rowsPerPage, len(rows))), rows...)
+		np.rows = rows
 		h.frozen--
 		h.segBytes -= p.frozen.segBytes
 		if h.pager != nil {
