@@ -559,9 +559,9 @@ func TestStoredValuesOwnTheirBytes(t *testing.T) {
 			continue
 		}
 		for _, col := range []string{nameCol, cols["tags"]} {
-			vals, _, err := pv.Frozen.ColVals(schema.ColumnIndex(col))
-			if err != nil {
-				t.Fatal(err)
+			vals, _, seg := pv.Frozen.Col(schema.ColumnIndex(col))
+			if seg != nil {
+				t.Fatalf("frozen: %s is a segment column", col)
 			}
 			for _, d := range vals {
 				walkTexts(d, func(s string) {

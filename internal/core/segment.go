@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
+	"sync/atomic"
 
 	"github.com/sinewdata/sinew/internal/rdbms/exec"
 	"github.com/sinewdata/sinew/internal/rdbms/storage"
@@ -51,18 +53,38 @@ func (r *recordSegment) AttrZone(id uint32) (storage.AttrZone, bool) {
 	return z, true
 }
 
-// Values reconstructs the column's datums (the un-freeze path). The bytes
-// alias the segment, which outlives any row view built from it.
-func (r *recordSegment) Values(dst []types.Datum) error {
-	n := r.seg.NumRecords()
-	for i := 0; i < n && i < len(dst); i++ {
-		if b, ok := r.seg.RecordBytes(i); ok {
-			dst[i] = types.NewBytes(b)
+// Values gives back the records of rows [lo, lo+len(dst)) as they were
+// frozen: the reads of whole records (un-freeze, Get, Scan, a statement
+// that reads the column as values).
+func (r *recordSegment) Values(dst []types.Datum, lo int, a *storage.ValueArena) error {
+	for k := range dst {
+		if b, ok := r.record(lo+k, nil, a); ok {
+			dst[k] = types.NewBytes(b)
 		} else {
-			dst[i] = types.NewNull(types.Bytes)
+			dst[k] = types.NewNull(types.Bytes)
 		}
 	}
 	return nil
+}
+
+// splicedRecords counts the records recordSegment.record has spliced (a
+// test hook: a statement splices the records of the rows it returns, not
+// whole pages).
+var splicedRecords atomic.Int64
+
+// record returns record i's original bytes, narrowed to the attributes ids
+// names when it is not nil; ok=false for a NULL record. A record none of
+// whose attributes (of ids) is sectioned is its raw entry, aliasing the
+// segment, which outlives any row view built from it; any other is
+// spliced into a, which the caller's values may alias as long as they
+// live.
+func (r *recordSegment) record(i int, ids []uint32, a *storage.ValueArena) ([]byte, bool) {
+	raw, ok := r.seg.RawRecord(i)
+	if !ok || !r.seg.Spliced(i, ids) {
+		return raw, ok
+	}
+	splicedRecords.Add(1)
+	return a.Keep(r.seg.AppendRecord(a.Tail(), i, ids)), true
 }
 
 // reservoirSegmenter returns the ColumnSegmenter installed on every
@@ -70,6 +92,7 @@ func (r *recordSegment) Values(dst []types.Datum) error {
 // serialized records; anything else stays a plain vector ((nil, nil)), so
 // freezing never depends on which columns the materializer has added.
 // Encoding is verified by a full round-trip before the rows are dropped —
+// every record spliced back, through one scratch buffer, and compared — so
 // a page that cannot be reproduced byte-for-byte keeps its row form.
 func (db *DB) reservoirSegmenter() storage.ColumnSegmenter {
 	return func(_ int, vals []types.Datum) (storage.ColumnSegment, error) {
@@ -99,9 +122,10 @@ func (db *DB) reservoirSegmenter() storage.ColumnSegmenter {
 		if err != nil {
 			return nil, fmt.Errorf("core: freeze round-trip parse: %w", err)
 		}
+		var scratch []byte
 		for i, want := range records {
-			got, ok := seg.RecordBytes(i)
-			if ok != (want != nil) || !bytes.Equal(got, want) {
+			scratch = seg.AppendRecord(scratch[:0], i, nil)
+			if seg.RecordNull(i) != (want == nil) || !bytes.Equal(scratch, want) {
 				return nil, fmt.Errorf("core: freeze round-trip mismatch at row %d", i)
 			}
 		}
@@ -167,7 +191,16 @@ func (db *DB) stripedExtractFactory(reqs []exec.MultiExtractReq) (exec.SegExtrac
 		}
 	}
 
-	var fb []uint64
+	// The rows the row kernel replays, the top-level attributes it looks
+	// up — so a row is spliced from them alone (never nil once set: nil
+	// keeps every attribute) — and the arena of the records it splices: the
+	// values extracted from them may alias them, and a kernel serves one
+	// statement.
+	var fb struct {
+		rows    []uint64
+		look    []uint32
+		spliced storage.ValueArena
+	}
 
 	return func(cs storage.ColumnSegment, out [][]types.Datum) (bool, error) {
 		rs, ok := cs.(*recordSegment)
@@ -186,18 +219,16 @@ func (db *DB) stripedExtractFactory(reqs []exec.MultiExtractReq) (exec.SegExtrac
 
 		// Mark the rows that need the row-path replay.
 		words := (n + 63) / 64
-		if cap(fb) < words {
-			fb = make([]uint64, words)
+		if cap(fb.rows) < words {
+			fb.rows = make([]uint64, words)
 		}
-		fb = fb[:words]
-		for w := range fb {
-			fb[w] = 0
-		}
+		fb.rows = fb.rows[:words]
+		clear(fb.rows)
 		fbAny := false
 		for k := range reqs {
 			for _, id := range cands[k] {
 				if col, ok := seg.Column(id); ok {
-					col.MarkPresent(fb)
+					col.MarkPresent(fb.rows)
 					fbAny = true
 				}
 			}
@@ -249,11 +280,22 @@ func (db *DB) stripedExtractFactory(reqs []exec.MultiExtractReq) (exec.SegExtrac
 		if !fbAny {
 			return true, nil
 		}
-		for w, word := range fb {
+		if fb.look == nil {
+			fb.look = []uint32{}
+			for k := range reqs {
+				fb.look = append(fb.look, cands[k]...)
+			}
+			for _, v := range vecs {
+				fb.look = append(fb.look, v.id)
+			}
+			slices.Sort(fb.look)
+			fb.look = slices.Compact(fb.look)
+		}
+		for w, word := range fb.rows {
 			for word != 0 {
 				i := w*64 + bits.TrailingZeros64(word)
 				word &= word - 1
-				b, ok := seg.RecordBytes(i)
+				b, ok := rs.record(i, fb.look, &fb.spliced)
 				if !ok {
 					continue
 				}

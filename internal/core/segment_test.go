@@ -244,11 +244,12 @@ func checkSegmentsMatchRecords(t *testing.T, db *DB, table string) int {
 		var records [][]byte
 		union := map[uint32]bool{}
 		for i := 0; i < seg.NumRecords(); i++ {
-			rec, _ := seg.RecordBytes(i)
-			records = append(records, rec)
-			if rec == nil {
+			if seg.RecordNull(i) {
+				records = append(records, nil)
 				continue
 			}
+			rec := seg.AppendRecord(nil, i, nil)
+			records = append(records, rec)
 			ids, err := serial.AttrIDs(rec)
 			if err != nil {
 				t.Fatal(err)

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/sinewdata/sinew/internal/rdbms/storage"
@@ -100,6 +101,15 @@ func selIdx(sel []int32, si int) int {
 
 // Width returns the number of columns.
 func (b *RowBatch) Width() int { return len(b.Cols) }
+
+// lazySeg returns the segment behind column j of b when the batch carries
+// the column as a segment alone (a scan's lazy column), nil otherwise.
+func lazySeg(b *RowBatch, j int) storage.ColumnSegment {
+	if j < len(b.Segs) && len(b.Cols[j]) < b.PhysLen() {
+		return b.Segs[j]
+	}
+	return nil
+}
 
 // Reset empties the batch, keeping column capacity.
 func (b *RowBatch) Reset() {
@@ -277,12 +287,15 @@ type BatchSizeHinter interface {
 // rows (cold pages frozen into column vectors, the write-hot rest in row
 // form) and selection and projection commute with that union:
 //
-//   - a frozen page becomes one batch whose columns alias the page's
-//     immutable vectors (no per-row work; RowBatch.Segs carries the column
-//     segments so segment-aware operators can skip the datums entirely).
-//     Aliased storage is never compacted in place: a pushed-down filter
-//     runs as a SelFilter over the page vectors and publishes the
-//     surviving rows through RowBatch.Sel (selfilter.go);
+//   - a frozen page becomes one batch whose plain columns alias the
+//     page's immutable vectors (no per-row work) and whose segment columns
+//     are decoded for this statement, at the rows it keeps, into vectors
+//     of the scan's own; a column only segment kernels read is not decoded
+//     at all (LazyCols): RowBatch.Segs carries the column segments so
+//     segment-aware operators can skip the datums entirely. Aliased
+//     storage is never compacted in place: a pushed-down filter runs as a
+//     SelFilter over the page vectors and publishes the surviving rows
+//     through RowBatch.Sel (selfilter.go);
 //   - a run of row-form pages is transposed, up to DefaultBatchSize rows at
 //     a time, into a scan-owned buffer and filtered by in-place compaction.
 //
@@ -298,6 +311,13 @@ type BatchScanIter struct {
 	// operators read (ascending). The scan materializes just those columns
 	// into its batches; the rest stay empty.
 	NeedCols []int
+	// LazyCols lists needed columns that no operator above reads as
+	// values: a segment kernel or a Top-N takes them through
+	// RowBatch.Segs, or only Filter reads them. On a frozen page where one
+	// is segment-backed the scan decodes it only for a conjunct that reads
+	// it; a kernel that declines the segment decodes it for itself, and a
+	// Top-N decodes the rows it keeps.
+	LazyCols []int
 
 	chunk *storage.HeapChunkIter
 	width int
@@ -318,7 +338,25 @@ type BatchScanIter struct {
 	// ids is the address of each physical row of the batch NextBatch last
 	// returned, when the scan reports them (ReportRowIDs).
 	ids []storage.RowID
+
+	// The frozen page being delivered, how far each of its columns is
+	// filled into the shell, and the decoder of its segment columns.
+	fp     *storage.FrozenPage
+	filled []fillState
+	dec    *segDecoder
 }
+
+// fillState is how much of a frozen page's column the shell holds.
+type fillState uint8
+
+const (
+	unfilled fillState = iota
+	// filledSel: a segment column decoded at the rows of a selection; the
+	// page's selection only narrows until the batch is returned, except
+	// for a replay, which fills every row.
+	filledSel
+	filledAll
+)
 
 // NewBatchScan returns a batch scan over all pages of v. Stat flushes on
 // Close key on the view's owner heap, so snapshot scans account like live
@@ -426,36 +464,165 @@ func (s *BatchScanIter) rowBatch(rows []storage.Row) (*RowBatch, error) {
 	return b, nil
 }
 
-// frozenBatch wraps one frozen page as a batch: needed columns alias the
-// page's vectors (materializing and caching segment columns on first use),
-// and every segment-backed column is exposed through Segs.
+// frozenBatch wraps one frozen page as a batch: needed plain columns
+// alias the page's vectors, needed segment columns are decoded for this
+// statement (none that only a segment kernel reads), and every
+// segment-backed column is exposed through Segs.
 func (s *BatchScanIter) frozenBatch(fp *storage.FrozenPage) (*RowBatch, error) {
-	b := s.frozenShell()
-	fill := func(j int) error {
-		vals, nulls, err := fp.ColVals(j)
-		if err != nil {
-			return err
-		}
-		b.Cols[j] = vals
-		b.Nulls[j] = NullBitmap(nulls)
-		return nil
-	}
-	if s.NeedCols == nil {
-		for j := 0; j < s.width; j++ {
-			if err := fill(j); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for _, j := range s.NeedCols {
-			if err := fill(j); err != nil {
-				return nil, err
-			}
-		}
+	b := s.beginFrozen(fp)
+	if err := s.fillNeeded(nil, false); err != nil {
+		return nil, err
 	}
 	s.attachSegs(b, fp)
 	b.n = fp.NumRows()
 	return b, nil
+}
+
+// beginFrozen starts delivering fp: the cleared shell, nothing filled.
+func (s *BatchScanIter) beginFrozen(fp *storage.FrozenPage) *RowBatch {
+	s.fp = fp
+	if s.filled == nil {
+		s.filled = make([]fillState, s.width)
+	}
+	clear(s.filled)
+	return s.frozenShell()
+}
+
+// fill puts column j of the page being delivered into the shell (and the
+// selection filter's view): a plain column by alias, a segment column
+// decoded at the rows of sel, every row when sel is nil.
+func (s *BatchScanIter) fill(j int, sel []int32) error {
+	if f := s.filled[j]; f == filledAll || f == filledSel && sel != nil {
+		return nil
+	}
+	vals, nulls, seg := s.fp.Col(j)
+	m, state := NullBitmap(nulls), filledAll
+	if seg != nil {
+		if s.dec == nil {
+			s.dec = getSegDecoder(s.width)
+		}
+		var err error
+		if vals, m, err = s.dec.decode(j, seg, sel); err != nil {
+			return err
+		}
+		if sel != nil {
+			state = filledSel
+		}
+	}
+	s.shell.Cols[j], s.shell.Nulls[j] = vals, m
+	if s.selState != nil {
+		s.selState.view.Cols[j] = vals
+	}
+	s.filled[j] = state
+	return nil
+}
+
+// fillNeeded fills the scan's column set at the rows of sel — what the
+// operators above read. A lazy segment column stays undecoded unless all
+// is set: a replay of the pushed-down filter and a conjunct whose columns
+// are unknown read every needed column.
+func (s *BatchScanIter) fillNeeded(sel []int32, all bool) error {
+	fillOne := func(j int) error {
+		if !all && slices.Contains(s.LazyCols, j) {
+			if _, _, seg := s.fp.Col(j); seg != nil {
+				return nil
+			}
+		}
+		return s.fill(j, sel)
+	}
+	if s.NeedCols == nil {
+		for j := 0; j < s.width; j++ {
+			if err := fillOne(j); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, j := range s.NeedCols {
+		if err := fillOne(j); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// segDecoder decodes the segment columns of frozen pages for the readers
+// of their values, per statement: each column into a vector of its own
+// that the next page reuses, at the rows a selection keeps. The bytes the
+// segments build (a spliced record) go into an arena whose bytes are never
+// written again, so values a consumer keeps past the batch stay valid. The
+// vectors are pooled, like the batches a scan transposes rows into.
+type segDecoder struct {
+	cols  [][]types.Datum
+	nulls []NullBitmap
+	bytes storage.ValueArena
+	width int // the columns to make room for at the first decode
+}
+
+var segDecoders = sync.Pool{New: func() any { return new(segDecoder) }}
+
+// getSegDecoder returns a pooled decoder for a scan of width columns.
+func getSegDecoder(width int) *segDecoder {
+	d := segDecoders.Get().(*segDecoder)
+	d.width = width
+	return d
+}
+
+// release returns d to the pool: its vectors cleared, so they pin no value,
+// and without its arena, whose bytes values may still alias. The caller
+// must not use d again.
+func (d *segDecoder) release() {
+	for j := range d.cols {
+		clear(d.cols[j])
+	}
+	d.bytes = storage.ValueArena{}
+	segDecoders.Put(d)
+}
+
+// decode decodes column j of a page from seg at the rows of sel (every
+// row when sel is nil). The rows sel drops read NULL: nothing reads them
+// through the selection, and a row kernel run over every physical row
+// extracts nothing from them.
+func (d *segDecoder) decode(j int, seg storage.ColumnSegment, sel []int32) ([]types.Datum, NullBitmap, error) {
+	if len(d.cols) <= j {
+		w := max(j+1, d.width)
+		d.cols = slices.Grow(d.cols, w-len(d.cols))[:w]
+		d.nulls = slices.Grow(d.nulls, w-len(d.nulls))[:w]
+	}
+	n := seg.NumRows()
+	col, m := d.cols[j], d.nulls[j]
+	if cap(col) < n {
+		col = make([]types.Datum, n)
+	}
+	if words := bitmapWords(n); cap(m) < words {
+		m = make(NullBitmap, words)
+	} else {
+		m = m[:words]
+		clear(m)
+	}
+	col = col[:n]
+	d.cols[j], d.nulls[j] = col, m
+	if sel == nil {
+		if err := seg.Values(col, 0, &d.bytes); err != nil {
+			return nil, nil, err
+		}
+	} else {
+		null := types.NewNull(types.Bytes)
+		for i := range col {
+			col[i] = null
+		}
+		for _, i := range sel {
+			if err := seg.Values(col[i:i+1], int(i), &d.bytes); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	for i := range col {
+		if col[i].IsNull() {
+			m.Set(i)
+		}
+	}
+	return col, m, nil
 }
 
 // attachSegs exposes every segment-backed column of fp through b.Segs.
@@ -477,6 +644,10 @@ func (s *BatchScanIter) Close() {
 	if s.own != nil {
 		PutBatch(s.own)
 		s.own = nil
+	}
+	if s.dec != nil {
+		s.dec.release()
+		s.dec = nil
 	}
 }
 
@@ -773,6 +944,7 @@ type BatchMultiExtractIter struct {
 	out       *RowBatch
 	cols      [][]types.Datum
 	segs      []storage.ColumnSegment
+	dec       *segDecoder // the data column of a declined segment
 	budget    int64
 	budgetSet bool
 }
@@ -852,11 +1024,23 @@ func (m *BatchMultiExtractIter) NextBatch() (*RowBatch, error) {
 		}
 	}
 	if !handled {
-		if len(in.Cols[m.DataIdx]) != n {
-			return nil, fmt.Errorf("exec: multi-extract data column %d not materialized (%d of %d rows)",
-				m.DataIdx, len(in.Cols[m.DataIdx]), n)
+		data := in.Cols[m.DataIdx]
+		if seg := lazySeg(in, m.DataIdx); seg != nil {
+			// The scan left the column to the segment kernel, which
+			// declined it: decode it here, at the rows the batch keeps.
+			if m.dec == nil {
+				m.dec = getSegDecoder(inW)
+			}
+			var err error
+			if data, _, err = m.dec.decode(m.DataIdx, seg, in.Sel); err != nil {
+				return nil, err
+			}
 		}
-		if err := m.Kernel(in.Cols[m.DataIdx], m.cols); err != nil {
+		if len(data) != n {
+			return nil, fmt.Errorf("exec: multi-extract data column %d not materialized (%d of %d rows)",
+				m.DataIdx, len(data), n)
+		}
+		if err := m.Kernel(data, m.cols); err != nil {
 			return nil, err
 		}
 	}
@@ -869,7 +1053,13 @@ func (m *BatchMultiExtractIter) NextBatch() (*RowBatch, error) {
 }
 
 // Close implements BatchIterator.
-func (m *BatchMultiExtractIter) Close() { m.In.Close() }
+func (m *BatchMultiExtractIter) Close() {
+	m.In.Close()
+	if m.dec != nil {
+		m.dec.release()
+		m.dec = nil
+	}
+}
 
 // SizeHint implements BatchSizeHinter (extraction preserves cardinality).
 func (m *BatchMultiExtractIter) SizeHint() (int64, bool) {

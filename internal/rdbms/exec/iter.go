@@ -62,6 +62,8 @@ func CollectProjectedScan(v storage.ReadView, cols []int, limit int64) ([]storag
 		arena = arena[n*w:]
 		return dst
 	}
+	// A frozen page's segment columns are decoded for this call.
+	var dec *segDecoder
 	// emit appends the n rows laid out in dst, each capped at its width.
 	emit := func(dst []types.Datum, n int) {
 		for i := 0; i < n; i++ {
@@ -78,9 +80,16 @@ func CollectProjectedScan(v storage.ReadView, cols []int, limit int64) ([]storag
 			n := int(min(int64(fp.NumRows()), rem))
 			dst := take(n)
 			for k, c := range cols {
-				vals, _, err := fp.ColVals(c)
-				if err != nil {
-					return nil, err
+				vals, _, seg := fp.Col(c)
+				if seg != nil {
+					if dec == nil {
+						dec = getSegDecoder(w)
+						defer dec.release()
+					}
+					var err error
+					if vals, _, err = dec.decode(k, seg, nil); err != nil {
+						return nil, err
+					}
 				}
 				for i, d := range vals[:n] {
 					dst[i*w+k] = d

@@ -326,7 +326,6 @@ type selScanState struct {
 	// page shell's columns as they are filled, Cols[Width+k] the slot
 	// columns. Never pooled, never returned downstream.
 	view        *RowBatch
-	filled      []bool
 	slotCols    [][]types.Datum
 	slotsFilled bool
 	selBuf      []int32
@@ -341,7 +340,6 @@ func newSelScanState(sf *SelFilter) *selScanState {
 			Cols:  make([][]types.Datum, sf.Width+k),
 			Nulls: make([]NullBitmap, sf.Width+k),
 		},
-		filled:   make([]bool, sf.Width),
 		slotCols: make([][]types.Datum, k),
 	}
 }
@@ -376,11 +374,8 @@ func (st *selScanState) buildKernels() {
 	}
 }
 
-// beginPage resets the per-page fill tracking.
+// beginPage resets the per-page slot tracking.
 func (st *selScanState) beginPage() {
-	for j := range st.filled {
-		st.filled[j] = false
-	}
 	st.slotsFilled = false
 	st.view.Sel = nil
 }
@@ -388,6 +383,9 @@ func (st *selScanState) beginPage() {
 // frozenSelBatch evaluates the scan's SelFilter against one frozen page
 // and returns the page as a selection-carrying alias batch. A fully
 // filtered page returns (nil, nil): the caller reads the next page.
+// Segment columns are decoded at the rows the selection keeps when they
+// are filled: a conjunct's at the rows the earlier ones left, the
+// operators' above at the rows the filter passes.
 func (s *BatchScanIter) frozenSelBatch(fp *storage.FrozenPage) (*RowBatch, error) {
 	if s.selState == nil {
 		if s.sf == nil {
@@ -399,44 +397,11 @@ func (s *BatchScanIter) frozenSelBatch(fp *storage.FrozenPage) (*RowBatch, error
 	st.buildKernels()
 	sf := s.sf
 	phys := fp.NumRows()
-	b := s.frozenShell()
+	b := s.beginFrozen(fp)
 	st.beginPage()
 
-	fill := func(j int) error {
-		if st.filled[j] {
-			return nil
-		}
-		vals, nulls, err := fp.ColVals(j)
-		if err != nil {
-			return err
-		}
-		b.Cols[j] = vals
-		b.Nulls[j] = NullBitmap(nulls)
-		st.view.Cols[j] = vals
-		st.filled[j] = true
-		return nil
-	}
-	// fillNeeded materializes the scan's full column set — what the
-	// hoisted-filter pipeline would have handed its filter.
-	fillNeeded := func() error {
-		if s.NeedCols == nil {
-			for j := 0; j < s.width; j++ {
-				if err := fill(j); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		for _, j := range s.NeedCols {
-			if err := fill(j); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	st.view.n = phys
-	sel, replay, err := s.evalConjuncts(fp, b, fill, fillNeeded, phys)
+	sel, replay, err := s.evalConjuncts(fp, phys)
 	if err != nil {
 		return nil, err
 	}
@@ -444,7 +409,7 @@ func (s *BatchScanIter) frozenSelBatch(fp *storage.FrozenPage) (*RowBatch, error
 		// The selection path failed somewhere: re-run the original
 		// conjunction over the whole page. Its outcome — error or keep
 		// mask — is what the non-selective pipeline produces.
-		if err := fillNeeded(); err != nil {
+		if err := s.fillNeeded(nil, true); err != nil {
 			return nil, err
 		}
 		b.n = phys
@@ -466,7 +431,7 @@ func (s *BatchScanIter) frozenSelBatch(fp *storage.FrozenPage) (*RowBatch, error
 	if sel != nil && len(sel) == 0 {
 		return nil, nil
 	}
-	if err := fillNeeded(); err != nil {
+	if err := s.fillNeeded(sel, false); err != nil {
 		return nil, err
 	}
 	s.attachSegs(b, fp)
@@ -481,8 +446,7 @@ func (s *BatchScanIter) frozenSelBatch(fp *storage.FrozenPage) (*RowBatch, error
 // evalConjuncts runs the ranked conjuncts over the page, intersecting
 // selections. It reports replay=true when any evaluation step errors —
 // the caller then re-evaluates the page through the original filter.
-func (s *BatchScanIter) evalConjuncts(fp *storage.FrozenPage, b *RowBatch,
-	fill func(int) error, fillNeeded func() error, phys int) (sel []int32, replay bool, err error) {
+func (s *BatchScanIter) evalConjuncts(fp *storage.FrozenPage, phys int) (sel []int32, replay bool, err error) {
 	st := s.selState
 	for ci := range s.sf.Conjuncts {
 		c := &s.sf.Conjuncts[ci]
@@ -491,16 +455,16 @@ func (s *BatchScanIter) evalConjuncts(fp *storage.FrozenPage, b *RowBatch,
 		}
 		var ferr error
 		if c.AllCols {
-			ferr = fillNeeded()
+			ferr = s.fillNeeded(sel, true)
 		} else {
 			for _, j := range c.Cols {
-				if ferr = fill(j); ferr != nil {
+				if ferr = s.fill(j, sel); ferr != nil {
 					break
 				}
 			}
 		}
 		if ferr == nil && c.Slots {
-			ferr = s.fillSlots(fp, fill, phys)
+			ferr = s.fillSlots(fp, sel, phys)
 		}
 		if ferr != nil {
 			return nil, true, nil
@@ -554,10 +518,11 @@ func (s *BatchScanIter) evalConjuncts(fp *storage.FrozenPage, b *RowBatch,
 
 // fillSlots runs the extraction kernels once for the page, preferring the
 // segment kernel when the data column is striped and recognized, falling
-// back to record decoding over the materialized column. Kernels fill
-// every physical row — rows a previous conjunct dropped are still valid
-// records, matching BatchMultiExtractIter.
-func (s *BatchScanIter) fillSlots(fp *storage.FrozenPage, fill func(int) error, phys int) error {
+// back to record decoding over the data column decoded at the rows of sel.
+// Kernels fill every physical row — rows a previous conjunct dropped read
+// as whatever the kernel makes of them, matching BatchMultiExtractIter;
+// later conjuncts only look at rows of narrower selections.
+func (s *BatchScanIter) fillSlots(fp *storage.FrozenPage, sel []int32, phys int) error {
 	st := s.selState
 	if st.slotsFilled {
 		return nil
@@ -582,7 +547,7 @@ func (s *BatchScanIter) fillSlots(fp *storage.FrozenPage, fill func(int) error, 
 		}
 	}
 	if !handled {
-		if err := fill(sf.DataIdx); err != nil {
+		if err := s.fill(sf.DataIdx, sel); err != nil {
 			return err
 		}
 		if err := st.rowK(st.view.Cols[sf.DataIdx], st.slotCols); err != nil {

@@ -3,6 +3,7 @@ package exec
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -47,17 +48,22 @@ func drawRows(r *rand.Rand, small int) int {
 }
 
 // vecSegment is a test ColumnSegment: a copied datum vector standing in
-// for the upper layer's striped record segments.
+// for the upper layer's striped record segments. When decoded is set it
+// counts the values read out.
 type vecSegment struct {
-	vals []types.Datum
-	ids  []uint32
+	vals    []types.Datum
+	ids     []uint32
+	decoded *int
 }
 
 func (s *vecSegment) NumRows() int      { return len(s.vals) }
 func (s *vecSegment) AttrIDs() []uint32 { return s.ids }
 func (s *vecSegment) SizeBytes() int64  { return int64(len(s.vals)) * 24 }
-func (s *vecSegment) Values(dst []types.Datum) error {
-	copy(dst, s.vals)
+func (s *vecSegment) Values(dst []types.Datum, lo int, _ *storage.ValueArena) error {
+	if s.decoded != nil {
+		*s.decoded += len(dst)
+	}
+	copy(dst, s.vals[lo:])
 	return nil
 }
 
@@ -416,4 +422,101 @@ func TestStripedSegKernelFastPath(t *testing.T) {
 	}
 	segDeclined = true
 	rowsEqual(t, run(segKernel), want) // declining kernel falls back
+}
+
+// TestScanDecodesPerStatement pins who decodes a frozen page's segment
+// column, and for which rows: a statement that reads it as values decodes
+// it again each time, at the rows its filter keeps; a lazy column a
+// segment kernel handles is never decoded, one the kernel declines is
+// decoded once, by the extraction, for every row the batch carries, and
+// one a Top-N keeps is decoded for the rows it keeps.
+func TestScanDecodesPerStatement(t *testing.T) {
+	colTypes := []types.Type{types.Int, types.Text}
+	rows := randBatchRows(rand.New(rand.NewSource(5)), colTypes, 300)
+	for i := range rows {
+		rows[i][0] = types.NewInt(int64(i))
+	}
+	h, _ := heapOf(t, colTypes, rows)
+	decoded := 0
+	h.SetColumnSegmenter(func(col int, vals []types.Datum) (storage.ColumnSegment, error) {
+		if col != 1 {
+			return nil, nil
+		}
+		return &vecSegment{vals: slices.Clone(vals), decoded: &decoded}, nil
+	})
+	storage.Analyze(h)
+	if h.NumFrozenPages() != 2 {
+		t.Fatalf("frozen pages = %d, want 2", h.NumFrozenPages())
+	}
+	ref := mustRef(t)
+	count := func(name string, want int, run func() []storage.Row, wantRows []storage.Row) {
+		t.Helper()
+		decoded = 0
+		rowsEqual(t, run(), wantRows)
+		if decoded != want {
+			t.Errorf("%s: decoded %d values, want %d", name, decoded, want)
+		}
+	}
+
+	// Read as values: every row of both frozen pages, each time.
+	project := []Expr{col(1, types.Text)}
+	all := ref(refProject(refScan(h), project))
+	for range 2 {
+		count("projection", 2*storage.PageCapacity, func() []storage.Row {
+			return collectBatches(t, &BatchProjectIter{Exprs: project, In: NewBatchScan(h, nil)})
+		}, all)
+	}
+	// Filtered: only the rows the filter keeps (ten on the first page).
+	pred := &BinExpr{Op: "<", L: col(0, types.Int), R: &ConstExpr{Val: types.NewInt(10)}}
+	some := ref(refProject(ref(refFilter(refScan(h), pred)), project))
+	for range 2 {
+		count("filtered projection", 10, func() []storage.Row {
+			s := NewBatchScan(h, pred)
+			s.SetSelFilter(CompileSelFilter([]Expr{pred}, 2, nil, nil))
+			return collectBatches(t, &BatchProjectIter{Exprs: project, In: s})
+		}, some)
+	}
+
+	// Read by a fused extraction only: the scan leaves it lazy.
+	kernel := func(data []types.Datum, out [][]types.Datum) error {
+		for i, d := range data {
+			out[0][i] = types.NewInt(int64(len(d.String())))
+		}
+		return nil
+	}
+	declined := false
+	segKernel := func(seg storage.ColumnSegment, out [][]types.Datum) (bool, error) {
+		if declined {
+			return false, nil
+		}
+		vals := seg.(*vecSegment).vals
+		for i, d := range vals {
+			out[0][i] = types.NewInt(int64(len(d.String())))
+		}
+		return true, nil
+	}
+	extract := func() []storage.Row {
+		s := NewBatchScan(h, nil)
+		s.NeedCols, s.LazyCols = []int{1}, []int{1}
+		return collectBatches(t, &BatchProjectIter{Exprs: []Expr{col(2, types.Int)},
+			In: &BatchMultiExtractIter{In: s, DataIdx: 1, K: 1, Kernel: kernel, SegKernel: segKernel}})
+	}
+	declined = true
+	want := extract()
+	declined = false
+	count("segment kernel", 0, extract, want)
+	declined = true
+	count("declined segment kernel", 2*storage.PageCapacity, extract, want)
+
+	// Kept by a Top-N only: it decodes the rows that enter its heap, the
+	// first five here, as rows arrive in key order.
+	topN := func(lazy bool) []storage.Row {
+		s := NewBatchScan(h, nil)
+		if lazy {
+			s.LazyCols = []int{1}
+		}
+		return collectBatches(t, &BatchTopNIter{In: s, Keys: []SortKey{{Expr: col(0, types.Int)}}, N: 5})
+	}
+	want = topN(false)
+	count("Top-N", 5, func() []storage.Row { return topN(true) }, want)
 }

@@ -14,7 +14,9 @@ import (
 // topn_short_circuits stats counter); the survivors are emitted in full
 // sort order. Its output is exactly the first N rows of BatchSortIter's,
 // stability included: ties keep first-arrival order, because a tying
-// newcomer is always worse than the incumbent it ties with.
+// newcomer is always worse than the incumbent it ties with. A segment
+// column the scan below left undecoded (RowBatch.Segs) is decoded row by
+// row as rows enter the heap, so the rows it discards cost no decode.
 type BatchTopNIter struct {
 	In   BatchIterator
 	Keys []SortKey
@@ -34,6 +36,9 @@ type BatchTopNIter struct {
 	pos     int
 	out     *RowBatch
 	shorted int64
+	// bytes holds the values decoded out of the lazy segment columns of
+	// the rows kept.
+	bytes storage.ValueArena
 }
 
 // NextBatch implements BatchIterator.
@@ -137,7 +142,7 @@ func (t *BatchTopNIter) build() {
 		}
 		phys := in.PhysLen()
 		for j := 0; j < t.width && j < in.Width(); j++ {
-			if t.present[j] && len(in.Cols[j]) < phys {
+			if t.present[j] && len(in.Cols[j]) < phys && lazySeg(in, j) == nil {
 				t.present[j] = false
 				t.cols[j] = nil
 			}
@@ -172,7 +177,10 @@ func (t *BatchTopNIter) build() {
 				// Overwrite the worst slot in place and restore the heap.
 				for j := 0; j < t.width; j++ {
 					if t.present[j] {
-						t.cols[j][root] = in.Cols[j][r]
+						if t.err = t.take(in, j, r, t.cols[j][root:root+1]); t.err != nil {
+							t.In.Close()
+							return
+						}
 					}
 				}
 				for k := range t.Keys {
@@ -186,7 +194,11 @@ func (t *BatchTopNIter) build() {
 			slot := int32(len(t.heap))
 			for j := 0; j < t.width; j++ {
 				if t.present[j] {
-					t.cols[j] = append(t.cols[j], in.Cols[j][r])
+					t.cols[j] = append(t.cols[j], types.Datum{})
+					if t.err = t.take(in, j, r, t.cols[j][slot:slot+1]); t.err != nil {
+						t.In.Close()
+						return
+					}
 				}
 			}
 			for k := range t.Keys {
@@ -211,6 +223,17 @@ func (t *BatchTopNIter) build() {
 		}
 		return t.seqs[pa] < t.seqs[pb]
 	})
+}
+
+// take copies row r of column j of in into dst: the batch's value, or,
+// for a segment column the scan left lazy, the row decoded alone — a Top-N
+// decodes only what it keeps.
+func (t *BatchTopNIter) take(in *RowBatch, j, r int, dst []types.Datum) error {
+	if col := in.Cols[j]; r < len(col) {
+		dst[0] = col[r]
+		return nil
+	}
+	return lazySeg(in, j).Values(dst, r, &t.bytes)
 }
 
 // Close implements BatchIterator.

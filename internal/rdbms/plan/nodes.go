@@ -93,6 +93,12 @@ type ScanNode struct {
 	// only these column indices (scan column pruning, see
 	// pruneScanColumns).
 	NeedCols []int
+	// LazyCols lists the columns the scan reads that no operator above it
+	// reads as values: a segment kernel or a Top-N above takes them as a
+	// frozen page's segment, or only the scan's filter reads them. A
+	// segment column among them is decoded only for a conjunct that reads
+	// it (pruneScanColumns).
+	LazyCols []int
 	// Skip, when non-nil, is a factory invoked once per iterator open with
 	// the scan's chunk cursor and the statement's parameter values; the
 	// returned test is evaluated against each
@@ -141,7 +147,7 @@ func (s *ScanNode) Open(ec *exec.ExecCtx) exec.BatchIterator { return s.open(ec)
 
 func (s *ScanNode) open(ec *exec.ExecCtx) *exec.BatchScanIter {
 	it := exec.NewBatchScan(execView(ec, s.Heap), conjoinExec(s.Preds))
-	it.NeedCols = s.NeedCols
+	it.NeedCols, it.LazyCols = s.NeedCols, s.LazyCols
 	it.SetParams(ec.Params())
 	if s.Skip != nil {
 		it.SetPageSkip(s.Skip)

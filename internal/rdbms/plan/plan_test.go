@@ -349,6 +349,29 @@ func scansOf(n Node) []*ScanNode {
 	return out
 }
 
+// TestJoinScansPruned: a join reads of each side only the columns the
+// operators above it, its keys and its residual name (all of them: no
+// NeedCols), and a scan whose filter reads a column nothing above reads
+// leaves it lazy.
+func TestJoinScansPruned(t *testing.T) {
+	cat := buildCatalog(t, 200, true)
+	for sql, want := range map[string][2]string{
+		`SELECT a.s FROM t a, t b WHERE a.v = b.v`:                          {"[0 1] []", "[0] []"},
+		`SELECT b.grp FROM t a, t b WHERE a.v = b.v AND a.s < b.s`:          {"[0 1] []", "[] []"},
+		`SELECT a.v FROM t a, t b WHERE a.v < b.grp AND b.s = 's1'`:         {"[0] []", "[1 2] [1]"},
+		`SELECT COUNT(*) FROM t a, t b WHERE a.v = b.v AND a.grp = 1`:       {"[0 2] [2]", "[0] []"},
+		`SELECT a.s, b.s FROM t a, t b WHERE a.v = b.v ORDER BY a.grp, b.s`: {"[] []", "[0 1] []"},
+	} {
+		got := map[string]string{}
+		for _, s := range scansOf(planQuery(t, cat, sql).Root) {
+			got[s.AliasName] = fmt.Sprint(s.NeedCols, " ", s.LazyCols)
+		}
+		if got["a"] != want[0] || got["b"] != want[1] {
+			t.Errorf("%q: scan a reads %s, b %s (needed, lazy); want %s and %s", sql, got["a"], got["b"], want[0], want[1])
+		}
+	}
+}
+
 // TestRowAndBatchPlansAgree runs each statement under the reference plan
 // (EnableBatch=false) and the default plan and wants the same rows in the
 // same order. It also pins the two shortcuts EXPLAIN does not show: the
@@ -371,6 +394,11 @@ func TestRowAndBatchPlansAgree(t *testing.T) {
 		`SELECT s, v, s FROM t LIMIT 13`,
 		// Aggregate over a fully pruned scan (no columns referenced).
 		`SELECT COUNT(*) FROM t`,
+		// Joins prune both sides: a hash join on its keys, a nested loop
+		// on its condition, the residual read across both.
+		`SELECT a.s, b.v FROM t a, t b WHERE a.v = b.grp AND a.v < 5 ORDER BY a.s, b.v`,
+		`SELECT a.s, b.s FROM t a, t b WHERE a.v = b.v AND a.grp + b.grp > 3 AND a.v < 40 ORDER BY a.s`,
+		`SELECT a.v, b.s FROM t a, t b WHERE a.v < b.grp AND a.v < 3 AND b.v < 20 ORDER BY a.v, b.s`,
 	} {
 		stmt, err := sqlparse.Parse(sql)
 		if err != nil {
@@ -392,9 +420,9 @@ func TestRowAndBatchPlansAgree(t *testing.T) {
 					t.Errorf("%q: reference plan takes the fused collector", sql)
 				}
 				for _, s := range scansOf(sp.Root) {
-					if s.NeedCols != nil || s.Skip != nil || s.SelFilter != nil {
-						t.Errorf("%q: reference scan of %s has NeedCols %v, Skip set %v, SelFilter set %v",
-							sql, s.TableName, s.NeedCols, s.Skip != nil, s.SelFilter != nil)
+					if s.NeedCols != nil || s.LazyCols != nil || s.Skip != nil || s.SelFilter != nil {
+						t.Errorf("%q: reference scan of %s has NeedCols %v, LazyCols %v, Skip set %v, SelFilter set %v",
+							sql, s.TableName, s.NeedCols, s.LazyCols, s.Skip != nil, s.SelFilter != nil)
 					}
 				}
 			} else {

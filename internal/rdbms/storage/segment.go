@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/sinewdata/sinew/internal/rdbms/types"
 )
@@ -26,11 +25,52 @@ type ColumnSegment interface {
 	// AttrIDs returns the attribute IDs striped anywhere in the segment,
 	// ascending — the page-summary attribute set of the column.
 	AttrIDs() []uint32
-	// Values reconstructs the column's row-format datums into dst, which
-	// has NumRows entries (the un-freeze and row-path read).
-	Values(dst []types.Datum) error
+	// Values decodes the row-format datums of rows [lo, lo+len(dst)) into
+	// dst. A value the segment cannot alias in its own bytes is built in
+	// a, so it lives as long as whatever holds it. Only readers of values
+	// call it, per statement and for the rows they keep: a frozen page
+	// keeps no decoded copy.
+	Values(dst []types.Datum, lo int, a *ValueArena) error
 	// SizeBytes returns the bytes the encoded segment holds.
 	SizeBytes() int64
+}
+
+// ValueArena holds the bytes a ColumnSegment builds for values it cannot
+// alias in its encoding. It only grows: a chunk it has handed bytes out of
+// is never written below its length again, and a full chunk is left to the
+// values that alias it, so the values built in one arena stay valid as
+// long as anything holds them and one arena serves a whole statement.
+type ValueArena struct {
+	buf  []byte
+	next int // the size of the next chunk
+}
+
+const (
+	arenaFirstChunk = 2 << 10
+	arenaMaxChunk   = 1 << 20
+	// arenaMinTail is the shortest tail Tail hands out before it starts a
+	// chunk: a value longer than the tail gets a buffer of its own.
+	arenaMinTail = 512
+)
+
+// Tail returns the unused rest of the arena's chunk, empty: a caller
+// appends one value to it and hands the result to Keep.
+func (a *ValueArena) Tail() []byte {
+	if cap(a.buf)-len(a.buf) < arenaMinTail {
+		a.next = min(max(a.next*2, arenaFirstChunk), arenaMaxChunk)
+		a.buf = make([]byte, 0, a.next)
+	}
+	return a.buf[len(a.buf):len(a.buf)]
+}
+
+// Keep takes b — what Tail returned, appended to — as used and returns it
+// capped at its length. A b that outgrew the chunk was moved by append into
+// a buffer of its own, which it keeps, and the chunk stays as it was.
+func (a *ValueArena) Keep(b []byte) []byte {
+	if cap(b) == cap(a.buf)-len(a.buf) {
+		a.buf = a.buf[:len(a.buf)+len(b)]
+	}
+	return b[:len(b):len(b)]
 }
 
 // ColumnSegmenter stripes one column of a full page. vals holds the
@@ -72,15 +112,13 @@ type FrozenCol struct {
 	Seg   ColumnSegment // striped column (nil for plain vectors)
 }
 
-// FrozenPage is the striped form of one full heap page.
+// FrozenPage is the striped form of one full heap page. It holds each
+// value once: a plain column's vector, or a segment column's encoding,
+// which every reader decodes for itself, per statement.
 type FrozenPage struct {
 	n        int
 	cols     []FrozenCol
 	segBytes int64 // the SizeBytes of the page's segments
-
-	mu      sync.Mutex
-	segVals [][]types.Datum // lazy per-column datum cache for Seg columns
-	segNull [][]uint64
 }
 
 // NumRows returns the page's row count.
@@ -96,37 +134,12 @@ func (fp *FrozenPage) Col(j int) (vals []types.Datum, nulls []uint64, seg Column
 	return c.Vals, c.Nulls, c.Seg
 }
 
-// ColVals returns column j as a plain datum vector, materializing (and
-// caching) segment columns on first use. The result aliases the frozen
-// page; callers must not mutate it.
-func (fp *FrozenPage) ColVals(j int) ([]types.Datum, []uint64, error) {
-	c := fp.cols[j]
-	if c.Seg == nil {
-		return c.Vals, c.Nulls, nil
-	}
-	ncols := len(fp.cols)
-	fp.mu.Lock()
-	defer fp.mu.Unlock()
-	if fp.segVals == nil {
-		fp.segVals = make([][]types.Datum, ncols)
-		fp.segNull = make([][]uint64, ncols)
-	}
-	if fp.segVals[j] == nil {
-		vals := make([]types.Datum, fp.n)
-		if err := c.Seg.Values(vals); err != nil {
-			return nil, nil, err
-		}
-		fp.segVals[j] = vals
-		fp.segNull[j] = nullBitmap(vals)
-	}
-	return fp.segVals[j], fp.segNull[j], nil
-}
-
 // materializeRows builds rows [lo, hi) of the page in row form, for Scan,
 // a point read and the un-freeze path; the page keeps no copy of them, so
-// each call builds anew. The rows are carved out of one datum arena, each
-// capped at its own width, so an append to one never writes into the
-// next; no write path mutates a stored row in place.
+// each call builds anew, segment columns decoded for these rows alone. The
+// rows are carved out of one datum arena, each capped at its own width, so
+// an append to one never writes into the next; no write path mutates a
+// stored row in place.
 func (fp *FrozenPage) materializeRows(lo, hi int) ([]Row, error) {
 	w := len(fp.cols)
 	arena := make([]types.Datum, (hi-lo)*w)
@@ -134,13 +147,23 @@ func (fp *FrozenPage) materializeRows(lo, hi int) ([]Row, error) {
 	for i := range rows {
 		rows[i] = Row(arena[i*w : (i+1)*w : (i+1)*w])
 	}
-	for j := range fp.cols {
-		vals, _, err := fp.ColVals(j)
-		if err != nil {
-			return nil, fmt.Errorf("storage: un-freeze column %d: %w", j, err)
+	var dec []types.Datum
+	var bytes ValueArena
+	for j, c := range fp.cols {
+		var vals []types.Datum
+		if c.Seg == nil {
+			vals = c.Vals[lo:hi]
+		} else {
+			if dec == nil {
+				dec = make([]types.Datum, hi-lo)
+			}
+			if err := c.Seg.Values(dec, lo, &bytes); err != nil {
+				return nil, fmt.Errorf("storage: un-freeze column %d: %w", j, err)
+			}
+			vals = dec
 		}
 		for i, r := range rows {
-			r[j] = vals[lo+i]
+			r[j] = vals[i]
 		}
 	}
 	return rows, nil

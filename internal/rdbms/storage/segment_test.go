@@ -17,8 +17,8 @@ type fakeSegment struct {
 func (f *fakeSegment) NumRows() int      { return len(f.vals) }
 func (f *fakeSegment) AttrIDs() []uint32 { return nil }
 func (f *fakeSegment) SizeBytes() int64  { return int64(len(f.vals)) * 24 }
-func (f *fakeSegment) Values(dst []types.Datum) error {
-	copy(dst, f.vals)
+func (f *fakeSegment) Values(dst []types.Datum, lo int, _ *ValueArena) error {
+	copy(dst, f.vals[lo:])
 	return nil
 }
 
@@ -117,14 +117,18 @@ func TestFreezeColdPages(t *testing.T) {
 			if pv.Frozen.NumRows() != rowsPerPage {
 				t.Fatalf("frozen page NumRows = %d", pv.Frozen.NumRows())
 			}
-			vals, nulls, err := pv.Frozen.ColVals(0)
-			if err != nil || len(vals) != rowsPerPage {
-				t.Fatalf("ColVals: %v len=%d", err, len(vals))
+			_, _, seg := pv.Frozen.Col(0)
+			vals := make([]types.Datum, rowsPerPage)
+			if seg == nil || seg.Values(vals, 0, nil) != nil {
+				t.Fatal("frozen page's column 0 is not a segment")
 			}
-			for w := range nulls {
-				if nulls[w] != 0 {
+			for _, d := range vals {
+				if d.IsNull() {
 					t.Fatal("unexpected NULLs in frozen int column")
 				}
+			}
+			if plain, nulls, seg := pv.Frozen.Col(1); seg != nil || len(plain) != rowsPerPage || slices.ContainsFunc(nulls, func(w uint64) bool { return w != 0 }) {
+				t.Fatalf("frozen page's column 1: %d values, nulls %v, segment %v", len(plain), nulls, seg)
 			}
 		} else {
 			rowPages++
@@ -269,7 +273,8 @@ func TestPageSummaryZoneLookup(t *testing.T) {
 // row-path read allocates a fixed handful of slices, not one per row, and
 // every row is capped at its own width inside the one arena, so appending
 // to one cannot write into its neighbour. The page keeps no copy of the
-// rows: each read builds its own, and a point read builds one row.
+// rows nor of its decoded segment columns: each read builds its own, and
+// a point read builds one row.
 func TestFrozenRowsOneArena(t *testing.T) {
 	h, _ := freezeTestHeap(t, rowsPerPage)
 	h.SetColumnSegmenter(stripeCol0)
@@ -277,24 +282,13 @@ func TestFrozenRowsOneArena(t *testing.T) {
 		t.Fatal("the page did not freeze")
 	}
 	fp := h.pages[0].frozen
-	allocs := testing.AllocsPerRun(20, func() {
-		fp.segVals, fp.segNull = nil, nil
-		if _, err := fp.materializeRows(0, fp.n); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// The arena and the row slice, plus the striped column's cache: its
-	// two per-page tables, its datums and its nulls.
-	if allocs > 6 {
-		t.Fatalf("the first row-path read of a %d-row frozen page allocates %v times", fp.n, allocs)
+	// The arena, the row slice, the vector the striped column decodes into
+	// and the arena of its values' bytes, for the whole page or one row.
+	if allocs := testing.AllocsPerRun(20, func() { fp.materializeRows(0, fp.n) }); allocs > 4 {
+		t.Fatalf("a row-path read of a %d-row frozen page allocates %v times, want 4", fp.n, allocs)
 	}
-	// Once the striped column is decoded, a read builds the rows alone,
-	// and a point read its one row.
-	if allocs := testing.AllocsPerRun(20, func() { fp.materializeRows(0, fp.n) }); allocs > 2 {
-		t.Fatalf("a row-path read of a decoded frozen page allocates %v times, want 2", allocs)
-	}
-	if allocs := testing.AllocsPerRun(20, func() { h.Get(RowID{Page: 0, Slot: 9}) }); allocs > 2 {
-		t.Fatalf("a point read of a frozen page allocates %v times, want 2", allocs)
+	if allocs := testing.AllocsPerRun(20, func() { h.Get(RowID{Page: 0, Slot: 9}) }); allocs > 4 {
+		t.Fatalf("a point read of a frozen page allocates %v times, want 4", allocs)
 	}
 	rows, err := fp.materializeRows(0, fp.n)
 	if err != nil {

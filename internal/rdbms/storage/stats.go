@@ -104,6 +104,9 @@ type analyzeWalk struct {
 	accs []colAcc
 	rows int64
 	cols [][]types.Datum
+	// bytes holds the values the segments build for the walk: the
+	// accumulators keep the first datum of each distinct value.
+	bytes ValueArena
 }
 
 func newAnalyzeWalk(h *Heap) *analyzeWalk {
@@ -170,7 +173,7 @@ func (w *analyzeWalk) frozenPage(pi int, p *page) {
 				w.cols[j] = make([]types.Datum, fp.n)
 			}
 			cols[j] = w.cols[j][:fp.n]
-			if err := c.Seg.Values(cols[j]); err != nil {
+			if err := c.Seg.Values(cols[j], 0, &w.bytes); err != nil {
 				rebuild = false // the column is unknown: it adds nothing, and the page keeps its summary
 				continue
 			}

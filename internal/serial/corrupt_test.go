@@ -504,23 +504,94 @@ func corruptSparseMutants(t testing.TB, seg []byte, dict *Dictionary) map[string
 
 	// Record 4's header offset of rare_b points past its body.
 	bad := append([]byte(nil), seg...)
-	footerOff := int(binary.LittleEndian.Uint32(seg[len(seg)-u32:]))
-	rawOff := int(binary.LittleEndian.Uint32(seg[footerOff+3*u32:]))
-	recAt := rawOff + 24*u32 + int(binary.LittleEndian.Uint32(seg[rawOff+3*u32:]))
-	var h header
-	if err := parseHeader(seg[recAt:], &h); err != nil {
-		t.Fatal(err)
-	}
+	recAt, h := rawEntry(t, seg, 4)
 	slot, ok := h.find(idOf("rare_b", TypeBool))
 	if !ok {
 		t.Fatal("record 4 lacks rare_b")
 	}
 	binary.LittleEndian.PutUint32(bad[recAt+u32*(1+h.n+slot):], h.bodyLen+1)
-	m["sparse-value-outside-record"] = segMutant{bad, "value outside record 4"}
+	m["sparse-value-outside-record"] = segMutant{bad, "segment record 4: serial: corrupt value offsets"}
 
 	bad = append([]byte(nil), seg...)
 	binary.LittleEndian.PutUint32(bad[u32:], segVersion-1)
-	m["old-version"] = segMutant{bad, "unsupported segment version 1"}
+	m["old-version"] = segMutant{bad, fmt.Sprintf("unsupported segment version %d", segVersion-1)}
+	return m
+}
+
+// rawEntry returns where record i's raw entry starts in an encoded
+// segment of buildTestSegment's 24 records, and its parsed header.
+func rawEntry(t testing.TB, seg []byte, i int) (int, header) {
+	t.Helper()
+	footerOff := int(binary.LittleEndian.Uint32(seg[len(seg)-u32:]))
+	rawOff := int(binary.LittleEndian.Uint32(seg[footerOff+3*u32:]))
+	at := rawOff + 24*u32
+	if i > 0 {
+		at += int(binary.LittleEndian.Uint32(seg[rawOff+(i-1)*u32:]))
+	}
+	var h header
+	if err := parseHeader(seg[at:], &h); err != nil {
+		t.Fatal(err)
+	}
+	return at, h
+}
+
+// corruptRawMutants breaks buildTestSegment's segment in each way that
+// would make a splice emit a record other than the one frozen, and that
+// ParseSegment therefore checks: a raw entry carrying a sectioned
+// attribute (the splice would emit its ID twice), a raw entry whose IDs are
+// out of order, one not in the record writer's layout, a raw attribute the
+// sparse index does not name (Column would miss a value the splice puts
+// back), and a bool section byte other than 0 or 1 (the splice would copy
+// a byte no record holds).
+func corruptRawMutants(t testing.TB, seg []byte, dict *Dictionary) map[string]segMutant {
+	t.Helper()
+	idOf := func(key string, typ AttrType) uint32 {
+		id, ok := dict.IDOf(key, typ)
+		if !ok {
+			t.Fatalf("test segment lacks %s %s", typ, key)
+		}
+		return id
+	}
+	clone := func() []byte { return append([]byte(nil), seg...) }
+	m := map[string]segMutant{}
+
+	// Record 4 ({"multi":99,"s":"","rare_f":-3.5,"rare_b":true}) keeps
+	// multi, rare_f and rare_b in its raw entry; s, the first key of the
+	// corpus and so its lowest ID, is sectioned.
+	recAt, h := rawEntry(t, seg, 4)
+	if h.n != 3 || idOf("s", TypeString) >= h.aid(0) {
+		t.Fatalf("record 4's raw entry holds %d attributes, the first %d", h.n, h.aid(0))
+	}
+	bad := clone()
+	binary.LittleEndian.PutUint32(bad[recAt+u32:], idOf("s", TypeString))
+	m["raw-carries-sectioned"] = segMutant{bad, "record 4 carries sectioned attribute"}
+
+	bad = clone()
+	binary.LittleEndian.PutUint32(bad[recAt+u32:], h.aid(1))
+	binary.LittleEndian.PutUint32(bad[recAt+2*u32:], h.aid(0))
+	m["raw-ids-unsorted"] = segMutant{bad, "record 4: attribute IDs not ascending"}
+
+	bad = clone()
+	binary.LittleEndian.PutUint32(bad[recAt+u32*(1+h.n):], 1)
+	m["raw-not-record-layout"] = segMutant{bad, "record 4: not in the record layout"}
+
+	var kept [][2]uint32
+	for _, e := range sparseEntries(seg) {
+		if e[0] != idOf("rare_b", TypeBool) {
+			kept = append(kept, e)
+		}
+	}
+	m["raw-attr-unindexed"] = segMutant{withEntries(seg, kept), "raw records hold"}
+
+	// Record 0's b is true: the first byte of the bool section's payload.
+	db := segDirEntry(t, seg, idOf("b", TypeBool))
+	secOff := int(binary.LittleEndian.Uint32(seg[db+2*u32:]))
+	bad = clone()
+	if bad[secOff+8] != 1 {
+		t.Fatalf("bool section's first value is %d, want 1", bad[secOff+8])
+	}
+	bad[secOff+8] = 2
+	m["section-bool-byte"] = segMutant{bad, "bool byte 2"}
 	return m
 }
 
@@ -532,6 +603,19 @@ func TestCorruptSparseIndex(t *testing.T) {
 		t.Fatalf("a segment rebuilt with its own index is rejected: %v", err)
 	}
 	for name, mu := range corruptSparseMutants(t, seg, dict) {
+		if _, err := ParseSegment(mu.data); err == nil || !strings.Contains(err.Error(), mu.wantErr) {
+			t.Errorf("%s: ParseSegment error %v, want one naming %q", name, err, mu.wantErr)
+		}
+		probeSegment(t, mu.data, dict)
+	}
+}
+
+// TestCorruptRawRecords pins the raw vector's corruption contract: each
+// mutant that would make a splice give back bytes other than the frozen
+// record's is rejected by the check made for it, and no read path panics.
+func TestCorruptRawRecords(t *testing.T) {
+	_, seg, dict := buildTestSegment(t)
+	for name, mu := range corruptRawMutants(t, seg, dict) {
 		if _, err := ParseSegment(mu.data); err == nil || !strings.Contains(err.Error(), mu.wantErr) {
 			t.Errorf("%s: ParseSegment error %v, want one naming %q", name, err, mu.wantErr)
 		}
@@ -643,9 +727,11 @@ func specLabel(s MultiSpec) string {
 
 // FuzzRecordReaders drives every read-side entry point — parseHeader,
 // ExtractByID, ExtractPath, Deserialize, MultiExtract, and the segment
-// decoder — over fuzzer-chosen bytes. The property under test is purely
-// "no panic": errors and not-found are both acceptable outcomes for
-// garbage input.
+// decoder — over fuzzer-chosen bytes. The property under test is "no
+// panic": errors and not-found are both acceptable outcomes for garbage
+// input. A segment ParseSegment accepts is held to more (probeSegment):
+// each spliced record parses with its IDs strictly ascending, and every
+// attribute's Column value equals the spliced record's.
 func FuzzRecordReaders(f *testing.F) {
 	data, dict := buildTestRecord(f)
 	f.Add(data)
@@ -684,6 +770,9 @@ func FuzzRecordReaders(f *testing.F) {
 		f.Add(badSeg)
 	}
 	for _, mu := range corruptSparseMutants(f, seg, segDict) {
+		f.Add(mu.data)
+	}
+	for _, mu := range corruptRawMutants(f, seg, segDict) {
 		f.Add(mu.data)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {

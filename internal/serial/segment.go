@@ -23,7 +23,7 @@ import (
 //
 //	[magic "SSEG"][version u32]
 //	[record-null bitmap]                  bit set = record is NULL
-//	[raw vector: ends u32*n | bytes]      original record bytes, verbatim
+//	[raw vector: ends u32*n | bytes]      each record minus its sectioned attributes
 //	[column sections ...]                 dense attributes, located via the footer
 //	[sparse index]                        sparse attributes: (id, row<<3|enc) u32 pairs
 //	[footer]                              counts, offsets, directory of the sections
@@ -43,10 +43,19 @@ import (
 // is computed from those at most n/segSparseDiv values when asked for.
 // Column serves both forms through one SegColumn API.
 //
-// The raw vector keeps the exact input bytes of every record, so freezing
-// is lossless: un-freezing a segment back to heap rows is a byte-identical
-// reconstruction, and extraction paths that need full-record descent
-// (dotted paths through nested objects, extract_any probes) still work.
+// Every value is held once. A record's entry in the raw vector is itself a
+// record (Figure 5) holding only the attributes that have no section: its
+// sorted-ID header is shorter by the sectioned ones, and its body by their
+// values. AppendRecord splices the section values back in, one merge by
+// ascending attribute ID, and gives back the record's original bytes, so
+// freezing stays lossless: un-freezing is a byte-identical reconstruction,
+// and extraction paths that need full-record descent (dotted paths through
+// nested objects, extract_any probes) read a record spliced from the
+// attributes they look up. A record none of whose attributes is sectioned
+// is its raw entry, uncopied. The
+// encoder takes only records in the layout the record writer produces
+// (offsets from 0, values back to back, nothing after the body), the one
+// form a splice can rebuild byte for byte.
 
 // SegEncoding tags how one attribute's value vector is encoded.
 type SegEncoding uint8
@@ -82,7 +91,7 @@ func (e SegEncoding) String() string {
 
 const (
 	segMagic   = uint32('S') | uint32('S')<<8 | uint32('E')<<16 | uint32('G')<<24
-	segVersion = 2
+	segVersion = 3
 	// segFooterHead is the footer's fixed part: record count, section
 	// count, null bitmap offset, raw vector offset and length, sparse index
 	// offset and entry count (u32 each).
@@ -187,17 +196,25 @@ type segColBuilder struct {
 	segRange
 }
 
-// sectionLen is the size of the attribute's column section over records of
-// nwords presence words: bitmap, then the payload.
-func (cb *segColBuilder) sectionLen(nwords int) int {
+// valueLen is the bytes of the attribute's values.
+func (cb *segColBuilder) valueLen() int {
 	switch cb.enc {
 	case SegInt, SegFloat:
-		return nwords*8 + cb.count*8
+		return cb.count * 8
 	case SegBool:
-		return nwords*8 + cb.count
+		return cb.count
 	default:
+		return cb.varLen
+	}
+}
+
+// sectionLen is the size of the attribute's column section over records of
+// nwords presence words: bitmap, string/raw ends, then the values.
+func (cb *segColBuilder) sectionLen(nwords int) int {
+	if cb.enc == SegString || cb.enc == SegRaw {
 		return nwords*8 + cb.count*u32 + cb.varLen
 	}
+	return nwords*8 + cb.valueLen()
 }
 
 // segEncoder is EncodeSegment's scratch. A freeze encodes page after page
@@ -215,9 +232,11 @@ var segEncoders = sync.Pool{New: func() any { return &segEncoder{byID: make(map[
 
 // EncodeSegment stripes a group of serialized records into a segment. A
 // nil entry is a NULL record (absent row cell). Every non-nil entry must
-// be a well-formed record, its attribute IDs ascending, whose attributes
-// resolve in dict; any parse or dictionary failure aborts the encode — the
-// caller keeps the rows as-is.
+// be a well-formed record in the record writer's layout, its attribute IDs
+// ascending, whose attributes resolve in dict, and whose bool values are
+// 0 or 1 (a section is the value's only copy, so nothing may be lost on
+// the way in); any parse, layout or dictionary failure aborts the encode —
+// the caller keeps the rows as-is.
 //
 // It reads the records twice: once to size every attribute's section or
 // sparse index run, once to write each value where it belongs.
@@ -241,15 +260,20 @@ func (e *segEncoder) encode(records [][]byte, dict Dict) ([]byte, error) {
 
 	// First pass: which attributes there are, how many values and value
 	// bytes each has, and the value ranges.
-	rawLen := 0
+	inLen := 0
 	for i, rec := range records {
 		if rec == nil {
 			continue
 		}
-		rawLen += len(rec)
+		inLen += len(rec)
 		var h header
 		if err := parseHeader(rec, &h); err != nil {
 			return nil, fmt.Errorf("serial: segment record %d: %w", i, err)
+		}
+		// The splice rebuilds the writer's layout, so only that layout
+		// round-trips.
+		if len(rec) != u32*(2+2*h.n)+int(h.bodyLen) || h.n > 0 && h.off(0) != 0 {
+			return nil, fmt.Errorf("serial: segment record %d: not in the record layout", i)
 		}
 		for a := 0; a < h.n; a++ {
 			id := h.aid(a)
@@ -285,8 +309,8 @@ func (e *segEncoder) encode(records [][]byte, dict Dict) ([]byte, error) {
 				}
 				cb.noteFloat(math.Float64frombits(binary.LittleEndian.Uint64(vb)))
 			case SegBool:
-				if len(vb) != 1 {
-					return nil, fmt.Errorf("serial: segment record %d attr %d: bad bool length %d", i, id, len(vb))
+				if len(vb) != 1 || vb[0] > 1 {
+					return nil, fmt.Errorf("serial: segment record %d attr %d: bad bool value % x", i, id, vb)
 				}
 			case SegString, SegRaw:
 				cb.varLen += len(vb)
@@ -299,19 +323,27 @@ func (e *segEncoder) encode(records [][]byte, dict Dict) ([]byte, error) {
 
 	// Lay the segment out: header, record-null bitmap, raw vector, the
 	// dense attributes' sections and then the sparse index, both in
-	// ascending attribute ID, footer, trailing footer offset.
+	// ascending attribute ID, footer, trailing footer offset. A sectioned
+	// value leaves the raw vector with its header entry (ID and offset).
 	for ci := range e.cols {
 		e.order = append(e.order, int32(ci))
 	}
 	slices.SortFunc(e.order, func(a, b int32) int { return cmp.Compare(e.cols[a].id, e.cols[b].id) })
 	nullOff := 2 * u32
 	rawOff := nullOff + nwords*8
-	rawSecLen := n*u32 + rawLen
-	at := rawOff + rawSecLen
+	rawLen := inLen
 	sections := 0
 	for _, ci := range e.order {
 		cb := &e.cols[ci]
-		if cb.sparse = cb.count*segSparseDiv <= n; cb.sparse {
+		if cb.sparse = cb.count*segSparseDiv <= n; !cb.sparse {
+			rawLen -= cb.count*2*u32 + cb.valueLen()
+		}
+	}
+	rawSecLen := n*u32 + rawLen
+	at := rawOff + rawSecLen
+	for _, ci := range e.order {
+		cb := &e.cols[ci]
+		if cb.sparse {
 			continue
 		}
 		sections++
@@ -333,40 +365,47 @@ func (e *segEncoder) encode(records [][]byte, dict Dict) ([]byte, error) {
 	binary.LittleEndian.PutUint32(out, segMagic)
 	binary.LittleEndian.PutUint32(out[u32:], segVersion)
 
-	// Second pass: every record into the raw vector, every dense value into
-	// its attribute's section, every sparse one into an index entry.
+	// Second pass: every record's unsectioned attributes into its raw
+	// entry, every dense value into its attribute's section, every sparse
+	// one into an index entry.
 	rawAt, ref := rawOff+n*u32, 0
 	for i, rec := range records {
 		byteAt, bit := (i/64)*8+(i%64)/8, byte(1)<<uint(i%8)
 		if rec == nil {
 			out[nullOff+byteAt] |= bit
-		}
-		rawAt += copy(out[rawAt:], rec)
-		binary.LittleEndian.PutUint32(out[rawOff+i*u32:], uint32(rawAt-rawOff-n*u32))
-		if rec == nil {
+			binary.LittleEndian.PutUint32(out[rawOff+i*u32:], uint32(rawAt-rawOff-n*u32))
 			continue
 		}
 		var h header
 		_ = parseHeader(rec, &h) // parsed in the first pass
+		kept := 0
+		for a := 0; a < h.n; a++ {
+			if e.cols[e.refs[ref+a]].sparse {
+				kept++
+			}
+		}
+		aidAt := rawAt + u32
+		offAt := aidAt + kept*u32
+		bodyAt := offAt + kept*u32 + u32
+		body := 0
 		for a := 0; a < h.n; a++ {
 			cb := &e.cols[e.refs[ref]]
 			ref++
+			vb, _ := h.valueBytes(a)
 			if cb.sparse {
+				binary.LittleEndian.PutUint32(out[aidAt:], cb.id)
+				binary.LittleEndian.PutUint32(out[offAt:], uint32(body))
+				aidAt, offAt = aidAt+u32, offAt+u32
+				body += copy(out[bodyAt+body:], vb)
 				binary.LittleEndian.PutUint32(out[cb.fixed:], cb.id)
 				binary.LittleEndian.PutUint32(out[cb.fixed+u32:], uint32(i)<<segEncBits|uint32(cb.enc))
 				cb.fixed += segEntryBytes
 				continue
 			}
-			vb, _ := h.valueBytes(a)
 			out[cb.off+byteAt] |= bit
 			switch cb.enc {
-			case SegInt, SegFloat:
+			case SegInt, SegFloat, SegBool:
 				cb.fixed += copy(out[cb.fixed:], vb)
-			case SegBool:
-				if vb[0] != 0 {
-					out[cb.fixed] = 1
-				}
-				cb.fixed++
 			default:
 				cb.varb += copy(out[cb.varb:], vb)
 				cb.varDone += uint32(len(vb))
@@ -374,6 +413,10 @@ func (e *segEncoder) encode(records [][]byte, dict Dict) ([]byte, error) {
 				cb.end += u32
 			}
 		}
+		binary.LittleEndian.PutUint32(out[rawAt:], uint32(kept))
+		binary.LittleEndian.PutUint32(out[offAt:], uint32(body))
+		rawAt = bodyAt + body
+		binary.LittleEndian.PutUint32(out[rawOff+i*u32:], uint32(rawAt-rawOff-n*u32))
 	}
 
 	f := out[footerOff:footerOff]
@@ -507,7 +550,7 @@ func (c *SegColumn) entryRow(k int) int {
 func (c *SegColumn) forEachSparse(fn func(row int, b []byte)) {
 	for k := 0; k < c.count; k++ {
 		row := c.entryRow(k)
-		rec, _ := c.seg.RecordBytes(row)
+		rec, _ := c.seg.RawRecord(row)
 		fn(row, heldValueBytes(rec, c.id))
 	}
 }
@@ -623,13 +666,15 @@ type Segment struct {
 }
 
 // ParseSegment validates an encoded segment once, whole: every section's
-// bounds, presence bitmap, value ends and zone map, and every sparse index
-// entry's order, row and value, are checked here, so the on-demand reads
-// of Column slice the bytes without re-checking. Corrupt
-// input — truncated footers, presence bitmaps whose popcount disagrees
-// with the payload, attribute-ID/vector length mismatches, index entries
-// out of order or naming a value their record does not hold — returns an
-// error, never panics. Bytes of another format version are rejected.
+// bounds, presence bitmap, value ends and zone map, every raw entry's
+// header, and every sparse index entry's order, row and value, are checked
+// here, so the on-demand reads of Column and AppendRecord slice the bytes
+// without re-checking. Corrupt input — truncated footers, presence bitmaps
+// whose popcount disagrees with the payload, attribute-ID/vector length
+// mismatches, raw entries that are no record, carry a sectioned attribute
+// or an attribute the sparse index does not name, index entries out of
+// order or naming a value their record does not hold — returns an error,
+// never panics. Bytes of another format version are rejected.
 func ParseSegment(data []byte) (*Segment, error) {
 	if len(data) < 3*u32 {
 		return nil, fmt.Errorf("serial: segment too short (%d bytes)", len(data))
@@ -701,10 +746,60 @@ func ParseSegment(data []byte) (*Segment, error) {
 	if err := s.checkSections(nwords, footerOff); err != nil {
 		return nil, err
 	}
+	held, err := s.checkRaw()
+	if err != nil {
+		return nil, err
+	}
 	if err := s.checkSparse(); err != nil {
 		return nil, err
 	}
+	// Every entry names a distinct attribute its record holds, so as many
+	// entries as raw attributes name them all: Column finds every value a
+	// splice puts back.
+	if held != s.numEntries() {
+		return nil, fmt.Errorf("serial: segment raw records hold %d attributes, the sparse index names %d", held, s.numEntries())
+	}
 	return s, nil
+}
+
+// checkRaw validates every non-NULL record's raw entry as a record in the
+// record writer's layout — IDs strictly ascending, offsets from 0, values
+// back to back, nothing after the body — that holds no sectioned
+// attribute, so a splice emits every ID once and in order. It returns how
+// many attributes the entries hold.
+func (s *Segment) checkRaw() (int, error) {
+	held := 0
+	var h header
+	for i := 0; i < s.n; i++ {
+		rec, ok := s.RawRecord(i)
+		if !ok {
+			continue
+		}
+		if err := parseHeader(rec, &h); err != nil {
+			return 0, fmt.Errorf("serial: segment record %d: %w", i, err)
+		}
+		if len(rec) != u32*(2+2*h.n)+int(h.bodyLen) || h.n > 0 && h.off(0) != 0 {
+			return 0, fmt.Errorf("serial: segment record %d: not in the record layout", i)
+		}
+		di := 0
+		for a := 0; a < h.n; a++ {
+			id := h.aid(a)
+			if a > 0 && id <= h.aid(a-1) {
+				return 0, fmt.Errorf("serial: segment record %d: attribute IDs not ascending at %d", i, id)
+			}
+			if _, err := h.valueBytes(a); err != nil {
+				return 0, fmt.Errorf("serial: segment record %d: %w", i, err)
+			}
+			for di < s.numSections() && s.attrID(di) < id {
+				di++
+			}
+			if di < s.numSections() && s.attrID(di) == id {
+				return 0, fmt.Errorf("serial: segment record %d carries sectioned attribute %d", i, id)
+			}
+		}
+		held += h.n
+	}
+	return held, nil
 }
 
 // checkSections validates every column section through its directory
@@ -780,6 +875,14 @@ func (s *Segment) checkSections(nwords, footerOff int) error {
 				return fmt.Errorf("serial: segment attr %d value bytes length mismatch", id)
 			}
 		}
+		// A splice copies a bool byte back into its record as it is.
+		if enc == SegBool {
+			for _, v := range col.fixed {
+				if v > 1 {
+					return fmt.Errorf("serial: segment attr %d bool byte %d", id, v)
+				}
+			}
+		}
 		// Zone-map sanity: the range flag is only meaningful on numeric
 		// vectors with at least one value, and min must not exceed max. Page
 		// skipping trusts these extrema to prove rows absent, so a corrupt
@@ -807,20 +910,11 @@ func (s *Segment) checkSections(nwords, footerOff int) error {
 // ascending, one encoding per attribute, no attribute both sparse and
 // sectioned nor in more than n/segSparseDiv records, every row a non-NULL
 // record that holds the attribute, and fixed-width values of their width.
-// It counts the sparse attributes. A record is named once per sparse
-// attribute it holds, in attribute order, so its header is parsed the
-// first time an entry names it (a bit per row records that) and every
-// entry's value found through the checked header in place.
+// It counts the sparse attributes. checkRaw has parsed every record's
+// header, so each entry's value is found through it in place.
 func (s *Segment) checkSparse() error {
 	ne := s.numEntries()
-	// Rows of a heap page fit the stack buffer; a larger segment allocates.
-	var parsedBuf [4]uint64
-	parsed := parsedBuf[:]
-	if words := (s.n + 63) / 64; ne > 0 && words > len(parsedBuf) {
-		parsed = make([]uint64, words)
-	}
 	di, run := 0, 0
-	var h header
 	for k := 0; k < ne; k++ {
 		id, row, enc := s.entry(k)
 		if k > 0 {
@@ -848,15 +942,9 @@ func (s *Segment) checkSparse() error {
 		if row >= s.n {
 			return fmt.Errorf("serial: segment sparse attr %d row %d past %d records", id, row, s.n)
 		}
-		rec, ok := s.RecordBytes(row)
+		rec, ok := s.RawRecord(row)
 		if !ok {
 			return fmt.Errorf("serial: segment sparse attr %d on null record %d", id, row)
-		}
-		if bit := uint64(1) << uint(row%64); parsed[row/64]&bit == 0 {
-			if err := parseHeader(rec, &h); err != nil {
-				return fmt.Errorf("serial: segment sparse attr %d: value outside record %d: %w", id, row, err)
-			}
-			parsed[row/64] |= bit
 		}
 		b, ok, err := parsedValueBytes(rec, id)
 		if err != nil {
@@ -871,8 +959,8 @@ func (s *Segment) checkSparse() error {
 				return fmt.Errorf("serial: segment sparse attr %d record %d: %s value of %d bytes", id, row, enc, len(b))
 			}
 		case SegBool:
-			if len(b) != 1 {
-				return fmt.Errorf("serial: segment sparse attr %d record %d: bool value of %d bytes", id, row, len(b))
+			if len(b) != 1 || b[0] > 1 {
+				return fmt.Errorf("serial: segment sparse attr %d record %d: bool value % x", id, row, b)
 			}
 		case SegString, SegRaw:
 		default:
@@ -911,9 +999,10 @@ func (s *Segment) RecordNull(i int) bool {
 	return binary.LittleEndian.Uint64(s.nulls[i/64*8:])&(1<<uint(i%64)) != 0
 }
 
-// RecordBytes returns the original serialized bytes of record i; ok=false
-// for NULL records. The bytes alias the segment buffer.
-func (s *Segment) RecordBytes(i int) ([]byte, bool) {
+// RawRecord returns record i's entry in the raw vector — the record
+// without its sectioned attributes — aliasing the segment buffer; ok=false
+// for NULL records. It is the whole record when Spliced says nothing is.
+func (s *Segment) RawRecord(i int) ([]byte, bool) {
 	if i < 0 || i >= s.n || s.RecordNull(i) {
 		return nil, false
 	}
@@ -923,6 +1012,188 @@ func (s *Segment) RecordBytes(i int) ([]byte, bool) {
 	}
 	end := binary.LittleEndian.Uint32(s.rawEnds[i*u32:])
 	return s.rawBytes[start:end], true
+}
+
+// present reports whether record i carries directory entry ci's
+// attribute.
+func (s *Segment) present(ci, i int) bool {
+	off := binary.LittleEndian.Uint32(s.dir[ci*segColDirBytes+2*u32:])
+	return s.data[int(off)+i/64*8+i%64/8]&(1<<uint(i%8)) != 0
+}
+
+// sectionValue returns the value of record i in directory entry ci's
+// section; ok=false when the record lacks the attribute. The value's index
+// in the payload is the count of present records before i.
+func (s *Segment) sectionValue(ci, i int) ([]byte, bool) {
+	d := s.dir[ci*segColDirBytes:]
+	sec := s.data[binary.LittleEndian.Uint32(d[2*u32:]):]
+	w := binary.LittleEndian.Uint64(sec[i/64*8:])
+	bit := uint64(1) << uint(i%64)
+	if w&bit == 0 {
+		return nil, false
+	}
+	k := bits.OnesCount64(w & (bit - 1))
+	for j := 0; j < i/64; j++ {
+		k += bits.OnesCount64(binary.LittleEndian.Uint64(sec[j*8:]))
+	}
+	payload := sec[len(s.nulls):]
+	switch SegEncoding(binary.LittleEndian.Uint32(d[u32:])) {
+	case SegInt, SegFloat:
+		return payload[k*8 : k*8+8], true
+	case SegBool:
+		return payload[k : k+1], true
+	default:
+		count := int(binary.LittleEndian.Uint32(d[4*u32:]))
+		varb := payload[count*u32:]
+		start := uint32(0)
+		if k > 0 {
+			start = binary.LittleEndian.Uint32(payload[(k-1)*u32:])
+		}
+		return varb[start:binary.LittleEndian.Uint32(payload[k*u32:])], true
+	}
+}
+
+// Spliced reports whether AppendRecord must splice record i: whether any
+// of its attributes (of ids, when not nil) is sectioned. When it is not,
+// the raw entry holds all of them.
+func (s *Segment) Spliced(i int, ids []uint32) bool {
+	if s.RecordNull(i) || i < 0 || i >= s.n {
+		return false
+	}
+	if ids != nil {
+		for _, id := range ids {
+			if ci, ok := s.section(id); ok && s.present(ci, i) {
+				return true
+			}
+		}
+		return false
+	}
+	for ci := 0; ci < s.numSections(); ci++ {
+		if s.present(ci, i) {
+			return true
+		}
+	}
+	return false
+}
+
+// AppendRecord appends record i's original bytes to dst and returns the
+// extended buffer; a NULL record appends nothing. It splices: the raw
+// entry's attributes and the record's section values are merged by
+// ascending attribute ID into a header and a body in the record writer's
+// layout, which is the layout the record was frozen in, so the bytes are
+// the ones EncodeSegment was given. The raw entry's values are copied a
+// run at a time: in that layout they lie back to back in ID order. ids,
+// when not nil, keeps only the attributes it names (ascending): the record
+// as a reader that looks up no other top-level attribute sees it, spliced
+// from fewer bytes.
+func (s *Segment) AppendRecord(dst []byte, i int, ids []uint32) []byte {
+	raw, ok := s.RawRecord(i)
+	if !ok {
+		return dst
+	}
+	if ids != nil {
+		return s.appendNarrowed(dst, raw, i, ids)
+	}
+	nr := int(binary.LittleEndian.Uint32(raw))
+	rawBody := raw[u32*(2+2*nr):]
+	// rawAt returns the raw entry's attribute a's ID and value offset; a =
+	// nr gives the body's length.
+	rawAt := func(a int) (uint32, uint32) {
+		off := binary.LittleEndian.Uint32(raw[u32*(1+nr+a):])
+		if a == nr {
+			return math.MaxUint32, off
+		}
+		return binary.LittleEndian.Uint32(raw[u32*(1+a):]), off
+	}
+	// present marks the first 64 sections the record is in, so the second
+	// pass looks up no absent one.
+	n, body, present := nr, len(rawBody), uint64(0)
+	for ci := 0; ci < s.numSections(); ci++ {
+		if v, ok := s.sectionValue(ci, i); ok {
+			n, body = n+1, body+len(v)
+			present |= 1 << uint(ci%64)
+		}
+	}
+	at := len(dst)
+	offAt, bodyAt := at+u32*(1+n), at+u32*(2+2*n)
+	dst = slices.Grow(dst, bodyAt-at+body)[:bodyAt+body]
+	binary.LittleEndian.PutUint32(dst[at:], uint32(n))
+	binary.LittleEndian.PutUint32(dst[offAt+u32*n:], uint32(body))
+	k, a, off := 0, 0, uint32(0) // attributes written, raw ones read, body bytes written
+	// rawRun copies the raw entry's attributes below ID end: IDs, offsets
+	// moved by what went before, and their values in one copy.
+	rawRun := func(end uint32) {
+		b := a
+		for b < nr {
+			if id, _ := rawAt(b); id >= end {
+				break
+			}
+			b++
+		}
+		if b == a {
+			return
+		}
+		copy(dst[at+u32*(1+k):], raw[u32*(1+a):u32*(1+b)])
+		_, from := rawAt(a)
+		_, to := rawAt(b)
+		for x := a; x < b; x++ {
+			_, o := rawAt(x)
+			binary.LittleEndian.PutUint32(dst[offAt+u32*(k+x-a):], o-from+off)
+		}
+		off += uint32(copy(dst[bodyAt+int(off):], rawBody[from:to]))
+		k, a = k+b-a, b
+	}
+	for ci := 0; ci < s.numSections(); ci++ {
+		if ci < 64 && present&(1<<uint(ci)) == 0 {
+			continue
+		}
+		v, ok := s.sectionValue(ci, i)
+		if !ok {
+			continue
+		}
+		id := s.attrID(ci)
+		rawRun(id)
+		binary.LittleEndian.PutUint32(dst[at+u32*(1+k):], id)
+		binary.LittleEndian.PutUint32(dst[offAt+u32*k:], off)
+		off += uint32(copy(dst[bodyAt+int(off):], v))
+		k++
+	}
+	rawRun(math.MaxUint32)
+	return dst
+}
+
+// appendNarrowed is AppendRecord of record i, whose raw entry is raw,
+// narrowed to the attributes ids names: each looked up by binary search in
+// the directory and then in the raw entry's header.
+func (s *Segment) appendNarrowed(dst, raw []byte, i int, ids []uint32) []byte {
+	find := func(id uint32) ([]byte, bool) {
+		if ci, ok := s.section(id); ok {
+			return s.sectionValue(ci, i)
+		}
+		v, ok, _ := parsedValueBytes(raw, id)
+		return v, ok
+	}
+	n, body := 0, 0
+	for _, id := range ids {
+		if v, ok := find(id); ok {
+			n, body = n+1, body+len(v)
+		}
+	}
+	at := len(dst)
+	offAt, bodyAt := at+u32*(1+n), at+u32*(2+2*n)
+	dst = slices.Grow(dst, bodyAt-at+body)[:bodyAt+body]
+	binary.LittleEndian.PutUint32(dst[at:], uint32(n))
+	binary.LittleEndian.PutUint32(dst[offAt+u32*n:], uint32(body))
+	k, off := 0, 0
+	for _, id := range ids {
+		if v, ok := find(id); ok {
+			binary.LittleEndian.PutUint32(dst[at+u32*(1+k):], id)
+			binary.LittleEndian.PutUint32(dst[offAt+u32*k:], uint32(off))
+			off += copy(dst[bodyAt+off:], v)
+			k++
+		}
+	}
+	return dst
 }
 
 // AttrIDs returns the attribute IDs present anywhere in the segment,
@@ -971,10 +1242,9 @@ func (s *Segment) entry(k int) (id uint32, row int, enc SegEncoding) {
 	return s.entryID(k), int(re >> segEncBits), SegEncoding(re & segEncMask)
 }
 
-// Column returns attribute id's column, binary-searching the footer
-// directory and then the sparse index; ok=false when no record in the
-// segment carries it.
-func (s *Segment) Column(id uint32) (SegColumn, bool) {
+// section binary-searches the footer directory for attribute id's
+// section.
+func (s *Segment) section(id uint32) (int, bool) {
 	lo, hi := 0, s.numSections()
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -984,10 +1254,20 @@ func (s *Segment) Column(id uint32) (SegColumn, bool) {
 		case at > id:
 			hi = mid
 		default:
-			return s.sectionAt(mid), true
+			return mid, true
 		}
 	}
-	lo, hi = 0, s.numEntries()
+	return 0, false
+}
+
+// Column returns attribute id's column, binary-searching the footer
+// directory and then the sparse index; ok=false when no record in the
+// segment carries it.
+func (s *Segment) Column(id uint32) (SegColumn, bool) {
+	if ci, ok := s.section(id); ok {
+		return s.sectionAt(ci), true
+	}
+	lo, hi := 0, s.numEntries()
 	for lo < hi {
 		if mid := (lo + hi) / 2; s.entryID(mid) < id {
 			lo = mid + 1

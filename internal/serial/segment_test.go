@@ -63,15 +63,18 @@ func TestSegmentRoundTrip(t *testing.T) {
 		if s.RecordNull(i) != (rec == nil) {
 			t.Errorf("record %d: RecordNull = %v", i, s.RecordNull(i))
 		}
-		got, ok := s.RecordBytes(i)
+		got := s.AppendRecord(nil, i, nil)
+		if raw, _ := s.RawRecord(i); s.Spliced(i, nil) == bytes.Equal(raw, got) && rec != nil {
+			t.Errorf("record %d: Spliced %v, raw entry of %d bytes, record of %d", i, s.Spliced(i, nil), len(raw), len(got))
+		}
 		if rec == nil {
-			if ok {
+			if len(got) != 0 {
 				t.Errorf("record %d: bytes for NULL record", i)
 			}
 			continue
 		}
-		if !ok || !bytes.Equal(got, rec) {
-			t.Errorf("record %d: raw vector does not reproduce input", i)
+		if !bytes.Equal(got, rec) {
+			t.Errorf("record %d: the splice does not reproduce the input", i)
 		}
 	}
 
@@ -261,6 +264,27 @@ func TestSegmentEncodeErrors(t *testing.T) {
 			t.Errorf("attribute IDs %s: EncodeSegment error %v", name, err)
 		}
 	}
+	// A bool byte other than 0 or 1: its section would be the only copy,
+	// and a section holds a bool as 0 or 1, so the byte would be lost.
+	doc, err = jsonx.ParseDocument([]byte(`{"t":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, err = Serialize(doc, dict); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := EncodeSegment([][]byte{rec, rec}, dict); err != nil {
+		t.Fatalf("bool records: %v", err)
+	}
+	bad := append([]byte(nil), rec...)
+	bad[len(bad)-1] = 2
+	if _, err := EncodeSegment([][]byte{rec, bad}, dict); err == nil || !strings.Contains(err.Error(), "bad bool value") {
+		t.Errorf("bool byte 2: EncodeSegment error %v", err)
+	}
+	// A record not in the record writer's layout: bytes after its body.
+	if _, err := EncodeSegment([][]byte{rec, append(rec[:len(rec):len(rec)], 0)}, dict); err == nil || !strings.Contains(err.Error(), "not in the record layout") {
+		t.Errorf("trailing byte: EncodeSegment error %v", err)
+	}
 }
 
 // TestSegmentEncoderReuse: one freeze encodes page after page through the
@@ -350,10 +374,12 @@ func TestSegmentEncoderReuse(t *testing.T) {
 
 // probeSegment exercises every segment read path. Like probeAll, arbitrary
 // bytes may be rejected but must never panic; a segment ParseSegment
-// accepts must also read consistently on demand — Column finding every
-// attribute AttrIDs names, its presence and its typed accessor agreeing
-// with its count, a sparse value equal to its record's header lookup, and
-// Column missing every absent ID — or the probe panics.
+// accepts must also read consistently on demand — every spliced record
+// parsing with its IDs strictly ascending, and narrowed to some of its
+// attributes equal to it without the others, Column finding every attribute
+// AttrIDs names, its presence and its typed accessor agreeing with its
+// count and its values equal to the spliced records', and Column missing
+// every absent ID — or the probe panics.
 func probeSegment(t testing.TB, data []byte, dict *Dictionary) {
 	t.Helper()
 	s, err := ParseSegment(data)
@@ -361,11 +387,55 @@ func probeSegment(t testing.TB, data []byte, dict *Dictionary) {
 		return
 	}
 	n := s.NumRecords()
+	records := make([][]byte, n)
 	for i := -1; i <= n; i++ {
 		_ = s.RecordNull(i)
-		if b, ok := s.RecordBytes(i); ok {
-			probeAll(t, b, dict)
+		rec := s.AppendRecord(nil, i, nil)
+		if raw, _ := s.RawRecord(i); s.Spliced(i, nil) == bytes.Equal(raw, rec) && len(rec) > 0 {
+			panic("segment Spliced disagrees with the raw entry and the spliced record")
 		}
+		if i < 0 || i >= n || s.RecordNull(i) {
+			if len(rec) != 0 {
+				panic("segment splices bytes for a NULL or absent record")
+			}
+			continue
+		}
+		if raw, _ := s.RawRecord(i); len(raw) == len(rec) && !bytes.Equal(raw, rec) {
+			panic("segment record with nothing sectioned differs from its raw entry")
+		}
+		ids, err := AttrIDs(rec)
+		if err != nil {
+			panic("segment spliced record does not parse: " + err.Error())
+		}
+		for k := 1; k < len(ids); k++ {
+			if ids[k] <= ids[k-1] {
+				panic("segment spliced record's attribute IDs not strictly ascending")
+			}
+		}
+		// Narrowed to every other attribute (and an ID no record holds),
+		// the splice is the record with the rest deleted.
+		var keep, drop []uint32
+		for k, id := range ids {
+			if k%2 == 0 {
+				keep = append(keep, id)
+			} else {
+				drop = append(drop, id)
+			}
+		}
+		keep = append(keep, math.MaxUint32)
+		want, err := DeleteAttrs(rec, drop...)
+		if err != nil {
+			panic("segment spliced record does not splice: " + err.Error())
+		}
+		narrow := s.AppendRecord(nil, i, keep)
+		if !bytes.Equal(narrow, want) {
+			panic("segment record narrowed to some attributes differs from the record without the others")
+		}
+		if raw, _ := s.RawRecord(i); !s.Spliced(i, keep) && !bytes.Equal(narrow, mustDelete(raw, drop)) {
+			panic("segment record narrowed to unsectioned attributes differs from its raw entry's")
+		}
+		records[i] = rec
+		probeAll(t, rec, dict)
 	}
 	ids := s.AttrIDs()
 	if len(ids) != s.NumAttrs() {
@@ -389,33 +459,48 @@ func probeSegment(t testing.TB, data []byte, dict *Dictionary) {
 		if pop != col.NumPresent() {
 			panic("segment presence bitmap disagrees with NumPresent")
 		}
-		if col.seg != nil {
-			col.forEachSparse(func(row int, b []byte) {
-				rec, _ := s.RecordBytes(row)
-				if want, ok, err := ValueBytes(rec, id); err != nil || !ok || !bytes.Equal(b, want) {
-					panic("segment sparse value differs from its record's header lookup")
-				}
-			})
-		}
+		// Every value the column streams is the spliced record's, and
+		// every record holding the attribute is streamed.
 		streamed := 0
+		value := func(row int, b []byte) {
+			streamed++
+			if want, ok, err := ValueBytes(records[row], id); err != nil || !ok || !bytes.Equal(b, want) {
+				panic("segment column value differs from its spliced record's")
+			}
+		}
 		switch col.Encoding() {
 		case SegInt:
-			err = col.Ints(func(int, int64) { streamed++ })
+			err = col.Ints(func(row int, v int64) { value(row, binary.LittleEndian.AppendUint64(nil, uint64(v))) })
 		case SegFloat:
-			err = col.Floats(func(int, float64) { streamed++ })
+			err = col.Floats(func(row int, v float64) { value(row, binary.LittleEndian.AppendUint64(nil, math.Float64bits(v))) })
 		case SegBool:
-			err = col.Bools(func(int, bool) { streamed++ })
+			err = col.Bools(func(row int, v bool) {
+				b := byte(0)
+				if v {
+					b = 1
+				}
+				value(row, []byte{b})
+			})
 		case SegString:
-			err = col.Strings(func(_ int, b []byte) { streamed++; _ = len(b) })
+			err = col.Strings(value)
 		case SegRaw:
-			err = col.Raws(func(_ int, b []byte) {
-				streamed++
+			err = col.Raws(func(row int, b []byte) {
+				value(row, b)
 				_, _ = DecodeDatum(b, TypeObject, dict)
 				_, _ = DecodeDatum(b, TypeArray, dict)
 			})
 		}
 		if err != nil || streamed != col.NumPresent() {
 			panic("segment column accessor disagrees with NumPresent")
+		}
+		held := 0
+		for _, rec := range records {
+			if ok, err := Has(rec, id); rec != nil && err == nil && ok {
+				held++
+			}
+		}
+		if held != streamed {
+			panic("segment column streams fewer values than the spliced records hold")
 		}
 		// The other accessors refuse the encoding.
 		_, _, _ = col.IntRange()
@@ -444,6 +529,15 @@ func probeSegment(t testing.TB, data []byte, dict *Dictionary) {
 			miss(hi - 1)
 		}
 	}
+}
+
+// mustDelete is DeleteAttrs over a record ParseSegment accepted.
+func mustDelete(rec []byte, ids []uint32) []byte {
+	out, err := DeleteAttrs(rec, ids...)
+	if err != nil {
+		panic("segment raw entry does not splice: " + err.Error())
+	}
+	return out
 }
 
 // wordBytes lays a bitmap of 64-bit words out as the segment does.
@@ -827,7 +921,7 @@ func stripeLines(t testing.TB, in []byte) *Segment {
 		t.Fatalf("a fresh segment does not parse: %v", err)
 	}
 	for i, rec := range records {
-		if got, ok := s.RecordBytes(i); ok != (rec != nil) || !bytes.Equal(got, rec) {
+		if got := s.AppendRecord(nil, i, nil); s.RecordNull(i) != (rec == nil) || !bytes.Equal(got, rec) {
 			t.Fatalf("record %d does not round-trip", i)
 		}
 	}
