@@ -40,9 +40,8 @@ race:
 # built again when the epoch moved before they took the table lock (a pass
 # landing between rewrite and write), writes that leave cached plans in
 # place unless they catalog a key or mint an attribute (a cached SELECT
-# beside repeated UPDATEs still hits), readers of the fused collector
-# beside UPDATEs that un-freeze the pages they read, and the HTTP
-# end-to-end test.
+# beside repeated UPDATEs still hits), projection readers beside UPDATEs
+# that un-freeze the pages they read, and the HTTP end-to-end test.
 # GOMAXPROCS=1 forces cooperative interleavings, 2 and 8 vary true
 # parallelism.
 SESSION_TESTS = TestSnapshot|TestMaterializeKeepsConcurrentWrites|TestConcurrentQueriesDuringMaterialization|TestPlanCacheConcurrentMaterialize|TestPlanCacheStaleBuildRebuilt|TestExecSelectOnceRebuilds|TestExecWriteOnceRebuilds|TestWriteRebuiltAfterPass|TestShapeCacheConcurrentLiterals|TestExtractedValuesSurviveWriters|TestPackedValuesSurviveWriters|TestStoredValuesOwnTheirBytes|TestWriteKeepsCachedPlans|TestCollectBesideUnfreeze

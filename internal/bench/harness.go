@@ -22,16 +22,11 @@ import (
 // disk-resident regime.
 type IOModel struct {
 	// BandwidthBytesPerSec models the storage read bandwidth (the paper's
-	// SSD measured 250–300 MB/s; default 275 MB/s).
+	// SSD measured 250–300 MB/s).
 	BandwidthBytesPerSec float64
 	// MemoryBytes is the simulated RAM: datasets at or below it run with
 	// warmed caches (pure CPU time); above it every scan pays bandwidth.
 	MemoryBytes int64
-}
-
-// DefaultIOModel mirrors the paper's machine proportions at harness scale.
-func DefaultIOModel() IOModel {
-	return IOModel{BandwidthBytesPerSec: 275e6, MemoryBytes: 32 << 30}
 }
 
 // WarmCacheIOModel is the small-dataset regime: everything fits in memory

@@ -118,9 +118,6 @@ func (db *DB) Catalog() *Catalog { return db.cat }
 // Config returns the active configuration.
 func (db *DB) Config() Config { return db.cfg }
 
-// TextIndex returns the inverted index (nil unless enabled).
-func (db *DB) TextIndex() *textindex.Index { return db.index }
-
 // CreateCollection creates the backing table: (_id bigint NOT NULL,
 // data bytea) — the all-virtual starting point of the hybrid schema.
 func (db *DB) CreateCollection(name string, opts ...CollectionOptions) error {

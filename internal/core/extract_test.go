@@ -331,10 +331,10 @@ func TestPackedValuesSurviveWriters(t *testing.T) {
 	checkHeld(t, "after", held)
 }
 
-// TestCollectBesideUnfreeze races readers of the fused collector —
-// contiguous, reordered and single-column projections, one under a LIMIT
-// that ends inside a frozen page — against UPDATEs that un-freeze the
-// pages they read. Each read sees every row once with its note as loaded
+// TestCollectBesideUnfreeze races projection readers — contiguous,
+// reordered and single-column projections, one under a LIMIT that ends
+// inside a frozen page — against UPDATEs that un-freeze the pages they
+// read. Each read sees every row once with its note as loaded
 // or as one UPDATE wrote it, and the values of the first reads, whose
 // text aliases the frozen pages' storage, never change.
 func TestCollectBesideUnfreeze(t *testing.T) {

@@ -64,7 +64,7 @@ func refDB(t *testing.T) *DB {
 // the reference the differential tests and the benchmark's oracle compare
 // against. Every statement below takes at least one shortcut in the
 // default plan — a page skip on a filter or a Top-N bound, a zone-map
-// skip, a Top-N, a fused extraction, the fused projection collector —
+// skip, a Top-N, a fused extraction, column pruning —
 // and under the reference none of them: EXPLAIN shows no Top-N, Page Skip
 // or Multi Extract, the skip and short-circuit
 // counters do not move, and the answer is the default plan's.
@@ -79,7 +79,7 @@ func TestReferencePlanTakesNoShortcut(t *testing.T) {
 		`SELECT id, str2 FROM ref WHERE zv > 1400`,                                   // zone-map skip
 		`SELECT id, num FROM ref ORDER BY num LIMIT 5`,                               // Top-N, its page bound
 		`SELECT str2, grp, zv FROM ref`,                                              // fused extraction
-		`SELECT str1, num FROM ref`,                                                  // Q1: the fused collector
+		`SELECT str1, num FROM ref`,                                                  // Q1: column pruning
 		`SELECT grp, COUNT(*), SUM(num) FROM ref WHERE num >= 100 GROUP BY grp`,      // page skip under an aggregate
 		`SELECT r.id, s.name FROM ref r, side s WHERE r.grp = s.grp AND r.num < 300`, // page skip under a join
 	}

@@ -115,14 +115,6 @@ func (db *DB) Explain(sql string) (string, error) {
 	return db.rdb.ExplainSelect(rewritten.(*sqlparse.SelectStmt))
 }
 
-// PlanOperators rewrites and plans a SELECT, returning the physical plan's
-// operator labels in pre-order (the Table 2 experiment compares these
-// between virtual- and physical-column states).
-func (db *DB) PlanOperators(sql string) ([]string, error) {
-	ops, _, err := db.PlanShape(sql)
-	return ops, err
-}
-
 // PlanShape returns both the operator labels (pre-order) and the scan
 // order (the join order for multi-table queries) of the rewritten plan.
 func (db *DB) PlanShape(sql string) (ops, scanOrder []string, err error) {

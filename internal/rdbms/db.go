@@ -764,14 +764,14 @@ func (db *DB) InsertRows(name string, rows []storage.Row) error {
 
 // ScanTable iterates the rows of the table's published snapshot — no lock,
 // so it never blocks behind a writer. fn must not retain row slices;
-// return false to stop.
+// return false to stop. A frozen page that fails to decode ends the scan
+// with its error.
 func (db *DB) ScanTable(name string, fn func(id storage.RowID, row storage.Row) bool) error {
 	t, err := db.lookup(name)
 	if err != nil {
 		return err
 	}
-	t.heap.CurrentSnapshot().Scan(fn)
-	return nil
+	return t.heap.CurrentSnapshot().Scan(fn)
 }
 
 // RewritePage reads, rewrites and publishes one heap page under one
@@ -801,15 +801,16 @@ func (db *DB) RewritePage(name string, page int, fn func(storage.Row) (storage.R
 }
 
 // GetRow fetches one row by ID from the published snapshot; the returned
-// row is a copy.
+// row is a copy. A frozen page that fails to decode the row returns its
+// error.
 func (db *DB) GetRow(name string, id storage.RowID) (storage.Row, bool, error) {
 	t, err := db.lookup(name)
 	if err != nil {
 		return nil, false, err
 	}
-	row, ok := t.heap.CurrentSnapshot().Get(id)
+	row, ok, err := t.heap.CurrentSnapshot().Get(id)
 	if !ok {
-		return nil, false, nil
+		return nil, false, err
 	}
 	return row.Clone(), true, nil
 }

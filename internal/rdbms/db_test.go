@@ -1,6 +1,7 @@
 package rdbms
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -496,5 +497,54 @@ func TestSetSessionKnobs(t *testing.T) {
 		if _, err := db.Exec(bad); err == nil {
 			t.Errorf("Exec(%q) should error", bad)
 		}
+	}
+}
+
+// brokenSegment is a ColumnSegment whose values cannot be decoded.
+type brokenSegment struct{ n int }
+
+var errBrokenSegment = errors.New("segment decode failed")
+
+func (s brokenSegment) NumRows() int      { return s.n }
+func (s brokenSegment) AttrIDs() []uint32 { return nil }
+func (s brokenSegment) SizeBytes() int64  { return int64(s.n) }
+func (s brokenSegment) Values([]types.Datum, int, *storage.ValueArena) error {
+	return errBrokenSegment
+}
+
+// TestScanTableAndGetRowReportDecodeErrors: ScanTable and GetRow pass a
+// frozen page's decode error on instead of dropping the page's rows or
+// calling a row on it absent.
+func TestScanTableAndGetRowReportDecodeErrors(t *testing.T) {
+	db := Open()
+	mustExec(t, db, `CREATE TABLE f (v integer)`)
+	rows := make([]storage.Row, storage.PageCapacity+3)
+	for i := range rows {
+		rows[i] = storage.Row{types.NewInt(int64(i))}
+	}
+	if err := db.InsertRows("f", rows); err != nil {
+		t.Fatal(err)
+	}
+	heap, _, err := db.Table("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap.SetColumnSegmenter(func(_ int, vals []types.Datum) (storage.ColumnSegment, error) {
+		return brokenSegment{n: len(vals)}, nil
+	})
+	if err := db.Analyze("f"); err != nil {
+		t.Fatal(err)
+	}
+	if db.FrozenPages() != 1 {
+		t.Fatalf("%d frozen pages, want 1", db.FrozenPages())
+	}
+	if err := db.ScanTable("f", func(storage.RowID, storage.Row) bool { return true }); !errors.Is(err, errBrokenSegment) {
+		t.Errorf("ScanTable = %v, want the decode error", err)
+	}
+	if _, ok, err := db.GetRow("f", storage.RowID{Page: 0, Slot: 1}); ok || !errors.Is(err, errBrokenSegment) {
+		t.Errorf("GetRow on the frozen page = %v, %v, want the decode error", ok, err)
+	}
+	if r, ok, err := db.GetRow("f", storage.RowID{Page: 1, Slot: 2}); err != nil || !ok || r[0].I != int64(storage.PageCapacity+2) {
+		t.Errorf("GetRow on the tail = %v, %v, %v", r, ok, err)
 	}
 }

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"github.com/sinewdata/sinew/internal/rdbms/storage"
@@ -271,122 +270,5 @@ func TestBatchScanNeedCols(t *testing.T) {
 	}
 	if n != 3000 {
 		t.Fatalf("scanned %d rows, want 3000", n)
-	}
-}
-
-// TestCollectProjectedScan: 3 000 rows are three reads of the collector's
-// 1 024-row buffer, and the limits end inside the first, the second and
-// past the last.
-func TestCollectProjectedScan(t *testing.T) {
-	h := intHeap(t, 3000)
-	// Delete a scattering of rows so the fused collector sees holes.
-	var ids []storage.RowID
-	h.Scan(func(id storage.RowID, r storage.Row) bool {
-		if r[0].I%9 == 0 {
-			ids = append(ids, id)
-		}
-		return true
-	})
-	for _, id := range ids {
-		if _, err := h.Delete(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cols := []int{1, 0, 1} // reorder + duplicate
-	for _, limit := range []int64{-1, 0, 5, 137, 1500, h.NumRows(), h.NumRows() + 99} {
-		want := func() []storage.Row {
-			var out []storage.Row
-			h.Scan(func(_ storage.RowID, r storage.Row) bool {
-				if limit >= 0 && int64(len(out)) >= limit {
-					return false
-				}
-				out = append(out, storage.Row{r[1], r[0], r[1]})
-				return true
-			})
-			return out
-		}()
-		got, err := CollectProjectedScan(h, cols, limit)
-		if err != nil {
-			t.Fatalf("limit %d: %v", limit, err)
-		}
-		rowsEqual(t, got, want)
-	}
-}
-
-// TestCollectProjectedScanMixedHeap holds the fused collector to the
-// reference and to the operator pipeline over a heap of frozen pages (one
-// column striped), a row-form page with holes between them and a short
-// tail: contiguous, reordered and single-column projections of a striped
-// and a plain column, under limits that end inside a frozen page, inside
-// the holed page and past the end. Every result row is capped at its own
-// width, and each frozen page read counts as a segment scanned.
-func TestCollectProjectedScanMixedHeap(t *testing.T) {
-	per := storage.PageCapacity
-	r := rand.New(rand.NewSource(41))
-	colTypes := []types.Type{types.Int, types.Text, types.Float}
-	rows := randBatchRows(r, colTypes, 5*per+40)
-	for i := range rows {
-		rows[i][0] = types.NewInt(int64(i))
-	}
-	h, pager := heapOf(t, colTypes, rows)
-	for _, slot := range []int{0, 17, 90} {
-		if _, err := h.Delete(storage.RowID{Page: 2, Slot: slot}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := freezeCols(h, map[int]bool{1: true}); n != 4 {
-		t.Fatalf("froze %d pages, want 4 (page 2 has holes, page 5 is short)", n)
-	}
-	live := h.NumRows()
-	for _, cols := range [][]int{{0, 1, 2}, {1, 2}, {2, 0}, {1, 0, 1}, {1}, {2}} {
-		projs := make([]Expr, len(cols))
-		for i, j := range cols {
-			projs[i] = col(j, colTypes[j])
-		}
-		ref := mustRef(t)
-		all := ref(refProject(refScan(h), projs))
-		pipe := collectBatches(t, &BatchProjectIter{Exprs: projs, In: NewBatchScan(h, nil)})
-		rowsEqual(t, pipe, all)
-		for _, limit := range []int64{-1, 0, 50, int64(per) + 30, int64(2*per) + 100, live, live + 9} {
-			want := all
-			if limit >= 0 {
-				want = refLimit(all, limit)
-			}
-			pager.Reset()
-			got, err := CollectProjectedScan(h, cols, limit)
-			if err != nil {
-				t.Fatalf("cols %v limit %d: %v", cols, limit, err)
-			}
-			rowsEqual(t, got, want)
-			for i, row := range got {
-				if cap(row) != len(cols) {
-					t.Fatalf("cols %v limit %d: row %d has cap %d", cols, limit, i, cap(row))
-				}
-			}
-			scanned, _ := pager.SegStats()
-			if limit < 0 && scanned != 4 || limit == 50 && scanned != 1 {
-				t.Fatalf("cols %v limit %d: %d segments scanned", cols, limit, scanned)
-			}
-		}
-	}
-}
-
-func TestCollectProjectedScanFlushesPager(t *testing.T) {
-	p := storage.NewPager()
-	schema, _ := storage.NewSchema(storage.Column{Name: "v", Typ: types.Int})
-	h := storage.NewHeap(schema, p)
-	for i := 0; i < 3000; i++ {
-		h.Insert(row(types.NewInt(int64(i))))
-	}
-	p.Reset()
-	rows, err := CollectProjectedScan(h, []int{0}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("got %d rows, want 3", len(rows))
-	}
-	if r, _ := p.Stats(); r <= 0 || r >= h.SizeBytes() {
-		t.Errorf("early-stopped fused scan charged %d of %d bytes", r, h.SizeBytes())
 	}
 }

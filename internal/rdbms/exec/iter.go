@@ -11,115 +11,6 @@ import (
 // inexact hint on a huge heap should not commit gigabytes up front).
 const collectCapHint = 1 << 20
 
-// CollectProjectedScan is the fused fast path for the most common batch
-// plan shape — Project over plain columns of a filterless scan, optionally
-// under a LIMIT: each surviving heap row's projected cells are copied
-// straight into the result arena, one copy end-to-end instead of the
-// pipeline's transpose into batch columns plus re-transpose into result
-// rows. cols lists the projected source column indices in output order,
-// limit < 0 means no limit. The heap is read a page view at a time: a
-// frozen page's projected column vectors are copied into the arena, a
-// row-form run's cells a row at a time. The heap iterator is closed
-// (flushing pager accounting) even on an early LIMIT stop.
-func CollectProjectedScan(v storage.ReadView, cols []int, limit int64) ([]storage.Row, error) {
-	it := v.IterateChunks()
-	defer it.Close()
-	total := v.NumRows()
-	if limit >= 0 && limit < total {
-		total = limit
-	}
-	w := len(cols)
-	out := make([]storage.Row, 0, min(total, collectCapHint))
-
-	// A projection over an ascending contiguous column run needs no datum
-	// copies from row-form pages: every write path replaces stored rows
-	// wholesale (Heap.Update swaps the slice; UPDATE and the materializer
-	// clone before assigning), so result rows may alias the page rows.
-	// This covers SELECT * and any projection in storage order; a frozen
-	// page's cells are copied into the arena.
-	contig := w > 0
-	for k := 1; k < w; k++ {
-		if cols[k] != cols[0]+k {
-			contig = false
-			break
-		}
-	}
-	arenaRows := total
-	if contig {
-		arenaRows = min(total, int64(v.NumFrozenPages())*storage.PageCapacity)
-	}
-	var arena []types.Datum
-	if arenaRows*int64(w) <= collectCapHint {
-		arena = make([]types.Datum, int(arenaRows)*w)
-	}
-	// take carves n result rows out of the arena, or out of an arena of
-	// their own when the size hint did not cover them.
-	take := func(n int) []types.Datum {
-		if len(arena) < n*w {
-			arena = make([]types.Datum, n*w)
-		}
-		dst := arena[:n*w]
-		arena = arena[n*w:]
-		return dst
-	}
-	// A frozen page's segment columns are decoded for this call.
-	var dec *segDecoder
-	// emit appends the n rows laid out in dst, each capped at its width.
-	emit := func(dst []types.Datum, n int) {
-		for i := 0; i < n; i++ {
-			out = append(out, storage.Row(dst[i*w:(i+1)*w:(i+1)*w]))
-		}
-	}
-	for int64(len(out)) < total {
-		pv, ok := it.ReadPage(DefaultBatchSize)
-		if !ok {
-			break
-		}
-		rem := total - int64(len(out))
-		if fp := pv.Frozen; fp != nil {
-			n := int(min(int64(fp.NumRows()), rem))
-			dst := take(n)
-			for k, c := range cols {
-				vals, _, seg := fp.Col(c)
-				if seg != nil {
-					if dec == nil {
-						dec = getSegDecoder(w)
-						defer dec.release()
-					}
-					var err error
-					if vals, _, err = dec.decode(k, seg, nil); err != nil {
-						return nil, err
-					}
-				}
-				for i, d := range vals[:n] {
-					dst[i*w+k] = d
-				}
-			}
-			emit(dst, n)
-			continue
-		}
-		rows := pv.Rows
-		if int64(len(rows)) > rem {
-			rows = rows[:rem]
-		}
-		if contig {
-			c0, c1 := cols[0], cols[0]+w
-			for _, r := range rows {
-				out = append(out, r[c0:c1:c1])
-			}
-			continue
-		}
-		dst := take(len(rows))
-		for i, r := range rows {
-			for k, c := range cols {
-				dst[i*w+k] = r[c]
-			}
-		}
-		emit(dst, len(rows))
-	}
-	return out, nil
-}
-
 // CollectBatches drains a batch iterator into row-major rows and closes
 // it. Rows of each batch are carved out of one arena allocation (one for
 // the whole result when the source cardinality is exactly known), so the

@@ -153,9 +153,10 @@ func TestPropertyStripedMatchesRow(t *testing.T) {
 
 // TestPropertyStripedMixedHeap holds the scan's one loop to the reference
 // on a heap that has every kind of stretch at once: frozen pages, one page
-// un-frozen by an UPDATE between them, a row-form run of more than two
-// batches with deleted slots in it, and a short tail — scanned with and
-// without predicates, with NeedCols and with a page-skip test.
+// un-frozen by an UPDATE between them and holed by DELETEs, a row-form run
+// of more than two batches with deleted slots in it, and a short tail —
+// scanned with and without predicates, with NeedCols and with a page-skip
+// test, and collected under projections and LIMITs.
 func TestPropertyStripedMixedHeap(t *testing.T) {
 	const frozenPages, runPages = 5, 17
 	per := storage.PageCapacity
@@ -180,6 +181,11 @@ func TestPropertyStripedMixedHeap(t *testing.T) {
 		upd[1] = types.NewText("thawed")
 		if _, err := h.Update(thawed, upd); err != nil {
 			t.Fatalf("seed %d: un-freezing update: %v", seed, err)
+		}
+		for _, slot := range []int{0, 17, 90} {
+			if _, err := h.Delete(storage.RowID{Page: thawed.Page, Slot: slot}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for i := 0; i < 1+r.Intn(per/2); i++ {
 			// Deleting a deleted slot again fails; that is fine here.
@@ -243,6 +249,46 @@ func TestPropertyStripedMixedHeap(t *testing.T) {
 			_, max, ok := s.ColRange(0)
 			return ok && max.I < k
 		})
+
+		// Collected projections — contiguous, reordered, duplicated and
+		// single-column, over the striped column 1 and the plain column 2 —
+		// under LIMITs that end inside a frozen page, inside the thawed
+		// page, inside the holed run and past the end. Every result row is
+		// capped at its own width, and a LIMIT inside the first page reads
+		// one segment.
+		live := h.NumRows()
+		limits := []int64{-1, 0, 50, int64(2*per) + 30, int64((frozenPages+2)*per) + 30, live, live + 9}
+		for _, out := range [][]int{{0, 1, 2}, {1, 2}, {2, 0}, {1, 0, 1}, {1}, {2}} {
+			projs := make([]Expr, len(out))
+			for i, j := range out {
+				projs[i] = col(j, colTypes[j])
+			}
+			ref := mustRef(t)
+			all := ref(refProject(refScan(h), projs))
+			for _, limit := range limits {
+				want := all
+				var it BatchIterator = &BatchProjectIter{Exprs: projs, In: NewBatchScan(h, nil)}
+				if limit >= 0 {
+					want = refLimit(all, limit)
+					it = &BatchLimitIter{N: limit, In: it}
+				}
+				pager.Reset()
+				got, err := CollectBatches(it)
+				if err != nil {
+					t.Fatalf("seed %d cols %v limit %d: %v", seed, out, limit, err)
+				}
+				rowsEqual(t, got, want)
+				for i, row := range got {
+					if cap(row) != len(out) {
+						t.Fatalf("seed %d cols %v limit %d: row %d has cap %d", seed, out, limit, i, cap(row))
+					}
+				}
+				scanned, _ := pager.SegStats()
+				if limit < 0 && scanned != frozenPages-1 || limit == 50 && scanned != 1 {
+					t.Fatalf("seed %d cols %v limit %d: %d segments scanned", seed, out, limit, scanned)
+				}
+			}
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {

@@ -374,9 +374,8 @@ func TestJoinScansPruned(t *testing.T) {
 
 // TestRowAndBatchPlansAgree runs each statement under the reference plan
 // (EnableBatch=false) and the default plan and wants the same rows in the
-// same order. It also pins the two shortcuts EXPLAIN does not show: the
-// reference takes no fused collector and prunes, skips and compiles
-// nothing in its scans.
+// same order. It also pins the shortcuts EXPLAIN does not show: the
+// reference prunes, skips and compiles nothing in its scans.
 func TestRowAndBatchPlansAgree(t *testing.T) {
 	cat := buildCatalog(t, 500, true)
 	pruned := false // the default plan prunes some scan's columns
@@ -389,7 +388,7 @@ func TestRowAndBatchPlansAgree(t *testing.T) {
 		// select list, so the pruned scan must still materialize them.
 		`SELECT s FROM t WHERE v % 7 = 0`,
 		`SELECT s FROM t ORDER BY v DESC LIMIT 20`,
-		// Fused projection-over-scan collector (with and without LIMIT).
+		// Plain projections of a filterless scan (with and without LIMIT).
 		`SELECT v, s FROM t`,
 		`SELECT s, v, s FROM t LIMIT 13`,
 		// Aggregate over a fully pruned scan (no columns referenced).
@@ -416,9 +415,6 @@ func TestRowAndBatchPlansAgree(t *testing.T) {
 				t.Fatalf("plan %q (%s): %v", sql, name, err)
 			}
 			if !cfg.EnableBatch {
-				if sp.fuse {
-					t.Errorf("%q: reference plan takes the fused collector", sql)
-				}
 				for _, s := range scansOf(sp.Root) {
 					if s.NeedCols != nil || s.LazyCols != nil || s.Skip != nil || s.SelFilter != nil {
 						t.Errorf("%q: reference scan of %s has NeedCols %v, LazyCols %v, Skip set %v, SelFilter set %v",

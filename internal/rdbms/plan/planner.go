@@ -37,9 +37,6 @@ type SelectPlan struct {
 	Root        Node
 	ColumnNames []string
 	ColumnTypes []types.Type
-	// fuse allows the fused projection collector (fusedCollect), one of the
-	// shortcuts the reference plan (enable_batch off) does without.
-	fuse bool
 	// ValueDependent reports a plan of a statement with parameters that
 	// other parameter values could change (params.go): it must not be
 	// reused for them.
@@ -49,11 +46,9 @@ type SelectPlan struct {
 // Explain renders the plan tree.
 func (sp *SelectPlan) Explain() string { return Explain(sp.Root) }
 
-// Collect runs the plan to a fully materialized result. The common
-// projection-over-scan shape takes a fused collector that materializes
-// each result row in a single copy out of the heap; every other plan runs
-// through the operator pipeline. Reads go to live heaps; concurrent
-// sessions use CollectCtx.
+// Collect runs the plan to a fully materialized result through the
+// operator pipeline, the one way every plan's rows come out. Reads go to
+// live heaps; concurrent sessions use CollectCtx.
 func (sp *SelectPlan) Collect() ([]storage.Row, error) {
 	return sp.CollectCtx(nil)
 }
@@ -63,45 +58,7 @@ func (sp *SelectPlan) Collect() ([]storage.Row, error) {
 // is consistent with a single storage epoch per table even while writers
 // publish new versions. The caller owns ec and releases it.
 func (sp *SelectPlan) CollectCtx(ec *exec.ExecCtx) ([]storage.Row, error) {
-	if sp.fuse {
-		if rows, ok, err := fusedCollect(sp.Root, ec); ok {
-			return rows, err
-		}
-	}
 	return exec.CollectBatches(sp.Root.Open(ec))
-}
-
-// fusedCollect recognizes [Limit →] Project(plain columns) → filterless
-// Scan and short-circuits the operator pipeline: the scan's transpose
-// into column-major batches and the collector's re-transpose into result
-// rows collapse into one heap-to-result copy. Any other shape (filters,
-// expressions, aggregates, joins, sorts) reports ok=false.
-func fusedCollect(n Node, ec *exec.ExecCtx) (rows []storage.Row, ok bool, err error) {
-	limit := int64(-1)
-	if l, lok := n.(*LimitNode); lok {
-		limit = l.N
-		n = l.Child
-	}
-	p, pok := n.(*ProjectNode)
-	if !pok {
-		return nil, false, nil
-	}
-	s, sok := p.Child.(*ScanNode)
-	if !sok || len(s.Preds) > 0 {
-		return nil, false, nil
-	}
-	v := execView(ec, s.Heap)
-	width := len(v.Schema().Cols)
-	cols := make([]int, len(p.Exprs))
-	for i, e := range p.Exprs {
-		ce, cok := e.(*exec.ColExpr)
-		if !cok || ce.Idx < 0 || ce.Idx >= width {
-			return nil, false, nil
-		}
-		cols[i] = ce.Idx
-	}
-	rows, err = exec.CollectProjectedScan(v, cols, limit)
-	return rows, true, err
 }
 
 // conjunct is one WHERE predicate with its classification bookkeeping.
@@ -386,8 +343,7 @@ func (p *Planner) PlanSelect(stmt *sqlparse.SelectStmt) (*SelectPlan, error) {
 	// of the same answer. With enable_batch off none is applied, and the
 	// plan is the reference — the same tree of the same operators,
 	// reading every page and column, sorting in full under a LIMIT.
-	shortcuts := p.Cfg.EnableBatch
-	if shortcuts {
+	if p.Cfg.EnableBatch {
 		cur = p.rewriteTopN(cur)
 		p.fuseExtracts(cur)
 		p.prepareSegmented(cur, nil)
@@ -398,7 +354,7 @@ func (p *Planner) PlanSelect(stmt *sqlparse.SelectStmt) (*SelectPlan, error) {
 	if len(p.Params) > 0 && (len(stmt.From) > 1 && p.b.read || !paramsCovered(cur)) {
 		p.b.dependent = true
 	}
-	return &SelectPlan{Root: cur, ColumnNames: names, ColumnTypes: outTypes, fuse: shortcuts,
+	return &SelectPlan{Root: cur, ColumnNames: names, ColumnTypes: outTypes,
 		ValueDependent: p.b.dependent}, nil
 }
 

@@ -54,10 +54,9 @@ type Config struct {
 	// joins; beyond it the planner uses a merge join.
 	HashJoinMaxBuildRows float64
 	// EnableBatch applies the plan shortcuts — Top-N, fused extraction,
-	// segment kernels and compiled selection filters, column pruning, page
-	// skipping and the fused projection collector. Off, PlanSelect returns
-	// the reference plan: the same tree of the same batch operators with
-	// none of them. Session knob: SET enable_batch = on|off (the name
+	// segment kernels and compiled selection filters, column pruning and
+	// page skipping. Off, PlanSelect returns the reference plan: the same
+	// tree of the same batch operators with none of them. Session knob: SET enable_batch = on|off (the name
 	// predates the one operator set).
 	EnableBatch bool
 }

@@ -260,7 +260,7 @@ func identicalRow(a, b Row) bool {
 func TestUnfreezeGivesBackRows(t *testing.T) {
 	ways := map[string]func(h *Heap, pi int) error{
 		"update": func(h *Heap, pi int) error {
-			r, _ := h.Get(RowID{Page: pi, Slot: 5})
+			r, _, _ := h.Get(RowID{Page: pi, Slot: 5})
 			_, err := h.Update(RowID{Page: pi, Slot: 5}, r.Clone())
 			return err
 		},
@@ -306,7 +306,7 @@ func TestUnfreezeGivesBackRows(t *testing.T) {
 				t.Fatalf("%s: page %d did not freeze", name, pi)
 			}
 			for slot, want := range before[pi] {
-				if got, ok := h.Get(RowID{Page: pi, Slot: slot}); !ok || !identicalRow(got, want) {
+				if got, ok, _ := h.Get(RowID{Page: pi, Slot: slot}); !ok || !identicalRow(got, want) {
 					t.Fatalf("%s: frozen Get(%d.%d) = %v, %v; want %v", name, pi, slot, got, ok, want)
 				}
 			}

@@ -136,7 +136,7 @@ func TestChunkIterRowIDsMatchScan(t *testing.T) {
 			if id != wantIDs[k] {
 				t.Fatalf("maxRows %d: row %d at %v, Scan has it at %v", maxRows, k, id, wantIDs[k])
 			}
-			if got, ok := h.Get(id); !ok || got[0].I != rows[k][0].I {
+			if got, ok, _ := h.Get(id); !ok || got[0].I != rows[k][0].I {
 				t.Fatalf("maxRows %d: Get(%v) = %v, %v; the cursor delivered %v", maxRows, id, got, ok, rows[k])
 			}
 		}

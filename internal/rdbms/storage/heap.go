@@ -230,32 +230,35 @@ type RowID struct {
 // Scan iterates all live rows in heap order, charging page reads to the
 // pager. fn may not retain the row slice across calls unless it clones.
 // Returning false from fn stops the scan early (remaining pages unread).
-func (h *Heap) Scan(fn func(id RowID, row Row) bool) {
-	scanPages(h.pages, h.pager, fn)
+// A frozen page that fails to decode stops the scan with its error.
+func (h *Heap) Scan(fn func(id RowID, row Row) bool) error {
+	return scanPages(h.pages, h.pager, fn)
 }
 
 // scanPages is Scan over an explicit page table (shared by the live heap
 // and snapshots).
-func scanPages(pages []*page, pager *Pager, fn func(id RowID, row Row) bool) {
+func scanPages(pages []*page, pager *Pager, fn func(id RowID, row Row) bool) error {
 	for pi, p := range pages {
 		if pager != nil {
 			pager.recordRead(p.bytes)
 		}
 		rows := p.rows
 		if p.frozen != nil {
-			// A page that fails to build reads as empty; un-freeze
-			// surfaces the error.
-			rows, _ = p.frozen.materializeRows(0, p.frozen.n)
+			var err error
+			if rows, err = p.frozen.materializeRows(0, p.frozen.n); err != nil {
+				return err
+			}
 		}
 		for si, r := range rows {
 			if r == nil {
 				continue // deleted
 			}
 			if !fn(RowID{Page: pi, Slot: si}, r) {
-				return
+				return nil
 			}
 		}
 	}
+	return nil
 }
 
 // NumPages returns the current page count.
@@ -336,30 +339,33 @@ func (it *HeapChunkIter) Close() { it.flush() }
 func (it *HeapChunkIter) BytesRead() int64 { return it.read }
 
 // Get fetches a single row by ID, charging only that row's bytes (a point
-// read, as through an index).
-func (h *Heap) Get(id RowID) (Row, bool) {
+// read, as through an index). A frozen page that fails to decode the row
+// returns the error, not "no such row".
+func (h *Heap) Get(id RowID) (Row, bool, error) {
 	return getPageRow(h.pages, h.schema, h.pager, id)
 }
 
-func getPageRow(pages []*page, schema *Schema, pager *Pager, id RowID) (Row, bool) {
+func getPageRow(pages []*page, schema *Schema, pager *Pager, id RowID) (Row, bool, error) {
 	if id.Page < 0 || id.Page >= len(pages) {
-		return nil, false
+		return nil, false, nil
 	}
 	var r Row
 	if p := pages[id.Page]; p.frozen != nil && id.Slot >= 0 && id.Slot < p.frozen.n {
-		if rows, err := p.frozen.materializeRows(id.Slot, id.Slot+1); err == nil {
-			r = rows[0]
+		rows, err := p.frozen.materializeRows(id.Slot, id.Slot+1)
+		if err != nil {
+			return nil, false, err
 		}
+		r = rows[0]
 	} else if p.frozen == nil && id.Slot >= 0 && id.Slot < len(p.rows) {
 		r = p.rows[id.Slot]
 	}
 	if r == nil {
-		return nil, false
+		return nil, false, nil
 	}
 	if pager != nil {
 		pager.recordRead(rowFootprintIn(schema, r))
 	}
-	return r, true
+	return r, true, nil
 }
 
 // Update atomically replaces the row at id. It returns the previous row for

@@ -158,7 +158,7 @@ func (fp *FrozenPage) materializeRows(lo, hi int) ([]Row, error) {
 				dec = make([]types.Datum, hi-lo)
 			}
 			if err := c.Seg.Values(dec, lo, &bytes); err != nil {
-				return nil, fmt.Errorf("storage: un-freeze column %d: %w", j, err)
+				return nil, fmt.Errorf("storage: decode frozen column %d: %w", j, err)
 			}
 			vals = dec
 		}

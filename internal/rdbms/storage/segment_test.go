@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -97,7 +98,7 @@ func TestFreezeColdPages(t *testing.T) {
 	}
 
 	// Point reads work on frozen pages without un-freezing.
-	if r, ok := h.Get(RowID{Page: 0, Slot: 7}); !ok || r[0].String() != "7" {
+	if r, ok, _ := h.Get(RowID{Page: 0, Slot: 7}); !ok || r[0].String() != "7" {
 		t.Fatalf("Get on frozen page: ok=%v row=%v", ok, r)
 	}
 	if h.NumFrozenPages() != 2 {
@@ -155,7 +156,7 @@ func TestFreezeColdPages(t *testing.T) {
 	if _, unfrozen := pager.SegStats(); unfrozen != 1 {
 		t.Fatalf("segments unfrozen = %d, want 1", unfrozen)
 	}
-	if r, ok := h.Get(RowID{Page: 0, Slot: 3}); !ok || r[1].String() != "upd" {
+	if r, ok, _ := h.Get(RowID{Page: 0, Slot: 3}); !ok || r[1].String() != "upd" {
 		t.Fatalf("updated row not visible: ok=%v r=%v", ok, r)
 	}
 
@@ -169,7 +170,7 @@ func TestFreezeColdPages(t *testing.T) {
 	if h.NumFrozenPages() != 0 {
 		t.Fatalf("NumFrozenPages after ALTER = %d, want 0", h.NumFrozenPages())
 	}
-	if r, ok := h.Get(RowID{Page: 1, Slot: 0}); !ok || len(r) != 3 || !r[2].IsNull() {
+	if r, ok, _ := h.Get(RowID{Page: 1, Slot: 0}); !ok || len(r) != 3 || !r[2].IsNull() {
 		t.Fatalf("widened row wrong: %v", r)
 	}
 }
@@ -301,7 +302,7 @@ func TestFrozenRowsOneArena(t *testing.T) {
 		if r[0].String() != fmt.Sprint(i) || r[1].String() != fmt.Sprintf("row-%d", i) {
 			t.Fatalf("row %d = %v", i, r)
 		}
-		if got, ok := h.Get(RowID{Page: 0, Slot: i}); !ok || !slices.EqualFunc(got, r, types.Equal) {
+		if got, ok, _ := h.Get(RowID{Page: 0, Slot: i}); !ok || !slices.EqualFunc(got, r, types.Equal) {
 			t.Fatalf("Get(0.%d) = %v, %v; Scan's row is %v", i, got, ok, r)
 		}
 	}
@@ -311,5 +312,52 @@ func TestFrozenRowsOneArena(t *testing.T) {
 	grown := append(rows[0], types.NewInt(-1))
 	if rows[1][0].String() != "1" || &grown[0] == &rows[0][0] {
 		t.Fatal("appending to a frozen page's row wrote into the arena")
+	}
+}
+
+// failingSegment is a ColumnSegment whose values cannot be decoded.
+type failingSegment struct{ n int }
+
+var errSegmentDecode = errors.New("segment decode failed")
+
+func (f *failingSegment) NumRows() int      { return f.n }
+func (f *failingSegment) AttrIDs() []uint32 { return nil }
+func (f *failingSegment) SizeBytes() int64  { return int64(f.n) }
+func (f *failingSegment) Values([]types.Datum, int, *ValueArena) error {
+	return errSegmentDecode
+}
+
+// TestFrozenPageDecodeErrorSurfaces: a frozen page whose segment fails to
+// decode is an error to a full scan and to a point read of its rows, on
+// the live heap and on a snapshot alike — never an empty page or a
+// missing row.
+func TestFrozenPageDecodeErrorSurfaces(t *testing.T) {
+	h, _ := freezeTestHeap(t, 2*rowsPerPage+5)
+	h.SetColumnSegmenter(func(col int, vals []types.Datum) (ColumnSegment, error) {
+		if col != 0 {
+			return nil, nil
+		}
+		return &failingSegment{n: len(vals)}, nil
+	})
+	if got := analyzeFreezes(h); got != 2 {
+		t.Fatalf("ANALYZE froze %d pages, want 2", got)
+	}
+	h.Publish()
+	snap := h.CurrentSnapshot()
+	for name, v := range map[string]interface {
+		Scan(func(RowID, Row) bool) error
+		Get(RowID) (Row, bool, error)
+	}{"heap": h, "snapshot": snap} {
+		seen := 0
+		err := v.Scan(func(RowID, Row) bool { seen++; return true })
+		if !errors.Is(err, errSegmentDecode) {
+			t.Errorf("%s: Scan = %v after %d rows, want the decode error", name, err, seen)
+		}
+		if r, ok, err := v.Get(RowID{Page: 1, Slot: 3}); !errors.Is(err, errSegmentDecode) || ok || r != nil {
+			t.Errorf("%s: Get on the broken page = %v, %v, %v, want the decode error", name, r, ok, err)
+		}
+		if r, ok, err := v.Get(RowID{Page: 2, Slot: 4}); err != nil || !ok || r[0].I != 2*rowsPerPage+4 {
+			t.Errorf("%s: Get on the row-form tail = %v, %v, %v", name, r, ok, err)
+		}
 	}
 }

@@ -40,11 +40,8 @@ type ReadView interface {
 	Schema() *Schema
 	NumRows() int64
 	SizeBytes() int64
-	NumFrozenPages() int
 	Segmented() bool
 	IterateChunks() *HeapChunkIter
-	Scan(fn func(id RowID, row Row) bool)
-	Get(id RowID) (Row, bool)
 	// Epoch is the heap's publish counter at the view's creation (the live
 	// heap reports its current epoch).
 	Epoch() uint64
@@ -151,13 +148,14 @@ func (s *HeapSnapshot) IterateChunks() *HeapChunkIter {
 	return &HeapChunkIter{pages: s.pages, pager: s.pager}
 }
 
-// Scan iterates all live rows of the snapshot in heap order.
-func (s *HeapSnapshot) Scan(fn func(id RowID, row Row) bool) {
-	scanPages(s.pages, s.pager, fn)
+// Scan iterates all live rows of the snapshot in heap order; it stops at
+// a frozen page that fails to decode and returns that error.
+func (s *HeapSnapshot) Scan(fn func(id RowID, row Row) bool) error {
+	return scanPages(s.pages, s.pager, fn)
 }
 
 // Get fetches a single row by ID from the snapshot.
-func (s *HeapSnapshot) Get(id RowID) (Row, bool) {
+func (s *HeapSnapshot) Get(id RowID) (Row, bool, error) {
 	return getPageRow(s.pages, s.schema, s.pager, id)
 }
 

@@ -100,7 +100,7 @@ func TestHeapUpdateDeleteRestore(t *testing.T) {
 	if err != nil || old[1].Text() != "x" {
 		t.Fatalf("update: %v %v", old, err)
 	}
-	got, ok := h.Get(id)
+	got, ok, _ := h.Get(id)
 	if !ok || got[1].Text() != "updated" {
 		t.Errorf("get after update = %v", got)
 	}
@@ -111,7 +111,7 @@ func TestHeapUpdateDeleteRestore(t *testing.T) {
 	if h.NumRows() != 4 {
 		t.Errorf("rows after delete = %d", h.NumRows())
 	}
-	if _, ok := h.Get(id); ok {
+	if _, ok, _ := h.Get(id); ok {
 		t.Error("deleted row should be gone")
 	}
 	if _, err := h.Update(id, mkRow(2, "z", 0)); err == nil {
@@ -159,7 +159,7 @@ func TestLastRowID(t *testing.T) {
 		h.Insert(mkRow(int64(i), "x", 0))
 	}
 	id := h.LastRowID()
-	row, ok := h.Get(id)
+	row, ok, _ := h.Get(id)
 	if !ok || row[0].I != 129 {
 		t.Errorf("last row = %v %v", row, ok)
 	}
