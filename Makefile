@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint race race-sessions stress-sessions bench-smoke check bench bench-diff fuzz fmt
+.PHONY: all build test vet lint race race-sessions stress-sessions bench-smoke check bench bench-diff fuzz fmt fmt-check
 
 all: build
 
@@ -67,13 +67,13 @@ bench-smoke:
 	$(GO) vet -C benchmark .
 	$(GO) test -C benchmark .
 
-# check is the gate CI runs: static analysis plus the full test suite
-# under the race detector (concurrent sessions — readers beside writers,
-# the materializer and sinewd — are the concurrency surface; a statement
-# runs on one goroutine), with extra GOMAXPROCS legs for the
+# check is the gate CI runs: formatting and static analysis plus the full
+# test suite under the race detector (concurrent sessions — readers beside
+# writers, the materializer and sinewd — are the concurrency surface; a
+# statement runs on one goroutine), with extra GOMAXPROCS legs for the
 # concurrent-session/snapshot surface, and the benchmark module's smoke
 # test.
-check: vet lint race race-sessions bench-smoke
+check: fmt-check vet lint race race-sessions bench-smoke
 
 # fuzz exercises the serializer's read side, its one-pass write side (JSON
 # bytes straight into the record builder, held to the tree path's answer),
@@ -116,3 +116,8 @@ bench-diff:
 
 fmt:
 	gofmt -w $$($(GO) list -f '{{.Dir}}' ./...)
+
+# fmt-check fails, listing the files, when gofmt would change any file of
+# the directories fmt formats.
+fmt-check:
+	@out="$$(gofmt -l $$($(GO) list -f '{{.Dir}}' ./...))"; test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }

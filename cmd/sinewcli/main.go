@@ -149,20 +149,12 @@ func command(db *core.DB, mat *core.Materializer, line string) error {
 		fmt.Print(out)
 		return nil
 	case "\\stats":
-		s := db.RDBMS().PlanCacheStats()
-		fmt.Printf("plan cache: %d hits, %d misses, %d entries, %d invalidations (epoch %d)\n",
-			s.Hits, s.Misses, s.Entries, s.Invalidations, s.Epoch)
-		skipped, _ := db.RDBMS().Pager().ExecStats()
-		fmt.Printf("executor: %d pages skipped since last reset\n", skipped)
-		zoneSkipped, selBatches, _ := db.RDBMS().Pager().SelStats()
-		fmt.Printf("striped: %d segments skipped by zone maps, %d selection-vector batches\n",
-			zoneSkipped, selBatches)
-		sortBatches, topnShort, _ := db.RDBMS().Pager().SortStats()
-		fmt.Printf("sort: %d batches sorted, %d top-n short circuits\n",
-			sortBatches, topnShort)
-		snapOpen, snapEpoch, pagesCoW := db.RDBMS().SnapshotStats()
-		fmt.Printf("snapshots: %d pinned, epoch %d, %d pages copied-on-write, %d sessions active\n",
-			snapOpen, snapEpoch, pagesCoW, db.RDBMS().SessionsActive())
+		// The counters as SELECT sinew_stats() reports them.
+		res, err := db.Query(`SELECT sinew_stats()`)
+		if err != nil {
+			return err
+		}
+		fmt.Println(res.Rows[0][0].Text())
 		return nil
 	default:
 		return fmt.Errorf("unknown command %s", fields[0])

@@ -46,6 +46,7 @@ func TestCommandLifecycle(t *testing.T) {
 		`\synccat`,
 		`\rewrite SELECT kind FROM events`,
 		`\explain SELECT kind FROM events WHERE n > 1`,
+		`\stats`,
 	} {
 		if err := command(db, mat, cmd); err != nil {
 			t.Errorf("%s: %v", cmd, err)

@@ -204,7 +204,8 @@ func (db *DB) registerUDFs() {
 	// sinew_stats() reports runtime counters — the prepared-plan cache, the
 	// frozen pages and their segments' bytes, plus the executor's page-skip
 	// and operator totals since the last pager reset — as a one-line text
-	// summary.
+	// summary. sel_vector_batches counts the selection-carrying batches
+	// scans returned, frozen pages and row-form runs alike.
 	db.rdb.RegisterFunc(&exec.FuncDef{
 		Name: "sinew_stats", MinArgs: 0, MaxArgs: 0,
 		RetType:     func([]types.Type) types.Type { return types.Text },

@@ -188,8 +188,9 @@ func (b *RowBatch) AliasCol(j int, src *RowBatch, srcIdx int) {
 	}
 }
 
-// FillRows replaces the batch contents with a column-wise transpose of
-// rows, growing column and bitmap capacity as needed. It is the bulk
+// FillRows replaces the batch contents, selection vector included, with a
+// column-wise transpose of rows, growing column and bitmap capacity as
+// needed. It is the bulk
 // equivalent of calling AppendRow per row, without per-cell append and
 // bitmap-grow checks. When cols is non-nil only those column indices are
 // materialized; the rest stay empty (length 0) — the pruned-scan shape,
@@ -210,6 +211,7 @@ func (b *RowBatch) FillRows(rows []storage.Row, cols []int) {
 		}
 	}
 	b.n = len(rows)
+	b.Sel = nil
 }
 
 // fillCol transposes column j of rows into the batch.
@@ -292,46 +294,44 @@ type BatchSizeHinter interface {
 //     are decoded for this statement, at the rows it keeps, into vectors
 //     of the scan's own; a column only segment kernels read is not decoded
 //     at all (LazyCols): RowBatch.Segs carries the column segments so
-//     segment-aware operators can skip the datums entirely. Aliased
-//     storage is never compacted in place: a pushed-down filter runs as a
-//     SelFilter over the page vectors and publishes the surviving rows
-//     through RowBatch.Sel (selfilter.go);
+//     segment-aware operators can skip the datums entirely;
 //   - a run of row-form pages is transposed, up to DefaultBatchSize rows at
-//     a time, into a scan-owned buffer and filtered by in-place compaction.
+//     a time, into a scan-owned buffer.
 //
-// A fully frozen heap therefore yields one batch per page, a never-frozen
-// one DefaultBatchSize-row batches, and a mixed one both, in heap order.
+// Either way the scan's SelFilter runs over the batch and publishes the
+// rows that pass through RowBatch.Sel (selfilter.go); no row is ever
+// moved. A fully frozen heap therefore yields one batch per page, a
+// never-frozen one DefaultBatchSize-row batches, and a mixed one both, in
+// heap order.
 //
 // Set-up is the constructor's filter, then NeedCols, SetParams,
 // SetPageSkip and SetSelFilter, all before the first NextBatch
 // (plan.ScanNode.Open is the one place the planner does it).
 type BatchScanIter struct {
-	Filter Expr
 	// NeedCols, when non-nil, lists the only column indices downstream
 	// operators read (ascending). The scan materializes just those columns
 	// into its batches; the rest stay empty.
 	NeedCols []int
 	// LazyCols lists needed columns that no operator above reads as
 	// values: a segment kernel or a Top-N takes them through
-	// RowBatch.Segs, or only Filter reads them. On a frozen page where one
-	// is segment-backed the scan decodes it only for a conjunct that reads
-	// it; a kernel that declines the segment decodes it for itself, and a
-	// Top-N decodes the rows it keeps.
+	// RowBatch.Segs, or only the filter reads them. On a frozen page where
+	// one is segment-backed the scan decodes it only for a conjunct that
+	// reads it; a kernel that declines the segment decodes it for itself,
+	// and a Top-N decodes the rows it keeps.
 	LazyCols []int
 
 	chunk *storage.HeapChunkIter
 	width int
 	nrows int64 // live rows at open (for SizeHint; no filter only)
 	ctx   *EvalCtx
-	keep  []bool
 	shell *RowBatch // frozen-page shell; aliases, never pooled/Reset
 	own   *RowBatch // pooled transpose buffer for row-form runs
 
-	// In-scan selection filtering (selfilter.go): the compiled filter, its
-	// per-scan state, and the count of selection-carrying batches emitted
-	// (flushed to the heap's stats on Close).
+	// The filter, its evaluation state, and the count of
+	// selection-carrying batches returned (flushed to the heap's stats on
+	// Close).
 	sf         *SelFilter
-	selState   *selScanState
+	eval       *selEval
 	heap       *storage.Heap
 	selBatches int64
 
@@ -339,45 +339,33 @@ type BatchScanIter struct {
 	// returned, when the scan reports them (ReportRowIDs).
 	ids []storage.RowID
 
-	// The frozen page being delivered, how far each of its columns is
-	// filled into the shell, and the decoder of its segment columns.
-	fp     *storage.FrozenPage
-	filled []fillState
-	dec    *segDecoder
+	// The frozen page being delivered (nil for a row-form run) and the
+	// decoder of its segment columns.
+	fp  *storage.FrozenPage
+	dec *segDecoder
 }
 
-// fillState is how much of a frozen page's column the shell holds.
-type fillState uint8
-
-const (
-	unfilled fillState = iota
-	// filledSel: a segment column decoded at the rows of a selection; the
-	// page's selection only narrows until the batch is returned, except
-	// for a replay, which fills every row.
-	filledSel
-	filledAll
-)
-
-// NewBatchScan returns a batch scan over all pages of v. Stat flushes on
+// NewBatchScan returns a batch scan over all pages of v, filtered by
+// filter (nil: none), compiled as one conjunct with no extraction slots;
+// SetSelFilter replaces it with a plan's ranked form. Stat flushes on
 // Close key on the view's owner heap, so snapshot scans account like live
 // scans.
 func NewBatchScan(v storage.ReadView, filter Expr) *BatchScanIter {
 	s := &BatchScanIter{
-		Filter: filter,
-		chunk:  v.IterateChunks(),
-		width:  len(v.Schema().Cols),
-		ctx:    NewEvalCtx(),
-		heap:   v.Owner(),
+		chunk: v.IterateChunks(),
+		width: len(v.Schema().Cols),
+		ctx:   NewEvalCtx(),
+		heap:  v.Owner(),
+		nrows: v.NumRows(),
 	}
-	// The size hint is exact only without a filter.
-	if filter == nil {
-		s.nrows = v.NumRows()
+	if filter != nil {
+		s.sf = CompileSelFilter([]Expr{filter}, s.width, nil, nil)
 	}
 	return s
 }
 
-// SetParams gives the scan the statement's parameter values: its filter,
-// the selection kernels and the page-skip test read them.
+// SetParams gives the scan the statement's parameter values: its filter
+// and the page-skip test read them.
 func (s *BatchScanIter) SetParams(params []types.Datum) { s.ctx.SetParams(params) }
 
 // SetPageSkip installs the page-skip predicate mk derives from the scan's
@@ -388,12 +376,13 @@ func (s *BatchScanIter) SetPageSkip(mk func(*storage.HeapChunkIter, []types.Datu
 	s.chunk.SetSkip(mk(s.chunk, s.ctx.params))
 }
 
-// SetSelFilter installs the plan-compiled form of Filter for frozen pages;
-// its conjunction must be equivalent to Filter, which stays the row-form
-// and replay predicate. Without one (a plan made before the heap's first
-// freeze, a scan built by hand) the first frozen page compiles Filter as a
-// single conjunct.
-func (s *BatchScanIter) SetSelFilter(sf *SelFilter) { s.sf = sf }
+// SetSelFilter installs the plan-compiled filter, whose conjunction must
+// be equivalent to the constructor's filter; nil keeps that one.
+func (s *BatchScanIter) SetSelFilter(sf *SelFilter) {
+	if sf != nil {
+		s.sf = sf
+	}
+}
 
 // ReportRowIDs makes the scan record where each row it returns is stored
 // (RowIDs): a write's scan asks for them, a SELECT's does not and does no
@@ -412,134 +401,132 @@ func (s *BatchScanIter) NextBatch() (*RowBatch, error) {
 		if !ok {
 			return nil, nil
 		}
-		var b *RowBatch
-		var err error
 		s.ids = pv.IDs
-		switch {
-		case pv.Frozen == nil:
-			b, err = s.rowBatch(pv.Rows)
-		case s.Filter == nil:
-			b, err = s.frozenBatch(pv.Frozen)
-		default:
-			b, err = s.frozenSelBatch(pv.Frozen)
+		var b *RowBatch
+		if pv.Frozen == nil {
+			b = s.rowBatch(pv.Rows)
+		} else {
+			b = s.frozenBatch(pv.Frozen)
 		}
-		if b != nil || err != nil {
-			return b, err
+		sel, err := s.filter(b)
+		if err != nil {
+			return nil, err
 		}
-		// Everything filtered out: read on.
+		b.Sel = sel
+		if b.Len() == 0 {
+			continue // everything filtered out: read on
+		}
+		if err := s.fillNeeded(sel, false); err != nil {
+			return nil, err
+		}
+		if sel != nil {
+			s.selBatches++
+		}
+		return b, nil
 	}
 }
 
-// rowBatch transposes a run of row-form rows into the scan-owned batch and
-// compacts it by Filter, and the rows' addresses s.ids (nil when the scan
-// reports none) with it; (nil, nil) when no row survives. The buffer is
-// separate from the frozen-page shell — FillRows reuses column capacity,
-// which must never overwrite aliased page vectors — and pooled, so column
-// capacity survives across queries.
-func (s *BatchScanIter) rowBatch(rows []storage.Row) (*RowBatch, error) {
+// filter runs the scan's SelFilter over b and returns the rows that pass
+// (nil: all of them). A conjunct that fails sends the batch to a replay of
+// the whole conjunction over every row, which reads every needed column.
+func (s *BatchScanIter) filter(b *RowBatch) ([]int32, error) {
+	if s.sf == nil {
+		return nil, nil
+	}
+	if s.eval == nil {
+		s.eval = newSelEval(s.sf, s.width)
+	}
+	s.eval.begin(b)
+	if sel, err := s.eval.narrow(s.ctx, s); err == nil {
+		return sel, nil
+	}
+	if err := s.fillNeeded(nil, true); err != nil {
+		return nil, err
+	}
+	return s.eval.replay(b, s.ctx)
+}
+
+// rowBatch transposes a run of row-form rows into the scan-owned batch.
+// The buffer is separate from the frozen-page shell — FillRows reuses
+// column capacity, which must never overwrite aliased page vectors — and
+// pooled, so column capacity survives across queries.
+func (s *BatchScanIter) rowBatch(rows []storage.Row) *RowBatch {
 	if s.own == nil {
 		s.own = GetBatch(s.width)
 	}
-	b := s.own
-	b.FillRows(rows, s.NeedCols)
-	if s.Filter == nil {
-		return b, nil
+	s.fp = nil
+	s.own.FillRows(rows, s.NeedCols)
+	return s.own
+}
+
+// frozenBatch starts delivering fp in the shell: needed plain columns
+// alias the page's vectors, and every segment-backed column rides in Segs,
+// decoded only as it is filled.
+func (s *BatchScanIter) frozenBatch(fp *storage.FrozenPage) *RowBatch {
+	b := s.shell
+	if b == nil {
+		b = &RowBatch{
+			Cols:  make([][]types.Datum, s.width),
+			Nulls: make([]NullBitmap, s.width),
+			Segs:  make([]storage.ColumnSegment, s.width),
+		}
+		s.shell = b
 	}
-	keep, err := EvalPredBatch(s.Filter, b, s.ctx, s.keep)
-	if err != nil {
-		return nil, err
+	s.fp = fp
+	if s.dec != nil {
+		s.dec.forget()
 	}
-	s.keep = keep
-	if compactBatch(b, keep) == 0 {
-		return nil, nil
-	}
-	k := 0
-	for i, id := range s.ids {
-		if keep[i] {
-			s.ids[k] = id
-			k++
+	for j := 0; j < s.width; j++ {
+		vals, nulls, seg := fp.Col(j)
+		b.Cols[j], b.Nulls[j], b.Segs[j] = nil, nil, seg
+		if seg == nil && s.needs(j) {
+			b.Cols[j], b.Nulls[j] = vals, nulls
 		}
 	}
-	s.ids = s.ids[:k]
-	return b, nil
-}
-
-// frozenBatch wraps one frozen page as a batch: needed plain columns
-// alias the page's vectors, needed segment columns are decoded for this
-// statement (none that only a segment kernel reads), and every
-// segment-backed column is exposed through Segs.
-func (s *BatchScanIter) frozenBatch(fp *storage.FrozenPage) (*RowBatch, error) {
-	b := s.beginFrozen(fp)
-	if err := s.fillNeeded(nil, false); err != nil {
-		return nil, err
-	}
-	s.attachSegs(b, fp)
 	b.n = fp.NumRows()
-	return b, nil
+	b.Sel = nil
+	return b
 }
 
-// beginFrozen starts delivering fp: the cleared shell, nothing filled.
-func (s *BatchScanIter) beginFrozen(fp *storage.FrozenPage) *RowBatch {
-	s.fp = fp
-	if s.filled == nil {
-		s.filled = make([]fillState, s.width)
-	}
-	clear(s.filled)
-	return s.frozenShell()
+// needs reports whether the operators above or the filter read column j.
+func (s *BatchScanIter) needs(j int) bool {
+	return s.NeedCols == nil || slices.Contains(s.NeedCols, j)
 }
 
-// fill puts column j of the page being delivered into the shell (and the
-// selection filter's view): a plain column by alias, a segment column
-// decoded at the rows of sel, every row when sel is nil.
+// fill decodes segment column j of the page being delivered at the rows
+// of sel (every row when sel is nil) into the shell and the filter's view,
+// unless it is already there; plain columns are in place from the start,
+// and so is every column of a row-form run.
 func (s *BatchScanIter) fill(j int, sel []int32) error {
-	if f := s.filled[j]; f == filledAll || f == filledSel && sel != nil {
+	if s.fp == nil || s.shell.Segs[j] == nil {
 		return nil
 	}
-	vals, nulls, seg := s.fp.Col(j)
-	m, state := NullBitmap(nulls), filledAll
-	if seg != nil {
-		if s.dec == nil {
-			s.dec = getSegDecoder(s.width)
-		}
-		var err error
-		if vals, m, err = s.dec.decode(j, seg, sel); err != nil {
+	d := useDecoder(&s.dec, s.width)
+	if !d.held(j, sel) {
+		if _, _, err := d.decode(j, s.shell.Segs[j], sel); err != nil {
 			return err
 		}
-		if sel != nil {
-			state = filledSel
-		}
 	}
-	s.shell.Cols[j], s.shell.Nulls[j] = vals, m
-	if s.selState != nil {
-		s.selState.view.Cols[j] = vals
+	s.shell.Cols[j], s.shell.Nulls[j] = d.cols[j], d.nulls[j]
+	if s.eval != nil {
+		s.eval.view.Cols[j] = d.cols[j]
 	}
-	s.filled[j] = state
 	return nil
 }
 
-// fillNeeded fills the scan's column set at the rows of sel — what the
-// operators above read. A lazy segment column stays undecoded unless all
-// is set: a replay of the pushed-down filter and a conjunct whose columns
-// are unknown read every needed column.
+// fillNeeded decodes the page's needed segment columns at the rows of sel
+// — what the operators above read. A lazy one stays undecoded unless all
+// is set: a replay of the filter and a conjunct whose columns are unknown
+// read every needed column.
 func (s *BatchScanIter) fillNeeded(sel []int32, all bool) error {
-	fillOne := func(j int) error {
-		if !all && slices.Contains(s.LazyCols, j) {
-			if _, _, seg := s.fp.Col(j); seg != nil {
-				return nil
-			}
-		}
-		return s.fill(j, sel)
-	}
-	if s.NeedCols == nil {
-		for j := 0; j < s.width; j++ {
-			if err := fillOne(j); err != nil {
-				return err
-			}
-		}
+	if s.fp == nil {
 		return nil
 	}
-	for _, j := range s.NeedCols {
-		if err := fillOne(j); err != nil {
+	for j := 0; j < s.width; j++ {
+		if s.shell.Segs[j] == nil || !s.needs(j) || !all && slices.Contains(s.LazyCols, j) {
+			continue
+		}
+		if err := s.fill(j, sel); err != nil {
 			return err
 		}
 	}
@@ -555,17 +542,31 @@ func (s *BatchScanIter) fillNeeded(sel []int32, all bool) error {
 type segDecoder struct {
 	cols  [][]types.Datum
 	nulls []NullBitmap
+	// state is what decode last left in each column since forget.
+	state []fillState
 	bytes storage.ValueArena
 	width int // the columns to make room for at the first decode
 }
 
+// fillState is how much of a page's column a decoder holds.
+type fillState uint8
+
+const (
+	unfilled fillState = iota
+	filledSel
+	filledAll
+)
+
 var segDecoders = sync.Pool{New: func() any { return new(segDecoder) }}
 
-// getSegDecoder returns a pooled decoder for a scan of width columns.
-func getSegDecoder(width int) *segDecoder {
-	d := segDecoders.Get().(*segDecoder)
-	d.width = width
-	return d
+// useDecoder returns *d, taking a decoder for batches of width columns
+// from the pool first when there is none.
+func useDecoder(d **segDecoder, width int) *segDecoder {
+	if *d == nil {
+		*d = segDecoders.Get().(*segDecoder)
+		(*d).width = width
+	}
+	return *d
 }
 
 // release returns d to the pool: its vectors cleared, so they pin no value,
@@ -575,8 +576,24 @@ func (d *segDecoder) release() {
 	for j := range d.cols {
 		clear(d.cols[j])
 	}
+	d.forget()
 	d.bytes = storage.ValueArena{}
 	segDecoders.Put(d)
+}
+
+// forget starts a new page: no column is held.
+func (d *segDecoder) forget() { clear(d.state) }
+
+// held reports whether column j, as decode last left it since forget,
+// serves a reader of the rows of sel: decoded at every row, or at a
+// selection while sel is one too — a page's selection only narrows until
+// its batch is returned, except for a replay, which reads every row.
+func (d *segDecoder) held(j int, sel []int32) bool {
+	if j >= len(d.state) {
+		return false
+	}
+	f := d.state[j]
+	return f == filledAll || f == filledSel && sel != nil
 }
 
 // decode decodes column j of a page from seg at the rows of sel (every
@@ -588,6 +605,7 @@ func (d *segDecoder) decode(j int, seg storage.ColumnSegment, sel []int32) ([]ty
 		w := max(j+1, d.width)
 		d.cols = slices.Grow(d.cols, w-len(d.cols))[:w]
 		d.nulls = slices.Grow(d.nulls, w-len(d.nulls))[:w]
+		d.state = slices.Grow(d.state, w-len(d.state))[:w]
 	}
 	n := seg.NumRows()
 	col, m := d.cols[j], d.nulls[j]
@@ -601,7 +619,7 @@ func (d *segDecoder) decode(j int, seg storage.ColumnSegment, sel []int32) ([]ty
 		clear(m)
 	}
 	col = col[:n]
-	d.cols[j], d.nulls[j] = col, m
+	d.cols[j], d.nulls[j], d.state[j] = col, m, unfilled
 	if sel == nil {
 		if err := seg.Values(col, 0, &d.bytes); err != nil {
 			return nil, nil, err
@@ -622,16 +640,11 @@ func (d *segDecoder) decode(j int, seg storage.ColumnSegment, sel []int32) ([]ty
 			m.Set(i)
 		}
 	}
-	return col, m, nil
-}
-
-// attachSegs exposes every segment-backed column of fp through b.Segs.
-func (s *BatchScanIter) attachSegs(b *RowBatch, fp *storage.FrozenPage) {
-	for j := 0; j < s.width; j++ {
-		if _, _, seg := fp.Col(j); seg != nil {
-			b.Segs[j] = seg
-		}
+	d.state[j] = filledAll
+	if sel != nil {
+		d.state[j] = filledSel
 	}
+	return col, m, nil
 }
 
 // Close implements BatchIterator.
@@ -653,70 +666,28 @@ func (s *BatchScanIter) Close() {
 
 // SizeHint implements BatchSizeHinter: exact when unfiltered.
 func (s *BatchScanIter) SizeHint() (int64, bool) {
-	if s.Filter != nil {
+	if s.sf != nil {
 		return 0, false
 	}
 	return s.nrows, true
 }
 
-// compactBatch keeps only rows with keep[i] set, in order, and returns the
-// surviving count. It requires a dense batch: the scan compacts its own
-// batch straight out of FillRows, before any selection vector can exist,
-// so logical and physical indices coincide.
-//
-//lint:ignore sinew/sel-invariant dense-only helper: the scan compacts its own FillRows batch, which never carries Sel
-func compactBatch(b *RowBatch, keep []bool) int {
-	n := b.Len()
-	k := 0
-	for i := 0; i < n; i++ {
-		if keep[i] {
-			k++
-		}
-	}
-	if k == n {
-		return k
-	}
-	for j := range b.Cols {
-		col := b.Cols[j]
-		if len(col) == 0 {
-			continue // column pruned away by the scan
-		}
-		m := b.Nulls[j]
-		for w := range m {
-			m[w] = 0
-		}
-		out := 0
-		for i := 0; i < n; i++ {
-			if !keep[i] {
-				continue
-			}
-			col[out] = col[i]
-			if col[i].IsNull() {
-				b.growNulls(j, out+1)
-				b.Nulls[j].Set(out)
-			}
-			out++
-		}
-		b.Cols[j] = col[:out]
-	}
-	b.n = k
-	return k
-}
-
 // ---------- Batch filter / project / limit ----------
 
-// BatchFilterIter drops rows failing the predicate, evaluating it once per
-// batch. Output batches are compacted copies, never aliases of the input.
+// BatchFilterIter drops the rows of its input that fail Filter, run as a
+// scan runs its own (ranked conjuncts, a replay of the whole conjunction
+// on any error), without extraction slots. The batch it returns is its
+// input's, columns aliased, under a narrowed selection vector of the
+// filter's own.
 type BatchFilterIter struct {
-	In   BatchIterator
-	Pred Expr
-	// Params are the statement's parameter values, for a Pred holding
+	In     BatchIterator
+	Filter *SelFilter
+	// Params are the statement's parameter values, for a Filter holding
 	// ParamExprs.
 	Params []types.Datum
 
 	ctx  *EvalCtx
-	out  *RowBatch
-	keep []bool
+	eval *selEval
 }
 
 // NextBatch implements BatchIterator.
@@ -727,52 +698,22 @@ func (f *BatchFilterIter) NextBatch() (*RowBatch, error) {
 	}
 	for {
 		in, err := f.In.NextBatch()
-		if err != nil {
+		if in == nil || err != nil {
 			return nil, err
 		}
-		if in == nil {
-			return nil, nil
+		if f.eval == nil {
+			f.eval = newSelEval(f.Filter, in.Width())
 		}
-		keep, err := EvalPredBatch(f.Pred, in, f.ctx, f.keep)
+		f.eval.begin(in)
+		sel, err := f.eval.narrow(f.ctx, nil)
 		if err != nil {
-			return nil, err
-		}
-		f.keep = keep
-		if f.out == nil {
-			f.out = NewRowBatch(in.Width(), in.Len())
-		}
-		out := f.out
-		out.Reset()
-		for len(out.Cols) < in.Width() {
-			out.Cols = append(out.Cols, nil)
-			out.Nulls = append(out.Nulls, nil)
-		}
-		n := in.Len()
-		sel := in.Sel
-		kept := 0
-		for si := 0; si < n; si++ {
-			if keep[si] {
-				kept++
+			if sel, err = f.eval.replay(in, f.ctx); err != nil {
+				return nil, err
 			}
 		}
-		for j := range in.Cols {
-			src := in.Cols[j]
-			col := out.Cols[j][:0]
-			// A column-pruned scan leaves unneeded columns empty; keep
-			// them empty rather than indexing past their length. The keep
-			// mask is logical, so a selection-carrying input is compacted
-			// through its Sel here (the output is always dense).
-			if len(src) == in.PhysLen() {
-				for si := 0; si < n; si++ {
-					if keep[si] {
-						col = append(col, src[selIdx(sel, si)])
-					}
-				}
-			}
-			out.SetCol(j, col)
-		}
-		out.n = kept
-		if out.n > 0 {
+		out := f.eval.view
+		out.Sel = sel
+		if out.Len() > 0 {
 			return out, nil
 		}
 	}
@@ -1013,36 +954,8 @@ func (m *BatchMultiExtractIter) NextBatch() (*RowBatch, error) {
 		}
 		m.cols[k] = m.cols[k][:n]
 	}
-	handled := false
-	if m.SegKernel != nil && m.DataIdx < len(in.Segs) {
-		if seg := in.Segs[m.DataIdx]; seg != nil && seg.NumRows() == n {
-			var err error
-			handled, err = m.SegKernel(seg, m.cols)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	if !handled {
-		data := in.Cols[m.DataIdx]
-		if seg := lazySeg(in, m.DataIdx); seg != nil {
-			// The scan left the column to the segment kernel, which
-			// declined it: decode it here, at the rows the batch keeps.
-			if m.dec == nil {
-				m.dec = getSegDecoder(inW)
-			}
-			var err error
-			if data, _, err = m.dec.decode(m.DataIdx, seg, in.Sel); err != nil {
-				return nil, err
-			}
-		}
-		if len(data) != n {
-			return nil, fmt.Errorf("exec: multi-extract data column %d not materialized (%d of %d rows)",
-				m.DataIdx, len(data), n)
-		}
-		if err := m.Kernel(data, m.cols); err != nil {
-			return nil, err
-		}
+	if err := extract(in, m.DataIdx, m.SegKernel, m.Kernel, &m.dec, m.cols); err != nil {
+		return nil, err
 	}
 	for k := 0; k < m.K; k++ {
 		out.SetCol(inW+k, m.cols[k])
@@ -1050,6 +963,34 @@ func (m *BatchMultiExtractIter) NextBatch() (*RowBatch, error) {
 	out.n = n
 	out.Sel = in.Sel
 	return out, nil
+}
+
+// extract fills cols, PhysLen rows each, with the keys a fused extraction
+// requests from column j of b. segK reads them straight from the column's
+// segment when the segment has the batch's rows and segK accepts it;
+// otherwise rowK decodes the column's records, the column first decoded
+// by *dec at the rows b keeps when b carries it as its segment alone (a
+// scan's lazy column).
+func extract(b *RowBatch, j int, segK SegExtractKernel, rowK MultiExtractKernel, dec **segDecoder, cols [][]types.Datum) error {
+	n := b.PhysLen()
+	if segK != nil && j < len(b.Segs) {
+		if seg := b.Segs[j]; seg != nil && seg.NumRows() == n {
+			if handled, err := segK(seg, cols); handled || err != nil {
+				return err
+			}
+		}
+	}
+	data := b.Cols[j]
+	if seg := lazySeg(b, j); seg != nil {
+		var err error
+		if data, _, err = useDecoder(dec, b.Width()).decode(j, seg, b.Sel); err != nil {
+			return err
+		}
+	}
+	if len(data) != n {
+		return fmt.Errorf("exec: extraction data column %d not materialized (%d of %d rows)", j, len(data), n)
+	}
+	return rowK(data, cols)
 }
 
 // Close implements BatchIterator.

@@ -336,19 +336,10 @@ func (o *joinOut) flush() (*RowBatch, error) {
 	if err != nil {
 		return nil, err
 	}
-	o.keep, o.sel = keep, o.sel[:0]
-	for i, k := range keep {
-		if k {
-			o.sel = append(o.sel, int32(i))
-		}
-	}
-	switch len(o.sel) {
-	case 0:
+	o.keep = keep
+	if b.Sel = narrowSel(&o.sel, nil, keep); b.Len() == 0 {
 		b.Reset()
 		return nil, nil
-	case len(keep):
-	default:
-		b.Sel = o.sel
 	}
 	return b, nil
 }

@@ -43,7 +43,7 @@ func TestPropertyBatchJoinMatchesRowJoin(t *testing.T) {
 		pred := randPred(r, colTypes, 2, true)
 		wantF := ref(refJoin(ref(refFilter(rows, pred)), buildRows, probeKeys, buildKeys, residual))
 		gotF := collectBatches(t, &BatchHashJoinIter{
-			Probe:     &BatchFilterIter{Pred: pred, In: NewBatchScan(h, nil)},
+			Probe:     filterOn(NewBatchScan(h, nil), pred),
 			Build:     NewBatchScan(bh, nil),
 			ProbeKeys: probeKeys, BuildKeys: buildKeys, Residual: residual,
 			BuildWidth: len(buildTypes),

@@ -18,7 +18,7 @@ import (
 var batchLens = []int{1, 3, 7, DefaultBatchSize}
 
 // feed is one shape of operator input: sliceBatches of size rows,
-// selection-carrying or not, optionally compacted by a BatchFilterIter
+// selection-carrying or not, optionally narrowed by a BatchFilterIter
 // over filter, with the pruned columns left empty.
 type feed struct {
 	size   int
@@ -53,7 +53,7 @@ func feeds(r *rand.Rand, filter Expr, pruned ...int) []feed {
 func (f feed) open(rows []storage.Row) BatchIterator {
 	var it BatchIterator = &sliceBatches{rows: rows, size: f.size, sel: f.sel, pruned: f.pruned}
 	if f.filter != nil {
-		it = &BatchFilterIter{In: it, Pred: f.filter}
+		it = filterOn(it, f.filter)
 	}
 	return it
 }
@@ -542,14 +542,14 @@ func TestPropertyBatchMatchesRow(t *testing.T) {
 			want, wantErr = refProject(want, projs)
 		}
 		got, gotErr := CollectBatches(&BatchProjectIter{Exprs: projs,
-			In: &BatchFilterIter{Pred: pred, In: &sliceBatches{rows: rows}}})
+			In: filterOn(&sliceBatches{rows: rows}, pred)})
 		compare("no-limit", got, gotErr, want, wantErr)
 
 		// The same predicate with every constant a parameter, its value
 		// given to the filter's context.
 		ppred, params := paramize(pred, nil)
 		got, gotErr = CollectBatches(&BatchProjectIter{Exprs: projs,
-			In: &BatchFilterIter{Pred: ppred, Params: params, In: &sliceBatches{rows: rows}}})
+			In: filterOn(&sliceBatches{rows: rows}, ppred, params...)})
 		compare("params", got, gotErr, want, wantErr)
 
 		// LIMIT leg: total predicate, possibly-erroring projections. Both
@@ -567,7 +567,7 @@ func TestPropertyBatchMatchesRow(t *testing.T) {
 		wantL, wantLErr := refProject(refLimit(filtered, limit), projs)
 		gotL, gotLErr := CollectBatches(&BatchLimitIter{N: limit,
 			In: &BatchProjectIter{Exprs: projs,
-				In: &BatchFilterIter{Pred: safePred, In: &sliceBatches{rows: rows}}}})
+				In: filterOn(&sliceBatches{rows: rows}, safePred)}})
 		compare("limit", gotL, gotLErr, wantL, wantLErr)
 		return true
 	}
@@ -650,7 +650,7 @@ func TestPropertyParallelMatchesSerial(t *testing.T) {
 		ref := mustRef(t)
 		want := ref(refProject(ref(refFilter(rows, pred)), projs))
 		batch := collectBatches(t, &BatchProjectIter{Exprs: projs,
-			In: &BatchFilterIter{Pred: pred, In: NewBatchScan(h, nil)}})
+			In: filterOn(NewBatchScan(h, nil), pred)})
 		rowsEqual(t, batch, want)
 		return true
 	}

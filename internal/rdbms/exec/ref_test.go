@@ -601,6 +601,14 @@ func prunedRows(rows []storage.Row, pruned ...int) []storage.Row {
 	return out
 }
 
+// filterOn returns a BatchFilterIter over in keeping the rows pred holds
+// for, pred compiled as a plan's FilterNode compiles its predicates.
+func filterOn(in BatchIterator, pred Expr, params ...types.Datum) *BatchFilterIter {
+	width := 0
+	ColumnsUsed(pred, func(j int) { width = max(width, j+1) })
+	return &BatchFilterIter{In: in, Filter: CompileSelFilter([]Expr{pred}, width, nil, nil), Params: params}
+}
+
 // mustRef returns a check that fails t on a reference error (reference
 // inputs are total unless a test says otherwise).
 func mustRef(t *testing.T) func([]storage.Row, error) []storage.Row {

@@ -1,33 +1,34 @@
 package exec
 
 import (
+	"slices"
 	"sort"
 
-	"github.com/sinewdata/sinew/internal/rdbms/storage"
 	"github.com/sinewdata/sinew/internal/rdbms/types"
 )
 
-// This file implements in-scan predicate evaluation over frozen pages: the
-// pushed-down conjuncts are compiled once at plan time into a SelFilter,
-// and the batch scan evaluates them page by page directly against the
-// frozen page's column vectors, emitting a selection vector (RowBatch.Sel)
-// instead of a compacted copy. Extraction atoms inside the conjuncts
+// This file implements predicate evaluation as narrowing a selection
+// vector, the one way the executor drops rows: the conjuncts are compiled
+// once at plan time into a SelFilter, and the batch scan runs it over every
+// batch it reads — a frozen page's column vectors or a transposed run of
+// row-form rows — as a filter above a join or an aggregate runs it over its
+// input, publishing the rows that pass through RowBatch.Sel instead of
+// compacting or copying them. Extraction atoms inside a scan's conjuncts
 // (json_int(data, 'key') and friends) are rewritten to read shared slot
-// columns filled by one segment-kernel pass per page, so a predicate over
-// a striped attribute never parses a serialized record.
+// columns filled by one kernel pass per batch, so a predicate over a
+// striped attribute never parses a serialized record.
 //
 // Conjuncts run in a statically ranked order (cheapest/most selective
 // first) and each one sees only the rows surviving the previous ones, so
 // later, more expensive conjuncts touch a shrinking selection; a conjunct
-// only forces materialization of the columns it actually reads, and a
+// only forces decoding of the segment columns it actually reads, and a
 // page whose selection empties out is abandoned before the remaining
 // columns are ever decoded.
 //
 // Error discipline: reordering and skipping rows changes which evaluation
-// error (if any) a query surfaces. Whenever the selection path errors on
-// a page, the page is replayed with the original conjunction over every
-// row in row order — exactly what the hoisted-filter pipeline did — and
-// that outcome (error or keep mask) is authoritative.
+// error (if any) a query surfaces. Whenever a conjunct errors on a batch,
+// the batch is replayed with the original conjunction over every row in
+// row order, and that outcome (error or kept rows) is authoritative.
 
 // SelConjunct is one compiled conjunct of a SelFilter.
 type SelConjunct struct {
@@ -49,13 +50,13 @@ type SelConjunct struct {
 	rank float64
 }
 
-// SelFilter is the compiled in-scan filter of a batch scan's frozen pages. It is
-// immutable after compilation and shared by every execution of a cached
-// plan; each scan instantiates its own evaluation state.
+// SelFilter is the compiled filter of a batch scan or a BatchFilterIter. It
+// is immutable after compilation and shared by every execution of a cached
+// plan; each operator instantiates its own evaluation state.
 type SelFilter struct {
 	Conjuncts []SelConjunct
-	// Filter is the full conjunction in pushed-down form — the row-form
-	// page filter and the error-replay predicate.
+	// Filter is the full conjunction as written — the error-replay
+	// predicate.
 	Filter Expr
 	// Width is the physical scan width; slot ColExprs index Width+k.
 	Width int
@@ -191,7 +192,7 @@ func (c *selCompiler) atomSlot(x *CallExpr) (int, bool) {
 
 // rewrite returns e with extraction atoms replaced by slot ColExprs,
 // copying nodes along rewritten paths (the original tree is shared with
-// the row-form page filter and EXPLAIN and must not be mutated). Lazy
+// the replay predicate and EXPLAIN and must not be mutated). Lazy
 // contexts (AND/OR, COALESCE, IN-list, ANY) are left untouched: their
 // operands evaluate over the rows the earlier operands left undecided,
 // where an unrewritten atom still works through the scan's materialized
@@ -309,255 +310,192 @@ func conjunctRank(e Expr) float64 {
 	return sel + 0.1*cost
 }
 
-// selScanState is the per-scan evaluation state of a SelFilter: the eval
-// facade batch (physical columns plus slot columns), lazily instantiated
-// kernels, and reusable selection/keep buffers. One state belongs to one
-// scan.
-type selScanState struct {
+// selEval is one operator's evaluation state of a SelFilter: the view the
+// conjuncts read (the batch's columns, then the slot columns), the slot
+// kernels, built on first use so every operator has kernel state of its
+// own, and reusable keep and selection buffers.
+type selEval struct {
 	sf   *SelFilter
 	segK SegExtractKernel
 	rowK MultiExtractKernel
-	// kernelsBroken disables slot evaluation after a factory error; pages
-	// then take the replay path, which needs no kernels.
+	// kernelsBroken disables slot evaluation after a factory error;
+	// batches then take the replay path, which needs no kernels.
 	kernelsBroken bool
-	built         bool
 
-	// view is the predicate-evaluation facade: Cols[0:Width] alias the
-	// page shell's columns as they are filled, Cols[Width+k] the slot
-	// columns. Never pooled, never returned downstream.
+	// view is what the conjuncts read: Cols[0:Width] alias the batch's
+	// columns (a scan fills a frozen page's segment columns in as
+	// conjuncts ask for them), Cols[Width+k] the slot columns, and Sel the
+	// rows still in play.
 	view        *RowBatch
 	slotCols    [][]types.Datum
 	slotsFilled bool
-	selBuf      []int32
+	sel         []int32
 	keep        []bool
 }
 
-func newSelScanState(sf *SelFilter) *selScanState {
+// newSelEval returns the evaluation state of sf over batches of width
+// columns.
+func newSelEval(sf *SelFilter, width int) *selEval {
 	k := len(sf.Reqs)
-	return &selScanState{
+	e := &selEval{
 		sf: sf,
 		view: &RowBatch{
-			Cols:  make([][]types.Datum, sf.Width+k),
-			Nulls: make([]NullBitmap, sf.Width+k),
+			Cols:  make([][]types.Datum, width+k),
+			Nulls: make([]NullBitmap, width+k),
 		},
 		slotCols: make([][]types.Datum, k),
 	}
-}
-
-// buildKernels instantiates the slot kernels on first use, so every scan
-// has kernel state of its own. A factory failure is not fatal: the filter
-// is still fully evaluable through replay, it just loses the vectorized
-// slot path.
-func (st *selScanState) buildKernels() {
-	if st.built {
-		return
+	if k == 0 {
+		return e
 	}
-	st.built = true
-	sf := st.sf
-	if len(sf.Reqs) == 0 {
-		return
-	}
+	// A factory failure is not fatal: the filter is still fully evaluable
+	// through replay, it just loses the vectorized slot path.
 	if sf.RowFactory == nil {
-		st.kernelsBroken = true
-		return
+		e.kernelsBroken = true
+		return e
 	}
 	rowK, err := sf.RowFactory(sf.Reqs)
 	if err != nil || rowK == nil {
-		st.kernelsBroken = true
-		return
+		e.kernelsBroken = true
+		return e
 	}
-	st.rowK = rowK
+	e.rowK = rowK
 	if sf.SegFactory != nil {
 		if segK, err := sf.SegFactory(sf.Reqs); err == nil {
-			st.segK = segK
+			e.segK = segK
 		}
 	}
+	return e
 }
 
-// beginPage resets the per-page slot tracking.
-func (st *selScanState) beginPage() {
-	st.slotsFilled = false
-	st.view.Sel = nil
+// begin points the view at b, every row of b's selection in play and no
+// slot filled.
+func (e *selEval) begin(b *RowBatch) {
+	v := e.view
+	copy(v.Cols, b.Cols)
+	copy(v.Nulls, b.Nulls)
+	v.Segs, v.Sel, v.n = b.Segs, b.Sel, b.PhysLen()
+	e.slotsFilled = false
 }
 
-// frozenSelBatch evaluates the scan's SelFilter against one frozen page
-// and returns the page as a selection-carrying alias batch. A fully
-// filtered page returns (nil, nil): the caller reads the next page.
-// Segment columns are decoded at the rows the selection keeps when they
-// are filled: a conjunct's at the rows the earlier ones left, the
-// operators' above at the rows the filter passes.
-func (s *BatchScanIter) frozenSelBatch(fp *storage.FrozenPage) (*RowBatch, error) {
-	if s.selState == nil {
-		if s.sf == nil {
-			s.sf = CompileSelFilter([]Expr{s.Filter}, s.width, nil, nil)
+// narrow runs the ranked conjuncts over the view, each over the rows the
+// earlier ones kept, and returns the rows that pass them all: nil when the
+// view had no selection and every row passes. A scan, when given, fills
+// in what each conjunct reads first. The first error, a fill's or a
+// conjunct's, is returned as is; the caller replays the batch.
+func (e *selEval) narrow(ctx *EvalCtx, scan *BatchScanIter) ([]int32, error) {
+	v := e.view
+	for ci := range e.sf.Conjuncts {
+		if v.Sel != nil && len(v.Sel) == 0 {
+			break
 		}
-		s.selState = newSelScanState(s.sf)
-	}
-	st := s.selState
-	st.buildKernels()
-	sf := s.sf
-	phys := fp.NumRows()
-	b := s.beginFrozen(fp)
-	st.beginPage()
-
-	st.view.n = phys
-	sel, replay, err := s.evalConjuncts(fp, phys)
-	if err != nil {
-		return nil, err
-	}
-	if replay {
-		// The selection path failed somewhere: re-run the original
-		// conjunction over the whole page. Its outcome — error or keep
-		// mask — is what the non-selective pipeline produces.
-		if err := s.fillNeeded(nil, true); err != nil {
-			return nil, err
+		c := &e.sf.Conjuncts[ci]
+		if scan != nil {
+			if err := scan.fillConjunct(c, v.Sel); err != nil {
+				return nil, err
+			}
 		}
-		b.n = phys
-		keep, err := EvalPredBatch(sf.Filter, b, s.ctx, st.keep)
+		var err error
+		if c.Kern != nil {
+			n := v.Len()
+			if cap(e.keep) < n {
+				e.keep = make([]bool, n)
+			}
+			e.keep = e.keep[:n]
+			err = c.Kern(v, e.keep, ctx.params)
+		} else {
+			var keep []bool
+			if keep, err = EvalPredBatch(c.Pred, v, ctx, e.keep); err == nil {
+				e.keep = keep
+			}
+		}
 		if err != nil {
 			return nil, err
 		}
-		st.keep = keep
-		sel = s.selSlice(phys)
-		for i := 0; i < phys; i++ {
-			if keep[i] {
-				sel = append(sel, int32(i))
-			}
-		}
-		if len(sel) == phys {
-			sel = nil
-		}
+		v.Sel = narrowSel(&e.sel, v.Sel, e.keep)
 	}
-	if sel != nil && len(sel) == 0 {
-		return nil, nil
-	}
-	if err := s.fillNeeded(sel, false); err != nil {
+	return v.Sel, nil
+}
+
+// replay evaluates the whole conjunction, as written, over b's rows in row
+// order — what a row-at-a-time filter does — and returns the rows that
+// pass. Its outcome, error or rows, is the batch's: reordering conjuncts
+// and skipping rows must not change which error a statement surfaces.
+func (e *selEval) replay(b *RowBatch, ctx *EvalCtx) ([]int32, error) {
+	keep, err := EvalPredBatch(e.sf.Filter, b, ctx, e.keep)
+	if err != nil {
 		return nil, err
 	}
-	s.attachSegs(b, fp)
-	b.n = phys
-	b.Sel = sel
-	if sel != nil {
-		s.selBatches++
-	}
-	return b, nil
+	e.keep = keep
+	return narrowSel(&e.sel, b.Sel, keep), nil
 }
 
-// evalConjuncts runs the ranked conjuncts over the page, intersecting
-// selections. It reports replay=true when any evaluation step errors —
-// the caller then re-evaluates the page through the original filter.
-func (s *BatchScanIter) evalConjuncts(fp *storage.FrozenPage, phys int) (sel []int32, replay bool, err error) {
-	st := s.selState
-	for ci := range s.sf.Conjuncts {
-		c := &s.sf.Conjuncts[ci]
-		if sel != nil && len(sel) == 0 {
-			return sel, false, nil
-		}
-		var ferr error
-		if c.AllCols {
-			ferr = s.fillNeeded(sel, true)
-		} else {
-			for _, j := range c.Cols {
-				if ferr = s.fill(j, sel); ferr != nil {
-					break
-				}
-			}
-		}
-		if ferr == nil && c.Slots {
-			ferr = s.fillSlots(fp, sel, phys)
-		}
-		if ferr != nil {
-			return nil, true, nil
-		}
-		st.view.Sel = sel
-		var keep []bool
-		var kerr error
-		if c.Kern != nil {
-			n := st.view.Len()
-			if cap(st.keep) < n {
-				st.keep = make([]bool, n)
-			}
-			keep = st.keep[:n]
-			kerr = c.Kern(st.view, keep, s.ctx.params)
-		} else {
-			keep, kerr = EvalPredBatch(c.Pred, st.view, s.ctx, st.keep)
-		}
-		if kerr != nil {
-			return nil, true, nil
-		}
-		st.keep = keep
-		if sel == nil {
-			kept := 0
-			for i := 0; i < phys; i++ {
-				if keep[i] {
-					kept++
-				}
-			}
-			if kept == phys {
-				continue
-			}
-			sel = s.selSlice(phys)
-			for i := 0; i < phys; i++ {
-				if keep[i] {
-					sel = append(sel, int32(i))
-				}
-			}
-		} else {
-			w := 0
-			for si := range keep {
-				if keep[si] {
-					sel[w] = sel[si]
-					w++
-				}
-			}
-			sel = sel[:w]
-		}
-	}
-	return sel, false, nil
-}
-
-// fillSlots runs the extraction kernels once for the page, preferring the
-// segment kernel when the data column is striped and recognized, falling
-// back to record decoding over the data column decoded at the rows of sel.
-// Kernels fill every physical row — rows a previous conjunct dropped read
-// as whatever the kernel makes of them, matching BatchMultiExtractIter;
-// later conjuncts only look at rows of narrower selections.
-func (s *BatchScanIter) fillSlots(fp *storage.FrozenPage, sel []int32, phys int) error {
-	st := s.selState
-	if st.slotsFilled {
+// narrowSel returns the rows of a batch that keep marks (keep[si] for its
+// si-th logical row: sel[si], or row si when sel is nil), written into
+// *buf, which sel may share since rows only move down. A nil sel stays nil
+// when every row is kept; when none is, the result is empty, not nil.
+func narrowSel(buf *[]int32, sel []int32, keep []bool) []int32 {
+	if sel == nil && !slices.Contains(keep, false) {
 		return nil
 	}
-	if st.kernelsBroken {
+	if cap(*buf) < len(keep) {
+		*buf = make([]int32, 0, len(keep))
+	}
+	out := (*buf)[:0]
+	for si, k := range keep {
+		if k {
+			out = append(out, int32(selIdx(sel, si)))
+		}
+	}
+	return out
+}
+
+// fillConjunct puts in place what c reads, at the rows of sel: the
+// segment columns it reads (every needed one when they are unknown) and
+// the slot columns.
+func (s *BatchScanIter) fillConjunct(c *SelConjunct, sel []int32) error {
+	if c.AllCols {
+		if err := s.fillNeeded(sel, true); err != nil {
+			return err
+		}
+	}
+	for _, j := range c.Cols {
+		if err := s.fill(j, sel); err != nil {
+			return err
+		}
+	}
+	if c.Slots {
+		return s.fillSlots()
+	}
+	return nil
+}
+
+// fillSlots runs the extraction kernels once per batch, over every
+// physical row: rows an earlier conjunct dropped read as whatever the
+// kernel makes of them, as in BatchMultiExtractIter, and later conjuncts
+// only look at rows of narrower selections.
+func (s *BatchScanIter) fillSlots() error {
+	e := s.eval
+	if e.slotsFilled {
+		return nil
+	}
+	if e.kernelsBroken {
 		return errSelKernels
 	}
-	sf := st.sf
+	sf, phys := e.sf, e.view.PhysLen()
 	for k := range sf.Reqs {
-		if cap(st.slotCols[k]) < phys {
-			st.slotCols[k] = make([]types.Datum, phys)
+		if cap(e.slotCols[k]) < phys {
+			e.slotCols[k] = make([]types.Datum, phys)
 		}
-		st.slotCols[k] = st.slotCols[k][:phys]
+		e.slotCols[k] = e.slotCols[k][:phys]
 	}
-	handled := false
-	if st.segK != nil {
-		if _, _, seg := fp.Col(sf.DataIdx); seg != nil && seg.NumRows() == phys {
-			var err error
-			if handled, err = st.segK(seg, st.slotCols); err != nil {
-				return err
-			}
-		}
-	}
-	if !handled {
-		if err := s.fill(sf.DataIdx, sel); err != nil {
-			return err
-		}
-		if err := st.rowK(st.view.Cols[sf.DataIdx], st.slotCols); err != nil {
-			return err
-		}
+	if err := extract(e.view, sf.DataIdx, e.segK, e.rowK, &s.dec, e.slotCols); err != nil {
+		return err
 	}
 	for k := range sf.Reqs {
-		st.view.Cols[sf.Width+k] = st.slotCols[k]
+		e.view.Cols[sf.Width+k] = e.slotCols[k]
 	}
-	st.slotsFilled = true
+	e.slotsFilled = true
 	return nil
 }
 
@@ -568,35 +506,3 @@ var errSelKernels = &selKernelErr{}
 type selKernelErr struct{}
 
 func (*selKernelErr) Error() string { return "exec: selection-filter kernels unavailable" }
-
-// selSlice returns the scan-owned selection buffer, emptied, with capacity
-// for the page.
-func (s *BatchScanIter) selSlice(phys int) []int32 {
-	st := s.selState
-	if cap(st.selBuf) < phys {
-		st.selBuf = make([]int32, 0, phys)
-	}
-	return st.selBuf[:0]
-}
-
-// frozenShell returns the cleared frozen-page shell batch. It is never
-// pooled and never Reset — both would corrupt the aliased page storage.
-func (s *BatchScanIter) frozenShell() *RowBatch {
-	b := s.shell
-	if b == nil {
-		b = &RowBatch{
-			Cols:  make([][]types.Datum, s.width),
-			Nulls: make([]NullBitmap, s.width),
-			Segs:  make([]storage.ColumnSegment, s.width),
-		}
-		s.shell = b
-	}
-	for j := 0; j < s.width; j++ {
-		b.Cols[j] = nil
-		b.Nulls[j] = nil
-		b.Segs[j] = nil
-	}
-	b.n = 0
-	b.Sel = nil
-	return b
-}

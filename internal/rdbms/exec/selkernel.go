@@ -18,11 +18,11 @@ import (
 // Semantics contract: a kernel must drop exactly the rows EvalPredBatch
 // would drop (NULL and FALSE) and must fail on exactly the predicates the
 // generic path would fail on (incomparable types). A kernel error does not
-// need to reproduce the row path's error value: evalConjuncts replays the
-// page through the original conjunction on any error, and that outcome is
-// authoritative.
+// need to reproduce the row path's error value: the batch is replayed
+// through the original conjunction on any error (selEval.replay), and that
+// outcome is authoritative.
 
-// selKernelFn evaluates one compiled conjunct against the scan's view
+// selKernelFn evaluates one compiled conjunct against the filter's view
 // batch, writing keep[si] for each logical row si (mapped through
 // view.Sel); params are the statement's bound values, which a kernel over
 // a ParamExpr reads per call. Any error sends the page to the replay path.

@@ -57,7 +57,7 @@ func TestPropertyBatchSortMatchesRowSort(t *testing.T) {
 
 		var batchSrc BatchIterator = NewBatchScan(h, nil)
 		if pred != nil {
-			batchSrc = &BatchFilterIter{Pred: pred, In: batchSrc}
+			batchSrc = filterOn(batchSrc, pred)
 		}
 		batch := collectBatches(t, &BatchSortIter{In: batchSrc, Keys: keys})
 		rowsEqual(t, batch, want)

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -121,7 +122,7 @@ func TestPropertyStripedMatchesRow(t *testing.T) {
 			// A filter above the scan remains a supported operator shape
 			// (residual predicates land there).
 			hoisted := collectBatches(t, &BatchProjectIter{Exprs: projs,
-				In: &BatchFilterIter{Pred: pred, In: NewBatchScan(h, nil)}})
+				In: filterOn(NewBatchScan(h, nil), pred)})
 			rowsEqual(t, hoisted, want)
 			// The planner path proper: predicates compiled into the in-scan
 			// selection filter, survivors carried by a selection vector.
@@ -249,6 +250,38 @@ func TestPropertyStripedMixedHeap(t *testing.T) {
 			_, max, ok := s.ColRange(0)
 			return ok && max.I < k
 		})
+
+		// The same answer and the same error on every form. conjunctRank
+		// runs the division first (0.35 against 0.85 for <>), so it divides
+		// by zero on the row holding c0 = k, which the <> drops: the batch
+		// holding it must replay the conjunction as written, whose AND never
+		// divides there. The division alone fails there with the
+		// reference's error. k lies on an untouched frozen page, on the
+		// first page of the row-form run, and anywhere for a residual
+		// filter over the whole scan.
+		for _, k := range []int64{int64(r.Intn(per)), int64(frozenPages*per + r.Intn(per)), r.Int63n(int64(len(rows)))} {
+			diff := &BinExpr{Op: "-", L: col(0, types.Int), R: lit(types.NewInt(k))}
+			nonzero := &BinExpr{Op: "<>", L: diff, R: lit(types.NewInt(0))}
+			div := &BinExpr{Op: ">", L: &BinExpr{Op: "/", L: lit(types.NewInt(10)), R: diff}, R: lit(types.NewInt(1))}
+			for _, preds := range [][]Expr{{nonzero, div}, {div}} {
+				sf := CompileSelFilter(preds, len(colTypes), nil, nil)
+				want, wantErr := refFilter(refScan(h), sf.Filter)
+				scan := NewBatchScan(h, nil)
+				scan.SetSelFilter(sf)
+				for leg, it := range map[string]BatchIterator{
+					"scan":     scan,
+					"residual": &BatchFilterIter{In: NewBatchScan(h, nil), Filter: sf},
+				} {
+					got, err := CollectBatches(it)
+					if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+						t.Fatalf("seed %d k %d %s %v: error %v, reference %v", seed, k, leg, sf.Filter, err, wantErr)
+					}
+					if err == nil {
+						rowsEqual(t, got, want)
+					}
+				}
+			}
+		}
 
 		// Collected projections — contiguous, reordered, duplicated and
 		// single-column, over the striped column 1 and the plain column 2 —

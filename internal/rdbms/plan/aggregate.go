@@ -291,6 +291,7 @@ func (p *Planner) planAggregation(
 			baseNode: baseNode{layout: aggLayout, rows: math.Max(cur.Rows()/3, 1),
 				cost: cur.Cost() + cur.Rows()*(ct+pred.Cost())},
 			Child: cur, Preds: []exec.Expr{pred},
+			filter: exec.CompileSelFilter([]exec.Expr{pred}, len(aggLayout.Cols), nil, nil),
 		}
 	}
 	return cur, aggLayout, outItems, outOrder, nil

@@ -110,11 +110,11 @@ type ScanNode struct {
 	// the source for EXPLAIN.
 	Skip       func(*storage.HeapChunkIter, []types.Datum) func(*storage.PageSummary) bool
 	SkipSource string
-	// SelFilter is the compiled form of Preds the scan runs on frozen
-	// pages: ranked conjuncts evaluated against the page's column vectors,
-	// emitting selection vectors instead of compacted copies (see
-	// prepareSegmented / exec.CompileSelFilter). Nil when Preds is empty
-	// or the heap had no frozen page at plan time.
+	// SelFilter is the compiled form of Preds the scan runs over every
+	// batch, frozen page or row-form run: ranked conjuncts narrowing a
+	// selection vector (see prepareSegmented / exec.CompileSelFilter). Nil
+	// when Preds is empty, and in the reference plan, whose scan compiles
+	// Preds as one conjunct when it opens.
 	SelFilter *exec.SelFilter
 }
 
@@ -146,7 +146,11 @@ func (s *ScanNode) Children() []Node { return nil }
 func (s *ScanNode) Open(ec *exec.ExecCtx) exec.BatchIterator { return s.open(ec) }
 
 func (s *ScanNode) open(ec *exec.ExecCtx) *exec.BatchScanIter {
-	it := exec.NewBatchScan(execView(ec, s.Heap), conjoinExec(s.Preds))
+	var filter exec.Expr
+	if s.SelFilter == nil {
+		filter = conjoinExec(s.Preds)
+	}
+	it := exec.NewBatchScan(execView(ec, s.Heap), filter)
 	it.NeedCols, it.LazyCols = s.NeedCols, s.LazyCols
 	it.SetParams(ec.Params())
 	if s.Skip != nil {
@@ -163,6 +167,9 @@ type FilterNode struct {
 	baseNode
 	Child Node
 	Preds []exec.Expr
+	// filter is Preds compiled, with no extraction slots: the filter
+	// narrows its input's selection vector (exec.BatchFilterIter).
+	filter *exec.SelFilter
 }
 
 // Label implements Node.
@@ -176,7 +183,7 @@ func (f *FilterNode) Children() []Node { return []Node{f.Child} }
 
 // Open implements Node.
 func (f *FilterNode) Open(ec *exec.ExecCtx) exec.BatchIterator {
-	return &exec.BatchFilterIter{In: f.Child.Open(ec), Pred: conjoinExec(f.Preds), Params: ec.Params()}
+	return &exec.BatchFilterIter{In: f.Child.Open(ec), Filter: f.filter, Params: ec.Params()}
 }
 
 // ---------- Project ----------

@@ -215,6 +215,7 @@ func (p *Planner) PlanSelect(stmt *sqlparse.SelectStmt) (*SelectPlan, error) {
 			baseNode: baseNode{layout: curLayout, rows: cur.Rows() * sel,
 				cost: cur.Cost() + cur.Rows()*(p.Cfg.CPUTupleCost+exprCostOf(preds))},
 			Child: cur, Preds: preds,
+			filter: exec.CompileSelFilter(preds, len(curLayout.Cols), nil, nil),
 		}
 	}
 

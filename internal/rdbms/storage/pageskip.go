@@ -383,8 +383,8 @@ func (h *Heap) RecordZoneSkips(n int64) {
 	}
 }
 
-// RecordSelBatches counts selection-carrying batches emitted by striped
-// scans (in-scan predicate evaluation over aliased frozen pages).
+// RecordSelBatches counts selection-carrying batches returned by scans:
+// frozen pages and row-form runs whose filter dropped rows.
 func (h *Heap) RecordSelBatches(n int64) {
 	if h.pager != nil && n > 0 {
 		h.pager.recordSelBatches(n)
